@@ -522,16 +522,18 @@ func BenchmarkAblationCorpusScale(b *testing.B) {
 }
 
 // BenchmarkScenarioEngine runs the observed-world counterfactual
-// simulation end to end — per-site discrete-event loops, real HTTP crawl
-// waves, log-window analysis — across worker counts. Output is
-// bit-identical at every setting; the spread is pure scheduling.
+// simulation end to end with every site-month hot — live farm sites,
+// real HTTP crawl waves, log-window analysis — across worker counts.
+// Output is bit-identical at every setting; the spread is pure
+// scheduling.
 func BenchmarkScenarioEngine(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			var visits int
 			for i := 0; i < b.N; i++ {
-				res, err := scenario.Run(context.Background(),
-					scenario.Observed(benchSeed, 32, 24), workers)
+				res, err := scenario.RunTiered(context.Background(),
+					scenario.Observed(benchSeed, 32, 24),
+					scenario.TierOptions{HotSites: 32, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -181,8 +181,8 @@ func init() {
 	register("scenario_engine", func(b *testing.B) {
 		var visits float64
 		for i := 0; i < b.N; i++ {
-			res, err := scenario.Run(context.Background(),
-				scenario.Observed(snapSeed, 12, 12), 4)
+			res, err := scenario.RunTiered(context.Background(),
+				scenario.Observed(snapSeed, 12, 12), scenario.TierOptions{HotSites: 12, Workers: 4})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -192,8 +192,9 @@ func init() {
 	})
 
 	// scenario_engine_store is scenario_engine with the run store
-	// attached: the pair measures the persistence overhead (acceptance
-	// target: <5% over scenario_engine).
+	// attached: the pair measures the persistence overhead on
+	// full-fidelity site-months (acceptance target: <5% over
+	// scenario_engine).
 	register("scenario_engine_store", func(b *testing.B) {
 		st, err := runstore.Open(b.TempDir())
 		if err != nil {
@@ -208,7 +209,8 @@ func init() {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := scenario.RunObserved(context.Background(), spec, 4, w)
+			res, err := scenario.RunTiered(context.Background(), spec,
+				scenario.TierOptions{HotSites: 12, Workers: 4, Observer: w})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -1,9 +1,8 @@
 package main
 
-// Tiered-engine benchmarks: the full engine and the tiered engine at the
-// same site count (the apples-to-apples speedup pair), plus the tiered
-// engine at 10× the sites (the scale headline). All three report
-// sites_per_sec so the regression gate tracks throughput directly.
+// Scenario scale benchmarks: the observed world at 1k and 10k sites with
+// a 32-site hot cohort. Both report sites_per_sec so the regression gate
+// tracks throughput directly.
 
 import (
 	"context"
@@ -12,21 +11,15 @@ import (
 	"repro/internal/scenario"
 )
 
-// benchScenarioSites runs the observed-world spec at the given scale on
-// either engine and reports throughput.
-func benchScenarioSites(b *testing.B, sites int, tiered bool) {
+// benchScenarioSites runs the observed-world spec at the given scale and
+// reports throughput.
+func benchScenarioSites(b *testing.B, sites int) {
 	spec := scenario.Observed(snapSeed, sites, 12)
 	var visits float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var res *scenario.Result
-		var err error
-		if tiered {
-			res, err = scenario.RunTiered(context.Background(), spec,
-				scenario.TierOptions{HotSites: 32, Workers: 4})
-		} else {
-			res, err = scenario.Run(context.Background(), spec, 4)
-		}
+		res, err := scenario.RunTiered(context.Background(), spec,
+			scenario.TierOptions{HotSites: 32, Workers: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,13 +30,10 @@ func benchScenarioSites(b *testing.B, sites int, tiered bool) {
 }
 
 func init() {
-	register("scenario_full_1k", func(b *testing.B) {
-		benchScenarioSites(b, 1000, false)
-	})
 	register("scenario_tiered_1k", func(b *testing.B) {
-		benchScenarioSites(b, 1000, true)
+		benchScenarioSites(b, 1000)
 	})
 	register("scenario_tiered_10k", func(b *testing.B) {
-		benchScenarioSites(b, 10000, true)
+		benchScenarioSites(b, 10000)
 	})
 }

@@ -10,11 +10,11 @@
 //	scenario -spec world.json -sites 500 -months 36 -workers 8
 //	scenario -builtin baseline-replay -format json | jq .Verdicts
 //	scenario -dump high-adoption          # print a built-in as JSON to edit
-//	scenario -builtin observed-world -sites 100000 -tiered -hot 64
+//	scenario -builtin observed-world -sites 100000 -hot 64
 //
-// Identical specs produce bit-identical results at any -workers value;
-// -tiered produces bit-identical results to the full engine at any
-// -hot value, it only changes how fast the run gets there.
+// Identical specs produce bit-identical results at any -workers and any
+// -hot value: -hot pins that many sites to full-fidelity simulation
+// (live sites, real HTTP) and only changes how fast the run gets there.
 package main
 
 import (
@@ -48,8 +48,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		sites    = fs.Int("sites", 0, "override the spec's site count")
 		months   = fs.Int("months", 0, "override the spec's month count")
 		workers  = fs.Int("workers", 0, "site-simulation pool size (0 = GOMAXPROCS)")
-		tiered   = fs.Bool("tiered", false, "use the tiered engine (columnar long tail + wave cache)")
-		hot      = fs.Int("hot", 32, "tiered mode: sites pinned to full-fidelity simulation")
+		hot      = fs.Int("hot", 32, "sites pinned to full-fidelity simulation (cost dial: output is identical at any value)")
 		format   = fs.String("format", "text", "output format: text or json")
 		timeout  = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
 		metrics  = fs.String("metrics", "", "write obs metrics (Prometheus text) to this file at end of run (- = stderr)")
@@ -153,15 +152,10 @@ func run(stdout, stderr io.Writer, args []string) int {
 	}
 
 	start := time.Now()
-	var res *scenario.Result
 	var tierStats scenario.TierStats
-	if *tiered {
-		res, err = scenario.RunTiered(ctx, spec, scenario.TierOptions{
-			HotSites: *hot, Workers: *workers, Stats: &tierStats, Observer: observer,
-		})
-	} else {
-		res, err = scenario.RunObserved(ctx, spec, *workers, observer)
-	}
+	res, err := scenario.RunTiered(ctx, spec, scenario.TierOptions{
+		HotSites: *hot, Workers: *workers, Stats: &tierStats, Observer: observer,
+	})
 	stopCPU()
 	if err != nil {
 		if writer != nil {
@@ -194,13 +188,11 @@ func run(stdout, stderr io.Writer, args []string) int {
 		return 0
 	}
 	writeText(stdout, res, time.Since(start))
-	if *tiered {
-		writeTierStats(stdout, spec, tierStats)
-	}
+	writeTierStats(stdout, spec, tierStats)
 	return 0
 }
 
-// writeTierStats appends the tiered engine's accounting to the text
+// writeTierStats appends the engine's tier accounting to the text
 // report: how the site-months split across tiers, the wave cache's
 // compile/replay economics, and the long-tail footprint.
 func writeTierStats(w io.Writer, spec scenario.Spec, ts scenario.TierStats) {

@@ -49,24 +49,25 @@ func TestRunBuiltinJSON(t *testing.T) {
 }
 
 // TestTieredMatchesFullJSON is the CLI-level parity check CI repeats:
-// the JSON a tiered run emits is byte-identical to the full engine's.
+// the JSON an all-cold run emits is byte-identical to the all-hot run's
+// (smoke.json has 8 sites), at a different worker count.
 func TestTieredMatchesFullJSON(t *testing.T) {
-	var full, tiered, errb bytes.Buffer
-	if code := run(&full, &errb, []string{"-spec", "testdata/smoke.json", "-format", "json"}); code != 0 {
-		t.Fatalf("full: exit %d: %s", code, errb.String())
+	var hot, cold, errb bytes.Buffer
+	if code := run(&hot, &errb, []string{"-spec", "testdata/smoke.json", "-format", "json", "-hot", "8"}); code != 0 {
+		t.Fatalf("hot: exit %d: %s", code, errb.String())
 	}
-	args := []string{"-spec", "testdata/smoke.json", "-format", "json", "-tiered", "-hot", "3", "-workers", "4"}
-	if code := run(&tiered, &errb, args); code != 0 {
-		t.Fatalf("tiered: exit %d: %s", code, errb.String())
+	args := []string{"-spec", "testdata/smoke.json", "-format", "json", "-hot", "0", "-workers", "4"}
+	if code := run(&cold, &errb, args); code != 0 {
+		t.Fatalf("cold: exit %d: %s", code, errb.String())
 	}
-	if full.String() != tiered.String() {
-		t.Fatalf("tiered JSON diverges from full:\n%s\nvs\n%s", tiered.String(), full.String())
+	if hot.String() != cold.String() {
+		t.Fatalf("-hot 0 JSON diverges from -hot 8:\n%s\nvs\n%s", cold.String(), hot.String())
 	}
 }
 
 func TestTieredTextReportsStats(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run(&out, &errb, []string{"-spec", "testdata/smoke.json", "-tiered", "-hot", "2"}); code != 0 {
+	if code := run(&out, &errb, []string{"-spec", "testdata/smoke.json", "-hot", "2"}); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
 	for _, want := range []string{"tiered:", "site-months", "wave classes", "B/site columnar"} {

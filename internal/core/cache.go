@@ -155,11 +155,13 @@ func (e *Env) InferenceSurvey(ctx context.Context) (*proxy.CFSurveyResult, error
 // by the spec's full identity: re-running or re-rendering an experiment
 // within one engine run never repeats a simulation. Each scenario
 // experiment currently declares distinct worlds, so distinct experiments
-// do not share runs.
+// do not share runs. HotSites stays at its zero value: the result is
+// identical at any value, and pinning a live-HTTP cohort would only make
+// the registry slower.
 func (e *Env) Scenario(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
 	key := "scenario/" + spec.CacheKey()
 	return memo(e, key, func() (*scenario.Result, error) {
-		return scenario.Run(ctx, spec, e.Config.EffectiveWorkers())
+		return scenario.RunTiered(ctx, spec, scenario.TierOptions{Workers: e.Config.EffectiveWorkers()})
 	})
 }
 

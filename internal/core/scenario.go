@@ -9,7 +9,7 @@ import (
 )
 
 // Scenario experiments: the §8 what-if questions run through the
-// discrete-event ecosystem simulator. They register after the paper
+// ecosystem simulator (internal/scenario). They register after the paper
 // reproductions (this file sorts after experiments.go), so existing
 // output order is unchanged.
 func init() {

@@ -296,8 +296,8 @@ type QuotaAccounting struct {
 }
 
 // ScenarioWriter persists one scenario run as the engine produces it.
-// It implements scenario.Observer: pass it to scenario.RunObserved or
-// TierOptions.Observer, then Close. Errors during observation are
+// It implements scenario.Observer: pass it as TierOptions.Observer,
+// then Close. Errors during observation are
 // deferred to Close (the Observer interface returns none).
 type ScenarioWriter struct {
 	st   *Store

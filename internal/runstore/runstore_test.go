@@ -36,7 +36,7 @@ func storeRun(t *testing.T, st *Store, spec scenario.Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scenario.RunObserved(context.Background(), spec, 2, w); err != nil {
+	if _, err := scenario.RunTiered(context.Background(), spec, scenario.TierOptions{Workers: 2, Observer: w}); err != nil {
 		w.Abort()
 		t.Fatal(err)
 	}

@@ -9,18 +9,17 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/measure"
 	"repro/internal/robots"
-	"repro/internal/stats"
 	"repro/internal/useragent"
 	"repro/internal/webserver"
 )
 
-// The tiered engine's long-tail representation. A full-fidelity site
-// costs a live webserver, crawler instances, an event heap, and a log;
-// a long-tail site costs ~11 bytes of flat columnar state — one array
-// per field indexed by dense site id — because everything else about a
-// site's month is derivable: its policy is one of a handful of interned
-// renderings, its blocker rule list is a function of the month, and its
-// crawl schedule follows from the roster alone.
+// The engine's per-site state. A hot site-month costs a live webserver,
+// crawler instances and a log; between hot months a site is ~11 bytes of
+// flat columnar state — one array per field indexed by dense site id —
+// because everything else about a site's month is derivable: its policy
+// is one of a handful of interned renderings, its blocker rule list is a
+// function of the month, and its crawl schedule follows from the roster
+// alone.
 
 // bitset is a flat bit array indexed by dense site id.
 type bitset []uint64
@@ -89,7 +88,7 @@ type blockerDef struct {
 	blocker  webserver.Blocker
 }
 
-// tierWorld is everything the tiered engine precomputes once per run —
+// tierWorld is everything the engine precomputes once per run —
 // O(months + roster), independent of site count: interned policies and
 // blocker rule lists, per-month derived ids, and the roster's observable
 // identity.
@@ -242,35 +241,9 @@ func (w *tierWorld) restrictsFunc(pid uint16) (func(string) bool, *robots.Robots
 	}, pol.parsed
 }
 
-// planSite fills site i's columnar state from its private RNG stream:
-// the same four draws, in the same order, as the full engine's runSite,
-// from the seed Fork would have derived. The source is transient — at a
-// million sites, holding every fork live would cost gigabytes of
-// generator state for four Float64s each.
+// planSite stores site i's drawPlan result in the columns.
 func (w *tierWorld) planSite(t *tailState, i int, seed int64, curve []float64) {
-	rn := stats.NewRand(seed)
-	adoptRoll := rn.Float64()
-	perAgentRoll := rn.Float64()
-	managedRoll := rn.Float64()
-	blockedRoll := rn.Float64()
-
-	adoptMonth := -1
-	perAgent, managed := false, false
-	switch w.sp.Adoption.Source {
-	case SourceMeasurement:
-		adoptMonth = 0
-		perAgent = i%2 == 1
-	case SourceNone:
-	default:
-		for m, target := range curve {
-			if adoptRoll < target {
-				adoptMonth = m
-				break
-			}
-		}
-		perAgent = perAgentRoll < w.sp.Adoption.PerAgentShare
-		managed = adoptMonth >= 0 && perAgent && managedRoll < w.sp.Manager.Uptake
-	}
+	adoptMonth, perAgent, managed, blocker := drawPlan(&w.sp, curve, i, seed)
 	t.adoptMonth[i] = int16(adoptMonth)
 	if perAgent {
 		t.perAgent.set(i)
@@ -278,17 +251,17 @@ func (w *tierWorld) planSite(t *tailState, i int, seed int64, curve []float64) {
 	if managed {
 		t.managed.set(i)
 	}
-	if blockedRoll < w.sp.Blocking.Share {
+	if blocker {
 		t.blocker.set(i)
 	}
 }
 
 // waveIndex reports whether roster entry cs has a crawl wave at month m
-// and, if so, which visit in its per-site schedule it is (0-based). The
-// full engine's visit chain is fully derivable — visits fall at
+// and, if so, which visit in its per-site schedule it is (0-based). A
+// crawler's visit chain is fully derivable — visits fall at
 // FirstMonth + k*Cadence while k stays under MaxVisits and the month
-// within [FirstMonth, LastMonth] — so the tail needs no stored event
-// heap: each worker walks its implicit, already-sharded schedule.
+// within [FirstMonth, LastMonth] — so no schedule is stored: each worker
+// walks its implicit, already-sharded one.
 func waveIndex(cs CrawlerSpec, m int) (int, bool) {
 	if m < cs.FirstMonth || m > cs.LastMonth {
 		return 0, false

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -31,31 +30,25 @@ func digestWorlds(t *testing.T) []Spec {
 	return append(worlds, testSpec(), smoke)
 }
 
-// resultDigest is the SHA-256 of the marshalled Result. The Result holds
-// no floats and json.Marshal sorts map keys, so the digest is exact.
-func resultDigest(t *testing.T, res *Result) string {
-	b, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
+// resultDigest is the SHA-256 of a marshalled Result.
+func resultDigest(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
 
-// TestResultDigests pins the absolute output of the engine per world.
-// The digests were computed by the event-heap engine (scenario.Run)
-// before it was deleted; regenerate only for an intended behaviour
-// change, with:
+// TestResultDigests pins the absolute output of the engine per world,
+// all-hot and all-cold. The digests were computed by the event-heap
+// engine (scenario.Run) in the commit before it was deleted; regenerate
+// only for an intended behaviour change, with:
 //
 //	go test ./internal/scenario -run TestResultDigests -update
 func TestResultDigests(t *testing.T) {
 	got := make(map[string]string)
 	for _, spec := range digestWorlds(t) {
-		res, err := Run(context.Background(), spec, 2)
-		if err != nil {
-			t.Fatalf("%s: %v", spec.Name, err)
+		got[spec.Name] = resultDigest(runJSON(t, spec, TierOptions{HotSites: spec.Sites, Workers: 2}))
+		if cold := resultDigest(runJSON(t, spec, TierOptions{Workers: 2})); cold != got[spec.Name] {
+			t.Errorf("%s: hot=0 digest %s, hot=all %s", spec.Name, cold, got[spec.Name])
 		}
-		got[spec.Name] = resultDigest(t, res)
 	}
 	if *updateDigests {
 		b, err := json.MarshalIndent(got, "", "  ")

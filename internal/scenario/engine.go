@@ -1,119 +1,16 @@
 package scenario
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/agents"
-	"repro/internal/blocking"
 	"repro/internal/crawler"
 	"repro/internal/manager"
 	"repro/internal/measure"
-	"repro/internal/netsim"
-	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/robots"
-	"repro/internal/stats"
 	"repro/internal/webserver"
 )
-
-// Run executes the scenario on a workers-bounded pool and returns its
-// monthly metrics and log-derived verdicts. Every site simulates on its
-// own in-memory network with its own crawler instances, so sites are
-// independent units of work; per-site randomness comes from forks
-// derived sequentially before the parallel pass, which makes the result
-// bit-identical at any worker count.
-func Run(ctx context.Context, spec Spec, workers int) (*Result, error) {
-	return RunObserved(ctx, spec, workers, nil)
-}
-
-// RunObserved is Run with an Observer attached: the engine streams the
-// merged months and the finished result to ob while finalizing. A nil ob
-// is Run exactly.
-func RunObserved(ctx context.Context, spec Spec, workers int, ob Observer) (*Result, error) {
-	if obs.Enabled() {
-		defer mRunWallNS.ObserveSince(time.Now())
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sp := spec.withDefaults()
-	roster, err := resolveRoster(sp)
-	if err != nil {
-		return nil, err
-	}
-	start := sp.startDate()
-	curve := sp.monthlyCurve()
-
-	// Forks consume parent RNG state, so derive them in site order before
-	// sharding; each site then draws only from its private stream. The
-	// stream depends on the seed but not the spec name, so counterfactual
-	// variants of one world are paired: the same sites adopt at the same
-	// months, and only the knob under study differs (coupled random
-	// numbers).
-	root := stats.NewRand(sp.Seed).Fork("scenario")
-	forks := make([]*stats.Rand, sp.Sites)
-	for i := range forks {
-		forks[i] = root.Fork(fmt.Sprintf("site-%d", i))
-	}
-
-	sims := make([]*siteResult, sp.Sites)
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var firstErr error
-	var errOnce sync.Once
-	parErr := par.Do(runCtx, workers, sp.Sites, func(shardStart, shardEnd int) {
-		// Each shard runs its sites on a private network with one
-		// virtual-host farm: the shard's sites come and go as map inserts
-		// on a single shared listener instead of each paying a server
-		// start. Sites stay observably independent — own domain, own log,
-		// own crawler instances, RNG forks derived before sharding — so
-		// the result is still bit-identical at any worker count.
-		nw := netsim.New()
-		farm, err := webserver.NewFarm(nw, siteIP)
-		if err != nil {
-			errOnce.Do(func() { firstErr = err; cancel() })
-			return
-		}
-		defer farm.Close()
-		for i := shardStart; i < shardEnd; i++ {
-			sr, err := runSite(runCtx, sp, roster, curve, i, forks[i], start, nw, farm)
-			if err != nil {
-				errOnce.Do(func() { firstErr = err; cancel() })
-				return
-			}
-			sims[i] = sr
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if parErr != nil {
-		return nil, parErr
-	}
-
-	// Merge shards in site order; every reduction is commutative
-	// integer addition, so the totals are schedule-independent.
-	res := newResult(sp, start)
-	evidence := make(map[string]measure.Evidence)
-	for _, sr := range sims {
-		for m := range sr.months {
-			res.Months[m].add(sr.months[m])
-		}
-		for tok, ev := range sr.evidence {
-			evidence[tok] = evidence[tok].Merge(ev)
-		}
-	}
-	res.finalize(evidence, ob)
-	return res, nil
-}
 
 // resolvedCrawler is a roster entry with its behaviour and network
 // identity resolved.
@@ -150,306 +47,20 @@ func resolveRoster(sp Spec) ([]resolvedCrawler, error) {
 // their agent lists from: every AI class, as the §6 blockers do.
 var blockAll = manager.Manager{Policy: manager.BlockAllAI}
 
-// siteResult is one site's contribution to the merged result.
-type siteResult struct {
-	months   []MonthMetrics
-	evidence map[string]measure.Evidence
-}
-
-// siteSim is the mutable state of one site's event-driven simulation.
-type siteSim struct {
-	spec   Spec
-	site   *webserver.Site
-	queue  *eventQueue
-	months []MonthMetrics
-
-	// policy state
-	adopted   bool
-	perAgent  bool
-	managed   bool
-	frozen    int // size of the hand-written list at adoption
-	policy    *robots.Robots
-	blockerOn bool
-
-	// log analysis state
-	logMark  int
-	evidence map[string]measure.Evidence
-}
-
 // siteIP is the shared advertised address of every scenario site — the
-// farm listener of each shard's private network.
+// farm listener of each worker's private network.
 const siteIP = "203.0.113.80"
-
-// runSite simulates one site's whole timeline on its shard's network.
-func runSite(ctx context.Context, sp Spec, roster []resolvedCrawler, curve []float64,
-	idx int, rn *stats.Rand, start time.Time, nw *netsim.Network, farm *webserver.Farm) (*siteResult, error) {
-	domain := SiteDomain(idx)
-	site, err := farm.StartSite(webserver.Config{
-		Domain: domain,
-		IP:     siteIP,
-		Pages:  webserver.ContentPages(domain),
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer site.Close()
-
-	// Per-site draws, in a fixed order so the stream is stable however
-	// the spec's knobs are set.
-	adoptRoll := rn.Float64()
-	perAgentRoll := rn.Float64()
-	managedRoll := rn.Float64()
-	blockedRoll := rn.Float64()
-
-	sim := &siteSim{
-		spec:     sp,
-		site:     site,
-		queue:    &eventQueue{},
-		months:   make([]MonthMetrics, sp.Months),
-		evidence: make(map[string]measure.Evidence),
-	}
-
-	// Resolve the site's adoption schedule and policy style. Managed
-	// services only matter for per-agent organic adopters: a blanket
-	// wildcard disallow already covers every future agent, and the
-	// measurement replay pins its policies verbatim.
-	adoptMonth := -1
-	switch sp.Adoption.Source {
-	case SourceMeasurement:
-		adoptMonth = 0
-		sim.perAgent = idx%2 == 1
-	case SourceNone:
-	default:
-		for m, target := range curve {
-			if adoptRoll < target {
-				adoptMonth = m
-				break
-			}
-		}
-		sim.perAgent = perAgentRoll < sp.Adoption.PerAgentShare
-		sim.managed = adoptMonth >= 0 && sim.perAgent && managedRoll < sp.Manager.Uptake
-	}
-	hasBlocker := blockedRoll < sp.Blocking.Share
-
-	// Build the site's crawler instances in roster order.
-	crawlers := make([]*crawler.Crawler, len(roster))
-	for i, rc := range roster {
-		if rc.spec.SiteLimit > 0 && idx >= rc.spec.SiteLimit {
-			continue
-		}
-		cr, err := crawler.New(nw, crawler.Profile{
-			Token:    rc.spec.Token,
-			SourceIP: rc.sourceIP,
-			Behavior: rc.behavior,
-			MaxPages: sp.MaxPagesPerCrawl,
-		})
-		if err != nil {
-			return nil, err
-		}
-		crawlers[i] = cr
-	}
-
-	// Timeline: adoption, managed refreshes, blocking rollout, crawl
-	// waves, and one metrics flush per month boundary.
-	if adoptMonth >= 0 {
-		sim.queue.schedule(adoptMonth, prioPolicy, func(now time.Time) error {
-			sim.adopt(now)
-			if sim.managed {
-				sim.scheduleManagedRefresh(adoptMonth + 1)
-			}
-			return nil
-		})
-	}
-	if hasBlocker {
-		sim.queue.schedule(sp.Blocking.StartMonth, prioBlocking, func(now time.Time) error {
-			sim.enableBlocking(now)
-			if sp.Blocking.RefreshMonthly {
-				sim.scheduleBlockerRefresh(sp.Blocking.StartMonth + 1)
-			}
-			return nil
-		})
-	}
-	for i, rc := range roster {
-		if crawlers[i] == nil {
-			continue
-		}
-		sim.scheduleVisit(ctx, crawlers[i], rc.spec, rc.spec.FirstMonth, 0)
-	}
-	for m := 0; m < sp.Months; m++ {
-		m := m
-		sim.queue.schedule(m, prioFlush, func(now time.Time) error {
-			sim.flush(m, now)
-			return nil
-		})
-	}
-
-	clk := &clock{start: start}
-	if err := sim.queue.run(ctx, clk, sp.Months); err != nil {
-		return nil, err
-	}
-	return &siteResult{months: sim.months, evidence: sim.evidence}, nil
-}
-
-// adopt installs the site's first AI-restricting robots.txt.
-func (s *siteSim) adopt(now time.Time) {
-	var body string
-	switch {
-	case !s.perAgent:
-		body = "User-agent: *\nDisallow: /\n"
-	case s.spec.Adoption.Source == SourceMeasurement:
-		// The §5.1 per-agent measurement site names every Table 1 agent,
-		// announced or not.
-		b := robots.NewBuilder()
-		for _, tok := range agents.Tokens() {
-			b.Group(tok).DisallowAll()
-		}
-		s.frozen = len(agents.Tokens())
-		body = b.String()
-	case s.managed:
-		body = blockAll.Render(now)
-	default:
-		frozen := blockAll.BlockedAgents(now)
-		s.frozen = len(frozen)
-		b := robots.NewBuilder()
-		b.Comment("hand-maintained robots.txt — list written " + now.Format("2006-01-02"))
-		if len(frozen) > 0 {
-			b.Group(frozen...).DisallowAll()
-		}
-		b.Group("*").Disallow()
-		body = b.String()
-	}
-	s.setRobots(body)
-	s.adopted = true
-}
-
-// restricts reports whether the site's current robots.txt restricts the
-// token at the root — whether its policy applies to that crawler at all.
-// Every scenario policy is a full disallow for the agents it names, so
-// the root probe is exact.
-func (s *siteSim) restricts(tok string) bool {
-	return s.adopted && s.policy != nil && !s.policy.Allowed(tok, "/")
-}
-
-// setRobots publishes a robots.txt body and caches its parsed policy for
-// log analysis. Policies come from a small set of renderers (wildcard,
-// managed list, frozen hand-written list), so the shared parse cache
-// collapses the per-site re-parses to one per distinct body.
-func (s *siteSim) setRobots(body string) {
-	s.site.SetRobots(&body)
-	s.policy = robots.ParseCached(body)
-}
-
-// scheduleManagedRefresh re-renders the managed rule list each month so
-// newly announced agents are picked up, as the §2.2 services do.
-func (s *siteSim) scheduleManagedRefresh(month int) {
-	if month >= s.spec.Months {
-		return
-	}
-	s.queue.schedule(month, prioPolicy, func(now time.Time) error {
-		s.setRobots(blockAll.Render(now))
-		s.scheduleManagedRefresh(month + 1)
-		return nil
-	})
-}
-
-// enableBlocking turns on the provider's UA-based blocking with a rule
-// list frozen at the rollout date.
-func (s *siteSim) enableBlocking(now time.Time) {
-	s.site.SetBlocker(newUABlocker(now))
-	s.blockerOn = true
-}
-
-// scheduleBlockerRefresh re-derives the provider rule list monthly.
-func (s *siteSim) scheduleBlockerRefresh(month int) {
-	if month >= s.spec.Months {
-		return
-	}
-	s.queue.schedule(month, prioBlocking, func(now time.Time) error {
-		s.site.SetBlocker(newUABlocker(now))
-		s.scheduleBlockerRefresh(month + 1)
-		return nil
-	})
-}
-
-// scheduleVisit enqueues one crawl wave and, on completion, the next one
-// on the crawler's cadence.
-func (s *siteSim) scheduleVisit(ctx context.Context, cr *crawler.Crawler, cs CrawlerSpec, month, done int) {
-	if month >= s.spec.Months || month > cs.LastMonth {
-		return
-	}
-	if cs.MaxVisits > 0 && done >= cs.MaxVisits {
-		return
-	}
-	s.queue.schedule(month, prioVisit, func(time.Time) error {
-		if cs.SinglePage {
-			if _, _, err := cr.FetchOne(ctx, s.site.URL()+"/about.html"); err != nil {
-				return err
-			}
-		} else if _, err := cr.Crawl(ctx, s.site.URL()); err != nil {
-			return err
-		}
-		mCrawlWaves.Inc()
-		s.months[month].Visits++
-		s.scheduleVisit(ctx, cr, cs, month+cs.Cadence, done+1)
-		return nil
-	})
-}
-
-// flush analyzes the month's log window — the ground truth — and records
-// the month's metrics. The window is an incremental LogSince view, so a
-// flush costs O(month's traffic) instead of re-merging the site's whole
-// history every month.
-func (s *siteSim) flush(month int, now time.Time) {
-	mm := &s.months[month]
-	mark := s.site.LogLen()
-	window := s.site.LogSince(s.logMark)
-	s.logMark = mark
-
-	// Per-token evidence for this month's window. A token is classified
-	// against sites whose policy restricts it — the same frame as the
-	// paper's measurement sites, where every logged fetch happens under
-	// an applicable disallow rule.
-	windowEv := make(map[string]measure.Evidence)
-	absorbWindow(window, s.policy, s.restricts, mm, windowEv)
-	for tok, ev := range windowEv {
-		mm.ClassCounts[measure.ClassifyEvidence(ev)]++
-		s.evidence[tok] = s.evidence[tok].Merge(ev)
-	}
-
-	// Policy-state counters and the rule-list coverage gap.
-	if s.adopted {
-		mm.AdoptedSites = 1
-		if s.managed {
-			mm.ManagedSites = 1
-		}
-		announced := len(blockAll.BlockedAgents(now))
-		covered := announced // wildcard and managed lists track everything
-		if s.perAgent && !s.managed {
-			covered = s.frozen
-			// A measurement-style list names agents before announcement;
-			// it can never have negative gap.
-			if covered > announced {
-				covered = announced
-			}
-		}
-		if announced > 0 {
-			mm.GapMissing = announced - covered
-			mm.GapAnnounced = announced
-		}
-		mm.GapSites = 1
-	}
-	if s.blockerOn {
-		mm.ActiveBlockers = 1
-	}
-}
 
 // absorbWindow folds one month's log window into mm and the per-token
 // evidence map, classifying each record against the site's policy at
-// flush time. policy may be nil (no robots.txt yet); restricts reports
-// whether that policy restricts tok at the root. Every branch is a
-// commutative tally, so record order within a window never changes the
-// outcome — the property that lets the tiered engine fold cached
-// per-wave windows instead of a single merged month log.
+// month end. policy may be nil (no robots.txt yet); restricts reports
+// whether that policy restricts tok at the root. A token is classified
+// against sites whose policy restricts it — the same frame as the
+// paper's measurement sites, where every logged fetch happens under an
+// applicable disallow rule. Every branch is a commutative tally, so
+// record order within a window never changes the outcome — the property
+// that lets cold months fold cached per-wave windows instead of a
+// single merged month log.
 func absorbWindow(window []webserver.Record, policy *robots.Robots, restricts func(string) bool,
 	mm *MonthMetrics, windowEv map[string]measure.Evidence) {
 	for _, rec := range window {
@@ -488,20 +99,4 @@ func absorbWindow(window []webserver.Record, policy *robots.Robots, restricts fu
 			mm.AllowedBytes += int64(rec.Bytes)
 		}
 	}
-}
-
-// newUABlocker builds the active-blocking provider's screen: a §6.2
-// UA-substring blocker whose rule list holds the AI crawler tokens
-// announced as of the given date. Only registry crawlers make the list —
-// an undocumented rogue crawler sails through, which is exactly the
-// counterfactual the rogue scenario measures. Each instance is
-// immutable; refreshes swap in a new one.
-func newUABlocker(asOf time.Time) webserver.Blocker {
-	var patterns []string
-	for _, a := range agents.RealCrawlers() {
-		if agents.AnnouncedBy(a.UserAgent, asOf) {
-			patterns = append(patterns, a.UserAgent)
-		}
-	}
-	return &blocking.UABlocker{Patterns: patterns, Style: blocking.StyleForbidden}
 }

@@ -54,7 +54,7 @@ type MonthMetrics struct {
 	// rather than a float sum of per-site fractions. The announced count
 	// is the same for every site within a month, so StaticGap's
 	// missing/announced ratio equals the old per-site mean, and keeping
-	// every field integral makes merges exactly order-free: tiered,
+	// every field integral makes merges exactly order-free: hot, cold,
 	// sharded, and sequential runs are bit-identical, not
 	// almost-identical up to float association.
 	GapMissing   int
@@ -127,9 +127,7 @@ type Result struct {
 	TotalBlockedRequests int
 }
 
-// newResult allocates the month skeleton for a defaulted spec. Both
-// engines (full-fidelity Run and tiered RunTiered) assemble into this
-// same shape, which is what lets the parity suite DeepEqual them.
+// newResult allocates the month skeleton for a defaulted spec.
 func newResult(sp Spec, start time.Time) *Result {
 	res := &Result{Spec: sp, StartDate: start, Months: make([]MonthMetrics, sp.Months)}
 	for m := range res.Months {
@@ -141,12 +139,11 @@ func newResult(sp Spec, start time.Time) *Result {
 
 // An Observer receives a run's semantic outputs as the engine finalizes
 // them: one ObserveMonth call per merged month in month order, then one
-// ObserveResult with the completed result. Both engines (Run and
-// RunTiered) fire the same hooks from the shared finalize path, so an
-// observer — the runstore writer is the canonical one — sees identical
-// streams whichever engine produced the run. Observers run on the
-// finalizing goroutine after the parallel pass has joined; they need no
-// locking of their own.
+// ObserveResult with the completed result. The hooks fire from the
+// finalize path, so an observer — the runstore writer is the canonical
+// one — sees identical streams at any HotSites value and worker count.
+// Observers run on the finalizing goroutine after the parallel pass has
+// joined; they need no locking of their own.
 type Observer interface {
 	ObserveMonth(m MonthMetrics)
 	ObserveResult(r *Result)

@@ -2,22 +2,20 @@ package scenario
 
 import "repro/internal/obs"
 
-// Engine metrics. Month wall-clock is per-site: each site simulation
-// observes the real time spent between its virtual month boundaries, so
-// the histogram exposes where scenario runs actually burn time (slow
-// sites dominate the upper buckets).
+// Engine metrics. Month wall-clock is observed once per hot site-month
+// (cold months are nanoseconds of column reads and are counted, not
+// timed), so the histogram exposes where full-fidelity simulation
+// actually burns time: slow site-months dominate the upper buckets.
 var (
-	mEvents = obs.NewCounter("scenario_events_total",
-		"Discrete events processed across all site simulations.")
 	mCrawlWaves = obs.NewCounter("scenario_crawl_waves_total",
-		"Completed crawl waves (one crawler visiting one site).")
+		"Crawl waves run over real HTTP (one crawler visiting one hot site).")
 	mMonthWallNS = obs.NewHistogram("scenario_month_wall_ns",
-		"Real time one site simulation spent per virtual month, ns.")
+		"Real time per hot (full-fidelity) site-month, ns.")
 	mRunWallNS = obs.NewHistogram("scenario_run_wall_ns",
-		"Real time per full scenario Run call, ns.")
+		"Real time per scenario.RunTiered call, ns.")
 )
 
-// Tiered-engine metrics: tier transitions, the hot/cold site-month
+// Tier metrics: tier transitions, the hot/cold site-month
 // split, and the wave cache's compile/replay economics.
 var (
 	mTierPromotions = obs.NewCounter("scenario_tier_promotions_total",
@@ -25,7 +23,7 @@ var (
 	mTierDemotions = obs.NewCounter("scenario_tier_demotions_total",
 		"Sites demoted from full fidelity back to the long tail.")
 	mTierHotSiteMonths = obs.NewCounter("scenario_tier_hot_site_months_total",
-		"Site-months simulated at full fidelity in tiered runs.")
+		"Site-months simulated at full fidelity.")
 	mTierColdSiteMonths = obs.NewCounter("scenario_tier_cold_site_months_total",
 		"Site-months advanced on the compiled fast path.")
 	mTierCompiledWaves = obs.NewCounter("scenario_tier_compiled_waves_total",

@@ -1,144 +1,50 @@
 package scenario
 
 import (
-	"context"
-	"reflect"
 	"testing"
 
 	"repro/internal/netsim"
 	"repro/internal/webserver"
 )
 
-// TestKeepAliveParityObservedScenario runs the observed-world builtin
-// with the pooled keep-alive transport and with the compatibility knob
-// forcing the old per-request dial, asserting the entire result —
-// monthly metrics, verdicts, totals — is identical. Crawl waves are real
-// HTTP, so this pins that transport pooling changed no measured byte.
+// knobParity runs the observed-world builtin with every site-month hot
+// — so every crawl wave is real HTTP under the knob — once on the
+// default path and once with a compatibility knob forcing the legacy
+// path, asserting the entire result (monthly metrics, verdicts, totals)
+// is identical.
+func knobParity(t *testing.T, setLegacy func(bool)) {
+	if testing.Short() {
+		t.Skip("full scenario parity run in -short mode")
+	}
+	spec := Observed(11, 8, 12)
+	opts := TierOptions{HotSites: spec.Sites, Workers: 4}
+	fast := runJSON(t, spec, opts)
+	setLegacy(true)
+	defer setLegacy(false)
+	if legacy := runJSON(t, spec, opts); string(legacy) != string(fast) {
+		t.Errorf("results diverged:\ndefault: %s\nlegacy:  %s", fast, legacy)
+	}
+}
+
+// TestKeepAliveParityObservedScenario: pooled keep-alive transport vs
+// the old per-request dial. Pins that transport pooling changed no
+// measured byte.
 func TestKeepAliveParityObservedScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full scenario parity run in -short mode")
-	}
-	run := func(legacy bool) *Result {
-		if legacy {
-			netsim.SetLegacyPerRequestDial(true)
-			defer netsim.SetLegacyPerRequestDial(false)
-		}
-		res, err := Run(context.Background(), Observed(11, 8, 12), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	pooled := run(false)
-	legacy := run(true)
-
-	if !reflect.DeepEqual(pooled.Verdicts, legacy.Verdicts) {
-		t.Errorf("verdicts diverged:\npooled: %v\nlegacy: %v", pooled.Verdicts, legacy.Verdicts)
-	}
-	if pooled.TotalVisits != legacy.TotalVisits ||
-		pooled.TotalDisallowedBytes != legacy.TotalDisallowedBytes ||
-		pooled.TotalBlockedRequests != legacy.TotalBlockedRequests {
-		t.Errorf("totals diverged: pooled (%d, %d, %d) vs legacy (%d, %d, %d)",
-			pooled.TotalVisits, pooled.TotalDisallowedBytes, pooled.TotalBlockedRequests,
-			legacy.TotalVisits, legacy.TotalDisallowedBytes, legacy.TotalBlockedRequests)
-	}
-	if len(pooled.Months) != len(legacy.Months) {
-		t.Fatalf("month counts diverged: %d vs %d", len(pooled.Months), len(legacy.Months))
-	}
-	for m := range pooled.Months {
-		if !reflect.DeepEqual(pooled.Months[m], legacy.Months[m]) {
-			t.Errorf("month %d diverged:\npooled: %+v\nlegacy: %+v",
-				m, pooled.Months[m], legacy.Months[m])
-		}
-	}
+	knobParity(t, netsim.SetLegacyPerRequestDial)
 }
 
-// TestFastHTTPParityObservedScenario runs the observed-world builtin on
-// the netsim-native fast HTTP path (the default) and with the
-// compatibility knob forcing stdlib net/http on both client and servers,
-// asserting the entire result — monthly metrics, verdicts, totals — is
-// identical. This is the broadest parity check: crawls, blockers, 421s
-// from the farm, and site churn all run over the hand-rolled framing.
+// TestFastHTTPParityObservedScenario: the netsim-native fast HTTP path
+// vs stdlib net/http on both client and servers. The broadest parity
+// check: crawls, blockers, 421s from the farm, and site churn all run
+// over the hand-rolled framing.
 func TestFastHTTPParityObservedScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full scenario parity run in -short mode")
-	}
-	run := func(legacy bool) *Result {
-		if legacy {
-			netsim.SetLegacyNetHTTP(true)
-			defer netsim.SetLegacyNetHTTP(false)
-		}
-		res, err := Run(context.Background(), Observed(11, 8, 12), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	fast := run(false)
-	legacy := run(true)
-
-	if !reflect.DeepEqual(fast.Verdicts, legacy.Verdicts) {
-		t.Errorf("verdicts diverged:\nfast:   %v\nlegacy: %v", fast.Verdicts, legacy.Verdicts)
-	}
-	if fast.TotalVisits != legacy.TotalVisits ||
-		fast.TotalDisallowedBytes != legacy.TotalDisallowedBytes ||
-		fast.TotalBlockedRequests != legacy.TotalBlockedRequests {
-		t.Errorf("totals diverged: fast (%d, %d, %d) vs legacy (%d, %d, %d)",
-			fast.TotalVisits, fast.TotalDisallowedBytes, fast.TotalBlockedRequests,
-			legacy.TotalVisits, legacy.TotalDisallowedBytes, legacy.TotalBlockedRequests)
-	}
-	if len(fast.Months) != len(legacy.Months) {
-		t.Fatalf("month counts diverged: %d vs %d", len(fast.Months), len(legacy.Months))
-	}
-	for m := range fast.Months {
-		if !reflect.DeepEqual(fast.Months[m], legacy.Months[m]) {
-			t.Errorf("month %d diverged:\nfast:   %+v\nlegacy: %+v",
-				m, fast.Months[m], legacy.Months[m])
-		}
-	}
+	knobParity(t, netsim.SetLegacyNetHTTP)
 }
 
-// TestFarmHostingParityObservedScenario runs the observed-world builtin
-// with the per-shard virtual-host farms and with the compatibility knob
-// forcing a dedicated server per site, asserting the entire result —
-// monthly metrics, verdicts, totals — is identical. Site sims join and
-// leave the shard farm over the run, so this also pins the
-// StartSite/Remove lifecycle against the measurement contract.
+// TestFarmHostingParityObservedScenario: per-worker virtual-host farms
+// vs a dedicated server per site. Hot sites join and leave the farm
+// every month, so this also pins the StartSite/Remove lifecycle against
+// the measurement contract.
 func TestFarmHostingParityObservedScenario(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full scenario parity run in -short mode")
-	}
-	run := func(legacy bool) *Result {
-		if legacy {
-			webserver.SetLegacyPerSiteHosting(true)
-			defer webserver.SetLegacyPerSiteHosting(false)
-		}
-		res, err := Run(context.Background(), Observed(11, 8, 12), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	farm := run(false)
-	legacy := run(true)
-
-	if !reflect.DeepEqual(farm.Verdicts, legacy.Verdicts) {
-		t.Errorf("verdicts diverged:\nfarm:   %v\nlegacy: %v", farm.Verdicts, legacy.Verdicts)
-	}
-	if farm.TotalVisits != legacy.TotalVisits ||
-		farm.TotalDisallowedBytes != legacy.TotalDisallowedBytes ||
-		farm.TotalBlockedRequests != legacy.TotalBlockedRequests {
-		t.Errorf("totals diverged: farm (%d, %d, %d) vs legacy (%d, %d, %d)",
-			farm.TotalVisits, farm.TotalDisallowedBytes, farm.TotalBlockedRequests,
-			legacy.TotalVisits, legacy.TotalDisallowedBytes, legacy.TotalBlockedRequests)
-	}
-	if len(farm.Months) != len(legacy.Months) {
-		t.Fatalf("month counts diverged: %d vs %d", len(farm.Months), len(legacy.Months))
-	}
-	for m := range farm.Months {
-		if !reflect.DeepEqual(farm.Months[m], legacy.Months[m]) {
-			t.Errorf("month %d diverged:\nfarm:   %+v\nlegacy: %+v",
-				m, farm.Months[m], legacy.Months[m])
-		}
-	}
+	knobParity(t, webserver.SetLegacyPerSiteHosting)
 }

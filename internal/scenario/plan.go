@@ -6,8 +6,8 @@ import (
 	"repro/internal/stats"
 )
 
-// SiteDomain is the canonical domain of scenario site i, shared by both
-// engines and the run store's per-site segments.
+// SiteDomain is the canonical domain of scenario site i, shared by the
+// engine and the run store's per-site segments.
 func SiteDomain(i int) string {
 	return fmt.Sprintf("site-%05d.scenario.test", i)
 }
@@ -28,10 +28,10 @@ const (
 // SitePlan is one site's derivable policy timeline: when it adopts an
 // AI-restricting robots.txt, in which style, and whether it sits behind
 // the active-blocking provider. Everything here is a pure function of
-// (spec, seed, site index) — the same four RNG draws runSite and the
-// tiered planSite consume — so plans can be recomputed for any run
-// without re-running the simulation, and two stored runs can be diffed
-// host by host for policy and blocker flips.
+// (spec, seed, site index) — drawPlan's four RNG draws, the same call
+// the engine fills its columns from — so plans can be recomputed for
+// any run without re-running the simulation, and two stored runs can be
+// diffed host by host for policy and blocker flips.
 type SitePlan struct {
 	Site   int    `json:"site"`
 	Domain string `json:"domain"`
@@ -46,52 +46,79 @@ type SitePlan struct {
 	Blocker bool `json:"blocker,omitempty"`
 }
 
-// SitePlans derives every site's plan for a spec. The derivation
-// replays the engines' exact per-site RNG streams (seeds forked
-// sequentially in site order, four draws per site in fixed order), so
-// the plans are what any Run or RunTiered of the same spec enacts.
+// SitePlans derives every site's plan for a spec: the engine's own
+// per-site seeds and drawPlan, so the plans are what any RunTiered of
+// the same spec enacts.
 func SitePlans(spec Spec) ([]SitePlan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	sp := spec.withDefaults()
 	curve := sp.monthlyCurve()
-	root := stats.NewRand(sp.Seed).Fork("scenario")
 	plans := make([]SitePlan, sp.Sites)
-	for i := range plans {
-		seed := root.ForkSeed(fmt.Sprintf("site-%d", i))
-		plans[i] = planFor(sp, curve, i, seed)
+	for i, seed := range siteSeeds(sp) {
+		plans[i] = planFor(&sp, curve, i, seed)
 	}
 	return plans, nil
 }
 
-// planFor computes one site's plan from its private stream — the same
-// draw order as runSite and the columnar planSite.
-func planFor(sp Spec, curve []float64, i int, seed int64) SitePlan {
+// siteSeeds derives every site's private RNG seed. Forking consumes
+// parent RNG state, so the seeds are derived sequentially in site order
+// before any sharding; each site then draws only from its own stream,
+// which keeps per-site randomness identical at any worker count. The
+// stream depends on the seed but not the spec name, so counterfactual
+// variants of one world are paired: the same sites adopt at the same
+// months, and only the knob under study differs (coupled random
+// numbers).
+func siteSeeds(sp Spec) []int64 {
+	root := stats.NewRand(sp.Seed).Fork("scenario")
+	seeds := make([]int64, sp.Sites)
+	for i := range seeds {
+		seeds[i] = root.ForkSeed(fmt.Sprintf("site-%d", i))
+	}
+	return seeds
+}
+
+// drawPlan is the one plan derivation: site i's adoption month (-1 =
+// never), policy style bits and provider membership, from four draws of
+// its private stream — in a fixed order, so the stream is stable however
+// the spec's knobs are set. Managed services only matter for per-agent
+// organic adopters: a blanket wildcard disallow already covers every
+// future agent, and the measurement replay pins its policies verbatim.
+// The source is transient and the result is scalars, so planning a
+// million sites holds no per-site state beyond the caller's columns.
+func drawPlan(sp *Spec, curve []float64, i int, seed int64) (adoptMonth int, perAgent, managed, blocker bool) {
 	rn := stats.NewRand(seed)
 	adoptRoll := rn.Float64()
 	perAgentRoll := rn.Float64()
 	managedRoll := rn.Float64()
 	blockedRoll := rn.Float64()
 
-	p := SitePlan{Site: i, Domain: SiteDomain(i), AdoptMonth: -1}
-	perAgent, managed := false, false
+	adoptMonth = -1
 	switch sp.Adoption.Source {
 	case SourceMeasurement:
-		p.AdoptMonth = 0
+		adoptMonth = 0
 		perAgent = i%2 == 1
 	case SourceNone:
 	default:
 		for m, target := range curve {
 			if adoptRoll < target {
-				p.AdoptMonth = m
+				adoptMonth = m
 				break
 			}
 		}
 		perAgent = perAgentRoll < sp.Adoption.PerAgentShare
-		managed = p.AdoptMonth >= 0 && perAgent && managedRoll < sp.Manager.Uptake
+		managed = adoptMonth >= 0 && perAgent && managedRoll < sp.Manager.Uptake
 	}
-	if p.AdoptMonth >= 0 {
+	return adoptMonth, perAgent, managed, blockedRoll < sp.Blocking.Share
+}
+
+// planFor dresses drawPlan's result as a SitePlan: the domain and the
+// adopted policy's style name.
+func planFor(sp *Spec, curve []float64, i int, seed int64) SitePlan {
+	adoptMonth, perAgent, managed, blocker := drawPlan(sp, curve, i, seed)
+	p := SitePlan{Site: i, Domain: SiteDomain(i), AdoptMonth: adoptMonth, Blocker: blocker}
+	if adoptMonth >= 0 {
 		switch {
 		case !perAgent:
 			p.Style = StyleWildcard
@@ -103,6 +130,5 @@ func planFor(sp Spec, curve []float64, i int, seed int64) SitePlan {
 			p.Style = StyleFrozen
 		}
 	}
-	p.Blocker = blockedRoll < sp.Blocking.Share
 	return p
 }

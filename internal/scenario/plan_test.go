@@ -21,7 +21,7 @@ func planTestSpec() Spec {
 }
 
 // TestSitePlansMatchEngine is the derivation's contract: SitePlans
-// replays the engines' per-site RNG streams, so the plans must
+// replays the engine's per-site RNG streams, so the plans must
 // reproduce the engine's own monthly adoption/managed/blocker counts.
 func TestSitePlansMatchEngine(t *testing.T) {
 	spec := planTestSpec()
@@ -32,7 +32,7 @@ func TestSitePlansMatchEngine(t *testing.T) {
 	if len(plans) != spec.Sites {
 		t.Fatalf("got %d plans, want %d", len(plans), spec.Sites)
 	}
-	res, err := Run(context.Background(), spec, 2)
+	res, err := RunTiered(context.Background(), spec, TierOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"testing"
-	"time"
 
 	"repro/internal/measure"
 )
@@ -34,24 +33,30 @@ func testSpec() Spec {
 	}
 }
 
-func TestWorkerParity(t *testing.T) {
-	ctx := context.Background()
-	var outputs [][]byte
-	for _, workers := range []int{1, 4, 8} {
-		res, err := Run(ctx, testSpec(), workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, b)
+// runJSON runs spec and returns the marshalled Result. The Result holds
+// no floats and json.Marshal sorts map keys, so equal bytes mean equal
+// results.
+func runJSON(t *testing.T, spec Spec, opts TierOptions) []byte {
+	t.Helper()
+	res, err := RunTiered(context.Background(), spec, opts)
+	if err != nil {
+		t.Fatalf("%s hot=%d workers=%d: %v", spec.Name, opts.HotSites, opts.Workers, err)
 	}
-	for i := 1; i < len(outputs); i++ {
-		if string(outputs[i]) != string(outputs[0]) {
-			t.Fatalf("results differ between worker counts:\n%s\nvs\n%s",
-				outputs[0], outputs[i])
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestWorkerParity runs every site-month at full fidelity — real HTTP
+// on each worker's private network — at several worker counts.
+func TestWorkerParity(t *testing.T) {
+	spec := testSpec()
+	want := runJSON(t, spec, TierOptions{HotSites: spec.Sites, Workers: 1})
+	for _, workers := range []int{4, 8} {
+		if got := runJSON(t, spec, TierOptions{HotSites: spec.Sites, Workers: workers}); string(got) != string(want) {
+			t.Fatalf("results differ between worker counts:\n%s\nvs\n%s", want, got)
 		}
 	}
 }
@@ -59,7 +64,7 @@ func TestWorkerParity(t *testing.T) {
 func TestBaselineReplayMatchesMeasure(t *testing.T) {
 	ctx := context.Background()
 	seed := int64(20251028)
-	sim, err := Run(ctx, Baseline(seed), 4)
+	sim, err := RunTiered(ctx, Baseline(seed), TierOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +88,7 @@ func TestRogueCrawlerEvadesBlocklists(t *testing.T) {
 	spec := RogueCrawler(7, 16, 24)
 	spec.Adoption.Multiplier = 6      // enough adopters at this tiny scale
 	spec.Adoption.PerAgentShare = 0.4 // ensure some blanket-wildcard adopters
-	res, err := Run(ctx, spec, 4)
+	res, err := RunTiered(ctx, spec, TierOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +129,7 @@ func TestManagedUptakeClosesCoverageGap(t *testing.T) {
 	gapAt := func(uptake float64) float64 {
 		spec := ManagedUptake(11, 12, 24, uptake)
 		spec.Adoption.Multiplier = 6
-		res, err := Run(ctx, spec, 4)
+		res, err := RunTiered(ctx, spec, TierOptions{Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +148,7 @@ func TestManagedUptakeClosesCoverageGap(t *testing.T) {
 func TestRunHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, testSpec(), 2); !errors.Is(err, context.Canceled) {
+	if _, err := RunTiered(ctx, testSpec(), TierOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -252,35 +257,5 @@ func TestMonthlyCurve(t *testing.T) {
 	curve = s.withDefaults().monthlyCurve()
 	if curve[0] != 0.1 || curve[1] != 0.4 || curve[25] != 0.4 {
 		t.Fatalf("explicit curve misresampled: %v", curve)
-	}
-}
-
-func TestEventQueueOrdering(t *testing.T) {
-	var got []string
-	q := &eventQueue{}
-	log := func(name string) eventFn {
-		return func(time.Time) error { got = append(got, name); return nil }
-	}
-	q.schedule(1, prioVisit, log("m1-visit"))
-	q.schedule(0, prioFlush, log("m0-flush"))
-	q.schedule(1, prioPolicy, log("m1-policy"))
-	q.schedule(0, prioVisit, log("m0-visit-a"))
-	q.schedule(0, prioVisit, log("m0-visit-b"))
-	q.schedule(5, prioVisit, log("beyond-horizon"))
-	clk := &clock{start: time.Date(2022, 10, 1, 0, 0, 0, 0, time.UTC)}
-	if err := q.run(context.Background(), clk, 5); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"m0-visit-a", "m0-visit-b", "m0-flush", "m1-policy", "m1-visit"}
-	if len(got) != len(want) {
-		t.Fatalf("ran %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ran %v, want %v", got, want)
-		}
-	}
-	if clk.month != 1 || clk.date().Month() != time.November {
-		t.Fatalf("clock ended at month %d (%v)", clk.month, clk.date())
 	}
 }

@@ -1,4 +1,4 @@
-// Package scenario is a discrete-event simulator for counterfactual
+// Package scenario is a month-stepped simulator for counterfactual
 // web-ecosystem experiments (§8 of the paper asks them as open
 // questions): what if more sites adopted AI-restricting robots.txt, what
 // if a new non-compliant crawler appeared mid-study, what if managed
@@ -9,11 +9,13 @@
 // schedules are drawn from the corpus-calibrated distributions, a
 // crawler roster with per-company revisit cadences and mid-run
 // mutations, managed-robots uptake, and an active-blocking rollout. The
-// engine composes the existing substrates over a virtual monthly clock —
-// every site is a real instrumented webserver on an in-memory netsim
-// network, every crawler speaks real HTTP, and all metrics derive from
-// the server logs alone, exactly like internal/measure. Runs are
-// deterministic: identical specs are bit-identical at any worker count.
+// engine (RunTiered) composes the existing substrates over a virtual
+// monthly clock — a hot site-month is a real instrumented webserver on
+// an in-memory netsim network visited by crawlers speaking real HTTP, a
+// cold one replays the log effects of waves compiled that same way, and
+// all metrics derive from the server logs alone, exactly like
+// internal/measure. Runs are deterministic: identical specs are
+// bit-identical at any worker count and any hot-cohort size.
 package scenario
 
 import (

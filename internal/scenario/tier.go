@@ -11,29 +11,28 @@ import (
 	"repro/internal/measure"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/webserver"
 )
 
-// RunTiered executes the scenario on the tiered engine: a hot cohort
-// simulated at full fidelity (live farm-hosted webservers, real netsim
-// HTTP) and a long tail advanced on the compiled fast path (columnar
-// state + the wave cache), with deterministic promotion and demotion
-// between tiers.
+// RunTiered executes the scenario and returns its monthly metrics and
+// log-derived verdicts. Sites advance in two tiers: a hot cohort
+// simulated at full fidelity (live farm-hosted webservers, real crawler
+// instances, real netsim HTTP, a flush from the real request log) and a
+// long tail advanced on the compiled fast path (columnar state + the
+// wave cache), with deterministic promotion and demotion between tiers.
 //
-// The output contract is strict: RunTiered is bit-identical to Run for
-// the same spec — not just on the hot cohort but on the entire Result —
-// at any HotSites value and any worker count. That holds because the
-// wave cache memoizes real execution keyed on everything a wave can
-// observe, monthly flushes are order-free integer folds, and per-site
-// randomness comes from sequentially derived seeds exactly as Run
-// derives its forks. The parity suite enforces it.
+// The output contract is strict: the entire Result is bit-identical at
+// any HotSites value and any worker count — HotSites is a cost/fidelity
+// dial, never an output knob. That holds because the wave cache
+// memoizes real execution keyed on everything a wave can observe,
+// monthly flushes are order-free integer folds, and per-site randomness
+// comes from seeds derived sequentially before sharding. The parity
+// suite holds hot=0 to the all-hot run of the same code.
 //
-// Unlike Run's dynamically claimed shards, each worker owns one static
-// contiguous site range and advances it month-major — the event queue,
-// sharded per worker, exists only implicitly: policy transitions and
-// crawl waves are computed from (site, month) on the fly, so month
-// advancement is embarrassingly parallel with no cross-worker barrier.
+// Each worker owns one static contiguous site range and advances it
+// month-major. Policy transitions and crawl waves are computed from
+// (site, month) on the fly rather than scheduled, so month advancement
+// is embarrassingly parallel with no cross-worker barrier.
 func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error) {
 	if obs.Enabled() {
 		defer mRunWallNS.ObserveSince(time.Now())
@@ -47,7 +46,7 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		return nil, err
 	}
 	if len(roster) > 255 {
-		return nil, fmt.Errorf("scenario %s: tiered mode supports at most 255 roster entries", sp.Name)
+		return nil, fmt.Errorf("scenario %s: at most 255 roster entries are supported", sp.Name)
 	}
 	start := sp.startDate()
 	curve := sp.monthlyCurve()
@@ -68,31 +67,14 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		workers = sp.Sites
 	}
 
-	// Seeds are derived sequentially in site order — the exact stream
-	// Run's Fork loop consumes — then handed to workers, which is what
-	// keeps per-site randomness identical to the full engine and across
-	// worker counts.
-	root := stats.NewRand(sp.Seed).Fork("scenario")
-	seeds := make([]int64, sp.Sites)
-	for i := range seeds {
-		seeds[i] = root.ForkSeed(fmt.Sprintf("site-%d", i))
-	}
-
+	seeds := siteSeeds(sp)
 	tail := newTailState(sp.Sites)
 	cache := &waveCache{m: make(map[waveKey]waveEffect)}
 
-	// Shard boundaries are rounded down to 64-site multiples so the
-	// columnar bitsets partition cleanly: no two workers ever touch the
-	// same word, so the arrays need no locks (and no atomics).
-	cuts := make([]int, workers+1)
-	for wi := 1; wi < workers; wi++ {
-		cuts[wi] = (wi * sp.Sites / workers) &^ 63
-	}
-	cuts[workers] = sp.Sites
-
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ws := make([]*tierWorker, workers)
+	cuts := shardCuts(sp.Sites, workers)
+	ws := make([]*tierWorker, len(cuts)-1)
 	for wi := range ws {
 		w, err := newTierWorker(world, tail, cache, curve, hot,
 			cuts[wi], cuts[wi+1])
@@ -153,27 +135,44 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 	return res, nil
 }
 
+// shardCuts splits [0, sites) into at most workers contiguous non-empty
+// ranges and returns their boundaries. Interior boundaries are rounded
+// down to 64-site multiples so the columnar bitsets partition cleanly:
+// no two workers ever touch the same word, so the arrays need no locks
+// (and no atomics). Ranges the rounding empties are dropped — below
+// 64·workers sites there are fewer shards than workers — so no worker
+// builds a network, a farm and a wave compiler for nothing.
+func shardCuts(sites, workers int) []int {
+	cuts := []int{0}
+	for wi := 1; wi < workers; wi++ {
+		if c := (wi * sites / workers) &^ 63; c > cuts[len(cuts)-1] {
+			cuts = append(cuts, c)
+		}
+	}
+	return append(cuts, sites)
+}
+
 // TierOptions configures RunTiered.
 type TierOptions struct {
 	// HotSites pins the first k sites to full-fidelity simulation for
 	// the whole run (the hot cohort). Long-tail sites are still promoted
 	// for their state-transition months. 0 means no pinned cohort.
 	HotSites int
-	// Workers is the number of static site shards, each advanced by its
-	// own goroutine; 0 means GOMAXPROCS. The result does not depend on
-	// it.
+	// Workers is the most static site shards the run splits into (see
+	// shardCuts), each advanced by its own goroutine; 0 means
+	// GOMAXPROCS. The result does not depend on it.
 	Workers int
 	// Stats, when non-nil, receives the run's tier accounting.
 	Stats *TierStats
 	// Observer, when non-nil, receives the merged months and finished
-	// result from the finalize path, exactly as RunObserved delivers
-	// them for the full engine.
+	// result from the finalize path.
 	Observer Observer
 }
 
-// TierStats reports how a tiered run split its work. Site-month and
-// promotion counts are deterministic; the compiled/replayed split can
-// shift between runs when workers race to compile the same wave class.
+// TierStats reports how a run split its work across the tiers.
+// Site-month and promotion counts are deterministic; the
+// compiled/replayed split can shift between runs when workers race to
+// compile the same wave class.
 type TierStats struct {
 	HotSiteMonths  int // site-months at full fidelity
 	ColdSiteMonths int // site-months on the compiled fast path
@@ -320,10 +319,9 @@ func (w *tierWorker) advance(ctx context.Context, i, m int) error {
 }
 
 // applyMonthState applies month m's policy and blocker events to site
-// i's columnar state, in the same prioPolicy < prioBlocking order the
-// full engine's event queue guarantees. Crawl waves always run after
-// both (prioVisit), so the post-event state is the state every wave
-// observes.
+// i's columnar state: policy changes land before the blocking toggle,
+// and crawl waves always run after both, so the post-event state is the
+// state every wave observes and the month-end flush records.
 func (w *tierWorker) applyMonthState(i, m int) {
 	t, world := w.tail, w.world
 	if int(t.adoptMonth[i]) == m {
@@ -439,6 +437,9 @@ func (w *tierWorker) runColdMonth(ctx context.Context, i, m int) error {
 // observable state (policy body, blocker list, crawler visit phase) is
 // derivable from the columns.
 func (w *tierWorker) runHotMonth(ctx context.Context, i, m int) error {
+	if obs.Enabled() {
+		defer mMonthWallNS.ObserveSince(time.Now())
+	}
 	t, world := w.tail, w.world
 	w.applyMonthState(i, m)
 
@@ -504,9 +505,9 @@ func (w *tierWorker) runHotMonth(ctx context.Context, i, m int) error {
 	return nil
 }
 
-// monthStateCounters records the flush-time policy-state tallies for
-// site i from columnar state — the same counters the full engine's
-// flush derives from its per-site struct.
+// monthStateCounters records the month-end policy-state tallies for
+// site i from columnar state: adoption, managed and blocker counts and
+// the rule-list coverage gap.
 func (w *tierWorker) monthStateCounters(i, m int, d *MonthMetrics) {
 	t, world := w.tail, w.world
 	if t.adopted.get(i) {

@@ -8,20 +8,21 @@ import (
 	"testing"
 )
 
-// TestTieredParityWithFull is the tiered engine's core contract: for the
-// same spec, RunTiered produces a Result reflect.DeepEqual to Run's — at
-// every hot-cohort size (including zero, where the whole population runs
-// on the compiled fast path) and every worker count.
+// TestTieredParityWithFull is the engine's core contract: for the same
+// spec the Result is identical at every hot-cohort size — including
+// zero, where the whole population runs on the compiled fast path — to
+// the all-hot run, where every site-month is a live site, real crawlers
+// and real HTTP; and at every worker count.
 func TestTieredParityWithFull(t *testing.T) {
 	ctx := context.Background()
 	for _, seed := range []int64{99, 7} {
 		spec := testSpec()
 		spec.Seed = seed
-		want, err := Run(ctx, spec, 4)
+		want, err := RunTiered(ctx, spec, TierOptions{HotSites: spec.Sites, Workers: 4})
 		if err != nil {
-			t.Fatalf("seed=%d: full run: %v", seed, err)
+			t.Fatalf("seed=%d: all-hot run: %v", seed, err)
 		}
-		for _, hot := range []int{0, 3, spec.Sites} {
+		for _, hot := range []int{0, 3} {
 			for _, workers := range []int{1, 4, 8} {
 				got, err := RunTiered(ctx, spec, TierOptions{HotSites: hot, Workers: workers})
 				if err != nil {
@@ -30,7 +31,7 @@ func TestTieredParityWithFull(t *testing.T) {
 				if !reflect.DeepEqual(got, want) {
 					gb, _ := json.MarshalIndent(got, "", " ")
 					wb, _ := json.MarshalIndent(want, "", " ")
-					t.Fatalf("seed=%d hot=%d workers=%d: tiered diverges from full:\n%s\nvs full:\n%s",
+					t.Fatalf("seed=%d hot=%d workers=%d: diverges from all-hot:\n%s\nvs all-hot:\n%s",
 						seed, hot, workers, gb, wb)
 				}
 			}
@@ -38,26 +39,48 @@ func TestTieredParityWithFull(t *testing.T) {
 	}
 }
 
-// TestTieredWorkerCountIdentity pins the stronger serialization-level
-// claim: the JSON bytes are identical at any worker count.
+// TestTieredWorkerCountIdentity pins the serialization-level claim: the
+// JSON bytes are identical at any worker count. Shard cuts round down
+// to multiples of 64, so only the wide world actually splits — the
+// test checks that it does, so a multi-shard merge is what is compared.
 func TestTieredWorkerCountIdentity(t *testing.T) {
-	ctx := context.Background()
-	var outputs [][]byte
-	for _, workers := range []int{1, 4, 8} {
-		res, err := RunTiered(ctx, testSpec(), TierOptions{HotSites: 2, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	wide := testSpec()
+	wide.Sites = 256
+	for _, workers := range []int{2, 3} {
+		if shards := len(shardCuts(wide.Sites, workers)) - 1; shards != workers {
+			t.Fatalf("%d sites, %d workers: %d shards", wide.Sites, workers, shards)
 		}
-		b, err := json.Marshal(res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		outputs = append(outputs, b)
 	}
-	for i := 1; i < len(outputs); i++ {
-		if string(outputs[i]) != string(outputs[0]) {
-			t.Fatalf("tiered results differ between worker counts:\n%s\nvs\n%s",
-				outputs[0], outputs[i])
+	for _, c := range []struct {
+		spec Spec
+		hot  int
+	}{{testSpec(), 2}, {wide, 0}, {wide, 3}} {
+		want := runJSON(t, c.spec, TierOptions{HotSites: c.hot, Workers: 1})
+		for _, workers := range []int{2, 3, 8} {
+			if got := runJSON(t, c.spec, TierOptions{HotSites: c.hot, Workers: workers}); string(got) != string(want) {
+				t.Fatalf("sites=%d hot=%d: workers=%d differs from workers=1:\n%s\nvs\n%s",
+					c.spec.Sites, c.hot, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestShardCuts: boundaries are 64-aligned, strictly increasing (no
+// empty shard reaches newTierWorker) and cover every site.
+func TestShardCuts(t *testing.T) {
+	for _, c := range []struct {
+		sites, workers int
+		want           []int
+	}{
+		{10, 1, []int{0, 10}},
+		{10, 8, []int{0, 10}},
+		{40, 2, []int{0, 40}},
+		{128, 2, []int{0, 64, 128}},
+		{256, 3, []int{0, 64, 128, 256}},
+		{1000, 4, []int{0, 192, 448, 704, 1000}},
+	} {
+		if got := shardCuts(c.sites, c.workers); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("shardCuts(%d, %d) = %v, want %v", c.sites, c.workers, got, c.want)
 		}
 	}
 }
@@ -65,10 +88,9 @@ func TestTieredWorkerCountIdentity(t *testing.T) {
 // TestTieredDemoteRepromote forces long-tail sites through the full tier
 // lifecycle — cold, promoted for adoption, demoted, re-promoted for the
 // blocking rollout, demoted again — and checks the months they produce
-// are byte-identical to an always-hot run and to the full engine, across
-// seeds and worker counts.
+// are byte-identical to an always-hot run, across seeds and worker
+// counts.
 func TestTieredDemoteRepromote(t *testing.T) {
-	ctx := context.Background()
 	spec := testSpec()
 	spec.Sites = 6
 	spec.Months = 8
@@ -80,37 +102,18 @@ func TestTieredDemoteRepromote(t *testing.T) {
 
 	for _, seed := range []int64{99, 7} {
 		spec.Seed = seed
-		full, err := Run(ctx, spec, 4)
-		if err != nil {
-			t.Fatalf("seed=%d: full run: %v", seed, err)
-		}
-		wantJSON, err := json.Marshal(full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		allHot, err := RunTiered(ctx, spec, TierOptions{HotSites: spec.Sites, Workers: 2})
-		if err != nil {
-			t.Fatalf("seed=%d: all-hot run: %v", seed, err)
-		}
-		for _, workers := range []int{1, 4, 8} {
-			var ts TierStats
-			got, err := RunTiered(ctx, spec, TierOptions{HotSites: 2, Workers: workers, Stats: &ts})
-			if err != nil {
-				t.Fatalf("seed=%d workers=%d: %v", seed, workers, err)
-			}
-			if ts.Promotions == 0 || ts.Demotions == 0 {
-				t.Fatalf("seed=%d workers=%d: tier lifecycle never exercised: %+v", seed, workers, ts)
-			}
-			gotJSON, err := json.Marshal(got)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(gotJSON) != string(wantJSON) {
-				t.Fatalf("seed=%d workers=%d: re-promoted run diverges from full engine:\n%s\nvs\n%s",
-					seed, workers, gotJSON, wantJSON)
-			}
-			if !reflect.DeepEqual(got, allHot) {
-				t.Fatalf("seed=%d workers=%d: re-promoted run diverges from always-hot run", seed, workers)
+		want := runJSON(t, spec, TierOptions{HotSites: spec.Sites, Workers: 2})
+		for _, hot := range []int{0, 3} {
+			for _, workers := range []int{1, 4, 8} {
+				var ts TierStats
+				got := runJSON(t, spec, TierOptions{HotSites: hot, Workers: workers, Stats: &ts})
+				if ts.Promotions == 0 || ts.Demotions == 0 {
+					t.Fatalf("seed=%d hot=%d workers=%d: tier lifecycle never exercised: %+v", seed, hot, workers, ts)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("seed=%d hot=%d workers=%d: re-promoted run diverges from always-hot run:\n%s\nvs\n%s",
+						seed, hot, workers, got, want)
+				}
 			}
 		}
 	}
@@ -144,9 +147,9 @@ func TestTieredColumnarFootprint(t *testing.T) {
 	}
 }
 
-// TestWaveIndexMatchesSchedule replays scheduleVisit's recursion for a
-// grid of crawler schedules and checks waveIndex derives the identical
-// (visit, due) sequence from (spec, month) alone.
+// TestWaveIndexMatchesSchedule walks a grid of crawler schedules visit
+// by visit and checks waveIndex derives the identical (visit, due)
+// sequence from (spec, month) alone.
 func TestWaveIndexMatchesSchedule(t *testing.T) {
 	const months = 30
 	for _, cs := range []CrawlerSpec{
@@ -158,7 +161,7 @@ func TestWaveIndexMatchesSchedule(t *testing.T) {
 		{FirstMonth: 0, LastMonth: 0, Cadence: 1},
 		{FirstMonth: 29, LastMonth: 29, Cadence: 7},
 	} {
-		// scheduleVisit's ground truth: visits at FirstMonth + k*Cadence
+		// Ground truth: visits at FirstMonth + k*Cadence
 		// while within [FirstMonth, LastMonth] and under MaxVisits.
 		want := make(map[int]int)
 		for m, k := cs.FirstMonth, 0; m < months && m <= cs.LastMonth; m, k = m+cs.Cadence, k+1 {
@@ -188,6 +191,6 @@ func TestTieredRosterLimit(t *testing.T) {
 		})
 	}
 	if _, err := RunTiered(context.Background(), spec, TierOptions{}); err == nil {
-		t.Fatal("256-entry roster accepted by tiered mode")
+		t.Fatal("256-entry roster accepted")
 	}
 }

@@ -18,7 +18,7 @@ import (
 // compact effect that replays with two array reads. The key covers
 // every input the webserver and crawler consult during a wave, so the
 // cache memoizes real execution rather than approximating it; the
-// parity suite holds tiered output bit-identical to the full engine.
+// parity suite holds an all-cold run bit-identical to an all-hot one.
 
 // waveKey identifies one crawl-wave situation.
 type waveKey struct {
@@ -124,7 +124,7 @@ func (c *waveCompiler) site(digits uint8) (*webserver.Site, error) {
 // compile runs one wave for real — scratch site configured to the key's
 // policy and blocker, fresh crawler advanced to the key's phase, real
 // HTTP over netsim — and folds its log window into an effect via the
-// same absorbWindow the full engine's flush uses.
+// same absorbWindow a hot month's flush uses.
 func (c *waveCompiler) compile(ctx context.Context, key waveKey) (waveEffect, error) {
 	site, err := c.site(key.digits)
 	if err != nil {
