@@ -194,12 +194,16 @@ func run(stdout, stderr io.Writer, args []string) int {
 
 // writeTierStats appends the engine's tier accounting to the text
 // report: how the site-months split across tiers, the wave cache's
-// compile/replay economics, and the long-tail footprint.
+// compile/replay economics, the long-tail footprint, and where the time
+// went.
 func writeTierStats(w io.Writer, spec scenario.Spec, ts scenario.TierStats) {
 	fmt.Fprintf(w, "(tiered: %d hot + %d cold site-months, %d promotions, %d demotions; "+
 		"%d wave classes compiled, %d replayed; %.1f B/site columnar)\n",
 		ts.HotSiteMonths, ts.ColdSiteMonths, ts.Promotions, ts.Demotions,
 		ts.WaveClasses, ts.ReplayedWaves, ts.BytesPerSite(spec.Sites))
+	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
+	fmt.Fprintf(w, "(phases, summed over workers: plan %.1f ms, hot %.1f ms, cold %.1f ms; merge %.1f ms)\n",
+		ms(ts.PlanNS), ms(ts.HotNS), ms(ts.ColdNS), ms(ts.MergeNS))
 }
 
 // writeText renders the run as an aligned monthly report.

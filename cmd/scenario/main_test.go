@@ -70,7 +70,8 @@ func TestTieredTextReportsStats(t *testing.T) {
 	if code := run(&out, &errb, []string{"-spec", "testdata/smoke.json", "-hot", "2"}); code != 0 {
 		t.Fatalf("exit %d: %s", code, errb.String())
 	}
-	for _, want := range []string{"tiered:", "site-months", "wave classes", "B/site columnar"} {
+	for _, want := range []string{"tiered:", "site-months", "wave classes", "B/site columnar",
+		"phases, summed over workers: plan ", " ms, hot ", " ms, cold ", " ms; merge "} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("tier footer missing %q:\n%s", want, out.String())
 		}

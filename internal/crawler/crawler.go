@@ -180,16 +180,24 @@ func (c *Crawler) InvalidateCache() {
 // Profile returns the crawler's configuration.
 func (c *Crawler) Profile() Profile { return c.profile }
 
-// AdvanceVisits advances the visit counter by n without fetching, as if
+// SetVisits sets the visit counter to n without fetching, as if exactly
 // n earlier visits had already happened. Behaviours keyed to the visit
 // sequence (IntermittentFetch's every-third-visit robots fetch) resume
-// mid-cycle, so a simulation can reconstruct a crawler at an arbitrary
-// point of its schedule from a fresh instance.
-func (c *Crawler) AdvanceVisits(n int) {
-	if n > 0 {
-		c.visits += n
+// mid-cycle, so a simulation can keep one crawler and place it at an
+// arbitrary point of its per-site schedule before each crawl. With
+// CacheRobots off the counter is the only state a crawler carries from
+// one visit to the next.
+func (c *Crawler) SetVisits(n int) {
+	if n < 0 {
+		n = 0
 	}
+	c.visits = n
 }
+
+// CloseIdleConnections drops the crawler's pooled keep-alive
+// connections. A caller that removes a site the crawler talked to calls
+// it so the dead client ends are released instead of filling the pool.
+func (c *Crawler) CloseIdleConnections() { c.client.CloseIdleConnections() }
 
 // Crawl visits the site rooted at baseURL: depending on the profile it
 // fetches robots.txt first, then breadth-first follows same-site links

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/textproto"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,29 +74,32 @@ type fastTransport struct {
 	nw       *Network
 	sourceIP string
 
-	mu    sync.Mutex
-	idle  map[string][]*fastConn // key: URL host (port included when present)
-	nIdle int
-
-	fallbackOnce sync.Once
-	fallback     *http.Transport
+	mu sync.Mutex
+	// idle holds the pooled conns of every host, least recently used
+	// first. It never exceeds fastMaxIdleTotal, so finding a host's newest
+	// conn and counting a host's conns are short scans, and the conn the
+	// total cap evicts is idle[0].
+	idle     []*fastConn
+	fallback *http.Transport // built on first use
 }
 
 func newFastTransport(nw *Network, sourceIP string) *fastTransport {
-	return &fastTransport{nw: nw, sourceIP: sourceIP, idle: make(map[string][]*fastConn)}
+	return &fastTransport{nw: nw, sourceIP: sourceIP}
 }
 
 // legacyRT builds the stdlib transport on first use, for the rare
 // request outside the fast path's closed world.
 func (t *fastTransport) legacyRT() http.RoundTripper {
-	t.fallbackOnce.Do(func() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.fallback == nil {
 		t.fallback = &http.Transport{
 			DialContext:         t.nw.Dialer(t.sourceIP),
 			MaxIdleConns:        fastMaxIdleTotal,
 			MaxIdleConnsPerHost: fastMaxIdlePerHost,
 			IdleConnTimeout:     90 * time.Second,
 		}
-	})
+	}
 	return t.fallback
 }
 
@@ -130,6 +134,8 @@ type fastConn struct {
 	c             net.Conn
 	br            connReader
 	deadlineArmed bool
+
+	key string // URL host it was dialed for (port included when present)
 }
 
 func (fc *fastConn) close() {
@@ -205,7 +211,7 @@ func (t *fastTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			fc.c.SetDeadline(time.Time{})
 			fc.deadlineArmed = false
 		}
-		resp, retryable, err := t.exchange(fc, head, stream, req, key)
+		resp, retryable, err := t.exchange(fc, head, stream, req)
 		if err == nil {
 			*headp = head[:0]
 			fastHeadPool.Put(headp)
@@ -256,17 +262,17 @@ func closeRequestBody(req *http.Request) {
 	}
 }
 
-// getConn pops an idle connection for key or dials a fresh one.
+// getConn pops key's most recently pooled connection or dials a fresh
+// one.
 func (t *fastTransport) getConn(req *http.Request, key string) (*fastConn, bool, error) {
 	t.mu.Lock()
-	if l := t.idle[key]; len(l) > 0 {
-		fc := l[len(l)-1]
-		l[len(l)-1] = nil
-		t.idle[key] = l[:len(l)-1]
-		t.nIdle--
-		t.mu.Unlock()
-		mHTTPPoolHits.Inc()
-		return fc, true, nil
+	for i := len(t.idle) - 1; i >= 0; i-- {
+		if fc := t.idle[i]; fc.key == key {
+			t.idle = slices.Delete(t.idle, i, i+1)
+			t.mu.Unlock()
+			mHTTPPoolHits.Inc()
+			return fc, true, nil
+		}
 	}
 	t.mu.Unlock()
 	mHTTPPoolMisses.Inc()
@@ -278,31 +284,63 @@ func (t *fastTransport) getConn(req *http.Request, key string) (*fastConn, bool,
 	if err != nil {
 		return nil, false, err
 	}
-	fc := &fastConn{c: c}
+	fc := &fastConn{c: c, key: key}
 	fc.br.c = c
 	fc.br.buf = fastReadPool.Get().([]byte)
 	return fc, false, nil
 }
 
 // putIdle returns a healthy keep-alive connection to the pool, honoring
-// the same caps as the stdlib transport it replaces.
-func (t *fastTransport) putIdle(key string, fc *fastConn) {
+// the same caps as the stdlib transport it replaces: a host already at
+// its cap drops the returned conn, and a full pool makes room by closing
+// its least recently used conn.
+func (t *fastTransport) putIdle(fc *fastConn) {
 	t.mu.Lock()
-	if len(t.idle[key]) >= fastMaxIdlePerHost || t.nIdle >= fastMaxIdleTotal {
+	sameHost := 0
+	for _, pooled := range t.idle {
+		if pooled.key == fc.key {
+			sameHost++
+		}
+	}
+	if sameHost >= fastMaxIdlePerHost {
 		t.mu.Unlock()
 		fc.close()
 		return
 	}
-	t.idle[key] = append(t.idle[key], fc)
-	t.nIdle++
+	var evicted *fastConn
+	if len(t.idle) >= fastMaxIdleTotal {
+		evicted = t.idle[0]
+		t.idle = slices.Delete(t.idle, 0, 1)
+	}
+	t.idle = append(t.idle, fc)
 	t.mu.Unlock()
+	if evicted != nil {
+		evicted.close()
+	}
+}
+
+// CloseIdleConnections closes every pooled connection, returning their
+// read buffers to fastReadPool; conns in use are unaffected and pool
+// again when their response is drained. http.Client.CloseIdleConnections
+// finds this method by name.
+func (t *fastTransport) CloseIdleConnections() {
+	t.mu.Lock()
+	idle, fallback := t.idle, t.fallback
+	t.idle = nil
+	t.mu.Unlock()
+	for _, fc := range idle {
+		fc.close()
+	}
+	if fallback != nil {
+		fallback.CloseIdleConnections()
+	}
 }
 
 // exchange writes one serialized request and reads its response. The
 // returned bool reports whether the failure is safely retryable on a
 // fresh connection: the peer vanished before yielding a single response
 // byte.
-func (t *fastTransport) exchange(fc *fastConn, head []byte, stream io.ReadCloser, req *http.Request, key string) (*http.Response, bool, error) {
+func (t *fastTransport) exchange(fc *fastConn, head []byte, stream io.ReadCloser, req *http.Request) (*http.Response, bool, error) {
 	if _, err := fc.c.Write(head); err != nil {
 		return nil, retryableErr(err), err
 	}
@@ -317,7 +355,7 @@ func (t *fastTransport) exchange(fc *fastConn, head []byte, stream io.ReadCloser
 			return nil, false, err // body partially consumed; caller needs GetBody
 		}
 	}
-	return t.readResponse(fc, req, key)
+	return t.readResponse(fc, req)
 }
 
 // retryableErr reports whether an error means "peer gone" rather than
@@ -329,7 +367,7 @@ func retryableErr(err error) bool {
 // readResponse parses one HTTP/1.x response head and hands the body back
 // as a framed reader that returns the connection to the pool when fully
 // drained.
-func (t *fastTransport) readResponse(fc *fastConn, req *http.Request, key string) (*http.Response, bool, error) {
+func (t *fastTransport) readResponse(fc *fastConn, req *http.Request) (*http.Response, bool, error) {
 	br := &fc.br
 	line, err := br.readLine()
 	if err != nil {
@@ -417,7 +455,7 @@ func (t *fastTransport) readResponse(fc *fastConn, req *http.Request, key string
 
 	noBody := req.Method == http.MethodHead || code == http.StatusNoContent ||
 		code == http.StatusNotModified || (code >= 100 && code < 200)
-	body := &fastBody{t: t, fc: fc, key: key, keepAlive: keepAlive}
+	body := &fastBody{t: t, fc: fc, keepAlive: keepAlive}
 	switch {
 	case noBody:
 		body.mode = bodyNone
@@ -678,7 +716,6 @@ const (
 type fastBody struct {
 	t         *fastTransport
 	fc        *fastConn
-	key       string
 	mode      int
 	remaining int64 // bodyFixed
 	chunkRem  int64 // bodyChunked: bytes left in current chunk
@@ -834,7 +871,7 @@ func (fb *fastBody) Close() error {
 		fb.tryDrain()
 	}
 	if fb.done && fb.err == nil && fb.keepAlive {
-		fb.t.putIdle(fb.key, fb.fc)
+		fb.t.putIdle(fb.fc)
 	} else {
 		fb.fc.close()
 	}

@@ -54,10 +54,10 @@ func FuzzFastResponseParse(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc := &fastConn{c: &fuzzConn{data: data}}
+		fc := &fastConn{c: &fuzzConn{data: data}, key: "fuzz.test:80"}
 		fc.br.c = fc.c
 		fc.br.buf = make([]byte, fastReadBufSize)
-		resp, _, err := tr.readResponse(fc, req, "fuzz.test:80")
+		resp, _, err := tr.readResponse(fc, req)
 		if err != nil {
 			return
 		}

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -240,5 +241,127 @@ func TestFastClientContextCancelMidRequest(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("context deadline took %v to fire", elapsed)
+	}
+}
+
+// serveHosts serves "ok" for every Host on one listener at ip and
+// returns a counter of the connections the server accepted.
+func serveHosts(t *testing.T, nw *Network, ip string, hosts int) *atomic.Int64 {
+	t.Helper()
+	ln, err := nw.Listen(ip, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < hosts; i++ {
+		nw.Register(fmt.Sprintf("h%02d.test", i), ip)
+	}
+	accepted := new(atomic.Int64)
+	srv := &http.Server{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok") }),
+		ConnState: func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				accepted.Add(1)
+			}
+		},
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { srv.Close() })
+	return accepted
+}
+
+func mustGet(t *testing.T, client *http.Client, url string) {
+	t.Helper()
+	resp, err := client.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || string(body) != "ok" {
+		t.Fatalf("GET %s: body %q, err %v", url, body, err)
+	}
+}
+
+// TestFastPoolEvictsOldestAtTotalCap: a client that has touched more
+// hosts than the pool holds keeps pooling — the total cap makes room by
+// evicting the least recently used idle conn, as http.Transport does,
+// instead of closing the conn just used.
+func TestFastPoolEvictsOldestAtTotalCap(t *testing.T) {
+	const hosts = fastMaxIdleTotal + 6
+	nw := New()
+	accepted := serveHosts(t, nw, "203.0.113.65", hosts)
+	client := nw.HTTPClient("198.51.100.65")
+	tr := client.Transport.(*fastTransport)
+	idle := func() int {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return len(tr.idle)
+	}
+
+	for i := 0; i < hosts; i++ {
+		mustGet(t, client, fmt.Sprintf("http://h%02d.test/", i))
+		if n := idle(); n > fastMaxIdleTotal {
+			t.Fatalf("after %d hosts: %d idle conns, cap %d", i+1, n, fastMaxIdleTotal)
+		}
+	}
+	if n := idle(); n != fastMaxIdleTotal {
+		t.Fatalf("%d idle conns after %d hosts, want a full pool of %d", n, hosts, fastMaxIdleTotal)
+	}
+	hits, dials := mHTTPPoolHits.Value(), accepted.Load()
+	last := fmt.Sprintf("http://h%02d.test/", hosts-1)
+	mustGet(t, client, last)
+	mustGet(t, client, last)
+	if got := mHTTPPoolHits.Value() - hits; got != 2 {
+		t.Errorf("two more requests to the last host: %d pool hits, want 2", got)
+	}
+	if got := accepted.Load() - dials; got != 0 {
+		t.Errorf("two more requests to the last host dialed %d times", got)
+	}
+	// The evicted conns were the oldest: the first hosts redial, the
+	// newest are still pooled.
+	hits = mHTTPPoolHits.Value()
+	mustGet(t, client, "http://h00.test/")
+	if got := mHTTPPoolHits.Value() - hits; got != 0 {
+		t.Errorf("oldest host's conn survived eviction (%d pool hits)", got)
+	}
+}
+
+// TestCloseIdleConnections: http.Client.CloseIdleConnections empties
+// the pool, and the next request redials and succeeds — on the fast
+// transport and on the stdlib one the legacy knob selects.
+func TestCloseIdleConnections(t *testing.T) {
+	for _, legacy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
+			SetLegacyNetHTTP(legacy)
+			defer SetLegacyNetHTTP(false)
+			nw := New()
+			accepted := serveHosts(t, nw, "203.0.113.66", 1)
+			client := nw.HTTPClient("198.51.100.66")
+
+			mustGet(t, client, "http://h00.test/")
+			mustGet(t, client, "http://h00.test/")
+			if n := accepted.Load(); n != 1 {
+				t.Fatalf("two sequential requests used %d conns, want 1 kept alive", n)
+			}
+			client.CloseIdleConnections()
+			if tr, ok := client.Transport.(*fastTransport); ok {
+				tr.mu.Lock()
+				n := len(tr.idle)
+				tr.mu.Unlock()
+				if n != 0 {
+					t.Fatalf("%d conns pooled after CloseIdleConnections", n)
+				}
+			} else if !legacy {
+				t.Fatalf("default client transport is %T", client.Transport)
+			}
+			retries := mHTTPRetries.Value()
+			mustGet(t, client, "http://h00.test/")
+			if n := accepted.Load(); n != 2 {
+				t.Fatalf("request after CloseIdleConnections: %d conns accepted in all, want 2", n)
+			}
+			if got := mHTTPRetries.Value() - retries; got != 0 {
+				t.Errorf("redial after CloseIdleConnections went through %d dead-conn retries", got)
+			}
+		})
 	}
 }

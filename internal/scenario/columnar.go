@@ -9,6 +9,7 @@ import (
 	"repro/internal/blocking"
 	"repro/internal/measure"
 	"repro/internal/robots"
+	"repro/internal/stats"
 	"repro/internal/useragent"
 	"repro/internal/webserver"
 )
@@ -44,7 +45,7 @@ type tailState struct {
 	blocker   bitset // behind the active-blocking provider
 	adopted   bitset // policy currently published
 	blockerOn bitset // provider blocking currently enabled
-	hot       bitset // currently simulated at full fidelity
+	hot       bitset // long-tail site promoted to full fidelity this month
 }
 
 func newTailState(n int) *tailState {
@@ -241,9 +242,10 @@ func (w *tierWorld) restrictsFunc(pid uint16) (func(string) bool, *robots.Robots
 	}, pol.parsed
 }
 
-// planSite stores site i's drawPlan result in the columns.
-func (w *tierWorld) planSite(t *tailState, i int, seed int64, curve []float64) {
-	adoptMonth, perAgent, managed, blocker := drawPlan(&w.sp, curve, i, seed)
+// planSite stores site i's drawPlan result in the columns; rn is the
+// calling worker's scratch source.
+func (w *tierWorld) planSite(t *tailState, rn *stats.Rand, i int, seed int64, curve []float64) {
+	adoptMonth, perAgent, managed, blocker := drawPlan(&w.sp, curve, rn, i, seed)
 	t.adoptMonth[i] = int16(adoptMonth)
 	if perAgent {
 		t.perAgent.set(i)

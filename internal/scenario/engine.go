@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/crawler"
 	"repro/internal/manager"
 	"repro/internal/measure"
+	"repro/internal/netsim"
 	"repro/internal/robots"
 	"repro/internal/webserver"
 )
@@ -41,6 +43,59 @@ func resolveRoster(sp Spec) ([]resolvedCrawler, error) {
 		out[i] = resolvedCrawler{spec: c, behavior: b, sourceIP: ip}
 	}
 	return out, nil
+}
+
+// rosterCrawlers is one network's crawler fleet: a crawler per roster
+// entry, built on its first wave and kept for the run. Scenario profiles
+// leave CacheRobots off, so the visit counter — set before every wave —
+// is the only state a kept crawler carries from one site to the next;
+// what it keeps is its http.Client and that client's keep-alive conns.
+type rosterCrawlers struct {
+	world *tierWorld
+	nw    *netsim.Network
+	crs   []*crawler.Crawler // indexed by roster entry; nil until first use
+}
+
+func newRosterCrawlers(world *tierWorld, nw *netsim.Network) *rosterCrawlers {
+	return &rosterCrawlers{world: world, nw: nw, crs: make([]*crawler.Crawler, len(world.roster))}
+}
+
+// wave runs roster entry r's k-th visit (0-based) of its per-site
+// schedule against site over real HTTP.
+func (rc *rosterCrawlers) wave(ctx context.Context, r, k int, site *webserver.Site) error {
+	entry := &rc.world.roster[r]
+	cr := rc.crs[r]
+	if cr == nil {
+		var err error
+		cr, err = crawler.New(rc.nw, crawler.Profile{
+			Token:    entry.spec.Token,
+			SourceIP: entry.sourceIP,
+			Behavior: entry.behavior,
+			MaxPages: rc.world.sp.MaxPagesPerCrawl,
+		})
+		if err != nil {
+			return err
+		}
+		rc.crs[r] = cr
+	}
+	cr.SetVisits(k)
+	if entry.spec.SinglePage {
+		_, _, err := cr.FetchOne(ctx, site.URL()+"/about.html")
+		return err
+	}
+	_, err := cr.Crawl(ctx, site.URL())
+	return err
+}
+
+// closeIdle drops every crawler's pooled conns. Removing a site closes
+// the server end of each conn that served it; the caller pairs the two,
+// or the client ends would sit dead in the pools until evicted.
+func (rc *rosterCrawlers) closeIdle() {
+	for _, cr := range rc.crs {
+		if cr != nil {
+			cr.CloseIdleConnections()
+		}
+	}
 }
 
 // blockAll is the policy the managed service and frozen lists derive

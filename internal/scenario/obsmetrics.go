@@ -5,7 +5,9 @@ import "repro/internal/obs"
 // Engine metrics. Month wall-clock is observed once per hot site-month
 // (cold months are nanoseconds of column reads and are counted, not
 // timed), so the histogram exposes where full-fidelity simulation
-// actually burns time: slow site-months dominate the upper buckets.
+// actually burns time: slow site-months dominate the upper buckets. It
+// times the month itself; starting and removing the site (once per
+// pinned site, once per promoted month) shows in the hot phase total.
 var (
 	mCrawlWaves = obs.NewCounter("scenario_crawl_waves_total",
 		"Crawl waves run over real HTTP (one crawler visiting one hot site).")
@@ -13,6 +15,17 @@ var (
 		"Real time per hot (full-fidelity) site-month, ns.")
 	mRunWallNS = obs.NewHistogram("scenario_run_wall_ns",
 		"Real time per scenario.RunTiered call, ns.")
+)
+
+// Phase time, one observation per RunTiered call: TierStats' PlanNS,
+// HotNS, ColdNS (each summed over workers) and MergeNS.
+const phaseHelp = "Time per scenario.RunTiered call by engine phase, worker phases summed over workers, ns."
+
+var (
+	mPhasePlanNS  = obs.NewHistogram(`scenario_phase_wall_ns{phase="plan"}`, phaseHelp)
+	mPhaseHotNS   = obs.NewHistogram(`scenario_phase_wall_ns{phase="hot"}`, phaseHelp)
+	mPhaseColdNS  = obs.NewHistogram(`scenario_phase_wall_ns{phase="cold"}`, phaseHelp)
+	mPhaseMergeNS = obs.NewHistogram(`scenario_phase_wall_ns{phase="merge"}`, phaseHelp)
 )
 
 // Tier metrics: tier transitions, the hot/cold site-month

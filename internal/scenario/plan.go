@@ -56,8 +56,9 @@ func SitePlans(spec Spec) ([]SitePlan, error) {
 	sp := spec.withDefaults()
 	curve := sp.monthlyCurve()
 	plans := make([]SitePlan, sp.Sites)
+	rn := stats.NewRand(0)
 	for i, seed := range siteSeeds(sp) {
-		plans[i] = planFor(&sp, curve, i, seed)
+		plans[i] = planFor(&sp, curve, rn, i, seed)
 	}
 	return plans, nil
 }
@@ -85,10 +86,12 @@ func siteSeeds(sp Spec) []int64 {
 // the spec's knobs are set. Managed services only matter for per-agent
 // organic adopters: a blanket wildcard disallow already covers every
 // future agent, and the measurement replay pins its policies verbatim.
-// The source is transient and the result is scalars, so planning a
-// million sites holds no per-site state beyond the caller's columns.
-func drawPlan(sp *Spec, curve []float64, i int, seed int64) (adoptMonth int, perAgent, managed, blocker bool) {
-	rn := stats.NewRand(seed)
+// rn is the caller's scratch source, reseeded here: a math/rand source
+// is ~5 KB, so one per site was most of a large run's allocation. The
+// result is scalars, so planning a million sites holds no per-site state
+// beyond the caller's columns.
+func drawPlan(sp *Spec, curve []float64, rn *stats.Rand, i int, seed int64) (adoptMonth int, perAgent, managed, blocker bool) {
+	rn.Seed(seed)
 	adoptRoll := rn.Float64()
 	perAgentRoll := rn.Float64()
 	managedRoll := rn.Float64()
@@ -115,8 +118,8 @@ func drawPlan(sp *Spec, curve []float64, i int, seed int64) (adoptMonth int, per
 
 // planFor dresses drawPlan's result as a SitePlan: the domain and the
 // adopted policy's style name.
-func planFor(sp *Spec, curve []float64, i int, seed int64) SitePlan {
-	adoptMonth, perAgent, managed, blocker := drawPlan(sp, curve, i, seed)
+func planFor(sp *Spec, curve []float64, rn *stats.Rand, i int, seed int64) SitePlan {
+	adoptMonth, perAgent, managed, blocker := drawPlan(sp, curve, rn, i, seed)
 	p := SitePlan{Site: i, Domain: SiteDomain(i), AdoptMonth: adoptMonth, Blocker: blocker}
 	if adoptMonth >= 0 {
 		switch {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/measure"
@@ -148,8 +149,38 @@ func TestManagedUptakeClosesCoverageGap(t *testing.T) {
 func TestRunHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunTiered(ctx, testSpec(), TierOptions{Workers: 2}); !errors.Is(err, context.Canceled) {
+	for _, hot := range []int{0, testSpec().Sites} {
+		if _, err := RunTiered(ctx, testSpec(), TierOptions{HotSites: hot, Workers: 2}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("hot=%d: err = %v, want context.Canceled", hot, err)
+		}
+	}
+
+	// Cancelled from outside while the pinned cohort's site-major loop is
+	// under way: the run must stop there, not finish the cohort first.
+	spec := Observed(7, 128, 12)
+	total := uint64(spec.Sites * spec.Months)
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	before := mTierHotSiteMonths.Value()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunTiered(ctx, spec, TierOptions{HotSites: spec.Sites, Workers: 1})
+		done <- err
+	}()
+	for mTierHotSiteMonths.Value()-before < 12 {
+		select {
+		case err := <-done:
+			t.Fatalf("run ended before it could be cancelled: %v", err)
+		default:
+			runtime.Gosched()
+		}
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ran := mTierHotSiteMonths.Value() - before; ran >= total/2 {
+		t.Fatalf("cancelled after 12 of %d hot site-months, yet %d ran", total, ran)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/crawler"
 	"repro/internal/measure"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/stats"
 	"repro/internal/webserver"
 )
 
@@ -29,10 +29,11 @@ import (
 // comes from seeds derived sequentially before sharding. The parity
 // suite holds hot=0 to the all-hot run of the same code.
 //
-// Each worker owns one static contiguous site range and advances it
-// month-major. Policy transitions and crawl waves are computed from
-// (site, month) on the fly rather than scheduled, so month advancement
-// is embarrassingly parallel with no cross-worker barrier.
+// Each worker owns one static contiguous site range. Policy transitions
+// and crawl waves are computed from (site, month) on the fly rather than
+// scheduled, so advancement is embarrassingly parallel with no
+// cross-worker barrier — and, within a worker, free to go site by site
+// for the pinned cohort and month by month for the tail (see run).
 func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error) {
 	if obs.Enabled() {
 		defer mRunWallNS.ObserveSince(time.Now())
@@ -106,6 +107,7 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 
 	// Merge worker accumulators in shard order; all integer adds, so the
 	// result is independent of scheduling and worker count.
+	mergeStart := time.Now()
 	res := newResult(sp, start)
 	evidence := make(map[string]measure.Evidence)
 	var ts TierStats
@@ -122,8 +124,18 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		ts.Demotions += w.stats.Demotions
 		ts.CompiledWaves += w.stats.CompiledWaves
 		ts.ReplayedWaves += w.stats.ReplayedWaves
+		ts.PlanNS += w.stats.PlanNS
+		ts.HotNS += w.stats.HotNS
+		ts.ColdNS += w.stats.ColdNS
 	}
 	res.finalize(evidence, opts.Observer)
+	ts.MergeNS = int64(time.Since(mergeStart))
+	if obs.Enabled() {
+		mPhasePlanNS.Observe(uint64(ts.PlanNS))
+		mPhaseHotNS.Observe(uint64(ts.HotNS))
+		mPhaseColdNS.Observe(uint64(ts.ColdNS))
+		mPhaseMergeNS.Observe(uint64(ts.MergeNS))
+	}
 
 	if opts.Stats != nil {
 		ts.DistinctPolicies = len(world.policies) - 1
@@ -186,6 +198,15 @@ type TierStats struct {
 	DistinctBlockers int // interned provider rule lists
 
 	ColumnarBytes int // steady-state long-tail state footprint
+
+	// Where the run's time went, in nanoseconds. The three worker phases
+	// are summed over workers (busy time, which exceeds the wall when
+	// shards run in parallel); MergeNS is the single-threaded join,
+	// observer callbacks included. Timing, so never deterministic.
+	PlanNS  int64 // drawing every site's plan into the columns
+	HotNS   int64 // full-fidelity site-months, site start and removal included
+	ColdNS  int64 // compiled fast path, wave compiles included
+	MergeNS int64 // folding worker accumulators and finalizing the result
 }
 
 // BytesPerSite is the columnar footprint per site.
@@ -197,8 +218,9 @@ func (s TierStats) BytesPerSite(sites int) float64 {
 }
 
 // tierWorker advances one contiguous site range through every month. It
-// owns a live farm for hot site-months, a scratch compiler for wave
-// cache misses, and per-worker accumulators merged after the join.
+// owns a live farm and a kept crawler fleet for hot site-months, a
+// scratch compiler for wave cache misses, and per-worker accumulators
+// merged after the join.
 type tierWorker struct {
 	world    *tierWorld
 	tail     *tailState
@@ -208,13 +230,15 @@ type tierWorker struct {
 	hotSites int
 	lo, hi   int
 
-	compiler *waveCompiler
-	hotNW    *netsim.Network
-	hotFarm  *webserver.Farm
+	compiler    *waveCompiler
+	hotFarm     *webserver.Farm
+	hotCrawlers *rosterCrawlers
+	planRand    *stats.Rand // drawPlan's scratch source
 
 	months    []MonthMetrics
 	evidence  map[string]measure.Evidence
-	evScratch []measure.Evidence // per-site-month, indexed by token id
+	evScratch []measure.Evidence          // per cold site-month, indexed by token id
+	windowEv  map[string]measure.Evidence // per hot site-month
 	touched   []int32
 	stats     TierStats
 }
@@ -232,20 +256,22 @@ func newTierWorker(world *tierWorld, tail *tailState, cache *waveCache,
 		return nil, err
 	}
 	return &tierWorker{
-		world:     world,
-		tail:      tail,
-		cache:     cache,
-		local:     make(map[waveKey]waveEffect),
-		curve:     curve,
-		hotSites:  hotSites,
-		lo:        lo,
-		hi:        hi,
-		compiler:  compiler,
-		hotNW:     hotNW,
-		hotFarm:   hotFarm,
-		months:    make([]MonthMetrics, world.sp.Months),
-		evidence:  make(map[string]measure.Evidence),
-		evScratch: make([]measure.Evidence, len(world.tokens)),
+		world:       world,
+		tail:        tail,
+		cache:       cache,
+		local:       make(map[waveKey]waveEffect),
+		curve:       curve,
+		hotSites:    hotSites,
+		lo:          lo,
+		hi:          hi,
+		compiler:    compiler,
+		hotFarm:     hotFarm,
+		hotCrawlers: newRosterCrawlers(world, hotNW),
+		planRand:    stats.NewRand(0),
+		months:      make([]MonthMetrics, world.sp.Months),
+		evidence:    make(map[string]measure.Evidence),
+		evScratch:   make([]measure.Evidence, len(world.tokens)),
+		windowEv:    make(map[string]measure.Evidence),
 	}, nil
 }
 
@@ -254,15 +280,40 @@ func (w *tierWorker) close() {
 	w.hotFarm.Close()
 }
 
-// run plans the shard's sites, then advances them month-major: the
-// columnar arrays are walked sequentially per month, so the common
-// (cold) case is a cache-friendly linear scan.
+// run plans the shard's sites, then advances them in two passes. The
+// pinned cohort goes site-major: a site that is hot every month is
+// started once, run through all its months and removed, so its page set
+// and its crawlers' keep-alive conns last all its months instead of one.
+// Everything else goes month-major: the columnar arrays are walked
+// sequentially per month, so the common (cold) case is a cache-friendly
+// linear scan, and a promoted month is the same month function between
+// a start and a removal.
+//
+// The visiting order cannot change the output. A site-month reads and
+// writes only site i's own columns (and the immutable world), so site
+// i's months see the same state whichever other sites ran in between;
+// and what a site-month emits reaches the result only through
+// MonthMetrics.add and Evidence.Merge, commutative integer folds into
+// per-month and per-token accumulators.
 func (w *tierWorker) run(ctx context.Context, seeds []int64) error {
+	planStart := time.Now()
 	for i := w.lo; i < w.hi; i++ {
-		w.world.planSite(w.tail, i, seeds[i], w.curve)
+		w.world.planSite(w.tail, w.planRand, i, seeds[i], w.curve)
 	}
+	w.stats.PlanNS = int64(time.Since(planStart))
+
+	pinned := min(max(w.hotSites, w.lo), w.hi) // [lo, pinned) is this shard's cohort
+	hotStart := time.Now()
+	for i := w.lo; i < pinned; i++ {
+		if err := w.runPinnedSite(ctx, i); err != nil {
+			return err
+		}
+	}
+	pinnedNS := int64(time.Since(hotStart))
+
+	tailStart := time.Now() // advance adds each promoted month to HotNS
 	for m := 0; m < w.world.sp.Months; m++ {
-		for i := w.lo; i < w.hi; i++ {
+		for i := pinned; i < w.hi; i++ {
 			if i&1023 == 0 {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -273,26 +324,27 @@ func (w *tierWorker) run(ctx context.Context, seeds []int64) error {
 			}
 		}
 	}
+	w.stats.ColdNS = int64(time.Since(tailStart)) - w.stats.HotNS
+	w.stats.HotNS += pinnedNS
 	return nil
 }
 
-// hotFor decides site i's tier for month m. The pinned cohort stays
-// hot; a long-tail site is promoted for exactly the months where its
-// observable state transitions originate — its adoption month and the
-// blocking provider's rollout month — and demoted after. The rule reads
-// only site-local columnar state, so tier decisions never serialize
-// workers; and because the fast path is exact, the choice affects cost,
-// never output.
+// hotFor decides long-tail site i's tier for month m (the pinned cohort
+// is always hot and never asks): a site is promoted for exactly the
+// months where its observable state transitions originate — its adoption
+// month and the blocking provider's rollout month — and demoted after.
+// The rule reads only site-local columnar state, so tier decisions never
+// serialize workers; and because the fast path is exact, the choice
+// affects cost, never output.
 func (w *tierWorker) hotFor(i, m int) bool {
-	if i < w.hotSites {
-		return true
-	}
 	if int(w.tail.adoptMonth[i]) == m {
 		return true
 	}
 	return w.tail.blocker.get(i) && m == w.world.sp.Blocking.StartMonth
 }
 
+// advance runs long-tail site i's month m in the tier hotFor picks,
+// recording promotions and demotions.
 func (w *tierWorker) advance(ctx context.Context, i, m int) error {
 	hot := w.hotFor(i, m)
 	if wasHot := w.tail.hot.get(i); hot != wasHot {
@@ -308,14 +360,58 @@ func (w *tierWorker) advance(ctx context.Context, i, m int) error {
 			mTierDemotions.Inc()
 		}
 	}
-	if hot {
-		w.stats.HotSiteMonths++
-		mTierHotSiteMonths.Inc()
-		return w.runHotMonth(ctx, i, m)
+	if !hot {
+		w.stats.ColdSiteMonths++
+		mTierColdSiteMonths.Inc()
+		return w.runColdMonth(ctx, i, m)
 	}
-	w.stats.ColdSiteMonths++
-	mTierColdSiteMonths.Inc()
-	return w.runColdMonth(ctx, i, m)
+	start := time.Now()
+	site, err := w.startHotSite(i)
+	if err != nil {
+		return err
+	}
+	err = w.runHotMonth(ctx, site, i, m)
+	w.stopHotSite(site)
+	w.stats.HotNS += int64(time.Since(start))
+	return err
+}
+
+// runPinnedSite runs every month of pinned-hot site i on one live site.
+func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
+	site, err := w.startHotSite(i)
+	if err != nil {
+		return err
+	}
+	defer w.stopHotSite(site)
+	for m := 0; m < w.world.sp.Months; m++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := w.runHotMonth(ctx, site, i, m); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// startHotSite hosts site i on the worker's live farm. The site starts
+// bare; runHotMonth publishes its policy and blocker from the columns.
+func (w *tierWorker) startHotSite(i int) (*webserver.Site, error) {
+	domain := SiteDomain(i)
+	return w.hotFarm.StartSite(webserver.Config{
+		Domain: domain,
+		IP:     siteIP,
+		Pages:  webserver.ContentPages(domain),
+	})
+}
+
+// stopHotSite removes a hot site and drops the crawlers' conns to it:
+// Farm.Remove closes the server end of every conn that served the site,
+// and a kept crawler left holding the client ends would fill its idle
+// pool with dead conns.
+func (w *tierWorker) stopHotSite(site *webserver.Site) {
+	site.Close()
+	w.hotCrawlers.closeIdle()
 }
 
 // applyMonthState applies month m's policy and blocker events to site
@@ -429,38 +525,33 @@ func (w *tierWorker) runColdMonth(ctx context.Context, i, m int) error {
 	return nil
 }
 
-// runHotMonth simulates one site-month at full fidelity: a live
-// farm-hosted site reconstructed from columnar state, real crawler
-// instances advanced to their schedule position, real netsim HTTP, and
-// a flush from the real request log. Hot hosting is stateless across
-// months — the site is started and removed per month, since its entire
-// observable state (policy body, blocker list, crawler visit phase) is
-// derivable from the columns.
-func (w *tierWorker) runHotMonth(ctx context.Context, i, m int) error {
+// runHotMonth simulates month m of site i at full fidelity on its live
+// site: policy and blocker published from columnar state, the worker's
+// crawlers set to their schedule position, real netsim HTTP, and a
+// flush from the month's window of the real request log. It is the one
+// month function of both hot cases — a pinned site calls it for every
+// month of one live site, a promoted month for the only month of its
+// own — and cannot tell them apart: everything a month observes (policy
+// body, blocker list, crawler visit phase) is set here from the columns,
+// the window starts at this month's log mark, and policies and blocking
+// are only ever turned on, so a site carried over from last month holds
+// nothing a fresh one would not be given.
+func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m int) error {
 	if obs.Enabled() {
 		defer mMonthWallNS.ObserveSince(time.Now())
 	}
+	w.stats.HotSiteMonths++
+	mTierHotSiteMonths.Inc()
 	t, world := w.tail, w.world
 	w.applyMonthState(i, m)
-
-	domain := SiteDomain(i)
-	site, err := w.hotFarm.StartSite(webserver.Config{
-		Domain: domain,
-		IP:     siteIP,
-		Pages:  webserver.ContentPages(domain),
-	})
-	if err != nil {
-		return err
-	}
-	defer site.Close()
 	if pid := t.policyID[i]; pid != 0 {
-		body := world.policies[pid].body
-		site.SetRobots(&body)
+		site.SetRobots(&world.policies[pid].body)
 	}
 	if t.blockerOn.get(i) {
 		site.SetBlocker(world.blockers[world.activeBlockerID(m)].blocker)
 	}
 
+	mark := site.LogLen()
 	var d MonthMetrics
 	for r := range world.roster {
 		rc := &world.roster[r]
@@ -471,21 +562,7 @@ func (w *tierWorker) runHotMonth(ctx context.Context, i, m int) error {
 		if !due {
 			continue
 		}
-		cr, err := crawler.New(w.hotNW, crawler.Profile{
-			Token:    rc.spec.Token,
-			SourceIP: rc.sourceIP,
-			Behavior: rc.behavior,
-			MaxPages: world.sp.MaxPagesPerCrawl,
-		})
-		if err != nil {
-			return err
-		}
-		cr.AdvanceVisits(k)
-		if rc.spec.SinglePage {
-			if _, _, err := cr.FetchOne(ctx, site.URL()+"/about.html"); err != nil {
-				return err
-			}
-		} else if _, err := cr.Crawl(ctx, site.URL()); err != nil {
+		if err := w.hotCrawlers.wave(ctx, r, k, site); err != nil {
 			return err
 		}
 		mCrawlWaves.Inc()
@@ -494,12 +571,12 @@ func (w *tierWorker) runHotMonth(ctx context.Context, i, m int) error {
 	}
 
 	restricts, parsed := world.restrictsFunc(t.policyID[i])
-	windowEv := make(map[string]measure.Evidence)
-	absorbWindow(site.Log(), parsed, restricts, &d, windowEv)
-	for tok, ev := range windowEv {
+	absorbWindow(site.LogSince(mark), parsed, restricts, &d, w.windowEv)
+	for tok, ev := range w.windowEv {
 		d.ClassCounts[measure.ClassifyEvidence(ev)]++
 		w.evidence[tok] = w.evidence[tok].Merge(ev)
 	}
+	clear(w.windowEv)
 	w.monthStateCounters(i, m, &d)
 	w.months[m].add(d)
 	return nil

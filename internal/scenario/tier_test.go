@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestTieredParityWithFull is the engine's core contract: for the same
@@ -43,6 +45,10 @@ func TestTieredParityWithFull(t *testing.T) {
 // JSON bytes are identical at any worker count. Shard cuts round down
 // to multiples of 64, so only the wide world actually splits — the
 // test checks that it does, so a multi-shard merge is what is compared.
+// At 100 pinned sites the cohort sits inside one shard at one and two
+// workers and crosses the cut at 64 at three and eight, where shard 1 is
+// part site-major (64–99) and part month-major; at 256 every shard is
+// all site-major.
 func TestTieredWorkerCountIdentity(t *testing.T) {
 	wide := testSpec()
 	wide.Sites = 256
@@ -54,7 +60,7 @@ func TestTieredWorkerCountIdentity(t *testing.T) {
 	for _, c := range []struct {
 		spec Spec
 		hot  int
-	}{{testSpec(), 2}, {wide, 0}, {wide, 3}} {
+	}{{testSpec(), 2}, {wide, 0}, {wide, 3}, {wide, 100}, {wide, 256}} {
 		want := runJSON(t, c.spec, TierOptions{HotSites: c.hot, Workers: 1})
 		for _, workers := range []int{2, 3, 8} {
 			if got := runJSON(t, c.spec, TierOptions{HotSites: c.hot, Workers: workers}); string(got) != string(want) {
@@ -192,5 +198,46 @@ func TestTieredRosterLimit(t *testing.T) {
 	}
 	if _, err := RunTiered(context.Background(), spec, TierOptions{}); err == nil {
 		t.Fatal("256-entry roster accepted")
+	}
+}
+
+// TestHotTierDialsOncePerSiteAndCrawler is the count gate on what the
+// hot tier keeps: in an all-hot run every site is started once and each
+// kept crawler holds one conn to it for all of its months, so the run
+// dials at most sites × roster times (a crawler per wave dialed once
+// per wave), and no request ever meets a dead pooled conn. The counters
+// are process-wide: this test takes deltas and must not run in parallel
+// with another.
+func TestHotTierDialsOncePerSiteAndCrawler(t *testing.T) {
+	if !obs.Enabled() {
+		t.Skip("counts come from obs counters")
+	}
+	misses := obs.NewCounter(`netsim_http_pool_total{result="miss"}`, "")
+	retries := obs.NewCounter("netsim_http_retries_total", "")
+	spec := Observed(7, 128, 12)
+	miss0, retry0, waves0 := misses.Value(), retries.Value(), mCrawlWaves.Value()
+	var ts TierStats
+	if _, err := RunTiered(context.Background(), spec, TierOptions{HotSites: spec.Sites, Workers: 2, Stats: &ts}); err != nil {
+		t.Fatal(err)
+	}
+	dials, waves := misses.Value()-miss0, mCrawlWaves.Value()-waves0
+	if ts.HotSiteMonths != spec.Sites*spec.Months {
+		t.Fatalf("not an all-hot run: %+v", ts)
+	}
+	if limit := uint64(spec.Sites * len(spec.Crawlers)); dials == 0 || dials > limit {
+		t.Errorf("%d dials for %d sites x %d crawlers (limit %d, %d waves)",
+			dials, spec.Sites, len(spec.Crawlers), limit, waves)
+	}
+	if waves <= uint64(spec.Sites*len(spec.Crawlers)) {
+		t.Errorf("%d waves cannot tell a dial per wave from a dial per site and crawler", waves)
+	}
+	if got := retries.Value() - retry0; got != 0 {
+		t.Errorf("%d requests were replayed after finding a dead pooled conn", got)
+	}
+	if ts.PlanNS <= 0 || ts.HotNS <= 0 || ts.MergeNS <= 0 {
+		t.Errorf("phase times missing: %+v", ts)
+	}
+	if ts.ColdNS < 0 {
+		t.Errorf("cold phase time %d is negative", ts.ColdNS)
 	}
 }

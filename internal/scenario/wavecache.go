@@ -78,13 +78,13 @@ func wavePhase(b crawler.Behavior, k int) uint8 {
 
 // waveCompiler executes cache misses for one worker: a private scratch
 // network and farm, one throwaway site per domain width, reconfigured
-// per compile. Compiles are rare — bounded by the key space, not the
-// site count — so a fresh crawler per compile is fine.
+// per compile, and the worker's scratch crawler fleet. The scratch sites
+// live as long as the compiler, so its crawlers' conns never go stale.
 type waveCompiler struct {
-	world *tierWorld
-	nw    *netsim.Network
-	farm  *webserver.Farm
-	sites map[uint8]*webserver.Site
+	world    *tierWorld
+	farm     *webserver.Farm
+	crawlers *rosterCrawlers
+	sites    map[uint8]*webserver.Site
 }
 
 func newWaveCompiler(world *tierWorld) (*waveCompiler, error) {
@@ -93,7 +93,12 @@ func newWaveCompiler(world *tierWorld) (*waveCompiler, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &waveCompiler{world: world, nw: nw, farm: farm, sites: make(map[uint8]*webserver.Site)}, nil
+	return &waveCompiler{
+		world:    world,
+		farm:     farm,
+		crawlers: newRosterCrawlers(world, nw),
+		sites:    make(map[uint8]*webserver.Site),
+	}, nil
 }
 
 func (c *waveCompiler) close() {
@@ -122,9 +127,9 @@ func (c *waveCompiler) site(digits uint8) (*webserver.Site, error) {
 }
 
 // compile runs one wave for real — scratch site configured to the key's
-// policy and blocker, fresh crawler advanced to the key's phase, real
-// HTTP over netsim — and folds its log window into an effect via the
-// same absorbWindow a hot month's flush uses.
+// policy and blocker, the roster entry's crawler set to the key's phase,
+// real HTTP over netsim — and folds its log window into an effect via
+// the same absorbWindow a hot month's flush uses.
 func (c *waveCompiler) compile(ctx context.Context, key waveKey) (waveEffect, error) {
 	site, err := c.site(key.digits)
 	if err != nil {
@@ -142,24 +147,8 @@ func (c *waveCompiler) compile(ctx context.Context, key waveKey) (waveEffect, er
 		site.SetBlocker(c.world.blockers[key.blocker].blocker)
 	}
 
-	rc := c.world.roster[key.roster]
-	cr, err := crawler.New(c.nw, crawler.Profile{
-		Token:    rc.spec.Token,
-		SourceIP: rc.sourceIP,
-		Behavior: rc.behavior,
-		MaxPages: c.world.sp.MaxPagesPerCrawl,
-	})
-	if err != nil {
-		return waveEffect{}, err
-	}
-	cr.AdvanceVisits(int(key.phase))
-
 	mark := site.LogLen()
-	if rc.spec.SinglePage {
-		if _, _, err := cr.FetchOne(ctx, site.URL()+"/about.html"); err != nil {
-			return waveEffect{}, err
-		}
-	} else if _, err := cr.Crawl(ctx, site.URL()); err != nil {
+	if err := c.crawlers.wave(ctx, int(key.roster), int(key.phase), site); err != nil {
 		return waveEffect{}, err
 	}
 	window := site.LogSince(mark)

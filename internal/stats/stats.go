@@ -30,6 +30,12 @@ func NewRand(seed int64) *Rand {
 	return &Rand{r: rand.New(rand.NewSource(seed))}
 }
 
+// Seed resets rn to the exact state NewRand(seed) starts in, without
+// allocating: a caller drawing a few values from each of millions of
+// per-item seeds reuses one source instead of building ~5 KB of
+// generator state per item.
+func (rn *Rand) Seed(seed int64) { rn.r.Seed(seed) }
+
 // Fork derives an independent stream labeled by name. Two forks of the same
 // parent with different names produce uncorrelated streams; forking is
 // stable across runs.

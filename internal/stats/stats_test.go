@@ -16,6 +16,23 @@ func TestRandDeterminism(t *testing.T) {
 	}
 }
 
+// TestSeedMatchesNewRand: a reseeded source — mid-stream, after mixed
+// draws — continues exactly as a fresh NewRand of the same seed does.
+func TestSeedMatchesNewRand(t *testing.T) {
+	reused := NewRand(1)
+	for _, seed := range []int64{42, -7, 0, 1 << 40} {
+		reused.Float64()
+		reused.NormFloat64(0, 1)
+		reused.Seed(seed)
+		fresh := NewRand(seed)
+		for i := 0; i < 100; i++ {
+			if a, b := reused.Float64(), fresh.Float64(); a != b {
+				t.Fatalf("seed %d: draw %d: reseeded %v, fresh %v", seed, i, a, b)
+			}
+		}
+	}
+}
+
 func TestForkIndependence(t *testing.T) {
 	parent := NewRand(7)
 	f1 := parent.Fork("alpha")
