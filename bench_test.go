@@ -851,7 +851,7 @@ func BenchmarkPolicydFrameBatch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fc, err := policyd.NewFrameClient(conn)
+	fc, err := policyd.NewFrameClientV2(conn)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -864,7 +864,7 @@ func BenchmarkPolicydFrameBatch(b *testing.B) {
 	out := make([]policyd.Decision, 0, len(qs))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err = fc.Decide(qs, out[:0])
+		out, _, err = fc.Decide(qs, out[:0])
 		if err != nil || len(out) != len(qs) {
 			b.Fatalf("frame batch: %d decisions, err %v", len(out), err)
 		}

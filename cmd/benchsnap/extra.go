@@ -243,7 +243,7 @@ func init() {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fc, err := policyd.NewFrameClient(conn)
+		fc, err := policyd.NewFrameClientV2(conn)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -252,7 +252,7 @@ func init() {
 		out := make([]policyd.Decision, 0, snapBatchSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			out, err = fc.Decide(batch, out[:0])
+			out, _, err = fc.Decide(batch, out[:0])
 			if err != nil || len(out) != len(batch) {
 				b.Fatalf("frame batch: %d decisions, err %v", len(out), err)
 			}

@@ -14,12 +14,12 @@
 //	go run ./cmd/policygw -addr :9473 -frame-addr :9474 -watch-addr :9475 \
 //	    -replicas localhost:8473,localhost:8483 -rate 50000
 //
-// The gateway keeps each host's queries on one replica (cache
-// locality), never splits one batch across snapshot versions during a
-// rollover, answers over-quota tenants with 429 + Retry-After (HTTP)
-// or an in-band rate-limit frame (binary), and republishes the
-// fleet-wide version on its own -watch-addr once every replica has
-// swapped. /v1/quotas exposes the per-tenant ledger; the same ledger
+// The gateway sends each batch whole to the replica its first host
+// hashes to, so one batch is always answered from one snapshot
+// version, rollover or not; it answers over-quota tenants with 429 +
+// Retry-After (HTTP) or an in-band rate-limit frame (binary), and
+// republishes the fleet-wide version on its own -watch-addr once every
+// replica has swapped. /v1/quotas exposes the per-tenant ledger; the same ledger
 // is printed at exit.
 package main
 
@@ -111,11 +111,10 @@ func run(addr, frameAddr, watchAddr, metricsAddr, replicas string, rate, burst f
 	}
 	var dialer net.Dialer
 	gw, err := fleet.NewGateway(fleet.Config{
-		Replicas:   rcs,
-		VNodes:     vnodes,
-		Rate:       rate,
-		Burst:      burst,
-		HTTPClient: &http.Client{Timeout: 30 * time.Second},
+		Replicas: rcs,
+		VNodes:   vnodes,
+		Rate:     rate,
+		Burst:    burst,
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
 			return dialer.DialContext(ctx, "tcp", addr)
 		},

@@ -2,13 +2,10 @@ package fleet
 
 import (
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"strconv"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,8 +24,6 @@ var (
 		"Distinct snapshot versions live across replicas minus one; nonzero while a rollover is in flight.")
 	mSwapNotify = obs.NewCounter("fleet_swap_notifications_total",
 		"Fleet-version invalidations published to gateway watch subscribers.")
-	mRepinned = obs.NewCounter("fleet_batch_repinned_total",
-		"Batches retried pinned to one replica after scattered sub-batches answered from different snapshot versions.")
 	mGWWireJSON = obs.NewCounter(`fleet_gateway_requests_total{wire="json"}`,
 		"Gateway-level decision requests, by protocol.")
 	mGWWireFrame = obs.NewCounter(`fleet_gateway_requests_total{wire="frame"}`,
@@ -36,7 +31,7 @@ var (
 )
 
 // ReplicaConfig locates one policyd replica on whatever transport the
-// gateway's HTTPClient/Dial reach.
+// gateway's Dial reaches.
 type ReplicaConfig struct {
 	// Name identifies the replica on the hash ring and in metrics; it
 	// must be unique and stable (a membership change moves only the
@@ -62,18 +57,16 @@ type Config struct {
 	Rate, Burst float64
 	// Now is the limiter clock; nil means time.Now.
 	Now func() time.Time
-	// HTTPClient reaches replica BaseURLs (unused by the frame-routed
-	// decision path, available for health probes; netsim or real TCP).
-	HTTPClient *http.Client
 	// Dial reaches replica FrameAddr/WatchAddr values.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
-// Gateway routes decision traffic across policyd replicas: host-keyed
-// consistent hashing for cache locality, one snapshot version per
-// client batch (scatter with repin-on-skew), per-tenant rate limiting
-// at admission, and a version feed that tells connected clients when
-// the whole fleet has rolled to a new snapshot.
+// Gateway routes decision traffic across policyd replicas: per-tenant
+// rate limiting at admission, each admitted batch sent whole to the
+// replica its first host hashes to on the consistent-hash ring (one
+// replica, one snapshot: a batch cannot straddle versions), and a
+// version feed that tells connected clients when the whole fleet has
+// rolled to a new snapshot.
 type Gateway struct {
 	cfg      Config
 	ring     *Ring
@@ -91,7 +84,6 @@ type Gateway struct {
 // replica is one fleet member's runtime state.
 type replica struct {
 	cfg      ReplicaConfig
-	idx      int
 	gw       *Gateway
 	pool     chan *policyd.FrameClientV2
 	version  sync.Mutex // guards ver
@@ -131,16 +123,15 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		limiter: NewLimiter(cfg.Rate, cfg.Burst, cfg.Now),
 		feed:    policyd.NewVersionFeed(""),
 	}
-	for i, rc := range cfg.Replicas {
+	for _, rc := range cfg.Replicas {
 		g.replicas = append(g.replicas, &replica{
 			cfg:  rc,
-			idx:  i,
 			gw:   g,
 			pool: make(chan *policyd.FrameClientV2, 16),
 			mRoute: obs.NewCounter(fmt.Sprintf(`fleet_route_total{replica=%q}`, rc.Name),
 				"Decisions routed to each replica."),
 			mLatency: obs.NewHistogram(fmt.Sprintf(`fleet_replica_latency_ns{replica=%q}`, rc.Name),
-				"Round-trip latency of one routed sub-batch per replica, ns."),
+				"Round-trip latency of one routed batch per replica, ns."),
 		})
 	}
 	return g, nil
@@ -242,42 +233,30 @@ func (r *replica) currentVersion() string {
 	return r.ver
 }
 
+// distinctVersions returns the distinct snapshot versions the replicas
+// last reported, and how many replicas have reported none yet.
+func (g *Gateway) distinctVersions() (distinct []string, unknown int) {
+	for _, r := range g.replicas {
+		switch v := r.currentVersion(); {
+		case v == "":
+			unknown++
+		case !slices.Contains(distinct, v):
+			distinct = append(distinct, v)
+		}
+	}
+	return distinct, unknown
+}
+
 // recomputeVersions refreshes the skew gauge and publishes a new fleet
 // version when all replicas agree on one.
 func (g *Gateway) recomputeVersions() {
 	g.vmu.Lock()
 	defer g.vmu.Unlock()
-	// Fleets are small: collect distinct versions into a stack slice.
-	var seen [8]string
-	distinct, unknown := 0, 0
-	for _, r := range g.replicas {
-		v := r.currentVersion()
-		if v == "" {
-			unknown++
-			continue
-		}
-		dup := false
-		for i := 0; i < distinct && i < len(seen); i++ {
-			if seen[i] == v {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			if distinct < len(seen) {
-				seen[distinct] = v
-			}
-			distinct++
-		}
-	}
-	skew := 0
-	if distinct > 1 {
-		skew = distinct - 1
-	}
-	mVersionSkew.Set(float64(skew))
-	if distinct == 1 && unknown == 0 && seen[0] != g.fleetVersion {
-		g.fleetVersion = seen[0]
-		g.feed.Publish(seen[0])
+	distinct, unknown := g.distinctVersions()
+	mVersionSkew.Set(float64(max(len(distinct)-1, 0)))
+	if len(distinct) == 1 && unknown == 0 && distinct[0] != g.fleetVersion {
+		g.fleetVersion = distinct[0]
+		g.feed.Publish(distinct[0])
 		mSwapNotify.Inc()
 	}
 }
@@ -332,29 +311,21 @@ func (g *Gateway) decideOn(ctx context.Context, r *replica, qs []policyd.Query, 
 	return out[:base], "", fmt.Errorf("fleet: replica %s: %w", r.cfg.Name, lastErr)
 }
 
-// connState is the per-connection (or pooled per-request) routing
-// scratch, so the frame hot path stays allocation-steady.
+// connState is pooled admission scratch, so the frame hot path stays
+// allocation-steady.
 type connState struct {
-	assign []int32
-	subQ   []policyd.Query
-	subD   []policyd.Decision
-	order  []int32
 	groups []TenantCount
 }
-
-func (g *Gateway) getState() *connState {
-	if st, ok := g.states.Get().(*connState); ok && st != nil {
-		return st
-	}
-	return &connState{}
-}
-
-func (g *Gateway) putState(st *connState) { g.states.Put(st) }
 
 // admit groups the batch by tenant (query agent) and charges the
 // limiter all-or-nothing. Small batches have few distinct agents, so
 // grouping is a linear scan over a reused slice.
-func (g *Gateway) admit(qs []policyd.Query, st *connState) (time.Duration, bool) {
+func (g *Gateway) admit(qs []policyd.Query) (time.Duration, bool) {
+	st, _ := g.states.Get().(*connState)
+	if st == nil {
+		st = &connState{}
+	}
+	defer g.states.Put(st)
 	st.groups = st.groups[:0]
 outer:
 	for i := range qs {
@@ -373,94 +344,26 @@ outer:
 	return wait, ok
 }
 
-// routeBatch answers qs through the fleet, appending to out in query
-// order, and returns the single snapshot version that served the whole
-// batch. Batches whose hosts all hash to one replica go direct; others
-// scatter, and if the sub-batches come back from different versions
-// (a rollover in flight) the whole batch retries pinned to one replica,
-// whose single DecideBatch guarantees one consistent snapshot.
-func (g *Gateway) routeBatch(ctx context.Context, qs []policyd.Query, out []policyd.Decision, st *connState) ([]policyd.Decision, string, error) {
+// routeBatch answers qs on the replica its first host hashes to,
+// appending to out in query order. Every replica compiles the full
+// snapshot, so any of them can answer any host; sending the batch whole
+// means one DecideBatchVersioned answers it, from one snapshot.
+func (g *Gateway) routeBatch(ctx context.Context, qs []policyd.Query, out []policyd.Decision) ([]policyd.Decision, string, error) {
 	g.batches.Add(1)
-	base := len(out)
 	if len(qs) == 0 {
 		return out, g.FleetVersion(), nil
 	}
-	st.assign = st.assign[:0]
-	first := int32(g.ring.Pick(qs[0].Host))
-	single := true
-	st.assign = append(st.assign, first)
-	for i := 1; i < len(qs); i++ {
-		ri := int32(g.ring.Pick(qs[i].Host))
-		if ri != first {
-			single = false
-		}
-		st.assign = append(st.assign, ri)
-	}
-	if single {
-		return g.decideOn(ctx, g.replicas[first], qs, out)
-	}
-
-	// Scatter: route each replica's sub-batch, writing decisions back
-	// into their original positions.
-	for range qs {
-		out = append(out, policyd.Decision{})
-	}
-	version := ""
-	mismatch := false
-	var newest *replica
-	for ri := range g.replicas {
-		st.subQ = st.subQ[:0]
-		st.order = st.order[:0]
-		for i := range qs {
-			if int(st.assign[i]) == ri {
-				st.subQ = append(st.subQ, qs[i])
-				st.order = append(st.order, int32(i))
-			}
-		}
-		if len(st.subQ) == 0 {
-			continue
-		}
-		subD, v, err := g.decideOn(ctx, g.replicas[ri], st.subQ, st.subD[:0])
-		st.subD = subD[:0]
-		if err != nil {
-			return out[:base], "", err
-		}
-		if version == "" {
-			version = v
-			newest = g.replicas[ri]
-		} else if v != version {
-			mismatch = true
-			if v > version {
-				version = v
-				newest = g.replicas[ri]
-			}
-		}
-		for j, pos := range st.order {
-			out[base+int(pos)] = subD[j]
-		}
-	}
-	if !mismatch {
-		return out, version, nil
-	}
-	// A rollover is mid-flight: re-answer the whole batch on the replica
-	// already serving the newest version, so the client sees exactly one
-	// snapshot. Corpus versions ("YYYY-WW") order lexically.
-	mRepinned.Inc()
-	return g.decideOn(ctx, newest, qs, out[:base])
+	return g.decideOn(ctx, g.replicas[g.ring.Pick(qs[0].Host)], qs, out)
 }
 
-// Decide answers one query through the fleet (rate limiting applied by
-// the serving wrappers, not here).
-func (g *Gateway) decide(ctx context.Context, q policyd.Query, st *connState) (policyd.Decision, string, error) {
-	g.batches.Add(1)
-	ri := g.ring.Pick(q.Host)
-	st.subQ = append(st.subQ[:0], q)
-	ds, version, err := g.decideOn(ctx, g.replicas[ri], st.subQ, st.subD[:0])
-	st.subD = ds[:0]
-	if err != nil {
-		return policyd.Decision{}, "", err
+// Answer implements policyd.Answerer for the fleet: admit the batch
+// against the per-tenant quotas (a rejection is a
+// *policyd.RateLimitError), then route it.
+func (g *Gateway) Answer(ctx context.Context, qs []policyd.Query, out []policyd.Decision) ([]policyd.Decision, string, error) {
+	if wait, ok := g.admit(qs); !ok {
+		return out, "", &policyd.RateLimitError{RetryAfter: wait}
 	}
-	return ds[0], version, nil
+	return g.routeBatch(ctx, qs, out)
 }
 
 // ReplicaStatus is one replica's row in gateway stats.
@@ -485,24 +388,17 @@ type GatewayStats struct {
 // Stats returns the gateway's current fleet view.
 func (g *Gateway) Stats() GatewayStats {
 	st := GatewayStats{Version: g.FleetVersion(), Batches: g.batches.Load()}
-	versions := map[string]bool{}
+	distinct, _ := g.distinctVersions()
+	st.Skew = max(len(distinct)-1, 0)
 	for _, r := range g.replicas {
-		v := r.currentVersion()
-		if v != "" {
-			versions[v] = true
-		}
-		st.Replicas = append(st.Replicas, ReplicaStatus{Name: r.cfg.Name, Version: v, Routed: r.mRoute.Value()})
-	}
-	if len(versions) > 1 {
-		st.Skew = len(versions) - 1
+		st.Replicas = append(st.Replicas, ReplicaStatus{Name: r.cfg.Name, Version: r.currentVersion(), Routed: r.mRoute.Value()})
 	}
 	return st
 }
 
-// Handler returns the gateway's JSON API: the replica API plus quota
-// introspection. Decision bodies are byte-identical to a replica's —
-// the gateway adds only the X-Policyd-Version header (the serving
-// snapshot) so routed responses stay parity-comparable.
+// Handler returns the gateway's JSON API: the replica API, served by
+// the same code (policyd.NewHandlerFor) so bodies and headers are a
+// replica's, plus the fleet view and quota introspection.
 //
 //	GET  /v1/decide?host=H&agent=U&path=P  (429 + Retry-After on quota)
 //	POST /v1/batch                         (one snapshot version per batch)
@@ -510,185 +406,15 @@ func (g *Gateway) Stats() GatewayStats {
 //	GET  /v1/quotas                        (per-tenant ledger)
 //	GET  /healthz
 func (g *Gateway) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/decide", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		q := policyd.Query{
-			Host:  r.URL.Query().Get("host"),
-			Agent: r.URL.Query().Get("agent"),
-			Path:  r.URL.Query().Get("path"),
-		}
-		if q.Host == "" || q.Agent == "" {
-			http.Error(w, "host and agent are required", http.StatusBadRequest)
-			return
-		}
-		mGWWireJSON.Inc()
-		st := g.getState()
-		defer g.putState(st)
-		st.subQ = append(st.subQ[:0], q)
-		if wait, ok := g.admit(st.subQ, st); !ok {
-			writeRateLimited(w, wait)
-			return
-		}
-		d, version, err := g.decide(r.Context(), q, st)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		w.Header().Set("X-Policyd-Version", version)
-		if body, ok := policyd.DecisionBody(d); ok {
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(body)
-			return
-		}
-		writeJSON(w, d.JSON())
+	return policyd.NewHandlerFor(g, mGWWireJSON, map[string]func() any{
+		"/v1/stats":  func() any { return g.Stats() },
+		"/v1/quotas": func() any { return g.limiter.Accounting() },
 	})
-	mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var req policyd.BatchRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&req); err != nil {
-			http.Error(w, fmt.Sprintf("bad batch: %v", err), http.StatusBadRequest)
-			return
-		}
-		if len(req.Queries) > policyd.MaxBatch {
-			http.Error(w, fmt.Sprintf("batch exceeds %d queries", policyd.MaxBatch), http.StatusRequestEntityTooLarge)
-			return
-		}
-		mGWWireJSON.Inc()
-		st := g.getState()
-		defer g.putState(st)
-		if wait, ok := g.admit(req.Queries, st); !ok {
-			writeRateLimited(w, wait)
-			return
-		}
-		ds, version, err := g.routeBatch(r.Context(), req.Queries, nil, st)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		resp := policyd.BatchResponse{Decisions: make([]policyd.DecisionJSON, len(ds))}
-		for i, d := range ds {
-			resp.Decisions[i] = d.JSON()
-		}
-		w.Header().Set("X-Policyd-Version", version)
-		writeJSON(w, resp)
-	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, g.Stats())
-	})
-	mux.HandleFunc("/v1/quotas", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, g.limiter.Accounting())
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain")
-		fmt.Fprintln(w, "ok")
-	})
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-// writeRateLimited answers 429 with both the spec's integer-second
-// Retry-After and an exact millisecond variant (token buckets at
-// realistic rates refill in well under a second).
-func writeRateLimited(w http.ResponseWriter, wait time.Duration) {
-	secs := int(wait / time.Second)
-	if wait%time.Second != 0 {
-		secs++
-	}
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(wait.Milliseconds(), 10))
-	http.Error(w, "rate limited", http.StatusTooManyRequests)
 }
 
 // ServeFrames accepts binary-frame connections on ln and answers them
-// through the fleet until the listener closes. Both dialects are
-// accepted: RPB2 clients get versioned responses and in-band
-// rate-limit frames; RPB1 clients get legacy responses, and a quota
-// rejection closes their connection (v1 has no error channel).
+// through the fleet until the listener closes: policyd's frame loop over
+// the gateway's Answer.
 func (g *Gateway) ServeFrames(ln net.Listener) error {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go g.serveFrameConn(c)
-	}
-}
-
-func (g *Gateway) serveFrameConn(c net.Conn) {
-	defer c.Close()
-	var magic [4]byte
-	if _, err := io.ReadFull(c, magic[:]); err != nil {
-		return
-	}
-	v2 := magic == policyd.FrameMagicV2
-	if !v2 && magic != policyd.FrameMagic {
-		return
-	}
-	ctx := context.Background()
-	st := g.getState()
-	defer g.putState(st)
-	var lenBuf [4]byte
-	payload := make([]byte, 0, 64*1024)
-	wbuf := make([]byte, 0, 16*1024)
-	var qs []policyd.Query
-	var out []policyd.Decision
-	for {
-		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
-			return
-		}
-		n := binary.LittleEndian.Uint32(lenBuf[:])
-		if n > 4<<20 {
-			return
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(c, payload); err != nil {
-			return
-		}
-		var err error
-		qs, err = policyd.DecodeQueryPayload(payload, qs[:0])
-		if err != nil {
-			return
-		}
-		mGWWireFrame.Inc()
-		if wait, ok := g.admit(qs, st); !ok {
-			if !v2 {
-				return
-			}
-			wbuf = policyd.AppendRateLimitFrame(wbuf[:0], wait)
-			if _, err := c.Write(wbuf); err != nil {
-				return
-			}
-			continue
-		}
-		var version string
-		out, version, err = g.routeBatch(ctx, qs, out[:0], st)
-		if err != nil {
-			return
-		}
-		if v2 {
-			wbuf = policyd.AppendDecisionFrameV2(wbuf[:0], out, version)
-		} else {
-			wbuf = policyd.AppendDecisionFrame(wbuf[:0], out)
-		}
-		if _, err := c.Write(wbuf); err != nil {
-			return
-		}
-	}
+	return policyd.ServeFramesFrom(ln, g, mGWWireFrame)
 }

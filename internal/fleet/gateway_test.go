@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -158,6 +159,26 @@ func TestGatewayParity(t *testing.T) {
 				t.Fatalf("decide body differs for %+v:\n gw: %q\n rep: %q", q, viaGW, viaReplica)
 			}
 		}
+		// A replica names its snapshot on the JSON wire as the gateway
+		// does (both serve policyd.NewHandlerFor).
+		q := qs[0]
+		resp, err := client.Get(f.ReplicaURLs[0] + fmt.Sprintf("/v1/decide?host=%s&agent=%s&path=%s", q.Host, q.Agent, q.Path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if v := resp.Header.Get("X-Policyd-Version"); v != snap.Version {
+			t.Fatalf("replica /v1/decide X-Policyd-Version %q, want %q", v, snap.Version)
+		}
+		body, _ := json.Marshal(policyd.BatchRequest{Queries: qs[:8]})
+		resp, err = client.Post(f.ReplicaURLs[0]+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if v := resp.Header.Get("X-Policyd-Version"); v != snap.Version {
+			t.Fatalf("replica /v1/batch X-Policyd-Version %q, want %q", v, snap.Version)
+		}
 	})
 }
 
@@ -287,6 +308,155 @@ func TestBatchNeverStraddlesVersion(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+}
+
+// straddleBatch is one query per straddleSnapshot host: a batch whose
+// hosts hash to every replica of a small fleet.
+func straddleBatch(hosts int) []policyd.Query {
+	qs := make([]policyd.Query, hosts)
+	for i := range qs {
+		qs[i] = policyd.Query{Host: fmt.Sprintf("h%03d.test", i), Agent: "GPTBot", Path: "/x"}
+	}
+	return qs
+}
+
+// TestBatchRoutesWhole: a batch whose hosts hash to all three replicas
+// is answered by exactly one of them — the one its first host hashes to
+// on a ring built the way the gateway builds its own.
+func TestBatchRoutesWhole(t *testing.T) {
+	f, err := NewSimFleet(straddleSnapshot(t, "v1", false, 96), 3, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fc, err := f.DialFrameV2(context.Background(), f.GatewayFrameAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+
+	qs := straddleBatch(96)
+	ring := NewRing([]string{"policyd-0", "policyd-1", "policyd-2"}, 0)
+	owners := map[int]bool{}
+	for _, q := range qs {
+		owners[ring.Pick(q.Host)] = true
+	}
+	if len(owners) != 3 {
+		t.Fatalf("batch hosts hash to %d of 3 replicas; the test needs all three", len(owners))
+	}
+	before := f.GW.Stats()
+	if _, _, err := fc.Decide(qs, nil); err != nil {
+		t.Fatal(err)
+	}
+	after := f.GW.Stats()
+	target := ring.Pick(qs[0].Host)
+	for i := range after.Replicas {
+		want := uint64(0)
+		if i == target {
+			want = 96
+		}
+		if got := after.Replicas[i].Routed - before.Replicas[i].Routed; got != want {
+			t.Errorf("replica %d answered %d of the batch's decisions, want %d (first host hashes to replica %d)", i, got, want, target)
+		}
+	}
+}
+
+// TestGatewayFrameAllocs: once connections and buffers are warm, a
+// mixed-host batch crosses client, gateway and replica without a single
+// allocation. Not parallel: AllocsPerRun counts the whole process.
+func TestGatewayFrameAllocs(t *testing.T) {
+	f, err := NewSimFleet(straddleSnapshot(t, "v1", false, 96), 2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fc, err := f.DialFrameV2(context.Background(), f.GatewayFrameAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+
+	qs := straddleBatch(64)
+	out := make([]policyd.Decision, 0, len(qs))
+	decide := func() {
+		if out, _, err = fc.Decide(qs, out[:0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		decide()
+	}
+	if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
+		t.Fatalf("%v allocations per 64-query batch through the gateway, want 0", allocs)
+	}
+}
+
+// TestFrameLoopContract drives the one frame loop
+// (policyd.ServeFramesFrom) through a replica's listener and the
+// gateway's: anything but a well-formed RPB2 stream closes the
+// connection without a response byte, and a quota rejection — which
+// only the gateway can produce — is answered in band on a connection
+// that keeps serving.
+func TestFrameLoopContract(t *testing.T) {
+	t0 := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
+	// A clock that never advances: buckets hold their 4-token burst and
+	// never refill.
+	f, err := NewSimFleet(straddleSnapshot(t, "v1", false, 8), 2, Config{Rate: 1, Burst: 4, Now: func() time.Time { return t0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	ctx := context.Background()
+
+	batch, err := policyd.AppendQueryFrame(nil, straddleBatch(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	closes := []struct {
+		name string
+		send []byte
+	}{
+		{"rpb1-preamble", append([]byte("RPB1"), batch...)},
+		{"garbage-preamble", append([]byte("GET "), batch...)},
+		{"oversized-length", binary.LittleEndian.AppendUint32(policyd.FrameMagicV2[:], 4<<20+1)},
+	}
+	for listener, addr := range map[string]string{"replica": f.ReplicaFrameAddrs[0], "gateway": f.GatewayFrameAddr} {
+		for _, tc := range closes {
+			t.Run(listener+"/"+tc.name, func(t *testing.T) {
+				c, err := f.NW.Dial(ctx, ClientIP, addr)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				c.SetDeadline(time.Now().Add(5 * time.Second))
+				if _, err := c.Write(tc.send); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := io.ReadAll(c); err != nil || len(got) != 0 {
+					t.Fatalf("server answered %d bytes (err %v), want a bare close", len(got), err)
+				}
+			})
+		}
+	}
+
+	// None of the streams above reached admission, so GPTBot's bucket
+	// still holds its whole burst.
+	t.Run("gateway/quota", func(t *testing.T) {
+		fc, err := f.DialFrameV2(ctx, f.GatewayFrameAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fc.Close()
+		_, _, err = fc.Decide(straddleBatch(5), nil)
+		var rle *policyd.RateLimitError
+		if !errors.As(err, &rle) || rle.RetryAfter <= 0 {
+			t.Fatalf("5 queries against a burst of 4: error %v, want *RateLimitError with a Retry-After", err)
+		}
+		ds, version, err := fc.Decide(straddleBatch(4), nil)
+		if err != nil || len(ds) != 4 || version != "v1" {
+			t.Fatalf("next batch on the same connection: %d decisions, version %q, err %v", len(ds), version, err)
+		}
+	})
 }
 
 // TestGatewayRateLimit covers 429 semantics on both wires with a fixed

@@ -41,8 +41,8 @@ const ClientIP = "10.0.0.1"
 const gatewayIP = "10.0.0.2"
 
 // NewSimFleet starts the fleet with every replica serving snap; gwCfg
-// carries the gateway knobs (VNodes, Rate, Burst, Now — Replicas,
-// HTTPClient, and Dial are filled in from the simulated topology).
+// carries the gateway knobs (VNodes, Rate, Burst, Now — Replicas and
+// Dial are filled in from the simulated topology).
 // Close releases all listeners and connections.
 func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet, error) {
 	if replicas <= 0 {
@@ -95,7 +95,6 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 	}
 
 	gwCfg.Replicas = rcs
-	gwCfg.HTTPClient = nw.HTTPClient(gatewayIP)
 	gwCfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
 		return nw.Dial(ctx, gatewayIP, addr)
 	}
@@ -149,8 +148,8 @@ func (f *SimFleet) listen(ip string, port int) (net.Listener, error) {
 // Client returns an HTTP client originating from ClientIP.
 func (f *SimFleet) Client() *http.Client { return f.NW.HTTPClient(ClientIP) }
 
-// DialFrameV2 opens a v2 frame client from ClientIP to addr (the
-// gateway's or a replica's frame listener).
+// DialFrameV2 opens a frame client from ClientIP to addr (the gateway's
+// or a replica's frame listener).
 func (f *SimFleet) DialFrameV2(ctx context.Context, addr string) (*policyd.FrameClientV2, error) {
 	c, err := f.NW.Dial(ctx, ClientIP, addr)
 	if err != nil {

@@ -1,6 +1,7 @@
 package policyd
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,9 +9,12 @@ import (
 	"net"
 	"time"
 	"unsafe"
+
+	"repro/internal/obs"
 )
 
-// The binary frame protocol: /v1/batch semantics without HTTP or JSON.
+// The binary frame protocol (RPB2): /v1/batch semantics without HTTP or
+// JSON.
 //
 // JSON encode/decode dominates the batched decision path once transport
 // framing is fast — marshalling a 4096-query batch costs more than
@@ -18,38 +22,28 @@ import (
 // (queries in, positionally aligned decisions out, one consistent
 // snapshot per batch) on a length-prefixed little-endian wire:
 //
-//	conn preamble:  4-byte magic "RPB1" (protocol name + version)
+//	conn preamble:  4-byte magic "RPB2" (protocol name + version)
 //	request frame:  u32 payload length, then payload:
 //	                  u32 query count
 //	                  per query: u16 len + bytes for host, agent, path
-//	response frame: u32 payload length, then payload:
+//	response frame: u32 payload length, then payload, status 0 (decisions):
+//	                  u8 0, u16 version len + bytes (the serving snapshot)
 //	                  u32 decision count
 //	                  per decision: 1 byte action, 1 byte signal
+//	                or payload, status 1 (rate-limited):
+//	                  u8 1, u32 retry-after in milliseconds
 //
-// A malformed or oversized frame closes the connection — there is no
-// in-band error channel, exactly like a broken-framing TCP peer. The
-// limits are shared with the JSON API: MaxBatch queries per frame,
-// maxBatchBytes payload bytes.
+// A rate-limited batch is the only in-band error: the connection stays
+// usable. Any other preamble, a malformed or oversized frame, or a
+// failure to answer closes the connection, exactly like a
+// broken-framing TCP peer. The limits are shared with the JSON API:
+// MaxBatch queries per frame, maxBatchBytes payload bytes.
 
-// FrameMagic is the 4-byte connection preamble; the trailing byte is the
-// protocol version.
-var FrameMagic = [4]byte{'R', 'P', 'B', '1'}
-
-// FrameMagicV2 selects protocol version 2: request frames are identical,
-// but every response payload starts with a status byte, so the wire
-// carries the serving snapshot's version (status 0) and an in-band
-// rate-limit signal with Retry-After (status 1) — what a fleet gateway
-// needs that a single replica never did:
-//
-//	v2 response payload, status 0 (decisions):
-//	  u8 0, u16 version len + bytes, u32 count, per decision 2 bytes
-//	v2 response payload, status 1 (rate-limited):
-//	  u8 1, u32 retry-after in milliseconds
-//
-// ServeFrames answers each connection in the dialect its preamble chose.
+// FrameMagicV2 is the 4-byte connection preamble; the trailing byte is
+// the protocol version.
 var FrameMagicV2 = [4]byte{'R', 'P', 'B', '2'}
 
-// v2 response status bytes.
+// Response status bytes.
 const (
 	frameStatusOK        = 0
 	frameStatusRateLimit = 1
@@ -174,19 +168,9 @@ func readString16(payload []byte, off int) (string, int, error) {
 	return s, off + n, nil
 }
 
-// AppendDecisionFrame appends one complete response frame (length prefix
-// included) for ds to dst.
-func AppendDecisionFrame(dst []byte, ds []Decision) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(4+2*len(ds)))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(ds)))
-	for _, d := range ds {
-		dst = append(dst, byte(d.Action), byte(d.Signal))
-	}
-	return dst
-}
-
-// DecodeDecisionPayload decodes a response frame's payload, appending to
-// ds. Out-of-range action or signal bytes are rejected.
+// DecodeDecisionPayload decodes the decision records that end an OK
+// response payload (u32 count, then 2 bytes each), appending to ds.
+// Out-of-range action or signal bytes are rejected.
 func DecodeDecisionPayload(payload []byte, ds []Decision) ([]Decision, error) {
 	if len(payload) < 4 {
 		return ds, ErrFrameTruncated
@@ -208,8 +192,8 @@ func DecodeDecisionPayload(payload []byte, ds []Decision) ([]Decision, error) {
 	return ds, nil
 }
 
-// AppendDecisionFrameV2 appends one complete v2 OK response frame for ds
-// to dst, naming the snapshot version that produced the decisions.
+// AppendDecisionFrameV2 appends one complete OK response frame for ds to
+// dst, naming the snapshot version that produced the decisions.
 func AppendDecisionFrameV2(dst []byte, ds []Decision, version string) []byte {
 	if len(version) > 0xFFFF {
 		version = version[:0xFFFF]
@@ -225,8 +209,8 @@ func AppendDecisionFrameV2(dst []byte, ds []Decision, version string) []byte {
 	return dst
 }
 
-// AppendRateLimitFrame appends one complete v2 rate-limited response
-// frame to dst. retryAfter is carried in milliseconds, clamped to u32.
+// AppendRateLimitFrame appends one complete rate-limited response frame
+// to dst. retryAfter is carried in milliseconds, clamped to u32.
 func AppendRateLimitFrame(dst []byte, retryAfter time.Duration) []byte {
 	ms := retryAfter.Milliseconds()
 	if ms < 0 {
@@ -240,62 +224,81 @@ func AppendRateLimitFrame(dst []byte, retryAfter time.Duration) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(ms))
 }
 
-// DecodeResponsePayloadV2 decodes a v2 response payload. An OK status
+// DecodeResponsePayloadV2 decodes a response payload. An OK status
 // appends the decisions to ds and returns the serving snapshot version;
 // a rate-limited status returns a *RateLimitError carrying Retry-After.
 func DecodeResponsePayloadV2(payload []byte, ds []Decision) ([]Decision, string, error) {
+	ds, version, err := decodeResponse(payload, ds)
+	return ds, string(version), err
+}
+
+// decodeResponse is DecodeResponsePayloadV2 with the version left as a
+// slice of payload, so a caller that has seen it before need not copy it.
+func decodeResponse(payload []byte, ds []Decision) ([]Decision, []byte, error) {
 	if len(payload) < 1 {
-		return ds, "", ErrFrameTruncated
+		return ds, nil, ErrFrameTruncated
 	}
 	switch payload[0] {
 	case frameStatusRateLimit:
 		if len(payload) != 5 {
-			return ds, "", fmt.Errorf("%w: rate-limit frame of %d bytes", ErrFrameGarbled, len(payload))
+			return ds, nil, fmt.Errorf("%w: rate-limit frame of %d bytes", ErrFrameGarbled, len(payload))
 		}
 		ms := binary.LittleEndian.Uint32(payload[1:])
-		return ds, "", &RateLimitError{RetryAfter: time.Duration(ms) * time.Millisecond}
+		return ds, nil, &RateLimitError{RetryAfter: time.Duration(ms) * time.Millisecond}
 	case frameStatusOK:
 		if len(payload) < 3 {
-			return ds, "", ErrFrameTruncated
+			return ds, nil, ErrFrameTruncated
 		}
 		vn := int(binary.LittleEndian.Uint16(payload[1:]))
 		if 3+vn > len(payload) {
-			return ds, "", ErrFrameTruncated
+			return ds, nil, ErrFrameTruncated
 		}
-		version := string(payload[3 : 3+vn])
 		ds, err := DecodeDecisionPayload(payload[3+vn:], ds)
-		return ds, version, err
+		return ds, payload[3 : 3+vn], err
 	default:
-		return ds, "", fmt.Errorf("%w: response status %d", ErrFrameGarbled, payload[0])
+		return ds, nil, fmt.Errorf("%w: response status %d", ErrFrameGarbled, payload[0])
 	}
+}
+
+// Answerer answers a batch from one snapshot: decisions appended to out
+// in query order, plus the version of the snapshot that produced all of
+// them. *Service answers from its current snapshot; a fleet gateway
+// admits the batch against its quotas and routes it to a replica. A
+// quota rejection is a *RateLimitError; any other error means the batch
+// could not be answered.
+type Answerer interface {
+	Answer(ctx context.Context, qs []Query, out []Decision) ([]Decision, string, error)
 }
 
 // ServeFrames accepts connections from ln and answers frame batches from
 // svc until the listener closes; it returns the Accept error (net.ErrClosed
-// on a clean shutdown). Each connection gets its own goroutine and reused
-// buffers, and speaks the protocol version its preamble selected (RPB1
-// legacy responses, RPB2 versioned responses); a protocol violation
-// closes that connection only.
+// on a clean shutdown).
 func ServeFrames(ln net.Listener, svc *Service) error {
+	return ServeFramesFrom(ln, svc, mWireFrame)
+}
+
+// ServeFramesFrom is the frame loop behind every frame listener, replica
+// or gateway: each connection gets its own goroutine and reused buffers,
+// and requests counts the batches decoded. A *RateLimitError from a is
+// answered in band; a protocol violation or any other error closes that
+// connection only.
+func ServeFramesFrom(ln net.Listener, a Answerer, requests *obs.Counter) error {
 	for {
 		c, err := ln.Accept()
 		if err != nil {
 			return err
 		}
-		go serveFrameConn(c, svc)
+		go serveFrameConn(c, a, requests)
 	}
 }
 
-func serveFrameConn(c net.Conn, svc *Service) {
+func serveFrameConn(c net.Conn, a Answerer, requests *obs.Counter) {
 	defer c.Close()
 	var magic [4]byte
-	if _, err := io.ReadFull(c, magic[:]); err != nil {
+	if _, err := io.ReadFull(c, magic[:]); err != nil || magic != FrameMagicV2 {
 		return
 	}
-	v2 := magic == FrameMagicV2
-	if !v2 && magic != FrameMagic {
-		return
-	}
+	ctx := context.Background()
 	var lenBuf [4]byte
 	payload := make([]byte, 0, 64*1024)
 	wbuf := make([]byte, 0, 16*1024)
@@ -321,14 +324,17 @@ func serveFrameConn(c net.Conn, svc *Service) {
 		if err != nil {
 			return
 		}
-		mWireFrame.Inc()
-		if v2 {
-			var version string
-			out, version = svc.DecideBatchVersioned(qs, out[:0])
+		requests.Inc()
+		var version string
+		out, version, err = a.Answer(ctx, qs, out[:0])
+		if err == nil {
 			wbuf = AppendDecisionFrameV2(wbuf[:0], out, version)
 		} else {
-			out = svc.DecideBatch(qs, out[:0])
-			wbuf = AppendDecisionFrame(wbuf[:0], out)
+			var limited *RateLimitError // escapes: declared off the hot path
+			if !errors.As(err, &limited) {
+				return
+			}
+			wbuf = AppendRateLimitFrame(wbuf[:0], limited.RetryAfter)
 		}
 		if _, err := c.Write(wbuf); err != nil {
 			return
@@ -336,70 +342,12 @@ func serveFrameConn(c net.Conn, svc *Service) {
 	}
 }
 
-// FrameClient speaks the frame protocol over one connection. It is not
-// safe for concurrent use — batches are strictly request/response, like
-// a non-pipelined HTTP client; open one per worker.
-type FrameClient struct {
-	c      net.Conn
-	lenBuf [4]byte
-	wbuf   []byte
-	rbuf   []byte
-}
-
-// NewFrameClient sends the protocol preamble on c and returns a client.
-func NewFrameClient(c net.Conn) (*FrameClient, error) {
-	if _, err := c.Write(FrameMagic[:]); err != nil {
-		c.Close()
-		return nil, fmt.Errorf("policyd: frame preamble: %w", err)
-	}
-	return &FrameClient{c: c, wbuf: make([]byte, 0, 16*1024), rbuf: make([]byte, 0, 16*1024)}, nil
-}
-
-// Decide answers one batch, appending the decisions to out (pass a
-// pre-sized out[:0] for an allocation-free exchange). The server answers
-// exactly one decision per query, in order.
-func (fc *FrameClient) Decide(qs []Query, out []Decision) ([]Decision, error) {
-	var err error
-	fc.wbuf, err = AppendQueryFrame(fc.wbuf[:0], qs)
-	if err != nil {
-		return out, err
-	}
-	if _, err := fc.c.Write(fc.wbuf); err != nil {
-		return out, err
-	}
-	if _, err := io.ReadFull(fc.c, fc.lenBuf[:]); err != nil {
-		return out, err
-	}
-	n := binary.LittleEndian.Uint32(fc.lenBuf[:])
-	if n > maxFramePayload {
-		return out, ErrFrameOversized
-	}
-	if cap(fc.rbuf) < int(n) {
-		fc.rbuf = make([]byte, n)
-	}
-	fc.rbuf = fc.rbuf[:n]
-	if _, err := io.ReadFull(fc.c, fc.rbuf); err != nil {
-		return out, err
-	}
-	start := len(out)
-	out, err = DecodeDecisionPayload(fc.rbuf, out)
-	if err != nil {
-		return out, err
-	}
-	if len(out)-start != len(qs) {
-		return out, fmt.Errorf("%w: %d decisions for %d queries", ErrFrameGarbled, len(out)-start, len(qs))
-	}
-	return out, nil
-}
-
-// Close closes the underlying connection.
-func (fc *FrameClient) Close() error { return fc.c.Close() }
-
-// FrameClientV2 speaks protocol version 2 over one connection: same
-// batch semantics as FrameClient, but every answer names the snapshot
-// version that produced it, and a server-side quota rejection surfaces
-// as *RateLimitError instead of a dead connection. Not safe for
-// concurrent use; open one per worker.
+// FrameClientV2 speaks the frame protocol over one connection: every
+// answer names the snapshot version that produced it, and a server-side
+// quota rejection surfaces as *RateLimitError instead of a dead
+// connection. It is not safe for concurrent use — batches are strictly
+// request/response, like a non-pipelined HTTP client; open one per
+// worker.
 type FrameClientV2 struct {
 	c       net.Conn
 	lenBuf  [4]byte
@@ -408,7 +356,7 @@ type FrameClientV2 struct {
 	version string // last serving version, interned across responses
 }
 
-// NewFrameClientV2 sends the v2 preamble on c and returns a client.
+// NewFrameClientV2 sends the protocol preamble on c and returns a client.
 func NewFrameClientV2(c net.Conn) (*FrameClientV2, error) {
 	if _, err := c.Write(FrameMagicV2[:]); err != nil {
 		c.Close()
@@ -417,10 +365,12 @@ func NewFrameClientV2(c net.Conn) (*FrameClientV2, error) {
 	return &FrameClientV2{c: c, wbuf: make([]byte, 0, 16*1024), rbuf: make([]byte, 0, 16*1024)}, nil
 }
 
-// Decide answers one batch, appending the decisions to out and returning
-// the snapshot version that served the whole batch. A *RateLimitError
-// return leaves the connection usable — retry after the carried delay;
-// any other error poisons the framing and the client must be closed.
+// Decide answers one batch, appending the decisions to out (pass a
+// pre-sized out[:0] for an allocation-free exchange) and returning the
+// snapshot version that served the whole batch. The server answers
+// exactly one decision per query, in order. A *RateLimitError return
+// leaves the connection usable — retry after the carried delay; any
+// other error poisons the framing and the client must be closed.
 func (fc *FrameClientV2) Decide(qs []Query, out []Decision) ([]Decision, string, error) {
 	var err error
 	fc.wbuf, err = AppendQueryFrame(fc.wbuf[:0], qs)
@@ -445,18 +395,18 @@ func (fc *FrameClientV2) Decide(qs []Query, out []Decision) ([]Decision, string,
 		return out, "", err
 	}
 	start := len(out)
-	var version string
-	out, version, err = DecodeResponsePayloadV2(fc.rbuf, out)
+	var version []byte
+	out, version, err = decodeResponse(fc.rbuf, out)
 	if err != nil {
 		return out, "", err
 	}
 	if len(out)-start != len(qs) {
 		return out, "", fmt.Errorf("%w: %d decisions for %d queries", ErrFrameGarbled, len(out)-start, len(qs))
 	}
-	// Intern the version: it is stable for swap-long stretches, so reuse
-	// the previous string instead of keeping one allocation per batch.
-	if version != fc.version {
-		fc.version = version
+	// The version is stable for swap-long stretches: copy it out of the
+	// read buffer only when it changed (the comparison does not allocate).
+	if string(version) != fc.version {
+		fc.version = string(version)
 	}
 	return out, fc.version, nil
 }

@@ -4,10 +4,10 @@ import (
 	"testing"
 )
 
-// FuzzFrameDecode throws arbitrary payloads at both frame decoders: any
-// input must either decode (and then re-encode losslessly) or return an
-// error — never panic. This is the boundary a hostile frame peer can
-// reach before the connection is dropped.
+// FuzzFrameDecode throws arbitrary payloads at the request and response
+// decoders: any input must either decode (and then re-encode losslessly)
+// or return an error — never panic. This is the boundary a hostile
+// frame peer can reach before the connection is dropped.
 func FuzzFrameDecode(f *testing.F) {
 	seedQ, err := AppendQueryFrame(nil, []Query{
 		{Host: "a.test", Agent: "GPTBot", Path: "/"},
@@ -17,7 +17,7 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seedQ[4:])
-	seedD := AppendDecisionFrame(nil, []Decision{{Allow, SignalNone}, {Block, SignalBlocker}})
+	seedD := AppendDecisionFrameV2(nil, []Decision{{Allow, SignalNone}, {Block, SignalBlocker}}, "2023-40")
 	f.Add(seedD[4:])
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})
@@ -34,11 +34,12 @@ func FuzzFrameDecode(f *testing.F) {
 				t.Fatalf("re-encoded queries do not round-trip: %d vs %d, %v", len(back), len(qs), err)
 			}
 		}
-		if ds, err := DecodeDecisionPayload(payload, nil); err == nil {
-			re := AppendDecisionFrame(nil, ds)
-			back, err := DecodeDecisionPayload(re[4:], nil)
-			if err != nil || len(back) != len(ds) {
-				t.Fatalf("re-encoded decisions do not round-trip: %d vs %d, %v", len(back), len(ds), err)
+		if ds, version, err := DecodeResponsePayloadV2(payload, nil); err == nil {
+			re := AppendDecisionFrameV2(nil, ds, version)
+			back, backVersion, err := DecodeResponsePayloadV2(re[4:], nil)
+			if err != nil || len(back) != len(ds) || backVersion != version {
+				t.Fatalf("re-encoded response does not round-trip: %d vs %d decisions, version %q vs %q, %v",
+					len(back), len(ds), backVersion, version, err)
 			}
 		}
 	})

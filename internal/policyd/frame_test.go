@@ -46,6 +46,8 @@ func TestFrameQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameDecisionRoundTrip: every valid (action, signal) pair survives
+// the decision records that end an OK response payload.
 func TestFrameDecisionRoundTrip(t *testing.T) {
 	ds := []Decision{
 		{Allow, SignalNone},
@@ -55,8 +57,9 @@ func TestFrameDecisionRoundTrip(t *testing.T) {
 		{Deny, SignalMeta},
 		{Block, SignalBlocker},
 	}
-	frame := AppendDecisionFrame(nil, ds)
-	got, err := DecodeDecisionPayload(frame[4:], nil)
+	const version = "2023-40"
+	frame := AppendDecisionFrameV2(nil, ds, version)
+	got, err := DecodeDecisionPayload(frame[4+1+2+len(version):], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +121,8 @@ func TestFrameEncodeLimits(t *testing.T) {
 // same >100k-query corpus workload is answered over the binary frame
 // protocol and over the JSON /v1/batch API, both served from one Service
 // over netsim, and every decision must agree (and match the in-process
-// engine). This is the cross-wire guarantee cmd/loadgen -wire relies on.
+// engine), with both wires naming the snapshot that answered. This is
+// the cross-wire guarantee cmd/loadgen -wire relies on.
 func TestFrameJSONParityCorpus(t *testing.T) {
 	ctx := context.Background()
 	c, err := corpus.New(ctx, corpus.Config{Seed: 20251028, Scale: 0.05})
@@ -153,7 +157,7 @@ func TestFrameJSONParityCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := NewFrameClient(conn)
+	fc, err := NewFrameClientV2(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +185,8 @@ func TestFrameJSONParityCorpus(t *testing.T) {
 	for off := 0; off < len(all); off += MaxBatch {
 		qs := all[off:min(off+MaxBatch, len(all))]
 
-		frameOut, err = fc.Decide(qs, frameOut[:0])
+		var version string
+		frameOut, version, err = fc.Decide(qs, frameOut[:0])
 		if err != nil {
 			t.Fatalf("frame batch at %d: %v", off, err)
 		}
@@ -199,6 +204,9 @@ func TestFrameJSONParityCorpus(t *testing.T) {
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if hv := resp.Header.Get("X-Policyd-Version"); version != snap.Version || hv != snap.Version {
+			t.Fatalf("batch at %d: frame names version %q, json %q, snapshot is %q", off, version, hv, snap.Version)
 		}
 		if len(br.Decisions) != len(qs) || len(frameOut) != len(qs) {
 			t.Fatalf("batch at %d: %d json, %d frame decisions for %d queries",

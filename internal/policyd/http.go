@@ -2,8 +2,13 @@ package policyd
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
+	"time"
+
+	"repro/internal/obs"
 )
 
 // The JSON API, served identically over netsim (in-harness experiments)
@@ -13,6 +18,10 @@ import (
 //	POST /v1/batch  {"queries":[{...}]}     -> {"decisions":[{...}]}
 //	GET  /v1/stats                          -> {"queries":N,"version":...,"hosts":N,"shards":N}
 //	GET  /healthz                           -> ok
+//
+// Decide and batch answers carry X-Policyd-Version, the snapshot that
+// produced every decision in the response. A fleet gateway serves the
+// same two endpoints from the same code (NewHandlerFor).
 
 // DecisionJSON is a decision's wire form.
 type DecisionJSON struct {
@@ -46,7 +55,35 @@ const maxBatchBytes = 4 << 20
 
 // NewHandler returns the service's HTTP API.
 func NewHandler(svc *Service) http.Handler {
+	return NewHandlerFor(svc, mWireJSON, map[string]func() any{
+		"/v1/stats": func() any { return svc.Stats() },
+	})
+}
+
+// NewHandlerFor is the JSON API behind every HTTP listener, replica or
+// gateway: /v1/decide and /v1/batch answered by a (each counted on
+// requests once it parses), /healthz, and one JSON document per entry
+// of views. Every answer names its snapshot in X-Policyd-Version; a
+// *RateLimitError from a is 429 + Retry-After, any other error 502.
+func NewHandlerFor(a Answerer, requests *obs.Counter, views map[string]func() any) http.Handler {
 	mux := http.NewServeMux()
+	// answer runs one parsed request and reports whether it was answered;
+	// when not, the error response is already written.
+	answer := func(w http.ResponseWriter, r *http.Request, qs []Query) ([]Decision, bool) {
+		requests.Inc()
+		ds, version, err := a.Answer(r.Context(), qs, make([]Decision, 0, len(qs)))
+		if err == nil {
+			w.Header().Set("X-Policyd-Version", version)
+			return ds, true
+		}
+		var limited *RateLimitError
+		if errors.As(err, &limited) {
+			writeRateLimited(w, limited.RetryAfter)
+		} else {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+		}
+		return nil, false
+	}
 	mux.HandleFunc("/v1/decide", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "GET only", http.StatusMethodNotAllowed)
@@ -61,8 +98,9 @@ func NewHandler(svc *Service) http.Handler {
 			http.Error(w, "host and agent are required", http.StatusBadRequest)
 			return
 		}
-		mWireJSON.Inc()
-		writeDecision(w, svc.Decide(q))
+		if ds, ok := answer(w, r, []Query{q}); ok {
+			writeDecision(w, ds[0])
+		}
 	})
 	mux.HandleFunc("/v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -78,17 +116,19 @@ func NewHandler(svc *Service) http.Handler {
 			http.Error(w, fmt.Sprintf("batch exceeds %d queries", MaxBatch), http.StatusRequestEntityTooLarge)
 			return
 		}
-		mWireJSON.Inc()
-		decisions := svc.DecideBatch(req.Queries, make([]Decision, 0, len(req.Queries)))
-		resp := BatchResponse{Decisions: make([]DecisionJSON, len(decisions))}
-		for i, d := range decisions {
+		ds, ok := answer(w, r, req.Queries)
+		if !ok {
+			return
+		}
+		resp := BatchResponse{Decisions: make([]DecisionJSON, len(ds))}
+		for i, d := range ds {
 			resp.Decisions[i] = d.JSON()
 		}
 		writeJSON(w, resp)
 	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, svc.Stats())
-	})
+	for path, view := range views {
+		mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) { writeJSON(w, view()) })
+	}
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		fmt.Fprintln(w, "ok")
@@ -99,6 +139,22 @@ func NewHandler(svc *Service) http.Handler {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
+}
+
+// writeRateLimited answers 429 with both the spec's integer-second
+// Retry-After and an exact millisecond variant (token buckets at
+// realistic rates refill in well under a second).
+func writeRateLimited(w http.ResponseWriter, wait time.Duration) {
+	secs := int(wait / time.Second)
+	if wait%time.Second != 0 {
+		secs++
+	}
+	if secs < 1 {
+		secs = 1
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(wait.Milliseconds(), 10))
+	http.Error(w, "rate limited", http.StatusTooManyRequests)
 }
 
 // decideResponses holds the pre-rendered /v1/decide body for every
@@ -119,9 +175,9 @@ var decideResponses = func() (t [Block + 1][SignalMeta + 1][]byte) {
 }()
 
 // DecisionBody returns the pre-rendered /v1/decide response body for d
-// (trailing newline included), or ok=false for out-of-range pairs. The
-// fleet gateway renders with the same bytes so gateway-routed responses
-// are byte-identical to a replica's.
+// (trailing newline included), or ok=false for out-of-range pairs:
+// the exact bytes a replica or a gateway answers with, for clients that
+// compare them.
 func DecisionBody(d Decision) ([]byte, bool) {
 	if d.Action <= Block && d.Signal <= SignalMeta {
 		return decideResponses[d.Action][d.Signal], true
@@ -132,9 +188,9 @@ func DecisionBody(d Decision) ([]byte, bool) {
 // writeDecision writes a single decision, pre-rendered when the pair is
 // in range (always, for decisions the service produces).
 func writeDecision(w http.ResponseWriter, d Decision) {
-	if d.Action <= Block && d.Signal <= SignalMeta {
+	if body, ok := DecisionBody(d); ok {
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(decideResponses[d.Action][d.Signal])
+		w.Write(body)
 		return
 	}
 	writeJSON(w, d.JSON())

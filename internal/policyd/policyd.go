@@ -24,6 +24,7 @@
 package policyd
 
 import (
+	"context"
 	"strings"
 	"sync/atomic"
 
@@ -177,8 +178,9 @@ func (s *Service) DecideBatch(qs []Query, out []Decision) []Decision {
 }
 
 // DecideBatchVersioned is DecideBatch plus the version of the snapshot
-// that answered — the whole batch, by construction. Fleet routing uses
-// the version to prove a scattered client batch never mixes snapshots.
+// that answered — the whole batch, by construction. Both wires report
+// it, so a client (or a fleet gateway) knows which snapshot it was told
+// about.
 func (s *Service) DecideBatchVersioned(qs []Query, out []Decision) ([]Decision, string) {
 	s.queries.Add(uint64(len(qs)))
 	mBatchSize.Observe(uint64(len(qs)))
@@ -202,6 +204,12 @@ func (s *Service) DecideBatchVersioned(qs []Query, out []Decision) ([]Decision, 
 		}
 	}
 	return out, snap.Version
+}
+
+// Answer implements Answerer: DecideBatchVersioned, which cannot fail.
+func (s *Service) Answer(_ context.Context, qs []Query, out []Decision) ([]Decision, string, error) {
+	out, version := s.DecideBatchVersioned(qs, out)
+	return out, version, nil
 }
 
 // Stats is a point-in-time view of the service.

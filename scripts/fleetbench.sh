@@ -16,7 +16,8 @@
 #                                       a live snapshot rollover and
 #                                       checks QPS, zero decision
 #                                       errors, and the fleet metric
-#                                       families
+#                                       families (and that the retired
+#                                       repin counter is gone)
 #   scripts/fleetbench.sh golden DIR    regenerate the golden run dir
 #                                       (same parameters as phase A)
 #
@@ -229,6 +230,11 @@ EOF
       exit 1
     }
   done
+  # Batches route whole to one replica, so there is no repin to count.
+  if grep -q 'fleet_batch_repinned_total' "$WORK/metrics.txt"; then
+    log "gateway still serves fleet_batch_repinned_total"
+    exit 1
+  fi
   stop_fleet
   log "smoke OK"
   ;;
