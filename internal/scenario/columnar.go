@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"strconv"
 	"strings"
 	"time"
 
@@ -283,9 +282,10 @@ func waveIndex(cs CrawlerSpec, m int) (int, bool) {
 // domains are fmt.Sprintf("site-%05d.scenario.test", i): the served "/"
 // page embeds absolute self-links, so response byte counts depend on the
 // domain's length and the wave cache keys on it.
-func domainDigits(i int) uint8 {
-	if d := len(strconv.Itoa(i)); d > 5 {
-		return uint8(d)
+func domainDigits(i int) uint16 {
+	d := uint16(5)
+	for i /= 100_000; i > 0; i /= 10 {
+		d++
 	}
-	return 5
+	return d
 }

@@ -18,7 +18,8 @@ var (
 )
 
 // Phase time, one observation per RunTiered call: TierStats' PlanNS,
-// HotNS, ColdNS (each summed over workers) and MergeNS.
+// HotNS, ColdNS (each summed over workers; plan also counts the serial
+// seed derivation that precedes them) and MergeNS.
 const phaseHelp = "Time per scenario.RunTiered call by engine phase, worker phases summed over workers, ns."
 
 var (

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/stats"
 )
@@ -74,8 +75,10 @@ func SitePlans(spec Spec) ([]SitePlan, error) {
 func siteSeeds(sp Spec) []int64 {
 	root := stats.NewRand(sp.Seed).Fork("scenario")
 	seeds := make([]int64, sp.Sites)
+	label := []byte("site-")
 	for i := range seeds {
-		seeds[i] = root.ForkSeed(fmt.Sprintf("site-%d", i))
+		label = strconv.AppendInt(label[:len("site-")], int64(i), 10)
+		seeds[i] = root.ForkSeed(string(label)) // not retained, so the string stays on the stack
 	}
 	return seeds
 }
@@ -86,10 +89,10 @@ func siteSeeds(sp Spec) []int64 {
 // the spec's knobs are set. Managed services only matter for per-agent
 // organic adopters: a blanket wildcard disallow already covers every
 // future agent, and the measurement replay pins its policies verbatim.
-// rn is the caller's scratch source, reseeded here: a math/rand source
-// is ~5 KB, so one per site was most of a large run's allocation. The
-// result is scalars, so planning a million sites holds no per-site state
-// beyond the caller's columns.
+// rn is the caller's scratch source, reseeded here — free since stats.Rand
+// seeds lazily: four draws never build math/rand's 607-word state — so
+// planning allocates nothing per site. The result is scalars, so planning
+// a million sites holds no per-site state beyond the caller's columns.
 func drawPlan(sp *Spec, curve []float64, rn *stats.Rand, i int, seed int64) (adoptMonth int, perAgent, managed, blocker bool) {
 	rn.Seed(seed)
 	adoptRoll := rn.Float64()

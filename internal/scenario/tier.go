@@ -68,7 +68,9 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		workers = sp.Sites
 	}
 
+	seedStart := time.Now()
 	seeds := siteSeeds(sp)
+	seedNS := int64(time.Since(seedStart))
 	tail := newTailState(sp.Sites)
 	cache := &waveCache{m: make(map[waveKey]waveEffect)}
 
@@ -110,7 +112,7 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 	mergeStart := time.Now()
 	res := newResult(sp, start)
 	evidence := make(map[string]measure.Evidence)
-	var ts TierStats
+	ts := TierStats{PlanNS: seedNS}
 	for _, w := range ws {
 		for m := range w.months {
 			res.Months[m].add(w.months[m])
@@ -201,9 +203,11 @@ type TierStats struct {
 
 	// Where the run's time went, in nanoseconds. The three worker phases
 	// are summed over workers (busy time, which exceeds the wall when
-	// shards run in parallel); MergeNS is the single-threaded join,
-	// observer callbacks included. Timing, so never deterministic.
-	PlanNS  int64 // drawing every site's plan into the columns
+	// shards run in parallel); plan is the serial derivation of every
+	// site's seed before the workers start plus each worker's draws;
+	// MergeNS is the single-threaded join, observer callbacks included.
+	// Timing, so never deterministic.
+	PlanNS  int64 // deriving site seeds, then drawing every site's plan into the columns
 	HotNS   int64 // full-fidelity site-months, site start and removal included
 	ColdNS  int64 // compiled fast path, wave compiles included
 	MergeNS int64 // folding worker accumulators and finalizing the result

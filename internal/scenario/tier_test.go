@@ -187,6 +187,17 @@ func TestWaveIndexMatchesSchedule(t *testing.T) {
 	}
 }
 
+// domainDigits counts without formatting; the domain it stands for is
+// SiteDomain's, zero-padded to five digits.
+func TestDomainDigitsMatchesSiteDomain(t *testing.T) {
+	for _, i := range []int{0, 9, 10, 99_999, 100_000, 999_999, 1_000_000, 123_456_789, 1<<63 - 1} {
+		want := len(SiteDomain(i)) - len("site-.scenario.test")
+		if got := int(domainDigits(i)); got != want {
+			t.Errorf("domainDigits(%d) = %d, SiteDomain has %d", i, got, want)
+		}
+	}
+}
+
 // TestTieredRosterLimit documents the uint8 roster-key bound.
 func TestTieredRosterLimit(t *testing.T) {
 	spec := testSpec()

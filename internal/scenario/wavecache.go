@@ -20,13 +20,15 @@ import (
 // cache memoizes real execution rather than approximating it; the
 // parity suite holds an all-cold run bit-identical to an all-hot one.
 
-// waveKey identifies one crawl-wave situation.
+// waveKey identifies one crawl-wave situation. It is eight bytes with no
+// padding, so maps keyed on it hash and compare it as one 64-bit word
+// (the runtime's fast64 map path) on every cold wave.
 type waveKey struct {
 	roster  uint8  // roster entry index
 	phase   uint8  // visit sequence mod 3 (IntermittentFetch's cycle)
 	policy  uint16 // interned policy published at crawl time (0 = none)
 	blocker uint16 // interned blocker rule list in force (0 = off)
-	digits  uint8  // domain digit width (page bytes depend on it)
+	digits  uint16 // domain digit width (page bytes depend on it)
 }
 
 // waveEffect is the synthetic log record of one wave: the month-metric
@@ -84,7 +86,7 @@ type waveCompiler struct {
 	world    *tierWorld
 	farm     *webserver.Farm
 	crawlers *rosterCrawlers
-	sites    map[uint8]*webserver.Site
+	sites    map[uint16]*webserver.Site
 }
 
 func newWaveCompiler(world *tierWorld) (*waveCompiler, error) {
@@ -97,7 +99,7 @@ func newWaveCompiler(world *tierWorld) (*waveCompiler, error) {
 		world:    world,
 		farm:     farm,
 		crawlers: newRosterCrawlers(world, nw),
-		sites:    make(map[uint8]*webserver.Site),
+		sites:    make(map[uint16]*webserver.Site),
 	}, nil
 }
 
@@ -109,7 +111,7 @@ func (c *waveCompiler) close() {
 // "site-000…0.scratch" would serve different "/" bytes than a real
 // domain, so the scratch domain uses the exact scenario format at index
 // 0 padded to width — same length, same links, same page bytes.
-func (c *waveCompiler) site(digits uint8) (*webserver.Site, error) {
+func (c *waveCompiler) site(digits uint16) (*webserver.Site, error) {
 	if s, ok := c.sites[digits]; ok {
 		return s, nil
 	}

@@ -18,22 +18,25 @@ import (
 // the IMC '25 conference start date (October 28, 2025).
 const DefaultSeed int64 = 20251028
 
-// Rand is a deterministic random source. It wraps math/rand.Rand and adds
-// the sampling helpers the generators need. Rand is not safe for concurrent
-// use; derive per-goroutine sources with Fork.
+// Rand is a deterministic random source. It wraps math/rand.Rand over a
+// lazily seeded source with math/rand's own stream, and adds the sampling
+// helpers the generators need. Rand is not safe for concurrent use; derive
+// per-goroutine sources with Fork.
 type Rand struct {
 	r *rand.Rand
 }
 
-// NewRand returns a deterministic source seeded with seed.
+// NewRand returns a deterministic source seeded with seed. Its stream is
+// math/rand.NewSource(seed)'s, value for value, but a Rand is a few words
+// and costs nothing to seed until its 274th draw (see source), so one
+// Rand per site, host or fork is cheap.
 func NewRand(seed int64) *Rand {
-	return &Rand{r: rand.New(rand.NewSource(seed))}
+	return &Rand{r: rand.New(newSource(seed))}
 }
 
 // Seed resets rn to the exact state NewRand(seed) starts in, without
 // allocating: a caller drawing a few values from each of millions of
-// per-item seeds reuses one source instead of building ~5 KB of
-// generator state per item.
+// per-item seeds reuses one Rand instead of allocating one per item.
 func (rn *Rand) Seed(seed int64) { rn.r.Seed(seed) }
 
 // Fork derives an independent stream labeled by name. Two forks of the same
@@ -44,10 +47,10 @@ func (rn *Rand) Fork(name string) *Rand {
 }
 
 // ForkSeed returns the seed Fork(name) would use, consuming one parent
-// draw exactly as Fork does. A Rand carries kilobytes of generator
-// state, so callers that need millions of sibling streams can derive
-// the 8-byte seeds in order and materialize each source transiently
-// instead of holding every fork live.
+// draw exactly as Fork does. Callers that need millions of sibling
+// streams derive the 8-byte seeds in order and Seed one reused Rand with
+// each, instead of holding every fork live (a fork that draws more than
+// 273 values grows to math/rand's 4.9 KB state).
 func (rn *Rand) ForkSeed(name string) int64 {
 	var h int64 = 1469598103934665603
 	for i := 0; i < len(name); i++ {
