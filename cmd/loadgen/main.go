@@ -1,6 +1,7 @@
 // Command loadgen drives mixed decision workloads against the policyd
-// service and reports throughput and latency percentiles, proving the
-// serving-layer numbers the way cmd/benchsnap proves the batch ones.
+// service and reports throughput and latency percentiles: the
+// serving-layer numbers from outside the process, which the in-process
+// benchmark of record (bench/) cannot give.
 //
 // By default it compiles a corpus snapshot and hammers the service
 // in-process (the pure engine cost); with -target it speaks the JSON
@@ -31,9 +32,9 @@
 // (unbiased sample of the sampled calls), so arbitrarily long runs hold
 // a bounded latency footprint and the drive loop stays allocation-free.
 //
-// The -o snapshot uses the benchsnap JSON schema, so serving
-// performance lands in the same BENCH_* artifact stream as the batch
-// benchmarks; -min-qps and -max-allocs turn the run into a CI gate.
+// The -o snapshot uses the "repro-benchsnap/1" JSON schema, which the
+// run store reads as a stored run's bench.json; -min-qps and
+// -max-allocs turn the run into a CI gate.
 package main
 
 import (
@@ -69,8 +70,8 @@ import (
 var mCallLatency = obs.NewHistogram("loadgen_call_latency_ns",
 	"Sampled per-call latency of the drive loop, ns.")
 
-// result and snapshot mirror cmd/benchsnap's JSON schema so serving
-// snapshots merge into the same artifact stream.
+// result and snapshot are the "repro-benchsnap/1" JSON schema
+// (runstore.BenchEntry reads the entries back).
 type result struct {
 	Iterations  int                `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -100,7 +101,7 @@ func main() {
 	total := flag.Int("n", 200_000, "total decisions to issue")
 	concurrency := flag.Int("concurrency", 1, "parallel workload drivers")
 	zipfS := flag.Float64("zipf", 1.1, "zipf skew for host popularity (0 = uniform)")
-	out := flag.String("o", "", "write a benchsnap-format JSON snapshot here")
+	out := flag.String("o", "", "write a JSON snapshot (schema repro-benchsnap/1) here")
 	storeDir := flag.String("store", "", "persist the run to this run-store directory (see cmd/rundiff)")
 	minQPS := flag.Float64("min-qps", 0, "fail unless decisions/sec reaches this")
 	maxAllocs := flag.Int64("max-allocs", -1, "fail if in-process allocs/op exceed this (-1 = no gate)")

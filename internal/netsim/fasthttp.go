@@ -11,27 +11,10 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// legacyNetHTTP restores the pre-fast-path transport stack: HTTPClient
-// hands out a stock net/http Transport and the webserver packages serve
-// with stock http.Servers, exactly as PR 3–5 did. It exists as a
-// compatibility knob so parity tests can prove the hand-rolled HTTP/1.1
-// fast path leaves verdicts and server logs bit-identical; production
-// paths never set it.
-var legacyNetHTTP atomic.Bool
-
-// SetLegacyNetHTTP toggles the compatibility HTTP stack for clients and
-// servers created after the call: when enabled, HTTPClient returns a
-// stdlib-transport client and webserver hosting uses stock http.Servers.
-func SetLegacyNetHTTP(enabled bool) { legacyNetHTTP.Store(enabled) }
-
-// LegacyNetHTTP reports whether the compatibility HTTP stack is on.
-func LegacyNetHTTP() bool { return legacyNetHTTP.Load() }
 
 // The netsim-native HTTP/1.1 fast path.
 //

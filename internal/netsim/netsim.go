@@ -36,21 +36,6 @@ var ErrConnRefused = errors.New("netsim: connection refused")
 // ErrNameNotFound is returned when a hostname has no registered address.
 var ErrNameNotFound = errors.New("netsim: no such host")
 
-// legacyPerRequestDial restores the pre-pooling transport behaviour:
-// every HTTP request dials a fresh connection (DisableKeepAlives). It
-// exists as a compatibility knob so parity tests can prove that pooled
-// keep-alive connections leave server logs and verdicts bit-identical;
-// production paths never set it.
-var legacyPerRequestDial atomic.Bool
-
-// SetLegacyPerRequestDial toggles the compatibility transport for clients
-// created after the call: when enabled, HTTPClient disables keep-alives
-// and dials per request exactly as the pre-optimization transport did.
-func SetLegacyPerRequestDial(enabled bool) { legacyPerRequestDial.Store(enabled) }
-
-// LegacyPerRequestDial reports whether the compatibility transport is on.
-func LegacyPerRequestDial() bool { return legacyPerRequestDial.Load() }
-
 // Network is an in-memory IP network. The zero value is not usable; create
 // one with New. All methods are safe for concurrent use.
 type Network struct {
@@ -249,13 +234,11 @@ func (n *Network) Dialer(sourceIP string) func(ctx context.Context, network, add
 // kept-alive connection, and server logs still attribute every request to
 // the client's simulated source IP via CLF.
 //
-// By default the client rides the netsim-native fast path (see
-// fasthttp.go): a hand-rolled HTTP/1.1 writer/reader over the buffered
-// duplex conns that skips stdlib net/http's per-request machinery while
-// keeping the exact wire format and keep-alive pooling semantics.
-// Requests outside the fast path's closed world fall back to a stdlib
-// transport transparently, and the SetLegacyNetHTTP knob restores the
-// stdlib stack wholesale for parity testing.
+// The client rides the netsim-native fast path (see fasthttp.go): a
+// hand-rolled HTTP/1.1 writer/reader over the buffered duplex conns that
+// skips stdlib net/http's per-request machinery while keeping the exact
+// wire format and keep-alive pooling semantics. Requests outside the fast
+// path's closed world fall back to a stdlib transport transparently.
 //
 // The client carries no overall request timeout: wrapping every request
 // in a deadline context costs several allocations and a timer on the hot
@@ -265,22 +248,6 @@ func (n *Network) Dialer(sourceIP string) func(ctx context.Context, network, add
 // driver in this repo already does — or set Timeout on the returned
 // client.
 func (n *Network) HTTPClient(sourceIP string) *http.Client {
-	if legacyNetHTTP.Load() || legacyPerRequestDial.Load() {
-		// Every client in this codebase issues requests sequentially, so
-		// one idle connection per host is all reuse requires; the caps
-		// keep surveys that touch thousands of hosts from pinning buffer
-		// memory.
-		tr := &http.Transport{
-			DialContext:         n.Dialer(sourceIP),
-			MaxIdleConns:        64,
-			MaxIdleConnsPerHost: 2,
-			IdleConnTimeout:     90 * time.Second,
-		}
-		if legacyPerRequestDial.Load() {
-			tr.DisableKeepAlives = true
-		}
-		return &http.Client{Transport: tr}
-	}
 	return &http.Client{Transport: newFastTransport(n, sourceIP)}
 }
 

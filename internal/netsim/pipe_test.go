@@ -211,14 +211,10 @@ func TestClosingListenerDrainsBacklog(t *testing.T) {
 
 // TestHTTPKeepAlivePoolsPerSourceAndTarget proves connection reuse: the
 // server sees one remote port across sequential requests from one
-// client, while the legacy knob restores a fresh dial (new ephemeral
-// port) per request.
+// client, while a stdlib client with keep-alives off dials afresh (new
+// ephemeral port) per request.
 func TestHTTPKeepAlivePoolsPerSourceAndTarget(t *testing.T) {
-	remotePorts := func(legacy bool) []string {
-		if legacy {
-			SetLegacyPerRequestDial(true)
-			defer SetLegacyPerRequestDial(false)
-		}
+	remotePorts := func(perRequestDial bool) []string {
 		nw := New()
 		nw.Register("pool.test", "203.0.113.30")
 		ln, err := nw.Listen("203.0.113.30", 80)
@@ -237,6 +233,9 @@ func TestHTTPKeepAlivePoolsPerSourceAndTarget(t *testing.T) {
 		go srv.Serve(ln)
 		defer srv.Close()
 		client := nw.HTTPClient("198.51.100.60")
+		if perRequestDial {
+			client = stdlibClient(nw, "198.51.100.60", false)
+		}
 		for i := 0; i < 3; i++ {
 			resp, err := client.Get("http://pool.test/")
 			if err != nil {
@@ -254,9 +253,9 @@ func TestHTTPKeepAlivePoolsPerSourceAndTarget(t *testing.T) {
 	if len(pooled) != 3 || pooled[0] != pooled[1] || pooled[1] != pooled[2] {
 		t.Fatalf("keep-alive requests used ports %v, want one reused port", pooled)
 	}
-	legacy := remotePorts(true)
-	if len(legacy) != 3 || legacy[0] == legacy[1] || legacy[1] == legacy[2] {
-		t.Fatalf("legacy per-request dial used ports %v, want distinct ports", legacy)
+	dialed := remotePorts(true)
+	if len(dialed) != 3 || dialed[0] == dialed[1] || dialed[1] == dialed[2] {
+		t.Fatalf("per-request dial used ports %v, want distinct ports", dialed)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package obs is the repository's observability core: dependency-free,
 // allocation-free metrics for the serving and simulation hot paths.
 //
-// Six PRs of performance work (the netsim fast path, farm hosting, the
-// policyd frame protocol) are validated only by offline benchsnap runs;
-// nothing inside a running daemon or scenario can say what the system is
-// doing right now. obs closes that gap with three primitives sized for
-// hot paths that already fought for every allocation:
+// Offline benchmark runs validate the performance work (the netsim fast
+// path, farm hosting, the policyd frame protocol), but cannot say what a
+// running daemon or scenario is doing right now. obs closes that gap
+// with three primitives sized for hot paths that already fought for
+// every allocation:
 //
 //   - Counter: a monotonically increasing count, sharded across padded
 //     per-P-ish cells so concurrent Adds never share a cache line.

@@ -34,9 +34,8 @@ const (
 )
 
 // Attribution stamps a run (or a benchmark snapshot) with where it came
-// from: the code revision and the machine shape. cmd/benchsnap and
-// cmd/loadgen embed it in their -o JSON; the store embeds it in every
-// manifest line.
+// from: the code revision and the machine shape. cmd/loadgen embeds it
+// in its -o JSON; the store embeds it in every manifest line.
 type Attribution struct {
 	GitRev     string `json:"git_rev,omitempty"`
 	GoVersion  string `json:"go"`

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 func sampleRecord() Record {
@@ -67,12 +69,8 @@ func TestParseCLFSkipsCorruptLines(t *testing.T) {
 func TestWriteCLFFromLiveSite(t *testing.T) {
 	// End to end: serve traffic, export CLF, parse it back, and verify
 	// the measurement pipeline could classify from the re-parsed log.
-	nw := newTestNetwork(t)
-	site, err := Start(nw, WildcardDisallowSite("clf.test", "203.0.113.30"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
+	nw := netsim.New()
+	site := startSite(t, nw, WildcardDisallowSite("clf.test", "203.0.113.30"))
 	client := nw.HTTPClient("24.0.1.77")
 	get(t, client, site.URL()+"/robots.txt", "GPTBot/1.1")
 	get(t, client, site.URL()+"/", "Bytespider/2.0")

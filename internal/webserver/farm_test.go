@@ -114,21 +114,12 @@ func TestFarmUnknownHost(t *testing.T) {
 	}
 }
 
-// TestFarmValidationAndDuplicates covers the Config validation satellite:
-// empty host/IP and duplicate host registration fail with clear errors
-// instead of silently shadowing the earlier site.
+// TestFarmValidationAndDuplicates: a duplicate host registration fails
+// with a clear error instead of silently shadowing the earlier site
+// (TestStartValidation covers the per-Config checks).
 func TestFarmValidationAndDuplicates(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.250")
-	if _, err := farm.StartSite(Config{IP: "203.0.113.73"}); err == nil {
-		t.Fatal("empty host must fail")
-	}
-	if _, err := farm.StartSite(Config{Domain: "v.test"}); err == nil {
-		t.Fatal("empty IP must fail")
-	}
-	if _, err := farm.StartSite(Config{Domain: "v.test", IP: "not-an-ip"}); err == nil {
-		t.Fatal("bad IP must fail")
-	}
 	first, err := farm.StartSite(WildcardDisallowSite("dup.test", "203.0.113.74"))
 	if err != nil {
 		t.Fatal(err)
@@ -146,10 +137,10 @@ func TestFarmValidationAndDuplicates(t *testing.T) {
 
 // TestFarmRemoveMidRun exercises the scenario-engine lifecycle: sites
 // leave and join while the farm keeps serving, a removed site's alias IP
-// and connections are released (dials are refused, exactly as if its
-// dedicated server closed), its log stays readable, and the host becomes
-// registerable again. A removed site that shared the farm IP instead
-// answers 421 — the listener survives, the Host mapping is gone.
+// and connections are released (dials are refused), its log stays
+// readable, and the host becomes registerable again. A removed site that
+// shared the farm IP instead answers 421 — the listener survives, the
+// Host mapping is gone.
 func TestFarmRemoveMidRun(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.250")
@@ -252,7 +243,7 @@ func TestFarmPerSiteLogOrderDeterministic(t *testing.T) {
 // The stable site must answer every request and log exactly one record
 // per request; churn-site requests may observe 200 or 421, or a
 // transport error when they race a removal (Remove closes the removed
-// site's connections, like closing a dedicated server would).
+// site's connections).
 func TestFarmConcurrentRegisterRemoveVsRequests(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.250")
@@ -332,38 +323,6 @@ func TestFarmConcurrentRegisterRemoveVsRequests(t *testing.T) {
 	}
 }
 
-// TestFarmLegacyKnob flips the compatibility knob and checks the same
-// farm code path hosts each site on a dedicated server with identical
-// observable behaviour — the baseline the parity suites diff against.
-func TestFarmLegacyKnob(t *testing.T) {
-	SetLegacyPerSiteHosting(true)
-	defer SetLegacyPerSiteHosting(false)
-	nw := netsim.New()
-	farm := newFarm(t, nw, "203.0.113.250")
-	a, err := farm.StartSite(WildcardDisallowSite("legacy-a.test", "203.0.113.81"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := farm.StartSite(WildcardDisallowSite("legacy-a.test", "203.0.113.82")); err == nil {
-		t.Fatal("duplicate host must fail in legacy mode too")
-	}
-	client := nw.HTTPClient("198.51.100.96")
-	resp, body := get(t, client, a.URL()+"/robots.txt", "GPTBot/1.0")
-	if resp.StatusCode != 200 || !strings.Contains(body, "User-agent: *") {
-		t.Fatalf("legacy-hosted robots = %d %q", resp.StatusCode, body)
-	}
-	if len(a.Log()) != 1 {
-		t.Fatalf("legacy-hosted log = %d records", len(a.Log()))
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// The dedicated listener is gone: dials are refused.
-	if _, err := client.Get(a.URL() + "/robots.txt"); err == nil {
-		t.Fatal("fetch after legacy-mode removal must fail (listener closed)")
-	}
-}
-
 // TestFarmCloseStopsServing pins Close semantics: idempotent, sites
 // unregistered, further StartSite calls fail.
 func TestFarmCloseStopsServing(t *testing.T) {
@@ -392,38 +351,40 @@ func TestFarmCloseStopsServing(t *testing.T) {
 	}
 }
 
-// TestFarmSharedSiteIP hosts two domains on one advertised IP — the
-// scenario-engine layout where every site shares the farm address.
+// TestFarmSharedSiteIP hosts three domains on one advertised IP — the
+// scenario-engine layout where every site shares the farm address. Each
+// answers its own Host; dial-by-IP lands on the first registered, and
+// when that one is removed the survivor that takes over is the smallest
+// lower-cased domain — on every farm, not whichever the members map
+// yields first.
 func TestFarmSharedSiteIP(t *testing.T) {
-	nw := netsim.New()
-	farm := newFarm(t, nw, "203.0.113.250")
-	a, err := farm.StartSite(Config{Domain: "shared-a.test", IP: "203.0.113.250",
-		Pages: map[string]Page{"/": {Body: "<html>A</html>"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := farm.StartSite(Config{Domain: "shared-b.test", IP: "203.0.113.250",
-		Pages: map[string]Page{"/": {Body: "<html>B</html>"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := nw.HTTPClient("198.51.100.98")
-	if _, body := get(t, client, a.URL()+"/", "x"); !strings.Contains(body, ">A<") {
-		t.Fatalf("site a body = %q", body)
-	}
-	if _, body := get(t, client, b.URL()+"/", "x"); !strings.Contains(body, ">B<") {
-		t.Fatalf("site b body = %q", body)
-	}
-	// Literal-IP dispatch lands on one of the sharers.
-	if resp, _ := get(t, client, "http://203.0.113.250/", "x"); resp.StatusCode != 200 {
-		t.Fatalf("dial-by-IP on shared address = %d", resp.StatusCode)
-	}
-	a.Close()
-	if resp, body := get(t, client, b.URL()+"/", "x"); resp.StatusCode != 200 || !strings.Contains(body, ">B<") {
-		t.Fatalf("site b after removing a = %d %q", resp.StatusCode, body)
-	}
-	// Removing one sharer hands literal-IP dispatch to the survivor.
-	if resp, body := get(t, client, "http://203.0.113.250/", "x"); resp.StatusCode != 200 || !strings.Contains(body, ">B<") {
-		t.Fatalf("dial-by-IP after removing sharer = %d %q", resp.StatusCode, body)
+	for round := 0; round < 20; round++ {
+		nw := netsim.New()
+		farm := newFarm(t, nw, "203.0.113.250")
+		var sites []*Site
+		for _, name := range []string{"owner", "Heir-B", "heir-a"} {
+			s, err := farm.StartSite(Config{Domain: name + ".test", IP: "203.0.113.250",
+				Pages: map[string]Page{"/": {Body: name}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sites = append(sites, s)
+		}
+		client := nw.HTTPClient("198.51.100.98")
+		for _, s := range sites {
+			if _, body := get(t, client, s.URL()+"/", "x"); body+".test" != s.Domain() {
+				t.Fatalf("%s answered %q", s.Domain(), body)
+			}
+		}
+		if _, body := get(t, client, "http://203.0.113.250/", "x"); body != "owner" {
+			t.Fatalf("round %d: dial-by-IP answered by %q, want the first registered", round, body)
+		}
+		sites[0].Close()
+		if resp, body := get(t, client, sites[1].URL()+"/", "x"); resp.StatusCode != 200 || body != "Heir-B" {
+			t.Fatalf("Heir-B after removing owner = %d %q", resp.StatusCode, body)
+		}
+		if _, body := get(t, client, "http://203.0.113.250/", "x"); body != "heir-a" {
+			t.Fatalf("round %d: dial-by-IP after removal answered by %q, want heir-a", round, body)
+		}
 	}
 }

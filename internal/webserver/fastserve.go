@@ -15,14 +15,14 @@ import (
 // The server half of the netsim-native HTTP fast path (see
 // internal/netsim/fasthttp.go for the client half and the rationale).
 //
-// A fastServer replaces the stock http.Server both hosting modes used:
-// one goroutine per connection runs a read-parse-serve-write loop with
-// per-connection reused request/header/URL structures, an interning
-// table that keeps log strings off the reused read buffer, and a pooled
-// response buffer flushed in a single ring write. Handlers see the same
-// http.ResponseWriter + *http.Request surface as before — Site.serve and
-// Farm dispatch run unchanged — so the fast and stdlib servers are
-// swappable via netsim.SetLegacyNetHTTP.
+// A fastServer is a Farm's HTTP server: one goroutine per connection runs
+// a read-parse-serve-write loop with per-connection reused
+// request/header/URL structures, an interning table that keeps log
+// strings off the reused read buffer, and a pooled response buffer
+// flushed in a single ring write. Farm.handleReq and Site.serve see the
+// plain http.ResponseWriter + *http.Request surface, so a stock
+// http.Server can drive the same dispatch — which is how the
+// differential test checks this framing against net/http.
 
 const (
 	srvReadBufSize  = 8 * 1024
@@ -42,19 +42,10 @@ var (
 	srvRespPool = sync.Pool{New: func() any { b := make([]byte, 0, srvRespBufSize); return &b }}
 )
 
-// fastHooks are the per-connection callbacks a hosting mode plugs into
-// the fast server; carrier is the mode's per-connection state (a
-// *logShard for a dedicated site, a *farmConn for a farm).
-type fastHooks struct {
-	connOpen  func(c net.Conn) any
-	connClose func(c net.Conn, carrier any)
-	serve     func(carrier any, w *fastResponseWriter, r *http.Request)
-}
-
 // fastServer accepts connections and runs one serve loop per conn.
 type fastServer struct {
-	ln    net.Listener
-	hooks fastHooks
+	ln   net.Listener
+	farm *Farm
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -63,8 +54,8 @@ type fastServer struct {
 	wg sync.WaitGroup
 }
 
-func startFastServer(ln net.Listener, hooks fastHooks) *fastServer {
-	fs := &fastServer{ln: ln, hooks: hooks, conns: make(map[net.Conn]struct{})}
+func startFastServer(ln net.Listener, farm *Farm) *fastServer {
+	fs := &fastServer{ln: ln, farm: farm, conns: make(map[net.Conn]struct{})}
 	fs.wg.Add(1)
 	go fs.acceptLoop()
 	return fs
@@ -91,8 +82,7 @@ func (fs *fastServer) acceptLoop() {
 }
 
 // Close stops the listener and closes every live connection, then waits
-// for the serve loops to retire their log shards — the same quiescence
-// http.Server.Close plus the done-channel wait used to provide.
+// for the serve loops to retire their log shards.
 func (fs *fastServer) Close() error {
 	fs.mu.Lock()
 	if fs.closed {
@@ -124,12 +114,12 @@ func (fs *fastServer) forget(c net.Conn) {
 // flush the response, repeat until the peer goes away or framing breaks.
 func (fs *fastServer) serveConn(c net.Conn) {
 	defer fs.wg.Done()
-	carrier := fs.hooks.connOpen(c)
+	fc := fs.farm.openConn(c)
 	st := newSrvConnState(c)
 	defer func() {
 		c.Close()
 		fs.forget(c)
-		fs.hooks.connClose(c, carrier)
+		fs.farm.retireConn(c)
 		st.release()
 	}()
 	for {
@@ -137,7 +127,7 @@ func (fs *fastServer) serveConn(c net.Conn) {
 			return
 		}
 		st.w.reset(st.req.Method == http.MethodHead)
-		fs.hooks.serve(carrier, &st.w, &st.req)
+		fs.farm.handleReq(fc, &st.w, &st.req)
 		if err := st.w.finish(c, st.closeAfter); err != nil {
 			return
 		}

@@ -2,7 +2,6 @@ package webserver
 
 import (
 	"bytes"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -93,76 +92,5 @@ func TestFastServerDrainsPostAcrossRing(t *testing.T) {
 	}
 	if got := farm.connCount(); got != 1 {
 		t.Fatalf("farm saw %d connections, want 1", got)
-	}
-}
-
-// BenchmarkFarmDispatchMemo measures the dispatch hot path when a
-// keep-alive connection keeps talking to one site — the memo-hit case
-// the atomic last-site cache exists for.
-func BenchmarkFarmDispatchMemo(b *testing.B) {
-	nw := netsim.New()
-	farm, err := NewFarm(nw, "203.0.113.252")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer farm.Close()
-	for i := 0; i < 8; i++ {
-		cfg := WildcardDisallowSite(fmt.Sprintf("memo-%d.test", i), fmt.Sprintf("203.0.113.%d", 100+i))
-		if _, err := farm.StartSite(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	client := nw.HTTPClient("198.51.100.97")
-	req, err := http.NewRequest(http.MethodGet, "http://memo-0.test/robots.txt", nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := client.Do(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-}
-
-// BenchmarkFarmDispatchMemoMiss alternates Host headers on one
-// connection so every request invalidates the memo and falls back to
-// the locked map probe — the worst case the memo must not regress.
-func BenchmarkFarmDispatchMemoMiss(b *testing.B) {
-	nw := netsim.New()
-	farm, err := NewFarm(nw, "203.0.113.253")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer farm.Close()
-	for i := 0; i < 2; i++ {
-		cfg := WildcardDisallowSite(fmt.Sprintf("miss-%d.test", i), fmt.Sprintf("203.0.113.%d", 110+i))
-		if _, err := farm.StartSite(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	client := nw.HTTPClient("198.51.100.98")
-	reqs := make([]*http.Request, 2)
-	for i := range reqs {
-		req, err := http.NewRequest(http.MethodGet, "http://miss-0.test/robots.txt", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		req.Host = fmt.Sprintf("miss-%d.test", i)
-		reqs[i] = req
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := client.Do(reqs[i%2])
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
 	}
 }

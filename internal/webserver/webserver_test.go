@@ -11,6 +11,17 @@ import (
 	"repro/internal/netsim"
 )
 
+// startSite hosts cfg as the only site of a farm bound to the site's own
+// address; the farm closes with the test.
+func startSite(t *testing.T, nw *netsim.Network, cfg Config) *Site {
+	t.Helper()
+	site, err := newFarm(t, nw, cfg.IP).StartSite(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return site
+}
+
 func get(t *testing.T, client *http.Client, url, ua string) (*http.Response, string) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodGet, url, nil)
@@ -31,11 +42,7 @@ func get(t *testing.T, client *http.Client, url, ua string) (*http.Response, str
 
 func TestSiteServesContentAndLogs(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("art.test", "203.0.113.1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
+	site := startSite(t, nw, WildcardDisallowSite("art.test", "203.0.113.1"))
 
 	client := nw.HTTPClient("198.51.100.9")
 	resp, body := get(t, client, site.URL()+"/robots.txt", "GPTBot/1.0")
@@ -77,11 +84,7 @@ func TestSiteServesContentAndLogs(t *testing.T) {
 func TestNoRobotsSite(t *testing.T) {
 	nw := netsim.New()
 	cfg := Config{Domain: "bare.test", IP: "203.0.113.2", Pages: ContentPages("bare.test")}
-	site, err := Start(nw, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
+	site := startSite(t, nw, cfg)
 	client := nw.HTTPClient("198.51.100.10")
 	resp, _ := get(t, client, site.URL()+"/robots.txt", "CCBot/2.0")
 	if resp.StatusCode != 404 {
@@ -91,12 +94,8 @@ func TestNoRobotsSite(t *testing.T) {
 
 func TestSetRobotsAtRuntime(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, Config{Domain: "dyn.test", IP: "203.0.113.3",
+	site := startSite(t, nw, Config{Domain: "dyn.test", IP: "203.0.113.3",
 		Pages: ContentPages("dyn.test")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
 	client := nw.HTTPClient("198.51.100.11")
 	resp, _ := get(t, client, site.URL()+"/robots.txt", "x")
 	if resp.StatusCode != 404 {
@@ -119,11 +118,7 @@ func TestBlockerScreensRequests(t *testing.T) {
 		}
 		return nil
 	})
-	site, err := Start(nw, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
+	site := startSite(t, nw, cfg)
 	client := nw.HTTPClient("198.51.100.12")
 
 	resp, body := get(t, client, site.URL()+"/", "ClaudeBot/1.0")
@@ -144,11 +139,7 @@ func TestBlockerScreensRequests(t *testing.T) {
 
 func TestRequestsMatchingAndObservedAgents(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("obs.test", "203.0.113.5"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
+	site := startSite(t, nw, WildcardDisallowSite("obs.test", "203.0.113.5"))
 	for i, ua := range []string{"GPTBot/1.0", "ClaudeBot/1.0", "GPTBot/1.0"} {
 		ip := "198.51.100." + string(rune('1'+i))
 		client := nw.HTTPClient(ip)
@@ -174,14 +165,14 @@ func TestPerAgentDisallowSiteRobots(t *testing.T) {
 }
 
 func TestStartValidation(t *testing.T) {
-	nw := netsim.New()
-	if _, err := Start(nw, Config{IP: "1.2.3.4"}); err == nil {
+	farm := newFarm(t, netsim.New(), "203.0.113.250")
+	if _, err := farm.StartSite(Config{IP: "1.2.3.4"}); err == nil {
 		t.Fatal("missing domain must fail")
 	}
-	if _, err := Start(nw, Config{Domain: "x.test"}); err == nil {
+	if _, err := farm.StartSite(Config{Domain: "x.test"}); err == nil {
 		t.Fatal("missing IP must fail")
 	}
-	if _, err := Start(nw, Config{Domain: "x.test", IP: "bogus"}); err == nil {
+	if _, err := farm.StartSite(Config{Domain: "x.test", IP: "bogus"}); err == nil {
 		t.Fatal("bad IP must fail")
 	}
 }
@@ -208,11 +199,7 @@ func TestLogOrderingDeterministicPerConnection(t *testing.T) {
 	paths := []string{"/robots.txt", "/", "/about.html", "/gallery.html", "/missing", "/robots.txt"}
 	capture := func() []Record {
 		nw := netsim.New()
-		site, err := Start(nw, WildcardDisallowSite("order.test", "203.0.113.7"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer site.Close()
+		site := startSite(t, nw, WildcardDisallowSite("order.test", "203.0.113.7"))
 		client := nw.HTTPClient("198.51.100.40")
 		for _, p := range paths {
 			get(t, client, site.URL()+p, "GPTBot/1.0")
@@ -244,25 +231,20 @@ func TestLogOrderingDeterministicPerConnection(t *testing.T) {
 }
 
 // TestLogSurvivesConnectionChurn forces a fresh connection per request
-// (the legacy transport) so every request's shard is retired when its
-// connection closes, and asserts the merged log still holds every record
+// (the client drops its pool after each) so every request's shard is
+// retired when its connection closes, and asserts the merged log still holds every record
 // in issue order — retirement must move records, never drop or reorder
 // them.
 func TestLogSurvivesConnectionChurn(t *testing.T) {
-	netsim.SetLegacyPerRequestDial(true)
-	defer netsim.SetLegacyPerRequestDial(false)
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("churn.test", "203.0.113.9"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
+	site := startSite(t, nw, WildcardDisallowSite("churn.test", "203.0.113.9"))
 	client := nw.HTTPClient("198.51.100.45")
 	var want []string
 	paths := []string{"/robots.txt", "/", "/about.html", "/gallery.html"}
 	for round := 0; round < 5; round++ {
 		for _, p := range paths {
 			get(t, client, site.URL()+p, "GPTBot/1.0")
+			client.CloseIdleConnections()
 			want = append(want, p)
 		}
 	}
@@ -283,11 +265,7 @@ func TestLogSurvivesConnectionChurn(t *testing.T) {
 // even though the interleaving across clients is unspecified.
 func TestLogOrderingConcurrentClientsPreserved(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("interleave.test", "203.0.113.8"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
+	site := startSite(t, nw, WildcardDisallowSite("interleave.test", "203.0.113.8"))
 	paths := []string{"/robots.txt", "/", "/about.html", "/gallery.html"}
 	const clients = 8
 	var wg sync.WaitGroup
@@ -335,25 +313,13 @@ func TestLogOrderingConcurrentClientsPreserved(t *testing.T) {
 	}
 }
 
-// newTestNetwork is shared by the CLF tests.
-func newTestNetwork(t *testing.T) *netsim.Network {
-	t.Helper()
-	return netsim.New()
-}
-
 // TestLogSinceIncrementalWindows checks the O(window) view against the
 // full merged log: every (mark, now) window must equal the same slice
 // of Log(), including across connection churn that retires shards into
 // the sorted fallback.
 func TestLogSinceIncrementalWindows(t *testing.T) {
-	netsim.SetLegacyPerRequestDial(true)
-	defer netsim.SetLegacyPerRequestDial(false)
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("since.test", "203.0.113.12"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
+	site := startSite(t, nw, WildcardDisallowSite("since.test", "203.0.113.12"))
 	client := nw.HTTPClient("198.51.100.70")
 
 	paths := []string{"/robots.txt", "/", "/about.html", "/gallery.html"}
@@ -365,6 +331,7 @@ func TestLogSinceIncrementalWindows(t *testing.T) {
 	for round := 0; round < 6; round++ {
 		for i := 0; i <= round%len(paths); i++ {
 			get(t, client, site.URL()+paths[i], "GPTBot/1.0")
+			client.CloseIdleConnections()
 		}
 		next := site.LogLen()
 		window := site.LogSince(mark)
@@ -392,11 +359,7 @@ func TestLogSinceIncrementalWindows(t *testing.T) {
 // taken after concurrent traffic equals the suffix of the full log.
 func TestLogSinceAcrossConcurrentClients(t *testing.T) {
 	nw := netsim.New()
-	site, err := Start(nw, WildcardDisallowSite("since2.test", "203.0.113.13"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
+	site := startSite(t, nw, WildcardDisallowSite("since2.test", "203.0.113.13"))
 
 	hammer := func(clients int) {
 		var wg sync.WaitGroup

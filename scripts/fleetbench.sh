@@ -4,11 +4,9 @@
 # Boots 2 cmd/policyd replicas and a cmd/policygw gateway on loopback,
 # then drives them with concurrent cmd/loadgen processes on both wires
 # (JSON batch API and the binary frame protocol) while the replicas
-# hot-reload through corpus snapshots. Three modes:
+# hot-reload through corpus snapshots. Two modes (throughput and latency
+# of the fleet are measured by bench/, in process):
 #
-#   scripts/fleetbench.sh bench         full benchmark -> BENCH_pr10.json
-#                                       (merged with the policyd compile
-#                                       pair via benchsnap -merge)
 #   scripts/fleetbench.sh smoke         CI-sized gate: phase A diffs a
 #                                       deterministic static-fleet run
 #                                       against the checked-in golden
@@ -35,7 +33,7 @@ GW_JSON=19561 GW_FRAME=19562 GW_WATCH=19563 GW_METRICS=19564
 GW="127.0.0.1:$GW_JSON"
 REPLICAS="127.0.0.1:$R1_JSON:$R1_FRAME:$R1_WATCH,127.0.0.1:$R2_JSON:$R2_FRAME:$R2_WATCH"
 
-MODE="${1:-bench}"
+MODE="${1:-smoke}"
 BIN="$(mktemp -d)"
 WORK="$(mktemp -d)"
 PIDS=()
@@ -50,7 +48,7 @@ trap cleanup EXIT
 log() { echo "fleetbench: $*" >&2; }
 
 log "building binaries"
-go build -o "$BIN/" ./cmd/policyd ./cmd/policygw ./cmd/loadgen ./cmd/benchsnap ./cmd/rundiff
+go build -o "$BIN/" ./cmd/policyd ./cmd/policygw ./cmd/loadgen ./cmd/rundiff
 
 wait_port() { # host:port
   for _ in $(seq 1 120); do
@@ -135,51 +133,6 @@ run_golden_shaped() { # storedir
 }
 
 case "$MODE" in
-bench)
-  OUT="${OUT:-BENCH_pr10.json}"
-  SCALE="${SCALE:-0.05}" SNAP="${SNAP:-5}" ADVANCE="${ADVANCE:-4s}"
-  N="${N:-1200000}" BATCH="${BATCH:-64}" CONC="${CONC:-8}"
-  MIN_AGG_QPS="${MIN_AGG_QPS:-100000}"
-
-  log "phase: fleet benchmark (2 replicas, advance $ADVANCE, n=$N x2 processes)"
-  start_fleet "$SCALE" "$SNAP" "$ADVANCE" 0
-
-  "$BIN/loadgen" -target "http://$GW" -wire json -scale "$SCALE" \
-    -n "$N" -batch "$BATCH" -concurrency "$CONC" \
-    -name fleet_loadgen_json -o "$WORK/json.json" &
-  LG1=$!
-  "$BIN/loadgen" -target "127.0.0.1:$GW_FRAME" -wire binary -scale "$SCALE" \
-    -n "$N" -batch "$BATCH" -concurrency "$CONC" \
-    -name fleet_loadgen_frame -o "$WORK/frame.json" &
-  LG2=$!
-  wait $LG1; wait $LG2
-
-  check_complete "$WORK/json.json" fleet_loadgen_json
-  check_complete "$WORK/frame.json" fleet_loadgen_frame
-  JQPS=$(qps_of "$WORK/json.json" fleet_loadgen_json)
-  FQPS=$(qps_of "$WORK/frame.json" fleet_loadgen_frame)
-  AGG=$((JQPS + FQPS))
-  log "aggregate: $AGG decisions/sec (json $JQPS + frame $FQPS)"
-  if [ "$AGG" -lt "$MIN_AGG_QPS" ]; then
-    log "FAIL: aggregate $AGG < $MIN_AGG_QPS decisions/sec"
-    exit 1
-  fi
-  # Both processes must have crossed at least one live reload.
-  python3 - "$WORK/json.json" "$WORK/frame.json" <<'EOF'
-import json, sys
-for f in sys.argv[1:]:
-    b = next(iter(json.load(open(f))["benchmarks"].values()))
-    if b["metrics"].get("snapshot_rollovers", 0) < 1:
-        sys.exit(f"{f}: no snapshot rollover observed mid-run")
-EOF
-  stop_fleet
-
-  log "measuring the compile pair"
-  "$BIN/benchsnap" -bench 'policyd_compile' -o "$WORK/compile.json"
-  "$BIN/benchsnap" -merge -o "$OUT" "$WORK/json.json" "$WORK/frame.json" "$WORK/compile.json"
-  log "wrote $OUT"
-  ;;
-
 smoke)
   # Phase A: deterministic static fleet, diffed against the golden dir.
   log "phase A: static fleet vs golden run dir"
@@ -253,7 +206,7 @@ golden)
   ;;
 
 *)
-  echo "usage: scripts/fleetbench.sh [bench|smoke|golden DIR]" >&2
+  echo "usage: scripts/fleetbench.sh [smoke|golden DIR]" >&2
   exit 2
   ;;
 esac
