@@ -74,7 +74,10 @@ func run(stdout, stderr io.Writer, args []string) int {
 		}
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		enc.Encode(s)
+		if err := enc.Encode(s); err != nil {
+			fmt.Fprintf(stderr, "scenario: %v\n", err)
+			return 1
+		}
 		return 0
 	}
 
@@ -156,6 +159,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 	res, err := scenario.RunTiered(ctx, spec, scenario.TierOptions{
 		HotSites: *hot, Workers: *workers, Stats: &tierStats, Observer: observer,
 	})
+	elapsed := time.Since(start) // the run, not the store, profile and metrics writes below
 	stopCPU()
 	if err != nil {
 		if writer != nil {
@@ -187,7 +191,7 @@ func run(stdout, stderr io.Writer, args []string) int {
 		}
 		return 0
 	}
-	writeText(stdout, res, time.Since(start))
+	writeText(stdout, res, elapsed)
 	writeTierStats(stdout, spec, tierStats)
 	return 0
 }
@@ -197,10 +201,9 @@ func run(stdout, stderr io.Writer, args []string) int {
 // compile/replay economics, the long-tail footprint, and where the time
 // went.
 func writeTierStats(w io.Writer, spec scenario.Spec, ts scenario.TierStats) {
-	fmt.Fprintf(w, "(tiered: %d hot + %d cold site-months, %d promotions, %d demotions; "+
+	fmt.Fprintf(w, "(tiered: %d hot + %d cold site-months; "+
 		"%d wave classes compiled, %d replayed; %.1f B/site columnar)\n",
-		ts.HotSiteMonths, ts.ColdSiteMonths, ts.Promotions, ts.Demotions,
-		ts.WaveClasses, ts.ReplayedWaves, ts.BytesPerSite(spec.Sites))
+		ts.HotSiteMonths, ts.ColdSiteMonths, ts.WaveClasses, ts.ReplayedWaves, ts.BytesPerSite(spec.Sites))
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	fmt.Fprintf(w, "(phases, summed over workers: plan %.1f ms, hot %.1f ms, cold %.1f ms; merge %.1f ms)\n",
 		ms(ts.PlanNS), ms(ts.HotNS), ms(ts.ColdNS), ms(ts.MergeNS))

@@ -30,9 +30,6 @@ const (
 	MediaCode  MediaType = "code"
 )
 
-// MediaTypes lists all governed types in canonical order.
-var MediaTypes = []MediaType{MediaText, MediaImage, MediaAudio, MediaVideo, MediaCode}
-
 // extToMedia maps file extensions to media types, mirroring the
 // published generator's tables (abridged).
 var extToMedia = map[string]MediaType{

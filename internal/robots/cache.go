@@ -239,9 +239,9 @@ func (c *Cache) Len() int {
 	return c.lru.Len()
 }
 
-// sharedCache backs ParseCached / ParseCachedProfile: one process-wide
-// policy cache shared by the crawl hot paths (crawler fetches, blocking
-// surveys, proxy robots checks, scenario policy updates).
+// sharedCache backs ParseCached: one process-wide policy cache shared
+// by the crawl hot paths (crawler fetches, blocking surveys, proxy robots
+// checks, scenario policy updates).
 var sharedCache = NewCache(DefaultCacheSize)
 
 // ParseCached parses a robots.txt body through the shared process-wide
@@ -250,11 +250,6 @@ var sharedCache = NewCache(DefaultCacheSize)
 // read-only (all exported accessors are).
 func ParseCached(body string) *Robots {
 	return sharedCache.Parse(body)
-}
-
-// ParseCachedProfile is ParseCached under an explicit semantics profile.
-func ParseCachedProfile(body string, p Profile) *Robots {
-	return sharedCache.ParseProfile(body, p)
 }
 
 // SharedCacheStats returns the process-wide cache's hit/miss counters —

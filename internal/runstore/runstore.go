@@ -433,23 +433,6 @@ func (w *ScenarioWriter) Abort() {
 	w.err = fmt.Errorf("runstore: run %s aborted", w.meta.ID)
 }
 
-// SaveScenario stores a completed scenario result in one call — the
-// non-streaming convenience over BeginScenario/Observe/Close.
-func (s *Store) SaveScenario(meta Meta, res *scenario.Result) (string, error) {
-	w, err := s.BeginScenario(meta)
-	if err != nil {
-		return "", err
-	}
-	for _, m := range res.Months {
-		w.ObserveMonth(m)
-	}
-	w.ObserveResult(res)
-	if err := w.Close(); err != nil {
-		return "", err
-	}
-	return w.ID(), nil
-}
-
 // ExperimentsWriter persists a core experiment run as an NDJSON segment.
 // It implements core.Sink, so it can tee alongside any user-facing sink:
 // results arrive in deterministic registration order, making the

@@ -14,8 +14,8 @@ import (
 )
 
 // The engine's per-site state. A hot site-month costs a live webserver,
-// crawler instances and a log; between hot months a site is ~11 bytes of
-// flat columnar state — one array per field indexed by dense site id —
+// crawler instances and a log; a cold site is under 7 bytes of flat
+// columnar state — one array per field indexed by dense site id —
 // because everything else about a site's month is derivable: its policy
 // is one of a handful of interned renderings, its blocker rule list is a
 // function of the month, and its crawl schedule follows from the roster
@@ -27,46 +27,39 @@ type bitset []uint64
 func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
 func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
-func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (uint(i) & 63) }
 
 // tailState is the whole site population in columnar form. Workers own
 // disjoint contiguous site ranges aligned to 64-site boundaries, so the
 // arrays — bitsets included — are shared without locks.
 type tailState struct {
-	n          int
 	adoptMonth []int16  // month the site adopts; -1 = never
 	frozen     []uint16 // hand-written list size at adoption
 	policyID   []uint16 // current policy (policies index); 0 = none
-	waves      []uint32 // crawl waves absorbed so far (tail + hot)
 
 	perAgent  bitset // writes a per-agent list rather than wildcard
 	managed   bitset // delegates the list to the managed service
 	blocker   bitset // behind the active-blocking provider
 	adopted   bitset // policy currently published
 	blockerOn bitset // provider blocking currently enabled
-	hot       bitset // long-tail site promoted to full fidelity this month
 }
 
 func newTailState(n int) *tailState {
 	return &tailState{
-		n:          n,
 		adoptMonth: make([]int16, n),
 		frozen:     make([]uint16, n),
 		policyID:   make([]uint16, n),
-		waves:      make([]uint32, n),
 		perAgent:   newBitset(n),
 		managed:    newBitset(n),
 		blocker:    newBitset(n),
 		adopted:    newBitset(n),
 		blockerOn:  newBitset(n),
-		hot:        newBitset(n),
 	}
 }
 
 // bytes reports the steady-state columnar footprint.
 func (t *tailState) bytes() int {
-	return 2*len(t.adoptMonth) + 2*len(t.frozen) + 2*len(t.policyID) + 4*len(t.waves) +
-		8*(len(t.perAgent)+len(t.managed)+len(t.blocker)+len(t.adopted)+len(t.blockerOn)+len(t.hot))
+	return 2*len(t.adoptMonth) + 2*len(t.frozen) + 2*len(t.policyID) +
+		8*(len(t.perAgent)+len(t.managed)+len(t.blocker)+len(t.adopted)+len(t.blockerOn))
 }
 
 // policyDef is one interned robots.txt policy: the rendered body, its

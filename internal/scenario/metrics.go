@@ -204,13 +204,6 @@ func (r *Result) DisallowedKBSeries() stats.Series {
 	})
 }
 
-// RespectRateSeries is the monthly respect rate in percent.
-func (r *Result) RespectRateSeries() stats.Series {
-	return r.series("respect %", func(m MonthMetrics) float64 {
-		return 100 * m.RespectRate()
-	})
-}
-
 // GapSeries is the monthly mean static-list coverage gap in percent.
 func (r *Result) GapSeries() stats.Series {
 	return r.series("static-list gap %", func(m MonthMetrics) float64 {

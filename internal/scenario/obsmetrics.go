@@ -7,7 +7,7 @@ import "repro/internal/obs"
 // timed), so the histogram exposes where full-fidelity simulation
 // actually burns time: slow site-months dominate the upper buckets. It
 // times the month itself; starting and removing the site (once per
-// pinned site, once per promoted month) shows in the hot phase total.
+// pinned site) shows in the hot phase total.
 var (
 	mCrawlWaves = obs.NewCounter("scenario_crawl_waves_total",
 		"Crawl waves run over real HTTP (one crawler visiting one hot site).")
@@ -29,13 +29,10 @@ var (
 	mPhaseMergeNS = obs.NewHistogram(`scenario_phase_wall_ns{phase="merge"}`, phaseHelp)
 )
 
-// Tier metrics: tier transitions, the hot/cold site-month
-// split, and the wave cache's compile/replay economics.
+// Tier metrics: the hot/cold site-month split and the wave cache's
+// compile/replay economics, added once per RunTiered call from the
+// merged TierStats.
 var (
-	mTierPromotions = obs.NewCounter("scenario_tier_promotions_total",
-		"Long-tail sites promoted to full fidelity for a month.")
-	mTierDemotions = obs.NewCounter("scenario_tier_demotions_total",
-		"Sites demoted from full fidelity back to the long tail.")
 	mTierHotSiteMonths = obs.NewCounter("scenario_tier_hot_site_months_total",
 		"Site-months simulated at full fidelity.")
 	mTierColdSiteMonths = obs.NewCounter("scenario_tier_cold_site_months_total",

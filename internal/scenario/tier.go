@@ -19,7 +19,8 @@ import (
 // simulated at full fidelity (live farm-hosted webservers, real crawler
 // instances, real netsim HTTP, a flush from the real request log) and a
 // long tail advanced on the compiled fast path (columnar state + the
-// wave cache), with deterministic promotion and demotion between tiers.
+// wave cache). A site's tier is its index: the first HotSites sites are
+// hot for every month, every other site is cold for every month.
 //
 // The output contract is strict: the entire Result is bit-identical at
 // any HotSites value and any worker count — HotSites is a cost/fidelity
@@ -83,7 +84,7 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 			cuts[wi], cuts[wi+1])
 		if err != nil {
 			for _, prev := range ws[:wi] {
-				prev.close()
+				prev.compiler.close()
 			}
 			return nil, err
 		}
@@ -96,7 +97,7 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		wg.Add(1)
 		go func(w *tierWorker) {
 			defer wg.Done()
-			defer w.close()
+			defer w.compiler.close()
 			if err := w.run(runCtx, seeds); err != nil {
 				errOnce.Do(func() { firstErr = err; cancel() })
 			}
@@ -122,8 +123,6 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		}
 		ts.HotSiteMonths += w.stats.HotSiteMonths
 		ts.ColdSiteMonths += w.stats.ColdSiteMonths
-		ts.Promotions += w.stats.Promotions
-		ts.Demotions += w.stats.Demotions
 		ts.CompiledWaves += w.stats.CompiledWaves
 		ts.ReplayedWaves += w.stats.ReplayedWaves
 		ts.PlanNS += w.stats.PlanNS
@@ -137,11 +136,13 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		mPhaseHotNS.Observe(uint64(ts.HotNS))
 		mPhaseColdNS.Observe(uint64(ts.ColdNS))
 		mPhaseMergeNS.Observe(uint64(ts.MergeNS))
+		mTierHotSiteMonths.Add(uint64(ts.HotSiteMonths))
+		mTierColdSiteMonths.Add(uint64(ts.ColdSiteMonths))
+		mTierCompiledWaves.Add(uint64(ts.CompiledWaves))
+		mTierReplayedWaves.Add(uint64(ts.ReplayedWaves))
 	}
 
 	if opts.Stats != nil {
-		ts.DistinctPolicies = len(world.policies) - 1
-		ts.DistinctBlockers = len(world.blockers) - 1
 		ts.WaveClasses = len(cache.m)
 		ts.ColumnarBytes = tail.bytes()
 		*opts.Stats = ts
@@ -155,7 +156,9 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 // no two workers ever touch the same word, so the arrays need no locks
 // (and no atomics). Ranges the rounding empties are dropped — below
 // 64·workers sites there are fewer shards than workers — so no worker
-// builds a network, a farm and a wave compiler for nothing.
+// builds a network, a farm and a wave compiler for nothing. (The hot
+// set's own network, farm and crawler fleet are built only by a shard
+// that holds a pinned site: see runPinned.)
 func shardCuts(sites, workers int) []int {
 	cuts := []int{0}
 	for wi := 1; wi < workers; wi++ {
@@ -169,8 +172,8 @@ func shardCuts(sites, workers int) []int {
 // TierOptions configures RunTiered.
 type TierOptions struct {
 	// HotSites pins the first k sites to full-fidelity simulation for
-	// the whole run (the hot cohort). Long-tail sites are still promoted
-	// for their state-transition months. 0 means no pinned cohort.
+	// the whole run (the hot cohort); every other site runs every month
+	// on the compiled fast path. 0 means no live site at all.
 	HotSites int
 	// Workers is the most static site shards the run splits into (see
 	// shardCuts), each advanced by its own goroutine; 0 means
@@ -183,21 +186,18 @@ type TierOptions struct {
 	Observer Observer
 }
 
-// TierStats reports how a run split its work across the tiers.
-// Site-month and promotion counts are deterministic; the
+// TierStats reports how a run split its work across the tiers. The
+// site-month counts are min(HotSites, Sites)·Months and the rest; the
 // compiled/replayed split can shift between runs when workers race to
 // compile the same wave class.
 type TierStats struct {
 	HotSiteMonths  int // site-months at full fidelity
 	ColdSiteMonths int // site-months on the compiled fast path
-	Promotions     int // cold→hot transitions after month 0
-	Demotions      int // hot→cold transitions
+	Promotions     int // always 0: nothing writes it; declared only until bench/ stops reading it
 
-	CompiledWaves    int // cache misses executed for real
-	ReplayedWaves    int // tail waves answered from the cache
-	WaveClasses      int // distinct wave situations encountered
-	DistinctPolicies int // interned robots.txt policies
-	DistinctBlockers int // interned provider rule lists
+	CompiledWaves int // cache misses executed for real
+	ReplayedWaves int // tail waves answered from the cache
+	WaveClasses   int // distinct wave situations encountered
 
 	ColumnarBytes int // steady-state long-tail state footprint
 
@@ -222,9 +222,9 @@ func (s TierStats) BytesPerSite(sites int) float64 {
 }
 
 // tierWorker advances one contiguous site range through every month. It
-// owns a live farm and a kept crawler fleet for hot site-months, a
-// scratch compiler for wave cache misses, and per-worker accumulators
-// merged after the join.
+// owns a scratch compiler for wave cache misses and per-worker
+// accumulators merged after the join; what hot site-months need (a live
+// farm and a kept crawler fleet) lives only as long as runPinned.
 type tierWorker struct {
 	world    *tierWorld
 	tail     *tailState
@@ -234,10 +234,8 @@ type tierWorker struct {
 	hotSites int
 	lo, hi   int
 
-	compiler    *waveCompiler
-	hotFarm     *webserver.Farm
-	hotCrawlers *rosterCrawlers
-	planRand    *stats.Rand // drawPlan's scratch source
+	compiler *waveCompiler
+	planRand *stats.Rand // drawPlan's scratch source
 
 	months    []MonthMetrics
 	evidence  map[string]measure.Evidence
@@ -253,45 +251,30 @@ func newTierWorker(world *tierWorld, tail *tailState, cache *waveCache,
 	if err != nil {
 		return nil, err
 	}
-	hotNW := netsim.New()
-	hotFarm, err := webserver.NewFarm(hotNW, siteIP)
-	if err != nil {
-		compiler.close()
-		return nil, err
-	}
 	return &tierWorker{
-		world:       world,
-		tail:        tail,
-		cache:       cache,
-		local:       make(map[waveKey]waveEffect),
-		curve:       curve,
-		hotSites:    hotSites,
-		lo:          lo,
-		hi:          hi,
-		compiler:    compiler,
-		hotFarm:     hotFarm,
-		hotCrawlers: newRosterCrawlers(world, hotNW),
-		planRand:    stats.NewRand(0),
-		months:      make([]MonthMetrics, world.sp.Months),
-		evidence:    make(map[string]measure.Evidence),
-		evScratch:   make([]measure.Evidence, len(world.tokens)),
-		windowEv:    make(map[string]measure.Evidence),
+		world:     world,
+		tail:      tail,
+		cache:     cache,
+		local:     make(map[waveKey]waveEffect),
+		curve:     curve,
+		hotSites:  hotSites,
+		lo:        lo,
+		hi:        hi,
+		compiler:  compiler,
+		planRand:  stats.NewRand(0),
+		months:    make([]MonthMetrics, world.sp.Months),
+		evidence:  make(map[string]measure.Evidence),
+		evScratch: make([]measure.Evidence, len(world.tokens)),
+		windowEv:  make(map[string]measure.Evidence),
 	}, nil
 }
 
-func (w *tierWorker) close() {
-	w.compiler.close()
-	w.hotFarm.Close()
-}
-
 // run plans the shard's sites, then advances them in two passes. The
-// pinned cohort goes site-major: a site that is hot every month is
-// started once, run through all its months and removed, so its page set
-// and its crawlers' keep-alive conns last all its months instead of one.
-// Everything else goes month-major: the columnar arrays are walked
-// sequentially per month, so the common (cold) case is a cache-friendly
-// linear scan, and a promoted month is the same month function between
-// a start and a removal.
+// pinned cohort goes site-major: a hot site is started once, run through
+// all its months and removed, so its page set and its crawlers'
+// keep-alive conns last all its months instead of one. Everything else
+// goes month-major on the compiled fast path: the columnar arrays are
+// walked sequentially per month, a cache-friendly linear scan.
 //
 // The visiting order cannot change the output. A site-month reads and
 // writes only site i's own columns (and the immutable world), so site
@@ -308,14 +291,12 @@ func (w *tierWorker) run(ctx context.Context, seeds []int64) error {
 
 	pinned := min(max(w.hotSites, w.lo), w.hi) // [lo, pinned) is this shard's cohort
 	hotStart := time.Now()
-	for i := w.lo; i < pinned; i++ {
-		if err := w.runPinnedSite(ctx, i); err != nil {
-			return err
-		}
+	if err := w.runPinned(ctx, pinned); err != nil {
+		return err
 	}
-	pinnedNS := int64(time.Since(hotStart))
+	w.stats.HotNS = int64(time.Since(hotStart))
 
-	tailStart := time.Now() // advance adds each promoted month to HotNS
+	coldStart := time.Now()
 	for m := 0; m < w.world.sp.Months; m++ {
 		for i := pinned; i < w.hi; i++ {
 			if i&1023 == 0 {
@@ -323,99 +304,61 @@ func (w *tierWorker) run(ctx context.Context, seeds []int64) error {
 					return err
 				}
 			}
-			if err := w.advance(ctx, i, m); err != nil {
+			if err := w.runColdMonth(ctx, i, m); err != nil {
 				return err
 			}
 		}
 	}
-	w.stats.ColdNS = int64(time.Since(tailStart)) - w.stats.HotNS
-	w.stats.HotNS += pinnedNS
+	w.stats.ColdNS = int64(time.Since(coldStart))
 	return nil
 }
 
-// hotFor decides long-tail site i's tier for month m (the pinned cohort
-// is always hot and never asks): a site is promoted for exactly the
-// months where its observable state transitions originate — its adoption
-// month and the blocking provider's rollout month — and demoted after.
-// The rule reads only site-local columnar state, so tier decisions never
-// serialize workers; and because the fast path is exact, the choice
-// affects cost, never output.
-func (w *tierWorker) hotFor(i, m int) bool {
-	if int(w.tail.adoptMonth[i]) == m {
-		return true
+// runPinned runs the shard's pinned cohort [lo, pinned), one site after
+// another, on a network, a live farm and a kept crawler fleet that exist
+// for this pass only — a shard with no pinned site builds none of them.
+func (w *tierWorker) runPinned(ctx context.Context, pinned int) error {
+	if pinned == w.lo {
+		return nil
 	}
-	return w.tail.blocker.get(i) && m == w.world.sp.Blocking.StartMonth
-}
-
-// advance runs long-tail site i's month m in the tier hotFor picks,
-// recording promotions and demotions.
-func (w *tierWorker) advance(ctx context.Context, i, m int) error {
-	hot := w.hotFor(i, m)
-	if wasHot := w.tail.hot.get(i); hot != wasHot {
-		if hot {
-			w.tail.hot.set(i)
-			if m > 0 {
-				w.stats.Promotions++
-				mTierPromotions.Inc()
-			}
-		} else {
-			w.tail.hot.clear(i)
-			w.stats.Demotions++
-			mTierDemotions.Inc()
-		}
-	}
-	if !hot {
-		w.stats.ColdSiteMonths++
-		mTierColdSiteMonths.Inc()
-		return w.runColdMonth(ctx, i, m)
-	}
-	start := time.Now()
-	site, err := w.startHotSite(i)
+	nw := netsim.New()
+	farm, err := webserver.NewFarm(nw, siteIP)
 	if err != nil {
 		return err
 	}
-	err = w.runHotMonth(ctx, site, i, m)
-	w.stopHotSite(site)
-	w.stats.HotNS += int64(time.Since(start))
-	return err
+	defer farm.Close()
+	crawlers := newRosterCrawlers(w.world, nw)
+	for i := w.lo; i < pinned; i++ {
+		if err := w.runPinnedSite(ctx, farm, crawlers, i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // runPinnedSite runs every month of pinned-hot site i on one live site.
-func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
-	site, err := w.startHotSite(i)
-	if err != nil {
-		return err
-	}
-	defer w.stopHotSite(site)
-	for m := 0; m < w.world.sp.Months; m++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := w.runHotMonth(ctx, site, i, m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// startHotSite hosts site i on the worker's live farm. The site starts
-// bare; runHotMonth publishes its policy and blocker from the columns.
-func (w *tierWorker) startHotSite(i int) (*webserver.Site, error) {
+// The site starts bare; runHotMonth publishes its policy and blocker
+// from the columns.
+func (w *tierWorker) runPinnedSite(ctx context.Context, farm *webserver.Farm, crawlers *rosterCrawlers, i int) error {
 	domain := SiteDomain(i)
-	return w.hotFarm.StartSite(webserver.Config{
+	site, err := farm.StartSite(webserver.Config{
 		Domain: domain,
 		IP:     siteIP,
 		Pages:  webserver.ContentPages(domain),
 	})
-}
-
-// stopHotSite removes a hot site and drops the crawlers' conns to it:
-// Farm.Remove closes the server end of every conn that served the site,
-// and a kept crawler left holding the client ends would fill its idle
-// pool with dead conns.
-func (w *tierWorker) stopHotSite(site *webserver.Site) {
-	site.Close()
-	w.hotCrawlers.closeIdle()
+	if err != nil {
+		return err
+	}
+	defer crawlers.closeIdle() // after site.Close: see closeIdle
+	defer site.Close()
+	for m := 0; m < w.world.sp.Months; m++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := w.runHotMonth(ctx, site, crawlers, i, m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // applyMonthState applies month m's policy and blocker events to site
@@ -469,6 +412,7 @@ func (w *tierWorker) effect(ctx context.Context, key waveKey) (waveEffect, error
 // reads, cached wave effects, and an integer flush — no HTTP, no
 // allocation beyond first-touch scratch growth.
 func (w *tierWorker) runColdMonth(ctx context.Context, i, m int) error {
+	w.stats.ColdSiteMonths++
 	w.applyMonthState(i, m)
 	t, world := w.tail, w.world
 	var d MonthMetrics
@@ -499,9 +443,7 @@ func (w *tierWorker) runColdMonth(ctx context.Context, i, m int) error {
 			return err
 		}
 		w.stats.ReplayedWaves++
-		mTierReplayedWaves.Inc()
 		d.Visits++
-		t.waves[i]++
 		d.RobotsFetches += int(eff.robotsFetches)
 		d.BlockedRequests += int(eff.blockedRequests)
 		d.DisallowedBytes += eff.disallowedBytes
@@ -529,23 +471,19 @@ func (w *tierWorker) runColdMonth(ctx context.Context, i, m int) error {
 	return nil
 }
 
-// runHotMonth simulates month m of site i at full fidelity on its live
-// site: policy and blocker published from columnar state, the worker's
-// crawlers set to their schedule position, real netsim HTTP, and a
-// flush from the month's window of the real request log. It is the one
-// month function of both hot cases — a pinned site calls it for every
-// month of one live site, a promoted month for the only month of its
-// own — and cannot tell them apart: everything a month observes (policy
-// body, blocker list, crawler visit phase) is set here from the columns,
-// the window starts at this month's log mark, and policies and blocking
-// are only ever turned on, so a site carried over from last month holds
-// nothing a fresh one would not be given.
-func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m int) error {
+// runHotMonth simulates month m of pinned site i at full fidelity on
+// its live site: policy and blocker published from columnar state, the
+// pass's crawlers set to their schedule position, real netsim HTTP, and a
+// flush from the month's window of the real request log. Everything a
+// month observes (policy body, blocker list, crawler visit phase) is set
+// here from the columns, the window starts at this month's log mark, and
+// policies and blocking are only ever turned on, so the site carried
+// over from last month holds nothing a fresh one would not be given.
+func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, crawlers *rosterCrawlers, i, m int) error {
 	if obs.Enabled() {
 		defer mMonthWallNS.ObserveSince(time.Now())
 	}
 	w.stats.HotSiteMonths++
-	mTierHotSiteMonths.Inc()
 	t, world := w.tail, w.world
 	w.applyMonthState(i, m)
 	if pid := t.policyID[i]; pid != 0 {
@@ -566,12 +504,11 @@ func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m
 		if !due {
 			continue
 		}
-		if err := w.hotCrawlers.wave(ctx, r, k, site); err != nil {
+		if err := crawlers.wave(ctx, r, k, site); err != nil {
 			return err
 		}
 		mCrawlWaves.Inc()
 		d.Visits++
-		t.waves[i]++
 	}
 
 	restricts, parsed := world.restrictsFunc(t.policyID[i])

@@ -180,6 +180,5 @@ func (c *waveCompiler) compile(ctx context.Context, key waveKey) (waveEffect, er
 		eff.token = int32(id)
 		eff.ev = ev
 	}
-	mTierCompiledWaves.Inc()
 	return eff, nil
 }

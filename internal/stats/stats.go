@@ -7,7 +7,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -272,11 +271,6 @@ func (s Series) Sparkline() string {
 		out = append(out, ticks[idx])
 	}
 	return string(out)
-}
-
-// FormatPercent renders v as a fixed-width percentage like "12.3%".
-func FormatPercent(v float64) string {
-	return fmt.Sprintf("%.1f%%", v)
 }
 
 // Counter tallies occurrences of string keys and reports them in
