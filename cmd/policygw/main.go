@@ -90,7 +90,6 @@ func parseReplicas(spec string) ([]fleet.ReplicaConfig, error) {
 		}
 		rcs = append(rcs, fleet.ReplicaConfig{
 			Name:      fmt.Sprintf("policyd-%d@%s:%d", i, host, jsonPort),
-			BaseURL:   fmt.Sprintf("http://%s:%d", host, jsonPort),
 			FrameAddr: fmt.Sprintf("%s:%d", host, framePort),
 			WatchAddr: fmt.Sprintf("%s:%d", host, watchPort),
 		})
@@ -125,7 +124,7 @@ func run(addr, frameAddr, watchAddr, metricsAddr, replicas string, rate, burst f
 	defer gw.Close()
 	gw.Start(ctx)
 	for _, rc := range rcs {
-		fmt.Fprintf(os.Stderr, "policygw: replica %s (frames %s, watch %s)\n", rc.BaseURL, rc.FrameAddr, rc.WatchAddr)
+		fmt.Fprintf(os.Stderr, "policygw: replica %s (frames %s, watch %s)\n", rc.Name, rc.FrameAddr, rc.WatchAddr)
 	}
 
 	srv := &http.Server{Addr: addr, Handler: gw.Handler()}

@@ -37,8 +37,6 @@ type ReplicaConfig struct {
 	// must be unique and stable (a membership change moves only the
 	// changed name's keys).
 	Name string
-	// BaseURL is the replica's JSON API root ("http://10.0.0.11:80").
-	BaseURL string
 	// FrameAddr is the replica's binary-frame listener ("10.0.0.11:81").
 	FrameAddr string
 	// WatchAddr is the replica's version watch listener; "" disables

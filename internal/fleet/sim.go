@@ -86,7 +86,6 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 
 		rcs = append(rcs, ReplicaConfig{
 			Name:      name,
-			BaseURL:   "http://" + ip + ":80",
 			FrameAddr: ip + ":81",
 			WatchAddr: ip + ":82",
 		})

@@ -40,7 +40,7 @@ func TestFastServerMatchesStdlibServer(t *testing.T) {
 		},
 		ConnState: func(c net.Conn, st http.ConnState) {
 			if st == http.StateClosed {
-				farm.retireConn(c)
+				farm.dropConn(c)
 			}
 		},
 	}
@@ -124,8 +124,7 @@ func TestFastServerMatchesStdlibServer(t *testing.T) {
 			}
 			got = append(got, fmt.Sprintf("%d %s %q", resp.StatusCode, resp.Header.Get("Content-Type"), b))
 		}
-		// Closing the pooled conns retires their shards into the sites'
-		// fallback logs before the next arm starts.
+		// Close the pooled conns so the next arm dials afresh.
 		client.CloseIdleConnections()
 		logs := map[string][]Record{}
 		for name, s := range sites {

@@ -21,19 +21,20 @@ import (
 // run.
 //
 // Sites keep their full measurement contract under a farm: each site has
-// its own request log with the per-site global sequence, LogSince
-// windows, and deterministic per-connection ordering; every request
+// its own append-only request log with LogSince windows; every request
 // still carries the client's simulated source IP; and robots.txt /
 // blocker swaps apply per site. Requests for a Host no site claims are
 // answered 421 Misdirected Request.
 //
+// The farm is its own HTTP server: one accept loop, and one goroutine
+// per connection running the fastserve.go framing loop.
+//
 // All methods are safe for concurrent use, including StartSite and
 // Remove while requests are in flight.
 type Farm struct {
-	nw   *netsim.Network
-	ip   string
-	ln   net.Listener
-	fsrv *fastServer
+	nw *netsim.Network
+	ip string
+	ln net.Listener
 
 	// gen invalidates per-connection dispatch memos: it bumps after every
 	// hosts-map mutation (StartSite, Remove, Close), so a memo stamped
@@ -47,50 +48,41 @@ type Farm struct {
 	// aliasRefs counts member sites advertising each aliased IP so the
 	// alias is released only when its last site is removed.
 	aliasRefs map[string]int
-	closed    bool
+	// closed is written holding both mu and connMu, so either lock is
+	// enough to read it.
+	closed bool
 
 	unmatched atomic.Uint64
 
+	// connMu guards conns, the registry of live connections, and each
+	// farmConn's sites set.
 	connMu sync.Mutex
 	conns  map[net.Conn]*farmConn
+	// serving counts the accept loop and every serve loop; Close waits
+	// for it to drain.
+	serving sync.WaitGroup
 }
 
-// farmConn tracks one farm connection's per-site log shards. A
-// keep-alive connection normally speaks to a single site (transports
-// pool per host), but nothing stops a client from switching Host headers
-// mid-connection, so shards are kept per (connection, site).
+// farmConn is one live connection's dispatch state. A keep-alive
+// connection normally speaks to a single site (transports pool per
+// host), but nothing stops a client from switching Host headers
+// mid-connection, so sites records every site it served: Remove closes
+// exactly those connections.
 type farmConn struct {
-	mu     sync.Mutex
-	shards map[*Site]*logShard
+	sites map[*Site]bool // guarded by Farm.connMu
 
 	// memo caches the connection's last dispatch result. Connections
 	// almost always speak to one Host, so the hot path is one atomic
-	// load plus a string compare instead of an RLock'd map probe and a
-	// shard-map lookup per request.
+	// load plus a string compare instead of an RLock'd map probe.
 	memo atomic.Pointer[siteMemo]
 }
 
 // siteMemo is one immutable dispatch result, valid while the farm's
 // generation is unchanged.
 type siteMemo struct {
-	gen   uint64
-	key   string
-	site  *Site
-	shard *logShard
-}
-
-// shardFor returns the connection's shard for the site, creating and
-// registering it on first use.
-func (fc *farmConn) shardFor(s *Site) *logShard {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	sh := fc.shards[s]
-	if sh == nil {
-		sh = &logShard{}
-		fc.shards[s] = sh
-		s.addShard(sh)
-	}
-	return sh
+	gen  uint64
+	key  string
+	site *Site
 }
 
 // NewFarm binds the farm's shared listener at ip:80 on nw. Every site
@@ -111,7 +103,8 @@ func NewFarm(nw *netsim.Network, ip string) (*Farm, error) {
 		aliasRefs: make(map[string]int),
 		conns:     make(map[net.Conn]*farmConn),
 	}
-	f.fsrv = startFastServer(ln, f)
+	f.serving.Add(1)
+	go f.acceptLoop()
 	return f, nil
 }
 
@@ -139,7 +132,7 @@ func (f *Farm) StartSite(cfg Config) (*Site, error) {
 		return nil, err
 	}
 	domainKey := strings.ToLower(cfg.Domain)
-	s := newSite(f, cfg)
+	s := &Site{cfg: cfg, farm: f}
 
 	f.mu.Lock()
 	if f.closed {
@@ -224,11 +217,9 @@ func (f *Farm) Remove(s *Site) error {
 	f.connMu.Lock()
 	var stale []net.Conn
 	for c, fc := range f.conns {
-		fc.mu.Lock()
-		if _, ok := fc.shards[s]; ok {
+		if fc.sites[s] {
 			stale = append(stale, c)
 		}
-		fc.mu.Unlock()
 	}
 	f.connMu.Unlock()
 	for _, c := range stale {
@@ -237,35 +228,93 @@ func (f *Farm) Remove(s *Site) error {
 	return nil
 }
 
-// Close shuts the farm down: the shared listener and server stop and all
-// sites are removed. Site logs remain readable.
+// Close shuts the farm down: the shared listener and every live
+// connection close and all sites are removed. It returns once the accept
+// loop and every serve loop have exited. Site logs remain readable.
 func (f *Farm) Close() error {
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return nil
 	}
+	f.connMu.Lock()
 	f.closed = true
+	conns := make([]net.Conn, 0, len(f.conns))
+	for c := range f.conns {
+		conns = append(conns, c)
+	}
+	f.connMu.Unlock()
 	f.members = make(map[*Site]bool)
 	f.hosts = make(map[string]*Site)
 	f.aliasRefs = make(map[string]int)
 	f.mu.Unlock()
 	f.gen.Add(1)
 
-	return f.fsrv.Close()
+	err := f.ln.Close()
+	for _, c := range conns {
+		c.Close()
+	}
+	f.serving.Wait()
+	return err
+}
+
+// acceptLoop hands every accepted connection to its own serve loop until
+// the listener closes.
+func (f *Farm) acceptLoop() {
+	defer f.serving.Done()
+	for {
+		c, err := f.ln.Accept()
+		if err != nil {
+			return
+		}
+		fc := f.openConn(c)
+		if fc == nil {
+			c.Close()
+			return
+		}
+		// The accept loop's own count is still held, so this Add cannot
+		// race Close's Wait.
+		f.serving.Add(1)
+		go f.serveConn(c, fc)
+	}
+}
+
+// serveConn is the per-connection loop: parse one request, serve it,
+// flush the response, repeat until the peer goes away or framing breaks.
+func (f *Farm) serveConn(c net.Conn, fc *farmConn) {
+	defer f.serving.Done()
+	st := newSrvConnState(c)
+	defer func() {
+		c.Close()
+		f.dropConn(c)
+		st.release()
+	}()
+	for {
+		if err := st.readRequest(); err != nil {
+			return
+		}
+		st.w.reset(st.req.Method == http.MethodHead)
+		f.handleReq(fc, &st.w, &st.req)
+		if err := st.w.finish(c, st.closeAfter); err != nil {
+			return
+		}
+		if st.closeAfter {
+			return
+		}
+	}
 }
 
 // handleReq resolves the request's Host to a site and serves it. The
-// per-connection memo short-circuits the host-map RLock and the shard
-// lookup for the dominant one-conn-one-site case; any hosts-map
-// mutation bumps f.gen, which invalidates every memo at once.
+// per-connection memo short-circuits the host-map RLock for the
+// dominant one-conn-one-site case; any hosts-map mutation bumps f.gen,
+// which invalidates every memo at once.
 func (f *Farm) handleReq(fc *farmConn, w http.ResponseWriter, r *http.Request) {
 	key := hostKey(r.Host)
 	gen := f.gen.Load()
 	if m := fc.memo.Load(); m != nil && m.gen == gen && m.key == key {
 		mFarmRequests.Inc()
 		mFarmMemoHits.Inc()
-		m.site.serve(w, r, m.shard)
+		m.site.serve(w, r)
 		return
 	}
 	mFarmMemoMisses.Inc()
@@ -281,41 +330,34 @@ func (f *Farm) handleReq(fc *farmConn, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mFarmRequests.Inc()
-	sh := fc.shardFor(s)
-	fc.memo.Store(&siteMemo{gen: gen, key: key, site: s, shard: sh})
-	s.serve(w, r, sh)
+	f.connMu.Lock()
+	fc.sites[s] = true
+	f.connMu.Unlock()
+	fc.memo.Store(&siteMemo{gen: gen, key: key, site: s})
+	s.serve(w, r)
 }
 
-// openConn registers a freshly accepted connection and returns the
-// carrier for its per-site log shards and dispatch memo.
+// openConn registers a freshly accepted connection in the live registry
+// and returns its dispatch state, or nil once the farm is closed.
 func (f *Farm) openConn(c net.Conn) *farmConn {
-	fc := &farmConn{shards: make(map[*Site]*logShard)}
+	fc := &farmConn{sites: make(map[*Site]bool)}
 	f.connMu.Lock()
+	defer f.connMu.Unlock()
+	if f.closed {
+		return nil
+	}
 	f.conns[c] = fc
-	f.connMu.Unlock()
 	mFarmActiveConns.Add(1)
 	return fc
 }
 
-// retireConn retires every per-site shard the closed connection
-// accumulated.
-func (f *Farm) retireConn(c net.Conn) {
+// dropConn removes a closed connection from the live registry.
+func (f *Farm) dropConn(c net.Conn) {
 	f.connMu.Lock()
-	fc, ok := f.conns[c]
-	if ok {
+	defer f.connMu.Unlock()
+	if _, ok := f.conns[c]; ok {
 		delete(f.conns, c)
-	}
-	f.connMu.Unlock()
-	if !ok {
-		return
-	}
-	mFarmActiveConns.Add(-1)
-	fc.mu.Lock()
-	shards := fc.shards
-	fc.shards = nil
-	fc.mu.Unlock()
-	for s, sh := range shards {
-		s.retire(sh)
+		mFarmActiveConns.Add(-1)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 func newFarm(t *testing.T, nw *netsim.Network, ip string) *Farm {
@@ -189,6 +190,96 @@ func TestFarmRemoveMidRun(t *testing.T) {
 	}
 	if got := len(s2.Log()); got != 1 {
 		t.Fatalf("fresh site inherited a log? %d records, want 1", got)
+	}
+
+	// One connection, dialled at the farm IP, serves two Host headers.
+	// Removing the first site closes it although its dispatch memo now
+	// names the second, so the client's next request must redial.
+	var two []*Site
+	for _, name := range []string{"two-a.test", "two-b.test"} {
+		s, err := farm.StartSite(Config{Domain: name, IP: "203.0.113.250",
+			Pages: map[string]Page{"/": {Body: name}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		two = append(two, s)
+	}
+	misses := obs.NewCounter(`netsim_http_pool_total{result="miss"}`, "")
+	viaFarmIP := func(host string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, "http://203.0.113.250/", nil)
+		req.Host = host
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s via farm IP: %v", host, err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 || string(body) != host {
+			t.Fatalf("%s via farm IP = %d %q", host, resp.StatusCode, body)
+		}
+	}
+	viaFarmIP("two-a.test")
+	before := misses.Value()
+	viaFarmIP("two-b.test")
+	if obs.Enabled() && misses.Value() != before {
+		t.Fatal("second Host on the farm-IP conn dialled afresh; want the pooled conn")
+	}
+	two[0].Close()
+	viaFarmIP("two-b.test")
+	if obs.Enabled() && misses.Value() != before+1 {
+		t.Fatalf("pool misses after removing the conn's first site = %d, want 1 (its conn must close)",
+			misses.Value()-before)
+	}
+}
+
+// TestFarmCloseReleasesLiveConns pins Close against the live-connection
+// registry: with several clients holding pooled keep-alive conns, Close
+// returns only after every serve loop has exited — the registry is empty
+// and farm_active_conns is back to its pre-farm value — and a client's
+// next request on its pooled conn fails.
+func TestFarmCloseReleasesLiveConns(t *testing.T) {
+	if !obs.Enabled() {
+		t.Skip("counts come from obs gauges")
+	}
+	base := mFarmActiveConns.Value()
+	nw := netsim.New()
+	farm, err := NewFarm(nw, "203.0.113.250")
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, err := farm.StartSite(WildcardDisallowSite("live.test", "203.0.113.85"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 4
+	var pooled []*http.Client
+	for c := 0; c < clients; c++ {
+		client := nw.HTTPClient(fmt.Sprintf("198.51.100.%d", 130+c))
+		if resp, _ := get(t, client, site.URL()+"/robots.txt", "x"); resp.StatusCode != 200 {
+			t.Fatalf("client %d fetch = %d", c, resp.StatusCode)
+		}
+		pooled = append(pooled, client)
+	}
+	if got := farm.connCount(); got != clients {
+		t.Fatalf("farm holds %d live conns, want %d", got, clients)
+	}
+	if got := mFarmActiveConns.Value(); got != base+clients {
+		t.Fatalf("farm_active_conns = %v, want %v", got, base+clients)
+	}
+	if err := farm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := farm.connCount(); got != 0 {
+		t.Fatalf("farm holds %d live conns after Close, want 0", got)
+	}
+	if got := mFarmActiveConns.Value(); got != base {
+		t.Fatalf("farm_active_conns after Close = %v, want %v", got, base)
+	}
+	for c, client := range pooled {
+		if _, err := client.Get(site.URL() + "/robots.txt"); err == nil {
+			t.Fatalf("client %d: request after Close succeeded", c)
+		}
 	}
 }
 

@@ -13,15 +13,13 @@ import (
 )
 
 // The server half of the netsim-native HTTP fast path (see
-// internal/netsim/fasthttp.go for the client half and the rationale).
-//
-// A fastServer is a Farm's HTTP server: one goroutine per connection runs
-// a read-parse-serve-write loop with per-connection reused
-// request/header/URL structures, an interning table that keeps log
-// strings off the reused read buffer, and a pooled response buffer
-// flushed in a single ring write. Farm.handleReq and Site.serve see the
-// plain http.ResponseWriter + *http.Request surface, so a stock
-// http.Server can drive the same dispatch — which is how the
+// internal/netsim/fasthttp.go for the client half and the rationale):
+// the framing Farm.serveConn runs on each connection. It has
+// per-connection reused request/header/URL structures, an interning
+// table that keeps log strings off the reused read buffer, and a pooled
+// response buffer flushed in a single ring write. Farm.handleReq and
+// Site.serve see the plain http.ResponseWriter + *http.Request surface,
+// so a stock http.Server can drive the same dispatch — which is how the
 // differential test checks this framing against net/http.
 
 const (
@@ -41,101 +39,6 @@ var (
 	srvReadPool = sync.Pool{New: func() any { return make([]byte, srvReadBufSize) }}
 	srvRespPool = sync.Pool{New: func() any { b := make([]byte, 0, srvRespBufSize); return &b }}
 )
-
-// fastServer accepts connections and runs one serve loop per conn.
-type fastServer struct {
-	ln   net.Listener
-	farm *Farm
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-
-	wg sync.WaitGroup
-}
-
-func startFastServer(ln net.Listener, farm *Farm) *fastServer {
-	fs := &fastServer{ln: ln, farm: farm, conns: make(map[net.Conn]struct{})}
-	fs.wg.Add(1)
-	go fs.acceptLoop()
-	return fs
-}
-
-func (fs *fastServer) acceptLoop() {
-	defer fs.wg.Done()
-	for {
-		c, err := fs.ln.Accept()
-		if err != nil {
-			return
-		}
-		fs.mu.Lock()
-		if fs.closed {
-			fs.mu.Unlock()
-			c.Close()
-			return
-		}
-		fs.conns[c] = struct{}{}
-		fs.mu.Unlock()
-		fs.wg.Add(1)
-		go fs.serveConn(c)
-	}
-}
-
-// Close stops the listener and closes every live connection, then waits
-// for the serve loops to retire their log shards.
-func (fs *fastServer) Close() error {
-	fs.mu.Lock()
-	if fs.closed {
-		fs.mu.Unlock()
-		fs.wg.Wait()
-		return nil
-	}
-	fs.closed = true
-	conns := make([]net.Conn, 0, len(fs.conns))
-	for c := range fs.conns {
-		conns = append(conns, c)
-	}
-	fs.mu.Unlock()
-	err := fs.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	fs.wg.Wait()
-	return err
-}
-
-func (fs *fastServer) forget(c net.Conn) {
-	fs.mu.Lock()
-	delete(fs.conns, c)
-	fs.mu.Unlock()
-}
-
-// serveConn is the per-connection loop: parse one request, serve it,
-// flush the response, repeat until the peer goes away or framing breaks.
-func (fs *fastServer) serveConn(c net.Conn) {
-	defer fs.wg.Done()
-	fc := fs.farm.openConn(c)
-	st := newSrvConnState(c)
-	defer func() {
-		c.Close()
-		fs.forget(c)
-		fs.farm.retireConn(c)
-		st.release()
-	}()
-	for {
-		if err := st.readRequest(); err != nil {
-			return
-		}
-		st.w.reset(st.req.Method == http.MethodHead)
-		fs.farm.handleReq(fc, &st.w, &st.req)
-		if err := st.w.finish(c, st.closeAfter); err != nil {
-			return
-		}
-		if st.closeAfter {
-			return
-		}
-	}
-}
 
 // srvConnState is one connection's reused parsing state. Every string
 // that outlives a request (log records keep Path and User-Agent) is

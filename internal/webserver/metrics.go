@@ -2,9 +2,9 @@ package webserver
 
 import "repro/internal/obs"
 
-// Farm hosting metrics. Per-site hit counts stay on the Site itself
-// (Site.Hits) — site cardinality is unbounded in scenarios, so only the
-// farm-level aggregates live in the registry.
+// Farm hosting metrics. Site cardinality is unbounded in scenarios, so
+// only farm-level aggregates live in the registry; a site's own traffic
+// is its log.
 var (
 	mFarmRequests = obs.NewCounter("farm_requests_total",
 		"Requests dispatched by farm listeners (matched hosts only).")

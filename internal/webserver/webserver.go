@@ -10,10 +10,8 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -93,55 +91,15 @@ type Record struct {
 	Bytes     int
 }
 
-// logShard is one connection's private slice of the site log. Each
-// serving goroutine appends to its own shard under its own mutex, so
-// concurrent connections never contend on a site-wide log lock; a global
-// sequence number stamped at append time lets Log merge the shards back
-// into the exact arrival order a single mutex would have produced.
-type logShard struct {
-	mu   sync.Mutex
-	recs []seqRecord
-}
-
-type seqRecord struct {
-	seq uint64
-	rec Record
-}
-
 // Site is a running instrumented website hosted by a Farm (virtual-host
 // dispatch on the farm's shared listener). Its measurement surface is the
 // request log and the runtime policy swaps.
 type Site struct {
-	cfg Config
-
-	mu sync.Mutex // guards cfg mutations (robots, blocker, pages)
-
+	cfg  Config
 	farm *Farm
 
-	// The log is sharded per (connection, site): the farm's farmConn owns
-	// a connection's shards and folds them into fallback when the
-	// connection closes, keeping the shard list proportional to live
-	// connections rather than total churn.
-	logSeq   atomic.Uint64
-	shardsMu sync.Mutex
-	shards   []*logShard
-	fallback *logShard // records of closed connections
-
-	// hits counts requests served by this site. Site cardinality is
-	// unbounded, so this stays a plain per-site atomic (see Hits) rather
-	// than an obs registry entry.
-	hits atomic.Uint64
-}
-
-// Hits returns the number of requests this site has served.
-func (s *Site) Hits() uint64 { return s.hits.Load() }
-
-// newSite builds a site and its log machinery for farm f.
-func newSite(f *Farm, cfg Config) *Site {
-	s := &Site{cfg: cfg, farm: f}
-	s.fallback = &logShard{}
-	s.shards = []*logShard{s.fallback}
-	return s
+	mu  sync.Mutex // guards cfg mutations (robots, blocker, pages) and log
+	log []Record   // append-only, in arrival order
 }
 
 // Close removes the site from its farm; its log stays readable.
@@ -167,10 +125,8 @@ func (s *Site) SetBlocker(b Blocker) {
 	s.cfg.Blocker = b
 }
 
-// serve answers one request and appends its record to the given log
-// shard.
-func (s *Site) serve(w http.ResponseWriter, r *http.Request, sh *logShard) {
-	s.hits.Add(1)
+// serve answers one request and appends its record to the site log.
+func (s *Site) serve(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	robotsTxt := s.cfg.RobotsTxt
 	blocker := s.cfg.Blocker
@@ -215,153 +171,37 @@ func (s *Site) serve(w http.ResponseWriter, r *http.Request, sh *logShard) {
 		Status:    status,
 		Bytes:     n,
 	}
-	sh.mu.Lock()
-	sh.recs = append(sh.recs, seqRecord{seq: s.logSeq.Add(1) - 1, rec: rec})
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.log = append(s.log, rec)
+	s.mu.Unlock()
 }
 
-// Log returns a copy of all requests logged so far, merged across the
-// per-connection shards into global arrival order. Requests issued
-// sequentially — by one client or by any externally serialized schedule —
-// appear exactly in issue order, the contract the measurement windowing
-// relies on.
+// Log returns a copy of all requests logged so far in arrival order.
+// Requests issued sequentially — by one client or by any externally
+// serialized schedule — appear exactly in issue order, the contract the
+// measurement windowing relies on.
 func (s *Site) Log() []Record {
 	return s.LogSince(0)
 }
 
-// LogSince returns the requests logged since mark — a LogLen value
-// captured earlier — in global arrival order. Every shard keeps its
-// records sequence-sorted (appends are monotonic and retirement merges
-// preserve order), so the window is located by binary search per shard
-// and the cost is O(window), not O(total log): the incremental view
-// monthly flush loops and measurement windows rely on.
-//
-// Like LogLen, the boundary is exact in quiescent states; a request in
-// flight at the mark may land on either side.
+// LogSince returns a copy of the requests logged since mark — a LogLen
+// value captured earlier — in arrival order; the cost is O(window), not
+// O(total log). A mark outside [0, LogLen()] yields an empty window.
 func (s *Site) LogSince(mark int) []Record {
-	// Hold shardsMu for the whole collection: shard retirement moves
-	// records between shards under the same lock, so a reader can never
-	// observe the post-drain shard with the pre-merge fallback and lose
-	// a window's records. Handlers only touch their own shard's mutex
-	// and are not blocked.
-	s.shardsMu.Lock()
-	seqMark := uint64(mark)
-	var all []seqRecord
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		recs := sh.recs
-		i := sort.Search(len(recs), func(i int) bool { return recs[i].seq >= seqMark })
-		all = append(all, recs[i:]...)
-		sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if mark < 0 || mark >= len(s.log) {
+		return nil
 	}
-	s.shardsMu.Unlock()
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	out := make([]Record, len(all))
-	for i, sr := range all {
-		out[i] = sr.rec
-	}
-	return out
+	return append([]Record(nil), s.log[mark:]...)
 }
 
 // LogLen returns the number of requests logged so far without copying the
-// log. In quiescent states — no request in flight — it equals len(Log()),
-// which makes it the cheap way to mark a log window's start.
+// log: the cheap way to mark a log window's start.
 func (s *Site) LogLen() int {
-	return int(s.logSeq.Load())
-}
-
-// addShard registers a fresh per-connection shard with the site so Log
-// and LogSince merge it. Farm connections call it lazily on a
-// connection's first request to each site.
-func (s *Site) addShard(sh *logShard) {
-	s.shardsMu.Lock()
-	s.shards = append(s.shards, sh)
-	s.shardsMu.Unlock()
-}
-
-// retire folds a closed connection's records into the fallback shard and
-// drops the shard, so the shard list tracks live connections instead of
-// growing with every connection the site ever served. The connection's
-// serve loop has exited by the time the farm retires it, so no handler
-// can still be appending to the shard. The whole move happens under shardsMu
-// so LogSince (which reads under the same lock) can never see the
-// drained shard alongside the pre-merge fallback.
-func (s *Site) retire(sh *logShard) {
-	s.shardsMu.Lock()
-	defer s.shardsMu.Unlock()
-	for i, x := range s.shards {
-		if x == sh {
-			s.shards = append(s.shards[:i], s.shards[i+1:]...)
-			break
-		}
-	}
-	sh.mu.Lock()
-	recs := sh.recs
-	sh.recs = nil
-	sh.mu.Unlock()
-	if len(recs) == 0 {
-		return
-	}
-	// Merge by sequence so the fallback shard stays sorted: LogSince
-	// binary-searches every shard, and a retired connection's records can
-	// interleave with those of connections retired earlier.
-	s.fallback.mu.Lock()
-	s.fallback.recs = mergeBySeq(s.fallback.recs, recs)
-	s.fallback.mu.Unlock()
-}
-
-// mergeBySeq merges two sequence-sorted record slices.
-func mergeBySeq(a, b []seqRecord) []seqRecord {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	if a[len(a)-1].seq < b[0].seq {
-		return append(a, b...)
-	}
-	out := make([]seqRecord, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i].seq <= b[j].seq {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
-}
-
-// RequestsMatching returns logged requests whose user agent contains the
-// given substring (case-insensitive).
-func (s *Site) RequestsMatching(uaSubstring string) []Record {
-	var out []Record
-	needle := strings.ToLower(uaSubstring)
-	for _, rec := range s.Log() {
-		if strings.Contains(strings.ToLower(rec.UserAgent), needle) {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// ObservedAgents returns the distinct product-token-bearing user agents
-// seen in the log, sorted.
-func (s *Site) ObservedAgents() []string {
-	seen := map[string]bool{}
-	for _, rec := range s.Log() {
-		seen[rec.UserAgent] = true
-	}
-	out := make([]string, 0, len(seen))
-	for ua := range seen {
-		out = append(out, ua)
-	}
-	sort.Strings(out)
-	return out
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.log)
 }
 
 // ContentPages returns a small interlinked site: an index page linking to
