@@ -15,11 +15,12 @@
 // (see internal/policyd/frame.go) for batch clients that want to skip
 // HTTP and JSON entirely; drive it with cmd/loadgen -wire binary.
 //
-// -watch-addr opens a version-watch listener (one version line per
-// snapshot swap); cmd/policygw follows it to coordinate fleet-wide hot
-// reloads. Month advances with -advance recompile incrementally,
-// reusing compiled host policies whose sources are unchanged under the
-// robots parse-cache normalization.
+// Every answer on either wire names the snapshot version that produced
+// it; cmd/policygw learns each replica's version from its answers and
+// from empty-batch probes on the frame listener, so a replica behind a
+// gateway needs -frame-addr. Month advances with -advance recompile
+// incrementally, reusing compiled host policies whose sources are
+// unchanged under the robots parse-cache normalization.
 //
 // -metrics-addr opens an operational side listener serving the obs
 // registry at /metrics (Prometheus text; ?format=json for JSON) and the
@@ -49,7 +50,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8473", "TCP listen address")
 	frameAddr := flag.String("frame-addr", "", "second TCP listen address for the binary frame protocol (empty = off)")
-	watchAddr := flag.String("watch-addr", "", "TCP listen address announcing snapshot versions to watchers, one line per swap (empty = off)")
 	metricsAddr := flag.String("metrics-addr", "", "side TCP listen address for /metrics and /debug/pprof/ (empty = off)")
 	seed := flag.Int64("seed", stats.DefaultSeed, "corpus seed")
 	scale := flag.Float64("scale", 0.05, "corpus scale (1.0 = 40,455 hosts)")
@@ -58,7 +58,7 @@ func main() {
 	workers := flag.Int("workers", 0, "compile workers (0 = GOMAXPROCS)")
 	flag.Parse()
 
-	if err := run(*addr, *frameAddr, *watchAddr, *metricsAddr, *seed, *scale, *snapIdx, *advance, *workers); err != nil {
+	if err := run(*addr, *frameAddr, *metricsAddr, *seed, *scale, *snapIdx, *advance, *workers); err != nil {
 		fmt.Fprintf(os.Stderr, "policyd: %v\n", err)
 		os.Exit(1)
 	}
@@ -77,7 +77,7 @@ func metricsMux() *http.ServeMux {
 	return mux
 }
 
-func run(addr, frameAddr, watchAddr, metricsAddr string, seed int64, scale float64, snapIdx int, advance time.Duration, workers int) error {
+func run(addr, frameAddr, metricsAddr string, seed int64, scale float64, snapIdx int, advance time.Duration, workers int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -128,20 +128,6 @@ func run(addr, frameAddr, watchAddr, metricsAddr string, seed int64, scale float
 		}()
 	}
 
-	var watchLn net.Listener
-	if watchAddr != "" {
-		watchLn, err = net.Listen("tcp", watchAddr)
-		if err != nil {
-			return fmt.Errorf("watch listener: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "policyd: version watch on %s\n", watchLn.Addr())
-		go func() {
-			if err := policyd.ServeWatch(watchLn, svc); err != nil && !errors.Is(err, net.ErrClosed) {
-				fmt.Fprintf(os.Stderr, "policyd: watch serve: %v\n", err)
-			}
-		}()
-	}
-
 	if advance > 0 {
 		go func() {
 			ticker := time.NewTicker(advance)
@@ -186,9 +172,6 @@ func run(addr, frameAddr, watchAddr, metricsAddr string, seed int64, scale float
 	defer cancel()
 	if frameLn != nil {
 		frameLn.Close()
-	}
-	if watchLn != nil {
-		watchLn.Close()
 	}
 	if metricsSrv != nil {
 		metricsSrv.Shutdown(shutCtx)

@@ -4,23 +4,22 @@
 // limiting and snapshot-version-coordinated hot reloads.
 //
 // Replicas are named host:port endpoints of their JSON listeners; by
-// convention the frame listener is port+1 and the version-watch
-// listener port+2 (how scripts/fleetbench.sh and the CI gate lay the
-// fleet out). Endpoints that deviate can spell all three ports
-// explicitly as host:json:frame:watch.
+// convention the frame listener is port+1. Endpoints that deviate can
+// spell both ports explicitly as host:json:frame.
 //
-//	go run ./cmd/policyd -addr :8473 -frame-addr :8474 -watch-addr :8475 &
-//	go run ./cmd/policyd -addr :8483 -frame-addr :8484 -watch-addr :8485 &
-//	go run ./cmd/policygw -addr :9473 -frame-addr :9474 -watch-addr :9475 \
+//	go run ./cmd/policyd -addr :8473 -frame-addr :8474 &
+//	go run ./cmd/policyd -addr :8483 -frame-addr :8484 &
+//	go run ./cmd/policygw -addr :9473 -frame-addr :9474 \
 //	    -replicas localhost:8473,localhost:8483 -rate 50000
 //
 // The gateway sends each batch whole to the replica its first host
 // hashes to, so one batch is always answered from one snapshot
 // version, rollover or not; it answers over-quota tenants with 429 +
-// Retry-After (HTTP) or an in-band rate-limit frame (binary), and
-// republishes the fleet-wide version on its own -watch-addr once every
-// replica has swapped. /v1/quotas exposes the per-tenant ledger; the same ledger
-// is printed at exit.
+// Retry-After (HTTP) or an in-band rate-limit frame (binary). It
+// learns each replica's version from that replica's answers and from
+// an empty-batch probe on its frame listener, and /v1/stats names the
+// fleet-wide version once every replica has swapped. /v1/quotas
+// exposes the per-tenant ledger; the same ledger is printed at exit.
 package main
 
 import (
@@ -44,23 +43,22 @@ import (
 func main() {
 	addr := flag.String("addr", ":9473", "TCP listen address for the JSON API")
 	frameAddr := flag.String("frame-addr", "", "TCP listen address for the binary frame protocol (empty = off)")
-	watchAddr := flag.String("watch-addr", "", "TCP listen address announcing the fleet-wide snapshot version (empty = off)")
 	metricsAddr := flag.String("metrics-addr", "", "side TCP listen address for /metrics (empty = off)")
-	replicas := flag.String("replicas", "", "comma-separated replica endpoints: host:port (frame = port+1, watch = port+2) or host:json:frame:watch")
+	replicas := flag.String("replicas", "", "comma-separated replica endpoints: host:port (frame = port+1) or host:json:frame")
 	rate := flag.Float64("rate", 0, "per-tenant admitted decisions/sec (0 = accounting only, no limiting)")
 	burst := flag.Float64("burst", 0, "per-tenant token-bucket burst (0 = derived from rate)")
 	vnodes := flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
 	flag.Parse()
 
-	if err := run(*addr, *frameAddr, *watchAddr, *metricsAddr, *replicas, *rate, *burst, *vnodes); err != nil {
+	if err := run(*addr, *frameAddr, *metricsAddr, *replicas, *rate, *burst, *vnodes); err != nil {
 		fmt.Fprintf(os.Stderr, "policygw: %v\n", err)
 		os.Exit(1)
 	}
 }
 
 // parseReplicas expands the -replicas flag into named replica configs.
-// host:port means (json=port, frame=port+1, watch=port+2);
-// host:json:frame:watch spells every listener.
+// host:port means (json=port, frame=port+1); host:json:frame spells
+// both listeners.
 func parseReplicas(spec string) ([]fleet.ReplicaConfig, error) {
 	var rcs []fleet.ReplicaConfig
 	for i, ep := range strings.Split(spec, ",") {
@@ -69,29 +67,23 @@ func parseReplicas(spec string) ([]fleet.ReplicaConfig, error) {
 			continue
 		}
 		parts := strings.Split(ep, ":")
-		var host string
-		var jsonPort, framePort, watchPort int
-		switch len(parts) {
-		case 2:
-			host = parts[0]
-			if _, err := fmt.Sscanf(parts[1], "%d", &jsonPort); err != nil {
-				return nil, fmt.Errorf("replica %q: bad port %q", ep, parts[1])
+		if len(parts) != 2 && len(parts) != 3 {
+			return nil, fmt.Errorf("replica %q: want host:port or host:json:frame", ep)
+		}
+		host := parts[0]
+		ports := make([]int, len(parts)-1)
+		for j := range ports {
+			if _, err := fmt.Sscanf(parts[1+j], "%d", &ports[j]); err != nil {
+				return nil, fmt.Errorf("replica %q: bad port %q", ep, parts[1+j])
 			}
-			framePort, watchPort = jsonPort+1, jsonPort+2
-		case 4:
-			host = parts[0]
-			for j, dst := range []*int{&jsonPort, &framePort, &watchPort} {
-				if _, err := fmt.Sscanf(parts[1+j], "%d", dst); err != nil {
-					return nil, fmt.Errorf("replica %q: bad port %q", ep, parts[1+j])
-				}
-			}
-		default:
-			return nil, fmt.Errorf("replica %q: want host:port or host:json:frame:watch", ep)
+		}
+		jsonPort, framePort := ports[0], ports[0]+1
+		if len(ports) == 2 {
+			framePort = ports[1]
 		}
 		rcs = append(rcs, fleet.ReplicaConfig{
 			Name:      fmt.Sprintf("policyd-%d@%s:%d", i, host, jsonPort),
 			FrameAddr: fmt.Sprintf("%s:%d", host, framePort),
-			WatchAddr: fmt.Sprintf("%s:%d", host, watchPort),
 		})
 	}
 	if len(rcs) == 0 {
@@ -100,7 +92,7 @@ func parseReplicas(spec string) ([]fleet.ReplicaConfig, error) {
 	return rcs, nil
 }
 
-func run(addr, frameAddr, watchAddr, metricsAddr, replicas string, rate, burst float64, vnodes int) error {
+func run(addr, frameAddr, metricsAddr, replicas string, rate, burst float64, vnodes int) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -124,7 +116,7 @@ func run(addr, frameAddr, watchAddr, metricsAddr, replicas string, rate, burst f
 	defer gw.Close()
 	gw.Start(ctx)
 	for _, rc := range rcs {
-		fmt.Fprintf(os.Stderr, "policygw: replica %s (frames %s, watch %s)\n", rc.Name, rc.FrameAddr, rc.WatchAddr)
+		fmt.Fprintf(os.Stderr, "policygw: replica %s (frames %s)\n", rc.Name, rc.FrameAddr)
 	}
 
 	srv := &http.Server{Addr: addr, Handler: gw.Handler()}
@@ -142,20 +134,6 @@ func run(addr, frameAddr, watchAddr, metricsAddr, replicas string, rate, burst f
 		go func() {
 			if err := gw.ServeFrames(frameLn); err != nil && !errors.Is(err, net.ErrClosed) {
 				fmt.Fprintf(os.Stderr, "policygw: frame serve: %v\n", err)
-			}
-		}()
-	}
-
-	var watchLn net.Listener
-	if watchAddr != "" {
-		watchLn, err = net.Listen("tcp", watchAddr)
-		if err != nil {
-			return fmt.Errorf("watch listener: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "policygw: fleet version watch on %s\n", watchLn.Addr())
-		go func() {
-			if err := gw.ServeWatch(watchLn); err != nil && !errors.Is(err, net.ErrClosed) {
-				fmt.Fprintf(os.Stderr, "policygw: watch serve: %v\n", err)
 			}
 		}()
 	}
@@ -182,9 +160,6 @@ func run(addr, frameAddr, watchAddr, metricsAddr, replicas string, rate, burst f
 	defer cancel()
 	if frameLn != nil {
 		frameLn.Close()
-	}
-	if watchLn != nil {
-		watchLn.Close()
 	}
 	if metricsSrv != nil {
 		metricsSrv.Shutdown(shutCtx)

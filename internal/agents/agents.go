@@ -6,7 +6,6 @@
 package agents
 
 import (
-	"sort"
 	"strings"
 	"time"
 
@@ -164,35 +163,12 @@ func Tokens() []string {
 	return out
 }
 
-// ByCategory returns the Table 1 agents in the given category.
-func ByCategory(c Category) []Agent {
-	var out []Agent
-	for _, a := range Table1 {
-		if a.Category == c {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // RealCrawlers returns Table 1 agents that operate actual crawlers
 // (excluding the three virtual control tokens).
 func RealCrawlers() []Agent {
 	var out []Agent
 	for _, a := range Table1 {
 		if !a.VirtualToken {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// VirtualTokens returns the control-only tokens (§6.2: Google-Extended,
-// Applebot-Extended, Webzio-Extended).
-func VirtualTokens() []Agent {
-	var out []Agent
-	for _, a := range Table1 {
-		if a.VirtualToken {
 			out = append(out, a)
 		}
 	}
@@ -311,18 +287,4 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[i:])
-}
-
-// AllCompanies returns the distinct companies of Table 1, sorted.
-func AllCompanies() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, a := range Table1 {
-		if !seen[a.Company] {
-			seen[a.Company] = true
-			out = append(out, a.Company)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

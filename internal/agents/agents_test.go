@@ -29,7 +29,12 @@ func TestTable1TokensUnique(t *testing.T) {
 }
 
 func TestVirtualTokens(t *testing.T) {
-	vt := VirtualTokens()
+	var vt []Agent
+	for _, a := range Table1 {
+		if a.VirtualToken {
+			vt = append(vt, a)
+		}
+	}
 	if len(vt) != 3 {
 		t.Fatalf("virtual tokens = %d, want 3", len(vt))
 	}
@@ -99,9 +104,14 @@ func TestCategories(t *testing.T) {
 			t.Errorf("%s category = %v, want %v", tok, a.Category, want)
 		}
 	}
-	if len(ByCategory(Undocumented)) != 3 {
-		t.Errorf("undocumented agents = %d, want 3 (anthropic-ai, Claude-Web, cohere-ai)",
-			len(ByCategory(Undocumented)))
+	undocumented := 0
+	for _, a := range Table1 {
+		if a.Category == Undocumented {
+			undocumented++
+		}
+	}
+	if undocumented != 3 {
+		t.Errorf("undocumented agents = %d, want 3 (anthropic-ai, Claude-Web, cohere-ai)", undocumented)
 	}
 }
 
@@ -261,27 +271,6 @@ func TestGenericCrawlerUserAgents(t *testing.T) {
 		if uas[i] != again[i] {
 			t.Fatal("generic UA list must be deterministic")
 		}
-	}
-}
-
-func TestAllCompanies(t *testing.T) {
-	cs := AllCompanies()
-	if len(cs) == 0 {
-		t.Fatal("no companies")
-	}
-	for i := 1; i < len(cs); i++ {
-		if cs[i-1] >= cs[i] {
-			t.Fatalf("companies not sorted/unique: %v", cs)
-		}
-	}
-	found := false
-	for _, c := range cs {
-		if c == "OpenAI" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("OpenAI missing")
 	}
 }
 

@@ -23,7 +23,7 @@ var (
 	mVersionSkew = obs.NewGauge("fleet_version_skew",
 		"Distinct snapshot versions live across replicas minus one; nonzero while a rollover is in flight.")
 	mSwapNotify = obs.NewCounter("fleet_swap_notifications_total",
-		"Fleet-version invalidations published to gateway watch subscribers.")
+		"Fleet-wide rollovers: times every replica came to report one new snapshot version.")
 	mGWWireJSON = obs.NewCounter(`fleet_gateway_requests_total{wire="json"}`,
 		"Gateway-level decision requests, by protocol.")
 	mGWWireFrame = obs.NewCounter(`fleet_gateway_requests_total{wire="frame"}`,
@@ -37,11 +37,9 @@ type ReplicaConfig struct {
 	// must be unique and stable (a membership change moves only the
 	// changed name's keys).
 	Name string
-	// FrameAddr is the replica's binary-frame listener ("10.0.0.11:81").
+	// FrameAddr is the replica's binary-frame listener ("10.0.0.11:81"):
+	// routed batches and version probes both travel there.
 	FrameAddr string
-	// WatchAddr is the replica's version watch listener; "" disables
-	// watching (versions are then learned from decide responses only).
-	WatchAddr string
 }
 
 // Config assembles a Gateway.
@@ -55,24 +53,23 @@ type Config struct {
 	Rate, Burst float64
 	// Now is the limiter clock; nil means time.Now.
 	Now func() time.Time
-	// Dial reaches replica FrameAddr/WatchAddr values.
+	// Dial reaches replica FrameAddr values.
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
 }
 
 // Gateway routes decision traffic across policyd replicas: per-tenant
 // rate limiting at admission, each admitted batch sent whole to the
 // replica its first host hashes to on the consistent-hash ring (one
-// replica, one snapshot: a batch cannot straddle versions), and a
-// version feed that tells connected clients when the whole fleet has
-// rolled to a new snapshot.
+// replica, one snapshot: a batch cannot straddle versions), and a fleet
+// version that moves only when every replica has rolled to a new
+// snapshot.
 type Gateway struct {
 	cfg      Config
 	ring     *Ring
 	replicas []*replica
 	limiter  *Limiter
-	feed     *policyd.VersionFeed
 
-	vmu          sync.Mutex
+	vmu          sync.Mutex // guards fleetVersion
 	fleetVersion string
 
 	batches atomic.Uint64
@@ -91,8 +88,7 @@ type replica struct {
 }
 
 // NewGateway validates cfg and builds the gateway. Call Start to begin
-// watching replica versions, then serve with Handler, ServeFrames, and
-// ServeWatch.
+// probing replica versions, then serve with Handler and ServeFrames.
 func NewGateway(cfg Config) (*Gateway, error) {
 	if len(cfg.Replicas) == 0 {
 		return nil, fmt.Errorf("fleet: no replicas configured")
@@ -119,7 +115,6 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		cfg:     cfg,
 		ring:    NewRing(names, cfg.VNodes),
 		limiter: NewLimiter(cfg.Rate, cfg.Burst, cfg.Now),
-		feed:    policyd.NewVersionFeed(""),
 	}
 	for _, rc := range cfg.Replicas {
 		g.replicas = append(g.replicas, &replica{
@@ -135,32 +130,34 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Start launches the per-replica watch loops; they reconnect with
-// backoff until ctx is done. Without Start the gateway still works —
-// versions are learned from decide responses — but swap invalidations
-// reach clients only after the next routed batch.
+// probeInterval is how often each replica is asked for its snapshot
+// version. Routed batches report the version that answered them, so
+// under traffic a swap shows in the fleet view within one batch; only
+// an idle replica waits for its next probe, one interval at most.
+const probeInterval = 20 * time.Millisecond
+
+// probeTimeout bounds each probe exchange and each redial.
+const probeTimeout = 10 * probeInterval
+
+// Start launches one prober per replica; they run until ctx is done.
+// Without Start the gateway still works, but it learns a replica's
+// version only from the batches routed there.
 func (g *Gateway) Start(ctx context.Context) {
 	for _, r := range g.replicas {
-		if r.cfg.WatchAddr != "" {
-			go r.watchLoop(ctx)
-		}
+		go r.probeLoop(ctx)
 	}
 }
 
-// Watch subscribes to fleet-version announcements (published when every
-// replica reports the same version and it changed).
-func (g *Gateway) Watch() (<-chan string, func()) { return g.feed.Watch() }
-
 // FleetVersion returns the last version the whole fleet agreed on, ""
 // before the first agreement is observed.
-func (g *Gateway) FleetVersion() string { return g.feed.Current() }
+func (g *Gateway) FleetVersion() string {
+	g.vmu.Lock()
+	defer g.vmu.Unlock()
+	return g.fleetVersion
+}
 
 // Limiter exposes the gateway's quota ledger.
 func (g *Gateway) Limiter() *Limiter { return g.limiter }
-
-// ServeWatch serves fleet-version invalidations on ln with the policyd
-// watch line protocol.
-func (g *Gateway) ServeWatch(ln net.Listener) error { return g.feed.Serve(ln) }
 
 // Close drains and closes all pooled replica connections.
 func (g *Gateway) Close() {
@@ -177,41 +174,65 @@ func (g *Gateway) Close() {
 	}
 }
 
-func (r *replica) watchLoop(ctx context.Context) {
-	for ctx.Err() == nil {
-		c, err := r.gw.cfg.Dial(ctx, r.cfg.WatchAddr)
-		if err != nil {
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(100 * time.Millisecond):
-			}
-			continue
+// probeLoop asks the replica for its version every probeInterval: an
+// empty RPB2 batch, which a replica answers with zero decisions and its
+// snapshot version. It speaks to the replica on a frame conn of its
+// own, not through routeBatch, because routeBatch answers an empty
+// batch at the gateway without visiting a replica; and not through
+// decideOn, so probes never count as client batches, routed decisions
+// or replica latency. A failed probe closes the conn and the next tick
+// redials.
+func (r *replica) probeLoop(ctx context.Context) {
+	var c net.Conn
+	var fc *policyd.FrameClientV2
+	defer func() {
+		if fc != nil {
+			fc.Close()
 		}
-		done := make(chan struct{})
-		go func() {
-			select {
-			case <-ctx.Done():
-				c.Close()
-			case <-done:
+	}()
+	tick := time.NewTicker(probeInterval)
+	defer tick.Stop()
+	for {
+		if fc == nil {
+			c, fc = r.dialProbe(ctx)
+		} else {
+			c.SetDeadline(time.Now().Add(probeTimeout))
+		}
+		if fc != nil {
+			if _, v, err := fc.Decide(nil, nil); err != nil {
+				fc.Close()
+				fc = nil
+			} else {
+				r.noteVersion(v)
 			}
-		}()
-		_ = policyd.WatchVersions(c, func(v string) bool {
-			r.noteVersion(v)
-			return true
-		})
-		close(done)
-		c.Close()
+		}
 		select {
 		case <-ctx.Done():
 			return
-		case <-time.After(50 * time.Millisecond):
+		case <-tick.C:
 		}
 	}
 }
 
-// noteVersion records a replica's observed snapshot version (from its
-// watch channel or a decide response) and recomputes the fleet view.
+// dialProbe opens the prober's frame conn with the first exchange's
+// deadline already set; nil on failure.
+func (r *replica) dialProbe(ctx context.Context) (net.Conn, *policyd.FrameClientV2) {
+	dctx, cancel := context.WithTimeout(ctx, probeTimeout)
+	defer cancel()
+	c, err := r.gw.cfg.Dial(dctx, r.cfg.FrameAddr)
+	if err != nil {
+		return nil, nil
+	}
+	c.SetDeadline(time.Now().Add(probeTimeout))
+	fc, err := policyd.NewFrameClientV2(c) // closes c on failure
+	if err != nil {
+		return nil, nil
+	}
+	return c, fc
+}
+
+// noteVersion records a replica's observed snapshot version (from a
+// probe or a routed answer) and recomputes the fleet view.
 func (r *replica) noteVersion(v string) {
 	if v == "" {
 		return
@@ -245,8 +266,8 @@ func (g *Gateway) distinctVersions() (distinct []string, unknown int) {
 	return distinct, unknown
 }
 
-// recomputeVersions refreshes the skew gauge and publishes a new fleet
-// version when all replicas agree on one.
+// recomputeVersions refreshes the skew gauge and moves the fleet
+// version when all replicas agree on a new one.
 func (g *Gateway) recomputeVersions() {
 	g.vmu.Lock()
 	defer g.vmu.Unlock()
@@ -254,7 +275,6 @@ func (g *Gateway) recomputeVersions() {
 	mVersionSkew.Set(float64(max(len(distinct)-1, 0)))
 	if len(distinct) == 1 && unknown == 0 && distinct[0] != g.fleetVersion {
 		g.fleetVersion = distinct[0]
-		g.feed.Publish(distinct[0])
 		mSwapNotify.Inc()
 	}
 }

@@ -9,11 +9,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/obs"
 	"repro/internal/policyd"
 )
 
@@ -457,6 +460,25 @@ func TestFrameLoopContract(t *testing.T) {
 			t.Fatalf("next batch on the same connection: %d decisions, version %q, err %v", len(ds), version, err)
 		}
 	})
+
+	// The gateway's probe: an empty batch sent straight to a replica is
+	// answered with zero decisions and the replica's current version.
+	t.Run("replica/empty-batch", func(t *testing.T) {
+		fc, err := f.DialFrameV2(ctx, f.ReplicaFrameAddrs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fc.Close()
+		for _, want := range []string{"v1", "v2"} {
+			if want != "v1" {
+				f.Swap(0, straddleSnapshot(t, want, false, 8))
+			}
+			ds, version, err := fc.Decide(nil, nil)
+			if err != nil || len(ds) != 0 || version != want {
+				t.Fatalf("empty batch: %d decisions, version %q, err %v; want 0 decisions at %s", len(ds), version, err, want)
+			}
+		}
+	})
 }
 
 // TestGatewayRateLimit covers 429 semantics on both wires with a fixed
@@ -553,11 +575,33 @@ func TestGatewayRateLimit(t *testing.T) {
 	}
 }
 
-// TestWatchInvalidation: a client watching the gateway hears exactly the
-// fleet-wide rollovers — the initial agreed version, nothing while the
-// fleet is split mid-rollover, and the new version once every replica
-// swapped.
-func TestWatchInvalidation(t *testing.T) {
+// waitFor polls cond until it holds, failing the test after 5s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func gatewayStats(t *testing.T, f *SimFleet) GatewayStats {
+	t.Helper()
+	var st GatewayStats
+	if err := json.Unmarshal(fetchBody(t, f.Client(), f.GatewayURL+"/v1/stats"), &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestFleetVersionConvergence: the probers move the fleet version
+// exactly at fleet-wide rollovers — the initial agreed version, nothing
+// while the fleet is split mid-rollover, and the new version, counted
+// once, when every replica has swapped. No client traffic flows, so
+// every version the gateway learns comes from a probe.
+func TestFleetVersionConvergence(t *testing.T) {
 	snapA := straddleSnapshot(t, "vAAA", false, 8)
 	snapB := straddleSnapshot(t, "vBBB", true, 8)
 	f, err := NewSimFleet(snapA, 2, Config{})
@@ -565,52 +609,137 @@ func TestWatchInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	ctx := context.Background()
 
-	c, err := f.DialWatch(ctx, f.GatewayWatchAddr)
+	waitFor(t, "fleet version vAAA", func() bool { return f.GW.FleetVersion() == "vAAA" })
+	notified := mSwapNotify.Value()
+
+	// Half-rolled fleet: the gateway sees the split, announces nothing.
+	f.Swap(0, snapB)
+	waitFor(t, "skew 1 on /v1/stats", func() bool { return gatewayStats(t, f).Skew == 1 })
+	time.Sleep(5 * probeInterval)
+	if st := gatewayStats(t, f); st.Version != "vAAA" || st.Skew != 1 {
+		t.Fatalf("split fleet: stats %+v, want version vAAA skew 1", st)
+	}
+	if n := mSwapNotify.Value() - notified; n != 0 {
+		t.Fatalf("split fleet counted %d rollovers", n)
+	}
+
+	// Rollover completes: vBBB, counted exactly once.
+	f.Swap(1, snapB)
+	waitFor(t, "fleet version vBBB", func() bool { return f.GW.FleetVersion() == "vBBB" })
+	time.Sleep(5 * probeInterval)
+	if n := mSwapNotify.Value() - notified; n != 1 {
+		t.Fatalf("rollover counted %d times, want 1", n)
+	}
+	if st := gatewayStats(t, f); st.Version != "vBBB" || st.Skew != 0 {
+		t.Fatalf("stats after rollover: %+v", st)
+	}
+}
+
+// TestProbeIsNotAClientBatch: probes reach the replicas but leave every
+// client-batch tally alone — Stats().Batches, fleet_route_total and
+// fleet_replica_latency_ns.
+func TestProbeIsNotAClientBatch(t *testing.T) {
+	f, err := NewSimFleet(straddleSnapshot(t, "v1", false, 8), 2, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	lines := make(chan string, 16)
-	go policyd.WatchVersions(c, func(v string) bool {
-		lines <- v
-		return true
-	})
-	readLine := func(within time.Duration) (string, bool) {
-		select {
-		case v := <-lines:
-			return v, true
-		case <-time.After(within):
-			return "", false
+	defer f.Close()
+	waitFor(t, "fleet version v1", func() bool { return f.GW.FleetVersion() == "v1" })
+
+	replicaFrames := obs.NewCounter(`policyd_wire_requests_total{wire="frame"}`, "")
+	latency := func() (n uint64) {
+		for _, r := range f.GW.replicas {
+			n += r.mLatency.Snapshot().Count
+		}
+		return n
+	}
+	before, frames0, lat0 := f.GW.Stats(), replicaFrames.Value(), latency()
+	waitFor(t, "ten more probes", func() bool { return replicaFrames.Value()-frames0 >= 10 })
+	after := f.GW.Stats()
+	if after.Batches != before.Batches {
+		t.Errorf("probes counted as %d client batches", after.Batches-before.Batches)
+	}
+	for i := range after.Replicas {
+		if got := after.Replicas[i].Routed - before.Replicas[i].Routed; got != 0 {
+			t.Errorf("probes added %d to fleet_route_total of replica %d", got, i)
+		}
+	}
+	if got := latency() - lat0; got != 0 {
+		t.Errorf("probes observed %d replica latencies", got)
+	}
+}
+
+// probers counts live prober goroutines in the process.
+func probers() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "(*replica).probeLoop(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestProbeUnreachableReplica closes one replica's frame listener.
+// Closing a listener leaves established conns up, as on TCP, so the
+// test also restarts the probers: the new ones must find that replica
+// unreachable on every tick. Meanwhile the fleet version must not move
+// to a version the gateway cannot confirm on every replica, traffic to
+// the healthy replica must still be answered correctly, and cancelling
+// ctx must stop every prober.
+func TestProbeUnreachableReplica(t *testing.T) {
+	snapA := straddleSnapshot(t, "vAAA", false, 96)
+	snapB := straddleSnapshot(t, "vBBB", true, 96)
+	f, err := NewSimFleet(snapA, 2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	waitFor(t, "fleet version vAAA", func() bool { return f.GW.FleetVersion() == "vAAA" })
+
+	f.cancel()
+	waitFor(t, "probers to exit after cancel", func() bool { return probers() == 0 })
+	for _, ln := range f.listeners {
+		if ln.Addr().String() == f.ReplicaFrameAddrs[0] {
+			ln.Close()
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f.GW.Start(ctx)
+	waitFor(t, "one prober per replica", func() bool { return probers() == 2 })
+
+	f.SwapAll(snapB)
+	waitFor(t, "replica 1 to report vBBB", func() bool { return f.GW.Stats().Replicas[1].Version == "vBBB" })
+	time.Sleep(5 * probeInterval)
+	if st := f.GW.Stats(); st.Version != "vAAA" || st.Skew != 1 || st.Replicas[0].Version != "vAAA" {
+		t.Fatalf("fleet announced past an unreachable replica: %+v", st)
+	}
+
+	// A batch whose first host hashes to the healthy replica is answered
+	// there, from vBBB's deny-all policy.
+	ring := NewRing([]string{"policyd-0", "policyd-1"}, 0)
+	qs := straddleBatch(96)
+	for ring.Pick(qs[0].Host) != 1 {
+		qs = qs[1:]
+	}
+	fc, err := f.DialFrameV2(context.Background(), f.GatewayFrameAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	ds, version, err := fc.Decide(qs, nil)
+	if err != nil || version != "vBBB" || len(ds) != len(qs) {
+		t.Fatalf("healthy replica: %d decisions for %d queries, version %q, err %v", len(ds), len(qs), version, err)
+	}
+	for i, d := range ds {
+		if d.Action != policyd.Deny {
+			t.Fatalf("query %d: %v/%v, want deny from vBBB", i, d.Action, d.Signal)
 		}
 	}
 
-	// The watch loops converge on vAAA shortly after Start.
-	v, ok := readLine(5 * time.Second)
-	if !ok || v != "vAAA" {
-		t.Fatalf("initial fleet version %q ok=%v, want vAAA", v, ok)
-	}
-
-	// Half-rolled fleet: no announcement.
-	f.Swap(0, snapB)
-	if v, ok := readLine(300 * time.Millisecond); ok {
-		t.Fatalf("split fleet announced %q", v)
-	}
-
-	// Rollover completes: exactly one vBBB announcement.
-	f.Swap(1, snapB)
-	v, ok = readLine(5 * time.Second)
-	if !ok || v != "vBBB" {
-		t.Fatalf("rollover announced %q ok=%v, want vBBB", v, ok)
-	}
-
-	// Stats reflect convergence.
-	var st GatewayStats
-	if err := json.Unmarshal(fetchBody(t, f.Client(), f.GatewayURL+"/v1/stats"), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Version != "vBBB" || st.Skew != 0 {
-		t.Fatalf("stats after rollover: %+v", st)
-	}
+	cancel()
+	waitFor(t, "probers to exit after cancel", func() bool { return probers() == 0 })
 }

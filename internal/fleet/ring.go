@@ -4,7 +4,7 @@
 // queries on one replica (so that replica's shard maps and parse-cache
 // lines stay hot), per-tenant token-bucket rate limiting with quota
 // accounting at the edge, and snapshot-version-aware batch routing with
-// watch-channel invalidation — the production shape of the paper's
+// a probed fleet version — the production shape of the paper's
 // decision surface under "millions of users" traffic.
 //
 // The package is transport-agnostic the same way policyd is: replicas

@@ -11,10 +11,11 @@ import (
 )
 
 // SimFleet boots a complete fleet on one netsim network: N policyd
-// replicas (each with JSON, frame, and watch listeners) and one gateway
-// (same three listeners), wired together exactly as cmd/policygw wires
-// real TCP. Tests and harnesses get a production-shaped topology with
-// in-memory latency.
+// replicas (each with a JSON and a frame listener) and one gateway (the
+// same two listeners, probing each replica's frame listener for its
+// version), wired together exactly as cmd/policygw wires real TCP.
+// Tests and harnesses get a production-shaped topology with in-memory
+// latency.
 type SimFleet struct {
 	NW *netsim.Network
 	GW *Gateway
@@ -25,7 +26,6 @@ type SimFleet struct {
 	// Gateway addresses, dialable from ClientIP.
 	GatewayURL       string
 	GatewayFrameAddr string
-	GatewayWatchAddr string
 	// Per-replica addresses for direct (gateway-bypassing) access.
 	ReplicaURLs       []string
 	ReplicaFrameAddrs []string
@@ -77,18 +77,7 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 		}
 		go policyd.ServeFrames(frameLn, svc)
 
-		watchLn, err := f.listen(ip, 82)
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		go policyd.ServeWatch(watchLn, svc)
-
-		rcs = append(rcs, ReplicaConfig{
-			Name:      name,
-			FrameAddr: ip + ":81",
-			WatchAddr: ip + ":82",
-		})
+		rcs = append(rcs, ReplicaConfig{Name: name, FrameAddr: ip + ":81"})
 		f.ReplicaURLs = append(f.ReplicaURLs, "http://"+ip+":80")
 		f.ReplicaFrameAddrs = append(f.ReplicaFrameAddrs, ip+":81")
 	}
@@ -122,16 +111,8 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 	}
 	go gw.ServeFrames(gwFrame)
 
-	gwWatch, err := f.listen(gatewayIP, 82)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	go gw.ServeWatch(gwWatch)
-
 	f.GatewayURL = "http://" + gatewayIP + ":80"
 	f.GatewayFrameAddr = gatewayIP + ":81"
-	f.GatewayWatchAddr = gatewayIP + ":82"
 	return f, nil
 }
 
@@ -157,13 +138,8 @@ func (f *SimFleet) DialFrameV2(ctx context.Context, addr string) (*policyd.Frame
 	return policyd.NewFrameClientV2(c)
 }
 
-// DialWatch opens a raw watch connection from ClientIP to addr.
-func (f *SimFleet) DialWatch(ctx context.Context, addr string) (net.Conn, error) {
-	return f.NW.Dial(ctx, ClientIP, addr)
-}
-
-// Swap installs snap on replica i (announcing it on the replica's watch
-// feed, which the gateway is following).
+// Swap installs snap on replica i; the gateway sees the new version on
+// the replica's next answer or probe.
 func (f *SimFleet) Swap(i int, snap *policyd.Snapshot) { f.Services[i].Swap(snap) }
 
 // SwapAll installs snap on every replica.

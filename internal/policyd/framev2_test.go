@@ -111,3 +111,14 @@ func TestFrameV2Serve(t *testing.T) {
 		t.Fatalf("after swap: version %q err %v", version, err)
 	}
 }
+
+func mustSnap(t *testing.T, version string) *Snapshot {
+	t.Helper()
+	b := &Builder{}
+	b.Add("h.test", HostConfig{})
+	sn, err := b.Build(context.Background(), version, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sn
+}

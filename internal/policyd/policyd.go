@@ -133,12 +133,11 @@ func (d Decision) Allowed() bool { return d.Action == Allow }
 type Service struct {
 	snap    atomic.Pointer[Snapshot]
 	queries atomic.Uint64
-	feed    *VersionFeed
 }
 
 // NewService returns a service answering from snap.
 func NewService(snap *Snapshot) *Service {
-	s := &Service{feed: NewVersionFeed(snap.Version)}
+	s := &Service{}
 	s.snap.Store(snap)
 	return s
 }
@@ -146,20 +145,14 @@ func NewService(snap *Snapshot) *Service {
 // Current returns the snapshot queries are being answered from.
 func (s *Service) Current() *Snapshot { return s.snap.Load() }
 
-// Swap atomically installs a new snapshot, announces its version on the
-// watch feed, and returns the previous snapshot. In-flight queries
-// finish against whichever snapshot they loaded.
+// Swap atomically installs a new snapshot and returns the previous one.
+// In-flight queries finish against whichever snapshot they loaded;
+// every answer names its snapshot's version, so clients learn of the
+// swap from the next one.
 func (s *Service) Swap(snap *Snapshot) *Snapshot {
 	mSwaps.Inc()
-	prev := s.snap.Swap(snap)
-	s.feed.Publish(snap.Version)
-	return prev
+	return s.snap.Swap(snap)
 }
-
-// Watch subscribes to snapshot swaps: the returned channel receives the
-// new version after each Swap (coalescing under a slow reader). Cancel
-// with the returned func.
-func (s *Service) Watch() (<-chan string, func()) { return s.feed.Watch() }
 
 // Decide answers one query against the current snapshot.
 func (s *Service) Decide(q Query) Decision {

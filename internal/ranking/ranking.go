@@ -73,26 +73,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Scaled returns a copy of the paper's default configuration with all
-// population sizes multiplied by f (minimum sizes keep the structure
-// valid). Use f=1 for full scale, f=0.1 for quick runs.
-func Scaled(f float64) Config {
-	var c Config
-	c.fillDefaults()
-	scale := func(n int) int {
-		v := int(float64(n) * f)
-		if v < 10 {
-			v = 10
-		}
-		return v
-	}
-	c.TopK = scale(c.TopK)
-	c.TopTier = scale(c.TopTier)
-	c.StableCount = scale(c.StableCount)
-	c.StableTopTierCount = scale(c.StableTopTierCount)
-	return c
-}
-
 // Model generates monthly ranked lists.
 type Model struct {
 	cfg Config

@@ -217,26 +217,11 @@ func TestStableTopKEdgeCases(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	c := Scaled(0.1)
-	if c.TopK != 10_000 || c.TopTier != 500 {
-		t.Fatalf("scaled sizes: %+v", c)
-	}
-	if c.StableCount != 5160 || c.StableTopTierCount != 255 {
-		t.Fatalf("scaled stable sizes: %d, %d", c.StableCount, c.StableTopTierCount)
-	}
-	tiny := Scaled(0.000001)
-	if tiny.TopTier < 10 {
-		t.Fatal("scaling must respect minimum sizes")
-	}
-}
-
 func TestFullScaleConstructionCounts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale model in -short mode")
 	}
-	cfg := Scaled(1.0)
-	cfg.Seed = 42
+	cfg := Config{Seed: 42}
 	m, err := NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -164,43 +164,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Median returns the median of xs, or 0 for empty input.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// WilsonInterval returns the 95% Wilson score interval for k successes out
-// of n trials, as (low, high) proportions in [0, 1].
-func WilsonInterval(k, n int) (low, high float64) {
-	if n == 0 {
-		return 0, 0
-	}
-	const z = 1.959963984540054 // 97.5th percentile of the standard normal
-	p := float64(k) / float64(n)
-	nf := float64(n)
-	denom := 1 + z*z/nf
-	center := (p + z*z/(2*nf)) / denom
-	margin := z * math.Sqrt(p*(1-p)/nf+z*z/(4*nf*nf)) / denom
-	low = center - margin
-	high = center + margin
-	if low < 0 {
-		low = 0
-	}
-	if high > 1 {
-		high = 1
-	}
-	return low, high
-}
-
 // Point is one sample of a labeled time series.
 type Point struct {
 	// Time is the nominal timestamp of the sample (snapshot date).

@@ -12,8 +12,7 @@
 //
 // RFC 9309 §2.2.1 restricts product tokens to letters, hyphens and
 // underscores. Real AI crawler tokens violate this (AI2Bot, 360Spider), so
-// the practical extractor also accepts digits and dots; the strict RFC
-// extractor is kept for the parser-compliance ablation.
+// the extractor also accepts digits and dots, as production matchers do.
 package useragent
 
 import "strings"
@@ -23,25 +22,13 @@ import "strings"
 // mirrors what production robots.txt matchers do: "GPTBot/1.0 (+https://…)"
 // yields "GPTBot", "Mozilla/5.0" yields "Mozilla".
 func ExtractToken(ua string) string {
-	return extract(ua, false)
-}
-
-// ExtractTokenStrict returns the leading product token using the exact
-// RFC 9309 alphabet (letters, '-', '_'). Under this alphabet "AI2Bot"
-// truncates to "AI": the divergence the practical extractor exists to fix.
-func ExtractTokenStrict(ua string) string {
-	return extract(ua, true)
-}
-
-func extract(ua string, strict bool) string {
 	ua = strings.TrimSpace(ua)
 	i := 0
 	for i < len(ua) {
 		c := ua[i]
 		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '-', c == '_':
-			i++
-		case !strict && (c >= '0' && c <= '9' || c == '.'):
+		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
+			c == '-', c == '_', c == '.':
 			i++
 		default:
 			return ua[:i]
@@ -54,21 +41,6 @@ func extract(ua string, strict bool) string {
 // case-insensitive comparison RFC 9309 requires.
 func EqualToken(a, b string) bool {
 	return strings.EqualFold(a, b)
-}
-
-// TokenMatchesPrefix reports whether the robots.txt group name `pattern`
-// matches the crawler token `token` under Google-style prefix semantics:
-// "Googlebot" matches the crawler "Googlebot-News" but "Googlebot-News"
-// does not match the crawler "Googlebot". The comparison is
-// case-insensitive. An empty pattern matches nothing.
-func TokenMatchesPrefix(pattern, token string) bool {
-	if pattern == "" {
-		return false
-	}
-	if len(pattern) > len(token) {
-		return false
-	}
-	return strings.EqualFold(token[:len(pattern)], pattern)
 }
 
 // ContainsFold reports whether s contains substr case-insensitively.

@@ -28,44 +28,12 @@ func TestExtractToken(t *testing.T) {
 	}
 }
 
-func TestExtractTokenStrict(t *testing.T) {
-	// The strict RFC alphabet has no digits: AI2Bot truncates.
-	if got := ExtractTokenStrict("AI2Bot"); got != "AI" {
-		t.Errorf("strict AI2Bot = %q, want AI", got)
-	}
-	if got := ExtractTokenStrict("GPTBot/1.0"); got != "GPTBot" {
-		t.Errorf("strict GPTBot/1.0 = %q", got)
-	}
-	if got := ExtractTokenStrict("Claude-Web"); got != "Claude-Web" {
-		t.Errorf("strict Claude-Web = %q", got)
-	}
-}
-
 func TestEqualToken(t *testing.T) {
 	if !EqualToken("gptbot", "GPTBot") {
 		t.Error("token comparison must be case-insensitive")
 	}
 	if EqualToken("GPTBot", "GPTBot2") {
 		t.Error("distinct tokens must not match")
-	}
-}
-
-func TestTokenMatchesPrefix(t *testing.T) {
-	cases := []struct {
-		pattern, token string
-		want           bool
-	}{
-		{"Googlebot", "Googlebot-News", true},
-		{"Googlebot-News", "Googlebot", false},
-		{"googlebot", "GOOGLEBOT", true},
-		{"", "GPTBot", false},
-		{"GPTBot", "GPTBot", true},
-	}
-	for _, c := range cases {
-		if got := TokenMatchesPrefix(c.pattern, c.token); got != c.want {
-			t.Errorf("TokenMatchesPrefix(%q, %q) = %v, want %v",
-				c.pattern, c.token, got, c.want)
-		}
 	}
 }
 
@@ -130,17 +98,6 @@ func TestContainsFoldProperty(t *testing.T) {
 	f := func(s, sub string) bool {
 		want := strings.Contains(strings.ToLower(s), strings.ToLower(sub))
 		return ContainsFold(s, sub) == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: prefix match is reflexive for non-empty tokens.
-func TestPrefixReflexive(t *testing.T) {
-	f := func(s string) bool {
-		tok := ExtractToken("x" + s) // guarantee non-empty
-		return TokenMatchesPrefix(tok, tok)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

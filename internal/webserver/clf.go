@@ -1,12 +1,8 @@
 package webserver
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-	"time"
 )
 
 // clfTime is the Common Log Format timestamp layout.
@@ -36,89 +32,4 @@ func (s *Site) WriteCLF(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ParseCLF reads Combined Log Format lines back into records. Lines that
-// do not parse are skipped and counted, the way log-analysis pipelines
-// tolerate corrupt entries.
-func ParseCLF(r io.Reader) (records []Record, skipped int, err error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 64*1024), 1024*1024)
-	for scanner.Scan() {
-		rec, ok := parseCLFLine(scanner.Text())
-		if !ok {
-			skipped++
-			continue
-		}
-		records = append(records, rec)
-	}
-	if err := scanner.Err(); err != nil {
-		return records, skipped, fmt.Errorf("webserver: reading log: %w", err)
-	}
-	return records, skipped, nil
-}
-
-func parseCLFLine(line string) (Record, bool) {
-	var rec Record
-	// remote - - [time] "request" status bytes "referer" "ua"
-	sp := strings.IndexByte(line, ' ')
-	if sp < 0 {
-		return rec, false
-	}
-	rec.RemoteIP = line[:sp]
-
-	lb := strings.IndexByte(line, '[')
-	rb := strings.IndexByte(line, ']')
-	if lb < 0 || rb < lb {
-		return rec, false
-	}
-	ts, err := time.Parse(clfTime, line[lb+1:rb])
-	if err != nil {
-		return rec, false
-	}
-	rec.Time = ts
-
-	rest := line[rb+1:]
-	req, rest, ok := quoted(rest)
-	if !ok {
-		return rec, false
-	}
-	parts := strings.Fields(req)
-	if len(parts) < 2 {
-		return rec, false
-	}
-	rec.Path = parts[1]
-
-	fields := strings.Fields(rest)
-	if len(fields) < 2 {
-		return rec, false
-	}
-	status, err1 := strconv.Atoi(fields[0])
-	bytes, err2 := strconv.Atoi(fields[1])
-	if err1 != nil || err2 != nil {
-		return rec, false
-	}
-	rec.Status, rec.Bytes = status, bytes
-
-	// Skip the referer, take the user agent.
-	if _, rest2, ok := quoted(rest); ok {
-		if ua, _, ok := quoted(rest2); ok {
-			rec.UserAgent = ua
-		}
-	}
-	return rec, true
-}
-
-// quoted extracts the first double-quoted segment of s and returns it
-// with the remainder after the closing quote.
-func quoted(s string) (content, rest string, ok bool) {
-	start := strings.IndexByte(s, '"')
-	if start < 0 {
-		return "", "", false
-	}
-	end := strings.IndexByte(s[start+1:], '"')
-	if end < 0 {
-		return "", "", false
-	}
-	return s[start+1 : start+1+end], s[start+2+end:], true
 }

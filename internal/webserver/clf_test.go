@@ -1,6 +1,10 @@
 package webserver
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -34,7 +38,7 @@ func TestFormatCLF(t *testing.T) {
 
 func TestCLFRoundTrip(t *testing.T) {
 	rec := sampleRecord()
-	parsed, skipped, err := ParseCLF(strings.NewReader(FormatCLF(rec) + "\n"))
+	parsed, skipped, err := parseCLF(strings.NewReader(FormatCLF(rec) + "\n"))
 	if err != nil || skipped != 0 {
 		t.Fatalf("parse: %v, skipped=%d", err, skipped)
 	}
@@ -57,7 +61,7 @@ func TestParseCLFSkipsCorruptLines(t *testing.T) {
 		"not a log line\n" +
 		"1.2.3.4 - - [bad time] \"GET / HTTP/1.1\" 200 10 \"-\" \"ua\"\n" +
 		"1.2.3.4 - - [03/Nov/2024:15:04:05 +0000] \"GET / HTTP/1.1\" xx 10 \"-\" \"ua\"\n"
-	parsed, skipped, err := ParseCLF(strings.NewReader(input))
+	parsed, skipped, err := parseCLF(strings.NewReader(input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func TestWriteCLFFromLiveSite(t *testing.T) {
 	if err := site.WriteCLF(&sb); err != nil {
 		t.Fatal(err)
 	}
-	records, skipped, err := ParseCLF(strings.NewReader(sb.String()))
+	records, skipped, err := parseCLF(strings.NewReader(sb.String()))
 	if err != nil || skipped != 0 {
 		t.Fatalf("parse: %v skipped=%d\n%s", err, skipped, sb.String())
 	}
@@ -92,4 +96,89 @@ func TestWriteCLFFromLiveSite(t *testing.T) {
 	if records[1].RemoteIP != "24.0.1.77" {
 		t.Errorf("remote IP lost: %+v", records[1])
 	}
+}
+
+// parseCLF reads Combined Log Format lines back into records. Lines that
+// do not parse are skipped and counted, the way log-analysis pipelines
+// tolerate corrupt entries. It is the round-trip oracle for FormatCLF.
+func parseCLF(r io.Reader) (records []Record, skipped int, err error) {
+	scanner := bufio.NewScanner(r)
+	scanner.Buffer(make([]byte, 64*1024), 1024*1024)
+	for scanner.Scan() {
+		rec, ok := parseCLFLine(scanner.Text())
+		if !ok {
+			skipped++
+			continue
+		}
+		records = append(records, rec)
+	}
+	if err := scanner.Err(); err != nil {
+		return records, skipped, fmt.Errorf("webserver: reading log: %w", err)
+	}
+	return records, skipped, nil
+}
+
+func parseCLFLine(line string) (Record, bool) {
+	var rec Record
+	// remote - - [time] "request" status bytes "referer" "ua"
+	sp := strings.IndexByte(line, ' ')
+	if sp < 0 {
+		return rec, false
+	}
+	rec.RemoteIP = line[:sp]
+
+	lb := strings.IndexByte(line, '[')
+	rb := strings.IndexByte(line, ']')
+	if lb < 0 || rb < lb {
+		return rec, false
+	}
+	ts, err := time.Parse(clfTime, line[lb+1:rb])
+	if err != nil {
+		return rec, false
+	}
+	rec.Time = ts
+
+	rest := line[rb+1:]
+	req, rest, ok := quoted(rest)
+	if !ok {
+		return rec, false
+	}
+	parts := strings.Fields(req)
+	if len(parts) < 2 {
+		return rec, false
+	}
+	rec.Path = parts[1]
+
+	fields := strings.Fields(rest)
+	if len(fields) < 2 {
+		return rec, false
+	}
+	status, err1 := strconv.Atoi(fields[0])
+	bytes, err2 := strconv.Atoi(fields[1])
+	if err1 != nil || err2 != nil {
+		return rec, false
+	}
+	rec.Status, rec.Bytes = status, bytes
+
+	// Skip the referer, take the user agent.
+	if _, rest2, ok := quoted(rest); ok {
+		if ua, _, ok := quoted(rest2); ok {
+			rec.UserAgent = ua
+		}
+	}
+	return rec, true
+}
+
+// quoted extracts the first double-quoted segment of s and returns it
+// with the remainder after the closing quote.
+func quoted(s string) (content, rest string, ok bool) {
+	start := strings.IndexByte(s, '"')
+	if start < 0 {
+		return "", "", false
+	}
+	end := strings.IndexByte(s[start+1:], '"')
+	if end < 0 {
+		return "", "", false
+	}
+	return s[start+1 : start+1+end], s[start+2+end:], true
 }

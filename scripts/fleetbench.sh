@@ -27,11 +27,11 @@ cd "$(dirname "$0")/.."
 
 # Fixed loopback ports. The golden run's spec hash covers the target
 # address, so smoke and golden must agree on these.
-R1_JSON=18561 R1_FRAME=18562 R1_WATCH=18563
-R2_JSON=18571 R2_FRAME=18572 R2_WATCH=18573
-GW_JSON=19561 GW_FRAME=19562 GW_WATCH=19563 GW_METRICS=19564
+R1_JSON=18561 R1_FRAME=18562
+R2_JSON=18571 R2_FRAME=18572
+GW_JSON=19561 GW_FRAME=19562 GW_METRICS=19564
 GW="127.0.0.1:$GW_JSON"
-REPLICAS="127.0.0.1:$R1_JSON:$R1_FRAME:$R1_WATCH,127.0.0.1:$R2_JSON:$R2_FRAME:$R2_WATCH"
+REPLICAS="127.0.0.1:$R1_JSON:$R1_FRAME,127.0.0.1:$R2_JSON:$R2_FRAME"
 
 MODE="${1:-smoke}"
 BIN="$(mktemp -d)"
@@ -77,15 +77,15 @@ wait_fleet_settled() { # gateway /v1/stats must show both replicas on one versio
 start_fleet() { # scale snap advance rate
   local scale=$1 snap=$2 advance=$3 rate=$4
   "$BIN/policyd" -addr 127.0.0.1:$R1_JSON -frame-addr 127.0.0.1:$R1_FRAME \
-    -watch-addr 127.0.0.1:$R1_WATCH -scale "$scale" -snap "$snap" -advance "$advance" &
+    -scale "$scale" -snap "$snap" -advance "$advance" &
   PIDS+=($!)
   "$BIN/policyd" -addr 127.0.0.1:$R2_JSON -frame-addr 127.0.0.1:$R2_FRAME \
-    -watch-addr 127.0.0.1:$R2_WATCH -scale "$scale" -snap "$snap" -advance "$advance" &
+    -scale "$scale" -snap "$snap" -advance "$advance" &
   PIDS+=($!)
   wait_port 127.0.0.1:$R1_JSON
   wait_port 127.0.0.1:$R2_JSON
   "$BIN/policygw" -addr 127.0.0.1:$GW_JSON -frame-addr 127.0.0.1:$GW_FRAME \
-    -watch-addr 127.0.0.1:$GW_WATCH -metrics-addr 127.0.0.1:$GW_METRICS \
+    -metrics-addr 127.0.0.1:$GW_METRICS \
     -replicas "$REPLICAS" -rate "$rate" &
   PIDS+=($!)
   wait_port "$GW"
