@@ -8,6 +8,11 @@
 // pipeline simulation that demonstrates the mechanism's distinguishing
 // property: a robots.txt change cannot retract data a crawler already
 // holds, while an ai.txt change takes effect at training time.
+//
+// It is the only home of ai.txt semantics: the policyd decision service
+// serves parsed Policy values and calls Permitted and MediaOf directly.
+// Both fold case over ASCII only (bytes >= 0x80 compare exactly) and
+// allocate nothing; path patterns match with robots.MatchPattern.
 package aitxt
 
 import (
@@ -16,6 +21,8 @@ import (
 	"io"
 	"sort"
 	"strings"
+
+	"repro/internal/robots"
 )
 
 // MediaType is a content class governed by ai.txt.
@@ -30,8 +37,8 @@ const (
 	MediaCode  MediaType = "code"
 )
 
-// extToMedia maps file extensions to media types, mirroring the
-// published generator's tables (abridged).
+// extToMedia maps lowercase file extensions to media types, mirroring
+// the published generator's tables (abridged).
 var extToMedia = map[string]MediaType{
 	".txt": MediaText, ".html": MediaText, ".htm": MediaText, ".md": MediaText,
 	".pdf": MediaText,
@@ -42,15 +49,32 @@ var extToMedia = map[string]MediaType{
 	".js": MediaCode, ".py": MediaCode, ".go": MediaCode, ".c": MediaCode,
 }
 
-// MediaOf classifies a URL path by extension; text is the default for
-// extension-less paths (HTML pages).
+// maxExtLen is the longest key in extToMedia, dot included.
+const maxExtLen = 5
+
+// MediaOf classifies a URL path by extension, ASCII case-insensitively;
+// text is the default for extension-less paths (HTML pages).
 func MediaOf(path string) MediaType {
-	if i := strings.LastIndexByte(path, '.'); i >= 0 {
-		if mt, ok := extToMedia[strings.ToLower(path[i:])]; ok {
-			return mt
-		}
+	i := strings.LastIndexByte(path, '.')
+	if i < 0 || len(path)-i > maxExtLen {
+		return MediaText
+	}
+	var buf [maxExtLen]byte
+	ext := buf[:len(path)-i]
+	for j := range ext {
+		ext[j] = lowerASCII(path[i+j])
+	}
+	if mt, ok := extToMedia[string(ext)]; ok {
+		return mt
 	}
 	return MediaText
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // Policy is a parsed ai.txt: per-media permissions plus optional path
@@ -130,22 +154,18 @@ func parsePermission(v string) bool {
 func (p *Policy) Permitted(path string) bool {
 	bestLen := -1
 	permitted := true
-	consider := func(patterns []string, allow bool) {
-		for _, pat := range patterns {
-			if pat == "" || !patternMatches(pat, path) {
-				continue
-			}
-			switch {
-			case len(pat) > bestLen:
-				bestLen = len(pat)
-				permitted = allow
-			case len(pat) == bestLen && allow:
-				permitted = true
-			}
+	for _, pat := range p.DisallowPatterns {
+		if pat != "" && len(pat) > bestLen && patternMatches(pat, path) {
+			bestLen = len(pat)
+			permitted = false
 		}
 	}
-	consider(p.DisallowPatterns, false)
-	consider(p.AllowPatterns, true)
+	for _, pat := range p.AllowPatterns {
+		if pat != "" && len(pat) >= bestLen && patternMatches(pat, path) {
+			bestLen = len(pat)
+			permitted = true
+		}
+	}
 	if bestLen >= 0 {
 		return permitted
 	}
@@ -155,40 +175,24 @@ func (p *Policy) Permitted(path string) bool {
 	return true
 }
 
-// patternMatches supports the same prefix + '*' + '$' pattern language as
-// robots.txt, plus bare "*.ext" forms the ai.txt generator emits.
+// patternMatches supports the robots.txt prefix + '*' + '$' pattern
+// language, plus bare "*.ext" forms the ai.txt generator emits, which
+// match the path's suffix ASCII case-insensitively.
 func patternMatches(pattern, path string) bool {
-	if strings.HasPrefix(pattern, "*.") {
-		return strings.HasSuffix(strings.ToLower(path), strings.ToLower(pattern[1:]))
+	if len(pattern) < 2 || pattern[0] != '*' || pattern[1] != '.' {
+		return robots.MatchPattern(pattern, path)
 	}
-	anchored := strings.HasSuffix(pattern, "$")
-	if anchored {
-		pattern = pattern[:len(pattern)-1]
-	} else {
-		pattern += "*"
+	suffix := pattern[1:]
+	off := len(path) - len(suffix)
+	if off < 0 {
+		return false
 	}
-	var p, s, starP, starS int
-	starP, starS = -1, -1
-	for s < len(path) {
-		switch {
-		case p < len(pattern) && pattern[p] == '*':
-			starP, starS = p, s
-			p++
-		case p < len(pattern) && pattern[p] == path[s]:
-			p++
-			s++
-		case starP >= 0:
-			starS++
-			s = starS
-			p = starP + 1
-		default:
+	for j := 0; j < len(suffix); j++ {
+		if lowerASCII(path[off+j]) != lowerASCII(suffix[j]) {
 			return false
 		}
 	}
-	for p < len(pattern) && pattern[p] == '*' {
-		p++
-	}
-	return p == len(pattern)
+	return true
 }
 
 // Generate renders an ai.txt body from per-media permissions and path

@@ -73,6 +73,12 @@ func TestMediaOf(t *testing.T) {
 		"/lib.go":    MediaCode,
 		"/page":      MediaText,
 		"/doc.pdf":   MediaText,
+		"/x.JpEg":    MediaImage,
+		"/x.png?s=1": MediaText,
+		"/x.png/y":   MediaText,
+		"/x.\xffpng": MediaText,
+		"/x.toolong": MediaText,
+		"/x.":        MediaText,
 	}
 	for path, want := range cases {
 		if got := MediaOf(path); got != want {
@@ -156,5 +162,56 @@ func TestPermittedEmptyPolicy(t *testing.T) {
 	p := ParseString("")
 	if !p.Permitted("/anything.png") {
 		t.Fatal("empty ai.txt permits everything")
+	}
+}
+
+// TestPermittedPatterns covers the rule shapes one table at a time:
+// suffix rules fold ASCII case only, '$' anchors, '*' wildcards, and
+// patterns beat media defaults whatever the extension's case.
+func TestPermittedPatterns(t *testing.T) {
+	cases := []struct {
+		body, path string
+		want       bool
+	}{
+		{"Disallow: *.PNG\n", "/a.png", false},
+		{"Disallow: *.png\n", "/A.PNG", false},
+		{"Disallow: *.PNG\n", "/a.\xffpng", true},
+		{"Disallow: *.\xff\n", "/a.\xfe", true},
+		{"Disallow: *.k\n", "/a.\u212a", true}, // Kelvin sign
+		{"Disallow: /gallery/\n", "/gallery/piece.html", false},
+		{"Disallow: /*.pdf$\n", "/doc.pdf", false},
+		{"Disallow: /*.pdf$\n", "/doc.pdf?x=1", true},
+		{"Disallow: /a$\n", "/a", false},
+		{"Disallow: /a$\n", "/ab", true},
+		{"Disallow: $\n", "/a", true},
+		{"Disallow: /private/\nAllow: /private/\n", "/private/x", true},
+		{"Disallow: /p*/x\nAllow: /p\n", "/priv/x", false},
+		{"Image: N\n", "/piece.PNG", false},
+		{"Image: N\n", "/about.html", true},
+		{"Image: N\nDisallow: /gallery/\n", "/piece.PNG", false},
+	}
+	for _, c := range cases {
+		if got := ParseString(c.body).Permitted(c.path); got != c.want {
+			t.Errorf("Permitted(%q) under %q = %v, want %v", c.path, c.body, got, c.want)
+		}
+	}
+}
+
+func TestPermittedZeroAlloc(t *testing.T) {
+	cases := []struct {
+		name, body, path string
+	}{
+		{"suffix", "Disallow: *.PNG\n", "/gallery/piece.png"},
+		{"anchored", "Disallow: /*.pdf$\nAllow: /public/\n", "/public/doc.pdf"},
+		{"media default", "Image: N\nDisallow: /private/\n", "/art/piece.JPG"},
+	}
+	for _, c := range cases {
+		p := ParseString(c.body)
+		if allocs := testing.AllocsPerRun(100, func() { p.Permitted(c.path) }); allocs != 0 {
+			t.Errorf("%s: Permitted allocated %v/op, want 0", c.name, allocs)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { MediaOf("/x.PNG") }); allocs != 0 {
+		t.Errorf("MediaOf allocated %v/op, want 0", allocs)
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/robots"
+	"repro/internal/useragent"
 )
 
 // Query asks whether one agent may fetch one path on one host. Agent may
@@ -227,12 +228,15 @@ func (s *Service) Stats() Stats {
 	}
 }
 
-// Decide answers one query against this snapshot. The hot path — a host
-// in the snapshot queried with an agent from the compiled roster —
-// performs no allocations: host lookup is a shard-map probe, the agent
-// resolves through the snapshot-wide roster index to precompiled
-// per-host access views, and path matching reuses the robots.txt
-// matcher's allocation-free routines.
+// Decide answers one query against this snapshot by composing the
+// signal packages in precedence order: useragent.MatchesAny (or its
+// precomputed roster verdict), robots.Access.Allowed, aitxt's
+// Policy.Permitted, then the meta directives classified by
+// aitxt.MediaOf. The hot path — a host in the snapshot queried with an
+// agent from the compiled roster — performs no allocations: host lookup
+// is a shard-map probe, the agent resolves through the snapshot-wide
+// roster index to precompiled per-host views, and every signal check is
+// allocation-free.
 func (sn *Snapshot) Decide(q Query) Decision {
 	hp := sn.lookup(q.Host)
 	if hp == nil {
@@ -246,7 +250,7 @@ func (sn *Snapshot) Decide(q Query) Decision {
 		if known {
 			blocked = hp.blocked[id]
 		} else {
-			blocked = matchesAnyFold(q.Agent, hp.blockPatterns)
+			_, blocked = useragent.MatchesAny(q.Agent, hp.blockPatterns)
 		}
 		if blocked {
 			return Decision{Action: Block, Signal: SignalBlocker}
@@ -274,7 +278,7 @@ func (sn *Snapshot) Decide(q Query) Decision {
 	}
 
 	// ai.txt: use-time consent (§2.2).
-	if hp.ai != nil && !hp.ai.permitted(q.Path) {
+	if hp.ai != nil && !hp.ai.Permitted(q.Path) {
 		return Decision{Action: Deny, Signal: SignalAITxt}
 	}
 
@@ -283,57 +287,6 @@ func (sn *Snapshot) Decide(q Query) Decision {
 		return Decision{Action: Deny, Signal: SignalMeta}
 	}
 	return Decision{Action: Allow, Signal: robotsSignal}
-}
-
-// matchesAnyFold is the slow-path blocklist check for agents outside the
-// compiled roster: case-insensitive substring match against each
-// pattern, the same semantics webserver UA blockers use.
-func matchesAnyFold(agent string, patterns []string) bool {
-	for _, p := range patterns {
-		if p == "" {
-			continue
-		}
-		if containsFold(agent, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// containsFold reports whether s contains substr ASCII-case-
-// insensitively without allocating (unlike strings.ToLower).
-func containsFold(s, substr string) bool {
-	if len(substr) == 0 {
-		return true
-	}
-	if len(substr) > len(s) {
-		return false
-	}
-	for i := 0; i+len(substr) <= len(s); i++ {
-		if equalFoldAt(s, i, substr) {
-			return true
-		}
-	}
-	return false
-}
-
-func equalFoldAt(s string, off int, substr string) bool {
-	for j := 0; j < len(substr); j++ {
-		a, b := s[off+j], substr[j]
-		if a == b {
-			continue
-		}
-		if 'A' <= a && a <= 'Z' {
-			a += 'a' - 'A'
-		}
-		if 'A' <= b && b <= 'Z' {
-			b += 'a' - 'A'
-		}
-		if a != b {
-			return false
-		}
-	}
-	return true
 }
 
 // foldHost lowercases a host only when needed, so the common all-

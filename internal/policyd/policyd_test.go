@@ -116,6 +116,8 @@ func TestDecideZeroAlloc(t *testing.T) {
 		{"plain.test", "GPTBot", "/admin/x"},
 		{"ai-restricted.test", "CCBot", "/about"},
 		{"aitxt.test", "ClaudeBot", "/gallery/piece.html"},
+		{"aitxt.test", "GPTBot", "/piece.PNG"},
+		{"aitxt.test", "CCBot", "/about.html"},
 		{"meta.test", "GPTBot", "/art.jpg"},
 		{"blocked.test", "Bytespider", "/"},
 		{"norobots.test", "Googlebot", "/x"},

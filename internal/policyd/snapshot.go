@@ -11,6 +11,7 @@ import (
 	"repro/internal/metatags"
 	"repro/internal/par"
 	"repro/internal/robots"
+	"repro/internal/useragent"
 )
 
 // DefaultShards is the shard count used when a Builder does not specify
@@ -33,14 +34,15 @@ type HostConfig struct {
 	Blocklist []string
 }
 
-// hostPolicy is a host's compiled, query-ready form.
+// hostPolicy is a host's query-ready form: the parsed artifacts of each
+// signal package plus the roster precomputations.
 type hostPolicy struct {
 	robots *robots.Robots
 	// access precomputes the robots view per roster agent (indexed by
 	// Snapshot.agentIDs), so roster queries never touch the Robots
 	// value's internal memo.
 	access []robots.Access
-	ai     *aiPolicy
+	ai     *aitxt.Policy
 	meta   metaPolicy
 	// blockPatterns is nil when the host does not block; blocked
 	// precomputes the roster verdicts.
@@ -55,9 +57,13 @@ type shard struct {
 	hosts map[string]*hostPolicy
 }
 
-// Snapshot is an immutable compiled policy index. Build one with a
-// Builder (or FromCorpus) and serve it through a Service; all methods
-// are safe for unlimited concurrent use.
+// Snapshot is an immutable policy index: host to parsed artifacts
+// (robots.Robots, aitxt.Policy, meta directives, blocklist), plus the
+// robots views and block verdicts precomputed per roster agent. The
+// signal semantics live in the robots, aitxt and useragent packages;
+// the snapshot only indexes and composes them. Build one with a Builder
+// (or FromCorpus) and serve it through a Service; all methods are safe
+// for unlimited concurrent use.
 type Snapshot struct {
 	// Version labels the snapshot in stats output ("2024-42", …).
 	Version string
@@ -138,7 +144,9 @@ type Builder struct {
 	Shards int
 	// Roster lists the agents to precompile per host; nil means
 	// DefaultRoster. Queries for agents outside the roster are still
-	// answered correctly, just through the allocating slow path.
+	// answered correctly, through the slow path: the blocklist is
+	// scanned with useragent.MatchesAny and the robots view comes from
+	// the Robots value's memo, which allocates on an agent's first query.
 	Roster []string
 	// Prev, when set, enables incremental recompilation: a staged host
 	// whose config is policy-equivalent to its compiled form in Prev
@@ -290,7 +298,7 @@ func compileHost(cfg HostConfig, roster []string) *hostPolicy {
 		}
 	}
 	if cfg.AITxt != "" {
-		hp.ai = compileAIPolicy(aitxt.ParseString(cfg.AITxt))
+		hp.ai = aitxt.ParseString(cfg.AITxt)
 	}
 	if cfg.MetaHTML != "" {
 		d := metatags.Scan(cfg.MetaHTML)
@@ -300,7 +308,7 @@ func compileHost(cfg HostConfig, roster []string) *hostPolicy {
 		hp.blockPatterns = cfg.Blocklist
 		hp.blocked = make([]bool, len(roster))
 		for i, a := range roster {
-			hp.blocked[i] = matchesAnyFold(a, cfg.Blocklist)
+			_, hp.blocked[i] = useragent.MatchesAny(a, cfg.Blocklist)
 		}
 	}
 	return hp
@@ -319,184 +327,7 @@ func (m metaPolicy) denies(path string) bool {
 	if m.noAI {
 		return true
 	}
-	return m.noImageAI && mediaOfPath(path) == aitxt.MediaImage
-}
-
-// aiPolicy is the compiled, allocation-free form of an ai.txt file. It
-// mirrors aitxt.Policy.Permitted exactly: path patterns beat media
-// defaults, the longest (raw-length) matching pattern wins, allow wins
-// ties, and absent media types default to permitted.
-type aiPolicy struct {
-	rules []aiRule
-	// media holds per-type tri-state permissions indexed by mediaIndex:
-	// -1 unset, 0 denied, 1 permitted.
-	media [nMediaTypes]int8
-}
-
-type aiRule struct {
-	// pat is the match pattern: for suffix rules the ".ext" suffix, for
-	// anchored rules the pattern with '$' stripped, otherwise verbatim.
-	pat string
-	// rawLen is the original pattern's length, the specificity metric
-	// aitxt uses for precedence.
-	rawLen   int
-	suffix   bool
-	anchored bool
-	allow    bool
-}
-
-const nMediaTypes = 5
-
-// mediaOrder fixes the media-type indexing of aiPolicy.media.
-var mediaOrder = [nMediaTypes]aitxt.MediaType{
-	aitxt.MediaText, aitxt.MediaImage, aitxt.MediaAudio, aitxt.MediaVideo, aitxt.MediaCode,
-}
-
-func mediaIndex(mt aitxt.MediaType) int {
-	for i, m := range mediaOrder {
-		if m == mt {
-			return i
-		}
-	}
-	return 0 // aitxt defaults unknown paths to text
-}
-
-// compileAIPolicy flattens a parsed policy. Disallow patterns compile
-// before allow patterns, preserving Permitted's evaluation order.
-func compileAIPolicy(p *aitxt.Policy) *aiPolicy {
-	out := &aiPolicy{}
-	for i := range out.media {
-		out.media[i] = -1
-	}
-	for mt, allowed := range p.Media {
-		v := int8(0)
-		if allowed {
-			v = 1
-		}
-		out.media[mediaIndex(mt)] = v
-	}
-	add := func(pats []string, allow bool) {
-		for _, pat := range pats {
-			if pat == "" {
-				continue
-			}
-			r := aiRule{rawLen: len(pat), allow: allow}
-			switch {
-			case len(pat) >= 2 && pat[0] == '*' && pat[1] == '.':
-				r.suffix = true
-				r.pat = pat[1:]
-			case pat[len(pat)-1] == '$':
-				r.anchored = true
-				r.pat = pat[:len(pat)-1]
-			default:
-				r.pat = pat
-			}
-			out.rules = append(out.rules, r)
-		}
-	}
-	add(p.DisallowPatterns, false)
-	add(p.AllowPatterns, true)
-	return out
-}
-
-// permitted reports whether AI use of path is allowed, with
-// aitxt.Policy.Permitted's exact semantics but no allocations.
-func (p *aiPolicy) permitted(path string) bool {
-	bestLen := -1
-	permitted := true
-	for _, r := range p.rules {
-		if !r.match(path) {
-			continue
-		}
-		switch {
-		case r.rawLen > bestLen:
-			bestLen = r.rawLen
-			permitted = r.allow
-		case r.rawLen == bestLen && r.allow:
-			permitted = true
-		}
-	}
-	if bestLen >= 0 {
-		return permitted
-	}
-	if v := p.media[mediaIndex(mediaOfPath(path))]; v >= 0 {
-		return v == 1
-	}
-	return true
-}
-
-func (r aiRule) match(path string) bool {
-	if r.suffix {
-		n := len(r.pat)
-		return len(path) >= n && equalFoldAt(path, len(path)-n, r.pat)
-	}
-	return wildcardMatch(r.pat, path, r.anchored)
-}
-
-// wildcardMatch reports whether pattern (with '*' wildcards) matches
-// path, greedily with backtracking; when anchored is false the pattern
-// carries an implicit trailing '*'. Same routine as the robots.txt
-// matcher, duplicated here because patterns were pre-split differently.
-func wildcardMatch(pattern, path string, anchored bool) bool {
-	var p, s, starP, starS int
-	starP, starS = -1, -1
-	for s < len(path) {
-		if !anchored && p == len(pattern) {
-			return true
-		}
-		switch {
-		case p < len(pattern) && pattern[p] == '*':
-			starP, starS = p, s
-			p++
-		case p < len(pattern) && pattern[p] == path[s]:
-			p++
-			s++
-		case starP >= 0:
-			starS++
-			s = starS
-			p = starP + 1
-		default:
-			return false
-		}
-	}
-	for p < len(pattern) && pattern[p] == '*' {
-		p++
-	}
-	return p == len(pattern)
-}
-
-// mediaOfPath mirrors aitxt.MediaOf without allocating: classify by
-// extension, defaulting to text.
-func mediaOfPath(path string) aitxt.MediaType {
-	i := len(path) - 1
-	for i >= 0 && path[i] != '.' && path[i] != '/' {
-		i--
-	}
-	if i < 0 || path[i] != '.' {
-		return aitxt.MediaText
-	}
-	ext := path[i:]
-	for _, e := range mediaExts {
-		if len(ext) == len(e.ext) && equalFoldAt(ext, 0, e.ext) {
-			return e.mt
-		}
-	}
-	return aitxt.MediaText
-}
-
-// mediaExts mirrors the aitxt extension tables.
-var mediaExts = []struct {
-	ext string
-	mt  aitxt.MediaType
-}{
-	{".txt", aitxt.MediaText}, {".html", aitxt.MediaText}, {".htm", aitxt.MediaText},
-	{".md", aitxt.MediaText}, {".pdf", aitxt.MediaText},
-	{".jpg", aitxt.MediaImage}, {".jpeg", aitxt.MediaImage}, {".png", aitxt.MediaImage},
-	{".gif", aitxt.MediaImage}, {".webp", aitxt.MediaImage}, {".svg", aitxt.MediaImage},
-	{".mp3", aitxt.MediaAudio}, {".wav", aitxt.MediaAudio}, {".flac", aitxt.MediaAudio},
-	{".mp4", aitxt.MediaVideo}, {".webm", aitxt.MediaVideo}, {".mov", aitxt.MediaVideo},
-	{".js", aitxt.MediaCode}, {".py", aitxt.MediaCode}, {".go", aitxt.MediaCode},
-	{".c", aitxt.MediaCode},
+	return m.noImageAI && aitxt.MediaOf(path) == aitxt.MediaImage
 }
 
 // String renders a compact identity for logs.

@@ -187,7 +187,7 @@ func (a Access) Allowed(path string) bool {
 			if r.Path == "" {
 				continue
 			}
-			if matchPattern(a.normPat(i), path) {
+			if MatchPattern(a.normPat(i), path) {
 				return r.Allow
 			}
 		}
@@ -200,7 +200,7 @@ func (a Access) Allowed(path string) bool {
 			continue // empty pattern matches nothing
 		}
 		pat := a.normPat(i)
-		if !matchPattern(pat, path) {
+		if !MatchPattern(pat, path) {
 			continue
 		}
 		pl := patternPriority(pat)
@@ -234,11 +234,13 @@ func (rb *Robots) Allowed(ua, path string) bool {
 // precedence: its length in bytes (Google uses the same metric).
 func patternPriority(pat string) int { return len(pat) }
 
-// matchPattern reports whether a robots.txt pattern matches the path.
+// MatchPattern reports whether a robots.txt pattern matches the path.
 // Patterns are prefix patterns: "/foo" matches "/foobar" and "/foo/baz".
 // '*' matches any run of characters (including the empty run); '$' at the
-// very end anchors the pattern to the end of the path.
-func matchPattern(pattern, path string) bool {
+// very end anchors the pattern to the end of the path. It is the one
+// '*'/'$' matcher in the tree: ai.txt path patterns use it too. It
+// compares bytes exactly and allocates nothing; callers normalize.
+func MatchPattern(pattern, path string) bool {
 	if strings.HasSuffix(pattern, "$") {
 		return matchFull(pattern[:len(pattern)-1], path, true)
 	}

@@ -47,8 +47,8 @@ func TestMatchPattern(t *testing.T) {
 		{"/*/", "/a", false},
 	}
 	for _, c := range cases {
-		if got := matchPattern(c.pattern, c.path); got != c.want {
-			t.Errorf("matchPattern(%q, %q) = %v, want %v",
+		if got := MatchPattern(c.pattern, c.path); got != c.want {
+			t.Errorf("MatchPattern(%q, %q) = %v, want %v",
 				c.pattern, c.path, got, c.want)
 		}
 	}
@@ -118,7 +118,7 @@ func TestEmptyPathDefaultsToRoot(t *testing.T) {
 func TestMatchSelfProperty(t *testing.T) {
 	f := func(s string) bool {
 		p := "/" + strings.NewReplacer("*", "", "$", "", "#", "").Replace(s)
-		return matchPattern(p, p)
+		return MatchPattern(p, p)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestMatchPrefixMonotonic(t *testing.T) {
 		}
 		p := "/" + clean(a)
 		path := p + clean(b)
-		return matchPattern(p, path)
+		return MatchPattern(p, path)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -13,6 +13,10 @@
 // RFC 9309 §2.2.1 restricts product tokens to letters, hyphens and
 // underscores. Real AI crawler tokens violate this (AI2Bot, 360Spider), so
 // the extractor also accepts digits and dots, as production matchers do.
+//
+// Blocklist matching (ContainsFold, MatchesAny) is the one implementation
+// every blocker in the tree uses, the policyd decision service included.
+// It folds ASCII case only and never allocates.
 package useragent
 
 import "strings"
@@ -43,23 +47,42 @@ func EqualToken(a, b string) bool {
 	return strings.EqualFold(a, b)
 }
 
-// ContainsFold reports whether s contains substr case-insensitively.
-// Active-blocking rule lists ("CCBot/", "anthropic-ai") are matched this
-// way against the full User-Agent header.
+// ContainsFold reports whether s contains substr, folding ASCII case
+// only: bytes >= 0x80 compare exactly, because User-Agent values are
+// ASCII on the wire. Active-blocking rule lists ("CCBot/",
+// "anthropic-ai") are matched this way against the full User-Agent
+// header. It allocates nothing.
 func ContainsFold(s, substr string) bool {
-	if substr == "" {
-		return true
+	for i := 0; i+len(substr) <= len(s); i++ {
+		if equalFoldASCII(s[i:i+len(substr)], substr) {
+			return true
+		}
 	}
-	if len(substr) > len(s) {
-		return false
+	return false
+}
+
+// equalFoldASCII reports whether a and b, of equal length, are equal
+// under ASCII case folding.
+func equalFoldASCII(a, b string) bool {
+	for j := 0; j < len(b); j++ {
+		if lowerASCII(a[j]) != lowerASCII(b[j]) {
+			return false
+		}
 	}
-	ls, lsub := strings.ToLower(s), strings.ToLower(substr)
-	return strings.Contains(ls, lsub)
+	return true
+}
+
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
 }
 
 // MatchesAny reports whether the full user-agent string ua matches any of
-// the substring patterns, case-insensitively. It returns the first pattern
-// that matched, or "" when none did.
+// the substring patterns under ContainsFold's ASCII case folding. It
+// returns the first pattern that matched, or "" when none did; empty
+// patterns match nothing. It allocates nothing.
 func MatchesAny(ua string, patterns []string) (string, bool) {
 	for _, p := range patterns {
 		if p == "" {

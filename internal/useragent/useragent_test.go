@@ -93,13 +93,62 @@ func TestExtractTokenProperties(t *testing.T) {
 	}
 }
 
-// Property: ContainsFold agrees with strings.Contains on lowered inputs.
+// Property: ContainsFold agrees with strings.Contains on ASCII-lowered
+// inputs.
 func TestContainsFoldProperty(t *testing.T) {
+	lower := func(s string) string {
+		return strings.Map(func(r rune) rune {
+			if 'A' <= r && r <= 'Z' {
+				return r + 'a' - 'A'
+			}
+			return r
+		}, s)
+	}
 	f := func(s, sub string) bool {
-		want := strings.Contains(strings.ToLower(s), strings.ToLower(sub))
+		want := strings.Contains(lower(s), lower(sub))
 		return ContainsFold(s, sub) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestContainsFoldASCIIOnly pins the fold to ASCII: bytes >= 0x80
+// compare exactly, so distinct invalid bytes and non-ASCII letters that
+// Unicode lower-casing would map together stay distinct.
+func TestContainsFoldASCIIOnly(t *testing.T) {
+	cases := []struct {
+		s, substr string
+		want      bool
+	}{
+		{"\xfe", "\xff", false},
+		{"\xff", "\xff", true},
+		{"\u212a", "k", false}, // Kelvin sign
+		{"k", "\u212a", false},
+		{"\u212a", "\u212a", true},
+		{FullUA("ccbot", "2.0"), "CCBot/", true},
+		{"Mozilla/5.0 (compatible; cCbOt/2.0)", "CCBot/", true},
+		{"Mozilla/5.0 (compatible; CCBot 2.0)", "CCBot/", false},
+	}
+	for _, c := range cases {
+		if got := ContainsFold(c.s, c.substr); got != c.want {
+			t.Errorf("ContainsFold(%q, %q) = %v, want %v", c.s, c.substr, got, c.want)
+		}
+		_, got := MatchesAny(c.s, []string{c.substr})
+		if want := c.want && c.substr != ""; got != want {
+			t.Errorf("MatchesAny(%q, [%q]) = %v, want %v", c.s, c.substr, got, want)
+		}
+	}
+}
+
+func TestMatchesAnyZeroAlloc(t *testing.T) {
+	ua := "Mozilla/5.0 AppleWebKit/537.36 (KHTML, like Gecko); compatible; ClaudeBot/1.0"
+	patterns := []string{"GPTBot", "CCBot/", "anthropic-ai", "claudebot"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := MatchesAny(ua, patterns); !ok {
+			t.Fatal("claudebot must match")
+		}
+	}); allocs != 0 {
+		t.Fatalf("MatchesAny allocated %v/op, want 0", allocs)
 	}
 }
