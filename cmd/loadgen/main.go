@@ -330,7 +330,7 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 		// as the quotas.json semantic segment. Plain policyd replicas
 		// don't serve /v1/quotas — that's "no segment", not an error.
 		quotas := fetchQuotas(targets)
-		id, err := st.SaveLoadgenQuotas(runstore.NewMeta(runstore.KindLoadgen, runName, seed, specKey), mix, quotas, snapData)
+		id, err := st.SaveLoadgen(runstore.NewMeta(runstore.KindLoadgen, runName, seed, specKey), mix, quotas, snapData)
 		if err != nil {
 			return err
 		}

@@ -32,9 +32,9 @@ type MediaType string
 const (
 	MediaText  MediaType = "text"
 	MediaImage MediaType = "image"
-	MediaAudio MediaType = "audio"
-	MediaVideo MediaType = "video"
-	MediaCode  MediaType = "code"
+	mediaAudio MediaType = "audio"
+	mediaVideo MediaType = "video"
+	mediaCode  MediaType = "code"
 )
 
 // extToMedia maps lowercase file extensions to media types, mirroring
@@ -44,9 +44,9 @@ var extToMedia = map[string]MediaType{
 	".pdf": MediaText,
 	".jpg": MediaImage, ".jpeg": MediaImage, ".png": MediaImage,
 	".gif": MediaImage, ".webp": MediaImage, ".svg": MediaImage,
-	".mp3": MediaAudio, ".wav": MediaAudio, ".flac": MediaAudio,
-	".mp4": MediaVideo, ".webm": MediaVideo, ".mov": MediaVideo,
-	".js": MediaCode, ".py": MediaCode, ".go": MediaCode, ".c": MediaCode,
+	".mp3": mediaAudio, ".wav": mediaAudio, ".flac": mediaAudio,
+	".mp4": mediaVideo, ".webm": mediaVideo, ".mov": mediaVideo,
+	".js": mediaCode, ".py": mediaCode, ".go": mediaCode, ".c": mediaCode,
 }
 
 // maxExtLen is the longest key in extToMedia, dot included.
@@ -92,9 +92,9 @@ type Policy struct {
 	Warnings []string
 }
 
-// Parse reads an ai.txt body. Like robots.txt parsing it is lenient:
+// parse reads an ai.txt body. Like robots.txt parsing it is lenient:
 // unknown lines produce warnings, never errors.
-func Parse(r io.Reader) (*Policy, error) {
+func parse(r io.Reader) (*Policy, error) {
 	p := &Policy{Media: make(map[MediaType]bool)}
 	scanner := bufio.NewScanner(r)
 	for scanner.Scan() {
@@ -135,7 +135,7 @@ func Parse(r io.Reader) (*Policy, error) {
 
 // ParseString parses an in-memory ai.txt body.
 func ParseString(s string) *Policy {
-	p, _ := Parse(strings.NewReader(s))
+	p, _ := parse(strings.NewReader(s))
 	return p
 }
 
@@ -232,39 +232,4 @@ func titleASCII(s string) string {
 		b[0] -= 'a' - 'A'
 	}
 	return string(b)
-}
-
-// Asset is one collected resource in a training corpus.
-type Asset struct {
-	Site string
-	Path string
-}
-
-// TrainingPipeline simulates the mechanism difference the paper explains:
-// robots.txt gates *collection*, ai.txt gates *use*. Assets enter the
-// corpus at crawl time; Filter applies the sites' current ai.txt at
-// training time.
-type TrainingPipeline struct {
-	corpus []Asset
-}
-
-// Collect adds crawled assets to the training corpus.
-func (t *TrainingPipeline) Collect(assets ...Asset) {
-	t.corpus = append(t.corpus, assets...)
-}
-
-// CorpusSize returns the number of collected assets.
-func (t *TrainingPipeline) CorpusSize() int { return len(t.corpus) }
-
-// Filter returns the assets whose current ai.txt (looked up per site)
-// still permits training. Sites without ai.txt permit everything.
-func (t *TrainingPipeline) Filter(policyFor func(site string) *Policy) []Asset {
-	var usable []Asset
-	for _, a := range t.corpus {
-		p := policyFor(a.Site)
-		if p == nil || p.Permitted(a.Path) {
-			usable = append(usable, a)
-		}
-	}
-	return usable
 }

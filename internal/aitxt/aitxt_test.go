@@ -68,9 +68,9 @@ Disallow: *.png
 func TestMediaOf(t *testing.T) {
 	cases := map[string]MediaType{
 		"/a/b.PNG":   MediaImage,
-		"/x.mp3":     MediaAudio,
-		"/clip.webm": MediaVideo,
-		"/lib.go":    MediaCode,
+		"/x.mp3":     mediaAudio,
+		"/clip.webm": mediaVideo,
+		"/lib.go":    mediaCode,
 		"/page":      MediaText,
 		"/doc.pdf":   MediaText,
 		"/x.JpEg":    MediaImage,
@@ -116,31 +116,34 @@ func TestUnknownDirectivesWarn(t *testing.T) {
 // training time, even for already-collected data; robots.txt cannot do
 // that.
 func TestRetroactiveOptOut(t *testing.T) {
-	var tp TrainingPipeline
-	tp.Collect(
-		Asset{Site: "artist.example", Path: "/gallery/a.png"},
-		Asset{Site: "artist.example", Path: "/about.html"},
-		Asset{Site: "other.example", Path: "/photo.jpg"},
-	)
-	if tp.CorpusSize() != 3 {
-		t.Fatal("collection failed")
+	type asset struct{ site, path string }
+	collected := []asset{
+		{"artist.example", "/gallery/a.png"},
+		{"artist.example", "/about.html"},
+		{"other.example", "/photo.jpg"},
 	}
-
-	// Before any opt-out: everything usable.
 	policies := map[string]*Policy{}
-	lookup := func(site string) *Policy { return policies[site] }
-	if got := len(tp.Filter(lookup)); got != 3 {
+	usable := func() []asset { // the training-time filter
+		var out []asset
+		for _, a := range collected {
+			if p := policies[a.site]; p == nil || p.Permitted(a.path) {
+				out = append(out, a)
+			}
+		}
+		return out
+	}
+	if got := len(usable()); got != 3 {
 		t.Fatalf("usable = %d, want 3", got)
 	}
 
 	// The artist publishes ai.txt denying images — AFTER the crawl.
 	policies["artist.example"] = ParseString("Image: N\n")
-	usable := tp.Filter(lookup)
-	if len(usable) != 2 {
-		t.Fatalf("usable = %d, want 2 (the png retracted)", len(usable))
+	left := usable()
+	if len(left) != 2 {
+		t.Fatalf("usable = %d, want 2 (the png retracted)", len(left))
 	}
-	for _, a := range usable {
-		if a.Path == "/gallery/a.png" {
+	for _, a := range left {
+		if a.path == "/gallery/a.png" {
 			t.Error("retracted image still usable")
 		}
 	}

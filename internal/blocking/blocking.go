@@ -31,13 +31,13 @@ import (
 	"repro/internal/webserver"
 )
 
-// FingerprintHeader is the request header the probe tool carries; it
+// fingerprintHeader is the request header the probe tool carries; it
 // stands in for the browser fingerprint surface real anti-bot services
 // inspect.
-const FingerprintHeader = "X-Client-Fingerprint"
+const fingerprintHeader = "X-Client-Fingerprint"
 
-// FingerprintHeadless is the probe tool's fingerprint value.
-const FingerprintHeadless = "headless-chromium-selenium"
+// fingerprintHeadless is the probe tool's fingerprint value.
+const fingerprintHeadless = "headless-chromium-selenium"
 
 // BlockStyle is how a site responds to a blocked request.
 type BlockStyle int
@@ -45,12 +45,12 @@ type BlockStyle int
 const (
 	// StyleForbidden returns 403 with a short block page.
 	StyleForbidden BlockStyle = iota
-	// StyleChallenge returns a CAPTCHA-like challenge page with 403.
-	StyleChallenge
-	// StyleSoft200 returns HTTP 200 with a stub page instead of content —
+	// styleChallenge returns a CAPTCHA-like challenge page with 403.
+	styleChallenge
+	// styleSoft200 returns HTTP 200 with a stub page instead of content —
 	// detectable only by comparing content lengths (§6.1's length
 	// feature; the ablation bench quantifies what status-only misses).
-	StyleSoft200
+	styleSoft200
 )
 
 // UABlocker blocks requests whose User-Agent contains any pattern.
@@ -65,12 +65,12 @@ func (b *UABlocker) Check(r *http.Request) *webserver.BlockDecision {
 		return nil
 	}
 	switch b.Style {
-	case StyleChallenge:
+	case styleChallenge:
 		return &webserver.BlockDecision{
 			Status: http.StatusForbidden, Challenge: true,
 			Body: "<html><body><h1>Attention required</h1><p>Complete the CAPTCHA to continue.</p></body></html>",
 		}
-	case StyleSoft200:
+	case styleSoft200:
 		return &webserver.BlockDecision{
 			Status: http.StatusOK,
 			Body:   "<html><body>unavailable</body></html>",
@@ -83,13 +83,13 @@ func (b *UABlocker) Check(r *http.Request) *webserver.BlockDecision {
 	}
 }
 
-// AutomationBlocker blocks any client whose fingerprint marks it as an
+// automationBlocker blocks any client whose fingerprint marks it as an
 // automation tool, regardless of user agent (the sites §6.1 must exclude).
-type AutomationBlocker struct{}
+type automationBlocker struct{}
 
 // Check implements webserver.Blocker.
-func (AutomationBlocker) Check(r *http.Request) *webserver.BlockDecision {
-	if r.Header.Get(FingerprintHeader) != "" {
+func (automationBlocker) Check(r *http.Request) *webserver.BlockDecision {
+	if r.Header.Get(fingerprintHeader) != "" {
 		return &webserver.BlockDecision{
 			Status: http.StatusForbidden,
 			Body:   "<html><body>automated access denied</body></html>",
@@ -98,11 +98,11 @@ func (AutomationBlocker) Check(r *http.Request) *webserver.BlockDecision {
 	return nil
 }
 
-// Chain composes blockers; the first non-nil decision wins.
-type Chain []webserver.Blocker
+// blockerChain composes blockers; the first non-nil decision wins.
+type blockerChain []webserver.Blocker
 
 // Check implements webserver.Blocker.
-func (c Chain) Check(r *http.Request) *webserver.BlockDecision {
+func (c blockerChain) Check(r *http.Request) *webserver.BlockDecision {
 	for _, b := range c {
 		if d := b.Check(r); d != nil {
 			return d
@@ -128,78 +128,78 @@ var DefaultDetector = DetectorOptions{UseLength: true, LengthRatio: 0.5, UseErro
 // StatusOnlyDetector is the ablation: status codes only.
 var StatusOnlyDetector = DetectorOptions{}
 
-// SiteVerdict is the §6.1 classification of one site.
-type SiteVerdict int
+// siteVerdict is the §6.1 classification of one site.
+type siteVerdict int
 
 const (
-	// NoInference: the control crawl failed; the site blocks the tool
+	// noInference: the control crawl failed; the site blocks the tool
 	// itself and nothing can be said about AI-specific blocking.
-	NoInference SiteVerdict = iota
-	// BlocksAI: at least one AI user agent got a materially different
+	noInference siteVerdict = iota
+	// blocksAI: at least one AI user agent got a materially different
 	// response than the control.
-	BlocksAI
-	// NoBlocking: control and AI responses match.
-	NoBlocking
+	blocksAI
+	// noBlocking: control and AI responses match.
+	noBlocking
 )
 
 // String names the verdict.
-func (v SiteVerdict) String() string {
+func (v siteVerdict) String() string {
 	switch v {
-	case NoInference:
+	case noInference:
 		return "inherently blocks automation"
-	case BlocksAI:
+	case blocksAI:
 		return "actively blocks AI user agents"
-	case NoBlocking:
+	case noBlocking:
 		return "no user-agent blocking detected"
 	default:
 		return "unknown"
 	}
 }
 
-// ProbeAgents are the two AI user agents the §6 probes use: the most
+// probeAgents are the two AI user agents the §6 probes use: the most
 // frequently restricted agents without published IP ranges, so sites must
 // block them by user agent.
-var ProbeAgents = []string{"ClaudeBot", "anthropic-ai"}
+var probeAgents = []string{"ClaudeBot", "anthropic-ai"}
 
-// Prober runs user-agent differential probes.
-type Prober struct {
+// prober runs user-agent differential probes.
+type prober struct {
 	client  *http.Client
 	options DetectorOptions
 }
 
-// NewProber builds a prober that dials from sourceIP.
-func NewProber(nw *netsim.Network, sourceIP string, opts DetectorOptions) *Prober {
+// newProber builds a prober that dials from sourceIP.
+func newProber(nw *netsim.Network, sourceIP string, opts DetectorOptions) *prober {
 	if opts.UseLength && opts.LengthRatio == 0 {
 		opts.LengthRatio = 0.5
 	}
-	return &Prober{client: nw.HTTPClient(sourceIP), options: opts}
+	return &prober{client: nw.HTTPClient(sourceIP), options: opts}
 }
 
-// ProbeOutcome is one site's differential probe result.
-type ProbeOutcome struct {
+// probeOutcome is one site's differential probe result.
+type probeOutcome struct {
 	URL           string
-	Verdict       SiteVerdict
+	Verdict       siteVerdict
 	ControlStatus int
 	// AIStatus maps each probe agent to its response status (0 = error).
 	AIStatus map[string]int
 }
 
-// Probe runs the §6.1 procedure against one site: control crawl with a
+// probe runs the §6.1 procedure against one site: control crawl with a
 // Chrome user agent, then one crawl per AI probe agent, all carrying the
 // automation fingerprint (it is the same tool).
-func (p *Prober) Probe(ctx context.Context, siteURL string) (*ProbeOutcome, error) {
-	out := &ProbeOutcome{URL: siteURL, AIStatus: make(map[string]int)}
+func (p *prober) probe(ctx context.Context, siteURL string) (*probeOutcome, error) {
+	out := &probeOutcome{URL: siteURL, AIStatus: make(map[string]int)}
 	ctrlStatus, ctrlBody, err := p.fetch(ctx, siteURL, useragent.BrowserChromeUA)
 	if err != nil {
 		return nil, fmt.Errorf("blocking: control crawl: %w", err)
 	}
 	out.ControlStatus = ctrlStatus
 	if ctrlStatus != http.StatusOK {
-		out.Verdict = NoInference
+		out.Verdict = noInference
 		return out, nil
 	}
 	blocked := false
-	for _, agent := range ProbeAgents {
+	for _, agent := range probeAgents {
 		status, body, err := p.fetch(ctx, siteURL, useragent.FullUA(agent, "1.0"))
 		if err != nil {
 			if p.options.UseErrors {
@@ -218,9 +218,9 @@ func (p *Prober) Probe(ctx context.Context, siteURL string) (*ProbeOutcome, erro
 		}
 	}
 	if blocked {
-		out.Verdict = BlocksAI
+		out.Verdict = blocksAI
 	} else {
-		out.Verdict = NoBlocking
+		out.Verdict = noBlocking
 	}
 	return out, nil
 }
@@ -236,13 +236,13 @@ func significantDelta(control, ai int, ratio float64) bool {
 	return float64(diff)/float64(control) >= ratio
 }
 
-func (p *Prober) fetch(ctx context.Context, url, ua string) (int, string, error) {
+func (p *prober) fetch(ctx context.Context, url, ua string) (int, string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, "", err
 	}
 	req.Header.Set("User-Agent", ua)
-	req.Header.Set(FingerprintHeader, FingerprintHeadless)
+	req.Header.Set(fingerprintHeader, fingerprintHeadless)
 	resp, err := p.client.Do(req)
 	if err != nil {
 		return 0, "", err
@@ -262,20 +262,20 @@ func (p *Prober) fetch(ctx context.Context, url, ua string) (int, string, error)
 
 // Population fractions from §6.2, expressed over the top 10k.
 const (
-	// PaperInherentRate: 1,487 of 10,000 sites block the tool itself.
-	PaperInherentRate = 0.1487
+	// paperInherentRate: 1,487 of 10,000 sites block the tool itself.
+	paperInherentRate = 0.1487
 	// PaperUABlockRate: 1,433 of 10,000 block the Anthropic user agents.
 	PaperUABlockRate = 0.1433
-	// PaperRobotsOverlapRate: 35 of the 1,433 also restrict those agents
+	// paperRobotsOverlapRate: 35 of the 1,433 also restrict those agents
 	// in robots.txt (§6.2: "only 2%").
-	PaperRobotsOverlapRate = 35.0 / 1433.0
+	paperRobotsOverlapRate = 35.0 / 1433.0
 	// soft200Share is the share of UA blockers that return 200 with a stub
 	// page, detectable only via content length.
 	soft200Share = 0.15
 )
 
-// SiteSpec is the generated ground truth for one survey site.
-type SiteSpec struct {
+// siteSpec is the generated ground truth for one survey site.
+type siteSpec struct {
 	Domain        string
 	IP            string
 	InherentBlock bool
@@ -285,19 +285,19 @@ type SiteSpec struct {
 	RobotsRestrictsProbeAgents bool
 }
 
-// GeneratePopulation builds n survey sites with the paper's §6.2 mix.
+// generatePopulation builds n survey sites with the paper's §6.2 mix.
 // Counts are exact (category sizes are rounded, then assigned by shuffled
 // position) so the survey reproduces the paper's proportions at any scale.
-func GeneratePopulation(n int, seed int64) []SiteSpec {
+func generatePopulation(n int, seed int64) []siteSpec {
 	rn := stats.NewRand(seed).Fork("blocking-population")
-	nInherent := int(float64(n)*PaperInherentRate + 0.5)
+	nInherent := int(float64(n)*paperInherentRate + 0.5)
 	nUA := int(float64(n)*PaperUABlockRate + 0.5)
-	nOverlap := int(float64(nUA)*PaperRobotsOverlapRate + 0.5)
+	nOverlap := int(float64(nUA)*paperRobotsOverlapRate + 0.5)
 
-	specs := make([]SiteSpec, n)
+	specs := make([]siteSpec, n)
 	perm := rn.Perm(n)
 	for i := range specs {
-		specs[i] = SiteSpec{
+		specs[i] = siteSpec{
 			Domain: fmt.Sprintf("top%05d.example", i+1),
 			IP:     fmt.Sprintf("10.%d.%d.%d", 10+i/65536, (i/256)%256, i%256),
 		}
@@ -312,9 +312,9 @@ func GeneratePopulation(n int, seed int64) []SiteSpec {
 		specs[idx].UABlock = true
 		switch {
 		case rn.Bool(soft200Share):
-			specs[idx].Style = StyleSoft200
+			specs[idx].Style = styleSoft200
 		case rn.Bool(0.3):
-			specs[idx].Style = StyleChallenge
+			specs[idx].Style = styleChallenge
 		default:
 			specs[idx].Style = StyleForbidden
 		}
@@ -325,8 +325,8 @@ func GeneratePopulation(n int, seed int64) []SiteSpec {
 	return specs
 }
 
-// StartSite hosts one survey site on the farm according to its spec.
-func StartSite(farm *webserver.Farm, spec SiteSpec, bodySize int) (*webserver.Site, error) {
+// startSite hosts one survey site on the farm according to its spec.
+func startSite(farm *webserver.Farm, spec siteSpec, bodySize int) (*webserver.Site, error) {
 	body := "<html><body><h1>" + spec.Domain + "</h1>" +
 		strings.Repeat("<p>content paragraph</p>\n", bodySize/25+1) + "</body></html>"
 	var robotsTxt *string
@@ -334,12 +334,12 @@ func StartSite(farm *webserver.Farm, spec SiteSpec, bodySize int) (*webserver.Si
 		txt := "User-agent: ClaudeBot\nUser-agent: anthropic-ai\nDisallow: /\n"
 		robotsTxt = &txt
 	}
-	var chain Chain
+	var chain blockerChain
 	if spec.InherentBlock {
-		chain = append(chain, AutomationBlocker{})
+		chain = append(chain, automationBlocker{})
 	}
 	if spec.UABlock {
-		chain = append(chain, &UABlocker{Patterns: ProbeAgents, Style: spec.Style})
+		chain = append(chain, &UABlocker{Patterns: probeAgents, Style: spec.Style})
 	}
 	cfg := webserver.Config{
 		Domain:    spec.Domain,
@@ -354,7 +354,7 @@ func StartSite(farm *webserver.Farm, spec SiteSpec, bodySize int) (*webserver.Si
 }
 
 // surveyFarmIP hosts every survey site: one listener for the whole
-// population, outside the 10.10+.x.x block GeneratePopulation assigns to
+// population, outside the 10.10+.x.x block generatePopulation assigns to
 // sites.
 const surveyFarmIP = "10.9.0.1"
 
@@ -379,7 +379,7 @@ func RunSurvey(ctx context.Context, n int, seed int64, workers int, opts Detecto
 	}
 	workers = par.Clamp(workers)
 	nw := netsim.New()
-	specs := GeneratePopulation(n, seed)
+	specs := generatePopulation(n, seed)
 	sizeRand := stats.NewRand(seed).Fork("body-sizes")
 	// The whole population shares one virtual-host farm: site startup is
 	// a map insert plus an IP alias, not a per-site server.
@@ -394,14 +394,14 @@ func RunSurvey(ctx context.Context, n int, seed int64, workers int, opts Detecto
 				return nil, err
 			}
 		}
-		if _, err := StartSite(farm, spec, 1500+sizeRand.Intn(3000)); err != nil {
+		if _, err := startSite(farm, spec, 1500+sizeRand.Intn(3000)); err != nil {
 			return nil, err
 		}
 	}
 
-	prober := func() *Prober { return NewProber(nw, "198.51.100.200", opts) }
+	prober := func() *prober { return newProber(nw, "198.51.100.200", opts) }
 	type job struct{ i int }
-	verdicts := make([]SiteVerdict, len(specs))
+	verdicts := make([]siteVerdict, len(specs))
 	jobs := make(chan job)
 	var wg sync.WaitGroup
 	var firstErr error
@@ -415,7 +415,7 @@ func RunSurvey(ctx context.Context, n int, seed int64, workers int, opts Detecto
 				if ctx.Err() != nil {
 					continue // drain remaining jobs after cancellation
 				}
-				out, err := p.Probe(ctx, "http://"+specs[j.i].Domain+"/")
+				out, err := p.probe(ctx, "http://"+specs[j.i].Domain+"/")
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -447,14 +447,14 @@ func RunSurvey(ctx context.Context, n int, seed int64, workers int, opts Detecto
 	client.Timeout = 10 * time.Second
 	for i, v := range verdicts {
 		switch v {
-		case NoInference:
+		case noInference:
 			res.InherentlyBlocked++
-		case BlocksAI:
+		case blocksAI:
 			res.ActiveBlockers++
 			if robotsRestricts(client, specs[i].Domain) {
 				res.RobotsOverlap++
 			}
-		case NoBlocking:
+		case noBlocking:
 			res.NoBlocking++
 		}
 	}
@@ -487,7 +487,7 @@ func robotsRestricts(client *http.Client, domain string) bool {
 		}
 	}
 	rb := parseRobots(sb.String())
-	for _, agent := range ProbeAgents {
+	for _, agent := range probeAgents {
 		if lvl, explicit := rb.ExplicitRestriction(agent); explicit && lvl.Restricted() {
 			return true
 		}
@@ -499,58 +499,3 @@ func robotsRestricts(client *http.Client, domain string) bool {
 // the shared content-keyed cache: survey populations reuse a handful of
 // robots.txt templates across thousands of sites.
 func parseRobots(body string) *robots.Robots { return robots.ParseCached(body) }
-
-// LabyrinthBlocker implements the "serve fake content" blocking style
-// (§2.2, Cloudflare's AI Labyrinth [110]): matched crawlers receive
-// generated decoy pages whose links lead only to more decoys, wasting the
-// crawler's budget without ever returning real content or an error it
-// could detect.
-type LabyrinthBlocker struct {
-	// Patterns are the user-agent substrings to trap.
-	Patterns []string
-}
-
-// Check implements webserver.Blocker.
-func (b *LabyrinthBlocker) Check(r *http.Request) *webserver.BlockDecision {
-	if _, ok := useragent.MatchesAny(r.UserAgent(), b.Patterns); !ok {
-		return nil
-	}
-	return &webserver.BlockDecision{
-		Status: http.StatusOK,
-		Body:   decoyPage(r.URL.Path),
-	}
-}
-
-// decoyPage deterministically generates a plausible page whose links all
-// stay inside the maze.
-func decoyPage(path string) string {
-	h := fnv32(path)
-	var sb strings.Builder
-	sb.WriteString("<html><head><title>Archive section ")
-	sb.WriteString(hexByte(byte(h)))
-	sb.WriteString("</title></head><body>\n<h1>Archive</h1>\n")
-	for i := 0; i < 4; i++ {
-		h = h*1664525 + 1013904223
-		sb.WriteString("<p>Entry ")
-		sb.WriteString(hexByte(byte(h >> 8)))
-		sb.WriteString(": procedurally generated filler prose that resembles ")
-		sb.WriteString("an article body but carries no information.</p>\n")
-		sb.WriteString(`<a href="/maze/` + hexByte(byte(h>>16)) + hexByte(byte(h>>24)) + `.html">continue</a>` + "\n")
-	}
-	sb.WriteString("</body></html>\n")
-	return sb.String()
-}
-
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func hexByte(b byte) string {
-	const digits = "0123456789abcdef"
-	return string([]byte{digits[b>>4], digits[b&0xf]})
-}

@@ -3,10 +3,8 @@ package blocking
 import (
 	"context"
 	"net/http"
-	"strings"
 	"testing"
 
-	"repro/internal/crawler"
 	"repro/internal/netsim"
 	"repro/internal/useragent"
 	"repro/internal/webserver"
@@ -22,10 +20,10 @@ func TestUABlockerStyles(t *testing.T) {
 	if d := mk(StyleForbidden).Check(req); d == nil || d.Status != 403 || d.Challenge {
 		t.Fatalf("forbidden style = %+v", d)
 	}
-	if d := mk(StyleChallenge).Check(req); d == nil || !d.Challenge {
+	if d := mk(styleChallenge).Check(req); d == nil || !d.Challenge {
 		t.Fatalf("challenge style = %+v", d)
 	}
-	if d := mk(StyleSoft200).Check(req); d == nil || d.Status != 200 {
+	if d := mk(styleSoft200).Check(req); d == nil || d.Status != 200 {
 		t.Fatalf("soft-200 style = %+v", d)
 	}
 	// Non-matching UA passes.
@@ -39,23 +37,23 @@ func TestUABlockerStyles(t *testing.T) {
 func TestAutomationBlocker(t *testing.T) {
 	req, _ := http.NewRequest("GET", "http://x/", nil)
 	req.Header.Set("User-Agent", useragent.BrowserChromeUA)
-	if d := (AutomationBlocker{}).Check(req); d != nil {
+	if d := (automationBlocker{}).Check(req); d != nil {
 		t.Fatal("no fingerprint → pass")
 	}
-	req.Header.Set(FingerprintHeader, FingerprintHeadless)
-	if d := (AutomationBlocker{}).Check(req); d == nil || d.Status != 403 {
+	req.Header.Set(fingerprintHeader, fingerprintHeadless)
+	if d := (automationBlocker{}).Check(req); d == nil || d.Status != 403 {
 		t.Fatal("fingerprinted tool must be blocked")
 	}
 }
 
 func TestChainFirstDecisionWins(t *testing.T) {
-	c := Chain{
-		AutomationBlocker{},
-		&UABlocker{Patterns: []string{"ClaudeBot"}, Style: StyleSoft200},
+	c := blockerChain{
+		automationBlocker{},
+		&UABlocker{Patterns: []string{"ClaudeBot"}, Style: styleSoft200},
 	}
 	req, _ := http.NewRequest("GET", "http://x/", nil)
 	req.Header.Set("User-Agent", useragent.FullUA("ClaudeBot", "1.0"))
-	req.Header.Set(FingerprintHeader, FingerprintHeadless)
+	req.Header.Set(fingerprintHeader, fingerprintHeadless)
 	if d := c.Check(req); d == nil || d.Status != 403 {
 		t.Fatal("automation blocker must take precedence")
 	}
@@ -76,25 +74,25 @@ func TestProbeVerdicts(t *testing.T) {
 	farm := testFarm(t, nw)
 	cases := []struct {
 		name string
-		spec SiteSpec
-		want SiteVerdict
+		spec siteSpec
+		want siteVerdict
 		opts DetectorOptions
 	}{
-		{"open site", SiteSpec{Domain: "open.example", IP: "10.1.0.1"}, NoBlocking, DefaultDetector},
-		{"ua blocker 403", SiteSpec{Domain: "ua403.example", IP: "10.1.0.2", UABlock: true, Style: StyleForbidden}, BlocksAI, DefaultDetector},
-		{"ua blocker challenge", SiteSpec{Domain: "uach.example", IP: "10.1.0.3", UABlock: true, Style: StyleChallenge}, BlocksAI, DefaultDetector},
-		{"ua blocker soft200", SiteSpec{Domain: "soft.example", IP: "10.1.0.4", UABlock: true, Style: StyleSoft200}, BlocksAI, DefaultDetector},
-		{"soft200 invisible to status-only", SiteSpec{Domain: "soft2.example", IP: "10.1.0.5", UABlock: true, Style: StyleSoft200}, NoBlocking, StatusOnlyDetector},
-		{"inherent blocker", SiteSpec{Domain: "inh.example", IP: "10.1.0.6", InherentBlock: true}, NoInference, DefaultDetector},
-		{"inherent + ua", SiteSpec{Domain: "both.example", IP: "10.1.0.7", InherentBlock: true, UABlock: true}, NoInference, DefaultDetector},
+		{"open site", siteSpec{Domain: "open.example", IP: "10.1.0.1"}, noBlocking, DefaultDetector},
+		{"ua blocker 403", siteSpec{Domain: "ua403.example", IP: "10.1.0.2", UABlock: true, Style: StyleForbidden}, blocksAI, DefaultDetector},
+		{"ua blocker challenge", siteSpec{Domain: "uach.example", IP: "10.1.0.3", UABlock: true, Style: styleChallenge}, blocksAI, DefaultDetector},
+		{"ua blocker soft200", siteSpec{Domain: "soft.example", IP: "10.1.0.4", UABlock: true, Style: styleSoft200}, blocksAI, DefaultDetector},
+		{"soft200 invisible to status-only", siteSpec{Domain: "soft2.example", IP: "10.1.0.5", UABlock: true, Style: styleSoft200}, noBlocking, StatusOnlyDetector},
+		{"inherent blocker", siteSpec{Domain: "inh.example", IP: "10.1.0.6", InherentBlock: true}, noInference, DefaultDetector},
+		{"inherent + ua", siteSpec{Domain: "both.example", IP: "10.1.0.7", InherentBlock: true, UABlock: true}, noInference, DefaultDetector},
 	}
 	for _, tc := range cases {
-		site, err := StartSite(farm, tc.spec, 2000)
+		site, err := startSite(farm, tc.spec, 2000)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		p := NewProber(nw, "198.51.100.220", tc.opts)
-		out, err := p.Probe(context.Background(), site.URL()+"/")
+		p := newProber(nw, "198.51.100.220", tc.opts)
+		out, err := p.probe(context.Background(), site.URL()+"/")
 		site.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -109,8 +107,8 @@ func TestRealCrawlerNotInherentlyBlocked(t *testing.T) {
 	// A real crawler (no fingerprint header) passes an inherent blocker —
 	// the lower-bound property the paper notes.
 	nw := netsim.New()
-	spec := SiteSpec{Domain: "inh2.example", IP: "10.1.0.8", InherentBlock: true}
-	site, err := StartSite(testFarm(t, nw), spec, 2000)
+	spec := siteSpec{Domain: "inh2.example", IP: "10.1.0.8", InherentBlock: true}
+	site, err := startSite(testFarm(t, nw), spec, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +128,7 @@ func TestRealCrawlerNotInherentlyBlocked(t *testing.T) {
 
 func TestGeneratePopulationCounts(t *testing.T) {
 	n := 2000
-	specs := GeneratePopulation(n, 5)
+	specs := generatePopulation(n, 5)
 	if len(specs) != n {
 		t.Fatalf("population = %d", len(specs))
 	}
@@ -156,7 +154,7 @@ func TestGeneratePopulationCounts(t *testing.T) {
 			t.Fatal("robots overlap only applies to UA blockers")
 		}
 	}
-	wantInherent := int(float64(n)*PaperInherentRate + 0.5)
+	wantInherent := int(float64(n)*paperInherentRate + 0.5)
 	wantUA := int(float64(n)*PaperUABlockRate + 0.5)
 	if inherent != wantInherent {
 		t.Errorf("inherent = %d, want %d", inherent, wantInherent)
@@ -164,7 +162,7 @@ func TestGeneratePopulationCounts(t *testing.T) {
 	if ua != wantUA {
 		t.Errorf("ua blockers = %d, want %d", ua, wantUA)
 	}
-	wantOverlap := int(float64(wantUA)*PaperRobotsOverlapRate + 0.5)
+	wantOverlap := int(float64(wantUA)*paperRobotsOverlapRate + 0.5)
 	if overlap != wantOverlap {
 		t.Errorf("robots overlap = %d, want %d", overlap, wantOverlap)
 	}
@@ -179,7 +177,7 @@ func TestRunSurveySmall(t *testing.T) {
 	if res.Probed != n {
 		t.Fatalf("probed = %d", res.Probed)
 	}
-	wantInherent := int(float64(n)*PaperInherentRate + 0.5)
+	wantInherent := int(float64(n)*paperInherentRate + 0.5)
 	wantUA := int(float64(n)*PaperUABlockRate + 0.5)
 	if res.InherentlyBlocked != wantInherent {
 		t.Errorf("inherently blocked = %d, want %d", res.InherentlyBlocked, wantInherent)
@@ -188,7 +186,7 @@ func TestRunSurveySmall(t *testing.T) {
 		t.Errorf("active blockers = %d, want %d (detector must find them all)",
 			res.ActiveBlockers, wantUA)
 	}
-	wantOverlap := int(float64(wantUA)*PaperRobotsOverlapRate + 0.5)
+	wantOverlap := int(float64(wantUA)*paperRobotsOverlapRate + 0.5)
 	if res.RobotsOverlap != wantOverlap {
 		t.Errorf("robots overlap = %d, want %d", res.RobotsOverlap, wantOverlap)
 	}
@@ -229,11 +227,11 @@ func TestSignificantDelta(t *testing.T) {
 }
 
 func TestVerdictStrings(t *testing.T) {
-	for v, want := range map[SiteVerdict]string{
-		NoInference:     "inherently blocks automation",
-		BlocksAI:        "actively blocks AI user agents",
-		NoBlocking:      "no user-agent blocking detected",
-		SiteVerdict(42): "unknown",
+	for v, want := range map[siteVerdict]string{
+		noInference:     "inherently blocks automation",
+		blocksAI:        "actively blocks AI user agents",
+		noBlocking:      "no user-agent blocking detected",
+		siteVerdict(42): "unknown",
 	} {
 		if got := v.String(); got != want {
 			t.Errorf("%d = %q, want %q", v, got, want)
@@ -245,14 +243,14 @@ func TestBlockerAgainstRealServerLog(t *testing.T) {
 	// End-to-end: blocked requests appear in the site log with their
 	// block status, like §6's server-side evidence.
 	nw := netsim.New()
-	spec := SiteSpec{Domain: "log.example", IP: "10.1.0.9", UABlock: true, Style: StyleForbidden}
-	site, err := StartSite(testFarm(t, nw), spec, 1000)
+	spec := siteSpec{Domain: "log.example", IP: "10.1.0.9", UABlock: true, Style: StyleForbidden}
+	site, err := startSite(testFarm(t, nw), spec, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer site.Close()
-	p := NewProber(nw, "198.51.100.221", DefaultDetector)
-	if _, err := p.Probe(context.Background(), site.URL()+"/"); err != nil {
+	p := newProber(nw, "198.51.100.221", DefaultDetector)
+	if _, err := p.probe(context.Background(), site.URL()+"/"); err != nil {
 		t.Fatal(err)
 	}
 	var saw403 bool
@@ -265,71 +263,4 @@ func TestBlockerAgainstRealServerLog(t *testing.T) {
 		t.Fatal("block decisions must be visible in the server log")
 	}
 	_ = webserver.Record{}
-}
-
-// The Labyrinth style: a non-compliant crawler gets trapped in decoy
-// pages and never reaches real content.
-func TestLabyrinthTrapsCrawler(t *testing.T) {
-	nw := netsim.New()
-	cfg := webserver.Config{
-		Domain: "maze.example", IP: "10.1.0.20",
-		Pages:   webserver.ContentPages("maze.example"),
-		Blocker: &LabyrinthBlocker{Patterns: []string{"Bytespider"}},
-	}
-	site, err := testFarm(t, nw).StartSite(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer site.Close()
-
-	cr, err := crawler.New(nw, crawler.Profile{
-		Token: "Bytespider", SourceIP: "16.0.1.40",
-		Behavior: crawler.NoFetch, MaxPages: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := cr.Crawl(context.Background(), site.URL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The crawler exhausted its page budget…
-	if len(v.Fetched) != 12 {
-		t.Fatalf("fetched %d pages, want the full budget of 12", len(v.Fetched))
-	}
-	// …but every page after the root was a maze decoy, and the real
-	// content was never served.
-	for _, p := range v.Fetched[1:] {
-		if !strings.HasPrefix(p, "/maze/") {
-			t.Errorf("crawler escaped the maze to %s", p)
-		}
-	}
-	for _, rec := range site.Log() {
-		if rec.Status != 200 {
-			t.Errorf("labyrinth must look like success, got %d for %s", rec.Status, rec.Path)
-		}
-	}
-	// A browser still sees the real site.
-	client := nw.HTTPClient("198.51.100.99")
-	req, _ := http.NewRequest("GET", site.URL()+"/", nil)
-	req.Header.Set("User-Agent", useragent.BrowserChromeUA)
-	resp, err := client.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := make([]byte, 4096)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if !strings.Contains(string(body[:n]), "Welcome") {
-		t.Error("browser must receive the real page")
-	}
-}
-
-func TestDecoyPageDeterministic(t *testing.T) {
-	if decoyPage("/a") != decoyPage("/a") {
-		t.Fatal("decoys must be deterministic per path")
-	}
-	if decoyPage("/a") == decoyPage("/b") {
-		t.Fatal("different paths get different decoys")
-	}
 }

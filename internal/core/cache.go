@@ -15,14 +15,14 @@ import (
 	"repro/internal/survey"
 )
 
-// Cache is a keyed, concurrency-safe memoization cache. Concurrent
+// memoCache is a keyed, concurrency-safe memoization cache. Concurrent
 // callers of the same key block until the first caller's computation
 // finishes and then share its value (singleflight semantics), so a
 // substrate shared by several parallel experiments is built exactly once.
 // Failed computations are evicted rather than cached, so a later caller
 // retries instead of inheriting a stale error (for example a context
 // cancellation from an earlier run).
-type Cache struct {
+type memoCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 }
@@ -33,14 +33,14 @@ type cacheEntry struct {
 	err  error
 }
 
-// NewCache returns an empty cache.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[string]*cacheEntry)}
+// newMemoCache returns an empty cache.
+func newMemoCache() *memoCache {
+	return &memoCache{entries: make(map[string]*cacheEntry)}
 }
 
 // Do returns the value cached under key, computing it with fn on the
 // first call. fn runs outside the cache lock.
-func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
+func (c *memoCache) Do(key string, fn func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -62,7 +62,7 @@ func (c *Cache) Do(key string, fn func() (any, error)) (any, error) {
 }
 
 // Len returns the number of cached entries.
-func (c *Cache) Len() int {
+func (c *memoCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
@@ -76,12 +76,12 @@ func (c *Cache) Len() int {
 // how many experiments consume them or on how many goroutines they run.
 type Env struct {
 	Config Config
-	cache  *Cache
+	cache  *memoCache
 }
 
 // NewEnv returns a fresh environment with an empty cache.
 func NewEnv(cfg Config) *Env {
-	return &Env{Config: cfg, cache: NewCache()}
+	return &Env{Config: cfg, cache: newMemoCache()}
 }
 
 // memo is the typed access path to the Env cache.
@@ -96,12 +96,12 @@ func memo[T any](e *Env, key string, fn func() (T, error)) (T, error) {
 
 // Corpus returns the shared corpus at the configured scale.
 func (e *Env) Corpus(ctx context.Context) (*corpus.Corpus, error) {
-	return e.CorpusAt(ctx, e.Config.Scale)
+	return e.corpusAt(ctx, e.Config.Scale)
 }
 
-// CorpusAt returns the shared corpus at an explicit scale (the parser
+// corpusAt returns the shared corpus at an explicit scale (the parser
 // ablation caps its corpus below the configured scale).
-func (e *Env) CorpusAt(ctx context.Context, scale float64) (*corpus.Corpus, error) {
+func (e *Env) corpusAt(ctx context.Context, scale float64) (*corpus.Corpus, error) {
 	key := fmt.Sprintf("corpus/%d/%g", e.Config.Seed, scale)
 	return memo(e, key, func() (*corpus.Corpus, error) {
 		return corpus.New(ctx, corpus.Config{
@@ -125,8 +125,8 @@ func (e *Env) Longitudinal(ctx context.Context) (*longitudinal.Result, error) {
 	})
 }
 
-// SurveyPopulation returns the shared §4 artist survey population.
-func (e *Env) SurveyPopulation() *survey.Population {
+// surveyPopulation returns the shared §4 artist survey population.
+func (e *Env) surveyPopulation() *survey.Population {
 	pop, _ := memo(e, fmt.Sprintf("survey/%d", e.Config.Seed), func() (*survey.Population, error) {
 		return survey.Generate(e.Config.Seed), nil
 	})
@@ -139,7 +139,7 @@ func (e *Env) SurveyPopulation() *survey.Population {
 func (e *Env) BlockingSurvey(ctx context.Context, opts blocking.DetectorOptions) (*blocking.SurveyResult, error) {
 	key := fmt.Sprintf("blocking/%d/%d/%+v", e.Config.Seed, e.Config.BlockingSites, opts)
 	return memo(e, key, func() (*blocking.SurveyResult, error) {
-		return blocking.RunSurvey(ctx, e.Config.BlockingSites, e.Config.Seed, e.Config.EffectiveWorkers(), opts)
+		return blocking.RunSurvey(ctx, e.Config.BlockingSites, e.Config.Seed, e.Config.effectiveWorkers(), opts)
 	})
 }
 
@@ -147,29 +147,29 @@ func (e *Env) BlockingSurvey(ctx context.Context, opts blocking.DetectorOptions)
 func (e *Env) InferenceSurvey(ctx context.Context) (*proxy.CFSurveyResult, error) {
 	key := fmt.Sprintf("cf-inference/%d/%d", e.Config.Seed, e.Config.CloudflareSites)
 	return memo(e, key, func() (*proxy.CFSurveyResult, error) {
-		return proxy.RunInferenceSurvey(ctx, e.Config.CloudflareSites, e.Config.Seed, e.Config.EffectiveWorkers())
+		return proxy.RunInferenceSurvey(ctx, e.Config.CloudflareSites, e.Config.Seed, e.Config.effectiveWorkers())
 	})
 }
 
-// Scenario returns the result of one counterfactual simulation, memoized
+// scenario returns the result of one counterfactual simulation, memoized
 // by the spec's full identity: re-running or re-rendering an experiment
 // within one engine run never repeats a simulation. Each scenario
 // experiment currently declares distinct worlds, so distinct experiments
 // do not share runs. HotSites stays at its zero value: the result is
 // identical at any value, and pinning a live-HTTP cohort would only make
 // the registry slower.
-func (e *Env) Scenario(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
+func (e *Env) scenario(ctx context.Context, spec scenario.Spec) (*scenario.Result, error) {
 	key := "scenario/" + spec.CacheKey()
 	return memo(e, key, func() (*scenario.Result, error) {
-		return scenario.RunTiered(ctx, spec, scenario.TierOptions{Workers: e.Config.EffectiveWorkers()})
+		return scenario.RunTiered(ctx, spec, scenario.TierOptions{Workers: e.Config.effectiveWorkers()})
 	})
 }
 
-// PolicySnapshot returns the compiled policyd serving index for one
+// policySnapshot returns the compiled policyd serving index for one
 // corpus snapshot, built over the shared corpus and memoized per
 // (seed, scale, snapshot) — hot-reload experiments that swap between
 // months compile each month once per engine run.
-func (e *Env) PolicySnapshot(ctx context.Context, snap int) (*policyd.Snapshot, error) {
+func (e *Env) policySnapshot(ctx context.Context, snap int) (*policyd.Snapshot, error) {
 	key := fmt.Sprintf("policyd/%d/%g/%d", e.Config.Seed, e.Config.Scale, snap)
 	return memo(e, key, func() (*policyd.Snapshot, error) {
 		c, err := e.Corpus(ctx)

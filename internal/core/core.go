@@ -34,8 +34,8 @@ type Config struct {
 	Workers int
 }
 
-// EffectiveWorkers resolves the Workers field (0 means GOMAXPROCS).
-func (c Config) EffectiveWorkers() int {
+// effectiveWorkers resolves the Workers field (0 means GOMAXPROCS).
+func (c Config) effectiveWorkers() int {
 	if c.Workers > 0 {
 		return c.Workers
 	}
@@ -121,8 +121,8 @@ func Experiments() []Experiment {
 	return append([]Experiment(nil), registry...)
 }
 
-// ByID returns the experiment with the given ID.
-func ByID(id string) (Experiment, bool) {
+// byID returns the experiment with the given ID.
+func byID(id string) (Experiment, bool) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
 	e, ok := registryByID[id]

@@ -29,10 +29,10 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("%s: incomplete registration", id)
 		}
 	}
-	if _, ok := ByID("figure2"); !ok {
+	if _, ok := byID("figure2"); !ok {
 		t.Error("ByID must find figure2")
 	}
-	if _, ok := ByID("nonsense"); ok {
+	if _, ok := byID("nonsense"); ok {
 		t.Error("ByID must reject unknown ids")
 	}
 }
@@ -56,7 +56,7 @@ func TestAllExperimentsRunAtQuickScale(t *testing.T) {
 				t.Errorf("%s: empty result", e.ID)
 			}
 			var buf bytes.Buffer
-			if err := Render(&buf, res); err != nil {
+			if err := render(&buf, res); err != nil {
 				t.Fatalf("render: %v", err)
 			}
 			out := buf.String()
@@ -84,7 +84,7 @@ func TestRenderTableAlignment(t *testing.T) {
 		}},
 	}
 	var buf bytes.Buffer
-	if err := Render(&buf, res); err != nil {
+	if err := render(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -151,7 +151,7 @@ func TestRenderMarkdown(t *testing.T) {
 		}},
 	}
 	var buf bytes.Buffer
-	if err := RenderMarkdown(&buf, res); err != nil {
+	if err := renderMarkdown(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -174,7 +174,7 @@ func TestRenderRaggedRow(t *testing.T) {
 		}}},
 	}
 	var buf bytes.Buffer
-	if err := Render(&buf, res); err != nil {
+	if err := render(&buf, res); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -103,7 +103,7 @@ func selectExperiments(ids []string) ([]Experiment, error) {
 	}
 	want := make(map[string]bool, len(ids))
 	for _, id := range ids {
-		if _, ok := ByID(id); !ok {
+		if _, ok := byID(id); !ok {
 			return nil, fmt.Errorf("core: unknown experiment %q", id)
 		}
 		want[id] = true

@@ -32,12 +32,12 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	cfg := tinyConfig()
 
 	var seq bytes.Buffer
-	if _, err := RunAll(ctx, cfg, Options{Parallelism: 1, Sink: NewMarkdownSink(&seq)}); err != nil {
+	if _, err := RunAll(ctx, cfg, Options{Parallelism: 1, Sink: markdownSink{&seq}}); err != nil {
 		t.Fatal(err)
 	}
 	for _, parallelism := range []int{4, 16} {
 		var par bytes.Buffer
-		if _, err := RunAll(ctx, cfg, Options{Parallelism: parallelism, Sink: NewMarkdownSink(&par)}); err != nil {
+		if _, err := RunAll(ctx, cfg, Options{Parallelism: parallelism, Sink: markdownSink{&par}}); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(seq.Bytes(), par.Bytes()) {
@@ -168,7 +168,7 @@ func TestRunAllSinkError(t *testing.T) {
 }
 
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache()
+	c := newMemoCache()
 	var computed atomic.Int64
 	var wg sync.WaitGroup
 	const callers = 16
@@ -199,7 +199,7 @@ func TestCacheSingleflight(t *testing.T) {
 }
 
 func TestCacheErrorEviction(t *testing.T) {
-	c := NewCache()
+	c := newMemoCache()
 	boom := errors.New("boom")
 	if _, err := c.Do("k", func() (any, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -250,7 +250,7 @@ func TestNewSinkUnknownFormat(t *testing.T) {
 	if _, err := NewSink("yaml", &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown format must error")
 	}
-	for _, f := range Formats {
+	for _, f := range formats {
 		if _, err := NewSink(f, &bytes.Buffer{}); err != nil {
 			t.Errorf("format %s: %v", f, err)
 		}
@@ -267,14 +267,14 @@ func TestEnvSharedSubstrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := env.CorpusAt(ctx, env.Config.Scale)
+	c2, err := env.corpusAt(ctx, env.Config.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c1 != c2 {
 		t.Fatal("Corpus and CorpusAt(default scale) must share one cache entry")
 	}
-	if p1, p2 := env.SurveyPopulation(), env.SurveyPopulation(); p1 != p2 {
+	if p1, p2 := env.surveyPopulation(), env.surveyPopulation(); p1 != p2 {
 		t.Fatal("survey population must be shared")
 	}
 }

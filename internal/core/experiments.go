@@ -235,7 +235,7 @@ func runSurveyDemographics(ctx context.Context, env *Env) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pop := env.SurveyPopulation()
+	pop := env.surveyPopulation()
 
 	t5 := &Table{Headers: []string{"duration", "count"}}
 	total5 := 0
@@ -283,7 +283,7 @@ func runSurveyHeadline(ctx context.Context, env *Env) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pop := env.SurveyPopulation()
+	pop := env.surveyPopulation()
 	h := pop.ComputeHeadline()
 	t := &Table{Headers: []string{"finding", "measured", "paper"}}
 	add := func(name, measured, paper string) {
@@ -316,7 +316,7 @@ func runSurveyCodebook(ctx context.Context, env *Env) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	pop := env.SurveyPopulation()
+	pop := env.surveyPopulation()
 	var sections []Section
 	titles := map[string]string{
 		survey.QOtherActions: "Table 9 — other actions taken against AI art",
@@ -490,7 +490,7 @@ func runRobotsLint(ctx context.Context, env *Env) (*Result, error) {
 // corpus measured through non-compliant parsers yields materially
 // different disallow rates.
 func runAblationParsers(ctx context.Context, env *Env) (*Result, error) {
-	c, err := env.CorpusAt(ctx, math.Min(env.Config.Scale, 0.15))
+	c, err := env.corpusAt(ctx, math.Min(env.Config.Scale, 0.15))
 	if err != nil {
 		return nil, err
 	}

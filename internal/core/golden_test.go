@@ -29,7 +29,7 @@ func TestGoldenOutputs(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := RenderMarkdown(&buf, res); err != nil {
+			if err := renderMarkdown(&buf, res); err != nil {
 				t.Fatal(err)
 			}
 			path := filepath.Join("testdata", e.ID+".golden.md")

@@ -37,7 +37,7 @@ const scenarioMonths = 24
 // replaying the observed world (two instrumented sites, the passive
 // fleet) must reproduce the §5 verdict classes from simulated logs.
 func runScenarioBaseline(ctx context.Context, env *Env) (*Result, error) {
-	sim, err := env.Scenario(ctx, scenario.Baseline(env.Config.Seed))
+	sim, err := env.scenario(ctx, scenario.Baseline(env.Config.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -81,11 +81,11 @@ func runScenarioBaseline(ctx context.Context, env *Env) (*Result, error) {
 // policies are being ignored.
 func runScenarioAdoption(ctx context.Context, env *Env) (*Result, error) {
 	sites := scenarioSites(env.Config, 400)
-	observed, err := env.Scenario(ctx, scenario.Observed(env.Config.Seed, sites, scenarioMonths))
+	observed, err := env.scenario(ctx, scenario.Observed(env.Config.Seed, sites, scenarioMonths))
 	if err != nil {
 		return nil, err
 	}
-	high, err := env.Scenario(ctx, scenario.HighAdoption(env.Config.Seed, sites, scenarioMonths, 4))
+	high, err := env.scenario(ctx, scenario.HighAdoption(env.Config.Seed, sites, scenarioMonths, 4))
 	if err != nil {
 		return nil, err
 	}
@@ -129,11 +129,11 @@ func runScenarioRogue(ctx context.Context, env *Env) (*Result, error) {
 	control.Description = "the rogue world without the rogue: same fleet, same blocking rollout"
 	control.Crawlers = control.Crawlers[:len(control.Crawlers)-1]
 
-	ctl, err := env.Scenario(ctx, control)
+	ctl, err := env.scenario(ctx, control)
 	if err != nil {
 		return nil, err
 	}
-	rogue, err := env.Scenario(ctx, withRogue)
+	rogue, err := env.scenario(ctx, withRogue)
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +179,7 @@ func runScenarioManager(ctx context.Context, env *Env) (*Result, error) {
 	t := &Table{Headers: []string{"managed uptake", "adopters", "managed", "final coverage gap", "mean gap over run"}}
 	var gapSeries []stats.Series
 	for _, uptake := range scenarioUptakeLevels {
-		res, err := env.Scenario(ctx, scenario.ManagedUptake(env.Config.Seed, sites, scenarioMonths, uptake))
+		res, err := env.scenario(ctx, scenario.ManagedUptake(env.Config.Seed, sites, scenarioMonths, uptake))
 		if err != nil {
 			return nil, err
 		}

@@ -35,11 +35,11 @@ const (
 // workload again. The decision-mix shift between the two replays is the
 // corpus's §3 adoption story read through the serving layer.
 func runPolicyService(ctx context.Context, env *Env) (*Result, error) {
-	early, err := env.PolicySnapshot(ctx, corpus.GPTBotAnnouncedIndex)
+	early, err := env.policySnapshot(ctx, corpus.GPTBotAnnouncedIndex)
 	if err != nil {
 		return nil, err
 	}
-	late, err := env.PolicySnapshot(ctx, len(corpus.Snapshots)-1)
+	late, err := env.policySnapshot(ctx, len(corpus.Snapshots)-1)
 	if err != nil {
 		return nil, err
 	}

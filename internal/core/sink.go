@@ -18,8 +18,8 @@ type Sink interface {
 	Close() error
 }
 
-// Formats lists the sink formats NewSink accepts.
-var Formats = []string{"text", "markdown", "json"}
+// formats lists the sink formats NewSink accepts.
+var formats = []string{"text", "markdown", "json"}
 
 // NewSink returns the sink for a format name: "text" (aligned tables with
 // sparklines), "markdown" (GitHub-flavored), or "json" (one JSON object
@@ -27,31 +27,27 @@ var Formats = []string{"text", "markdown", "json"}
 func NewSink(format string, w io.Writer) (Sink, error) {
 	switch format {
 	case "text":
-		return NewTextSink(w), nil
+		return textSink{w}, nil
 	case "markdown", "md":
-		return NewMarkdownSink(w), nil
+		return markdownSink{w}, nil
 	case "json":
 		return NewJSONSink(w), nil
 	default:
 		return nil, fmt.Errorf("core: unknown sink format %q (want %s)",
-			format, strings.Join(Formats, ", "))
+			format, strings.Join(formats, ", "))
 	}
 }
 
-// NewTextSink renders results as aligned terminal text.
-func NewTextSink(w io.Writer) Sink { return textSink{w} }
-
+// textSink renders results as aligned terminal text.
 type textSink struct{ w io.Writer }
 
-func (s textSink) Emit(res *Result) error { return Render(s.w, res) }
+func (s textSink) Emit(res *Result) error { return render(s.w, res) }
 func (s textSink) Close() error           { return nil }
 
-// NewMarkdownSink renders results as GitHub-flavored markdown.
-func NewMarkdownSink(w io.Writer) Sink { return markdownSink{w} }
-
+// markdownSink renders results as GitHub-flavored markdown.
 type markdownSink struct{ w io.Writer }
 
-func (s markdownSink) Emit(res *Result) error { return RenderMarkdown(s.w, res) }
+func (s markdownSink) Emit(res *Result) error { return renderMarkdown(s.w, res) }
 func (s markdownSink) Close() error           { return nil }
 
 // NewJSONSink emits each result as one JSON object per line (NDJSON), so
@@ -65,8 +61,8 @@ type jsonSink struct{ enc *json.Encoder }
 func (s jsonSink) Emit(res *Result) error { return s.enc.Encode(res) }
 func (s jsonSink) Close() error           { return nil }
 
-// Render writes a result as aligned text.
-func Render(w io.Writer, res *Result) error {
+// render writes a result as aligned text.
+func render(w io.Writer, res *Result) error {
 	if _, err := fmt.Fprintf(w, "=== %s — %s ===\n", res.ID, res.Title); err != nil {
 		return err
 	}
@@ -125,9 +121,9 @@ func renderTable(w io.Writer, t *Table) {
 	}
 }
 
-// RenderMarkdown writes a result as GitHub-flavored markdown, so
+// renderMarkdown writes a result as GitHub-flavored markdown, so
 // experiment output can be pasted into reports like EXPERIMENTS.md.
-func RenderMarkdown(w io.Writer, res *Result) error {
+func renderMarkdown(w io.Writer, res *Result) error {
 	if _, err := fmt.Fprintf(w, "## %s — %s\n", res.ID, res.Title); err != nil {
 		return err
 	}

@@ -30,15 +30,15 @@ import (
 
 // Population constants from the paper (§3.1).
 const (
-	// PaperStablePopulation is the number of consistently popular sites.
-	PaperStablePopulation = 51_605
-	// PaperRobotsPopulation is the analysis population: stable sites with
+	// paperStablePopulation is the number of consistently popular sites.
+	paperStablePopulation = 51_605
+	// paperRobotsPopulation is the analysis population: stable sites with
 	// robots.txt data in every snapshot.
-	PaperRobotsPopulation = 40_455
-	// PaperTop5kPopulation is the Stable Top 5k analysis population.
-	PaperTop5kPopulation = 2_551
-	// PaperOtherPopulation is the non-top-tier analysis population.
-	PaperOtherPopulation = PaperRobotsPopulation - PaperTop5kPopulation // 37,904
+	paperRobotsPopulation = 40_455
+	// paperTop5kPopulation is the Stable Top 5k analysis population.
+	paperTop5kPopulation = 2_551
+	// paperOtherPopulation is the non-top-tier analysis population.
+	paperOtherPopulation = paperRobotsPopulation - paperTop5kPopulation // 37,904
 )
 
 // Config parameterizes corpus generation.
@@ -71,13 +71,13 @@ func (c *Config) fillDefaults() {
 type EventKind int
 
 const (
-	// EventAddRestriction adds Disallow rules for a set of AI agents.
-	EventAddRestriction EventKind = iota
-	// EventRemoveRestriction deletes rules for a set of agents (nil set =
+	// eventAddRestriction adds Disallow rules for a set of AI agents.
+	eventAddRestriction EventKind = iota
+	// eventRemoveRestriction deletes rules for a set of agents (nil set =
 	// all AI agents), as after a licensing deal.
-	EventRemoveRestriction
-	// EventExplicitAllow adds an explicit "Allow: /" group for agents.
-	EventExplicitAllow
+	eventRemoveRestriction
+	// eventExplicitAllow adds an explicit "Allow: /" group for agents.
+	eventExplicitAllow
 )
 
 // Event is one change to a site's robots.txt, effective from snapshot
@@ -206,15 +206,15 @@ func New(ctx context.Context, cfg Config) (*Corpus, error) {
 		}
 		return v
 	}
-	nTop := scale(PaperTop5kPopulation)
-	nOther := scale(PaperOtherPopulation)
-	nNonRobots := scale(PaperStablePopulation - PaperRobotsPopulation)
+	nTop := scale(paperTop5kPopulation)
+	nOther := scale(paperOtherPopulation)
+	nNonRobots := scale(paperStablePopulation - paperRobotsPopulation)
 
-	pinned := PinnedDomains()
+	pinned := pinnedDomains()
 	rcfg := ranking.Config{
 		TopK:               scale(100_000),
 		TopTier:            scale(5_000),
-		StableCount:        scale(PaperStablePopulation),
+		StableCount:        scale(paperStablePopulation),
 		StableTopTierCount: nTop,
 		RequiredStable:     pinned,
 		Seed:               cfg.Seed,
@@ -345,13 +345,13 @@ func (c *Corpus) buildPinnedEvents(rn *stats.Rand) {
 			// of robots.txt stays unchanged (§3.3).
 			s.Events = append(s.Events, Event{
 				Snap:   dealPriorRestrict,
-				Kind:   EventAddRestriction,
+				Kind:   eventAddRestriction,
 				Agents: []string{"GPTBot", "ChatGPT-User"},
 				Full:   true,
 			})
 			s.Events = append(s.Events, Event{
 				Snap:   snap,
-				Kind:   EventRemoveRestriction,
+				Kind:   eventRemoveRestriction,
 				Agents: []string{"GPTBot", "ChatGPT-User"},
 			})
 			if deal.ExplicitAllow {
@@ -362,7 +362,7 @@ func (c *Corpus) buildPinnedEvents(rn *stats.Rand) {
 				}
 				s.Events = append(s.Events, Event{
 					Snap:   first,
-					Kind:   EventExplicitAllow,
+					Kind:   eventExplicitAllow,
 					Agents: []string{"GPTBot"},
 				})
 			}
@@ -384,19 +384,19 @@ func (c *Corpus) buildPinnedEvents(rn *stats.Rand) {
 		if snap > dealPriorRestrict && rn.Bool(table4PriorRestr) {
 			s.Events = append(s.Events, Event{
 				Snap:   dealPriorRestrict,
-				Kind:   EventAddRestriction,
+				Kind:   eventAddRestriction,
 				Agents: []string{"GPTBot"},
 				Full:   true,
 			})
 			s.Events = append(s.Events, Event{
 				Snap:   snap,
-				Kind:   EventRemoveRestriction,
+				Kind:   eventRemoveRestriction,
 				Agents: []string{"GPTBot"},
 			})
 		}
 		s.Events = append(s.Events, Event{
 			Snap:   snap,
-			Kind:   EventExplicitAllow,
+			Kind:   eventExplicitAllow,
 			Agents: []string{"GPTBot"},
 		})
 	}
@@ -408,7 +408,7 @@ func (c *Corpus) buildPinnedEvents(rn *stats.Rand) {
 // bounded pool, each site writing only its own event slice.
 func (c *Corpus) buildOrganicEvents(ctx context.Context, rn *stats.Rand, workers int) error {
 	pinned := make(map[string]bool)
-	for _, d := range PinnedDomains() {
+	for _, d := range pinnedDomains() {
 		pinned[d] = true
 	}
 	type organicSite struct {
@@ -449,7 +449,7 @@ func (c *Corpus) buildSiteOrganicEvents(s *Site, sr *stats.Rand) {
 	full := sr.Bool(fullShare)
 	chosen := c.pickAgents(sr, adoptAt, 1.0)
 	s.Events = append(s.Events, Event{
-		Snap: adoptAt, Kind: EventAddRestriction, Agents: chosen, Full: full,
+		Snap: adoptAt, Kind: eventAddRestriction, Agents: chosen, Full: full,
 	})
 	have := make(map[string]bool, len(chosen))
 	for _, a := range chosen {
@@ -466,7 +466,7 @@ func (c *Corpus) buildSiteOrganicEvents(s *Site, sr *stats.Rand) {
 				p = removalProbTop5k
 			}
 			if sr.Bool(p) {
-				s.Events = append(s.Events, Event{Snap: k, Kind: EventRemoveRestriction})
+				s.Events = append(s.Events, Event{Snap: k, Kind: eventRemoveRestriction})
 				removed = true
 				continue
 			}
@@ -489,7 +489,7 @@ func (c *Corpus) buildSiteOrganicEvents(s *Site, sr *stats.Rand) {
 		}
 		if len(added) > 0 {
 			s.Events = append(s.Events, Event{
-				Snap: k, Kind: EventAddRestriction, Agents: added, Full: full,
+				Snap: k, Kind: eventAddRestriction, Agents: added, Full: full,
 			})
 		}
 	}
@@ -537,7 +537,7 @@ func (c *Corpus) pickAgents(rn *stats.Rand, k int, factor float64) []string {
 // reproduction stays exact.
 func (c *Corpus) buildBackgroundAllows(rn *stats.Rand) {
 	pinned := make(map[string]bool)
-	for _, d := range PinnedDomains() {
+	for _, d := range pinnedDomains() {
 		pinned[d] = true
 	}
 	n := int(float64(extraAllowSites)*c.cfg.Scale + 0.5)
@@ -558,7 +558,7 @@ func (c *Corpus) buildBackgroundAllows(rn *stats.Rand) {
 		}
 		snap := 6 + rn.Intn(len(Snapshots)-6)
 		s.Events = append(s.Events, Event{
-			Snap: snap, Kind: EventExplicitAllow, Agents: []string{ua},
+			Snap: snap, Kind: eventExplicitAllow, Agents: []string{ua},
 		})
 		count++
 	}
@@ -568,19 +568,9 @@ func (c *Corpus) buildBackgroundAllows(rn *stats.Rand) {
 // top-tier sites first.
 func (c *Corpus) Sites() []*Site { return c.sites }
 
-// SiteByDomain returns the site with the given domain.
-func (c *Corpus) SiteByDomain(d string) (*Site, bool) {
-	s, ok := c.byDomain[d]
-	return s, ok
-}
-
 // Top5kCount returns how many analysis sites are in the Stable Top 5k; the
 // Sites slice keeps them first.
 func (c *Corpus) Top5kCount() int { return c.top5k }
-
-// NonRobotsCount returns the number of stable sites outside the analysis
-// population (no robots.txt).
-func (c *Corpus) NonRobotsCount() int { return len(c.nonRobots) }
 
 // Config returns the effective configuration.
 func (c *Corpus) Config() Config { return c.cfg }

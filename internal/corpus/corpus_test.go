@@ -160,12 +160,12 @@ func TestCorpusConstruction(t *testing.T) {
 		}
 	}
 	// All pinned domains present.
-	for _, d := range PinnedDomains() {
-		if _, ok := c.SiteByDomain(d); !ok {
+	for _, d := range pinnedDomains() {
+		if _, ok := c.byDomain[d]; !ok {
 			t.Errorf("pinned domain %s missing", d)
 		}
 	}
-	if c.NonRobotsCount() == 0 {
+	if len(c.nonRobots) == 0 {
 		t.Error("non-robots population missing")
 	}
 }
@@ -214,7 +214,7 @@ func TestRenderedBodiesParse(t *testing.T) {
 
 func TestVoxDealTimeline(t *testing.T) {
 	c := testCorpus(t)
-	s, ok := c.SiteByDomain("vox.com")
+	s, ok := c.byDomain["vox.com"]
 	if !ok {
 		t.Fatal("vox.com missing")
 	}
@@ -234,7 +234,7 @@ func TestVoxDealTimeline(t *testing.T) {
 
 func TestEarlyAllowerTimeline(t *testing.T) {
 	c := testCorpus(t)
-	s, ok := c.SiteByDomain("nfhs.org")
+	s, ok := c.byDomain["nfhs.org"]
 	if !ok {
 		t.Fatal("nfhs.org missing")
 	}
@@ -253,7 +253,7 @@ func TestEarlyAllowerTimeline(t *testing.T) {
 
 func TestStackExchangeRemoval(t *testing.T) {
 	c := testCorpus(t)
-	s, ok := c.SiteByDomain("stackoverflow.com")
+	s, ok := c.byDomain["stackoverflow.com"]
 	if !ok {
 		t.Fatal("stackoverflow.com missing")
 	}
@@ -277,25 +277,25 @@ func TestStackExchangeRemoval(t *testing.T) {
 func TestStateFoldingSemantics(t *testing.T) {
 	c := testCorpus(t)
 	s := &Site{Domain: "fold.test", Events: []Event{
-		{Snap: 1, Kind: EventAddRestriction, Agents: []string{"GPTBot"}, Full: true},
-		{Snap: 2, Kind: EventAddRestriction, Agents: []string{"CCBot"}, Full: false},
-		{Snap: 3, Kind: EventExplicitAllow, Agents: []string{"GPTBot"}},
-		{Snap: 4, Kind: EventRemoveRestriction},
+		{Snap: 1, Kind: eventAddRestriction, Agents: []string{"GPTBot"}, Full: true},
+		{Snap: 2, Kind: eventAddRestriction, Agents: []string{"CCBot"}, Full: false},
+		{Snap: 3, Kind: eventExplicitAllow, Agents: []string{"GPTBot"}},
+		{Snap: 4, Kind: eventRemoveRestriction},
 	}}
-	st := c.StateAt(s, 0)
-	if st.Restricted() {
+	st := c.stateAt(s, 0)
+	if st.restricted() {
 		t.Error("no events yet at snapshot 0")
 	}
-	st = c.StateAt(s, 2)
+	st = c.stateAt(s, 2)
 	if !st.Full["GPTBot"] || !st.Partial["CCBot"] {
 		t.Errorf("state at 2 = %+v", st)
 	}
-	st = c.StateAt(s, 3)
+	st = c.stateAt(s, 3)
 	if st.Full["GPTBot"] || !st.Allowed["GPTBot"] {
 		t.Error("allow must clear the restriction")
 	}
-	st = c.StateAt(s, 4)
-	if st.Restricted() {
+	st = c.stateAt(s, 4)
+	if st.restricted() {
 		t.Error("remove-all must clear restrictions")
 	}
 	if !st.Allowed["GPTBot"] {
@@ -306,10 +306,10 @@ func TestStateFoldingSemantics(t *testing.T) {
 func TestPartialDoesNotDowngradeFull(t *testing.T) {
 	c := testCorpus(t)
 	s := &Site{Domain: "x.test", Events: []Event{
-		{Snap: 0, Kind: EventAddRestriction, Agents: []string{"GPTBot"}, Full: true},
-		{Snap: 1, Kind: EventAddRestriction, Agents: []string{"GPTBot"}, Full: false},
+		{Snap: 0, Kind: eventAddRestriction, Agents: []string{"GPTBot"}, Full: true},
+		{Snap: 1, Kind: eventAddRestriction, Agents: []string{"GPTBot"}, Full: false},
 	}}
-	st := c.StateAt(s, 1)
+	st := c.stateAt(s, 1)
 	if !st.Full["GPTBot"] || st.Partial["GPTBot"] {
 		t.Error("a later partial event must not downgrade a full restriction")
 	}
@@ -337,16 +337,16 @@ func TestPresenceCounts(t *testing.T) {
 func TestScaledPopulations(t *testing.T) {
 	c := testCorpus(t) // scale 0.05
 	scale := 0.05
-	wantTop := int(float64(PaperTop5kPopulation)*scale + 0.5)
+	wantTop := int(float64(paperTop5kPopulation)*scale + 0.5)
 	if got := c.Top5kCount(); got != wantTop {
 		t.Errorf("top5k = %d, want %d", got, wantTop)
 	}
 	// Other population: scaled target plus pinned publisher domains.
-	wantOther := int(float64(PaperOtherPopulation)*scale + 0.5)
+	wantOther := int(float64(paperOtherPopulation)*scale + 0.5)
 	got := len(c.Sites()) - c.Top5kCount()
-	if got < wantOther || got > wantOther+len(PinnedDomains()) {
+	if got < wantOther || got > wantOther+len(pinnedDomains()) {
 		t.Errorf("other population = %d, want within [%d, %d]",
-			got, wantOther, wantOther+len(PinnedDomains()))
+			got, wantOther, wantOther+len(pinnedDomains()))
 	}
 }
 
@@ -377,7 +377,7 @@ func TestRenderStateConsistency(t *testing.T) {
 	for i := 0; i < len(sites); i += step {
 		s := sites[i]
 		for _, k := range []int{0, 5, 9, 14} {
-			st := c.StateAt(s, k)
+			st := c.stateAt(s, k)
 			rb := robots.ParseString(c.RobotsBody(s, k))
 			for ua := range st.Full {
 				lvl, explicit := rb.ExplicitRestriction(ua)

@@ -252,10 +252,10 @@ var Deals = []Deal{
 	},
 }
 
-// PinnedDomains returns every domain named by Table 4 or a deal; the
+// pinnedDomains returns every domain named by Table 4 or a deal; the
 // ranking model pins these into the stable population so the corpus can
 // replay their documented histories.
-func PinnedDomains() []string {
+func pinnedDomains() []string {
 	seen := make(map[string]bool)
 	var out []string
 	add := func(d string) {

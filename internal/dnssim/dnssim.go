@@ -9,46 +9,46 @@ import (
 	"strings"
 )
 
-// RecordType is the subset of DNS record types the identification needs.
-type RecordType int
+// recordType is the subset of DNS record types the identification needs.
+type recordType int
 
 const (
-	// A maps a name to an IPv4 address.
-	A RecordType = iota
-	// CNAME aliases a name to another name.
-	CNAME
+	// recordA maps a name to an IPv4 address.
+	recordA recordType = iota
+	// recordCNAME aliases a name to another name.
+	recordCNAME
 )
 
-// Record is one DNS resource record.
-type Record struct {
-	Type  RecordType
+// record is one DNS resource record.
+type record struct {
+	Type  recordType
 	Value string
 }
 
 // Zone is a flat record store. The zero value is not usable; use NewZone.
 type Zone struct {
-	records map[string][]Record
+	records map[string][]record
 }
 
 // NewZone returns an empty zone.
 func NewZone() *Zone {
-	return &Zone{records: make(map[string][]Record)}
+	return &Zone{records: make(map[string][]record)}
 }
 
 // SetA adds an A record for name.
 func (z *Zone) SetA(name, ip string) {
 	key := strings.ToLower(name)
-	z.records[key] = append(z.records[key], Record{Type: A, Value: ip})
+	z.records[key] = append(z.records[key], record{Type: recordA, Value: ip})
 }
 
 // SetCNAME adds a CNAME record for name.
 func (z *Zone) SetCNAME(name, target string) {
 	key := strings.ToLower(name)
-	z.records[key] = append(z.records[key], Record{Type: CNAME, Value: strings.ToLower(target)})
+	z.records[key] = append(z.records[key], record{Type: recordCNAME, Value: strings.ToLower(target)})
 }
 
-// Lookup returns the records for name.
-func (z *Zone) Lookup(name string) []Record {
+// lookup returns the records for name.
+func (z *Zone) lookup(name string) []record {
 	return z.records[strings.ToLower(name)]
 }
 
@@ -57,7 +57,7 @@ func (z *Zone) Lookup(name string) []Record {
 func (z *Zone) ResolveA(name string) ([]string, error) {
 	cur := strings.ToLower(name)
 	for hop := 0; hop < 8; hop++ {
-		recs := z.Lookup(cur)
+		recs := z.lookup(cur)
 		if len(recs) == 0 {
 			return nil, fmt.Errorf("dnssim: NXDOMAIN %s", name)
 		}
@@ -65,9 +65,9 @@ func (z *Zone) ResolveA(name string) ([]string, error) {
 		var next string
 		for _, r := range recs {
 			switch r.Type {
-			case A:
+			case recordA:
 				ips = append(ips, r.Value)
-			case CNAME:
+			case recordCNAME:
 				next = r.Value
 			}
 		}
@@ -88,8 +88,8 @@ func (z *Zone) CNAMETarget(name string) (string, bool) {
 	var last string
 	for hop := 0; hop < 8; hop++ {
 		var next string
-		for _, r := range z.Lookup(cur) {
-			if r.Type == CNAME {
+		for _, r := range z.lookup(cur) {
+			if r.Type == recordCNAME {
 				next = r.Value
 			}
 		}

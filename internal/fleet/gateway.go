@@ -45,7 +45,7 @@ type ReplicaConfig struct {
 // Config assembles a Gateway.
 type Config struct {
 	Replicas []ReplicaConfig
-	// VNodes per replica on the ring; <= 0 means DefaultVNodes.
+	// VNodes per replica on the ring; <= 0 means defaultVNodes.
 	VNodes int
 	// Rate/Burst configure per-tenant token buckets (tokens/sec and
 	// bucket depth). Rate 0 disables limiting; Burst 0 defaults to

@@ -222,11 +222,13 @@ func straddleSnapshot(t *testing.T, version string, deny bool, hosts int) *polic
 }
 
 // TestBatchNeverStraddlesVersion hammers a 3-replica fleet with
-// scattered batches while swapper goroutines flip every replica between
-// an allow-all and a deny-all snapshot. Every batch response must be
-// homogeneous and match its reported version — a single mixed batch
-// means the gateway split one client batch across a rollover. Run under
-// -race this also proves the routing path is data-race clean.
+// 96-host batches while swapper goroutines flip every replica between
+// an allow-all and a deny-all snapshot. The gateway sends each batch
+// whole to the replica owning its first host, so every batch response
+// must be homogeneous and match the version it reports — a mixed batch
+// means one answer mixed two snapshots, and a mismatch means the
+// reported version is not the one that answered. Run under -race this
+// also proves the routing path is data-race clean.
 func TestBatchNeverStraddlesVersion(t *testing.T) {
 	snapA := straddleSnapshot(t, "vAAA", false, 96)
 	snapB := straddleSnapshot(t, "vBBB", true, 96)
@@ -237,8 +239,9 @@ func TestBatchNeverStraddlesVersion(t *testing.T) {
 	defer f.Close()
 	ctx := context.Background()
 
-	// One batch spanning all 96 hosts: guaranteed to scatter across
-	// replicas (the balance test pins that 3 replicas all own keys).
+	// One batch spanning all 96 hosts, which hash to every replica (the
+	// balance test pins that 3 replicas all own keys): routing must still
+	// answer it from one replica's snapshot.
 	var qs []policyd.Query
 	for i := 0; i < 96; i++ {
 		qs = append(qs, policyd.Query{Host: fmt.Sprintf("h%03d.test", i), Agent: "GPTBot", Path: "/x"})

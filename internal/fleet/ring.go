@@ -15,10 +15,10 @@ package fleet
 
 import "sort"
 
-// DefaultVNodes is the virtual-node count per replica when a ring is
+// defaultVNodes is the virtual-node count per replica when a ring is
 // built with vnodes <= 0. 64 points per replica keeps the max/mean load
 // imbalance under ~15% for small fleets while the ring stays a few KB.
-const DefaultVNodes = 64
+const defaultVNodes = 64
 
 // Ring is an immutable consistent-hash ring over named replicas. Keys
 // (host names) map to the replica owning the first ring point at or
@@ -37,10 +37,10 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring over the given replica names (order defines the
-// replica indices Pick returns). vnodes <= 0 means DefaultVNodes.
+// replica indices Pick returns). vnodes <= 0 means defaultVNodes.
 func NewRing(names []string, vnodes int) *Ring {
 	if vnodes <= 0 {
-		vnodes = DefaultVNodes
+		vnodes = defaultVNodes
 	}
 	r := &Ring{
 		names:  append([]string(nil), names...),
@@ -65,9 +65,6 @@ func (r *Ring) Len() int { return len(r.names) }
 
 // Name returns the name of replica i.
 func (r *Ring) Name(i int) string { return r.names[i] }
-
-// Names returns the replica names in index order.
-func (r *Ring) Names() []string { return append([]string(nil), r.names...) }
 
 // Pick returns the replica index owning key, or -1 on an empty ring.
 // It does not allocate.
@@ -95,7 +92,7 @@ func (r *Ring) Pick(key string) int {
 // Add returns a new ring with name appended (same vnode density as the
 // per-replica point count of the receiver).
 func (r *Ring) Add(name string) *Ring {
-	return NewRing(append(r.Names(), name), r.vnodesPer())
+	return NewRing(append(append([]string(nil), r.names...), name), r.vnodesPer())
 }
 
 // Remove returns a new ring without name; removing an absent name
@@ -112,7 +109,7 @@ func (r *Ring) Remove(name string) *Ring {
 
 func (r *Ring) vnodesPer() int {
 	if len(r.names) == 0 {
-		return DefaultVNodes
+		return defaultVNodes
 	}
 	return len(r.points) / len(r.names)
 }

@@ -8,43 +8,39 @@ package hosting
 
 import (
 	"fmt"
-	"net/http"
 	"sort"
-	"strings"
 
 	"repro/internal/agents"
 	"repro/internal/dnssim"
 	"repro/internal/robots"
 	"repro/internal/stats"
-	"repro/internal/useragent"
-	"repro/internal/webserver"
 )
 
 // ControlLevel is what a provider lets customers do to robots.txt.
 type ControlLevel int
 
 const (
-	// NoControl: the provider serves a fixed robots.txt.
-	NoControl ControlLevel = iota
-	// SearchEngineToggle: customers can disallow search engine crawlers.
-	SearchEngineToggle
-	// AIToggle: customers can disallow AI crawlers with one click
+	// noControl: the provider serves a fixed robots.txt.
+	noControl ControlLevel = iota
+	// searchEngineToggle: customers can disallow search engine crawlers.
+	searchEngineToggle
+	// aiToggle: customers can disallow AI crawlers with one click
 	// (Squarespace, Figure 5).
-	AIToggle
-	// FullEdit: customers can edit robots.txt directly (paid Wix).
-	FullEdit
+	aiToggle
+	// fullEdit: customers can edit robots.txt directly (paid Wix).
+	fullEdit
 )
 
 // String renders Table 2's "Edit?" column.
 func (c ControlLevel) String() string {
 	switch c {
-	case NoControl:
+	case noControl:
 		return "No"
-	case SearchEngineToggle:
+	case searchEngineToggle:
 		return "No (SE)"
-	case AIToggle:
+	case aiToggle:
 		return "No (AI, SE)"
-	case FullEdit:
+	case fullEdit:
 		return "Yes"
 	default:
 		return "?"
@@ -92,7 +88,7 @@ type Provider struct {
 // Providers is Table 2: the top eight providers in artist-share order.
 var Providers = []Provider{
 	{
-		Name: "Squarespace", SharePct: 20.7, Control: AIToggle,
+		Name: "Squarespace", SharePct: 20.7, Control: aiToggle,
 		Apex: "squarespace.com", InfraIP: "198.185.159.1",
 		DefaultDisallows:   []string{"/config", "/search", "/account"},
 		ToggleAgents:       agents.SquarespaceBlockedAgents,
@@ -100,44 +96,44 @@ var Providers = []Provider{
 		ToSAITraining:      "not addressed",
 	},
 	{
-		Name: "ArtStation", SharePct: 20.4, Control: NoControl,
+		Name: "ArtStation", SharePct: 20.4, Control: noControl,
 		Apex: "artstation.com", InfraIP: "104.26.5.1",
 		DefaultDisallows:     []string{"/search", "/api/"},
 		ChallengesAutomation: true,
 		ToSAITraining:        "no generative-AI licensing of user content",
 	},
 	{
-		Name: "Wix (Paid)", SharePct: 9.3, Control: FullEdit,
+		Name: "Wix (Paid)", SharePct: 9.3, Control: fullEdit,
 		Apex: "wix.com", InfraIP: "185.230.63.1",
 		DefaultDisallows: []string{"/_api/"},
 		ToSAITraining:    "may train service-improvement AI tools on user content",
 	},
 	{
-		Name: "Adobe Portfolio", SharePct: 4.8, Control: SearchEngineToggle,
+		Name: "Adobe Portfolio", SharePct: 4.8, Control: searchEngineToggle,
 		Apex: "myportfolio.com", InfraIP: "151.101.195.1",
 		ToSAITraining: "no generative-AI training on user content",
 	},
 	{
-		Name: "Wix (Free)", SharePct: 3.5, Control: NoControl,
+		Name: "Wix (Free)", SharePct: 3.5, Control: noControl,
 		SubdomainHosting: true, Apex: "wixsite.com", InfraIP: "185.230.63.2",
 		DefaultDisallows: []string{"/_api/"},
 		ToSAITraining:    "may train service-improvement AI tools on user content",
 	},
 	{
-		Name: "Weebly", SharePct: 3.1, Control: SearchEngineToggle,
+		Name: "Weebly", SharePct: 3.1, Control: searchEngineToggle,
 		Apex: "weebly.com", InfraIP: "199.34.228.1",
 		DefaultDisallows: []string{"/ajax/"},
 		BlockedUAs:       []string{"Claudebot", "Bytespider"},
 		ToSAITraining:    "not addressed",
 	},
 	{
-		Name: "Shopify", SharePct: 1.7, Control: NoControl,
+		Name: "Shopify", SharePct: 1.7, Control: noControl,
 		Apex: "myshopify.com", InfraIP: "23.227.38.1",
 		DefaultDisallows: []string{"/checkout", "/cart", "/admin"},
 		ToSAITraining:    "not addressed",
 	},
 	{
-		Name: "Carbonmade", SharePct: 1.5, Control: NoControl,
+		Name: "Carbonmade", SharePct: 1.5, Control: noControl,
 		SubdomainHosting: true, Apex: "carbonmade.com", InfraIP: "104.18.22.1",
 		DefaultAIDisallows:   []string{"GPTBot", "CCBot"},
 		ChallengesAutomation: true,
@@ -156,7 +152,7 @@ func ProviderByName(name string) (Provider, bool) {
 }
 
 // RobotsTxt renders the robots.txt a site hosted on p serves.
-// aiToggleEnabled only matters for AIToggle providers.
+// aiToggleEnabled only matters for aiToggle providers.
 func (p Provider) RobotsTxt(aiToggleEnabled bool) string {
 	b := robots.NewBuilder()
 	b.Comment("robots.txt served by " + p.Name)
@@ -169,42 +165,10 @@ func (p Provider) RobotsTxt(aiToggleEnabled bool) string {
 	if len(p.DefaultAIDisallows) > 0 {
 		b.Group(p.DefaultAIDisallows...).DisallowAll()
 	}
-	if p.Control == AIToggle && aiToggleEnabled && len(p.ToggleAgents) > 0 {
+	if p.Control == aiToggle && aiToggleEnabled && len(p.ToggleAgents) > 0 {
 		b.Group(p.ToggleAgents...).DisallowAll()
 	}
 	return b.String()
-}
-
-// Blocker returns the provider's edge blocking behaviour as a
-// webserver.Blocker, or nil when the provider does not block.
-func (p Provider) Blocker() webserver.Blocker {
-	if len(p.BlockedUAs) == 0 && !p.ChallengesAutomation {
-		return nil
-	}
-	blocked := append([]string(nil), p.BlockedUAs...)
-	challenges := p.ChallengesAutomation
-	return webserver.BlockerFunc(func(r *http.Request) *webserver.BlockDecision {
-		if _, hit := useragent.MatchesAny(r.UserAgent(), blocked); hit {
-			return &webserver.BlockDecision{Status: http.StatusForbidden,
-				Body: "<html><body>blocked by " + p.Name + "</body></html>"}
-		}
-		if challenges && looksAutomated(r.UserAgent()) {
-			return &webserver.BlockDecision{Status: http.StatusForbidden, Challenge: true,
-				Body: "<html><body>captcha challenge from " + p.Name + "</body></html>"}
-		}
-		return nil
-	})
-}
-
-// looksAutomated is the provider-side heuristic: anything that is not a
-// mainstream browser UA counts as automated.
-func looksAutomated(ua string) bool {
-	l := strings.ToLower(ua)
-	isBrowser := strings.Contains(l, "chrome/") || strings.Contains(l, "firefox/") ||
-		strings.Contains(l, "safari/")
-	compat := strings.Contains(l, "compatible;") || strings.Contains(l, "bot") ||
-		strings.Contains(l, "crawler") || strings.Contains(l, "spider")
-	return !isBrowser || compat
 }
 
 // ArtistSite is one of the 1,182 directory sites.
@@ -226,15 +190,15 @@ type Population struct {
 	Zone  *dnssim.Zone
 }
 
-// PaperPopulationSize is the number of artist sites the paper collected.
-const PaperPopulationSize = 1182
+// paperPopulationSize is the number of artist sites the paper collected.
+const paperPopulationSize = 1182
 
 // GeneratePopulation builds n artist sites (0 means the paper's 1,182)
 // with Table 2's provider shares, DNS records for identification, and
 // Squarespace toggle adoption at the measured 17%.
 func GeneratePopulation(n int, seed int64) *Population {
 	if n <= 0 {
-		n = PaperPopulationSize
+		n = paperPopulationSize
 	}
 	rn := stats.NewRand(seed).Fork("artists")
 	pop := &Population{Zone: dnssim.NewZone()}
@@ -274,7 +238,7 @@ func GeneratePopulation(n int, seed int64) *Population {
 				pop.Zone.SetCNAME(site.Domain, "ingress."+p.Apex)
 				pop.Zone.SetA("ingress."+p.Apex, p.InfraIP)
 			}
-			if p.Control == AIToggle {
+			if p.Control == aiToggle {
 				site.AIToggleEnabled = rn.Bool(p.ToggleAdoptionRate)
 			}
 		}
@@ -283,10 +247,10 @@ func GeneratePopulation(n int, seed int64) *Population {
 	return pop
 }
 
-// IdentifyProvider attributes a domain to a Table 2 provider the way the
+// identifyProvider attributes a domain to a Table 2 provider the way the
 // paper does: by subdomain suffix, or by resolving DNS to provider
 // infrastructure. It returns "" when the domain matches no provider.
-func IdentifyProvider(zone *dnssim.Zone, domain string) string {
+func identifyProvider(zone *dnssim.Zone, domain string) string {
 	for _, p := range Providers {
 		if p.SubdomainHosting && dnssim.IsSubdomainOf(domain, p.Apex) {
 			return p.Name
@@ -335,7 +299,7 @@ func Table2(pop *Population) []Table2Row {
 		perProvider[p.Name] = &Table2Row{Provider: p.Name, Control: p.Control}
 	}
 	for _, site := range pop.Sites {
-		name := IdentifyProvider(pop.Zone, site.Domain)
+		name := identifyProvider(pop.Zone, site.Domain)
 		row, ok := perProvider[name]
 		if !ok {
 			continue
@@ -392,7 +356,7 @@ func Summarize(pop *Population) ControlSummary {
 			continue
 		}
 		sum.ByControl[p.Control]++
-		if p.Control == AIToggle {
+		if p.Control == aiToggle {
 			sum.ToggleEligible++
 			if site.AIToggleEnabled {
 				sum.ToggleEnabled++

@@ -1,7 +1,6 @@
 package hosting
 
 import (
-	"net/http"
 	"strings"
 	"testing"
 
@@ -30,9 +29,9 @@ func TestProvidersTable(t *testing.T) {
 	}
 	// Control surfaces.
 	checks := map[string]ControlLevel{
-		"Squarespace": AIToggle, "Wix (Paid)": FullEdit,
-		"Adobe Portfolio": SearchEngineToggle, "Weebly": SearchEngineToggle,
-		"ArtStation": NoControl, "Carbonmade": NoControl,
+		"Squarespace": aiToggle, "Wix (Paid)": fullEdit,
+		"Adobe Portfolio": searchEngineToggle, "Weebly": searchEngineToggle,
+		"ArtStation": noControl, "Carbonmade": noControl,
 	}
 	for name, lvl := range checks {
 		p, _ := ProviderByName(name)
@@ -47,8 +46,8 @@ func TestProvidersTable(t *testing.T) {
 
 func TestControlLevelStrings(t *testing.T) {
 	for lvl, want := range map[ControlLevel]string{
-		NoControl: "No", SearchEngineToggle: "No (SE)",
-		AIToggle: "No (AI, SE)", FullEdit: "Yes", ControlLevel(9): "?",
+		noControl: "No", searchEngineToggle: "No (SE)",
+		aiToggle: "No (AI, SE)", fullEdit: "Yes", ControlLevel(9): "?",
 	} {
 		if got := lvl.String(); got != want {
 			t.Errorf("%d = %q, want %q", lvl, got, want)
@@ -91,44 +90,24 @@ func TestCarbonmadeDefaultBlocksAI(t *testing.T) {
 
 func TestWeeblyBlocker(t *testing.T) {
 	p, _ := ProviderByName("Weebly")
-	b := p.Blocker()
-	if b == nil {
-		t.Fatal("Weebly must have a blocker")
-	}
-	req, _ := http.NewRequest("GET", "http://x/", nil)
-	req.Header.Set("User-Agent", useragent.FullUA("Claudebot", "1.0"))
-	if d := b.Check(req); d == nil || d.Status != 403 {
-		t.Error("Weebly must block Claudebot")
-	}
-	req.Header.Set("User-Agent", useragent.FullUA("Bytespider", "1.0"))
-	if d := b.Check(req); d == nil {
-		t.Error("Weebly must block Bytespider")
-	}
-	req.Header.Set("User-Agent", useragent.FullUA("GPTBot", "1.0"))
-	if d := b.Check(req); d != nil {
-		t.Error("Weebly must not block GPTBot")
+	for ua, blocked := range map[string]bool{"Claudebot": true, "Bytespider": true, "GPTBot": false} {
+		if _, hit := useragent.MatchesAny(useragent.FullUA(ua, "1.0"), p.BlockedUAs); hit != blocked {
+			t.Errorf("Weebly blocks %s = %v, want %v", ua, hit, blocked)
+		}
 	}
 }
 
 func TestArtStationChallengesAutomation(t *testing.T) {
 	p, _ := ProviderByName("ArtStation")
-	b := p.Blocker()
-	req, _ := http.NewRequest("GET", "http://x/", nil)
-	req.Header.Set("User-Agent", useragent.FullUA("GPTBot", "1.0"))
-	d := b.Check(req)
-	if d == nil || !d.Challenge {
+	if !p.ChallengesAutomation {
 		t.Error("ArtStation must challenge automated requests")
-	}
-	req.Header.Set("User-Agent", useragent.BrowserChromeUA)
-	if d := b.Check(req); d != nil {
-		t.Error("ArtStation must serve browsers")
 	}
 }
 
 func TestNoBlockerProviders(t *testing.T) {
 	for _, name := range []string{"Squarespace", "Wix (Paid)", "Adobe Portfolio", "Shopify"} {
 		p, _ := ProviderByName(name)
-		if p.Blocker() != nil {
+		if len(p.BlockedUAs) > 0 || p.ChallengesAutomation {
 			t.Errorf("%s should not block at the edge", name)
 		}
 	}
@@ -136,8 +115,8 @@ func TestNoBlockerProviders(t *testing.T) {
 
 func TestGeneratePopulation(t *testing.T) {
 	pop := GeneratePopulation(0, 13)
-	if len(pop.Sites) != PaperPopulationSize {
-		t.Fatalf("population = %d, want %d", len(pop.Sites), PaperPopulationSize)
+	if len(pop.Sites) != paperPopulationSize {
+		t.Fatalf("population = %d, want %d", len(pop.Sites), paperPopulationSize)
 	}
 	counts := map[string]int{}
 	for _, s := range pop.Sites {
@@ -148,7 +127,7 @@ func TestGeneratePopulation(t *testing.T) {
 	}
 	// Exact provider counts from Table 2 shares.
 	for _, p := range Providers {
-		want := int(float64(PaperPopulationSize)*p.SharePct/100 + 0.5)
+		want := int(float64(paperPopulationSize)*p.SharePct/100 + 0.5)
 		if counts[p.Name] != want {
 			t.Errorf("%s sites = %d, want %d", p.Name, counts[p.Name], want)
 		}
@@ -161,7 +140,7 @@ func TestGeneratePopulation(t *testing.T) {
 func TestIdentifyProvider(t *testing.T) {
 	pop := GeneratePopulation(400, 13)
 	for _, s := range pop.Sites {
-		got := IdentifyProvider(pop.Zone, s.Domain)
+		got := identifyProvider(pop.Zone, s.Domain)
 		if got != s.Provider {
 			t.Fatalf("%s: identified %q, want %q", s.Domain, got, s.Provider)
 		}
@@ -215,8 +194,8 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("toggle adoption = %.2f, want ≈0.17 (§4.4)", rate)
 	}
 	// Only paid Wix offers full editing; nobody edits (0 observed in the
-	// paper), so FullEdit sites exist but contribute no AI restrictions.
-	if sum.ByControl[FullEdit] == 0 {
+	// paper), so fullEdit sites exist but contribute no AI restrictions.
+	if sum.ByControl[fullEdit] == 0 {
 		t.Error("paid Wix population missing")
 	}
 }
@@ -232,21 +211,6 @@ func TestRobotsTxtAlwaysParses(t *testing.T) {
 			if !strings.Contains(body, "User-agent: *") {
 				t.Errorf("%s robots.txt lacks a wildcard group", p.Name)
 			}
-		}
-	}
-}
-
-func TestLooksAutomated(t *testing.T) {
-	if looksAutomated(useragent.BrowserChromeUA) {
-		t.Error("Chrome UA must not look automated")
-	}
-	for _, ua := range []string{
-		useragent.FullUA("GPTBot", "1.0"),
-		"curl/8.0",
-		"python-requests/2.31",
-	} {
-		if !looksAutomated(ua) {
-			t.Errorf("%q must look automated", ua)
 		}
 	}
 }

@@ -22,29 +22,29 @@ import (
 type PolicyClass int
 
 const (
-	// BlockAIData blocks training-data crawlers only.
-	BlockAIData PolicyClass = 1 << iota
-	// BlockAIAssistants blocks user-triggered assistant crawlers.
-	BlockAIAssistants
-	// BlockAISearch blocks AI search indexers.
-	BlockAISearch
-	// BlockUndocumented blocks undocumented AI agents.
-	BlockUndocumented
+	// blockAIData blocks training-data crawlers only.
+	blockAIData PolicyClass = 1 << iota
+	// blockAIAssistants blocks user-triggered assistant crawlers.
+	blockAIAssistants
+	// blockAISearch blocks AI search indexers.
+	blockAISearch
+	// blockUndocumented blocks undocumented AI agents.
+	blockUndocumented
 	// BlockAllAI blocks every AI agent class.
-	BlockAllAI = BlockAIData | BlockAIAssistants | BlockAISearch | BlockUndocumented
+	BlockAllAI = blockAIData | blockAIAssistants | blockAISearch | blockUndocumented
 )
 
 // categoryBit maps an agent category to its policy bit.
 func categoryBit(c agents.Category) PolicyClass {
 	switch c {
 	case agents.AIData:
-		return BlockAIData
+		return blockAIData
 	case agents.AIAssistant:
-		return BlockAIAssistants
+		return blockAIAssistants
 	case agents.AISearch:
-		return BlockAISearch
+		return blockAISearch
 	case agents.Undocumented:
-		return BlockUndocumented
+		return blockUndocumented
 	default:
 		return 0
 	}

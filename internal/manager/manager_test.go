@@ -37,7 +37,7 @@ func TestBlockedAgentsAnnouncementGated(t *testing.T) {
 
 func TestPolicyClasses(t *testing.T) {
 	now := date(2024, time.October)
-	dataOnly := Manager{Policy: BlockAIData}.BlockedAgents(now)
+	dataOnly := Manager{Policy: blockAIData}.BlockedAgents(now)
 	for _, ua := range dataOnly {
 		if ua == "ChatGPT-User" || ua == "OAI-SearchBot" {
 			t.Errorf("data-only policy must not block %s", ua)

@@ -26,12 +26,12 @@ const measureFarmIP = "203.0.113.49"
 type Verdict int
 
 const (
-	// NotObserved: the crawler never visited ('-' in Table 1).
-	NotObserved Verdict = iota
+	// notObserved: the crawler never visited ('-' in Table 1).
+	notObserved Verdict = iota
 	// Respected: fetched robots.txt and fetched no disallowed content.
 	Respected
-	// FetchedIgnored: fetched robots.txt but crawled anyway (Bytespider).
-	FetchedIgnored
+	// fetchedIgnored: fetched robots.txt but crawled anyway (Bytespider).
+	fetchedIgnored
 	// NotFetched: crawled content without ever requesting robots.txt.
 	NotFetched
 	// BuggyRobotsFetch: requested a malformed robots.txt URL and crawled.
@@ -48,11 +48,11 @@ const (
 // String names the verdict in the paper's terms.
 func (v Verdict) String() string {
 	switch v {
-	case NotObserved:
+	case notObserved:
 		return "not observed"
 	case Respected:
 		return "respects robots.txt"
-	case FetchedIgnored:
+	case fetchedIgnored:
 		return "fetches but ignores robots.txt"
 	case NotFetched:
 		return "does not fetch robots.txt"
@@ -67,13 +67,13 @@ func (v Verdict) String() string {
 	}
 }
 
-// Respects converts a verdict to Table 1's tri-state "Respect in
+// respects converts a verdict to Table 1's tri-state "Respect in
 // Practice" column.
-func (v Verdict) Respects() agents.TriState {
+func (v Verdict) respects() agents.TriState {
 	switch v {
 	case Respected:
 		return agents.Yes
-	case FetchedIgnored, NotFetched, BuggyRobotsFetch:
+	case fetchedIgnored, NotFetched, BuggyRobotsFetch:
 		return agents.No
 	default:
 		return agents.Unknown
@@ -223,13 +223,13 @@ func ClassifyEvidence(ev Evidence) Verdict {
 	case ev.RobotsOK > 0 && ev.Content == 0:
 		return Respected
 	case ev.RobotsOK > 0 && ev.Content > 0:
-		return FetchedIgnored
+		return fetchedIgnored
 	case ev.Content == 1:
 		return Anomalous
 	case ev.Content > 1:
 		return NotFetched
 	default:
-		return NotObserved
+		return notObserved
 	}
 }
 
@@ -286,12 +286,12 @@ func Table1Rows(passive *PassiveResult) []Table1Row {
 	for _, a := range agents.Table1 {
 		v, ok := passive.Verdicts[a.UserAgent]
 		if !ok {
-			v = NotObserved
+			v = notObserved
 		}
 		// The ChatGPT-User anomaly resolves through the active study: its
 		// user-triggered behaviour respects robots.txt (§5.2.2), which is
 		// what Table 1 reports.
-		measured := v.Respects()
+		measured := v.respects()
 		if v == Anomalous && a.UserAgent == "ChatGPT-User" {
 			measured = agents.Yes
 		}
@@ -300,8 +300,8 @@ func Table1Rows(passive *PassiveResult) []Table1Row {
 	return rows
 }
 
-// ThirdPartyCrawler is one of the §5.2.2 GPT-app backend crawlers.
-type ThirdPartyCrawler struct {
+// thirdPartyCrawler is one of the §5.2.2 GPT-app backend crawlers.
+type thirdPartyCrawler struct {
 	// Backend is the service domain the GPT app contacts.
 	Backend string
 	// IPs is the crawler's address pool.
@@ -310,12 +310,12 @@ type ThirdPartyCrawler struct {
 	Behavior crawler.Behavior
 }
 
-// GenerateThirdParty builds the 23 third-party assistant crawlers with the
+// generateThirdParty builds the 23 third-party assistant crawlers with the
 // measured behaviour mix: 1 compliant, 1 buggy, 1 intermittent, 20 that
 // never fetch robots.txt.
-func GenerateThirdParty(seed int64) []ThirdPartyCrawler {
+func generateThirdParty(seed int64) []thirdPartyCrawler {
 	rn := stats.NewRand(seed).Fork("third-party")
-	out := make([]ThirdPartyCrawler, 0, 23)
+	out := make([]thirdPartyCrawler, 0, 23)
 	for i := 0; i < 23; i++ {
 		b := crawler.NoFetch
 		switch i {
@@ -331,7 +331,7 @@ func GenerateThirdParty(seed int64) []ThirdPartyCrawler {
 		for j := range ips {
 			ips[j] = fmt.Sprintf("100.%d.%d.%d", 64+i, j, 10+rn.Intn(200))
 		}
-		out = append(out, ThirdPartyCrawler{
+		out = append(out, thirdPartyCrawler{
 			Backend:  fmt.Sprintf("fetcher%02d.example", i+1),
 			IPs:      ips,
 			Behavior: b,
@@ -409,7 +409,7 @@ func RunActive(ctx context.Context, seed int64, nApps int) (*ActiveResult, error
 
 	// GPT apps: each app delegates to one backend crawler; we observe the
 	// backend domain (from the app UI) and source IPs (from our logs).
-	third := GenerateThirdParty(seed)
+	third := generateThirdParty(seed)
 	rn := stats.NewRand(seed).Fork("apps")
 	var observations []observation
 	crawlers := make(map[string][]*crawler.Crawler) // backend -> per-IP instances
@@ -528,7 +528,7 @@ func combineTriggers(windows []triggerEvidence) Verdict {
 	case buggy > 0:
 		return BuggyRobotsFetch
 	case ignored > 0:
-		return FetchedIgnored
+		return fetchedIgnored
 	case respected > 0 && noFetch > 0:
 		return IntermittentRespect
 	case respected > 0:
@@ -536,11 +536,11 @@ func combineTriggers(windows []triggerEvidence) Verdict {
 	case noFetch > 0:
 		return NotFetched
 	default:
-		return NotObserved
+		return notObserved
 	}
 }
 
-func probeIP(tp ThirdPartyCrawler) string {
+func probeIP(tp thirdPartyCrawler) string {
 	var n int
 	fmt.Sscanf(tp.Backend, "fetcher%02d.example", &n)
 	return fmt.Sprintf("203.0.114.%d", 10+n)

@@ -26,7 +26,7 @@ func TestPassiveStudy(t *testing.T) {
 		}
 	}
 	// Bytespider fetched but ignored.
-	if res.Verdicts["Bytespider"] != FetchedIgnored {
+	if res.Verdicts["Bytespider"] != fetchedIgnored {
 		t.Errorf("Bytespider verdict = %v, want fetch-ignore", res.Verdicts["Bytespider"])
 	}
 	// ChatGPT-User's single anomalous visit.
@@ -145,11 +145,11 @@ func TestEvidenceMergeAndClassify(t *testing.T) {
 		want Verdict
 	}{
 		{Evidence{RobotsOK: 2}, Respected},
-		{Evidence{RobotsOK: 1, Content: 3}, FetchedIgnored},
+		{Evidence{RobotsOK: 1, Content: 3}, fetchedIgnored},
 		{Evidence{RobotsBroken: 1, Content: 3}, BuggyRobotsFetch},
 		{Evidence{Content: 1}, Anomalous},
 		{Evidence{Content: 5}, NotFetched},
-		{Evidence{}, NotObserved},
+		{Evidence{}, notObserved},
 	}
 	for i, tc := range cases {
 		if got := ClassifyEvidence(tc.ev); got != tc.want {
@@ -159,7 +159,7 @@ func TestEvidenceMergeAndClassify(t *testing.T) {
 }
 
 func TestGenerateThirdParty(t *testing.T) {
-	tps := GenerateThirdParty(3)
+	tps := generateThirdParty(3)
 	if len(tps) != 23 {
 		t.Fatalf("third-party crawlers = %d, want 23", len(tps))
 	}
@@ -189,7 +189,7 @@ func TestGenerateThirdParty(t *testing.T) {
 		t.Fatalf("behaviour mix = %v", counts)
 	}
 	// Determinism.
-	again := GenerateThirdParty(3)
+	again := generateThirdParty(3)
 	for i := range tps {
 		if tps[i].Backend != again[i].Backend || len(tps[i].IPs) != len(again[i].IPs) {
 			t.Fatal("third-party generation must be deterministic")
@@ -214,7 +214,7 @@ func TestCountClusters(t *testing.T) {
 }
 
 func TestVerdictStringsAndRespect(t *testing.T) {
-	all := []Verdict{NotObserved, Respected, FetchedIgnored, NotFetched,
+	all := []Verdict{notObserved, Respected, fetchedIgnored, NotFetched,
 		BuggyRobotsFetch, IntermittentRespect, Anomalous, Verdict(99)}
 	seen := map[string]bool{}
 	for _, v := range all {
@@ -224,16 +224,16 @@ func TestVerdictStringsAndRespect(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	if Respected.Respects() != agents.Yes {
+	if Respected.respects() != agents.Yes {
 		t.Error("respected → Yes")
 	}
-	for _, v := range []Verdict{FetchedIgnored, NotFetched, BuggyRobotsFetch} {
-		if v.Respects() != agents.No {
+	for _, v := range []Verdict{fetchedIgnored, NotFetched, BuggyRobotsFetch} {
+		if v.respects() != agents.No {
 			t.Errorf("%v → No", v)
 		}
 	}
-	for _, v := range []Verdict{NotObserved, Anomalous, IntermittentRespect} {
-		if v.Respects() != agents.Unknown {
+	for _, v := range []Verdict{notObserved, Anomalous, IntermittentRespect} {
+		if v.respects() != agents.Unknown {
 			t.Errorf("%v → Unknown", v)
 		}
 	}
@@ -251,9 +251,9 @@ func TestCombineTriggers(t *testing.T) {
 		{[]triggerEvidence{r, r, r}, Respected},
 		{[]triggerEvidence{c, c}, NotFetched},
 		{[]triggerEvidence{r, c, c}, IntermittentRespect},
-		{[]triggerEvidence{ri, ri}, FetchedIgnored},
+		{[]triggerEvidence{ri, ri}, fetchedIgnored},
 		{[]triggerEvidence{b, c}, BuggyRobotsFetch},
-		{nil, NotObserved},
+		{nil, notObserved},
 	}
 	for i, tc := range cases {
 		if got := combineTriggers(tc.in); got != tc.want {

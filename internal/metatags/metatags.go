@@ -86,15 +86,15 @@ type ScanResult struct {
 
 // Paper counts for the top-10k scan (§2.2).
 const (
-	PaperTopN      = 10_000
-	PaperNoAI      = 17
-	PaperNoImageAI = 16
+	paperTopN      = 10_000
+	paperNoAI      = 17
+	paperNoImageAI = 16
 )
 
-// GenerateHomepages builds n synthetic homepages of which exactly
+// generateHomepages builds n synthetic homepages of which exactly
 // wantNoAI carry the noai token and wantNoImageAI carry noimageai
 // (overlapping where possible, as observed: most adopters set both).
-func GenerateHomepages(n, wantNoAI, wantNoImageAI int, seed int64) []string {
+func generateHomepages(n, wantNoAI, wantNoImageAI int, seed int64) []string {
 	rn := stats.NewRand(seed).Fork("metatags")
 	pages := make([]string, n)
 	both := wantNoImageAI
@@ -122,8 +122,8 @@ func GenerateHomepages(n, wantNoAI, wantNoImageAI int, seed int64) []string {
 	return pages
 }
 
-// ScanAll scans a page population.
-func ScanAll(pages []string) ScanResult {
+// scanAll scans a page population.
+func scanAll(pages []string) ScanResult {
 	res := ScanResult{Scanned: len(pages)}
 	for _, p := range pages {
 		d := Scan(p)
@@ -139,6 +139,6 @@ func ScanAll(pages []string) ScanResult {
 
 // RunTop10kScan reproduces the §2.2 measurement at the paper's scale.
 func RunTop10kScan(seed int64) ScanResult {
-	pages := GenerateHomepages(PaperTopN, PaperNoAI, PaperNoImageAI, seed)
-	return ScanAll(pages)
+	pages := generateHomepages(paperTopN, paperNoAI, paperNoImageAI, seed)
+	return scanAll(pages)
 }

@@ -58,8 +58,8 @@ func TestScanMalformed(t *testing.T) {
 }
 
 func TestGenerateAndScanExactCounts(t *testing.T) {
-	pages := GenerateHomepages(1000, 17, 16, 3)
-	res := ScanAll(pages)
+	pages := generateHomepages(1000, 17, 16, 3)
+	res := scanAll(pages)
 	if res.Scanned != 1000 || res.NoAI != 17 || res.NoImageAI != 16 {
 		t.Fatalf("scan = %+v", res)
 	}
@@ -67,10 +67,10 @@ func TestGenerateAndScanExactCounts(t *testing.T) {
 
 func TestRunTop10kScan(t *testing.T) {
 	res := RunTop10kScan(3)
-	if res.Scanned != PaperTopN {
+	if res.Scanned != paperTopN {
 		t.Fatalf("scanned = %d", res.Scanned)
 	}
-	if res.NoAI != PaperNoAI || res.NoImageAI != PaperNoImageAI {
+	if res.NoAI != paperNoAI || res.NoImageAI != paperNoImageAI {
 		t.Fatalf("scan = %+v, want 17/16 (§2.2)", res)
 	}
 }

@@ -344,7 +344,7 @@ func (t *fastTransport) exchange(fc *fastConn, head []byte, stream io.ReadCloser
 // retryableErr reports whether an error means "peer gone" rather than
 // deadline expiry or local cancellation.
 func retryableErr(err error) bool {
-	return errors.Is(err, ErrConnReset) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe)
+	return errors.Is(err, errConnReset) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe)
 }
 
 // readResponse parses one HTTP/1.x response head and hands the body back

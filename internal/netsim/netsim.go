@@ -29,12 +29,12 @@ import (
 	"time"
 )
 
-// ErrConnRefused is returned by Dial when no listener is bound to the
+// errConnRefused is returned by Dial when no listener is bound to the
 // target address.
-var ErrConnRefused = errors.New("netsim: connection refused")
+var errConnRefused = errors.New("netsim: connection refused")
 
-// ErrNameNotFound is returned when a hostname has no registered address.
-var ErrNameNotFound = errors.New("netsim: no such host")
+// errNameNotFound is returned when a hostname has no registered address.
+var errNameNotFound = errors.New("netsim: no such host")
 
 // Network is an in-memory IP network. The zero value is not usable; create
 // one with New. All methods are safe for concurrent use.
@@ -43,7 +43,7 @@ type Network struct {
 	listeners map[string]*listener // key "ip:port"
 	names     map[string]string    // lowercase hostname -> ip
 	ephemeral atomic.Uint32
-	latency   time.Duration
+	latency   time.Duration // one-way delay on every successful dial; 0 = none
 }
 
 // New returns an empty network.
@@ -52,14 +52,6 @@ func New() *Network {
 		listeners: make(map[string]*listener),
 		names:     make(map[string]string),
 	}
-}
-
-// SetLatency sets a fixed one-way connection setup delay applied on every
-// successful dial. Zero (the default) disables the delay.
-func (n *Network) SetLatency(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.latency = d
 }
 
 // Register binds hostname to ip in the network's name service, replacing
@@ -81,7 +73,7 @@ func (n *Network) Resolve(hostname string) (string, error) {
 	if ip, ok := n.names[strings.ToLower(hostname)]; ok {
 		return ip, nil
 	}
-	return "", fmt.Errorf("%w: %s", ErrNameNotFound, hostname)
+	return "", fmt.Errorf("%w: %s", errNameNotFound, hostname)
 }
 
 // Listen binds a listener to ip:port. Binding an address that is already
@@ -191,7 +183,7 @@ func (n *Network) Dial(ctx context.Context, sourceIP, addr string) (net.Conn, er
 	latency := n.latency
 	n.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrConnRefused, key)
+		return nil, fmt.Errorf("%w: %s", errConnRefused, key)
 	}
 	if latency > 0 {
 		timer := time.NewTimer(latency)
@@ -214,7 +206,7 @@ func (n *Network) Dial(ctx context.Context, sourceIP, addr string) (net.Conn, er
 	if reason := l.enqueue(sc); reason != "" {
 		cc.Close()
 		sc.Close()
-		return nil, fmt.Errorf("%w: %s (%s)", ErrConnRefused, key, reason)
+		return nil, fmt.Errorf("%w: %s (%s)", errConnRefused, key, reason)
 	}
 	return cc, nil
 }
@@ -243,7 +235,7 @@ func (n *Network) Dialer(sourceIP string) func(ctx context.Context, network, add
 // The client carries no overall request timeout: wrapping every request
 // in a deadline context costs several allocations and a timer on the hot
 // path, and the simulated network cannot stall silently (a closed peer
-// always surfaces as EOF or ErrConnReset). Callers that want a bound
+// always surfaces as EOF or errConnReset). Callers that want a bound
 // pass a cancellable or deadline context per request — every experiment
 // driver in this repo already does — or set Timeout on the returned
 // client.
@@ -309,8 +301,8 @@ func (l *listener) Accept() (net.Conn, error) {
 }
 
 // Close releases the bound address. Dials after the close fail with
-// ErrConnRefused; connections already queued in the backlog are closed,
-// so their dialers see ErrConnReset on first read or write.
+// errConnRefused; connections already queued in the backlog are closed,
+// so their dialers see errConnReset on first read or write.
 func (l *listener) Close() error {
 	l.mu.Lock()
 	if l.closed {

@@ -53,7 +53,7 @@ func TestHTTPOverNetworkPreservesSourceIP(t *testing.T) {
 func TestDialUnknownHost(t *testing.T) {
 	nw := New()
 	_, err := nw.Dial(context.Background(), "10.0.0.1", "nowhere.test:80")
-	if !errors.Is(err, ErrNameNotFound) {
+	if !errors.Is(err, errNameNotFound) {
 		t.Fatalf("err = %v, want ErrNameNotFound", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestDialUnknownHost(t *testing.T) {
 func TestDialRefused(t *testing.T) {
 	nw := New()
 	_, err := nw.Dial(context.Background(), "10.0.0.1", "192.0.2.1:80")
-	if !errors.Is(err, ErrConnRefused) {
+	if !errors.Is(err, errConnRefused) {
 		t.Fatalf("err = %v, want ErrConnRefused", err)
 	}
 }
@@ -122,14 +122,14 @@ func TestAcceptAfterClose(t *testing.T) {
 		t.Fatal("Accept did not return after Close")
 	}
 	// Dials to a closed listener are refused.
-	if _, err := nw.Dial(context.Background(), "10.0.0.1", "192.0.2.6:80"); !errors.Is(err, ErrConnRefused) {
+	if _, err := nw.Dial(context.Background(), "10.0.0.1", "192.0.2.6:80"); !errors.Is(err, errConnRefused) {
 		t.Fatalf("dial to closed listener: %v", err)
 	}
 }
 
 func TestDialContextCancel(t *testing.T) {
 	nw := New()
-	nw.SetLatency(5 * time.Second)
+	nw.latency = 5 * time.Second
 	ln, err := nw.Listen("192.0.2.7", 80)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestDialCancelledContextNoLatency(t *testing.T) {
 
 func TestLatencyApplied(t *testing.T) {
 	nw := New()
-	nw.SetLatency(30 * time.Millisecond)
+	nw.latency = 30 * time.Millisecond
 	ln, err := nw.Listen("192.0.2.8", 80)
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestManyConcurrentDialsAndListens(t *testing.T) {
 				c, err := nw.Dial(context.Background(), src, target)
 				if err != nil {
 					// Refusals are expected once listeners start closing.
-					if !errors.Is(err, ErrConnRefused) {
+					if !errors.Is(err, errConnRefused) {
 						errs <- err
 					}
 					return
@@ -284,7 +284,7 @@ func TestManyConcurrentDialsAndListens(t *testing.T) {
 				// those conns, so the write either succeeds (buffered or
 				// read by the server) or fails fast with a reset — no
 				// deadline needed to avoid blocking forever.
-				if _, werr := fmt.Fprint(c, "ping"); werr != nil && !errors.Is(werr, ErrConnReset) {
+				if _, werr := fmt.Fprint(c, "ping"); werr != nil && !errors.Is(werr, errConnReset) {
 					errs <- fmt.Errorf("write after refused accept: %w", werr)
 				}
 				c.Close()
@@ -436,7 +436,7 @@ func TestAliasLifecycle(t *testing.T) {
 		t.Fatalf("primary address must survive RemoveAlias: %v", err)
 	}
 	nw.RemoveAlias("192.0.2.31", 80)
-	if _, err := nw.Dial(context.Background(), "198.51.100.7", "192.0.2.31:80"); !errors.Is(err, ErrConnRefused) {
+	if _, err := nw.Dial(context.Background(), "198.51.100.7", "192.0.2.31:80"); !errors.Is(err, errConnRefused) {
 		t.Fatalf("dial removed alias = %v, want refused", err)
 	}
 
@@ -444,7 +444,7 @@ func TestAliasLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	ln.Close()
-	if _, err := nw.Dial(context.Background(), "198.51.100.7", "192.0.2.33:80"); !errors.Is(err, ErrConnRefused) {
+	if _, err := nw.Dial(context.Background(), "198.51.100.7", "192.0.2.33:80"); !errors.Is(err, errConnRefused) {
 		t.Fatalf("dial alias after listener close = %v, want refused", err)
 	}
 	// The alias slots are free again.

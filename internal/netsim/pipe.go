@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// ErrConnReset is returned by reads and writes on a connection whose peer
+// errConnReset is returned by reads and writes on a connection whose peer
 // has closed — including dials that were accepted into a listener's
 // backlog just before the listener shut down and drained it.
-var ErrConnReset = errors.New("netsim: connection reset by peer")
+var errConnReset = errors.New("netsim: connection reset by peer")
 
 // connBufSize is the per-direction buffer capacity of a simulated
 // connection. It plays the role of the TCP window: writers block only
@@ -42,7 +42,7 @@ type halfPipe struct {
 	r   int    // index of the next byte to read
 	n   int    // bytes currently buffered
 
-	readerGone bool // read side closed: writes fail with ErrConnReset
+	readerGone bool // read side closed: writes fail with errConnReset
 	writerGone bool // write side closed: reads drain, then io.EOF
 
 	rdl expiry // read deadline (owned by the reading conn)
@@ -111,7 +111,7 @@ func (h *halfPipe) write(p []byte) (int, error) {
 		case h.writerGone:
 			return total, io.ErrClosedPipe
 		case h.readerGone:
-			return total, ErrConnReset
+			return total, errConnReset
 		case h.wdl.expired:
 			return total, os.ErrDeadlineExceeded
 		}
@@ -134,7 +134,7 @@ func (h *halfPipe) write(p []byte) (int, error) {
 }
 
 // closeRead shuts the reading side: the peer's pending and future writes
-// fail with ErrConnReset.
+// fail with errConnReset.
 func (h *halfPipe) closeRead() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -169,7 +169,7 @@ func (h *halfPipe) closeWrite() {
 
 // releaseLocked returns the ring storage to the pool once no byte can
 // ever be read from it again: the read side closed (undelivered bytes
-// are dropped and writes fail with ErrConnReset), or the write side
+// are dropped and writes fail with errConnReset), or the write side
 // closed and the reader has drained everything (future reads see EOF
 // without touching the ring). Releasing on either condition — not only
 // when both conns close — matters because an idle keep-alive conn whose
@@ -240,7 +240,7 @@ func (c *conn) Read(p []byte) (int, error)  { return c.rd.read(p) }
 func (c *conn) Write(p []byte) (int, error) { return c.wr.write(p) }
 
 // Close shuts both directions: the peer drains buffered data and then
-// sees EOF on reads, and its writes fail with ErrConnReset.
+// sees EOF on reads, and its writes fail with errConnReset.
 func (c *conn) Close() error {
 	c.closeOnce.Do(func() {
 		c.rd.closeRead()

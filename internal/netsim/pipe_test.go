@@ -110,7 +110,7 @@ func TestCloseDeliversEOFAfterDrain(t *testing.T) {
 		t.Fatalf("drained %q", got)
 	}
 	// Writing to the closed peer fails with a reset.
-	if _, err := server.Write([]byte("x")); !errors.Is(err, ErrConnReset) {
+	if _, err := server.Write([]byte("x")); !errors.Is(err, errConnReset) {
 		t.Fatalf("write to closed peer = %v, want ErrConnReset", err)
 	}
 }
@@ -191,20 +191,20 @@ func TestClosingListenerDrainsBacklog(t *testing.T) {
 	}()
 	select {
 	case werr := <-done:
-		if !errors.Is(werr, ErrConnReset) {
+		if !errors.Is(werr, errConnReset) {
 			t.Fatalf("write into drained backlog = %v, want ErrConnReset", werr)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("write into drained backlog hung: listener.Close did not drain")
 	}
 	// Reads observe the close too.
-	if _, rerr := c.Read(make([]byte, 1)); rerr != io.EOF && !errors.Is(rerr, ErrConnReset) {
+	if _, rerr := c.Read(make([]byte, 1)); rerr != io.EOF && !errors.Is(rerr, errConnReset) {
 		t.Fatalf("read on drained conn = %v, want EOF or reset", rerr)
 	}
 	c.Close()
 
 	// New dials are refused outright.
-	if _, err := nw.Dial(context.Background(), "198.51.100.2", "192.0.2.41:80"); !errors.Is(err, ErrConnRefused) {
+	if _, err := nw.Dial(context.Background(), "198.51.100.2", "192.0.2.41:80"); !errors.Is(err, errConnRefused) {
 		t.Fatalf("dial after close = %v, want ErrConnRefused", err)
 	}
 }

@@ -16,7 +16,7 @@ func renderJSON(t *testing.T, r *Registry) []byte {
 }
 
 func TestSnapshotDelta(t *testing.T) {
-	ra := NewRegistry()
+	ra := newRegistry()
 	ca := ra.NewCounter("requests_total", "")
 	ga := ra.NewGauge("pool_size", "")
 	ha := ra.NewHistogram("latency_ns", "")
@@ -27,7 +27,7 @@ func TestSnapshotDelta(t *testing.T) {
 	ha.Observe(300)
 	snapA := renderJSON(t, ra)
 
-	rb := NewRegistry()
+	rb := newRegistry()
 	cb := rb.NewCounter("requests_total", "")
 	gb := rb.NewGauge("pool_size", "")
 	hb := rb.NewHistogram("latency_ns", "")
@@ -78,7 +78,7 @@ func TestSnapshotDelta(t *testing.T) {
 }
 
 func TestSnapshotDeltaIdentical(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.NewCounter("c_total", "").Add(4)
 	r.NewHistogram("h_ns", "").Observe(7)
 	snap := renderJSON(t, r)
@@ -92,10 +92,10 @@ func TestSnapshotDeltaIdentical(t *testing.T) {
 }
 
 func TestSnapshotDeltaDisappeared(t *testing.T) {
-	ra := NewRegistry()
+	ra := newRegistry()
 	ra.NewCounter("gone_total", "").Add(9)
 	snapA := renderJSON(t, ra)
-	snapB := renderJSON(t, NewRegistry())
+	snapB := renderJSON(t, newRegistry())
 	deltas, err := SnapshotDelta(snapA, snapB)
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestSnapshotDeltaDisappeared(t *testing.T) {
 }
 
 func TestSnapshotDeltaMalformed(t *testing.T) {
-	good := renderJSON(t, NewRegistry())
+	good := renderJSON(t, newRegistry())
 	for _, bad := range []string{
 		`not json`,
 		`{"weird": "string-value"}`,
@@ -127,7 +127,7 @@ func TestSnapshotDeltaMalformed(t *testing.T) {
 
 // TestRegistrySnapshotDelta covers the method form.
 func TestRegistrySnapshotDelta(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.NewCounter("m_total", "")
 	c.Add(1)
 	a := renderJSON(t, r)

@@ -102,9 +102,9 @@ func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
 	return d
 }
 
-// BucketUpper returns the inclusive upper bound of bucket i (2^i,
+// bucketUpper returns the inclusive upper bound of bucket i (2^i,
 // saturating at MaxUint64 for the overflow bucket).
-func BucketUpper(i int) uint64 {
+func bucketUpper(i int) uint64 {
 	if i >= 63 {
 		return ^uint64(0)
 	}
@@ -138,10 +138,10 @@ func (s HistSnapshot) Quantile(q float64) (lo, hi uint64) {
 	for b := 0; b < histBuckets; b++ {
 		cum += s.Buckets[b]
 		if cum > rank {
-			return bucketLower(b), BucketUpper(b)
+			return bucketLower(b), bucketUpper(b)
 		}
 	}
-	return bucketLower(histBuckets - 1), BucketUpper(histBuckets - 1)
+	return bucketLower(histBuckets - 1), bucketUpper(histBuckets - 1)
 }
 
 // Mean returns the average observed value, 0 if empty.

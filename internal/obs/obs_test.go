@@ -63,8 +63,8 @@ func TestBucketOf(t *testing.T) {
 	}
 	// Every bucket's upper bound must land in its own bucket.
 	for i := 0; i < 63; i++ {
-		if got := bucketOf(BucketUpper(i)); got != i {
-			t.Errorf("bucketOf(BucketUpper(%d)=%d) = %d", i, BucketUpper(i), got)
+		if got := bucketOf(bucketUpper(i)); got != i {
+			t.Errorf("bucketOf(BucketUpper(%d)=%d) = %d", i, bucketUpper(i), got)
 		}
 	}
 }
@@ -159,7 +159,7 @@ func TestRecordPathsZeroAlloc(t *testing.T) {
 }
 
 func TestRegistryPrometheusRender(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	c := r.NewCounter(`demo_requests_total{path="fast"}`, "Requests.")
 	c2 := r.NewCounter(`demo_requests_total{path="legacy"}`, "Requests.")
 	g := r.NewGauge("demo_active_conns", "Active conns.")
@@ -227,7 +227,7 @@ func checkPrometheusParseable(t *testing.T, out string) {
 }
 
 func TestRegistryIdempotentRegistration(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	a := r.NewCounter("dup_total", "x")
 	b := r.NewCounter("dup_total", "x")
 	if a != b {
@@ -240,7 +240,7 @@ func TestRegistryIdempotentRegistration(t *testing.T) {
 }
 
 func TestRegistryJSON(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.NewCounter("j_total", "x").Add(7)
 	h := r.NewHistogram("j_lat_ns", "x")
 	for i := uint64(1); i <= 100; i++ {
@@ -260,7 +260,7 @@ func TestRegistryJSON(t *testing.T) {
 }
 
 func TestHandler(t *testing.T) {
-	r := NewRegistry()
+	r := newRegistry()
 	r.NewCounter("h_total", "x").Add(9)
 	srv := httptest.NewServer(r.Handler())
 	defer srv.Close()

@@ -41,14 +41,14 @@ type Registry struct {
 	collectors []func()
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
+// newRegistry returns an empty registry.
+func newRegistry() *Registry {
 	return &Registry{byName: make(map[string]*metric)}
 }
 
 // Default is the process-wide registry the package-level constructors
 // register into.
-var Default = NewRegistry()
+var Default = newRegistry()
 
 func splitName(name string) (family, labels string) {
 	if i := strings.IndexByte(name, '{'); i >= 0 && strings.HasSuffix(name, "}") {
@@ -120,9 +120,9 @@ func (r *Registry) NewHistogram(name, help string) *Histogram {
 	return r.byName[name].h
 }
 
-// AddCollector registers a function run at the start of every render —
+// addCollector registers a function run at the start of every render —
 // the hook point for sampled sources like runtime/metrics gauges.
-func (r *Registry) AddCollector(fn func()) {
+func (r *Registry) addCollector(fn func()) {
 	r.mu.Lock()
 	r.collectors = append(r.collectors, fn)
 	r.mu.Unlock()
@@ -183,7 +183,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				}
 				cum += s.Buckets[i]
 				fmt.Fprintf(&b, "%s %d\n",
-					promSeries(m.family+"_bucket", m.labels, fmt.Sprintf(`le="%d"`, BucketUpper(i))), cum)
+					promSeries(m.family+"_bucket", m.labels, fmt.Sprintf(`le="%d"`, bucketUpper(i))), cum)
 			}
 			// The +Inf terminator always renders so the cumulative
 			// series is complete even when the histogram is empty.

@@ -30,7 +30,7 @@ var runtimeSamples = []metrics.Sample{
 	{Name: "/memory/classes/heap/objects:bytes"},
 }
 
-func init() { Default.AddCollector(sampleRuntime) }
+func init() { Default.addCollector(sampleRuntime) }
 
 // sampleRuntime refreshes the runtime gauges. Also callable directly
 // (e.g. before an end-of-run dump with collectors disabled).

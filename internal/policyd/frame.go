@@ -66,9 +66,9 @@ const maxFramePayload = maxBatchBytes
 
 // Frame decode/encode errors.
 var (
-	ErrFrameTruncated = errors.New("policyd: frame truncated")
-	ErrFrameOversized = errors.New("policyd: frame exceeds limits")
-	ErrFrameGarbled   = errors.New("policyd: frame garbled")
+	errFrameTruncated = errors.New("policyd: frame truncated")
+	errFrameOversized = errors.New("policyd: frame exceeds limits")
+	errFrameGarbled   = errors.New("policyd: frame garbled")
 )
 
 // AppendQueryFrame appends one complete request frame (length prefix
@@ -77,7 +77,7 @@ var (
 // payload).
 func AppendQueryFrame(dst []byte, qs []Query) ([]byte, error) {
 	if len(qs) > MaxBatch {
-		return dst, fmt.Errorf("%w: %d queries > %d", ErrFrameOversized, len(qs), MaxBatch)
+		return dst, fmt.Errorf("%w: %d queries > %d", errFrameOversized, len(qs), MaxBatch)
 	}
 	base := len(dst)
 	dst = append(dst, 0, 0, 0, 0) // payload length backfilled below
@@ -96,7 +96,7 @@ func AppendQueryFrame(dst []byte, qs []Query) ([]byte, error) {
 	}
 	payload := len(dst) - base - 4
 	if payload > maxFramePayload {
-		return dst[:base], fmt.Errorf("%w: payload %d bytes", ErrFrameOversized, payload)
+		return dst[:base], fmt.Errorf("%w: payload %d bytes", errFrameOversized, payload)
 	}
 	binary.LittleEndian.PutUint32(dst[base:], uint32(payload))
 	return dst, nil
@@ -104,7 +104,7 @@ func AppendQueryFrame(dst []byte, qs []Query) ([]byte, error) {
 
 func appendString16(dst []byte, s string) ([]byte, error) {
 	if len(s) > 0xFFFF {
-		return dst, fmt.Errorf("%w: string of %d bytes", ErrFrameOversized, len(s))
+		return dst, fmt.Errorf("%w: string of %d bytes", errFrameOversized, len(s))
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...), nil
@@ -121,14 +121,14 @@ func appendString16(dst []byte, s string) ([]byte, error) {
 // query.
 func DecodeQueryPayload(payload []byte, qs []Query) ([]Query, error) {
 	if len(payload) > maxFramePayload {
-		return qs, ErrFrameOversized
+		return qs, errFrameOversized
 	}
 	if len(payload) < 4 {
-		return qs, ErrFrameTruncated
+		return qs, errFrameTruncated
 	}
 	count := binary.LittleEndian.Uint32(payload)
 	if count > MaxBatch {
-		return qs, fmt.Errorf("%w: %d queries > %d", ErrFrameOversized, count, MaxBatch)
+		return qs, fmt.Errorf("%w: %d queries > %d", errFrameOversized, count, MaxBatch)
 	}
 	off := 4
 	for i := uint32(0); i < count; i++ {
@@ -146,7 +146,7 @@ func DecodeQueryPayload(payload []byte, qs []Query) ([]Query, error) {
 		qs = append(qs, q)
 	}
 	if off != len(payload) {
-		return qs, fmt.Errorf("%w: %d trailing bytes", ErrFrameGarbled, len(payload)-off)
+		return qs, fmt.Errorf("%w: %d trailing bytes", errFrameGarbled, len(payload)-off)
 	}
 	return qs, nil
 }
@@ -154,12 +154,12 @@ func DecodeQueryPayload(payload []byte, qs []Query) ([]Query, error) {
 // readString16 reads a u16-length-prefixed string aliasing payload.
 func readString16(payload []byte, off int) (string, int, error) {
 	if off+2 > len(payload) {
-		return "", off, ErrFrameTruncated
+		return "", off, errFrameTruncated
 	}
 	n := int(binary.LittleEndian.Uint16(payload[off:]))
 	off += 2
 	if off+n > len(payload) {
-		return "", off, ErrFrameTruncated
+		return "", off, errFrameTruncated
 	}
 	if n == 0 {
 		return "", off, nil
@@ -168,24 +168,24 @@ func readString16(payload []byte, off int) (string, int, error) {
 	return s, off + n, nil
 }
 
-// DecodeDecisionPayload decodes the decision records that end an OK
+// decodeDecisionPayload decodes the decision records that end an OK
 // response payload (u32 count, then 2 bytes each), appending to ds.
 // Out-of-range action or signal bytes are rejected.
-func DecodeDecisionPayload(payload []byte, ds []Decision) ([]Decision, error) {
+func decodeDecisionPayload(payload []byte, ds []Decision) ([]Decision, error) {
 	if len(payload) < 4 {
-		return ds, ErrFrameTruncated
+		return ds, errFrameTruncated
 	}
 	count := binary.LittleEndian.Uint32(payload)
 	if count > MaxBatch {
-		return ds, fmt.Errorf("%w: %d decisions > %d", ErrFrameOversized, count, MaxBatch)
+		return ds, fmt.Errorf("%w: %d decisions > %d", errFrameOversized, count, MaxBatch)
 	}
 	if len(payload) != 4+2*int(count) {
-		return ds, fmt.Errorf("%w: %d bytes for %d decisions", ErrFrameGarbled, len(payload), count)
+		return ds, fmt.Errorf("%w: %d bytes for %d decisions", errFrameGarbled, len(payload), count)
 	}
 	for i := uint32(0); i < count; i++ {
 		a, s := payload[4+2*i], payload[5+2*i]
-		if a > byte(Block) || s > byte(SignalMeta) {
-			return ds, fmt.Errorf("%w: decision bytes (%d, %d)", ErrFrameGarbled, a, s)
+		if a > byte(Block) || s > byte(signalMeta) {
+			return ds, fmt.Errorf("%w: decision bytes (%d, %d)", errFrameGarbled, a, s)
 		}
 		ds = append(ds, Decision{Action: Action(a), Signal: Signal(s)})
 	}
@@ -209,9 +209,9 @@ func AppendDecisionFrameV2(dst []byte, ds []Decision, version string) []byte {
 	return dst
 }
 
-// AppendRateLimitFrame appends one complete rate-limited response frame
+// appendRateLimitFrame appends one complete rate-limited response frame
 // to dst. retryAfter is carried in milliseconds, clamped to u32.
-func AppendRateLimitFrame(dst []byte, retryAfter time.Duration) []byte {
+func appendRateLimitFrame(dst []byte, retryAfter time.Duration) []byte {
 	ms := retryAfter.Milliseconds()
 	if ms < 0 {
 		ms = 0
@@ -236,27 +236,27 @@ func DecodeResponsePayloadV2(payload []byte, ds []Decision) ([]Decision, string,
 // slice of payload, so a caller that has seen it before need not copy it.
 func decodeResponse(payload []byte, ds []Decision) ([]Decision, []byte, error) {
 	if len(payload) < 1 {
-		return ds, nil, ErrFrameTruncated
+		return ds, nil, errFrameTruncated
 	}
 	switch payload[0] {
 	case frameStatusRateLimit:
 		if len(payload) != 5 {
-			return ds, nil, fmt.Errorf("%w: rate-limit frame of %d bytes", ErrFrameGarbled, len(payload))
+			return ds, nil, fmt.Errorf("%w: rate-limit frame of %d bytes", errFrameGarbled, len(payload))
 		}
 		ms := binary.LittleEndian.Uint32(payload[1:])
 		return ds, nil, &RateLimitError{RetryAfter: time.Duration(ms) * time.Millisecond}
 	case frameStatusOK:
 		if len(payload) < 3 {
-			return ds, nil, ErrFrameTruncated
+			return ds, nil, errFrameTruncated
 		}
 		vn := int(binary.LittleEndian.Uint16(payload[1:]))
 		if 3+vn > len(payload) {
-			return ds, nil, ErrFrameTruncated
+			return ds, nil, errFrameTruncated
 		}
-		ds, err := DecodeDecisionPayload(payload[3+vn:], ds)
+		ds, err := decodeDecisionPayload(payload[3+vn:], ds)
 		return ds, payload[3 : 3+vn], err
 	default:
-		return ds, nil, fmt.Errorf("%w: response status %d", ErrFrameGarbled, payload[0])
+		return ds, nil, fmt.Errorf("%w: response status %d", errFrameGarbled, payload[0])
 	}
 }
 
@@ -334,7 +334,7 @@ func serveFrameConn(c net.Conn, a Answerer, requests *obs.Counter) {
 			if !errors.As(err, &limited) {
 				return
 			}
-			wbuf = AppendRateLimitFrame(wbuf[:0], limited.RetryAfter)
+			wbuf = appendRateLimitFrame(wbuf[:0], limited.RetryAfter)
 		}
 		if _, err := c.Write(wbuf); err != nil {
 			return
@@ -385,7 +385,7 @@ func (fc *FrameClientV2) Decide(qs []Query, out []Decision) ([]Decision, string,
 	}
 	n := binary.LittleEndian.Uint32(fc.lenBuf[:])
 	if n > maxFramePayload {
-		return out, "", ErrFrameOversized
+		return out, "", errFrameOversized
 	}
 	if cap(fc.rbuf) < int(n) {
 		fc.rbuf = make([]byte, n)
@@ -401,7 +401,7 @@ func (fc *FrameClientV2) Decide(qs []Query, out []Decision) ([]Decision, string,
 		return out, "", err
 	}
 	if len(out)-start != len(qs) {
-		return out, "", fmt.Errorf("%w: %d decisions for %d queries", ErrFrameGarbled, len(out)-start, len(qs))
+		return out, "", fmt.Errorf("%w: %d decisions for %d queries", errFrameGarbled, len(out)-start, len(qs))
 	}
 	// The version is stable for swap-long stretches: copy it out of the
 	// read buffer only when it changed (the comparison does not allocate).

@@ -17,7 +17,7 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seedQ[4:])
-	seedD := AppendDecisionFrameV2(nil, []Decision{{Allow, SignalNone}, {Block, SignalBlocker}}, "2023-40")
+	seedD := AppendDecisionFrameV2(nil, []Decision{{allow, signalNone}, {Block, signalBlocker}}, "2023-40")
 	f.Add(seedD[4:])
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0})

@@ -50,16 +50,16 @@ func TestFrameQueryRoundTrip(t *testing.T) {
 // the decision records that end an OK response payload.
 func TestFrameDecisionRoundTrip(t *testing.T) {
 	ds := []Decision{
-		{Allow, SignalNone},
-		{Deny, SignalRobotsAgent},
-		{Deny, SignalRobotsWildcard},
-		{Deny, SignalAITxt},
-		{Deny, SignalMeta},
-		{Block, SignalBlocker},
+		{allow, signalNone},
+		{Deny, signalRobotsAgent},
+		{Deny, signalRobotsWildcard},
+		{Deny, signalAITxt},
+		{Deny, signalMeta},
+		{Block, signalBlocker},
 	}
 	const version = "2023-40"
 	frame := AppendDecisionFrameV2(nil, ds, version)
-	got, err := DecodeDecisionPayload(frame[4+1+2+len(version):], nil)
+	got, err := decodeDecisionPayload(frame[4+1+2+len(version):], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestFrameDecodeMalformed(t *testing.T) {
 		"truncated record": {2, 0, 0, 0, 0, 0},
 	}
 	for name, p := range decisionCases {
-		if _, err := DecodeDecisionPayload(p, nil); err == nil {
+		if _, err := decodeDecisionPayload(p, nil); err == nil {
 			t.Errorf("decision payload %q: decoded without error", name)
 		}
 	}

@@ -13,9 +13,9 @@ import (
 // decisions and decodes back exactly.
 func TestFrameV2RoundTrip(t *testing.T) {
 	ds := []Decision{
-		{Allow, SignalNone},
-		{Deny, SignalRobotsAgent},
-		{Block, SignalBlocker},
+		{allow, signalNone},
+		{Deny, signalRobotsAgent},
+		{Block, signalBlocker},
 	}
 	frame := AppendDecisionFrameV2(nil, ds, "2023-40")
 	got, version, err := DecodeResponsePayloadV2(frame[4:], nil)
@@ -38,7 +38,7 @@ func TestFrameV2RoundTrip(t *testing.T) {
 // TestFrameV2RateLimit: the status-1 payload decodes to *RateLimitError
 // carrying the retry-after duration.
 func TestFrameV2RateLimit(t *testing.T) {
-	frame := AppendRateLimitFrame(nil, 1500*time.Millisecond)
+	frame := appendRateLimitFrame(nil, 1500*time.Millisecond)
 	_, _, err := DecodeResponsePayloadV2(frame[4:], nil)
 	var rle *RateLimitError
 	if !errors.As(err, &rle) {
@@ -52,7 +52,7 @@ func TestFrameV2RateLimit(t *testing.T) {
 // TestFrameV2Malformed: truncated and trailing-garbage payloads must
 // error, never panic or mis-decode.
 func TestFrameV2Malformed(t *testing.T) {
-	good := AppendDecisionFrameV2(nil, []Decision{{Allow, SignalNone}}, "v1")[4:]
+	good := AppendDecisionFrameV2(nil, []Decision{{allow, signalNone}}, "v1")[4:]
 	cases := map[string][]byte{
 		"empty":            {},
 		"status-only":      {0},

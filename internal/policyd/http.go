@@ -161,9 +161,9 @@ func writeRateLimited(w http.ResponseWriter, wait time.Duration) {
 // (action, signal) pair. The single-query endpoint dominates wire
 // traffic and its response space is tiny, so rendering the 18 bodies
 // once turns the hot path's marshal into an index and a write.
-var decideResponses = func() (t [Block + 1][SignalMeta + 1][]byte) {
-	for a := Allow; a <= Block; a++ {
-		for s := SignalNone; s <= SignalMeta; s++ {
+var decideResponses = func() (t [Block + 1][signalMeta + 1][]byte) {
+	for a := allow; a <= Block; a++ {
+		for s := signalNone; s <= signalMeta; s++ {
 			b, err := json.Marshal(Decision{Action: a, Signal: s}.JSON())
 			if err != nil {
 				panic(err)
@@ -179,7 +179,7 @@ var decideResponses = func() (t [Block + 1][SignalMeta + 1][]byte) {
 // the exact bytes a replica or a gateway answers with, for clients that
 // compare them.
 func DecisionBody(d Decision) ([]byte, bool) {
-	if d.Action <= Block && d.Signal <= SignalMeta {
+	if d.Action <= Block && d.Signal <= signalMeta {
 		return decideResponses[d.Action][d.Signal], true
 	}
 	return nil, false

@@ -149,7 +149,7 @@ func TestIncrementalNormalizedReuse(t *testing.T) {
 	if semantic.ReusedHosts() != 1 { // only other.test
 		t.Fatalf("semantic robots edit reused %d hosts, want 1", semantic.ReusedHosts())
 	}
-	if d := NewService(semantic).Decide(q); d.Action != Allow {
+	if d := NewService(semantic).Decide(q); d.Action != allow {
 		t.Fatalf("recompiled host kept the old policy: %v", d)
 	}
 

@@ -10,9 +10,9 @@ import (
 // pre-registered counters so the hot path indexes an array instead of
 // formatting labels; DecideBatch accumulates on the stack and flushes
 // once per batch.
-var mDecisions = func() (m [Block + 1][SignalMeta + 1]*obs.Counter) {
-	for a := Allow; a <= Block; a++ {
-		for sig := SignalNone; sig <= SignalMeta; sig++ {
+var mDecisions = func() (m [Block + 1][signalMeta + 1]*obs.Counter) {
+	for a := allow; a <= Block; a++ {
+		for sig := signalNone; sig <= signalMeta; sig++ {
 			m[a][sig] = obs.NewCounter(
 				fmt.Sprintf(`policyd_decisions_total{action=%q,signal=%q}`, a.String(), sig.String()),
 				"Decisions served, by outcome action and winning signal.")
@@ -42,7 +42,7 @@ var (
 // Bounds are clamped defensively: a corrupted enum must not panic the
 // serving path.
 func countDecision(d Decision) {
-	if d.Action > Block || d.Signal > SignalMeta {
+	if d.Action > Block || d.Signal > signalMeta {
 		return
 	}
 	mDecisions[d.Action][d.Signal].Inc()

@@ -24,8 +24,8 @@ func buildSnap(t *testing.T, version, robots string) *Snapshot {
 // decisionTotal sums the whole action×signal counter matrix.
 func decisionTotal() uint64 {
 	var sum uint64
-	for a := Allow; a <= Block; a++ {
-		for sig := SignalNone; sig <= SignalMeta; sig++ {
+	for a := allow; a <= Block; a++ {
+		for sig := signalNone; sig <= signalMeta; sig++ {
 			sum += mDecisions[a][sig].Value()
 		}
 	}

@@ -2,6 +2,7 @@ package policyd
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,7 +32,7 @@ func FuzzDecideMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range append(snap.Roster(), agent) {
+		for _, a := range append(slices.Clone(snap.roster), agent) {
 			want := referenceDecision(cfg, a, path)
 			for _, host := range []string{"fuzz.test", "FUZZ.test"} {
 				if got := snap.Decide(Query{Host: host, Agent: a, Path: path}); got != want {

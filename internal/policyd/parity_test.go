@@ -30,6 +30,14 @@ var parityPaths = []string{
 	"/piece.webp",
 }
 
+// snapshotSource returns the policy surface host was compiled from.
+func snapshotSource(sn *Snapshot, host string) (HostConfig, bool) {
+	if hp := sn.lookup(host); hp != nil {
+		return hp.src, true
+	}
+	return HostConfig{}, false
+}
+
 // referenceDecision recomputes a decision directly from the raw policy
 // surface with the substrate packages the batch pipelines use —
 // robots.Robots.Agent/Allowed (the robots.Match path), aitxt.Permitted,
@@ -40,16 +48,16 @@ var parityPaths = []string{
 func referenceDecision(src HostConfig, agent, path string) Decision {
 	if src.Blocklist != nil {
 		if _, hit := useragent.MatchesAny(agent, src.Blocklist); hit {
-			return Decision{Block, SignalBlocker}
+			return Decision{Block, signalBlocker}
 		}
 	}
-	robotsSignal := SignalNone
+	robotsSignal := signalNone
 	if src.RobotsTxt != "" {
 		acc := robots.ParseCached(src.RobotsTxt).Agent(agent)
 		if acc.HasRules() {
-			robotsSignal = SignalRobotsWildcard
+			robotsSignal = signalRobotsWildcard
 			if acc.Explicit {
-				robotsSignal = SignalRobotsAgent
+				robotsSignal = signalRobotsAgent
 			}
 			if !acc.Allowed(path) {
 				return Decision{Deny, robotsSignal}
@@ -57,15 +65,15 @@ func referenceDecision(src HostConfig, agent, path string) Decision {
 		}
 	}
 	if src.AITxt != "" && !aitxt.ParseString(src.AITxt).Permitted(path) {
-		return Decision{Deny, SignalAITxt}
+		return Decision{Deny, signalAITxt}
 	}
 	if src.MetaHTML != "" {
 		d := metatags.Scan(src.MetaHTML)
 		if d.NoAI || (d.NoImageAI && aitxt.MediaOf(path) == aitxt.MediaImage) {
-			return Decision{Deny, SignalMeta}
+			return Decision{Deny, signalMeta}
 		}
 	}
-	return Decision{Allow, robotsSignal}
+	return Decision{allow, robotsSignal}
 }
 
 // TestCorpusParity is the service's correctness anchor: for every host
@@ -90,7 +98,7 @@ func TestCorpusParity(t *testing.T) {
 		svc := NewService(snap)
 		checked := 0
 		for _, host := range snap.Hosts() {
-			src, ok := snap.Source(host)
+			src, ok := snapshotSource(snap, host)
 			if !ok {
 				t.Fatalf("no source for %s", host)
 			}
@@ -145,10 +153,10 @@ func TestPrecedence(t *testing.T) {
 	}
 	q := func(host string) Decision { return snap.Decide(Query{host, "GPTBot", "/art.png"}) }
 	for host, want := range map[string]Decision{
-		"all.test":      {Block, SignalBlocker},
-		"noblock.test":  {Deny, SignalRobotsAgent},
-		"norobots.test": {Deny, SignalAITxt},
-		"noaitxt.test":  {Deny, SignalMeta},
+		"all.test":      {Block, signalBlocker},
+		"noblock.test":  {Deny, signalRobotsAgent},
+		"norobots.test": {Deny, signalAITxt},
+		"noaitxt.test":  {Deny, signalMeta},
 	} {
 		if got := q(host); got != want {
 			t.Errorf("%s: %v/%v, want %v/%v", host, got.Action, got.Signal, want.Action, want.Signal)

@@ -48,8 +48,8 @@ type Query struct {
 type Action uint8
 
 const (
-	// Allow: no applicable signal denies the fetch.
-	Allow Action = iota
+	// allow: no applicable signal denies the fetch.
+	allow Action = iota
 	// Deny: a consent signal (robots.txt, ai.txt, or a meta tag) denies
 	// it; a compliant crawler must not fetch.
 	Deny
@@ -61,7 +61,7 @@ const (
 // String names the action.
 func (a Action) String() string {
 	switch a {
-	case Allow:
+	case allow:
 		return "allow"
 	case Deny:
 		return "deny"
@@ -78,35 +78,35 @@ func (a Action) String() string {
 type Signal uint8
 
 const (
-	// SignalNone: no signal applied (default allow, or unknown host).
-	SignalNone Signal = iota
-	// SignalBlocker: an active user-agent blocklist matched the agent.
-	SignalBlocker
-	// SignalRobotsAgent: a robots.txt group explicitly naming the
+	// signalNone: no signal applied (default allow, or unknown host).
+	signalNone Signal = iota
+	// signalBlocker: an active user-agent blocklist matched the agent.
+	signalBlocker
+	// signalRobotsAgent: a robots.txt group explicitly naming the
 	// agent's product token decided the outcome.
-	SignalRobotsAgent
-	// SignalRobotsWildcard: the robots.txt wildcard group decided it.
-	SignalRobotsWildcard
-	// SignalAITxt: the host's ai.txt denied AI use of the path.
-	SignalAITxt
-	// SignalMeta: a NoAI/NoImageAI robots meta tag denied it.
-	SignalMeta
+	signalRobotsAgent
+	// signalRobotsWildcard: the robots.txt wildcard group decided it.
+	signalRobotsWildcard
+	// signalAITxt: the host's ai.txt denied AI use of the path.
+	signalAITxt
+	// signalMeta: a NoAI/NoImageAI robots meta tag denied it.
+	signalMeta
 )
 
 // String names the signal.
 func (s Signal) String() string {
 	switch s {
-	case SignalNone:
+	case signalNone:
 		return "none"
-	case SignalBlocker:
+	case signalBlocker:
 		return "blocker"
-	case SignalRobotsAgent:
+	case signalRobotsAgent:
 		return "robots-agent"
-	case SignalRobotsWildcard:
+	case signalRobotsWildcard:
 		return "robots-wildcard"
-	case SignalAITxt:
+	case signalAITxt:
 		return "ai-txt"
-	case SignalMeta:
+	case signalMeta:
 		return "meta"
 	default:
 		return "unknown"
@@ -120,12 +120,12 @@ type Decision struct {
 	// Signal is the mechanism that determined the action. For an Allow it
 	// is the robots signal that affirmatively governed the agent (a site
 	// whose robots.txt names GPTBot and allows it reports
-	// SignalRobotsAgent), or SignalNone when no policy applied.
+	// signalRobotsAgent), or signalNone when no policy applied.
 	Signal Signal
 }
 
 // Allowed reports whether the fetch may proceed.
-func (d Decision) Allowed() bool { return d.Action == Allow }
+func (d Decision) Allowed() bool { return d.Action == allow }
 
 // Service serves decisions from the current snapshot and hot-swaps
 // snapshots atomically: queries racing a Swap see either the old or the
@@ -182,10 +182,10 @@ func (s *Service) DecideBatchVersioned(qs []Query, out []Decision) ([]Decision, 
 	// Decision counts accumulate on the stack and flush once per batch:
 	// one shard pick per populated (action, signal) cell instead of one
 	// per query.
-	var counts [Block + 1][SignalMeta + 1]uint64
+	var counts [Block + 1][signalMeta + 1]uint64
 	for _, q := range qs {
 		d := snap.Decide(q)
-		if d.Action <= Block && d.Signal <= SignalMeta {
+		if d.Action <= Block && d.Signal <= signalMeta {
 			counts[d.Action][d.Signal]++
 		}
 		out = append(out, d)
@@ -240,7 +240,7 @@ func (s *Service) Stats() Stats {
 func (sn *Snapshot) Decide(q Query) Decision {
 	hp := sn.lookup(q.Host)
 	if hp == nil {
-		return Decision{Action: Allow, Signal: SignalNone}
+		return Decision{Action: allow, Signal: signalNone}
 	}
 	id, known := sn.agentIDs[q.Agent]
 
@@ -253,12 +253,12 @@ func (sn *Snapshot) Decide(q Query) Decision {
 			_, blocked = useragent.MatchesAny(q.Agent, hp.blockPatterns)
 		}
 		if blocked {
-			return Decision{Action: Block, Signal: SignalBlocker}
+			return Decision{Action: Block, Signal: signalBlocker}
 		}
 	}
 
 	// robots.txt: collection-time consent, the §5 measurement's frame.
-	robotsSignal := SignalNone
+	robotsSignal := signalNone
 	if hp.robots != nil {
 		var acc robots.Access
 		if known {
@@ -267,9 +267,9 @@ func (sn *Snapshot) Decide(q Query) Decision {
 			acc = hp.robots.Agent(q.Agent)
 		}
 		if acc.HasRules() {
-			robotsSignal = SignalRobotsWildcard
+			robotsSignal = signalRobotsWildcard
 			if acc.Explicit {
-				robotsSignal = SignalRobotsAgent
+				robotsSignal = signalRobotsAgent
 			}
 			if !acc.Allowed(q.Path) {
 				return Decision{Action: Deny, Signal: robotsSignal}
@@ -279,14 +279,14 @@ func (sn *Snapshot) Decide(q Query) Decision {
 
 	// ai.txt: use-time consent (§2.2).
 	if hp.ai != nil && !hp.ai.Permitted(q.Path) {
-		return Decision{Action: Deny, Signal: SignalAITxt}
+		return Decision{Action: Deny, Signal: signalAITxt}
 	}
 
 	// NoAI meta tags: the weakest, page-level hint.
 	if hp.meta.denies(q.Path) {
-		return Decision{Action: Deny, Signal: SignalMeta}
+		return Decision{Action: Deny, Signal: signalMeta}
 	}
-	return Decision{Action: Allow, Signal: robotsSignal}
+	return Decision{Action: allow, Signal: robotsSignal}
 }
 
 // foldHost lowercases a host only when needed, so the common all-

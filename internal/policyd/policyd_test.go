@@ -51,30 +51,30 @@ func TestDecideSignals(t *testing.T) {
 		want Decision
 	}{
 		// Unknown host: default allow.
-		{Query{"unknown.test", "GPTBot", "/"}, Decision{Allow, SignalNone}},
+		{Query{"unknown.test", "GPTBot", "/"}, Decision{allow, signalNone}},
 		// Wildcard group governs everyone.
-		{Query{"plain.test", "GPTBot", "/admin/x"}, Decision{Deny, SignalRobotsWildcard}},
-		{Query{"plain.test", "GPTBot", "/about"}, Decision{Allow, SignalRobotsWildcard}},
+		{Query{"plain.test", "GPTBot", "/admin/x"}, Decision{Deny, signalRobotsWildcard}},
+		{Query{"plain.test", "GPTBot", "/about"}, Decision{allow, signalRobotsWildcard}},
 		// Explicit group beats wildcard for the named agent.
-		{Query{"ai-restricted.test", "GPTBot", "/about"}, Decision{Deny, SignalRobotsAgent}},
-		{Query{"ai-restricted.test", "CCBot", "/about"}, Decision{Allow, SignalRobotsWildcard}},
+		{Query{"ai-restricted.test", "GPTBot", "/about"}, Decision{Deny, signalRobotsAgent}},
+		{Query{"ai-restricted.test", "CCBot", "/about"}, Decision{allow, signalRobotsWildcard}},
 		// /robots.txt is always fetchable (RFC 9309).
-		{Query{"ai-restricted.test", "GPTBot", "/robots.txt"}, Decision{Allow, SignalRobotsAgent}},
+		{Query{"ai-restricted.test", "GPTBot", "/robots.txt"}, Decision{allow, signalRobotsAgent}},
 		// ai.txt: path pattern beats media default; media default denies.
-		{Query{"aitxt.test", "GPTBot", "/gallery/piece.html"}, Decision{Deny, SignalAITxt}},
-		{Query{"aitxt.test", "GPTBot", "/piece.PNG"}, Decision{Deny, SignalAITxt}},
-		{Query{"aitxt.test", "GPTBot", "/about.html"}, Decision{Allow, SignalRobotsWildcard}},
+		{Query{"aitxt.test", "GPTBot", "/gallery/piece.html"}, Decision{Deny, signalAITxt}},
+		{Query{"aitxt.test", "GPTBot", "/piece.PNG"}, Decision{Deny, signalAITxt}},
+		{Query{"aitxt.test", "GPTBot", "/about.html"}, Decision{allow, signalRobotsWildcard}},
 		// noimageai denies images only.
-		{Query{"meta.test", "GPTBot", "/art.jpg"}, Decision{Deny, SignalMeta}},
+		{Query{"meta.test", "GPTBot", "/art.jpg"}, Decision{Deny, signalMeta}},
 		// The wildcard group (with its empty, match-nothing Disallow)
 		// still governs the agent, so the allow reports that signal.
-		{Query{"meta.test", "GPTBot", "/about.html"}, Decision{Allow, SignalRobotsWildcard}},
+		{Query{"meta.test", "GPTBot", "/about.html"}, Decision{allow, signalRobotsWildcard}},
 		// Active blocking dominates everything, including robots.txt.
-		{Query{"blocked.test", "GPTBot", "/about"}, Decision{Block, SignalBlocker}},
-		{Query{"blocked.test", "Googlebot", "/admin/x"}, Decision{Deny, SignalRobotsWildcard}},
+		{Query{"blocked.test", "GPTBot", "/about"}, Decision{Block, signalBlocker}},
+		{Query{"blocked.test", "Googlebot", "/admin/x"}, Decision{Deny, signalRobotsWildcard}},
 		// Host case folds; agents outside the roster still resolve.
-		{Query{"BLOCKED.test", "claudebot-news", "/"}, Decision{Block, SignalBlocker}},
-		{Query{"norobots.test", "GPTBot", "/anything"}, Decision{Allow, SignalNone}},
+		{Query{"BLOCKED.test", "claudebot-news", "/"}, Decision{Block, signalBlocker}},
+		{Query{"norobots.test", "GPTBot", "/anything"}, Decision{allow, signalNone}},
 	}
 	svc := NewService(snap)
 	for _, c := range cases {
@@ -174,7 +174,7 @@ func TestSwapRace(t *testing.T) {
 			for i := 0; i < decides; i++ {
 				q := qs[(i+r)%len(qs)]
 				d := svc.Decide(q)
-				if q.Host == "unknown.test" && d != (Decision{Allow, SignalNone}) {
+				if q.Host == "unknown.test" && d != (Decision{allow, signalNone}) {
 					t.Errorf("unknown host decided %v", d)
 					return
 				}
@@ -221,8 +221,8 @@ func TestFromCorpusEnrichment(t *testing.T) {
 	// Enrichment traits are snapshot-independent; policies evolve.
 	var aiHosts, blockHosts, metaHosts, deniesLate, deniesEarly int
 	for _, h := range early.Hosts() {
-		se, _ := early.Source(h)
-		sl, ok := late.Source(h)
+		se, _ := snapshotSource(early, h)
+		sl, ok := snapshotSource(late, h)
 		if !ok {
 			t.Fatalf("host %s missing from late snapshot", h)
 		}

@@ -11,8 +11,8 @@ import (
 // the bytes json.NewEncoder would stream for every (action, signal)
 // pair — the exact wire form clients saw before the table existed.
 func TestPrerenderedDecisionsMatchEncoder(t *testing.T) {
-	for a := Allow; a <= Block; a++ {
-		for s := SignalNone; s <= SignalMeta; s++ {
+	for a := allow; a <= Block; a++ {
+		for s := signalNone; s <= signalMeta; s++ {
 			var want bytes.Buffer
 			if err := json.NewEncoder(&want).Encode(Decision{Action: a, Signal: s}.JSON()); err != nil {
 				t.Fatal(err)
@@ -26,7 +26,7 @@ func TestPrerenderedDecisionsMatchEncoder(t *testing.T) {
 
 func TestWriteDecision(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeDecision(rec, Decision{Action: Deny, Signal: SignalMeta})
+	writeDecision(rec, Decision{Action: Deny, Signal: signalMeta})
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Errorf("Content-Type = %q", ct)
 	}
@@ -41,7 +41,7 @@ func TestWriteDecision(t *testing.T) {
 	// Out-of-range pairs fall back to the live encoder rather than
 	// indexing past the table.
 	rec = httptest.NewRecorder()
-	writeDecision(rec, Decision{Action: Block + 1, Signal: SignalMeta + 1})
+	writeDecision(rec, Decision{Action: Block + 1, Signal: signalMeta + 1})
 	if !json.Valid(rec.Body.Bytes()) {
 		t.Errorf("fallback body not JSON: %q", rec.Body.String())
 	}

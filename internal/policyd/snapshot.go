@@ -14,10 +14,10 @@ import (
 	"repro/internal/useragent"
 )
 
-// DefaultShards is the shard count used when a Builder does not specify
+// defaultShards is the shard count used when a Builder does not specify
 // one. Shards bound per-map size and let snapshot compilation fan out;
 // lookups are lock-free either way because snapshots are immutable.
-const DefaultShards = 64
+const defaultShards = 64
 
 // HostConfig is the raw policy surface of one host, as a crawler (or a
 // measurement pipeline) would observe it on the wire.
@@ -104,19 +104,6 @@ func (sn *Snapshot) Hosts() []string {
 // Len returns the number of indexed hosts.
 func (sn *Snapshot) Len() int { return sn.hosts }
 
-// Roster returns the agent roster the snapshot precompiled.
-func (sn *Snapshot) Roster() []string { return append([]string(nil), sn.roster...) }
-
-// Source returns the raw policy surface the host was compiled from,
-// for introspection and parity testing.
-func (sn *Snapshot) Source(host string) (HostConfig, bool) {
-	hp := sn.lookup(host)
-	if hp == nil {
-		return HostConfig{}, false
-	}
-	return hp.src, true
-}
-
 // fnv1a hashes a host name without allocating.
 func fnv1a(s string) uint32 {
 	h := uint32(2166136261)
@@ -127,11 +114,11 @@ func fnv1a(s string) uint32 {
 	return h
 }
 
-// DefaultRoster is the agent set snapshots precompile when the builder
+// defaultRoster is the agent set snapshots precompile when the builder
 // is not given one: every Table 1 product token plus the traditional
 // search crawler and a browser token, so both AI and non-AI queries hit
 // the allocation-free path.
-func DefaultRoster() []string {
+func defaultRoster() []string {
 	return append(agents.Tokens(), "Googlebot", "Mozilla")
 }
 
@@ -140,10 +127,10 @@ func DefaultRoster() []string {
 // and must not be reused after Build.
 type Builder struct {
 	// Shards is the shard count, rounded up to a power of two; 0 means
-	// DefaultShards.
+	// defaultShards.
 	Shards int
 	// Roster lists the agents to precompile per host; nil means
-	// DefaultRoster. Queries for agents outside the roster are still
+	// defaultRoster. Queries for agents outside the roster are still
 	// answered correctly, through the slow path: the blocklist is
 	// scanned with useragent.MatchesAny and the robots view comes from
 	// the Robots value's memo, which allocates on an agent's first query.
@@ -173,11 +160,11 @@ func (b *Builder) Add(host string, cfg HostConfig) {
 func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snapshot, error) {
 	roster := b.Roster
 	if roster == nil {
-		roster = DefaultRoster()
+		roster = defaultRoster()
 	}
 	nShards := b.Shards
 	if nShards <= 0 {
-		nShards = DefaultShards
+		nShards = defaultShards
 	}
 	pow := 1
 	for pow < nShards {

@@ -32,16 +32,16 @@ import (
 // Page body markers, used the way the paper uses Cloudflare's block and
 // challenge page HTML to classify responses.
 const (
-	BlockPageMarker     = "cf-block-page"
-	ChallengePageMarker = "cf-challenge-page"
+	blockPageMarker     = "cf-block-page"
+	challengePageMarker = "cf-challenge-page"
 )
 
 // cfFarmIP hosts the proxied populations' shared virtual-host farm,
-// outside the 11.10+.x.x block GenerateCFPopulation assigns to sites.
+// outside the 11.10+.x.x block generateCFPopulation assigns to sites.
 const cfFarmIP = "11.9.0.1"
 
-// Settings is a proxied site's bot-management configuration.
-type Settings struct {
+// settings is a proxied site's bot-management configuration.
+type settings struct {
 	// BlockAIBots is the one-click AI blocking feature.
 	BlockAIBots bool
 	// ChallengeAI serves challenge pages instead of block pages for AI
@@ -72,25 +72,25 @@ var verifiedBotIPs = func() map[string]string {
 	return m
 }()
 
-// Proxy screens requests for one site. It implements webserver.Blocker so
+// proxy screens requests for one site. It implements webserver.Blocker so
 // it can front any instrumented site.
-type Proxy struct {
+type proxy struct {
 	mu       sync.Mutex
-	settings Settings
+	settings settings
 }
 
-// New returns a proxy with the given settings.
-func New(s Settings) *Proxy { return &Proxy{settings: s} }
+// newProxy returns a proxy with the given settings.
+func newProxy(s settings) *proxy { return &proxy{settings: s} }
 
-// Configure atomically replaces the settings (the dashboard toggle).
-func (p *Proxy) Configure(s Settings) {
+// configure atomically replaces the settings (the dashboard toggle).
+func (p *proxy) configure(s settings) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.settings = s
 }
 
-// Settings returns the current configuration.
-func (p *Proxy) Settings() Settings {
+// current returns the current configuration.
+func (p *proxy) current() settings {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.settings
@@ -99,8 +99,8 @@ func (p *Proxy) Settings() Settings {
 // Check implements webserver.Blocker with the §6.3 evaluation order:
 // Block AI Bots (user-agent based), then verified-bot validation, then
 // Definitely Automated.
-func (p *Proxy) Check(r *http.Request) *webserver.BlockDecision {
-	s := p.Settings()
+func (p *proxy) Check(r *http.Request) *webserver.BlockDecision {
+	s := p.current()
 	ua := r.UserAgent()
 
 	if s.BlockAIBots {
@@ -132,7 +132,7 @@ func (p *Proxy) Check(r *http.Request) *webserver.BlockDecision {
 
 // verifiedStatus reports whether the request is a validated verified bot,
 // or a fake one (verified UA from the wrong source range).
-func (p *Proxy) verifiedStatus(r *http.Request) (verified, fake bool) {
+func (p *proxy) verifiedStatus(r *http.Request) (verified, fake bool) {
 	ua := strings.ToLower(r.UserAgent())
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
@@ -153,7 +153,7 @@ func (p *Proxy) verifiedStatus(r *http.Request) (verified, fake bool) {
 func blockPage() *webserver.BlockDecision {
 	return &webserver.BlockDecision{
 		Status: http.StatusForbidden,
-		Body: "<html><body class=\"" + BlockPageMarker + "\"><h1>Sorry, you have been blocked</h1>" +
+		Body: "<html><body class=\"" + blockPageMarker + "\"><h1>Sorry, you have been blocked</h1>" +
 			"<p>This website is using a security service to protect itself.</p></body></html>",
 	}
 }
@@ -161,7 +161,7 @@ func blockPage() *webserver.BlockDecision {
 func challengePage() *webserver.BlockDecision {
 	return &webserver.BlockDecision{
 		Status: http.StatusForbidden, Challenge: true,
-		Body: "<html><body class=\"" + ChallengePageMarker + "\"><h1>Checking your browser</h1>" +
+		Body: "<html><body class=\"" + challengePageMarker + "\"><h1>Checking your browser</h1>" +
 			"<p>Complete the challenge to continue.</p></body></html>",
 	}
 }
@@ -179,9 +179,9 @@ const (
 
 func classifyResponse(status int, body string) responseKind {
 	switch {
-	case strings.Contains(body, ChallengePageMarker):
+	case strings.Contains(body, challengePageMarker):
 		return kindChallenge
-	case strings.Contains(body, BlockPageMarker):
+	case strings.Contains(body, blockPageMarker):
 		return kindBlock
 	case status == http.StatusOK:
 		return kindOK
@@ -207,7 +207,7 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 		extraAgents = 590
 	}
 	nw := netsim.New()
-	px := New(Settings{})
+	px := newProxy(settings{})
 	farm, err := webserver.NewFarm(nw, cfFarmIP)
 	if err != nil {
 		return nil, err
@@ -257,7 +257,7 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 
 	res := &GreyBoxResult{Probed: len(probes)}
 	offOK := make(map[string]bool, len(probes))
-	px.Configure(Settings{BlockAIBots: false})
+	px.configure(settings{BlockAIBots: false})
 	for _, ua := range probes {
 		kind, err := fetch(ua)
 		if err != nil {
@@ -265,7 +265,7 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 		}
 		offOK[ua] = kind == kindOK
 	}
-	px.Configure(Settings{BlockAIBots: true})
+	px.configure(settings{BlockAIBots: true})
 	blocked := make(map[string]bool)
 	for _, ua := range probes {
 		kind, err := fetch(ua)
@@ -290,33 +290,33 @@ func tokenOf(ua string) string {
 	return useragent.ExtractToken(ua)
 }
 
-// Inference is the Figure 7 classification of one proxied site.
-type Inference int
+// inference is the Figure 7 classification of one proxied site.
+type inference int
 
 const (
-	// InferredOff: the AI probe agents got content → Block AI off.
-	InferredOff Inference = iota
-	// InferredOnBlock: AI agents got block pages, automation probes got
+	// inferredOff: the AI probe agents got content → Block AI off.
+	inferredOff inference = iota
+	// inferredOnBlock: AI agents got block pages, automation probes got
 	// content → Block AI on.
-	InferredOnBlock
-	// InferredOnChallenge: AI agents got challenge pages, automation
+	inferredOnBlock
+	// inferredOnChallenge: AI agents got challenge pages, automation
 	// probes got content → Block AI on (challenge flavor).
-	InferredOnChallenge
-	// Inconclusive: the automation probes were also blocked — the AI
+	inferredOnChallenge
+	// inconclusive: the automation probes were also blocked — the AI
 	// block could come from either ruleset (Figure 7's 7.19%).
-	Inconclusive
+	inconclusive
 )
 
 // String names the inference.
-func (i Inference) String() string {
+func (i inference) String() string {
 	switch i {
-	case InferredOff:
+	case inferredOff:
 		return "Block AI off"
-	case InferredOnBlock:
+	case inferredOnBlock:
 		return "Block AI on (block)"
-	case InferredOnChallenge:
+	case inferredOnChallenge:
 		return "Block AI on (challenge)"
-	case Inconclusive:
+	case inconclusive:
 		return "inconclusive"
 	default:
 		return "unknown"
@@ -331,8 +331,8 @@ var (
 	automationProbeUAs = []string{"HeadlessChrome", "libwww-perl"}
 )
 
-// InferBlockAI runs the Figure 7 flow against one site.
-func InferBlockAI(ctx context.Context, client *http.Client, siteURL string) (Inference, error) {
+// inferBlockAI runs the Figure 7 flow against one site.
+func inferBlockAI(ctx context.Context, client *http.Client, siteURL string) (inference, error) {
 	probe := func(token string) (responseKind, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, siteURL, nil)
 		if err != nil {
@@ -360,70 +360,68 @@ func InferBlockAI(ctx context.Context, client *http.Client, siteURL string) (Inf
 	for _, ua := range aiProbeUAs {
 		k, err := probe(ua)
 		if err != nil {
-			return Inconclusive, err
+			return inconclusive, err
 		}
 		if k != kindOK {
 			aiKind = k
 		}
 	}
 	if aiKind == kindOK {
-		return InferredOff, nil
+		return inferredOff, nil
 	}
 	for _, ua := range automationProbeUAs {
 		k, err := probe(ua)
 		if err != nil {
-			return Inconclusive, err
+			return inconclusive, err
 		}
 		if k != kindOK {
 			// The Definitely Automated ruleset (or a custom WAF) is in
 			// play; the AI block cannot be attributed.
-			return Inconclusive, nil
+			return inconclusive, nil
 		}
 	}
 	if aiKind == kindChallenge {
-		return InferredOnChallenge, nil
+		return inferredOnChallenge, nil
 	}
-	return InferredOnBlock, nil
+	return inferredOnBlock, nil
 }
 
 // Population fractions for the §6.3 survey, calibrated to the paper's
 // text (107 of 1,875 conclusively-determined sites enable Block AI) with
 // Figure 7's block/challenge ratio.
 const (
-	// PaperCloudflareShare: 2,018 of the top 10k sites proxy through
-	// Cloudflare (20%).
-	PaperCloudflareShare = 0.2018
-	// onBlockRate and onChallengeRate split the enabled population.
+	// onBlockRate and onChallengeRate split the enabled population; 2,018
+	// of the top 10k sites (20%) proxy through Cloudflare.
 	onBlockRate     = 0.0382 // ~77 of 2,018
 	onChallengeRate = 0.0149 // ~30 of 2,018
 	// inconclusiveRate is Figure 7's 7.19%.
 	inconclusiveRate = 0.0719
-	// PaperOnRobotsRate / PaperOffRobotsRate: §6.3's correlation — sites
+	// paperOnRobotsRate / paperOffRobotsRate: §6.3's correlation — sites
 	// enabling Block AI also disallow AI crawlers in robots.txt at 24%
 	// vs 12% for the rest.
-	PaperOnRobotsRate  = 0.24
-	PaperOffRobotsRate = 0.12
+	paperOnRobotsRate  = 0.24
+	paperOffRobotsRate = 0.12
 )
 
-// CFSiteSpec is the generated ground truth for one proxied site.
-type CFSiteSpec struct {
+// cfSiteSpec is the generated ground truth for one proxied site.
+type cfSiteSpec struct {
 	Domain            string
 	IP                string
-	Settings          Settings
+	Settings          settings
 	RobotsDisallowsAI bool
 }
 
-// GenerateCFPopulation builds n Cloudflare-proxied sites matching the
+// generateCFPopulation builds n Cloudflare-proxied sites matching the
 // §6.3 distribution with exact category counts.
-func GenerateCFPopulation(n int, seed int64) []CFSiteSpec {
+func generateCFPopulation(n int, seed int64) []cfSiteSpec {
 	rn := stats.NewRand(seed).Fork("cf-population")
 	nOnBlock := int(float64(n)*onBlockRate + 0.5)
 	nOnChallenge := int(float64(n)*onChallengeRate + 0.5)
 	nInconclusive := int(float64(n)*inconclusiveRate + 0.5)
 
-	specs := make([]CFSiteSpec, n)
+	specs := make([]cfSiteSpec, n)
 	for i := range specs {
-		specs[i] = CFSiteSpec{
+		specs[i] = cfSiteSpec{
 			Domain: fmt.Sprintf("cf%05d.example", i+1),
 			IP:     fmt.Sprintf("11.%d.%d.%d", 10+i/65536, (i/256)%256, i%256),
 		}
@@ -436,20 +434,20 @@ func GenerateCFPopulation(n int, seed int64) []CFSiteSpec {
 		return out
 	}
 	for _, i := range take(nOnBlock) {
-		specs[i].Settings = Settings{BlockAIBots: true}
+		specs[i].Settings = settings{BlockAIBots: true}
 	}
 	for _, i := range take(nOnChallenge) {
-		specs[i].Settings = Settings{BlockAIBots: true, ChallengeAI: true}
+		specs[i].Settings = settings{BlockAIBots: true, ChallengeAI: true}
 	}
 	for _, i := range take(nInconclusive) {
 		// Definitely Automated on; Block AI state unobservable (half on).
-		specs[i].Settings = Settings{DefinitelyAutomated: true, BlockAIBots: i%2 == 0}
+		specs[i].Settings = settings{DefinitelyAutomated: true, BlockAIBots: i%2 == 0}
 	}
 	// Robots.txt correlation.
 	for i := range specs {
-		rate := PaperOffRobotsRate
+		rate := paperOffRobotsRate
 		if specs[i].Settings.BlockAIBots && !specs[i].Settings.DefinitelyAutomated {
-			rate = PaperOnRobotsRate
+			rate = paperOnRobotsRate
 		}
 		specs[i].RobotsDisallowsAI = rn.Bool(rate)
 	}
@@ -497,7 +495,7 @@ func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*C
 	}
 	workers = par.Clamp(workers)
 	nw := netsim.New()
-	specs := GenerateCFPopulation(n, seed)
+	specs := generateCFPopulation(n, seed)
 	// One virtual-host farm stands in for the whole proxied population —
 	// fittingly, real Cloudflare-fronted sites share edge listeners too.
 	farm, err := webserver.NewFarm(nw, cfFarmIP)
@@ -523,13 +521,13 @@ func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*C
 			IP:        spec.IP,
 			RobotsTxt: &rt,
 			Pages:     map[string]webserver.Page{"/": {Body: "<html><body>site content for " + spec.Domain + "</body></html>"}},
-			Blocker:   New(spec.Settings),
+			Blocker:   newProxy(spec.Settings),
 		}); err != nil {
 			return nil, err
 		}
 	}
 
-	inferences := make([]Inference, n)
+	inferences := make([]inference, n)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	var firstErr error
@@ -543,7 +541,7 @@ func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*C
 				if ctx.Err() != nil {
 					continue // drain remaining jobs after cancellation
 				}
-				inf, err := InferBlockAI(ctx, client, "http://"+specs[i].Domain+"/")
+				inf, err := inferBlockAI(ctx, client, "http://"+specs[i].Domain+"/")
 				if err != nil {
 					errMu.Lock()
 					if firstErr == nil {
@@ -576,14 +574,14 @@ func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*C
 	var onRobots, offRobots, onCount, offCount int
 	for i, inf := range inferences {
 		switch inf {
-		case InferredOff:
+		case inferredOff:
 			res.Off++
 			offCount++
 			if robotsDisallowsAI(client, specs[i].Domain) {
 				offRobots++
 			}
-		case InferredOnBlock, InferredOnChallenge:
-			if inf == InferredOnBlock {
+		case inferredOnBlock, inferredOnChallenge:
+			if inf == inferredOnBlock {
 				res.OnBlock++
 			} else {
 				res.OnChallenge++
@@ -592,7 +590,7 @@ func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*C
 			if robotsDisallowsAI(client, specs[i].Domain) {
 				onRobots++
 			}
-		case Inconclusive:
+		case inconclusive:
 			res.Inconclusive++
 		}
 	}

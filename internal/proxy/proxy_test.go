@@ -18,9 +18,9 @@ import (
 // can share one test network.
 var farmSeq atomic.Uint32
 
-func startProxied(t *testing.T, nw *netsim.Network, domain, ip string, s Settings) (*webserver.Site, *Proxy) {
+func startProxied(t *testing.T, nw *netsim.Network, domain, ip string, s settings) (*webserver.Site, *proxy) {
 	t.Helper()
-	px := New(s)
+	px := newProxy(s)
 	farm, err := webserver.NewFarm(nw, "11.9.1."+itoa(int(farmSeq.Add(1))))
 	if err != nil {
 		t.Fatal(err)
@@ -55,12 +55,12 @@ func fetchAs(t *testing.T, client *http.Client, url, ua string) (int, string) {
 
 func TestBlockAIBotsBlocksListedAgents(t *testing.T) {
 	nw := netsim.New()
-	site, _ := startProxied(t, nw, "p1.test", "203.0.113.90", Settings{BlockAIBots: true})
+	site, _ := startProxied(t, nw, "p1.test", "203.0.113.90", settings{BlockAIBots: true})
 	client := nw.HTTPClient("198.51.100.1")
 
 	for _, tok := range []string{"GPTBot", "CCBot", "ClaudeBot", "Bytespider", "PerplexityBot"} {
 		status, body := fetchAs(t, client, site.URL()+"/", useragent.FullUA(tok, "1.0"))
-		if status != 403 || !strings.Contains(body, BlockPageMarker) {
+		if status != 403 || !strings.Contains(body, blockPageMarker) {
 			t.Errorf("%s: status=%d, want block page", tok, status)
 		}
 	}
@@ -80,7 +80,7 @@ func TestBlockAIBotsBlocksListedAgents(t *testing.T) {
 
 func TestBlockAIOffPassesEverything(t *testing.T) {
 	nw := netsim.New()
-	site, _ := startProxied(t, nw, "p2.test", "203.0.113.91", Settings{})
+	site, _ := startProxied(t, nw, "p2.test", "203.0.113.91", settings{})
 	client := nw.HTTPClient("198.51.100.2")
 	for _, tok := range []string{"GPTBot", "ClaudeBot", "curl"} {
 		status, _ := fetchAs(t, client, site.URL()+"/", useragent.FullUA(tok, "1.0"))
@@ -93,10 +93,10 @@ func TestBlockAIOffPassesEverything(t *testing.T) {
 func TestChallengeFlavor(t *testing.T) {
 	nw := netsim.New()
 	site, _ := startProxied(t, nw, "p3.test", "203.0.113.92",
-		Settings{BlockAIBots: true, ChallengeAI: true})
+		settings{BlockAIBots: true, ChallengeAI: true})
 	client := nw.HTTPClient("198.51.100.3")
 	_, body := fetchAs(t, client, site.URL()+"/", useragent.FullUA("ClaudeBot", "1.0"))
-	if !strings.Contains(body, ChallengePageMarker) {
+	if !strings.Contains(body, challengePageMarker) {
 		t.Fatal("challenge flavor must serve challenge pages")
 	}
 }
@@ -104,13 +104,13 @@ func TestChallengeFlavor(t *testing.T) {
 func TestDefinitelyAutomated(t *testing.T) {
 	nw := netsim.New()
 	site, _ := startProxied(t, nw, "p4.test", "203.0.113.93",
-		Settings{DefinitelyAutomated: true})
+		settings{DefinitelyAutomated: true})
 	client := nw.HTTPClient("198.51.100.4")
 
 	// Automation tools are challenged.
 	for _, tok := range []string{"HeadlessChrome", "libwww-perl", "curl", "python-requests"} {
 		_, body := fetchAs(t, client, site.URL()+"/", useragent.FullUA(tok, "1.0"))
-		if !strings.Contains(body, ChallengePageMarker) {
+		if !strings.Contains(body, challengePageMarker) {
 			t.Errorf("%s must be challenged by Definitely Automated", tok)
 		}
 	}
@@ -124,7 +124,7 @@ func TestDefinitelyAutomated(t *testing.T) {
 func TestVerifiedBotValidation(t *testing.T) {
 	nw := netsim.New()
 	site, _ := startProxied(t, nw, "p5.test", "203.0.113.94",
-		Settings{DefinitelyAutomated: true})
+		settings{DefinitelyAutomated: true})
 
 	gpt, _ := agents.ByToken("GPTBot")
 	realBot := nw.HTTPClient(gpt.IPPrefix + ".5")
@@ -135,7 +135,7 @@ func TestVerifiedBotValidation(t *testing.T) {
 
 	fakeBot := nw.HTTPClient("198.51.100.66")
 	_, body := fetchAs(t, fakeBot, site.URL()+"/", gpt.FullUserAgent())
-	if !strings.Contains(body, ChallengePageMarker) {
+	if !strings.Contains(body, challengePageMarker) {
 		t.Error("a fake GPTBot (wrong range) is definitely automated")
 	}
 }
@@ -172,20 +172,20 @@ func TestInferBlockAIFlow(t *testing.T) {
 	client := nw.HTTPClient("198.51.100.7")
 	cases := []struct {
 		name string
-		s    Settings
-		want Inference
+		s    settings
+		want inference
 	}{
-		{"off", Settings{}, InferredOff},
-		{"on-block", Settings{BlockAIBots: true}, InferredOnBlock},
-		{"on-challenge", Settings{BlockAIBots: true, ChallengeAI: true}, InferredOnChallenge},
-		{"da-only", Settings{DefinitelyAutomated: true}, Inconclusive},
-		{"da-plus-ai", Settings{DefinitelyAutomated: true, BlockAIBots: true}, Inconclusive},
+		{"off", settings{}, inferredOff},
+		{"on-block", settings{BlockAIBots: true}, inferredOnBlock},
+		{"on-challenge", settings{BlockAIBots: true, ChallengeAI: true}, inferredOnChallenge},
+		{"da-only", settings{DefinitelyAutomated: true}, inconclusive},
+		{"da-plus-ai", settings{DefinitelyAutomated: true, BlockAIBots: true}, inconclusive},
 	}
 	for i, tc := range cases {
 		domain := "inf" + string(rune('a'+i)) + ".test"
 		ip := "203.0.115." + itoa(10+i)
 		site, _ := startProxied(t, nw, domain, ip, tc.s)
-		got, err := InferBlockAI(context.Background(), client, site.URL()+"/")
+		got, err := inferBlockAI(context.Background(), client, site.URL()+"/")
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -208,7 +208,7 @@ func itoa(v int) string {
 
 func TestGenerateCFPopulation(t *testing.T) {
 	n := 2018
-	specs := GenerateCFPopulation(n, 4)
+	specs := generateCFPopulation(n, 4)
 	if len(specs) != n {
 		t.Fatalf("population = %d", len(specs))
 	}
@@ -274,10 +274,10 @@ func TestRunInferenceSurvey(t *testing.T) {
 }
 
 func TestInferenceStrings(t *testing.T) {
-	for i, want := range map[Inference]string{
-		InferredOff: "Block AI off", InferredOnBlock: "Block AI on (block)",
-		InferredOnChallenge: "Block AI on (challenge)", Inconclusive: "inconclusive",
-		Inference(9): "unknown",
+	for i, want := range map[inference]string{
+		inferredOff: "Block AI off", inferredOnBlock: "Block AI on (block)",
+		inferredOnChallenge: "Block AI on (challenge)", inconclusive: "inconclusive",
+		inference(9): "unknown",
 	} {
 		if got := i.String(); got != want {
 			t.Errorf("%d = %q, want %q", i, got, want)
@@ -286,12 +286,12 @@ func TestInferenceStrings(t *testing.T) {
 }
 
 func TestProxyConfigureIsAtomic(t *testing.T) {
-	px := New(Settings{})
-	if px.Settings().BlockAIBots {
+	px := newProxy(settings{})
+	if px.current().BlockAIBots {
 		t.Fatal("initial settings wrong")
 	}
-	px.Configure(Settings{BlockAIBots: true})
-	if !px.Settings().BlockAIBots {
+	px.configure(settings{BlockAIBots: true})
+	if !px.current().BlockAIBots {
 		t.Fatal("configure did not take")
 	}
 }

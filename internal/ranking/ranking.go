@@ -6,10 +6,9 @@
 // The model is constructive: the populations that the paper measures
 // (2,551 sites always in the top 5k; 51,605 always in the top 100k) are
 // built in exactly, while the remaining list slots churn month to month
-// the way real rankings do. The StableTopK analysis function is honest
-// methodology code — it intersects the generated lists the same way the
-// paper intersects real Tranco lists, and the tests verify it recovers
-// the constructed populations.
+// the way real rankings do. The tests generate those monthly lists and
+// intersect them the same way the paper intersects real Tranco lists,
+// and verify that recovers the constructed populations.
 package ranking
 
 import (
@@ -23,7 +22,7 @@ import (
 // Config parameterizes the ranking model. Zero fields take the paper's
 // values (scaled by Scale if set).
 type Config struct {
-	// Months are the list dates; defaults to DefaultMonths().
+	// Months are the list dates; defaults to defaultMonths().
 	Months []time.Time
 	// TopK is the list length (paper: 100,000).
 	TopK int
@@ -42,9 +41,9 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultMonths returns the paper's study window: every month from
+// defaultMonths returns the paper's study window: every month from
 // October 2022 through October 2024 inclusive (25 lists).
-func DefaultMonths() []time.Time {
+func defaultMonths() []time.Time {
 	var out []time.Time
 	for t := time.Date(2022, 10, 1, 0, 0, 0, 0, time.UTC); !t.After(time.Date(2024, 10, 1, 0, 0, 0, 0, time.UTC)); t = t.AddDate(0, 1, 0) {
 		out = append(out, t)
@@ -54,7 +53,7 @@ func DefaultMonths() []time.Time {
 
 func (c *Config) fillDefaults() {
 	if len(c.Months) == 0 {
-		c.Months = DefaultMonths()
+		c.Months = defaultMonths()
 	}
 	if c.TopK == 0 {
 		c.TopK = 100_000
@@ -161,111 +160,6 @@ func (m *Model) StableDomains() []string {
 	out := make([]string, 0, len(m.stableTop)+len(m.stableRest))
 	out = append(out, m.stableTop...)
 	out = append(out, m.stableRest...)
-	sort.Strings(out)
-	return out
-}
-
-// MonthIndex returns the index of month in the configured window, or -1.
-func (m *Model) MonthIndex(month time.Time) int {
-	for i, t := range m.cfg.Months {
-		if t.Year() == month.Year() && t.Month() == month.Month() {
-			return i
-		}
-	}
-	return -1
-}
-
-// MonthlyList generates the ranked list for the given month. The first
-// TopTier entries are the tier the paper calls "the very largest sites".
-// Generation is deterministic in (seed, month).
-func (m *Model) MonthlyList(month time.Time) ([]string, error) {
-	mi := m.MonthIndex(month)
-	if mi < 0 {
-		return nil, fmt.Errorf("ranking: month %s outside study window", month.Format("2006-01"))
-	}
-	rn := stats.NewRand(m.cfg.Seed).Fork(fmt.Sprintf("month-%d", mi))
-
-	list := make([]string, 0, m.cfg.TopK)
-
-	// Top tier: all stable-top domains plus a rotating fill from the
-	// stable-rest population.
-	fill := m.cfg.TopTier - len(m.stableTop)
-	list = append(list, m.stableTop...)
-	idx := rn.SampleWithoutReplacement(len(m.stableRest), fill)
-	inTier := make(map[int]bool, fill)
-	for _, i := range idx {
-		list = append(list, m.stableRest[i])
-		inTier[i] = true
-	}
-	rn.Shuffle(m.cfg.TopTier, func(i, j int) { list[i], list[j] = list[j], list[i] })
-
-	// Remainder: the rest of the stable population, then churners active
-	// this month until the list is full.
-	for i, d := range m.stableRest {
-		if !inTier[i] {
-			list = append(list, d)
-		}
-	}
-	added := make(map[string]bool, m.cfg.TopK-len(list))
-	for _, d := range m.churners {
-		if len(list) >= m.cfg.TopK {
-			break
-		}
-		if m.skipMonth[d] == mi {
-			continue
-		}
-		// Monthly presence: churners drop in and out.
-		if rn.Bool(0.75) {
-			list = append(list, d)
-			added[d] = true
-		}
-	}
-	// If presence sampling left slots open, fill from the remaining
-	// churners (still deterministic, still absent in their skip month).
-	for _, d := range m.churners {
-		if len(list) >= m.cfg.TopK {
-			break
-		}
-		if m.skipMonth[d] == mi || added[d] {
-			continue
-		}
-		list = append(list, d)
-	}
-	if len(list) < m.cfg.TopK {
-		return nil, fmt.Errorf("ranking: churner pool exhausted (%d < %d)", len(list), m.cfg.TopK)
-	}
-	tail := list[m.cfg.TopTier:]
-	rn.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
-	return list, nil
-}
-
-// StableTopK intersects the first k entries of every list and returns the
-// domains present in all of them, sorted. This is the paper's Stable Top
-// 100k / Stable Top 5k construction and works on any ranked lists.
-func StableTopK(lists [][]string, k int) []string {
-	if len(lists) == 0 {
-		return nil
-	}
-	counts := make(map[string]int)
-	for _, list := range lists {
-		n := k
-		if n > len(list) {
-			n = len(list)
-		}
-		seen := make(map[string]bool, n)
-		for _, d := range list[:n] {
-			if !seen[d] {
-				seen[d] = true
-				counts[d]++
-			}
-		}
-	}
-	var out []string
-	for d, c := range counts {
-		if c == len(lists) {
-			out = append(out, d)
-		}
-	}
 	sort.Strings(out)
 	return out
 }

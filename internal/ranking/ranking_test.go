@@ -1,8 +1,12 @@
 package ranking
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 func smallConfig() Config {
@@ -16,7 +20,7 @@ func smallConfig() Config {
 }
 
 func TestDefaultMonths(t *testing.T) {
-	months := DefaultMonths()
+	months := defaultMonths()
 	if len(months) != 25 {
 		t.Fatalf("months = %d, want 25 (Oct 2022 – Oct 2024)", len(months))
 	}
@@ -36,7 +40,7 @@ func TestModelInvalidConfigs(t *testing.T) {
 	}
 	for i, cfg := range bad {
 		cfg.Seed = 1
-		cfg.Months = DefaultMonths()[:3]
+		cfg.Months = defaultMonths()[:3]
 		if _, err := NewModel(cfg); err == nil {
 			t.Errorf("config %d must be rejected", i)
 		}
@@ -48,7 +52,7 @@ func TestMonthlyListShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err := m.MonthlyList(DefaultMonths()[0])
+	list, err := monthlyList(m, defaultMonths()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +71,9 @@ func TestMonthlyListShape(t *testing.T) {
 func TestMonthlyListDeterministic(t *testing.T) {
 	m1, _ := NewModel(smallConfig())
 	m2, _ := NewModel(smallConfig())
-	month := DefaultMonths()[5]
-	l1, _ := m1.MonthlyList(month)
-	l2, _ := m2.MonthlyList(month)
+	month := defaultMonths()[5]
+	l1, _ := monthlyList(m1, month)
+	l2, _ := monthlyList(m2, month)
 	for i := range l1 {
 		if l1[i] != l2[i] {
 			t.Fatalf("lists diverge at %d: %q vs %q", i, l1[i], l2[i])
@@ -79,7 +83,7 @@ func TestMonthlyListDeterministic(t *testing.T) {
 
 func TestMonthOutsideWindow(t *testing.T) {
 	m, _ := NewModel(smallConfig())
-	if _, err := m.MonthlyList(time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)); err == nil {
+	if _, err := monthlyList(m, time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)); err == nil {
 		t.Fatal("month outside the window must error")
 	}
 }
@@ -93,14 +97,14 @@ func TestStableTopKRecoversConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lists [][]string
-	for _, month := range DefaultMonths() {
-		l, err := m.MonthlyList(month)
+	for _, month := range defaultMonths() {
+		l, err := monthlyList(m, month)
 		if err != nil {
 			t.Fatal(err)
 		}
 		lists = append(lists, l)
 	}
-	stable := StableTopK(lists, cfg.TopK)
+	stable := stableTopK(lists, cfg.TopK)
 	if len(stable) != cfg.StableCount {
 		t.Fatalf("stable top %d = %d domains, want %d",
 			cfg.TopK, len(stable), cfg.StableCount)
@@ -112,7 +116,7 @@ func TestStableTopKRecoversConstruction(t *testing.T) {
 		}
 	}
 
-	stableTier := StableTopK(lists, cfg.TopTier)
+	stableTier := stableTopK(lists, cfg.TopTier)
 	if len(stableTier) != cfg.StableTopTierCount {
 		t.Fatalf("stable top tier = %d, want %d", len(stableTier), cfg.StableTopTierCount)
 	}
@@ -127,9 +131,9 @@ func TestStableTopKRecoversConstruction(t *testing.T) {
 func TestChurnExists(t *testing.T) {
 	cfg := smallConfig()
 	m, _ := NewModel(cfg)
-	months := DefaultMonths()
-	l1, _ := m.MonthlyList(months[0])
-	l2, _ := m.MonthlyList(months[1])
+	months := defaultMonths()
+	l1, _ := monthlyList(m, months[0])
+	l2, _ := monthlyList(m, months[1])
 	set1 := map[string]bool{}
 	for _, d := range l1 {
 		set1[d] = true
@@ -165,8 +169,8 @@ func TestRequiredStableIncluded(t *testing.T) {
 		}
 	}
 	// And they really appear in every month's list.
-	for _, month := range DefaultMonths()[:4] {
-		l, _ := m.MonthlyList(month)
+	for _, month := range defaultMonths()[:4] {
+		l, _ := monthlyList(m, month)
 		present := map[string]bool{}
 		for _, d := range l {
 			present[d] = true
@@ -186,8 +190,8 @@ func TestStableTopTierAlwaysInTier(t *testing.T) {
 	for _, d := range m.StableTopTier() {
 		tier[d] = true
 	}
-	for _, month := range DefaultMonths() {
-		l, _ := m.MonthlyList(month)
+	for _, month := range defaultMonths() {
+		l, _ := monthlyList(m, month)
 		inTier := map[string]bool{}
 		for _, d := range l[:cfg.TopTier] {
 			inTier[d] = true
@@ -201,17 +205,17 @@ func TestStableTopTierAlwaysInTier(t *testing.T) {
 }
 
 func TestStableTopKEdgeCases(t *testing.T) {
-	if got := StableTopK(nil, 10); got != nil {
+	if got := stableTopK(nil, 10); got != nil {
 		t.Fatal("no lists → nil")
 	}
 	lists := [][]string{{"a", "b"}, {"b", "c"}}
-	got := StableTopK(lists, 10)
+	got := stableTopK(lists, 10)
 	if len(got) != 1 || got[0] != "b" {
 		t.Fatalf("intersection = %v, want [b]", got)
 	}
 	// k smaller than list length restricts the window.
 	lists = [][]string{{"a", "b"}, {"a", "b"}}
-	got = StableTopK(lists, 1)
+	got = stableTopK(lists, 1)
 	if len(got) != 1 || got[0] != "a" {
 		t.Fatalf("k=1 intersection = %v, want [a]", got)
 	}
@@ -232,7 +236,7 @@ func TestFullScaleConstructionCounts(t *testing.T) {
 	if got := len(m.StableTopTier()); got != 2_551 {
 		t.Fatalf("stable top-tier population = %d, want 2551", got)
 	}
-	list, err := m.MonthlyList(DefaultMonths()[12])
+	list, err := monthlyList(m, defaultMonths()[12])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,4 +261,108 @@ func TestDomainNamesLookReal(t *testing.T) {
 			t.Errorf("domain %q has no TLD", d)
 		}
 	}
+}
+
+// monthlyList generates the ranked list the model implies for the given
+// month: the observation side of the construction, which the tests
+// intersect with stableTopK. The first TopTier entries are the tier the
+// paper calls "the very largest sites". Generation is deterministic in
+// (seed, month).
+func monthlyList(m *Model, month time.Time) ([]string, error) {
+	mi := -1
+	for i, t := range m.cfg.Months {
+		if t.Year() == month.Year() && t.Month() == month.Month() {
+			mi = i
+			break
+		}
+	}
+	if mi < 0 {
+		return nil, fmt.Errorf("ranking: month %s outside study window", month.Format("2006-01"))
+	}
+	rn := stats.NewRand(m.cfg.Seed).Fork(fmt.Sprintf("month-%d", mi))
+
+	list := make([]string, 0, m.cfg.TopK)
+
+	// Top tier: all stable-top domains plus a rotating fill from the
+	// stable-rest population.
+	fill := m.cfg.TopTier - len(m.stableTop)
+	list = append(list, m.stableTop...)
+	idx := rn.SampleWithoutReplacement(len(m.stableRest), fill)
+	inTier := make(map[int]bool, fill)
+	for _, i := range idx {
+		list = append(list, m.stableRest[i])
+		inTier[i] = true
+	}
+	rn.Shuffle(m.cfg.TopTier, func(i, j int) { list[i], list[j] = list[j], list[i] })
+
+	// Remainder: the rest of the stable population, then churners active
+	// this month until the list is full.
+	for i, d := range m.stableRest {
+		if !inTier[i] {
+			list = append(list, d)
+		}
+	}
+	added := make(map[string]bool, m.cfg.TopK-len(list))
+	for _, d := range m.churners {
+		if len(list) >= m.cfg.TopK {
+			break
+		}
+		if m.skipMonth[d] == mi {
+			continue
+		}
+		// Monthly presence: churners drop in and out.
+		if rn.Bool(0.75) {
+			list = append(list, d)
+			added[d] = true
+		}
+	}
+	// If presence sampling left slots open, fill from the remaining
+	// churners (still deterministic, still absent in their skip month).
+	for _, d := range m.churners {
+		if len(list) >= m.cfg.TopK {
+			break
+		}
+		if m.skipMonth[d] == mi || added[d] {
+			continue
+		}
+		list = append(list, d)
+	}
+	if len(list) < m.cfg.TopK {
+		return nil, fmt.Errorf("ranking: churner pool exhausted (%d < %d)", len(list), m.cfg.TopK)
+	}
+	tail := list[m.cfg.TopTier:]
+	rn.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
+	return list, nil
+}
+
+// stableTopK intersects the first k entries of every list and returns the
+// domains present in all of them, sorted: the paper's Stable Top 100k /
+// Stable Top 5k method, the oracle the constructed populations are
+// checked against.
+func stableTopK(lists [][]string, k int) []string {
+	if len(lists) == 0 {
+		return nil
+	}
+	counts := make(map[string]int)
+	for _, list := range lists {
+		n := k
+		if n > len(list) {
+			n = len(list)
+		}
+		seen := make(map[string]bool, n)
+		for _, d := range list[:n] {
+			if !seen[d] {
+				seen[d] = true
+				counts[d]++
+			}
+		}
+	}
+	var out []string
+	for d, c := range counts {
+		if c == len(lists) {
+			out = append(out, d)
+		}
+	}
+	sort.Strings(out)
+	return out
 }

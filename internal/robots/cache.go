@@ -7,11 +7,11 @@ import (
 	"sync/atomic"
 )
 
-// DefaultCacheSize is the entry cap of the package-level shared cache.
+// defaultCacheSize is the entry cap of the package-level shared cache.
 // Robots bodies in the simulations are highly repetitive (site templates,
 // managed rule lists, the two measurement policies), so even a modest cap
 // achieves a near-perfect hit rate.
-const DefaultCacheSize = 4096
+const defaultCacheSize = 4096
 
 // Cache is a concurrency-safe, content-keyed parse cache: the same body
 // parsed under the same Profile returns the same *Robots. Parsing is
@@ -92,10 +92,10 @@ type cacheEntry struct {
 }
 
 // NewCache returns a cache holding at most maxEntries parsed files;
-// maxEntries <= 0 means DefaultCacheSize.
+// maxEntries <= 0 means defaultCacheSize.
 func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
-		maxEntries = DefaultCacheSize
+		maxEntries = defaultCacheSize
 	}
 	return &Cache{
 		max:     maxEntries,
@@ -107,13 +107,13 @@ func NewCache(maxEntries int) *Cache {
 // Parse returns the parsed form of body under the default profile,
 // reusing a previous parse of identical content when available.
 func (c *Cache) Parse(body string) *Robots {
-	return c.ParseProfile(body, ProfileGoogle)
+	return c.parseProfile(body, ProfileGoogle)
 }
 
-// ParseProfile returns the parsed form of body under profile p, reusing a
+// parseProfile returns the parsed form of body under profile p, reusing a
 // previous parse of equivalent content when available (see the type
 // comment for the normalized-key contract).
-func (c *Cache) ParseProfile(body string, p Profile) *Robots {
+func (c *Cache) parseProfile(body string, p Profile) *Robots {
 	// Comments are group-transparent in every profile except the
 	// BlankLineBreaksGroups reproductions, where stripping a comment line
 	// would merge groups the buggy parser splits; those profiles key (and
@@ -173,6 +173,14 @@ func normalizeKey(body string) string {
 		}
 	}
 	if !strip {
+		return body
+	}
+	// The parser reads only the first maxSize bytes, also ends a line at
+	// a bare \r, and trims a BOM only on line 1. Stripping lines from such
+	// a body could pull rules back under the cap, drop the rules that
+	// share a \r-joined line with a comment, or move a BOM onto line 1, so
+	// those bodies are keyed verbatim.
+	if len(body) > maxSize || strings.IndexByte(body, '\r') >= 0 || strings.Contains(body, "\ufeff") {
 		return body
 	}
 	var b strings.Builder
@@ -242,7 +250,7 @@ func (c *Cache) Len() int {
 // sharedCache backs ParseCached: one process-wide policy cache shared
 // by the crawl hot paths (crawler fetches, blocking surveys, proxy robots
 // checks, scenario policy updates).
-var sharedCache = NewCache(DefaultCacheSize)
+var sharedCache = NewCache(defaultCacheSize)
 
 // ParseCached parses a robots.txt body through the shared process-wide
 // cache: identical bodies return the identical *Robots. Use it on hot

@@ -2,8 +2,10 @@ package robots
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func TestCacheIdentitySameBodySameRobots(t *testing.T) {
@@ -15,11 +17,11 @@ func TestCacheIdentitySameBodySameRobots(t *testing.T) {
 		t.Fatal("same body must return the identical *Robots")
 	}
 	// A different profile is a different cache identity.
-	strict := c.ParseProfile(body, ProfileStrictRFC)
+	strict := c.parseProfile(body, ProfileStrictRFC)
 	if strict == a {
 		t.Fatal("different profiles must not share a parse")
 	}
-	if again := c.ParseProfile(body, ProfileStrictRFC); again != strict {
+	if again := c.parseProfile(body, ProfileStrictRFC); again != strict {
 		t.Fatal("same profile+body must return the identical *Robots")
 	}
 	// Different bodies are distinct entries.
@@ -110,8 +112,9 @@ func TestCachedVerdictParityAcrossProfiles(t *testing.T) {
 		// Precedence ordering (FirstMatchPrecedence divergence).
 		"User-agent: *\nAllow: /shop/public\nDisallow: /shop\nDisallow: /search$\n",
 	}
+	bodies = append(bodies, cacheDivergentBodies()...)
 	agents := []string{"GPTBot", "gptbot", "CCBot", "Bytespider", "ClaudeBot",
-		"Googlebot", "Googlebot-News", "RandomBot"}
+		"Googlebot", "Googlebot-News", "RandomBot", "LateBot"}
 	paths := []string{"/", "/images/x.png", "/images/public/x.png", "/blog/post",
 		"/news/today", "/shop/public/item", "/shop/cart", "/search", "/robots.txt"}
 	profiles := []Profile{ProfileGoogle, ProfileStrictRFC, ProfileLegacyBuggy, ProfileClassic1994}
@@ -119,7 +122,7 @@ func TestCachedVerdictParityAcrossProfiles(t *testing.T) {
 	cache := NewCache(0)
 	for _, p := range profiles {
 		for _, body := range bodies {
-			cached := cache.ParseProfile(body, p)
+			cached := cache.parseProfile(body, p)
 			fresh := ParseStringProfile(body, p)
 			for _, ua := range agents {
 				ca, fa := cached.Agent(ua), fresh.Agent(ua)
@@ -210,14 +213,14 @@ func TestCacheNormalizationRespectsBuggyProfiles(t *testing.T) {
 	// with the comment stripped they form one group.
 	body := "User-agent: GPTBot\n# split here\nUser-agent: CCBot\nDisallow: /\n"
 	c := NewCache(0)
-	cached := c.ParseProfile(body, ProfileLegacyBuggy)
+	cached := c.parseProfile(body, ProfileLegacyBuggy)
 	direct := ParseStringProfile(body, ProfileLegacyBuggy)
 	if got, want := cached.Allowed("GPTBot", "/x"), direct.Allowed("GPTBot", "/x"); got != want {
 		t.Fatalf("legacy-buggy cached parse diverged from direct parse: %v vs %v", got, want)
 	}
 	// And the buggy profile's entry must not be shared with a normalized
 	// Google-profile entry for the same body.
-	if c.ParseProfile(body, ProfileGoogle) == cached {
+	if c.parseProfile(body, ProfileGoogle) == cached {
 		t.Fatal("profiles must not share entries")
 	}
 }
@@ -240,9 +243,76 @@ func TestNormalizeKey(t *testing.T) {
 			t.Errorf("normalizeKey(%q) = %q, want %q", tc.in, got, tc.want)
 		}
 	}
-	// The no-strip fast path returns the identical string.
-	in := "User-agent: *\nDisallow: /\n"
-	if out := normalizeKey(in); &in != &in || out != in {
-		t.Errorf("fast path changed the body")
+	// The no-strip fast path, and a body the strip path must key
+	// verbatim, return the identical string.
+	for _, in := range []string{"User-agent: *\nDisallow: /\n", "# c\rUser-agent: *\rDisallow: /\r"} {
+		if out := normalizeKey(in); unsafe.StringData(out) != unsafe.StringData(in) || out != in {
+			t.Errorf("normalizeKey(%q) = %q, want the input itself", in, out)
+		}
 	}
+}
+
+// cacheDivergentBodies are bodies on which stripping comment lines would
+// change what the parser sees, so the cache must key them verbatim: a
+// bare-CR body (the parser ends lines at \r; a stripped key would drop
+// the rules sharing the comment's \n-line), a body over maxSize (comment
+// filler stripped from the key would pull LateBot's rules back under the
+// cap), and a BOM on the first kept line (the parser trims a BOM only on
+// line 1, which stripping line 1 would make it).
+func cacheDivergentBodies() []string {
+	oversized := "User-agent: *\nDisallow: /early/\n" +
+		strings.Repeat("# padding comment line to inflate the file\n", 1+maxSize/40) +
+		"User-agent: LateBot\nDisallow: /\n"
+	return []string{
+		"# c\rUser-agent: *\rDisallow: /\r",
+		oversized,
+		"# c\n\ufeffUser-agent: *\nDisallow: /\n",
+	}
+}
+
+// FuzzParseCachedMatchesParse checks the cache's normalized key against
+// the parser on bodies the corpus generator never writes: a cached parse
+// (fresh cache, so the body's own key decides) must answer Allowed,
+// Explicit and ExplicitRestriction exactly as a direct parse does, for
+// the body's own agent tokens and a fixed agent and path set.
+func FuzzParseCachedMatchesParse(f *testing.F) {
+	profiles := []Profile{ProfileGoogle, ProfileStrictRFC, ProfileLegacyBuggy, ProfileClassic1994}
+	for _, body := range append(cacheDivergentBodies(),
+		"# robots.txt for a.example\nUser-agent: GPTBot\nDisallow: /\n\nSitemap: https://a.example/s.xml\n",
+		"User-agent: *\n# note\nUser-agent: CCBot\nAllow: /public\nDisallow: /\n") {
+		for i := range profiles {
+			f.Add(body, uint8(i))
+		}
+	}
+	fixedAgents := []string{"GPTBot", "gptbot", "CCBot", "Googlebot", "Googlebot-News", "RandomBot"}
+	fixedPaths := []string{"/", "/x", "/public/a", "/early/x", "/search", "/robots.txt"}
+	f.Fuzz(func(t *testing.T, body string, profile uint8) {
+		p := profiles[int(profile)%len(profiles)]
+		cached := NewCache(0).parseProfile(body, p)
+		fresh := ParseStringProfile(body, p)
+		agents := fixedAgents
+		paths := fixedPaths
+		for _, g := range fresh.Groups {
+			agents = append(agents, g.Agents...)
+			for _, r := range g.Rules {
+				paths = append(paths, r.Path)
+			}
+		}
+		for _, ua := range agents {
+			ca, fa := cached.Agent(ua), fresh.Agent(ua)
+			if ca.Explicit != fa.Explicit {
+				t.Fatalf("profile %s body %q agent %q: Explicit cached=%v fresh=%v", p.Name, body, ua, ca.Explicit, fa.Explicit)
+			}
+			cl, ce := cached.ExplicitRestriction(ua)
+			fl, fe := fresh.ExplicitRestriction(ua)
+			if cl != fl || ce != fe {
+				t.Fatalf("profile %s body %q agent %q: restriction cached=(%v,%v) fresh=(%v,%v)", p.Name, body, ua, cl, ce, fl, fe)
+			}
+			for _, path := range paths {
+				if got, want := ca.Allowed(path), fa.Allowed(path); got != want {
+					t.Fatalf("profile %s body %q agent %q path %q: cached=%v fresh=%v", p.Name, body, ua, path, got, want)
+				}
+			}
+		}
+	})
 }

@@ -7,11 +7,11 @@ import "repro/internal/useragent"
 type Level int
 
 const (
-	// NoRobotsFile means the site serves no robots.txt. The parser never
+	// noRobotsFile means the site serves no robots.txt. The parser never
 	// produces this level itself; callers that know a fetch failed use it.
-	NoRobotsFile Level = iota
-	// Unrestricted means the crawler may access every path.
-	Unrestricted
+	noRobotsFile Level = iota
+	// unrestricted means the crawler may access every path.
+	unrestricted
 	// PartiallyDisallowed means some but not all paths are blocked.
 	PartiallyDisallowed
 	// FullyDisallowed means the crawler may access no path at all.
@@ -21,9 +21,9 @@ const (
 // String returns the paper's wording for the level.
 func (l Level) String() string {
 	switch l {
-	case NoRobotsFile:
+	case noRobotsFile:
 		return "no robots.txt"
-	case Unrestricted:
+	case unrestricted:
 		return "no restrictions"
 	case PartiallyDisallowed:
 		return "partially disallowed"
@@ -67,14 +67,14 @@ func (rb *Robots) Restriction(ua string) Level {
 func (rb *Robots) ExplicitRestriction(ua string) (Level, bool) {
 	acc := rb.Agent(ua)
 	if !acc.Explicit {
-		return Unrestricted, false
+		return unrestricted, false
 	}
 	return classify(acc), true
 }
 
 func classify(acc Access) Level {
 	if !acc.HasRules() {
-		return Unrestricted
+		return unrestricted
 	}
 	hasDisallow := false
 	hasUsableAllow := false
@@ -89,7 +89,7 @@ func classify(acc Access) Level {
 		}
 	}
 	if !hasDisallow {
-		return Unrestricted
+		return unrestricted
 	}
 	if !hasUsableAllow {
 		rootDenied := !acc.Allowed("/")

@@ -7,31 +7,31 @@ import "sort"
 type ChangeKind int
 
 const (
-	// Added: the agent is explicitly restricted in the new version only.
-	Added ChangeKind = iota
-	// Removed: the agent lost its explicit restriction (the §3.3
+	// changeAdded: the agent is explicitly restricted in the new version only.
+	changeAdded ChangeKind = iota
+	// changeRemoved: the agent lost its explicit restriction (the §3.3
 	// licensing-deal signature).
-	Removed
-	// Tightened: the restriction level rose (partial → full).
-	Tightened
-	// Loosened: the restriction level fell (full → partial).
-	Loosened
-	// NowAllowed: the agent gained an explicit blanket Allow (§3.4).
-	NowAllowed
+	changeRemoved
+	// changeTightened: the restriction level rose (partial → full).
+	changeTightened
+	// changeLoosened: the restriction level fell (full → partial).
+	changeLoosened
+	// changeNowAllowed: the agent gained an explicit blanket Allow (§3.4).
+	changeNowAllowed
 )
 
 // String names the change.
 func (k ChangeKind) String() string {
 	switch k {
-	case Added:
+	case changeAdded:
 		return "restriction added"
-	case Removed:
+	case changeRemoved:
 		return "restriction removed"
-	case Tightened:
+	case changeTightened:
 		return "restriction tightened"
-	case Loosened:
+	case changeLoosened:
 		return "restriction loosened"
-	case NowAllowed:
+	case changeNowAllowed:
 		return "explicitly allowed"
 	default:
 		return "unknown"
@@ -62,7 +62,7 @@ func Diff(before, after *Robots) []Change {
 			if lvl, explicit := rb.ExplicitRestriction(tok); explicit {
 				m[lower(tok)] = lvl
 			} else {
-				m[lower(tok)] = Unrestricted
+				m[lower(tok)] = unrestricted
 			}
 		}
 		return m
@@ -92,22 +92,22 @@ func Diff(before, after *Robots) []Change {
 		b, bOK := beforeLvl[agent]
 		a, aOK := afterLvl[agent]
 		if !bOK {
-			b = Unrestricted
+			b = unrestricted
 		}
 		if !aOK {
-			a = Unrestricted
+			a = unrestricted
 		}
 		switch {
 		case !beforeAllow[agent] && afterAllow[agent]:
-			out = append(out, Change{Agent: agent, Kind: NowAllowed, From: b, To: a})
+			out = append(out, Change{Agent: agent, Kind: changeNowAllowed, From: b, To: a})
 		case !b.Restricted() && a.Restricted():
-			out = append(out, Change{Agent: agent, Kind: Added, From: b, To: a})
+			out = append(out, Change{Agent: agent, Kind: changeAdded, From: b, To: a})
 		case b.Restricted() && !a.Restricted():
-			out = append(out, Change{Agent: agent, Kind: Removed, From: b, To: a})
+			out = append(out, Change{Agent: agent, Kind: changeRemoved, From: b, To: a})
 		case b == PartiallyDisallowed && a == FullyDisallowed:
-			out = append(out, Change{Agent: agent, Kind: Tightened, From: b, To: a})
+			out = append(out, Change{Agent: agent, Kind: changeTightened, From: b, To: a})
 		case b == FullyDisallowed && a == PartiallyDisallowed:
-			out = append(out, Change{Agent: agent, Kind: Loosened, From: b, To: a})
+			out = append(out, Change{Agent: agent, Kind: changeLoosened, From: b, To: a})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Agent < out[j].Agent })

@@ -26,10 +26,10 @@ Disallow: /admin/
 		t.Fatalf("changes = %+v, want 2 removals", changes)
 	}
 	for _, c := range changes {
-		if c.Kind != Removed {
+		if c.Kind != changeRemoved {
 			t.Errorf("%s: kind = %v, want removed", c.Agent, c.Kind)
 		}
-		if c.From != FullyDisallowed || c.To != Unrestricted {
+		if c.From != FullyDisallowed || c.To != unrestricted {
 			t.Errorf("%s: levels %v → %v", c.Agent, c.From, c.To)
 		}
 	}
@@ -54,10 +54,10 @@ Disallow: /x/
 	for _, c := range changes {
 		byAgent[c.Agent] = c
 	}
-	if byAgent["bytespider"].Kind != Added {
+	if byAgent["bytespider"].Kind != changeAdded {
 		t.Errorf("bytespider = %v", byAgent["bytespider"].Kind)
 	}
-	if byAgent["gptbot"].Kind != NowAllowed {
+	if byAgent["gptbot"].Kind != changeNowAllowed {
 		t.Errorf("gptbot = %v", byAgent["gptbot"].Kind)
 	}
 }
@@ -66,11 +66,11 @@ func TestDiffTightenLoosen(t *testing.T) {
 	partial := ParseString("User-agent: GPTBot\nDisallow: /images/\n")
 	full := ParseString("User-agent: GPTBot\nDisallow: /\n")
 	up := Diff(partial, full)
-	if len(up) != 1 || up[0].Kind != Tightened {
+	if len(up) != 1 || up[0].Kind != changeTightened {
 		t.Fatalf("tighten diff = %+v", up)
 	}
 	down := Diff(full, partial)
-	if len(down) != 1 || down[0].Kind != Loosened {
+	if len(down) != 1 || down[0].Kind != changeLoosened {
 		t.Fatalf("loosen diff = %+v", down)
 	}
 }
@@ -93,9 +93,9 @@ func TestDiffWildcardOnlyChangeIgnored(t *testing.T) {
 
 func TestChangeKindStrings(t *testing.T) {
 	for k, want := range map[ChangeKind]string{
-		Added: "restriction added", Removed: "restriction removed",
-		Tightened: "restriction tightened", Loosened: "restriction loosened",
-		NowAllowed: "explicitly allowed", ChangeKind(9): "unknown",
+		changeAdded: "restriction added", changeRemoved: "restriction removed",
+		changeTightened: "restriction tightened", changeLoosened: "restriction loosened",
+		changeNowAllowed: "explicitly allowed", ChangeKind(9): "unknown",
 	} {
 		if got := k.String(); got != want {
 			t.Errorf("%d = %q, want %q", k, got, want)

@@ -6,50 +6,50 @@ import "fmt"
 type WarningCode int
 
 const (
-	// WarnUnknownDirective flags a directive key that is neither standard
+	// warnUnknownDirective flags a directive key that is neither standard
 	// nor a recognized extension — one of the paper's ~1% "mistakes".
-	WarnUnknownDirective WarningCode = iota
-	// WarnRuleOutsideGroup flags an Allow/Disallow with no preceding
+	warnUnknownDirective WarningCode = iota
+	// warnRuleOutsideGroup flags an Allow/Disallow with no preceding
 	// User-agent line; compliant parsers discard such rules.
-	WarnRuleOutsideGroup
-	// WarnPathNotAbsolute flags a rule path that does not begin with '/'
+	warnRuleOutsideGroup
+	// warnPathNotAbsolute flags a rule path that does not begin with '/'
 	// or a wildcard — the other canonical mistake the paper reports.
-	WarnPathNotAbsolute
-	// WarnEmptyUserAgent flags "User-agent:" with no value.
-	WarnEmptyUserAgent
-	// WarnMissingColon flags a non-empty line with no key:value separator.
-	WarnMissingColon
-	// WarnNonCanonicalKey flags accepted spellings like "useragent".
-	WarnNonCanonicalKey
-	// WarnDirectiveTypo flags accepted misspellings like "dissallow".
-	WarnDirectiveTypo
-	// WarnCrawlDelay flags use of the non-standard Crawl-delay directive,
+	warnPathNotAbsolute
+	// warnEmptyUserAgent flags "User-agent:" with no value.
+	warnEmptyUserAgent
+	// warnMissingColon flags a non-empty line with no key:value separator.
+	warnMissingColon
+	// warnNonCanonicalKey flags accepted spellings like "useragent".
+	warnNonCanonicalKey
+	// warnDirectiveTypo flags accepted misspellings like "dissallow".
+	warnDirectiveTypo
+	// warnCrawlDelay flags use of the non-standard Crawl-delay directive,
 	// which RFC 9309-compliant parsers ignore (App. B.2 case 3).
-	WarnCrawlDelay
-	// WarnTruncated flags input longer than MaxSize.
-	WarnTruncated
+	warnCrawlDelay
+	// warnTruncated flags input longer than maxSize.
+	warnTruncated
 )
 
 // String returns a short identifier for the code.
 func (c WarningCode) String() string {
 	switch c {
-	case WarnUnknownDirective:
+	case warnUnknownDirective:
 		return "unknown-directive"
-	case WarnRuleOutsideGroup:
+	case warnRuleOutsideGroup:
 		return "rule-outside-group"
-	case WarnPathNotAbsolute:
+	case warnPathNotAbsolute:
 		return "path-not-absolute"
-	case WarnEmptyUserAgent:
+	case warnEmptyUserAgent:
 		return "empty-user-agent"
-	case WarnMissingColon:
+	case warnMissingColon:
 		return "missing-colon"
-	case WarnNonCanonicalKey:
+	case warnNonCanonicalKey:
 		return "non-canonical-key"
-	case WarnDirectiveTypo:
+	case warnDirectiveTypo:
 		return "directive-typo"
-	case WarnCrawlDelay:
+	case warnCrawlDelay:
 		return "crawl-delay-used"
-	case WarnTruncated:
+	case warnTruncated:
 		return "truncated"
 	default:
 		return "unknown"
@@ -79,8 +79,8 @@ func (w Warning) String() string {
 // directives"), as opposed to tolerated legacy usage like Crawl-delay.
 func (w Warning) IsMistake() bool {
 	switch w.Code {
-	case WarnUnknownDirective, WarnPathNotAbsolute, WarnRuleOutsideGroup,
-		WarnMissingColon, WarnEmptyUserAgent, WarnDirectiveTypo:
+	case warnUnknownDirective, warnPathNotAbsolute, warnRuleOutsideGroup,
+		warnMissingColon, warnEmptyUserAgent, warnDirectiveTypo:
 		return true
 	default:
 		return false

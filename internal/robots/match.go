@@ -168,9 +168,6 @@ func hierarchicalPrefix(name, token string) bool {
 // HasRules reports whether any rule governs this agent.
 func (a Access) HasRules() bool { return len(a.rules) > 0 }
 
-// Rules returns a copy of the merged rules governing this agent.
-func (a Access) Rules() []Rule { return append([]Rule(nil), a.rules...) }
-
 // Allowed reports whether the agent may fetch the given path. The path
 // should begin with '/' and may include a query string; the empty path is
 // treated as "/". Per RFC 9309, "/robots.txt" is always allowed.

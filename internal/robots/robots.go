@@ -33,10 +33,10 @@ import (
 	"repro/internal/useragent"
 )
 
-// MaxSize is the number of robots.txt bytes a compliant crawler must
+// maxSize is the number of robots.txt bytes a compliant crawler must
 // process (RFC 9309 §2.5: at least 500 KiB). Input beyond this limit is
 // discarded and the result is marked Truncated.
-const MaxSize = 500 * 1024
+const maxSize = 500 * 1024
 
 // Profile selects the interpretation semantics used by Parse. The zero
 // value is the Google-compatible default; the bug flags reproduce the
@@ -140,7 +140,7 @@ type Robots struct {
 	Extensions []Extension
 	// Warnings are the problems found while parsing; see Lint.
 	Warnings []Warning
-	// Truncated is true when the input exceeded MaxSize.
+	// Truncated is true when the input exceeded maxSize.
 	Truncated bool
 
 	profile Profile
@@ -153,22 +153,15 @@ type Robots struct {
 	access sync.Map
 }
 
-// Parse reads a robots.txt body with the default Google-compatible
-// profile. Parsing never fails on malformed content — RFC 9309 requires
-// crawlers to be lenient — so errors are only possible from the reader.
-func Parse(r io.Reader) (*Robots, error) {
-	return ParseProfile(r, ProfileGoogle)
-}
-
 // ParseString parses a robots.txt body held in memory.
 func ParseString(s string) *Robots {
-	rb, _ := ParseProfile(strings.NewReader(s), ProfileGoogle)
+	rb, _ := parseProfile(strings.NewReader(s), ProfileGoogle)
 	return rb
 }
 
 // ParseStringProfile parses s under the given semantics profile.
 func ParseStringProfile(s string, p Profile) *Robots {
-	rb, _ := ParseProfile(strings.NewReader(s), p)
+	rb, _ := parseProfile(strings.NewReader(s), p)
 	return rb
 }
 
@@ -184,10 +177,12 @@ var scanBufPool = sync.Pool{
 	},
 }
 
-// ParseProfile reads a robots.txt body under the given semantics profile.
-func ParseProfile(r io.Reader, p Profile) (*Robots, error) {
+// parseProfile reads a robots.txt body under the given semantics profile.
+// Parsing never fails on malformed content — RFC 9309 requires crawlers
+// to be lenient — so errors are only possible from the reader.
+func parseProfile(r io.Reader, p Profile) (*Robots, error) {
 	rb := &Robots{profile: p}
-	limited := &io.LimitedReader{R: r, N: MaxSize + 1}
+	limited := &io.LimitedReader{R: r, N: maxSize + 1}
 	scanner := bufio.NewScanner(limited)
 	bufp := scanBufPool.Get().(*[]byte)
 	defer scanBufPool.Put(bufp)
@@ -239,16 +234,16 @@ func ParseProfile(r io.Reader, p Profile) (*Robots, error) {
 		}
 		key, value, ok := splitDirective(trimmed)
 		if !ok {
-			rb.warn(lineNo, WarnMissingColon, trimmed)
+			rb.warn(lineNo, warnMissingColon, trimmed)
 			continue
 		}
 		switch canon, typo := canonicalKey(key); canon {
 		case keyUserAgent:
 			if typo {
-				rb.warn(lineNo, WarnNonCanonicalKey, key)
+				rb.warn(lineNo, warnNonCanonicalKey, key)
 			}
 			if value == "" {
-				rb.warn(lineNo, WarnEmptyUserAgent, "")
+				rb.warn(lineNo, warnEmptyUserAgent, "")
 				continue
 			}
 			if lastWasAgent && cur != nil {
@@ -265,15 +260,15 @@ func ParseProfile(r io.Reader, p Profile) (*Robots, error) {
 			groupClosed = false
 		case keyAllow, keyDisallow:
 			if typo {
-				rb.warn(lineNo, WarnDirectiveTypo, key)
+				rb.warn(lineNo, warnDirectiveTypo, key)
 			}
 			if cur == nil || groupClosed {
-				rb.warn(lineNo, WarnRuleOutsideGroup, trimmed)
+				rb.warn(lineNo, warnRuleOutsideGroup, trimmed)
 				lastWasAgent = false
 				continue
 			}
 			if value != "" && value[0] != '/' && value[0] != '*' && value[0] != '$' {
-				rb.warn(lineNo, WarnPathNotAbsolute, value)
+				rb.warn(lineNo, warnPathNotAbsolute, value)
 			}
 			if ruleArena == nil {
 				ruleArena = make([]Rule, 0, 8)
@@ -288,7 +283,7 @@ func ParseProfile(r io.Reader, p Profile) (*Robots, error) {
 			rb.Sitemaps = append(rb.Sitemaps, value)
 			// Sitemap is a standalone directive; it does not affect groups.
 		case keyCrawlDelay:
-			rb.warn(lineNo, WarnCrawlDelay, value)
+			rb.warn(lineNo, warnCrawlDelay, value)
 			rb.recordExtension(key, value, cur, lineNo)
 			if p.CrawlDelayBreaksGroups {
 				lastWasAgent = false
@@ -296,7 +291,7 @@ func ParseProfile(r io.Reader, p Profile) (*Robots, error) {
 		case keyExtension:
 			rb.recordExtension(key, value, cur, lineNo)
 		default:
-			rb.warn(lineNo, WarnUnknownDirective, key)
+			rb.warn(lineNo, warnUnknownDirective, key)
 		}
 	}
 	if err := scanner.Err(); err != nil {
@@ -305,7 +300,7 @@ func ParseProfile(r io.Reader, p Profile) (*Robots, error) {
 	flush()
 	if limited.N <= 0 {
 		rb.Truncated = true
-		rb.warn(lineNo, WarnTruncated, fmt.Sprintf("input exceeds %d bytes", MaxSize))
+		rb.warn(lineNo, warnTruncated, fmt.Sprintf("input exceeds %d bytes", maxSize))
 	}
 	return rb, nil
 }

@@ -42,7 +42,7 @@ func TestFigure1Example(t *testing.T) {
 	if got := rb.Restriction("GPTBot"); got != FullyDisallowed {
 		t.Errorf("GPTBot restriction = %v", got)
 	}
-	if got := rb.Restriction("Googlebot"); got != Unrestricted {
+	if got := rb.Restriction("Googlebot"); got != unrestricted {
 		t.Errorf("Googlebot restriction = %v", got)
 	}
 	if got := rb.Restriction("SomeBot"); got != PartiallyDisallowed {
@@ -221,7 +221,7 @@ Disallow:
 	if !rb.Allowed("GPTBot", "/anything") {
 		t.Error("empty Disallow must not restrict")
 	}
-	if got := rb.Restriction("GPTBot"); got != Unrestricted {
+	if got := rb.Restriction("GPTBot"); got != unrestricted {
 		t.Errorf("restriction = %v, want unrestricted", got)
 	}
 	// But the group is still explicit.
@@ -318,7 +318,7 @@ func TestRuleOutsideGroupIgnored(t *testing.T) {
 	}
 	found := false
 	for _, w := range rb.Warnings {
-		if w.Code == WarnRuleOutsideGroup {
+		if w.Code == warnRuleOutsideGroup {
 			found = true
 		}
 	}
@@ -436,14 +436,14 @@ func TestLintCleanFile(t *testing.T) {
 }
 
 func TestWarningStrings(t *testing.T) {
-	w := Warning{Line: 3, Code: WarnPathNotAbsolute, Detail: "secret/"}
+	w := Warning{Line: 3, Code: warnPathNotAbsolute, Detail: "secret/"}
 	if got := w.String(); !strings.Contains(got, "line 3") || !strings.Contains(got, "path-not-absolute") {
 		t.Errorf("warning string = %q", got)
 	}
 	codes := []WarningCode{
-		WarnUnknownDirective, WarnRuleOutsideGroup, WarnPathNotAbsolute,
-		WarnEmptyUserAgent, WarnMissingColon, WarnNonCanonicalKey,
-		WarnDirectiveTypo, WarnCrawlDelay, WarnTruncated, WarningCode(99),
+		warnUnknownDirective, warnRuleOutsideGroup, warnPathNotAbsolute,
+		warnEmptyUserAgent, warnMissingColon, warnNonCanonicalKey,
+		warnDirectiveTypo, warnCrawlDelay, warnTruncated, WarningCode(99),
 	}
 	seen := map[string]bool{}
 	for _, c := range codes {
@@ -495,7 +495,7 @@ func TestInlineComments(t *testing.T) {
 func TestTruncationAtMaxSize(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("User-agent: *\nDisallow: /early/\n")
-	filler := strings.Repeat("# padding comment line to inflate the file\n", 1+MaxSize/40)
+	filler := strings.Repeat("# padding comment line to inflate the file\n", 1+maxSize/40)
 	sb.WriteString(filler)
 	sb.WriteString("User-agent: LateBot\nDisallow: /\n")
 	rb := ParseString(sb.String())
@@ -519,7 +519,7 @@ func TestEmptyAndCommentOnlyFiles(t *testing.T) {
 		if !rb.Allowed("AnyBot", "/x") {
 			t.Errorf("%q: empty file must allow everything", body)
 		}
-		if got := rb.Restriction("AnyBot"); got != Unrestricted {
+		if got := rb.Restriction("AnyBot"); got != unrestricted {
 			t.Errorf("%q: restriction = %v", body, got)
 		}
 	}
@@ -529,7 +529,7 @@ func TestMissingColonWarning(t *testing.T) {
 	rb := ParseString("User-agent *\nDisallow: /\n")
 	var found bool
 	for _, w := range rb.Warnings {
-		if w.Code == WarnMissingColon {
+		if w.Code == warnMissingColon {
 			found = true
 		}
 	}
@@ -542,7 +542,7 @@ func TestEmptyUserAgentWarning(t *testing.T) {
 	rb := ParseString("User-agent:\nDisallow: /\n")
 	var found bool
 	for _, w := range rb.Warnings {
-		if w.Code == WarnEmptyUserAgent {
+		if w.Code == warnEmptyUserAgent {
 			found = true
 		}
 	}
@@ -596,8 +596,8 @@ Allow: /public/
 
 func TestLevelStrings(t *testing.T) {
 	for lvl, want := range map[Level]string{
-		NoRobotsFile:        "no robots.txt",
-		Unrestricted:        "no restrictions",
+		noRobotsFile:        "no robots.txt",
+		unrestricted:        "no restrictions",
 		PartiallyDisallowed: "partially disallowed",
 		FullyDisallowed:     "fully disallowed",
 		Level(42):           "unknown",
@@ -606,7 +606,7 @@ func TestLevelStrings(t *testing.T) {
 			t.Errorf("Level(%d).String() = %q, want %q", lvl, got, want)
 		}
 	}
-	if NoRobotsFile.Restricted() || Unrestricted.Restricted() {
+	if noRobotsFile.Restricted() || unrestricted.Restricted() {
 		t.Error("unrestricted levels must not report Restricted")
 	}
 	if !PartiallyDisallowed.Restricted() || !FullyDisallowed.Restricted() {

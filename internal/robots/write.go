@@ -81,8 +81,8 @@ func (g *GroupBuilder) Disallow(paths ...string) *GroupBuilder {
 // DisallowAll appends "Disallow: /".
 func (g *GroupBuilder) DisallowAll() *GroupBuilder { return g.Disallow("/") }
 
-// Allow appends Allow rules for each path.
-func (g *GroupBuilder) Allow(paths ...string) *GroupBuilder {
+// allow appends Allow rules for each path.
+func (g *GroupBuilder) allow(paths ...string) *GroupBuilder {
 	for _, p := range paths {
 		g.b.lines = append(g.b.lines, "Allow: "+p)
 	}
@@ -90,16 +90,13 @@ func (g *GroupBuilder) Allow(paths ...string) *GroupBuilder {
 }
 
 // AllowAll appends "Allow: /".
-func (g *GroupBuilder) AllowAll() *GroupBuilder { return g.Allow("/") }
+func (g *GroupBuilder) AllowAll() *GroupBuilder { return g.allow("/") }
 
 // CrawlDelay appends a Crawl-delay extension line to the group.
 func (g *GroupBuilder) CrawlDelay(value string) *GroupBuilder {
 	g.b.lines = append(g.b.lines, "Crawl-delay: "+value)
 	return g
 }
-
-// Builder returns the parent builder to continue with non-group content.
-func (g *GroupBuilder) Builder() *Builder { return g.b }
 
 // Group starts a sibling group on the parent builder.
 func (g *GroupBuilder) Group(agents ...string) *GroupBuilder {

@@ -10,8 +10,8 @@ import (
 	"repro/internal/scenario"
 )
 
-// Absent marks a token or segment present on only one side of a diff.
-const Absent = "(absent)"
+// absent marks a token or segment present on only one side of a diff.
+const absent = "(absent)"
 
 // VerdictMigration is one product token whose verdict class differs
 // between the runs — the headline semantic change the CI gate watches.
@@ -151,10 +151,10 @@ func diffVerdicts(d *Diff, a, b *Run) {
 			continue
 		}
 		if !inA {
-			va = Absent
+			va = absent
 		}
 		if !inB {
-			vb = Absent
+			vb = absent
 		}
 		d.VerdictMigrations = append(d.VerdictMigrations, VerdictMigration{Token: t, From: va, To: vb})
 	}

@@ -46,19 +46,19 @@ type Attribution struct {
 // Stamp captures the current process's attribution.
 func Stamp() Attribution {
 	return Attribution{
-		GitRev:     GitRev(),
+		GitRev:     gitRev(),
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		CPUs:       runtime.NumCPU(),
 	}
 }
 
-// GitRev resolves the current source revision without exec'ing git:
+// gitRev resolves the current source revision without exec'ing git:
 // from the binary's embedded VCS stamp when present (installed builds),
 // else by reading .git/HEAD upward from the working directory (the
 // `go run` and test path, where the toolchain embeds no stamp). Returns
 // "" when neither source is available.
-func GitRev() string {
+func gitRev() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "vcs.revision" && s.Value != "" {
@@ -158,21 +158,21 @@ func NewMeta(kind, name string, seed int64, spec string) Meta {
 	return Meta{
 		Kind:        kind,
 		Name:        name,
-		SpecHash:    HashSpec(spec),
+		SpecHash:    hashSpec(spec),
 		Seed:        seed,
 		Attribution: Stamp(),
 		Timestamp:   time.Now().UTC(),
 	}
 }
 
-// HashSpec is the store's spec identity: a short hex SHA-256.
-func HashSpec(spec string) string {
+// hashSpec is the store's spec identity: a short hex SHA-256.
+func hashSpec(spec string) string {
 	sum := sha256.Sum256([]byte(spec))
 	return hex.EncodeToString(sum[:])[:12]
 }
 
-// ShortRev abbreviates a revision hash for rendering.
-func ShortRev(rev string) string {
+// shortRev abbreviates a revision hash for rendering.
+func shortRev(rev string) string {
 	if len(rev) > 12 {
 		return rev[:12]
 	}

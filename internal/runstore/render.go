@@ -12,21 +12,21 @@ import (
 // Render formats.
 const (
 	FormatText     = "text"
-	FormatMarkdown = "markdown"
-	FormatJSON     = "json"
+	formatMarkdown = "markdown"
+	formatJSON     = "json"
 )
 
 // Render writes the diff in the given format ("text", "markdown",
 // "json").
 func (d *Diff) Render(w io.Writer, format string) error {
 	switch format {
-	case FormatJSON:
+	case formatJSON:
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(d)
 	case FormatText:
 		return d.renderTabular(w, false)
-	case FormatMarkdown:
+	case formatMarkdown:
 		return d.renderTabular(w, true)
 	default:
 		return fmt.Errorf("runstore: unknown render format %q", format)
@@ -72,7 +72,7 @@ func (d *Diff) renderTabular(w io.Writer, md bool) error {
 	}
 	describe := func(side string, m Meta) {
 		fmt.Fprintf(w, "%s: %s kind=%s name=%s spec=%s seed=%d rev=%s\n",
-			side, m.ID, m.Kind, m.Name, m.SpecHash, m.Seed, orNone(ShortRev(m.GitRev)))
+			side, m.ID, m.Kind, m.Name, m.SpecHash, m.Seed, orNone(shortRev(m.GitRev)))
 	}
 	describe("  a", d.A)
 	describe("  b", d.B)
@@ -176,10 +176,10 @@ func (d *Diff) renderTabular(w io.Writer, md bool) error {
 		for _, m := range d.MetricDeltas {
 			a, b := fmt.Sprintf("%g", m.A), fmt.Sprintf("%g", m.B)
 			if !m.InA {
-				a = Absent
+				a = absent
 			}
 			if !m.InB {
-				b = Absent
+				b = absent
 			}
 			rows = append(rows, []string{m.Name, a, b, fmt.Sprintf("%+g", m.Diff)})
 		}
@@ -207,7 +207,7 @@ func RenderList(w io.Writer, runs []Meta) {
 	fmt.Fprintln(tw, "ID\tKIND\tNAME\tSPEC\tSEED\tREV\tSITES\tMONTHS\tVISITS\tRECORDS")
 	for _, m := range runs {
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%s\t%d\t%d\t%d\t%d\n",
-			m.ID, m.Kind, m.Name, m.SpecHash, m.Seed, orNone(ShortRev(m.GitRev)),
+			m.ID, m.Kind, m.Name, m.SpecHash, m.Seed, orNone(shortRev(m.GitRev)),
 			m.Sites, m.Months, m.Visits, m.Records)
 	}
 	tw.Flush()
@@ -219,7 +219,7 @@ func RenderRun(w io.Writer, r *Run) {
 	fmt.Fprintf(w, "run %s\n", m.ID)
 	fmt.Fprintf(w, "  kind=%s name=%s spec=%s seed=%d\n", m.Kind, m.Name, m.SpecHash, m.Seed)
 	fmt.Fprintf(w, "  rev=%s go=%s gomaxprocs=%d cpus=%d\n",
-		orNone(ShortRev(m.GitRev)), m.GoVersion, m.GOMAXPROCS, m.CPUs)
+		orNone(shortRev(m.GitRev)), m.GoVersion, m.GOMAXPROCS, m.CPUs)
 	fmt.Fprintf(w, "  at %s\n", m.Timestamp.Format("2006-01-02T15:04:05Z"))
 	if len(r.Months) > 0 {
 		fmt.Fprintf(w, "  months=%d sites=%d visits=%d\n", len(r.Months), m.Sites, m.Visits)

@@ -48,7 +48,7 @@ type Run struct {
 
 // LoadRun reads a run by id from the store.
 func (s *Store) LoadRun(id string) (*Run, error) {
-	return LoadRunDir(s.RunDir(id))
+	return LoadRunDir(s.runDir(id))
 }
 
 // LoadRunDir reads a run directory — a store member or a standalone

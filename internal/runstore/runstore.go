@@ -31,20 +31,10 @@ const (
 	metricsFile     = "metrics.json"
 )
 
-// SemanticSegments are the run-directory files covered by the
-// determinism contract: the same (spec, seed, rev) must reproduce them
-// byte for byte. meta.json (timestamp), metrics.json (wall-clock
-// histograms), and bench.json (measured performance) are attribution
-// segments and excluded.
-var SemanticSegments = []string{
-	specFile, monthsFile, verdictsFile, sitesFile,
-	summaryFile, experimentsFile, decisionsFile, quotasFile,
-}
-
-// MaxSitePlans bounds the per-site segment: a run with more sites than
+// maxSitePlans bounds the per-site segment: a run with more sites than
 // this stores aggregate state only, so million-site runs don't pay a
 // multi-megabyte sites.ndjson by default. Writers expose the knob.
-const MaxSitePlans = 65536
+const maxSitePlans = 65536
 
 // Store is one run-store directory. All methods are safe for concurrent
 // use within a process; cross-process manifest appends rely on
@@ -65,8 +55,8 @@ func Open(dir string) (*Store, error) {
 // Dir is the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// RunDir is the directory of a run id.
-func (s *Store) RunDir(id string) string { return filepath.Join(s.dir, id) }
+// runDir is the directory of a run id.
+func (s *Store) runDir(id string) string { return filepath.Join(s.dir, id) }
 
 // begin allocates a unique run id and creates its directory. The id
 // embeds the wall-clock start, kind, and spec-hash prefix; a numeric
@@ -150,7 +140,7 @@ func (s *Store) Runs() ([]Meta, error) {
 		if err := json.Unmarshal([]byte(line), &m); err != nil {
 			return nil, fmt.Errorf("runstore: manifest: %w", err)
 		}
-		if _, err := os.Stat(s.RunDir(m.ID)); err != nil {
+		if _, err := os.Stat(s.runDir(m.ID)); err != nil {
 			continue
 		}
 		out = append(out, m)
@@ -224,7 +214,7 @@ func (s *Store) GC(keep int) ([]string, error) {
 	victims, kept := runs[:len(runs)-keep], runs[len(runs)-keep:]
 	removed := make([]string, 0, len(victims))
 	for _, m := range victims {
-		if err := os.RemoveAll(s.RunDir(m.ID)); err != nil {
+		if err := os.RemoveAll(s.runDir(m.ID)); err != nil {
 			return removed, fmt.Errorf("runstore: %w", err)
 		}
 		removed = append(removed, m.ID)
@@ -303,7 +293,7 @@ type ScenarioWriter struct {
 	st   *Store
 	dir  string
 	meta Meta
-	// MaxSites caps the per-site plan segment (default MaxSitePlans);
+	// MaxSites caps the per-site plan segment (default maxSitePlans);
 	// set before the run finishes.
 	MaxSites int
 
@@ -321,7 +311,7 @@ func (s *Store) BeginScenario(meta Meta) (*ScenarioWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ScenarioWriter{st: s, dir: dir, meta: meta, MaxSites: MaxSitePlans}, nil
+	return &ScenarioWriter{st: s, dir: dir, meta: meta, MaxSites: maxSitePlans}, nil
 }
 
 // ID is the run id assigned at Begin.
@@ -506,17 +496,12 @@ func (w *ExperimentsWriter) Abort() {
 	w.err = fmt.Errorf("runstore: run %s aborted", w.meta.ID)
 }
 
-// SaveLoadgen stores a loadgen run: the semantic decision mix plus an
-// optional benchsnap-schema performance snapshot (attribution segment,
-// used for advisory bench deltas). Runs that drove a gateway attach its
-// quota ledger with SaveLoadgenQuotas.
-func (s *Store) SaveLoadgen(meta Meta, mix DecisionMix, bench []byte) (string, error) {
-	return s.SaveLoadgenQuotas(meta, mix, nil, bench)
-}
-
-// SaveLoadgenQuotas is SaveLoadgen plus the gateway's per-tenant quota
-// ledger as a second semantic segment (quotas.json); quotas may be nil.
-func (s *Store) SaveLoadgenQuotas(meta Meta, mix DecisionMix, quotas *QuotaAccounting, bench []byte) (string, error) {
+// SaveLoadgen stores a loadgen run: the semantic decision mix, the
+// gateway's per-tenant quota ledger as a second semantic segment
+// (quotas.json; nil for runs that drove no gateway), and an optional
+// performance snapshot (attribution segment, used for advisory bench
+// deltas).
+func (s *Store) SaveLoadgen(meta Meta, mix DecisionMix, quotas *QuotaAccounting, bench []byte) (string, error) {
 	meta.Records = int(mix.Issued)
 	dir, err := s.begin(&meta)
 	if err != nil {

@@ -46,6 +46,16 @@ func storeRun(t *testing.T, st *Store, spec scenario.Spec) string {
 	return w.ID()
 }
 
+// semanticSegments are the run-directory files covered by the
+// determinism contract: the same (spec, seed, rev) must reproduce them
+// byte for byte. meta.json (timestamp), metrics.json (wall-clock
+// histograms), and bench.json (measured performance) are attribution
+// segments and excluded.
+var semanticSegments = []string{
+	specFile, monthsFile, verdictsFile, sitesFile,
+	summaryFile, experimentsFile, decisionsFile, quotasFile,
+}
+
 // TestDeterministicSegments is the store's core contract: two runs of
 // the same (spec, seed) produce byte-identical semantic segments and an
 // empty semantic diff.
@@ -61,9 +71,9 @@ func TestDeterministicSegments(t *testing.T) {
 		t.Fatalf("run ids collided: %s", idA)
 	}
 
-	for _, seg := range SemanticSegments {
-		a, errA := os.ReadFile(filepath.Join(st.RunDir(idA), seg))
-		b, errB := os.ReadFile(filepath.Join(st.RunDir(idB), seg))
+	for _, seg := range semanticSegments {
+		a, errA := os.ReadFile(filepath.Join(st.runDir(idA), seg))
+		b, errB := os.ReadFile(filepath.Join(st.runDir(idB), seg))
 		if os.IsNotExist(errA) && os.IsNotExist(errB) {
 			continue // segment not produced by this run kind
 		}
@@ -175,8 +185,8 @@ func TestVerdictMigrationDiff(t *testing.T) {
 	d := DiffRuns(a, b)
 	want := []VerdictMigration{
 		{Token: "Bytespider", From: "fetches but ignores robots.txt", To: "does not fetch robots.txt"},
-		{Token: "NewBot", From: Absent, To: "respects robots.txt"},
-		{Token: "OldBot", From: "respects robots.txt", To: Absent},
+		{Token: "NewBot", From: absent, To: "respects robots.txt"},
+		{Token: "OldBot", From: "respects robots.txt", To: absent},
 	}
 	if len(d.VerdictMigrations) != len(want) {
 		t.Fatalf("got %d migrations, want %d: %+v", len(d.VerdictMigrations), len(want), d.VerdictMigrations)
@@ -205,7 +215,7 @@ func TestConcurrentWriters(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			mix := DecisionMix{Issued: int64(100 + i), Allow: int64(90 + i), Deny: 5, Block: 5, Batch: 1, Wire: "json"}
-			id, err := st.SaveLoadgen(NewMeta(KindLoadgen, fmt.Sprintf("w%d", i), int64(i), fmt.Sprintf("spec-%d", i)), mix, nil)
+			id, err := st.SaveLoadgen(NewMeta(KindLoadgen, fmt.Sprintf("w%d", i), int64(i), fmt.Sprintf("spec-%d", i)), mix, nil, nil)
 			ids[i], errs[i] = id, err
 		}(i)
 	}
@@ -238,7 +248,7 @@ func TestResolveAndGC(t *testing.T) {
 	var ids []string
 	for i := 0; i < 3; i++ {
 		id, err := st.SaveLoadgen(NewMeta(KindLoadgen, "gc", int64(i), fmt.Sprintf("gc-%d", i)),
-			DecisionMix{Issued: 1, Allow: 1}, nil)
+			DecisionMix{Issued: 1, Allow: 1}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +283,7 @@ func TestResolveAndGC(t *testing.T) {
 	if len(runs) != 1 || runs[0].ID != latest.ID {
 		t.Fatalf("after GC: %+v, want only %s", runs, latest.ID)
 	}
-	if _, err := os.Stat(st.RunDir(removed[0])); !os.IsNotExist(err) {
+	if _, err := os.Stat(st.runDir(removed[0])); !os.IsNotExist(err) {
 		t.Fatalf("gc'd run dir still exists: %v", err)
 	}
 }
@@ -288,12 +298,12 @@ func TestMixAndBenchDiff(t *testing.T) {
 	bench := []byte(`{"schema":"repro-benchsnap/1","benchmarks":{"policyd_loadgen_inproc":{"ns_per_op":100,"allocs_per_op":0}}}`)
 	benchB := []byte(`{"schema":"repro-benchsnap/1","benchmarks":{"policyd_loadgen_inproc":{"ns_per_op":50,"allocs_per_op":0}}}`)
 	idA, err := st.SaveLoadgen(NewMeta(KindLoadgen, "mix", 1, "mix-spec"),
-		DecisionMix{Issued: 100, Allow: 80, Deny: 15, Block: 5, Batch: 1, Wire: "json"}, bench)
+		DecisionMix{Issued: 100, Allow: 80, Deny: 15, Block: 5, Batch: 1, Wire: "json"}, nil, bench)
 	if err != nil {
 		t.Fatal(err)
 	}
 	idB, err := st.SaveLoadgen(NewMeta(KindLoadgen, "mix", 1, "mix-spec"),
-		DecisionMix{Issued: 100, Allow: 70, Deny: 20, Block: 10, Batch: 1, Wire: "json"}, benchB)
+		DecisionMix{Issued: 100, Allow: 70, Deny: 20, Block: 10, Batch: 1, Wire: "json"}, nil, benchB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,9 +80,9 @@ func (m *MonthMetrics) add(o MonthMetrics) {
 	m.GapSites += o.GapSites
 }
 
-// Classified returns how many (crawler, site) windows were classified
+// classified returns how many (crawler, site) windows were classified
 // this month.
-func (m MonthMetrics) Classified() int {
+func (m MonthMetrics) classified() int {
 	n := 0
 	for _, c := range m.ClassCounts {
 		n += c
@@ -93,7 +93,7 @@ func (m MonthMetrics) Classified() int {
 // RespectRate is the fraction of classified windows in the Respected
 // class, in [0, 1].
 func (m MonthMetrics) RespectRate() float64 {
-	if n := m.Classified(); n > 0 {
+	if n := m.classified(); n > 0 {
 		return float64(m.ClassCounts[measure.Respected]) / float64(n)
 	}
 	return 0

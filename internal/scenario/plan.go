@@ -7,23 +7,23 @@ import (
 	"repro/internal/stats"
 )
 
-// SiteDomain is the canonical domain of scenario site i, shared by the
+// siteDomain is the canonical domain of scenario site i, shared by the
 // engine and the run store's per-site segments.
-func SiteDomain(i int) string {
+func siteDomain(i int) string {
 	return fmt.Sprintf("site-%05d.scenario.test", i)
 }
 
 // Site policy styles, as SitePlan.Style reports them.
 const (
-	// StyleWildcard is a blanket `User-agent: *` disallow.
-	StyleWildcard = "wildcard"
-	// StyleMeasurement is the §5.1 per-agent measurement list naming
+	// styleWildcard is a blanket `User-agent: *` disallow.
+	styleWildcard = "wildcard"
+	// styleMeasurement is the §5.1 per-agent measurement list naming
 	// every Table 1 agent.
-	StyleMeasurement = "measurement"
-	// StyleManaged is a managed-service list refreshed monthly.
-	StyleManaged = "managed"
-	// StyleFrozen is a hand-written per-agent list frozen at adoption.
-	StyleFrozen = "frozen-list"
+	styleMeasurement = "measurement"
+	// styleManaged is a managed-service list refreshed monthly.
+	styleManaged = "managed"
+	// styleFrozen is a hand-written per-agent list frozen at adoption.
+	styleFrozen = "frozen-list"
 )
 
 // SitePlan is one site's derivable policy timeline: when it adopts an
@@ -102,10 +102,10 @@ func drawPlan(sp *Spec, curve []float64, rn *stats.Rand, i int, seed int64) (ado
 
 	adoptMonth = -1
 	switch sp.Adoption.Source {
-	case SourceMeasurement:
+	case sourceMeasurement:
 		adoptMonth = 0
 		perAgent = i%2 == 1
-	case SourceNone:
+	case sourceNone:
 	default:
 		for m, target := range curve {
 			if adoptRoll < target {
@@ -123,17 +123,17 @@ func drawPlan(sp *Spec, curve []float64, rn *stats.Rand, i int, seed int64) (ado
 // adopted policy's style name.
 func planFor(sp *Spec, curve []float64, rn *stats.Rand, i int, seed int64) SitePlan {
 	adoptMonth, perAgent, managed, blocker := drawPlan(sp, curve, rn, i, seed)
-	p := SitePlan{Site: i, Domain: SiteDomain(i), AdoptMonth: adoptMonth, Blocker: blocker}
+	p := SitePlan{Site: i, Domain: siteDomain(i), AdoptMonth: adoptMonth, Blocker: blocker}
 	if adoptMonth >= 0 {
 		switch {
 		case !perAgent:
-			p.Style = StyleWildcard
-		case sp.Adoption.Source == SourceMeasurement:
-			p.Style = StyleMeasurement
+			p.Style = styleWildcard
+		case sp.Adoption.Source == sourceMeasurement:
+			p.Style = styleMeasurement
 		case managed:
-			p.Style = StyleManaged
+			p.Style = styleManaged
 		default:
-			p.Style = StyleFrozen
+			p.Style = styleFrozen
 		}
 	}
 	return p

@@ -42,7 +42,7 @@ func TestSitePlansMatchEngine(t *testing.T) {
 		for _, p := range plans {
 			if p.AdoptMonth >= 0 && p.AdoptMonth <= m {
 				adopted++
-				if p.Style == StyleManaged {
+				if p.Style == styleManaged {
 					managed++
 				}
 			}
@@ -67,7 +67,7 @@ func TestSitePlansMatchEngine(t *testing.T) {
 // policies.
 func TestSitePlansMeasurementSource(t *testing.T) {
 	spec := planTestSpec()
-	spec.Adoption = AdoptionSpec{Source: SourceMeasurement}
+	spec.Adoption = AdoptionSpec{Source: sourceMeasurement}
 	plans, err := SitePlans(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +76,9 @@ func TestSitePlansMeasurementSource(t *testing.T) {
 		if p.AdoptMonth != 0 {
 			t.Errorf("site %d: adopt month %d, want 0", i, p.AdoptMonth)
 		}
-		want := StyleWildcard
+		want := styleWildcard
 		if i%2 == 1 {
-			want = StyleMeasurement
+			want = styleMeasurement
 		}
 		if p.Style != want {
 			t.Errorf("site %d: style %q, want %q", i, p.Style, want)
@@ -90,7 +90,7 @@ func TestSitePlansMeasurementSource(t *testing.T) {
 // happen (same stream as the engine).
 func TestSitePlansNoneSource(t *testing.T) {
 	spec := planTestSpec()
-	spec.Adoption = AdoptionSpec{Source: SourceNone}
+	spec.Adoption = AdoptionSpec{Source: sourceNone}
 	plans, err := SitePlans(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -201,7 +201,7 @@ func TestSpecValidation(t *testing.T) {
 		func(s *Spec) { s.Crawlers[0].FirstMonth = s.Months },
 		func(s *Spec) { s.Blocking = BlockingSpec{Share: 0.5, StartMonth: s.Months} },
 		func(s *Spec) { s.Adoption.Source = "martian" },
-		func(s *Spec) { s.Adoption.Source = SourceNone; s.Adoption.Curve = []float64{0.2} },
+		func(s *Spec) { s.Adoption.Source = sourceNone; s.Adoption.Curve = []float64{0.2} },
 		func(s *Spec) { s.Adoption.Curve = []float64{0.5, 0.2} },
 		func(s *Spec) { s.Adoption.Curve = []float64{1.5} },
 		func(s *Spec) { s.Manager.Uptake = 1.5 },
@@ -227,7 +227,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseSpec(data)
+	got, err := parseSpec(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed the spec:\n%s\nvs\n%s", got.CacheKey(), want.CacheKey())
 	}
 	// Unknown fields are typos in counterfactual knobs; reject them.
-	if _, err := ParseSpec([]byte(`{"name":"x","sites":1,"months":1,"crawler":[]}`)); err == nil {
+	if _, err := parseSpec([]byte(`{"name":"x","sites":1,"months":1,"crawler":[]}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
 }

@@ -30,10 +30,10 @@ import (
 	"repro/internal/stats"
 )
 
-// DefaultStart is the first month of the simulated window, aligned with
+// defaultStart is the first month of the simulated window, aligned with
 // the paper's first corpus snapshot (October 2022) so user-agent
 // announcement dates fall inside the run.
-const DefaultStart = "2022-10"
+const defaultStart = "2022-10"
 
 // maxMonths bounds a run's virtual duration (ten years).
 const maxMonths = 120
@@ -53,7 +53,7 @@ type Spec struct {
 	// Months is the virtual duration in monthly ticks.
 	Months int `json:"months"`
 	// Start is the first virtual month, "YYYY-MM"; empty means
-	// DefaultStart.
+	// defaultStart.
 	Start string `json:"start,omitempty"`
 	// Adoption schedules when sites adopt AI-restricting robots.txt.
 	Adoption AdoptionSpec `json:"adoption"`
@@ -72,14 +72,14 @@ const (
 	// SourceCorpusOther draws adoption times from the corpus curve for
 	// non-top-tier sites (the default).
 	SourceCorpusOther = "corpus-other"
-	// SourceCorpusTop5k draws from the Stable Top 5k curve.
-	SourceCorpusTop5k = "corpus-top5k"
-	// SourceMeasurement replays the paper's §5.1 measurement deployment:
+	// sourceCorpusTop5k draws from the Stable Top 5k curve.
+	sourceCorpusTop5k = "corpus-top5k"
+	// sourceMeasurement replays the paper's §5.1 measurement deployment:
 	// every site adopts at month 0, alternating the wildcard-disallow and
 	// per-agent-disallow policies of the two instrumented sites.
-	SourceMeasurement = "measurement"
-	// SourceNone disables adoption (no site ever restricts).
-	SourceNone = "none"
+	sourceMeasurement = "measurement"
+	// sourceNone disables adoption (no site ever restricts).
+	sourceNone = "none"
 )
 
 // AdoptionSpec schedules robots.txt adoption across the site population.
@@ -159,9 +159,9 @@ var behaviorNames = map[string]crawler.Behavior{
 	"intermittent-fetch": crawler.IntermittentFetch,
 }
 
-// ParseSpec decodes and validates a JSON spec. Unknown fields are
+// parseSpec decodes and validates a JSON spec. Unknown fields are
 // rejected so typos in counterfactual knobs fail loudly.
-func ParseSpec(data []byte) (Spec, error) {
+func parseSpec(data []byte) (Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
@@ -180,7 +180,7 @@ func LoadSpec(path string) (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("scenario: %w", err)
 	}
-	return ParseSpec(data)
+	return parseSpec(data)
 }
 
 // Validate checks the spec for runnability.
@@ -224,8 +224,8 @@ func (s Spec) Validate() error {
 		}
 	}
 	switch s.Adoption.Source {
-	case "", SourceCorpusOther, SourceCorpusTop5k:
-	case SourceMeasurement, SourceNone:
+	case "", SourceCorpusOther, sourceCorpusTop5k:
+	case sourceMeasurement, sourceNone:
 		if len(s.Adoption.Curve) > 0 {
 			return fmt.Errorf("scenario %s: adoption source %q pins the schedule structurally and cannot combine with an explicit curve",
 				s.Name, s.Adoption.Source)
@@ -273,7 +273,7 @@ func (s Spec) withDefaults() Spec {
 		s.Seed = stats.DefaultSeed
 	}
 	if s.Start == "" {
-		s.Start = DefaultStart
+		s.Start = defaultStart
 	}
 	if s.Adoption.Source == "" {
 		s.Adoption.Source = SourceCorpusOther
@@ -308,7 +308,7 @@ func (s Spec) withDefaults() Spec {
 func (s Spec) startDate() time.Time {
 	t, err := time.Parse("2006-01", s.Start)
 	if err != nil {
-		t, _ = time.Parse("2006-01", DefaultStart)
+		t, _ = time.Parse("2006-01", defaultStart)
 	}
 	return t
 }
@@ -326,13 +326,13 @@ func (s Spec) monthlyCurve() []float64 {
 			}
 			out[m] = last
 		}
-	case s.Adoption.Source == SourceNone || s.Adoption.Source == SourceMeasurement:
+	case s.Adoption.Source == sourceNone || s.Adoption.Source == sourceMeasurement:
 		// Handled structurally by the engine; the curve is unused.
 		return out
 	default:
 		// Resample the snapshot-indexed corpus curve onto the monthly
 		// clock: each month holds the most recent snapshot's value.
-		curve := corpus.AdoptionCurve(s.Adoption.Source == SourceCorpusTop5k)
+		curve := corpus.AdoptionCurve(s.Adoption.Source == sourceCorpusTop5k)
 		start := s.startDate()
 		for m := range out {
 			date := start.AddDate(0, m, 0)
@@ -359,10 +359,10 @@ func (s Spec) monthlyCurve() []float64 {
 	return out
 }
 
-// DefaultFleet returns the crawler roster of the paper's observed world:
+// defaultFleet returns the crawler roster of the paper's observed world:
 // the eight crawlers the passive study saw visit unprompted (§5.2.1),
 // with their measured behaviours and plausible per-company cadences.
-func DefaultFleet() []CrawlerSpec {
+func defaultFleet() []CrawlerSpec {
 	return []CrawlerSpec{
 		{Token: "Amazonbot", Behavior: "compliant", Cadence: 2},
 		{Token: "Applebot", Behavior: "compliant", Cadence: 3},
@@ -381,7 +381,7 @@ func DefaultFleet() []CrawlerSpec {
 // content visit. Classifying its simulated logs must reproduce the seed
 // measurement's Table 1 verdict classes.
 func Baseline(seed int64) Spec {
-	fleet := DefaultFleet()
+	fleet := defaultFleet()
 	for i := range fleet {
 		// One wave each, as in the six-month passive study's evidence.
 		fleet[i].Cadence = 6
@@ -401,7 +401,7 @@ func Baseline(seed int64) Spec {
 		Seed:        seed,
 		Sites:       2,
 		Months:      6,
-		Adoption:    AdoptionSpec{Source: SourceMeasurement},
+		Adoption:    AdoptionSpec{Source: sourceMeasurement},
 		Crawlers:    fleet,
 		// The passive study's crawlers walked the whole measurement site.
 		MaxPagesPerCrawl: 32,
@@ -418,7 +418,7 @@ func Observed(seed int64, sites, months int) Spec {
 		Sites:       sites,
 		Months:      months,
 		Adoption:    AdoptionSpec{Source: SourceCorpusOther},
-		Crawlers:    DefaultFleet(),
+		Crawlers:    defaultFleet(),
 	}
 }
 

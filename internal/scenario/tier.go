@@ -339,7 +339,7 @@ func (w *tierWorker) runPinned(ctx context.Context, pinned int) error {
 // The site starts bare; runHotMonth publishes its policy and blocker
 // from the columns.
 func (w *tierWorker) runPinnedSite(ctx context.Context, farm *webserver.Farm, crawlers *rosterCrawlers, i int) error {
-	domain := SiteDomain(i)
+	domain := siteDomain(i)
 	site, err := farm.StartSite(webserver.Config{
 		Domain: domain,
 		IP:     siteIP,
@@ -372,7 +372,7 @@ func (w *tierWorker) applyMonthState(i, m int) {
 		switch {
 		case !t.perAgent.get(i):
 			t.policyID[i] = world.wildcardID
-		case world.sp.Adoption.Source == SourceMeasurement:
+		case world.sp.Adoption.Source == sourceMeasurement:
 			t.policyID[i] = world.measurementID
 			t.frozen[i] = world.measurementFrozen
 		case t.managed.get(i):

@@ -136,7 +136,7 @@ func TestTieredColumnarFootprint(t *testing.T) {
 		Seed:     3,
 		Sites:    50000,
 		Months:   2,
-		Adoption: AdoptionSpec{Source: SourceNone},
+		Adoption: AdoptionSpec{Source: sourceNone},
 		Crawlers: []CrawlerSpec{{Token: "GPTBot", Behavior: "compliant", Cadence: 1}},
 	}
 	var ts TierStats
@@ -186,10 +186,10 @@ func TestWaveIndexMatchesSchedule(t *testing.T) {
 }
 
 // domainDigits counts without formatting; the domain it stands for is
-// SiteDomain's, zero-padded to five digits.
+// siteDomain's, zero-padded to five digits.
 func TestDomainDigitsMatchesSiteDomain(t *testing.T) {
 	for _, i := range []int{0, 9, 10, 99_999, 100_000, 999_999, 1_000_000, 123_456_789, 1<<63 - 1} {
-		want := len(SiteDomain(i)) - len("site-.scenario.test")
+		want := len(siteDomain(i)) - len("site-.scenario.test")
 		if got := int(domainDigits(i)); got != want {
 			t.Errorf("domainDigits(%d) = %d, SiteDomain has %d", i, got, want)
 		}

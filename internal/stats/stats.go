@@ -7,7 +7,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -71,9 +70,9 @@ func (rn *Rand) Int63() int64 { return rn.r.Int63() }
 // Bool returns true with probability p.
 func (rn *Rand) Bool(p float64) bool { return rn.r.Float64() < p }
 
-// NormFloat64 returns a normally distributed value with the given mean and
+// normFloat64 returns a normally distributed value with the given mean and
 // standard deviation.
-func (rn *Rand) NormFloat64(mean, stddev float64) float64 {
+func (rn *Rand) normFloat64(mean, stddev float64) float64 {
 	return rn.r.NormFloat64()*stddev + mean
 }
 
@@ -106,27 +105,6 @@ func (rn *Rand) WeightedIndex(weights []float64) int {
 		x -= w
 	}
 	return len(weights) - 1
-}
-
-// Poisson samples a Poisson-distributed count with the given mean using
-// Knuth's method; suitable for the small means the generators use.
-func (rn *Rand) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	for {
-		p *= rn.r.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-		if k > 1_000_000 { // guard against pathological means
-			return k
-		}
-	}
 }
 
 // Pick returns a uniformly chosen element of xs. It panics on empty input.
@@ -200,15 +178,6 @@ func (s Series) Max() float64 {
 	return m
 }
 
-// Sum returns the sum of all point values.
-func (s Series) Sum() float64 {
-	var t float64
-	for _, p := range s.Points {
-		t += p.Value
-	}
-	return t
-}
-
 // Sparkline renders the series as a unicode sparkline for terminal output.
 // The result has one rune per point; an empty series yields "".
 func (s Series) Sparkline() string {
@@ -254,15 +223,6 @@ func (c *Counter) Inc(key string) { c.counts[key]++ }
 // Get returns the tally for key.
 func (c *Counter) Get(key string) int { return c.counts[key] }
 
-// Total returns the sum of all tallies.
-func (c *Counter) Total() int {
-	var t int
-	for _, n := range c.counts {
-		t += n
-	}
-	return t
-}
-
 // Len returns the number of distinct keys.
 func (c *Counter) Len() int { return len(c.counts) }
 
@@ -284,15 +244,5 @@ func (c *Counter) Sorted() []Entry {
 		}
 		return out[i].Key < out[j].Key
 	})
-	return out
-}
-
-// Keys returns all keys in lexical order.
-func (c *Counter) Keys() []string {
-	out := make([]string, 0, len(c.counts))
-	for k := range c.counts {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -21,7 +21,7 @@ func TestSeedMatchesNewRand(t *testing.T) {
 	reused := NewRand(1)
 	for _, seed := range []int64{42, -7, 0, 1 << 40} {
 		reused.Float64()
-		reused.NormFloat64(0, 1)
+		reused.normFloat64(0, 1)
 		reused.Seed(seed)
 		fresh := NewRand(seed)
 		for i := 0; i < 100; i++ {
@@ -97,25 +97,6 @@ func TestWeightedIndexDegenerate(t *testing.T) {
 	}
 }
 
-func TestPoissonMean(t *testing.T) {
-	rn := NewRand(4)
-	var sum int
-	n := 20000
-	for i := 0; i < n; i++ {
-		sum += rn.Poisson(2.5)
-	}
-	mean := float64(sum) / float64(n)
-	if mean < 2.3 || mean > 2.7 {
-		t.Fatalf("Poisson(2.5) empirical mean %.3f", mean)
-	}
-	if rn.Poisson(0) != 0 {
-		t.Fatal("Poisson(0) must be 0")
-	}
-	if rn.Poisson(-1) != 0 {
-		t.Fatal("Poisson(-1) must be 0")
-	}
-}
-
 func TestSampleWithoutReplacement(t *testing.T) {
 	rn := NewRand(5)
 	got := rn.SampleWithoutReplacement(10, 4)
@@ -167,9 +148,6 @@ func TestSeries(t *testing.T) {
 	if s.Max() != 5 {
 		t.Fatalf("Max=%v", s.Max())
 	}
-	if s.Sum() != 9 {
-		t.Fatalf("Sum=%v", s.Sum())
-	}
 	spark := s.Sparkline()
 	if len([]rune(spark)) != 3 {
 		t.Fatalf("sparkline %q should have 3 runes", spark)
@@ -192,19 +170,12 @@ func TestCounter(t *testing.T) {
 	if c.Get("a") != 2 || c.Get("missing") != 0 {
 		t.Fatal("Get mismatch")
 	}
-	if c.Total() != 8 {
-		t.Fatalf("Total=%d", c.Total())
-	}
 	if c.Len() != 3 {
 		t.Fatalf("Len=%d", c.Len())
 	}
 	sorted := c.Sorted()
 	if sorted[0].Key != "c" || sorted[1].Key != "a" || sorted[2].Key != "b" {
 		t.Fatalf("Sorted order wrong: %+v", sorted)
-	}
-	keys := c.Keys()
-	if len(keys) != 3 || keys[0] != "a" || keys[2] != "c" {
-		t.Fatalf("Keys order wrong: %v", keys)
 	}
 }
 
@@ -213,7 +184,7 @@ func TestNormFloat64(t *testing.T) {
 	var sum, sq float64
 	n := 50000
 	for i := 0; i < n; i++ {
-		v := rn.NormFloat64(10, 2)
+		v := rn.normFloat64(10, 2)
 		sum += v
 		sq += v * v
 	}

@@ -16,19 +16,19 @@ import (
 	"repro/internal/stats"
 )
 
-// PaperN is the number of valid survey responses (§4.1).
-const PaperN = 203
+// paperN is the number of valid survey responses (§4.1).
+const paperN = 203
 
 // Likert is a 1–5 scale response.
 type Likert int
 
 // Likert anchors.
 const (
-	NotLikelyAtAll Likert = 1 + iota
-	Unlikely
-	Neutral
-	Likely
-	VeryLikely
+	likertNotAtAll Likert = 1 + iota
+	likertUnlikely
+	likertNeutral
+	likertLikely
+	likertVeryLikely
 )
 
 // Impact is the Q16 job-security impact scale.
@@ -36,11 +36,11 @@ type Impact int
 
 // Impact levels.
 const (
-	NoImpact Impact = iota
-	MinorImpact
-	ModerateImpact
-	SignificantImpact
-	SevereImpact
+	impactNone Impact = iota
+	impactMinor
+	impactModerate
+	impactSignificant
+	impactSevere
 )
 
 // IncomeBucket is Table 5's "how long making money" scale.
@@ -48,7 +48,7 @@ type IncomeBucket int
 
 // Income duration buckets.
 const (
-	NoIncome IncomeBucket = iota
+	noIncome IncomeBucket = iota
 	LessThan1Year
 	OneToFiveYears
 	FiveToTenYears
@@ -76,15 +76,15 @@ type Term string
 
 // The five Q6 items, including the bogus control item from Hargittai [41].
 const (
-	TermWebsite      Term = "Website"
-	TermSearchEngine Term = "Search engine"
-	TermGenerativeAI Term = "Generative AI"
-	TermRobotsTxt    Term = "Robots.txt"
-	TermBogus        Term = "Nearest diffusion tree" // does not exist
+	termWebsite      Term = "Website"
+	termSearchEngine Term = "Search engine"
+	termGenerativeAI Term = "Generative AI"
+	termRobotsTxt    Term = "Robots.txt"
+	termBogus        Term = "Nearest diffusion tree" // does not exist
 )
 
 // Terms lists the familiarity items in Table 8 order.
-var Terms = []Term{TermWebsite, TermSearchEngine, TermGenerativeAI, TermRobotsTxt, TermBogus}
+var Terms = []Term{termWebsite, termSearchEngine, termGenerativeAI, termRobotsTxt, termBogus}
 
 // Respondent is one artist's joint response.
 type Respondent struct {
@@ -135,8 +135,8 @@ const (
 	QWhyDistrust  = "why-distrust"  // Table 12
 )
 
-// Codebook themes per question, in table order.
-var Codebook = map[string][]string{
+// codebook themes per question, in table order.
+var codebook = map[string][]string{
 	QOtherActions: {"modify post", "switch platforms", "raise awareness",
 		"unionize", "change career path", "miscellaneous"},
 	QWhyNotAdopt: {"efficacy", "usability", "more information",
@@ -168,7 +168,7 @@ const (
 // Generate builds the 203-artist population.
 func Generate(seed int64) *Population {
 	rn := stats.NewRand(seed).Fork("survey")
-	n := PaperN
+	n := paperN
 	rs := make([]Respondent, n)
 	for i := range rs {
 		rs[i] = Respondent{
@@ -266,8 +266,8 @@ func Generate(seed int64) *Population {
 		term Term
 		mean float64
 	}{
-		{TermWebsite, 4.60}, {TermSearchEngine, 4.35}, {TermGenerativeAI, 3.89},
-		{TermRobotsTxt, 1.99}, {TermBogus, 1.56},
+		{termWebsite, 4.60}, {termSearchEngine, 4.35}, {termGenerativeAI, 3.89},
+		{termRobotsTxt, 1.99}, {termBogus, 1.56},
 	} {
 		base := Likert(int(tm.mean))
 		frac := tm.mean - float64(int(tm.mean))
@@ -290,8 +290,8 @@ func Generate(seed int64) *Population {
 			lvl Impact
 			k   int
 		}{
-			{SevereImpact, 55}, {SignificantImpact, 55}, {ModerateImpact, 51},
-			{MinorImpact, 30}, {NoImpact, 12},
+			{impactSevere, 55}, {impactSignificant, 55}, {impactModerate, 51},
+			{impactMinor, 30}, {impactNone, 12},
 		}
 		pos := 0
 		for _, lv := range levels {
@@ -311,7 +311,7 @@ func Generate(seed int64) *Population {
 				rs[i].UsesGlaze = true
 			}
 			// Table 9 themes for the "other actions" question.
-			theme := Codebook[QOtherActions][rn.WeightedIndex([]float64{30, 25, 15, 8, 4, 18})]
+			theme := codebook[QOtherActions][rn.WeightedIndex([]float64{30, 25, 15, 8, 4, 18})]
 			rs[i].Themes[QOtherActions] = append(rs[i].Themes[QOtherActions], theme)
 		}
 	}
@@ -324,19 +324,19 @@ func Generate(seed int64) *Population {
 			lvl Likert
 			k   int
 		}{
-			{VeryLikely, 185}, {Likely, 12}, {Neutral, 4}, {Unlikely, 2},
+			{likertVeryLikely, 185}, {likertLikely, 12}, {likertNeutral, 4}, {likertUnlikely, 2},
 		}
 		pos := 0
 		for _, lv := range levels {
 			for j := 0; j < lv.k; j++ {
 				r := &rs[perm[pos]]
 				r.BlockLikelihood = lv.lvl
-				if lv.lvl >= Likely {
-					theme := Codebook[QWhyBlock][rn.WeightedIndex([]float64{35, 25, 15, 10, 5, 10})]
+				if lv.lvl >= likertLikely {
+					theme := codebook[QWhyBlock][rn.WeightedIndex([]float64{35, 25, 15, 10, 5, 10})]
 					r.Themes[QWhyBlock] = append(r.Themes[QWhyBlock], theme)
 				} else {
 					rs[perm[pos]].Themes[QWhyNotAdopt] = append(rs[perm[pos]].Themes[QWhyNotAdopt],
-						Codebook[QWhyNotAdopt][rn.WeightedIndex([]float64{40, 25, 20, 10, 5})])
+						codebook[QWhyNotAdopt][rn.WeightedIndex([]float64{40, 25, 20, 10, 5})])
 				}
 				pos++
 			}
@@ -365,15 +365,15 @@ func Generate(seed int64) *Population {
 			rs[i].UnderstandsRobots = j < 113
 			switch {
 			case j < 50:
-				rs[i].AdoptLikelihood = VeryLikely
+				rs[i].AdoptLikelihood = likertVeryLikely
 			case j < 89:
-				rs[i].AdoptLikelihood = Likely
+				rs[i].AdoptLikelihood = likertLikely
 			case j < 104:
-				rs[i].AdoptLikelihood = Neutral
+				rs[i].AdoptLikelihood = likertNeutral
 			default:
-				rs[i].AdoptLikelihood = Unlikely
+				rs[i].AdoptLikelihood = likertUnlikely
 				rs[i].Themes[QWhyNotAdopt] = append(rs[i].Themes[QWhyNotAdopt],
-					Codebook[QWhyNotAdopt][rn.WeightedIndex([]float64{40, 25, 20, 10, 5})])
+					codebook[QWhyNotAdopt][rn.WeightedIndex([]float64{40, 25, 20, 10, 5})])
 			}
 		}
 		sh := rn.Fork("distrust")
@@ -381,14 +381,14 @@ func Generate(seed int64) *Population {
 		for j, i := range notHeard {
 			if j < 92 {
 				if sh.Bool(0.5) {
-					rs[i].TrustAI = Unlikely
+					rs[i].TrustAI = likertUnlikely
 				} else {
-					rs[i].TrustAI = NotLikelyAtAll
+					rs[i].TrustAI = likertNotAtAll
 				}
 				rs[i].Themes[QWhyDistrust] = append(rs[i].Themes[QWhyDistrust],
-					Codebook[QWhyDistrust][sh.WeightedIndex([]float64{30, 20, 15, 10, 10, 10, 5})])
+					codebook[QWhyDistrust][sh.WeightedIndex([]float64{30, 20, 15, 10, 10, 10, 5})])
 			} else {
-				rs[i].TrustAI = Neutral
+				rs[i].TrustAI = likertNeutral
 			}
 		}
 	}
@@ -514,14 +514,14 @@ func (p *Population) ComputeHeadline() Headline {
 			if r.UnderstandsRobots {
 				understoodAfter++
 			}
-			if r.TrustAI <= Unlikely && r.TrustAI != 0 {
+			if r.TrustAI <= likertUnlikely && r.TrustAI != 0 {
 				newDistrust++
 			}
 		}
-		if r.JobImpact >= ModerateImpact {
+		if r.JobImpact >= impactModerate {
 			modPlus++
 		}
-		if r.JobImpact >= SignificantImpact {
+		if r.JobImpact >= impactSignificant {
 			sigPlus++
 		}
 		if r.TookAction {
@@ -530,10 +530,10 @@ func (p *Population) ComputeHeadline() Headline {
 				glaze++
 			}
 		}
-		if r.BlockLikelihood == VeryLikely {
+		if r.BlockLikelihood == likertVeryLikely {
 			veryLikely++
 		}
-		if r.BlockLikelihood >= Likely {
+		if r.BlockLikelihood >= likertLikely {
 			wantBlock++
 		}
 		if r.HasPersonalSite && r.HeardRobots {
@@ -577,8 +577,8 @@ func (p *Population) ThemeCounts(question string) []stats.Entry {
 
 // Questions returns the codebook question keys, sorted.
 func Questions() []string {
-	out := make([]string, 0, len(Codebook))
-	for q := range Codebook {
+	out := make([]string, 0, len(codebook))
+	for q := range codebook {
 		out = append(out, q)
 	}
 	sort.Strings(out)

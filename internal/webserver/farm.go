@@ -108,13 +108,6 @@ func NewFarm(nw *netsim.Network, ip string) (*Farm, error) {
 	return f, nil
 }
 
-// IP returns the farm listener's address.
-func (f *Farm) IP() string { return f.ip }
-
-// Unmatched returns the number of requests that named a Host no site
-// claims (answered 421).
-func (f *Farm) Unmatched() uint64 { return f.unmatched.Load() }
-
 // Len returns the number of sites currently hosted.
 func (f *Farm) Len() int {
 	f.mu.RLock()

@@ -110,8 +110,8 @@ func TestFarmUnknownHost(t *testing.T) {
 	if resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("unknown host = %d %q, want 421", resp.StatusCode, body)
 	}
-	if farm.Unmatched() != 1 {
-		t.Fatalf("Unmatched = %d, want 1", farm.Unmatched())
+	if farm.unmatched.Load() != 1 {
+		t.Fatalf("Unmatched = %d, want 1", farm.unmatched.Load())
 	}
 }
 

@@ -53,7 +53,7 @@ func TestKeepAliveReuseAfter421(t *testing.T) {
 			t.Fatalf("round %d known = %d %q, want the site's robots.txt", round, resp.StatusCode, body)
 		}
 	}
-	if got := farm.Unmatched(); got != 2 {
+	if got := farm.unmatched.Load(); got != 2 {
 		t.Fatalf("Unmatched = %d, want 2", got)
 	}
 	if got := farm.connCount(); got != 1 {

@@ -7,7 +7,8 @@
 # identifiers and methods declared under internal/ (a grep over
 # declaration lines; a grouped var/const block counts once). Counts the
 # files git tracks in the checkout this script sits in, as they are in
-# the working tree.
+# the working tree. scripts/exports.sh lists which packages name each of
+# those exports.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
