@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"sort"
 	"strings"
 	"time"
 
@@ -28,9 +29,10 @@ func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
 func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 
-// tailState is the whole site population in columnar form. Workers own
-// disjoint contiguous site ranges aligned to 64-site boundaries, so the
-// arrays — bitsets included — are shared without locks.
+// tailState is the whole site population in columnar form. A worker
+// writes only the sites of the 64-site chunks it has claimed, and a chunk
+// is one bitset word, so the arrays — bitsets included — are shared
+// without locks.
 type tailState struct {
 	adoptMonth []int16  // month the site adopts; -1 = never
 	frozen     []uint16 // hand-written list size at adoption
@@ -95,6 +97,8 @@ type tierWorld struct {
 	tokens      []string
 	tokenIndex  map[string]int
 	rosterToken []int
+	// siteLimits holds the roster's positive SiteLimits, ascending.
+	siteLimits []int
 
 	policies []policyDef // index 0: no robots.txt
 	// wildcardID and measurementID are the date-free adoption styles;
@@ -132,7 +136,11 @@ func newTierWorld(sp Spec, roster []resolvedCrawler, start time.Time) *tierWorld
 			w.tokenIndex[tok] = id
 		}
 		w.rosterToken[r] = id
+		if l := rc.spec.SiteLimit; l > 0 {
+			w.siteLimits = append(w.siteLimits, l)
+		}
 	}
+	sort.Ints(w.siteLimits)
 
 	w.policies = []policyDef{{}}
 	byBody := make(map[string]uint16)
@@ -234,6 +242,13 @@ func (w *tierWorld) restrictsFunc(pid uint16) (func(string) bool, *robots.Robots
 	}, pol.parsed
 }
 
+// limitBucket is the number of roster site limits at or below site i;
+// the roster entries SiteLimit cuts from site i are exactly those whose
+// limit is among them.
+func (w *tierWorld) limitBucket(i int) uint8 {
+	return uint8(sort.SearchInts(w.siteLimits, i+1))
+}
+
 // planSite stores site i's drawPlan result in the columns; rn is the
 // calling worker's scratch source.
 func (w *tierWorld) planSite(t *tailState, rn *stats.Rand, i int, seed int64, curve []float64) {
@@ -254,8 +269,8 @@ func (w *tierWorld) planSite(t *tailState, rn *stats.Rand, i int, seed int64, cu
 // and, if so, which visit in its per-site schedule it is (0-based). A
 // crawler's visit chain is fully derivable — visits fall at
 // FirstMonth + k*Cadence while k stays under MaxVisits and the month
-// within [FirstMonth, LastMonth] — so no schedule is stored: each worker
-// walks its implicit, already-sharded one.
+// within [FirstMonth, LastMonth] — so no schedule is stored: a worker
+// derives it for whichever site-month it advances.
 func waveIndex(cs CrawlerSpec, m int) (int, bool) {
 	if m < cs.FirstMonth || m > cs.LastMonth {
 		return 0, false

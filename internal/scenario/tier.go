@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/measure"
@@ -27,14 +28,15 @@ import (
 // dial, never an output knob. That holds because the wave cache
 // memoizes real execution keyed on everything a wave can observe,
 // monthly flushes are order-free integer folds, and per-site randomness
-// comes from seeds derived sequentially before sharding. The parity
-// suite holds hot=0 to the all-hot run of the same code.
+// comes from seeds derived sequentially before any worker starts. The
+// parity suite holds hot=0 to the all-hot run of the same code.
 //
-// Each worker owns one static contiguous site range. Policy transitions
-// and crawl waves are computed from (site, month) on the fly rather than
-// scheduled, so advancement is embarrassingly parallel with no
-// cross-worker barrier — and, within a worker, free to go site by site
-// for the pinned cohort and month by month for the tail (see run).
+// Workers pull 64-site chunks from a shared cursor until none is left.
+// Policy transitions and crawl waves are computed from (site, month) on
+// the fly rather than scheduled, so a chunk needs nothing from any other
+// and the run has no cross-worker barrier. The pinned cohort holds the
+// lowest indices, so its chunks are claimed first and the cold tail fills
+// the other cores (see runChunk).
 func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error) {
 	if obs.Enabled() {
 		defer mRunWallNS.ObserveSince(time.Now())
@@ -61,12 +63,13 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 	if hot > sp.Sites {
 		hot = sp.Sites
 	}
+	chunks := (sp.Sites + chunkSites - 1) / chunkSites
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > sp.Sites {
-		workers = sp.Sites
+	if workers > chunks {
+		workers = chunks
 	}
 
 	seedStart := time.Now()
@@ -77,19 +80,18 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	cuts := shardCuts(sp.Sites, workers)
-	ws := make([]*tierWorker, len(cuts)-1)
+	ws := make([]*tierWorker, workers)
 	for wi := range ws {
-		w, err := newTierWorker(world, tail, cache, curve, hot,
-			cuts[wi], cuts[wi+1])
+		w, err := newTierWorker(world, tail, cache, curve, hot)
 		if err != nil {
 			for _, prev := range ws[:wi] {
-				prev.compiler.close()
+				prev.close()
 			}
 			return nil, err
 		}
 		ws[wi] = w
 	}
+	var next atomic.Int64 // the next unclaimed chunk
 	var wg sync.WaitGroup
 	var firstErr error
 	var errOnce sync.Once
@@ -97,8 +99,8 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		wg.Add(1)
 		go func(w *tierWorker) {
 			defer wg.Done()
-			defer w.compiler.close()
-			if err := w.run(runCtx, seeds); err != nil {
+			defer w.close()
+			if err := w.run(runCtx, seeds, &next, chunks); err != nil {
 				errOnce.Do(func() { firstErr = err; cancel() })
 			}
 		}(w)
@@ -108,18 +110,19 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		return nil, firstErr
 	}
 
-	// Merge worker accumulators in shard order; all integer adds, so the
-	// result is independent of scheduling and worker count.
+	// Merge worker accumulators; all integer adds, so the result is
+	// independent of scheduling, of which worker claimed which chunk and
+	// of the worker count.
 	mergeStart := time.Now()
 	res := newResult(sp, start)
-	evidence := make(map[string]measure.Evidence)
+	evidence := make([]measure.Evidence, len(world.tokens))
 	ts := TierStats{PlanNS: seedNS}
 	for _, w := range ws {
 		for m := range w.months {
 			res.Months[m].add(w.months[m])
 		}
-		for tok, ev := range w.evidence {
-			evidence[tok] = evidence[tok].Merge(ev)
+		for tk, ev := range w.evidence {
+			evidence[tk] = evidence[tk].Merge(ev)
 		}
 		ts.HotSiteMonths += w.stats.HotSiteMonths
 		ts.ColdSiteMonths += w.stats.ColdSiteMonths
@@ -129,7 +132,13 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		ts.HotNS += w.stats.HotNS
 		ts.ColdNS += w.stats.ColdNS
 	}
-	res.finalize(evidence, opts.Observer)
+	byToken := make(map[string]measure.Evidence)
+	for tk, ev := range evidence {
+		if ev != (measure.Evidence{}) {
+			byToken[world.tokens[tk]] = ev
+		}
+	}
+	res.finalize(byToken, opts.Observer)
 	ts.MergeNS = int64(time.Since(mergeStart))
 	if obs.Enabled() {
 		mPhasePlanNS.Observe(uint64(ts.PlanNS))
@@ -150,24 +159,10 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 	return res, nil
 }
 
-// shardCuts splits [0, sites) into at most workers contiguous non-empty
-// ranges and returns their boundaries. Interior boundaries are rounded
-// down to 64-site multiples so the columnar bitsets partition cleanly:
-// no two workers ever touch the same word, so the arrays need no locks
-// (and no atomics). Ranges the rounding empties are dropped — below
-// 64·workers sites there are fewer shards than workers — so no worker
-// builds a network, a farm and a wave compiler for nothing. (The hot
-// set's own network, farm and crawler fleet are built only by a shard
-// that holds a pinned site: see runPinned.)
-func shardCuts(sites, workers int) []int {
-	cuts := []int{0}
-	for wi := 1; wi < workers; wi++ {
-		if c := (wi * sites / workers) &^ 63; c > cuts[len(cuts)-1] {
-			cuts = append(cuts, c)
-		}
-	}
-	return append(cuts, sites)
-}
+// chunkSites is the unit of work a worker claims: one bitset word of
+// sites. Chunks start on word boundaries, so no two workers ever write
+// the same word and the columns need no locks (and no atomics).
+const chunkSites = 64
 
 // TierOptions configures RunTiered.
 type TierOptions struct {
@@ -175,9 +170,9 @@ type TierOptions struct {
 	// the whole run (the hot cohort); every other site runs every month
 	// on the compiled fast path. 0 means no live site at all.
 	HotSites int
-	// Workers is the most static site shards the run splits into (see
-	// shardCuts), each advanced by its own goroutine; 0 means
-	// GOMAXPROCS. The result does not depend on it.
+	// Workers is how many goroutines claim 64-site chunks from the run's
+	// shared cursor, at most one per chunk; 0 means GOMAXPROCS. The
+	// result does not depend on it.
 	Workers int
 	// Stats, when non-nil, receives the run's tier accounting.
 	Stats *TierStats
@@ -187,23 +182,23 @@ type TierOptions struct {
 }
 
 // TierStats reports how a run split its work across the tiers. The
-// site-month counts are min(HotSites, Sites)·Months and the rest; the
-// compiled/replayed split can shift between runs when workers race to
-// compile the same wave class.
+// site-month counts are min(HotSites, Sites)·Months and the rest;
+// CompiledWaves can shift between runs when workers race to compile the
+// same wave class.
 type TierStats struct {
 	HotSiteMonths  int // site-months at full fidelity
 	ColdSiteMonths int // site-months on the compiled fast path
 	Promotions     int // always 0: nothing writes it; declared only until bench/ stops reading it
 
 	CompiledWaves int // cache misses executed for real
-	ReplayedWaves int // tail waves answered from the cache
+	ReplayedWaves int // every tail wave, memoised site-month classes included
 	WaveClasses   int // distinct wave situations encountered
 
 	ColumnarBytes int // steady-state long-tail state footprint
 
 	// Where the run's time went, in nanoseconds. The three worker phases
 	// are summed over workers (busy time, which exceeds the wall when
-	// shards run in parallel); plan is the serial derivation of every
+	// chunks run in parallel); plan is the serial derivation of every
 	// site's seed before the workers start plus each worker's draws;
 	// MergeNS is the single-threaded join, observer callbacks included.
 	// Timing, so never deterministic.
@@ -221,60 +216,81 @@ func (s TierStats) BytesPerSite(sites int) float64 {
 	return float64(s.ColumnarBytes) / float64(sites)
 }
 
-// tierWorker advances one contiguous site range through every month. It
-// owns a scratch compiler for wave cache misses and per-worker
-// accumulators merged after the join; what hot site-months need (a live
-// farm and a kept crawler fleet) lives only as long as runPinned.
+// tierWorker advances the chunks it claims through every month. It owns
+// a scratch compiler for wave cache misses, a memo of the cold
+// site-month classes it has replayed, per-worker accumulators merged
+// after the join, and — built the first time a claimed chunk holds a
+// pinned site — the live farm and kept crawler fleet hot site-months
+// run on.
 type tierWorker struct {
 	world    *tierWorld
 	tail     *tailState
 	cache    *waveCache
-	local    map[waveKey]waveEffect // lock-free L1 over cache
+	memo     map[monthKey]*monthEffect
 	curve    []float64
 	hotSites int
-	lo, hi   int
 
 	compiler *waveCompiler
 	planRand *stats.Rand // drawPlan's scratch source
+	farm     *webserver.Farm
+	crawlers *rosterCrawlers
 
-	months    []MonthMetrics
-	evidence  map[string]measure.Evidence
-	evScratch []measure.Evidence          // per cold site-month, indexed by token id
-	windowEv  map[string]measure.Evidence // per hot site-month
-	touched   []int32
-	stats     TierStats
+	months   []MonthMetrics
+	evidence []measure.Evidence          // indexed by token id
+	windowEv map[string]measure.Evidence // per hot site-month
+	stats    TierStats
 }
 
 func newTierWorker(world *tierWorld, tail *tailState, cache *waveCache,
-	curve []float64, hotSites, lo, hi int) (*tierWorker, error) {
+	curve []float64, hotSites int) (*tierWorker, error) {
 	compiler, err := newWaveCompiler(world)
 	if err != nil {
 		return nil, err
 	}
 	return &tierWorker{
-		world:     world,
-		tail:      tail,
-		cache:     cache,
-		local:     make(map[waveKey]waveEffect),
-		curve:     curve,
-		hotSites:  hotSites,
-		lo:        lo,
-		hi:        hi,
-		compiler:  compiler,
-		planRand:  stats.NewRand(0),
-		months:    make([]MonthMetrics, world.sp.Months),
-		evidence:  make(map[string]measure.Evidence),
-		evScratch: make([]measure.Evidence, len(world.tokens)),
-		windowEv:  make(map[string]measure.Evidence),
+		world:    world,
+		tail:     tail,
+		cache:    cache,
+		memo:     make(map[monthKey]*monthEffect),
+		curve:    curve,
+		hotSites: hotSites,
+		compiler: compiler,
+		planRand: stats.NewRand(0),
+		months:   make([]MonthMetrics, world.sp.Months),
+		evidence: make([]measure.Evidence, len(world.tokens)),
+		windowEv: make(map[string]measure.Evidence),
 	}, nil
 }
 
-// run plans the shard's sites, then advances them in two passes. The
-// pinned cohort goes site-major: a hot site is started once, run through
-// all its months and removed, so its page set and its crawlers'
-// keep-alive conns last all its months instead of one. Everything else
-// goes month-major on the compiled fast path: the columnar arrays are
-// walked sequentially per month, a cache-friendly linear scan.
+func (w *tierWorker) close() {
+	w.compiler.close()
+	if w.farm != nil {
+		w.farm.Close()
+	}
+}
+
+// run claims chunks from next until all chunks are taken.
+func (w *tierWorker) run(ctx context.Context, seeds []int64, next *atomic.Int64, chunks int) error {
+	for {
+		c := int(next.Add(1) - 1)
+		if c >= chunks {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		lo := c * chunkSites
+		if err := w.runChunk(ctx, seeds, lo, min(lo+chunkSites, w.world.sp.Sites)); err != nil {
+			return err
+		}
+	}
+}
+
+// runChunk plans sites [lo, hi), then advances them in two passes. The
+// chunk's pinned sites go site-major: a hot site is started once, run
+// through all its months and removed, so its page set and its crawlers'
+// keep-alive conns last all its months instead of one. The rest go
+// month-major on the compiled fast path.
 //
 // The visiting order cannot change the output. A site-month reads and
 // writes only site i's own columns (and the immutable world), so site
@@ -282,53 +298,48 @@ func newTierWorker(world *tierWorld, tail *tailState, cache *waveCache,
 // and what a site-month emits reaches the result only through
 // MonthMetrics.add and Evidence.Merge, commutative integer folds into
 // per-month and per-token accumulators.
-func (w *tierWorker) run(ctx context.Context, seeds []int64) error {
+func (w *tierWorker) runChunk(ctx context.Context, seeds []int64, lo, hi int) error {
 	planStart := time.Now()
-	for i := w.lo; i < w.hi; i++ {
+	for i := lo; i < hi; i++ {
 		w.world.planSite(w.tail, w.planRand, i, seeds[i], w.curve)
 	}
-	w.stats.PlanNS = int64(time.Since(planStart))
+	w.stats.PlanNS += int64(time.Since(planStart))
 
-	pinned := min(max(w.hotSites, w.lo), w.hi) // [lo, pinned) is this shard's cohort
-	hotStart := time.Now()
-	if err := w.runPinned(ctx, pinned); err != nil {
-		return err
+	pinned := min(max(w.hotSites, lo), hi) // [lo, pinned) is this chunk's cohort
+	if pinned > lo {
+		hotStart := time.Now()
+		if err := w.runPinned(ctx, lo, pinned); err != nil {
+			return err
+		}
+		w.stats.HotNS += int64(time.Since(hotStart))
 	}
-	w.stats.HotNS = int64(time.Since(hotStart))
 
 	coldStart := time.Now()
 	for m := 0; m < w.world.sp.Months; m++ {
-		for i := pinned; i < w.hi; i++ {
-			if i&1023 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
+		for i := pinned; i < hi; i++ {
 			if err := w.runColdMonth(ctx, i, m); err != nil {
 				return err
 			}
 		}
 	}
-	w.stats.ColdNS = int64(time.Since(coldStart))
+	w.stats.ColdNS += int64(time.Since(coldStart))
 	return nil
 }
 
-// runPinned runs the shard's pinned cohort [lo, pinned), one site after
-// another, on a network, a live farm and a kept crawler fleet that exist
-// for this pass only — a shard with no pinned site builds none of them.
-func (w *tierWorker) runPinned(ctx context.Context, pinned int) error {
-	if pinned == w.lo {
-		return nil
+// runPinned runs pinned sites [lo, pinned), one after another, on the
+// worker's live farm and kept crawler fleet; a worker that never claims
+// a pinned site builds neither.
+func (w *tierWorker) runPinned(ctx context.Context, lo, pinned int) error {
+	if w.farm == nil {
+		nw := netsim.New()
+		farm, err := webserver.NewFarm(nw, siteIP)
+		if err != nil {
+			return err
+		}
+		w.farm, w.crawlers = farm, newRosterCrawlers(w.world, nw)
 	}
-	nw := netsim.New()
-	farm, err := webserver.NewFarm(nw, siteIP)
-	if err != nil {
-		return err
-	}
-	defer farm.Close()
-	crawlers := newRosterCrawlers(w.world, nw)
-	for i := w.lo; i < pinned; i++ {
-		if err := w.runPinnedSite(ctx, farm, crawlers, i); err != nil {
+	for i := lo; i < pinned; i++ {
+		if err := w.runPinnedSite(ctx, i); err != nil {
 			return err
 		}
 	}
@@ -338,9 +349,9 @@ func (w *tierWorker) runPinned(ctx context.Context, pinned int) error {
 // runPinnedSite runs every month of pinned-hot site i on one live site.
 // The site starts bare; runHotMonth publishes its policy and blocker
 // from the columns.
-func (w *tierWorker) runPinnedSite(ctx context.Context, farm *webserver.Farm, crawlers *rosterCrawlers, i int) error {
+func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
 	domain := siteDomain(i)
-	site, err := farm.StartSite(webserver.Config{
+	site, err := w.farm.StartSite(webserver.Config{
 		Domain: domain,
 		IP:     siteIP,
 		Pages:  webserver.ContentPages(domain),
@@ -348,13 +359,13 @@ func (w *tierWorker) runPinnedSite(ctx context.Context, farm *webserver.Farm, cr
 	if err != nil {
 		return err
 	}
-	defer crawlers.closeIdle() // after site.Close: see closeIdle
+	defer w.crawlers.closeIdle() // after site.Close: see closeIdle
 	defer site.Close()
 	for m := 0; m < w.world.sp.Months; m++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := w.runHotMonth(ctx, site, crawlers, i, m); err != nil {
+		if err := w.runHotMonth(ctx, site, i, m); err != nil {
 			return err
 		}
 	}
@@ -389,40 +400,72 @@ func (w *tierWorker) applyMonthState(i, m int) {
 	}
 }
 
-// effect resolves one wave situation: worker-local L1, then the shared
-// cache, then a real compile on the scratch farm.
-func (w *tierWorker) effect(ctx context.Context, key waveKey) (waveEffect, error) {
-	if eff, ok := w.local[key]; ok {
-		return eff, nil
-	}
-	eff, ok := w.cache.get(key)
-	if !ok {
-		compiled, err := w.compiler.compile(ctx, key)
-		if err != nil {
-			return waveEffect{}, err
-		}
-		eff = w.cache.put(key, compiled)
-		w.stats.CompiledWaves++
-	}
-	w.local[key] = eff
-	return eff, nil
+// monthKey identifies one cold site-month class: everything a cold
+// site-month's waves can observe. The month fixes which roster entries
+// are due and at which visit; limitBucket, the number of roster site
+// limits at or below the site's index, fixes which of them SiteLimit
+// cuts (the cut set only grows with the index, so the count determines
+// it). Eight bytes with no padding, like waveKey.
+type monthKey struct {
+	month, policy, blocker uint16
+	digits, limitBucket    uint8
 }
 
-// runColdMonth advances one long-tail site-month: O(roster) columnar
-// reads, cached wave effects, and an integer flush — no HTTP, no
-// allocation beyond first-touch scratch growth.
+// monthEffect is the wave part of one cold site-month class: visits (one
+// per wave), robots fetches, blocked requests, both byte counts and the
+// verdict classes in d, and the per-token evidence behind those classes.
+type monthEffect struct {
+	d  MonthMetrics
+	ev []tokenEvidence
+}
+
+type tokenEvidence struct {
+	token int32
+	ev    measure.Evidence
+}
+
+// runColdMonth advances one long-tail site-month: its columnar state
+// transitions, one memo probe for its class, and integer folds — no
+// HTTP, no allocation once the worker has seen the class.
 func (w *tierWorker) runColdMonth(ctx context.Context, i, m int) error {
 	w.stats.ColdSiteMonths++
 	w.applyMonthState(i, m)
 	t, world := w.tail, w.world
-	var d MonthMetrics
-
-	pid := t.policyID[i]
-	bid := uint16(0)
-	if t.blockerOn.get(i) {
-		bid = world.activeBlockerID(m)
+	key := monthKey{
+		month:       uint16(m),
+		policy:      t.policyID[i],
+		digits:      uint8(domainDigits(i)),
+		limitBucket: world.limitBucket(i),
 	}
-	dg := domainDigits(i)
+	if t.blockerOn.get(i) {
+		key.blocker = world.activeBlockerID(m)
+	}
+	eff, ok := w.memo[key]
+	if !ok {
+		var err error
+		if eff, err = w.replayMonth(ctx, key, i); err != nil {
+			return err
+		}
+		w.memo[key] = eff
+	}
+	w.stats.ReplayedWaves += eff.d.Visits
+	w.months[m].add(eff.d)
+	for _, te := range eff.ev {
+		w.evidence[te.token] = w.evidence[te.token].Merge(te.ev)
+	}
+	w.monthStateCounters(i, m, &w.months[m])
+	return nil
+}
+
+// replayMonth computes cold site-month class key as site i, any member
+// of the class, sees it: each due wave resolved from the shared wave
+// cache or compiled on a miss, then each token's merged evidence
+// classified — the flush a hot month makes from its log window.
+func (w *tierWorker) replayMonth(ctx context.Context, key monthKey, i int) (*monthEffect, error) {
+	world := w.world
+	eff := &monthEffect{}
+	d := &eff.d
+	m := int(key.month)
 	for r := range world.roster {
 		rc := &world.roster[r]
 		if rc.spec.SiteLimit > 0 && i >= rc.spec.SiteLimit {
@@ -432,54 +475,64 @@ func (w *tierWorker) runColdMonth(ctx context.Context, i, m int) error {
 		if !due {
 			continue
 		}
-		eff, err := w.effect(ctx, waveKey{
+		we, err := w.wave(ctx, waveKey{
 			roster:  uint8(r),
 			phase:   wavePhase(rc.behavior, k),
-			policy:  pid,
-			blocker: bid,
-			digits:  dg,
+			policy:  key.policy,
+			blocker: key.blocker,
+			digits:  uint16(key.digits),
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		w.stats.ReplayedWaves++
 		d.Visits++
-		d.RobotsFetches += int(eff.robotsFetches)
-		d.BlockedRequests += int(eff.blockedRequests)
-		d.DisallowedBytes += eff.disallowedBytes
-		d.AllowedBytes += eff.allowedBytes
-		if eff.token >= 0 {
-			if w.evScratch[eff.token] == (measure.Evidence{}) {
-				w.touched = append(w.touched, eff.token)
-			}
-			w.evScratch[eff.token] = w.evScratch[eff.token].Merge(eff.ev)
+		d.RobotsFetches += int(we.robotsFetches)
+		d.BlockedRequests += int(we.blockedRequests)
+		d.DisallowedBytes += we.disallowedBytes
+		d.AllowedBytes += we.allowedBytes
+		if we.token >= 0 {
+			eff.addEvidence(we.token, we.ev)
 		}
 	}
-	// Flush-equivalent: classify this site-month's per-token evidence
-	// (windowEv entries are never zero, so touched is exact) and fold the
-	// policy-state counters from columnar state.
-	for _, tk := range w.touched {
-		ev := w.evScratch[tk]
-		d.ClassCounts[measure.ClassifyEvidence(ev)]++
-		tok := world.tokens[tk]
-		w.evidence[tok] = w.evidence[tok].Merge(ev)
-		w.evScratch[tk] = measure.Evidence{}
+	for _, te := range eff.ev {
+		d.ClassCounts[measure.ClassifyEvidence(te.ev)]++
 	}
-	w.touched = w.touched[:0]
-	w.monthStateCounters(i, m, &d)
-	w.months[m].add(d)
-	return nil
+	return eff, nil
+}
+
+func (e *monthEffect) addEvidence(token int32, ev measure.Evidence) {
+	for j := range e.ev {
+		if e.ev[j].token == token {
+			e.ev[j].ev = e.ev[j].ev.Merge(ev)
+			return
+		}
+	}
+	e.ev = append(e.ev, tokenEvidence{token, ev})
+}
+
+// wave resolves one wave situation from the shared cache, compiling it
+// on the worker's scratch farm on a miss.
+func (w *tierWorker) wave(ctx context.Context, key waveKey) (waveEffect, error) {
+	if eff, ok := w.cache.get(key); ok {
+		return eff, nil
+	}
+	compiled, err := w.compiler.compile(ctx, key)
+	if err != nil {
+		return waveEffect{}, err
+	}
+	w.stats.CompiledWaves++
+	return w.cache.put(key, compiled), nil
 }
 
 // runHotMonth simulates month m of pinned site i at full fidelity on
 // its live site: policy and blocker published from columnar state, the
-// pass's crawlers set to their schedule position, real netsim HTTP, and a
+// worker's kept crawlers set to their schedule position, real netsim HTTP, and a
 // flush from the month's window of the real request log. Everything a
 // month observes (policy body, blocker list, crawler visit phase) is set
 // here from the columns, the window starts at this month's log mark, and
 // policies and blocking are only ever turned on, so the site carried
 // over from last month holds nothing a fresh one would not be given.
-func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, crawlers *rosterCrawlers, i, m int) error {
+func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m int) error {
 	if obs.Enabled() {
 		defer mMonthWallNS.ObserveSince(time.Now())
 	}
@@ -504,7 +557,7 @@ func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, craw
 		if !due {
 			continue
 		}
-		if err := crawlers.wave(ctx, r, k, site); err != nil {
+		if err := w.crawlers.wave(ctx, r, k, site); err != nil {
 			return err
 		}
 		mCrawlWaves.Inc()
@@ -515,7 +568,11 @@ func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, craw
 	absorbWindow(site.LogSince(mark), parsed, restricts, &d, w.windowEv)
 	for tok, ev := range w.windowEv {
 		d.ClassCounts[measure.ClassifyEvidence(ev)]++
-		w.evidence[tok] = w.evidence[tok].Merge(ev)
+		tk, ok := world.tokenIndex[tok]
+		if !ok {
+			return fmt.Errorf("scenario: site %d month %d logged unknown token %q", i, m, tok)
+		}
+		w.evidence[tk] = w.evidence[tk].Merge(ev)
 	}
 	clear(w.windowEv)
 	w.monthStateCounters(i, m, &d)

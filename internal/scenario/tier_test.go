@@ -42,20 +42,17 @@ func TestTieredParityWithFull(t *testing.T) {
 }
 
 // TestTieredWorkerCountIdentity pins the serialization-level claim: the
-// JSON bytes are identical at any worker count. Shard cuts round down
-// to multiples of 64, so only the wide world actually splits — the
-// test checks that it does, so a multi-shard merge is what is compared.
-// At 100 pinned sites the cohort sits inside one shard at one and two
-// workers and crosses the cut at 64 at three and eight, where shard 1 is
-// part site-major (64–99) and part month-major; at 256 every shard is
-// all site-major.
+// JSON bytes are identical at any worker count. Workers claim 64-site
+// chunks, so only the wide world gives every worker one to claim — the
+// test checks that it does, so merges of chunks run by different workers
+// are what is compared. At 100 pinned sites the cohort fills chunk 0 and
+// ends inside chunk 1, which is part site-major (64–99) and part
+// month-major; at 256 every chunk is all site-major.
 func TestTieredWorkerCountIdentity(t *testing.T) {
 	wide := testSpec()
 	wide.Sites = 256
-	for _, workers := range []int{2, 3} {
-		if shards := len(shardCuts(wide.Sites, workers)) - 1; shards != workers {
-			t.Fatalf("%d sites, %d workers: %d shards", wide.Sites, workers, shards)
-		}
+	if chunks := (wide.Sites + chunkSites - 1) / chunkSites; chunks <= 3 {
+		t.Fatalf("%d sites make %d chunks: not more than 3 workers", wide.Sites, chunks)
 	}
 	for _, c := range []struct {
 		spec Spec
@@ -71,24 +68,50 @@ func TestTieredWorkerCountIdentity(t *testing.T) {
 	}
 }
 
-// TestShardCuts: boundaries are 64-aligned, strictly increasing (no
-// empty shard reaches newTierWorker) and cover every site.
-func TestShardCuts(t *testing.T) {
-	for _, c := range []struct {
-		sites, workers int
-		want           []int
-	}{
-		{10, 1, []int{0, 10}},
-		{10, 8, []int{0, 10}},
-		{40, 2, []int{0, 40}},
-		{128, 2, []int{0, 64, 128}},
-		{256, 3, []int{0, 64, 128, 256}},
-		{1000, 4, []int{0, 192, 448, 704, 1000}},
-	} {
-		if got := shardCuts(c.sites, c.workers); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("shardCuts(%d, %d) = %v, want %v", c.sites, c.workers, got, c.want)
+// TestTieredSiteLimitParity: SiteLimit cuts crawlers from a cold site by
+// its index, which the cold tier's site-month classes must tell apart.
+// The limits (5 and 70) fall inside the first two chunks, the last chunk
+// is partial, and a hot cohort of 40 ends inside chunk 0; each run must
+// equal the all-hot one and replay exactly the waves due on its cold
+// sites.
+func TestTieredSiteLimitParity(t *testing.T) {
+	spec := testSpec()
+	spec.Sites = 130
+	spec.Crawlers[0].SiteLimit = 70
+	spec.Crawlers[1].SiteLimit = 5
+	want := runJSON(t, spec, TierOptions{HotSites: spec.Sites, Workers: 3})
+	for _, hot := range []int{0, 40} {
+		for _, workers := range []int{1, 3} {
+			var ts TierStats
+			got := runJSON(t, spec, TierOptions{HotSites: hot, Workers: workers, Stats: &ts})
+			if string(got) != string(want) {
+				t.Fatalf("hot=%d workers=%d: diverges from all-hot run:\n%s\nvs\n%s", hot, workers, got, want)
+			}
+			if due := dueColdWaves(spec, hot); ts.ReplayedWaves != due {
+				t.Fatalf("hot=%d workers=%d: %d replayed waves, %d due on cold sites", hot, workers, ts.ReplayedWaves, due)
+			}
 		}
 	}
+}
+
+// dueColdWaves counts the roster waves due on cold sites [hot, Sites)
+// over the run, from waveIndex and SiteLimit alone.
+func dueColdWaves(spec Spec, hot int) int {
+	sp := spec.withDefaults()
+	n := 0
+	for i := min(hot, sp.Sites); i < sp.Sites; i++ {
+		for m := 0; m < sp.Months; m++ {
+			for _, cs := range sp.Crawlers {
+				if cs.SiteLimit > 0 && i >= cs.SiteLimit {
+					continue
+				}
+				if _, due := waveIndex(cs, m); due {
+					n++
+				}
+			}
+		}
+	}
+	return n
 }
 
 // TestTieredTransitionMonthsParityWithAllHot puts every tail site through
@@ -113,6 +136,9 @@ func TestTieredTransitionMonthsParityWithAllHot(t *testing.T) {
 				pinned := min(hot, spec.Sites)
 				if ts.HotSiteMonths != pinned*spec.Months || ts.ColdSiteMonths != (spec.Sites-pinned)*spec.Months {
 					t.Fatalf("seed=%d hot=%d workers=%d: tier split is not by site index: %+v", seed, hot, workers, ts)
+				}
+				if due := dueColdWaves(spec, hot); ts.ReplayedWaves != due {
+					t.Fatalf("seed=%d hot=%d workers=%d: %d replayed waves, %d due on cold sites", seed, hot, workers, ts.ReplayedWaves, due)
 				}
 				if string(got) != string(want) {
 					t.Fatalf("seed=%d hot=%d workers=%d: diverges from always-hot run:\n%s\nvs\n%s",
