@@ -526,8 +526,9 @@ func (w *tierWorker) wave(ctx context.Context, key waveKey) (waveEffect, error) 
 
 // runHotMonth simulates month m of pinned site i at full fidelity on
 // its live site: policy and blocker published from columnar state, the
-// worker's kept crawlers set to their schedule position, real netsim HTTP, and a
-// flush from the month's window of the real request log. Everything a
+// worker's kept crawlers set to their schedule position, real netsim
+// HTTP, and a flush from the month's window of the real request log.
+// Everything a
 // month observes (policy body, blocker list, crawler visit phase) is set
 // here from the columns, the window starts at this month's log mark, and
 // policies and blocking are only ever turned on, so the site carried
