@@ -13,7 +13,7 @@ import (
 const verdictClasses = int(measure.Anomalous) + 1
 
 // MonthMetrics is one virtual month of ecosystem-wide measurements. All
-// fields merge by addition across site shards, so fleet-scale results
+// fields merge by addition across sites and workers, so fleet-scale results
 // are independent of scheduling and worker count.
 type MonthMetrics struct {
 	// Month is the tick index; Label and Date locate it on the calendar.
@@ -55,14 +55,14 @@ type MonthMetrics struct {
 	// is the same for every site within a month, so StaticGap's
 	// missing/announced ratio equals the old per-site mean, and keeping
 	// every field integral makes merges exactly order-free: hot, cold,
-	// sharded, and sequential runs are bit-identical, not
+	// multi-worker and sequential runs are bit-identical, not
 	// almost-identical up to float association.
 	GapMissing   int
 	GapAnnounced int
 	GapSites     int
 }
 
-// add merges another shard's metrics for the same month.
+// add merges another site's or worker's metrics for the same month.
 func (m *MonthMetrics) add(o MonthMetrics) {
 	m.AdoptedSites += o.AdoptedSites
 	m.ManagedSites += o.ManagedSites

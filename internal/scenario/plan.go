@@ -66,7 +66,7 @@ func SitePlans(spec Spec) ([]SitePlan, error) {
 
 // siteSeeds derives every site's private RNG seed. Forking consumes
 // parent RNG state, so the seeds are derived sequentially in site order
-// before any sharding; each site then draws only from its own stream,
+// before any worker starts; each site then draws only from its own stream,
 // which keeps per-site randomness identical at any worker count. The
 // stream depends on the seed but not the spec name, so counterfactual
 // variants of one world are paired: the same sites adopt at the same

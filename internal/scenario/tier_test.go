@@ -43,9 +43,10 @@ func TestTieredParityWithFull(t *testing.T) {
 
 // TestTieredWorkerCountIdentity pins the serialization-level claim: the
 // JSON bytes are identical at any worker count. Workers claim 64-site
-// chunks, so only the wide world gives every worker one to claim — the
-// test checks that it does, so merges of chunks run by different workers
-// are what is compared. At 100 pinned sites the cohort fills chunk 0 and
+// chunks, so only the wide world gives each of the 3 workers a chunk it
+// can claim: 256 sites make four chunks, which the guard below asserts
+// (which worker claims which is up to the scheduler, and nothing here
+// checks it). At 100 pinned sites the cohort fills chunk 0 and
 // ends inside chunk 1, which is part site-major (64–99) and part
 // month-major; at 256 every chunk is all site-major.
 func TestTieredWorkerCountIdentity(t *testing.T) {
