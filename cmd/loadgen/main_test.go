@@ -136,7 +136,7 @@ func TestFrameAddr(t *testing.T) {
 // frame protocol on a loopback listener and checks the binary drive path
 // returns the exact decision mix the in-process path computes.
 func TestDriveBinaryWireMatchesInProcess(t *testing.T) {
-	b := &policyd.Builder{Shards: 2}
+	b := &policyd.Builder{}
 	b.Add("allow.test", policyd.HostConfig{})
 	b.Add("deny.test", policyd.HostConfig{RobotsTxt: "User-agent: *\nDisallow: /\n"})
 	b.Add("block.test", policyd.HostConfig{Blocklist: []string{"GPTBot"}})

@@ -161,7 +161,7 @@ func runPolicyService(ctx context.Context, env *Env) (*Result, error) {
 				Heading: fmt.Sprintf("Decision mix for a fixed %d-query workload (%d-query batches over netsim HTTP)", total, policyWorkloadBatchSize),
 				Table:   mixTable,
 				Notes: []string{
-					fmt.Sprintf("served %d hosts across %d shards; %d decisions answered, snapshot hot-swapped once mid-run", st.Hosts, st.Shards, st.Queries),
+					fmt.Sprintf("served %d hosts; %d decisions answered, snapshot hot-swapped once mid-run", st.Hosts, st.Queries),
 					"denials grow between the two snapshots because robots.txt adoption surges after the GPTBot announcement (§3.2)",
 				},
 			},
@@ -170,7 +170,7 @@ func runPolicyService(ctx context.Context, env *Env) (*Result, error) {
 				Table:   signalTable,
 				Notes: []string{
 					"decision parity with direct robots.Match/measure classification is pinned by internal/policyd's corpus parity test",
-					"throughput and latency percentiles come from cmd/loadgen, which emits benchsnap-format serving snapshots",
+					"throughput and latency come from the serving workloads of the benchmark of record (bench/) and from cmd/loadgen",
 				},
 			},
 		},

@@ -1,7 +1,7 @@
 // Package fleet turns the single-process policyd.Service into a
 // replicated serving fleet behind a gateway: N replicas each holding a
 // compiled snapshot, a consistent-hash router keeping each host's
-// queries on one replica (so that replica's shard maps and parse-cache
+// queries on one replica (so that replica's host-map and roster-view
 // lines stay hot), per-tenant token-bucket rate limiting with quota
 // accounting at the edge, and snapshot-version-aware batch routing with
 // a probed fleet version — the production shape of the paper's

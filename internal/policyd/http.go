@@ -16,7 +16,7 @@ import (
 //
 //	GET  /v1/decide?host=H&agent=U&path=P   -> {"action":"allow","signal":"none"}
 //	POST /v1/batch  {"queries":[{...}]}     -> {"decisions":[{...}]}
-//	GET  /v1/stats                          -> {"queries":N,"version":...,"hosts":N,"shards":N}
+//	GET  /v1/stats                          -> {"queries":N,"version":...,"hosts":N}
 //	GET  /healthz                           -> ok
 //
 // Decide and batch answers carry X-Policyd-Version, the snapshot that

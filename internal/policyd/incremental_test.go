@@ -2,9 +2,11 @@ package policyd
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/robots"
 )
 
 // TestIncrementalCompileEquivalence proves the month-advance fast path:
@@ -164,4 +166,71 @@ func TestIncrementalNormalizedReuse(t *testing.T) {
 	if sn.ReusedHosts() != 1 {
 		t.Fatalf("ai.txt change reused %d hosts, want 1", sn.ReusedHosts())
 	}
+}
+
+// TestRosterViewsShared pins the sharing Decide's hot path reads from:
+// hosts whose robots.txt bodies are equal under the parse-cache key read
+// one roster-view table, a host with other rules gets its own, and an
+// incremental build that recompiles one host keeps the reused hosts on
+// the previous table while every host still decides like the reference.
+func TestRosterViewsShared(t *testing.T) {
+	ctx := context.Background()
+	const tmpl = "User-agent: GPTBot\nDisallow: /\n\nUser-agent: *\nDisallow: /admin/\n"
+	hosts := []string{"a.test", "b.test", "c.test"}
+	cfgs := []HostConfig{
+		{RobotsTxt: tmpl},
+		// The same rules under another site's comment and Sitemap lines,
+		// plus per-host signals the shared table must not carry.
+		{RobotsTxt: "# b.test\n" + tmpl + "Sitemap: https://b.test/s.xml\n",
+			AITxt: "Image: N\n", MetaHTML: `<meta name="robots" content="noai">`, Blocklist: []string{"CCBot"}},
+		{RobotsTxt: "User-agent: *\nDisallow: /private/\n"},
+	}
+	build := func(prev *Snapshot) *Snapshot {
+		b := &Builder{Prev: prev}
+		for i, h := range hosts {
+			b.Add(h, cfgs[i])
+		}
+		sn, err := b.Build(ctx, "v", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sn
+	}
+	view := func(sn *Snapshot, host string) *robots.Access { return &sn.lookup(host).access[0] }
+	check := func(sn *Snapshot) {
+		t.Helper()
+		for i, h := range hosts {
+			for _, a := range append(slices.Clone(sn.roster), "UnknownCrawler9000") {
+				for _, p := range parityPaths {
+					want := referenceDecision(cfgs[i], a, p)
+					if got := sn.Decide(Query{Host: h, Agent: a, Path: p}); got != want {
+						t.Fatalf("%s: Decide(%s, %s, %s) = %v/%v, reference = %v/%v",
+							sn.Version, h, a, p, got.Action, got.Signal, want.Action, want.Signal)
+					}
+				}
+			}
+		}
+	}
+
+	base := build(nil)
+	if view(base, "a.test") != view(base, "b.test") {
+		t.Fatal("hosts with equal robots.txt rules compiled separate roster views")
+	}
+	if view(base, "a.test") == view(base, "c.test") {
+		t.Fatal("hosts with different robots.txt rules share roster views")
+	}
+	check(base)
+
+	cfgs[2] = HostConfig{RobotsTxt: "User-agent: *\nDisallow: /\n"}
+	next := build(base)
+	if next.ReusedHosts() != 2 {
+		t.Fatalf("incremental build reused %d hosts, want 2 (a.test, b.test)", next.ReusedHosts())
+	}
+	if view(next, "a.test") != view(base, "a.test") || view(next, "b.test") != view(base, "a.test") {
+		t.Fatal("reused hosts left the previous snapshot's roster views")
+	}
+	if view(next, "c.test") == view(base, "c.test") {
+		t.Fatal("recompiled host kept its old roster views")
+	}
+	check(next)
 }

@@ -11,7 +11,7 @@ import (
 
 func buildSnap(t *testing.T, version, robots string) *Snapshot {
 	t.Helper()
-	b := &Builder{Shards: 2}
+	b := &Builder{}
 	b.Add("a.test", HostConfig{RobotsTxt: robots})
 	b.Add("b.test", HostConfig{Blocklist: []string{"GPTBot"}})
 	snap, err := b.Build(context.Background(), version, 1)

@@ -8,12 +8,15 @@ import (
 )
 
 // FuzzDecideMatchesReference is TestCorpusParity on bodies the corpus
-// generator never writes: a one-host snapshot compiled from arbitrary
-// robots.txt, ai.txt, meta markup and blocklist (newline-separated; ""
-// means none) must decide exactly as referenceDecision does, for the
-// fuzzed agent and for every roster agent, under the host's lowercase
-// and mixed-case spellings. That covers the roster precompute against
-// the slow path, host folding, and signal precedence.
+// generator never writes: a snapshot compiled from arbitrary robots.txt,
+// ai.txt, meta markup and blocklist (newline-separated; "" means none)
+// must decide exactly as referenceDecision does, for the fuzzed agent
+// and for every roster agent, under the host's lowercase and mixed-case
+// spellings. A second host serves the same robots.txt and nothing else,
+// so it shares the first host's roster views; deciding it against its
+// own reference proves no per-host signal leaks through the shared
+// table. That covers the roster precompute against the slow path, host
+// folding, and signal precedence.
 func FuzzDecideMatchesReference(f *testing.F) {
 	f.Add("User-agent: GPTBot\nDisallow: /\n\nUser-agent: *\nDisallow: /admin/\n",
 		"Image: N\nDisallow: /gallery/\n", "", "", "UnknownBot/1.0", "/admin/x")
@@ -26,18 +29,28 @@ func FuzzDecideMatchesReference(f *testing.F) {
 		if blocklist != "" {
 			cfg.Blocklist = strings.Split(blocklist, "\n")
 		}
-		b := &Builder{Shards: 1}
+		bare := HostConfig{RobotsTxt: robotsTxt}
+		b := &Builder{}
 		b.Add("Fuzz.Test", cfg)
+		b.Add("bare.test", bare)
 		snap, err := b.Build(context.Background(), "fuzz", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range append(slices.Clone(snap.roster), agent) {
-			want := referenceDecision(cfg, a, path)
-			for _, host := range []string{"fuzz.test", "FUZZ.test"} {
-				if got := snap.Decide(Query{Host: host, Agent: a, Path: path}); got != want {
-					t.Fatalf("Decide(%q, %q, %q) = %v/%v, reference = %v/%v",
-						host, a, path, got.Action, got.Signal, want.Action, want.Signal)
+			for _, h := range []struct {
+				cfg      HostConfig
+				spelling []string
+			}{
+				{cfg, []string{"fuzz.test", "FUZZ.test"}},
+				{bare, []string{"bare.test", "Bare.TEST"}},
+			} {
+				want := referenceDecision(h.cfg, a, path)
+				for _, host := range h.spelling {
+					if got := snap.Decide(Query{Host: host, Agent: a, Path: path}); got != want {
+						t.Fatalf("Decide(%q, %q, %q) = %v/%v, reference = %v/%v",
+							host, a, path, got.Action, got.Signal, want.Action, want.Signal)
+					}
 				}
 			}
 		}

@@ -129,7 +129,7 @@ func TestCorpusParity(t *testing.T) {
 // TestPrecedence pins the multi-signal ordering the package documents:
 // blocker > robots > ai.txt > meta, with deny-if-any-denies semantics.
 func TestPrecedence(t *testing.T) {
-	b := &Builder{Shards: 2}
+	b := &Builder{}
 	// Every signal denies GPTBot on /art.png; precedence picks the winner.
 	all := HostConfig{
 		RobotsTxt: "User-agent: GPTBot\nDisallow: /\n",

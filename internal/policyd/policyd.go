@@ -7,7 +7,7 @@
 // mechanisms a crawler operator would have to consult before fetching:
 // robots.txt groups, ai.txt directives, NoAI meta tags, and active
 // (user-agent) blocking. policyd compiles those signals into an
-// immutable, sharded Snapshot and serves single and batched Decision
+// immutable Snapshot and serves single and batched Decision
 // queries against it with zero allocations on the cached hot path.
 // Snapshots swap atomically under live traffic (Service.Swap), so a
 // running service hot-reloads as a corpus month advances or a scenario
@@ -212,9 +212,8 @@ type Stats struct {
 	Queries uint64 `json:"queries"`
 	// Version labels the current snapshot.
 	Version string `json:"version"`
-	// Hosts and Shards describe the current snapshot's index.
-	Hosts  int `json:"hosts"`
-	Shards int `json:"shards"`
+	// Hosts is the current snapshot's host count.
+	Hosts int `json:"hosts"`
 }
 
 // Stats returns current counters and snapshot metadata.
@@ -223,8 +222,7 @@ func (s *Service) Stats() Stats {
 	return Stats{
 		Queries: s.queries.Load(),
 		Version: snap.Version,
-		Hosts:   snap.hosts,
-		Shards:  len(snap.shards),
+		Hosts:   snap.Len(),
 	}
 }
 
@@ -234,9 +232,9 @@ func (s *Service) Stats() Stats {
 // Policy.Permitted, then the meta directives classified by
 // aitxt.MediaOf. The hot path — a host in the snapshot queried with an
 // agent from the compiled roster — performs no allocations: host lookup
-// is a shard-map probe, the agent resolves through the snapshot-wide
-// roster index to precompiled per-host views, and every signal check is
-// allocation-free.
+// is one map probe, the agent resolves through the snapshot-wide roster
+// index to a robots view shared by every host with the same parsed
+// robots.txt, read in place, and every signal check is allocation-free.
 func (sn *Snapshot) Decide(q Query) Decision {
 	hp := sn.lookup(q.Host)
 	if hp == nil {
@@ -260,11 +258,12 @@ func (sn *Snapshot) Decide(q Query) Decision {
 	// robots.txt: collection-time consent, the §5 measurement's frame.
 	robotsSignal := signalNone
 	if hp.robots != nil {
-		var acc robots.Access
+		var acc *robots.Access
 		if known {
-			acc = hp.access[id]
+			acc = &hp.access[id]
 		} else {
-			acc = hp.robots.Agent(q.Agent)
+			slow := hp.robots.Agent(q.Agent)
+			acc = &slow
 		}
 		if acc.HasRules() {
 			robotsSignal = signalRobotsWildcard

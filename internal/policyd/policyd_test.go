@@ -17,7 +17,7 @@ import (
 // four signal classes.
 func buildTestSnapshot(t testing.TB) *Snapshot {
 	t.Helper()
-	b := &Builder{Shards: 8}
+	b := &Builder{}
 	b.Add("plain.test", HostConfig{
 		RobotsTxt: "User-agent: *\nDisallow: /admin/\n",
 	})
@@ -145,7 +145,7 @@ func TestDecideZeroAlloc(t *testing.T) {
 // -race this proves the hot path and hot reload share no mutable state.
 func TestSwapRace(t *testing.T) {
 	snapA := buildTestSnapshot(t)
-	bldr := &Builder{Shards: 4}
+	bldr := &Builder{}
 	bldr.Add("plain.test", HostConfig{RobotsTxt: "User-agent: *\nDisallow: /\n"})
 	bldr.Add("blocked.test", HostConfig{Blocklist: []string{"GPTBot"}})
 	snapB, err := bldr.Build(context.Background(), "test-b", 2)

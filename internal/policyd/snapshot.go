@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/agents"
@@ -13,11 +14,6 @@ import (
 	"repro/internal/robots"
 	"repro/internal/useragent"
 )
-
-// defaultShards is the shard count used when a Builder does not specify
-// one. Shards bound per-map size and let snapshot compilation fan out;
-// lookups are lock-free either way because snapshots are immutable.
-const defaultShards = 64
 
 // HostConfig is the raw policy surface of one host, as a crawler (or a
 // measurement pipeline) would observe it on the wire.
@@ -40,7 +36,9 @@ type hostPolicy struct {
 	robots *robots.Robots
 	// access precomputes the robots view per roster agent (indexed by
 	// Snapshot.agentIDs), so roster queries never touch the Robots
-	// value's internal memo.
+	// value's internal memo. It is shared, read-only, by every host whose
+	// body parses to the same *robots.Robots, so a few templates' views
+	// serve the whole snapshot.
 	access []robots.Access
 	ai     *aitxt.Policy
 	meta   metaPolicy
@@ -50,11 +48,6 @@ type hostPolicy struct {
 	blocked       []bool
 
 	src HostConfig
-}
-
-// shard is one immutable partition of the host index.
-type shard struct {
-	hosts map[string]*hostPolicy
 }
 
 // Snapshot is an immutable policy index: host to parsed artifacts
@@ -68,9 +61,7 @@ type Snapshot struct {
 	// Version labels the snapshot in stats output ("2024-42", …).
 	Version string
 
-	shards   []shard
-	mask     uint32
-	hosts    int
+	hosts    map[string]*hostPolicy
 	agentIDs map[string]int
 	roster   []string
 	reused   int
@@ -84,35 +75,21 @@ func (sn *Snapshot) ReusedHosts() int { return sn.reused }
 // lookup returns the compiled policy for host, folding case on a slow
 // path, or nil when the host is not in the snapshot.
 func (sn *Snapshot) lookup(host string) *hostPolicy {
-	host = foldHost(host)
-	sh := &sn.shards[fnv1a(host)&sn.mask]
-	return sh.hosts[host]
+	return sn.hosts[foldHost(host)]
 }
 
 // Hosts returns the snapshot's host names, sorted.
 func (sn *Snapshot) Hosts() []string {
-	out := make([]string, 0, sn.hosts)
-	for i := range sn.shards {
-		for h := range sn.shards[i].hosts {
-			out = append(out, h)
-		}
+	out := make([]string, 0, len(sn.hosts))
+	for h := range sn.hosts {
+		out = append(out, h)
 	}
 	sort.Strings(out)
 	return out
 }
 
 // Len returns the number of indexed hosts.
-func (sn *Snapshot) Len() int { return sn.hosts }
-
-// fnv1a hashes a host name without allocating.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
+func (sn *Snapshot) Len() int { return len(sn.hosts) }
 
 // defaultRoster is the agent set snapshots precompile when the builder
 // is not given one: every Table 1 product token plus the traditional
@@ -126,9 +103,6 @@ func defaultRoster() []string {
 // host, then call Build once; builders are not safe for concurrent use
 // and must not be reused after Build.
 type Builder struct {
-	// Shards is the shard count, rounded up to a power of two; 0 means
-	// defaultShards.
-	Shards int
 	// Roster lists the agents to precompile per host; nil means
 	// defaultRoster. Queries for agents outside the roster are still
 	// answered correctly, through the slow path: the blocklist is
@@ -156,29 +130,17 @@ func (b *Builder) Add(host string, cfg HostConfig) {
 // Build compiles the staged hosts on a workers-bounded pool (0 means
 // GOMAXPROCS) into an immutable snapshot. robots.txt bodies parse
 // through the shared content-keyed cache, so repeated templates compile
-// once; per-host compilation is independent and runs sharded.
+// once and every host sharing a parsed body shares its roster views.
 func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snapshot, error) {
 	roster := b.Roster
 	if roster == nil {
 		roster = defaultRoster()
 	}
-	nShards := b.Shards
-	if nShards <= 0 {
-		nShards = defaultShards
-	}
-	pow := 1
-	for pow < nShards {
-		pow *= 2
-	}
 	sn := &Snapshot{
 		Version:  version,
-		shards:   make([]shard, pow),
-		mask:     uint32(pow - 1),
+		hosts:    make(map[string]*hostPolicy, len(b.hosts)),
 		agentIDs: make(map[string]int, len(roster)),
 		roster:   append([]string(nil), roster...),
-	}
-	for i := range sn.shards {
-		sn.shards[i].hosts = make(map[string]*hostPolicy)
 	}
 	for i, a := range roster {
 		sn.agentIDs[a] = i
@@ -188,6 +150,7 @@ func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snap
 	if prev != nil && !rosterEqual(prev.roster, roster) {
 		prev = nil
 	}
+	var views sync.Map
 	var reused atomic.Int64
 	compiled := make([]*hostPolicy, len(b.hosts))
 	if err := par.Do(ctx, workers, len(b.hosts), func(start, end int) {
@@ -202,7 +165,7 @@ func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snap
 					}
 				}
 			}
-			compiled[i] = compileHost(b.configs[i], roster)
+			compiled[i] = compileHost(b.configs[i], roster, &views)
 		}
 		if n > 0 {
 			reused.Add(int64(n))
@@ -218,13 +181,27 @@ func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snap
 		mCompileFresh.Add(uint64(fresh))
 	}
 	for i, host := range b.hosts {
-		sh := &sn.shards[fnv1a(host)&sn.mask]
-		if _, dup := sh.hosts[host]; !dup {
-			sn.hosts++
-		}
-		sh.hosts[host] = compiled[i]
+		sn.hosts[host] = compiled[i]
 	}
 	return sn, nil
+}
+
+// sharedViews returns rb's roster-indexed access views, computed on rb's
+// first use in this build. Sites mostly copy a few templates and the
+// parse cache folds them to one *robots.Robots, so thousands of hosts
+// share a few slices that stay cache-resident while serving. views maps
+// *robots.Robots to []robots.Access and is shared by Build's workers;
+// concurrent first uses may both compute, and LoadOrStore keeps one.
+func sharedViews(views *sync.Map, rb *robots.Robots, roster []string) []robots.Access {
+	if v, ok := views.Load(rb); ok {
+		return v.([]robots.Access)
+	}
+	access := make([]robots.Access, len(roster))
+	for i, a := range roster {
+		access[i] = rb.Agent(a)
+	}
+	v, _ := views.LoadOrStore(rb, access)
+	return v.([]robots.Access)
 }
 
 // rosterEqual reports whether two rosters precompile the same agents in
@@ -268,21 +245,19 @@ func reuseHost(hp *hostPolicy, cfg HostConfig) *hostPolicy {
 		return nil
 	}
 	// Same rule semantics, different verbatim body: share the compiled
-	// state but carry the new source so Source() stays faithful.
+	// state, roster views included, but carry the new source so Source()
+	// stays faithful.
 	cp := *hp
 	cp.src = cfg
 	return &cp
 }
 
 // compileHost turns one host's raw policy surface into its query form.
-func compileHost(cfg HostConfig, roster []string) *hostPolicy {
+func compileHost(cfg HostConfig, roster []string, views *sync.Map) *hostPolicy {
 	hp := &hostPolicy{src: cfg}
 	if cfg.RobotsTxt != "" {
 		hp.robots = robots.ParseCached(cfg.RobotsTxt)
-		hp.access = make([]robots.Access, len(roster))
-		for i, a := range roster {
-			hp.access[i] = hp.robots.Agent(a)
-		}
+		hp.access = sharedViews(views, hp.robots, roster)
 	}
 	if cfg.AITxt != "" {
 		hp.ai = aitxt.ParseString(cfg.AITxt)
@@ -319,5 +294,5 @@ func (m metaPolicy) denies(path string) bool {
 
 // String renders a compact identity for logs.
 func (sn *Snapshot) String() string {
-	return fmt.Sprintf("policyd.Snapshot{%s: %d hosts, %d shards}", sn.Version, sn.hosts, len(sn.shards))
+	return fmt.Sprintf("policyd.Snapshot{%s: %d hosts}", sn.Version, len(sn.hosts))
 }

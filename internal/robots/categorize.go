@@ -132,7 +132,7 @@ func (rb *Robots) ExplicitlyAllows(ua string) bool {
 		for _, r := range g.Rules {
 			if r.Allow && (r.Path == "/" || r.Path == "/*" || r.Path == "*") {
 				// The allow must not be negated by a disallow in scope.
-				if rb.Agent(token).Allowed("/") {
+				if acc := rb.Agent(token); acc.Allowed("/") {
 					return true
 				}
 			}

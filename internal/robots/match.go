@@ -171,7 +171,7 @@ func (a Access) HasRules() bool { return len(a.rules) > 0 }
 // Allowed reports whether the agent may fetch the given path. The path
 // should begin with '/' and may include a query string; the empty path is
 // treated as "/". Per RFC 9309, "/robots.txt" is always allowed.
-func (a Access) Allowed(path string) bool {
+func (a *Access) Allowed(path string) bool {
 	if path == "" {
 		path = "/"
 	}
@@ -215,7 +215,7 @@ func (a Access) Allowed(path string) bool {
 
 // normPat returns the precomputed normalized pattern for rule i, falling
 // back to on-the-fly normalization for Access values built elsewhere.
-func (a Access) normPat(i int) string {
+func (a *Access) normPat(i int) string {
 	if i < len(a.normPats) {
 		return a.normPats[i]
 	}
@@ -224,7 +224,8 @@ func (a Access) normPat(i int) string {
 
 // Allowed is a convenience wrapper: may the crawler ua fetch path?
 func (rb *Robots) Allowed(ua, path string) bool {
-	return rb.Agent(ua).Allowed(path)
+	acc := rb.Agent(ua)
+	return acc.Allowed(path)
 }
 
 // patternPriority is the specificity of a pattern for longest-match

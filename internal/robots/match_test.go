@@ -95,7 +95,7 @@ func TestPercentEncodingEquivalence(t *testing.T) {
 
 func TestEmptyPathDefaultsToRoot(t *testing.T) {
 	rb := ParseString("User-agent: *\nDisallow: /\n")
-	if rb.Agent("Bot").Allowed("") {
+	if acc := rb.Agent("Bot"); acc.Allowed("") {
 		t.Error("empty path must be treated as /")
 	}
 }
