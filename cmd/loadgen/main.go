@@ -191,7 +191,7 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 		pool: pool, batch: batch,
 	}
 	latRand := stats.NewRand(seed).Fork("loadgen-latency")
-	// Warm the roster/memo paths (and every endpoint) so the timed run
+	// Warm the roster and off-roster paths (and every endpoint) so the timed run
 	// measures steady state.
 	for e := 0; e < maxInt(1, len(targets)); e++ {
 		warm := workerOut{res: newReservoir(latRand.Fork(fmt.Sprintf("warm-%d", e)))}

@@ -230,11 +230,14 @@ func (s *Service) Stats() Stats {
 // signal packages in precedence order: useragent.MatchesAny (or its
 // precomputed roster verdict), robots.Access.Allowed, aitxt's
 // Policy.Permitted, then the meta directives classified by
-// aitxt.MediaOf. The hot path — a host in the snapshot queried with an
-// agent from the compiled roster — performs no allocations: host lookup
-// is one map probe, the agent resolves through the snapshot-wide roster
-// index to a robots view shared by every host with the same parsed
-// robots.txt, read in place, and every signal check is allocation-free.
+// aitxt.MediaOf. The hot path is a host in the snapshot queried with an
+// agent from the compiled roster: host lookup is one map probe, and the
+// agent resolves through the snapshot-wide roster index to a robots
+// view shared by every host with the same parsed robots.txt, read in
+// place. Any other agent scans the blocklist and picks its view from
+// the parsed robots.txt's own table (robots.Robots.Agent, built when
+// Build copied the roster views), which keeps nothing per agent. Neither
+// path allocates.
 func (sn *Snapshot) Decide(q Query) Decision {
 	hp := sn.lookup(q.Host)
 	if hp == nil {
@@ -262,8 +265,7 @@ func (sn *Snapshot) Decide(q Query) Decision {
 		if known {
 			acc = &hp.access[id]
 		} else {
-			slow := hp.robots.Agent(q.Agent)
-			acc = &slow
+			acc = hp.robots.Agent(q.Agent)
 		}
 		if acc.HasRules() {
 			robotsSignal = signalRobotsWildcard

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -108,7 +110,8 @@ func TestDecideBatchMatchesSingle(t *testing.T) {
 }
 
 // TestDecideZeroAlloc locks in the hot-path contract: roster agents
-// against snapshot hosts decide without allocating.
+// against snapshot hosts decide without allocating, and so do agents
+// outside the roster, even ones never queried before.
 func TestDecideZeroAlloc(t *testing.T) {
 	snap := buildTestSnapshot(t)
 	svc := NewService(snap)
@@ -138,6 +141,52 @@ func TestDecideZeroAlloc(t *testing.T) {
 		out = svc.DecideBatch(qs, out[:0])
 	}); allocs != 0 {
 		t.Fatalf("DecideBatch allocated %v/op on the cached hot path, want 0", allocs)
+	}
+
+	// One distinct off-roster agent per call, AllocsPerRun's warm-up call
+	// included, so no call can reuse what an earlier one left behind.
+	// Half of them extend a roster name ("GPTBot-v7" is governed by a
+	// GPTBot group), half match no group.
+	const runs = 1000
+	fresh := make([]string, runs+1)
+	for j := range fresh {
+		if j%2 == 0 {
+			fresh[j] = fmt.Sprintf("GPTBot-v%d", j)
+		} else {
+			fresh[j] = fmt.Sprintf("Mozilla/5.0 (compatible; OffRoster%d/1.0)", j)
+		}
+	}
+	hosts := snap.Hosts()
+	j := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		svc.Decide(Query{hosts[j%len(hosts)], fresh[j], "/admin/x"})
+		j++
+	}); allocs != 0 {
+		t.Fatalf("Decide allocated %v/op for never-seen off-roster agents, want 0", allocs)
+	}
+}
+
+// TestOffRosterAgentsRetainNothing sends 200,000 distinct off-roster
+// agents to one host: the parsed robots.txt, shared through the
+// process-wide parse cache and so outliving any snapshot, must not grow
+// with the agents it has answered.
+func TestOffRosterAgentsRetainNothing(t *testing.T) {
+	snap := buildTestSnapshot(t)
+	decide := func(n int) {
+		for i := 0; i < n; i++ {
+			snap.Decide(Query{"ai-restricted.test", fmt.Sprintf("Crawler%d/1.0", i), "/about"})
+		}
+	}
+	decide(1) // any first-use state is built before the baseline
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	decide(200_000)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(snap)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Fatalf("200,000 off-roster agents retained %d bytes, want < 1 MiB", grew)
 	}
 }
 

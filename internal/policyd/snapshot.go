@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/agents"
@@ -34,11 +33,11 @@ type HostConfig struct {
 // signal package plus the roster precomputations.
 type hostPolicy struct {
 	robots *robots.Robots
-	// access precomputes the robots view per roster agent (indexed by
-	// Snapshot.agentIDs), so roster queries never touch the Robots
-	// value's internal memo. It is shared, read-only, by every host whose
-	// body parses to the same *robots.Robots, so a few templates' views
-	// serve the whole snapshot.
+	// access copies the robots view per roster agent (indexed by
+	// Snapshot.agentIDs), so a roster query is one in-place read instead
+	// of a search of the Robots value's view table. It is shared,
+	// read-only, by every host whose body parses to the same
+	// *robots.Robots, so a few templates' views serve the whole snapshot.
 	access []robots.Access
 	ai     *aitxt.Policy
 	meta   metaPolicy
@@ -107,7 +106,7 @@ type Builder struct {
 	// defaultRoster. Queries for agents outside the roster are still
 	// answered correctly, through the slow path: the blocklist is
 	// scanned with useragent.MatchesAny and the robots view comes from
-	// the Robots value's memo, which allocates on an agent's first query.
+	// robots.Robots.Agent; neither allocates nor keeps anything per agent.
 	Roster []string
 	// Prev, when set, enables incremental recompilation: a staged host
 	// whose config is policy-equivalent to its compiled form in Prev
@@ -150,7 +149,6 @@ func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snap
 	if prev != nil && !rosterEqual(prev.roster, roster) {
 		prev = nil
 	}
-	var views sync.Map
 	var reused atomic.Int64
 	compiled := make([]*hostPolicy, len(b.hosts))
 	if err := par.Do(ctx, workers, len(b.hosts), func(start, end int) {
@@ -165,13 +163,32 @@ func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snap
 					}
 				}
 			}
-			compiled[i] = compileHost(b.configs[i], roster, &views)
+			compiled[i] = compileHost(b.configs[i], roster)
 		}
 		if n > 0 {
 			reused.Add(int64(n))
 		}
 	}); err != nil {
 		return nil, err
+	}
+	// Sites mostly copy a few templates and the parse cache folds each
+	// to one *robots.Robots, so thousands of fresh hosts share a few
+	// roster view slices that stay cache-resident while serving. Reused
+	// hosts already carry theirs.
+	views := make(map[*robots.Robots][]robots.Access)
+	for _, hp := range compiled {
+		if hp.robots == nil || hp.access != nil {
+			continue
+		}
+		access, ok := views[hp.robots]
+		if !ok {
+			access = make([]robots.Access, len(roster))
+			for i, a := range roster {
+				access[i] = *hp.robots.Agent(a)
+			}
+			views[hp.robots] = access
+		}
+		hp.access = access
 	}
 	sn.reused = int(reused.Load())
 	if sn.reused > 0 {
@@ -184,24 +201,6 @@ func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snap
 		sn.hosts[host] = compiled[i]
 	}
 	return sn, nil
-}
-
-// sharedViews returns rb's roster-indexed access views, computed on rb's
-// first use in this build. Sites mostly copy a few templates and the
-// parse cache folds them to one *robots.Robots, so thousands of hosts
-// share a few slices that stay cache-resident while serving. views maps
-// *robots.Robots to []robots.Access and is shared by Build's workers;
-// concurrent first uses may both compute, and LoadOrStore keeps one.
-func sharedViews(views *sync.Map, rb *robots.Robots, roster []string) []robots.Access {
-	if v, ok := views.Load(rb); ok {
-		return v.([]robots.Access)
-	}
-	access := make([]robots.Access, len(roster))
-	for i, a := range roster {
-		access[i] = rb.Agent(a)
-	}
-	v, _ := views.LoadOrStore(rb, access)
-	return v.([]robots.Access)
 }
 
 // rosterEqual reports whether two rosters precompile the same agents in
@@ -253,11 +252,10 @@ func reuseHost(hp *hostPolicy, cfg HostConfig) *hostPolicy {
 }
 
 // compileHost turns one host's raw policy surface into its query form.
-func compileHost(cfg HostConfig, roster []string, views *sync.Map) *hostPolicy {
+func compileHost(cfg HostConfig, roster []string) *hostPolicy {
 	hp := &hostPolicy{src: cfg}
 	if cfg.RobotsTxt != "" {
 		hp.robots = robots.ParseCached(cfg.RobotsTxt)
-		hp.access = sharedViews(views, hp.robots, roster)
 	}
 	if cfg.AITxt != "" {
 		hp.ai = aitxt.ParseString(cfg.AITxt)

@@ -33,8 +33,8 @@ const defaultCacheSize = 4096
 //
 // Sharing parsed policies is safe because *Robots is immutable after
 // Parse: every accessor builds its answer from the parsed groups without
-// mutating them (the per-agent access memo in match.go is itself
-// concurrency-safe).
+// mutating them, and Agent's view table is built once, under a
+// sync.Once, and only read after that.
 type Cache struct {
 	mu      sync.Mutex
 	max     int

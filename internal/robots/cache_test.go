@@ -76,7 +76,7 @@ func TestCacheConcurrentAccessSingleIdentity(t *testing.T) {
 			for i := 0; i < bodies; i++ {
 				body := fmt.Sprintf("User-agent: Bot%d\nDisallow: /private%d/\n", i, i)
 				results[g][i] = c.Parse(body)
-				// Exercise the concurrent access memo too.
+				// Exercise the concurrent view-table build too.
 				if results[g][i].Allowed(fmt.Sprintf("Bot%d", i), fmt.Sprintf("/private%d/x", i)) {
 					t.Errorf("body %d: disallowed path reported allowed", i)
 				}

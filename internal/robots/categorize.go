@@ -72,7 +72,7 @@ func (rb *Robots) ExplicitRestriction(ua string) (Level, bool) {
 	return classify(acc), true
 }
 
-func classify(acc Access) Level {
+func classify(acc *Access) Level {
 	if !acc.HasRules() {
 		return unrestricted
 	}

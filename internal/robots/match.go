@@ -1,6 +1,7 @@
 package robots
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/useragent"
@@ -10,8 +11,6 @@ import (
 // perspective: the merged rule set of every group that governs the
 // crawler's product token.
 type Access struct {
-	// Token is the product token extracted from the queried user agent.
-	Token string
 	// Explicit is true when a non-wildcard group matched the token.
 	Explicit bool
 	// MatchedAgents are the group names that matched (lowercased).
@@ -30,79 +29,87 @@ type Access struct {
 // name governs ("googlebot-news" over "googlebot" over "*"), with all
 // groups of that name merged per RFC 9309.
 //
-// Access views are memoized per user agent on the Robots value; the memo
-// is concurrency-safe, so cached *Robots (see Cache) can serve many
-// crawler goroutines at once.
-func (rb *Robots) Agent(ua string) Access {
-	if v, ok := rb.access.Load(ua); ok {
-		return v.(Access)
+// The first call builds the file's view table (see buildViews); every
+// call then picks the table entry that governs ua's token and returns a
+// pointer into it. Agent keeps nothing per query, so a *Robots shared
+// through a Cache serves any number of goroutines and distinct user
+// agents without growing, and it allocates nothing after the first
+// call. The view is shared: callers must not modify it.
+func (rb *Robots) Agent(ua string) *Access {
+	rb.viewsOnce.Do(rb.buildViews)
+	token := useragent.ExtractToken(ua)
+	for i, name := range rb.names {
+		if rb.agentNameMatches(name, token) {
+			return &rb.views[i]
+		}
 	}
-	acc := rb.buildAccess(ua)
-	// Concurrent builders compute identical values; last store wins.
-	rb.access.Store(ua, acc)
-	return acc
+	return &rb.views[len(rb.names)]
 }
 
-// buildAccess resolves the governing groups for ua. Two passes over the
-// groups: the first finds the winning specificity, the second collects
-// the matching groups' rules in file order — no sorting or scratch maps.
-func (rb *Robots) buildAccess(ua string) Access {
-	token := useragent.ExtractToken(ua)
-	acc := Access{Token: token, firstMatchPrecedence: rb.profile.FirstMatchPrecedence}
-
-	best := -1
+// buildViews fills the view table: one view per group-name class and a
+// last one for the wildcard fallback. A class is the set of group names
+// that match as one — equal under ASCII case folding (product tokens
+// are ASCII), or exactly equal under CaseSensitiveAgents — and every
+// name in it governs the same tokens. A name that governs a token is
+// that token or a prefix of it, so of the classes governing one token
+// no two have the same length: sorted longest first, the first match is
+// the most specific. Each view merges, in file order, the rules of every
+// group naming its class.
+func (rb *Robots) buildViews() {
+	var names []string
 	for gi := range rb.Groups {
 		for _, a := range rb.Groups[gi].Agents {
-			name := useragent.ExtractToken(a)
-			if name == "" || useragent.IsWildcard(a) {
-				continue
-			}
-			if rb.agentNameMatches(name, token) && len(name) > best {
-				best = len(name)
+			if name := useragent.ExtractToken(a); name != "" && rb.classOf(names, name) < 0 {
+				names = append(names, name)
 			}
 		}
 	}
-	if best >= 0 {
-		acc.Explicit = true
-		for gi := range rb.Groups {
-			g := &rb.Groups[gi]
-			matched := false
-			for _, a := range g.Agents {
-				name := useragent.ExtractToken(a)
-				if name == "" || useragent.IsWildcard(a) || len(name) != best {
-					continue
-				}
-				if !rb.agentNameMatches(name, token) {
-					continue
-				}
-				matched = true
-				lower := strings.ToLower(name)
-				if !containsString(acc.MatchedAgents, lower) {
-					acc.MatchedAgents = append(acc.MatchedAgents, lower)
-				}
-			}
-			if matched {
-				acc.rules = append(acc.rules, g.Rules...)
-			}
-		}
-		acc.normalizeRules()
-		return acc
+	slices.SortStableFunc(names, func(a, b string) int { return len(b) - len(a) })
+
+	views := make([]Access, len(names)+1)
+	for i, name := range names {
+		views[i].Explicit = true
+		views[i].MatchedAgents = []string{strings.ToLower(name)}
 	}
-	// Fall back to the wildcard groups, merged.
+	wild := &views[len(names)]
+	// seen[c] is the last group whose rules class c took, so a group
+	// naming one class twice merges once.
+	seen := make([]int, len(names))
 	for gi := range rb.Groups {
 		g := &rb.Groups[gi]
+		wildcard := false
 		for _, a := range g.Agents {
 			if useragent.IsWildcard(a) {
-				acc.rules = append(acc.rules, g.Rules...)
-				break
+				wildcard = true
+				continue
+			}
+			if c := rb.classOf(names, useragent.ExtractToken(a)); c >= 0 && seen[c] != gi+1 {
+				seen[c] = gi + 1
+				views[c].rules = append(views[c].rules, g.Rules...)
 			}
 		}
+		if wildcard {
+			wild.rules = append(wild.rules, g.Rules...)
+		}
 	}
-	if len(acc.rules) > 0 {
-		acc.MatchedAgents = []string{"*"}
+	if len(wild.rules) > 0 {
+		wild.MatchedAgents = []string{"*"}
 	}
-	acc.normalizeRules()
-	return acc
+	for i := range views {
+		views[i].firstMatchPrecedence = rb.profile.FirstMatchPrecedence
+		views[i].normalizeRules()
+	}
+	rb.names, rb.views = names, views
+}
+
+// classOf returns the index of name's class in names, or -1.
+func (rb *Robots) classOf(names []string, name string) int {
+	for i, n := range names {
+		if len(n) == len(name) && rb.agentNameMatches(n, name) {
+			return i
+		}
+	}
+	return -1
 }
 
 // normalizeRules precomputes the normalized pattern for every rule.
@@ -116,15 +123,6 @@ func (a *Access) normalizeRules() {
 			a.normPats[i] = normalizePath(r.Path)
 		}
 	}
-}
-
-func containsString(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }
 
 // agentNameMatches reports whether a robots.txt group name governs the
@@ -184,7 +182,7 @@ func (a *Access) Allowed(path string) bool {
 			if r.Path == "" {
 				continue
 			}
-			if MatchPattern(a.normPat(i), path) {
+			if MatchPattern(a.normPats[i], path) {
 				return r.Allow
 			}
 		}
@@ -196,7 +194,7 @@ func (a *Access) Allowed(path string) bool {
 		if r.Path == "" {
 			continue // empty pattern matches nothing
 		}
-		pat := a.normPat(i)
+		pat := a.normPats[i]
 		if !MatchPattern(pat, path) {
 			continue
 		}
@@ -213,19 +211,9 @@ func (a *Access) Allowed(path string) bool {
 	return allowed
 }
 
-// normPat returns the precomputed normalized pattern for rule i, falling
-// back to on-the-fly normalization for Access values built elsewhere.
-func (a *Access) normPat(i int) string {
-	if i < len(a.normPats) {
-		return a.normPats[i]
-	}
-	return normalizePath(a.rules[i].Path)
-}
-
 // Allowed is a convenience wrapper: may the crawler ua fetch path?
 func (rb *Robots) Allowed(ua, path string) bool {
-	acc := rb.Agent(ua)
-	return acc.Allowed(path)
+	return rb.Agent(ua).Allowed(path)
 }
 
 // patternPriority is the specificity of a pattern for longest-match

@@ -1,9 +1,14 @@
 package robots
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/useragent"
 )
 
 func TestMatchPattern(t *testing.T) {
@@ -222,5 +227,196 @@ func TestGroupBuilderChaining(t *testing.T) {
 	}
 	if len(rb.Sitemaps) != 1 {
 		t.Error("chained sitemap lost")
+	}
+}
+
+// referenceAccess is group selection done from scratch for one query,
+// the oracle for Agent's view table: a first pass over the groups finds
+// the longest group name that governs ua's token, a second merges, in
+// file order, the rules of every group naming a governing name of that
+// length. Without such a name the wildcard groups' rules merge.
+func referenceAccess(rb *Robots, ua string) Access {
+	token := useragent.ExtractToken(ua)
+	acc := Access{firstMatchPrecedence: rb.profile.FirstMatchPrecedence}
+
+	best := -1
+	for gi := range rb.Groups {
+		for _, a := range rb.Groups[gi].Agents {
+			name := useragent.ExtractToken(a)
+			if name == "" || useragent.IsWildcard(a) {
+				continue
+			}
+			if rb.agentNameMatches(name, token) && len(name) > best {
+				best = len(name)
+			}
+		}
+	}
+	if best >= 0 {
+		acc.Explicit = true
+		for gi := range rb.Groups {
+			g := &rb.Groups[gi]
+			matched := false
+			for _, a := range g.Agents {
+				name := useragent.ExtractToken(a)
+				if name == "" || useragent.IsWildcard(a) || len(name) != best {
+					continue
+				}
+				if !rb.agentNameMatches(name, token) {
+					continue
+				}
+				matched = true
+				if lower := strings.ToLower(name); !slices.Contains(acc.MatchedAgents, lower) {
+					acc.MatchedAgents = append(acc.MatchedAgents, lower)
+				}
+			}
+			if matched {
+				acc.rules = append(acc.rules, g.Rules...)
+			}
+		}
+		acc.normalizeRules()
+		return acc
+	}
+	for gi := range rb.Groups {
+		g := &rb.Groups[gi]
+		for _, a := range g.Agents {
+			if useragent.IsWildcard(a) {
+				acc.rules = append(acc.rules, g.Rules...)
+				break
+			}
+		}
+	}
+	if len(acc.rules) > 0 {
+		acc.MatchedAgents = []string{"*"}
+	}
+	acc.normalizeRules()
+	return acc
+}
+
+// viewTableBody names hierarchical and case-variant groups: googlebot
+// and googlebot-news are two classes under every profile, a-b and A-B
+// one class unless agents match case-sensitively.
+const viewTableBody = "User-agent: googlebot\nDisallow: /g/\n\n" +
+	"User-agent: GoogleBot-News\nDisallow: /news/\n\n" +
+	"User-agent: a-b\nDisallow: /ab/\n\n" +
+	"User-agent: A-B\nAllow: /ab/open\nDisallow: /AB/\n\n" +
+	"User-agent: *\nDisallow: /private/\n"
+
+// FuzzAgentMatchesReference checks Agent's view table against
+// referenceAccess on arbitrary bodies under every profile: for the
+// fuzzed agent, every group name in the body, its case variants and
+// hierarchical extensions, the views must agree on Explicit,
+// MatchedAgents, the merged rules and Allowed for every rule path.
+func FuzzAgentMatchesReference(f *testing.F) {
+	profiles := []Profile{ProfileGoogle, ProfileStrictRFC, ProfileLegacyBuggy, ProfileClassic1994}
+	for _, seed := range []struct{ body, ua string }{
+		{viewTableBody, "GoogleBot-News/2.1"},
+		{viewTableBody, "a-b-c"},
+		{"User-agent: googlebot\nUser-agent: GOOGLEBOT\nDisallow: /x\nUser-agent: googlebot-news\nAllow: /x\n", "Googlebot-News-Lite"},
+		{"User-agent: A-B\nDisallow: /\n\nUser-agent: a-b\nAllow: /\n\nUser-agent: *\nUser-agent: a\nDisallow: /w\n", "a-B"},
+		{"User-agent: *\nDisallow: /\nCrawl-delay: 5\nUser-agent: Bot\nAllow: /\n", "Mozilla/5.0 (compatible; Bot/1.0)"},
+		{"", ""},
+	} {
+		for i := range profiles {
+			f.Add(seed.body, uint8(i), seed.ua)
+		}
+	}
+	fixedPaths := []string{"/", "/x", "/g/1", "/news/", "/ab/open", "/AB/", "/private/p", "/robots.txt"}
+	f.Fuzz(func(t *testing.T, body string, profile uint8, ua string) {
+		p := profiles[int(profile)%len(profiles)]
+		rb := ParseStringProfile(body, p)
+		agents := []string{ua, "RandomBot"}
+		paths := fixedPaths
+		for _, g := range rb.Groups {
+			for _, a := range g.Agents {
+				agents = append(agents, a, strings.ToUpper(a), strings.ToLower(a), a+"-x", strings.ToUpper(a)+"-Y/1.0")
+			}
+			for _, r := range g.Rules {
+				paths = append(paths, r.Path, r.Path+"x")
+			}
+		}
+		for _, a := range agents {
+			got, want := rb.Agent(a), referenceAccess(rb, a)
+			if got.Explicit != want.Explicit || !slices.Equal(got.MatchedAgents, want.MatchedAgents) || !slices.Equal(got.rules, want.rules) {
+				t.Fatalf("profile %s body %q agent %q: view (%v, %q, %v), reference (%v, %q, %v)",
+					p.Name, body, a, got.Explicit, got.MatchedAgents, got.rules, want.Explicit, want.MatchedAgents, want.rules)
+			}
+			for _, path := range paths {
+				if g, w := got.Allowed(path), want.Allowed(path); g != w {
+					t.Fatalf("profile %s body %q agent %q path %q: Allowed %v, reference %v", p.Name, body, a, path, g, w)
+				}
+			}
+		}
+	})
+}
+
+// TestViewTableBounded pins the table's size to the body's group-name
+// classes plus the wildcard fallback, however many distinct agents
+// query it, and checks that Agent answers them without allocating.
+func TestViewTableBounded(t *testing.T) {
+	for _, c := range []struct {
+		p     Profile
+		views int
+	}{
+		{ProfileGoogle, 4},      // googlebot, googlebot-news, a-b, *
+		{ProfileLegacyBuggy, 5}, // A-B is its own class
+	} {
+		rb := ParseStringProfile(viewTableBody, c.p)
+		agents := make([]string, 2001)
+		for i := range agents {
+			agents[i] = fmt.Sprintf("%s-%d/1.0", []string{"googlebot-news", "A-B", "Other"}[i%3], i)
+		}
+		rb.Agent(agents[0])
+		i := 1
+		if allocs := testing.AllocsPerRun(len(agents)-2, func() {
+			rb.Agent(agents[i])
+			i++
+		}); allocs != 0 {
+			t.Errorf("%s: Agent allocated %v/op", c.p.Name, allocs)
+		}
+		if len(rb.views) != c.views {
+			t.Errorf("%s: %d views after %d agents, want %d", c.p.Name, len(rb.views), len(agents), c.views)
+		}
+		for _, a := range agents {
+			v := rb.Agent(a)
+			if !inTable(rb, v) {
+				t.Fatalf("%s: Agent(%q) is not a view of the table", c.p.Name, a)
+			}
+		}
+		same := rb.Agent("a-b") == rb.Agent("A-B")
+		if same == c.p.CaseSensitiveAgents {
+			t.Errorf("%s: a-b and A-B share a view = %v", c.p.Name, same)
+		}
+	}
+}
+
+// inTable reports whether v points into rb's view table.
+func inTable(rb *Robots, v *Access) bool {
+	for i := range rb.views {
+		if &rb.views[i] == v {
+			return true
+		}
+	}
+	return false
+}
+
+// TestViewTableConcurrentFirstUse races the table's build: goroutines
+// that all reach a fresh *Robots at once must each get the reference
+// view (run under -race).
+func TestViewTableConcurrentFirstUse(t *testing.T) {
+	agents := []string{"Googlebot-News", "googlebot", "a-b", "A-B", "Other", "googlebot-news-lite"}
+	for _, p := range []Profile{ProfileGoogle, ProfileLegacyBuggy} {
+		rb := ParseStringProfile(viewTableBody, p)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(a string) {
+				defer wg.Done()
+				got, want := rb.Agent(a), referenceAccess(rb, a)
+				if got.Explicit != want.Explicit || !slices.Equal(got.rules, want.rules) {
+					t.Errorf("%s agent %q: view (%v, %v), reference (%v, %v)", p.Name, a, got.Explicit, got.rules, want.Explicit, want.rules)
+				}
+			}(agents[g%len(agents)])
+		}
+		wg.Wait()
 	}
 }

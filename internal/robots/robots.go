@@ -145,12 +145,15 @@ type Robots struct {
 
 	profile Profile
 
-	// access memoizes Agent lookups per queried user agent. It makes
-	// repeated access checks against one parsed file — the crawl hot path
-	// — cheap, and is safe for concurrent use so parsed files can be
-	// shared through a Cache. Robots values must not be copied after
-	// first use.
-	access sync.Map
+	// The view table Agent answers from, built on its first call:
+	// views[i] governs the tokens of group-name class names[i] (longest
+	// first) and the last view is the wildcard fallback, so a file holds
+	// at most one view per distinct group name plus one, however many
+	// user agents query it. Robots values must not be copied after first
+	// use.
+	viewsOnce sync.Once
+	names     []string
+	views     []Access
 }
 
 // ParseString parses a robots.txt body held in memory.

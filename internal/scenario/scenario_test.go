@@ -190,6 +190,7 @@ func TestSpecValidation(t *testing.T) {
 	bad := []func(*Spec){
 		func(s *Spec) { s.Name = "" },
 		func(s *Spec) { s.Sites = 0 },
+		func(s *Spec) { s.Sites = maxSites + 1 },
 		func(s *Spec) { s.Months = 0 },
 		func(s *Spec) { s.Months = maxMonths + 1 },
 		func(s *Spec) { s.Start = "yesterday" },

@@ -38,6 +38,11 @@ const defaultStart = "2022-10"
 // maxMonths bounds a run's virtual duration (ten years).
 const maxMonths = 120
 
+// maxSites bounds a run's site count at 10^8, the largest scale the
+// engine is meant for; far larger counts die allocating per-site state
+// instead of failing validation.
+const maxSites = 100_000_000
+
 // Spec declares one counterfactual world. The zero value is not
 // runnable; fill the fields or start from a builtin (Builtins) and
 // override. Specs serialize to JSON for cmd/scenario.
@@ -188,8 +193,8 @@ func (s Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("scenario: spec needs a name")
 	}
-	if s.Sites < 1 {
-		return fmt.Errorf("scenario %s: sites must be >= 1", s.Name)
+	if s.Sites < 1 || s.Sites > maxSites {
+		return fmt.Errorf("scenario %s: sites must be in [1, %d]", s.Name, maxSites)
 	}
 	if s.Months < 1 || s.Months > maxMonths {
 		return fmt.Errorf("scenario %s: months must be in [1, %d]", s.Name, maxMonths)

@@ -62,7 +62,7 @@ func TestRandMatchesMathRand(t *testing.T) {
 			if g, w := got.Intn(1000+i), want.Intn(1000+i); g != w {
 				t.Fatalf("seed %d: Intn %d: %v != %v", seed, i, g, w)
 			}
-			if g, w := got.normFloat64(0, 1), want.NormFloat64(); g != w {
+			if g, w := got.r.NormFloat64(), want.NormFloat64(); g != w {
 				t.Fatalf("seed %d: NormFloat64 %d: %v != %v", seed, i, g, w)
 			}
 		}

@@ -70,12 +70,6 @@ func (rn *Rand) Int63() int64 { return rn.r.Int63() }
 // Bool returns true with probability p.
 func (rn *Rand) Bool(p float64) bool { return rn.r.Float64() < p }
 
-// normFloat64 returns a normally distributed value with the given mean and
-// standard deviation.
-func (rn *Rand) normFloat64(mean, stddev float64) float64 {
-	return rn.r.NormFloat64()*stddev + mean
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (rn *Rand) Perm(n int) []int { return rn.r.Perm(n) }
 

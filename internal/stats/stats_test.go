@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestRandDeterminism(t *testing.T) {
 	a := NewRand(42)
@@ -21,7 +18,7 @@ func TestSeedMatchesNewRand(t *testing.T) {
 	reused := NewRand(1)
 	for _, seed := range []int64{42, -7, 0, 1 << 40} {
 		reused.Float64()
-		reused.normFloat64(0, 1)
+		reused.r.NormFloat64()
 		reused.Seed(seed)
 		fresh := NewRand(seed)
 		for i := 0; i < 100; i++ {
@@ -176,25 +173,6 @@ func TestCounter(t *testing.T) {
 	sorted := c.Sorted()
 	if sorted[0].Key != "c" || sorted[1].Key != "a" || sorted[2].Key != "b" {
 		t.Fatalf("Sorted order wrong: %+v", sorted)
-	}
-}
-
-func TestNormFloat64(t *testing.T) {
-	rn := NewRand(6)
-	var sum, sq float64
-	n := 50000
-	for i := 0; i < n; i++ {
-		v := rn.normFloat64(10, 2)
-		sum += v
-		sq += v * v
-	}
-	mean := sum / float64(n)
-	sd := math.Sqrt(sq/float64(n) - mean*mean)
-	if mean < 9.9 || mean > 10.1 {
-		t.Fatalf("mean=%.3f", mean)
-	}
-	if sd < 1.9 || sd > 2.1 {
-		t.Fatalf("sd=%.3f", sd)
 	}
 }
 

@@ -52,8 +52,6 @@ type Farm struct {
 	// enough to read it.
 	closed bool
 
-	unmatched atomic.Uint64
-
 	// connMu guards conns, the registry of live connections, and each
 	// farmConn's sites set.
 	connMu sync.Mutex
@@ -315,7 +313,6 @@ func (f *Farm) handleReq(fc *farmConn, w http.ResponseWriter, r *http.Request) {
 	s := f.hosts[key]
 	f.mu.RUnlock()
 	if s == nil {
-		f.unmatched.Add(1)
 		mFarmUnmatched.Inc()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusMisdirectedRequest)

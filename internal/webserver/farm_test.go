@@ -97,7 +97,7 @@ func TestFarmServesAliasedSiteIPs(t *testing.T) {
 }
 
 // TestFarmUnknownHost pins the misdirected-request contract: a Host no
-// site claims gets 421 and increments the farm's unmatched counter.
+// site claims gets 421 and increments farm_unmatched_total.
 func TestFarmUnknownHost(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.250")
@@ -106,12 +106,13 @@ func TestFarmUnknownHost(t *testing.T) {
 	}
 	nw.Register("ghost.test", "203.0.113.250") // resolves to the farm, but no site claims it
 	client := nw.HTTPClient("198.51.100.92")
+	before := mFarmUnmatched.Value()
 	resp, body := get(t, client, "http://ghost.test/", "GPTBot/1.0")
 	if resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("unknown host = %d %q, want 421", resp.StatusCode, body)
 	}
-	if farm.unmatched.Load() != 1 {
-		t.Fatalf("Unmatched = %d, want 1", farm.unmatched.Load())
+	if got := mFarmUnmatched.Value() - before; got != 1 {
+		t.Fatalf("farm_unmatched_total grew by %d, want 1", got)
 	}
 }
 

@@ -30,6 +30,7 @@ func TestKeepAliveReuseAfter421(t *testing.T) {
 	nw.Register("ghost.test", "203.0.113.250") // resolves to the farm, no site claims it
 
 	client := nw.HTTPClient("198.51.100.95")
+	unmatched := mFarmUnmatched.Value()
 	// Same URL host (= same client pool key, same conn), alternating Host
 	// headers: ghost → 421, known → 200, ghost → 421, known → 200.
 	for round := 0; round < 2; round++ {
@@ -53,8 +54,8 @@ func TestKeepAliveReuseAfter421(t *testing.T) {
 			t.Fatalf("round %d known = %d %q, want the site's robots.txt", round, resp.StatusCode, body)
 		}
 	}
-	if got := farm.unmatched.Load(); got != 2 {
-		t.Fatalf("Unmatched = %d, want 2", got)
+	if got := mFarmUnmatched.Value() - unmatched; got != 2 {
+		t.Fatalf("farm_unmatched_total grew by %d, want 2", got)
 	}
 	if got := farm.connCount(); got != 1 {
 		t.Fatalf("farm saw %d connections, want 1 reused across the 421s", got)
