@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"reflect"
 	"strings"
@@ -80,7 +81,12 @@ func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 		}
 		rec := &recorder{rt: cr.client.Transport}
 		if stdlib {
-			rec.rt = &http.Transport{DialContext: nw.Dialer(p.SourceIP), DisableKeepAlives: !keepAlive}
+			rec.rt = &http.Transport{
+				DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
+					return nw.Dial(ctx, p.SourceIP, addr)
+				},
+				DisableKeepAlives: !keepAlive,
+			}
 		}
 		cr.client = &http.Client{Transport: rec}
 		// Two waves: keep-alive reuses each site's connection across

@@ -16,25 +16,25 @@ import (
 	"repro/internal/obs"
 )
 
-// The netsim-native HTTP/1.1 fast path.
+// The netsim-native HTTP/1.1 framing, client half (fastserve.go is the
+// server half; the two share connReader and the byte helpers below).
 //
 // Profiles since PR 3 put ~85% of the remaining per-request cost in
 // stdlib net/http: request/response serialization, MIME header maps, the
 // per-connection reader and writer goroutine pair, and a few dozen
 // allocations per exchange — all machinery for generality the closed
 // world behind netsim never uses. fastTransport is an http.RoundTripper
-// that speaks exactly the subset our traffic needs — GET/HEAD/POST, a
-// small fixed header set, Content-Length or chunked framing, keep-alive
-// pooling — straight over the buffered duplex conns, with pooled buffers
-// and no per-request goroutines. Anything outside that subset falls back
-// to a lazily built stdlib transport, so the http.Client surface is
-// unchanged.
+// that speaks exactly the subset our traffic needs — GET/HEAD/POST to
+// http:// URLs, a small fixed header set, Content-Length or chunked
+// response framing, keep-alive pooling — straight over the buffered
+// duplex conns, with pooled buffers and no per-request goroutines. A
+// request outside that subset fails with an error naming what it asked
+// for; there is no second transport to hand it to.
 
 const (
 	fastMaxIdlePerHost = 2  // matches the stdlib transport config it replaces
 	fastMaxIdleTotal   = 64 // ditto
 	fastReadBufSize    = 8 * 1024
-	fastMaxHeaderLine  = fastReadBufSize // a header line must fit the read buffer
 	// fastMaxInlineBody is the largest request body serialized into the
 	// head buffer so the whole request goes out in one ring write and can
 	// be replayed on a dead pooled connection without GetBody.
@@ -62,53 +62,44 @@ type fastTransport struct {
 	// first. It never exceeds fastMaxIdleTotal, so finding a host's newest
 	// conn and counting a host's conns are short scans, and the conn the
 	// total cap evicts is idle[0].
-	idle     []*fastConn
-	fallback *http.Transport // built on first use
+	idle []*fastConn
 }
 
 func newFastTransport(nw *Network, sourceIP string) *fastTransport {
 	return &fastTransport{nw: nw, sourceIP: sourceIP}
 }
 
-// legacyRT builds the stdlib transport on first use, for the rare
-// request outside the fast path's closed world.
-func (t *fastTransport) legacyRT() http.RoundTripper {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.fallback == nil {
-		t.fallback = &http.Transport{
-			DialContext:         t.nw.Dialer(t.sourceIP),
-			MaxIdleConns:        fastMaxIdleTotal,
-			MaxIdleConnsPerHost: fastMaxIdlePerHost,
-			IdleConnTimeout:     90 * time.Second,
-		}
-	}
-	return t.fallback
-}
-
-// fastEligible reports whether the request fits the closed-world subset
-// the hand-rolled path covers.
-func fastEligible(req *http.Request) bool {
+// checkRequest returns an error naming what req asks for outside the
+// subset fastTransport speaks, or nil when it fits.
+func checkRequest(req *http.Request) error {
 	u := req.URL
-	if u == nil || u.Scheme != "http" || u.Host == "" || u.Opaque != "" || u.User != nil {
-		return false
+	switch {
+	case u == nil:
+		return errors.New("netsim: fast http: request has no URL")
+	case u.Scheme != "http":
+		return fmt.Errorf("netsim: fast http: unsupported scheme %q", u.Scheme)
+	case u.Host == "" || u.Opaque != "" || u.User != nil:
+		return fmt.Errorf("netsim: fast http: unsupported URL %q", u.Redacted())
+	case len(req.TransferEncoding) > 0:
+		return fmt.Errorf("netsim: fast http: unsupported transfer encoding %q", req.TransferEncoding)
+	case len(req.Trailer) > 0:
+		return errors.New("netsim: fast http: unsupported request trailers")
 	}
+	hasBody := req.Body != nil && req.Body != http.NoBody
 	switch req.Method {
 	case http.MethodGet, http.MethodHead:
-		if req.Body != nil && req.ContentLength != 0 {
-			return false
+		if hasBody && req.ContentLength != 0 {
+			return fmt.Errorf("netsim: fast http: unsupported %s request body", req.Method)
 		}
 	case http.MethodPost:
-		if req.ContentLength < 0 {
-			return false // unknown length would need chunked encoding
+		// A body with no declared length would need chunked encoding.
+		if req.ContentLength < 0 || (hasBody && req.ContentLength == 0) {
+			return errors.New("netsim: fast http: unsupported POST body of unknown length")
 		}
 	default:
-		return false
+		return fmt.Errorf("netsim: fast http: unsupported method %q", req.Method)
 	}
-	if len(req.TransferEncoding) > 0 || len(req.Trailer) > 0 {
-		return false
-	}
-	return true
+	return nil
 }
 
 // fastConn is one pooled connection: the raw conn plus its persistent
@@ -131,11 +122,11 @@ func (fc *fastConn) close() {
 
 // RoundTrip implements http.RoundTripper.
 func (t *fastTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if !fastEligible(req) {
-		mHTTPLegacyRequests.Inc()
-		return t.legacyRT().RoundTrip(req)
+	if err := checkRequest(req); err != nil {
+		closeRequestBody(req)
+		return nil, err
 	}
-	mHTTPFastRequests.Inc()
+	mHTTPRequests.Inc()
 	var started time.Time
 	if obs.Enabled() {
 		started = time.Now()
@@ -270,6 +261,7 @@ func (t *fastTransport) getConn(req *http.Request, key string) (*fastConn, bool,
 	fc := &fastConn{c: c, key: key}
 	fc.br.c = c
 	fc.br.buf = fastReadPool.Get().([]byte)
+	fc.br.in = mHTTPBytesIn
 	return fc, false, nil
 }
 
@@ -308,14 +300,11 @@ func (t *fastTransport) putIdle(fc *fastConn) {
 // finds this method by name.
 func (t *fastTransport) CloseIdleConnections() {
 	t.mu.Lock()
-	idle, fallback := t.idle, t.fallback
+	idle := t.idle
 	t.idle = nil
 	t.mu.Unlock()
 	for _, fc := range idle {
 		fc.close()
-	}
-	if fallback != nil {
-		fallback.CloseIdleConnections()
 	}
 }
 
@@ -400,13 +389,7 @@ func (t *fastTransport) readResponse(fc *fastConn, req *http.Request) (*http.Res
 		if len(line) == 0 {
 			break
 		}
-		colon := -1
-		for i, c := range line {
-			if c == ':' {
-				colon = i
-				break
-			}
-		}
+		colon := indexByteFrom(line, 0, ':')
 		if colon <= 0 {
 			return nil, false, fmt.Errorf("netsim: fast http: malformed response header %q", line)
 		}
@@ -565,13 +548,15 @@ func appendRequestHead(b []byte, req *http.Request) []byte {
 	return append(b, '\r', '\n')
 }
 
-// connReader is a minimal buffered reader over one connection. Unlike
-// bufio.Reader it exposes exactly what the fast path needs — CRLF lines
-// and counted reads — and its buffer is pool-recycled with the conn.
+// connReader is a minimal buffered reader over one connection, used by
+// both halves. Unlike bufio.Reader it exposes exactly what the framing
+// needs — CRLF lines and counted reads — and its buffer is pool-recycled
+// with the conn.
 type connReader struct {
 	c    net.Conn
 	buf  []byte
 	r, w int
+	in   *obs.Counter // counts the bytes read when set (client conns only)
 }
 
 func (cr *connReader) buffered() int { return cr.w - cr.r }
@@ -590,13 +575,19 @@ func (cr *connReader) fill() error {
 	n, err := cr.c.Read(cr.buf[cr.w:])
 	cr.w += n
 	if n > 0 {
-		mHTTPBytesIn.Add(uint64(n))
+		cr.count(n)
 		return nil
 	}
 	if err == nil {
 		err = io.ErrNoProgress
 	}
 	return err
+}
+
+func (cr *connReader) count(n int) {
+	if cr.in != nil && n > 0 {
+		cr.in.Add(uint64(n))
+	}
 }
 
 // readLine consumes and returns one CRLF- (or bare-LF-) terminated line,
@@ -639,9 +630,7 @@ func (cr *connReader) Read(p []byte) (int, error) {
 	}
 	if len(p) >= len(cr.buf) {
 		n, err := cr.c.Read(p)
-		if n > 0 {
-			mHTTPBytesIn.Add(uint64(n))
-		}
+		cr.count(n)
 		return n, err
 	}
 	if err := cr.fill(); err != nil {

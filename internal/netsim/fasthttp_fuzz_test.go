@@ -10,12 +10,20 @@ import (
 
 // fuzzConn serves a fixed byte stream as a net.Conn: reads drain the
 // buffer then report io.EOF, writes are discarded. It stands in for a
-// peer that sends exactly the fuzzed bytes and hangs up.
-type fuzzConn struct{ data []byte }
+// peer that sends exactly the fuzzed bytes and hangs up. A positive step
+// caps every read at that many bytes, as a peer trickling its bytes in
+// would.
+type fuzzConn struct {
+	data []byte
+	step int
+}
 
 func (c *fuzzConn) Read(p []byte) (int, error) {
 	if len(c.data) == 0 {
 		return 0, io.EOF
+	}
+	if c.step > 0 && len(p) > c.step {
+		p = p[:c.step]
 	}
 	n := copy(p, c.data)
 	c.data = c.data[n:]

@@ -332,7 +332,9 @@ func TestFastPoolEvictsOldestAtTotalCap(t *testing.T) {
 // for it.
 func stdlibClient(nw *Network, sourceIP string, keepAlive bool) *http.Client {
 	return &http.Client{Transport: &http.Transport{
-		DialContext:        nw.Dialer(sourceIP),
+		DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
+			return nw.Dial(ctx, sourceIP, addr)
+		},
 		DisableKeepAlives:  !keepAlive,
 		DisableCompression: true,
 	}}
@@ -375,5 +377,67 @@ func TestCloseIdleConnections(t *testing.T) {
 				t.Errorf("redial after CloseIdleConnections went through %d dead-conn retries", got)
 			}
 		})
+	}
+}
+
+// TestHTTPClientRejectsUnsupported: a request outside the subset the
+// client speaks fails with an error naming what it asked for, and
+// nothing is dialed for it — there is no second transport to hand it to.
+func TestHTTPClientRejectsUnsupported(t *testing.T) {
+	const serverIP = "203.0.113.68"
+	nw := New()
+	ln, err := nw.Listen(serverIP, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nw.Register("reject.test", serverIP)
+	client := nw.HTTPClient("198.51.100.68")
+
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	cases := []struct {
+		name, method, url string
+		body              io.Reader
+		trailer           http.Header
+		want              string // the error must contain it
+	}{
+		{name: "PUT", method: http.MethodPut, url: "http://reject.test/", body: strings.NewReader("x"), want: `method "PUT"`},
+		{name: "https", method: http.MethodGet, url: "https://reject.test/", want: `scheme "https"`},
+		{name: "unknown length", method: http.MethodPost, url: "http://reject.test/", body: pr, want: "unknown length"},
+		{name: "trailer", method: http.MethodGet, url: "http://reject.test/", trailer: http.Header{"X-Sum": nil}, want: "trailers"},
+	}
+	for _, tc := range cases {
+		// The deadline only bounds a transport that dials anyway.
+		ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+		req, err := http.NewRequestWithContext(ctx, tc.method, tc.url, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Trailer = tc.trailer
+		resp, err := client.Do(req)
+		cancel()
+		if err == nil {
+			resp.Body.Close()
+			t.Errorf("%s: request succeeded, want an error", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.want)
+		}
+	}
+
+	// A sentinel dial must be the first connection the listener has.
+	const sentinelIP = "198.51.100.250"
+	sc, err := nw.Dial(context.Background(), sentinelIP, serverIP+":80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if ip, _, _ := net.SplitHostPort(c.RemoteAddr().String()); ip != sentinelIP {
+		t.Fatalf("listener accepted a connection from %s before the sentinel: a rejected request dialed", ip)
 	}
 }

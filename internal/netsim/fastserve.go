@@ -1,4 +1,4 @@
-package webserver
+package netsim
 
 import (
 	"errors"
@@ -12,68 +12,95 @@ import (
 	"sync"
 )
 
-// The server half of the netsim-native HTTP fast path (see
-// internal/netsim/fasthttp.go for the client half and the rationale):
-// the framing Farm.serveConn runs on each connection. It has
-// per-connection reused request/header/URL structures, an interning
-// table that keeps log strings off the reused read buffer, and a pooled
-// response buffer flushed in a single ring write. Farm.handleReq and
-// Site.serve see the plain http.ResponseWriter + *http.Request surface,
-// so a stock http.Server can drive the same dispatch — which is how the
-// differential test checks this framing against net/http.
+// The server half of the netsim-native HTTP/1.1 framing (fasthttp.go is
+// the client half, and the rationale): per-connection reused
+// request/header/URL structures, an interning table that keeps retained
+// strings off the reused read buffer, and a pooled response buffer
+// flushed in a single ring write. Handlers see the plain
+// http.ResponseWriter + *http.Request surface, so a stock http.Server
+// can drive the same handler — which is how the differential tests
+// check this framing against net/http.
 
 const (
-	srvReadBufSize  = 8 * 1024
 	srvMaxHeaders   = 64      // header count bound per request
 	srvMaxBodyDrain = 8 << 20 // largest request body the server will swallow
 	srvMaxInterned  = 512     // per-connection intern table bound
-	srvRespBufSize  = 4 * 1024
 )
 
-var (
-	errSrvHeaderTooLong = errors.New("webserver: fast server: header line exceeds buffer")
-	errSrvTooManyHdrs   = errors.New("webserver: fast server: too many header lines")
-)
+var errSrvTooManyHdrs = errors.New("netsim: fast server: too many header lines")
 
-var (
-	srvReadPool = sync.Pool{New: func() any { return make([]byte, srvReadBufSize) }}
-	srvRespPool = sync.Pool{New: func() any { b := make([]byte, 0, srvRespBufSize); return &b }}
-)
+// srvRespPool recycles response buffers. It is not the client's
+// fastHeadPool: a response buffer grows to hold its body, and kept apart
+// those grown buffers come back to the next response instead of the
+// client's small request heads.
+var srvRespPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// srvConnState is one connection's reused parsing state. Every string
+// ServeConn serves HTTP/1.1 requests read from c with h, one at a time
+// on the calling goroutine, until the peer hangs up, a response closes
+// the connection or framing breaks; then it closes c. It returns nil
+// after a response that closed the connection, and otherwise the error
+// that ended it (io.EOF once the peer hangs up).
+//
+// The framing covers what netsim traffic sends: any method, origin-form
+// or absolute targets, Content-Length request bodies (drained before h
+// runs; h never reads them), keep-alive by protocol version and
+// Connection header. Responses always carry a computed Content-Length.
+// The *http.Request, its URL and Header are reused for the connection's
+// next request, so h must not keep them after it returns; the strings
+// they hold (method, target, header values) are safe to keep.
+func ServeConn(c net.Conn, h http.Handler) error {
+	st := newServerConn(c)
+	defer func() {
+		c.Close()
+		st.release()
+	}()
+	for {
+		if err := st.readRequest(); err != nil {
+			return err
+		}
+		st.w.reset(st.req.Method == http.MethodHead)
+		h.ServeHTTP(&st.w, &st.req)
+		if err := st.w.finish(c, st.closeAfter); err != nil {
+			return err
+		}
+		if st.closeAfter {
+			return nil
+		}
+	}
+}
+
+// serverConn is one connection's reused parsing state. Every string
 // that outlives a request (log records keep Path and User-Agent) is
 // interned, never aliased to the reused read buffer.
-type srvConnState struct {
-	rd         reqReader
+type serverConn struct {
+	rd         connReader
 	req        http.Request
 	u          url.URL
 	hdr        http.Header
 	strs       map[string]string
 	w          fastResponseWriter
-	remoteAddr string
 	closeAfter bool
 }
 
-func newSrvConnState(c net.Conn) *srvConnState {
-	st := &srvConnState{
-		hdr:        make(http.Header, 8),
-		strs:       make(map[string]string, 16),
-		remoteAddr: c.RemoteAddr().String(),
+func newServerConn(c net.Conn) *serverConn {
+	st := &serverConn{
+		hdr:  make(http.Header, 8),
+		strs: make(map[string]string, 16),
 	}
 	st.rd.c = c
-	st.rd.buf = srvReadPool.Get().([]byte)
+	st.rd.buf = fastReadPool.Get().([]byte)
 	st.w.hdr = make(http.Header, 4)
 	st.w.buf = (*srvRespPool.Get().(*[]byte))[:0]
 	st.req.Header = st.hdr
 	st.req.Proto = "HTTP/1.1"
 	st.req.ProtoMajor, st.req.ProtoMinor = 1, 1
-	st.req.RemoteAddr = st.remoteAddr
+	st.req.RemoteAddr = c.RemoteAddr().String()
 	st.req.Body = http.NoBody
 	return st
 }
 
-func (st *srvConnState) release() {
-	srvReadPool.Put(st.rd.buf) //nolint:staticcheck // fixed-size []byte
+func (st *serverConn) release() {
+	fastReadPool.Put(st.rd.buf) //nolint:staticcheck // fixed-size []byte
 	st.rd.buf = nil
 	b := st.w.buf[:0]
 	srvRespPool.Put(&b)
@@ -82,7 +109,7 @@ func (st *srvConnState) release() {
 
 // intern returns a stable string equal to b. The per-connection table is
 // bounded; once full, rare new strings fall back to a plain copy.
-func (st *srvConnState) intern(b []byte) string {
+func (st *serverConn) intern(b []byte) string {
 	if s, ok := st.strs[string(b)]; ok { // no-alloc map probe
 		return s
 	}
@@ -95,19 +122,19 @@ func (st *srvConnState) intern(b []byte) string {
 
 // readRequest parses one request head into the reused request struct and
 // drains any declared body so the handler never has to.
-func (st *srvConnState) readRequest() error {
+func (st *serverConn) readRequest() error {
 	line, err := st.rd.readLine()
 	if err != nil {
 		return err
 	}
 	// Request line: METHOD SP TARGET SP HTTP/1.x
-	sp1 := indexByte(line, ' ')
+	sp1 := indexByteFrom(line, 0, ' ')
 	if sp1 <= 0 {
-		return fmt.Errorf("webserver: fast server: malformed request line %q", line)
+		return fmt.Errorf("netsim: fast server: malformed request line %q", line)
 	}
 	sp2 := indexByteFrom(line, sp1+1, ' ')
 	if sp2 < 0 || sp2 == sp1+1 {
-		return fmt.Errorf("webserver: fast server: malformed request line %q", line)
+		return fmt.Errorf("netsim: fast server: malformed request line %q", line)
 	}
 	methodB, targetB, protoB := line[:sp1], line[sp1+1:sp2], line[sp2+1:]
 	var keepAlive bool
@@ -117,7 +144,7 @@ func (st *srvConnState) readRequest() error {
 	case string(protoB) == "HTTP/1.0":
 		keepAlive = false
 	default:
-		return fmt.Errorf("webserver: fast server: unsupported proto %q", protoB)
+		return fmt.Errorf("netsim: fast server: unsupported proto %q", protoB)
 	}
 	method := st.intern(methodB)
 
@@ -135,7 +162,9 @@ func (st *srvConnState) readRequest() error {
 	st.req.Body = http.NoBody
 	st.closeAfter = !keepAlive
 
-	// Headers.
+	// Headers. Reading them reuses the buffer the request line sat in, so
+	// the target is interned first.
+	target := st.intern(targetB)
 	var contentLength int64
 	chunked := false
 	for n := 0; ; n++ {
@@ -149,68 +178,65 @@ func (st *srvConnState) readRequest() error {
 		if len(line) == 0 {
 			break
 		}
-		colon := indexByte(line, ':')
+		colon := indexByteFrom(line, 0, ':')
 		if colon <= 0 {
-			return fmt.Errorf("webserver: fast server: malformed header %q", line)
+			return fmt.Errorf("netsim: fast server: malformed header %q", line)
 		}
-		kb, vb := line[:colon], trimOWSBytes(line[colon+1:])
+		kb, vb := line[:colon], trimOWS(line[colon+1:])
 		val := st.intern(vb)
 		switch {
-		case equalFoldBytes(kb, "host"):
+		case asciiEqualFold(kb, "Host"):
 			st.req.Host = val
-		case equalFoldBytes(kb, "content-length"):
+		case asciiEqualFold(kb, "Content-Length"):
 			cl, perr := strconv.ParseInt(val, 10, 64)
 			if perr != nil || cl < 0 {
-				return fmt.Errorf("webserver: fast server: bad Content-Length %q", val)
+				return fmt.Errorf("netsim: fast server: bad Content-Length %q", val)
 			}
 			contentLength = cl
-		case equalFoldBytes(kb, "connection"):
-			if equalFoldBytes(vb, "close") {
+		case asciiEqualFold(kb, "Connection"):
+			if asciiEqualFold(vb, "close") {
 				st.closeAfter = true
-			} else if equalFoldBytes(vb, "keep-alive") {
+			} else if asciiEqualFold(vb, "keep-alive") {
 				st.closeAfter = false
 			}
 			continue // not surfaced in the header map, like stdlib
-		case equalFoldBytes(kb, "transfer-encoding"):
+		case asciiEqualFold(kb, "Transfer-Encoding"):
 			chunked = true
 			continue
 		}
-		key := st.canonicalKey(kb)
+		key := st.headerKey(kb)
 		st.hdr[key] = append(st.hdr[key], val)
 	}
 	if chunked {
-		return errors.New("webserver: fast server: chunked request bodies unsupported")
+		return errors.New("netsim: fast server: chunked request bodies unsupported")
 	}
 	if st.req.Host == "" && keepAlive {
 		// HTTP/1.1 requires Host; 1.0 requests may omit it.
-		return errors.New("webserver: fast server: missing Host header")
+		return errors.New("netsim: fast server: missing Host header")
 	}
 	st.req.ContentLength = contentLength
 
 	// Request target. The overwhelmingly common case — origin-form, no
 	// query, no escapes — fills the reused URL; anything else takes the
 	// net/url slow path.
-	if len(targetB) > 0 && targetB[0] == '/' && !needsURLParse(targetB) {
-		target := st.intern(targetB)
+	if len(target) > 0 && target[0] == '/' && !needsURLParse(target) {
 		st.u = url.URL{Path: target}
 		st.req.URL = &st.u
-		st.req.RequestURI = target
 	} else {
-		target := st.intern(targetB)
 		parsed, perr := url.ParseRequestURI(target)
 		if perr != nil {
-			return fmt.Errorf("webserver: fast server: bad request target %q: %w", target, perr)
+			return fmt.Errorf("netsim: fast server: bad request target %q: %w", target, perr)
 		}
 		st.req.URL = parsed
-		st.req.RequestURI = target
 	}
+	st.req.RequestURI = target
 
 	// Drain the body up front: handlers never read it, and a client
 	// blocked writing a large body into the 32 KiB ring cannot start
 	// reading our response until we consume it.
 	if contentLength > 0 {
 		if contentLength > srvMaxBodyDrain {
-			return fmt.Errorf("webserver: fast server: request body of %d bytes exceeds limit", contentLength)
+			return fmt.Errorf("netsim: fast server: request body of %d bytes exceeds limit", contentLength)
 		}
 		if err := st.rd.discard(contentLength); err != nil {
 			return err
@@ -221,18 +247,18 @@ func (st *srvConnState) readRequest() error {
 
 // needsURLParse reports whether the target has a query or escape and so
 // needs real URL parsing.
-func needsURLParse(b []byte) bool {
-	for _, c := range b {
-		if c == '?' || c == '%' || c == '#' {
+func needsURLParse(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '?' || c == '%' || c == '#' {
 			return true
 		}
 	}
 	return false
 }
 
-// canonicalKey converts a header key to its canonical form, interning
-// the already-canonical common case without allocation.
-func (st *srvConnState) canonicalKey(b []byte) string {
+// headerKey converts a header key to its canonical form, interning the
+// already-canonical common case without allocation.
+func (st *serverConn) headerKey(b []byte) string {
 	if isCanonicalKey(b) {
 		return st.intern(b)
 	}
@@ -262,111 +288,8 @@ func isCanonicalKey(b []byte) bool {
 	return true
 }
 
-func indexByte(b []byte, c byte) int { return indexByteFrom(b, 0, c) }
-
-func indexByteFrom(b []byte, from int, c byte) int {
-	for i := from; i < len(b); i++ {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-func trimOWSBytes(b []byte) []byte {
-	for len(b) > 0 && (b[0] == ' ' || b[0] == '\t') {
-		b = b[1:]
-	}
-	for len(b) > 0 && (b[len(b)-1] == ' ' || b[len(b)-1] == '\t') {
-		b = b[:len(b)-1]
-	}
-	return b
-}
-
-// equalFoldBytes reports b == lower ASCII-case-insensitively; lower must
-// be lowercase.
-func equalFoldBytes(b []byte, lower string) bool {
-	if len(b) != len(lower) {
-		return false
-	}
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		if c != lower[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// reqReader is the server-side buffered line/byte reader (the client
-// half keeps its own copy in netsim; the two packages do not share
-// unexported types).
-type reqReader struct {
-	c    net.Conn
-	buf  []byte
-	r, w int
-}
-
-func (rr *reqReader) fill() error {
-	if rr.r > 0 {
-		copy(rr.buf, rr.buf[rr.r:rr.w])
-		rr.w -= rr.r
-		rr.r = 0
-	}
-	if rr.w == len(rr.buf) {
-		return errSrvHeaderTooLong
-	}
-	n, err := rr.c.Read(rr.buf[rr.w:])
-	rr.w += n
-	if n > 0 {
-		return nil
-	}
-	if err == nil {
-		err = io.ErrNoProgress
-	}
-	return err
-}
-
-func (rr *reqReader) readLine() ([]byte, error) {
-	scanned := 0
-	for {
-		if i := indexByteFrom(rr.buf[rr.r:rr.w], scanned, '\n'); i >= 0 {
-			line := rr.buf[rr.r : rr.r+i]
-			rr.r += i + 1
-			if n := len(line); n > 0 && line[n-1] == '\r' {
-				line = line[:n-1]
-			}
-			return line, nil
-		}
-		scanned = rr.w - rr.r
-		if err := rr.fill(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-func (rr *reqReader) discard(n int64) error {
-	for n > 0 {
-		if have := int64(rr.w - rr.r); have > 0 {
-			if have > n {
-				have = n
-			}
-			rr.r += int(have)
-			n -= have
-			continue
-		}
-		if err := rr.fill(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // fastResponseWriter implements http.ResponseWriter (and io.StringWriter,
-// which Site.serve's io.WriteString uses) over a reused buffer; finish
+// which io.WriteString uses) over a reused buffer; finish
 // frames the response with the computed Content-Length and flushes it in
 // at most one ring write.
 type fastResponseWriter struct {
@@ -464,15 +387,16 @@ func (w *fastResponseWriter) finish(c net.Conn, closeAfter bool) error {
 	}
 	h = append(h, '\r', '\n')
 
-	var err error
-	if !w.isHead && len(w.buf) > 0 {
+	if !w.isHead {
 		h = append(h, w.buf...)
 	}
-	_, err = c.Write(h)
+	_, err := c.Write(h)
 	*hp = h[:0]
 	srvRespPool.Put(hp)
 	return err
 }
 
-var _ http.ResponseWriter = (*fastResponseWriter)(nil)
-var _ io.StringWriter = (*fastResponseWriter)(nil)
+var (
+	_ http.ResponseWriter = (*fastResponseWriter)(nil)
+	_ io.StringWriter     = (*fastResponseWriter)(nil)
+)

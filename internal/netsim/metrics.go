@@ -2,17 +2,13 @@ package netsim
 
 import "repro/internal/obs"
 
-// Fast-path HTTP client metrics. Registered at init so the families
-// appear in /metrics (with zero values) in any binary that links
-// netsim, traffic or not. The legacy-vs-fast split is a label on one
-// family: path="fast" is the hand-rolled framing, path="legacy" is a
-// request the fast transport handed to the stdlib fallback because it
-// fell outside the closed-world subset.
+// HTTP client metrics. Registered at init so the families appear in
+// /metrics (with zero values) in any binary that links netsim, traffic or
+// not. The server half (ServeConn) records nothing here: its callers
+// count what they serve, and bytes in/out are the client's.
 var (
-	mHTTPFastRequests = obs.NewCounter(`netsim_http_requests_total{path="fast"}`,
-		"HTTP requests through the netsim client, by framing path.")
-	mHTTPLegacyRequests = obs.NewCounter(`netsim_http_requests_total{path="legacy"}`,
-		"HTTP requests through the netsim client, by framing path.")
+	mHTTPRequests = obs.NewCounter("netsim_http_requests_total",
+		"HTTP requests sent through the netsim client.")
 	mHTTPRetries = obs.NewCounter("netsim_http_retries_total",
 		"Requests replayed on a fresh conn after a pooled conn turned out dead.")
 	mHTTPPoolHits = obs.NewCounter(`netsim_http_pool_total{result="hit"}`,

@@ -14,6 +14,10 @@
 //
 // A Network also contains a miniature name service (Register/Resolve) so
 // HTTP clients can use ordinary host-based URLs.
+//
+// The package also owns the tree's one HTTP/1.1 framing, both halves:
+// HTTPClient's transport (fasthttp.go) and ServeConn (fastserve.go),
+// which serves one connection with an http.Handler.
 package netsim
 
 import (
@@ -211,14 +215,6 @@ func (n *Network) Dial(ctx context.Context, sourceIP, addr string) (net.Conn, er
 	return cc, nil
 }
 
-// Dialer returns a DialContext function suitable for http.Transport that
-// originates connections from sourceIP.
-func (n *Network) Dialer(sourceIP string) func(ctx context.Context, network, addr string) (net.Conn, error) {
-	return func(ctx context.Context, network, addr string) (net.Conn, error) {
-		return n.Dial(ctx, sourceIP, addr)
-	}
-}
-
 // HTTPClient returns an http.Client whose connections originate from
 // sourceIP and traverse this network. Each call returns an independent
 // client with its own transport, so connection pooling is naturally keyed
@@ -226,11 +222,12 @@ func (n *Network) Dialer(sourceIP string) func(ctx context.Context, network, add
 // kept-alive connection, and server logs still attribute every request to
 // the client's simulated source IP via CLF.
 //
-// The client rides the netsim-native fast path (see fasthttp.go): a
-// hand-rolled HTTP/1.1 writer/reader over the buffered duplex conns that
-// skips stdlib net/http's per-request machinery while keeping the exact
-// wire format and keep-alive pooling semantics. Requests outside the fast
-// path's closed world fall back to a stdlib transport transparently.
+// The client's transport is this package's hand-rolled HTTP/1.1 framing
+// (see fasthttp.go; ServeConn is the server half): it skips stdlib
+// net/http's per-request machinery while keeping its wire format and
+// keep-alive pooling semantics. It speaks GET, HEAD and POST with a known
+// body length to http:// URLs; any other request fails with an error
+// naming what it asked for, before anything is dialed.
 //
 // The client carries no overall request timeout: wrapping every request
 // in a deadline context costs several allocations and a timer on the hot

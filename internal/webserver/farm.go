@@ -27,7 +27,8 @@ import (
 // answered 421 Misdirected Request.
 //
 // The farm is its own HTTP server: one accept loop, and one goroutine
-// per connection running the fastserve.go framing loop.
+// per connection running netsim.ServeConn with a handler bound to that
+// connection's dispatch state.
 //
 // All methods are safe for concurrent use, including StartSite and
 // Remove while requests are in flight.
@@ -270,29 +271,14 @@ func (f *Farm) acceptLoop() {
 	}
 }
 
-// serveConn is the per-connection loop: parse one request, serve it,
-// flush the response, repeat until the peer goes away or framing breaks.
+// serveConn serves one connection until it ends — however it ends, the
+// connection is gone — then drops it from the live registry.
 func (f *Farm) serveConn(c net.Conn, fc *farmConn) {
 	defer f.serving.Done()
-	st := newSrvConnState(c)
-	defer func() {
-		c.Close()
-		f.dropConn(c)
-		st.release()
-	}()
-	for {
-		if err := st.readRequest(); err != nil {
-			return
-		}
-		st.w.reset(st.req.Method == http.MethodHead)
-		f.handleReq(fc, &st.w, &st.req)
-		if err := st.w.finish(c, st.closeAfter); err != nil {
-			return
-		}
-		if st.closeAfter {
-			return
-		}
-	}
+	netsim.ServeConn(c, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.handleReq(fc, w, r)
+	}))
+	f.dropConn(c)
 }
 
 // handleReq resolves the request's Host to a site and serves it. The

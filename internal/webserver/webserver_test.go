@@ -177,15 +177,19 @@ func TestContentPagesInterlinked(t *testing.T) {
 // scenario engine's monthly windowing relies on: requests issued
 // sequentially by one client append in issue order, and replaying the
 // same sequence on a fresh site yields an identical log (paths, status,
-// bytes).
+// bytes). Every request carries its own User-Agent and some carry a
+// query, and the records are read only after later requests have reused
+// the connection's read buffer: a logged string that aliased that
+// buffer would read as a later request's bytes.
 func TestLogOrderingDeterministicPerConnection(t *testing.T) {
-	paths := []string{"/robots.txt", "/", "/about.html", "/gallery.html", "/missing", "/robots.txt"}
+	targets := []string{"/robots.txt", "/", "/about.html?lang=en", "/gallery.html", "/missing?q=1&r=2", "/robots.txt"}
+	ua := func(i int) string { return fmt.Sprintf("OrderBot-%d/1.%d", i, i) }
 	capture := func() []Record {
 		nw := netsim.New()
 		site := startSite(t, nw, WildcardDisallowSite("order.test", "203.0.113.7"))
 		client := nw.HTTPClient("198.51.100.40")
-		for _, p := range paths {
-			get(t, client, site.URL()+p, "GPTBot/1.0")
+		for i, target := range targets {
+			get(t, client, site.URL()+target, ua(i))
 		}
 		if site.LogLen() != len(site.Log()) {
 			t.Fatalf("LogLen = %d, len(Log) = %d; must agree when quiescent",
@@ -194,13 +198,14 @@ func TestLogOrderingDeterministicPerConnection(t *testing.T) {
 		return site.Log()
 	}
 	first := capture()
-	if len(first) != len(paths) {
-		t.Fatalf("logged %d records, want %d", len(first), len(paths))
+	if len(first) != len(targets) {
+		t.Fatalf("logged %d records, want %d", len(first), len(targets))
 	}
 	for i, rec := range first {
-		if rec.Path != paths[i] {
-			t.Fatalf("record %d = %s, want %s (sequential requests must log in order)",
-				i, rec.Path, paths[i])
+		path, _, _ := strings.Cut(targets[i], "?")
+		if rec.Path != path || rec.UserAgent != ua(i) {
+			t.Fatalf("record %d = %s %q, want %s %q (sequential requests must log in order, each its own strings)",
+				i, rec.Path, rec.UserAgent, path, ua(i))
 		}
 	}
 	second := capture()
