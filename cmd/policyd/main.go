@@ -47,6 +47,15 @@ import (
 	"repro/internal/stats"
 )
 
+// Timeouts on every real-TCP HTTP server of the daemon: a client gets
+// readHeaderTimeout to send a request head and a keep-alive connection
+// may sit idle for idleTimeout, so a stalled or abandoned peer cannot
+// hold a connection and its goroutine forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8473", "TCP listen address")
 	frameAddr := flag.String("frame-addr", "", "second TCP listen address for the binary frame protocol (empty = off)")
@@ -99,13 +108,13 @@ func run(addr, frameAddr, metricsAddr string, seed int64, scale float64, snapIdx
 	svc := policyd.NewService(snap)
 	fmt.Fprintf(os.Stderr, "policyd: serving %s on %s\n", snap, addr)
 
-	srv := &http.Server{Addr: addr, Handler: policyd.NewHandler(svc)}
+	srv := &http.Server{Addr: addr, Handler: policyd.NewHandler(svc), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 
 	var metricsSrv *http.Server
 	if metricsAddr != "" {
-		metricsSrv = &http.Server{Addr: metricsAddr, Handler: metricsMux()}
+		metricsSrv = &http.Server{Addr: metricsAddr, Handler: metricsMux(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		fmt.Fprintf(os.Stderr, "policyd: metrics and pprof on %s\n", metricsAddr)
 		go func() {
 			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

@@ -40,6 +40,15 @@ import (
 	"repro/internal/obs"
 )
 
+// Timeouts on every real-TCP HTTP server of the daemon: a client gets
+// readHeaderTimeout to send a request head and a keep-alive connection
+// may sit idle for idleTimeout, so a stalled or abandoned peer cannot
+// hold a connection and its goroutine forever.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":9473", "TCP listen address for the JSON API")
 	frameAddr := flag.String("frame-addr", "", "TCP listen address for the binary frame protocol (empty = off)")
@@ -119,7 +128,7 @@ func run(addr, frameAddr, metricsAddr, replicas string, rate, burst float64, vno
 		fmt.Fprintf(os.Stderr, "policygw: replica %s (frames %s)\n", rc.Name, rc.FrameAddr)
 	}
 
-	srv := &http.Server{Addr: addr, Handler: gw.Handler()}
+	srv := &http.Server{Addr: addr, Handler: gw.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "policygw: routing %d replicas on %s\n", len(rcs), addr)
@@ -142,7 +151,7 @@ func run(addr, frameAddr, metricsAddr, replicas string, rate, burst float64, vno
 	if metricsAddr != "" {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", obs.Handler())
-		metricsSrv = &http.Server{Addr: metricsAddr, Handler: mux}
+		metricsSrv = &http.Server{Addr: metricsAddr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 		fmt.Fprintf(os.Stderr, "policygw: metrics on %s\n", metricsAddr)
 		go func() {
 			if err := metricsSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

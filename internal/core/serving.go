@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 
 	"repro/internal/corpus"
 	"repro/internal/netsim"
@@ -55,14 +54,13 @@ func runPolicyService(ctx context.Context, env *Env) (*Result, error) {
 		return nil, err
 	}
 	nw.Register("policyd.test", "203.0.113.90")
-	srv := &http.Server{Handler: policyd.NewHandler(svc)}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		srv.Serve(ln)
+		netsim.Serve(ln, policyd.NewHandler(svc))
 	}()
 	defer func() {
-		srv.Close()
+		ln.Close()
 		<-done
 	}()
 	client := nw.HTTPClient("198.51.100.90")

@@ -28,6 +28,7 @@ var (
 		"Gateway-level decision requests, by protocol.")
 	mGWWireFrame = obs.NewCounter(`fleet_gateway_requests_total{wire="frame"}`,
 		"Gateway-level decision requests, by protocol.")
+	mGWJSONStages = policyd.NewJSONStages("gateway")
 )
 
 // ReplicaConfig locates one policyd replica on whatever transport the
@@ -424,7 +425,7 @@ func (g *Gateway) Stats() GatewayStats {
 //	GET  /v1/quotas                        (per-tenant ledger)
 //	GET  /healthz
 func (g *Gateway) Handler() http.Handler {
-	return policyd.NewHandlerFor(g, mGWWireJSON, map[string]func() any{
+	return policyd.NewHandlerFor(g, mGWWireJSON, mGWJSONStages, map[string]func() any{
 		"/v1/stats":  func() any { return g.Stats() },
 		"/v1/quotas": func() any { return g.limiter.Accounting() },
 	})

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"strings"
 	"sync"
@@ -745,4 +746,87 @@ func TestProbeUnreachableReplica(t *testing.T) {
 
 	cancel()
 	waitFor(t, "probers to exit after cancel", func() bool { return probers() == 0 })
+}
+
+// TestJSONTenantsOwnTheirBytes is the buffer-scribbling check for the
+// JSON listener: the gateway's limiter keeps one string per tenant
+// (agent) it has seen, while netsim.Serve reuses each connection's read
+// buffer for the next request head and the handler reuses its body
+// buffer for the next batch. GETs and POST batches with hundreds of
+// distinct agents, some escaped (query escapes on every GET; JSON
+// escapes and non-ASCII text, which send a batch to encoding/json, in
+// every third round), go over one keep-alive connection; /v1/quotas
+// must then list exactly the agents sent, each with its count.
+//
+// The limiter clones each new tenant key, because frame-wire agents
+// alias their payload buffer, so this test alone does not catch a
+// decodeBatchFast that aliases the body (say, through unsafe.String):
+// it fails when that decoder meets a limiter that stops cloning.
+// FuzzBatchDecodeMatchesJSON's seeds, run by every go test, catch the
+// aliasing decoder by itself: they overwrite the decoded buffer.
+func TestJSONTenantsOwnTheirBytes(t *testing.T) {
+	snap := straddleSnapshot(t, "v1", false, 8)
+	clk := newFakeClock() // frozen: no refill, so counts are exact
+	f, err := NewSimFleet(snap, 2, Config{Rate: 1e6, Burst: 1e6, Now: clk.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	client := f.Client()
+
+	want := map[string]uint64{}
+	agent := func(i int) string {
+		a := fmt.Sprintf("ScribbleBot-%03d/%d.0 (+https://crawler.test/bot?id=%d)", i, i%7, i*31)
+		// Every third round's agents carry JSON escapes or non-ASCII
+		// text; the other rounds' batches take the hand decoder.
+		if i/8%3 == 1 {
+			a += [...]string{` "quoted"`, ` \slash`, " Bøt"}[i%3]
+		}
+		return a
+	}
+	host := func(i int) string { return fmt.Sprintf("h%03d.test", i%8) }
+	for i := 0; i < 400; i += 8 {
+		// Three single decides, then a batch of the next five agents.
+		for k := i; k < i+3; k++ {
+			u := f.GatewayURL + "/v1/decide?" + url.Values{"host": {host(k)}, "agent": {agent(k)}, "path": {"/p"}}.Encode()
+			if body := fetchBody(t, client, u); !bytes.Contains(body, []byte(`"action":"allow"`)) {
+				t.Fatalf("decide %d: %s", k, body)
+			}
+			want[agent(k)]++
+		}
+		var qs []policyd.Query
+		for k := i + 3; k < i+8; k++ {
+			for r := 0; r <= k%3; r++ { // repeats within a batch, too
+				qs = append(qs, policyd.Query{Host: host(k), Agent: agent(k), Path: "/p"})
+				want[agent(k)]++
+			}
+		}
+		body, err := json.Marshal(policyd.BatchRequest{Queries: qs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Post(f.GatewayURL+"/v1/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var br policyd.BatchResponse
+		err = json.NewDecoder(resp.Body).Decode(&br)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(br.Decisions) != len(qs) {
+			t.Fatalf("batch at %d: status %d, %d decisions for %d queries, %v", i, resp.StatusCode, len(br.Decisions), len(qs), err)
+		}
+	}
+
+	var acc Accounting
+	if err := json.Unmarshal(fetchBody(t, client, f.GatewayURL+"/v1/quotas"), &acc); err != nil {
+		t.Fatal(err)
+	}
+	if len(acc.Tenants) != len(want) {
+		t.Errorf("quotas list %d tenants, %d agents were sent", len(acc.Tenants), len(want))
+	}
+	for _, tq := range acc.Tenants {
+		if n, ok := want[tq.Tenant]; !ok || tq.Granted != n || tq.Throttled != 0 {
+			t.Errorf("tenant %q: granted %d throttled %d; sent %d (known %v)", tq.Tenant, tq.Granted, tq.Throttled, n, ok)
+		}
+	}
 }

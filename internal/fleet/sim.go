@@ -32,7 +32,6 @@ type SimFleet struct {
 
 	cancel    context.CancelFunc
 	listeners []net.Listener
-	servers   []*http.Server
 }
 
 // ClientIP is the source IP SimFleet clients should dial from.
@@ -66,9 +65,7 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 			f.Close()
 			return nil, err
 		}
-		srv := &http.Server{Handler: policyd.NewHandler(svc)}
-		f.servers = append(f.servers, srv)
-		go srv.Serve(jsonLn)
+		go netsim.Serve(jsonLn, policyd.NewHandler(svc))
 
 		frameLn, err := f.listen(ip, 81)
 		if err != nil {
@@ -100,9 +97,7 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 		f.Close()
 		return nil, err
 	}
-	gwSrv := &http.Server{Handler: gw.Handler()}
-	f.servers = append(f.servers, gwSrv)
-	go gwSrv.Serve(gwJSON)
+	go netsim.Serve(gwJSON, gw.Handler())
 
 	gwFrame, err := f.listen(gatewayIP, 81)
 	if err != nil {
@@ -149,14 +144,12 @@ func (f *SimFleet) SwapAll(snap *policyd.Snapshot) {
 	}
 }
 
-// Close tears the fleet down: gateway conns, HTTP servers, listeners.
+// Close tears the fleet down: gateway conns, then the listeners, whose
+// servers close their conns as they stop.
 func (f *SimFleet) Close() {
 	f.cancel()
 	if f.GW != nil {
 		f.GW.Close()
-	}
-	for _, srv := range f.servers {
-		srv.Close()
 	}
 	for _, ln := range f.listeners {
 		ln.Close()

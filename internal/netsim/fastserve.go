@@ -19,12 +19,13 @@ import (
 // flushed in a single ring write. Handlers see the plain
 // http.ResponseWriter + *http.Request surface, so a stock http.Server
 // can drive the same handler — which is how the differential tests
-// check this framing against net/http.
+// check this framing against net/http. Serve runs it behind a listener,
+// as http.Server.Serve does.
 
 const (
-	srvMaxHeaders   = 64      // header count bound per request
-	srvMaxBodyDrain = 8 << 20 // largest request body the server will swallow
-	srvMaxInterned  = 512     // per-connection intern table bound
+	srvMaxHeaders  = 64      // header count bound per request
+	srvMaxBody     = 8 << 20 // largest request body the server accepts
+	srvMaxInterned = 512     // per-connection intern table bound
 )
 
 var errSrvTooManyHdrs = errors.New("netsim: fast server: too many header lines")
@@ -35,6 +36,41 @@ var errSrvTooManyHdrs = errors.New("netsim: fast server: too many header lines")
 // client's small request heads.
 var srvRespPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
+// Serve accepts connections on ln and serves each with ServeConn on its
+// own goroutine. When Accept fails — ln was closed — it closes every
+// live connection, waits for their serve loops to return, as
+// http.Server.Close does, and returns the accept error.
+func Serve(ln net.Listener, h http.Handler) error {
+	var (
+		mu      sync.Mutex
+		live    = make(map[net.Conn]struct{})
+		serving sync.WaitGroup
+	)
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			mu.Lock()
+			for c := range live {
+				c.Close()
+			}
+			mu.Unlock()
+			serving.Wait()
+			return err
+		}
+		mu.Lock()
+		live[c] = struct{}{}
+		mu.Unlock()
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			ServeConn(c, h)
+			mu.Lock()
+			delete(live, c)
+			mu.Unlock()
+		}()
+	}
+}
+
 // ServeConn serves HTTP/1.1 requests read from c with h, one at a time
 // on the calling goroutine, until the peer hangs up, a response closes
 // the connection or framing breaks; then it closes c. It returns nil
@@ -42,12 +78,18 @@ var srvRespPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return
 // that ended it (io.EOF once the peer hangs up).
 //
 // The framing covers what netsim traffic sends: any method, origin-form
-// or absolute targets, Content-Length request bodies (drained before h
-// runs; h never reads them), keep-alive by protocol version and
-// Connection header. Responses always carry a computed Content-Length.
-// The *http.Request, its URL and Header are reused for the connection's
-// next request, so h must not keep them after it returns; the strings
-// they hold (method, target, header values) are safe to keep.
+// or absolute targets, Content-Length request bodies, keep-alive by
+// protocol version and Connection header. Responses always carry a
+// computed Content-Length. h may read r.Body, which yields the declared
+// Content-Length bytes straight off the connection; whatever it leaves
+// unread is discarded before the response is written, so a client
+// blocked writing a large body into the 32 KiB ring is always drained
+// before it has to read. r.Context() is context.Background(): nothing
+// cancels it, so a handler does not learn that the peer hung up. The
+// *http.Request, its URL, Header and Body are reused for the
+// connection's next request, so h must not keep them after it returns;
+// the strings they hold (method, target, header values) are safe to
+// keep.
 func ServeConn(c net.Conn, h http.Handler) error {
 	st := newServerConn(c)
 	defer func() {
@@ -60,6 +102,12 @@ func ServeConn(c net.Conn, h http.Handler) error {
 		}
 		st.w.reset(st.req.Method == http.MethodHead)
 		h.ServeHTTP(&st.w, &st.req)
+		if st.body.n > 0 {
+			if err := st.rd.discard(st.body.n); err != nil {
+				return err
+			}
+			st.body.n = 0
+		}
 		if err := st.w.finish(c, st.closeAfter); err != nil {
 			return err
 		}
@@ -77,10 +125,35 @@ type serverConn struct {
 	req        http.Request
 	u          url.URL
 	hdr        http.Header
+	body       serverBody
 	strs       map[string]string
 	w          fastResponseWriter
 	closeAfter bool
 }
+
+// serverBody is the current request's Content-Length body, read from
+// the connection's reader; n counts the bytes not yet read.
+type serverBody struct {
+	rd *connReader
+	n  int64
+}
+
+func (b *serverBody) Read(p []byte) (int, error) {
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	if int64(len(p)) > b.n {
+		p = p[:b.n]
+	}
+	n, err := b.rd.Read(p)
+	b.n -= int64(n)
+	if err == io.EOF && b.n > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
+}
+
+func (b *serverBody) Close() error { return nil }
 
 func newServerConn(c net.Conn) *serverConn {
 	st := &serverConn{
@@ -89,6 +162,7 @@ func newServerConn(c net.Conn) *serverConn {
 	}
 	st.rd.c = c
 	st.rd.buf = fastReadPool.Get().([]byte)
+	st.body.rd = &st.rd
 	st.w.hdr = make(http.Header, 4)
 	st.w.buf = (*srvRespPool.Get().(*[]byte))[:0]
 	st.req.Header = st.hdr
@@ -120,8 +194,8 @@ func (st *serverConn) intern(b []byte) string {
 	return s
 }
 
-// readRequest parses one request head into the reused request struct and
-// drains any declared body so the handler never has to.
+// readRequest parses one request head into the reused request struct
+// and points its Body at the declared Content-Length bytes.
 func (st *serverConn) readRequest() error {
 	line, err := st.rd.readLine()
 	if err != nil {
@@ -216,11 +290,11 @@ func (st *serverConn) readRequest() error {
 	}
 	st.req.ContentLength = contentLength
 
-	// Request target. The overwhelmingly common case — origin-form, no
-	// query, no escapes — fills the reused URL; anything else takes the
-	// net/url slow path.
-	if len(target) > 0 && target[0] == '/' && !needsURLParse(target) {
-		st.u = url.URL{Path: target}
+	// Request target. The overwhelmingly common case — origin-form, a
+	// path that needs no escapes, maybe a query — fills the reused URL;
+	// anything else takes the net/url slow path.
+	if u, ok := splitOriginForm(target); ok {
+		st.u = u
 		st.req.URL = &st.u
 	} else {
 		parsed, perr := url.ParseRequestURI(target)
@@ -231,27 +305,61 @@ func (st *serverConn) readRequest() error {
 	}
 	st.req.RequestURI = target
 
-	// Drain the body up front: handlers never read it, and a client
-	// blocked writing a large body into the 32 KiB ring cannot start
-	// reading our response until we consume it.
 	if contentLength > 0 {
-		if contentLength > srvMaxBodyDrain {
+		if contentLength > srvMaxBody {
 			return fmt.Errorf("netsim: fast server: request body of %d bytes exceeds limit", contentLength)
 		}
-		if err := st.rd.discard(contentLength); err != nil {
-			return err
-		}
+		st.body.n = contentLength
+		st.req.Body = &st.body
 	}
 	return nil
 }
 
-// needsURLParse reports whether the target has a query or escape and so
-// needs real URL parsing.
-func needsURLParse(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == '?' || c == '%' || c == '#' {
-			return true
+// splitOriginForm returns the URL url.ParseRequestURI would make of an
+// origin-form target, without parsing, when that URL is a plain split:
+// the path before the first '?' holds only bytes that need no escaping
+// (so no '%' to decode and no RawPath to keep), and the rest holds no
+// '#' or control byte. It reports false for any other target.
+func splitOriginForm(target string) (url.URL, bool) {
+	if len(target) == 0 || target[0] != '/' {
+		return url.URL{}, false
+	}
+	q := len(target)
+	for i := 0; i < len(target); i++ {
+		c := target[i]
+		if c == '?' {
+			q = i
+			break
 		}
+		if !pathByteVerbatim(c) {
+			return url.URL{}, false
+		}
+	}
+	for i := q + 1; i < len(target); i++ {
+		if c := target[i]; c < 0x20 || c == 0x7f || c == '#' {
+			return url.URL{}, false
+		}
+	}
+	u := url.URL{Path: target[:q]}
+	switch {
+	case q == len(target)-1:
+		u.ForceQuery = true // a lone trailing '?'
+	case q < len(target):
+		u.RawQuery = target[q+1:]
+	}
+	return u, true
+}
+
+// pathByteVerbatim reports whether net/url keeps c as is in a path, both
+// unescaping and re-escaping it.
+func pathByteVerbatim(c byte) bool {
+	switch {
+	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		return true
+	}
+	switch c {
+	case '-', '_', '.', '~', '$', '&', '+', ',', '/', ':', ';', '=', '@':
+		return true
 	}
 	return false
 }

@@ -17,7 +17,8 @@
 //
 // The package also owns the tree's one HTTP/1.1 framing, both halves:
 // HTTPClient's transport (fasthttp.go) and ServeConn (fastserve.go),
-// which serves one connection with an http.Handler.
+// which serves one connection with an http.Handler; Serve runs it for
+// every connection a listener accepts.
 package netsim
 
 import (

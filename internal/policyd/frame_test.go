@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
 	"reflect"
 	"strings"
 	"testing"
@@ -141,10 +140,9 @@ func TestFrameJSONParityCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.Register("policyd.test", "203.0.113.70")
-	srv := &http.Server{Handler: NewHandler(svc)}
 	srvDone := make(chan struct{})
-	go func() { defer close(srvDone); srv.Serve(jsonLn) }()
-	defer func() { srv.Close(); <-srvDone }()
+	go func() { defer close(srvDone); netsim.Serve(jsonLn, NewHandler(svc)) }()
+	defer func() { jsonLn.Close(); <-srvDone }()
 
 	frameLn, err := nw.Listen("203.0.113.71", 80)
 	if err != nil {

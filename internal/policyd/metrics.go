@@ -36,7 +36,26 @@ var (
 		"Hosts whose compiled policy was carried over from the previous snapshot (incremental build).")
 	mCompileFresh = obs.NewCounter(`policyd_compile_hosts_total{mode="compiled"}`,
 		"Hosts compiled from their raw policy surface during a snapshot build.")
+	mJSONStages = NewJSONStages("replica")
 )
+
+// JSONStages are one JSON listener's stage clocks, in ns, recorded for
+// every answered /v1/decide and /v1/batch request: Parse turns the
+// query string or body into queries, Answer runs the Answerer, Encode
+// writes the response body.
+type JSONStages struct {
+	Parse, Answer, Encode *obs.Histogram
+}
+
+// NewJSONStages registers the stage clocks of one kind of listener
+// ("replica", "gateway") as policyd_json_stage_ns{listener,stage}.
+func NewJSONStages(listener string) JSONStages {
+	stage := func(name string) *obs.Histogram {
+		return obs.NewHistogram(fmt.Sprintf(`policyd_json_stage_ns{listener=%q,stage=%q}`, listener, name),
+			"Wall-clock per JSON API request stage (parse, answer, encode), ns.")
+	}
+	return JSONStages{Parse: stage("parse"), Answer: stage("answer"), Encode: stage("encode")}
+}
 
 // countDecision records one decision in the action×signal matrix.
 // Bounds are clamped defensively: a corrupted enum must not panic the

@@ -5,14 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"net/http/httptest"
+	"net/url"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/netsim"
 )
 
 // buildTestSnapshot compiles a small hand-written host set covering all
@@ -309,60 +310,124 @@ func TestFromCorpusEnrichment(t *testing.T) {
 	_ = metaHosts // rare at small scale; presence asserted by rates test below
 }
 
+// TestHTTPAPI drives the JSON API through both servers it runs on, a
+// stock http.Server and netsim.Serve, each on netsim: every case must
+// answer with its status and byte-identical status, X-Policyd-Version
+// and body on the two.
 func TestHTTPAPI(t *testing.T) {
 	snap := buildTestSnapshot(t)
 	svc := NewService(snap)
 	h := NewHandler(svc)
 
-	get := func(url string) *httptest.ResponseRecorder {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, url, nil))
-		return w
-	}
-
-	w := get("/v1/decide?host=blocked.test&agent=GPTBot&path=/")
-	if w.Code != http.StatusOK {
-		t.Fatalf("decide status %d: %s", w.Code, w.Body)
-	}
-	var dj DecisionJSON
-	if err := json.Unmarshal(w.Body.Bytes(), &dj); err != nil {
+	nw := netsim.New()
+	stdLn, err := nw.Listen("203.0.113.60", 80)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if dj.Action != "block" || dj.Signal != "blocker" {
-		t.Fatalf("decide = %+v", dj)
-	}
-
-	if w := get("/v1/decide?agent=GPTBot"); w.Code != http.StatusBadRequest {
-		t.Fatalf("missing host: status %d", w.Code)
-	}
-
-	req := BatchRequest{Queries: []Query{
-		{"plain.test", "GPTBot", "/admin/x"},
-		{"unknown.test", "CCBot", "/"},
-	}}
-	body, _ := json.Marshal(req)
-	w = httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)))
-	if w.Code != http.StatusOK {
-		t.Fatalf("batch status %d: %s", w.Code, w.Body)
-	}
-	var resp BatchResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+	srv := &http.Server{Handler: h}
+	go srv.Serve(stdLn)
+	defer srv.Close()
+	fastLn, err := nw.Listen("203.0.113.61", 80)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Decisions) != 2 || resp.Decisions[0].Action != "deny" || resp.Decisions[1].Action != "allow" {
-		t.Fatalf("batch = %+v", resp.Decisions)
+	fastDone := make(chan struct{})
+	go func() { defer close(fastDone); netsim.Serve(fastLn, h) }()
+	defer func() { fastLn.Close(); <-fastDone }()
+	client := nw.HTTPClient("198.51.100.60")
+
+	type answer struct {
+		status  int
+		version string
+		body    string
+	}
+	do := func(host, method, target string, body []byte) answer {
+		t.Helper()
+		req, err := http.NewRequest(method, "http://"+host+target, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, target, err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: body: %v", method, target, err)
+		}
+		return answer{resp.StatusCode, resp.Header.Get("X-Policyd-Version"), string(b)}
+	}
+	batchOf := func(qs ...Query) []byte {
+		b, err := json.Marshal(BatchRequest{Queries: qs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	tooMany := make([]Query, MaxBatch+1)
+	for i := range tooMany {
+		tooMany[i] = Query{"plain.test", "GPTBot", "/"}
+	}
+	// A valid batch padded past the byte bound: the size guard, not the
+	// parser, must reject it.
+	oversize := []byte(`{"queries":[]}`)
+	oversize = append(oversize, bytes.Repeat([]byte(" "), maxBatchBytes+1-len(oversize))...)
+
+	cases := []struct {
+		name, method, target string
+		body                 []byte
+		want                 answer // version "" means the snapshot's when status is 200
+	}{
+		{"decide", "GET", "/v1/decide?host=blocked.test&agent=GPTBot&path=/", nil,
+			answer{200, "", `{"action":"block","signal":"blocker"}` + "\n"}},
+		{"decide escaped", "GET", "/v1/decide?" + url.Values{"host": {"plain.test"}, "agent": {"Mozilla/5.0 GPTBot"}, "path": {"/admin/x"}}.Encode(), nil,
+			answer{200, "", `{"action":"deny","signal":"robots-wildcard"}` + "\n"}},
+		{"decide wrong method", "POST", "/v1/decide?host=plain.test&agent=GPTBot", nil,
+			answer{405, "", "GET only\n"}},
+		{"decide missing host", "GET", "/v1/decide?agent=GPTBot", nil,
+			answer{400, "", "host and agent are required\n"}},
+		{"decide missing agent", "GET", "/v1/decide?host=plain.test&agent=", nil,
+			answer{400, "", "host and agent are required\n"}},
+		{"batch", "POST", "/v1/batch", batchOf(Query{"plain.test", "GPTBot", "/admin/x"}, Query{"unknown.test", "CCBot", "/"}),
+			answer{200, "", `{"decisions":[{"action":"deny","signal":"robots-wildcard"},{"action":"allow","signal":"none"}]}` + "\n"}},
+		{"batch escaped", "POST", "/v1/batch", []byte(`{"queries":[{"host":"plain.test","agent":"GPT\u0042ot","Path":"/admin/x"}]}`),
+			answer{200, "", `{"decisions":[{"action":"deny","signal":"robots-wildcard"}]}` + "\n"}},
+		{"batch empty", "POST", "/v1/batch", []byte(`{"queries":[]}`),
+			answer{200, "", `{"decisions":[]}` + "\n"}},
+		{"batch wrong method", "GET", "/v1/batch", nil,
+			answer{405, "", "POST only\n"}},
+		{"batch malformed", "POST", "/v1/batch", []byte(`{"queries":[{"host":`),
+			answer{400, "", "bad batch: unexpected EOF\n"}},
+		{"batch too many", "POST", "/v1/batch", batchOf(tooMany...),
+			answer{413, "", fmt.Sprintf("batch exceeds %d queries\n", MaxBatch)}},
+		{"batch too large", "POST", "/v1/batch", oversize,
+			answer{400, "", "bad batch: http: request body too large\n"}},
+		{"unknown route", "GET", "/v1/nope", nil,
+			answer{404, "", "404 page not found\n"}},
+		{"healthz", "GET", "/healthz", nil,
+			answer{200, "", "ok\n"}},
+	}
+	for _, tc := range cases {
+		std := do("203.0.113.60", tc.method, tc.target, tc.body)
+		fast := do("203.0.113.61", tc.method, tc.target, tc.body)
+		if std != fast {
+			t.Errorf("%s: http.Server answers %+v, netsim.Serve %+v", tc.name, std, fast)
+		}
+		want := tc.want
+		if want.status == http.StatusOK && tc.target != "/healthz" {
+			want.version = snap.Version
+		}
+		if fast != want {
+			t.Errorf("%s: answer %+v, want %+v", tc.name, fast, want)
+		}
 	}
 
-	w = get("/v1/stats")
 	var st Stats
-	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+	if err := json.Unmarshal([]byte(do("203.0.113.61", "GET", "/v1/stats", nil).body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Hosts != 6 || st.Version != "test" || st.Queries < 3 {
+	if st.Hosts != 6 || st.Version != "test" || st.Queries < 8 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if w := get("/healthz"); !strings.Contains(w.Body.String(), "ok") {
-		t.Fatalf("healthz = %q", w.Body)
 	}
 }

@@ -24,6 +24,33 @@ func TestPrerenderedDecisionsMatchEncoder(t *testing.T) {
 	}
 }
 
+// TestBatchResponseMatchesEncoder pins the hand-built /v1/batch body to
+// the bytes json.NewEncoder writes for the same BatchResponse: every
+// (action, signal) pair in one batch, one decision, an empty batch, and
+// out-of-range pairs, which miss the pre-rendered table.
+func TestBatchResponseMatchesEncoder(t *testing.T) {
+	var all []Decision
+	for a := allow; a <= Block; a++ {
+		for s := signalNone; s <= signalMeta; s++ {
+			all = append(all, Decision{Action: a, Signal: s})
+		}
+	}
+	outOfRange := []Decision{{Action: Block + 1}, all[3], {Signal: signalMeta + 1}}
+	for _, ds := range [][]Decision{all, all[:1], nil, outOfRange} {
+		resp := BatchResponse{Decisions: make([]DecisionJSON, len(ds))}
+		for i, d := range ds {
+			resp.Decisions[i] = d.JSON()
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendBatchResponse(nil, ds); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%d decisions: built %q, encoder %q", len(ds), got, want.Bytes())
+		}
+	}
+}
+
 func TestWriteDecision(t *testing.T) {
 	rec := httptest.NewRecorder()
 	writeDecision(rec, Decision{Action: Deny, Signal: signalMeta})

@@ -63,6 +63,7 @@ declare -A keep=(
   [policyd.Action]="Decision.Action"
   [policyd.Signal]="Decision.Signal"
   [policyd.Stats]="Service.Stats returns it"
+  [policyd.JSONStages]="policyd.NewJSONStages returns it"
   [proxy.GreyBoxResult]="proxy.RunGreyBox returns it"
   [ranking.Model]="ranking.NewModel returns it"
   [robots.Cache]="robots.NewCache returns it"
