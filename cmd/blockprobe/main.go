@@ -25,7 +25,7 @@ func main() {
 	var (
 		sites      = flag.Int("sites", 10_000, "population size")
 		cloudflare = flag.Bool("cloudflare", false, "run the §6.3 Cloudflare inference survey")
-		workers    = flag.Int("workers", 64, "probe concurrency")
+		workers    = flag.Int("workers", 64, "probe workers (par.Do, clamped to GOMAXPROCS; <= 1 probes on one goroutine)")
 		seed       = flag.Int64("seed", stats.DefaultSeed, "random seed")
 	)
 	flag.Parse()

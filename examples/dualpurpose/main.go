@@ -9,7 +9,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -50,21 +49,12 @@ func (m mixedUseCompany) visit(nw *netsim.Network, site *webserver.Site) (indexe
 	// Before training, the company honors the virtual token: it reads
 	// robots.txt and filters the collected pages.
 	client := nw.HTTPClient(m.sourceIP)
-	req, err := http.NewRequest(http.MethodGet, site.URL()+"/robots.txt", nil)
-	if err != nil {
-		return indexed, nil, err
-	}
-	req.Header.Set("User-Agent", useragent.FullUA(m.crawlerToken, "2.1"))
-	resp, err := client.Do(req)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		if resp != nil {
-			resp.Body.Close()
-		}
+	hdr := http.Header{"User-Agent": {useragent.FullUA(m.crawlerToken, "2.1")}}
+	status, body, err := netsim.Get(context.Background(), client, site.URL()+"/robots.txt", hdr)
+	if err != nil || status != http.StatusOK {
 		return indexed, indexed, nil // no policy: train on everything
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	policy := robots.ParseString(string(body))
+	policy := robots.ParseString(body)
 	for _, p := range indexed {
 		if policy.Allowed(m.virtualToken, p) {
 			trained = append(trained, p)

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/robots"
 	"repro/internal/useragent"
 )
 
@@ -152,6 +153,22 @@ func ByToken(token string) (Agent, bool) {
 		}
 	}
 	return Agent{}, false
+}
+
+// RestrictsAnyAI reports whether a robots.txt body explicitly restricts
+// any Table 1 agent it names. The body is parsed through the shared
+// content-keyed cache, since populations reuse a few templates.
+func RestrictsAnyAI(robotsTxt string) bool {
+	rb := robots.ParseCached(robotsTxt)
+	for _, tok := range rb.AgentTokens() {
+		if _, ok := ByToken(tok); !ok {
+			continue
+		}
+		if lvl, explicit := rb.ExplicitRestriction(tok); explicit && lvl.Restricted() {
+			return true
+		}
+	}
+	return false
 }
 
 // Tokens returns the product tokens of all Table 1 agents in table order.

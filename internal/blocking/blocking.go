@@ -13,6 +13,11 @@
 // detector's logic — and its blindness — are unchanged: it cannot infer
 // anything about sites that block the tool itself, making the measured
 // adoption rate a lower bound exactly as in the paper.
+//
+// Every probe reads through netsim.Get, so a page cut short is a failed
+// fetch, and the survey probes its sites on par.Do: each shard writes
+// only its own sites' result slots, and workers <= 1 probes them all on
+// the calling goroutine.
 package blocking
 
 import (
@@ -20,8 +25,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/par"
@@ -161,6 +164,27 @@ func (v siteVerdict) String() string {
 // block them by user agent.
 var probeAgents = []string{"ClaudeBot", "anthropic-ai"}
 
+// controlHdr and agentHdrs are the request headers every probe shares:
+// the control crawl's browser user agent, then one per probe agent, all
+// carrying the automation fingerprint (it is the same tool).
+var (
+	controlHdr = probeHeader(useragent.BrowserChromeUA)
+	agentHdrs  = func() []http.Header {
+		hs := make([]http.Header, len(probeAgents))
+		for i, agent := range probeAgents {
+			hs[i] = probeHeader(useragent.FullUA(agent, "1.0"))
+		}
+		return hs
+	}()
+)
+
+func probeHeader(ua string) http.Header {
+	return http.Header{"User-Agent": {ua}, fingerprintHeader: {fingerprintHeadless}}
+}
+
+// robotsHdr is the neutral user agent of the robots.txt overlap check.
+var robotsHdr = http.Header{"User-Agent": {"robots-survey/1.0"}}
+
 // prober runs user-agent differential probes.
 type prober struct {
 	client  *http.Client
@@ -185,11 +209,12 @@ type probeOutcome struct {
 }
 
 // probe runs the §6.1 procedure against one site: control crawl with a
-// Chrome user agent, then one crawl per AI probe agent, all carrying the
-// automation fingerprint (it is the same tool).
+// Chrome user agent, then one crawl per AI probe agent. A control crawl
+// that fails, a body cut short included, is an error: nothing can be
+// compared against it.
 func (p *prober) probe(ctx context.Context, siteURL string) (*probeOutcome, error) {
 	out := &probeOutcome{URL: siteURL, AIStatus: make(map[string]int)}
-	ctrlStatus, ctrlBody, err := p.fetch(ctx, siteURL, useragent.BrowserChromeUA)
+	ctrlStatus, ctrlBody, err := netsim.Get(ctx, p.client, siteURL, controlHdr)
 	if err != nil {
 		return nil, fmt.Errorf("blocking: control crawl: %w", err)
 	}
@@ -199,8 +224,8 @@ func (p *prober) probe(ctx context.Context, siteURL string) (*probeOutcome, erro
 		return out, nil
 	}
 	blocked := false
-	for _, agent := range probeAgents {
-		status, body, err := p.fetch(ctx, siteURL, useragent.FullUA(agent, "1.0"))
+	for i, agent := range probeAgents {
+		status, body, err := netsim.Get(ctx, p.client, siteURL, agentHdrs[i])
 		if err != nil {
 			if p.options.UseErrors {
 				blocked = true
@@ -234,30 +259,6 @@ func significantDelta(control, ai int, ratio float64) bool {
 		diff = -diff
 	}
 	return float64(diff)/float64(control) >= ratio
-}
-
-func (p *prober) fetch(ctx context.Context, url, ua string) (int, string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return 0, "", err
-	}
-	req.Header.Set("User-Agent", ua)
-	req.Header.Set(fingerprintHeader, fingerprintHeadless)
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := resp.Body.Read(buf)
-		sb.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	return resp.StatusCode, sb.String(), nil
 }
 
 // Population fractions from §6.2, expressed over the top 10k.
@@ -371,13 +372,11 @@ type SurveyResult struct {
 
 // RunSurvey generates a population of n sites, hosts them, probes each
 // with the §6.1 detector, and checks robots.txt overlap for detected
-// blockers. workers bounds probe concurrency; cancellation is honored
-// between sites.
+// blockers. Probes run on par.Do: workers bounds the shards in flight
+// (clamped to GOMAXPROCS; workers <= 1 probes every site on the calling
+// goroutine), and cancellation is honored between shards. The first
+// failing site in population order decides the error.
 func RunSurvey(ctx context.Context, n int, seed int64, workers int, opts DetectorOptions) (*SurveyResult, error) {
-	if workers <= 0 {
-		workers = 32
-	}
-	workers = par.Clamp(workers)
 	nw := netsim.New()
 	specs := generatePopulation(n, seed)
 	sizeRand := stats.NewRand(seed).Fork("body-sizes")
@@ -399,59 +398,45 @@ func RunSurvey(ctx context.Context, n int, seed int64, workers int, opts Detecto
 		}
 	}
 
-	prober := func() *prober { return newProber(nw, "198.51.100.200", opts) }
-	type job struct{ i int }
-	verdicts := make([]siteVerdict, len(specs))
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := prober()
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // drain remaining jobs after cancellation
-				}
-				out, err := p.probe(ctx, "http://"+specs[j.i].Domain+"/")
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				verdicts[j.i] = out.Verdict
+	// Each shard probes on its own clients and writes only its sites'
+	// slots, so the result does not depend on scheduling.
+	type siteResult struct {
+		verdict siteVerdict
+		robots  bool // a detected blocker's robots.txt restricts a probe agent
+		err     error
+	}
+	results := make([]siteResult, len(specs))
+	err = par.Do(ctx, workers, len(specs), func(start, end int) {
+		p := newProber(nw, "198.51.100.200", opts)
+		robotsClient := nw.HTTPClient("198.51.100.201")
+		for i := start; i < end; i++ {
+			r := &results[i]
+			out, err := p.probe(ctx, "http://"+specs[i].Domain+"/")
+			if err != nil {
+				r.err = err
+				continue
 			}
-		}()
-	}
-	for i := range specs {
-		jobs <- job{i}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+			r.verdict = out.Verdict
+			if r.verdict == blocksAI {
+				r.robots, r.err = robotsRestricts(ctx, robotsClient, specs[i].Domain)
+			}
+		}
+	})
+	if err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	res := &SurveyResult{Probed: len(specs)}
-	// The overlap pass issues requests without a caller context, so give
-	// this client its own overall timeout as the bound.
-	client := nw.HTTPClient("198.51.100.201")
-	client.Timeout = 10 * time.Second
-	for i, v := range verdicts {
-		switch v {
+	for _, r := range results {
+		if r.err != nil {
+			return nil, r.err
+		}
+		switch r.verdict {
 		case noInference:
 			res.InherentlyBlocked++
 		case blocksAI:
 			res.ActiveBlockers++
-			if robotsRestricts(client, specs[i].Domain) {
+			if r.robots {
 				res.RobotsOverlap++
 			}
 		case noBlocking:
@@ -462,40 +447,22 @@ func RunSurvey(ctx context.Context, n int, seed int64, workers int, opts Detecto
 }
 
 // robotsRestricts fetches the site's robots.txt with a neutral user agent
-// and reports whether it explicitly restricts either probe agent.
-func robotsRestricts(client *http.Client, domain string) bool {
-	req, err := http.NewRequest(http.MethodGet, "http://"+domain+"/robots.txt", nil)
+// and reports whether it explicitly restricts either probe agent. It
+// parses through the shared content-keyed cache: survey populations
+// reuse a handful of robots.txt templates across thousands of sites.
+func robotsRestricts(ctx context.Context, client *http.Client, domain string) (bool, error) {
+	status, body, err := netsim.Get(ctx, client, "http://"+domain+"/robots.txt", robotsHdr)
 	if err != nil {
-		return false
+		return false, fmt.Errorf("blocking: robots.txt check: %w", err)
 	}
-	req.Header.Set("User-Agent", "robots-survey/1.0")
-	resp, err := client.Do(req)
-	if err != nil {
-		return false
+	if status != http.StatusOK {
+		return false, nil
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
-	var sb strings.Builder
-	buf := make([]byte, 4096)
-	for {
-		n, err := resp.Body.Read(buf)
-		sb.Write(buf[:n])
-		if err != nil {
-			break
-		}
-	}
-	rb := parseRobots(sb.String())
+	rb := robots.ParseCached(body)
 	for _, agent := range probeAgents {
 		if lvl, explicit := rb.ExplicitRestriction(agent); explicit && lvl.Restricted() {
-			return true
+			return true, nil
 		}
 	}
-	return false
+	return false, nil
 }
-
-// parseRobots is a tiny indirection for testability. It parses through
-// the shared content-keyed cache: survey populations reuse a handful of
-// robots.txt templates across thousands of sites.
-func parseRobots(body string) *robots.Robots { return robots.ParseCached(body) }

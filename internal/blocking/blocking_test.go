@@ -1,7 +1,10 @@
 package blocking
 
 import (
+	"bufio"
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"testing"
 
@@ -103,6 +106,36 @@ func TestProbeVerdicts(t *testing.T) {
 	}
 }
 
+// TestProbeTruncatedBody: a control page cut short is a failed crawl,
+// not a 10-byte page to compare the AI crawls against.
+func TestProbeTruncatedBody(t *testing.T) {
+	nw := netsim.New()
+	ln, err := nw.Listen("10.1.0.10", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nw.Register("trunc.example", "10.1.0.10")
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				if _, err := http.ReadRequest(bufio.NewReader(c)); err == nil {
+					io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789")
+				}
+			}()
+		}
+	}()
+	p := newProber(nw, "198.51.100.222", DefaultDetector)
+	if out, err := p.probe(context.Background(), "http://trunc.example/"); err == nil {
+		t.Fatalf("truncated control page classified as %v", out.Verdict)
+	}
+}
+
 func TestRealCrawlerNotInherentlyBlocked(t *testing.T) {
 	// A real crawler (no fingerprint header) passes an inherent blocker —
 	// the lower-bound property the paper notes.
@@ -192,6 +225,29 @@ func TestRunSurveySmall(t *testing.T) {
 	}
 	if res.NoBlocking != n-wantInherent-wantUA {
 		t.Errorf("no-blocking = %d", res.NoBlocking)
+	}
+
+	// Neither the shard split nor the robots pass folded into it may
+	// show: one worker gives the same result as many, under both
+	// detectors.
+	for _, opts := range []DetectorOptions{DefaultDetector, StatusOnlyDetector} {
+		many, err := RunSurvey(context.Background(), n, 9, 16, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := RunSurvey(context.Background(), n, 9, 1, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *one != *many {
+			t.Errorf("%+v: workers 1 = %+v, workers 16 = %+v", opts, *one, *many)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunSurvey(ctx, n, 9, 16, DefaultDetector); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled survey: err = %v, want context.Canceled", err)
 	}
 }
 

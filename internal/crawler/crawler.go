@@ -9,11 +9,9 @@ package crawler
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
-	"sync"
 
 	"repro/internal/netsim"
 	"repro/internal/robots"
@@ -154,7 +152,7 @@ func (c *Crawler) fetchPolicy(ctx context.Context, base *url.URL, robotsPath str
 	robotsURL := *base
 	robotsURL.Path = robotsPath
 	robotsURL.RawQuery = ""
-	status, body, err := c.get(ctx, robotsURL.String())
+	status, body, err := netsim.Get(ctx, c.client, robotsURL.String(), c.baseHdr)
 	if err != nil {
 		return nil
 	}
@@ -235,7 +233,7 @@ func (c *Crawler) Crawl(ctx context.Context, baseURL string) (*Visit, error) {
 			v.Skipped = append(v.Skipped, path)
 			continue
 		}
-		status, body, err := c.get(ctx, sitePrefix+path)
+		status, body, err := netsim.Get(ctx, c.client, sitePrefix+path, c.baseHdr)
 		if err != nil {
 			continue
 		}
@@ -345,7 +343,7 @@ func (c *Crawler) FetchOne(ctx context.Context, rawURL string) (fetched bool, v 
 		v.Skipped = append(v.Skipped, path)
 		return false, v, nil
 	}
-	status, _, err := c.get(ctx, rawURL)
+	status, _, err := netsim.Get(ctx, c.client, rawURL, c.baseHdr)
 	if err != nil {
 		return false, v, err
 	}
@@ -355,50 +353,6 @@ func (c *Crawler) FetchOne(ctx context.Context, rawURL string) (fetched bool, v 
 	}
 	v.Fetched = append(v.Fetched, path)
 	return true, v, nil
-}
-
-// maxBodyBytes bounds how much of a response a crawler reads.
-const maxBodyBytes = 1 << 20
-
-// copyBufPool recycles the scratch buffers get uses to drain response
-// bodies; draining fully (instead of closing early) is what lets the
-// transport return the connection to the keep-alive pool.
-var copyBufPool = sync.Pool{
-	New: func() any { return make([]byte, 16*1024) },
-}
-
-func (c *Crawler) get(ctx context.Context, rawURL string) (int, string, error) {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return 0, "", err
-	}
-	// Built by hand instead of NewRequestWithContext so every fetch
-	// shares baseHdr rather than allocating and populating a fresh map.
-	req := (&http.Request{
-		Method:     http.MethodGet,
-		URL:        u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     c.baseHdr,
-		Host:       u.Host,
-	}).WithContext(ctx)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	if resp.ContentLength > 0 && resp.ContentLength <= maxBodyBytes {
-		sb.Grow(int(resp.ContentLength))
-	}
-	buf := copyBufPool.Get().([]byte)
-	_, err = io.CopyBuffer(&sb, io.LimitReader(resp.Body, maxBodyBytes), buf)
-	copyBufPool.Put(buf) //nolint:staticcheck // fixed-size []byte scratch buffer
-	if err != nil {
-		return resp.StatusCode, "", err
-	}
-	return resp.StatusCode, sb.String(), nil
 }
 
 // extractLinks scans HTML for href and src attribute values. It is a

@@ -307,7 +307,7 @@ func Table2(pop *Population) []Table2Row {
 		row.Sites++
 		p, _ := ProviderByName(name)
 		body := p.RobotsTxt(site.AIToggleEnabled)
-		if restrictsAnyAI(body) {
+		if agents.RestrictsAnyAI(body) {
 			row.DisallowAI++
 		}
 	}
@@ -320,21 +320,6 @@ func Table2(pop *Population) []Table2Row {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].SharePct > rows[j].SharePct })
 	return rows
-}
-
-// restrictsAnyAI parses a robots.txt body and reports whether any Table 1
-// agent is explicitly restricted.
-func restrictsAnyAI(body string) bool {
-	rb := robots.ParseString(body)
-	for _, tok := range rb.AgentTokens() {
-		if _, ok := agents.ByToken(tok); !ok {
-			continue
-		}
-		if lvl, explicit := rb.ExplicitRestriction(tok); explicit && lvl.Restricted() {
-			return true
-		}
-	}
-	return false
 }
 
 // ControlSummary aggregates §4.4's agency findings over a population.

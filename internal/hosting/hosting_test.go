@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/agents"
 	"repro/internal/robots"
 	"repro/internal/useragent"
 )
@@ -83,7 +84,7 @@ func TestCarbonmadeDefaultBlocksAI(t *testing.T) {
 			t.Errorf("Carbonmade default must block %s", ua)
 		}
 	}
-	if !restrictsAnyAI(p.RobotsTxt(false)) {
+	if !agents.RestrictsAnyAI(p.RobotsTxt(false)) {
 		t.Error("Carbonmade must count as disallowing AI")
 	}
 }

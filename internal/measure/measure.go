@@ -174,7 +174,7 @@ func RunPassive(ctx context.Context, seed int64) (*PassiveResult, error) {
 		if a, ok := agents.ByToken(tok); ok && a.IPPrefix != "" {
 			verified := true
 			for _, rec := range log {
-				if ProductToken(rec.UserAgent) == tok &&
+				if useragent.ProductToken(rec.UserAgent) == tok &&
 					!strings.HasPrefix(rec.RemoteIP, a.IPPrefix+".") {
 					verified = false
 				}
@@ -239,7 +239,7 @@ func ClassifyEvidence(ev Evidence) Verdict {
 func Classify(log []webserver.Record) map[string]Verdict {
 	byToken := make(map[string]Evidence)
 	for _, rec := range log {
-		tok := ProductToken(rec.UserAgent)
+		tok := useragent.ProductToken(rec.UserAgent)
 		if tok == "" {
 			continue
 		}
@@ -259,17 +259,6 @@ func Classify(log []webserver.Record) map[string]Verdict {
 		out[tok] = ClassifyEvidence(ev)
 	}
 	return out
-}
-
-// ProductToken extracts the robots.txt product token from a full
-// User-Agent header.
-func ProductToken(ua string) string {
-	// Full UAs look like "Mozilla/5.0 …; compatible; GPTBot/1.1"; take the
-	// last token-ish segment.
-	if i := strings.LastIndex(ua, "; "); i >= 0 {
-		ua = ua[i+2:]
-	}
-	return useragent.ExtractToken(ua)
 }
 
 // Table1Row is one line of the regenerated Table 1.

@@ -129,6 +129,35 @@ func TestFastClientPeerCloseMidResponse(t *testing.T) {
 	}
 }
 
+// TestGetTruncatedBody pins Get's half of the truncated-response case:
+// a 200 whose body stops short of its Content-Length is an error, not a
+// short page.
+func TestGetTruncatedBody(t *testing.T) {
+	nw := New()
+	ln, err := nw.Listen("203.0.113.65", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nw.Register("trunc.test", "203.0.113.65")
+	rawServe(ln, func(c net.Conn) {
+		defer c.Close()
+		if err := readRequestHead(c); err != nil {
+			return
+		}
+		io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789")
+	})
+
+	client := nw.HTTPClient("198.51.100.65")
+	status, body, err := Get(context.Background(), client, "http://trunc.test/", nil)
+	if err == nil {
+		t.Fatalf("Get read a 10-of-100-byte body as whole: status %d, body %q", status, body)
+	}
+	if status != http.StatusOK || body != "" {
+		t.Fatalf("Get = %d, %q, %v; want the status, no body and the error", status, body, err)
+	}
+}
+
 // TestFastClientPostBodyAcrossRing sends a POST body several times the
 // 32KiB netsim ring and checks the bytes arrive intact: the client must
 // interleave body writes with the server's reads instead of deadlocking

@@ -20,13 +20,13 @@ const shardsPerWorker = 4
 // executing inline (workers <= 1).
 const inlineShard = 1024
 
-// Clamp bounds a worker count by GOMAXPROCS: the pools in this
+// clamp bounds a worker count by GOMAXPROCS: the pools in this
 // repository are CPU-bound (in-memory networks, parsing, sampling), so
 // goroutines beyond the core count only add scheduling overhead — on a
 // 1-CPU runner, workers>1 used to be strictly slower than inline
 // execution. Results never depend on worker counts, so clamping is
 // always safe. Non-positive counts clamp to 1.
-func Clamp(workers int) int {
+func clamp(workers int) int {
 	if p := runtime.GOMAXPROCS(0); workers > p {
 		workers = p
 	}
@@ -47,7 +47,7 @@ func Do(ctx context.Context, workers, n int, fn func(start, end int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	workers = Clamp(workers)
+	workers = clamp(workers)
 	if workers > n {
 		workers = n
 	}

@@ -65,19 +65,19 @@ func TestClamp(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	runtime.GOMAXPROCS(1)
-	if got := Clamp(8); got != 1 {
-		t.Errorf("Clamp(8) on 1 CPU = %d, want 1", got)
+	if got := clamp(8); got != 1 {
+		t.Errorf("clamp(8) on 1 CPU = %d, want 1", got)
 	}
-	if got := Clamp(0); got != 1 {
-		t.Errorf("Clamp(0) = %d, want 1", got)
+	if got := clamp(0); got != 1 {
+		t.Errorf("clamp(0) = %d, want 1", got)
 	}
 	runtime.GOMAXPROCS(old)
-	if got := Clamp(1); got != 1 {
-		t.Errorf("Clamp(1) = %d, want 1", got)
+	if got := clamp(1); got != 1 {
+		t.Errorf("clamp(1) = %d, want 1", got)
 	}
 	if old > 1 {
-		if got := Clamp(old + 5); got != old {
-			t.Errorf("Clamp(%d) = %d, want %d", old+5, got, old)
+		if got := clamp(old + 5); got != old {
+			t.Errorf("clamp(%d) = %d, want %d", old+5, got, old)
 		}
 	}
 

@@ -8,6 +8,11 @@
 //     and replaying 614 user agents to infer the undocumented rule list;
 //   - the Figure 7 inference flow: classifying third-party sites as
 //     Block-AI on / off / inconclusive from probe responses alone.
+//
+// Every probe reads through netsim.Get, so a page cut short is a failed
+// fetch, and the Figure 7 survey probes its sites on par.Do: each shard
+// writes only its own sites' result slots, and workers <= 1 probes them
+// all on the calling goroutine.
 package proxy
 
 import (
@@ -23,7 +28,6 @@ import (
 	"repro/internal/agents"
 	"repro/internal/netsim"
 	"repro/internal/par"
-	"repro/internal/robots"
 	"repro/internal/stats"
 	"repro/internal/useragent"
 	"repro/internal/webserver"
@@ -233,26 +237,11 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 	probes = append(probes, agents.GenericCrawlerUserAgents(extraAgents)...)
 
 	fetch := func(ua string) (responseKind, error) {
-		req, err := http.NewRequestWithContext(context.Background(), http.MethodGet, site.URL()+"/", nil)
+		status, body, err := netsim.Get(context.Background(), client, site.URL()+"/", http.Header{"User-Agent": {ua}})
 		if err != nil {
 			return kindOther, err
 		}
-		req.Header.Set("User-Agent", ua)
-		resp, err := client.Do(req)
-		if err != nil {
-			return kindOther, err
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 2048)
-		for {
-			n, rerr := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if rerr != nil {
-				break
-			}
-		}
-		return classifyResponse(resp.StatusCode, sb.String()), nil
+		return classifyResponse(status, body), nil
 	}
 
 	res := &GreyBoxResult{Probed: len(probes)}
@@ -273,7 +262,7 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 			return nil, err
 		}
 		if offOK[ua] && kind != kindOK {
-			blocked[tokenOf(ua)] = true
+			blocked[useragent.ProductToken(ua)] = true
 		}
 	}
 	for tok := range blocked {
@@ -281,13 +270,6 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 	}
 	sort.Strings(res.BlockedTokens)
 	return res, nil
-}
-
-func tokenOf(ua string) string {
-	if i := strings.LastIndex(ua, "; "); i >= 0 {
-		ua = ua[i+2:]
-	}
-	return useragent.ExtractToken(ua)
 }
 
 // inference is the Figure 7 classification of one proxied site.
@@ -323,42 +305,40 @@ func (i inference) String() string {
 	}
 }
 
-// aiProbeUAs and automationProbeUAs are Figure 7's probe sets: the two
-// most-restricted unverified AI agents, and two unpopular automation
-// libraries from the Definitely Automated list.
+// aiProbeHdrs and automationProbeHdrs are Figure 7's probe sets, one
+// shared request header per agent: the two most-restricted unverified AI
+// agents, and two unpopular automation libraries from the Definitely
+// Automated list.
 var (
-	aiProbeUAs         = []string{"ClaudeBot", "anthropic-ai"}
-	automationProbeUAs = []string{"HeadlessChrome", "libwww-perl"}
+	aiProbeHdrs         = uaHeaders("ClaudeBot", "anthropic-ai")
+	automationProbeHdrs = uaHeaders("HeadlessChrome", "libwww-perl")
 )
 
-// inferBlockAI runs the Figure 7 flow against one site.
+// uaHeaders returns one request header per product token, carrying the
+// token's full user agent.
+func uaHeaders(tokens ...string) []http.Header {
+	hs := make([]http.Header, len(tokens))
+	for i, tok := range tokens {
+		hs[i] = http.Header{"User-Agent": {useragent.FullUA(tok, "1.0")}}
+	}
+	return hs
+}
+
+// inferBlockAI runs the Figure 7 flow against one site. A probe that
+// fails, a body cut short included, is an error rather than a page to
+// classify.
 func inferBlockAI(ctx context.Context, client *http.Client, siteURL string) (inference, error) {
-	probe := func(token string) (responseKind, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, siteURL, nil)
+	probe := func(hdr http.Header) (responseKind, error) {
+		status, body, err := netsim.Get(ctx, client, siteURL, hdr)
 		if err != nil {
 			return kindOther, err
 		}
-		req.Header.Set("User-Agent", useragent.FullUA(token, "1.0"))
-		resp, err := client.Do(req)
-		if err != nil {
-			return kindOther, err
-		}
-		defer resp.Body.Close()
-		var sb strings.Builder
-		buf := make([]byte, 2048)
-		for {
-			n, rerr := resp.Body.Read(buf)
-			sb.Write(buf[:n])
-			if rerr != nil {
-				break
-			}
-		}
-		return classifyResponse(resp.StatusCode, sb.String()), nil
+		return classifyResponse(status, body), nil
 	}
 
 	aiKind := kindOK
-	for _, ua := range aiProbeUAs {
-		k, err := probe(ua)
+	for _, hdr := range aiProbeHdrs {
+		k, err := probe(hdr)
 		if err != nil {
 			return inconclusive, err
 		}
@@ -369,8 +349,8 @@ func inferBlockAI(ctx context.Context, client *http.Client, siteURL string) (inf
 	if aiKind == kindOK {
 		return inferredOff, nil
 	}
-	for _, ua := range automationProbeUAs {
-		k, err := probe(ua)
+	for _, hdr := range automationProbeHdrs {
+		k, err := probe(hdr)
 		if err != nil {
 			return inconclusive, err
 		}
@@ -488,12 +468,11 @@ func (r *CFSurveyResult) OnRate() float64 {
 
 // RunInferenceSurvey hosts n proxied sites and classifies each with the
 // Figure 7 flow, then measures the robots.txt correlation. Probes run on
-// a workers-bounded pool; cancellation is honored between sites.
+// par.Do: workers bounds the shards in flight (clamped to GOMAXPROCS;
+// workers <= 1 probes every site on the calling goroutine), and
+// cancellation is honored between shards. The first failing site in
+// population order decides the error.
 func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*CFSurveyResult, error) {
-	if workers <= 0 {
-		workers = 32
-	}
-	workers = par.Clamp(workers)
 	nw := netsim.New()
 	specs := generateCFPopulation(n, seed)
 	// One virtual-host farm stands in for the whole proxied population —
@@ -527,67 +506,50 @@ func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*C
 		}
 	}
 
-	inferences := make([]inference, n)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			client := nw.HTTPClient("198.51.100.240")
-			for i := range jobs {
-				if ctx.Err() != nil {
-					continue // drain remaining jobs after cancellation
-				}
-				inf, err := inferBlockAI(ctx, client, "http://"+specs[i].Domain+"/")
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				inferences[i] = inf
+	// Each shard probes on its own clients and writes only its sites'
+	// slots, so the result does not depend on scheduling.
+	type siteResult struct {
+		inf    inference
+		robots bool // a conclusive site's robots.txt restricts an AI agent
+		err    error
+	}
+	results := make([]siteResult, n)
+	err = par.Do(ctx, workers, n, func(start, end int) {
+		client := nw.HTTPClient("198.51.100.240")
+		robotsClient := nw.HTTPClient("198.51.100.241")
+		for i := start; i < end; i++ {
+			r := &results[i]
+			r.inf, r.err = inferBlockAI(ctx, client, "http://"+specs[i].Domain+"/")
+			if r.err == nil && r.inf != inconclusive {
+				r.robots, r.err = robotsDisallowsAI(ctx, robotsClient, specs[i].Domain)
 			}
-		}()
-	}
-	for i := range specs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		}
+	})
+	if err != nil {
 		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 
 	res := &CFSurveyResult{Total: n}
-	// The robots correlation pass issues requests without a caller
-	// context, so give this client its own overall timeout as the bound.
-	client := nw.HTTPClient("198.51.100.241")
-	client.Timeout = 10 * time.Second
 	var onRobots, offRobots, onCount, offCount int
-	for i, inf := range inferences {
-		switch inf {
+	for _, r := range results {
+		if r.err != nil {
+			return nil, r.err
+		}
+		switch r.inf {
 		case inferredOff:
 			res.Off++
 			offCount++
-			if robotsDisallowsAI(client, specs[i].Domain) {
+			if r.robots {
 				offRobots++
 			}
 		case inferredOnBlock, inferredOnChallenge:
-			if inf == inferredOnBlock {
+			if r.inf == inferredOnBlock {
 				res.OnBlock++
 			} else {
 				res.OnChallenge++
 			}
 			onCount++
-			if robotsDisallowsAI(client, specs[i].Domain) {
+			if r.robots {
 				onRobots++
 			}
 		case inconclusive:
@@ -603,38 +565,18 @@ func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*C
 	return res, nil
 }
 
+// robotsHdr is the neutral user agent of the robots.txt correlation pass.
+var robotsHdr = http.Header{"User-Agent": {"robots-survey/1.0"}}
+
 // robotsDisallowsAI fetches robots.txt with a neutral UA and reports
 // whether it explicitly restricts any Table 1 AI agent.
-func robotsDisallowsAI(client *http.Client, domain string) bool {
-	req, err := http.NewRequest(http.MethodGet, "http://"+domain+"/robots.txt", nil)
+func robotsDisallowsAI(ctx context.Context, client *http.Client, domain string) (bool, error) {
+	status, body, err := netsim.Get(ctx, client, "http://"+domain+"/robots.txt", robotsHdr)
 	if err != nil {
-		return false
+		return false, fmt.Errorf("proxy: robots.txt check: %w", err)
 	}
-	req.Header.Set("User-Agent", "robots-survey/1.0")
-	resp, err := client.Do(req)
-	if err != nil {
-		return false
+	if status != http.StatusOK {
+		return false, nil
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return false
-	}
-	var sb strings.Builder
-	buf := make([]byte, 2048)
-	for {
-		n, rerr := resp.Body.Read(buf)
-		sb.Write(buf[:n])
-		if rerr != nil {
-			break
-		}
-	}
-	rb := robots.ParseCached(sb.String())
-	for _, tok := range rb.AgentTokens() {
-		if _, ok := agents.ByToken(tok); ok {
-			if lvl, explicit := rb.ExplicitRestriction(tok); explicit && lvl.Restricted() {
-				return true
-			}
-		}
-	}
-	return false
+	return agents.RestrictsAnyAI(body), nil
 }

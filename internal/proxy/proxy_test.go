@@ -1,7 +1,9 @@
 package proxy
 
 import (
+	"bufio"
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -195,6 +197,36 @@ func TestInferBlockAIFlow(t *testing.T) {
 	}
 }
 
+// TestInferBlockAITruncatedBody: a probe page cut short is an error, not
+// a 10-byte page to classify.
+func TestInferBlockAITruncatedBody(t *testing.T) {
+	nw := netsim.New()
+	ln, err := nw.Listen("203.0.115.40", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nw.Register("trunc.test", "203.0.115.40")
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				if _, err := http.ReadRequest(bufio.NewReader(c)); err == nil {
+					io.WriteString(c, "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789")
+				}
+			}()
+		}
+	}()
+	client := nw.HTTPClient("198.51.100.8")
+	if got, err := inferBlockAI(context.Background(), client, "http://trunc.test/"); err == nil {
+		t.Fatalf("truncated probe page classified as %v", got)
+	}
+}
+
 func itoa(v int) string {
 	var b [4]byte
 	i := len(b)
@@ -270,6 +302,22 @@ func TestRunInferenceSurvey(t *testing.T) {
 	if res.OnRobotsRate <= res.OffRobotsRate {
 		t.Errorf("robots correlation missing: on=%.2f off=%.2f",
 			res.OnRobotsRate, res.OffRobotsRate)
+	}
+
+	// Neither the shard split nor the robots pass folded into it may
+	// show: one worker gives the same result as many.
+	one, err := RunInferenceSurvey(context.Background(), n, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *one != *res {
+		t.Errorf("workers 1 = %+v, workers 16 = %+v", *one, *res)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := RunInferenceSurvey(ctx, n, 4, 16); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled survey: err = %v, want context.Canceled", err)
 	}
 }
 

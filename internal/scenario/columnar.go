@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/agents"
 	"repro/internal/blocking"
-	"repro/internal/measure"
 	"repro/internal/robots"
 	"repro/internal/stats"
 	"repro/internal/useragent"
@@ -128,7 +127,7 @@ func newTierWorld(sp Spec, roster []resolvedCrawler, start time.Time) *tierWorld
 	w.tokenIndex = make(map[string]int)
 	w.rosterToken = make([]int, len(roster))
 	for r, rc := range roster {
-		tok := measure.ProductToken(useragent.FullUA(rc.spec.Token, "1.0"))
+		tok := useragent.ProductToken(useragent.FullUA(rc.spec.Token, "1.0"))
 		id, ok := w.tokenIndex[tok]
 		if !ok {
 			id = len(w.tokens)

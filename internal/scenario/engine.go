@@ -11,6 +11,7 @@ import (
 	"repro/internal/measure"
 	"repro/internal/netsim"
 	"repro/internal/robots"
+	"repro/internal/useragent"
 	"repro/internal/webserver"
 )
 
@@ -119,7 +120,7 @@ const siteIP = "203.0.113.80"
 func absorbWindow(window []webserver.Record, policy *robots.Robots, restricts func(string) bool,
 	mm *MonthMetrics, windowEv map[string]measure.Evidence) {
 	for _, rec := range window {
-		tok := measure.ProductToken(rec.UserAgent)
+		tok := useragent.ProductToken(rec.UserAgent)
 		if tok == "" {
 			continue
 		}

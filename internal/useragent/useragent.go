@@ -41,6 +41,17 @@ func ExtractToken(ua string) string {
 	return ua
 }
 
+// ProductToken extracts the robots.txt product token from a full
+// User-Agent header: full headers look like
+// "Mozilla/5.0 …; compatible; GPTBot/1.1", so it takes the token of the
+// last "; "-separated segment.
+func ProductToken(ua string) string {
+	if i := strings.LastIndex(ua, "; "); i >= 0 {
+		ua = ua[i+2:]
+	}
+	return ExtractToken(ua)
+}
+
 // EqualToken reports whether two product tokens are equal under the
 // case-insensitive comparison RFC 9309 requires.
 func EqualToken(a, b string) bool {
