@@ -32,6 +32,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -67,7 +68,7 @@ func main() {
 
 // parseReplicas expands the -replicas flag into named replica configs.
 // host:port means (json=port, frame=port+1); host:json:frame spells
-// both listeners.
+// both listeners. Every port, derived or spelled, is in [1, 65535].
 func parseReplicas(spec string) ([]fleet.ReplicaConfig, error) {
 	var rcs []fleet.ReplicaConfig
 	for i, ep := range strings.Split(spec, ",") {
@@ -82,13 +83,18 @@ func parseReplicas(spec string) ([]fleet.ReplicaConfig, error) {
 		host := parts[0]
 		ports := make([]int, len(parts)-1)
 		for j := range ports {
-			if _, err := fmt.Sscanf(parts[1+j], "%d", &ports[j]); err != nil {
+			p, err := strconv.Atoi(parts[1+j])
+			if err != nil || p < 1 || p > 65535 {
 				return nil, fmt.Errorf("replica %q: bad port %q", ep, parts[1+j])
 			}
+			ports[j] = p
 		}
 		jsonPort, framePort := ports[0], ports[0]+1
 		if len(ports) == 2 {
 			framePort = ports[1]
+		}
+		if framePort > 65535 {
+			return nil, fmt.Errorf("replica %q: frame port %d out of range", ep, framePort)
 		}
 		rcs = append(rcs, fleet.ReplicaConfig{
 			Name:      fmt.Sprintf("policyd-%d@%s:%d", i, host, jsonPort),

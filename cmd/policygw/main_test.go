@@ -29,6 +29,11 @@ func TestParseReplicas(t *testing.T) {
 		{spec: "h", wantErr: "host:json:frame"},
 		{spec: "h:x", wantErr: `bad port "x"`},
 		{spec: "h:1:y", wantErr: `bad port "y"`},
+		{spec: "h:80x", wantErr: `bad port "80x"`},
+		{spec: "h:-5", wantErr: `bad port "-5"`},
+		{spec: "h:99999999", wantErr: `bad port "99999999"`},
+		{spec: "h:1:0", wantErr: `bad port "0"`},
+		{spec: "h:65535", wantErr: "frame port 65536 out of range"},
 		{spec: " , ", wantErr: "-replicas is required"},
 	} {
 		got, err := parseReplicas(c.spec)

@@ -116,20 +116,21 @@ func (c blockerChain) Check(r *http.Request) *webserver.BlockDecision {
 
 // DetectorOptions selects which §6.1 features the probe compares.
 type DetectorOptions struct {
-	// UseLength enables the content-length comparison (default true via
-	// DefaultDetector). LengthRatio is the relative difference that counts
-	// as significant (0 means 0.5).
-	UseLength   bool
-	LengthRatio float64
-	// UseErrors treats transport errors on the AI crawl as blocking.
-	UseErrors bool
+	// StatusOnly compares status codes alone. Otherwise a content length
+	// lengthRatio away from the control's, or a transport error on the AI
+	// crawl, also counts as blocking.
+	StatusOnly bool
 }
 
+// lengthRatio is the relative content-length difference that counts as
+// significant.
+const lengthRatio = 0.5
+
 // DefaultDetector is the paper's full feature set.
-var DefaultDetector = DetectorOptions{UseLength: true, LengthRatio: 0.5, UseErrors: true}
+var DefaultDetector = DetectorOptions{}
 
 // StatusOnlyDetector is the ablation: status codes only.
-var StatusOnlyDetector = DetectorOptions{}
+var StatusOnlyDetector = DetectorOptions{StatusOnly: true}
 
 // siteVerdict is the §6.1 classification of one site.
 type siteVerdict int
@@ -193,9 +194,6 @@ type prober struct {
 
 // newProber builds a prober that dials from sourceIP.
 func newProber(nw *netsim.Network, sourceIP string, opts DetectorOptions) *prober {
-	if opts.UseLength && opts.LengthRatio == 0 {
-		opts.LengthRatio = 0.5
-	}
 	return &prober{client: nw.HTTPClient(sourceIP), options: opts}
 }
 
@@ -227,7 +225,7 @@ func (p *prober) probe(ctx context.Context, siteURL string) (*probeOutcome, erro
 	for i, agent := range probeAgents {
 		status, body, err := netsim.Get(ctx, p.client, siteURL, agentHdrs[i])
 		if err != nil {
-			if p.options.UseErrors {
+			if !p.options.StatusOnly {
 				blocked = true
 			}
 			out.AIStatus[agent] = 0
@@ -238,7 +236,7 @@ func (p *prober) probe(ctx context.Context, siteURL string) (*probeOutcome, erro
 			blocked = true
 			continue
 		}
-		if p.options.UseLength && significantDelta(len(ctrlBody), len(body), p.options.LengthRatio) {
+		if !p.options.StatusOnly && significantDelta(len(ctrlBody), len(body)) {
 			blocked = true
 		}
 	}
@@ -250,7 +248,7 @@ func (p *prober) probe(ctx context.Context, siteURL string) (*probeOutcome, erro
 	return out, nil
 }
 
-func significantDelta(control, ai int, ratio float64) bool {
+func significantDelta(control, ai int) bool {
 	if control == 0 {
 		return ai != 0
 	}
@@ -258,7 +256,7 @@ func significantDelta(control, ai int, ratio float64) bool {
 	if diff < 0 {
 		diff = -diff
 	}
-	return float64(diff)/float64(control) >= ratio
+	return float64(diff)/float64(control) >= lengthRatio
 }
 
 // Population fractions from §6.2, expressed over the top 10k.

@@ -268,16 +268,16 @@ func TestStatusOnlyDetectorUndercounts(t *testing.T) {
 }
 
 func TestSignificantDelta(t *testing.T) {
-	if !significantDelta(1000, 100, 0.5) {
+	if !significantDelta(1000, 100) {
 		t.Error("90% shrink is significant")
 	}
-	if significantDelta(1000, 900, 0.5) {
+	if significantDelta(1000, 900) {
 		t.Error("10% shrink is not significant at ratio 0.5")
 	}
-	if !significantDelta(0, 10, 0.5) {
+	if !significantDelta(0, 10) {
 		t.Error("growth from zero is significant")
 	}
-	if significantDelta(0, 0, 0.5) {
+	if significantDelta(0, 0) {
 		t.Error("zero vs zero is not significant")
 	}
 }

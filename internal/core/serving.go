@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 
 	"repro/internal/corpus"
 	"repro/internal/netsim"
@@ -57,7 +58,8 @@ func runPolicyService(ctx context.Context, env *Env) (*Result, error) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		netsim.Serve(ln, policyd.NewHandler(svc))
+		h := policyd.NewHandler(svc)
+		netsim.Serve(ln, func(c net.Conn) { netsim.ServeConn(c, h) })
 	}()
 	defer func() {
 		ln.Close()

@@ -686,10 +686,9 @@ func probers() int {
 	}
 }
 
-// TestProbeUnreachableReplica closes one replica's frame listener.
-// Closing a listener leaves established conns up, as on TCP, so the
-// test also restarts the probers: the new ones must find that replica
-// unreachable on every tick. Meanwhile the fleet version must not move
+// TestProbeUnreachableReplica closes one replica's frame listener, which
+// closes its live conns too, and restarts the probers: the new ones must
+// find that replica unreachable on every tick. Meanwhile the fleet version must not move
 // to a version the gateway cannot confirm on every replica, traffic to
 // the healthy replica must still be answered correctly, and cancelling
 // ctx must stop every prober.
@@ -746,6 +745,30 @@ func TestProbeUnreachableReplica(t *testing.T) {
 
 	cancel()
 	waitFor(t, "probers to exit after cancel", func() bool { return probers() == 0 })
+}
+
+// TestCloseEndsLiveFrameConns: Close ends the conns the fleet's
+// listeners accepted, not only the listeners, so a frame client dialed
+// to a replica before Close is not answered after it.
+func TestCloseEndsLiveFrameConns(t *testing.T) {
+	f, err := NewSimFleet(straddleSnapshot(t, "v1", false, 8), 2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fc, err := f.DialFrameV2(context.Background(), f.ReplicaFrameAddrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	qs := straddleBatch(8)
+	if _, _, err := fc.Decide(qs, nil); err != nil {
+		t.Fatalf("Decide before Close: %v", err)
+	}
+	f.Close()
+	if ds, version, err := fc.Decide(qs, nil); err == nil {
+		t.Fatalf("Decide after Close answered %d decisions at version %q", len(ds), version)
+	}
 }
 
 // TestJSONTenantsOwnTheirBytes is the buffer-scribbling check for the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 
 	"repro/internal/netsim"
 	"repro/internal/policyd"
@@ -32,6 +33,9 @@ type SimFleet struct {
 
 	cancel    context.CancelFunc
 	listeners []net.Listener
+	// serving counts the listeners' server goroutines; Close waits for
+	// them.
+	serving sync.WaitGroup
 }
 
 // ClientIP is the source IP SimFleet clients should dial from.
@@ -60,19 +64,17 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 		svc := policyd.NewService(snap)
 		f.Services = append(f.Services, svc)
 
-		jsonLn, err := f.listen(ip, 80)
-		if err != nil {
+		h := policyd.NewHandler(svc)
+		if err := f.serve(ip, 80, func(ln net.Listener) error {
+			return netsim.Serve(ln, func(c net.Conn) { netsim.ServeConn(c, h) })
+		}); err != nil {
 			f.Close()
 			return nil, err
 		}
-		go netsim.Serve(jsonLn, policyd.NewHandler(svc))
-
-		frameLn, err := f.listen(ip, 81)
-		if err != nil {
+		if err := f.serve(ip, 81, func(ln net.Listener) error { return policyd.ServeFrames(ln, svc) }); err != nil {
 			f.Close()
 			return nil, err
 		}
-		go policyd.ServeFrames(frameLn, svc)
 
 		rcs = append(rcs, ReplicaConfig{Name: name, FrameAddr: ip + ":81"})
 		f.ReplicaURLs = append(f.ReplicaURLs, "http://"+ip+":80")
@@ -92,32 +94,37 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 	gw.Start(ctx)
 
 	nw.Register("gateway.fleet", gatewayIP)
-	gwJSON, err := f.listen(gatewayIP, 80)
-	if err != nil {
+	gwh := gw.Handler()
+	if err := f.serve(gatewayIP, 80, func(ln net.Listener) error {
+		return netsim.Serve(ln, func(c net.Conn) { netsim.ServeConn(c, gwh) })
+	}); err != nil {
 		f.Close()
 		return nil, err
 	}
-	go netsim.Serve(gwJSON, gw.Handler())
-
-	gwFrame, err := f.listen(gatewayIP, 81)
-	if err != nil {
+	if err := f.serve(gatewayIP, 81, gw.ServeFrames); err != nil {
 		f.Close()
 		return nil, err
 	}
-	go gw.ServeFrames(gwFrame)
 
 	f.GatewayURL = "http://" + gatewayIP + ":80"
 	f.GatewayFrameAddr = gatewayIP + ":81"
 	return f, nil
 }
 
-func (f *SimFleet) listen(ip string, port int) (net.Listener, error) {
+// serve listens on ip:port and runs run on the listener in a goroutine
+// that Close waits for.
+func (f *SimFleet) serve(ip string, port int, run func(net.Listener) error) error {
 	ln, err := f.NW.Listen(ip, port)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	f.listeners = append(f.listeners, ln)
-	return ln, nil
+	f.serving.Add(1)
+	go func() {
+		defer f.serving.Done()
+		run(ln)
+	}()
+	return nil
 }
 
 // Client returns an HTTP client originating from ClientIP.
@@ -145,7 +152,8 @@ func (f *SimFleet) SwapAll(snap *policyd.Snapshot) {
 }
 
 // Close tears the fleet down: gateway conns, then the listeners, whose
-// servers close their conns as they stop.
+// servers close their conns as they stop. It returns once every server
+// goroutine has exited, so no conn dialed to the fleet is answered after.
 func (f *SimFleet) Close() {
 	f.cancel()
 	if f.GW != nil {
@@ -154,4 +162,5 @@ func (f *SimFleet) Close() {
 	for _, ln := range f.listeners {
 		ln.Close()
 	}
+	f.serving.Wait()
 }

@@ -127,10 +127,7 @@ func (t *fastTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	mHTTPRequests.Inc()
-	var started time.Time
-	if obs.Enabled() {
-		started = time.Now()
-	}
+	started := time.Now()
 	ctx := req.Context()
 	if err := ctx.Err(); err != nil {
 		closeRequestBody(req)
@@ -189,9 +186,7 @@ func (t *fastTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if err == nil {
 			*headp = head[:0]
 			fastHeadPool.Put(headp)
-			if !started.IsZero() {
-				mHTTPLatency.ObserveSince(started)
-			}
+			mHTTPLatency.ObserveSince(started)
 			return resp, nil
 		}
 		fc.close()

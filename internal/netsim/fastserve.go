@@ -36,11 +36,14 @@ var errSrvTooManyHdrs = errors.New("netsim: fast server: too many header lines")
 // client's small request heads.
 var srvRespPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
 
-// Serve accepts connections on ln and serves each with ServeConn on its
-// own goroutine. When Accept fails — ln was closed — it closes every
-// live connection, waits for their serve loops to return, as
-// http.Server.Close does, and returns the accept error.
-func Serve(ln net.Listener, h http.Handler) error {
+// Serve accepts connections on ln and runs serve on each, on its own
+// goroutine; serve owns the connection and closes it before returning.
+// When Accept fails — ln was closed — Serve closes every live
+// connection, waits for their serve calls to return, as
+// http.Server.Close does, and returns the accept error. Every netsim
+// server runs on it: HTTP through ServeConn, policyd's frame listeners
+// and the webserver farm.
+func Serve(ln net.Listener, serve func(net.Conn)) error {
 	var (
 		mu      sync.Mutex
 		live    = make(map[net.Conn]struct{})
@@ -63,7 +66,7 @@ func Serve(ln net.Listener, h http.Handler) error {
 		serving.Add(1)
 		go func() {
 			defer serving.Done()
-			ServeConn(c, h)
+			serve(c)
 			mu.Lock()
 			delete(live, c)
 			mu.Unlock()

@@ -25,21 +25,22 @@ func TestServeHandsBodyToHandler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// ?read=N reads N body bytes (all of them when absent).
+		limit := r.ContentLength
+		if s := r.URL.Query().Get("read"); s != "" {
+			limit, _ = strconv.ParseInt(s, 10, 64)
+		}
+		got, err := io.ReadAll(io.LimitReader(r.Body, limit))
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		fmt.Fprintf(w, "%s %d %s", r.URL.Path, len(got), got[:min(len(got), 8)])
+	})
 	done := make(chan error, 1)
 	go func() {
-		done <- Serve(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			// ?read=N reads N body bytes (all of them when absent).
-			limit := r.ContentLength
-			if s := r.URL.Query().Get("read"); s != "" {
-				limit, _ = strconv.ParseInt(s, 10, 64)
-			}
-			got, err := io.ReadAll(io.LimitReader(r.Body, limit))
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			fmt.Fprintf(w, "%s %d %s", r.URL.Path, len(got), got[:min(len(got), 8)])
-		}))
+		done <- Serve(ln, func(c net.Conn) { ServeConn(c, h) })
 	}()
 	client := nw.HTTPClient("198.51.100.80")
 

@@ -26,14 +26,9 @@ type Delta struct {
 // counter/gauge deltas, sorted by metric name. Metrics with identical
 // values on both sides are omitted; metrics present on only one side are
 // reported with the corresponding In* flag cleared. The input order does
-// matter: deltas read as "what changed going from a to b".
-func (r *Registry) SnapshotDelta(a, b []byte) ([]Delta, error) {
-	return SnapshotDelta(a, b)
-}
-
-// SnapshotDelta is the package-level form of Registry.SnapshotDelta; the
-// snapshots carry their own metric universe, so no registry state is
-// needed to diff them.
+// matter: deltas read as "what changed going from a to b". The snapshots
+// carry their own metric universe, so no registry state is needed to
+// diff them.
 func SnapshotDelta(a, b []byte) ([]Delta, error) {
 	av, err := parseSnapshot(a)
 	if err != nil {

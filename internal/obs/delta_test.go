@@ -124,20 +124,3 @@ func TestSnapshotDeltaMalformed(t *testing.T) {
 		}
 	}
 }
-
-// TestRegistrySnapshotDelta covers the method form.
-func TestRegistrySnapshotDelta(t *testing.T) {
-	r := newRegistry()
-	c := r.NewCounter("m_total", "")
-	c.Add(1)
-	a := renderJSON(t, r)
-	c.Add(2)
-	b := renderJSON(t, r)
-	deltas, err := r.SnapshotDelta(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 1 || deltas[0].Diff != 2 {
-		t.Fatalf("deltas = %+v, want one +2", deltas)
-	}
-}

@@ -46,9 +46,6 @@ func newHistogram() *Histogram { return &Histogram{shards: make([]histShard, nSh
 
 // Observe records one sample.
 func (h *Histogram) Observe(v uint64) {
-	if !enabled.Load() {
-		return
-	}
 	var i uint32
 	if shardMask != 0 {
 		i = shardIdx()
@@ -58,13 +55,8 @@ func (h *Histogram) Observe(v uint64) {
 	s.sum.Add(v)
 }
 
-// ObserveSince records the elapsed nanoseconds since start. Callers
-// should guard the time.Now() that produced start with Enabled() so the
-// disabled path costs nothing.
+// ObserveSince records the elapsed nanoseconds since start.
 func (h *Histogram) ObserveSince(start time.Time) {
-	if !enabled.Load() {
-		return
-	}
 	h.Observe(uint64(time.Since(start)))
 }
 

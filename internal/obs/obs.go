@@ -15,9 +15,8 @@
 //     bucket i holds values in (2^(i-1), 2^i] — sharded like counters.
 //
 // All record paths (Add, Inc, Set, Observe) perform zero allocations and
-// cost a few nanoseconds; SetEnabled(false) turns every record path into
-// a single atomic load and branch, so instrumented code never pays more
-// than one predictable branch when observability is off.
+// cost a few nanoseconds. They always record, so every binary, test and
+// benchmark measures the same code.
 //
 // Metrics register in a Registry (usually Default, via the package-level
 // NewCounter/NewGauge/NewHistogram constructors) which renders the
@@ -30,21 +29,6 @@ import (
 	"sync/atomic"
 	"unsafe"
 )
-
-// enabled gates every record path. Default on: production binaries are
-// observable unless they opt out.
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled toggles all record paths package-wide. Disabling does not
-// reset values; re-enabling resumes accumulation.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether record paths are live. Instrumented code can
-// consult it to skip work that only feeds metrics (e.g. a time.Now pair
-// around a request).
-func Enabled() bool { return enabled.Load() }
 
 // nShards is the power-of-two shard count record paths spread over,
 // sized to the machine's parallelism at startup and capped so idle
@@ -87,13 +71,10 @@ type Counter struct {
 
 func newCounter() *Counter { return &Counter{shards: make([]pad64, nShards)} }
 
-// Add increments the counter by n. It never allocates; when obs is
-// disabled it is a load and a branch. Single-shard registries (the
-// common case on small GOMAXPROCS) skip the shard hash entirely.
+// Add increments the counter by n. It never allocates. Single-shard
+// registries (the common case on small GOMAXPROCS) skip the shard hash
+// entirely.
 func (c *Counter) Add(n uint64) {
-	if !enabled.Load() {
-		return
-	}
 	var i uint32
 	if shardMask != 0 {
 		i = shardIdx()
@@ -124,17 +105,11 @@ func newGauge() *Gauge { return &Gauge{} }
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if !enabled.Load() {
-		return
-	}
 	g.bits.Store(floatBits(v))
 }
 
 // Add adds delta to the gauge (negative deltas decrement).
 func (g *Gauge) Add(delta float64) {
-	if !enabled.Load() {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+delta)) {

@@ -111,28 +111,8 @@ func TestHistogramSub(t *testing.T) {
 	}
 }
 
-func TestSetEnabledNoOp(t *testing.T) {
-	defer SetEnabled(true)
-	c, g, h := newCounter(), newGauge(), newHistogram()
-	SetEnabled(false)
-	if Enabled() {
-		t.Fatal("Enabled() = true after SetEnabled(false)")
-	}
-	c.Inc()
-	g.Set(7)
-	h.Observe(7)
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
-		t.Fatal("record paths not disabled")
-	}
-	SetEnabled(true)
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatal("record paths did not resume")
-	}
-}
-
 // TestRecordPathsZeroAlloc is the satellite guard: every record path
-// must be allocation-free, enabled or not.
+// must be allocation-free.
 func TestRecordPathsZeroAlloc(t *testing.T) {
 	c, g, h := newCounter(), newGauge(), newHistogram()
 	start := time.Now()
@@ -147,13 +127,6 @@ func TestRecordPathsZeroAlloc(t *testing.T) {
 	for name, fn := range paths {
 		if n := testing.AllocsPerRun(200, fn); n != 0 {
 			t.Errorf("%s allocates %.1f allocs/op, want 0", name, n)
-		}
-	}
-	defer SetEnabled(true)
-	SetEnabled(false)
-	for name, fn := range paths {
-		if n := testing.AllocsPerRun(200, fn); n != 0 {
-			t.Errorf("%s (disabled) allocates %.1f allocs/op, want 0", name, n)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/aitxt"
 	"repro/internal/blocking"
 	"repro/internal/corpus"
-	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -50,9 +49,7 @@ func FromCorpus(ctx context.Context, c *corpus.Corpus, snap, workers int) (*Snap
 // recompiles only the hosts whose rules actually moved. prev may be nil
 // (full build). The result is decision-identical to a full build.
 func FromCorpusIncremental(ctx context.Context, c *corpus.Corpus, snap, workers int, prev *Snapshot) (*Snapshot, error) {
-	if obs.Enabled() {
-		defer mCompileNS.ObserveSince(time.Now())
-	}
+	defer mCompileNS.ObserveSince(time.Now())
 	if snap < 0 {
 		snap = 0
 	}

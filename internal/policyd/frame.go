@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
 )
 
@@ -271,8 +272,8 @@ type Answerer interface {
 }
 
 // ServeFrames accepts connections from ln and answers frame batches from
-// svc until the listener closes; it returns the Accept error (net.ErrClosed
-// on a clean shutdown).
+// svc until the listener closes; then it closes the live connections and
+// returns the Accept error (net.ErrClosed on a clean shutdown).
 func ServeFrames(ln net.Listener, svc *Service) error {
 	return ServeFramesFrom(ln, svc, mWireFrame)
 }
@@ -281,15 +282,10 @@ func ServeFrames(ln net.Listener, svc *Service) error {
 // or gateway: each connection gets its own goroutine and reused buffers,
 // and requests counts the batches decoded. A *RateLimitError from a is
 // answered in band; a protocol violation or any other error closes that
-// connection only.
+// connection only. It runs on netsim.Serve, so closing ln closes every
+// live connection too, and it returns once their loops have exited.
 func ServeFramesFrom(ln net.Listener, a Answerer, requests *obs.Counter) error {
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		go serveFrameConn(c, a, requests)
-	}
+	return netsim.Serve(ln, func(c net.Conn) { serveFrameConn(c, a, requests) })
 }
 
 func serveFrameConn(c net.Conn, a Answerer, requests *obs.Counter) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -140,8 +141,9 @@ func TestFrameJSONParityCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.Register("policyd.test", "203.0.113.70")
+	h := NewHandler(svc)
 	srvDone := make(chan struct{})
-	go func() { defer close(srvDone); netsim.Serve(jsonLn, NewHandler(svc)) }()
+	go func() { defer close(srvDone); netsim.Serve(jsonLn, func(c net.Conn) { netsim.ServeConn(c, h) }) }()
 	defer func() { jsonLn.Close(); <-srvDone }()
 
 	frameLn, err := nw.Listen("203.0.113.71", 80)

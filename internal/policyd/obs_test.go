@@ -124,29 +124,6 @@ func TestDecisionCountersAcrossSwap(t *testing.T) {
 	}
 }
 
-// TestMetricsDisabledDecideStillCorrect proves the no-op knob leaves
-// decisions untouched and counters frozen.
-func TestMetricsDisabledDecideStillCorrect(t *testing.T) {
-	defer obs.SetEnabled(true)
-	snap := buildSnap(t, "noop", "User-agent: *\nDisallow: /\n")
-	svc := NewService(snap)
-
-	obs.SetEnabled(false)
-	before := decisionTotal()
-	d := svc.Decide(Query{Host: "a.test", Agent: "GPTBot", Path: "/x"})
-	if d.Action != Deny {
-		t.Fatalf("Decide with metrics off = %v, want deny", d)
-	}
-	if got := decisionTotal(); got != before {
-		t.Fatalf("counters advanced by %d while disabled", got-before)
-	}
-	obs.SetEnabled(true)
-	svc.Decide(Query{Host: "a.test", Agent: "GPTBot", Path: "/x"})
-	if got := decisionTotal(); got != before+1 {
-		t.Fatalf("counters did not resume after re-enable")
-	}
-}
-
 // TestWireCountersRegistered spot-checks the policyd families render in
 // the Default registry output.
 func TestWireCountersRegistered(t *testing.T) {

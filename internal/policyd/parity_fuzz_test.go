@@ -37,7 +37,7 @@ func FuzzDecideMatchesReference(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, a := range append(slices.Clone(snap.roster), agent) {
+		for _, a := range append(slices.Clone(roster), agent) {
 			for _, h := range []struct {
 				cfg      HostConfig
 				spelling []string

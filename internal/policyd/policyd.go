@@ -243,7 +243,7 @@ func (sn *Snapshot) Decide(q Query) Decision {
 	if hp == nil {
 		return Decision{Action: allow, Signal: signalNone}
 	}
-	id, known := sn.agentIDs[q.Agent]
+	id, known := agentIDs[q.Agent]
 
 	// Active blocking dominates: the request would never be served.
 	if hp.blockPatterns != nil {

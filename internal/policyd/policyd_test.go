@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -332,7 +333,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	fastDone := make(chan struct{})
-	go func() { defer close(fastDone); netsim.Serve(fastLn, h) }()
+	go func() { defer close(fastDone); netsim.Serve(fastLn, func(c net.Conn) { netsim.ServeConn(c, h) }) }()
 	defer func() { fastLn.Close(); <-fastDone }()
 	client := nw.HTTPClient("198.51.100.60")
 

@@ -34,7 +34,7 @@ type HostConfig struct {
 type hostPolicy struct {
 	robots *robots.Robots
 	// access copies the robots view per roster agent (indexed by
-	// Snapshot.agentIDs), so a roster query is one in-place read instead
+	// agentIDs), so a roster query is one in-place read instead
 	// of a search of the Robots value's view table. It is shared,
 	// read-only, by every host whose body parses to the same
 	// *robots.Robots, so a few templates' views serve the whole snapshot.
@@ -60,10 +60,8 @@ type Snapshot struct {
 	// Version labels the snapshot in stats output ("2024-42", …).
 	Version string
 
-	hosts    map[string]*hostPolicy
-	agentIDs map[string]int
-	roster   []string
-	reused   int
+	hosts  map[string]*hostPolicy
+	reused int
 }
 
 // ReusedHosts reports how many hosts this snapshot shares, compiled,
@@ -90,30 +88,34 @@ func (sn *Snapshot) Hosts() []string {
 // Len returns the number of indexed hosts.
 func (sn *Snapshot) Len() int { return len(sn.hosts) }
 
-// defaultRoster is the agent set snapshots precompile when the builder
-// is not given one: every Table 1 product token plus the traditional
-// search crawler and a browser token, so both AI and non-AI queries hit
-// the allocation-free path.
-func defaultRoster() []string {
-	return append(agents.Tokens(), "Googlebot", "Mozilla")
-}
+// roster is the agent set every snapshot precompiles per host: every
+// Table 1 product token plus the traditional search crawler and a
+// browser token, so both AI and non-AI queries hit the allocation-free
+// path. Queries for agents outside it are still answered correctly,
+// through the slow path: the blocklist is scanned with
+// useragent.MatchesAny and the robots view comes from
+// robots.Robots.Agent; neither allocates nor keeps anything per agent.
+var roster = append(agents.Tokens(), "Googlebot", "Mozilla")
+
+// agentIDs maps each roster agent to its index in the per-host
+// access and blocked slices.
+var agentIDs = func() map[string]int {
+	ids := make(map[string]int, len(roster))
+	for i, a := range roster {
+		ids[a] = i
+	}
+	return ids
+}()
 
 // Builder stages hosts and compiles them into a Snapshot. Add every
 // host, then call Build once; builders are not safe for concurrent use
 // and must not be reused after Build.
 type Builder struct {
-	// Roster lists the agents to precompile per host; nil means
-	// defaultRoster. Queries for agents outside the roster are still
-	// answered correctly, through the slow path: the blocklist is
-	// scanned with useragent.MatchesAny and the robots view comes from
-	// robots.Robots.Agent; neither allocates nor keeps anything per agent.
-	Roster []string
 	// Prev, when set, enables incremental recompilation: a staged host
 	// whose config is policy-equivalent to its compiled form in Prev
 	// (robots.txt equal under the normalized parse-cache key, everything
 	// else exactly equal) reuses Prev's compiled state instead of
-	// compiling. Sharing is safe because snapshots are immutable. Prev's
-	// roster must equal the builder's roster or it is ignored.
+	// compiling. Sharing is safe because snapshots are immutable.
 	Prev *Snapshot
 
 	hosts   []string
@@ -131,31 +133,17 @@ func (b *Builder) Add(host string, cfg HostConfig) {
 // through the shared content-keyed cache, so repeated templates compile
 // once and every host sharing a parsed body shares its roster views.
 func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snapshot, error) {
-	roster := b.Roster
-	if roster == nil {
-		roster = defaultRoster()
-	}
 	sn := &Snapshot{
-		Version:  version,
-		hosts:    make(map[string]*hostPolicy, len(b.hosts)),
-		agentIDs: make(map[string]int, len(roster)),
-		roster:   append([]string(nil), roster...),
-	}
-	for i, a := range roster {
-		sn.agentIDs[a] = i
-	}
-
-	prev := b.Prev
-	if prev != nil && !rosterEqual(prev.roster, roster) {
-		prev = nil
+		Version: version,
+		hosts:   make(map[string]*hostPolicy, len(b.hosts)),
 	}
 	var reused atomic.Int64
 	compiled := make([]*hostPolicy, len(b.hosts))
 	if err := par.Do(ctx, workers, len(b.hosts), func(start, end int) {
 		n := 0
 		for i := start; i < end; i++ {
-			if prev != nil {
-				if hp := prev.lookup(b.hosts[i]); hp != nil {
+			if b.Prev != nil {
+				if hp := b.Prev.lookup(b.hosts[i]); hp != nil {
 					if r := reuseHost(hp, b.configs[i]); r != nil {
 						compiled[i] = r
 						n++
@@ -163,7 +151,7 @@ func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snap
 					}
 				}
 			}
-			compiled[i] = compileHost(b.configs[i], roster)
+			compiled[i] = compileHost(b.configs[i])
 		}
 		if n > 0 {
 			reused.Add(int64(n))
@@ -203,21 +191,6 @@ func (b *Builder) Build(ctx context.Context, version string, workers int) (*Snap
 	return sn, nil
 }
 
-// rosterEqual reports whether two rosters precompile the same agents in
-// the same index order (the compiled access/blocked slices are
-// roster-indexed, so order matters).
-func rosterEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // reuseHost returns a compiled policy equivalent to compiling cfg, built
 // from hp (a previous snapshot's compiled form of the same host), or nil
 // when cfg's policy may differ and must compile for real. robots.txt
@@ -252,7 +225,7 @@ func reuseHost(hp *hostPolicy, cfg HostConfig) *hostPolicy {
 }
 
 // compileHost turns one host's raw policy surface into its query form.
-func compileHost(cfg HostConfig, roster []string) *hostPolicy {
+func compileHost(cfg HostConfig) *hostPolicy {
 	hp := &hostPolicy{src: cfg}
 	if cfg.RobotsTxt != "" {
 		hp.robots = robots.ParseCached(cfg.RobotsTxt)

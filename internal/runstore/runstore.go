@@ -293,9 +293,6 @@ type ScenarioWriter struct {
 	st   *Store
 	dir  string
 	meta Meta
-	// MaxSites caps the per-site plan segment (default maxSitePlans);
-	// set before the run finishes.
-	MaxSites int
 
 	mf     *os.File
 	mw     *bufio.Writer
@@ -311,7 +308,7 @@ func (s *Store) BeginScenario(meta Meta) (*ScenarioWriter, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ScenarioWriter{st: s, dir: dir, meta: meta, MaxSites: maxSitePlans}, nil
+	return &ScenarioWriter{st: s, dir: dir, meta: meta}, nil
 }
 
 // ID is the run id assigned at Begin.
@@ -370,7 +367,7 @@ func (w *ScenarioWriter) ObserveResult(r *scenario.Result) {
 		TotalBlockedRequests: r.TotalBlockedRequests,
 		VerdictClasses:       classes,
 	}
-	if r.Spec.Sites <= w.MaxSites {
+	if r.Spec.Sites <= maxSitePlans {
 		plans, err := scenario.SitePlans(r.Spec)
 		if err != nil {
 			w.fail(err)

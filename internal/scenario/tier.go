@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/measure"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/webserver"
 )
@@ -38,9 +37,7 @@ import (
 // lowest indices, so its chunks are claimed first and the cold tail fills
 // the other cores (see runChunk).
 func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error) {
-	if obs.Enabled() {
-		defer mRunWallNS.ObserveSince(time.Now())
-	}
+	defer mRunWallNS.ObserveSince(time.Now())
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -140,16 +137,14 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 	}
 	res.finalize(byToken, opts.Observer)
 	ts.MergeNS = int64(time.Since(mergeStart))
-	if obs.Enabled() {
-		mPhasePlanNS.Observe(uint64(ts.PlanNS))
-		mPhaseHotNS.Observe(uint64(ts.HotNS))
-		mPhaseColdNS.Observe(uint64(ts.ColdNS))
-		mPhaseMergeNS.Observe(uint64(ts.MergeNS))
-		mTierHotSiteMonths.Add(uint64(ts.HotSiteMonths))
-		mTierColdSiteMonths.Add(uint64(ts.ColdSiteMonths))
-		mTierCompiledWaves.Add(uint64(ts.CompiledWaves))
-		mTierReplayedWaves.Add(uint64(ts.ReplayedWaves))
-	}
+	mPhasePlanNS.Observe(uint64(ts.PlanNS))
+	mPhaseHotNS.Observe(uint64(ts.HotNS))
+	mPhaseColdNS.Observe(uint64(ts.ColdNS))
+	mPhaseMergeNS.Observe(uint64(ts.MergeNS))
+	mTierHotSiteMonths.Add(uint64(ts.HotSiteMonths))
+	mTierColdSiteMonths.Add(uint64(ts.ColdSiteMonths))
+	mTierCompiledWaves.Add(uint64(ts.CompiledWaves))
+	mTierReplayedWaves.Add(uint64(ts.ReplayedWaves))
 
 	if opts.Stats != nil {
 		ts.WaveClasses = len(cache.m)
@@ -534,9 +529,7 @@ func (w *tierWorker) wave(ctx context.Context, key waveKey) (waveEffect, error) 
 // policies and blocking are only ever turned on, so the site carried
 // over from last month holds nothing a fresh one would not be given.
 func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m int) error {
-	if obs.Enabled() {
-		defer mMonthWallNS.ObserveSince(time.Now())
-	}
+	defer mMonthWallNS.ObserveSince(time.Now())
 	w.stats.HotSiteMonths++
 	t, world := w.tail, w.world
 	w.applyMonthState(i, m)

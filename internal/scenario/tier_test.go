@@ -245,9 +245,6 @@ func TestTieredRosterLimit(t *testing.T) {
 // are process-wide: this test takes deltas and must not run in parallel
 // with another.
 func TestHotTierDialsOncePerSiteAndCrawler(t *testing.T) {
-	if !obs.Enabled() {
-		t.Skip("counts come from obs counters")
-	}
 	misses := obs.NewCounter(`netsim_http_pool_total{result="miss"}`, "")
 	retries := obs.NewCounter("netsim_http_retries_total", "")
 	spec := Observed(7, 128, 12)

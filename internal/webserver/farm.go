@@ -26,8 +26,8 @@ import (
 // blocker swaps apply per site. Requests for a Host no site claims are
 // answered 421 Misdirected Request.
 //
-// The farm is its own HTTP server: one accept loop, and one goroutine
-// per connection running netsim.ServeConn with a handler bound to that
+// The farm serves its listener with netsim.Serve: one goroutine per
+// connection running netsim.ServeConn with a handler bound to that
 // connection's dispatch state.
 //
 // All methods are safe for concurrent use, including StartSite and
@@ -57,9 +57,9 @@ type Farm struct {
 	// farmConn's sites set.
 	connMu sync.Mutex
 	conns  map[net.Conn]*farmConn
-	// serving counts the accept loop and every serve loop; Close waits
-	// for it to drain.
-	serving sync.WaitGroup
+	// served closes once netsim.Serve has returned: the listener is
+	// closed and every serve loop has exited.
+	served chan struct{}
 }
 
 // farmConn is one live connection's dispatch state. A keep-alive
@@ -101,9 +101,12 @@ func NewFarm(nw *netsim.Network, ip string) (*Farm, error) {
 		members:   make(map[*Site]bool),
 		aliasRefs: make(map[string]int),
 		conns:     make(map[net.Conn]*farmConn),
+		served:    make(chan struct{}),
 	}
-	f.serving.Add(1)
-	go f.acceptLoop()
+	go func() {
+		defer close(f.served)
+		netsim.Serve(ln, f.serveConn)
+	}()
 	return f, nil
 }
 
@@ -221,8 +224,8 @@ func (f *Farm) Remove(s *Site) error {
 }
 
 // Close shuts the farm down: the shared listener and every live
-// connection close and all sites are removed. It returns once the accept
-// loop and every serve loop have exited. Site logs remain readable.
+// connection close and all sites are removed. It returns once every
+// serve loop has exited. Site logs remain readable.
 func (f *Farm) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -231,10 +234,6 @@ func (f *Farm) Close() error {
 	}
 	f.connMu.Lock()
 	f.closed = true
-	conns := make([]net.Conn, 0, len(f.conns))
-	for c := range f.conns {
-		conns = append(conns, c)
-	}
 	f.connMu.Unlock()
 	f.members = make(map[*Site]bool)
 	f.hosts = make(map[string]*Site)
@@ -243,38 +242,19 @@ func (f *Farm) Close() error {
 	f.gen.Add(1)
 
 	err := f.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	f.serving.Wait()
+	<-f.served
 	return err
 }
 
-// acceptLoop hands every accepted connection to its own serve loop until
-// the listener closes.
-func (f *Farm) acceptLoop() {
-	defer f.serving.Done()
-	for {
-		c, err := f.ln.Accept()
-		if err != nil {
-			return
-		}
-		fc := f.openConn(c)
-		if fc == nil {
-			c.Close()
-			return
-		}
-		// The accept loop's own count is still held, so this Add cannot
-		// race Close's Wait.
-		f.serving.Add(1)
-		go f.serveConn(c, fc)
+// serveConn serves one accepted connection until it ends — however it
+// ends, the connection is gone — then drops it from the live registry.
+// A connection accepted as the farm closes is closed unserved.
+func (f *Farm) serveConn(c net.Conn) {
+	fc := f.openConn(c)
+	if fc == nil {
+		c.Close()
+		return
 	}
-}
-
-// serveConn serves one connection until it ends — however it ends, the
-// connection is gone — then drops it from the live registry.
-func (f *Farm) serveConn(c net.Conn, fc *farmConn) {
-	defer f.serving.Done()
 	netsim.ServeConn(c, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		f.handleReq(fc, w, r)
 	}))

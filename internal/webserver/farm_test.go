@@ -224,12 +224,12 @@ func TestFarmRemoveMidRun(t *testing.T) {
 	viaFarmIP("two-a.test")
 	before := misses.Value()
 	viaFarmIP("two-b.test")
-	if obs.Enabled() && misses.Value() != before {
+	if misses.Value() != before {
 		t.Fatal("second Host on the farm-IP conn dialled afresh; want the pooled conn")
 	}
 	two[0].Close()
 	viaFarmIP("two-b.test")
-	if obs.Enabled() && misses.Value() != before+1 {
+	if misses.Value() != before+1 {
 		t.Fatalf("pool misses after removing the conn's first site = %d, want 1 (its conn must close)",
 			misses.Value()-before)
 	}
@@ -241,9 +241,6 @@ func TestFarmRemoveMidRun(t *testing.T) {
 // and farm_active_conns is back to its pre-farm value — and a client's
 // next request on its pooled conn fails.
 func TestFarmCloseReleasesLiveConns(t *testing.T) {
-	if !obs.Enabled() {
-		t.Skip("counts come from obs gauges")
-	}
 	base := mFarmActiveConns.Value()
 	nw := netsim.New()
 	farm, err := NewFarm(nw, "203.0.113.250")
