@@ -89,6 +89,9 @@ type Crawler struct {
 	baseHdr     http.Header
 	visits      int
 	robotsCache map[string]*robots.Robots
+	// get is netsim.Get; the differential test puts a stdlib reference
+	// in its place.
+	get func(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error)
 }
 
 // Visit is the record of one crawl of one site.
@@ -134,6 +137,7 @@ func New(nw *netsim.Network, p Profile) (*Crawler, error) {
 		client:      nw.HTTPClient(p.SourceIP),
 		baseHdr:     http.Header{"User-Agent": []string{p.UserAgent}},
 		robotsCache: make(map[string]*robots.Robots),
+		get:         netsim.Get,
 	}, nil
 }
 
@@ -152,7 +156,7 @@ func (c *Crawler) fetchPolicy(ctx context.Context, base *url.URL, robotsPath str
 	robotsURL := *base
 	robotsURL.Path = robotsPath
 	robotsURL.RawQuery = ""
-	status, body, err := netsim.Get(ctx, c.client, robotsURL.String(), c.baseHdr)
+	status, body, err := c.get(ctx, c.client, robotsURL.String(), c.baseHdr)
 	if err != nil {
 		return nil
 	}
@@ -233,7 +237,7 @@ func (c *Crawler) Crawl(ctx context.Context, baseURL string) (*Visit, error) {
 			v.Skipped = append(v.Skipped, path)
 			continue
 		}
-		status, body, err := netsim.Get(ctx, c.client, sitePrefix+path, c.baseHdr)
+		status, body, err := c.get(ctx, c.client, sitePrefix+path, c.baseHdr)
 		if err != nil {
 			continue
 		}
@@ -343,7 +347,7 @@ func (c *Crawler) FetchOne(ctx context.Context, rawURL string) (fetched bool, v 
 		v.Skipped = append(v.Skipped, path)
 		return false, v, nil
 	}
-	status, _, err := netsim.Get(ctx, c.client, rawURL, c.baseHdr)
+	status, _, err := c.get(ctx, c.client, rawURL, c.baseHdr)
 	if err != nil {
 		return false, v, err
 	}
@@ -355,21 +359,28 @@ func (c *Crawler) FetchOne(ctx context.Context, rawURL string) (fetched bool, v 
 	return true, v, nil
 }
 
-// extractLinks scans HTML for href and src attribute values. It is a
-// small tokenizer, not a full HTML parser: good enough for the
-// well-formed pages the instrumented sites serve. Attribute names are
-// matched case-insensitively in place, without lowercasing a copy of the
-// page.
+// extractLinks scans HTML for href and src attribute values: every href
+// link in page order, then every src link. It is a small tokenizer, not a
+// full HTML parser: good enough for the well-formed pages the
+// instrumented sites serve. Each pass jumps between the page's `="`
+// pairs and checks the attribute name before one under ASCII case
+// folding, so no byte of the page is folded except those names.
 func extractLinks(body string) []string {
 	var out []string
-	for _, attr := range []string{`href="`, `src="`} {
-		idx := 0
-		for {
-			i := indexFold(body[idx:], attr)
+	for _, name := range []string{"href", "src"} {
+		// idx is where the next name=" may start; the search resumes at
+		// the quote that closed the previous value.
+		for idx := 0; idx+len(name) <= len(body); {
+			i := strings.Index(body[idx+len(name):], `="`)
 			if i < 0 {
 				break
 			}
-			start := idx + i + len(attr)
+			eq := idx + len(name) + i
+			if !hasPrefixFold(body[eq-len(name):], name) {
+				idx = eq - len(name) + 1
+				continue
+			}
+			start := eq + 2
 			end := strings.IndexByte(body[start:], '"')
 			if end < 0 {
 				break
@@ -382,23 +393,6 @@ func extractLinks(body string) []string {
 		}
 	}
 	return out
-}
-
-// indexFold returns the index of the first ASCII case-insensitive
-// occurrence of substr in s, or -1. substr must be lowercase ASCII.
-func indexFold(s, substr string) int {
-	if len(substr) == 0 {
-		return 0
-	}
-	for i := 0; i+len(substr) <= len(s); i++ {
-		if lowerByte(s[i]) != substr[0] {
-			continue
-		}
-		if hasPrefixFold(s[i:], substr) {
-			return i
-		}
-	}
-	return -1
 }
 
 // hasPrefixFold reports whether s starts with prefix under ASCII case

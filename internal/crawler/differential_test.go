@@ -1,12 +1,12 @@
 package crawler
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,27 +15,47 @@ import (
 	"repro/internal/webserver"
 )
 
-// recorder is a RoundTripper that keeps one line per response the
-// wrapped transport hands the crawler: URL, status, type, body bytes.
+// stdlibGet is the reference netsim.Get is checked against: a GET built
+// by hand and sent through client.Do, its body read through a 1 MiB
+// limit — what netsim.Get did before it drove the transport directly.
+func stdlibGet(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return 0, "", err
+	}
+	req := (&http.Request{
+		Method:     http.MethodGet,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     hdr,
+		Host:       u.Host,
+	}).WithContext(ctx)
+	resp, err := client.Do(req)
+	if err != nil {
+		return 0, "", err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+	if err != nil {
+		return resp.StatusCode, "", err
+	}
+	return resp.StatusCode, string(body), nil
+}
+
+// recorder wraps a crawler's fetch and keeps one line per response the
+// crawler was handed: user agent, URL, status, body, and whether the
+// fetch failed.
 type recorder struct {
-	rt  http.RoundTripper
+	get func(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error)
 	got []string
 }
 
-func (r *recorder) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := r.rt.RoundTrip(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	r.got = append(r.got, fmt.Sprintf("%s %s: %d %s %q",
-		req.Header.Get("User-Agent"), req.URL, resp.StatusCode, resp.Header.Get("Content-Type"), body))
-	resp.Body = io.NopCloser(bytes.NewReader(body))
-	return resp, nil
+func (r *recorder) fetch(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
+	status, body, err := r.get(ctx, client, rawURL, hdr)
+	r.got = append(r.got, fmt.Sprintf("%s %s: %d %q failed=%v", hdr.Get("User-Agent"), rawURL, status, body, err != nil))
+	return status, body, err
 }
 
 // fleetRun is everything observable about one fleet run: what each
@@ -49,8 +69,9 @@ type fleetRun struct {
 
 // runFleet drives one crawler fleet — every behaviour, two crawl waves
 // and a user-triggered fetch each — at a disallow-all site and a site
-// that blocks one agent. With stdlib set the crawlers ride a stock
-// http.Transport instead of their own fast one.
+// that blocks one agent. With stdlib set the crawlers fetch through
+// stdlibGet on a stock http.Transport instead of netsim.Get on their own
+// fast one.
 func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 	t.Helper()
 	nw := netsim.New()
@@ -79,16 +100,17 @@ func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := &recorder{rt: cr.client.Transport}
+		rec := &recorder{get: cr.get}
 		if stdlib {
-			rec.rt = &http.Transport{
+			rec.get = stdlibGet
+			cr.client = &http.Client{Transport: &http.Transport{
 				DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
 					return nw.Dial(ctx, p.SourceIP, addr)
 				},
 				DisableKeepAlives: !keepAlive,
-			}
+			}}
 		}
-		cr.client = &http.Client{Transport: rec}
+		cr.get = rec.fetch
 		// Two waves: keep-alive reuses each site's connection across
 		// them, per-request dial opens one per request.
 		for wave := 0; wave < 2; wave++ {
@@ -106,6 +128,7 @@ func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 		}
 		run.Visits = append(run.Visits, v)
 		run.Responses = append(run.Responses, rec.got...)
+		cr.CloseIdleConnections()
 	}
 	for _, site := range sites {
 		if site.LogLen() == 0 {
@@ -132,9 +155,9 @@ func sameSequence[T comparable](t *testing.T, what string, fast, std []T) {
 
 // TestFleetIdenticalUnderStdlibClient is the end-to-end half of the
 // hand-rolled-HTTP oracle, and the proof that connection reuse is
-// invisible to the measurement: the same crawler fleet runs on the fast
-// transport, on a stock http.Transport with keep-alive, and on one that
-// dials per request. Every site's log must be equal record for record
+// invisible to the measurement: the same crawler fleet runs through
+// netsim.Get on the fast transport, and through stdlibGet on a stock
+// http.Transport with keep-alive and on one that dials per request. Every site's log must be equal record for record
 // (source IPs, user agents, paths in order, statuses, byte counts),
 // every response byte-equal, and every Visit the same.
 func TestFleetIdenticalUnderStdlibClient(t *testing.T) {

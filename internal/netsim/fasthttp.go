@@ -1,17 +1,20 @@
 package netsim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/textproto"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 )
@@ -29,7 +32,9 @@ import (
 // response framing, keep-alive pooling — straight over the buffered
 // duplex conns, with pooled buffers and no per-request goroutines. A
 // request outside that subset fails with an error naming what it asked
-// for; there is no second transport to hand it to.
+// for; there is no second transport to hand it to. Get drives the same
+// transport below the RoundTripper surface, sharing its head writer,
+// head parser, pool and retry, without building a request or response.
 
 const (
 	fastMaxIdlePerHost = 2  // matches the stdlib transport config it replaces
@@ -72,14 +77,13 @@ func newFastTransport(nw *Network, sourceIP string) *fastTransport {
 // checkRequest returns an error naming what req asks for outside the
 // subset fastTransport speaks, or nil when it fits.
 func checkRequest(req *http.Request) error {
-	u := req.URL
-	switch {
-	case u == nil:
+	if req.URL == nil {
 		return errors.New("netsim: fast http: request has no URL")
-	case u.Scheme != "http":
-		return fmt.Errorf("netsim: fast http: unsupported scheme %q", u.Scheme)
-	case u.Host == "" || u.Opaque != "" || u.User != nil:
-		return fmt.Errorf("netsim: fast http: unsupported URL %q", u.Redacted())
+	}
+	if err := checkURL(req.URL); err != nil {
+		return err
+	}
+	switch {
 	case len(req.TransferEncoding) > 0:
 		return fmt.Errorf("netsim: fast http: unsupported transfer encoding %q", req.TransferEncoding)
 	case len(req.Trailer) > 0:
@@ -98,6 +102,18 @@ func checkRequest(req *http.Request) error {
 		}
 	default:
 		return fmt.Errorf("netsim: fast http: unsupported method %q", req.Method)
+	}
+	return nil
+}
+
+// checkURL returns an error unless u is an http:// URL with a host and
+// no userinfo.
+func checkURL(u *url.URL) error {
+	switch {
+	case u.Scheme != "http":
+		return fmt.Errorf("netsim: fast http: unsupported scheme %q", u.Scheme)
+	case u.Host == "" || u.Opaque != "" || u.User != nil:
+		return fmt.Errorf("netsim: fast http: unsupported URL %q", u.Redacted())
 	}
 	return nil
 }
@@ -123,17 +139,11 @@ func (fc *fastConn) close() {
 // RoundTrip implements http.RoundTripper.
 func (t *fastTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err := checkRequest(req); err != nil {
-		closeRequestBody(req)
+		if req.Body != nil {
+			req.Body.Close()
+		}
 		return nil, err
 	}
-	mHTTPRequests.Inc()
-	started := time.Now()
-	ctx := req.Context()
-	if err := ctx.Err(); err != nil {
-		closeRequestBody(req)
-		return nil, err
-	}
-
 	headp := fastHeadPool.Get().(*[]byte)
 	head := appendRequestHead((*headp)[:0], req)
 
@@ -164,16 +174,39 @@ func (t *fastTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		req.Body.Close()
 	}
 
-	deadline, hasDeadline := ctx.Deadline()
-	key := req.URL.Host
+	hdr := make(http.Header, 4)
+	fc, rh, err := t.send(req.Context(), req.URL.Host, head, stream, req.GetBody, hdr)
+	*headp = head[:0]
+	fastHeadPool.Put(headp)
+	if err != nil {
+		return nil, err
+	}
+	return t.response(fc, rh, hdr, req), nil
+}
 
+// send writes head, then stream when it is non-nil, on key's most
+// recently pooled conn or a fresh one, and parses the response head,
+// filling hdr when it is non-nil. ctx's deadline, if any, is armed on
+// the conn. A pooled conn may have been closed by the server (site
+// removed, server shut down) between requests; the write or the first
+// response byte then fails cleanly, and — like the stdlib transport —
+// send replays the request once on a fresh conn, reopening a streamed
+// body with getBody. On success the caller owns the returned conn and
+// must read the body off it.
+func (t *fastTransport) send(ctx context.Context, key string, head []byte, stream io.ReadCloser,
+	getBody func() (io.ReadCloser, error), hdr http.Header) (*fastConn, respHead, error) {
+	mHTTPRequests.Inc()
+	started := time.Now()
+	if err := ctx.Err(); err != nil {
+		closeStream(stream)
+		return nil, respHead{}, err
+	}
+	deadline, hasDeadline := ctx.Deadline()
 	for attempt := 0; ; attempt++ {
-		fc, reused, err := t.getConn(req, key)
+		fc, reused, err := t.getConn(ctx, key)
 		if err != nil {
 			closeStream(stream)
-			*headp = head[:0]
-			fastHeadPool.Put(headp)
-			return nil, err
+			return nil, respHead{}, err
 		}
 		if hasDeadline {
 			fc.c.SetDeadline(deadline)
@@ -182,40 +215,27 @@ func (t *fastTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			fc.c.SetDeadline(time.Time{})
 			fc.deadlineArmed = false
 		}
-		resp, retryable, err := t.exchange(fc, head, stream, req)
+		rh, retryable, err := t.exchange(fc, head, stream, hdr)
 		if err == nil {
-			*headp = head[:0]
-			fastHeadPool.Put(headp)
 			mHTTPLatency.ObserveSince(started)
-			return resp, nil
+			return fc, rh, nil
 		}
 		fc.close()
-		// A pooled conn may have been closed by the server (site removed,
-		// server shut down) between requests; the write or the first
-		// response byte fails cleanly, and — like the stdlib transport —
-		// we replay the request once on a fresh conn.
 		if reused && attempt == 0 && retryable {
 			mHTTPRetries.Inc()
 			if stream != nil {
-				if req.GetBody == nil {
+				if getBody == nil {
 					closeStream(stream)
-					*headp = head[:0]
-					fastHeadPool.Put(headp)
-					return nil, err
+					return nil, respHead{}, err
 				}
-				stream, err = req.GetBody()
-				if err != nil {
-					*headp = head[:0]
-					fastHeadPool.Put(headp)
-					return nil, err
+				if stream, err = getBody(); err != nil {
+					return nil, respHead{}, err
 				}
 			}
 			continue
 		}
 		closeStream(stream)
-		*headp = head[:0]
-		fastHeadPool.Put(headp)
-		return nil, err
+		return nil, respHead{}, err
 	}
 }
 
@@ -225,15 +245,9 @@ func closeStream(s io.ReadCloser) {
 	}
 }
 
-func closeRequestBody(req *http.Request) {
-	if req.Body != nil {
-		req.Body.Close()
-	}
-}
-
 // getConn pops key's most recently pooled connection or dials a fresh
 // one.
-func (t *fastTransport) getConn(req *http.Request, key string) (*fastConn, bool, error) {
+func (t *fastTransport) getConn(ctx context.Context, key string) (*fastConn, bool, error) {
 	t.mu.Lock()
 	for i := len(t.idle) - 1; i >= 0; i-- {
 		if fc := t.idle[i]; fc.key == key {
@@ -249,7 +263,7 @@ func (t *fastTransport) getConn(req *http.Request, key string) (*fastConn, bool,
 	if !strings.Contains(key, ":") {
 		addr = key + ":80"
 	}
-	c, err := t.nw.Dial(req.Context(), t.sourceIP, addr)
+	c, err := t.nw.Dial(ctx, t.sourceIP, addr)
 	if err != nil {
 		return nil, false, err
 	}
@@ -303,13 +317,13 @@ func (t *fastTransport) CloseIdleConnections() {
 	}
 }
 
-// exchange writes one serialized request and reads its response. The
-// returned bool reports whether the failure is safely retryable on a
-// fresh connection: the peer vanished before yielding a single response
-// byte.
-func (t *fastTransport) exchange(fc *fastConn, head []byte, stream io.ReadCloser, req *http.Request) (*http.Response, bool, error) {
+// exchange writes one serialized request and reads its response head.
+// The returned bool reports whether the failure is safely retryable on
+// a fresh connection: the peer vanished before yielding a single
+// response byte.
+func (t *fastTransport) exchange(fc *fastConn, head []byte, stream io.ReadCloser, hdr http.Header) (respHead, bool, error) {
 	if _, err := fc.c.Write(head); err != nil {
-		return nil, retryableErr(err), err
+		return respHead{}, retryableErr(err), err
 	}
 	mHTTPBytesOut.Add(uint64(len(head)))
 	if stream != nil {
@@ -319,10 +333,10 @@ func (t *fastTransport) exchange(fc *fastConn, head []byte, stream io.ReadCloser
 		stream.Close()
 		mHTTPBytesOut.Add(uint64(n))
 		if err != nil {
-			return nil, false, err // body partially consumed; caller needs GetBody
+			return respHead{}, false, err // body partially consumed; caller needs GetBody
 		}
 	}
-	return t.readResponse(fc, req)
+	return readRespHead(&fc.br, hdr)
 }
 
 // retryableErr reports whether an error means "peer gone" rather than
@@ -331,114 +345,143 @@ func retryableErr(err error) bool {
 	return errors.Is(err, errConnReset) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe)
 }
 
-// readResponse parses one HTTP/1.x response head and hands the body back
-// as a framed reader that returns the connection to the pool when fully
-// drained.
-func (t *fastTransport) readResponse(fc *fastConn, req *http.Request) (*http.Response, bool, error) {
-	br := &fc.br
+// respHead is what a response head says about its body's framing.
+type respHead struct {
+	code          int
+	minor         byte // HTTP/1.minor
+	contentLength int64
+	chunked       bool
+	keepAlive     bool
+}
+
+// readRespHead parses one HTTP/1.x response head: the status line, then
+// the header fields through the blank line. The fields that frame the
+// body are read into the respHead; the others, and Content-Length, go
+// into hdr when it is non-nil. The returned bool reports whether a
+// failure is safely retryable, as exchange's does.
+func readRespHead(br *connReader, hdr http.Header) (respHead, bool, error) {
 	line, err := br.readLine()
 	if err != nil {
 		// Nothing buffered and the peer is gone: the reused conn was dead.
-		return nil, br.buffered() == 0 && retryableErr(err), err
+		return respHead{}, br.buffered() == 0 && retryableErr(err), err
 	}
 	// Status line: "HTTP/1.x NNN reason".
 	if len(line) < 12 || string(line[:7]) != "HTTP/1." || line[8] != ' ' {
-		return nil, false, fmt.Errorf("netsim: fast http: malformed status line %q", line)
+		return respHead{}, false, fmt.Errorf("netsim: fast http: malformed status line %q", line)
 	}
-	minor := line[7] - '0'
-	if minor > 1 {
-		return nil, false, fmt.Errorf("netsim: fast http: unsupported proto %q", line[:8])
+	rh := respHead{minor: line[7] - '0', contentLength: -1}
+	if rh.minor > 1 {
+		return respHead{}, false, fmt.Errorf("netsim: fast http: unsupported proto %q", line[:8])
 	}
-	code := 0
 	for _, c := range line[9:12] {
 		if c < '0' || c > '9' {
-			return nil, false, fmt.Errorf("netsim: fast http: malformed status line %q", line)
+			return respHead{}, false, fmt.Errorf("netsim: fast http: malformed status line %q", line)
 		}
-		code = code*10 + int(c-'0')
+		rh.code = rh.code*10 + int(c-'0')
 	}
-	if code < 100 {
-		return nil, false, fmt.Errorf("netsim: fast http: status code %d out of range", code)
+	if rh.code < 100 {
+		return respHead{}, false, fmt.Errorf("netsim: fast http: status code %d out of range", rh.code)
 	}
 	if len(line) > 12 && line[12] != ' ' {
-		return nil, false, fmt.Errorf("netsim: fast http: malformed status line %q", line)
+		return respHead{}, false, fmt.Errorf("netsim: fast http: malformed status line %q", line)
 	}
 
-	resp := &http.Response{
-		StatusCode: code,
-		Status:     strconv.Itoa(code) + " " + http.StatusText(code),
-		Proto:      "HTTP/1." + string(rune('0'+minor)),
-		ProtoMajor: 1,
-		ProtoMinor: int(minor),
-		Header:     make(http.Header, 4),
-		Request:    req,
-	}
-
-	contentLength := int64(-1)
-	chunked := false
-	keepAlive := minor == 1
+	rh.keepAlive = rh.minor == 1
 	for {
 		line, err = br.readLine()
 		if err != nil {
-			return nil, false, fmt.Errorf("netsim: fast http: reading response header: %w", err)
+			return respHead{}, false, fmt.Errorf("netsim: fast http: reading response header: %w", err)
 		}
 		if len(line) == 0 {
-			break
+			return rh, false, nil
 		}
 		colon := indexByteFrom(line, 0, ':')
 		if colon <= 0 {
-			return nil, false, fmt.Errorf("netsim: fast http: malformed response header %q", line)
+			return respHead{}, false, fmt.Errorf("netsim: fast http: malformed response header %q", line)
 		}
 		kb, vb := line[:colon], trimOWS(line[colon+1:])
 		switch {
 		case asciiEqualFold(kb, "Content-Length"):
 			n, perr := strconv.ParseInt(string(vb), 10, 64)
 			if perr != nil || n < 0 {
-				return nil, false, fmt.Errorf("netsim: fast http: bad Content-Length %q", vb)
+				return respHead{}, false, fmt.Errorf("netsim: fast http: bad Content-Length %q", vb)
 			}
-			contentLength = n
-			resp.Header["Content-Length"] = []string{string(vb)}
+			rh.contentLength = n
+			if hdr != nil {
+				hdr["Content-Length"] = []string{string(vb)}
+			}
 		case asciiEqualFold(kb, "Transfer-Encoding"):
 			if !asciiEqualFold(vb, "chunked") {
-				return nil, false, fmt.Errorf("netsim: fast http: unsupported transfer encoding %q", vb)
+				return respHead{}, false, fmt.Errorf("netsim: fast http: unsupported transfer encoding %q", vb)
 			}
-			chunked = true
-			resp.TransferEncoding = []string{"chunked"}
+			rh.chunked = true
 		case asciiEqualFold(kb, "Connection"):
 			if asciiEqualFold(vb, "close") {
-				keepAlive = false
+				rh.keepAlive = false
 			} else if asciiEqualFold(vb, "keep-alive") {
-				keepAlive = true
+				rh.keepAlive = true
 			}
 		default:
-			resp.Header[canonicalKey(kb)] = append(resp.Header[canonicalKey(kb)], string(vb))
+			if hdr != nil {
+				key := canonicalKey(kb)
+				hdr[key] = append(hdr[key], string(vb))
+			}
 		}
 	}
+}
 
-	noBody := req.Method == http.MethodHead || code == http.StatusNoContent ||
-		code == http.StatusNotModified || (code >= 100 && code < 200)
-	body := &fastBody{t: t, fc: fc, keepAlive: keepAlive}
+// body frames the body that follows rh on fc. A HEAD response, a 1xx,
+// 204 or 304 has none.
+func (t *fastTransport) body(fc *fastConn, rh respHead, isHead bool) fastBody {
+	fb := fastBody{t: t, fc: fc, keepAlive: rh.keepAlive}
 	switch {
-	case noBody:
-		body.mode = bodyNone
-		if req.Method == http.MethodHead {
-			resp.ContentLength = contentLength
-		}
-	case chunked:
-		body.mode = bodyChunked
-		resp.ContentLength = -1
-	case contentLength >= 0:
-		body.mode = bodyFixed
-		body.remaining = contentLength
-		resp.ContentLength = contentLength
+	case isHead || rh.code == http.StatusNoContent || rh.code == http.StatusNotModified || rh.code < 200:
+		fb.mode = bodyNone
+		fb.done = true
+	case rh.chunked:
+		fb.mode = bodyChunked
+	case rh.contentLength >= 0:
+		fb.mode = bodyFixed
+		fb.remaining = rh.contentLength
+		fb.done = rh.contentLength == 0
 	default:
 		// No framing header: the body runs to connection close (HTTP/1.0
 		// style); the conn cannot be reused.
-		body.mode = bodyUntilEOF
-		body.keepAlive = false
+		fb.mode = bodyUntilEOF
+		fb.keepAlive = false
+	}
+	return fb
+}
+
+// response builds the *http.Response for a parsed head whose other
+// fields are in hdr; its Body returns fc to the pool when fully drained.
+func (t *fastTransport) response(fc *fastConn, rh respHead, hdr http.Header, req *http.Request) *http.Response {
+	resp := &http.Response{
+		StatusCode: rh.code,
+		Status:     strconv.Itoa(rh.code) + " " + http.StatusText(rh.code),
+		Proto:      "HTTP/1." + string(rune('0'+rh.minor)),
+		ProtoMajor: 1,
+		ProtoMinor: int(rh.minor),
+		Header:     hdr,
+		Request:    req,
+	}
+	if rh.chunked {
+		resp.TransferEncoding = []string{"chunked"}
+	}
+	body := new(fastBody)
+	*body = t.body(fc, rh, req.Method == http.MethodHead)
+	switch body.mode {
+	case bodyNone:
+		if req.Method == http.MethodHead {
+			resp.ContentLength = rh.contentLength
+		}
+	case bodyFixed:
+		resp.ContentLength = rh.contentLength
+	default:
 		resp.ContentLength = -1
 	}
 	resp.Body = body
-	return resp, false, nil
+	return resp
 }
 
 // trimOWS strips optional leading/trailing spaces and tabs.
@@ -497,30 +540,53 @@ func canonicalKey(b []byte) string {
 func appendRequestHead(b []byte, req *http.Request) []byte {
 	b = append(b, req.Method...)
 	b = append(b, ' ')
-	path := req.URL.EscapedPath()
-	if path == "" {
-		path = "/"
-	}
-	b = append(b, path...)
-	if req.URL.ForceQuery || req.URL.RawQuery != "" {
-		b = append(b, '?')
-		b = append(b, req.URL.RawQuery...)
-	}
-	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = appendTarget(b, req.URL)
 	host := req.Host
 	if host == "" {
 		host = req.URL.Host
 	}
+	b = appendHeadFields(b, host, req.Header)
+	if req.Method == http.MethodPost {
+		b = append(b, "Content-Length: "...)
+		b = strconv.AppendInt(b, req.ContentLength, 10)
+		b = append(b, '\r', '\n')
+	}
+	if req.Close {
+		b = append(b, "Connection: close\r\n"...)
+	}
+	return append(b, '\r', '\n')
+}
+
+// appendTarget appends u's origin-form request target: the escaped path
+// ("/" when empty) and the query.
+func appendTarget(b []byte, u *url.URL) []byte {
+	path := u.EscapedPath()
+	if path == "" {
+		path = "/"
+	}
+	b = append(b, path...)
+	if u.ForceQuery || u.RawQuery != "" {
+		b = append(b, '?')
+		b = append(b, u.RawQuery...)
+	}
+	return b
+}
+
+// appendHeadFields ends the request line and appends the Host field, the
+// User-Agent the stdlib transport would send and hdr's other fields; the
+// framing fields are the caller's.
+func appendHeadFields(b []byte, host string, hdr http.Header) []byte {
+	b = append(b, " HTTP/1.1\r\nHost: "...)
 	b = append(b, host...)
 	b = append(b, '\r', '\n')
-	if ua, ok := req.Header["User-Agent"]; !ok {
+	if ua, ok := hdr["User-Agent"]; !ok {
 		b = append(b, "User-Agent: Go-http-client/1.1\r\n"...)
 	} else if len(ua) > 0 && ua[0] != "" {
 		b = append(b, "User-Agent: "...)
 		b = append(b, ua[0]...)
 		b = append(b, '\r', '\n')
 	}
-	for k, vs := range req.Header {
+	for k, vs := range hdr {
 		switch k {
 		case "User-Agent", "Host", "Content-Length", "Connection", "Transfer-Encoding":
 			continue
@@ -532,15 +598,159 @@ func appendRequestHead(b []byte, req *http.Request) []byte {
 			b = append(b, '\r', '\n')
 		}
 	}
-	if req.Method == http.MethodPost {
-		b = append(b, "Content-Length: "...)
-		b = strconv.AppendInt(b, req.ContentLength, 10)
-		b = append(b, '\r', '\n')
-	}
-	if req.Close {
-		b = append(b, "Connection: close\r\n"...)
-	}
+	return b
+}
+
+// appendGetHead serializes Get's request: what appendRequestHead writes
+// for a GET of target on host with header hdr.
+func appendGetHead(b []byte, host, target string, hdr http.Header) []byte {
+	b = append(b, "GET "...)
+	b = append(b, target...)
+	b = appendHeadFields(b, host, hdr)
 	return append(b, '\r', '\n')
+}
+
+// maxBodyBytes bounds how much of a response body Get reads.
+const maxBodyBytes = 1 << 20
+
+// Get fetches rawURL with a GET on client and reads the response body,
+// up to its first 1 MiB. It is the tree's one GET-and-read: crawlers,
+// probes and surveys all fetch through it. hdr is the request header as
+// is — Get only reads it, so callers share one map across every request
+// (nil sends Go's default User-Agent). A read error, a body cut short of
+// its Content-Length included, returns the status with an empty body and
+// the error: a truncated page never reads as a whole one.
+//
+// Get drives the client's transport directly rather than through
+// client.Do, so it allocates no request or response: client must come
+// from Network.HTTPClient and set none of Timeout, Jar and
+// CheckRedirect, which Get could not honour; otherwise it fails before
+// dialing. A bound on the request rides on ctx, whose deadline is armed
+// on the connection. A 3xx comes back as it is: no redirect is followed.
+func Get(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
+	t, host, target, err := getTarget(client, rawURL)
+	if err != nil {
+		return 0, "", &url.Error{Op: "Get", URL: rawURL, Err: err}
+	}
+	headp := fastHeadPool.Get().(*[]byte)
+	head := appendGetHead((*headp)[:0], host, target, hdr)
+	fc, rh, err := t.send(ctx, host, head, nil, nil, nil)
+	*headp = head[:0]
+	fastHeadPool.Put(headp)
+	if err != nil {
+		return 0, "", &url.Error{Op: "Get", URL: rawURL, Err: err}
+	}
+	body, err := t.readBody(fc, rh)
+	if err != nil {
+		return rh.code, "", fmt.Errorf("netsim: reading %s: %w", rawURL, err)
+	}
+	return rh.code, body, nil
+}
+
+// getTarget checks that Get can drive client's transport and returns it
+// with rawURL's Host and request target. A plain "http://host/path" is
+// split by hand; any other URL goes through url.Parse and checkURL.
+func getTarget(client *http.Client, rawURL string) (t *fastTransport, host, target string, err error) {
+	t, ok := client.Transport.(*fastTransport)
+	switch {
+	case !ok:
+		return nil, "", "", fmt.Errorf("netsim: Get needs a Network.HTTPClient client, not transport %T", client.Transport)
+	case client.Timeout != 0:
+		return nil, "", "", errors.New("netsim: Get cannot honour http.Client.Timeout; bound the request with ctx")
+	case client.Jar != nil || client.CheckRedirect != nil:
+		return nil, "", "", errors.New("netsim: Get keeps no cookies and follows no redirects; the client must set no Jar or CheckRedirect")
+	}
+	if host, target, ok := splitPlainURL(rawURL); ok {
+		return t, host, target, nil
+	}
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return nil, "", "", err
+	}
+	if err := checkURL(u); err != nil {
+		return nil, "", "", err
+	}
+	return t, u.Host, string(appendTarget(nil, u)), nil
+}
+
+// splitPlainURL returns the Host and request target that url.Parse and
+// appendTarget would make of rawURL, without parsing, when rawURL is a
+// plain "http://host[:port][/path]": a host of letters, digits, dots
+// and dashes with an optional numeric port, and a path of bytes that
+// need no escaping (so no query, fragment or userinfo). It is the client
+// twin of splitOriginForm, and reports false for any other URL.
+func splitPlainURL(rawURL string) (host, target string, ok bool) {
+	rest, ok := strings.CutPrefix(rawURL, "http://")
+	if !ok {
+		return "", "", false
+	}
+	slash := strings.IndexByte(rest, '/')
+	if slash < 0 {
+		slash = len(rest)
+	}
+	host, target = rest[:slash], rest[slash:]
+	if !plainHost(host) {
+		return "", "", false
+	}
+	for i := 0; i < len(target); i++ {
+		if !pathByteVerbatim(target[i]) {
+			return "", "", false
+		}
+	}
+	if target == "" {
+		target = "/"
+	}
+	return host, target, true
+}
+
+// plainHost reports whether h is a non-empty name of letters, digits,
+// dots and dashes, optionally followed by ':' and a non-empty decimal
+// port: a host url.Parse keeps as is.
+func plainHost(h string) bool {
+	name, port, hasPort := strings.Cut(h, ":")
+	if name == "" || (hasPort && port == "") {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '-') {
+			return false
+		}
+	}
+	for i := 0; i < len(port); i++ {
+		if c := port[i]; c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// readBody reads the body that follows rh on fc, up to maxBodyBytes, and
+// releases fc as fastBody.Close does: back to the pool when the body
+// ended cleanly on a keep-alive response, closed otherwise.
+func (t *fastTransport) readBody(fc *fastConn, rh respHead) (string, error) {
+	fb := t.body(fc, rh, false)
+	var b []byte
+	if fb.mode == bodyFixed {
+		b = make([]byte, 0, min(fb.remaining, maxBodyBytes))
+	}
+	for !fb.done && len(b) < maxBodyBytes {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, 4096)
+		}
+		n, err := fb.Read(b[len(b):min(cap(b), maxBodyBytes)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			fb.Close()
+			return "", err
+		}
+	}
+	fb.Close()
+	// b is not touched again, so the string may share its bytes.
+	return unsafe.String(unsafe.SliceData(b), len(b)), nil
 }
 
 // connReader is a minimal buffered reader over one connection, used by
@@ -706,9 +916,6 @@ func (fb *fastBody) Read(p []byte) (int, error) {
 	var n int
 	var err error
 	switch fb.mode {
-	case bodyNone:
-		fb.done = true
-		return 0, io.EOF
 	case bodyFixed:
 		if fb.remaining == 0 {
 			fb.done = true

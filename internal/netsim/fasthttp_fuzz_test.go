@@ -1,9 +1,11 @@
 package netsim
 
 import (
+	"bytes"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"testing"
 	"time"
 )
@@ -44,36 +46,111 @@ func (fuzzAddr) Network() string { return "netsim" }
 func (fuzzAddr) String() string  { return "198.51.100.1:9" }
 
 // FuzzFastResponseParse throws arbitrary bytes at the fast client's
-// response parser: any input must either parse into a response whose
-// body drains to a clean end, or return an error — never panic, never
-// loop forever.
+// response parser, down both of the paths that share it: client.Do's
+// (readRespHead, then an *http.Response whose body is read as Get used
+// to read it) and Get's (readRespHead, then readBody), the latter served
+// whole and a byte per read. Any input must either parse into a response
+// whose body drains to a clean end, or return an error — never panic,
+// never loop forever — and the paths must agree on the status, the body
+// and whether an error occurs.
 func FuzzFastResponseParse(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello"))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"))
 	f.Add([]byte("HTTP/1.0 404 Not Found\r\n\r\nbody until eof"))
 	f.Add([]byte("HTTP/1.1 204 No Content\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 302 Found\r\nLocation: /elsewhere\r\nContent-Length: 3\r\n\r\nmoved"))
 	f.Add([]byte("HTTP/1.1 421 Misdirected Request\r\nContent-Length: 2\r\nConnection: close\r\n\r\nno"))
 	f.Add([]byte("HTTP/9.9 xxx\r\n\r\n"))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 99999999\r\n\r\nshort"))
 	f.Add([]byte("garbage\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := newFastTransport(nil, "198.51.100.1")
+		conn := func(step int) *fastConn {
+			fc := &fastConn{c: &fuzzConn{data: data, step: step}, key: "fuzz.test"}
+			fc.br.c = fc.c
+			fc.br.buf = make([]byte, fastReadBufSize)
+			return fc
+		}
+
+		// client.Do's path.
 		req, err := http.NewRequest(http.MethodGet, "http://fuzz.test/", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc := &fastConn{c: &fuzzConn{data: data}, key: "fuzz.test:80"}
-		fc.br.c = fc.c
-		fc.br.buf = make([]byte, fastReadBufSize)
-		resp, _, err := tr.readResponse(fc, req)
+		fc := conn(0)
+		hdr := make(http.Header)
+		wantStatus, wantBody := 0, ""
+		rh, _, wantErr := readRespHead(&fc.br, hdr)
+		if wantErr == nil {
+			resp := tr.response(fc, rh, hdr, req)
+			if resp.StatusCode < 100 || resp.StatusCode > 999 {
+				t.Fatalf("accepted out-of-range status %d", resp.StatusCode)
+			}
+			wantStatus = resp.StatusCode
+			var b []byte
+			if b, wantErr = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes)); wantErr == nil {
+				wantBody = string(b)
+			}
+			resp.Body.Close()
+		}
+
+		// Get's path.
+		for _, step := range []int{0, 1} {
+			fc := conn(step)
+			status, body := 0, ""
+			rh, _, err := readRespHead(&fc.br, nil)
+			if err == nil {
+				status = rh.code
+				body, err = tr.readBody(fc, rh)
+			}
+			if status != wantStatus || body != wantBody || (err == nil) != (wantErr == nil) {
+				t.Fatalf("step %d: Get's path read %d, %q, %v; client.Do's read %d, %q, %v",
+					step, status, body, err, wantStatus, wantBody, wantErr)
+			}
+		}
+	})
+}
+
+// FuzzGetHeadMatchesRequestHead: for any URL, Get puts on the wire the
+// request head client.Do's path writes for the URL url.Parse makes of
+// it, and dials the same host — or both refuse the URL.
+func FuzzGetHeadMatchesRequestHead(f *testing.F) {
+	for _, u := range []string{
+		"http://site.test/", "http://site.test", "http://203.0.113.9:8080/a/b.html",
+		"http://site.test/robots.txt%00", "HTTP://Site.Test:80/a%20b?q=1&r=%2F#top",
+		"http://u:p@site.test/", "https://site.test/", "http://site.test:/x",
+		"http://[2001:db8::1]:80/x", "http://site.test/a b", "http://site.test/?",
+		"http://site.test/p;x=1,y@z", "http://site.test//double/./dot/../", "http:///nohost",
+	} {
+		f.Add(u, "GPTBot/1.0")
+	}
+	f.Add("http://site.test/", "")
+	client := New().HTTPClient("198.51.100.1")
+	f.Fuzz(func(t *testing.T, rawURL, ua string) {
+		var hdr http.Header
+		if ua != "" {
+			hdr = http.Header{"User-Agent": {ua}, "X-Probe": {"1"}}
+		}
+		var want []byte
+		u, wantErr := url.Parse(rawURL)
+		if wantErr == nil {
+			wantErr = checkURL(u)
+		}
+		if wantErr == nil {
+			want = appendRequestHead(nil, &http.Request{Method: http.MethodGet, URL: u, Host: u.Host, Header: hdr})
+		}
+		_, host, target, err := getTarget(client, rawURL)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("%q: Get's URL error %v, url.Parse and checkURL's %v", rawURL, err, wantErr)
+		}
 		if err != nil {
 			return
 		}
-		if resp.StatusCode < 100 || resp.StatusCode > 999 {
-			t.Fatalf("accepted out-of-range status %d", resp.StatusCode)
+		if host != u.Host {
+			t.Fatalf("%q: Get dials %q, client.Do %q", rawURL, host, u.Host)
 		}
-		// The head parsed; the finite stream must drain without panicking.
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
+		if got := appendGetHead(nil, host, target, hdr); !bytes.Equal(got, want) {
+			t.Fatalf("%q: Get's head\n%q\nclient.Do's\n%q", rawURL, got, want)
+		}
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -52,7 +53,8 @@ func readRequestHead(c net.Conn) error {
 
 // TestFastClientDeadlineMidRead pins deadline behaviour when the peer
 // stalls after the response head: the body read must fail with a
-// deadline error instead of hanging.
+// deadline error instead of hanging — through client.Do with the
+// client's Timeout, and through Get with a ctx deadline.
 func TestFastClientDeadlineMidRead(t *testing.T) {
 	nw := New()
 	ln, err := nw.Listen("203.0.113.60", 80)
@@ -66,31 +68,53 @@ func TestFastClientDeadlineMidRead(t *testing.T) {
 		if err := readRequestHead(c); err != nil {
 			return
 		}
-		// Promise 100 bytes, deliver 5, then stall forever.
+		// Promise 100 bytes, deliver 5, then stall until the client
+		// gives up and hangs up.
 		fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nhello")
-		time.Sleep(10 * time.Second)
+		io.Copy(io.Discard, c)
 	})
+	isDeadline := func(err error) bool {
+		var nerr net.Error
+		timeout := errors.As(err, &nerr) && nerr.Timeout()
+		return timeout || errors.Is(err, os.ErrDeadlineExceeded) || strings.Contains(err.Error(), "deadline")
+	}
 
-	client := nw.HTTPClient("198.51.100.60")
-	client.Timeout = 50 * time.Millisecond
-	start := time.Now()
-	resp, err := client.Get("http://stall.test/")
-	if err != nil {
-		t.Fatalf("head should have arrived before the stall: %v", err)
-	}
-	_, err = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err == nil {
-		t.Fatal("body read succeeded though the peer stalled")
-	}
-	var nerr net.Error
-	timeout := errors.As(err, &nerr) && nerr.Timeout()
-	if !timeout && !errors.Is(err, os.ErrDeadlineExceeded) && !strings.Contains(err.Error(), "deadline") {
-		t.Fatalf("want deadline/timeout error, got %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline took %v to fire", elapsed)
-	}
+	t.Run("Do", func(t *testing.T) {
+		client := nw.HTTPClient("198.51.100.60")
+		client.Timeout = 50 * time.Millisecond
+		start := time.Now()
+		resp, err := client.Get("http://stall.test/")
+		if err != nil {
+			t.Fatalf("head should have arrived before the stall: %v", err)
+		}
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err == nil {
+			t.Fatal("body read succeeded though the peer stalled")
+		}
+		if !isDeadline(err) {
+			t.Fatalf("want deadline/timeout error, got %v", err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("deadline took %v to fire", elapsed)
+		}
+	})
+	t.Run("Get", func(t *testing.T) {
+		client := nw.HTTPClient("198.51.100.60")
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		status, body, err := Get(ctx, client, "http://stall.test/", nil)
+		if err == nil {
+			t.Fatalf("Get succeeded though the peer stalled: %d, %q", status, body)
+		}
+		if status != http.StatusOK || body != "" || !isDeadline(err) {
+			t.Fatalf("Get = %d, %q, %v; want the status, no body and a deadline error", status, body, err)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("deadline took %v to fire", elapsed)
+		}
+	})
 }
 
 // TestFastClientPeerCloseMidResponse pins the truncated-response case:
@@ -158,6 +182,40 @@ func TestGetTruncatedBody(t *testing.T) {
 	}
 }
 
+// TestGetCapsBody: Get reads the first 1 MiB of a longer body as the
+// whole page, without an error, and a short remainder past the cap is
+// drained so the conn goes back to the pool.
+func TestGetCapsBody(t *testing.T) {
+	nw := New()
+	ln, err := nw.Listen("203.0.113.71", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nw.Register("big.test", "203.0.113.71")
+	page := bytes.Repeat([]byte("0123456789abcdef"), (maxBodyBytes+64)/16)
+	rawServe(ln, func(c net.Conn) {
+		defer c.Close()
+		for readRequestHead(c) == nil {
+			fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n", len(page))
+			c.Write(page)
+		}
+	})
+
+	client := nw.HTTPClient("198.51.100.71")
+	defer client.CloseIdleConnections()
+	for i := 0; i < 2; i++ {
+		hits := mHTTPPoolHits.Value()
+		status, body, err := Get(context.Background(), client, "http://big.test/", nil)
+		if err != nil || status != http.StatusOK || body != string(page[:maxBodyBytes]) {
+			t.Fatalf("Get %d = %d, %d bytes, %v; want 200 and the first %d bytes", i, status, len(body), err, maxBodyBytes)
+		}
+		if got := mHTTPPoolHits.Value() - hits; i > 0 && got != 1 {
+			t.Fatalf("Get %d: %d pool hits, want the drained conn reused", i, got)
+		}
+	}
+}
+
 // TestFastClientPostBodyAcrossRing sends a POST body several times the
 // 32KiB netsim ring and checks the bytes arrive intact: the client must
 // interleave body writes with the server's reads instead of deadlocking
@@ -208,7 +266,7 @@ func TestFastClientPostBodyAcrossRing(t *testing.T) {
 
 // TestFastClientRetriesDeadPooledConn pins the retry-once contract: a
 // pooled keep-alive connection whose peer hung up must be replaced
-// transparently on the next request.
+// transparently on the next request, through client.Do and through Get.
 func TestFastClientRetriesDeadPooledConn(t *testing.T) {
 	nw := New()
 	ln, err := nw.Listen("203.0.113.63", 80)
@@ -227,17 +285,38 @@ func TestFastClientRetriesDeadPooledConn(t *testing.T) {
 		fmt.Fprintf(c, "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok")
 	})
 
-	client := nw.HTTPClient("198.51.100.63")
-	for i := 0; i < 3; i++ {
-		resp, err := client.Get("http://flaky.test/")
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil || string(body) != "ok" {
-			t.Fatalf("request %d: body %q, err %v", i, body, err)
-		}
+	for _, via := range []string{"Do", "Get"} {
+		t.Run(via, func(t *testing.T) {
+			client := nw.HTTPClient("198.51.100.63")
+			retries := mHTTPRetries.Value()
+			for i := 0; i < 3; i++ {
+				var body string
+				if via == "Do" {
+					resp, err := client.Get("http://flaky.test/")
+					if err != nil {
+						t.Fatalf("request %d: %v", i, err)
+					}
+					b, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						t.Fatalf("request %d: body %q, err %v", i, b, err)
+					}
+					body = string(b)
+				} else {
+					status, b, err := Get(context.Background(), client, "http://flaky.test/", nil)
+					if err != nil || status != http.StatusOK {
+						t.Fatalf("request %d: status %d, err %v", i, status, err)
+					}
+					body = b
+				}
+				if body != "ok" {
+					t.Fatalf("request %d: body %q", i, body)
+				}
+			}
+			if got := mHTTPRetries.Value() - retries; got < 2 {
+				t.Errorf("three requests on conns that each die after one answer: %d retries, want 2", got)
+			}
+		})
 	}
 }
 
@@ -252,9 +331,9 @@ func TestFastClientContextCancelMidRequest(t *testing.T) {
 	defer ln.Close()
 	nw.Register("slow.test", "203.0.113.64")
 	rawServe(ln, func(c net.Conn) {
+		// Never answer; hold the conn until the client gives up on it.
 		defer c.Close()
-		readRequestHead(c)
-		time.Sleep(10 * time.Second)
+		io.Copy(io.Discard, c)
 	})
 
 	client := nw.HTTPClient("198.51.100.64")
@@ -272,6 +351,90 @@ func TestFastClientContextCancelMidRequest(t *testing.T) {
 		t.Fatalf("context deadline took %v to fire", elapsed)
 	}
 }
+
+// TestGetReturnsRedirectAsIs: Get follows no redirect; a 302 comes back
+// with its own status and body, and nothing fetches the Location.
+func TestGetReturnsRedirectAsIs(t *testing.T) {
+	nw := New()
+	ln, err := nw.Listen("203.0.113.69", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nw.Register("moved.test", "203.0.113.69")
+	var requests atomic.Int64
+	rawServe(ln, func(c net.Conn) {
+		defer c.Close()
+		for readRequestHead(c) == nil {
+			requests.Add(1)
+			io.WriteString(c, "HTTP/1.1 302 Found\r\nLocation: http://moved.test/elsewhere\r\nContent-Length: 5\r\n\r\nmoved")
+		}
+	})
+
+	client := nw.HTTPClient("198.51.100.69")
+	defer client.CloseIdleConnections()
+	status, body, err := Get(context.Background(), client, "http://moved.test/", nil)
+	if err != nil || status != http.StatusFound || body != "moved" {
+		t.Fatalf("Get = %d, %q, %v; want the 302 and its body", status, body, err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Fatalf("server answered %d requests, want 1: the redirect was followed", n)
+	}
+}
+
+// TestGetRefusesClient: Get fails, before dialing, for a client whose
+// settings it could not honour — a transport that is not netsim's, a
+// Timeout, a cookie Jar or a CheckRedirect.
+func TestGetRefusesClient(t *testing.T) {
+	const serverIP = "203.0.113.70"
+	nw := New()
+	ln, err := nw.Listen(serverIP, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nw.Register("refuse.test", serverIP)
+
+	withTimeout := nw.HTTPClient("198.51.100.70")
+	withTimeout.Timeout = time.Second
+	withRedirect := nw.HTTPClient("198.51.100.70")
+	withRedirect.CheckRedirect = func(*http.Request, []*http.Request) error { return nil }
+	withJar := nw.HTTPClient("198.51.100.70")
+	withJar.Jar = nopJar{}
+	for name, client := range map[string]*http.Client{
+		"foreign transport": stdlibClient(nw, "198.51.100.70", true),
+		"Timeout":           withTimeout,
+		"CheckRedirect":     withRedirect,
+		"Jar":               withJar,
+	} {
+		status, body, err := Get(context.Background(), client, "http://refuse.test/", nil)
+		if err == nil {
+			t.Errorf("%s: Get = %d, %q; want an error", name, status, body)
+		}
+	}
+
+	// A sentinel dial must be the first connection the listener has.
+	const sentinelIP = "198.51.100.251"
+	sc, err := nw.Dial(context.Background(), sentinelIP, serverIP+":80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	c, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if ip, _, _ := net.SplitHostPort(c.RemoteAddr().String()); ip != sentinelIP {
+		t.Fatalf("listener accepted a connection from %s before the sentinel: a refused Get dialed", ip)
+	}
+}
+
+// nopJar is a cookie jar that keeps nothing.
+type nopJar struct{}
+
+func (nopJar) SetCookies(*url.URL, []*http.Cookie) {}
+func (nopJar) Cookies(*url.URL) []*http.Cookie     { return nil }
 
 // serveHosts serves "ok" for every Host on one listener at ip and
 // returns a counter of the connections the server accepted.

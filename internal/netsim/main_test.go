@@ -1,0 +1,9 @@
+package netsim
+
+import (
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

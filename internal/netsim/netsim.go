@@ -25,10 +25,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -236,62 +234,12 @@ func (n *Network) Dial(ctx context.Context, sourceIP, addr string) (net.Conn, er
 // in a deadline context costs several allocations and a timer on the hot
 // path, and the simulated network cannot stall silently (a closed peer
 // always surfaces as EOF or errConnReset). Callers that want a bound
-// pass a cancellable or deadline context per request — every experiment
-// driver in this repo already does — or set Timeout on the returned
-// client.
+// pass a deadline context per request, as every experiment in this repo
+// does. A caller of client.Do may instead set Timeout on the returned
+// client; Get refuses a client with Timeout set, since it does not go
+// through client.Do.
 func (n *Network) HTTPClient(sourceIP string) *http.Client {
 	return &http.Client{Transport: newFastTransport(n, sourceIP)}
-}
-
-// maxBodyBytes bounds how much of a response body Get reads.
-const maxBodyBytes = 1 << 20
-
-// copyBufPool recycles the scratch buffers Get drains bodies with;
-// draining fully (instead of closing early) is what lets the transport
-// return the connection to the keep-alive pool.
-var copyBufPool = sync.Pool{
-	New: func() any { return make([]byte, 16*1024) },
-}
-
-// Get fetches rawURL with a GET on client and reads the response body,
-// up to its first 1 MiB. It is the tree's one GET-and-read: crawlers,
-// probes and surveys all fetch through it. hdr is the request header as
-// is — transports only read it, so callers share one map across every
-// request (nil sends Go's default User-Agent). A read error, a body cut
-// short of its Content-Length included, returns the status with an
-// empty body and the error: a truncated page never reads as a whole one.
-func Get(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return 0, "", err
-	}
-	// Built by hand instead of NewRequestWithContext so every fetch
-	// shares hdr rather than allocating and populating a fresh map.
-	req := (&http.Request{
-		Method:     http.MethodGet,
-		URL:        u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     hdr,
-		Host:       u.Host,
-	}).WithContext(ctx)
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	if resp.ContentLength > 0 && resp.ContentLength <= maxBodyBytes {
-		sb.Grow(int(resp.ContentLength))
-	}
-	buf := copyBufPool.Get().([]byte)
-	_, err = io.CopyBuffer(&sb, io.LimitReader(resp.Body, maxBodyBytes), buf)
-	copyBufPool.Put(buf) //nolint:staticcheck // fixed-size []byte scratch buffer
-	if err != nil {
-		return resp.StatusCode, "", fmt.Errorf("netsim: reading %s: %w", rawURL, err)
-	}
-	return resp.StatusCode, sb.String(), nil
 }
 
 // maxBacklog bounds a listener's accept queue, like a kernel SYN queue:

@@ -225,10 +225,7 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Grey-box replays run without a caller context; bound them with a
-	// client-level timeout instead.
 	client := nw.HTTPClient("198.51.100.230")
-	client.Timeout = 10 * time.Second
 
 	var probes []string
 	for _, a := range agents.Table1 {
@@ -236,8 +233,12 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 	}
 	probes = append(probes, agents.GenericCrawlerUserAgents(extraAgents)...)
 
+	// Grey-box replays run without a caller context; each fetch carries
+	// its own bound.
 	fetch := func(ua string) (responseKind, error) {
-		status, body, err := netsim.Get(context.Background(), client, site.URL()+"/", http.Header{"User-Agent": {ua}})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		status, body, err := netsim.Get(ctx, client, site.URL()+"/", http.Header{"User-Agent": {ua}})
 		if err != nil {
 			return kindOther, err
 		}

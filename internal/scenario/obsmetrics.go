@@ -17,6 +17,20 @@ var (
 		"Real time per scenario.RunTiered call, ns.")
 )
 
+// Hot site-month budget, one observation per stage per hot site-month:
+// publishing the month's policy and blocker, the crawl waves over live
+// HTTP, absorbing the month's log window, and classifying the window's
+// evidence into the month's counters. The four stages sum to
+// scenario_month_wall_ns.
+const hotStageHelp = "Real time per hot site-month by stage, ns."
+
+var (
+	mHotStagePublishNS  = obs.NewHistogram(`scenario_hot_stage_ns{stage="publish"}`, hotStageHelp)
+	mHotStageCrawlNS    = obs.NewHistogram(`scenario_hot_stage_ns{stage="crawl"}`, hotStageHelp)
+	mHotStageAbsorbNS   = obs.NewHistogram(`scenario_hot_stage_ns{stage="absorb"}`, hotStageHelp)
+	mHotStageClassifyNS = obs.NewHistogram(`scenario_hot_stage_ns{stage="classify"}`, hotStageHelp)
+)
+
 // Phase time, one observation per RunTiered call: TierStats' PlanNS,
 // HotNS, ColdNS (each summed over workers; plan also counts the serial
 // seed derivation that precedes them) and MergeNS.

@@ -529,7 +529,8 @@ func (w *tierWorker) wave(ctx context.Context, key waveKey) (waveEffect, error) 
 // policies and blocking are only ever turned on, so the site carried
 // over from last month holds nothing a fresh one would not be given.
 func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m int) error {
-	defer mMonthWallNS.ObserveSince(time.Now())
+	start := time.Now()
+	defer mMonthWallNS.ObserveSince(start)
 	w.stats.HotSiteMonths++
 	t, world := w.tail, w.world
 	w.applyMonthState(i, m)
@@ -539,6 +540,8 @@ func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m
 	if t.blockerOn.get(i) {
 		site.SetBlocker(world.blockers[world.activeBlockerID(m)].blocker)
 	}
+	crawlStart := time.Now()
+	mHotStagePublishNS.Observe(uint64(crawlStart.Sub(start)))
 
 	mark := site.LogLen()
 	var d MonthMetrics
@@ -557,9 +560,14 @@ func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m
 		mCrawlWaves.Inc()
 		d.Visits++
 	}
+	absorbStart := time.Now()
+	mHotStageCrawlNS.Observe(uint64(absorbStart.Sub(crawlStart)))
 
 	restricts, parsed := world.restrictsFunc(t.policyID[i])
 	absorbWindow(site.LogSince(mark), parsed, restricts, &d, w.windowEv)
+	classifyStart := time.Now()
+	mHotStageAbsorbNS.Observe(uint64(classifyStart.Sub(absorbStart)))
+	defer mHotStageClassifyNS.ObserveSince(classifyStart)
 	for tok, ev := range w.windowEv {
 		d.ClassCounts[measure.ClassifyEvidence(ev)]++
 		tk, ok := world.tokenIndex[tok]

@@ -1,0 +1,61 @@
+package webserver
+
+import (
+	"context"
+	"net/http"
+	"testing"
+
+	"repro/internal/netsim"
+)
+
+// TestGetFarmPageAllocs pins the cost of the simulation's unit of work:
+// one keep-alive netsim.Get of a farm page, client and server halves
+// together.
+func TestGetFarmPageAllocs(t *testing.T) {
+	nw := netsim.New()
+	f := newFarm(t, nw, "203.0.113.250")
+	site, err := f.StartSite(Config{Domain: "allocs.test", IP: "203.0.113.251", Pages: ContentPages("allocs.test")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := nw.HTTPClient("198.51.100.250")
+	defer client.CloseIdleConnections()
+	hdr := http.Header{"User-Agent": {"GPTBot/1.0"}}
+	target := site.URL() + "/gallery.html"
+	ctx := context.Background()
+	get := func() {
+		status, body, err := netsim.Get(ctx, client, target, hdr)
+		if err != nil || status != http.StatusOK || body == "" {
+			t.Fatalf("Get = %d, %d bytes, %v", status, len(body), err)
+		}
+	}
+	get() // dial and pool the conn
+	allocs := testing.AllocsPerRun(1000, get)
+	t.Logf("%.2f allocs per keep-alive Get", allocs)
+	if allocs > 5 {
+		t.Errorf("%.2f allocations per keep-alive Get of a farm page, want at most 5", allocs)
+	}
+}
+
+// TestHostKey pins hostKey's normalization, and that the Host every
+// client in the tree sends — lowercase, no port — costs no allocation.
+func TestHostKey(t *testing.T) {
+	for in, want := range map[string]string{
+		"site.test":        "site.test",
+		"Site.Test":        "site.test",
+		"site.test:80":     "site.test",
+		"SITE.test:8080":   "site.test",
+		"203.0.113.9":      "203.0.113.9",
+		"[2001:db8::1]":    "[2001:db8::1]",
+		"[2001:db8::1]:80": "2001:db8::1",
+	} {
+		if got := hostKey(in); got != want {
+			t.Errorf("hostKey(%q) = %q, want %q", in, got, want)
+		}
+	}
+	for _, h := range []string{"site.test", "site.test:80"} {
+		if allocs := testing.AllocsPerRun(100, func() { hostKey(h) }); allocs != 0 {
+			t.Errorf("hostKey(%q): %.1f allocations, want 0", h, allocs)
+		}
+	}
+}

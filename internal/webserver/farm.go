@@ -322,8 +322,12 @@ func (f *Farm) dropConn(c net.Conn) {
 // no port, which is what every client in this codebase sends — does not
 // allocate.
 func hostKey(h string) string {
-	if host, _, err := net.SplitHostPort(h); err == nil {
-		h = host
+	// SplitHostPort allocates its error for a host without a port, so it
+	// only sees hosts that may carry one.
+	if strings.IndexByte(h, ':') >= 0 {
+		if host, _, err := net.SplitHostPort(h); err == nil {
+			h = host
+		}
 	}
 	for i := 0; i < len(h); i++ {
 		if c := h[i]; c >= 'A' && c <= 'Z' {
