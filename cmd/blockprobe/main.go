@@ -55,11 +55,12 @@ func main() {
 		return
 	}
 
-	res, err := blocking.RunSurvey(ctx, *sites, *seed, *workers, blocking.DefaultDetector)
+	tallies, err := blocking.RunSurvey(ctx, *sites, *seed, *workers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "blockprobe: %v\n", err)
 		os.Exit(1)
 	}
+	res := tallies.Under(blocking.DefaultDetector)
 	fmt.Printf("Active-blocking survey over %d sites (§6.2)\n", res.Probed)
 	fmt.Printf("  inherently block automation: %5d (%.1f%%)\n",
 		res.InherentlyBlocked, stats.Percent(res.InherentlyBlocked, res.Probed))

@@ -144,12 +144,23 @@ var Table1 = []Agent{
 	{UserAgent: "YouBot", Category: AISearch, Company: "You.com", PublishesIPs: No, ClaimsRespect: Unknown, RespectsInPractice: Unknown, Announced: d(2023, time.February), IPPrefix: "32.0.1"},
 }
 
-// ByToken returns the Table 1 agent with the given product token.
+// table1Tokens are the Table 1 agents' Tokens in table order, lowercased
+// once so that a lookup allocates nothing.
+var table1Tokens = func() []string {
+	toks := make([]string, len(Table1))
+	for i, a := range Table1 {
+		toks[i] = a.Token()
+	}
+	return toks
+}()
+
+// ByToken returns the first Table 1 agent with the given product token,
+// compared case-insensitively.
 func ByToken(token string) (Agent, bool) {
-	want := strings.ToLower(useragent.ExtractToken(token))
-	for _, a := range Table1 {
-		if a.Token() == want {
-			return a, true
+	want := useragent.ExtractToken(token)
+	for i, tok := range table1Tokens {
+		if useragent.EqualToken(want, tok) {
+			return Table1[i], true
 		}
 	}
 	return Agent{}, false

@@ -85,6 +85,49 @@ func TestByToken(t *testing.T) {
 	}
 }
 
+// byTokenReference is ByToken as it was before Table 1's tokens were
+// lowercased once: it lowercases both sides on every comparison.
+func byTokenReference(token string) (Agent, bool) {
+	want := strings.ToLower(useragent.ExtractToken(token))
+	for _, a := range Table1 {
+		if a.Token() == want {
+			return a, true
+		}
+	}
+	return Agent{}, false
+}
+
+// FuzzByTokenMatchesReference: ByToken resolves every input to the agent
+// the per-call lowercasing lookup does, or to none when it does.
+func FuzzByTokenMatchesReference(f *testing.F) {
+	for _, a := range Table1 {
+		f.Add(a.UserAgent)
+		f.Add(strings.ToUpper(a.UserAgent))
+		f.Add(strings.ToLower(a.UserAgent))
+		f.Add(a.FullUserAgent()[strings.LastIndex(a.FullUserAgent(), "; ")+2:])
+	}
+	for _, s := range []string{"", " ", "  gptbot/1.1 ", "Kangaroo", "Kangaroo Bot", "GPTBot\u212a", "\u212aangaroo", "Mozilla/5.0", "NotARealBot"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, token string) {
+		got, gotOK := ByToken(token)
+		want, wantOK := byTokenReference(token)
+		if gotOK != wantOK || got.UserAgent != want.UserAgent {
+			t.Fatalf("ByToken(%q) = %q, %v; reference = %q, %v", token, got.UserAgent, gotOK, want.UserAgent, wantOK)
+		}
+	})
+}
+
+// TestByTokenAllocs: a lookup, hit or miss, in any case, allocates
+// nothing.
+func TestByTokenAllocs(t *testing.T) {
+	for _, tok := range []string{"GPTBot", "gptbot", "YouBot", "ClaudeBot/1.0", "NotARealBot"} {
+		if n := testing.AllocsPerRun(100, func() { ByToken(tok) }); n != 0 {
+			t.Errorf("ByToken(%q): %v allocs per call, want 0", tok, n)
+		}
+	}
+}
+
 func TestCategories(t *testing.T) {
 	// Paper's taxonomy: spot-check representative classifications.
 	checks := map[string]Category{

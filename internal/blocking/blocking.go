@@ -17,7 +17,10 @@
 // Every probe reads through netsim.Get, so a page cut short is a failed
 // fetch, and the survey probes its sites on par.Do: each shard writes
 // only its own sites' result slots, and workers <= 1 probes them all on
-// the calling goroutine.
+// the calling goroutine. A probe records what it saw and a pure function
+// classifies that record, so one probe pass over the population yields
+// the tallies of both detectors — the paper's full feature set and the
+// status-only ablation.
 package blocking
 
 import (
@@ -163,15 +166,14 @@ func (v siteVerdict) String() string {
 // probeAgents are the two AI user agents the §6 probes use: the most
 // frequently restricted agents without published IP ranges, so sites must
 // block them by user agent.
-var probeAgents = []string{"ClaudeBot", "anthropic-ai"}
+var probeAgents = [...]string{"ClaudeBot", "anthropic-ai"}
 
 // controlHdr and agentHdrs are the request headers every probe shares:
 // the control crawl's browser user agent, then one per probe agent, all
 // carrying the automation fingerprint (it is the same tool).
 var (
 	controlHdr = probeHeader(useragent.BrowserChromeUA)
-	agentHdrs  = func() []http.Header {
-		hs := make([]http.Header, len(probeAgents))
+	agentHdrs  = func() (hs [len(probeAgents)]http.Header) {
 		for i, agent := range probeAgents {
 			hs[i] = probeHeader(useragent.FullUA(agent, "1.0"))
 		}
@@ -186,66 +188,68 @@ func probeHeader(ua string) http.Header {
 // robotsHdr is the neutral user agent of the robots.txt overlap check.
 var robotsHdr = http.Header{"User-Agent": {"robots-survey/1.0"}}
 
-// prober runs user-agent differential probes.
-type prober struct {
-	client  *http.Client
-	options DetectorOptions
-}
-
-// newProber builds a prober that dials from sourceIP.
-func newProber(nw *netsim.Network, sourceIP string, opts DetectorOptions) *prober {
-	return &prober{client: nw.HTTPClient(sourceIP), options: opts}
-}
-
-// probeOutcome is one site's differential probe result.
-type probeOutcome struct {
-	URL           string
-	Verdict       siteVerdict
+// probeRecord is what one site's differential probe saw: the control
+// crawl's status and body length, then each probe agent's.
+type probeRecord struct {
 	ControlStatus int
-	// AIStatus maps each probe agent to its response status (0 = error).
-	AIStatus map[string]int
+	ControlLen    int
+	Agents        [len(probeAgents)]agentFetch
 }
 
-// probe runs the §6.1 procedure against one site: control crawl with a
-// Chrome user agent, then one crawl per AI probe agent. A control crawl
-// that fails, a body cut short included, is an error: nothing can be
-// compared against it.
-func (p *prober) probe(ctx context.Context, siteURL string) (*probeOutcome, error) {
-	out := &probeOutcome{URL: siteURL, AIStatus: make(map[string]int)}
-	ctrlStatus, ctrlBody, err := netsim.Get(ctx, p.client, siteURL, controlHdr)
+// agentFetch is one probe agent's crawl. Failed marks a transport error
+// (a body cut short included); Status and Len are then zero.
+type agentFetch struct {
+	Status int
+	Len    int
+	Failed bool
+}
+
+// probe runs the §6.1 procedure against one site from client: control
+// crawl with a Chrome user agent, then, if the control got a 200, one
+// crawl per AI probe agent. A control crawl that fails, a body cut short
+// included, is an error: nothing can be compared against it.
+func probe(ctx context.Context, client *http.Client, siteURL string) (probeRecord, error) {
+	var rec probeRecord
+	ctrlStatus, ctrlBody, err := netsim.Get(ctx, client, siteURL, controlHdr)
 	if err != nil {
-		return nil, fmt.Errorf("blocking: control crawl: %w", err)
+		return rec, fmt.Errorf("blocking: control crawl: %w", err)
 	}
-	out.ControlStatus = ctrlStatus
+	rec.ControlStatus, rec.ControlLen = ctrlStatus, len(ctrlBody)
 	if ctrlStatus != http.StatusOK {
-		out.Verdict = noInference
-		return out, nil
+		return rec, nil
 	}
-	blocked := false
-	for i, agent := range probeAgents {
-		status, body, err := netsim.Get(ctx, p.client, siteURL, agentHdrs[i])
+	for i := range probeAgents {
+		status, body, err := netsim.Get(ctx, client, siteURL, agentHdrs[i])
 		if err != nil {
-			if !p.options.StatusOnly {
-				blocked = true
+			rec.Agents[i].Failed = true
+			continue
+		}
+		rec.Agents[i].Status, rec.Agents[i].Len = status, len(body)
+	}
+	return rec, nil
+}
+
+// verdict classifies a probe record under opts: a control crawl without
+// a 200 says nothing; otherwise an AI crawl with a different status
+// blocks, and under the full detector so does a transport error or a
+// content length lengthRatio away from the control's.
+func (r *probeRecord) verdict(opts DetectorOptions) siteVerdict {
+	if r.ControlStatus != http.StatusOK {
+		return noInference
+	}
+	for _, a := range r.Agents {
+		switch {
+		case a.Failed:
+			if !opts.StatusOnly {
+				return blocksAI
 			}
-			out.AIStatus[agent] = 0
-			continue
-		}
-		out.AIStatus[agent] = status
-		if status != ctrlStatus {
-			blocked = true
-			continue
-		}
-		if !p.options.StatusOnly && significantDelta(len(ctrlBody), len(body)) {
-			blocked = true
+		case a.Status != r.ControlStatus:
+			return blocksAI
+		case !opts.StatusOnly && significantDelta(r.ControlLen, a.Len):
+			return blocksAI
 		}
 	}
-	if blocked {
-		out.Verdict = blocksAI
-	} else {
-		out.Verdict = noBlocking
-	}
-	return out, nil
+	return noBlocking
 }
 
 func significantDelta(control, ai int) bool {
@@ -338,7 +342,7 @@ func startSite(farm *webserver.Farm, spec siteSpec, bodySize int) (*webserver.Si
 		chain = append(chain, automationBlocker{})
 	}
 	if spec.UABlock {
-		chain = append(chain, &UABlocker{Patterns: probeAgents, Style: spec.Style})
+		chain = append(chain, &UABlocker{Patterns: probeAgents[:], Style: spec.Style})
 	}
 	cfg := webserver.Config{
 		Domain:    spec.Domain,
@@ -357,7 +361,7 @@ func startSite(farm *webserver.Farm, spec siteSpec, bodySize int) (*webserver.Si
 // sites.
 const surveyFarmIP = "10.9.0.1"
 
-// SurveyResult aggregates the §6.2 measurement.
+// SurveyResult aggregates the §6.2 measurement under one detector.
 type SurveyResult struct {
 	Probed            int
 	InherentlyBlocked int
@@ -368,54 +372,91 @@ type SurveyResult struct {
 	RobotsOverlap int
 }
 
+// count adds one probed site with verdict v; robots reports whether its
+// robots.txt restricts a probe agent.
+func (r *SurveyResult) count(v siteVerdict, robots bool) {
+	r.Probed++
+	switch v {
+	case noInference:
+		r.InherentlyBlocked++
+	case blocksAI:
+		r.ActiveBlockers++
+		if robots {
+			r.RobotsOverlap++
+		}
+	case noBlocking:
+		r.NoBlocking++
+	}
+}
+
+// Tallies are one survey's results under both detectors.
+type Tallies struct {
+	// Full is the paper's detector, StatusOnly the ablation.
+	Full, StatusOnly SurveyResult
+}
+
+// Under returns the tally of the detector opts selects.
+func (t *Tallies) Under(opts DetectorOptions) *SurveyResult {
+	if opts.StatusOnly {
+		return &t.StatusOnly
+	}
+	return &t.Full
+}
+
 // RunSurvey generates a population of n sites, hosts them, probes each
-// with the §6.1 detector, and checks robots.txt overlap for detected
-// blockers. Probes run on par.Do: workers bounds the shards in flight
-// (clamped to GOMAXPROCS; workers <= 1 probes every site on the calling
-// goroutine), and cancellation is honored between shards. The first
-// failing site in population order decides the error.
-func RunSurvey(ctx context.Context, n int, seed int64, workers int, opts DetectorOptions) (*SurveyResult, error) {
-	nw := netsim.New()
-	specs := generatePopulation(n, seed)
-	sizeRand := stats.NewRand(seed).Fork("body-sizes")
-	// The whole population shares one virtual-host farm: site startup is
-	// a map insert plus an IP alias, not a per-site server.
-	farm, err := webserver.NewFarm(nw, surveyFarmIP)
+// once and classifies the probe under both §6.1 detectors, then checks
+// robots.txt overlap for the sites the full detector flags. Every
+// status-only blocker is also a full-detector blocker, so both tallies'
+// RobotsOverlap come from those fetches. Probes run on par.Do: workers
+// bounds the shards in flight (clamped to GOMAXPROCS; workers <= 1
+// probes every site on the calling goroutine), and cancellation is
+// honored between shards. A failing site fails the survey under both
+// detectors.
+func RunSurvey(ctx context.Context, n int, seed int64, workers int) (*Tallies, error) {
+	sites, err := probeSites(ctx, n, seed, workers)
+	if err != nil {
+		return nil, err
+	}
+	res := &Tallies{}
+	for _, r := range sites {
+		res.Full.count(r.full, r.robots)
+		res.StatusOnly.count(r.statusOnly, r.robots)
+	}
+	return res, nil
+}
+
+// siteResult is one survey site's probe, classified under each detector.
+type siteResult struct {
+	full, statusOnly siteVerdict
+	robots           bool // a full-detector blocker's robots.txt restricts a probe agent
+	err              error
+}
+
+// probeSites hosts a population of n sites and probes each one once,
+// returning the per-site results in population order. The first failing
+// site in population order decides the error.
+func probeSites(ctx context.Context, n int, seed int64, workers int) ([]siteResult, error) {
+	nw, farm, specs, err := hostPopulation(ctx, n, seed)
 	if err != nil {
 		return nil, err
 	}
 	defer farm.Close()
-	for i, spec := range specs {
-		if i%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := startSite(farm, spec, 1500+sizeRand.Intn(3000)); err != nil {
-			return nil, err
-		}
-	}
 
 	// Each shard probes on its own clients and writes only its sites'
 	// slots, so the result does not depend on scheduling.
-	type siteResult struct {
-		verdict siteVerdict
-		robots  bool // a detected blocker's robots.txt restricts a probe agent
-		err     error
-	}
 	results := make([]siteResult, len(specs))
 	err = par.Do(ctx, workers, len(specs), func(start, end int) {
-		p := newProber(nw, "198.51.100.200", opts)
+		client := nw.HTTPClient("198.51.100.200")
 		robotsClient := nw.HTTPClient("198.51.100.201")
 		for i := start; i < end; i++ {
 			r := &results[i]
-			out, err := p.probe(ctx, "http://"+specs[i].Domain+"/")
+			rec, err := probe(ctx, client, "http://"+specs[i].Domain+"/")
 			if err != nil {
 				r.err = err
 				continue
 			}
-			r.verdict = out.Verdict
-			if r.verdict == blocksAI {
+			r.full, r.statusOnly = rec.verdict(DefaultDetector), rec.verdict(StatusOnlyDetector)
+			if r.full == blocksAI {
 				r.robots, r.err = robotsRestricts(ctx, robotsClient, specs[i].Domain)
 			}
 		}
@@ -423,25 +464,39 @@ func RunSurvey(ctx context.Context, n int, seed int64, workers int, opts Detecto
 	if err != nil {
 		return nil, err
 	}
-
-	res := &SurveyResult{Probed: len(specs)}
 	for _, r := range results {
 		if r.err != nil {
 			return nil, r.err
 		}
-		switch r.verdict {
-		case noInference:
-			res.InherentlyBlocked++
-		case blocksAI:
-			res.ActiveBlockers++
-			if r.robots {
-				res.RobotsOverlap++
+	}
+	return results, nil
+}
+
+// hostPopulation generates a population of n sites and hosts it on a
+// fresh network. The whole population shares one virtual-host farm:
+// site startup is a map insert plus an IP alias, not a per-site server.
+// The caller closes the farm.
+func hostPopulation(ctx context.Context, n int, seed int64) (*netsim.Network, *webserver.Farm, []siteSpec, error) {
+	nw := netsim.New()
+	specs := generatePopulation(n, seed)
+	sizeRand := stats.NewRand(seed).Fork("body-sizes")
+	farm, err := webserver.NewFarm(nw, surveyFarmIP)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	for i, spec := range specs {
+		if i%256 == 0 {
+			if err := ctx.Err(); err != nil {
+				farm.Close()
+				return nil, nil, nil, err
 			}
-		case noBlocking:
-			res.NoBlocking++
+		}
+		if _, err := startSite(farm, spec, 1500+sizeRand.Intn(3000)); err != nil {
+			farm.Close()
+			return nil, nil, nil, err
 		}
 	}
-	return res, nil
+	return nw, farm, specs, nil
 }
 
 // robotsRestricts fetches the site's robots.txt with a neutral user agent

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
 
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/useragent"
 	"repro/internal/webserver"
 )
@@ -94,14 +96,13 @@ func TestProbeVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		p := newProber(nw, "198.51.100.220", tc.opts)
-		out, err := p.probe(context.Background(), site.URL()+"/")
+		rec, err := probe(context.Background(), nw.HTTPClient("198.51.100.220"), site.URL()+"/")
 		site.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if out.Verdict != tc.want {
-			t.Errorf("%s: verdict = %v, want %v", tc.name, out.Verdict, tc.want)
+		if v := rec.verdict(tc.opts); v != tc.want {
+			t.Errorf("%s: verdict = %v, want %v", tc.name, v, tc.want)
 		}
 	}
 }
@@ -130,9 +131,8 @@ func TestProbeTruncatedBody(t *testing.T) {
 			}()
 		}
 	}()
-	p := newProber(nw, "198.51.100.222", DefaultDetector)
-	if out, err := p.probe(context.Background(), "http://trunc.example/"); err == nil {
-		t.Fatalf("truncated control page classified as %v", out.Verdict)
+	if rec, err := probe(context.Background(), nw.HTTPClient("198.51.100.222"), "http://trunc.example/"); err == nil {
+		t.Fatalf("truncated control page classified as %v", rec.verdict(DefaultDetector))
 	}
 }
 
@@ -203,10 +203,11 @@ func TestGeneratePopulationCounts(t *testing.T) {
 
 func TestRunSurveySmall(t *testing.T) {
 	n := 400
-	res, err := RunSurvey(context.Background(), n, 9, 16, DefaultDetector)
+	tallies, err := RunSurvey(context.Background(), n, 9, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := tallies.Under(DefaultDetector)
 	if res.Probed != n {
 		t.Fatalf("probed = %d", res.Probed)
 	}
@@ -230,40 +231,170 @@ func TestRunSurveySmall(t *testing.T) {
 	// Neither the shard split nor the robots pass folded into it may
 	// show: one worker gives the same result as many, under both
 	// detectors.
-	for _, opts := range []DetectorOptions{DefaultDetector, StatusOnlyDetector} {
-		many, err := RunSurvey(context.Background(), n, 9, 16, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		one, err := RunSurvey(context.Background(), n, 9, 1, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *one != *many {
-			t.Errorf("%+v: workers 1 = %+v, workers 16 = %+v", opts, *one, *many)
-		}
+	one, err := RunSurvey(context.Background(), n, 9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *one != *tallies {
+		t.Errorf("workers 1 = %+v, workers 16 = %+v", *one, *tallies)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunSurvey(ctx, n, 9, 16, DefaultDetector); !errors.Is(err, context.Canceled) {
+	if _, err := RunSurvey(ctx, n, 9, 16); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled survey: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestStatusOnlyDetectorUndercounts(t *testing.T) {
-	n := 400
-	full, err := RunSurvey(context.Background(), n, 9, 16, DefaultDetector)
+	res, err := RunSurvey(context.Background(), 400, 9, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	statusOnly, err := RunSurvey(context.Background(), n, 9, 16, StatusOnlyDetector)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full, statusOnly := res.Under(DefaultDetector), res.Under(StatusOnlyDetector)
 	if statusOnly.ActiveBlockers >= full.ActiveBlockers {
 		t.Errorf("status-only (%d) must miss the soft-200 blockers full (%d) catches",
 			statusOnly.ActiveBlockers, full.ActiveBlockers)
+	}
+}
+
+// referenceProbe is the §6.1 probe as it was before one probe served
+// both detectors: it classifies under opts while it crawls.
+func referenceProbe(ctx context.Context, client *http.Client, siteURL string, opts DetectorOptions) (siteVerdict, error) {
+	ctrlStatus, ctrlBody, err := netsim.Get(ctx, client, siteURL, controlHdr)
+	if err != nil {
+		return 0, fmt.Errorf("blocking: control crawl: %w", err)
+	}
+	if ctrlStatus != http.StatusOK {
+		return noInference, nil
+	}
+	blocked := false
+	for i := range probeAgents {
+		status, body, err := netsim.Get(ctx, client, siteURL, agentHdrs[i])
+		if err != nil {
+			if !opts.StatusOnly {
+				blocked = true
+			}
+			continue
+		}
+		if status != ctrlStatus {
+			blocked = true
+			continue
+		}
+		if !opts.StatusOnly && significantDelta(len(ctrlBody), len(body)) {
+			blocked = true
+		}
+	}
+	if blocked {
+		return blocksAI, nil
+	}
+	return noBlocking, nil
+}
+
+// referenceSurvey is the per-detector survey: a whole probe pass for one
+// detector, with robots.txt checked for that detector's blockers.
+func referenceSurvey(ctx context.Context, n int, seed int64, workers int, opts DetectorOptions) (*SurveyResult, []siteVerdict, error) {
+	nw, farm, specs, err := hostPopulation(ctx, n, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer farm.Close()
+	verdicts := make([]siteVerdict, len(specs))
+	robots := make([]bool, len(specs))
+	errs := make([]error, len(specs))
+	err = par.Do(ctx, workers, len(specs), func(start, end int) {
+		client := nw.HTTPClient("198.51.100.200")
+		robotsClient := nw.HTTPClient("198.51.100.201")
+		for i := start; i < end; i++ {
+			verdicts[i], errs[i] = referenceProbe(ctx, client, "http://"+specs[i].Domain+"/", opts)
+			if errs[i] == nil && verdicts[i] == blocksAI {
+				robots[i], errs[i] = robotsRestricts(ctx, robotsClient, specs[i].Domain)
+			}
+		}
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	res := &SurveyResult{}
+	for i, v := range verdicts {
+		if errs[i] != nil {
+			return nil, nil, errs[i]
+		}
+		res.count(v, robots[i])
+	}
+	return res, verdicts, nil
+}
+
+// TestSurveyOnePassMatchesPerDetector: one probe pass classified under
+// both detectors gives each detector the tally, and each site the
+// verdict, of a survey run for that detector alone; and every
+// status-only blocker is a full-detector blocker.
+func TestSurveyOnePassMatchesPerDetector(t *testing.T) {
+	ctx := context.Background()
+	const n = 600
+	for _, seed := range []int64{9, 7} {
+		got, err := RunSurvey(ctx, n, seed, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites, err := probeSites(ctx, n, seed, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range []DetectorOptions{DefaultDetector, StatusOnlyDetector} {
+			want, verdicts, err := referenceSurvey(ctx, n, seed, 4, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if *got.Under(opts) != *want {
+				t.Errorf("seed %d %+v: one pass = %+v, per detector = %+v", seed, opts, *got.Under(opts), *want)
+			}
+			for i, r := range sites {
+				v := r.full
+				if opts.StatusOnly {
+					v = r.statusOnly
+				}
+				if v != verdicts[i] {
+					t.Errorf("seed %d %+v: site %d verdict = %v, per detector = %v", seed, opts, i, v, verdicts[i])
+				}
+			}
+		}
+		soft := 0
+		for i, r := range sites {
+			if r.statusOnly == blocksAI && r.full != blocksAI {
+				t.Errorf("seed %d: site %d blocks under status-only (%v) but not under full", seed, i, r.full)
+			}
+			if r.full == blocksAI && r.statusOnly != blocksAI {
+				soft++
+			}
+		}
+		if soft == 0 {
+			t.Errorf("seed %d: no site separates the detectors", seed)
+		}
+	}
+}
+
+// TestVerdictStatusOnlyImpliesFull: over every combination of control
+// and agent observations, a status-only blocker is a full-detector
+// blocker, and the two detectors agree on what says nothing.
+func TestVerdictStatusOnlyImpliesFull(t *testing.T) {
+	fetches := []agentFetch{
+		{Status: 200, Len: 3000}, {Status: 200, Len: 2900}, {Status: 200, Len: 30},
+		{Status: 403, Len: 3000}, {Status: 403, Len: 40}, {Failed: true},
+	}
+	for _, ctrl := range []int{200, 403, 503} {
+		for _, a0 := range fetches {
+			for _, a1 := range fetches {
+				rec := probeRecord{ControlStatus: ctrl, ControlLen: 3000, Agents: [len(probeAgents)]agentFetch{a0, a1}}
+				full, statusOnly := rec.verdict(DefaultDetector), rec.verdict(StatusOnlyDetector)
+				if statusOnly == blocksAI && full != blocksAI {
+					t.Errorf("%+v: status-only blocks, full says %v", rec, full)
+				}
+				if (full == noInference) != (statusOnly == noInference) || (full == noInference) != (ctrl != 200) {
+					t.Errorf("%+v: full %v, status-only %v", rec, full, statusOnly)
+				}
+			}
+		}
 	}
 }
 
@@ -305,8 +436,7 @@ func TestBlockerAgainstRealServerLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer site.Close()
-	p := newProber(nw, "198.51.100.221", DefaultDetector)
-	if _, err := p.probe(context.Background(), site.URL()+"/"); err != nil {
+	if _, err := probe(context.Background(), nw.HTTPClient("198.51.100.221"), site.URL()+"/"); err != nil {
 		t.Fatal(err)
 	}
 	var saw403 bool

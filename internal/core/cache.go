@@ -133,14 +133,19 @@ func (e *Env) surveyPopulation() *survey.Population {
 	return pop
 }
 
-// BlockingSurvey returns the §6.2 survey result for the given detector,
-// computed once per detector configuration. The active-blocking
-// experiment and the detector ablation share the full-detector run.
+// BlockingSurvey returns the §6.2 survey result under the given
+// detector. One survey per (seed, sites) probes every site once and
+// tallies it under both detectors, so the active-blocking experiment and
+// the detector ablation share a single probe pass.
 func (e *Env) BlockingSurvey(ctx context.Context, opts blocking.DetectorOptions) (*blocking.SurveyResult, error) {
-	key := fmt.Sprintf("blocking/%d/%d/%+v", e.Config.Seed, e.Config.BlockingSites, opts)
-	return memo(e, key, func() (*blocking.SurveyResult, error) {
-		return blocking.RunSurvey(ctx, e.Config.BlockingSites, e.Config.Seed, e.Config.effectiveWorkers(), opts)
+	key := fmt.Sprintf("blocking/%d/%d", e.Config.Seed, e.Config.BlockingSites)
+	res, err := memo(e, key, func() (*blocking.Tallies, error) {
+		return blocking.RunSurvey(ctx, e.Config.BlockingSites, e.Config.Seed, e.Config.effectiveWorkers())
 	})
+	if err != nil {
+		return nil, err
+	}
+	return res.Under(opts), nil
 }
 
 // InferenceSurvey returns the shared §6.3 Cloudflare inference survey.

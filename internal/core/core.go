@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"sync"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -102,6 +103,8 @@ var (
 	registryMu   sync.Mutex
 	registry     []Experiment
 	registryByID = make(map[string]Experiment)
+	// registryWall holds each experiment's core_experiment_wall_ns series.
+	registryWall = make(map[string]*obs.Histogram)
 )
 
 func register(e Experiment) {
@@ -112,6 +115,15 @@ func register(e Experiment) {
 	}
 	registry = append(registry, e)
 	registryByID[e.ID] = e
+	registryWall[e.ID] = obs.NewHistogram(fmt.Sprintf(`core_experiment_wall_ns{id=%q}`, e.ID),
+		"Wall-clock of one experiment's Run within RunAll, substrate builds it waits on included, ns.")
+}
+
+// wallClock returns the experiment's core_experiment_wall_ns series.
+func wallClock(id string) *obs.Histogram {
+	registryMu.Lock()
+	defer registryMu.Unlock()
+	return registryWall[id]
 }
 
 // Experiments returns all registered experiments in registration order.

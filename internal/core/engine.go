@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 )
 
 // Options configures RunAll.
@@ -29,12 +30,17 @@ type Options struct {
 // scheduling them on a bounded worker pool. The returned slice is in
 // registration order; entries whose experiment failed are nil, and the
 // error joins every per-experiment failure (including cancellations).
+// Each experiment's wall time is observed in core_experiment_wall_ns.
 func RunAll(ctx context.Context, cfg Config, opts Options) ([]*Result, error) {
+	return NewEnv(cfg).runAll(ctx, opts)
+}
+
+// runAll is RunAll against an existing Env.
+func (env *Env) runAll(ctx context.Context, opts Options) ([]*Result, error) {
 	exps, err := selectExperiments(opts.IDs)
 	if err != nil {
 		return nil, err
 	}
-	env := NewEnv(cfg)
 	workers := opts.Parallelism
 	if workers < 1 {
 		workers = 1
@@ -60,7 +66,9 @@ func RunAll(ctx context.Context, cfg Config, opts Options) ([]*Result, error) {
 				if err := ctx.Err(); err != nil {
 					errs[i] = err
 				} else {
+					start := time.Now()
 					results[i], errs[i] = exps[i].Run(ctx, env)
+					wallClock(exps[i].ID).ObserveSince(start)
 				}
 				close(done[i])
 			}

@@ -292,3 +292,34 @@ func ExampleRunAll() {
 	fmt.Println(results[0].ID)
 	// Output: table3
 }
+
+// TestRunAllSurveysBlockingOnce: the active-blocking experiment and the
+// detector ablation share one §6.2 probe pass at any parallelism — the
+// survey is the only substrate either builds, so the Env holds exactly
+// one entry — and every experiment that ran records one wall-time
+// observation while the rest record none.
+func TestRunAllSurveysBlockingOnce(t *testing.T) {
+	ids := []string{"active-blocking", "ablation-detector"}
+	for _, parallelism := range []int{1, 2} {
+		before := make(map[string]uint64)
+		for _, e := range Experiments() {
+			before[e.ID] = wallClock(e.ID).Snapshot().Count
+		}
+		env := NewEnv(tinyConfig())
+		if _, err := env.runAll(context.Background(), Options{Parallelism: parallelism, IDs: ids}); err != nil {
+			t.Fatal(err)
+		}
+		if n := env.cache.Len(); n != 1 {
+			t.Errorf("parallelism %d: %d substrates built, want the one blocking survey", parallelism, n)
+		}
+		for _, e := range Experiments() {
+			want := uint64(0)
+			if e.ID == ids[0] || e.ID == ids[1] {
+				want = 1
+			}
+			if got := wallClock(e.ID).Snapshot().Count - before[e.ID]; got != want {
+				t.Errorf("parallelism %d: %s recorded %d wall observations, want %d", parallelism, e.ID, got, want)
+			}
+		}
+	}
+}

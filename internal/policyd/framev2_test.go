@@ -83,6 +83,7 @@ func TestFrameV2Serve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ln.Close()
 	svc := NewService(mustSnap(t, "v1"))
 	go ServeFrames(ln, svc)
 	ctx := context.Background()
