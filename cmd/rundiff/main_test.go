@@ -85,6 +85,34 @@ func TestDiffGateTripsOnMigration(t *testing.T) {
 	}
 }
 
+// TestDiffRejectsTruncatedRun: a golden copy that lost five of its
+// eight months fails to load, so CI's gate flags exit 1 with the
+// reason and print no diff rather than a month_count delta.
+func TestDiffRejectsTruncatedRun(t *testing.T) {
+	truncated := copyGolden(t)
+	mpath := filepath.Join(truncated, "months.ndjson")
+	data, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	months := strings.SplitAfter(string(data), "\n")
+	if err := os.WriteFile(mpath, []byte(strings.Join(months[:3], "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var stdout, stderr bytes.Buffer
+	code := run(&stdout, &stderr, []string{"diff", goldenDir, truncated, "-fail-on", "migrations"})
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("printed a diff of a damaged run:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "months.ndjson") {
+		t.Errorf("error does not name the segment: %s", stderr.String())
+	}
+}
+
 // TestDiffJSONFormat: -format json round-trips through encoding/json.
 func TestDiffJSONFormat(t *testing.T) {
 	var stdout, stderr bytes.Buffer

@@ -137,43 +137,36 @@ func run(stdout, stderr io.Writer, args []string) int {
 		return 1
 	}
 
-	var writer *runstore.ScenarioWriter
-	var observer scenario.Observer // nil unless storing (a typed-nil writer must not reach the engine)
+	// Open the store before the run, so a bad -store fails before any
+	// work; the run is saved only once it has finished.
+	var st *runstore.Store
+	var meta runstore.Meta
 	if *storeDir != "" {
-		st, err := runstore.Open(*storeDir)
-		if err != nil {
+		if st, err = runstore.Open(*storeDir); err != nil {
 			fmt.Fprintf(stderr, "scenario: %v\n", err)
 			return 1
 		}
-		writer, err = st.BeginScenario(
-			runstore.NewMeta(runstore.KindScenario, spec.Name, spec.Seed, spec.CacheKey()))
-		if err != nil {
-			fmt.Fprintf(stderr, "scenario: %v\n", err)
-			return 1
-		}
-		observer = writer
+		meta = runstore.NewMeta(runstore.KindScenario, spec.Name, spec.Seed, spec.CacheKey())
 	}
 
 	start := time.Now()
 	var tierStats scenario.TierStats
 	res, err := scenario.RunTiered(ctx, spec, scenario.TierOptions{
-		HotSites: *hot, Workers: *workers, Stats: &tierStats, Observer: observer,
+		HotSites: *hot, Workers: *workers, Stats: &tierStats,
 	})
 	elapsed := time.Since(start) // the run, not the store, profile and metrics writes below
 	stopCPU()
 	if err != nil {
-		if writer != nil {
-			writer.Abort()
-		}
 		fmt.Fprintf(stderr, "scenario: %v\n", err)
 		return 1
 	}
-	if writer != nil {
-		if err := writer.Close(); err != nil {
+	if st != nil {
+		id, err := st.SaveScenario(meta, res)
+		if err != nil {
 			fmt.Fprintf(stderr, "scenario: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(stderr, "scenario: stored run %s in %s\n", writer.ID(), *storeDir)
+		fmt.Fprintf(stderr, "scenario: stored run %s in %s\n", id, *storeDir)
 	}
 	if err := obs.WriteHeapProfile(*memprof); err != nil {
 		fmt.Fprintf(stderr, "scenario: %v\n", err)

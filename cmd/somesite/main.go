@@ -92,10 +92,12 @@ func run() int {
 		}
 	}
 
-	var writer *runstore.ExperimentsWriter
+	// Open the store before the run, so a bad -store fails before any
+	// work; the run is saved only once it has finished.
+	var st *runstore.Store
+	var meta runstore.Meta
 	if *storeDir != "" {
-		st, err := runstore.Open(*storeDir)
-		if err != nil {
+		if st, err = runstore.Open(*storeDir); err != nil {
 			fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
 			return 2
 		}
@@ -104,14 +106,8 @@ func run() int {
 			fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
 			return 2
 		}
-		writer, err = st.BeginExperiments(runstore.NewMeta(
-			runstore.KindExperiments, "somesite", cfg.Seed,
-			string(cfgKey)+"|only="+strings.Join(ids, ",")))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
-			return 2
-		}
-		sink = teeSink{primary: sink, store: writer}
+		meta = runstore.NewMeta(runstore.KindExperiments, "somesite", cfg.Seed,
+			string(cfgKey)+"|only="+strings.Join(ids, ","))
 	}
 
 	start := time.Now()
@@ -124,21 +120,19 @@ func run() int {
 		err = cerr
 	}
 	if err != nil {
-		if writer != nil {
-			writer.Abort()
-		}
 		fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
 		if results == nil {
 			return 2 // nothing ran (unknown id, bad flags)
 		}
 		return 1
 	}
-	if writer != nil {
-		if err := writer.Close(); err != nil {
+	if st != nil {
+		id, err := st.SaveExperiments(meta, results)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "somesite: stored run %s in %s\n", writer.ID(), *storeDir)
+		fmt.Fprintf(os.Stderr, "somesite: stored run %s in %s\n", id, *storeDir)
 	}
 	if *format == "text" {
 		fmt.Printf("(%d experiments completed in %v, parallelism %d)\n",
@@ -146,21 +140,3 @@ func run() int {
 	}
 	return 0
 }
-
-// teeSink duplicates every result into the run-store writer alongside
-// the user-facing sink. Close covers only the primary: the store writer
-// commits (or aborts) explicitly so a failed run is never persisted as
-// complete.
-type teeSink struct {
-	primary core.Sink
-	store   *runstore.ExperimentsWriter
-}
-
-func (t teeSink) Emit(r *core.Result) error {
-	if err := t.store.Emit(r); err != nil {
-		return err
-	}
-	return t.primary.Emit(r)
-}
-
-func (t teeSink) Close() error { return t.primary.Close() }

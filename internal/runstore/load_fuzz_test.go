@@ -15,11 +15,12 @@ var goldenDirs = []string{
 }
 
 // FuzzLoadRunDir corrupts one segment of a golden run directory and
-// reads it back: LoadRunDir must return a run or an error, and a run it
-// returns must diff against the golden both ways and render in every
+// reads it back: LoadRunDir must return a run or an error, a run it
+// returns must agree with its meta.json and summary.json counts, and
+// it must diff against the golden both ways and render in every
 // format — each step answering with a result or an error, never a
-// panic. which picks the golden (low bit) and
-// the segment it overwrites with data.
+// panic. which picks the golden (low bit) and the segment it overwrites
+// with data.
 func FuzzLoadRunDir(f *testing.F) {
 	type golden struct {
 		run   *Run
@@ -65,6 +66,23 @@ func FuzzLoadRunDir(f *testing.F) {
 		run, err := LoadRunDir(dir)
 		if err != nil {
 			return
+		}
+		visits := 0
+		for _, m := range run.Months {
+			visits += m.Visits
+		}
+		if len(run.Months) != run.Meta.Months || visits != run.Meta.Visits {
+			t.Errorf("loaded %d months with %d visits, meta says %d and %d",
+				len(run.Months), visits, run.Meta.Months, run.Meta.Visits)
+		}
+		if run.Summary != nil && len(run.Sites) != run.Summary.SitesStored {
+			t.Errorf("loaded %d site plans, summary says %d", len(run.Sites), run.Summary.SitesStored)
+		}
+		if run.Meta.Kind == KindExperiments && len(run.Experiments) != run.Meta.Records {
+			t.Errorf("loaded %d experiment records, meta says %d", len(run.Experiments), run.Meta.Records)
+		}
+		if run.Decisions != nil && run.Decisions.Issued != int64(run.Meta.Records) {
+			t.Errorf("decisions issued %d, meta says %d records", run.Decisions.Issued, run.Meta.Records)
 		}
 		RenderRun(io.Discard, run)
 		for _, d := range []*Diff{DiffRuns(g.run, run), DiffRuns(run, g.run)} {

@@ -13,6 +13,13 @@
 // differ's "empty diff" result trustworthy; attribution segments
 // (meta.json's timestamp, metrics.json's wall-clock histograms) are
 // allowed to vary and the differ treats their drift as advisory.
+//
+// A run is saved once, after it has finished: SaveScenario,
+// SaveExperiments and SaveLoadgen write its segments, then meta.json
+// and the manifest line, and remove the directory on any error. Loading
+// checks the segments against meta.json's counts, so a directory whose
+// segments disagree with it fails to load instead of reading as a
+// different run.
 package runstore
 
 import (
@@ -130,7 +137,7 @@ func readGitHead(gitDir string) string {
 // keeps them byte-identical across re-runs of the same (spec, seed,
 // rev).
 type Meta struct {
-	// ID names the run directory, assigned at Begin time:
+	// ID names the run directory, assigned when the run is saved:
 	// <UTC-timestamp>-<kind>-<spec-hash-prefix>, uniquified on collision.
 	ID string `json:"id"`
 	// Kind is one of the Kind* constants.
@@ -143,7 +150,8 @@ type Meta struct {
 	Attribution
 	Timestamp time.Time `json:"timestamp"`
 
-	// Listing summary, filled by the writers.
+	// Listing summary, filled by the Save functions; LoadRunDir checks
+	// the segments against it.
 	Sites   int `json:"sites,omitempty"`
 	Months  int `json:"months,omitempty"`
 	Visits  int `json:"visits,omitempty"`

@@ -2,11 +2,11 @@ package runstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"repro/internal/scenario"
 )
@@ -16,6 +16,18 @@ import (
 type ExperimentRecord struct {
 	ID  string
 	Raw json.RawMessage
+}
+
+// UnmarshalJSON keeps the whole line and decodes only its ID.
+func (e *ExperimentRecord) UnmarshalJSON(line []byte) error {
+	var idOnly struct {
+		ID string `json:"ID"`
+	}
+	if err := json.Unmarshal(line, &idOnly); err != nil {
+		return err
+	}
+	e.ID, e.Raw = idOnly.ID, append(json.RawMessage(nil), line...)
+	return nil
 }
 
 // BenchEntry is the slice of a benchsnap-schema benchmark entry the
@@ -52,137 +64,135 @@ func (s *Store) LoadRun(id string) (*Run, error) {
 }
 
 // LoadRunDir reads a run directory — a store member or a standalone
-// (e.g. checked-in golden) directory.
+// (e.g. checked-in golden) directory. A directory whose segments
+// disagree with its meta.json (a truncated copy, a hand edit, a partial
+// sync) is an error, not a different run.
 func LoadRunDir(dir string) (*Run, error) {
-	r := &Run{Dir: dir}
-	if err := readJSONFile(filepath.Join(dir, metaFile), &r.Meta); err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("runstore: %s is not a run directory (no %s)", dir, metaFile)
-		}
+	meta, err := optional[Meta](dir, metaFile)
+	if err != nil {
 		return nil, err
 	}
-
-	var spec scenario.Spec
-	switch err := readJSONFile(filepath.Join(dir, specFile), &spec); {
-	case err == nil:
-		r.Spec = &spec
-	case !os.IsNotExist(err):
+	if meta == nil {
+		return nil, fmt.Errorf("runstore: %s is not a run directory (no %s)", dir, metaFile)
+	}
+	r := &Run{Dir: dir, Meta: *meta}
+	if r.Spec, err = optional[scenario.Spec](dir, specFile); err != nil {
 		return nil, err
 	}
-	if err := readNDJSONFile(filepath.Join(dir, monthsFile), func(line []byte) error {
-		var m scenario.MonthMetrics
-		if err := json.Unmarshal(line, &m); err != nil {
-			return err
-		}
-		r.Months = append(r.Months, m)
-		return nil
-	}); err != nil {
+	if r.Months, err = lines[scenario.MonthMetrics](dir, monthsFile); err != nil {
 		return nil, err
 	}
-	if err := readJSONFile(filepath.Join(dir, verdictsFile), &r.Verdicts); err != nil && !os.IsNotExist(err) {
+	verdicts, err := optional[map[string]string](dir, verdictsFile)
+	if err != nil {
 		return nil, err
 	}
-	if err := readNDJSONFile(filepath.Join(dir, sitesFile), func(line []byte) error {
-		var p scenario.SitePlan
-		if err := json.Unmarshal(line, &p); err != nil {
-			return err
-		}
-		r.Sites = append(r.Sites, p)
-		return nil
-	}); err != nil {
+	if verdicts != nil {
+		r.Verdicts = *verdicts
+	}
+	if r.Sites, err = lines[scenario.SitePlan](dir, sitesFile); err != nil {
 		return nil, err
 	}
-	var sum Summary
-	switch err := readJSONFile(filepath.Join(dir, summaryFile), &sum); {
-	case err == nil:
-		r.Summary = &sum
-	case !os.IsNotExist(err):
+	if r.Summary, err = optional[Summary](dir, summaryFile); err != nil {
 		return nil, err
 	}
-
-	if err := readNDJSONFile(filepath.Join(dir, experimentsFile), func(line []byte) error {
-		var idOnly struct {
-			ID string `json:"ID"`
-		}
-		if err := json.Unmarshal(line, &idOnly); err != nil {
-			return err
-		}
-		r.Experiments = append(r.Experiments,
-			ExperimentRecord{ID: idOnly.ID, Raw: append(json.RawMessage(nil), line...)})
-		return nil
-	}); err != nil {
+	if r.Experiments, err = lines[ExperimentRecord](dir, experimentsFile); err != nil {
 		return nil, err
 	}
-	var mix DecisionMix
-	switch err := readJSONFile(filepath.Join(dir, decisionsFile), &mix); {
-	case err == nil:
-		r.Decisions = &mix
-	case !os.IsNotExist(err):
+	if r.Decisions, err = optional[DecisionMix](dir, decisionsFile); err != nil {
 		return nil, err
 	}
-	var quotas QuotaAccounting
-	switch err := readJSONFile(filepath.Join(dir, quotasFile), &quotas); {
-	case err == nil:
-		r.Quotas = &quotas
-	case !os.IsNotExist(err):
+	if r.Quotas, err = optional[QuotaAccounting](dir, quotasFile); err != nil {
 		return nil, err
 	}
-	var bench struct {
+	bench, err := optional[struct {
 		Benchmarks map[string]BenchEntry `json:"benchmarks"`
-	}
-	switch err := readJSONFile(filepath.Join(dir, benchFile), &bench); {
-	case err == nil:
-		r.Bench = bench.Benchmarks
-	case !os.IsNotExist(err):
+	}](dir, benchFile)
+	if err != nil {
 		return nil, err
 	}
-
+	if bench != nil {
+		r.Bench = bench.Benchmarks
+	}
 	if data, err := os.ReadFile(filepath.Join(dir, metricsFile)); err == nil {
 		r.Metrics = data
 	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
+	if err := r.checkCounts(); err != nil {
+		return nil, err
+	}
 	return r, nil
 }
 
-// readJSONFile decodes one JSON segment; missing files pass the
-// os.IsNotExist error through for the caller to treat as "segment
-// absent".
-func readJSONFile(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
+// checkCounts holds the loaded segments to the counts meta.json (and,
+// for the per-site segment, summary.json) recorded when the run was
+// saved.
+func (r *Run) checkCounts() error {
+	visits := 0
+	for _, m := range r.Months {
+		visits += m.Visits
 	}
-	if err := json.Unmarshal(data, v); err != nil {
-		return fmt.Errorf("runstore: %s: %w", filepath.Base(path), err)
+	bad := func(seg string, got int64, what, src string, want int64) error {
+		return fmt.Errorf("runstore: %s: %s holds %d %s, %s says %d", r.Dir, seg, got, what, src, want)
+	}
+	switch {
+	case len(r.Months) != r.Meta.Months:
+		return bad(monthsFile, int64(len(r.Months)), "months", metaFile, int64(r.Meta.Months))
+	case visits != r.Meta.Visits:
+		return bad(monthsFile, int64(visits), "visits", metaFile, int64(r.Meta.Visits))
+	case r.Summary != nil && len(r.Sites) != r.Summary.SitesStored:
+		return bad(sitesFile, int64(len(r.Sites)), "site plans", summaryFile, int64(r.Summary.SitesStored))
+	case r.Meta.Kind == KindExperiments && len(r.Experiments) != r.Meta.Records:
+		return bad(experimentsFile, int64(len(r.Experiments)), "records", metaFile, int64(r.Meta.Records))
+	case r.Decisions != nil && r.Decisions.Issued != int64(r.Meta.Records):
+		return bad(decisionsFile, r.Decisions.Issued, "issued decisions", metaFile, int64(r.Meta.Records))
 	}
 	return nil
 }
 
-// readNDJSONFile streams an NDJSON segment line by line; a missing file
-// is "segment absent", not an error.
-func readNDJSONFile(path string, line func([]byte) error) error {
-	f, err := os.Open(path)
+// optional decodes one JSON segment; an absent segment is nil.
+func optional[T any](dir, name string) (*T, error) {
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	if os.IsNotExist(err) {
-		return nil
+		return nil, nil
 	}
 	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
+		return nil, fmt.Errorf("runstore: %w", err)
+	}
+	v := new(T)
+	if err := json.Unmarshal(data, v); err != nil {
+		return nil, fmt.Errorf("runstore: %s: %w", name, err)
+	}
+	return v, nil
+}
+
+// lines decodes an NDJSON segment, one record per non-blank line; an
+// absent segment is nil.
+func lines[T any](dir, name string) ([]T, error) {
+	f, err := os.Open(filepath.Join(dir, name))
+	if os.IsNotExist(err) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("runstore: %w", err)
 	}
 	defer f.Close()
+	var out []T
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	for sc.Scan() {
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		if err := line([]byte(text)); err != nil {
-			return fmt.Errorf("runstore: %s: %w", filepath.Base(path), err)
+		var v T
+		if err := json.Unmarshal(line, &v); err != nil {
+			return nil, fmt.Errorf("runstore: %s: %w", name, err)
 		}
+		out = append(out, v)
 	}
 	if err := sc.Err(); err != nil {
-		return fmt.Errorf("runstore: %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("runstore: %s: %w", name, err)
 	}
-	return nil
+	return out, nil
 }

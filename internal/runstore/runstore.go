@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,7 +34,7 @@ const (
 
 // maxSitePlans bounds the per-site segment: a run with more sites than
 // this stores aggregate state only, so million-site runs don't pay a
-// multi-megabyte sites.ndjson by default. Writers expose the knob.
+// multi-megabyte sites.ndjson.
 const maxSitePlans = 65536
 
 // Store is one run-store directory. All methods are safe for concurrent
@@ -78,45 +79,6 @@ func (s *Store) begin(meta *Meta) (string, error) {
 			return "", fmt.Errorf("runstore: %w", err)
 		}
 		id = fmt.Sprintf("%s-%d", base, n)
-	}
-}
-
-// commit writes the run's meta.json and obs snapshot and appends the
-// manifest line — the moment a run becomes visible to Runs/Resolve.
-func (s *Store) commit(dir string, meta Meta) error {
-	var sb strings.Builder
-	if err := obs.Default.WriteJSON(&sb); err != nil {
-		return fmt.Errorf("runstore: metrics snapshot: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, metricsFile), []byte(sb.String()), 0o644); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := writeJSONFile(filepath.Join(dir, metaFile), meta); err != nil {
-		return err
-	}
-	line, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	line = append(line, '\n')
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := os.OpenFile(filepath.Join(s.dir, manifestFile),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if _, err := f.Write(line); err != nil {
-		f.Close()
-		return fmt.Errorf("runstore: %w", err)
-	}
-	return f.Close()
-}
-
-// abort removes a run directory that will never commit.
-func (s *Store) abort(dir string) {
-	if dir != "" {
-		os.RemoveAll(dir)
 	}
 }
 
@@ -285,212 +247,49 @@ type QuotaAccounting struct {
 	Tenants []TenantQuota `json:"tenants"`
 }
 
-// ScenarioWriter persists one scenario run as the engine produces it.
-// It implements scenario.Observer: pass it as TierOptions.Observer,
-// then Close. Errors during observation are
-// deferred to Close (the Observer interface returns none).
-type ScenarioWriter struct {
-	st   *Store
-	dir  string
-	meta Meta
-
-	mf     *os.File
-	mw     *bufio.Writer
-	enc    *json.Encoder
-	err    error
-	months int
-	done   bool
-}
-
-// BeginScenario allocates a run directory and returns its writer.
-func (s *Store) BeginScenario(meta Meta) (*ScenarioWriter, error) {
-	dir, err := s.begin(&meta)
-	if err != nil {
-		return nil, err
-	}
-	return &ScenarioWriter{st: s, dir: dir, meta: meta}, nil
-}
-
-// ID is the run id assigned at Begin.
-func (w *ScenarioWriter) ID() string { return w.meta.ID }
-
-// fail records the first error for Close to surface.
-func (w *ScenarioWriter) fail(err error) {
-	if w.err == nil && err != nil {
-		w.err = err
-	}
-}
-
-// ObserveMonth appends one month line to the months segment.
-func (w *ScenarioWriter) ObserveMonth(m scenario.MonthMetrics) {
-	if w.err != nil {
-		return
-	}
-	if w.mf == nil {
-		f, err := os.Create(filepath.Join(w.dir, monthsFile))
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		w.mf = f
-		w.mw = bufio.NewWriter(f)
-		w.enc = json.NewEncoder(w.mw)
-	}
-	w.fail(w.enc.Encode(m))
-	w.months++
-}
-
-// ObserveResult writes the run's spec, verdict table, summary, and
-// per-site plan segments from the finished result.
-func (w *ScenarioWriter) ObserveResult(r *scenario.Result) {
-	if w.err != nil {
-		return
-	}
-	w.done = true
-	w.meta.Sites = r.Spec.Sites
-	w.meta.Months = len(r.Months)
-	w.meta.Visits = r.TotalVisits
-
-	w.fail(writeJSONFile(filepath.Join(w.dir, specFile), r.Spec))
-
+// SaveScenario stores a finished scenario run: its spec, the merged
+// months, the verdict table, run-level totals, and (up to maxSitePlans
+// sites) every site's policy plan.
+func (s *Store) SaveScenario(meta Meta, r *scenario.Result) (string, error) {
+	meta.Sites, meta.Months, meta.Visits = r.Spec.Sites, len(r.Months), r.TotalVisits
 	verdicts := make(map[string]string, len(r.Verdicts))
-	classes := make(map[string]int)
-	for tok, v := range r.Verdicts {
-		verdicts[tok] = v.String()
-		classes[v.String()]++
-	}
-	w.fail(writeJSONFile(filepath.Join(w.dir, verdictsFile), verdicts))
-
 	sum := Summary{
 		TotalVisits:          r.TotalVisits,
 		TotalDisallowedBytes: r.TotalDisallowedBytes,
 		TotalBlockedRequests: r.TotalBlockedRequests,
-		VerdictClasses:       classes,
+		VerdictClasses:       make(map[string]int),
 	}
+	for tok, v := range r.Verdicts {
+		verdicts[tok] = v.String()
+		sum.VerdictClasses[v.String()]++
+	}
+	var plans []scenario.SitePlan
 	if r.Spec.Sites <= maxSitePlans {
-		plans, err := scenario.SitePlans(r.Spec)
-		if err != nil {
-			w.fail(err)
-			return
+		var err error
+		if plans, err = scenario.SitePlans(r.Spec); err != nil {
+			return "", err
 		}
-		w.fail(writeNDJSONFile(filepath.Join(w.dir, sitesFile), func(enc *json.Encoder) error {
-			for _, p := range plans {
-				if err := enc.Encode(p); err != nil {
-					return err
-				}
-			}
-			return nil
-		}))
 		sum.SitesStored = len(plans)
 	} else {
 		sum.SitesTruncated = true
 	}
-	w.fail(writeJSONFile(filepath.Join(w.dir, summaryFile), sum))
+	return s.save(meta, func(w *segWriter) {
+		w.json(specFile, r.Spec)
+		ndjson(w, monthsFile, r.Months)
+		w.json(verdictsFile, verdicts)
+		if !sum.SitesTruncated {
+			ndjson(w, sitesFile, plans)
+		}
+		w.json(summaryFile, sum)
+	})
 }
 
-// Close flushes the segments and commits the run to the manifest. If
-// the run never finished (no ObserveResult) or any write failed, the
-// run directory is removed instead and the first error returned.
-func (w *ScenarioWriter) Close() error {
-	if w.mw != nil {
-		w.fail(w.mw.Flush())
-		w.fail(w.mf.Close())
-	}
-	if !w.done && w.err == nil {
-		w.err = fmt.Errorf("runstore: run %s never finalized", w.meta.ID)
-	}
-	if w.err != nil {
-		w.st.abort(w.dir)
-		return w.err
-	}
-	if err := w.st.commit(w.dir, w.meta); err != nil {
-		w.st.abort(w.dir)
-		return err
-	}
-	return nil
-}
-
-// Abort discards the run directory without committing.
-func (w *ScenarioWriter) Abort() {
-	if w.mw != nil {
-		w.mf.Close()
-		w.mf, w.mw = nil, nil
-	}
-	w.st.abort(w.dir)
-	w.err = fmt.Errorf("runstore: run %s aborted", w.meta.ID)
-}
-
-// ExperimentsWriter persists a core experiment run as an NDJSON segment.
-// It implements core.Sink, so it can tee alongside any user-facing sink:
-// results arrive in deterministic registration order, making the
-// segment byte-stable across re-runs.
-type ExperimentsWriter struct {
-	st   *Store
-	dir  string
-	meta Meta
-	f    *os.File
-	bw   *bufio.Writer
-	enc  *json.Encoder
-	err  error
-}
-
-var _ core.Sink = (*ExperimentsWriter)(nil)
-
-// BeginExperiments allocates a run directory for an experiment run.
-func (s *Store) BeginExperiments(meta Meta) (*ExperimentsWriter, error) {
-	dir, err := s.begin(&meta)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Create(filepath.Join(dir, experimentsFile))
-	if err != nil {
-		s.abort(dir)
-		return nil, fmt.Errorf("runstore: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	return &ExperimentsWriter{st: s, dir: dir, meta: meta, f: f, bw: bw, enc: json.NewEncoder(bw)}, nil
-}
-
-// ID is the run id assigned at Begin.
-func (w *ExperimentsWriter) ID() string { return w.meta.ID }
-
-// Emit appends one experiment result line.
-func (w *ExperimentsWriter) Emit(res *core.Result) error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.enc.Encode(res); err != nil {
-		w.err = err
-		return err
-	}
-	w.meta.Records++
-	return nil
-}
-
-// Close flushes the segment and commits the run.
-func (w *ExperimentsWriter) Close() error {
-	if ferr := w.bw.Flush(); w.err == nil {
-		w.err = ferr
-	}
-	if cerr := w.f.Close(); w.err == nil {
-		w.err = cerr
-	}
-	if w.err != nil {
-		w.st.abort(w.dir)
-		return w.err
-	}
-	if err := w.st.commit(w.dir, w.meta); err != nil {
-		w.st.abort(w.dir)
-		return err
-	}
-	return nil
-}
-
-// Abort discards the run directory without committing.
-func (w *ExperimentsWriter) Abort() {
-	w.f.Close()
-	w.st.abort(w.dir)
-	w.err = fmt.Errorf("runstore: run %s aborted", w.meta.ID)
+// SaveExperiments stores a finished core experiment run, one NDJSON
+// line per result in the order given — RunAll's registration order,
+// which makes the segment byte-stable across re-runs.
+func (s *Store) SaveExperiments(meta Meta, results []*core.Result) (string, error) {
+	meta.Records = len(results)
+	return s.save(meta, func(w *segWriter) { ndjson(w, experimentsFile, results) })
 }
 
 // SaveLoadgen stores a loadgen run: the semantic decision mix, the
@@ -500,64 +299,107 @@ func (w *ExperimentsWriter) Abort() {
 // deltas).
 func (s *Store) SaveLoadgen(meta Meta, mix DecisionMix, quotas *QuotaAccounting, bench []byte) (string, error) {
 	meta.Records = int(mix.Issued)
+	return s.save(meta, func(w *segWriter) {
+		w.json(decisionsFile, mix)
+		if quotas != nil {
+			w.json(quotasFile, quotas)
+		}
+		if len(bench) > 0 {
+			w.write(benchFile, func(out io.Writer) error {
+				_, err := out.Write(bench)
+				return err
+			})
+		}
+	})
+}
+
+// save writes one finished run: it allocates the run directory, lets
+// fill write the kind's segments, then commits — metrics.json (the obs
+// snapshot), meta.json, and the manifest line, the moment the run
+// becomes visible to Runs/Resolve. On any error the directory is
+// removed and the first error returned.
+func (s *Store) save(meta Meta, fill func(*segWriter)) (string, error) {
 	dir, err := s.begin(&meta)
 	if err != nil {
 		return "", err
 	}
-	if err := writeJSONFile(filepath.Join(dir, decisionsFile), mix); err != nil {
-		s.abort(dir)
-		return "", err
+	w := &segWriter{dir: dir}
+	fill(w)
+	w.write(metricsFile, func(out io.Writer) error { return obs.Default.WriteJSON(out) })
+	w.json(metaFile, meta)
+	if w.err == nil {
+		s.mu.Lock()
+		w.open(filepath.Join(s.dir, manifestFile), os.O_APPEND, func(out io.Writer) error {
+			return json.NewEncoder(out).Encode(meta)
+		})
+		s.mu.Unlock()
 	}
-	if quotas != nil {
-		if err := writeJSONFile(filepath.Join(dir, quotasFile), quotas); err != nil {
-			s.abort(dir)
-			return "", err
-		}
-	}
-	if len(bench) > 0 {
-		if err := os.WriteFile(filepath.Join(dir, benchFile), bench, 0o644); err != nil {
-			s.abort(dir)
-			return "", fmt.Errorf("runstore: %w", err)
-		}
-	}
-	if err := s.commit(dir, meta); err != nil {
-		s.abort(dir)
-		return "", err
+	if w.err != nil {
+		os.RemoveAll(dir)
+		return "", w.err
 	}
 	return meta.ID, nil
 }
 
-// writeJSONFile writes indented, key-sorted JSON (json.Marshal sorts
-// map keys; struct fields keep declaration order) with a trailing
-// newline — the deterministic segment encoding.
-func writeJSONFile(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	return nil
+// segWriter writes one run's files, keeping the first error: after a
+// failed write every later one is skipped.
+type segWriter struct {
+	dir string
+	err error
 }
 
-// writeNDJSONFile streams records through a buffered encoder.
-func writeNDJSONFile(path string, fill func(*json.Encoder) error) error {
-	f, err := os.Create(path)
+// open opens path with flag (os.O_TRUNC or os.O_APPEND), creating it if
+// needed, and lets fill write it through a buffer.
+func (w *segWriter) open(path string, flag int, fill func(io.Writer) error) {
+	if w.err != nil {
+		return
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|flag, 0o644)
 	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
+		w.err = fmt.Errorf("runstore: %w", err)
+		return
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	if err := fill(json.NewEncoder(bw)); err != nil {
-		f.Close()
-		return fmt.Errorf("runstore: %w", err)
+	err = fill(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("runstore: %w", err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("runstore: %w", err)
+	if err != nil {
+		w.err = fmt.Errorf("runstore: %s: %w", filepath.Base(path), err)
 	}
-	return nil
+}
+
+// write writes one segment of the run directory.
+func (w *segWriter) write(name string, fill func(io.Writer) error) {
+	w.open(filepath.Join(w.dir, name), os.O_TRUNC, fill)
+}
+
+// json writes v as indented, key-sorted JSON (json.Marshal sorts map
+// keys; struct fields keep declaration order) with a trailing newline —
+// the deterministic encoding of a single-value segment.
+func (w *segWriter) json(name string, v any) {
+	w.write(name, func(out io.Writer) error {
+		data, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			return err
+		}
+		_, err = out.Write(append(data, '\n'))
+		return err
+	})
+}
+
+// ndjson writes one JSON line per record.
+func ndjson[T any](w *segWriter, name string, recs []T) {
+	w.write(name, func(out io.Writer) error {
+		enc := json.NewEncoder(out)
+		for _, r := range recs {
+			if err := enc.Encode(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }

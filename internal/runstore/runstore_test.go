@@ -1,13 +1,17 @@
 package runstore
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 )
 
@@ -28,22 +32,19 @@ func testSpec(seed int64) scenario.Spec {
 	}
 }
 
-// storeRun runs a spec through the observer pipeline into the store and
-// returns the run id.
+// storeRun runs a spec and saves the finished run into the store,
+// returning the run id.
 func storeRun(t *testing.T, st *Store, spec scenario.Spec) string {
 	t.Helper()
-	w, err := st.BeginScenario(NewMeta(KindScenario, spec.Name, spec.Seed, spec.CacheKey()))
+	res, err := scenario.RunTiered(context.Background(), spec, scenario.TierOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := scenario.RunTiered(context.Background(), spec, scenario.TierOptions{Workers: 2, Observer: w}); err != nil {
-		w.Abort()
+	id, err := st.SaveScenario(NewMeta(KindScenario, spec.Name, spec.Seed, spec.CacheKey()), res)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return w.ID()
+	return id
 }
 
 // semanticSegments are the run-directory files covered by the
@@ -334,5 +335,121 @@ func TestMixAndBenchDiff(t *testing.T) {
 func TestLoadRunDirRejectsNonRun(t *testing.T) {
 	if _, err := LoadRunDir(t.TempDir()); err == nil {
 		t.Fatal("LoadRunDir on an empty directory succeeded")
+	}
+}
+
+// TestSaveExperiments covers the experiment save path: two saves of
+// the same results write byte-identical experiments.ndjson segments,
+// one line per result in registration order, and diff empty.
+func TestSaveExperiments(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.QuickConfig()
+	ids := []string{"table1", "table2", "survey-headline"}
+	results, err := core.RunAll(context.Background(), cfg, core.Options{Parallelism: 2, IDs: ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []*Run
+	var segs [][]byte
+	for range 2 {
+		id, err := st.SaveExperiments(NewMeta(KindExperiments, "test", cfg.Seed, strings.Join(ids, ",")), results)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := st.LoadRun(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Meta.Records != len(results) {
+			t.Errorf("meta records = %d, want %d", r.Meta.Records, len(results))
+		}
+		if len(r.Experiments) != len(ids) {
+			t.Fatalf("loaded %d experiment records, want %d", len(r.Experiments), len(ids))
+		}
+		for i, rec := range r.Experiments {
+			if rec.ID != ids[i] {
+				t.Errorf("record %d is %q, want %q", i, rec.ID, ids[i])
+			}
+		}
+		seg, err := os.ReadFile(filepath.Join(r.Dir, experimentsFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs, segs = append(runs, r), append(segs, seg)
+	}
+	if !bytes.Equal(segs[0], segs[1]) {
+		t.Error("experiments.ndjson differs between two saves of the same results")
+	}
+	if d := DiffRuns(runs[0], runs[1]); !d.Empty() {
+		t.Errorf("two saves of the same results diff non-empty: %+v", d)
+	}
+}
+
+// TestFailedSaveLeavesNothing: a save whose segment cannot be written
+// (NaN has no JSON encoding) returns the error and leaves neither a run
+// directory nor a manifest line behind.
+func TestFailedSaveLeavesNothing(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.SaveLoadgen(NewMeta(KindLoadgen, "nan", 1, "nan"),
+		DecisionMix{Issued: 1, Allow: 1}, &QuotaAccounting{Rate: math.NaN()}, nil)
+	if err == nil {
+		t.Fatal("SaveLoadgen with a NaN quota rate succeeded")
+	}
+	entries, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		t.Errorf("failed save left %s behind", e.Name())
+	}
+	if runs, err := st.Runs(); err != nil || len(runs) != 0 {
+		t.Errorf("Runs() = %v, %v; want none", runs, err)
+	}
+}
+
+// TestLoadRejectsTruncatedSegments: a copy of the scenario golden with
+// a segment cut short disagrees with meta.json (or summary.json) and
+// must not load as a shorter run.
+func TestLoadRejectsTruncatedSegments(t *testing.T) {
+	for _, tc := range []struct {
+		seg  string
+		keep int
+	}{
+		{monthsFile, 3},
+		{sitesFile, 2},
+	} {
+		t.Run(tc.seg, func(t *testing.T) {
+			dir := t.TempDir()
+			entries, err := os.ReadDir(goldenDirs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				data, err := os.ReadFile(filepath.Join(goldenDirs[0], e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e.Name() == tc.seg {
+					recs := strings.SplitAfter(string(data), "\n")
+					data = []byte(strings.Join(recs[:tc.keep], ""))
+				}
+				if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, err = LoadRunDir(dir)
+			if err == nil {
+				t.Fatalf("golden with %s cut to %d lines loaded", tc.seg, tc.keep)
+			}
+			if !strings.Contains(err.Error(), tc.seg) || !strings.Contains(err.Error(), fmt.Sprint(tc.keep)) {
+				t.Errorf("error %q does not name %s and its %d lines", err, tc.seg, tc.keep)
+			}
+		})
 	}
 }

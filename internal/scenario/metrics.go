@@ -137,22 +137,9 @@ func newResult(sp Spec, start time.Time) *Result {
 	return res
 }
 
-// An Observer receives a run's semantic outputs as the engine finalizes
-// them: one ObserveMonth call per merged month in month order, then one
-// ObserveResult with the completed result. The hooks fire from the
-// finalize path, so an observer — the runstore writer is the canonical
-// one — sees identical streams at any HotSites value and worker count.
-// Observers run on the finalizing goroutine after the parallel pass has
-// joined; they need no locking of their own.
-type Observer interface {
-	ObserveMonth(m MonthMetrics)
-	ObserveResult(r *Result)
-}
-
-// finalize classifies the merged run-wide evidence, computes the
-// run-level totals from the merged months, and streams the finished
-// months and result to the observer, if any.
-func (r *Result) finalize(evidence map[string]measure.Evidence, ob Observer) {
+// finalize classifies the merged run-wide evidence and computes the
+// run-level totals from the merged months.
+func (r *Result) finalize(evidence map[string]measure.Evidence) {
 	r.Verdicts = make(map[string]measure.Verdict, len(evidence))
 	for tok, ev := range evidence {
 		r.Verdicts[tok] = measure.ClassifyEvidence(ev)
@@ -161,12 +148,6 @@ func (r *Result) finalize(evidence map[string]measure.Evidence, ob Observer) {
 		r.TotalVisits += m.Visits
 		r.TotalDisallowedBytes += m.DisallowedBytes
 		r.TotalBlockedRequests += m.BlockedRequests
-	}
-	if ob != nil {
-		for _, m := range r.Months {
-			ob.ObserveMonth(m)
-		}
-		ob.ObserveResult(r)
 	}
 }
 

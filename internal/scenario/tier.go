@@ -135,7 +135,7 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 			byToken[world.tokens[tk]] = ev
 		}
 	}
-	res.finalize(byToken, opts.Observer)
+	res.finalize(byToken)
 	ts.MergeNS = int64(time.Since(mergeStart))
 	mPhasePlanNS.Observe(uint64(ts.PlanNS))
 	mPhaseHotNS.Observe(uint64(ts.HotNS))
@@ -171,9 +171,6 @@ type TierOptions struct {
 	Workers int
 	// Stats, when non-nil, receives the run's tier accounting.
 	Stats *TierStats
-	// Observer, when non-nil, receives the merged months and finished
-	// result from the finalize path.
-	Observer Observer
 }
 
 // TierStats reports how a run split its work across the tiers. The
@@ -195,8 +192,8 @@ type TierStats struct {
 	// are summed over workers (busy time, which exceeds the wall when
 	// chunks run in parallel); plan is the serial derivation of every
 	// site's seed before the workers start plus each worker's draws;
-	// MergeNS is the single-threaded join, observer callbacks included.
-	// Timing, so never deterministic.
+	// MergeNS is the single-threaded join. Timing, so never
+	// deterministic.
 	PlanNS  int64 // deriving site seeds, then drawing every site's plan into the columns
 	HotNS   int64 // full-fidelity site-months, site start and removal included
 	ColdNS  int64 // compiled fast path, wave compiles included

@@ -34,6 +34,7 @@ declare -A keep=(
   [core.Table]="Section.Table"
   [core.Section]="Result.Sections"
   [core.Experiment]="core.Experiments returns them"
+  [core.Sink]="Options.Sink; NewSink and NewJSONSink return it"
   [corpus.EventKind]="Event.Kind"
   [corpus.Event]="Site.Events"
   [corpus.Snapshot]="elements of corpus.Snapshots"
