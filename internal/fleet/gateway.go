@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -302,9 +303,11 @@ func (r *replica) put(fc *policyd.FrameClientV2) {
 	}
 }
 
-// decideOn answers qs on one replica, appending to out. A transport
-// error retries once on a fresh connection (the pooled conn may have
-// died idle); the replica's observed version updates from the response.
+// decideOn answers qs on one replica, appending to out, within ctx: its
+// deadline bounds the exchange and canceling it ends the exchange. A
+// transport error retries once on a fresh connection (the pooled conn
+// may have died idle) while ctx is live; the replica's observed version
+// updates from the response.
 func (g *Gateway) decideOn(ctx context.Context, r *replica, qs []policyd.Query, out []policyd.Decision) ([]policyd.Decision, string, error) {
 	base := len(out)
 	var lastErr error
@@ -315,10 +318,13 @@ func (g *Gateway) decideOn(ctx context.Context, r *replica, qs []policyd.Query, 
 			continue
 		}
 		start := time.Now()
-		ds, version, err := fc.Decide(qs, out[:base])
+		ds, version, err := fc.DecideContext(ctx, qs, out[:base])
 		if err != nil {
 			fc.Close()
 			lastErr = err
+			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+				break // ctx is spent: a fresh conn would fail the same way
+			}
 			continue
 		}
 		r.mLatency.Observe(uint64(time.Since(start)))

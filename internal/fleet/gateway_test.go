@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/corpus"
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/policyd"
 )
@@ -850,6 +852,72 @@ func TestJSONTenantsOwnTheirBytes(t *testing.T) {
 	for _, tq := range acc.Tenants {
 		if n, ok := want[tq.Tenant]; !ok || tq.Granted != n || tq.Throttled != 0 {
 			t.Errorf("tenant %q: granted %d throttled %d; sent %d (known %v)", tq.Tenant, tq.Granted, tq.Throttled, n, ok)
+		}
+	}
+}
+
+// TestAnswerHonoursDeadlineOnBlackholedReplica: a replica that accepts
+// frame conns, reads everything and never answers must not wedge
+// Answer past its context. Under a 200 ms deadline, and under a context
+// canceled after 200 ms, Answer returns the context's error well within
+// a second; the conns it opened are closed, so the replica's serve
+// loops end and nothing outlives the test.
+func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
+	nw := netsim.New()
+	ln, err := nw.Listen("10.0.0.99", 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		served <- netsim.Serve(ln, func(c net.Conn) {
+			io.Copy(io.Discard, c)
+			c.Close()
+		})
+	}()
+	defer func() {
+		ln.Close()
+		<-served
+	}()
+	gw, err := NewGateway(Config{
+		Replicas: []ReplicaConfig{{Name: "blackhole", FrameAddr: "10.0.0.99:81"}},
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return nw.Dial(ctx, ClientIP, addr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	for _, c := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 200*time.Millisecond)
+		}, context.DeadlineExceeded},
+		{"cancel", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(200*time.Millisecond, cancel)
+			return ctx, cancel
+		}, context.Canceled},
+	} {
+		ctx, cancel := c.ctx()
+		defer cancel()
+		answered := make(chan error, 1)
+		go func() {
+			_, _, err := gw.Answer(ctx, straddleBatch(8), nil)
+			answered <- err
+		}()
+		select {
+		case err := <-answered:
+			if !errors.Is(err, c.want) {
+				t.Errorf("%s: Answer on a blackholed replica returned %v, want %v", c.name, err, c.want)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s: Answer still blocked on a blackholed replica 1 s into a 200 ms context", c.name)
 		}
 	}
 }

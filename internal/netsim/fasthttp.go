@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -49,8 +50,9 @@ const (
 var (
 	// fastHeadPool recycles request-head / response-head scratch buffers.
 	fastHeadPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-	// fastReadPool recycles per-connection read buffers.
-	fastReadPool = sync.Pool{New: func() any { return make([]byte, fastReadBufSize) }}
+	// fastReadPool recycles per-connection read buffers. It holds
+	// *[]byte, as the other pools do, so a Put boxes nothing.
+	fastReadPool = sync.Pool{New: func() any { b := make([]byte, fastReadBufSize); return &b }}
 	// fastCopyPool recycles copy buffers for streamed request bodies.
 	fastCopyPool = sync.Pool{New: func() any { b := make([]byte, 16*1024); return &b }}
 )
@@ -130,10 +132,7 @@ type fastConn struct {
 
 func (fc *fastConn) close() {
 	fc.c.Close()
-	if fc.br.buf != nil {
-		fastReadPool.Put(fc.br.buf) //nolint:staticcheck // fixed-size []byte
-		fc.br.buf = nil
-	}
+	fc.br.putBuf()
 }
 
 // RoundTrip implements http.RoundTripper.
@@ -269,7 +268,7 @@ func (t *fastTransport) getConn(ctx context.Context, key string) (*fastConn, boo
 	}
 	fc := &fastConn{c: c, key: key}
 	fc.br.c = c
-	fc.br.buf = fastReadPool.Get().([]byte)
+	fc.br.getBuf()
 	fc.br.in = mHTTPBytesIn
 	return fc, false, nil
 }
@@ -758,10 +757,24 @@ func (t *fastTransport) readBody(fc *fastConn, rh respHead) (string, error) {
 // needs — CRLF lines and counted reads — and its buffer is pool-recycled
 // with the conn.
 type connReader struct {
-	c    net.Conn
-	buf  []byte
-	r, w int
-	in   *obs.Counter // counts the bytes read when set (client conns only)
+	c      net.Conn
+	buf    []byte
+	pooled *[]byte // buf's fastReadPool box, when it came from there
+	r, w   int
+	in     *obs.Counter // counts the bytes read when set (client conns only)
+}
+
+// getBuf takes the read buffer from fastReadPool; putBuf returns it.
+func (cr *connReader) getBuf() {
+	cr.pooled = fastReadPool.Get().(*[]byte)
+	cr.buf = *cr.pooled
+}
+
+func (cr *connReader) putBuf() {
+	if cr.pooled != nil {
+		fastReadPool.Put(cr.pooled)
+	}
+	cr.pooled, cr.buf = nil, nil
 }
 
 func (cr *connReader) buffered() int { return cr.w - cr.r }
@@ -816,10 +829,12 @@ func (cr *connReader) readLine() ([]byte, error) {
 	}
 }
 
+// indexByteFrom returns the index in b of the first c at or after from,
+// or -1.
 func indexByteFrom(b []byte, from int, c byte) int {
-	for i := from; i < len(b); i++ {
-		if b[i] == c {
-			return i
+	if from < len(b) {
+		if i := bytes.IndexByte(b[from:], c); i >= 0 {
+			return from + i
 		}
 	}
 	return -1

@@ -128,10 +128,18 @@ type serverConn struct {
 	req        http.Request
 	u          url.URL
 	hdr        http.Header
+	set        []setKey // the keys the last parse put values under
 	body       serverBody
 	strs       map[string]string
 	w          fastResponseWriter
 	closeAfter bool
+}
+
+// setKey is a header key the parser set, with the value slice it
+// appended to.
+type setKey struct {
+	key  string
+	vals []string
 }
 
 // serverBody is the current request's Content-Length body, read from
@@ -164,10 +172,11 @@ func newServerConn(c net.Conn) *serverConn {
 		strs: make(map[string]string, 16),
 	}
 	st.rd.c = c
-	st.rd.buf = fastReadPool.Get().([]byte)
+	st.rd.getBuf()
 	st.body.rd = &st.rd
 	st.w.hdr = make(http.Header, 4)
-	st.w.buf = (*srvRespPool.Get().(*[]byte))[:0]
+	st.w.pooled = srvRespPool.Get().(*[]byte)
+	st.w.buf = (*st.w.pooled)[:0]
 	st.req.Header = st.hdr
 	st.req.Proto = "HTTP/1.1"
 	st.req.ProtoMajor, st.req.ProtoMinor = 1, 1
@@ -177,11 +186,10 @@ func newServerConn(c net.Conn) *serverConn {
 }
 
 func (st *serverConn) release() {
-	fastReadPool.Put(st.rd.buf) //nolint:staticcheck // fixed-size []byte
-	st.rd.buf = nil
-	b := st.w.buf[:0]
-	srvRespPool.Put(&b)
-	st.w.buf = nil
+	st.rd.putBuf()
+	*st.w.pooled = st.w.buf[:0] // keep what the body grew it to
+	srvRespPool.Put(st.w.pooled)
+	st.w.pooled, st.w.buf = nil, nil
 }
 
 // intern returns a stable string equal to b. The per-connection table is
@@ -228,11 +236,22 @@ func (st *serverConn) readRequest() error {
 	// Reset per-request state. Truncating (not deleting) header values
 	// keeps each key's []string backing allocated across requests;
 	// Header.Get on a truncated key sees "", exactly like an absent key.
-	for k, v := range st.hdr {
-		if len(v) > 0 {
-			st.hdr[k] = v[:0]
+	// The keys the last parse set are truncated by name. If the map then
+	// holds no more keys than those, they are all its keys; any other
+	// key — one a handler added, or one an earlier request sent — needs
+	// the whole walk.
+	for _, kv := range st.set {
+		st.hdr[kv.key] = kv.vals[:0]
+	}
+	if len(st.hdr) != len(st.set) {
+		for k, v := range st.hdr {
+			if len(v) > 0 {
+				st.hdr[k] = v[:0]
+			}
 		}
 	}
+	st.set = st.set[:0]
+	st.req.Header = st.hdr
 	st.req.Method = method
 	st.req.Host = ""
 	st.req.ContentLength = 0
@@ -282,7 +301,11 @@ func (st *serverConn) readRequest() error {
 			continue
 		}
 		key := st.headerKey(kb)
-		st.hdr[key] = append(st.hdr[key], val)
+		vals := append(st.hdr[key], val)
+		if len(vals) == 1 { // every key is truncated above
+			st.set = append(st.set, setKey{key, vals})
+		}
+		st.hdr[key] = vals
 	}
 	if chunked {
 		return errors.New("netsim: fast server: chunked request bodies unsupported")
@@ -408,16 +431,14 @@ type fastResponseWriter struct {
 	status      int
 	wroteHeader bool
 	isHead      bool
-	buf         []byte // accumulated body bytes (suppressed for HEAD)
-	headN       int    // HEAD: bytes the handler "wrote"
+	buf         []byte  // accumulated body bytes (suppressed for HEAD)
+	pooled      *[]byte // buf's srvRespPool box
+	headN       int     // HEAD: bytes the handler "wrote"
 }
 
+// reset readies w for the next response. The header map needs nothing:
+// finish truncated every key it wrote out.
 func (w *fastResponseWriter) reset(isHead bool) {
-	for k, v := range w.hdr {
-		if len(v) > 0 {
-			w.hdr[k] = v[:0]
-		}
-	}
 	w.status = http.StatusOK
 	w.wroteHeader = false
 	w.isHead = isHead
@@ -462,7 +483,8 @@ func (w *fastResponseWriter) WriteString(s string) (int, error) {
 
 // finish frames and flushes the buffered response. The head is built in
 // a pooled scratch buffer; when head + body fit one buffer they go out
-// in a single conn write.
+// in a single conn write. The walk that writes the header fields also
+// truncates them for the next response, keeping each key's backing.
 func (w *fastResponseWriter) finish(c net.Conn, closeAfter bool) error {
 	hp := srvRespPool.Get().(*[]byte)
 	h := (*hp)[:0]
@@ -476,6 +498,10 @@ func (w *fastResponseWriter) finish(c net.Conn, closeAfter bool) error {
 	}
 	h = append(h, '\r', '\n')
 	for k, vs := range w.hdr {
+		if len(vs) == 0 {
+			continue
+		}
+		w.hdr[k] = vs[:0]
 		if k == "Content-Length" {
 			continue
 		}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -98,3 +100,124 @@ func TestServeHandsBodyToHandler(t *testing.T) {
 		c.Close()
 	}
 }
+
+// TestServeResetsHeadersBetweenRequests: the request and response header
+// maps are reused across a keep-alive connection's requests, so what one
+// request's handler leaves in them must not reach the next: a request
+// header it adds, one it adds in place of a deleted one (the map keeps
+// its size), one it sets under a key an earlier request sent, and a
+// response header it sets.
+func TestServeResetsHeadersBetweenRequests(t *testing.T) {
+	nw := New()
+	ln, err := nw.Listen("203.0.113.81", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var seen []string
+		for k, vs := range r.Header {
+			if len(vs) > 0 {
+				seen = append(seen, k+"="+strings.Join(vs, ","))
+			}
+		}
+		slices.Sort(seen)
+		switch r.URL.Path {
+		case "/add":
+			r.Header.Set("X-Handler", "leak")
+			w.Header().Set("X-Resp", "leak")
+		case "/swap":
+			r.Header.Del("User-Agent")
+			r.Header.Set("X-Swap", "leak")
+		case "/stale":
+			r.Header.Set("X-Old", "leak")
+		}
+		io.WriteString(w, strings.Join(seen, " "))
+	})
+	done := make(chan error, 1)
+	go func() { done <- Serve(ln, func(c net.Conn) { ServeConn(c, h) }) }()
+	defer func() {
+		ln.Close()
+		<-done
+	}()
+
+	c, err := nw.Dial(context.Background(), "198.51.100.81", "203.0.113.81:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	br := bufio.NewReader(c)
+	for _, tc := range []struct{ path, extra, want string }{
+		{"/add", "", "Host=h User-Agent=a"},
+		{"/swap", "", "Host=h User-Agent=a"},
+		{"/x", "X-Old: o\r\n", "Host=h User-Agent=a X-Old=o"},
+		{"/stale", "", "Host=h User-Agent=a"},
+		{"/x", "", "Host=h User-Agent=a"},
+		{"/x", "X-Old: p\r\nX-Old: q\r\n", "Host=h User-Agent=a X-Old=p,q"},
+		{"/x", "", "Host=h User-Agent=a"},
+	} {
+		fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: h\r\nUser-Agent: a\r\n%s\r\n", tc.path, tc.extra)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(body) != tc.want {
+			t.Errorf("GET %s: handler saw %q, want %q", tc.path, body, tc.want)
+		}
+		if v := resp.Header.Get("X-Resp"); v != "" && tc.path != "/add" {
+			t.Errorf("GET %s: response carries X-Resp %q from an earlier response", tc.path, v)
+		}
+	}
+}
+
+// TestConnLifecycleAllocs pins the allocations of one whole connection,
+// client and server halves together: dial, one GET, close. Every buffer
+// comes from a pool (two ring buffers, two read buffers, a response
+// buffer), and the pools hold *[]byte, so returning one allocates
+// nothing; a pool of []byte would box a slice header on each of the
+// four ring and read buffer Puts.
+func TestConnLifecycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts over pooled buffers vary under the race detector")
+	}
+	nw := New()
+	ln, err := nw.Listen("203.0.113.82", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "ok") })
+	served := make(chan struct{}, 1)
+	done := make(chan error, 1)
+	go func() {
+		done <- Serve(ln, func(c net.Conn) {
+			ServeConn(c, h)
+			served <- struct{}{}
+		})
+	}()
+	defer func() {
+		ln.Close()
+		<-done
+	}()
+	client := nw.HTTPClient("198.51.100.82")
+	hdr := http.Header{"User-Agent": {"probe/1.0"}}
+	ctx := context.Background()
+	cycle := func() {
+		if status, body, err := Get(ctx, client, "http://203.0.113.82/", hdr); err != nil || status != http.StatusOK || body != "ok" {
+			t.Fatalf("Get = %d %q %v", status, body, err)
+		}
+		client.CloseIdleConnections()
+		<-served // the server half has released its buffers
+	}
+	cycle()
+	allocs := testing.AllocsPerRun(200, cycle)
+	t.Logf("%.2f allocs per dial, GET and close", allocs)
+	if allocs > 35 {
+		t.Errorf("%.2f allocations per dial, GET and close, want at most 35", allocs)
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool

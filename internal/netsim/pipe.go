@@ -26,7 +26,7 @@ const connBufSize = 32 * 1024
 // open and close connections at a rate that would otherwise make these
 // 64 KiB allocations the dominant source of garbage.
 var bufPool = sync.Pool{
-	New: func() any { return make([]byte, connBufSize) },
+	New: func() any { b := make([]byte, connBufSize); return &b },
 }
 
 // halfPipe is one direction of a duplex connection: a fixed-capacity ring
@@ -38,9 +38,10 @@ type halfPipe struct {
 	mu   sync.Mutex
 	cond sync.Cond
 
-	buf []byte // ring storage, returned to bufPool when both sides close
-	r   int    // index of the next byte to read
-	n   int    // bytes currently buffered
+	buf    []byte  // ring storage, returned to bufPool when both sides close
+	pooled *[]byte // buf's bufPool box
+	r      int     // index of the next byte to read
+	n      int     // bytes currently buffered
 
 	readerGone bool // read side closed: writes fail with errConnReset
 	writerGone bool // write side closed: reads drain, then io.EOF
@@ -61,7 +62,8 @@ type expiry struct {
 }
 
 func newHalfPipe() *halfPipe {
-	h := &halfPipe{buf: bufPool.Get().([]byte)}
+	pooled := bufPool.Get().(*[]byte)
+	h := &halfPipe{buf: *pooled, pooled: pooled}
 	h.cond.L = &h.mu
 	return h
 }
@@ -181,8 +183,8 @@ func (h *halfPipe) releaseLocked() {
 		return
 	}
 	if h.readerGone || (h.writerGone && h.n == 0) {
-		bufPool.Put(h.buf) //nolint:staticcheck // fixed-size []byte, no pointer indirection concern
-		h.buf = nil
+		bufPool.Put(h.pooled)
+		h.buf, h.pooled = nil, nil
 		h.n = 0
 		h.r = 0
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"time"
 	"unsafe"
 
@@ -350,6 +351,7 @@ type FrameClientV2 struct {
 	wbuf    []byte
 	rbuf    []byte
 	version string // last serving version, interned across responses
+	armed   bool   // c carries a deadline DecideContext set
 }
 
 // NewFrameClientV2 sends the protocol preamble on c and returns a client.
@@ -405,6 +407,37 @@ func (fc *FrameClientV2) Decide(qs []Query, out []Decision) ([]Decision, string,
 		fc.version = string(version)
 	}
 	return out, fc.version, nil
+}
+
+// DecideContext is Decide bounded by ctx: the exchange runs under ctx's
+// deadline, and canceling ctx fails it. Either failure leaves the
+// framing broken, like any error but a *RateLimitError, and returns
+// ctx's error (context.DeadlineExceeded when the conn's deadline fires
+// first). A ctx with no deadline and no Done channel
+// (context.Background) costs nothing and allocates nothing.
+func (fc *FrameClientV2) DecideContext(ctx context.Context, qs []Query, out []Decision) ([]Decision, string, error) {
+	d, hasDeadline := ctx.Deadline()
+	if hasDeadline {
+		fc.c.SetDeadline(d)
+		fc.armed = true
+	} else if fc.armed {
+		fc.c.SetDeadline(time.Time{})
+		fc.armed = false
+	}
+	stop := func() bool { return true }
+	if ctx.Done() != nil {
+		stop = context.AfterFunc(ctx, func() { fc.c.SetDeadline(time.Unix(1, 0)) })
+	}
+	out, version, err := fc.Decide(qs, out)
+	switch {
+	case !stop() || (err != nil && ctx.Err() != nil):
+		// ctx ended the exchange, or its cancel has set the conn's
+		// deadline in the past: either way the client is done.
+		err = ctx.Err()
+	case hasDeadline && errors.Is(err, os.ErrDeadlineExceeded):
+		err = context.DeadlineExceeded // the conn's timer beat ctx's
+	}
+	return out, version, err
 }
 
 // Close closes the underlying connection.

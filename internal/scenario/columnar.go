@@ -29,9 +29,11 @@ func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 func (b bitset) set(i int)      { b[i>>6] |= 1 << (uint(i) & 63) }
 
 // tailState is the whole site population in columnar form. A worker
-// writes only the sites of the 64-site chunks it has claimed, and a chunk
-// is one bitset word, so the arrays — bitsets included — are shared
-// without locks.
+// plans the 64-site chunks it claims and advances their cold sites, and a
+// chunk is one bitset word, so the arrays — bitsets included — are
+// shared without locks. A pinned site's months run on carry's one-site
+// copy instead: pinned sites are claimed one at a time, so workers
+// carrying sites of one word never write it.
 type tailState struct {
 	adoptMonth []int16  // month the site adopts; -1 = never
 	frozen     []uint16 // hand-written list size at adoption
@@ -55,6 +57,22 @@ func newTailState(n int) *tailState {
 		adopted:    newBitset(n),
 		blockerOn:  newBitset(n),
 	}
+}
+
+// carry makes t, a one-site state, site i of src as planned: its months
+// then write only t. It reads none of the bits a month writes, which the
+// site's chunk neighbours may be writing in src.
+func (t *tailState) carry(src *tailState, i int) {
+	t.adoptMonth[0], t.frozen[0], t.policyID[0] = src.adoptMonth[i], src.frozen[i], src.policyID[i]
+	for _, b := range [...]struct{ dst, src bitset }{
+		{t.perAgent, src.perAgent}, {t.managed, src.managed}, {t.blocker, src.blocker},
+	} {
+		b.dst[0] = 0
+		if b.src.get(i) {
+			b.dst.set(0)
+		}
+	}
+	t.adopted[0], t.blockerOn[0] = 0, 0
 }
 
 // bytes reports the steady-state columnar footprint.

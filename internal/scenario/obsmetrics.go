@@ -11,6 +11,8 @@ import "repro/internal/obs"
 var (
 	mCrawlWaves = obs.NewCounter("scenario_crawl_waves_total",
 		"Crawl waves run over real HTTP (one crawler visiting one hot site).")
+	mHotGets = obs.NewCounter("scenario_hot_gets_total",
+		"Requests the hot tier's crawl waves issued, as the site logged them; over scenario_crawl_waves_total it is GETs per wave.")
 	mMonthWallNS = obs.NewHistogram("scenario_month_wall_ns",
 		"Real time per hot (full-fidelity) site-month, ns.")
 	mRunWallNS = obs.NewHistogram("scenario_run_wall_ns",

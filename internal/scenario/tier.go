@@ -30,12 +30,14 @@ import (
 // comes from seeds derived sequentially before any worker starts. The
 // parity suite holds hot=0 to the all-hot run of the same code.
 //
-// Workers pull 64-site chunks from a shared cursor until none is left.
-// Policy transitions and crawl waves are computed from (site, month) on
-// the fly rather than scheduled, so a chunk needs nothing from any other
-// and the run has no cross-worker barrier. The pinned cohort holds the
-// lowest indices, so its chunks are claimed first and the cold tail fills
-// the other cores (see runChunk).
+// Workers first plan the 64-site chunks that hold pinned sites, then
+// pull from one shared queue until none is left: the pinned sites one at
+// a time, spread over the first half of the cold-only chunks (each
+// planned and advanced in one claim), then the other half, and last the
+// cold rest of the final pinned chunk. Policy transitions and crawl
+// waves are computed from (site, month) on the fly rather than
+// scheduled, so a claim needs nothing from any other; the one barrier is
+// the end of the pinned chunks' planning (see tierQueue).
 func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error) {
 	defer mRunWallNS.ObserveSince(time.Now())
 	if err := spec.Validate(); err != nil {
@@ -60,13 +62,13 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 	if hot > sp.Sites {
 		hot = sp.Sites
 	}
-	chunks := (sp.Sites + chunkSites - 1) / chunkSites
+	q := newTierQueue(sp.Sites, hot)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > chunks {
-		workers = chunks
+	if workers > q.items() {
+		workers = q.items()
 	}
 
 	seedStart := time.Now()
@@ -79,7 +81,7 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 	defer cancel()
 	ws := make([]*tierWorker, workers)
 	for wi := range ws {
-		w, err := newTierWorker(world, tail, cache, curve, hot)
+		w, err := newTierWorker(world, tail, cache, curve)
 		if err != nil {
 			for _, prev := range ws[:wi] {
 				prev.close()
@@ -88,27 +90,20 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		}
 		ws[wi] = w
 	}
-	var next atomic.Int64 // the next unclaimed chunk
-	var wg sync.WaitGroup
-	var firstErr error
-	var errOnce sync.Once
-	for _, w := range ws {
-		wg.Add(1)
-		go func(w *tierWorker) {
-			defer wg.Done()
-			defer w.close()
-			if err := w.run(runCtx, seeds, &next, chunks); err != nil {
-				errOnce.Do(func() { firstErr = err; cancel() })
-			}
-		}(w)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	var nextPlan atomic.Int64 // the next unplanned pinned chunk
+	eachWorker(ws, cancel, func(w *tierWorker) error {
+		w.planPinned(seeds, &nextPlan, q.hotChunks)
+		return nil
+	})
+	if err := eachWorker(ws, cancel, func(w *tierWorker) error {
+		defer w.close()
+		return w.run(runCtx, seeds, q)
+	}); err != nil {
+		return nil, err
 	}
 
 	// Merge worker accumulators; all integer adds, so the result is
-	// independent of scheduling, of which worker claimed which chunk and
+	// independent of scheduling, of which worker claimed what and
 	// of the worker count.
 	mergeStart := time.Now()
 	res := newResult(sp, start)
@@ -154,10 +149,94 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 	return res, nil
 }
 
-// chunkSites is the unit of work a worker claims: one bitset word of
-// sites. Chunks start on word boundaries, so no two workers ever write
-// the same word and the columns need no locks (and no atomics).
+// eachWorker runs f once per worker, each on its own goroutine, and
+// returns the first error after all have returned; an error calls
+// cancel, so the others stop at their next claim.
+func eachWorker(ws []*tierWorker, cancel func(), f func(*tierWorker) error) error {
+	var wg sync.WaitGroup
+	var firstErr error
+	var errOnce sync.Once
+	for _, w := range ws {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := f(w); err != nil {
+				errOnce.Do(func() { firstErr = err; cancel() })
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
+}
+
+// chunkSites is the unit of cold work a worker claims: one bitset word
+// of sites. Chunks start on word boundaries, so no two workers ever
+// write the same word of a cold column and the columns need no locks
+// (and no atomics). Pinned sites are claimed one at a time, and
+// several workers may carry sites of one word: a pinned site-month
+// writes only its worker's one-site copy of the site's state (see
+// tierWorker.hot), so the shared words stay the cold claims' alone.
 const chunkSites = 64
+
+// tierQueue is a run's shared work queue. Its pinned items are the
+// pinned sites, [0, hot); its cold items are the chunks that hold no
+// pinned site and, when the pinned cohort ends inside a chunk, one last
+// item: that chunk's cold rest, sites [hot, restEnd).
+//
+// The next claim is a pinned site while the share of the pinned sites
+// claimed is at most the share claimed of the first half of the
+// cold-only chunks (spread is that half), so pinned sites run beside
+// cold chunks rather than beside each other: on a 2-vCPU container two
+// live sites at once each ran ~20% slower than one beside cold work,
+// and a 100,000-site run with its 21 pinned sites claimed first lost ~3%
+// of its throughput to that. The pinned sites are all claimed by the
+// half-way point, so each has cold work after it to even out the
+// workers' ends; with no cold-only chunk to spread over (spread 0) they
+// go first, the longest work first.
+type tierQueue struct {
+	hot, hotChunks, coldChunks int
+	restEnd                    int // end of the last pinned chunk's cold rest
+	coldItems                  int // coldChunks, plus one for a cold rest
+	spread                     int
+	nextHot, nextCold          atomic.Int64
+}
+
+func newTierQueue(sites, hot int) *tierQueue {
+	q := &tierQueue{hot: hot, hotChunks: (hot + chunkSites - 1) / chunkSites}
+	q.coldChunks = (sites+chunkSites-1)/chunkSites - q.hotChunks
+	q.restEnd = min(q.hotChunks*chunkSites, sites)
+	q.coldItems = q.coldChunks
+	if q.restEnd > hot {
+		q.coldItems++
+	}
+	q.spread = q.coldChunks / 2
+	return q
+}
+
+// items is the queue's length: the most workers that can have work.
+func (q *tierQueue) items() int { return q.hot + q.coldItems }
+
+// claim takes the next item: pinned site i, or cold item i. ok is false
+// once the queue is empty. Workers race on the two cursors, so the
+// spread is kept approximately; every item is still claimed exactly
+// once.
+func (q *tierQueue) claim() (pinned bool, i int, ok bool) {
+	for {
+		h, c := int(q.nextHot.Load()), int(q.nextCold.Load())
+		switch {
+		case h < q.hot && (c >= q.coldItems || h*q.spread <= c*q.hot):
+			if i := int(q.nextHot.Add(1) - 1); i < q.hot {
+				return true, i, true
+			}
+		case c < q.coldItems:
+			if i := int(q.nextCold.Add(1) - 1); i < q.coldItems {
+				return false, i, true
+			}
+		default:
+			return false, 0, false
+		}
+	}
+}
 
 // TierOptions configures RunTiered.
 type TierOptions struct {
@@ -165,9 +244,10 @@ type TierOptions struct {
 	// the whole run (the hot cohort); every other site runs every month
 	// on the compiled fast path. 0 means no live site at all.
 	HotSites int
-	// Workers is how many goroutines claim 64-site chunks from the run's
-	// shared cursor, at most one per chunk; 0 means GOMAXPROCS. The
-	// result does not depend on it.
+	// Workers is how many goroutines claim work from the run's shared
+	// queue — pinned sites one at a time, cold sites in 64-site chunks
+	// — at most one per item; 0 means GOMAXPROCS. The result does not
+	// depend on it.
 	Workers int
 	// Stats, when non-nil, receives the run's tier accounting.
 	Stats *TierStats
@@ -190,7 +270,7 @@ type TierStats struct {
 
 	// Where the run's time went, in nanoseconds. The three worker phases
 	// are summed over workers (busy time, which exceeds the wall when
-	// chunks run in parallel); plan is the serial derivation of every
+	// workers run in parallel); plan is the serial derivation of every
 	// site's seed before the workers start plus each worker's draws;
 	// MergeNS is the single-threaded join. Timing, so never
 	// deterministic.
@@ -208,24 +288,26 @@ func (s TierStats) BytesPerSite(sites int) float64 {
 	return float64(s.ColumnarBytes) / float64(sites)
 }
 
-// tierWorker advances the chunks it claims through every month. It owns
-// a scratch compiler for wave cache misses, a memo of the cold
-// site-month classes it has replayed, per-worker accumulators merged
-// after the join, and — built the first time a claimed chunk holds a
-// pinned site — the live farm and kept crawler fleet hot site-months
-// run on.
+// tierWorker advances the sites and chunks it claims through every
+// month. It owns a scratch compiler for wave cache misses, a memo of the
+// cold site-month classes it has replayed, per-worker accumulators
+// merged after the join, and — built the first time it claims a pinned
+// site — the live farm and kept crawler fleet hot site-months run on.
 type tierWorker struct {
-	world    *tierWorld
-	tail     *tailState
-	cache    *waveCache
-	memo     map[monthKey]*monthEffect
-	curve    []float64
-	hotSites int
+	world *tierWorld
+	tail  *tailState
+	cache *waveCache
+	memo  map[monthKey]*monthEffect
+	curve []float64
 
 	compiler *waveCompiler
 	planRand *stats.Rand // drawPlan's scratch source
 	farm     *webserver.Farm
 	crawlers *rosterCrawlers
+	// hot is a one-site tailState holding the pinned site the worker is
+	// carrying, copied from its planned row: its months write here, not
+	// to the shared words other workers' sites sit in.
+	hot *tailState
 
 	months   []MonthMetrics
 	evidence []measure.Evidence          // indexed by token id
@@ -233,8 +315,7 @@ type tierWorker struct {
 	stats    TierStats
 }
 
-func newTierWorker(world *tierWorld, tail *tailState, cache *waveCache,
-	curve []float64, hotSites int) (*tierWorker, error) {
+func newTierWorker(world *tierWorld, tail *tailState, cache *waveCache, curve []float64) (*tierWorker, error) {
 	compiler, err := newWaveCompiler(world)
 	if err != nil {
 		return nil, err
@@ -245,9 +326,9 @@ func newTierWorker(world *tierWorld, tail *tailState, cache *waveCache,
 		cache:    cache,
 		memo:     make(map[monthKey]*monthEffect),
 		curve:    curve,
-		hotSites: hotSites,
 		compiler: compiler,
 		planRand: stats.NewRand(0),
+		hot:      newTailState(1),
 		months:   make([]MonthMetrics, world.sp.Months),
 		evidence: make([]measure.Evidence, len(world.tokens)),
 		windowEv: make(map[string]measure.Evidence),
@@ -261,54 +342,74 @@ func (w *tierWorker) close() {
 	}
 }
 
-// run claims chunks from next until all chunks are taken.
-func (w *tierWorker) run(ctx context.Context, seeds []int64, next *atomic.Int64, chunks int) error {
+// planPinned plans the chunks holding pinned sites, claiming them from
+// next until all hotChunks are taken. It runs before any site-month: a
+// pinned site is claimed alone, but its plan is drawn with its chunk.
+func (w *tierWorker) planPinned(seeds []int64, next *atomic.Int64, hotChunks int) {
 	for {
 		c := int(next.Add(1) - 1)
-		if c >= chunks {
+		if c >= hotChunks {
+			return
+		}
+		lo := c * chunkSites
+		w.planChunk(seeds, lo, min(lo+chunkSites, w.world.sp.Sites))
+	}
+}
+
+// run claims items of q until none is left: a pinned site runs
+// site-major on the worker's live farm, a cold-only chunk is planned
+// and then advanced month-major, and the final pinned chunk's cold rest
+// is advanced month-major (its plan is planPinned's).
+//
+// The visiting order cannot change the output. A site-month reads and
+// writes only site i's own state (and the immutable world), so site
+// i's months see the same state whichever other sites ran in between;
+// and what a site-month emits reaches the result only through
+// MonthMetrics.add and Evidence.Merge, commutative integer folds into
+// per-month and per-token accumulators.
+func (w *tierWorker) run(ctx context.Context, seeds []int64, q *tierQueue) error {
+	for {
+		pinned, i, ok := q.claim()
+		if !ok {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		lo := c * chunkSites
-		if err := w.runChunk(ctx, seeds, lo, min(lo+chunkSites, w.world.sp.Sites)); err != nil {
+		var err error
+		switch {
+		case pinned:
+			err = w.runPinnedSite(ctx, i)
+		case i < q.coldChunks:
+			lo := (q.hotChunks + i) * chunkSites
+			hi := min(lo+chunkSites, w.world.sp.Sites)
+			w.planChunk(seeds, lo, hi)
+			err = w.runCold(ctx, lo, hi)
+		default:
+			err = w.runCold(ctx, q.hot, q.restEnd)
+		}
+		if err != nil {
 			return err
 		}
 	}
 }
 
-// runChunk plans sites [lo, hi), then advances them in two passes. The
-// chunk's pinned sites go site-major: a hot site is started once, run
-// through all its months and removed, so its page set and its crawlers'
-// keep-alive conns last all its months instead of one. The rest go
-// month-major on the compiled fast path.
-//
-// The visiting order cannot change the output. A site-month reads and
-// writes only site i's own columns (and the immutable world), so site
-// i's months see the same state whichever other sites ran in between;
-// and what a site-month emits reaches the result only through
-// MonthMetrics.add and Evidence.Merge, commutative integer folds into
-// per-month and per-token accumulators.
-func (w *tierWorker) runChunk(ctx context.Context, seeds []int64, lo, hi int) error {
+// planChunk draws the plans of sites [lo, hi), one chunk, into the
+// columns.
+func (w *tierWorker) planChunk(seeds []int64, lo, hi int) {
 	planStart := time.Now()
 	for i := lo; i < hi; i++ {
 		w.world.planSite(w.tail, w.planRand, i, seeds[i], w.curve)
 	}
 	w.stats.PlanNS += int64(time.Since(planStart))
+}
 
-	pinned := min(max(w.hotSites, lo), hi) // [lo, pinned) is this chunk's cohort
-	if pinned > lo {
-		hotStart := time.Now()
-		if err := w.runPinned(ctx, lo, pinned); err != nil {
-			return err
-		}
-		w.stats.HotNS += int64(time.Since(hotStart))
-	}
-
+// runCold advances cold sites [lo, hi), all within one chunk,
+// month-major on the compiled fast path.
+func (w *tierWorker) runCold(ctx context.Context, lo, hi int) error {
 	coldStart := time.Now()
 	for m := 0; m < w.world.sp.Months; m++ {
-		for i := pinned; i < hi; i++ {
+		for i := lo; i < hi; i++ {
 			if err := w.runColdMonth(ctx, i, m); err != nil {
 				return err
 			}
@@ -318,10 +419,14 @@ func (w *tierWorker) runChunk(ctx context.Context, seeds []int64, lo, hi int) er
 	return nil
 }
 
-// runPinned runs pinned sites [lo, pinned), one after another, on the
-// worker's live farm and kept crawler fleet; a worker that never claims
-// a pinned site builds neither.
-func (w *tierWorker) runPinned(ctx context.Context, lo, pinned int) error {
+// runPinnedSite runs every month of pinned site i on one live site of
+// the worker's farm, built with the kept crawler fleet on the worker's
+// first pinned site. The site starts bare; runHotMonth publishes its
+// policy and blocker from the worker's copy of its state. Site-major
+// order means a hot site is started once, so its page set and its
+// crawlers' keep-alive conns last all its months instead of one.
+func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
+	defer func(start time.Time) { w.stats.HotNS += int64(time.Since(start)) }(time.Now())
 	if w.farm == nil {
 		nw := netsim.New()
 		farm, err := webserver.NewFarm(nw, siteIP)
@@ -330,18 +435,6 @@ func (w *tierWorker) runPinned(ctx context.Context, lo, pinned int) error {
 		}
 		w.farm, w.crawlers = farm, newRosterCrawlers(w.world, nw)
 	}
-	for i := lo; i < pinned; i++ {
-		if err := w.runPinnedSite(ctx, i); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runPinnedSite runs every month of pinned-hot site i on one live site.
-// The site starts bare; runHotMonth publishes its policy and blocker
-// from the columns.
-func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
 	domain := siteDomain(i)
 	site, err := w.farm.StartSite(webserver.Config{
 		Domain: domain,
@@ -353,6 +446,7 @@ func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
 	}
 	defer w.crawlers.closeIdle() // after site.Close: see closeIdle
 	defer site.Close()
+	w.hot.carry(w.tail, i)
 	for m := 0; m < w.world.sp.Months; m++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -364,12 +458,14 @@ func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
 	return nil
 }
 
-// applyMonthState applies month m's policy and blocker events to site
-// i's columnar state: policy changes land before the blocking toggle,
-// and crawl waves always run after both, so the post-event state is the
-// state every wave observes and the month-end flush records.
-func (w *tierWorker) applyMonthState(i, m int) {
-	t, world := w.tail, w.world
+// applyMonthState applies month m's policy and blocker events to row i
+// of t — a cold site's row of the shared columns, or row 0 of the
+// worker's copy of the pinned site it carries: policy changes land
+// before the blocking toggle, and crawl waves always run after both, so
+// the post-event state is the state every wave observes and the
+// month-end flush records.
+func (w *tierWorker) applyMonthState(t *tailState, i, m int) {
+	world := w.world
 	if int(t.adoptMonth[i]) == m {
 		t.adopted.set(i)
 		switch {
@@ -421,8 +517,8 @@ type tokenEvidence struct {
 // HTTP, no allocation once the worker has seen the class.
 func (w *tierWorker) runColdMonth(ctx context.Context, i, m int) error {
 	w.stats.ColdSiteMonths++
-	w.applyMonthState(i, m)
 	t, world := w.tail, w.world
+	w.applyMonthState(t, i, m)
 	key := monthKey{
 		month:       uint16(m),
 		policy:      t.policyID[i],
@@ -445,7 +541,7 @@ func (w *tierWorker) runColdMonth(ctx context.Context, i, m int) error {
 	for _, te := range eff.ev {
 		w.evidence[te.token] = w.evidence[te.token].Merge(te.ev)
 	}
-	w.monthStateCounters(i, m, &w.months[m])
+	w.monthStateCounters(t, i, m, &w.months[m])
 	return nil
 }
 
@@ -517,30 +613,31 @@ func (w *tierWorker) wave(ctx context.Context, key waveKey) (waveEffect, error) 
 }
 
 // runHotMonth simulates month m of pinned site i at full fidelity on
-// its live site: policy and blocker published from columnar state, the
-// worker's kept crawlers set to their schedule position, real netsim
-// HTTP, and a flush from the month's window of the real request log.
-// Everything a
-// month observes (policy body, blocker list, crawler visit phase) is set
-// here from the columns, the window starts at this month's log mark, and
+// its live site: policy and blocker published from the worker's copy of
+// the site's state, the worker's kept crawlers set to their schedule
+// position, real netsim HTTP, and a flush from the month's window of the
+// real request log. Everything a month observes (policy body, blocker
+// list, crawler visit phase) is set here from that state, the window
+// starts at this month's log mark, and
 // policies and blocking are only ever turned on, so the site carried
 // over from last month holds nothing a fresh one would not be given.
 func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m int) error {
 	start := time.Now()
 	defer mMonthWallNS.ObserveSince(start)
 	w.stats.HotSiteMonths++
-	t, world := w.tail, w.world
-	w.applyMonthState(i, m)
-	if pid := t.policyID[i]; pid != 0 {
+	t, world := w.hot, w.world
+	w.applyMonthState(t, 0, m)
+	if pid := t.policyID[0]; pid != 0 {
 		site.SetRobots(&world.policies[pid].body)
 	}
-	if t.blockerOn.get(i) {
+	if t.blockerOn.get(0) {
 		site.SetBlocker(world.blockers[world.activeBlockerID(m)].blocker)
 	}
 	crawlStart := time.Now()
 	mHotStagePublishNS.Observe(uint64(crawlStart.Sub(start)))
 
 	mark := site.LogLen()
+	logged := mark
 	var d MonthMetrics
 	for r := range world.roster {
 		rc := &world.roster[r]
@@ -555,12 +652,15 @@ func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m
 			return err
 		}
 		mCrawlWaves.Inc()
+		n := site.LogLen()
+		mHotGets.Add(uint64(n - logged))
+		logged = n
 		d.Visits++
 	}
 	absorbStart := time.Now()
 	mHotStageCrawlNS.Observe(uint64(absorbStart.Sub(crawlStart)))
 
-	restricts, parsed := world.restrictsFunc(t.policyID[i])
+	restricts, parsed := world.restrictsFunc(t.policyID[0])
 	absorbWindow(site.LogSince(mark), parsed, restricts, &d, w.windowEv)
 	classifyStart := time.Now()
 	mHotStageAbsorbNS.Observe(uint64(classifyStart.Sub(absorbStart)))
@@ -574,16 +674,16 @@ func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m
 		w.evidence[tk] = w.evidence[tk].Merge(ev)
 	}
 	clear(w.windowEv)
-	w.monthStateCounters(i, m, &d)
+	w.monthStateCounters(t, 0, m, &d)
 	w.months[m].add(d)
 	return nil
 }
 
-// monthStateCounters records the month-end policy-state tallies for
-// site i from columnar state: adoption, managed and blocker counts and
-// the rule-list coverage gap.
-func (w *tierWorker) monthStateCounters(i, m int, d *MonthMetrics) {
-	t, world := w.tail, w.world
+// monthStateCounters records the month-end policy-state tallies from
+// row i of t (as in applyMonthState): adoption, managed and blocker
+// counts and the rule-list coverage gap.
+func (w *tierWorker) monthStateCounters(t *tailState, i, m int, d *MonthMetrics) {
+	world := w.world
 	if t.adopted.get(i) {
 		d.AdoptedSites++
 		if t.managed.get(i) {

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -42,30 +44,122 @@ func TestTieredParityWithFull(t *testing.T) {
 }
 
 // TestTieredWorkerCountIdentity pins the serialization-level claim: the
-// JSON bytes are identical at any worker count. Workers claim 64-site
-// chunks, so only the wide world gives each of the 3 workers a chunk it
-// can claim: 256 sites make four chunks, which the guard below asserts
-// (which worker claims which is up to the scheduler, and nothing here
-// checks it). At 100 pinned sites the cohort fills chunk 0 and
-// ends inside chunk 1, which is part site-major (64–99) and part
-// month-major; at 256 every chunk is all site-major.
+// JSON bytes are identical at any worker count. Workers claim pinned
+// sites one at a time and cold sites in 64-site chunks, so hot sites of
+// one bitset word run on different workers, next to a worker advancing
+// the word's cold rest. The wide world's four chunks give each of 3
+// workers one to claim even when no site is pinned (the guard below
+// asserts it; which worker claims which is up to the scheduler, and
+// nothing here checks it). At 100 pinned
+// sites of 256 the cohort fills chunk 0 and ends inside chunk 1, whose
+// cold rest (100–127) runs month-major; at 256 every site is pinned. The
+// 100-site all-hot world has only two chunks, so workers 4 and 8 run
+// more workers than chunks, and hot 65 of 130 puts a lone pinned site in
+// a word with 63 cold ones.
 func TestTieredWorkerCountIdentity(t *testing.T) {
 	wide := testSpec()
 	wide.Sites = 256
 	if chunks := (wide.Sites + chunkSites - 1) / chunkSites; chunks <= 3 {
 		t.Fatalf("%d sites make %d chunks: not more than 3 workers", wide.Sites, chunks)
 	}
+	hundred := testSpec()
+	hundred.Sites = 100
+	straddle := testSpec()
+	straddle.Sites = 130
 	for _, c := range []struct {
 		spec Spec
 		hot  int
-	}{{testSpec(), 2}, {wide, 0}, {wide, 3}, {wide, 100}, {wide, 256}} {
+	}{{testSpec(), 2}, {wide, 0}, {wide, 3}, {wide, 100}, {wide, 256}, {hundred, 100}, {straddle, 65}} {
 		want := runJSON(t, c.spec, TierOptions{HotSites: c.hot, Workers: 1})
-		for _, workers := range []int{2, 3, 8} {
+		for _, workers := range []int{2, 3, 4, 8} {
 			if got := runJSON(t, c.spec, TierOptions{HotSites: c.hot, Workers: workers}); string(got) != string(want) {
 				t.Fatalf("sites=%d hot=%d: workers=%d differs from workers=1:\n%s\nvs\n%s",
 					c.spec.Sites, c.hot, workers, got, want)
 			}
 		}
+	}
+}
+
+// TestTieredQueueClaims: the shared queue hands out every pinned site
+// and every cold item exactly once, to one claimer or to racing ones,
+// and one claimer sees the pinned sites spread over the first half of
+// the cold-only chunks — all of them claimed by the half-way point, the
+// first one first — or all first when there is no chunk to spread over.
+func TestTieredQueueClaims(t *testing.T) {
+	for _, c := range []struct{ sites, hot int }{
+		{300, 300}, {100000, 21}, {400, 200}, {130, 65}, {256, 0}, {70, 64}, {1, 1},
+	} {
+		q := newTierQueue(c.sites, c.hot)
+		var order []string
+		cold := 0
+		for {
+			pinned, i, ok := q.claim()
+			if !ok {
+				break
+			}
+			order = append(order, itemName(pinned, i))
+			if !pinned {
+				cold++
+			} else if cold > q.spread {
+				t.Errorf("sites=%d hot=%d: pinned site %d claimed after %d cold items, spread %d", c.sites, c.hot, i, cold, q.spread)
+			}
+		}
+		if len(order) != q.items() || (c.hot > 0 && order[0] != "p0") {
+			t.Errorf("sites=%d hot=%d: claim order %v, want %d items from p0", c.sites, c.hot, order, q.items())
+		}
+		checkOnce(t, c.sites, c.hot, order)
+
+		q = newTierQueue(c.sites, c.hot)
+		claimed := make([][]string, 4)
+		var wg sync.WaitGroup
+		for g := range claimed {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					pinned, i, ok := q.claim()
+					if !ok {
+						return
+					}
+					claimed[g] = append(claimed[g], itemName(pinned, i))
+				}
+			}()
+		}
+		wg.Wait()
+		checkOnce(t, c.sites, c.hot, slices.Concat(claimed...))
+	}
+}
+
+func itemName(pinned bool, i int) string {
+	if pinned {
+		return fmt.Sprint("p", i)
+	}
+	return fmt.Sprint("c", i)
+}
+
+// checkOnce requires order to hold each of the queue's items once.
+func checkOnce(t *testing.T, sites, hot int, order []string) {
+	t.Helper()
+	q := newTierQueue(sites, hot)
+	seen := make(map[string]bool)
+	for _, it := range order {
+		if seen[it] {
+			t.Errorf("sites=%d hot=%d: item %s claimed twice", sites, hot, it)
+		}
+		seen[it] = true
+	}
+	for i := 0; i < q.hot; i++ {
+		if !seen[itemName(true, i)] {
+			t.Errorf("sites=%d hot=%d: pinned site %d never claimed", sites, hot, i)
+		}
+	}
+	for i := 0; i < q.coldItems; i++ {
+		if !seen[itemName(false, i)] {
+			t.Errorf("sites=%d hot=%d: cold item %d never claimed", sites, hot, i)
+		}
+	}
+	if len(seen) != q.items() {
+		t.Errorf("sites=%d hot=%d: %d distinct items claimed, queue holds %d", sites, hot, len(seen), q.items())
 	}
 }
 
