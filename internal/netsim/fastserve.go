@@ -434,6 +434,9 @@ type fastResponseWriter struct {
 	buf         []byte  // accumulated body bytes (suppressed for HEAD)
 	pooled      *[]byte // buf's srvRespPool box
 	headN       int     // HEAD: bytes the handler "wrote"
+	// kept holds the one-value slices SetHeader made, by key. They are
+	// the writer's own: SetHeader made them, and no caller handed one in.
+	kept http.Header
 }
 
 // reset readies w for the next response. The header map needs nothing:
@@ -448,6 +451,30 @@ func (w *fastResponseWriter) reset(isHead bool) {
 
 // Header implements http.ResponseWriter.
 func (w *fastResponseWriter) Header() http.Header { return w.hdr }
+
+// SetHeader sets w's header key, which must be in canonical form, to
+// the single value v, as w.Header().Set(key, v) does. On the writer
+// ServeConn hands its handler, it stores v in a one-value slice the
+// writer made for key on an earlier response of the conn, so a
+// keep-alive conn's responses set the key without allocating; on any
+// other writer it is w.Header().Set.
+func SetHeader(w http.ResponseWriter, key, v string) {
+	fw, ok := w.(*fastResponseWriter)
+	if !ok {
+		w.Header().Set(key, v)
+		return
+	}
+	vs := fw.kept[key]
+	if vs == nil {
+		if fw.kept == nil {
+			fw.kept = make(http.Header, 1)
+		}
+		vs = make([]string, 1)
+		fw.kept[key] = vs
+	}
+	vs[0] = v
+	fw.hdr[key] = vs
+}
 
 // WriteHeader implements http.ResponseWriter.
 func (w *fastResponseWriter) WriteHeader(code int) {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"strconv"
 	"strings"
@@ -173,6 +174,75 @@ func TestServeResetsHeadersBetweenRequests(t *testing.T) {
 	}
 }
 
+// TestSetHeaderKeepsCallersSlices: SetHeader reuses only slices it made
+// itself. A slice a handler stored under the key on an earlier response
+// of the conn is never written into, a value Added after SetHeader
+// reaches the client beside it, and on a writer other than netsim's
+// SetHeader is Header().Set.
+func TestSetHeaderKeepsCallersSlices(t *testing.T) {
+	nw := New()
+	ln, err := nw.Listen("203.0.113.83", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := []string{"text/shared"}
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/shared":
+			w.Header()["Content-Type"] = shared
+		case "/add":
+			SetHeader(w, "Content-Type", "text/set")
+			w.Header().Add("Content-Type", "text/added")
+		default:
+			SetHeader(w, "Content-Type", "text"+r.URL.Path)
+		}
+		io.WriteString(w, "ok")
+	})
+	done := make(chan error, 1)
+	go func() { done <- Serve(ln, func(c net.Conn) { ServeConn(c, h) }) }()
+	defer func() {
+		ln.Close()
+		<-done
+	}()
+
+	c, err := nw.Dial(context.Background(), "198.51.100.83", "203.0.113.83:80")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	br := bufio.NewReader(c)
+	for _, tc := range []struct {
+		path string
+		want []string
+	}{
+		{"/shared", []string{"text/shared"}},
+		{"/a", []string{"text/a"}},
+		{"/add", []string{"text/set", "text/added"}},
+		{"/b", []string{"text/b"}},
+		{"/shared", []string{"text/shared"}},
+		{"/c", []string{"text/c"}},
+	} {
+		fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: h\r\n\r\n", tc.path)
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		if got := resp.Header.Values("Content-Type"); !slices.Equal(got, tc.want) {
+			t.Errorf("GET %s: Content-Type %q, want %q", tc.path, got, tc.want)
+		}
+		if shared[0] != "text/shared" {
+			t.Fatalf("after GET %s: the handler's own slice was overwritten with %q", tc.path, shared[0])
+		}
+	}
+
+	rec := httptest.NewRecorder()
+	SetHeader(rec, "Content-Type", "text/plain")
+	if got := rec.Header().Values("Content-Type"); !slices.Equal(got, []string{"text/plain"}) {
+		t.Errorf("SetHeader on a recorder: Content-Type %q, want [text/plain]", got)
+	}
+}
+
 // TestConnLifecycleAllocs pins the allocations of one whole connection,
 // client and server halves together: dial, one GET, close. Every buffer
 // comes from a pool (two ring buffers, two read buffers, a response
@@ -180,9 +250,6 @@ func TestServeResetsHeadersBetweenRequests(t *testing.T) {
 // nothing; a pool of []byte would box a slice header on each of the
 // four ring and read buffer Puts.
 func TestConnLifecycleAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts over pooled buffers vary under the race detector")
-	}
 	nw := New()
 	ln, err := nw.Listen("203.0.113.82", 80)
 	if err != nil {
@@ -214,8 +281,12 @@ func TestConnLifecycleAllocs(t *testing.T) {
 	cycle()
 	allocs := testing.AllocsPerRun(200, cycle)
 	t.Logf("%.2f allocs per dial, GET and close", allocs)
-	if allocs > 35 {
-		t.Errorf("%.2f allocations per dial, GET and close, want at most 35", allocs)
+	bound := 35.0
+	if raceEnabled {
+		bound = 39 // pooled buffers the race detector dropped are made again
+	}
+	if allocs > bound {
+		t.Errorf("%.2f allocations per dial, GET and close, want at most %.0f", allocs, bound)
 	}
 }
 

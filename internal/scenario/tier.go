@@ -30,14 +30,14 @@ import (
 // comes from seeds derived sequentially before any worker starts. The
 // parity suite holds hot=0 to the all-hot run of the same code.
 //
-// Workers first plan the 64-site chunks that hold pinned sites, then
-// pull from one shared queue until none is left: the pinned sites one at
-// a time, spread over the first half of the cold-only chunks (each
-// planned and advanced in one claim), then the other half, and last the
-// cold rest of the final pinned chunk. Policy transitions and crawl
-// waves are computed from (site, month) on the fly rather than
-// scheduled, so a claim needs nothing from any other; the one barrier is
-// the end of the pinned chunks' planning (see tierQueue).
+// The 64-site chunks that hold pinned sites are planned before the
+// workers start. Workers then pull from one shared queue until none is
+// left: the pinned sites one at a time, spread over the first half of
+// the cold-only chunks (each planned and advanced in one claim), then
+// the other half, and last the cold rest of the final pinned chunk.
+// Policy transitions and crawl waves are computed from (site, month) on
+// the fly rather than scheduled, so a claim needs nothing from any other
+// (see tierQueue).
 func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error) {
 	defer mRunWallNS.ObserveSince(time.Now())
 	if err := spec.Validate(); err != nil {
@@ -90,11 +90,12 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 		}
 		ws[wi] = w
 	}
-	var nextPlan atomic.Int64 // the next unplanned pinned chunk
-	eachWorker(ws, cancel, func(w *tierWorker) error {
-		w.planPinned(seeds, &nextPlan, q.hotChunks)
-		return nil
-	})
+	// A pinned site is claimed alone, but its plan is drawn with its
+	// chunk's: a few draws per site, against a year of live HTTP each.
+	for c := 0; c < q.hotChunks; c++ {
+		lo := c * chunkSites
+		ws[0].planChunk(seeds, lo, min(lo+chunkSites, sp.Sites))
+	}
 	if err := eachWorker(ws, cancel, func(w *tierWorker) error {
 		defer w.close()
 		return w.run(runCtx, seeds, q)
@@ -178,27 +179,27 @@ func eachWorker(ws []*tierWorker, cancel func(), f func(*tierWorker) error) erro
 // tierWorker.hot), so the shared words stay the cold claims' alone.
 const chunkSites = 64
 
-// tierQueue is a run's shared work queue. Its pinned items are the
-// pinned sites, [0, hot); its cold items are the chunks that hold no
-// pinned site and, when the pinned cohort ends inside a chunk, one last
-// item: that chunk's cold rest, sites [hot, restEnd).
+// tierQueue is a run's shared work queue: one fixed order of items, and
+// each claim takes the next. Its pinned items are the pinned sites,
+// [0, hot); its cold items are the chunks that hold no pinned site and,
+// when the pinned cohort ends inside a chunk, one last item: that
+// chunk's cold rest, sites [hot, restEnd).
 //
-// The next claim is a pinned site while the share of the pinned sites
-// claimed is at most the share claimed of the first half of the
+// The pinned sites are spread evenly over the first half of the
 // cold-only chunks (spread is that half), so pinned sites run beside
 // cold chunks rather than beside each other: on a 2-vCPU container two
 // live sites at once each ran ~20% slower than one beside cold work,
 // and a 100,000-site run with its 21 pinned sites claimed first lost ~3%
-// of its throughput to that. The pinned sites are all claimed by the
-// half-way point, so each has cold work after it to even out the
-// workers' ends; with no cold-only chunk to spread over (spread 0) they
-// go first, the longest work first.
+// of its throughput to that. The first claim is a pinned site, the
+// longest work first, and the last is claimed by the half-way point, so
+// each has cold work after it to even out the workers' ends; with no
+// cold-only chunk to spread over (spread 0) they all go first.
 type tierQueue struct {
 	hot, hotChunks, coldChunks int
 	restEnd                    int // end of the last pinned chunk's cold rest
 	coldItems                  int // coldChunks, plus one for a cold rest
 	spread                     int
-	nextHot, nextCold          atomic.Int64
+	next                       atomic.Int64 // the next claim
 }
 
 func newTierQueue(sites, hot int) *tierQueue {
@@ -217,25 +218,30 @@ func newTierQueue(sites, hot int) *tierQueue {
 func (q *tierQueue) items() int { return q.hot + q.coldItems }
 
 // claim takes the next item: pinned site i, or cold item i. ok is false
-// once the queue is empty. Workers race on the two cursors, so the
-// spread is kept approximately; every item is still claimed exactly
-// once.
+// once the queue is empty.
 func (q *tierQueue) claim() (pinned bool, i int, ok bool) {
-	for {
-		h, c := int(q.nextHot.Load()), int(q.nextCold.Load())
-		switch {
-		case h < q.hot && (c >= q.coldItems || h*q.spread <= c*q.hot):
-			if i := int(q.nextHot.Add(1) - 1); i < q.hot {
-				return true, i, true
-			}
-		case c < q.coldItems:
-			if i := int(q.nextCold.Add(1) - 1); i < q.coldItems {
-				return false, i, true
-			}
-		default:
-			return false, 0, false
-		}
+	k := int(q.next.Add(1) - 1)
+	if k >= q.items() {
+		return false, 0, false
 	}
+	pinned, i = q.item(k)
+	return pinned, i, true
+}
+
+// item is the queue's kth item. The first hot+spread items interleave
+// the pinned sites with the first spread cold items, the first k of
+// them holding ceil(k·hot/(hot+spread)) pinned sites; the rest are the
+// remaining cold items in order.
+func (q *tierQueue) item(k int) (pinned bool, i int) {
+	n := q.hot + q.spread
+	if k >= n {
+		return false, k - q.hot
+	}
+	p := (k*q.hot + n - 1) / n // pinned sites among items [0, k)
+	if ((k+1)*q.hot+n-1)/n > p {
+		return true, p
+	}
+	return false, k - p
 }
 
 // TierOptions configures RunTiered.
@@ -342,24 +348,11 @@ func (w *tierWorker) close() {
 	}
 }
 
-// planPinned plans the chunks holding pinned sites, claiming them from
-// next until all hotChunks are taken. It runs before any site-month: a
-// pinned site is claimed alone, but its plan is drawn with its chunk.
-func (w *tierWorker) planPinned(seeds []int64, next *atomic.Int64, hotChunks int) {
-	for {
-		c := int(next.Add(1) - 1)
-		if c >= hotChunks {
-			return
-		}
-		lo := c * chunkSites
-		w.planChunk(seeds, lo, min(lo+chunkSites, w.world.sp.Sites))
-	}
-}
-
 // run claims items of q until none is left: a pinned site runs
 // site-major on the worker's live farm, a cold-only chunk is planned
 // and then advanced month-major, and the final pinned chunk's cold rest
-// is advanced month-major (its plan is planPinned's).
+// is advanced month-major (planned with the pinned chunks, before the
+// workers started).
 //
 // The visiting order cannot change the output. A site-month reads and
 // writes only site i's own state (and the immutable world), so site

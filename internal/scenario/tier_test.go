@@ -82,16 +82,18 @@ func TestTieredWorkerCountIdentity(t *testing.T) {
 
 // TestTieredQueueClaims: the shared queue hands out every pinned site
 // and every cold item exactly once, to one claimer or to racing ones,
-// and one claimer sees the pinned sites spread over the first half of
-// the cold-only chunks — all of them claimed by the half-way point, the
-// first one first — or all first when there is no chunk to spread over.
+// each claimer in one fixed order: the pinned sites, the first one first, spread
+// evenly over the first half of the cold-only chunks — each gap between
+// two of them is spread/hot cold items, rounded down or up, and the last
+// is followed by cold work — or all first when there is no chunk to
+// spread over.
 func TestTieredQueueClaims(t *testing.T) {
 	for _, c := range []struct{ sites, hot int }{
-		{300, 300}, {100000, 21}, {400, 200}, {130, 65}, {256, 0}, {70, 64}, {1, 1},
+		{300, 300}, {100000, 21}, {400, 200}, {130, 65}, {256, 0}, {70, 64}, {1, 1}, {2000, 3},
 	} {
 		q := newTierQueue(c.sites, c.hot)
 		var order []string
-		cold := 0
+		cold, lastPinned := 0, -1
 		for {
 			pinned, i, ok := q.claim()
 			if !ok {
@@ -100,12 +102,21 @@ func TestTieredQueueClaims(t *testing.T) {
 			order = append(order, itemName(pinned, i))
 			if !pinned {
 				cold++
-			} else if cold > q.spread {
-				t.Errorf("sites=%d hot=%d: pinned site %d claimed after %d cold items, spread %d", c.sites, c.hot, i, cold, q.spread)
+				continue
 			}
+			if i != lastPinned+1 {
+				t.Errorf("sites=%d hot=%d: pinned site %d claimed after pinned site %d", c.sites, c.hot, i, lastPinned)
+			}
+			if gap := cold; i > 0 && (gap < q.spread/c.hot || gap > (q.spread+c.hot-1)/c.hot) {
+				t.Errorf("sites=%d hot=%d: %d cold items before pinned site %d, spread %d", c.sites, c.hot, gap, i, q.spread)
+			}
+			lastPinned, cold = i, 0
 		}
 		if len(order) != q.items() || (c.hot > 0 && order[0] != "p0") {
 			t.Errorf("sites=%d hot=%d: claim order %v, want %d items from p0", c.sites, c.hot, order, q.items())
+		}
+		if c.hot > 0 && q.spread > 0 && order[c.hot+q.spread-1][0] != 'c' {
+			t.Errorf("sites=%d hot=%d: the last pinned site ends the spread, want cold work after it", c.sites, c.hot)
 		}
 		checkOnce(t, c.sites, c.hot, order)
 
@@ -127,6 +138,15 @@ func TestTieredQueueClaims(t *testing.T) {
 		}
 		wg.Wait()
 		checkOnce(t, c.sites, c.hot, slices.Concat(claimed...))
+		pos := make(map[string]int, len(order))
+		for k, it := range order {
+			pos[it] = k
+		}
+		for g, got := range claimed {
+			if !slices.IsSortedFunc(got, func(a, b string) int { return pos[a] - pos[b] }) {
+				t.Errorf("sites=%d hot=%d: claimer %d took items out of the queue's order: %v", c.sites, c.hot, g, got)
+			}
+		}
 	}
 }
 

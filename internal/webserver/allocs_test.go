@@ -12,9 +12,6 @@ import (
 // one keep-alive netsim.Get of a farm page, client and server halves
 // together. The one allocation is the body string Get returns.
 func TestGetFarmPageAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts over pooled buffers vary under the race detector")
-	}
 	nw := netsim.New()
 	f := newFarm(t, nw, "203.0.113.250")
 	site, err := f.StartSite(Config{Domain: "allocs.test", IP: "203.0.113.251", Pages: ContentPages("allocs.test")})
@@ -35,8 +32,12 @@ func TestGetFarmPageAllocs(t *testing.T) {
 	get() // dial and pool the conn
 	allocs := testing.AllocsPerRun(1000, get)
 	t.Logf("%.2f allocs per keep-alive Get", allocs)
-	if allocs > 1 {
-		t.Errorf("%.2f allocations per keep-alive Get of a farm page, want at most 1", allocs)
+	bound := 1.0
+	if raceEnabled {
+		bound = 2 // a pooled buffer the race detector dropped is made again
+	}
+	if allocs > bound {
+		t.Errorf("%.2f allocations per keep-alive Get of a farm page, want at most %.0f", allocs, bound)
 	}
 }
 

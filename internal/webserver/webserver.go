@@ -13,6 +13,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/netsim"
 )
 
 // Page is one servable resource on a site.
@@ -158,15 +160,7 @@ func (s *Site) serve(w http.ResponseWriter, r *http.Request) {
 	if contentType == "" {
 		contentType = "text/html; charset=utf-8"
 	}
-	// netsim's response writer keeps each header key's slice, truncated,
-	// from one response on a conn to the next; reusing it makes setting
-	// the header allocation-free.
-	hdr := w.Header()
-	if ct := hdr["Content-Type"]; cap(ct) > 0 {
-		hdr["Content-Type"] = append(ct[:0], contentType)
-	} else {
-		hdr.Set("Content-Type", contentType)
-	}
+	netsim.SetHeader(w, "Content-Type", contentType)
 	w.WriteHeader(status)
 	n, _ := io.WriteString(w, body)
 
