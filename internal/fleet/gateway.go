@@ -182,10 +182,10 @@ func (g *Gateway) Close() {
 // own, not through routeBatch, because routeBatch answers an empty
 // batch at the gateway without visiting a replica; and not through
 // decideOn, so probes never count as client batches, routed decisions
-// or replica latency. A failed probe closes the conn and the next tick
-// redials.
+// or replica latency. Each probe, its redial included, runs under
+// probeTimeout and ends when ctx does. A failed probe closes the conn
+// and the next tick redials.
 func (r *replica) probeLoop(ctx context.Context) {
-	var c net.Conn
 	var fc *policyd.FrameClientV2
 	defer func() {
 		if fc != nil {
@@ -195,19 +195,19 @@ func (r *replica) probeLoop(ctx context.Context) {
 	tick := time.NewTicker(probeInterval)
 	defer tick.Stop()
 	for {
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		if fc == nil {
-			c, fc = r.dialProbe(ctx)
-		} else {
-			c.SetDeadline(time.Now().Add(probeTimeout))
+			fc = r.dialProbe(pctx)
 		}
 		if fc != nil {
-			if _, v, err := fc.Decide(nil, nil); err != nil {
+			if _, v, err := fc.DecideContext(pctx, nil, nil); err != nil {
 				fc.Close()
 				fc = nil
 			} else {
 				r.noteVersion(v)
 			}
 		}
+		cancel()
 		select {
 		case <-ctx.Done():
 			return
@@ -216,21 +216,17 @@ func (r *replica) probeLoop(ctx context.Context) {
 	}
 }
 
-// dialProbe opens the prober's frame conn with the first exchange's
-// deadline already set; nil on failure.
-func (r *replica) dialProbe(ctx context.Context) (net.Conn, *policyd.FrameClientV2) {
-	dctx, cancel := context.WithTimeout(ctx, probeTimeout)
-	defer cancel()
-	c, err := r.gw.cfg.Dial(dctx, r.cfg.FrameAddr)
+// dialProbe opens the prober's frame conn under ctx; nil on failure.
+func (r *replica) dialProbe(ctx context.Context) *policyd.FrameClientV2 {
+	c, err := r.gw.cfg.Dial(ctx, r.cfg.FrameAddr)
 	if err != nil {
-		return nil, nil
+		return nil
 	}
-	c.SetDeadline(time.Now().Add(probeTimeout))
 	fc, err := policyd.NewFrameClientV2(c) // closes c on failure
 	if err != nil {
-		return nil, nil
+		return nil
 	}
-	return c, fc
+	return fc
 }
 
 // noteVersion records a replica's observed snapshot version (from a

@@ -921,3 +921,69 @@ func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
 		}
 	}
 }
+
+// TestProbeHonoursStartContextOnBlackholedReplica: canceling the ctx
+// given to Start ends a probe blocked on a replica that reads everything
+// and never answers at once. The replica sees the prober's conn close
+// well inside probeTimeout, not when the probe's deadline fires.
+func TestProbeHonoursStartContextOnBlackholedReplica(t *testing.T) {
+	nw := netsim.New()
+	ln, err := nw.Listen("10.0.0.98", 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probed := make(chan struct{}, 1)
+	closed := make(chan time.Time, 1)
+	served := make(chan error, 1)
+	go func() {
+		served <- netsim.Serve(ln, func(c net.Conn) {
+			// The preamble and the first byte of a probe's frame.
+			var head [len(policyd.FrameMagicV2) + 1]byte
+			if _, err := io.ReadFull(c, head[:]); err == nil {
+				select {
+				case probed <- struct{}{}:
+				default:
+				}
+			}
+			io.Copy(io.Discard, c)
+			select {
+			case closed <- time.Now():
+			default:
+			}
+			c.Close()
+		})
+	}()
+	defer func() {
+		ln.Close()
+		<-served
+	}()
+	gw, err := NewGateway(Config{
+		Replicas: []ReplicaConfig{{Name: "blackhole", FrameAddr: "10.0.0.98:81"}},
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return nw.Dial(ctx, ClientIP, addr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gw.Start(ctx)
+	select {
+	case <-probed:
+	case <-time.After(time.Second):
+		t.Fatal("the prober never sent the replica a probe")
+	}
+	canceled := time.Now()
+	cancel()
+	select {
+	case at := <-closed:
+		if d := at.Sub(canceled); d > 100*time.Millisecond {
+			t.Errorf("prober's conn closed %v after its ctx was canceled, want within 100 ms (probeTimeout %v)", d, probeTimeout)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("prober's conn still open 1 s after its ctx was canceled")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,7 @@ func TestFastClientMatchesStdlibClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	big := strings.Repeat("0123456789abcdef", 640)
 	var (
 		mu       sync.Mutex
 		seen     []string // one line per request, as the server read it
@@ -42,8 +44,9 @@ func TestFastClientMatchesStdlibClient(t *testing.T) {
 				r.Header["X-Probe"], r.ContentLength, crc32.ChecksumIEEE(body)))
 			mu.Unlock()
 			switch r.URL.Path {
-			case "/big": // no Content-Length and over the server's buffer: chunked
-				io.WriteString(w, strings.Repeat("0123456789abcdef", 640))
+			case "/big": // over the server's 2 KiB buffer, so it must frame its own length
+				w.Header().Set("Content-Length", strconv.Itoa(len(big)))
+				io.WriteString(w, big)
 			case "/fixed":
 				w.Header().Set("Content-Length", "5")
 				w.Header().Set("Content-Type", "image/png")
@@ -89,7 +92,7 @@ func TestFastClientMatchesStdlibClient(t *testing.T) {
 		{method: "GET", url: "http://oracle.test/missing", ua: "ClaudeBot/1.0"},
 		{method: "GET", url: "http://oracle.test/nocontent", ua: "ClaudeBot/1.0"},
 		{method: "POST", url: "http://oracle.test/echo", ua: "ClaudeBot/1.0", body: "small body"},
-		{method: "POST", url: "http://oracle.test/echo", ua: "ClaudeBot/1.0", body: strings.Repeat("stream", 60<<10)}, // over fastMaxInlineBody
+		{method: "POST", url: "http://oracle.test/echo", ua: "ClaudeBot/1.0", body: strings.Repeat("stream", 60<<10)}, // 360 KB, sent with the head
 		{method: "POST", url: "http://oracle.test/echo", ua: "ClaudeBot/1.0"},                                         // empty body
 		{method: "GET", url: "http://oracle.test/hangup", ua: "CCBot/2.0"},
 		{method: "GET", url: "http://oracle.test/", ua: "CCBot/2.0"}, // after the server hung up

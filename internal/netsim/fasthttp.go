@@ -29,11 +29,15 @@ import (
 // allocations per exchange — all machinery for generality the closed
 // world behind netsim never uses. fastTransport is an http.RoundTripper
 // that speaks exactly the subset our traffic needs — GET/HEAD/POST to
-// http:// URLs, a small fixed header set, Content-Length or chunked
-// response framing, keep-alive pooling — straight over the buffered
-// duplex conns, with pooled buffers and no per-request goroutines. A
-// request outside that subset fails with an error naming what it asked
-// for; there is no second transport to hand it to. Get drives the same
+// http:// URLs, a small fixed header set, request bodies written with
+// the head, Content-Length response bodies, keep-alive pooling —
+// straight over the buffered duplex conns, with pooled buffers and no
+// per-request goroutines. ServeConn frames every response with a
+// Content-Length, so that is the one body framing the client reads: a
+// response with a Transfer-Encoding, or with a body but no
+// Content-Length, fails with an error. A request outside the subset
+// fails with an error naming what it asked for; there is no second
+// transport to hand it to. Get drives the same
 // transport below the RoundTripper surface, sharing its head writer,
 // head parser, pool and retry, without building a request or response.
 
@@ -41,10 +45,6 @@ const (
 	fastMaxIdlePerHost = 2  // matches the stdlib transport config it replaces
 	fastMaxIdleTotal   = 64 // ditto
 	fastReadBufSize    = 8 * 1024
-	// fastMaxInlineBody is the largest request body serialized into the
-	// head buffer so the whole request goes out in one ring write and can
-	// be replayed on a dead pooled connection without GetBody.
-	fastMaxInlineBody = 256 << 10
 )
 
 var (
@@ -53,8 +53,6 @@ var (
 	// fastReadPool recycles per-connection read buffers. It holds
 	// *[]byte, as the other pools do, so a Put boxes nothing.
 	fastReadPool = sync.Pool{New: func() any { b := make([]byte, fastReadBufSize); return &b }}
-	// fastCopyPool recycles copy buffers for streamed request bodies.
-	fastCopyPool = sync.Pool{New: func() any { b := make([]byte, 16*1024); return &b }}
 )
 
 var errFastHeaderTooLong = errors.New("netsim: fast http: header line exceeds buffer")
@@ -102,6 +100,10 @@ func checkRequest(req *http.Request) error {
 		if req.ContentLength < 0 || (hasBody && req.ContentLength == 0) {
 			return errors.New("netsim: fast http: unsupported POST body of unknown length")
 		}
+		// ServeConn would refuse it; the body is sent with the head.
+		if req.ContentLength > srvMaxBody {
+			return fmt.Errorf("netsim: fast http: POST body of %d bytes exceeds the server's %d-byte limit", req.ContentLength, srvMaxBody)
+		}
 	default:
 		return fmt.Errorf("netsim: fast http: unsupported method %q", req.Method)
 	}
@@ -146,35 +148,23 @@ func (t *fastTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	headp := fastHeadPool.Get().(*[]byte)
 	head := appendRequestHead((*headp)[:0], req)
 
-	// Small bodies ride in the head buffer: one ring write, and the
-	// request can be replayed verbatim if a pooled conn turns out dead.
-	var stream io.ReadCloser
-	if req.Body != nil && req.ContentLength > 0 {
-		if req.ContentLength <= fastMaxInlineBody {
-			n := len(head)
-			need := n + int(req.ContentLength)
-			if cap(head) < need {
-				grown := make([]byte, n, need)
-				copy(grown, head)
-				head = grown
-			}
-			head = head[:need]
-			_, err := io.ReadFull(req.Body, head[n:])
-			req.Body.Close()
-			if err != nil {
-				*headp = head[:0]
-				fastHeadPool.Put(headp)
-				return nil, fmt.Errorf("netsim: fast http: reading request body: %w", err)
-			}
-		} else {
-			stream = req.Body
-		}
-	} else if req.Body != nil {
+	// The body rides in the head buffer: one ring write, and the request
+	// can be replayed verbatim if a pooled conn turns out dead.
+	if req.Body != nil {
+		n := len(head)
+		head = slices.Grow(head, int(req.ContentLength))[:n+int(req.ContentLength)]
+		_, err := io.ReadFull(req.Body, head[n:])
 		req.Body.Close()
+		if err != nil {
+			*headp = head[:0]
+			fastHeadPool.Put(headp)
+			return nil, fmt.Errorf("netsim: fast http: reading request body: %w", err)
+		}
 	}
 
 	hdr := make(http.Header, 4)
-	fc, rh, err := t.send(req.Context(), req.URL.Host, head, stream, req.GetBody, hdr)
+	isHead := req.Method == http.MethodHead
+	fc, rh, err := t.send(req.Context(), req.URL.Host, head, hdr, isHead)
 	*headp = head[:0]
 	fastHeadPool.Put(headp)
 	if err != nil {
@@ -183,28 +173,25 @@ func (t *fastTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.response(fc, rh, hdr, req), nil
 }
 
-// send writes head, then stream when it is non-nil, on key's most
-// recently pooled conn or a fresh one, and parses the response head,
-// filling hdr when it is non-nil. ctx's deadline, if any, is armed on
-// the conn. A pooled conn may have been closed by the server (site
-// removed, server shut down) between requests; the write or the first
-// response byte then fails cleanly, and — like the stdlib transport —
-// send replays the request once on a fresh conn, reopening a streamed
-// body with getBody. On success the caller owns the returned conn and
+// send writes the serialized request head (its body included) on key's
+// most recently pooled conn or a fresh one, and parses the response
+// head, filling hdr when it is non-nil; isHead says the request was a
+// HEAD. ctx's deadline, if any, is armed on the conn. A pooled conn may
+// have been closed by the server (site removed, server shut down)
+// between requests; the write or the first response byte then fails
+// cleanly, and — like the stdlib transport — send writes head once more
+// on a fresh conn. On success the caller owns the returned conn and
 // must read the body off it.
-func (t *fastTransport) send(ctx context.Context, key string, head []byte, stream io.ReadCloser,
-	getBody func() (io.ReadCloser, error), hdr http.Header) (*fastConn, respHead, error) {
+func (t *fastTransport) send(ctx context.Context, key string, head []byte, hdr http.Header, isHead bool) (*fastConn, respHead, error) {
 	mHTTPRequests.Inc()
 	started := time.Now()
 	if err := ctx.Err(); err != nil {
-		closeStream(stream)
 		return nil, respHead{}, err
 	}
 	deadline, hasDeadline := ctx.Deadline()
 	for attempt := 0; ; attempt++ {
 		fc, reused, err := t.getConn(ctx, key)
 		if err != nil {
-			closeStream(stream)
 			return nil, respHead{}, err
 		}
 		if hasDeadline {
@@ -214,7 +201,7 @@ func (t *fastTransport) send(ctx context.Context, key string, head []byte, strea
 			fc.c.SetDeadline(time.Time{})
 			fc.deadlineArmed = false
 		}
-		rh, retryable, err := t.exchange(fc, head, stream, hdr)
+		rh, retryable, err := t.exchange(fc, head, hdr, isHead)
 		if err == nil {
 			mHTTPLatency.ObserveSince(started)
 			return fc, rh, nil
@@ -222,25 +209,9 @@ func (t *fastTransport) send(ctx context.Context, key string, head []byte, strea
 		fc.close()
 		if reused && attempt == 0 && retryable {
 			mHTTPRetries.Inc()
-			if stream != nil {
-				if getBody == nil {
-					closeStream(stream)
-					return nil, respHead{}, err
-				}
-				if stream, err = getBody(); err != nil {
-					return nil, respHead{}, err
-				}
-			}
 			continue
 		}
-		closeStream(stream)
 		return nil, respHead{}, err
-	}
-}
-
-func closeStream(s io.ReadCloser) {
-	if s != nil {
-		s.Close()
 	}
 }
 
@@ -320,22 +291,12 @@ func (t *fastTransport) CloseIdleConnections() {
 // The returned bool reports whether the failure is safely retryable on
 // a fresh connection: the peer vanished before yielding a single
 // response byte.
-func (t *fastTransport) exchange(fc *fastConn, head []byte, stream io.ReadCloser, hdr http.Header) (respHead, bool, error) {
+func (t *fastTransport) exchange(fc *fastConn, head []byte, hdr http.Header, isHead bool) (respHead, bool, error) {
 	if _, err := fc.c.Write(head); err != nil {
 		return respHead{}, retryableErr(err), err
 	}
 	mHTTPBytesOut.Add(uint64(len(head)))
-	if stream != nil {
-		bufp := fastCopyPool.Get().(*[]byte)
-		n, err := io.CopyBuffer(fc.c, stream, *bufp)
-		fastCopyPool.Put(bufp)
-		stream.Close()
-		mHTTPBytesOut.Add(uint64(n))
-		if err != nil {
-			return respHead{}, false, err // body partially consumed; caller needs GetBody
-		}
-	}
-	return readRespHead(&fc.br, hdr)
+	return readRespHead(&fc.br, hdr, isHead)
 }
 
 // retryableErr reports whether an error means "peer gone" rather than
@@ -347,18 +308,27 @@ func retryableErr(err error) bool {
 // respHead is what a response head says about its body's framing.
 type respHead struct {
 	code          int
-	minor         byte // HTTP/1.minor
-	contentLength int64
-	chunked       bool
+	minor         byte  // HTTP/1.minor
+	contentLength int64 // -1 when the head has none
 	keepAlive     bool
+}
+
+// hasBody reports whether a response with status code to a request that
+// was not a HEAD carries a body: 1xx, 204 and 304 responses have none.
+func hasBody(code int) bool {
+	return code >= 200 && code != http.StatusNoContent && code != http.StatusNotModified
 }
 
 // readRespHead parses one HTTP/1.x response head: the status line, then
 // the header fields through the blank line. The fields that frame the
 // body are read into the respHead; the others, and Content-Length, go
-// into hdr when it is non-nil. The returned bool reports whether a
-// failure is safely retryable, as exchange's does.
-func readRespHead(br *connReader, hdr http.Header) (respHead, bool, error) {
+// into hdr when it is non-nil. Content-Length is the one body framing
+// the client reads: a head with a Transfer-Encoding, or one whose
+// response has a body (isHead says the request was a HEAD, whose
+// response has none) but no Content-Length, is an error. The returned
+// bool reports whether a failure is safely retryable, as exchange's
+// does.
+func readRespHead(br *connReader, hdr http.Header, isHead bool) (respHead, bool, error) {
 	line, err := br.readLine()
 	if err != nil {
 		// Nothing buffered and the peer is gone: the reused conn was dead.
@@ -392,6 +362,9 @@ func readRespHead(br *connReader, hdr http.Header) (respHead, bool, error) {
 			return respHead{}, false, fmt.Errorf("netsim: fast http: reading response header: %w", err)
 		}
 		if len(line) == 0 {
+			if rh.contentLength < 0 && !isHead && hasBody(rh.code) {
+				return respHead{}, false, fmt.Errorf("netsim: fast http: %d response has no Content-Length", rh.code)
+			}
 			return rh, false, nil
 		}
 		colon := indexByteFrom(line, 0, ':')
@@ -410,10 +383,7 @@ func readRespHead(br *connReader, hdr http.Header) (respHead, bool, error) {
 				hdr["Content-Length"] = []string{string(vb)}
 			}
 		case asciiEqualFold(kb, "Transfer-Encoding"):
-			if !asciiEqualFold(vb, "chunked") {
-				return respHead{}, false, fmt.Errorf("netsim: fast http: unsupported transfer encoding %q", vb)
-			}
-			rh.chunked = true
+			return respHead{}, false, fmt.Errorf("netsim: fast http: unsupported Transfer-Encoding %q: only Content-Length bodies are read", vb)
 		case asciiEqualFold(kb, "Connection"):
 			if asciiEqualFold(vb, "close") {
 				rh.keepAlive = false
@@ -429,25 +399,12 @@ func readRespHead(br *connReader, hdr http.Header) (respHead, bool, error) {
 	}
 }
 
-// body frames the body that follows rh on fc. A HEAD response, a 1xx,
-// 204 or 304 has none.
+// body frames the body that follows rh on fc: its Content-Length bytes,
+// or none for a HEAD response, a 1xx, 204 or 304.
 func (t *fastTransport) body(fc *fastConn, rh respHead, isHead bool) fastBody {
 	fb := fastBody{t: t, fc: fc, keepAlive: rh.keepAlive}
-	switch {
-	case isHead || rh.code == http.StatusNoContent || rh.code == http.StatusNotModified || rh.code < 200:
-		fb.mode = bodyNone
-		fb.done = true
-	case rh.chunked:
-		fb.mode = bodyChunked
-	case rh.contentLength >= 0:
-		fb.mode = bodyFixed
+	if !isHead && hasBody(rh.code) {
 		fb.remaining = rh.contentLength
-		fb.done = rh.contentLength == 0
-	default:
-		// No framing header: the body runs to connection close (HTTP/1.0
-		// style); the conn cannot be reused.
-		fb.mode = bodyUntilEOF
-		fb.keepAlive = false
 	}
 	return fb
 }
@@ -464,21 +421,12 @@ func (t *fastTransport) response(fc *fastConn, rh respHead, hdr http.Header, req
 		Header:     hdr,
 		Request:    req,
 	}
-	if rh.chunked {
-		resp.TransferEncoding = []string{"chunked"}
+	isHead := req.Method == http.MethodHead
+	if isHead || hasBody(rh.code) {
+		resp.ContentLength = rh.contentLength
 	}
 	body := new(fastBody)
-	*body = t.body(fc, rh, req.Method == http.MethodHead)
-	switch body.mode {
-	case bodyNone:
-		if req.Method == http.MethodHead {
-			resp.ContentLength = rh.contentLength
-		}
-	case bodyFixed:
-		resp.ContentLength = rh.contentLength
-	default:
-		resp.ContentLength = -1
-	}
+	*body = t.body(fc, rh, isHead)
 	resp.Body = body
 	return resp
 }
@@ -633,7 +581,7 @@ func Get(ctx context.Context, client *http.Client, rawURL string, hdr http.Heade
 	}
 	headp := fastHeadPool.Get().(*[]byte)
 	head := appendGetHead((*headp)[:0], host, target, hdr)
-	fc, rh, err := t.send(ctx, host, head, nil, nil, nil)
+	fc, rh, err := t.send(ctx, host, head, nil, false)
 	*headp = head[:0]
 	fastHeadPool.Put(headp)
 	if err != nil {
@@ -729,20 +677,13 @@ func plainHost(h string) bool {
 // ended cleanly on a keep-alive response, closed otherwise.
 func (t *fastTransport) readBody(fc *fastConn, rh respHead) (string, error) {
 	fb := t.body(fc, rh, false)
-	var b []byte
-	if fb.mode == bodyFixed {
-		b = make([]byte, 0, min(fb.remaining, maxBodyBytes))
-	}
-	for !fb.done && len(b) < maxBodyBytes {
-		if len(b) == cap(b) {
-			b = slices.Grow(b, 4096)
-		}
-		n, err := fb.Read(b[len(b):min(cap(b), maxBodyBytes)])
-		b = b[:len(b)+n]
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
+	b := make([]byte, min(fb.remaining, maxBodyBytes))
+	// fb.Read returns io.EOF only once its Content-Length is read, and b
+	// is no longer than that.
+	for n := 0; n < len(b); {
+		m, err := fb.Read(b[n:])
+		n += m
+		if err != nil && err != io.EOF {
 			fb.Close()
 			return "", err
 		}
@@ -861,21 +802,6 @@ func (cr *connReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// readFull reads exactly len(p) bytes.
-func (cr *connReader) readFull(p []byte) error {
-	for len(p) > 0 {
-		n, err := cr.Read(p)
-		p = p[n:]
-		if err != nil {
-			if err == io.EOF && n > 0 {
-				continue
-			}
-			return err
-		}
-	}
-	return nil
-}
-
 // discard consumes and drops n bytes.
 func (cr *connReader) discard(n int64) error {
 	for n > 0 {
@@ -894,26 +820,14 @@ func (cr *connReader) discard(n int64) error {
 	return nil
 }
 
-// Body framing modes.
-const (
-	bodyNone = iota
-	bodyFixed
-	bodyChunked
-	bodyUntilEOF
-)
-
-// fastBody is a response body that knows its framing; when the caller
-// drains and closes it, the underlying connection goes back to the idle
-// pool (the keep-alive contract), otherwise the conn is closed.
+// fastBody is a response body of known length; when the caller drains
+// and closes it, the underlying connection goes back to the idle pool
+// (the keep-alive contract), otherwise the conn is closed.
 type fastBody struct {
 	t         *fastTransport
 	fc        *fastConn
-	mode      int
-	remaining int64 // bodyFixed
-	chunkRem  int64 // bodyChunked: bytes left in current chunk
-	finalRead bool  // bodyChunked: last chunk consumed
+	remaining int64 // body bytes not yet read; 0 once the body is done
 	keepAlive bool
-	done      bool // body fully consumed; conn clean
 	closed    bool
 	err       error
 }
@@ -925,35 +839,16 @@ func (fb *fastBody) Read(p []byte) (int, error) {
 	if fb.err != nil {
 		return 0, fb.err
 	}
-	if fb.done {
+	if fb.remaining == 0 {
 		return 0, io.EOF
 	}
-	var n int
-	var err error
-	switch fb.mode {
-	case bodyFixed:
-		if fb.remaining == 0 {
-			fb.done = true
-			return 0, io.EOF
-		}
-		if int64(len(p)) > fb.remaining {
-			p = p[:fb.remaining]
-		}
-		n, err = fb.fc.br.Read(p)
-		fb.remaining -= int64(n)
-		if fb.remaining == 0 && err == nil {
-			fb.done = true
-		}
-		if err == io.EOF && fb.remaining > 0 {
-			err = io.ErrUnexpectedEOF
-		}
-	case bodyChunked:
-		n, err = fb.readChunked(p)
-	case bodyUntilEOF:
-		n, err = fb.fc.br.Read(p)
-		if err == io.EOF {
-			fb.done = true
-		}
+	if int64(len(p)) > fb.remaining {
+		p = p[:fb.remaining]
+	}
+	n, err := fb.fc.br.Read(p)
+	fb.remaining -= int64(n)
+	if err == io.EOF && fb.remaining > 0 {
+		err = io.ErrUnexpectedEOF
 	}
 	if err != nil && err != io.EOF {
 		fb.err = err
@@ -961,90 +856,9 @@ func (fb *fastBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// readChunked implements the chunked transfer coding decode, enough for
-// stdlib servers that chunk responses larger than their write buffer.
-func (fb *fastBody) readChunked(p []byte) (int, error) {
-	br := &fb.fc.br
-	for fb.chunkRem == 0 {
-		if fb.finalRead {
-			fb.done = true
-			return 0, io.EOF
-		}
-		line, err := br.readLine()
-		if err != nil {
-			return 0, fmt.Errorf("netsim: fast http: reading chunk size: %w", err)
-		}
-		size, err := parseChunkSize(line)
-		if err != nil {
-			return 0, err
-		}
-		if size == 0 {
-			// Trailer section: consume lines until the blank terminator.
-			for {
-				line, err := br.readLine()
-				if err != nil {
-					return 0, fmt.Errorf("netsim: fast http: reading chunk trailer: %w", err)
-				}
-				if len(line) == 0 {
-					break
-				}
-			}
-			fb.finalRead = true
-			fb.done = true
-			return 0, io.EOF
-		}
-		fb.chunkRem = size
-	}
-	if int64(len(p)) > fb.chunkRem {
-		p = p[:fb.chunkRem]
-	}
-	n, err := br.Read(p)
-	fb.chunkRem -= int64(n)
-	if fb.chunkRem == 0 && err == nil {
-		// Consume the CRLF that closes the chunk.
-		var crlf [2]byte
-		if ferr := br.readFull(crlf[:]); ferr != nil {
-			return n, ferr
-		}
-		if crlf[0] != '\r' || crlf[1] != '\n' {
-			return n, errors.New("netsim: fast http: malformed chunk terminator")
-		}
-	}
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-// parseChunkSize parses a hex chunk-size line, ignoring extensions.
-func parseChunkSize(line []byte) (int64, error) {
-	if i := indexByteFrom(line, 0, ';'); i >= 0 {
-		line = line[:i]
-	}
-	line = trimOWS(line)
-	if len(line) == 0 || len(line) > 16 {
-		return 0, fmt.Errorf("netsim: fast http: malformed chunk size %q", line)
-	}
-	var n int64
-	for _, c := range line {
-		var d int64
-		switch {
-		case '0' <= c && c <= '9':
-			d = int64(c - '0')
-		case 'a' <= c && c <= 'f':
-			d = int64(c-'a') + 10
-		case 'A' <= c && c <= 'F':
-			d = int64(c-'A') + 10
-		default:
-			return 0, fmt.Errorf("netsim: fast http: malformed chunk size %q", line)
-		}
-		n = n<<4 | d
-		if n < 0 {
-			return 0, fmt.Errorf("netsim: fast http: chunk size overflow")
-		}
-	}
-	return n, nil
-}
+// maxDrainBytes bounds how much of an abandoned body Close will consume
+// to rescue the connection for reuse.
+const maxDrainBytes = 256 << 10
 
 // Close releases the connection: back to the idle pool when the body was
 // fully drained on a keep-alive response, closed otherwise. Closing
@@ -1056,47 +870,17 @@ func (fb *fastBody) Close() error {
 		return nil
 	}
 	fb.closed = true
-	if !fb.done && fb.err == nil && fb.keepAlive {
-		fb.tryDrain()
+	if fb.remaining > 0 && fb.remaining <= maxDrainBytes && fb.err == nil && fb.keepAlive {
+		if fb.err = fb.fc.br.discard(fb.remaining); fb.err == nil {
+			fb.remaining = 0
+		}
 	}
-	if fb.done && fb.err == nil && fb.keepAlive {
+	if fb.remaining == 0 && fb.err == nil && fb.keepAlive {
 		fb.t.putIdle(fb.fc)
 	} else {
 		fb.fc.close()
 	}
 	return nil
-}
-
-// maxDrainBytes bounds how much of an abandoned body Close will consume
-// to rescue the connection for reuse.
-const maxDrainBytes = 256 << 10
-
-func (fb *fastBody) tryDrain() {
-	switch fb.mode {
-	case bodyFixed:
-		if fb.remaining > maxDrainBytes {
-			return
-		}
-		if err := fb.fc.br.discard(fb.remaining); err != nil {
-			fb.err = err
-			return
-		}
-		fb.remaining = 0
-		fb.done = true
-	case bodyChunked:
-		var scratch [512]byte
-		var total int64
-		for {
-			n, err := fb.readChunked(scratch[:])
-			total += int64(n)
-			if err == io.EOF {
-				return // done flag set by readChunked
-			}
-			if err != nil || total > maxDrainBytes {
-				return
-			}
-		}
-	}
 }
 
 var (

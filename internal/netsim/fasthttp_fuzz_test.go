@@ -52,7 +52,9 @@ func (fuzzAddr) String() string  { return "198.51.100.1:9" }
 // whole and a byte per read. Any input must either parse into a response
 // whose body drains to a clean end, or return an error — never panic,
 // never loop forever — and the paths must agree on the status, the body
-// and whether an error occurs.
+// and whether an error occurs. Content-Length is the one body framing
+// either path reads: a head with a Transfer-Encoding field is refused,
+// and so is one with a body but no Content-Length.
 func FuzzFastResponseParse(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello"))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"))
@@ -63,6 +65,7 @@ func FuzzFastResponseParse(f *testing.F) {
 	f.Add([]byte("HTTP/9.9 xxx\r\n\r\n"))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 99999999\r\n\r\nshort"))
 	f.Add([]byte("garbage\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := newFastTransport(nil, "198.51.100.1")
 		conn := func(step int) *fastConn {
@@ -80,13 +83,19 @@ func FuzzFastResponseParse(f *testing.F) {
 		fc := conn(0)
 		hdr := make(http.Header)
 		wantStatus, wantBody := 0, ""
-		rh, _, wantErr := readRespHead(&fc.br, hdr)
+		rh, _, wantErr := readRespHead(&fc.br, hdr, false)
 		if wantErr == nil {
 			resp := tr.response(fc, rh, hdr, req)
 			if resp.StatusCode < 100 || resp.StatusCode > 999 {
 				t.Fatalf("accepted out-of-range status %d", resp.StatusCode)
 			}
 			wantStatus = resp.StatusCode
+			if hasBody(rh.code) && hdr["Content-Length"] == nil {
+				t.Fatalf("accepted a %d response with no Content-Length", rh.code)
+			}
+			if headHasTransferEncoding(data) {
+				t.Fatal("accepted a response with a Transfer-Encoding")
+			}
 			var b []byte
 			if b, wantErr = io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes)); wantErr == nil {
 				wantBody = string(b)
@@ -98,7 +107,7 @@ func FuzzFastResponseParse(f *testing.F) {
 		for _, step := range []int{0, 1} {
 			fc := conn(step)
 			status, body := 0, ""
-			rh, _, err := readRespHead(&fc.br, nil)
+			rh, _, err := readRespHead(&fc.br, nil, false)
 			if err == nil {
 				status = rh.code
 				body, err = tr.readBody(fc, rh)
@@ -109,6 +118,23 @@ func FuzzFastResponseParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// headHasTransferEncoding reports whether the response head in data —
+// its lines after the status line, through the first empty one — has a
+// Transfer-Encoding field.
+func headHasTransferEncoding(data []byte) bool {
+	lines := bytes.Split(data, []byte("\n"))
+	for _, line := range lines[min(1, len(lines)):] {
+		line = bytes.TrimSuffix(line, []byte("\r"))
+		if len(line) == 0 {
+			return false
+		}
+		if key, _, ok := bytes.Cut(line, []byte(":")); ok && asciiEqualFold(key, "Transfer-Encoding") {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzGetHeadMatchesRequestHead: for any URL, Get puts on the wire the

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -598,6 +599,8 @@ func TestHTTPClientRejectsUnsupported(t *testing.T) {
 		{name: "https", method: http.MethodGet, url: "https://reject.test/", want: `scheme "https"`},
 		{name: "unknown length", method: http.MethodPost, url: "http://reject.test/", body: pr, want: "unknown length"},
 		{name: "trailer", method: http.MethodGet, url: "http://reject.test/", trailer: http.Header{"X-Sum": nil}, want: "trailers"},
+		// ServeConn refuses a body over srvMaxBody, so the client does too.
+		{name: "oversized body", method: http.MethodPost, url: "http://reject.test/", body: bytes.NewReader(make([]byte, srvMaxBody+1)), want: "8388608-byte limit"},
 	}
 	for _, tc := range cases {
 		// The deadline only bounds a transport that dials anyway.
@@ -631,5 +634,78 @@ func TestHTTPClientRejectsUnsupported(t *testing.T) {
 	defer c.Close()
 	if ip, _, _ := net.SplitHostPort(c.RemoteAddr().String()); ip != sentinelIP {
 		t.Fatalf("listener accepted a connection from %s before the sentinel: a rejected request dialed", ip)
+	}
+}
+
+// TestHTTPClientRefusesNonContentLengthBodies: Content-Length is the one
+// response body framing the client reads. A response framed any other
+// way — chunked, read to the close, or chunked with a Content-Length
+// too — fails through client.Do and through Get with an error naming
+// the framing and no body, and its conn is closed, not pooled: the next
+// request dials.
+func TestHTTPClientRefusesNonContentLengthBodies(t *testing.T) {
+	nw := New()
+	ln, err := nw.Listen("203.0.113.72", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	nw.Register("framing.test", "203.0.113.72")
+	responses := map[string]string{
+		"/chunked": "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+		"/eof":     "HTTP/1.1 200 OK\r\n\r\nhello",
+		"/both":    "HTTP/1.1 200 OK\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+		"/ok":      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+	}
+	var accepted atomic.Int64
+	rawServe(ln, func(c net.Conn) {
+		defer c.Close()
+		accepted.Add(1)
+		br := bufio.NewReader(c)
+		for {
+			req, err := http.ReadRequest(br)
+			if err != nil {
+				return
+			}
+			io.WriteString(c, responses[req.URL.Path])
+			if req.URL.Path == "/eof" {
+				return // the close ends the body
+			}
+		}
+	})
+
+	for _, tc := range []struct{ path, want string }{
+		{"/chunked", "Transfer-Encoding"},
+		{"/eof", "no Content-Length"},
+		{"/both", "Transfer-Encoding"},
+	} {
+		for _, via := range []string{"Do", "Get"} {
+			client := nw.HTTPClient("198.51.100.72")
+			dials, hits := accepted.Load(), mHTTPPoolHits.Value()
+			target := "http://framing.test" + tc.path
+			var body string
+			var err error
+			if via == "Do" {
+				var resp *http.Response
+				if resp, err = client.Get(target); err == nil {
+					b, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					body = string(b)
+				}
+			} else {
+				_, body, err = Get(context.Background(), client, target, nil)
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) || body != "" {
+				t.Errorf("%s %s: body %q, error %v; want no body and an error naming %s", via, tc.path, body, err, tc.want)
+			}
+			mustGet(t, client, "http://framing.test/ok")
+			if got := accepted.Load() - dials; got != 2 {
+				t.Errorf("%s %s: %d dials for it and the next request, want 2: the refused conn was pooled", via, tc.path, got)
+			}
+			if got := mHTTPPoolHits.Value() - hits; got != 0 {
+				t.Errorf("%s %s: %d pool hits, want 0", via, tc.path, got)
+			}
+			client.CloseIdleConnections()
+		}
 	}
 }

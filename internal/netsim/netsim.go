@@ -227,8 +227,12 @@ func (n *Network) Dial(ctx context.Context, sourceIP, addr string) (net.Conn, er
 // (see fasthttp.go; ServeConn is the server half): it skips stdlib
 // net/http's per-request machinery while keeping its wire format and
 // keep-alive pooling semantics. It speaks GET, HEAD and POST with a known
-// body length to http:// URLs; any other request fails with an error
-// naming what it asked for, before anything is dialed.
+// body length of at most ServeConn's 8 MiB to http:// URLs, and sends a
+// request body in the same write as its head; any other request fails
+// with an error naming what it asked for, before anything is dialed. It
+// reads the responses ServeConn writes: a body framed by Content-Length,
+// or none. A response with a Transfer-Encoding, or with a body but no
+// Content-Length, fails with an error, and its conn is closed.
 //
 // The client carries no overall request timeout: wrapping every request
 // in a deadline context costs several allocations and a timer on the hot

@@ -2,6 +2,7 @@ package netsim_test
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -12,21 +13,24 @@ import (
 
 // TestMetricsHandlerOverNetsim proves the obs /metrics handler is
 // servable inside the simulated network, not just on real TCP: an
-// in-sim operator can scrape any simulated daemon. It also exercises
-// the netsim client against a stdlib handler and checks the netsim
-// client families advance.
+// in-sim operator can scrape any simulated daemon. It serves the
+// handler as the simulated daemons do, on netsim.Serve and ServeConn,
+// reads it through the netsim client and checks the client's families
+// advance.
 func TestMetricsHandlerOverNetsim(t *testing.T) {
 	nw := netsim.New()
 	ln, err := nw.Listen("10.9.0.1", 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.Handler())
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	defer srv.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		netsim.Serve(ln, func(c net.Conn) { netsim.ServeConn(c, mux) })
+	}()
+	defer func() { ln.Close(); <-served }()
 
 	client := nw.HTTPClient("10.9.0.99")
 	resp, err := client.Get("http://10.9.0.1/metrics")

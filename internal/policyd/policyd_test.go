@@ -314,7 +314,8 @@ func TestFromCorpusEnrichment(t *testing.T) {
 // TestHTTPAPI drives the JSON API through both servers it runs on, a
 // stock http.Server and netsim.Serve, each on netsim: every case must
 // answer with its status and byte-identical status, X-Policyd-Version
-// and body on the two.
+// and body on the two. Both are read through one stock http.Transport,
+// which reads any body framing the stock server picks.
 func TestHTTPAPI(t *testing.T) {
 	snap := buildTestSnapshot(t)
 	svc := NewService(snap)
@@ -335,7 +336,13 @@ func TestHTTPAPI(t *testing.T) {
 	fastDone := make(chan struct{})
 	go func() { defer close(fastDone); netsim.Serve(fastLn, func(c net.Conn) { netsim.ServeConn(c, h) }) }()
 	defer func() { fastLn.Close(); <-fastDone }()
-	client := nw.HTTPClient("198.51.100.60")
+	client := &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
+			return nw.Dial(ctx, "198.51.100.60", addr)
+		},
+		DisableCompression: true,
+	}}
+	defer client.CloseIdleConnections()
 
 	type answer struct {
 		status  int

@@ -16,9 +16,9 @@ import (
 // hand-rolled-HTTP oracle: one farm answers the same request sequence
 // through its fast server and through net/http's server, and every
 // response (status, content type, body bytes) and every log record must
-// be equal. The 10 KB page makes net/http chunk where the fast server
-// sends a Content-Length, so the client's two body framings are compared
-// on the same bytes.
+// be equal. Both legs are read through one stock http.Transport, which
+// reads net/http's chunked 10 KB page as well as the fast server's
+// Content-Length one.
 func TestFastServerMatchesStdlibServer(t *testing.T) {
 	const fastIP, stdIP = "203.0.113.250", "203.0.113.251"
 	nw := netsim.New()
@@ -96,7 +96,12 @@ func TestFastServerMatchesStdlibServer(t *testing.T) {
 		for name, s := range sites {
 			marks[name] = s.LogLen()
 		}
-		client := nw.HTTPClient("198.51.100.120")
+		client := &http.Client{Transport: &http.Transport{
+			DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
+				return nw.Dial(ctx, "198.51.100.120", addr)
+			},
+			DisableCompression: true,
+		}}
 		var got []string
 		for i, rq := range requests {
 			var body io.Reader
