@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,12 +17,19 @@ const goldenDir = "testdata/golden"
 func copyGolden(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	entries, err := os.ReadDir(goldenDir)
+	copyRun(t, goldenDir, dir)
+	return dir
+}
+
+// copyRun copies the run dir src into dir.
+func copyRun(t *testing.T, src, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(goldenDir, e.Name()))
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -29,7 +37,6 @@ func copyGolden(t *testing.T) string {
 			t.Fatal(err)
 		}
 	}
-	return dir
 }
 
 // TestDiffGoldenAgainstItself: a run diffed against itself is
@@ -136,8 +143,13 @@ func TestShowGolden(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "kind=scenario") {
-		t.Errorf("show output missing run kind:\n%s", stdout.String())
+	for _, want := range []string{
+		"kind=scenario",
+		"verdicts: does not fetch robots.txt=1 fetches but ignores robots.txt=1 respects robots.txt=2",
+	} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("show output lacks %q:\n%s", want, stdout.String())
+		}
 	}
 }
 
@@ -152,6 +164,104 @@ func TestUsageErrors(t *testing.T) {
 		var stdout, stderr bytes.Buffer
 		if code := run(&stdout, &stderr, args); code != 2 {
 			t.Errorf("run(%v) = %d, want 2", args, code)
+		}
+	}
+}
+
+// TestListGoldenStore: list prints one line per manifest entry, in
+// manifest order, under a header — here a store holding copies of both
+// golden runs.
+func TestListGoldenStore(t *testing.T) {
+	store := t.TempDir()
+	var manifest bytes.Buffer
+	for _, src := range []string{goldenDir, "testdata/golden-fleet"} {
+		data, err := os.ReadFile(filepath.Join(src, "meta.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta struct{ ID string }
+		if err := json.Unmarshal(data, &meta); err != nil {
+			t.Fatal(err)
+		}
+		dir := filepath.Join(store, meta.ID)
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		copyRun(t, src, dir)
+		if err := json.Compact(&manifest, data); err != nil {
+			t.Fatal(err)
+		}
+		manifest.WriteByte('\n')
+	}
+	if err := os.WriteFile(filepath.Join(store, "manifest.ndjson"), manifest.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(&stdout, &stderr, []string{"-store", store, "list"}); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	want := [][]string{
+		{"ID", "KIND", "NAME", "SPEC", "SEED", "REV", "SITES", "MONTHS", "VISITS", "RECORDS"},
+		{"20260808T102248Z-scenario-4ccc5a2c", "scenario", "ci-smoke", "4ccc5a2c861f", "7", "8a6713cbd9e9", "8", "8", "160", "0"},
+		{"20260808T111855Z-loadgen-231a5437", "loadgen", "fleet-golden", "231a543784ef", "20251028", "54706a8380fc", "0", "0", "0", "20000"},
+	}
+	lines := strings.Split(strings.TrimSuffix(stdout.String(), "\n"), "\n")
+	if len(lines) != len(want) {
+		t.Fatalf("list printed %d lines, want %d:\n%s", len(lines), len(want), stdout.String())
+	}
+	for i, line := range lines {
+		if got := strings.Fields(line); strings.Join(got, " ") != strings.Join(want[i], " ") {
+			t.Errorf("line %d = %q, want the fields %q", i, line, want[i])
+		}
+	}
+}
+
+// TestDiffFlipTotals: a copy of the golden run whose site plans differ
+// — every blocker toggled, one site adopting another style and one in
+// another month — diffs to one flip row each and the per-field totals,
+// sorted by field.
+func TestDiffFlipTotals(t *testing.T) {
+	tampered := copyGolden(t)
+	spath := filepath.Join(tampered, "sites.ndjson")
+	data, err := os.ReadFile(spath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	sites := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var site map[string]any
+		if err := json.Unmarshal([]byte(line), &site); err != nil {
+			t.Fatal(err)
+		}
+		site["blocker"] = site["blocker"] != true
+		switch site["site"] {
+		case 2.0:
+			site["style"] = "wildcard"
+		case 4.0:
+			site["adopt_month"] = 1
+		}
+		line, err := json.Marshal(site)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Write(append(line, '\n'))
+		sites++
+	}
+	if err := os.WriteFile(spath, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(&stdout, &stderr, []string{"diff", goldenDir, tampered}); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	got := stdout.String()
+	for _, want := range []string{
+		fmt.Sprintf("Policy/blocker flips (%d)", sites+2),
+		fmt.Sprintf("(totals by field: adopt_month=1 blocker=%d style=1)", sites),
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("diff output lacks %q:\n%s", want, got)
 		}
 	}
 }

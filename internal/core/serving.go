@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 
 	"repro/internal/corpus"
 	"repro/internal/netsim"
@@ -55,15 +54,10 @@ func runPolicyService(ctx context.Context, env *Env) (*Result, error) {
 		return nil, err
 	}
 	nw.Register("policyd.test", "203.0.113.90")
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		h := policyd.NewHandler(svc)
-		netsim.Serve(ln, func(c net.Conn) { netsim.ServeConn(c, h) })
-	}()
+	wait := netsim.ServeHTTP(ln, policyd.NewHandler(svc))
 	defer func() {
 		ln.Close()
-		<-done
+		wait()
 	}()
 	client := nw.HTTPClient("198.51.100.90")
 

@@ -84,8 +84,9 @@ type Crawler struct {
 	profile Profile
 	client  *http.Client
 	// baseHdr carries the preset User-Agent and is shared across all of
-	// this crawler's requests; transports only read request headers, so
-	// one map serves every fetch.
+	// this crawler's requests; transports and the handlers netsim.Get
+	// calls in-process only read request headers, so one map serves
+	// every fetch.
 	baseHdr     http.Header
 	visits      int
 	robotsCache map[string]*robots.Robots
@@ -186,11 +187,6 @@ func (c *Crawler) SetVisits(n int) {
 	}
 	c.visits = n
 }
-
-// CloseIdleConnections drops the crawler's pooled keep-alive
-// connections. A caller that removes a site the crawler talked to calls
-// it so the dead client ends are released instead of filling the pool.
-func (c *Crawler) CloseIdleConnections() { c.client.CloseIdleConnections() }
 
 // Crawl visits the site rooted at baseURL: depending on the profile it
 // fetches robots.txt first, then breadth-first follows same-site links

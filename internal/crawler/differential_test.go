@@ -128,7 +128,7 @@ func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 		}
 		run.Visits = append(run.Visits, v)
 		run.Responses = append(run.Responses, rec.got...)
-		cr.CloseIdleConnections()
+		cr.client.CloseIdleConnections()
 	}
 	for _, site := range sites {
 		if site.LogLen() == 0 {

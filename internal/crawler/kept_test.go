@@ -16,8 +16,7 @@ import (
 // k earlier visits — same Visit, same requests in the site's log — for
 // every behaviour and both entry points. Each phase's site reuses the
 // previous one's domain after that site was removed, so the kept
-// crawler arrives holding a pooled conn whose server end is gone (even
-// phases) or having dropped it with CloseIdleConnections (odd phases).
+// crawler arrives having fetched from a site that is gone.
 func TestKeptCrawlerMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	policy := "User-agent: *\nDisallow: /blog/\n"
@@ -83,9 +82,6 @@ func TestKeptCrawlerMatchesFresh(t *testing.T) {
 						t.Errorf("phase %d: kept crawler logged %+v, fresh crawler %+v", k, gotLog, wantLog)
 					}
 					site.Close()
-					if k%2 == 1 {
-						kept.CloseIdleConnections()
-					}
 				}
 			})
 		}

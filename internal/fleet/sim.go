@@ -66,7 +66,7 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 
 		h := policyd.NewHandler(svc)
 		if err := f.serve(ip, 80, func(ln net.Listener) error {
-			return netsim.Serve(ln, func(c net.Conn) { netsim.ServeConn(c, h) })
+			return netsim.ServeHTTP(ln, h)()
 		}); err != nil {
 			f.Close()
 			return nil, err
@@ -96,7 +96,7 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 	nw.Register("gateway.fleet", gatewayIP)
 	gwh := gw.Handler()
 	if err := f.serve(gatewayIP, 80, func(ln net.Listener) error {
-		return netsim.Serve(ln, func(c net.Conn) { netsim.ServeConn(c, gwh) })
+		return netsim.ServeHTTP(ln, gwh)()
 	}); err != nil {
 		f.Close()
 		return nil, err

@@ -37,9 +37,9 @@ import (
 // response with a Transfer-Encoding, or with a body but no
 // Content-Length, fails with an error. A request outside the subset
 // fails with an error naming what it asked for; there is no second
-// transport to hand it to. Get drives the same
-// transport below the RoundTripper surface, sharing its head writer,
-// head parser, pool and retry, without building a request or response.
+// transport to hand it to. Get writes no request at all to a listener
+// ServeHTTP serves: it calls the handler in-process (serveDirect), and
+// goes through RoundTrip only for any other listener.
 
 const (
 	fastMaxIdlePerHost = 2  // matches the stdlib transport config it replaces
@@ -59,8 +59,9 @@ var errFastHeaderTooLong = errors.New("netsim: fast http: header line exceeds bu
 
 // fastTransport implements http.RoundTripper over a Network.
 type fastTransport struct {
-	nw       *Network
-	sourceIP string
+	nw         *Network
+	sourceIP   string
+	remoteAddr string // of the requests Get hands a handler in-process
 
 	mu sync.Mutex
 	// idle holds the pooled conns of every host, least recently used
@@ -71,7 +72,8 @@ type fastTransport struct {
 }
 
 func newFastTransport(nw *Network, sourceIP string) *fastTransport {
-	return &fastTransport{nw: nw, sourceIP: sourceIP}
+	addr := &net.TCPAddr{IP: net.ParseIP(sourceIP), Port: nw.ephemeralPort()}
+	return &fastTransport{nw: nw, sourceIP: sourceIP, remoteAddr: addr.String()}
 }
 
 // checkRequest returns an error naming what req asks for outside the
@@ -399,16 +401,6 @@ func readRespHead(br *connReader, hdr http.Header, isHead bool) (respHead, bool,
 	}
 }
 
-// body frames the body that follows rh on fc: its Content-Length bytes,
-// or none for a HEAD response, a 1xx, 204 or 304.
-func (t *fastTransport) body(fc *fastConn, rh respHead, isHead bool) fastBody {
-	fb := fastBody{t: t, fc: fc, keepAlive: rh.keepAlive}
-	if !isHead && hasBody(rh.code) {
-		fb.remaining = rh.contentLength
-	}
-	return fb
-}
-
 // response builds the *http.Response for a parsed head whose other
 // fields are in hdr; its Body returns fc to the pool when fully drained.
 func (t *fastTransport) response(fc *fastConn, rh respHead, hdr http.Header, req *http.Request) *http.Response {
@@ -425,8 +417,10 @@ func (t *fastTransport) response(fc *fastConn, rh respHead, hdr http.Header, req
 	if isHead || hasBody(rh.code) {
 		resp.ContentLength = rh.contentLength
 	}
-	body := new(fastBody)
-	*body = t.body(fc, rh, isHead)
+	body := &fastBody{t: t, fc: fc, keepAlive: rh.keepAlive}
+	if !isHead && hasBody(rh.code) {
+		body.remaining = rh.contentLength
+	}
 	resp.Body = body
 	return resp
 }
@@ -548,15 +542,6 @@ func appendHeadFields(b []byte, host string, hdr http.Header) []byte {
 	return b
 }
 
-// appendGetHead serializes Get's request: what appendRequestHead writes
-// for a GET of target on host with header hdr.
-func appendGetHead(b []byte, host, target string, hdr http.Header) []byte {
-	b = append(b, "GET "...)
-	b = append(b, target...)
-	b = appendHeadFields(b, host, hdr)
-	return append(b, '\r', '\n')
-}
-
 // maxBodyBytes bounds how much of a response body Get reads.
 const maxBodyBytes = 1 << 20
 
@@ -564,34 +549,128 @@ const maxBodyBytes = 1 << 20
 // up to its first 1 MiB. It is the tree's one GET-and-read: crawlers,
 // probes and surveys all fetch through it. hdr is the request header as
 // is — Get only reads it, so callers share one map across every request
-// (nil sends Go's default User-Agent). A read error, a body cut short of
-// its Content-Length included, returns the status with an empty body and
-// the error: a truncated page never reads as a whole one.
-//
-// Get drives the client's transport directly rather than through
-// client.Do, so it allocates no request or response: client must come
-// from Network.HTTPClient and set none of Timeout, Jar and
+// (nil sends Go's default User-Agent). A 3xx comes back as it is: no
+// redirect is followed. A bound on the request rides on ctx. client must
+// come from Network.HTTPClient and set none of Timeout, Jar and
 // CheckRedirect, which Get could not honour; otherwise it fails before
-// dialing. A bound on the request rides on ctx, whose deadline is armed
-// on the connection. A 3xx comes back as it is: no redirect is followed.
+// dialing.
+//
+// Get finds the URL's listener as Dial does, with the same errors,
+// latency and ctx check. When ServeHTTP serves that listener, Get calls
+// its handler in-process, with no conn, on the request ServeConn would
+// parse from the wire, and keeps the status and body the handler wrote.
+// Any other listener is fetched through RoundTrip, where a read error,
+// a body cut short of its Content-Length included, returns the status
+// with an empty body and the error: a truncated page never reads as a
+// whole one.
 func Get(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
 	t, host, target, err := getTarget(client, rawURL)
 	if err != nil {
 		return 0, "", &url.Error{Op: "Get", URL: rawURL, Err: err}
 	}
-	headp := fastHeadPool.Get().(*[]byte)
-	head := appendGetHead((*headp)[:0], host, target, hdr)
-	fc, rh, err := t.send(ctx, host, head, nil, false)
-	*headp = head[:0]
-	fastHeadPool.Put(headp)
+	name, port := host, "80"
+	if strings.IndexByte(host, ':') >= 0 {
+		name, port, err = net.SplitHostPort(host)
+	}
+	started := time.Now()
+	var r route
+	if err == nil {
+		r, err = t.nw.route(ctx, name, port)
+	}
+	if err == nil && r.h == nil {
+		return t.getWire(ctx, rawURL, hdr) // RoundTrip counts the request
+	}
+	mHTTPRequests.Inc()
+	var status int
+	var body string
+	if err == nil {
+		status, body, err = t.serveDirect(r.h, host, target, hdr)
+	}
 	if err != nil {
 		return 0, "", &url.Error{Op: "Get", URL: rawURL, Err: err}
 	}
-	body, err := t.readBody(fc, rh)
+	mHTTPLatency.ObserveSince(started)
+	return status, body, nil
+}
+
+// getWire is Get through the transport's RoundTrip.
+func (t *fastTransport) getWire(ctx context.Context, rawURL string, hdr http.Header) (int, string, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rawURL, nil)
 	if err != nil {
-		return rh.code, "", fmt.Errorf("netsim: reading %s: %w", rawURL, err)
+		return 0, "", err
 	}
-	return rh.code, body, nil
+	req.Header = hdr
+	resp, err := t.RoundTrip(req)
+	if err != nil {
+		return 0, "", &url.Error{Op: "Get", URL: rawURL, Err: err}
+	}
+	body, err := readBody(resp)
+	if err != nil {
+		return resp.StatusCode, "", fmt.Errorf("netsim: reading %s: %w", rawURL, err)
+	}
+	return resp.StatusCode, body, nil
+}
+
+// readBody reads resp's body, up to maxBodyBytes, and closes it, which
+// pools its conn when the body ended cleanly. fastBody reports a body
+// cut short of its Content-Length as io.ErrUnexpectedEOF.
+func readBody(resp *http.Response) (string, error) {
+	b := make([]byte, min(resp.ContentLength, maxBodyBytes))
+	_, err := io.ReadFull(resp.Body, b)
+	resp.Body.Close()
+	if err != nil {
+		return "", err
+	}
+	// b is not touched again, so the string may share its bytes.
+	return unsafe.String(unsafe.SliceData(b), len(b)), nil
+}
+
+// directCall is the reused state of one in-process Get: the request
+// handed to the handler and the writer that captures its response.
+type directCall struct {
+	req http.Request
+	u   url.URL
+	w   fastResponseWriter
+}
+
+var directPool = sync.Pool{New: func() any {
+	return &directCall{w: fastResponseWriter{hdr: make(http.Header, 4), limit: maxBodyBytes}}
+}}
+
+// defaultUA is the User-Agent the transport sends when hdr has none.
+var defaultUA = []string{"Go-http-client/1.1"}
+
+// serveDirect calls h with the GET of target on host that ServeConn
+// would parse from the head the transport writes for it, or refuses a
+// target ServeConn would refuse, and returns the status and up to
+// maxBodyBytes of the body h wrote. h reads hdr, never writes it.
+func (t *fastTransport) serveDirect(h http.Handler, host, target string, hdr http.Header) (int, string, error) {
+	if strings.IndexByte(target, ' ') >= 0 { // it would end the target early
+		return 0, "", fmt.Errorf("netsim: fast http: unsupported request target %q", target)
+	}
+	if _, ok := hdr["User-Agent"]; !ok {
+		hdr = hdr.Clone()
+		if hdr == nil {
+			hdr = make(http.Header, 1)
+		}
+		hdr["User-Agent"] = defaultUA
+	}
+	dc := directPool.Get().(*directCall)
+	defer directPool.Put(dc)
+	u, err := requestURL(target, &dc.u)
+	if err != nil {
+		return 0, "", fmt.Errorf("netsim: fast http: bad request target %q: %w", target, err)
+	}
+	dc.req = http.Request{Method: http.MethodGet, URL: u, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: hdr, Body: http.NoBody, Host: host, RemoteAddr: t.remoteAddr, RequestURI: target}
+	dc.w.reset(false)
+	h.ServeHTTP(&dc.w, &dc.req)
+	dc.w.clearHeader()
+	body := ""
+	if hasBody(dc.w.status) {
+		body = string(dc.w.buf)
+	}
+	return dc.w.status, body, nil
 }
 
 // getTarget checks that Get can drive client's transport and returns it
@@ -622,10 +701,10 @@ func getTarget(client *http.Client, rawURL string) (t *fastTransport, host, targ
 
 // splitPlainURL returns the Host and request target that url.Parse and
 // appendTarget would make of rawURL, without parsing, when rawURL is a
-// plain "http://host[:port][/path]": a host of letters, digits, dots
-// and dashes with an optional numeric port, and a path of bytes that
-// need no escaping (so no query, fragment or userinfo). It is the client
-// twin of splitOriginForm, and reports false for any other URL.
+// plain "http://host[:port][/target]": a host of letters, digits, dots
+// and dashes with an optional numeric port, and a target the server's
+// splitOriginForm takes as is (so no '%', fragment or userinfo). It
+// reports false for any other URL.
 func splitPlainURL(rawURL string) (host, target string, ok bool) {
 	rest, ok := strings.CutPrefix(rawURL, "http://")
 	if !ok {
@@ -636,18 +715,14 @@ func splitPlainURL(rawURL string) (host, target string, ok bool) {
 		slash = len(rest)
 	}
 	host, target = rest[:slash], rest[slash:]
-	if !plainHost(host) {
-		return "", "", false
-	}
-	for i := 0; i < len(target); i++ {
-		if !pathByteVerbatim(target[i]) {
-			return "", "", false
-		}
-	}
 	if target == "" {
 		target = "/"
 	}
-	return host, target, true
+	if !plainHost(host) {
+		return "", "", false
+	}
+	_, ok = splitOriginForm(target)
+	return host, target, ok
 }
 
 // plainHost reports whether h is a non-empty name of letters, digits,
@@ -670,27 +745,6 @@ func plainHost(h string) bool {
 		}
 	}
 	return true
-}
-
-// readBody reads the body that follows rh on fc, up to maxBodyBytes, and
-// releases fc as fastBody.Close does: back to the pool when the body
-// ended cleanly on a keep-alive response, closed otherwise.
-func (t *fastTransport) readBody(fc *fastConn, rh respHead) (string, error) {
-	fb := t.body(fc, rh, false)
-	b := make([]byte, min(fb.remaining, maxBodyBytes))
-	// fb.Read returns io.EOF only once its Content-Length is read, and b
-	// is no longer than that.
-	for n := 0; n < len(b); {
-		m, err := fb.Read(b[n:])
-		n += m
-		if err != nil && err != io.EOF {
-			fb.Close()
-			return "", err
-		}
-	}
-	fb.Close()
-	// b is not touched again, so the string may share its bytes.
-	return unsafe.String(unsafe.SliceData(b), len(b)), nil
 }
 
 // connReader is a minimal buffered reader over one connection, used by

@@ -2,10 +2,12 @@ package netsim
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 )
@@ -46,15 +48,16 @@ func (fuzzAddr) Network() string { return "netsim" }
 func (fuzzAddr) String() string  { return "198.51.100.1:9" }
 
 // FuzzFastResponseParse throws arbitrary bytes at the fast client's
-// response parser, down both of the paths that share it: client.Do's
-// (readRespHead, then an *http.Response whose body is read as Get used
-// to read it) and Get's (readRespHead, then readBody), the latter served
-// whole and a byte per read. Any input must either parse into a response
-// whose body drains to a clean end, or return an error — never panic,
-// never loop forever — and the paths must agree on the status, the body
-// and whether an error occurs. Content-Length is the one body framing
-// either path reads: a head with a Transfer-Encoding field is refused,
-// and so is one with a body but no Content-Length.
+// response parser, down both of the body readers that share it:
+// client.Do's (readRespHead, then an *http.Response whose body is read
+// through a 1 MiB io.LimitReader) and Get's wire path (the same
+// response, read by readBody), the latter served whole and a byte per
+// read. Any input must either parse into a response whose body drains
+// to a clean end, or return an error — never panic, never loop forever
+// — and the readers must agree on the status, the body and whether an
+// error occurs. Content-Length is the one body framing either reads: a
+// head with a Transfer-Encoding field is refused, and so is one with a
+// body but no Content-Length.
 func FuzzFastResponseParse(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Type: text/html\r\nContent-Length: 5\r\n\r\nhello"))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"))
@@ -67,7 +70,7 @@ func FuzzFastResponseParse(f *testing.F) {
 	f.Add([]byte("garbage\r\n\r\n"))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Length: 5\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr := newFastTransport(nil, "198.51.100.1")
+		tr := New().HTTPClient("198.51.100.1").Transport.(*fastTransport)
 		conn := func(step int) *fastConn {
 			fc := &fastConn{c: &fuzzConn{data: data, step: step}, key: "fuzz.test"}
 			fc.br.c = fc.c
@@ -103,14 +106,14 @@ func FuzzFastResponseParse(f *testing.F) {
 			resp.Body.Close()
 		}
 
-		// Get's path.
+		// Get's wire path.
 		for _, step := range []int{0, 1} {
 			fc := conn(step)
 			status, body := 0, ""
 			rh, _, err := readRespHead(&fc.br, nil, false)
 			if err == nil {
 				status = rh.code
-				body, err = tr.readBody(fc, rh)
+				body, err = readBody(tr.response(fc, rh, nil, req))
 			}
 			if status != wantStatus || body != wantBody || (err == nil) != (wantErr == nil) {
 				t.Fatalf("step %d: Get's path read %d, %q, %v; client.Do's read %d, %q, %v",
@@ -137,9 +140,10 @@ func headHasTransferEncoding(data []byte) bool {
 	return false
 }
 
-// FuzzGetHeadMatchesRequestHead: for any URL, Get puts on the wire the
-// request head client.Do's path writes for the URL url.Parse makes of
-// it, and dials the same host — or both refuse the URL.
+// FuzzGetHeadMatchesRequestHead: for any URL, the request Get hands a
+// handler in-process carries the method, Host, path, query, request URI
+// and User-Agent that ServeConn parses from the head client.Do's path
+// writes for the URL url.Parse makes of it — or both refuse the URL.
 func FuzzGetHeadMatchesRequestHead(f *testing.F) {
 	for _, u := range []string{
 		"http://site.test/", "http://site.test", "http://203.0.113.9:8080/a/b.html",
@@ -147,36 +151,62 @@ func FuzzGetHeadMatchesRequestHead(f *testing.F) {
 		"http://u:p@site.test/", "https://site.test/", "http://site.test:/x",
 		"http://[2001:db8::1]:80/x", "http://site.test/a b", "http://site.test/?",
 		"http://site.test/p;x=1,y@z", "http://site.test//double/./dot/../", "http:///nohost",
+		"http://site.test/p?q=1&r=2", "http://site.test/p?a b",
 	} {
 		f.Add(u, "GPTBot/1.0")
 	}
 	f.Add("http://site.test/", "")
 	client := New().HTTPClient("198.51.100.1")
+	tr := client.Transport.(*fastTransport)
 	f.Fuzz(func(t *testing.T, rawURL, ua string) {
+		if !wireSafe(ua) {
+			t.Skip("a header value the wire would reframe")
+		}
 		var hdr http.Header
 		if ua != "" {
 			hdr = http.Header{"User-Agent": {ua}, "X-Probe": {"1"}}
 		}
-		var want []byte
-		u, wantErr := url.Parse(rawURL)
-		if wantErr == nil {
-			wantErr = checkURL(u)
+		var want, got string
+		u, err := url.Parse(rawURL)
+		if err == nil {
+			err = checkURL(u)
 		}
-		if wantErr == nil {
-			want = appendRequestHead(nil, &http.Request{Method: http.MethodGet, URL: u, Host: u.Host, Header: hdr})
+		if err == nil {
+			head := appendRequestHead(nil, &http.Request{Method: http.MethodGet, URL: u, Host: u.Host, Header: hdr})
+			ServeConn(&fuzzConn{data: head}, http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+				want = requestFields(r)
+			}))
 		}
 		_, host, target, err := getTarget(client, rawURL)
-		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("%q: Get's URL error %v, url.Parse and checkURL's %v", rawURL, err, wantErr)
+		if err == nil {
+			tr.serveDirect(http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
+				got = requestFields(r)
+			}), host, target, hdr)
 		}
-		if err != nil {
-			return
-		}
-		if host != u.Host {
-			t.Fatalf("%q: Get dials %q, client.Do %q", rawURL, host, u.Host)
-		}
-		if got := appendGetHead(nil, host, target, hdr); !bytes.Equal(got, want) {
-			t.Fatalf("%q: Get's head\n%q\nclient.Do's\n%q", rawURL, got, want)
+		if got != want {
+			t.Fatalf("%q: Get hands the handler\n%s\nServeConn parses\n%s", rawURL, got, want)
 		}
 	})
+}
+
+// requestFields renders what a handler reads of r, and "" for no
+// request.
+func requestFields(r *http.Request) string {
+	return fmt.Sprintf("method %q host %q path %q query %q uri %q ua %q",
+		r.Method, r.Host, r.URL.Path, r.URL.RawQuery, r.RequestURI, r.UserAgent())
+}
+
+// wireSafe reports whether v crosses the wire as a header value
+// unchanged: no control byte but HTAB, and no leading or trailing space
+// or tab for ServeConn to trim.
+func wireSafe(v string) bool {
+	if v != strings.Trim(v, " \t") {
+		return false
+	}
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c < ' ' && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return true
 }

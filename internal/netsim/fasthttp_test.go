@@ -353,6 +353,96 @@ func TestFastClientContextCancelMidRequest(t *testing.T) {
 	}
 }
 
+// TestGetCallsServedHandlerInProcess: Get to a listener ServeHTTP
+// serves calls the handler with no conn — nothing is dialed — and hands
+// it the request ServeConn would parse, from the client's source IP. It
+// returns what the handler wrote: a 3xx as is, no body for a 204, and
+// the first 1 MiB of a longer body, while the handler's writes report
+// every byte. An unknown host and a canceled ctx fail as a dial does,
+// and the network's latency delays the call as it does a dial.
+func TestGetCallsServedHandlerInProcess(t *testing.T) {
+	nw := New()
+	ln, err := nw.Listen("203.0.113.84", 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.Register("direct.test", "203.0.113.84")
+	big := strings.Repeat("0123456789abcdef", (maxBodyBytes+64)/16)
+	var seen string
+	var wrote int
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ip, _, _ := net.SplitHostPort(r.RemoteAddr)
+		seen = fmt.Sprintf("%s %s %s %q %s", r.Method, r.Host, r.RequestURI, r.UserAgent(), ip)
+		switch r.URL.Path {
+		case "/moved":
+			w.Header().Set("Location", "/")
+			w.WriteHeader(http.StatusFound)
+			io.WriteString(w, "moved")
+		case "/empty":
+			w.WriteHeader(http.StatusNoContent)
+			io.WriteString(w, "dropped")
+		case "/big":
+			wrote, _ = io.WriteString(w, big)
+		default:
+			io.WriteString(w, "ok")
+		}
+	})
+	wait := ServeHTTP(ln, h)
+	defer func() {
+		ln.Close()
+		wait()
+	}()
+	client := nw.HTTPClient("198.51.100.84")
+	ctx := context.Background()
+	misses := mHTTPPoolMisses.Value()
+	for _, c := range []struct {
+		url, ua string
+		status  int
+		body    string
+		seen    string
+	}{
+		{"http://direct.test/?q=1", "probe/1.0", 200, "ok", `GET direct.test /?q=1 "probe/1.0" 198.51.100.84`},
+		{"http://direct.test:80/a%20b", "", 200, "ok", `GET direct.test:80 /a%20b "Go-http-client/1.1" 198.51.100.84`},
+		{"http://203.0.113.84/moved", "probe/1.0", http.StatusFound, "moved", `GET 203.0.113.84 /moved "probe/1.0" 198.51.100.84`},
+		{"http://direct.test/empty", "probe/1.0", http.StatusNoContent, "", `GET direct.test /empty "probe/1.0" 198.51.100.84`},
+		{"http://direct.test/big", "probe/1.0", 200, big[:maxBodyBytes], `GET direct.test /big "probe/1.0" 198.51.100.84`},
+	} {
+		var hdr http.Header
+		if c.ua != "" {
+			hdr = http.Header{"User-Agent": {c.ua}}
+		}
+		status, body, err := Get(ctx, client, c.url, hdr)
+		if err != nil || status != c.status || body != c.body {
+			t.Fatalf("Get(%s) = %d, %d bytes, %v; want %d, %d bytes", c.url, status, len(body), err, c.status, len(c.body))
+		}
+		if seen != c.seen {
+			t.Fatalf("Get(%s): handler saw %s, want %s", c.url, seen, c.seen)
+		}
+	}
+	if wrote != len(big) {
+		t.Fatalf("handler's write of %d bytes reported %d", len(big), wrote)
+	}
+	if got := mHTTPPoolMisses.Value() - misses; got != 0 {
+		t.Fatalf("Get dialed %d conns to a ServeHTTP listener, want none", got)
+	}
+	if _, _, err := Get(ctx, client, "http://nowhere.test/", nil); !errors.Is(err, errNameNotFound) {
+		t.Fatalf("Get of an unknown host = %v, want %v", err, errNameNotFound)
+	}
+	canceled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := Get(canceled, client, "http://direct.test/", nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Get under a canceled ctx = %v, want %v", err, context.Canceled)
+	}
+	nw.latency = 20 * time.Millisecond
+	start := time.Now()
+	if _, _, err := Get(ctx, client, "http://direct.test/", nil); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < nw.latency {
+		t.Fatalf("Get returned in %v, want at least the network's %v latency", elapsed, nw.latency)
+	}
+}
+
 // TestGetReturnsRedirectAsIs: Get follows no redirect; a 302 comes back
 // with its own status and body, and nothing fetches the Location.
 func TestGetReturnsRedirectAsIs(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/textproto"
@@ -41,8 +42,8 @@ var srvRespPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return
 // When Accept fails — ln was closed — Serve closes every live
 // connection, waits for their serve calls to return, as
 // http.Server.Close does, and returns the accept error. Every netsim
-// server runs on it: HTTP through ServeConn, policyd's frame listeners
-// and the webserver farm.
+// server runs on it: HTTP through ServeHTTP and policyd's frame
+// listeners.
 func Serve(ln net.Listener, serve func(net.Conn)) error {
 	var (
 		mu      sync.Mutex
@@ -71,6 +72,29 @@ func Serve(ln net.Listener, serve func(net.Conn)) error {
 			delete(live, c)
 			mu.Unlock()
 		}()
+	}
+}
+
+// ServeHTTP records h on ln, when ln is a netsim listener, so that Get
+// calls h in-process for every URL that lands on ln — from the moment
+// ServeHTTP returns — and serves each connection ln accepts with
+// ServeConn(c, h) through Serve, on a goroutine of its own. wait blocks
+// until ln is closed and Serve has returned, and returns its error.
+func ServeHTTP(ln net.Listener, h http.Handler) (wait func() error) {
+	if l, ok := ln.(*listener); ok {
+		l.network.mu.Lock()
+		l.handler = h
+		l.network.mu.Unlock()
+	}
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		err = Serve(ln, func(c net.Conn) { ServeConn(c, h) })
+	}()
+	return func() error {
+		<-done
+		return err
 	}
 }
 
@@ -175,6 +199,7 @@ func newServerConn(c net.Conn) *serverConn {
 	st.rd.getBuf()
 	st.body.rd = &st.rd
 	st.w.hdr = make(http.Header, 4)
+	st.w.limit = math.MaxInt
 	st.w.pooled = srvRespPool.Get().(*[]byte)
 	st.w.buf = (*st.w.pooled)[:0]
 	st.req.Header = st.hdr
@@ -316,19 +341,11 @@ func (st *serverConn) readRequest() error {
 	}
 	st.req.ContentLength = contentLength
 
-	// Request target. The overwhelmingly common case — origin-form, a
-	// path that needs no escapes, maybe a query — fills the reused URL;
-	// anything else takes the net/url slow path.
-	if u, ok := splitOriginForm(target); ok {
-		st.u = u
-		st.req.URL = &st.u
-	} else {
-		parsed, perr := url.ParseRequestURI(target)
-		if perr != nil {
-			return fmt.Errorf("netsim: fast server: bad request target %q: %w", target, perr)
-		}
-		st.req.URL = parsed
+	u, err := requestURL(target, &st.u)
+	if err != nil {
+		return fmt.Errorf("netsim: fast server: bad request target %q: %w", target, err)
 	}
+	st.req.URL = u
 	st.req.RequestURI = target
 
 	if contentLength > 0 {
@@ -339,6 +356,16 @@ func (st *serverConn) readRequest() error {
 		st.req.Body = &st.body
 	}
 	return nil
+}
+
+// requestURL returns the URL of a request target: a plain origin-form
+// target is split by hand into *u, anything else parsed by net/url.
+func requestURL(target string, u *url.URL) (*url.URL, error) {
+	if v, ok := splitOriginForm(target); ok {
+		*u = v
+		return u, nil
+	}
+	return url.ParseRequestURI(target)
 }
 
 // splitOriginForm returns the URL url.ParseRequestURI would make of an
@@ -434,13 +461,16 @@ type fastResponseWriter struct {
 	buf         []byte  // accumulated body bytes (suppressed for HEAD)
 	pooled      *[]byte // buf's srvRespPool box
 	headN       int     // HEAD: bytes the handler "wrote"
+	// limit is the most body bytes buf keeps; a write past it still
+	// reports every byte written.
+	limit int
 	// kept holds the one-value slices SetHeader made, by key. They are
 	// the writer's own: SetHeader made them, and no caller handed one in.
 	kept http.Header
 }
 
 // reset readies w for the next response. The header map needs nothing:
-// finish truncated every key it wrote out.
+// clearHeader truncated every key after the last one.
 func (w *fastResponseWriter) reset(isHead bool) {
 	w.status = http.StatusOK
 	w.wroteHeader = false
@@ -492,7 +522,7 @@ func (w *fastResponseWriter) Write(p []byte) (int, error) {
 		w.headN += len(p)
 		return len(p), nil
 	}
-	w.buf = append(w.buf, p...)
+	w.buf = append(w.buf, p[:min(len(p), w.limit-len(w.buf))]...)
 	return len(p), nil
 }
 
@@ -504,14 +534,25 @@ func (w *fastResponseWriter) WriteString(s string) (int, error) {
 		w.headN += len(s)
 		return len(s), nil
 	}
-	w.buf = append(w.buf, s...)
+	w.buf = append(w.buf, s[:min(len(s), w.limit-len(w.buf))]...)
 	return len(s), nil
+}
+
+// clearHeader truncates every header value the handler set, keeping
+// each key's backing for the next response.
+func (w *fastResponseWriter) clearHeader() {
+	for k, vs := range w.hdr {
+		if len(vs) > 0 {
+			w.hdr[k] = vs[:0]
+		}
+	}
 }
 
 // finish frames and flushes the buffered response. The head is built in
 // a pooled scratch buffer; when head + body fit one buffer they go out
-// in a single conn write. The walk that writes the header fields also
-// truncates them for the next response, keeping each key's backing.
+// in a single conn write. A handler's Content-Length and
+// Transfer-Encoding are dropped: the response carries the computed
+// Content-Length alone.
 func (w *fastResponseWriter) finish(c net.Conn, closeAfter bool) error {
 	hp := srvRespPool.Get().(*[]byte)
 	h := (*hp)[:0]
@@ -525,12 +566,8 @@ func (w *fastResponseWriter) finish(c net.Conn, closeAfter bool) error {
 	}
 	h = append(h, '\r', '\n')
 	for k, vs := range w.hdr {
-		if len(vs) == 0 {
-			continue
-		}
-		w.hdr[k] = vs[:0]
-		if k == "Content-Length" {
-			continue
+		if k == "Content-Length" || k == "Transfer-Encoding" {
+			continue // the body is always framed by its computed length
 		}
 		for _, v := range vs {
 			h = append(h, k...)
@@ -539,6 +576,7 @@ func (w *fastResponseWriter) finish(c net.Conn, closeAfter bool) error {
 			h = append(h, '\r', '\n')
 		}
 	}
+	w.clearHeader()
 	h = append(h, "Content-Length: "...)
 	if w.isHead {
 		h = strconv.AppendInt(h, int64(w.headN), 10)

@@ -20,5 +20,5 @@ var (
 	mHTTPBytesIn = obs.NewCounter(`netsim_http_bytes_total{dir="in"}`,
 		"Bytes written/read by the fast-path client, by direction.")
 	mHTTPLatency = obs.NewHistogram("netsim_http_request_latency_ns",
-		"Fast-path request latency (write to response headers parsed), ns.")
+		"Request latency (write to response headers parsed, or Get's in-process handler call), ns.")
 )

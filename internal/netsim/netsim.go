@@ -12,13 +12,15 @@
 // direction buffers up to a TCP-window's worth of data, and deadlines are
 // honored.
 //
-// A Network also contains a miniature name service (Register/Resolve) so
-// HTTP clients can use ordinary host-based URLs.
+// A Network also contains a miniature name service (Register) so HTTP
+// clients can use ordinary host-based URLs.
 //
 // The package also owns the tree's one HTTP/1.1 framing, both halves:
 // HTTPClient's transport (fasthttp.go) and ServeConn (fastserve.go),
 // which serves one connection with an http.Handler; Serve runs it for
-// every connection a listener accepts.
+// every connection a listener accepts. ServeHTTP also records the
+// handler on the listener, and Get calls a recorded handler in-process
+// instead of writing the request out.
 package netsim
 
 import (
@@ -48,7 +50,7 @@ type Network struct {
 	listeners map[string]*listener // key "ip:port"
 	names     map[string]string    // lowercase hostname -> ip
 	ephemeral atomic.Uint32
-	latency   time.Duration // one-way delay on every successful dial; 0 = none
+	latency   time.Duration // delay on every routed dial or in-process Get; 0 = none
 }
 
 // New returns an empty network.
@@ -67,16 +69,15 @@ func (n *Network) Register(hostname, ip string) {
 	n.names[strings.ToLower(hostname)] = ip
 }
 
-// Resolve returns the IP bound to hostname. If hostname already parses as
-// an IP it is returned verbatim.
-func (n *Network) Resolve(hostname string) (string, error) {
-	if net.ParseIP(hostname) != nil {
-		return hostname, nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
+// resolve returns the IP bound to hostname, or hostname itself when it
+// parses as an IP (a registered name is looked up first, so resolving a
+// name allocates nothing); n.mu must be held.
+func (n *Network) resolve(hostname string) (string, error) {
 	if ip, ok := n.names[strings.ToLower(hostname)]; ok {
 		return ip, nil
+	}
+	if net.ParseIP(hostname) != nil {
+		return hostname, nil
 	}
 	return "", fmt.Errorf("%w: %s", errNameNotFound, hostname)
 }
@@ -169,26 +170,60 @@ func (n *Network) RemoveAlias(aliasIP string, port int) {
 // Dial opens a connection from sourceIP to addr ("host:port", where host
 // may be a registered name or a literal IP). It honors ctx cancellation.
 func (n *Network) Dial(ctx context.Context, sourceIP, addr string) (net.Conn, error) {
-	host, portStr, err := net.SplitHostPort(addr)
+	host, port, err := net.SplitHostPort(addr)
 	if err != nil {
 		return nil, fmt.Errorf("netsim: bad address %q: %w", addr, err)
 	}
-	port, err := strconv.Atoi(portStr)
-	if err != nil {
-		return nil, fmt.Errorf("netsim: bad port %q: %w", portStr, err)
-	}
-	ip, err := n.Resolve(host)
+	r, err := n.route(ctx, host, port)
 	if err != nil {
 		return nil, err
 	}
-	key := net.JoinHostPort(ip, strconv.Itoa(port))
+	clientAddr := &net.TCPAddr{IP: net.ParseIP(sourceIP), Port: n.ephemeralPort()}
+	serverAddr := &net.TCPAddr{IP: net.ParseIP(r.ip), Port: r.port}
+	cc, sc := newConnPair(clientAddr, serverAddr)
+	if reason := r.l.enqueue(sc); reason != "" {
+		cc.Close()
+		sc.Close()
+		return nil, fmt.Errorf("%w: %s (%s)", errConnRefused, appendAddr(nil, r.ip, r.port), reason)
+	}
+	return cc, nil
+}
 
+// route is where a request to a host and port lands: the listener bound
+// to the address and the handler ServeHTTP recorded on it, if any.
+type route struct {
+	l    *listener
+	h    http.Handler
+	ip   string
+	port int
+}
+
+// route resolves host and finds the listener bound to its address on
+// port in one hold of n.mu, then waits out the network's latency and
+// checks ctx: the step Dial and Get share. The errors are Dial's: a bad
+// port, an unknown host, a refused address or ctx's.
+func (n *Network) route(ctx context.Context, host, port string) (route, error) {
+	p, err := strconv.Atoi(port)
+	if err != nil {
+		return route{}, fmt.Errorf("netsim: bad port %q: %w", port, err)
+	}
+	var key [64]byte
 	n.mu.Lock()
-	l, ok := n.listeners[key]
+	ip, err := n.resolve(host)
+	var r route
+	if err == nil {
+		// The map probe on the key's bytes does not allocate.
+		if l := n.listeners[string(appendAddr(key[:0], ip, p))]; l != nil {
+			r = route{l: l, h: l.handler, ip: ip, port: p}
+		}
+	}
 	latency := n.latency
 	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", errConnRefused, key)
+	if err != nil {
+		return route{}, err
+	}
+	if r.l == nil {
+		return route{}, fmt.Errorf("%w: %s", errConnRefused, appendAddr(nil, ip, p))
 	}
 	if latency > 0 {
 		timer := time.NewTimer(latency)
@@ -196,24 +231,29 @@ func (n *Network) Dial(ctx context.Context, sourceIP, addr string) (net.Conn, er
 		case <-timer.C:
 		case <-ctx.Done():
 			timer.Stop()
-			return nil, ctx.Err()
+			return route{}, ctx.Err()
 		}
 	}
-
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return route{}, err
 	}
+	return r, nil
+}
 
-	srcPort := 32768 + int(n.ephemeral.Add(1)%28000)
-	clientAddr := &net.TCPAddr{IP: net.ParseIP(sourceIP), Port: srcPort}
-	serverAddr := &net.TCPAddr{IP: net.ParseIP(ip), Port: port}
-	cc, sc := newConnPair(clientAddr, serverAddr)
-	if reason := l.enqueue(sc); reason != "" {
-		cc.Close()
-		sc.Close()
-		return nil, fmt.Errorf("%w: %s (%s)", errConnRefused, key, reason)
+// appendAddr appends net.JoinHostPort(ip, strconv.Itoa(port)) to b.
+func appendAddr(b []byte, ip string, port int) []byte {
+	if strings.IndexByte(ip, ':') >= 0 {
+		b = append(append(append(b, '['), ip...), ']')
+	} else {
+		b = append(b, ip...)
 	}
-	return cc, nil
+	return strconv.AppendInt(append(b, ':'), int64(port), 10)
+}
+
+// ephemeralPort returns the next client port, as a kernel assigns one
+// to an outgoing connection.
+func (n *Network) ephemeralPort() int {
+	return 32768 + int(n.ephemeral.Add(1)%28000)
 }
 
 // HTTPClient returns an http.Client whose connections originate from
@@ -265,6 +305,10 @@ type listener struct {
 	// so alias bookkeeping never contends with the accept path.
 	aliasMu sync.Mutex
 	aliases []string
+
+	// handler is what ServeHTTP serves the listener with; Get calls it
+	// in-process. Guarded by network.mu, which route holds to read it.
+	handler http.Handler
 
 	mu     sync.Mutex
 	cond   sync.Cond

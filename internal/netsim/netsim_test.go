@@ -321,16 +321,23 @@ func TestManyConcurrentDialsAndListens(t *testing.T) {
 
 func TestResolveLiteralIP(t *testing.T) {
 	nw := New()
-	ip, err := nw.Resolve("192.0.2.99")
+	ip, err := resolve(nw, "192.0.2.99")
 	if err != nil || ip != "192.0.2.99" {
 		t.Fatalf("Resolve literal = %q, %v", ip, err)
 	}
 }
 
+// resolve is nw.resolve under the lock it needs.
+func resolve(nw *Network, host string) (string, error) {
+	nw.mu.Lock()
+	defer nw.mu.Unlock()
+	return nw.resolve(host)
+}
+
 func TestRegisterCaseInsensitive(t *testing.T) {
 	nw := New()
 	nw.Register("Example.TEST", "192.0.2.50")
-	ip, err := nw.Resolve("example.test")
+	ip, err := resolve(nw, "example.test")
 	if err != nil || ip != "192.0.2.50" {
 		t.Fatalf("Resolve = %q, %v", ip, err)
 	}

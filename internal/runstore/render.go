@@ -188,6 +188,7 @@ func (d *Diff) renderTabular(w io.Writer, md bool) error {
 	return nil
 }
 
+// formatTotals renders counts as "key=n" pairs sorted by key.
 func formatTotals(totals map[string]int) string {
 	keys := make([]string, 0, len(totals))
 	for k := range totals {
@@ -228,16 +229,7 @@ func RenderRun(w io.Writer, r *Run) {
 		fmt.Fprintf(w, "  visits=%d disallowed_bytes=%d blocked=%d\n",
 			r.Summary.TotalVisits, r.Summary.TotalDisallowedBytes, r.Summary.TotalBlockedRequests)
 		if len(r.Summary.VerdictClasses) > 0 {
-			keys := make([]string, 0, len(r.Summary.VerdictClasses))
-			for k := range r.Summary.VerdictClasses {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			parts := make([]string, 0, len(keys))
-			for _, k := range keys {
-				parts = append(parts, fmt.Sprintf("%s=%d", k, r.Summary.VerdictClasses[k]))
-			}
-			fmt.Fprintf(w, "  verdicts: %s\n", strings.Join(parts, " "))
+			fmt.Fprintf(w, "  verdicts: %s\n", formatTotals(r.Summary.VerdictClasses))
 		}
 	}
 	if len(r.Experiments) > 0 {

@@ -50,7 +50,7 @@ func resolveRoster(sp Spec) ([]resolvedCrawler, error) {
 // entry, built on its first wave and kept for the run. Scenario profiles
 // leave CacheRobots off, so the visit counter — set before every wave —
 // is the only state a kept crawler carries from one site to the next;
-// what it keeps is its http.Client and that client's keep-alive conns.
+// what it keeps is its http.Client.
 type rosterCrawlers struct {
 	world *tierWorld
 	nw    *netsim.Network
@@ -86,17 +86,6 @@ func (rc *rosterCrawlers) wave(ctx context.Context, r, k int, site *webserver.Si
 	}
 	_, err := cr.Crawl(ctx, site.URL())
 	return err
-}
-
-// closeIdle drops every crawler's pooled conns. Removing a site closes
-// the server end of each conn that served it; the caller pairs the two,
-// or the client ends would sit dead in the pools until evicted.
-func (rc *rosterCrawlers) closeIdle() {
-	for _, cr := range rc.crs {
-		if cr != nil {
-			cr.CloseIdleConnections()
-		}
-	}
 }
 
 // blockAll is the policy the managed service and frozen lists derive

@@ -43,6 +43,10 @@ const maxMonths = 120
 // instead of failing validation.
 const maxSites = 100_000_000
 
+// maxRoster bounds a roster's entries: the tiered engine keys a cold
+// site-month by its limit bucket, a byte that counts roster entries.
+const maxRoster = 255
+
 // Spec declares one counterfactual world. The zero value is not
 // runnable; fill the fields or start from a builtin (Builtins) and
 // override. Specs serialize to JSON for cmd/scenario.
@@ -206,6 +210,9 @@ func (s Spec) Validate() error {
 	}
 	if len(s.Crawlers) == 0 {
 		return fmt.Errorf("scenario %s: roster is empty", s.Name)
+	}
+	if len(s.Crawlers) > maxRoster {
+		return fmt.Errorf("scenario %s: at most %d roster entries are supported", s.Name, maxRoster)
 	}
 	for i, c := range s.Crawlers {
 		if c.Token == "" {

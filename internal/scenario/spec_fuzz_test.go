@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -18,6 +19,16 @@ func FuzzParseSpec(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte(`{"name":"huge","sites":10000000000000,"months":12}`))
+	wide := Observed(1, 8, 2)
+	wide.Crawlers = nil
+	for i := 0; i <= maxRoster; i++ {
+		wide.Crawlers = append(wide.Crawlers, CrawlerSpec{Token: fmt.Sprintf("Bot%d", i), Behavior: "compliant", Cadence: 1})
+	}
+	data, err := json.Marshal(wide)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data) // one roster entry past the bound
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sp, err := parseSpec(data)
 		if err != nil {

@@ -48,9 +48,6 @@ func RunTiered(ctx context.Context, spec Spec, opts TierOptions) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	if len(roster) > 255 {
-		return nil, fmt.Errorf("scenario %s: at most 255 roster entries are supported", sp.Name)
-	}
 	start := sp.startDate()
 	curve := sp.monthlyCurve()
 	world := newTierWorld(sp, roster, start)
@@ -416,8 +413,8 @@ func (w *tierWorker) runCold(ctx context.Context, lo, hi int) error {
 // the worker's farm, built with the kept crawler fleet on the worker's
 // first pinned site. The site starts bare; runHotMonth publishes its
 // policy and blocker from the worker's copy of its state. Site-major
-// order means a hot site is started once, so its page set and its
-// crawlers' keep-alive conns last all its months instead of one.
+// order means a hot site is started once, so its page set lasts all
+// its months instead of one.
 func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
 	defer func(start time.Time) { w.stats.HotNS += int64(time.Since(start)) }(time.Now())
 	if w.farm == nil {
@@ -437,7 +434,6 @@ func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
 	if err != nil {
 		return err
 	}
-	defer w.crawlers.closeIdle() // after site.Close: see closeIdle
 	defer site.Close()
 	w.hot.carry(w.tail, i)
 	for m := 0; m < w.world.sp.Months; m++ {

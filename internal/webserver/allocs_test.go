@@ -9,8 +9,8 @@ import (
 )
 
 // TestGetFarmPageAllocs pins the cost of the simulation's unit of work:
-// one keep-alive netsim.Get of a farm page, client and server halves
-// together. The one allocation is the body string Get returns.
+// one netsim.Get of a farm page, which calls the farm in-process. The
+// one allocation is the body string Get returns.
 func TestGetFarmPageAllocs(t *testing.T) {
 	nw := netsim.New()
 	f := newFarm(t, nw, "203.0.113.250")
@@ -19,7 +19,6 @@ func TestGetFarmPageAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := nw.HTTPClient("198.51.100.250")
-	defer client.CloseIdleConnections()
 	hdr := http.Header{"User-Agent": {"GPTBot/1.0"}}
 	target := site.URL() + "/gallery.html"
 	ctx := context.Background()
@@ -29,15 +28,15 @@ func TestGetFarmPageAllocs(t *testing.T) {
 			t.Fatalf("Get = %d, %d bytes, %v", status, len(body), err)
 		}
 	}
-	get() // dial and pool the conn
+	get() // fill the pools
 	allocs := testing.AllocsPerRun(1000, get)
-	t.Logf("%.2f allocs per keep-alive Get", allocs)
+	t.Logf("%.2f allocs per Get", allocs)
 	bound := 1.0
 	if raceEnabled {
 		bound = 2 // a pooled buffer the race detector dropped is made again
 	}
 	if allocs > bound {
-		t.Errorf("%.2f allocations per keep-alive Get of a farm page, want at most %.0f", allocs, bound)
+		t.Errorf("%.2f allocations per Get of a farm page, want at most %.0f", allocs, bound)
 	}
 }
 

@@ -30,20 +30,7 @@ func TestFastServerMatchesStdlibServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type connKey struct{}
-	srv := &http.Server{
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			farm.handleReq(r.Context().Value(connKey{}).(*farmConn), w, r)
-		}),
-		ConnContext: func(ctx context.Context, c net.Conn) context.Context {
-			return context.WithValue(ctx, connKey{}, farm.openConn(c))
-		},
-		ConnState: func(c net.Conn, st http.ConnState) {
-			if st == http.StateClosed {
-				farm.dropConn(c)
-			}
-		},
-	}
+	srv := &http.Server{Handler: farm}
 	go srv.Serve(ln)
 	defer srv.Close()
 

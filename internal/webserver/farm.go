@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/netsim"
 )
@@ -26,9 +25,10 @@ import (
 // blocker swaps apply per site. Requests for a Host no site claims are
 // answered 421 Misdirected Request.
 //
-// The farm serves its listener with netsim.Serve: one goroutine per
-// connection running netsim.ServeConn with a handler bound to that
-// connection's dispatch state.
+// The farm is its own http.Handler, served on its listener by
+// netsim.ServeHTTP: netsim.Get calls it in-process, and every wire
+// connection runs netsim.ServeConn with it. It keeps no per-connection
+// state.
 //
 // All methods are safe for concurrent use, including StartSite and
 // Remove while requests are in flight.
@@ -36,11 +36,9 @@ type Farm struct {
 	nw *netsim.Network
 	ip string
 	ln net.Listener
-
-	// gen invalidates per-connection dispatch memos: it bumps after every
-	// hosts-map mutation (StartSite, Remove, Close), so a memo stamped
-	// with an older generation re-resolves through the map once.
-	gen atomic.Uint64
+	// wait returns once the listener is closed and every serve loop has
+	// exited.
+	wait func() error
 
 	mu    sync.RWMutex
 	hosts map[string]*Site // lowercased Host (domain or IP) -> site
@@ -49,39 +47,7 @@ type Farm struct {
 	// aliasRefs counts member sites advertising each aliased IP so the
 	// alias is released only when its last site is removed.
 	aliasRefs map[string]int
-	// closed is written holding both mu and connMu, so either lock is
-	// enough to read it.
-	closed bool
-
-	// connMu guards conns, the registry of live connections, and each
-	// farmConn's sites set.
-	connMu sync.Mutex
-	conns  map[net.Conn]*farmConn
-	// served closes once netsim.Serve has returned: the listener is
-	// closed and every serve loop has exited.
-	served chan struct{}
-}
-
-// farmConn is one live connection's dispatch state. A keep-alive
-// connection normally speaks to a single site (transports pool per
-// host), but nothing stops a client from switching Host headers
-// mid-connection, so sites records every site it served: Remove closes
-// exactly those connections.
-type farmConn struct {
-	sites map[*Site]bool // guarded by Farm.connMu
-
-	// memo caches the connection's last dispatch result. Connections
-	// almost always speak to one Host, so the hot path is one atomic
-	// load plus a string compare instead of an RLock'd map probe.
-	memo atomic.Pointer[siteMemo]
-}
-
-// siteMemo is one immutable dispatch result, valid while the farm's
-// generation is unchanged.
-type siteMemo struct {
-	gen  uint64
-	key  string
-	site *Site
+	closed    bool
 }
 
 // NewFarm binds the farm's shared listener at ip:80 on nw. Every site
@@ -100,13 +66,8 @@ func NewFarm(nw *netsim.Network, ip string) (*Farm, error) {
 		hosts:     make(map[string]*Site),
 		members:   make(map[*Site]bool),
 		aliasRefs: make(map[string]int),
-		conns:     make(map[net.Conn]*farmConn),
-		served:    make(chan struct{}),
 	}
-	go func() {
-		defer close(f.served)
-		netsim.Serve(ln, f.serveConn)
-	}()
+	f.wait = netsim.ServeHTTP(ln, f)
 	return f, nil
 }
 
@@ -155,21 +116,21 @@ func (f *Farm) StartSite(cfg Config) (*Site, error) {
 	}
 	f.members[s] = true
 	f.mu.Unlock()
-	f.gen.Add(1)
 
 	f.nw.Register(cfg.Domain, cfg.IP)
 	return s, nil
 }
 
 // Remove takes a site out of the farm: its Host stops resolving (421),
-// its IP alias is released once no other site advertises it, and the
-// connections that served it are closed. The site's log remains
+// and its IP alias is released once no other site advertises it, so a
+// fresh request to that IP is refused. A wire connection that served it
+// stays open and is answered 421 for its Host. The site's log remains
 // readable. Removing a site twice, or one the farm does not host, is a
 // no-op. Site.Close delegates here.
 func (f *Farm) Remove(s *Site) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if !f.members[s] {
-		f.mu.Unlock()
 		return nil
 	}
 	delete(f.members, s)
@@ -201,25 +162,6 @@ func (f *Farm) Remove(s *Site) error {
 			f.nw.RemoveAlias(s.cfg.IP, 80)
 		}
 	}
-	f.mu.Unlock()
-	f.gen.Add(1)
-
-	// Close the connections that served the removed site: their
-	// goroutines and ring buffers are released instead of idling until
-	// farm Close — at scenario scale, thousands of retired sites' worth.
-	// A client with a pooled idle connection transparently redials; an
-	// in-flight request observes a reset.
-	f.connMu.Lock()
-	var stale []net.Conn
-	for c, fc := range f.conns {
-		if fc.sites[s] {
-			stale = append(stale, c)
-		}
-	}
-	f.connMu.Unlock()
-	for _, c := range stale {
-		c.Close()
-	}
 	return nil
 }
 
@@ -232,51 +174,22 @@ func (f *Farm) Close() error {
 		f.mu.Unlock()
 		return nil
 	}
-	f.connMu.Lock()
 	f.closed = true
-	f.connMu.Unlock()
 	f.members = make(map[*Site]bool)
 	f.hosts = make(map[string]*Site)
 	f.aliasRefs = make(map[string]int)
 	f.mu.Unlock()
-	f.gen.Add(1)
 
 	err := f.ln.Close()
-	<-f.served
+	f.wait()
 	return err
 }
 
-// serveConn serves one accepted connection until it ends — however it
-// ends, the connection is gone — then drops it from the live registry.
-// A connection accepted as the farm closes is closed unserved.
-func (f *Farm) serveConn(c net.Conn) {
-	fc := f.openConn(c)
-	if fc == nil {
-		c.Close()
-		return
-	}
-	netsim.ServeConn(c, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f.handleReq(fc, w, r)
-	}))
-	f.dropConn(c)
-}
-
-// handleReq resolves the request's Host to a site and serves it. The
-// per-connection memo short-circuits the host-map RLock for the
-// dominant one-conn-one-site case; any hosts-map mutation bumps f.gen,
-// which invalidates every memo at once.
-func (f *Farm) handleReq(fc *farmConn, w http.ResponseWriter, r *http.Request) {
-	key := hostKey(r.Host)
-	gen := f.gen.Load()
-	if m := fc.memo.Load(); m != nil && m.gen == gen && m.key == key {
-		mFarmRequests.Inc()
-		mFarmMemoHits.Inc()
-		m.site.serve(w, r)
-		return
-	}
-	mFarmMemoMisses.Inc()
+// ServeHTTP resolves the request's Host to a site and serves it, or
+// answers 421 when no site claims the Host.
+func (f *Farm) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	f.mu.RLock()
-	s := f.hosts[key]
+	s := f.hosts[hostKey(r.Host)]
 	f.mu.RUnlock()
 	if s == nil {
 		mFarmUnmatched.Inc()
@@ -286,35 +199,7 @@ func (f *Farm) handleReq(fc *farmConn, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mFarmRequests.Inc()
-	f.connMu.Lock()
-	fc.sites[s] = true
-	f.connMu.Unlock()
-	fc.memo.Store(&siteMemo{gen: gen, key: key, site: s})
 	s.serve(w, r)
-}
-
-// openConn registers a freshly accepted connection in the live registry
-// and returns its dispatch state, or nil once the farm is closed.
-func (f *Farm) openConn(c net.Conn) *farmConn {
-	fc := &farmConn{sites: make(map[*Site]bool)}
-	f.connMu.Lock()
-	defer f.connMu.Unlock()
-	if f.closed {
-		return nil
-	}
-	f.conns[c] = fc
-	mFarmActiveConns.Add(1)
-	return fc
-}
-
-// dropConn removes a closed connection from the live registry.
-func (f *Farm) dropConn(c net.Conn) {
-	f.connMu.Lock()
-	defer f.connMu.Unlock()
-	if _, ok := f.conns[c]; ok {
-		delete(f.conns, c)
-		mFarmActiveConns.Add(-1)
-	}
 }
 
 // hostKey normalizes a Host header for dispatch: the optional port is

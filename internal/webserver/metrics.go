@@ -8,12 +8,6 @@ import "repro/internal/obs"
 var (
 	mFarmRequests = obs.NewCounter("farm_requests_total",
 		"Requests dispatched by farm listeners (matched hosts only).")
-	mFarmMemoHits = obs.NewCounter(`farm_dispatch_total{result="memo"}`,
-		"Farm host dispatches by path: memo reuses the per-conn site memo, map probes the host table.")
-	mFarmMemoMisses = obs.NewCounter(`farm_dispatch_total{result="map"}`,
-		"Farm host dispatches by path: memo reuses the per-conn site memo, map probes the host table.")
 	mFarmUnmatched = obs.NewCounter("farm_unmatched_total",
 		"Requests answered 421 because no site claims the Host header.")
-	mFarmActiveConns = obs.NewGauge("farm_active_conns",
-		"Open connections across all farm listeners.")
 )
