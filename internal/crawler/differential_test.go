@@ -71,7 +71,7 @@ type fleetRun struct {
 // and a user-triggered fetch each — at a disallow-all site and a site
 // that blocks one agent. With stdlib set the crawlers fetch through
 // stdlibGet on a stock http.Transport instead of netsim.Get on their own
-// fast one.
+// netsim client.
 func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 	t.Helper()
 	nw := netsim.New()
@@ -140,7 +140,7 @@ func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 }
 
 // sameSequence fails the test at the first position where the fleet
-// observed something else under net/http than under the fast client.
+// observed something else under net/http than under netsim's client.
 func sameSequence[T comparable](t *testing.T, what string, fast, std []T) {
 	t.Helper()
 	if len(std) != len(fast) {
@@ -154,10 +154,10 @@ func sameSequence[T comparable](t *testing.T, what string, fast, std []T) {
 }
 
 // TestFleetIdenticalUnderStdlibClient is the end-to-end half of the
-// hand-rolled-HTTP oracle, and the proof that connection reuse is
-// invisible to the measurement: the same crawler fleet runs through
-// netsim.Get on the fast transport, and through stdlibGet on a stock
-// http.Transport with keep-alive and on one that dials per request. Every site's log must be equal record for record
+// in-process HTTP oracle, and the proof that connections are invisible
+// to the measurement: the same crawler fleet runs through netsim.Get,
+// which calls the farm in-process, and through stdlibGet on a stock
+// http.Transport over the wire, with keep-alive and dialing per request. Every site's log must be equal record for record
 // (source IPs, user agents, paths in order, statuses, byte counts),
 // every response byte-equal, and every Visit the same.
 func TestFleetIdenticalUnderStdlibClient(t *testing.T) {

@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -395,10 +396,17 @@ func TestGatewayFrameAllocs(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		decide()
 	}
-	if allocs := testing.AllocsPerRun(200, decide); allocs != 0 {
-		t.Fatalf("%v allocations per 64-query batch through the gateway, want 0", allocs)
+	bound := 0.0
+	if raceEnabled {
+		bound = 1 // a pooled buffer the race detector dropped is made again
+	}
+	if allocs := testing.AllocsPerRun(200, decide); allocs > bound {
+		t.Fatalf("%v allocations per 64-query batch through the gateway, want at most %v", allocs, bound)
 	}
 }
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
 
 // TestFrameLoopContract drives the one frame loop
 // (policyd.ServeFramesFrom) through a replica's listener and the
@@ -578,6 +586,9 @@ func TestGatewayRateLimit(t *testing.T) {
 	}
 	if gpt.Granted != 101 || gpt.Throttled != 2 {
 		t.Fatalf("GPTBot ledger %+v, want granted 101 throttled 2", gpt)
+	}
+	if direct := f.GW.Limiter().Accounting(); !reflect.DeepEqual(direct, acc) {
+		t.Fatalf("Limiter().Accounting() = %+v, /v1/quotas served %+v", direct, acc)
 	}
 }
 
@@ -775,13 +786,12 @@ func TestCloseEndsLiveFrameConns(t *testing.T) {
 
 // TestJSONTenantsOwnTheirBytes is the buffer-scribbling check for the
 // JSON listener: the gateway's limiter keeps one string per tenant
-// (agent) it has seen, while netsim.Serve reuses each connection's read
-// buffer for the next request head and the handler reuses its body
-// buffer for the next batch. GETs and POST batches with hundreds of
-// distinct agents, some escaped (query escapes on every GET; JSON
-// escapes and non-ASCII text, which send a batch to encoding/json, in
-// every third round), go over one keep-alive connection; /v1/quotas
-// must then list exactly the agents sent, each with its count.
+// (agent) it has seen, while the handler reuses its body buffer for the
+// next batch. GETs and POST batches with hundreds of distinct agents,
+// some escaped (query escapes on every GET; JSON escapes and non-ASCII
+// text, which send a batch to encoding/json, in every third round), go
+// through one netsim client; /v1/quotas must then list exactly the
+// agents sent, each with its count.
 //
 // The limiter clones each new tenant key, because frame-wire agents
 // alias their payload buffer, so this test alone does not catch a
@@ -919,6 +929,79 @@ func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
 		case <-time.After(time.Second):
 			t.Fatalf("%s: Answer still blocked on a blackholed replica 1 s into a 200 ms context", c.name)
 		}
+	}
+}
+
+// TestHandlerHonoursRequestContextOnBlackholedReplica: the netsim client
+// hands a handler the request's ctx as r.Context(), so a POST /v1/batch
+// under a 200 ms ctx to a gateway whose only replica reads everything
+// and never answers returns from the gateway's handler well within a
+// second, and the request fails with the ctx's error.
+func TestHandlerHonoursRequestContextOnBlackholedReplica(t *testing.T) {
+	nw := netsim.New()
+	frames, err := nw.Listen("10.0.0.97", 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() {
+		served <- netsim.Serve(frames, func(c net.Conn) {
+			io.Copy(io.Discard, c)
+			c.Close()
+		})
+	}()
+	gw, err := NewGateway(Config{
+		Replicas: []ReplicaConfig{{Name: "blackhole", FrameAddr: "10.0.0.97:81"}},
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return nw.Dial(ctx, gatewayIP, addr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	ln, err := nw.Listen(gatewayIP, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := gw.Handler()
+	returned := make(chan struct{}, 1)
+	wait := netsim.ServeHTTP(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		returned <- struct{}{}
+	}))
+	defer func() {
+		frames.Close() // ends a handler still blocked on the replica
+		<-served
+		ln.Close()
+		wait()
+	}()
+
+	body, err := json.Marshal(policyd.BatchRequest{Queries: straddleBatch(8)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+gatewayIP+"/v1/batch", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := nw.HTTPClient(ClientIP).Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		done <- err
+	}()
+	select {
+	case <-returned:
+	case <-time.After(time.Second):
+		t.Fatal("the gateway's handler is still blocked on a blackholed replica 1 s into a 200 ms ctx")
+	}
+	if err := <-done; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("POST /v1/batch = %v, want the ctx's deadline error", err)
 	}
 }
 

@@ -60,9 +60,6 @@ func NewRing(names []string, vnodes int) *Ring {
 	return r
 }
 
-// Len returns the number of replicas on the ring.
-func (r *Ring) Len() int { return len(r.names) }
-
 // Name returns the name of replica i.
 func (r *Ring) Name(i int) string { return r.names[i] }
 

@@ -65,13 +65,13 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 		f.Services = append(f.Services, svc)
 
 		h := policyd.NewHandler(svc)
-		if err := f.serve(ip, 80, func(ln net.Listener) error {
-			return netsim.ServeHTTP(ln, h)()
-		}); err != nil {
+		if err := f.serve(ip, 80, func(ln net.Listener) func() error { return netsim.ServeHTTP(ln, h) }); err != nil {
 			f.Close()
 			return nil, err
 		}
-		if err := f.serve(ip, 81, func(ln net.Listener) error { return policyd.ServeFrames(ln, svc) }); err != nil {
+		if err := f.serve(ip, 81, func(ln net.Listener) func() error {
+			return func() error { return policyd.ServeFrames(ln, svc) }
+		}); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -95,13 +95,13 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 
 	nw.Register("gateway.fleet", gatewayIP)
 	gwh := gw.Handler()
-	if err := f.serve(gatewayIP, 80, func(ln net.Listener) error {
-		return netsim.ServeHTTP(ln, gwh)()
-	}); err != nil {
+	if err := f.serve(gatewayIP, 80, func(ln net.Listener) func() error { return netsim.ServeHTTP(ln, gwh) }); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := f.serve(gatewayIP, 81, gw.ServeFrames); err != nil {
+	if err := f.serve(gatewayIP, 81, func(ln net.Listener) func() error {
+		return func() error { return gw.ServeFrames(ln) }
+	}); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -111,18 +111,21 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 	return f, nil
 }
 
-// serve listens on ip:port and runs run on the listener in a goroutine
-// that Close waits for.
-func (f *SimFleet) serve(ip string, port int, run func(net.Listener) error) error {
+// serve listens on ip:port, calls start on the listener and runs what
+// it returns in a goroutine that Close waits for: a frame loop, or the
+// wait of netsim.ServeHTTP, which has recorded its handler for the
+// netsim client by the time serve returns.
+func (f *SimFleet) serve(ip string, port int, start func(net.Listener) func() error) error {
 	ln, err := f.NW.Listen(ip, port)
 	if err != nil {
 		return err
 	}
 	f.listeners = append(f.listeners, ln)
+	run := start(ln)
 	f.serving.Add(1)
 	go func() {
 		defer f.serving.Done()
-		run(ln)
+		run()
 	}()
 	return nil
 }

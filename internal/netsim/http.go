@@ -1,0 +1,612 @@
+package netsim
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"net"
+	"net/http"
+	"net/url"
+	"strconv"
+	"strings"
+	"sync"
+	"time"
+)
+
+// HTTP inside the network is one in-process call. ServeHTTP records a
+// handler on its listener, and every request an HTTPClient sends — Get's
+// and client.Do's — resolves and finds that listener as Dial does, then
+// calls the handler with the request a server would read off the wire,
+// from the client's source IP. No request or response is framed in
+// bytes: the paper's questions read only what a site served and logged.
+// A wire conn to a ServeHTTP listener (a stock client's) is served by a
+// stock http.Server.
+
+// ServeHTTP records h on ln, when ln is a netsim listener, so that every
+// netsim HTTP request that lands on ln calls h in-process — from the
+// moment ServeHTTP returns — and serves the wire connections ln accepts
+// with a stock http.Server, on a goroutine of its own. wait blocks until
+// ln is closed and the server has returned and closed every live
+// connection, and returns the server's Serve error.
+func ServeHTTP(ln net.Listener, h http.Handler) (wait func() error) {
+	if l, ok := ln.(*listener); ok {
+		l.network.mu.Lock()
+		l.handler = h
+		l.network.mu.Unlock()
+	}
+	srv := &http.Server{Handler: h}
+	var err error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		err = srv.Serve(ln)
+		srv.Close()
+	}()
+	return func() error {
+		<-done
+		return err
+	}
+}
+
+// transport is the http.RoundTripper of every Network.HTTPClient.
+type transport struct {
+	nw         *Network
+	remoteAddr string // the RemoteAddr handlers see
+}
+
+func newTransport(nw *Network, sourceIP string) *transport {
+	addr := &net.TCPAddr{IP: net.ParseIP(sourceIP), Port: nw.ephemeralPort()}
+	return &transport{nw: nw, remoteAddr: addr.String()}
+}
+
+// checkRequest returns an error naming what req asks for outside the
+// requests the client sends — GET, HEAD and POST with a known body
+// length, to http:// URLs — or nil when it fits.
+func checkRequest(req *http.Request) error {
+	if req.URL == nil {
+		return errors.New("netsim: http: request has no URL")
+	}
+	if err := checkURL(req.URL); err != nil {
+		return err
+	}
+	switch {
+	case len(req.TransferEncoding) > 0:
+		return fmt.Errorf("netsim: http: unsupported transfer encoding %q", req.TransferEncoding)
+	case len(req.Trailer) > 0:
+		return errors.New("netsim: http: unsupported request trailers")
+	}
+	hasBody := req.Body != nil && req.Body != http.NoBody
+	switch req.Method {
+	case http.MethodGet, http.MethodHead:
+		if hasBody && req.ContentLength != 0 {
+			return fmt.Errorf("netsim: http: unsupported %s request body", req.Method)
+		}
+	case http.MethodPost:
+		if req.ContentLength < 0 || (hasBody && req.ContentLength == 0) {
+			return errors.New("netsim: http: unsupported POST body of unknown length")
+		}
+	default:
+		return fmt.Errorf("netsim: http: unsupported method %q", req.Method)
+	}
+	return nil
+}
+
+// checkURL returns an error unless u is an http:// URL with a host and
+// no userinfo.
+func checkURL(u *url.URL) error {
+	switch {
+	case u.Scheme != "http":
+		return fmt.Errorf("netsim: http: unsupported scheme %q", u.Scheme)
+	case u.Host == "" || u.Opaque != "" || u.User != nil:
+		return fmt.Errorf("netsim: http: unsupported URL %q", u.Redacted())
+	}
+	return nil
+}
+
+// RoundTrip implements http.RoundTripper. It routes req as Get does, by
+// its URL's host, and calls the handler ServeHTTP recorded on the
+// listener with req's ctx, method, target, Host, header and body. A
+// request whose ctx ends before the handler returns fails with ctx's
+// error; a listener with no handler fails the request.
+func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := t.roundTrip(req)
+	if req.Body != nil {
+		req.Body.Close()
+	}
+	return resp, err
+}
+
+func (t *transport) roundTrip(req *http.Request) (*http.Response, error) {
+	if err := checkRequest(req); err != nil {
+		return nil, err
+	}
+	started := time.Now()
+	h, err := t.nw.handler(req.Context(), req.URL.Host)
+	if err != nil {
+		return nil, err
+	}
+	mHTTPRequests.Inc()
+	resp, err := t.do(h, req)
+	if err != nil {
+		return nil, err
+	}
+	mHTTPLatency.ObserveSince(started)
+	return resp, nil
+}
+
+// do calls h with the request a server reads off the wire for req,
+// under req's ctx and with req's body, and returns what h wrote.
+func (t *transport) do(h http.Handler, req *http.Request) (*http.Response, error) {
+	host := req.Host
+	if host == "" {
+		host = req.URL.Host
+	}
+	ctx := req.Context()
+	x := &exchange{w: responseWriter{hdr: make(http.Header, 4), limit: math.MaxInt}}
+	if err := t.request(ctx, &x.req, &x.u, req.Method, host, req.URL.RequestURI(), req.Header); err != nil {
+		return nil, err
+	}
+	if req.Body != nil && req.Body != http.NoBody {
+		x.req.Body, x.req.ContentLength = req.Body, req.ContentLength
+	}
+	x.w.reset(req.Method == http.MethodHead)
+	if err := x.serve(ctx, h); err != nil {
+		return nil, err
+	}
+	return x.response(req), nil
+}
+
+// exchange is one in-process request: the request handed to the
+// handler, the writer that captures its response and, for client.Do,
+// the response made of it — one allocation, or none from Get's pool.
+type exchange struct {
+	req  http.Request
+	u    url.URL
+	w    responseWriter
+	resp http.Response
+	body bodyReader
+}
+
+// serve calls h with x.req, whose ctx is ctx, and returns ctx's error
+// if ctx ended before h returned. A deadline that has passed counts as
+// ended even before ctx's timer fires, so a handler that gave up at the
+// deadline — on a conn deadline armed from ctx — fails the request.
+func (x *exchange) serve(ctx context.Context, h http.Handler) error {
+	h.ServeHTTP(&x.w, &x.req)
+	select {
+	case <-ctx.Done(): // no lock once Done has been made, unlike Err
+		return ctx.Err()
+	default:
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// handler resolves host ("name" or "name:port", port 80 by default) and
+// returns the handler ServeHTTP recorded on the listener bound to its
+// address, with route's errors, latency and ctx check.
+func (n *Network) handler(ctx context.Context, host string) (http.Handler, error) {
+	name, port := host, "80"
+	if strings.IndexByte(host, ':') >= 0 {
+		var err error
+		if name, port, err = net.SplitHostPort(host); err != nil {
+			return nil, err
+		}
+	}
+	r, err := n.route(ctx, name, port)
+	if err != nil {
+		return nil, err
+	}
+	if r.h == nil {
+		return nil, fmt.Errorf("netsim: http: no handler serves %s", appendAddr(nil, r.ip, r.port))
+	}
+	return r.h, nil
+}
+
+// request fills sr with the request of method to target on host, with
+// header hdr, that a server reads off the wire for it — the Host a
+// stock client sends, the request URI parsed as a server parses it, the
+// client's default User-Agent when hdr has none, no body — under ctx,
+// or refuses a target a server would refuse. u holds the parsed URL
+// when the target is a plain split. The handler reads hdr, never writes
+// it.
+func (t *transport) request(ctx context.Context, sr *http.Request, u *url.URL, method, host, target string, hdr http.Header) error {
+	if strings.IndexByte(target, ' ') >= 0 { // it would end the target early
+		return fmt.Errorf("netsim: http: unsupported request target %q", target)
+	}
+	pu, err := requestURL(target, u)
+	if err != nil {
+		return fmt.Errorf("netsim: http: bad request target %q: %w", target, err)
+	}
+	if _, ok := hdr["User-Agent"]; !ok {
+		if len(hdr) == 0 {
+			hdr = defaultHeader
+		} else {
+			hdr = hdr.Clone()
+			hdr["User-Agent"] = defaultHeader["User-Agent"]
+		}
+	}
+	r := http.Request{Method: method, URL: pu, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: hdr, Body: http.NoBody, Host: hostHeader(host), RemoteAddr: t.remoteAddr, RequestURI: target}
+	*sr = *r.WithContext(ctx)
+	return nil
+}
+
+// defaultHeader is the header a stock client sends for a request that
+// sets none: its default User-Agent. Handlers read it, never write it.
+var defaultHeader = http.Header{"User-Agent": {"Go-http-client/1.1"}}
+
+// hostHeader returns the Host a stock client sends for host: without an
+// IPv6 zone, and empty when a byte of it is not valid in the field.
+func hostHeader(host string) string {
+	for i := 0; i < len(host); i++ {
+		switch c := host[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		case c == '.', c == '-', c == ':', c == '[', c == ']', c == '%', c == '_', c == '~',
+			c == '!', c == '$', c == '&', c == '\'', c == '(', c == ')', c == '*', c == '+', c == ',', c == ';', c == '=':
+		default:
+			return ""
+		}
+	}
+	if strings.HasPrefix(host, "[") {
+		if i := strings.LastIndexByte(host, ']'); i >= 0 {
+			if j := strings.LastIndexByte(host[:i], '%'); j >= 0 {
+				return host[:j] + host[i:]
+			}
+		}
+	}
+	return host
+}
+
+// maxBodyBytes bounds how much of a response body Get reads.
+const maxBodyBytes = 1 << 20
+
+// Get fetches rawURL with a GET on client and reads the response body,
+// up to its first 1 MiB. It is the tree's one GET-and-read: crawlers,
+// probes and surveys all fetch through it. hdr is the request header as
+// is — Get and the handler only read it, so callers share one map across
+// every request (nil sends Go's default User-Agent). A 3xx comes back as
+// it is: no redirect is followed. A bound on the request rides on ctx.
+// client must come from Network.HTTPClient and set none of Timeout, Jar
+// and CheckRedirect, which Get could not honour; otherwise it fails
+// before routing.
+//
+// Get is client.Do of the GET with less garbage: it finds the URL's
+// listener as RoundTrip does, with the same errors, latency and ctx
+// check, calls its handler in-process on the same request, with a
+// pooled request and writer, and keeps the status and body the handler
+// wrote.
+func Get(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
+	status, body, err := get(ctx, client, rawURL, hdr)
+	if err != nil {
+		return 0, "", &url.Error{Op: "Get", URL: rawURL, Err: err}
+	}
+	return status, body, nil
+}
+
+func get(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
+	t, host, target, err := getTarget(client, rawURL)
+	if err != nil {
+		return 0, "", err
+	}
+	started := time.Now()
+	h, err := t.nw.handler(ctx, host)
+	if err != nil {
+		return 0, "", err
+	}
+	mHTTPRequests.Inc()
+	status, body, err := t.serveGet(ctx, h, host, target, hdr)
+	if err != nil {
+		return 0, "", err
+	}
+	mHTTPLatency.ObserveSince(started)
+	return status, body, nil
+}
+
+var getPool = sync.Pool{New: func() any {
+	return &exchange{w: responseWriter{hdr: make(http.Header, 4), kept: make(http.Header, 1), limit: maxBodyBytes}}
+}}
+
+// serveGet calls h with the GET of target on host, under ctx, and
+// returns the status and up to maxBodyBytes of the body h wrote.
+func (t *transport) serveGet(ctx context.Context, h http.Handler, host, target string, hdr http.Header) (int, string, error) {
+	x := getPool.Get().(*exchange)
+	defer getPool.Put(x)
+	if err := t.request(ctx, &x.req, &x.u, http.MethodGet, host, target, hdr); err != nil {
+		return 0, "", err
+	}
+	x.w.reset(false)
+	err := x.serve(ctx, h)
+	x.w.clearHeader()
+	if err != nil {
+		return 0, "", err
+	}
+	body := ""
+	if hasBody(x.w.status) {
+		body = string(x.w.buf)
+	}
+	return x.w.status, body, nil
+}
+
+// getTarget checks that Get can drive client's transport and returns it
+// with rawURL's host and request target. A plain "http://host/path" is
+// split by hand; any other URL goes through url.Parse and checkURL, and
+// loses an empty port as http.NewRequest's does.
+func getTarget(client *http.Client, rawURL string) (t *transport, host, target string, err error) {
+	t, ok := client.Transport.(*transport)
+	switch {
+	case !ok:
+		return nil, "", "", fmt.Errorf("netsim: Get needs a Network.HTTPClient client, not transport %T", client.Transport)
+	case client.Timeout != 0:
+		return nil, "", "", errors.New("netsim: Get cannot honour http.Client.Timeout; bound the request with ctx")
+	case client.Jar != nil || client.CheckRedirect != nil:
+		return nil, "", "", errors.New("netsim: Get keeps no cookies and follows no redirects; the client must set no Jar or CheckRedirect")
+	}
+	if host, target, ok := splitPlainURL(rawURL); ok {
+		return t, host, target, nil
+	}
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return nil, "", "", err
+	}
+	if strings.LastIndexByte(u.Host, ':') > strings.LastIndexByte(u.Host, ']') {
+		u.Host = strings.TrimSuffix(u.Host, ":")
+	}
+	if err := checkURL(u); err != nil {
+		return nil, "", "", err
+	}
+	return t, u.Host, u.RequestURI(), nil
+}
+
+// splitPlainURL returns the host and request target that url.Parse and
+// URL.RequestURI would make of rawURL, without parsing, when rawURL is a
+// plain "http://host[:port][/target]": a host of letters, digits, dots
+// and dashes with an optional numeric port, and a target splitOriginForm
+// takes as is (so no '%', fragment or userinfo). It reports false for
+// any other URL.
+func splitPlainURL(rawURL string) (host, target string, ok bool) {
+	rest, ok := strings.CutPrefix(rawURL, "http://")
+	if !ok {
+		return "", "", false
+	}
+	slash := strings.IndexByte(rest, '/')
+	if slash < 0 {
+		slash = len(rest)
+	}
+	host, target = rest[:slash], rest[slash:]
+	if target == "" {
+		target = "/"
+	}
+	if !plainHost(host) {
+		return "", "", false
+	}
+	_, ok = splitOriginForm(target)
+	return host, target, ok
+}
+
+// plainHost reports whether h is a non-empty name of letters, digits,
+// dots and dashes, optionally followed by ':' and a non-empty decimal
+// port: a host url.Parse keeps as is.
+func plainHost(h string) bool {
+	name, port, hasPort := strings.Cut(h, ":")
+	if name == "" || (hasPort && port == "") {
+		return false
+	}
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '-') {
+			return false
+		}
+	}
+	for i := 0; i < len(port); i++ {
+		if c := port[i]; c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// requestURL returns the URL of a request target: a plain origin-form
+// target is split by hand into *u, anything else parsed by net/url.
+func requestURL(target string, u *url.URL) (*url.URL, error) {
+	if v, ok := splitOriginForm(target); ok {
+		*u = v
+		return u, nil
+	}
+	return url.ParseRequestURI(target)
+}
+
+// splitOriginForm returns the URL url.ParseRequestURI would make of an
+// origin-form target, without parsing, when that URL is a plain split:
+// the path before the first '?' holds only bytes that need no escaping
+// (so no '%' to decode and no RawPath to keep), and the rest holds no
+// '#' or control byte. It reports false for any other target.
+func splitOriginForm(target string) (url.URL, bool) {
+	if len(target) == 0 || target[0] != '/' {
+		return url.URL{}, false
+	}
+	q := len(target)
+	for i := 0; i < len(target); i++ {
+		c := target[i]
+		if c == '?' {
+			q = i
+			break
+		}
+		if !pathByteVerbatim(c) {
+			return url.URL{}, false
+		}
+	}
+	for i := q + 1; i < len(target); i++ {
+		if c := target[i]; c < 0x20 || c == 0x7f || c == '#' {
+			return url.URL{}, false
+		}
+	}
+	u := url.URL{Path: target[:q]}
+	switch {
+	case q == len(target)-1:
+		u.ForceQuery = true // a lone trailing '?'
+	case q < len(target):
+		u.RawQuery = target[q+1:]
+	}
+	return u, true
+}
+
+// pathByteVerbatim reports whether net/url keeps c as is in a path, both
+// unescaping and re-escaping it.
+func pathByteVerbatim(c byte) bool {
+	switch {
+	case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9':
+		return true
+	}
+	switch c {
+	case '-', '_', '.', '~', '$', '&', '+', ',', '/', ':', ';', '=', '@':
+		return true
+	}
+	return false
+}
+
+// hasBody reports whether a response with status code to a request that
+// was not a HEAD carries a body: 1xx, 204 and 304 responses have none.
+func hasBody(code int) bool {
+	return code >= 200 && code != http.StatusNoContent && code != http.StatusNotModified
+}
+
+// responseWriter implements http.ResponseWriter (and io.StringWriter,
+// which io.WriteString uses) over a buffer that keeps the status, the
+// header and up to limit bytes of the body a handler writes.
+type responseWriter struct {
+	hdr         http.Header
+	status      int
+	wroteHeader bool
+	isHead      bool
+	buf         []byte // accumulated body bytes (suppressed for HEAD)
+	headN       int    // HEAD: bytes the handler "wrote"
+	// limit is the most body bytes buf keeps; a write past it still
+	// reports every byte written.
+	limit int
+	// kept holds the one-value slices SetHeader made, by key, on a writer
+	// Get reuses (nil on any other). They are the writer's own: SetHeader
+	// made them, and no caller handed one in.
+	kept http.Header
+}
+
+// reset readies w for the next response. The header map needs nothing:
+// clearHeader truncated every key after the last one.
+func (w *responseWriter) reset(isHead bool) {
+	w.status = http.StatusOK
+	w.wroteHeader = false
+	w.isHead = isHead
+	w.buf = w.buf[:0]
+	w.headN = 0
+}
+
+// Header implements http.ResponseWriter.
+func (w *responseWriter) Header() http.Header { return w.hdr }
+
+// SetHeader sets w's header key, which must be in canonical form, to
+// the single value v, as w.Header().Set(key, v) does. On the writer Get
+// hands its handler, it stores v in a one-value slice the writer made
+// for key on an earlier Get, so a farm's pages set the key without
+// allocating; on any other writer it is w.Header().Set.
+func SetHeader(w http.ResponseWriter, key, v string) {
+	rw, ok := w.(*responseWriter)
+	if !ok || rw.kept == nil {
+		w.Header().Set(key, v)
+		return
+	}
+	vs := rw.kept[key]
+	if vs == nil {
+		vs = make([]string, 1)
+		rw.kept[key] = vs
+	}
+	vs[0] = v
+	rw.hdr[key] = vs
+}
+
+// WriteHeader implements http.ResponseWriter.
+func (w *responseWriter) WriteHeader(code int) {
+	if w.wroteHeader {
+		return
+	}
+	w.status = code
+	w.wroteHeader = true
+}
+
+// Write implements http.ResponseWriter.
+func (w *responseWriter) Write(p []byte) (int, error) {
+	w.wroteHeader = true
+	if w.isHead {
+		w.headN += len(p)
+		return len(p), nil
+	}
+	w.buf = append(w.buf, p[:min(len(p), w.limit-len(w.buf))]...)
+	return len(p), nil
+}
+
+// WriteString implements io.StringWriter, keeping string bodies off the
+// []byte conversion path.
+func (w *responseWriter) WriteString(s string) (int, error) {
+	w.wroteHeader = true
+	if w.isHead {
+		w.headN += len(s)
+		return len(s), nil
+	}
+	w.buf = append(w.buf, s[:min(len(s), w.limit-len(w.buf))]...)
+	return len(s), nil
+}
+
+// clearHeader truncates every header value the handler set, keeping
+// each key's backing for the next response.
+func (w *responseWriter) clearHeader() {
+	for k, vs := range w.hdr {
+		if len(vs) > 0 {
+			w.hdr[k] = vs[:0]
+		}
+	}
+}
+
+// response returns what x.w holds as the response to req. The body is
+// framed by its computed length, resp.ContentLength: a handler's own
+// Content-Length and Transfer-Encoding are dropped. A response to a HEAD
+// has no body and the length the handler wrote; a 1xx, 204 or 304 has
+// neither.
+func (x *exchange) response(req *http.Request) *http.Response {
+	w := &x.w
+	delete(w.hdr, "Content-Length")
+	delete(w.hdr, "Transfer-Encoding")
+	x.resp = http.Response{
+		StatusCode: w.status,
+		Status:     strconv.Itoa(w.status) + " " + http.StatusText(w.status),
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     w.hdr,
+		Body:       &x.body,
+		Request:    req,
+	}
+	var body []byte
+	switch {
+	case !hasBody(w.status):
+	case w.isHead:
+		x.resp.ContentLength = int64(w.headN)
+	default:
+		body = w.buf
+		x.resp.ContentLength = int64(len(body))
+	}
+	x.body.Reset(body)
+	return &x.resp
+}
+
+// bodyReader is a response body held whole in memory.
+type bodyReader struct{ bytes.Reader }
+
+func (*bodyReader) Close() error { return nil }
+
+var (
+	_ http.RoundTripper   = (*transport)(nil)
+	_ http.ResponseWriter = (*responseWriter)(nil)
+)

@@ -6,21 +6,19 @@
 // not). Loopback TCP cannot reproduce that: every connection arrives from
 // 127.0.0.1. netsim instead implements net.Listener and a dialer on top of
 // buffered duplex pipe pairs (see pipe.go) whose LocalAddr/RemoteAddr carry
-// the simulated addresses, so an unmodified net/http server and client
-// exchange real HTTP while logs show the crawler's simulated source IP.
-// Unlike net.Pipe, reads and writes do not rendezvous per byte: each
-// direction buffers up to a TCP-window's worth of data, and deadlines are
-// honored.
+// the simulated addresses, so servers read the simulated source IP of
+// every connection. Unlike net.Pipe, reads and writes do not rendezvous
+// per byte: each direction buffers up to a TCP-window's worth of data,
+// and deadlines are honored.
 //
 // A Network also contains a miniature name service (Register) so HTTP
 // clients can use ordinary host-based URLs.
 //
-// The package also owns the tree's one HTTP/1.1 framing, both halves:
-// HTTPClient's transport (fasthttp.go) and ServeConn (fastserve.go),
-// which serves one connection with an http.Handler; Serve runs it for
-// every connection a listener accepts. ServeHTTP also records the
-// handler on the listener, and Get calls a recorded handler in-process
-// instead of writing the request out.
+// HTTP inside the network frames no bytes (http.go): ServeHTTP records
+// a handler on its listener, and HTTPClient's requests, Get's included,
+// call it in-process with the client's source IP as RemoteAddr. Serve
+// runs a conn handler, such as policyd's frame loop, on every connection
+// a listener accepts.
 package netsim
 
 import (
@@ -50,7 +48,7 @@ type Network struct {
 	listeners map[string]*listener // key "ip:port"
 	names     map[string]string    // lowercase hostname -> ip
 	ephemeral atomic.Uint32
-	latency   time.Duration // delay on every routed dial or in-process Get; 0 = none
+	latency   time.Duration // delay on every routed dial or HTTP request; 0 = none
 }
 
 // New returns an empty network.
@@ -200,8 +198,8 @@ type route struct {
 
 // route resolves host and finds the listener bound to its address on
 // port in one hold of n.mu, then waits out the network's latency and
-// checks ctx: the step Dial and Get share. The errors are Dial's: a bad
-// port, an unknown host, a refused address or ctx's.
+// checks ctx: the step Dial and the HTTP client share. The errors are
+// Dial's: a bad port, an unknown host, a refused address or ctx's.
 func (n *Network) route(ctx context.Context, host, port string) (route, error) {
 	p, err := strconv.Atoi(port)
 	if err != nil {
@@ -256,34 +254,60 @@ func (n *Network) ephemeralPort() int {
 	return 32768 + int(n.ephemeral.Add(1)%28000)
 }
 
-// HTTPClient returns an http.Client whose connections originate from
-// sourceIP and traverse this network. Each call returns an independent
-// client with its own transport, so connection pooling is naturally keyed
-// by (sourceIP, target): sequential requests to the same host reuse one
-// kept-alive connection, and server logs still attribute every request to
-// the client's simulated source IP via CLF.
+// HTTPClient returns an http.Client whose requests originate from
+// sourceIP and are routed on this network: each resolves and finds its
+// listener as Dial does, with Dial's errors and latency, and calls the
+// handler ServeHTTP recorded there in-process (see http.go), under the
+// request's ctx. Handlers see the client's simulated source IP as
+// RemoteAddr, so server logs attribute every request to it. A request to
+// a listener ServeHTTP does not serve fails with an error.
 //
-// The client's transport is this package's hand-rolled HTTP/1.1 framing
-// (see fasthttp.go; ServeConn is the server half): it skips stdlib
-// net/http's per-request machinery while keeping its wire format and
-// keep-alive pooling semantics. It speaks GET, HEAD and POST with a known
-// body length of at most ServeConn's 8 MiB to http:// URLs, and sends a
-// request body in the same write as its head; any other request fails
-// with an error naming what it asked for, before anything is dialed. It
-// reads the responses ServeConn writes: a body framed by Content-Length,
-// or none. A response with a Transfer-Encoding, or with a body but no
-// Content-Length, fails with an error, and its conn is closed.
-//
-// The client carries no overall request timeout: wrapping every request
-// in a deadline context costs several allocations and a timer on the hot
-// path, and the simulated network cannot stall silently (a closed peer
-// always surfaces as EOF or errConnReset). Callers that want a bound
-// pass a deadline context per request, as every experiment in this repo
-// does. A caller of client.Do may instead set Timeout on the returned
-// client; Get refuses a client with Timeout set, since it does not go
-// through client.Do.
+// The client speaks GET, HEAD and POST with a known body length to
+// http:// URLs; any other request fails with an error naming what it
+// asked for. It carries no overall request timeout: callers that want a
+// bound pass a deadline context per request, as every experiment in
+// this repo does. A caller of client.Do may instead set Timeout on the
+// returned client; Get refuses a client with Timeout set, since it does
+// not go through client.Do.
 func (n *Network) HTTPClient(sourceIP string) *http.Client {
-	return &http.Client{Transport: newFastTransport(n, sourceIP)}
+	return &http.Client{Transport: newTransport(n, sourceIP)}
+}
+
+// Serve accepts connections on ln and runs serve on each, on its own
+// goroutine; serve owns the connection and closes it before returning.
+// When Accept fails — ln was closed — Serve closes every live
+// connection, waits for their serve calls to return, as
+// http.Server.Close does, and returns the accept error. policyd's frame
+// listeners run on it.
+func Serve(ln net.Listener, serve func(net.Conn)) error {
+	var (
+		mu      sync.Mutex
+		live    = make(map[net.Conn]struct{})
+		serving sync.WaitGroup
+	)
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			mu.Lock()
+			for c := range live {
+				c.Close()
+			}
+			mu.Unlock()
+			serving.Wait()
+			return err
+		}
+		mu.Lock()
+		live[c] = struct{}{}
+		mu.Unlock()
+		serving.Add(1)
+		go func() {
+			defer serving.Done()
+			serve(c)
+			mu.Lock()
+			delete(live, c)
+			mu.Unlock()
+		}()
+	}
 }
 
 // maxBacklog bounds a listener's accept queue, like a kernel SYN queue:
@@ -306,8 +330,8 @@ type listener struct {
 	aliasMu sync.Mutex
 	aliases []string
 
-	// handler is what ServeHTTP serves the listener with; Get calls it
-	// in-process. Guarded by network.mu, which route holds to read it.
+	// handler is what ServeHTTP serves the listener with; the HTTP
+	// client calls it in-process. Guarded by network.mu, which route holds to read it.
 	handler http.Handler
 
 	mu     sync.Mutex

@@ -17,36 +17,37 @@ func TestHTTPOverNetworkPreservesSourceIP(t *testing.T) {
 	nw := New()
 	nw.Register("example.test", "203.0.113.10")
 
-	ln, err := nw.Listen("203.0.113.10", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var seenRemote string
 	var mu sync.Mutex
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	serveHTTP(t, nw, "203.0.113.10", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		mu.Lock()
 		host, _, _ := net.SplitHostPort(r.RemoteAddr)
 		seenRemote = host
 		mu.Unlock()
 		fmt.Fprint(w, "hello from example.test")
-	})}
-	go srv.Serve(ln)
-	defer srv.Close()
+	}))
 
-	client := nw.HTTPClient("198.51.100.77")
-	resp, err := client.Get("http://example.test/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if string(body) != "hello from example.test" {
-		t.Fatalf("body = %q", body)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if seenRemote != "198.51.100.77" {
-		t.Fatalf("server saw remote %q, want the simulated crawler IP", seenRemote)
+	// The netsim client calls the handler in-process; a stock client
+	// reaches ServeHTTP's wire server. Both carry the source IP.
+	for name, client := range map[string]*http.Client{
+		"netsim": nw.HTTPClient("198.51.100.77"),
+		"stock":  stdlibClient(nw, "198.51.100.77", false),
+	} {
+		seenRemote = ""
+		resp, err := client.Get("http://example.test/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if string(body) != "hello from example.test" {
+			t.Fatalf("%s: body = %q", name, body)
+		}
+		mu.Lock()
+		if seenRemote != "198.51.100.77" {
+			t.Fatalf("%s: server saw remote %q, want the simulated crawler IP", name, seenRemote)
+		}
+		mu.Unlock()
 	}
 }
 
@@ -189,16 +190,10 @@ func TestLatencyApplied(t *testing.T) {
 func TestConcurrentClients(t *testing.T) {
 	nw := New()
 	nw.Register("busy.test", "203.0.113.20")
-	ln, err := nw.Listen("203.0.113.20", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	serveHTTP(t, nw, "203.0.113.20", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		host, _, _ := net.SplitHostPort(r.RemoteAddr)
 		fmt.Fprint(w, host)
-	})}
-	go srv.Serve(ln)
-	defer srv.Close()
+	}))
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 20)

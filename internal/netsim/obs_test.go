@@ -2,7 +2,6 @@ package netsim_test
 
 import (
 	"io"
-	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -14,9 +13,8 @@ import (
 // TestMetricsHandlerOverNetsim proves the obs /metrics handler is
 // servable inside the simulated network, not just on real TCP: an
 // in-sim operator can scrape any simulated daemon. It serves the
-// handler as the simulated daemons do, on netsim.Serve and ServeConn,
-// reads it through the netsim client and checks the client's families
-// advance.
+// handler as the simulated daemons do, with netsim.ServeHTTP, reads it
+// through the netsim client and checks the client's families advance.
 func TestMetricsHandlerOverNetsim(t *testing.T) {
 	nw := netsim.New()
 	ln, err := nw.Listen("10.9.0.1", 80)
@@ -25,12 +23,8 @@ func TestMetricsHandlerOverNetsim(t *testing.T) {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", obs.Handler())
-	served := make(chan struct{})
-	go func() {
-		defer close(served)
-		netsim.Serve(ln, func(c net.Conn) { netsim.ServeConn(c, mux) })
-	}()
-	defer func() { ln.Close(); <-served }()
+	wait := netsim.ServeHTTP(ln, mux)
+	defer func() { ln.Close(); wait() }()
 
 	client := nw.HTTPClient("10.9.0.99")
 	resp, err := client.Get("http://10.9.0.1/metrics")
@@ -46,10 +40,7 @@ func TestMetricsHandlerOverNetsim(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	out := string(body)
-	for _, fam := range []string{
-		"netsim_http_requests_total", "netsim_http_pool_total",
-		"netsim_http_bytes_total", "netsim_http_request_latency_ns",
-	} {
+	for _, fam := range []string{"netsim_http_requests_total", "netsim_http_request_latency_ns"} {
 		if !strings.Contains(out, fam) {
 			t.Errorf("netsim-served /metrics missing family %s", fam)
 		}

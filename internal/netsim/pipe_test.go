@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
-	"sync"
 	"testing"
 	"time"
 )
@@ -206,56 +203,6 @@ func TestClosingListenerDrainsBacklog(t *testing.T) {
 	// New dials are refused outright.
 	if _, err := nw.Dial(context.Background(), "198.51.100.2", "192.0.2.41:80"); !errors.Is(err, errConnRefused) {
 		t.Fatalf("dial after close = %v, want ErrConnRefused", err)
-	}
-}
-
-// TestHTTPKeepAlivePoolsPerSourceAndTarget proves connection reuse: the
-// server sees one remote port across sequential requests from one
-// client, while a stdlib client with keep-alives off dials afresh (new
-// ephemeral port) per request.
-func TestHTTPKeepAlivePoolsPerSourceAndTarget(t *testing.T) {
-	remotePorts := func(perRequestDial bool) []string {
-		nw := New()
-		nw.Register("pool.test", "203.0.113.30")
-		ln, err := nw.Listen("203.0.113.30", 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var mu sync.Mutex
-		var ports []string
-		srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			_, port, _ := net.SplitHostPort(r.RemoteAddr)
-			mu.Lock()
-			ports = append(ports, port)
-			mu.Unlock()
-			fmt.Fprint(w, "ok")
-		})}
-		go srv.Serve(ln)
-		defer srv.Close()
-		client := nw.HTTPClient("198.51.100.60")
-		if perRequestDial {
-			client = stdlibClient(nw, "198.51.100.60", false)
-		}
-		for i := 0; i < 3; i++ {
-			resp, err := client.Get("http://pool.test/")
-			if err != nil {
-				t.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]string(nil), ports...)
-	}
-
-	pooled := remotePorts(false)
-	if len(pooled) != 3 || pooled[0] != pooled[1] || pooled[1] != pooled[2] {
-		t.Fatalf("keep-alive requests used ports %v, want one reused port", pooled)
-	}
-	dialed := remotePorts(true)
-	if len(dialed) != 3 || dialed[0] == dialed[1] || dialed[1] == dialed[2] {
-		t.Fatalf("per-request dial used ports %v, want distinct ports", dialed)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -142,9 +141,8 @@ func TestFrameJSONParityCorpus(t *testing.T) {
 	}
 	nw.Register("policyd.test", "203.0.113.70")
 	h := NewHandler(svc)
-	srvDone := make(chan struct{})
-	go func() { defer close(srvDone); netsim.Serve(jsonLn, func(c net.Conn) { netsim.ServeConn(c, h) }) }()
-	defer func() { jsonLn.Close(); <-srvDone }()
+	wait := netsim.ServeHTTP(jsonLn, h)
+	defer func() { jsonLn.Close(); wait() }()
 
 	frameLn, err := nw.Listen("203.0.113.71", 80)
 	if err != nil {

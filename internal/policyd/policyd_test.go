@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/netsim"
@@ -311,45 +312,55 @@ func TestFromCorpusEnrichment(t *testing.T) {
 	_ = metaHosts // rare at small scale; presence asserted by rates test below
 }
 
-// TestHTTPAPI drives the JSON API through both servers it runs on, a
-// stock http.Server and netsim.Serve, each on netsim: every case must
-// answer with its status and byte-identical status, X-Policyd-Version
-// and body on the two. Both are read through one stock http.Transport,
-// which reads any body framing the stock server picks.
+// TestHTTPAPI drives the JSON API both ways a netsim listener serves
+// it, with netsim.ServeHTTP: in-process through the netsim client, and
+// over the wire to ServeHTTP's stock http.Server through a stock
+// http.Transport. Every case must answer with its status, X-Policyd-Version
+// and body, and the same status, body, Content-Type, X-Policyd-Version,
+// Retry-After and X-Retry-After-Ms both ways. A second listener answers
+// through a rate-limited Answerer, for the 429.
 func TestHTTPAPI(t *testing.T) {
 	snap := buildTestSnapshot(t)
 	svc := NewService(snap)
-	h := NewHandler(svc)
+	if svc.Current() != snap {
+		t.Fatal("Current is not the snapshot the service was built on")
+	}
+	limited := &RateLimitError{RetryAfter: 1500 * time.Millisecond}
+	if got, want := limited.Error(), "policyd: rate limited, retry after 1.5s"; got != want {
+		t.Fatalf("RateLimitError.Error() = %q, want %q", got, want)
+	}
 
 	nw := netsim.New()
-	stdLn, err := nw.Listen("203.0.113.60", 80)
-	if err != nil {
-		t.Fatal(err)
+	for ip, h := range map[string]http.Handler{
+		"203.0.113.60": NewHandler(svc),
+		"203.0.113.61": NewHandlerFor(limitedAnswerer{limited}, mWireJSON, mJSONStages, nil),
+	} {
+		ln, err := nw.Listen(ip, 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wait := netsim.ServeHTTP(ln, h)
+		defer func() { ln.Close(); wait() }()
 	}
-	srv := &http.Server{Handler: h}
-	go srv.Serve(stdLn)
-	defer srv.Close()
-	fastLn, err := nw.Listen("203.0.113.61", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fastDone := make(chan struct{})
-	go func() { defer close(fastDone); netsim.Serve(fastLn, func(c net.Conn) { netsim.ServeConn(c, h) }) }()
-	defer func() { fastLn.Close(); <-fastDone }()
-	client := &http.Client{Transport: &http.Transport{
+	fast := nw.HTTPClient("198.51.100.60")
+	stock := &http.Client{Transport: &http.Transport{
 		DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
 			return nw.Dial(ctx, "198.51.100.60", addr)
 		},
 		DisableCompression: true,
 	}}
-	defer client.CloseIdleConnections()
+	defer stock.CloseIdleConnections()
 
 	type answer struct {
 		status  int
 		version string
 		body    string
 	}
-	do := func(host, method, target string, body []byte) answer {
+	type reply struct {
+		answer
+		contentType, retryAfter, retryAfterMs string
+	}
+	do := func(client *http.Client, host, method, target string, body []byte) reply {
 		t.Helper()
 		req, err := http.NewRequest(method, "http://"+host+target, bytes.NewReader(body))
 		if err != nil {
@@ -364,7 +375,9 @@ func TestHTTPAPI(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: body: %v", method, target, err)
 		}
-		return answer{resp.StatusCode, resp.Header.Get("X-Policyd-Version"), string(b)}
+		h := resp.Header
+		return reply{answer{resp.StatusCode, h.Get("X-Policyd-Version"), string(b)},
+			h.Get("Content-Type"), h.Get("Retry-After"), h.Get("X-Retry-After-Ms")}
 	}
 	batchOf := func(qs ...Query) []byte {
 		b, err := json.Marshal(BatchRequest{Queries: qs})
@@ -386,56 +399,75 @@ func TestHTTPAPI(t *testing.T) {
 		name, method, target string
 		body                 []byte
 		want                 answer // version "" means the snapshot's when status is 200
+		limited              bool   // sent to the rate-limited listener
 	}{
 		{"decide", "GET", "/v1/decide?host=blocked.test&agent=GPTBot&path=/", nil,
-			answer{200, "", `{"action":"block","signal":"blocker"}` + "\n"}},
+			answer{200, "", `{"action":"block","signal":"blocker"}` + "\n"}, false},
 		{"decide escaped", "GET", "/v1/decide?" + url.Values{"host": {"plain.test"}, "agent": {"Mozilla/5.0 GPTBot"}, "path": {"/admin/x"}}.Encode(), nil,
-			answer{200, "", `{"action":"deny","signal":"robots-wildcard"}` + "\n"}},
+			answer{200, "", `{"action":"deny","signal":"robots-wildcard"}` + "\n"}, false},
 		{"decide wrong method", "POST", "/v1/decide?host=plain.test&agent=GPTBot", nil,
-			answer{405, "", "GET only\n"}},
+			answer{405, "", "GET only\n"}, false},
 		{"decide missing host", "GET", "/v1/decide?agent=GPTBot", nil,
-			answer{400, "", "host and agent are required\n"}},
+			answer{400, "", "host and agent are required\n"}, false},
 		{"decide missing agent", "GET", "/v1/decide?host=plain.test&agent=", nil,
-			answer{400, "", "host and agent are required\n"}},
+			answer{400, "", "host and agent are required\n"}, false},
 		{"batch", "POST", "/v1/batch", batchOf(Query{"plain.test", "GPTBot", "/admin/x"}, Query{"unknown.test", "CCBot", "/"}),
-			answer{200, "", `{"decisions":[{"action":"deny","signal":"robots-wildcard"},{"action":"allow","signal":"none"}]}` + "\n"}},
+			answer{200, "", `{"decisions":[{"action":"deny","signal":"robots-wildcard"},{"action":"allow","signal":"none"}]}` + "\n"}, false},
 		{"batch escaped", "POST", "/v1/batch", []byte(`{"queries":[{"host":"plain.test","agent":"GPT\u0042ot","Path":"/admin/x"}]}`),
-			answer{200, "", `{"decisions":[{"action":"deny","signal":"robots-wildcard"}]}` + "\n"}},
+			answer{200, "", `{"decisions":[{"action":"deny","signal":"robots-wildcard"}]}` + "\n"}, false},
 		{"batch empty", "POST", "/v1/batch", []byte(`{"queries":[]}`),
-			answer{200, "", `{"decisions":[]}` + "\n"}},
+			answer{200, "", `{"decisions":[]}` + "\n"}, false},
 		{"batch wrong method", "GET", "/v1/batch", nil,
-			answer{405, "", "POST only\n"}},
+			answer{405, "", "POST only\n"}, false},
 		{"batch malformed", "POST", "/v1/batch", []byte(`{"queries":[{"host":`),
-			answer{400, "", "bad batch: unexpected EOF\n"}},
+			answer{400, "", "bad batch: unexpected EOF\n"}, false},
 		{"batch too many", "POST", "/v1/batch", batchOf(tooMany...),
-			answer{413, "", fmt.Sprintf("batch exceeds %d queries\n", MaxBatch)}},
+			answer{413, "", fmt.Sprintf("batch exceeds %d queries\n", MaxBatch)}, false},
 		{"batch too large", "POST", "/v1/batch", oversize,
-			answer{400, "", "bad batch: http: request body too large\n"}},
+			answer{400, "", "bad batch: http: request body too large\n"}, false},
 		{"unknown route", "GET", "/v1/nope", nil,
-			answer{404, "", "404 page not found\n"}},
+			answer{404, "", "404 page not found\n"}, false},
 		{"healthz", "GET", "/healthz", nil,
-			answer{200, "", "ok\n"}},
+			answer{200, "", "ok\n"}, false},
+		{"decide limited", "GET", "/v1/decide?host=plain.test&agent=GPTBot&path=/", nil,
+			answer{429, "", "rate limited\n"}, true},
+		{"batch limited", "POST", "/v1/batch", batchOf(Query{"plain.test", "GPTBot", "/"}),
+			answer{429, "", "rate limited\n"}, true},
 	}
 	for _, tc := range cases {
-		std := do("203.0.113.60", tc.method, tc.target, tc.body)
-		fast := do("203.0.113.61", tc.method, tc.target, tc.body)
-		if std != fast {
-			t.Errorf("%s: http.Server answers %+v, netsim.Serve %+v", tc.name, std, fast)
+		host := "203.0.113.60"
+		if tc.limited {
+			host = "203.0.113.61"
+		}
+		wire := do(stock, host, tc.method, tc.target, tc.body)
+		got := do(fast, host, tc.method, tc.target, tc.body)
+		if wire != got {
+			t.Errorf("%s: over the wire %+v, in-process %+v", tc.name, wire, got)
 		}
 		want := tc.want
 		if want.status == http.StatusOK && tc.target != "/healthz" {
 			want.version = snap.Version
 		}
-		if fast != want {
-			t.Errorf("%s: answer %+v, want %+v", tc.name, fast, want)
+		if got.answer != want {
+			t.Errorf("%s: answer %+v, want %+v", tc.name, got.answer, want)
+		}
+		if tc.limited && (got.retryAfter != "2" || got.retryAfterMs != "1500") {
+			t.Errorf("%s: Retry-After %q, X-Retry-After-Ms %q; want 2 and 1500", tc.name, got.retryAfter, got.retryAfterMs)
 		}
 	}
 
 	var st Stats
-	if err := json.Unmarshal([]byte(do("203.0.113.61", "GET", "/v1/stats", nil).body), &st); err != nil {
+	if err := json.Unmarshal([]byte(do(fast, "203.0.113.60", "GET", "/v1/stats", nil).body), &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Hosts != 6 || st.Version != "test" || st.Queries < 8 {
 		t.Fatalf("stats = %+v", st)
 	}
+}
+
+// limitedAnswerer refuses every batch with its quota error.
+type limitedAnswerer struct{ err *RateLimitError }
+
+func (l limitedAnswerer) Answer(context.Context, []Query, []Decision) ([]Decision, string, error) {
+	return nil, "", l.err
 }

@@ -1,38 +1,25 @@
 package webserver
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/netsim"
 )
 
-// TestFastServerMatchesStdlibServer is the server half of the
-// hand-rolled-HTTP oracle: one farm answers the same request sequence
-// through its fast server and through net/http's server, and every
-// response (status, content type, body bytes) and every log record must
-// be equal. Both legs are read through one stock http.Transport, which
-// reads net/http's chunked 10 KB page as well as the fast server's
-// Content-Length one.
+// TestFastServerMatchesStdlibServer is the farm's HTTP oracle: one farm
+// answers the same request sequence in-process through the netsim
+// client, and over the wire to netsim.ServeHTTP's stock http.Server
+// through a stock http.Transport, and every response (status, content
+// type, body bytes) and every log record must be equal.
 func TestFastServerMatchesStdlibServer(t *testing.T) {
-	const fastIP, stdIP = "203.0.113.250", "203.0.113.251"
+	const fastIP = "203.0.113.250"
 	nw := netsim.New()
 	farm := newFarm(t, nw, fastIP)
-	// Beside the farm's own fast server, a stock http.Server drives the
-	// same dispatch — same sites, hosts table and logs — on a second
-	// listener.
-	ln, err := nw.Listen(stdIP, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &http.Server{Handler: farm}
-	go srv.Serve(ln)
-	defer srv.Close()
 
 	content := WildcardDisallowSite("diff-a.test", fastIP)
 	content.Pages["/big.html"] = Page{Body: "<html>" + strings.Repeat("0123456789abcdef", 640) + "</html>"}
@@ -76,26 +63,20 @@ func TestFastServerMatchesStdlibServer(t *testing.T) {
 		{method: "GET", host: "diff-b.test", target: "/", ua: "CCBot/2.0", want: 200}, // after the close: a fresh conn
 	}
 
-	// drive sends the sequence to the server at ip and returns what came
-	// back (one line per response) and what each site logged for it.
-	drive := func(ip string) ([]string, map[string][]Record) {
+	// drive sends the sequence through client and returns what came back
+	// (one line per response) and what each site logged for it.
+	drive := func(client *http.Client) ([]string, map[string][]Record) {
 		marks := map[string]int{}
 		for name, s := range sites {
 			marks[name] = s.LogLen()
 		}
-		client := &http.Client{Transport: &http.Transport{
-			DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
-				return nw.Dial(ctx, "198.51.100.120", addr)
-			},
-			DisableCompression: true,
-		}}
 		var got []string
 		for i, rq := range requests {
 			var body io.Reader
 			if rq.body != "" {
 				body = strings.NewReader(rq.body)
 			}
-			req, err := http.NewRequest(rq.method, "http://"+ip+rq.target, body)
+			req, err := http.NewRequest(rq.method, "http://"+fastIP+rq.target, body)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,17 +87,17 @@ func TestFastServerMatchesStdlibServer(t *testing.T) {
 			}
 			resp, err := client.Do(req)
 			if err != nil {
-				t.Fatalf("%s request %d (%s %s): %v", ip, i, rq.method, rq.target, err)
+				t.Fatalf("request %d (%s %s): %v", i, rq.method, rq.target, err)
 			}
 			b, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != rq.want {
-				t.Fatalf("%s request %d (%s %s): status %d, want %d; body error %v",
-					ip, i, rq.method, rq.target, resp.StatusCode, rq.want, err)
+				t.Fatalf("request %d (%s %s): status %d, want %d; body error %v",
+					i, rq.method, rq.target, resp.StatusCode, rq.want, err)
 			}
 			got = append(got, fmt.Sprintf("%d %s %q", resp.StatusCode, resp.Header.Get("Content-Type"), b))
 		}
-		// Close the pooled conns so the next arm dials afresh.
+		// Close the stock client's pooled conns before the logs are read.
 		client.CloseIdleConnections()
 		logs := map[string][]Record{}
 		for name, s := range sites {
@@ -125,22 +106,23 @@ func TestFastServerMatchesStdlibServer(t *testing.T) {
 		return got, logs
 	}
 
-	fastResp, fastLogs := drive(fastIP)
-	stdResp, stdLogs := drive(stdIP)
+	var dialed atomic.Int64
+	fastResp, fastLogs := drive(nw.HTTPClient("198.51.100.120"))
+	stdResp, stdLogs := drive(stockClient(nw, "198.51.100.120", &dialed))
 	for i, rq := range requests {
 		if fastResp[i] != stdResp[i] {
-			t.Errorf("request %d (%s %s):\nfast server: %.200s\nnet/http:    %.200s", i, rq.method, rq.target, fastResp[i], stdResp[i])
+			t.Errorf("request %d (%s %s):\nin-process: %.200s\nover wire:  %.200s", i, rq.method, rq.target, fastResp[i], stdResp[i])
 		}
 	}
 	for name := range sites {
 		f, s := fastLogs[name], stdLogs[name]
 		if len(f) == 0 || len(f) != len(s) {
-			t.Fatalf("%s: fast server logged %d records, net/http %d", name, len(f), len(s))
+			t.Fatalf("%s: logged %d records in-process, %d over the wire", name, len(f), len(s))
 		}
 		for i := range f {
 			f[i].Time = s[i].Time // wall clock is not part of the contract
 			if f[i] != s[i] {
-				t.Errorf("%s record %d: fast server %+v, net/http %+v", name, i, f[i], s[i])
+				t.Errorf("%s record %d: in-process %+v, over the wire %+v", name, i, f[i], s[i])
 			}
 		}
 	}

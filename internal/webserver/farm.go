@@ -26,9 +26,9 @@ import (
 // answered 421 Misdirected Request.
 //
 // The farm is its own http.Handler, served on its listener by
-// netsim.ServeHTTP: netsim.Get calls it in-process, and every wire
-// connection runs netsim.ServeConn with it. It keeps no per-connection
-// state.
+// netsim.ServeHTTP: netsim's client calls it in-process, and a stock
+// client's wire connections reach it through a stock http.Server. It
+// keeps no per-connection state.
 //
 // All methods are safe for concurrent use, including StartSite and
 // Remove while requests are in flight.

@@ -5,13 +5,14 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/netsim"
-	"repro/internal/obs"
 )
 
 func newFarm(t *testing.T, nw *netsim.Network, ip string) *Farm {
@@ -141,9 +142,9 @@ func TestFarmValidationAndDuplicates(t *testing.T) {
 
 // TestFarmRemoveMidRun exercises the scenario-engine lifecycle: sites
 // leave and join while the farm keeps serving, a removed site's alias IP
-// is released (a fresh Get is refused; a pooled wire conn stays open and
-// reads 421), its log stays readable, and the host becomes registerable
-// again. A removed site that shared the farm IP instead answers 421 —
+// is released (a netsim request is refused; a stock client's pooled wire
+// conn stays open and reads 421), its log stays readable, and the host
+// becomes registerable again. A removed site that shared the farm IP instead answers 421 —
 // the listener survives, the Host mapping is gone.
 func TestFarmRemoveMidRun(t *testing.T) {
 	nw := netsim.New()
@@ -153,13 +154,16 @@ func TestFarmRemoveMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := nw.HTTPClient("198.51.100.94")
-	if resp, _ := get(t, client, s1.URL()+"/robots.txt", "x"); resp.StatusCode != 200 {
+	var dialed atomic.Int64
+	wire := stockClient(nw, "198.51.100.94", &dialed)
+	defer wire.CloseIdleConnections()
+	if resp, _ := get(t, wire, s1.URL()+"/robots.txt", "x"); resp.StatusCode != 200 {
 		t.Fatalf("pre-remove fetch = %d", resp.StatusCode)
 	}
 	if err := s1.Close(); err != nil { // Site.Close delegates to farm.Remove
 		t.Fatal(err)
 	}
-	if resp, _ := get(t, client, s1.URL()+"/robots.txt", "x"); resp.StatusCode != http.StatusMisdirectedRequest {
+	if resp, _ := get(t, wire, s1.URL()+"/robots.txt", "x"); resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("pooled conn after removal = %d, want 421", resp.StatusCode)
 	}
 	if _, _, err := netsim.Get(context.Background(), client, s1.URL()+"/robots.txt", nil); err == nil ||
@@ -217,7 +221,7 @@ func TestFarmRemoveMidRun(t *testing.T) {
 		t.Helper()
 		req, _ := http.NewRequest(http.MethodGet, "http://203.0.113.250/", nil)
 		req.Host = host
-		resp, err := client.Do(req)
+		resp, err := wire.Do(req)
 		if err != nil {
 			t.Fatalf("%s via farm IP: %v", host, err)
 		}
@@ -228,20 +232,20 @@ func TestFarmRemoveMidRun(t *testing.T) {
 		}
 	}
 	viaFarmIP("two-a.test")
-	dialed := dials()
+	dials := dialed.Load()
 	viaFarmIP("two-b.test")
 	two[0].Close()
 	viaFarmIP("two-b.test")
-	if got := dialed(); got != 0 {
+	if got := dialed.Load() - dials; got != 0 {
 		t.Fatalf("%d dials after the first Host on the farm-IP conn; want the pooled conn throughout", got)
 	}
 }
 
 // TestFarmCloseReleasesLiveConns pins Close against live wire
-// connections: with several clients holding pooled keep-alive conns,
-// Close returns only after every serve loop has exited — leakcheck fails
-// the package otherwise — and a client's next request on its pooled conn
-// fails.
+// connections: with several stock clients holding pooled keep-alive
+// conns, Close returns only after the farm's server has closed them —
+// leakcheck fails the package on a serve loop left running — and a
+// client's next request fails, as a netsim client's does.
 func TestFarmCloseReleasesLiveConns(t *testing.T) {
 	nw := netsim.New()
 	farm, err := NewFarm(nw, "203.0.113.250")
@@ -253,18 +257,19 @@ func TestFarmCloseReleasesLiveConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	const clients = 4
-	dialed := dials()
+	var dialed atomic.Int64
 	var pooled []*http.Client
 	for c := 0; c < clients; c++ {
-		client := nw.HTTPClient(fmt.Sprintf("198.51.100.%d", 130+c))
+		client := stockClient(nw, fmt.Sprintf("198.51.100.%d", 130+c), &dialed)
 		if resp, _ := get(t, client, site.URL()+"/robots.txt", "x"); resp.StatusCode != 200 {
 			t.Fatalf("client %d fetch = %d", c, resp.StatusCode)
 		}
 		pooled = append(pooled, client)
 	}
-	if got := dialed(); got != clients {
+	if got := dialed.Load(); got != clients {
 		t.Fatalf("clients dialed %d conns, want %d", got, clients)
 	}
+	pooled = append(pooled, nw.HTTPClient("198.51.100.134"))
 	if err := farm.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -471,18 +476,23 @@ func TestFarmSharedSiteIP(t *testing.T) {
 	}
 }
 
-// dials returns a counter of the netsim client's dials, for tests that
-// count the conns a farm serves.
-func dials() func() uint64 {
-	misses := obs.NewCounter(`netsim_http_pool_total{result="miss"}`, "")
-	before := misses.Value()
-	return func() uint64 { return misses.Value() - before }
+// stockClient is a stock http.Client dialing through nw from sourceIP
+// — to the farm's wire server — that counts its dials in dialed.
+func stockClient(nw *netsim.Network, sourceIP string, dialed *atomic.Int64) *http.Client {
+	return &http.Client{Transport: &http.Transport{
+		DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
+			dialed.Add(1)
+			return nw.Dial(ctx, sourceIP, addr)
+		},
+		DisableCompression: true,
+	}}
 }
 
-// TestKeepAliveReuseAfter421 pins that a 421 does not poison a
-// keep-alive connection: after a misdirected request the same pooled
-// conn must serve correctly-addressed requests, and no site leaks across
-// the Host switch.
+// TestKeepAliveReuseAfter421 pins that a 421 does not poison what
+// follows: after a misdirected request, correctly-addressed requests are
+// served — in-process through the netsim client, and on the same pooled
+// wire conn through a stock client — and no site leaks across the Host
+// switch.
 func TestKeepAliveReuseAfter421(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.250")
@@ -492,47 +502,51 @@ func TestKeepAliveReuseAfter421(t *testing.T) {
 	}
 	nw.Register("ghost.test", "203.0.113.250") // resolves to the farm, no site claims it
 
-	client := nw.HTTPClient("198.51.100.95")
-	unmatched, dialed := mFarmUnmatched.Value(), dials()
-	// Same URL host (= same client pool key, same conn), alternating Host
-	// headers: ghost → 421, known → 200, ghost → 421, known → 200.
-	for round := 0; round < 2; round++ {
-		req, err := http.NewRequest(http.MethodGet, "http://known.test/robots.txt", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Host = "ghost.test"
-		resp, err := client.Do(req)
-		if err != nil {
-			t.Fatalf("round %d ghost: %v", round, err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMisdirectedRequest {
-			t.Fatalf("round %d ghost = %d, want 421", round, resp.StatusCode)
-		}
+	var dialed atomic.Int64
+	unmatched := mFarmUnmatched.Value()
+	for _, client := range []*http.Client{nw.HTTPClient("198.51.100.95"), stockClient(nw, "198.51.100.95", &dialed)} {
+		// Same URL host, alternating Host headers: ghost → 421, known →
+		// 200, ghost → 421, known → 200.
+		for round := 0; round < 2; round++ {
+			req, err := http.NewRequest(http.MethodGet, "http://known.test/robots.txt", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Host = "ghost.test"
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatalf("round %d ghost: %v", round, err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusMisdirectedRequest {
+				t.Fatalf("round %d ghost = %d, want 421", round, resp.StatusCode)
+			}
 
-		resp, body := get(t, client, "http://known.test/robots.txt", "GPTBot/1.0")
-		if resp.StatusCode != http.StatusOK || !strings.Contains(body, "Disallow: /") {
-			t.Fatalf("round %d known = %d %q, want the site's robots.txt", round, resp.StatusCode, body)
+			resp, body := get(t, client, "http://known.test/robots.txt", "GPTBot/1.0")
+			if resp.StatusCode != http.StatusOK || !strings.Contains(body, "Disallow: /") {
+				t.Fatalf("round %d known = %d %q, want the site's robots.txt", round, resp.StatusCode, body)
+			}
 		}
+		client.CloseIdleConnections()
 	}
-	if got := mFarmUnmatched.Value() - unmatched; got != 2 {
-		t.Fatalf("farm_unmatched_total grew by %d, want 2", got)
+	if got := mFarmUnmatched.Value() - unmatched; got != 4 {
+		t.Fatalf("farm_unmatched_total grew by %d, want 4", got)
 	}
-	if got := dialed(); got != 1 {
-		t.Fatalf("farm saw %d connections, want 1 reused across the 421s", got)
+	if got := dialed.Load(); got != 1 {
+		t.Fatalf("the stock client dialed %d conns, want 1 reused across the 421s", got)
 	}
-	if recs := site.Log(); len(recs) != 2 {
-		t.Fatalf("site log = %d records, want only the 2 matched requests", len(recs))
+	if recs := site.Log(); len(recs) != 4 {
+		t.Fatalf("site log = %d records, want only the 4 matched requests", len(recs))
 	}
 }
 
 // TestFastServerDrainsPostAcrossRing sends a POST body several times the
-// 32KiB netsim ring at a farm site. Content sites have no POST handler,
-// but netsim.ServeConn must still drain the body (otherwise the client blocks
-// writing into a full ring while the server blocks writing the response)
-// and then keep serving the connection.
+// 32KiB netsim ring at a farm site from a stock client. Content sites
+// have no POST handler and never read the body, but the farm's wire
+// server must still drain it (otherwise the client blocks writing into a
+// full ring while the server blocks writing the response) and then keep
+// serving the connection.
 func TestFastServerDrainsPostAcrossRing(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.251")
@@ -540,8 +554,9 @@ func TestFastServerDrainsPostAcrossRing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	client := nw.HTTPClient("198.51.100.96")
-	dialed := dials()
+	var dialed atomic.Int64
+	client := stockClient(nw, "198.51.100.96", &dialed)
+	defer client.CloseIdleConnections()
 	payload := bytes.Repeat([]byte("x"), 100<<10)
 	resp, err := client.Post("http://upload.test/", "application/octet-stream", bytes.NewReader(payload))
 	if err != nil {
@@ -555,7 +570,7 @@ func TestFastServerDrainsPostAcrossRing(t *testing.T) {
 	if resp2.StatusCode != http.StatusOK || !strings.Contains(body, "Disallow: /") {
 		t.Fatalf("follow-up after big POST = %d %q", resp2.StatusCode, body)
 	}
-	if got := dialed(); got != 1 {
+	if got := dialed.Load(); got != 1 {
 		t.Fatalf("farm saw %d connections, want 1", got)
 	}
 }
