@@ -328,10 +328,26 @@ func generatePopulation(n int, seed int64) []siteSpec {
 	return specs
 }
 
-// startSite hosts one survey site on the farm according to its spec.
+// A survey page's size is drawn from [minPageBytes, maxPageBytes).
+const minPageBytes, maxPageBytes = 1500, 4500
+
+// paragraph fills a survey page; paragraphRun is enough of them for the
+// largest page a survey draws, shared read-only by every page.
+const paragraph = "<p>content paragraph</p>\n"
+
+var paragraphRun = strings.Repeat(paragraph, maxPageBytes/len(paragraph)+1)
+
+// startSite hosts one survey site on the farm according to its spec. Its
+// page holds bodySize/len(paragraph)+1 paragraphs.
 func startSite(farm *webserver.Farm, spec siteSpec, bodySize int) (*webserver.Site, error) {
-	body := "<html><body><h1>" + spec.Domain + "</h1>" +
-		strings.Repeat("<p>content paragraph</p>\n", bodySize/25+1) + "</body></html>"
+	n := (bodySize/len(paragraph) + 1) * len(paragraph)
+	paragraphs := paragraphRun
+	if n <= len(paragraphs) {
+		paragraphs = paragraphs[:n]
+	} else {
+		paragraphs = strings.Repeat(paragraph, n/len(paragraph))
+	}
+	body := "<html><body><h1>" + spec.Domain + "</h1>" + paragraphs + "</body></html>"
 	var robotsTxt *string
 	if spec.RobotsRestrictsProbeAgents {
 		txt := "User-agent: ClaudeBot\nUser-agent: anthropic-ai\nDisallow: /\n"
@@ -491,7 +507,7 @@ func hostPopulation(ctx context.Context, n int, seed int64) (*netsim.Network, *w
 				return nil, nil, nil, err
 			}
 		}
-		if _, err := startSite(farm, spec, 1500+sizeRand.Intn(3000)); err != nil {
+		if _, err := startSite(farm, spec, minPageBytes+sizeRand.Intn(maxPageBytes-minPageBytes)); err != nil {
 			farm.Close()
 			return nil, nil, nil, err
 		}

@@ -503,6 +503,10 @@ func runAblationParsers(ctx context.Context, env *Env) (*Result, error) {
 	for _, site := range c.Sites() {
 		bodies = append(bodies, c.RobotsBody(site, lastSnap))
 	}
+	// The bodies fold into far fewer templates under the cache's key, so
+	// each is parsed once per profile. A profile whose blank lines break
+	// groups keys bodies verbatim, and no two sites' bodies match.
+	cache := robots.NewCache(0)
 	t := &Table{Headers: []string{"parser profile", "agent restrictions found", "sites restricting ≥1 agent", "restrictions vs google"}}
 	var baseline int
 	for _, p := range profiles {
@@ -511,7 +515,12 @@ func runAblationParsers(ctx context.Context, env *Env) (*Result, error) {
 		}
 		pairs, sites := 0, 0
 		for _, body := range bodies {
-			rb := robots.ParseStringProfile(body, p)
+			var rb *robots.Robots
+			if p.BlankLineBreaksGroups {
+				rb = robots.ParseStringProfile(body, p)
+			} else {
+				rb = cache.ParseProfile(body, p)
+			}
 			siteHit := false
 			// Query every Table 1 agent: the buggy parsers' losses come
 			// precisely from groups whose earlier User-agent lines they

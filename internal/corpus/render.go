@@ -20,45 +20,55 @@ type siteState struct {
 // restricted reports whether any agent is explicitly restricted.
 func (st siteState) restricted() bool { return len(st.Full)+len(st.Partial) > 0 }
 
-// stateAt folds the site's events up to and including snapshot k.
-func (c *Corpus) stateAt(s *Site, k int) siteState {
-	st := siteState{
+// newSiteState returns the state before any event: nothing restricted.
+func newSiteState() siteState {
+	return siteState{
 		Full:    make(map[string]bool),
 		Partial: make(map[string]bool),
 		Allowed: make(map[string]bool),
 	}
+}
+
+// apply folds one event into st.
+func (st *siteState) apply(e Event) {
+	switch e.Kind {
+	case eventAddRestriction:
+		for _, a := range e.Agents {
+			delete(st.Allowed, a)
+			if e.Full {
+				delete(st.Partial, a)
+				st.Full[a] = true
+			} else if !st.Full[a] {
+				st.Partial[a] = true
+			}
+		}
+	case eventRemoveRestriction:
+		if len(e.Agents) == 0 {
+			st.Full = make(map[string]bool)
+			st.Partial = make(map[string]bool)
+		} else {
+			for _, a := range e.Agents {
+				delete(st.Full, a)
+				delete(st.Partial, a)
+			}
+		}
+	case eventExplicitAllow:
+		for _, a := range e.Agents {
+			delete(st.Full, a)
+			delete(st.Partial, a)
+			st.Allowed[a] = true
+		}
+	}
+}
+
+// stateAt folds the site's events up to and including snapshot k.
+func (c *Corpus) stateAt(s *Site, k int) siteState {
+	st := newSiteState()
 	for _, e := range s.Events {
 		if e.Snap > k {
 			break
 		}
-		switch e.Kind {
-		case eventAddRestriction:
-			for _, a := range e.Agents {
-				delete(st.Allowed, a)
-				if e.Full {
-					delete(st.Partial, a)
-					st.Full[a] = true
-				} else if !st.Full[a] {
-					st.Partial[a] = true
-				}
-			}
-		case eventRemoveRestriction:
-			if len(e.Agents) == 0 {
-				st.Full = make(map[string]bool)
-				st.Partial = make(map[string]bool)
-			} else {
-				for _, a := range e.Agents {
-					delete(st.Full, a)
-					delete(st.Partial, a)
-				}
-			}
-		case eventExplicitAllow:
-			for _, a := range e.Agents {
-				delete(st.Full, a)
-				delete(st.Partial, a)
-				st.Allowed[a] = true
-			}
-		}
+		st.apply(e)
 	}
 	return st
 }
@@ -67,7 +77,34 @@ func (c *Corpus) stateAt(s *Site, k int) siteState {
 // longitudinal analysis parses these bodies back with internal/robots;
 // generation and measurement only meet at the rendered text.
 func (c *Corpus) RobotsBody(s *Site, k int) string {
-	st := c.stateAt(s, k)
+	return render(s, c.stateAt(s, k))
+}
+
+// RobotsBodies returns the robots.txt the site serves at every snapshot,
+// indexed as Snapshots: RobotsBodies(s)[k] == RobotsBody(s, k). It folds
+// the timeline once and renders only at snapshot 0 and at a snapshot an
+// event lands on; every other snapshot shares the string before it.
+func (c *Corpus) RobotsBodies(s *Site) []string {
+	bodies := make([]string, len(Snapshots))
+	st := newSiteState()
+	next := 0
+	for k := range bodies {
+		changed := k == 0
+		for ; next < len(s.Events) && s.Events[next].Snap <= k; next++ {
+			st.apply(s.Events[next])
+			changed = true
+		}
+		if changed {
+			bodies[k] = render(s, st)
+		} else {
+			bodies[k] = bodies[k-1]
+		}
+	}
+	return bodies
+}
+
+// render writes the robots.txt of site s in state st.
+func render(s *Site, st siteState) string {
 	b := robots.NewBuilder()
 	b.Comment("robots.txt for " + s.Domain)
 

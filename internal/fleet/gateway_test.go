@@ -871,8 +871,54 @@ func TestJSONTenantsOwnTheirBytes(t *testing.T) {
 // Answer past its context. Under a 200 ms deadline, and under a context
 // canceled after 200 ms, Answer returns the context's error well within
 // a second; the conns it opened are closed, so the replica's serve
-// loops end and nothing outlives the test.
+// loops end and nothing outlives the test. The deadline case runs in a
+// bubble: on synctest's clock Answer returns after exactly 200 ms.
 func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+		run  func(*testing.T, func())
+	}{
+		{"deadline", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 200*time.Millisecond)
+		}, context.DeadlineExceeded, bubble},
+		{"cancel", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			time.AfterFunc(200*time.Millisecond, cancel)
+			return ctx, cancel
+		}, context.Canceled, func(_ *testing.T, f func()) { f() }},
+	} {
+		c.run(t, func() {
+			gw, stop := blackholedGateway(t)
+			defer stop()
+			ctx, cancel := c.ctx()
+			defer cancel()
+			start := time.Now()
+			answered := make(chan error, 1)
+			go func() {
+				_, _, err := gw.Answer(ctx, straddleBatch(8), nil)
+				answered <- err
+			}()
+			select {
+			case err := <-answered:
+				if !errors.Is(err, c.want) {
+					t.Errorf("%s: Answer on a blackholed replica returned %v, want %v", c.name, err, c.want)
+				}
+				if elapsed := time.Since(start); syntheticClock && c.name == "deadline" && elapsed != 200*time.Millisecond {
+					t.Errorf("%s: Answer returned after %v of synthetic time, want exactly 200ms", c.name, elapsed)
+				}
+			case <-time.After(time.Second):
+				t.Errorf("%s: Answer still blocked on a blackholed replica 1 s into a 200 ms context", c.name)
+			}
+		})
+	}
+}
+
+// blackholedGateway returns a gateway whose one replica accepts frame
+// conns, reads everything and never answers, and a func that closes
+// both and waits for the replica's serve loop.
+func blackholedGateway(t *testing.T) (*Gateway, func()) {
 	nw := netsim.New()
 	ln, err := nw.Listen("10.0.0.99", 81)
 	if err != nil {
@@ -885,10 +931,10 @@ func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
 			c.Close()
 		})
 	}()
-	defer func() {
+	stopReplica := func() {
 		ln.Close()
 		<-served
-	}()
+	}
 	gw, err := NewGateway(Config{
 		Replicas: []ReplicaConfig{{Name: "blackhole", FrameAddr: "10.0.0.99:81"}},
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
@@ -896,39 +942,12 @@ func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
 		},
 	})
 	if err != nil {
+		stopReplica()
 		t.Fatal(err)
 	}
-	defer gw.Close()
-
-	for _, c := range []struct {
-		name string
-		ctx  func() (context.Context, context.CancelFunc)
-		want error
-	}{
-		{"deadline", func() (context.Context, context.CancelFunc) {
-			return context.WithTimeout(context.Background(), 200*time.Millisecond)
-		}, context.DeadlineExceeded},
-		{"cancel", func() (context.Context, context.CancelFunc) {
-			ctx, cancel := context.WithCancel(context.Background())
-			time.AfterFunc(200*time.Millisecond, cancel)
-			return ctx, cancel
-		}, context.Canceled},
-	} {
-		ctx, cancel := c.ctx()
-		defer cancel()
-		answered := make(chan error, 1)
-		go func() {
-			_, _, err := gw.Answer(ctx, straddleBatch(8), nil)
-			answered <- err
-		}()
-		select {
-		case err := <-answered:
-			if !errors.Is(err, c.want) {
-				t.Errorf("%s: Answer on a blackholed replica returned %v, want %v", c.name, err, c.want)
-			}
-		case <-time.After(time.Second):
-			t.Fatalf("%s: Answer still blocked on a blackholed replica 1 s into a 200 ms context", c.name)
-		}
+	return gw, func() {
+		gw.Close()
+		stopReplica()
 	}
 }
 

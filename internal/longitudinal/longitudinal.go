@@ -142,12 +142,12 @@ func (sc *siteCounts) merge(o *siteCounts) {
 
 // accumulateSite folds one site's snapshot timeline into the accumulator.
 func accumulateSite(c *corpus.Corpus, site *corpus.Site, table1Tokens map[string]string, sc *siteCounts) {
-	nSnaps := len(corpus.Snapshots)
+	bodies := c.RobotsBodies(site)
+	nSnaps := len(bodies)
 	var prevBody string
 	var sum summary
 	var prev summary
-	for k := 0; k < nSnaps; k++ {
-		body := c.RobotsBody(site, k)
+	for k, body := range bodies {
 		if k == 0 || body != prevBody {
 			sum = summarize(body, table1Tokens)
 		}
@@ -194,7 +194,7 @@ func accumulateSite(c *corpus.Corpus, site *corpus.Site, table1Tokens map[string
 			}
 			if sum.allowed["GPTBot"] {
 				// First-seen scan for Table 4.
-				first := firstAllowSnapshot(c, site, table1Tokens)
+				first := firstAllowSnapshot(bodies, table1Tokens)
 				sc.table4 = append(sc.table4, AllowRow{
 					Domain:    site.Domain,
 					FirstSeen: corpus.Snapshots[first].ID,
@@ -341,13 +341,12 @@ func lower(s string) string {
 	return string(b)
 }
 
-// firstAllowSnapshot finds the first snapshot where the site's robots.txt
-// explicitly allows GPTBot.
-func firstAllowSnapshot(c *corpus.Corpus, site *corpus.Site, table1Tokens map[string]string) int {
+// firstAllowSnapshot finds the first snapshot where a site's robots.txt,
+// bodies as RobotsBodies returns them, explicitly allows GPTBot.
+func firstAllowSnapshot(bodies []string, table1Tokens map[string]string) int {
 	var prevBody string
 	var sum summary
-	for k := 0; k < len(corpus.Snapshots); k++ {
-		body := c.RobotsBody(site, k)
+	for k, body := range bodies {
 		if k == 0 || body != prevBody {
 			sum = summarize(body, table1Tokens)
 		}
@@ -356,7 +355,7 @@ func firstAllowSnapshot(c *corpus.Corpus, site *corpus.Site, table1Tokens map[st
 			return k
 		}
 	}
-	return len(corpus.Snapshots) - 1
+	return len(bodies) - 1
 }
 
 // sortAllowRows orders Table 4 by first-seen snapshot, then domain.

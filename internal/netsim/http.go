@@ -279,7 +279,8 @@ const maxBodyBytes = 1 << 20
 // listener as RoundTrip does, with the same errors, latency and ctx
 // check, calls its handler in-process on the same request, with a
 // pooled request and writer, and keeps the status and body the handler
-// wrote.
+// wrote. A body the handler wrote with one WriteString comes back as
+// that string, uncopied.
 func Get(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
 	status, body, err := get(ctx, client, rawURL, hdr)
 	if err != nil {
@@ -327,7 +328,7 @@ func (t *transport) serveGet(ctx context.Context, h http.Handler, host, target s
 	}
 	body := ""
 	if hasBody(x.w.status) {
-		body = string(x.w.buf)
+		body = x.w.body()
 	}
 	return x.w.status, body, nil
 }
@@ -478,13 +479,22 @@ func hasBody(code int) bool {
 // responseWriter implements http.ResponseWriter (and io.StringWriter,
 // which io.WriteString uses) over a buffer that keeps the status, the
 // header and up to limit bytes of the body a handler writes.
+//
+// A body written by one WriteString is kept as that string, not copied:
+// Get returns it as the handler wrote it. That is safe because a Go
+// string is immutable; a handler that wrote an unsafe.String over bytes
+// it later changed would change the body Get returned, and no handler in
+// the tree writes one.
 type responseWriter struct {
 	hdr         http.Header
 	status      int
 	wroteHeader bool
 	isHead      bool
 	buf         []byte // accumulated body bytes (suppressed for HEAD)
-	headN       int    // HEAD: bytes the handler "wrote"
+	// str is the body while it is one string: the first WriteString into
+	// an empty body, capped at limit. Any later write spills it into buf.
+	str   string
+	headN int // HEAD: bytes the handler "wrote"
 	// limit is the most body bytes buf keeps; a write past it still
 	// reports every byte written.
 	limit int
@@ -501,6 +511,7 @@ func (w *responseWriter) reset(isHead bool) {
 	w.wroteHeader = false
 	w.isHead = isHead
 	w.buf = w.buf[:0]
+	w.str = ""
 	w.headN = 0
 }
 
@@ -543,20 +554,41 @@ func (w *responseWriter) Write(p []byte) (int, error) {
 		w.headN += len(p)
 		return len(p), nil
 	}
+	w.spill()
 	w.buf = append(w.buf, p[:min(len(p), w.limit-len(w.buf))]...)
 	return len(p), nil
 }
 
-// WriteString implements io.StringWriter, keeping string bodies off the
-// []byte conversion path.
+// WriteString implements io.StringWriter. The first string written into
+// an empty body is kept as is, in str.
 func (w *responseWriter) WriteString(s string) (int, error) {
 	w.wroteHeader = true
 	if w.isHead {
 		w.headN += len(s)
 		return len(s), nil
 	}
+	if len(w.buf) == 0 && w.str == "" {
+		w.str = s[:min(len(s), w.limit)]
+		return len(s), nil
+	}
+	w.spill()
 	w.buf = append(w.buf, s[:min(len(s), w.limit-len(w.buf))]...)
 	return len(s), nil
+}
+
+// spill moves a body kept in str into buf, so that buf holds it all.
+func (w *responseWriter) spill() {
+	w.buf = append(w.buf, w.str...)
+	w.str = ""
+}
+
+// body returns the body w holds: str when it is the whole body, without
+// a copy, and otherwise a copy of buf.
+func (w *responseWriter) body() string {
+	if len(w.buf) == 0 {
+		return w.str
+	}
+	return string(w.buf)
 }
 
 // clearHeader truncates every header value the handler set, keeping
@@ -576,6 +608,7 @@ func (w *responseWriter) clearHeader() {
 // neither.
 func (x *exchange) response(req *http.Request) *http.Response {
 	w := &x.w
+	w.spill()
 	delete(w.hdr, "Content-Length")
 	delete(w.hdr, "Transfer-Encoding")
 	x.resp = http.Response{

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // serveHTTP serves h on a listener at ip:80 with ServeHTTP until the
@@ -198,6 +199,112 @@ func TestGetCapsBody(t *testing.T) {
 		if err != nil || status != http.StatusOK || body != string(page[:maxBodyBytes]) {
 			t.Fatalf("Get %d = %d, %d bytes, %v; want 200 and the first %d bytes", i, status, len(body), err, maxBodyBytes)
 		}
+	}
+}
+
+// TestWriterBodies: the body a handler writes — one string, strings and
+// bytes in either order, two strings, a string past Get's cap, none
+// under a 204 — reaches Get (capped at 1 MiB) and client.Do whole, every
+// write reports its full count, and a HEAD reads the written length
+// with no body. A body written as one string reaches Get as that
+// string, sharing its bytes; a later Get on the pooled writer leaves an
+// earlier body as it was.
+func TestWriterBodies(t *testing.T) {
+	big := strings.Repeat("0123456789abcdef", (maxBodyBytes+64)/16)
+	type write struct {
+		s     string
+		bytes bool // written with Write, not WriteString
+	}
+	cases := []struct {
+		name   string
+		status int
+		writes []write
+		shared bool // Get's body shares the first string's bytes
+	}{
+		{"one string", http.StatusOK, []write{{"hello, world", false}}, true},
+		{"string then bytes", http.StatusOK, []write{{"hello, ", false}, {"world", true}}, false},
+		{"bytes then string", http.StatusOK, []write{{"hello, ", true}, {"world", false}}, false},
+		{"two strings", http.StatusOK, []write{{"hello, ", false}, {"world", false}}, false},
+		{"over the cap", http.StatusOK, []write{{big, false}}, true},
+		{"bytes only", http.StatusOK, []write{{"raw bytes", true}}, false},
+		{"no content", http.StatusNoContent, nil, false},
+	}
+	nw := New()
+	nw.Register("writer.test", "203.0.113.72")
+	serveHTTP(t, nw, "203.0.113.72", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		i, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/"))
+		if err != nil || i >= len(cases) {
+			w.WriteHeader(http.StatusNotFound)
+			return
+		}
+		c := cases[i]
+		if c.status != http.StatusOK {
+			w.WriteHeader(c.status)
+		}
+		for _, wr := range c.writes {
+			var n int
+			if wr.bytes {
+				n, err = w.Write([]byte(wr.s))
+			} else {
+				n, err = io.WriteString(w, wr.s)
+			}
+			if n != len(wr.s) || err != nil {
+				t.Errorf("%s: a write of %d bytes reported %d, %v", c.name, len(wr.s), n, err)
+			}
+		}
+	}))
+	client := nw.HTTPClient("198.51.100.72")
+	ctx := context.Background()
+	for i, c := range cases {
+		var want string
+		if c.status == http.StatusOK {
+			for _, wr := range c.writes {
+				want += wr.s
+			}
+		}
+		target := "http://writer.test/" + strconv.Itoa(i)
+
+		status, body, err := Get(ctx, client, target, nil)
+		if err != nil || status != c.status || body != want[:min(len(want), maxBodyBytes)] {
+			t.Errorf("%s: Get = %d, %d bytes, %v; want %d, %d bytes", c.name, status, len(body), err, c.status, min(len(want), maxBodyBytes))
+		}
+		if shared := len(body) > 0 && unsafe.StringData(body) == unsafe.StringData(c.writes[0].s); shared != c.shared {
+			t.Errorf("%s: Get's body shares the handler's string: %v, want %v", c.name, shared, c.shared)
+		}
+
+		for _, method := range []string{http.MethodGet, http.MethodHead} {
+			req, err := http.NewRequestWithContext(ctx, method, target, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", c.name, method, err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			wantBody := want
+			if method == http.MethodHead {
+				wantBody = ""
+			}
+			if err != nil || resp.StatusCode != c.status || string(got) != wantBody || resp.ContentLength != int64(len(want)) {
+				t.Errorf("%s: %s = %d, %d bytes, length %d, %v; want %d, %d bytes, length %d",
+					c.name, method, resp.StatusCode, len(got), resp.ContentLength, err, c.status, len(wantBody), len(want))
+			}
+		}
+	}
+
+	// A string body, then a bytes body on the pooled writer: the first
+	// body is not the writer's buffer.
+	_, first, err := Get(ctx, client, "http://writer.test/0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Get(ctx, client, "http://writer.test/5", nil); err != nil {
+		t.Fatal(err)
+	}
+	if first != "hello, world" {
+		t.Fatalf("a later Get changed an earlier body to %q", first)
 	}
 }
 

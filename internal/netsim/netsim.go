@@ -232,8 +232,10 @@ func (n *Network) route(ctx context.Context, host, port string) (route, error) {
 			return route{}, ctx.Err()
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return route{}, err
+	select {
+	case <-ctx.Done(): // no lock once Done has been made, unlike Err
+		return route{}, ctx.Err()
+	default:
 	}
 	return r, nil
 }

@@ -59,15 +59,6 @@ type CacheStats struct {
 	Entries int
 }
 
-// HitRate returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Stats returns the cache's hit/miss counters and current size.
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
@@ -107,13 +98,13 @@ func NewCache(maxEntries int) *Cache {
 // Parse returns the parsed form of body under the default profile,
 // reusing a previous parse of identical content when available.
 func (c *Cache) Parse(body string) *Robots {
-	return c.parseProfile(body, ProfileGoogle)
+	return c.ParseProfile(body, ProfileGoogle)
 }
 
-// parseProfile returns the parsed form of body under profile p, reusing a
+// ParseProfile returns the parsed form of body under profile p, reusing a
 // previous parse of equivalent content when available (see the type
 // comment for the normalized-key contract).
-func (c *Cache) parseProfile(body string, p Profile) *Robots {
+func (c *Cache) ParseProfile(body string, p Profile) *Robots {
 	// Comments are group-transparent in every profile except the
 	// BlankLineBreaksGroups reproductions, where stripping a comment line
 	// would merge groups the buggy parser splits; those profiles key (and
@@ -238,13 +229,6 @@ func EqualNormalized(a, b string) bool {
 		return true
 	}
 	return normalizeKey(a) == normalizeKey(b)
-}
-
-// Len returns the number of cached entries (including in-flight parses).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
 }
 
 // sharedCache backs ParseCached: one process-wide policy cache shared

@@ -17,19 +17,19 @@ func TestCacheIdentitySameBodySameRobots(t *testing.T) {
 		t.Fatal("same body must return the identical *Robots")
 	}
 	// A different profile is a different cache identity.
-	strict := c.parseProfile(body, ProfileStrictRFC)
+	strict := c.ParseProfile(body, ProfileStrictRFC)
 	if strict == a {
 		t.Fatal("different profiles must not share a parse")
 	}
-	if again := c.parseProfile(body, ProfileStrictRFC); again != strict {
+	if again := c.ParseProfile(body, ProfileStrictRFC); again != strict {
 		t.Fatal("same profile+body must return the identical *Robots")
 	}
 	// Different bodies are distinct entries.
 	if other := c.Parse("User-agent: CCBot\nDisallow: /\n"); other == a {
 		t.Fatal("different bodies must not share a parse")
 	}
-	if c.Len() != 3 {
-		t.Fatalf("cache holds %d entries, want 3", c.Len())
+	if n := c.Stats().Entries; n != 3 {
+		t.Fatalf("cache holds %d entries, want 3", n)
 	}
 }
 
@@ -46,8 +46,8 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 		t.Fatal("A evicted prematurely")
 	}
 	c.Parse(bodyC)
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want cap 2", c.Len())
+	if n := c.Stats().Entries; n != 2 {
+		t.Fatalf("cache holds %d entries, want cap 2", n)
 	}
 	// A survived (recently used)...
 	if a3 := c.Parse(bodyA); a3 != a1 {
@@ -91,8 +91,8 @@ func TestCacheConcurrentAccessSingleIdentity(t *testing.T) {
 			}
 		}
 	}
-	if c.Len() != bodies {
-		t.Fatalf("cache holds %d entries, want %d", c.Len(), bodies)
+	if n := c.Stats().Entries; n != bodies {
+		t.Fatalf("cache holds %d entries, want %d", n, bodies)
 	}
 }
 
@@ -122,7 +122,7 @@ func TestCachedVerdictParityAcrossProfiles(t *testing.T) {
 	cache := NewCache(0)
 	for _, p := range profiles {
 		for _, body := range bodies {
-			cached := cache.parseProfile(body, p)
+			cached := cache.ParseProfile(body, p)
 			fresh := ParseStringProfile(body, p)
 			for _, ua := range agents {
 				ca, fa := cached.Agent(ua), fresh.Agent(ua)
@@ -175,9 +175,6 @@ func TestCacheNormalizedKeyCollapsesTemplates(t *testing.T) {
 	if st.Misses != 1 || st.Hits != 99 {
 		t.Fatalf("hits/misses = %d/%d, want 99/1", st.Hits, st.Misses)
 	}
-	if rate := st.HitRate(); rate < 0.98 {
-		t.Fatalf("hit rate = %.3f, want ≥ 0.98", rate)
-	}
 
 	// Rule semantics match a verbatim parse exactly.
 	body := template("site-00042.example")
@@ -213,14 +210,14 @@ func TestCacheNormalizationRespectsBuggyProfiles(t *testing.T) {
 	// with the comment stripped they form one group.
 	body := "User-agent: GPTBot\n# split here\nUser-agent: CCBot\nDisallow: /\n"
 	c := NewCache(0)
-	cached := c.parseProfile(body, ProfileLegacyBuggy)
+	cached := c.ParseProfile(body, ProfileLegacyBuggy)
 	direct := ParseStringProfile(body, ProfileLegacyBuggy)
 	if got, want := cached.Allowed("GPTBot", "/x"), direct.Allowed("GPTBot", "/x"); got != want {
 		t.Fatalf("legacy-buggy cached parse diverged from direct parse: %v vs %v", got, want)
 	}
 	// And the buggy profile's entry must not be shared with a normalized
 	// Google-profile entry for the same body.
-	if c.parseProfile(body, ProfileGoogle) == cached {
+	if c.ParseProfile(body, ProfileGoogle) == cached {
 		t.Fatal("profiles must not share entries")
 	}
 }
@@ -288,7 +285,7 @@ func FuzzParseCachedMatchesParse(f *testing.F) {
 	fixedPaths := []string{"/", "/x", "/public/a", "/early/x", "/search", "/robots.txt"}
 	f.Fuzz(func(t *testing.T, body string, profile uint8) {
 		p := profiles[int(profile)%len(profiles)]
-		cached := NewCache(0).parseProfile(body, p)
+		cached := NewCache(0).ParseProfile(body, p)
 		fresh := ParseStringProfile(body, p)
 		agents := fixedAgents
 		paths := fixedPaths
