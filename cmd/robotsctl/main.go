@@ -22,47 +22,55 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Stdin, os.Stdout, os.Stderr, os.Args[1:]))
+}
+
+func run(stdin io.Reader, stdout, stderr io.Writer, args []string) int {
+	if len(args) < 1 {
+		return usage(stderr)
 	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	cmd := args[0]
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	agent := fs.String("agent", "*", "crawler user agent or product token")
 	path := fs.String("path", "/", "request path to check")
 	profile := fs.String("profile", "google", "parser profile: google, strict-rfc, legacy-buggy, classic-1994")
 	oldFile := fs.String("old", "", "previous robots.txt (diff)")
 	newFile := fs.String("new", "", "current robots.txt (diff)")
-	fs.Parse(os.Args[2:])
-
-	if cmd == "diff" {
-		runDiff(*oldFile, *newFile)
-		return
+	if err := fs.Parse(args[1:]); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
 
-	body, err := io.ReadAll(os.Stdin)
+	if cmd == "diff" {
+		return runDiff(stdout, stderr, *oldFile, *newFile)
+	}
+
+	body, err := io.ReadAll(stdin)
 	if err != nil {
-		fatal("reading stdin: %v", err)
+		return fail(stderr, "reading stdin: %v", err)
 	}
 	p, ok := profileByName(*profile)
 	if !ok {
-		fatal("unknown profile %q", *profile)
+		return fail(stderr, "unknown profile %q", *profile)
 	}
 	rb := robots.ParseStringProfile(string(body), p)
 
 	switch cmd {
 	case "lint":
 		rep := robots.Lint(string(body))
-		fmt.Printf("groups: %d, rules: %d, mistakes: %d\n", rep.Groups, rep.Rules, rep.Mistakes)
+		fmt.Fprintf(stdout, "groups: %d, rules: %d, mistakes: %d\n", rep.Groups, rep.Rules, rep.Mistakes)
 		for _, w := range rep.Warnings {
 			marker := " "
 			if w.IsMistake() {
 				marker = "!"
 			}
-			fmt.Printf("%s %s\n", marker, w)
+			fmt.Fprintf(stdout, "%s %s\n", marker, w)
 		}
 		if rep.Mistakes > 0 {
-			os.Exit(1)
+			return 1
 		}
 	case "check":
 		allowed := rb.Allowed(*agent, *path)
@@ -70,53 +78,55 @@ func main() {
 		if !allowed {
 			verdict = "disallowed"
 		}
-		fmt.Printf("%s is %s to fetch %s\n", *agent, verdict, *path)
+		fmt.Fprintf(stdout, "%s is %s to fetch %s\n", *agent, verdict, *path)
 		if !allowed {
-			os.Exit(1)
+			return 1
 		}
 	case "level":
 		lvl := rb.Restriction(*agent)
 		explicitLvl, explicit := rb.ExplicitRestriction(*agent)
-		fmt.Printf("%s: %s", *agent, lvl)
+		fmt.Fprintf(stdout, "%s: %s", *agent, lvl)
 		if explicit {
-			fmt.Printf(" (explicitly named: %s)", explicitLvl)
+			fmt.Fprintf(stdout, " (explicitly named: %s)", explicitLvl)
 		} else {
-			fmt.Printf(" (not explicitly named)")
+			fmt.Fprintf(stdout, " (not explicitly named)")
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	case "agents":
 		for _, tok := range rb.AgentTokens() {
 			lvl, _ := rb.ExplicitRestriction(tok)
-			fmt.Printf("%-24s %s\n", tok, lvl)
+			fmt.Fprintf(stdout, "%-24s %s\n", tok, lvl)
 		}
 	default:
-		usage()
-		os.Exit(2)
+		return usage(stderr)
 	}
+	return 0
 }
 
 // runDiff prints agent-level changes between two robots.txt files — the
-// §3.3 licensing-deal signature detector as a command.
-func runDiff(oldPath, newPath string) {
-	read := func(path string) *robots.Robots {
-		if path == "" {
-			fatal("diff requires -old and -new files")
-		}
+// §3.3 licensing-deal signature detector as a command. Like diff(1), it
+// exits 1 when it finds changes.
+func runDiff(stdout, stderr io.Writer, oldPath, newPath string) int {
+	if oldPath == "" || newPath == "" {
+		return fail(stderr, "diff requires -old and -new files")
+	}
+	var versions [2]*robots.Robots
+	for i, path := range []string{oldPath, newPath} {
 		data, err := os.ReadFile(path)
 		if err != nil {
-			fatal("reading %s: %v", path, err)
+			return fail(stderr, "reading %s: %v", path, err)
 		}
-		return robots.ParseString(string(data))
+		versions[i] = robots.ParseString(string(data))
 	}
-	changes := robots.Diff(read(oldPath), read(newPath))
+	changes := robots.Diff(versions[0], versions[1])
 	if len(changes) == 0 {
-		fmt.Println("no agent-level changes")
-		return
+		fmt.Fprintln(stdout, "no agent-level changes")
+		return 0
 	}
 	for _, c := range changes {
-		fmt.Printf("%-24s %-24s %s -> %s\n", c.Agent, c.Kind, c.From, c.To)
+		fmt.Fprintf(stdout, "%-24s %-24s %s -> %s\n", c.Agent, c.Kind, c.From, c.To)
 	}
-	os.Exit(1) // non-zero signals "changes found", like diff(1)
+	return 1
 }
 
 func profileByName(name string) (robots.Profile, bool) {
@@ -131,17 +141,18 @@ func profileByName(name string) (robots.Profile, bool) {
 	return robots.Profile{}, false
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: robotsctl <command> [flags] < robots.txt
+func usage(stderr io.Writer) int {
+	fmt.Fprintln(stderr, `usage: robotsctl <command> [flags] < robots.txt
 commands:
   lint    report parse warnings and authoring mistakes
   check   -agent UA -path P   may the crawler fetch the path?
   level   -agent UA           restriction category for the crawler
   agents  list explicitly named crawler tokens
   diff    -old F -new F       agent-level changes between versions`)
+	return 2
 }
 
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "robotsctl: "+format+"\n", args...)
-	os.Exit(1)
+func fail(stderr io.Writer, format string, args ...any) int {
+	fmt.Fprintf(stderr, "robotsctl: "+format+"\n", args...)
+	return 1
 }

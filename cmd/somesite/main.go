@@ -21,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -32,27 +33,35 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Stdout, os.Stderr, os.Args[1:]))
 }
 
-func run() int {
+func run(stdout, stderr io.Writer, args []string) int {
+	// Named like the default flag set, so -h prints "Usage of <argv0>:".
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list     = flag.Bool("list", false, "list available experiments and exit")
-		only     = flag.String("only", "", "comma-separated experiment ids (empty = all)")
-		quick    = flag.Bool("quick", false, "run at reduced scale (fast, CI-friendly)")
-		seed     = flag.Int64("seed", 0, "override the random seed (0 = paper default)")
-		scale    = flag.Float64("scale", 0, "override the corpus scale (0 = config default)")
-		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = sequential)")
-		format   = flag.String("format", "text", "output format: text, markdown, or json")
-		timeout  = flag.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
-		workers  = flag.Int("workers", 0, "substrate/probe pool size (0 = config default)")
-		storeDir = flag.String("store", "", "persist the run to this run-store directory (see cmd/rundiff)")
+		list     = fs.Bool("list", false, "list available experiments and exit")
+		only     = fs.String("only", "", "comma-separated experiment ids (empty = all)")
+		quick    = fs.Bool("quick", false, "run at reduced scale (fast, CI-friendly)")
+		seed     = fs.Int64("seed", 0, "override the random seed (0 = paper default)")
+		scale    = fs.Float64("scale", 0, "override the corpus scale (0 = config default)")
+		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0), "experiments to run concurrently (1 = sequential)")
+		format   = fs.String("format", "text", "output format: text, markdown, or json")
+		timeout  = fs.Duration("timeout", 0, "abort the run after this duration (0 = no limit)")
+		workers  = fs.Int("workers", 0, "substrate/probe pool size (0 = config default)")
+		storeDir = fs.String("store", "", "persist the run to this run-store directory (see cmd/rundiff)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, e := range core.Experiments() {
-			fmt.Printf("%-20s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-20s %s\n", e.ID, e.Title)
 		}
 		return 0
 	}
@@ -71,9 +80,9 @@ func run() int {
 		cfg.Workers = *workers
 	}
 
-	sink, err := core.NewSink(*format, os.Stdout)
+	sink, err := core.NewSink(*format, stdout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
+		fmt.Fprintf(stderr, "somesite: %v\n", err)
 		return 2
 	}
 
@@ -98,12 +107,12 @@ func run() int {
 	var meta runstore.Meta
 	if *storeDir != "" {
 		if st, err = runstore.Open(*storeDir); err != nil {
-			fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
+			fmt.Fprintf(stderr, "somesite: %v\n", err)
 			return 2
 		}
 		cfgKey, err := json.Marshal(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
+			fmt.Fprintf(stderr, "somesite: %v\n", err)
 			return 2
 		}
 		meta = runstore.NewMeta(runstore.KindExperiments, "somesite", cfg.Seed,
@@ -120,7 +129,7 @@ func run() int {
 		err = cerr
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
+		fmt.Fprintf(stderr, "somesite: %v\n", err)
 		if results == nil {
 			return 2 // nothing ran (unknown id, bad flags)
 		}
@@ -129,13 +138,13 @@ func run() int {
 	if st != nil {
 		id, err := st.SaveExperiments(meta, results)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "somesite: %v\n", err)
+			fmt.Fprintf(stderr, "somesite: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "somesite: stored run %s in %s\n", id, *storeDir)
+		fmt.Fprintf(stderr, "somesite: stored run %s in %s\n", id, *storeDir)
 	}
 	if *format == "text" {
-		fmt.Printf("(%d experiments completed in %v, parallelism %d)\n",
+		fmt.Fprintf(stdout, "(%d experiments completed in %v, parallelism %d)\n",
 			len(results), time.Since(start).Round(time.Millisecond), *parallel)
 	}
 	return 0

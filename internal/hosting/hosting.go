@@ -47,8 +47,8 @@ func (c ControlLevel) String() string {
 	}
 }
 
-// Provider is one hosting service.
-type Provider struct {
+// provider is one hosting service.
+type provider struct {
 	// Name as in Table 2.
 	Name string
 	// SharePct is Table 2's "% Sites" column.
@@ -85,8 +85,8 @@ type Provider struct {
 	ToSAITraining string
 }
 
-// Providers is Table 2: the top eight providers in artist-share order.
-var Providers = []Provider{
+// providers is Table 2: the top eight providers in artist-share order.
+var providers = []provider{
 	{
 		Name: "Squarespace", SharePct: 20.7, Control: aiToggle,
 		Apex: "squarespace.com", InfraIP: "198.185.159.1",
@@ -141,19 +141,19 @@ var Providers = []Provider{
 	},
 }
 
-// ProviderByName returns the named provider.
-func ProviderByName(name string) (Provider, bool) {
-	for _, p := range Providers {
+// providerByName returns the named provider.
+func providerByName(name string) (provider, bool) {
+	for _, p := range providers {
 		if p.Name == name {
 			return p, true
 		}
 	}
-	return Provider{}, false
+	return provider{}, false
 }
 
-// RobotsTxt renders the robots.txt a site hosted on p serves.
+// robotsTxt renders the robots.txt a site hosted on p serves.
 // aiToggleEnabled only matters for aiToggle providers.
-func (p Provider) RobotsTxt(aiToggleEnabled bool) string {
+func (p provider) robotsTxt(aiToggleEnabled bool) string {
 	b := robots.NewBuilder()
 	b.Comment("robots.txt served by " + p.Name)
 	g := b.Group("*")
@@ -208,7 +208,7 @@ func GeneratePopulation(n int, seed int64) *Population {
 		provider string
 	}
 	var slots []slot
-	for _, p := range Providers {
+	for _, p := range providers {
 		count := int(float64(n)*p.SharePct/100 + 0.5)
 		for i := 0; i < count; i++ {
 			slots = append(slots, slot{p.Name})
@@ -229,7 +229,7 @@ func GeneratePopulation(n int, seed int64) *Population {
 			site.Domain = artist + "-art.example"
 			pop.Zone.SetA(site.Domain, fmt.Sprintf("192.0.2.%d", 1+i%250))
 		default:
-			p, _ := ProviderByName(s.provider)
+			p, _ := providerByName(s.provider)
 			if p.SubdomainHosting {
 				site.Domain = artist + "." + p.Apex
 				pop.Zone.SetA(site.Domain, p.InfraIP)
@@ -251,20 +251,20 @@ func GeneratePopulation(n int, seed int64) *Population {
 // paper does: by subdomain suffix, or by resolving DNS to provider
 // infrastructure. It returns "" when the domain matches no provider.
 func identifyProvider(zone *dnssim.Zone, domain string) string {
-	for _, p := range Providers {
+	for _, p := range providers {
 		if p.SubdomainHosting && dnssim.IsSubdomainOf(domain, p.Apex) {
 			return p.Name
 		}
 	}
 	if target, ok := zone.CNAMETarget(domain); ok {
-		for _, p := range Providers {
+		for _, p := range providers {
 			if target == "ingress."+p.Apex || dnssim.IsSubdomainOf(target, p.Apex) {
 				return p.Name
 			}
 		}
 	}
 	if ips, err := zone.ResolveA(domain); err == nil {
-		for _, p := range Providers {
+		for _, p := range providers {
 			for _, ip := range ips {
 				if ip == p.InfraIP {
 					return p.Name
@@ -295,7 +295,7 @@ type Table2Row struct {
 // serve, parse it, and categorize AI restrictions.
 func Table2(pop *Population) []Table2Row {
 	perProvider := make(map[string]*Table2Row)
-	for _, p := range Providers {
+	for _, p := range providers {
 		perProvider[p.Name] = &Table2Row{Provider: p.Name, Control: p.Control}
 	}
 	for _, site := range pop.Sites {
@@ -305,14 +305,14 @@ func Table2(pop *Population) []Table2Row {
 			continue
 		}
 		row.Sites++
-		p, _ := ProviderByName(name)
-		body := p.RobotsTxt(site.AIToggleEnabled)
+		p, _ := providerByName(name)
+		body := p.robotsTxt(site.AIToggleEnabled)
 		if agents.RestrictsAnyAI(body) {
 			row.DisallowAI++
 		}
 	}
-	rows := make([]Table2Row, 0, len(Providers))
-	for _, p := range Providers {
+	rows := make([]Table2Row, 0, len(providers))
+	for _, p := range providers {
 		row := perProvider[p.Name]
 		row.SharePct = stats.Percent(row.Sites, len(pop.Sites))
 		row.DisallowAIPct = stats.Percent(row.DisallowAI, row.Sites)
@@ -336,7 +336,7 @@ type ControlSummary struct {
 func Summarize(pop *Population) ControlSummary {
 	sum := ControlSummary{ByControl: make(map[ControlLevel]int)}
 	for _, site := range pop.Sites {
-		p, ok := ProviderByName(site.Provider)
+		p, ok := providerByName(site.Provider)
 		if !ok {
 			continue
 		}

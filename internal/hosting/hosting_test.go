@@ -10,8 +10,8 @@ import (
 )
 
 func TestProvidersTable(t *testing.T) {
-	if len(Providers) != 8 {
-		t.Fatalf("providers = %d, want 8 (Table 2)", len(Providers))
+	if len(providers) != 8 {
+		t.Fatalf("providers = %d, want 8 (Table 2)", len(providers))
 	}
 	// Table 2's share column.
 	wantShares := map[string]float64{
@@ -20,7 +20,7 @@ func TestProvidersTable(t *testing.T) {
 		"Shopify": 1.7, "Carbonmade": 1.5,
 	}
 	for name, share := range wantShares {
-		p, ok := ProviderByName(name)
+		p, ok := providerByName(name)
 		if !ok {
 			t.Fatalf("provider %q missing", name)
 		}
@@ -35,12 +35,12 @@ func TestProvidersTable(t *testing.T) {
 		"ArtStation": noControl, "Carbonmade": noControl,
 	}
 	for name, lvl := range checks {
-		p, _ := ProviderByName(name)
+		p, _ := providerByName(name)
 		if p.Control != lvl {
 			t.Errorf("%s control = %v, want %v", name, p.Control, lvl)
 		}
 	}
-	if _, ok := ProviderByName("GeoCities"); ok {
+	if _, ok := providerByName("GeoCities"); ok {
 		t.Error("unknown provider must not resolve")
 	}
 }
@@ -57,12 +57,12 @@ func TestControlLevelStrings(t *testing.T) {
 }
 
 func TestSquarespaceToggleRobots(t *testing.T) {
-	p, _ := ProviderByName("Squarespace")
-	off := robots.ParseString(p.RobotsTxt(false))
+	p, _ := providerByName("Squarespace")
+	off := robots.ParseString(p.robotsTxt(false))
 	if _, explicit := off.ExplicitRestriction("GPTBot"); explicit {
 		t.Error("toggle off: no AI restrictions")
 	}
-	on := robots.ParseString(p.RobotsTxt(true))
+	on := robots.ParseString(p.robotsTxt(true))
 	// All ten Appendix C.1 agents are fully disallowed.
 	for _, ua := range p.ToggleAgents {
 		lvl, explicit := on.ExplicitRestriction(ua)
@@ -76,21 +76,21 @@ func TestSquarespaceToggleRobots(t *testing.T) {
 }
 
 func TestCarbonmadeDefaultBlocksAI(t *testing.T) {
-	p, _ := ProviderByName("Carbonmade")
-	rb := robots.ParseString(p.RobotsTxt(false))
+	p, _ := providerByName("Carbonmade")
+	rb := robots.ParseString(p.robotsTxt(false))
 	for _, ua := range []string{"GPTBot", "CCBot"} {
 		lvl, explicit := rb.ExplicitRestriction(ua)
 		if !explicit || lvl != robots.FullyDisallowed {
 			t.Errorf("Carbonmade default must block %s", ua)
 		}
 	}
-	if !agents.RestrictsAnyAI(p.RobotsTxt(false)) {
+	if !agents.RestrictsAnyAI(p.robotsTxt(false)) {
 		t.Error("Carbonmade must count as disallowing AI")
 	}
 }
 
 func TestWeeblyBlocker(t *testing.T) {
-	p, _ := ProviderByName("Weebly")
+	p, _ := providerByName("Weebly")
 	for ua, blocked := range map[string]bool{"Claudebot": true, "Bytespider": true, "GPTBot": false} {
 		if _, hit := useragent.MatchesAny(useragent.FullUA(ua, "1.0"), p.BlockedUAs); hit != blocked {
 			t.Errorf("Weebly blocks %s = %v, want %v", ua, hit, blocked)
@@ -99,7 +99,7 @@ func TestWeeblyBlocker(t *testing.T) {
 }
 
 func TestArtStationChallengesAutomation(t *testing.T) {
-	p, _ := ProviderByName("ArtStation")
+	p, _ := providerByName("ArtStation")
 	if !p.ChallengesAutomation {
 		t.Error("ArtStation must challenge automated requests")
 	}
@@ -107,7 +107,7 @@ func TestArtStationChallengesAutomation(t *testing.T) {
 
 func TestNoBlockerProviders(t *testing.T) {
 	for _, name := range []string{"Squarespace", "Wix (Paid)", "Adobe Portfolio", "Shopify"} {
-		p, _ := ProviderByName(name)
+		p, _ := providerByName(name)
 		if len(p.BlockedUAs) > 0 || p.ChallengesAutomation {
 			t.Errorf("%s should not block at the edge", name)
 		}
@@ -127,7 +127,7 @@ func TestGeneratePopulation(t *testing.T) {
 		}
 	}
 	// Exact provider counts from Table 2 shares.
-	for _, p := range Providers {
+	for _, p := range providers {
 		want := int(float64(paperPopulationSize)*p.SharePct/100 + 0.5)
 		if counts[p.Name] != want {
 			t.Errorf("%s sites = %d, want %d", p.Name, counts[p.Name], want)
@@ -202,9 +202,9 @@ func TestSummarize(t *testing.T) {
 }
 
 func TestRobotsTxtAlwaysParses(t *testing.T) {
-	for _, p := range Providers {
+	for _, p := range providers {
 		for _, enabled := range []bool{false, true} {
-			body := p.RobotsTxt(enabled)
+			body := p.robotsTxt(enabled)
 			rep := robots.Lint(body)
 			if rep.Mistakes > 0 {
 				t.Errorf("%s robots.txt has lint mistakes: %v", p.Name, rep.Warnings)

@@ -11,7 +11,10 @@ import (
 	"time"
 )
 
-// dialPair builds a connected client/server conn pair through a listener.
+// dialPair builds a connected client/server conn pair through a
+// listener, which it closes before returning: an accepted conn outlives
+// its listener, and a test that runs in a bubble must close everything
+// it opens there (a t.Cleanup would run outside the bubble).
 func dialPair(t *testing.T) (client, server net.Conn) {
 	t.Helper()
 	nw := New()
@@ -19,7 +22,7 @@ func dialPair(t *testing.T) (client, server net.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
+	defer ln.Close()
 	accepted := make(chan net.Conn, 1)
 	go func() {
 		c, err := ln.Accept()
@@ -124,42 +127,56 @@ func TestReadWriteAfterOwnClose(t *testing.T) {
 	}
 }
 
+// TestReadDeadline and TestWriteDeadlineUnblocksFullBuffer run in a
+// bubble: on synctest's clock each deadline fires after exactly 50 ms.
 func TestReadDeadline(t *testing.T) {
-	client, server := dialPair(t)
-	defer client.Close()
-	defer server.Close()
+	bubble(t, func() {
+		client, server := dialPair(t)
+		defer client.Close()
+		defer server.Close()
 
-	client.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-	start := time.Now()
-	_, err := client.Read(make([]byte, 1))
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("read past deadline = %v, want ErrDeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline took %v to fire", elapsed)
-	}
-	// Clearing the deadline makes the conn usable again.
-	client.SetReadDeadline(time.Time{})
-	go server.Write([]byte("k"))
-	buf := make([]byte, 1)
-	if _, err := io.ReadFull(client, buf); err != nil || buf[0] != 'k' {
-		t.Fatalf("read after clearing deadline: %q, %v", buf, err)
-	}
+		client.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		start := time.Now()
+		_, err := client.Read(make([]byte, 1))
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("read past deadline = %v, want ErrDeadlineExceeded", err)
+		}
+		elapsed := time.Since(start)
+		if elapsed > 2*time.Second {
+			t.Fatalf("deadline took %v to fire", elapsed)
+		}
+		if syntheticClock && elapsed != 50*time.Millisecond {
+			t.Errorf("read deadline fired after %v of synthetic time, want exactly 50ms", elapsed)
+		}
+		// Clearing the deadline makes the conn usable again.
+		client.SetReadDeadline(time.Time{})
+		go server.Write([]byte("k"))
+		buf := make([]byte, 1)
+		if _, err := io.ReadFull(client, buf); err != nil || buf[0] != 'k' {
+			t.Fatalf("read after clearing deadline: %q, %v", buf, err)
+		}
+	})
 }
 
 func TestWriteDeadlineUnblocksFullBuffer(t *testing.T) {
-	client, server := dialPair(t)
-	defer client.Close()
-	defer server.Close()
+	bubble(t, func() {
+		client, server := dialPair(t)
+		defer client.Close()
+		defer server.Close()
 
-	client.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
-	// Nobody reads: the write fills the ring and must fail at the
-	// deadline instead of blocking forever.
-	payload := make([]byte, 4*connBufSize)
-	_, err := client.Write(payload)
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("over-capacity write = %v, want ErrDeadlineExceeded", err)
-	}
+		client.SetWriteDeadline(time.Now().Add(50 * time.Millisecond))
+		start := time.Now()
+		// Nobody reads: the write fills the ring and must fail at the
+		// deadline instead of blocking forever.
+		payload := make([]byte, 4*connBufSize)
+		_, err := client.Write(payload)
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("over-capacity write = %v, want ErrDeadlineExceeded", err)
+		}
+		if elapsed := time.Since(start); syntheticClock && elapsed != 50*time.Millisecond {
+			t.Errorf("write deadline fired after %v of synthetic time, want exactly 50ms", elapsed)
+		}
+	})
 }
 
 // TestClosingListenerDrainsBacklog pins the PR 2 stress-test fix: conns

@@ -143,9 +143,6 @@ func NewModel(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Config returns the effective configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // StableTopTier returns the domains constructed to appear in the top tier
 // of every monthly list, sorted.
 func (m *Model) StableTopTier() []string {

@@ -1,7 +1,4 @@
-// Quickstart: parse a robots.txt file, ask access questions, and
-// categorize how it restricts AI crawlers — the core primitives every
-// experiment in this repository builds on.
-package main
+package robots_test
 
 import (
 	"fmt"
@@ -10,9 +7,11 @@ import (
 	"repro/internal/robots"
 )
 
-func main() {
+// Parse a robots.txt file, ask access questions, and categorize how it
+// restricts AI crawlers — the primitives every experiment builds on.
+func Example() {
 	// The example robots.txt from Figure 1 of the paper.
-	body := `# An example robots.txt file
+	rb := robots.ParseString(`# An example robots.txt file
 User-agent: Googlebot
 Allow: /
 
@@ -22,8 +21,7 @@ Disallow: /
 
 User-agent: *
 Disallow: /secret/
-`
-	rb := robots.ParseString(body)
+`)
 
 	fmt.Println("Access checks:")
 	for _, q := range []struct{ ua, path string }{
@@ -63,4 +61,40 @@ Disallow: /secret/
 	b.Sitemap("https://artist.example/sitemap.xml")
 	fmt.Println("\nGenerated robots.txt with the Squarespace AI-blocking list:")
 	fmt.Print(b.String())
+	// Output:
+	// Access checks:
+	//   Googlebot      /portfolio/piece1.png      allowed
+	//   GPTBot         /portfolio/piece1.png      disallowed
+	//   ChatGPT-User   /                          disallowed
+	//   SomeOtherBot   /secret/diary.html         disallowed
+	//   SomeOtherBot   /public/page.html          allowed
+	//
+	// Restriction categories (the paper's four levels):
+	//   Googlebot      no restrictions
+	//   GPTBot         fully disallowed
+	//   SomeOtherBot   partially disallowed
+	//
+	// Explicitly named crawler tokens:
+	//   Googlebot      (not an AI crawler from Table 1)
+	//   ChatGPT-User   (AI Assistant, operated by OpenAI)
+	//   GPTBot         (AI Data, operated by OpenAI)
+	//
+	// Generated robots.txt with the Squarespace AI-blocking list:
+	// # generated for an artist portfolio
+	//
+	// User-agent: GPTBot
+	// User-agent: ChatGPT-User
+	// User-agent: CCBot
+	// User-agent: anthropic-ai
+	// User-agent: Google-Extended
+	// User-agent: FacebookBot
+	// User-agent: Claude-Web
+	// User-agent: cohere-ai
+	// User-agent: PerplexityBot
+	// User-agent: Applebot-Extended
+	// Disallow: /
+	//
+	// User-agent: *
+	// Disallow: /account/
+	// Sitemap: https://artist.example/sitemap.xml
 }

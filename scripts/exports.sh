@@ -4,13 +4,15 @@
 # can see which names only their own package uses.
 #
 #   scripts/exports.sh        # one line per identifier, then a summary
-#   scripts/exports.sh -u     # only the unexplained ones
+#   scripts/exports.sh -u     # only the unexplained ones; the summary
+#                             # goes to stderr, so stdout is empty when
+#                             # every export is explained
 #
 # A grep, like loc.sh. A top-level function, type, var or const counts
 # as named by another package when `pkg.Name` appears in a Go file
 # outside its directory; a method (`pkg.(T).Name`) when `.Name(` does.
-# The search covers cmd/, examples/, bench/ and every other package,
-# tests included. Each line reads
+# The search covers cmd/, bench/ and every other package, tests
+# included. Each line reads
 #
 #   pkg.Name  kind  users
 #
@@ -45,8 +47,7 @@ declare -A keep=(
   [fleet.GatewayStats]="Gateway.Stats returns it"
   [fleet.TenantQuota]="Accounting.Tenants"
   [fleet.Accounting]="Limiter.Accounting returns it"
-  [hosting.ControlLevel]="Provider.Control"
-  [hosting.Provider]="elements of hosting.Providers"
+  [hosting.ControlLevel]="Table2Row.Control"
   [hosting.ArtistSite]="Population.Sites"
   [hosting.Population]="hosting.GeneratePopulation returns it"
   [hosting.Table2Row]="hosting.Table2 returns them"
@@ -173,4 +174,5 @@ while read -r dir pkg kind recv name; do
     printf '%-44s %-6s %s\n' "$id" "$kind" "$users"
   fi
 done < <(decls)
-echo "exports: named elsewhere ${count[other]:-0}, held ${count[held]:-0}, iface ${count[iface]:-0}, own ${count[own]:-0}, test ${count[test]:-0}, dead ${count[dead]:-0}"
+summary="exports: named elsewhere ${count[other]:-0}, held ${count[held]:-0}, iface ${count[iface]:-0}, own ${count[own]:-0}, test ${count[test]:-0}, dead ${count[dead]:-0}"
+if [[ -n $only_unexplained ]]; then echo "$summary" >&2; else echo "$summary"; fi
