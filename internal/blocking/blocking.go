@@ -490,7 +490,8 @@ func probeSites(ctx context.Context, n int, seed int64, workers int) ([]siteResu
 
 // hostPopulation generates a population of n sites and hosts it on a
 // fresh network. The whole population shares one virtual-host farm:
-// site startup is a map insert plus an IP alias, not a per-site server.
+// site startup is a map insert plus, for a new IP, one handler binding,
+// not a per-site server.
 // The caller closes the farm.
 func hostPopulation(ctx context.Context, n int, seed int64) (*netsim.Network, *webserver.Farm, []siteSpec, error) {
 	nw := netsim.New()

@@ -49,16 +49,12 @@ func runPolicyService(ctx context.Context, env *Env) (*Result, error) {
 
 	svc := policyd.NewService(early)
 	nw := netsim.New()
-	ln, err := nw.Listen("203.0.113.90", 80)
+	release, err := nw.Handle("203.0.113.90", 80, policyd.NewHandler(svc))
 	if err != nil {
 		return nil, err
 	}
+	defer release()
 	nw.Register("policyd.test", "203.0.113.90")
-	wait := netsim.ServeHTTP(ln, policyd.NewHandler(svc))
-	defer func() {
-		ln.Close()
-		wait()
-	}()
 	client := nw.HTTPClient("198.51.100.90")
 
 	// A fixed workload drawn from the corpus domains: top-tier sites

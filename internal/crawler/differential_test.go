@@ -67,14 +67,46 @@ type fleetRun struct {
 	Log       []webserver.Record
 }
 
+// wireAddr is where serveWire's stock server listens, beside the farm's
+// binding at port 80.
+const wireAddr = "203.0.117.250:8080"
+
+// serveWire serves the farm over wire conns with a stock http.Server on
+// a netsim listener at wireAddr until the test ends. Every stock
+// client's conn dials it, whatever the URL's host: the Host header
+// picks the site.
+func serveWire(t *testing.T, nw *netsim.Network, farm *webserver.Farm) {
+	t.Helper()
+	ln, err := nw.Listen("203.0.117.250", 8080)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: farm}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+}
+
 // runFleet drives one crawler fleet — every behaviour, two crawl waves
 // and a user-triggered fetch each — at a disallow-all site and a site
-// that blocks one agent. With stdlib set the crawlers fetch through
-// stdlibGet on a stock http.Transport instead of netsim.Get on their own
-// netsim client.
+// that blocks one agent, hosted on one farm. With stdlib set the
+// crawlers fetch through stdlibGet on a stock http.Transport, over the
+// wire to serveWire's server, instead of netsim.Get on their own netsim
+// client.
 func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 	t.Helper()
 	nw := netsim.New()
+	farm, err := webserver.NewFarm(nw, "203.0.117.250")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { farm.Close() })
 	open := webserver.Config{Domain: "open.test", IP: "203.0.117.1", Pages: webserver.ContentPages("open.test")}
 	open.Blocker = webserver.BlockerFunc(func(r *http.Request) *webserver.BlockDecision {
 		if strings.Contains(r.UserAgent(), "Bytespider") {
@@ -82,9 +114,16 @@ func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 		}
 		return nil
 	})
-	sites := []*webserver.Site{
-		startSite(t, nw, webserver.WildcardDisallowSite("closed.test", "203.0.117.2")),
-		startSite(t, nw, open),
+	var sites []*webserver.Site
+	for _, cfg := range []webserver.Config{webserver.WildcardDisallowSite("closed.test", "203.0.117.2"), open} {
+		site, err := farm.StartSite(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites = append(sites, site)
+	}
+	if stdlib {
+		serveWire(t, nw, farm)
 	}
 
 	var run fleetRun
@@ -104,8 +143,8 @@ func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 		if stdlib {
 			rec.get = stdlibGet
 			cr.client = &http.Client{Transport: &http.Transport{
-				DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
-					return nw.Dial(ctx, p.SourceIP, addr)
+				DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
+					return nw.Dial(ctx, p.SourceIP, wireAddr)
 				},
 				DisableKeepAlives: !keepAlive,
 			}}
@@ -157,9 +196,10 @@ func sameSequence[T comparable](t *testing.T, what string, fast, std []T) {
 // in-process HTTP oracle, and the proof that connections are invisible
 // to the measurement: the same crawler fleet runs through netsim.Get,
 // which calls the farm in-process, and through stdlibGet on a stock
-// http.Transport over the wire, with keep-alive and dialing per request. Every site's log must be equal record for record
-// (source IPs, user agents, paths in order, statuses, byte counts),
-// every response byte-equal, and every Visit the same.
+// http.Transport over the wire to a stock server of the same farm, with
+// keep-alive and dialing per request. Every site's log must be equal
+// record for record (source IPs, user agents, paths in order, statuses,
+// byte counts), every response byte-equal, and every Visit the same.
 func TestFleetIdenticalUnderStdlibClient(t *testing.T) {
 	fast := runFleet(t, false, true)
 	for _, keepAlive := range []bool{true, false} {

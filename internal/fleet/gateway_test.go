@@ -617,40 +617,49 @@ func gatewayStats(t *testing.T, f *SimFleet) GatewayStats {
 // exactly at fleet-wide rollovers — the initial agreed version, nothing
 // while the fleet is split mid-rollover, and the new version, counted
 // once, when every replica has swapped. No client traffic flows, so
-// every version the gateway learns comes from a probe.
+// every version the gateway learns comes from a probe. The fleet runs
+// in a bubble: on synctest's clock the version moves within one
+// probeInterval of the second Swap (plus waitFor's 1 ms poll).
 func TestFleetVersionConvergence(t *testing.T) {
 	snapA := straddleSnapshot(t, "vAAA", false, 8)
 	snapB := straddleSnapshot(t, "vBBB", true, 8)
-	f, err := NewSimFleet(snapA, 2, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	bubble(t, func() {
+		f, err := NewSimFleet(snapA, 2, Config{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer f.Close()
 
-	waitFor(t, "fleet version vAAA", func() bool { return f.GW.FleetVersion() == "vAAA" })
-	notified := mSwapNotify.Value()
+		waitFor(t, "fleet version vAAA", func() bool { return f.GW.FleetVersion() == "vAAA" })
+		notified := mSwapNotify.Value()
 
-	// Half-rolled fleet: the gateway sees the split, announces nothing.
-	f.Swap(0, snapB)
-	waitFor(t, "skew 1 on /v1/stats", func() bool { return gatewayStats(t, f).Skew == 1 })
-	time.Sleep(5 * probeInterval)
-	if st := gatewayStats(t, f); st.Version != "vAAA" || st.Skew != 1 {
-		t.Fatalf("split fleet: stats %+v, want version vAAA skew 1", st)
-	}
-	if n := mSwapNotify.Value() - notified; n != 0 {
-		t.Fatalf("split fleet counted %d rollovers", n)
-	}
+		// Half-rolled fleet: the gateway sees the split, announces nothing.
+		f.Swap(0, snapB)
+		waitFor(t, "skew 1 on /v1/stats", func() bool { return gatewayStats(t, f).Skew == 1 })
+		time.Sleep(5 * probeInterval)
+		if st := gatewayStats(t, f); st.Version != "vAAA" || st.Skew != 1 {
+			t.Fatalf("split fleet: stats %+v, want version vAAA skew 1", st)
+		}
+		if n := mSwapNotify.Value() - notified; n != 0 {
+			t.Fatalf("split fleet counted %d rollovers", n)
+		}
 
-	// Rollover completes: vBBB, counted exactly once.
-	f.Swap(1, snapB)
-	waitFor(t, "fleet version vBBB", func() bool { return f.GW.FleetVersion() == "vBBB" })
-	time.Sleep(5 * probeInterval)
-	if n := mSwapNotify.Value() - notified; n != 1 {
-		t.Fatalf("rollover counted %d times, want 1", n)
-	}
-	if st := gatewayStats(t, f); st.Version != "vBBB" || st.Skew != 0 {
-		t.Fatalf("stats after rollover: %+v", st)
-	}
+		// Rollover completes: vBBB, counted exactly once.
+		f.Swap(1, snapB)
+		swapped := time.Now()
+		waitFor(t, "fleet version vBBB", func() bool { return f.GW.FleetVersion() == "vBBB" })
+		if elapsed := time.Since(swapped); syntheticClock && elapsed > probeInterval+time.Millisecond {
+			t.Errorf("fleet version moved %v of synthetic time after the rollover, want within one probeInterval (%v)", elapsed, probeInterval)
+		}
+		time.Sleep(5 * probeInterval)
+		if n := mSwapNotify.Value() - notified; n != 1 {
+			t.Fatalf("rollover counted %d times, want 1", n)
+		}
+		if st := gatewayStats(t, f); st.Version != "vBBB" || st.Skew != 0 {
+			t.Fatalf("stats after rollover: %+v", st)
+		}
+	})
 }
 
 // TestProbeIsNotAClientBatch: probes reach the replicas but leave every
@@ -979,21 +988,19 @@ func TestHandlerHonoursRequestContextOnBlackholedReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	ln, err := nw.Listen(gatewayIP, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := gw.Handler()
 	returned := make(chan struct{}, 1)
-	wait := netsim.ServeHTTP(ln, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	release, err := nw.Handle(gatewayIP, 80, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(w, r)
 		returned <- struct{}{}
 	}))
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer func() {
 		frames.Close() // ends a handler still blocked on the replica
 		<-served
-		ln.Close()
-		wait()
+		release()
 	}()
 
 	body, err := json.Marshal(policyd.BatchRequest{Queries: straddleBatch(8)})

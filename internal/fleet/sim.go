@@ -12,9 +12,10 @@ import (
 )
 
 // SimFleet boots a complete fleet on one netsim network: N policyd
-// replicas (each with a JSON and a frame listener) and one gateway (the
-// same two listeners, probing each replica's frame listener for its
-// version), wired together exactly as cmd/policygw wires real TCP.
+// replicas (each with a JSON endpoint, a handler bound at port 80, and a
+// frame listener at port 81) and one gateway (the same two endpoints,
+// probing each replica's frame listener for its version), wired
+// together exactly as cmd/policygw wires real TCP.
 // Tests and harnesses get a production-shaped topology with in-memory
 // latency.
 type SimFleet struct {
@@ -24,7 +25,7 @@ type SimFleet struct {
 	// and swap injection.
 	Services []*policyd.Service
 
-	// Gateway addresses, dialable from ClientIP.
+	// Gateway addresses, reachable from ClientIP.
 	GatewayURL       string
 	GatewayFrameAddr string
 	// Per-replica addresses for direct (gateway-bypassing) access.
@@ -32,9 +33,10 @@ type SimFleet struct {
 	ReplicaFrameAddrs []string
 
 	cancel    context.CancelFunc
+	releases  []func() // the JSON endpoints' bindings
 	listeners []net.Listener
-	// serving counts the listeners' server goroutines; Close waits for
-	// them.
+	// serving counts the frame listeners' server goroutines; Close waits
+	// for them.
 	serving sync.WaitGroup
 }
 
@@ -64,14 +66,11 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 		svc := policyd.NewService(snap)
 		f.Services = append(f.Services, svc)
 
-		h := policyd.NewHandler(svc)
-		if err := f.serve(ip, 80, func(ln net.Listener) func() error { return netsim.ServeHTTP(ln, h) }); err != nil {
+		if err := f.handle(ip, policyd.NewHandler(svc)); err != nil {
 			f.Close()
 			return nil, err
 		}
-		if err := f.serve(ip, 81, func(ln net.Listener) func() error {
-			return func() error { return policyd.ServeFrames(ln, svc) }
-		}); err != nil {
+		if err := f.serve(ip, func(ln net.Listener) error { return policyd.ServeFrames(ln, svc) }); err != nil {
 			f.Close()
 			return nil, err
 		}
@@ -94,14 +93,11 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 	gw.Start(ctx)
 
 	nw.Register("gateway.fleet", gatewayIP)
-	gwh := gw.Handler()
-	if err := f.serve(gatewayIP, 80, func(ln net.Listener) func() error { return netsim.ServeHTTP(ln, gwh) }); err != nil {
+	if err := f.handle(gatewayIP, gw.Handler()); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if err := f.serve(gatewayIP, 81, func(ln net.Listener) func() error {
-		return func() error { return gw.ServeFrames(ln) }
-	}); err != nil {
+	if err := f.serve(gatewayIP, gw.ServeFrames); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -111,21 +107,28 @@ func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet,
 	return f, nil
 }
 
-// serve listens on ip:port, calls start on the listener and runs what
-// it returns in a goroutine that Close waits for: a frame loop, or the
-// wait of netsim.ServeHTTP, which has recorded its handler for the
-// netsim client by the time serve returns.
-func (f *SimFleet) serve(ip string, port int, start func(net.Listener) func() error) error {
-	ln, err := f.NW.Listen(ip, port)
+// handle binds the JSON endpoint h at ip:80 until Close.
+func (f *SimFleet) handle(ip string, h http.Handler) error {
+	release, err := f.NW.Handle(ip, 80, h)
+	if err != nil {
+		return err
+	}
+	f.releases = append(f.releases, release)
+	return nil
+}
+
+// serve listens on ip:81 and runs the frame loop serveFrames on the
+// listener in a goroutine that Close waits for.
+func (f *SimFleet) serve(ip string, serveFrames func(net.Listener) error) error {
+	ln, err := f.NW.Listen(ip, 81)
 	if err != nil {
 		return err
 	}
 	f.listeners = append(f.listeners, ln)
-	run := start(ln)
 	f.serving.Add(1)
 	go func() {
 		defer f.serving.Done()
-		run()
+		serveFrames(ln)
 	}()
 	return nil
 }
@@ -154,13 +157,17 @@ func (f *SimFleet) SwapAll(snap *policyd.Snapshot) {
 	}
 }
 
-// Close tears the fleet down: gateway conns, then the listeners, whose
-// servers close their conns as they stop. It returns once every server
-// goroutine has exited, so no conn dialed to the fleet is answered after.
+// Close tears the fleet down: gateway conns, the JSON endpoints, then
+// the frame listeners, whose servers close their conns as they stop. It
+// returns once every server goroutine has exited, so no conn dialed to
+// the fleet is answered after.
 func (f *SimFleet) Close() {
 	f.cancel()
 	if f.GW != nil {
 		f.GW.Close()
+	}
+	for _, release := range f.releases {
+		release()
 	}
 	for _, ln := range f.listeners {
 		ln.Close()

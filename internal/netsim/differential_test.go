@@ -12,9 +12,9 @@ import (
 )
 
 // TestFastClientMatchesStdlibClient is the netsim client's oracle: one
-// handler, served by ServeHTTP, answers the same request sequence
-// in-process through the netsim client, and over the wire to
-// ServeHTTP's stock http.Server through a stock http.Transport
+// handler answers the same request sequence in-process through the
+// netsim client, bound with Handle, and over the wire to serveHTTP's
+// stock http.Server through a stock http.Transport
 // (keep-alive, then dialing per request). The handler must see the same
 // requests — everything a log or a blocker could read — and the callers
 // the same status, body and handler-set headers.

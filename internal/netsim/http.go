@@ -15,40 +15,12 @@ import (
 	"time"
 )
 
-// HTTP inside the network is one in-process call. ServeHTTP records a
-// handler on its listener, and every request an HTTPClient sends — Get's
-// and client.Do's — resolves and finds that listener as Dial does, then
+// HTTP inside the network is one in-process call. Handle binds a
+// handler at an address, and every request an HTTPClient sends — Get's
+// and client.Do's — resolves and finds that address as Dial does, then
 // calls the handler with the request a server would read off the wire,
 // from the client's source IP. No request or response is framed in
 // bytes: the paper's questions read only what a site served and logged.
-// A wire conn to a ServeHTTP listener (a stock client's) is served by a
-// stock http.Server.
-
-// ServeHTTP records h on ln, when ln is a netsim listener, so that every
-// netsim HTTP request that lands on ln calls h in-process — from the
-// moment ServeHTTP returns — and serves the wire connections ln accepts
-// with a stock http.Server, on a goroutine of its own. wait blocks until
-// ln is closed and the server has returned and closed every live
-// connection, and returns the server's Serve error.
-func ServeHTTP(ln net.Listener, h http.Handler) (wait func() error) {
-	if l, ok := ln.(*listener); ok {
-		l.network.mu.Lock()
-		l.handler = h
-		l.network.mu.Unlock()
-	}
-	srv := &http.Server{Handler: h}
-	var err error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		err = srv.Serve(ln)
-		srv.Close()
-	}()
-	return func() error {
-		<-done
-		return err
-	}
-}
 
 // transport is the http.RoundTripper of every Network.HTTPClient.
 type transport struct {
@@ -106,10 +78,10 @@ func checkURL(u *url.URL) error {
 }
 
 // RoundTrip implements http.RoundTripper. It routes req as Get does, by
-// its URL's host, and calls the handler ServeHTTP recorded on the
-// listener with req's ctx, method, target, Host, header and body. A
-// request whose ctx ends before the handler returns fails with ctx's
-// error; a listener with no handler fails the request.
+// its URL's host, and calls the handler bound at the address with req's
+// ctx, method, target, Host, header and body. A request whose ctx ends
+// before the handler returns fails with ctx's error; a request to a
+// listener fails.
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := t.roundTrip(req)
 	if req.Body != nil {
@@ -187,8 +159,8 @@ func (x *exchange) serve(ctx context.Context, h http.Handler) error {
 }
 
 // handler resolves host ("name" or "name:port", port 80 by default) and
-// returns the handler ServeHTTP recorded on the listener bound to its
-// address, with route's errors, latency and ctx check.
+// returns the handler bound to its address, with route's errors,
+// latency and ctx check.
 func (n *Network) handler(ctx context.Context, host string) (http.Handler, error) {
 	name, port := host, "80"
 	if strings.IndexByte(host, ':') >= 0 {
@@ -276,7 +248,7 @@ const maxBodyBytes = 1 << 20
 // before routing.
 //
 // Get is client.Do of the GET with less garbage: it finds the URL's
-// listener as RoundTrip does, with the same errors, latency and ctx
+// handler as RoundTrip does, with the same errors, latency and ctx
 // check, calls its handler in-process on the same request, with a
 // pooled request and writer, and keeps the status and body the handler
 // wrote. A body the handler wrote with one WriteString comes back as

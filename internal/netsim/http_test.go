@@ -18,29 +18,48 @@ import (
 	"unsafe"
 )
 
-// serveHTTP serves h on a listener at ip:80 with ServeHTTP until the
-// test ends, and returns the listener.
-func serveHTTP(t *testing.T, nw *Network, ip string, h http.Handler) net.Listener {
+// wirePort is the port of the stock http.Server that serveHTTP runs
+// beside each handler it binds at port 80. stdlibClient dials it in
+// port 80's place, so a stock client reaches the same handler over wire
+// conns, from the same source IP.
+const wirePort = 8080
+
+// serveHTTP binds h at ip:80 until the test ends, and serves it over
+// the wire as well, with a stock http.Server on a listener at
+// ip:wirePort.
+func serveHTTP(t *testing.T, nw *Network, ip string, h http.Handler) {
 	t.Helper()
-	ln, err := nw.Listen(ip, 80)
+	release, err := nw.Handle(ip, 80, h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait := ServeHTTP(ln, h)
+	t.Cleanup(release)
+	ln, err := nw.Listen(ip, wirePort)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: h}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ln)
+	}()
 	t.Cleanup(func() {
-		ln.Close()
-		wait()
+		srv.Close()
+		<-done
 	})
-	return ln
 }
 
 // stdlibClient is the net/http reference the netsim client is checked
 // against: a stock transport dialing through the same network from the
-// same source IP. Compression is off because the netsim client never
-// asks for it.
+// same source IP, to serveHTTP's stock server for port 80. Compression
+// is off because the netsim client never asks for it.
 func stdlibClient(nw *Network, sourceIP string, keepAlive bool) *http.Client {
 	return &http.Client{Transport: &http.Transport{
 		DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
+			if host, port, err := net.SplitHostPort(addr); err == nil && port == "80" {
+				addr = net.JoinHostPort(host, strconv.Itoa(wirePort))
+			}
 			return nw.Dial(ctx, sourceIP, addr)
 		},
 		DisableKeepAlives:  !keepAlive,
@@ -83,8 +102,8 @@ func TestFastClientContextCancelMidRequest(t *testing.T) {
 	}
 }
 
-// TestGetCallsServedHandlerInProcess: Get and client.Do to a listener
-// ServeHTTP serves call the handler with no conn, and hand it the
+// TestGetCallsServedHandlerInProcess: Get and client.Do to a handler
+// bound with Handle call it with no conn, and hand it the
 // request a stock server reads, from the client's source IP. Get returns
 // what the handler wrote: a 3xx as is, no body for a 204, and the first
 // 1 MiB of a longer body, while the handler's writes report every byte;
@@ -387,8 +406,8 @@ func (nopJar) Cookies(*url.URL) []*http.Cookie     { return nil }
 
 // TestHTTPClientRejectsUnsupported: a request outside the subset the
 // client sends fails with an error naming what it asked for, and so
-// does any request, through client.Do or Get, to a listener ServeHTTP
-// does not serve; nothing is dialed for any of them.
+// does any request, through client.Do or Get, to a listener, which
+// serves no handler; nothing is dialed for any of them.
 func TestHTTPClientRejectsUnsupported(t *testing.T) {
 	const serverIP = "203.0.113.68"
 	nw := New()
@@ -454,16 +473,9 @@ func TestHTTPClientRejectsUnsupported(t *testing.T) {
 
 // TestServeHandsBodyToHandler: a handler reads as much of a POST's body
 // as it wants, through client.Do, and the next request is unaffected.
-// The wire conns ServeHTTP's stock server holds — an idle one and one
-// mid-request — close with the listener, and wait returns once they
-// have.
 func TestServeHandsBodyToHandler(t *testing.T) {
 	nw := New()
-	ln, err := nw.Listen("203.0.113.80", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	release, err := nw.Handle("203.0.113.80", 80, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// ?read=N reads N body bytes (all of them when absent).
 		limit := r.ContentLength
 		if s := r.URL.Query().Get("read"); s != "" {
@@ -475,8 +487,11 @@ func TestServeHandsBodyToHandler(t *testing.T) {
 			return
 		}
 		fmt.Fprintf(w, "%s %d %s", r.URL.Path, len(got), got[:min(len(got), 8)])
-	})
-	wait := ServeHTTP(ln, h)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
 	client := nw.HTTPClient("198.51.100.80")
 
 	big := bytes.Repeat([]byte("abcdefgh"), 300<<10/8) // 300 KiB
@@ -502,35 +517,6 @@ func TestServeHandsBodyToHandler(t *testing.T) {
 		if err != nil || resp.StatusCode != http.StatusOK || string(got) != tc.want {
 			t.Fatalf("POST %s: %d %q (%v), want %q", tc.target, resp.StatusCode, got, err, tc.want)
 		}
-	}
-
-	idle, err := nw.Dial(context.Background(), "198.51.100.81", "203.0.113.80:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	half, err := nw.Dial(context.Background(), "198.51.100.82", "203.0.113.80:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.WriteString(half, "POST / HTTP/1.1\r\nHost: a\r\nContent-Length: 10\r\n\r\nabc")
-	time.Sleep(10 * time.Millisecond) // let the server accept both conns
-	ln.Close()
-	done := make(chan error, 1)
-	go func() { done <- wait() }()
-	select {
-	case err := <-done:
-		if !errors.Is(err, net.ErrClosed) {
-			t.Fatalf("ServeHTTP's wait returned %v, want net.ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeHTTP's wait did not return after its listener closed")
-	}
-	for name, c := range map[string]net.Conn{"idle": idle, "mid-request": half} {
-		c.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if n, err := io.Copy(io.Discard, c); err != nil {
-			t.Fatalf("%s conn after wait returned: read %d, %v; want the conn closed", name, n, err)
-		}
-		c.Close()
 	}
 }
 
@@ -755,7 +741,7 @@ func TestHTTPKeepAlivePoolsPerSourceAndTarget(t *testing.T) {
 
 // TestFastClientPostBodyAcrossRing sends a POST body several times the
 // 32 KiB netsim ring, three times: from a stock client over one
-// kept-alive wire conn to ServeHTTP's server — the writer must
+// kept-alive wire conn to a stock server — the writer must
 // interleave with the server's reads instead of deadlocking on a full
 // ring — and in-process from the netsim client. The handler must read
 // every byte intact.

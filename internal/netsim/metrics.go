@@ -4,8 +4,8 @@ import "repro/internal/obs"
 
 // HTTP client metrics. Registered at init so the families appear in
 // /metrics (with zero values) in any binary that links netsim, traffic or
-// not. The wire half of ServeHTTP, a stock http.Server, records nothing
-// here: its callers count what they serve.
+// not. Only the netsim client records here: a handler counts what it
+// serves.
 var (
 	mHTTPRequests = obs.NewCounter("netsim_http_requests_total",
 		"HTTP requests sent through the netsim client.")

@@ -14,11 +14,12 @@
 // A Network also contains a miniature name service (Register) so HTTP
 // clients can use ordinary host-based URLs.
 //
-// HTTP inside the network frames no bytes (http.go): ServeHTTP records
-// a handler on its listener, and HTTPClient's requests, Get's included,
-// call it in-process with the client's source IP as RemoteAddr. Serve
-// runs a conn handler, such as policyd's frame loop, on every connection
-// a listener accepts.
+// An address is bound either to a listener, whose connections carry
+// frames (Listen, Dial, Serve — policyd's frame loop runs on them), or
+// to an HTTP handler (Handle). HTTP inside the network frames no bytes
+// (http.go): HTTPClient's requests, Get's included, call the handler
+// bound at their address in-process with the client's source IP as
+// RemoteAddr.
 package netsim
 
 import (
@@ -35,7 +36,7 @@ import (
 )
 
 // errConnRefused is returned by Dial when no listener is bound to the
-// target address.
+// target address, and by an HTTP request when nothing is.
 var errConnRefused = errors.New("netsim: connection refused")
 
 // errNameNotFound is returned when a hostname has no registered address.
@@ -45,8 +46,8 @@ var errNameNotFound = errors.New("netsim: no such host")
 // one with New. All methods are safe for concurrent use.
 type Network struct {
 	mu        sync.Mutex
-	listeners map[string]*listener // key "ip:port"
-	names     map[string]string    // lowercase hostname -> ip
+	addrs     map[string]*binding // key "ip:port"
+	names     map[string]string   // lowercase hostname -> ip
 	ephemeral atomic.Uint32
 	latency   time.Duration // delay on every routed dial or HTTP request; 0 = none
 }
@@ -54,8 +55,8 @@ type Network struct {
 // New returns an empty network.
 func New() *Network {
 	return &Network{
-		listeners: make(map[string]*listener),
-		names:     make(map[string]string),
+		addrs: make(map[string]*binding),
+		names: make(map[string]string),
 	}
 }
 
@@ -80,89 +81,59 @@ func (n *Network) resolve(hostname string) (string, error) {
 	return "", fmt.Errorf("%w: %s", errNameNotFound, hostname)
 }
 
+// binding is what an address is bound to: a listener, which Dial
+// reaches, or a handler, which the HTTP client calls.
+type binding struct {
+	l *listener
+	h http.Handler
+}
+
+// bind binds b at ip:port and returns its key. Binding an invalid IP,
+// or an address already bound to a listener or a handler, is an error.
+func (n *Network) bind(ip string, port int, b *binding) (string, error) {
+	if net.ParseIP(ip) == nil {
+		return "", fmt.Errorf("netsim: invalid IP %q", ip)
+	}
+	key := net.JoinHostPort(ip, strconv.Itoa(port))
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if _, exists := n.addrs[key]; exists {
+		return "", fmt.Errorf("netsim: address %s already in use", key)
+	}
+	n.addrs[key] = b
+	return key, nil
+}
+
 // Listen binds a listener to ip:port. Binding an address that is already
 // bound is an error. Closing the listener releases the address.
 func (n *Network) Listen(ip string, port int) (net.Listener, error) {
-	parsed := net.ParseIP(ip)
-	if parsed == nil {
-		return nil, fmt.Errorf("netsim: invalid listen IP %q", ip)
-	}
-	key := net.JoinHostPort(ip, strconv.Itoa(port))
-	l := &listener{
-		network: n,
-		key:     key,
-		addr:    &net.TCPAddr{IP: parsed, Port: port},
-	}
+	l := &listener{network: n, addr: &net.TCPAddr{IP: net.ParseIP(ip), Port: port}}
 	l.cond.L = &l.mu
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, exists := n.listeners[key]; exists {
-		return nil, fmt.Errorf("netsim: address %s already in use", key)
+	key, err := n.bind(ip, port, &binding{l: l})
+	if err != nil {
+		return nil, err
 	}
-	n.listeners[key] = l
+	l.key = key
 	return l, nil
 }
 
-// AddAlias makes aliasIP:port a second address of target, a listener
-// previously returned by Listen on this network: dials to the alias are
-// accepted by the same listener, and the server side of each such
-// connection reports the alias as its local address. This is virtual IP
-// aliasing — one accept loop serving many advertised site IPs — and is
-// what lets a multi-site farm advertise a distinct per-site IP without a
-// per-site listener. Closing the listener releases every alias.
-func (n *Network) AddAlias(aliasIP string, port int, target net.Listener) error {
-	if net.ParseIP(aliasIP) == nil {
-		return fmt.Errorf("netsim: invalid alias IP %q", aliasIP)
+// Handle binds h to ip:port: every netsim HTTP request to the address
+// calls h in-process (see HTTPClient), and Dial to it is refused.
+// Binding an address that is already bound, to a listener or a handler,
+// is an error. release frees the address; calling it again is a no-op.
+func (n *Network) Handle(ip string, port int, h http.Handler) (release func(), err error) {
+	b := &binding{h: h}
+	key, err := n.bind(ip, port, b)
+	if err != nil {
+		return nil, err
 	}
-	l, ok := target.(*listener)
-	if !ok || l.network != n {
-		return fmt.Errorf("netsim: alias target is not a listener of this network")
-	}
-	key := net.JoinHostPort(aliasIP, strconv.Itoa(port))
-	// Hold l.mu across the whole registration so it cannot interleave
-	// with Close: either the alias lands before Close snapshots the
-	// alias list (and is released with the listener), or Close has
-	// already marked the listener and the alias is refused — never a
-	// leaked address pointing at a dead listener.
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("netsim: alias target %s is closed", l.key)
-	}
-	n.mu.Lock()
-	if _, exists := n.listeners[key]; exists {
-		n.mu.Unlock()
-		return fmt.Errorf("netsim: address %s already in use", key)
-	}
-	n.listeners[key] = l
-	n.mu.Unlock()
-	l.aliasMu.Lock()
-	l.aliases = append(l.aliases, key)
-	l.aliasMu.Unlock()
-	return nil
-}
-
-// RemoveAlias releases an alias added with AddAlias. Removing an address
-// that is not an alias is a no-op, so callers can tear down sites without
-// tracking whether their IP was aliased or primary.
-func (n *Network) RemoveAlias(aliasIP string, port int) {
-	key := net.JoinHostPort(aliasIP, strconv.Itoa(port))
-	n.mu.Lock()
-	l, ok := n.listeners[key]
-	if !ok || l.key == key {
-		n.mu.Unlock()
-		return // unknown, or the listener's primary address
-	}
-	delete(n.listeners, key)
-	n.mu.Unlock()
-	l.aliasMu.Lock()
-	for i, k := range l.aliases {
-		if k == key {
-			l.aliases = append(l.aliases[:i], l.aliases[i+1:]...)
-			break
+	return func() {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		if n.addrs[key] == b { // a second release finds another binding, or none
+			delete(n.addrs, key)
 		}
-	}
-	l.aliasMu.Unlock()
+	}, nil
 }
 
 // Dial opens a connection from sourceIP to addr ("host:port", where host
@@ -176,6 +147,9 @@ func (n *Network) Dial(ctx context.Context, sourceIP, addr string) (net.Conn, er
 	if err != nil {
 		return nil, err
 	}
+	if r.l == nil {
+		return nil, fmt.Errorf("%w: %s (bound to an HTTP handler)", errConnRefused, appendAddr(nil, r.ip, r.port))
+	}
 	clientAddr := &net.TCPAddr{IP: net.ParseIP(sourceIP), Port: n.ephemeralPort()}
 	serverAddr := &net.TCPAddr{IP: net.ParseIP(r.ip), Port: r.port}
 	cc, sc := newConnPair(clientAddr, serverAddr)
@@ -187,8 +161,8 @@ func (n *Network) Dial(ctx context.Context, sourceIP, addr string) (net.Conn, er
 	return cc, nil
 }
 
-// route is where a request to a host and port lands: the listener bound
-// to the address and the handler ServeHTTP recorded on it, if any.
+// route is where a request to a host and port lands: what is bound at
+// the address.
 type route struct {
 	l    *listener
 	h    http.Handler
@@ -196,10 +170,10 @@ type route struct {
 	port int
 }
 
-// route resolves host and finds the listener bound to its address on
-// port in one hold of n.mu, then waits out the network's latency and
-// checks ctx: the step Dial and the HTTP client share. The errors are
-// Dial's: a bad port, an unknown host, a refused address or ctx's.
+// route resolves host and finds what is bound to its address on port in
+// one hold of n.mu, then waits out the network's latency and checks
+// ctx: the step Dial and the HTTP client share. The errors are Dial's:
+// a bad port, an unknown host, an unbound address or ctx's.
 func (n *Network) route(ctx context.Context, host, port string) (route, error) {
 	p, err := strconv.Atoi(port)
 	if err != nil {
@@ -211,8 +185,8 @@ func (n *Network) route(ctx context.Context, host, port string) (route, error) {
 	var r route
 	if err == nil {
 		// The map probe on the key's bytes does not allocate.
-		if l := n.listeners[string(appendAddr(key[:0], ip, p))]; l != nil {
-			r = route{l: l, h: l.handler, ip: ip, port: p}
+		if b := n.addrs[string(appendAddr(key[:0], ip, p))]; b != nil {
+			r = route{l: b.l, h: b.h, ip: ip, port: p}
 		}
 	}
 	latency := n.latency
@@ -220,7 +194,7 @@ func (n *Network) route(ctx context.Context, host, port string) (route, error) {
 	if err != nil {
 		return route{}, err
 	}
-	if r.l == nil {
+	if r.l == nil && r.h == nil {
 		return route{}, fmt.Errorf("%w: %s", errConnRefused, appendAddr(nil, ip, p))
 	}
 	if latency > 0 {
@@ -258,11 +232,11 @@ func (n *Network) ephemeralPort() int {
 
 // HTTPClient returns an http.Client whose requests originate from
 // sourceIP and are routed on this network: each resolves and finds its
-// listener as Dial does, with Dial's errors and latency, and calls the
-// handler ServeHTTP recorded there in-process (see http.go), under the
+// address as Dial does, with Dial's errors and latency, and calls the
+// handler Handle bound there in-process (see http.go), under the
 // request's ctx. Handlers see the client's simulated source IP as
 // RemoteAddr, so server logs attribute every request to it. A request to
-// a listener ServeHTTP does not serve fails with an error.
+// a listener fails with an error.
 //
 // The client speaks GET, HEAD and POST with a known body length to
 // http:// URLs; any other request fails with an error naming what it
@@ -326,16 +300,6 @@ type listener struct {
 	key     string
 	addr    net.Addr
 
-	// aliases are additional "ip:port" keys in network.listeners that
-	// resolve to this listener (see Network.AddAlias), guarded separately
-	// so alias bookkeeping never contends with the accept path.
-	aliasMu sync.Mutex
-	aliases []string
-
-	// handler is what ServeHTTP serves the listener with; the HTTP
-	// client calls it in-process. Guarded by network.mu, which route holds to read it.
-	handler http.Handler
-
 	mu     sync.Mutex
 	cond   sync.Cond
 	queue  []net.Conn
@@ -388,15 +352,8 @@ func (l *listener) Close() error {
 	l.cond.Broadcast()
 	l.mu.Unlock()
 
-	l.aliasMu.Lock()
-	aliases := l.aliases
-	l.aliases = nil
-	l.aliasMu.Unlock()
 	l.network.mu.Lock()
-	delete(l.network.listeners, l.key)
-	for _, key := range aliases {
-		delete(l.network.listeners, key)
-	}
+	delete(l.network.addrs, l.key)
 	l.network.mu.Unlock()
 
 	for _, c := range drained {

@@ -28,7 +28,8 @@ func TestHTTPOverNetworkPreservesSourceIP(t *testing.T) {
 	}))
 
 	// The netsim client calls the handler in-process; a stock client
-	// reaches ServeHTTP's wire server. Both carry the source IP.
+	// reaches it through serveHTTP's stock server. Both carry the source
+	// IP.
 	for name, client := range map[string]*http.Client{
 		"netsim": nw.HTTPClient("198.51.100.77"),
 		"stock":  stdlibClient(nw, "198.51.100.77", false),
@@ -364,102 +365,112 @@ func TestDoubleCloseListener(t *testing.T) {
 	}
 }
 
-// TestAliasDialReachesSharedListener pins the virtual-IP aliasing
-// contract the webserver farm relies on: a dial to an alias address is
-// accepted by the target listener, and the accepted connection's local
-// address is the alias — the advertised per-site IP — not the listener's
-// primary address.
-func TestAliasDialReachesSharedListener(t *testing.T) {
+// TestHandleBindsAddresses pins the address table's rules: an address
+// holds one listener or one handler, whichever came first; Dial to a
+// handler is refused and a netsim request to a listener fails; release
+// frees the address for either kind, and a second release is a no-op
+// that leaves the address's next binding in place.
+func TestHandleBindsAddresses(t *testing.T) {
 	nw := New()
-	ln, err := nw.Listen("192.0.2.20", 80)
+	ctx := context.Background()
+	client := nw.HTTPClient("198.51.100.7")
+	answer := func(body string) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, body) })
+	}
+	if _, err := nw.Handle("bogus", 80, answer("x")); err == nil {
+		t.Fatal("Handle on an invalid IP succeeded")
+	}
+	release, err := nw.Handle("192.0.2.30", 80, answer("first"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	if err := nw.AddAlias("192.0.2.21", 80, ln); err != nil {
-		t.Fatal(err)
+	if _, err := nw.Handle("192.0.2.30", 80, answer("second")); err == nil || !strings.Contains(err.Error(), "in use") {
+		t.Fatalf("a second Handle on a bound address = %v, want it in use", err)
+	}
+	if _, err := nw.Listen("192.0.2.30", 80); err == nil || !strings.Contains(err.Error(), "in use") {
+		t.Fatalf("Listen on a handler's address = %v, want it in use", err)
+	}
+	if _, err := nw.Dial(ctx, "198.51.100.7", "192.0.2.30:80"); !errors.Is(err, errConnRefused) {
+		t.Fatalf("Dial to a handler's address = %v, want refused", err)
+	}
+	if status, body, err := Get(ctx, client, "http://192.0.2.30/", nil); err != nil || status != http.StatusOK || body != "first" {
+		t.Fatalf("Get of a bound handler = %d, %q, %v", status, body, err)
 	}
 
-	type accepted struct {
-		conn net.Conn
-		err  error
+	release()
+	if _, _, err := Get(ctx, client, "http://192.0.2.30/", nil); !errors.Is(err, errConnRefused) {
+		t.Fatalf("Get after release = %v, want refused", err)
 	}
-	got := make(chan accepted, 1)
-	go func() {
-		c, err := ln.Accept()
-		got <- accepted{c, err}
-	}()
-	cc, err := nw.Dial(context.Background(), "198.51.100.7", "192.0.2.21:80")
+	ln, err := nw.Listen("192.0.2.30", 80)
 	if err != nil {
-		t.Fatalf("dial alias: %v", err)
+		t.Fatalf("Listen on a released address: %v", err)
 	}
-	defer cc.Close()
-	acc := <-got
-	if acc.err != nil {
-		t.Fatalf("accept: %v", acc.err)
+	if _, err := nw.Handle("192.0.2.30", 80, answer("x")); err == nil || !strings.Contains(err.Error(), "in use") {
+		t.Fatalf("Handle on a listener's address = %v, want it in use", err)
 	}
-	defer acc.conn.Close()
-	if la := acc.conn.LocalAddr().String(); la != "192.0.2.21:80" {
-		t.Fatalf("server local addr = %s, want the alias 192.0.2.21:80", la)
+	if _, _, err := Get(ctx, client, "http://192.0.2.30/", nil); err == nil || !strings.Contains(err.Error(), "no handler serves 192.0.2.30:80") {
+		t.Fatalf("Get of a listener = %v, want no handler", err)
 	}
-	if ra := acc.conn.RemoteAddr().String(); !strings.HasPrefix(ra, "198.51.100.7:") {
-		t.Fatalf("server remote addr = %s, want source 198.51.100.7", ra)
+	ln.Close()
+
+	rebound, err := nw.Handle("192.0.2.30", 80, answer("rebound"))
+	if err != nil {
+		t.Fatalf("Handle on a released address: %v", err)
+	}
+	release() // a no-op: it must not free the rebinding
+	if status, body, err := Get(ctx, client, "http://192.0.2.30/", nil); err != nil || status != http.StatusOK || body != "rebound" {
+		t.Fatalf("Get after a second release of the first binding = %d, %q, %v; want the rebinding", status, body, err)
+	}
+	rebound()
+	rebound()
+	if _, err := nw.Listen("192.0.2.30", 80); err != nil {
+		t.Fatalf("Listen after the rebinding's release: %v", err)
 	}
 }
 
-// TestAliasLifecycle covers conflicts, removal, and listener close
-// releasing every alias.
-func TestAliasLifecycle(t *testing.T) {
+// TestHandleRacesGets binds and releases handlers at a few addresses
+// while clients Get through the table, under -race: every Get is
+// served by the handler bound at its address or refused, never served
+// by another address's handler.
+func TestHandleRacesGets(t *testing.T) {
 	nw := New()
-	ln, err := nw.Listen("192.0.2.30", 80)
-	if err != nil {
-		t.Fatal(err)
+	const addrs, rounds, clients = 4, 200, 4
+	ip := func(i int) string { return fmt.Sprintf("192.0.2.%d", 50+i) }
+	var wg sync.WaitGroup
+	errs := make(chan error, addrs+clients)
+	for i := 0; i < addrs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, ip(i)) })
+			for r := 0; r < rounds; r++ {
+				release, err := nw.Handle(ip(i), 80, h)
+				if err != nil {
+					errs <- err
+					return
+				}
+				release()
+			}
+		}(i)
 	}
-	if err := nw.AddAlias("bogus", 80, ln); err == nil {
-		t.Fatal("invalid alias IP must fail")
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			client := nw.HTTPClient(fmt.Sprintf("198.51.100.%d", 10+c))
+			for r := 0; r < rounds; r++ {
+				want := ip((c + r) % addrs)
+				status, body, err := Get(context.Background(), client, "http://"+want+"/", nil)
+				if (err != nil && !errors.Is(err, errConnRefused)) || (err == nil && (status != http.StatusOK || body != want)) {
+					errs <- fmt.Errorf("Get of %s = %d, %q, %v", want, status, body, err)
+					return
+				}
+			}
+		}(c)
 	}
-	if err := nw.AddAlias("192.0.2.30", 80, ln); err == nil {
-		t.Fatal("aliasing the primary address must fail (in use)")
-	}
-	if err := nw.AddAlias("192.0.2.31", 80, ln); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.AddAlias("192.0.2.31", 80, ln); err == nil {
-		t.Fatal("duplicate alias must fail")
-	}
-	other := New()
-	if err := other.AddAlias("192.0.2.32", 80, ln); err == nil {
-		t.Fatal("aliasing a foreign network's listener must fail")
-	}
-
-	// Removing the primary address via RemoveAlias is a no-op.
-	nw.RemoveAlias("192.0.2.30", 80)
-	if _, err := nw.Dial(context.Background(), "198.51.100.7", "192.0.2.30:80"); err != nil {
-		t.Fatalf("primary address must survive RemoveAlias: %v", err)
-	}
-	nw.RemoveAlias("192.0.2.31", 80)
-	if _, err := nw.Dial(context.Background(), "198.51.100.7", "192.0.2.31:80"); !errors.Is(err, errConnRefused) {
-		t.Fatalf("dial removed alias = %v, want refused", err)
-	}
-
-	if err := nw.AddAlias("192.0.2.33", 80, ln); err != nil {
-		t.Fatal(err)
-	}
-	ln.Close()
-	if _, err := nw.Dial(context.Background(), "198.51.100.7", "192.0.2.33:80"); !errors.Is(err, errConnRefused) {
-		t.Fatalf("dial alias after listener close = %v, want refused", err)
-	}
-	// The alias slots are free again.
-	if _, err := nw.Listen("192.0.2.33", 80); err != nil {
-		t.Fatalf("rebinding released alias: %v", err)
-	}
-	// Aliasing a closed listener is refused; the address stays free.
-	if err := nw.AddAlias("192.0.2.34", 80, ln); err == nil {
-		t.Fatal("aliasing a closed listener must fail")
-	}
-	if ln2, err := nw.Listen("192.0.2.34", 80); err != nil {
-		t.Fatalf("address leaked by rejected alias: %v", err)
-	} else {
-		ln2.Close()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

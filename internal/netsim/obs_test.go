@@ -13,18 +13,17 @@ import (
 // TestMetricsHandlerOverNetsim proves the obs /metrics handler is
 // servable inside the simulated network, not just on real TCP: an
 // in-sim operator can scrape any simulated daemon. It serves the
-// handler as the simulated daemons do, with netsim.ServeHTTP, reads it
-// through the netsim client and checks the client's families advance.
+// handler as the simulated daemons do, bound with Network.Handle, reads
+// it through the netsim client and checks the client's families advance.
 func TestMetricsHandlerOverNetsim(t *testing.T) {
 	nw := netsim.New()
-	ln, err := nw.Listen("10.9.0.1", 80)
+	mux := http.NewServeMux()
+	mux.Handle("/metrics", obs.Handler())
+	release, err := nw.Handle("10.9.0.1", 80, mux)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/metrics", obs.Handler())
-	wait := netsim.ServeHTTP(ln, mux)
-	defer func() { ln.Close(); wait() }()
+	defer release()
 
 	client := nw.HTTPClient("10.9.0.99")
 	resp, err := client.Get("http://10.9.0.1/metrics")

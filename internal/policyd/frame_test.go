@@ -135,14 +135,12 @@ func TestFrameJSONParityCorpus(t *testing.T) {
 	svc := NewService(snap)
 
 	nw := netsim.New()
-	jsonLn, err := nw.Listen("203.0.113.70", 80)
+	release, err := nw.Handle("203.0.113.70", 80, NewHandler(svc))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	nw.Register("policyd.test", "203.0.113.70")
-	h := NewHandler(svc)
-	wait := netsim.ServeHTTP(jsonLn, h)
-	defer func() { jsonLn.Close(); wait() }()
 
 	frameLn, err := nw.Listen("203.0.113.71", 80)
 	if err != nil {

@@ -312,12 +312,12 @@ func TestFromCorpusEnrichment(t *testing.T) {
 	_ = metaHosts // rare at small scale; presence asserted by rates test below
 }
 
-// TestHTTPAPI drives the JSON API both ways a netsim listener serves
-// it, with netsim.ServeHTTP: in-process through the netsim client, and
-// over the wire to ServeHTTP's stock http.Server through a stock
-// http.Transport. Every case must answer with its status, X-Policyd-Version
+// TestHTTPAPI drives the JSON API both ways: bound with Network.Handle,
+// in-process through the netsim client, and over the wire to a stock
+// http.Server on a netsim listener at port 8080 of the same IP, through
+// a stock http.Transport. Every case must answer with its status, X-Policyd-Version
 // and body, and the same status, body, Content-Type, X-Policyd-Version,
-// Retry-After and X-Retry-After-Ms both ways. A second listener answers
+// Retry-After and X-Retry-After-Ms both ways. A second address answers
 // through a rate-limited Answerer, for the 429.
 func TestHTTPAPI(t *testing.T) {
 	snap := buildTestSnapshot(t)
@@ -335,17 +335,28 @@ func TestHTTPAPI(t *testing.T) {
 		"203.0.113.60": NewHandler(svc),
 		"203.0.113.61": NewHandlerFor(limitedAnswerer{limited}, mWireJSON, mJSONStages, nil),
 	} {
-		ln, err := nw.Listen(ip, 80)
+		release, err := nw.Handle(ip, 80, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wait := netsim.ServeHTTP(ln, h)
-		defer func() { ln.Close(); wait() }()
+		defer release()
+		ln, err := nw.Listen(ip, 8080)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := &http.Server{Handler: h}
+		served := make(chan struct{})
+		go func() {
+			defer close(served)
+			srv.Serve(ln)
+		}()
+		defer func() { srv.Close(); <-served }()
 	}
 	fast := nw.HTTPClient("198.51.100.60")
 	stock := &http.Client{Transport: &http.Transport{
 		DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
-			return nw.Dial(ctx, "198.51.100.60", addr)
+			host, _, _ := net.SplitHostPort(addr)
+			return nw.Dial(ctx, "198.51.100.60", net.JoinHostPort(host, "8080"))
 		},
 		DisableCompression: true,
 	}}
@@ -399,7 +410,7 @@ func TestHTTPAPI(t *testing.T) {
 		name, method, target string
 		body                 []byte
 		want                 answer // version "" means the snapshot's when status is 200
-		limited              bool   // sent to the rate-limited listener
+		limited              bool   // sent to the rate-limited address
 	}{
 		{"decide", "GET", "/v1/decide?host=blocked.test&agent=GPTBot&path=/", nil,
 			answer{200, "", `{"action":"block","signal":"blocker"}` + "\n"}, false},

@@ -74,7 +74,6 @@ func (c *Config) fillDefaults() {
 
 // Model generates monthly ranked lists.
 type Model struct {
-	cfg Config
 	// stableTop are always ranked within the top tier.
 	stableTop []string
 	// stableRest are always in the list, outside or inside the top tier.
@@ -101,7 +100,7 @@ func NewModel(cfg Config) (*Model, error) {
 			cfg.StableTopTierCount, cfg.StableCount)
 	}
 	rn := stats.NewRand(cfg.Seed).Fork("ranking")
-	m := &Model{cfg: cfg, skipMonth: make(map[string]int)}
+	m := &Model{skipMonth: make(map[string]int)}
 
 	gen := newNameGen(rn.Fork("names"))
 	used := make(map[string]bool, cfg.TopK*2)

@@ -52,7 +52,7 @@ func TestMonthlyListShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	list, err := monthlyList(m, defaultMonths()[0])
+	list, err := monthlyList(m, smallConfig(), defaultMonths()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestMonthlyListDeterministic(t *testing.T) {
 	m1, _ := NewModel(smallConfig())
 	m2, _ := NewModel(smallConfig())
 	month := defaultMonths()[5]
-	l1, _ := monthlyList(m1, month)
-	l2, _ := monthlyList(m2, month)
+	l1, _ := monthlyList(m1, smallConfig(), month)
+	l2, _ := monthlyList(m2, smallConfig(), month)
 	for i := range l1 {
 		if l1[i] != l2[i] {
 			t.Fatalf("lists diverge at %d: %q vs %q", i, l1[i], l2[i])
@@ -83,7 +83,7 @@ func TestMonthlyListDeterministic(t *testing.T) {
 
 func TestMonthOutsideWindow(t *testing.T) {
 	m, _ := NewModel(smallConfig())
-	if _, err := monthlyList(m, time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)); err == nil {
+	if _, err := monthlyList(m, smallConfig(), time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)); err == nil {
 		t.Fatal("month outside the window must error")
 	}
 }
@@ -98,7 +98,7 @@ func TestStableTopKRecoversConstruction(t *testing.T) {
 	}
 	var lists [][]string
 	for _, month := range defaultMonths() {
-		l, err := monthlyList(m, month)
+		l, err := monthlyList(m, cfg, month)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,8 +132,8 @@ func TestChurnExists(t *testing.T) {
 	cfg := smallConfig()
 	m, _ := NewModel(cfg)
 	months := defaultMonths()
-	l1, _ := monthlyList(m, months[0])
-	l2, _ := monthlyList(m, months[1])
+	l1, _ := monthlyList(m, cfg, months[0])
+	l2, _ := monthlyList(m, cfg, months[1])
 	set1 := map[string]bool{}
 	for _, d := range l1 {
 		set1[d] = true
@@ -170,7 +170,7 @@ func TestRequiredStableIncluded(t *testing.T) {
 	}
 	// And they really appear in every month's list.
 	for _, month := range defaultMonths()[:4] {
-		l, _ := monthlyList(m, month)
+		l, _ := monthlyList(m, cfg, month)
 		present := map[string]bool{}
 		for _, d := range l {
 			present[d] = true
@@ -191,7 +191,7 @@ func TestStableTopTierAlwaysInTier(t *testing.T) {
 		tier[d] = true
 	}
 	for _, month := range defaultMonths() {
-		l, _ := monthlyList(m, month)
+		l, _ := monthlyList(m, cfg, month)
 		inTier := map[string]bool{}
 		for _, d := range l[:cfg.TopTier] {
 			inTier[d] = true
@@ -236,7 +236,7 @@ func TestFullScaleConstructionCounts(t *testing.T) {
 	if got := len(m.StableTopTier()); got != 2_551 {
 		t.Fatalf("stable top-tier population = %d, want 2551", got)
 	}
-	list, err := monthlyList(m, defaultMonths()[12])
+	list, err := monthlyList(m, cfg, defaultMonths()[12])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,14 +263,15 @@ func TestDomainNamesLookReal(t *testing.T) {
 	}
 }
 
-// monthlyList generates the ranked list the model implies for the given
-// month: the observation side of the construction, which the tests
-// intersect with stableTopK. The first TopTier entries are the tier the
-// paper calls "the very largest sites". Generation is deterministic in
-// (seed, month).
-func monthlyList(m *Model, month time.Time) ([]string, error) {
+// monthlyList generates the ranked list the model m, built from cfg,
+// implies for the given month: the observation side of the
+// construction, which the tests intersect with stableTopK. The first
+// TopTier entries are the tier the paper calls "the very largest
+// sites". Generation is deterministic in (seed, month).
+func monthlyList(m *Model, cfg Config, month time.Time) ([]string, error) {
+	cfg.fillDefaults()
 	mi := -1
-	for i, t := range m.cfg.Months {
+	for i, t := range cfg.Months {
 		if t.Year() == month.Year() && t.Month() == month.Month() {
 			mi = i
 			break
@@ -279,13 +280,13 @@ func monthlyList(m *Model, month time.Time) ([]string, error) {
 	if mi < 0 {
 		return nil, fmt.Errorf("ranking: month %s outside study window", month.Format("2006-01"))
 	}
-	rn := stats.NewRand(m.cfg.Seed).Fork(fmt.Sprintf("month-%d", mi))
+	rn := stats.NewRand(cfg.Seed).Fork(fmt.Sprintf("month-%d", mi))
 
-	list := make([]string, 0, m.cfg.TopK)
+	list := make([]string, 0, cfg.TopK)
 
 	// Top tier: all stable-top domains plus a rotating fill from the
 	// stable-rest population.
-	fill := m.cfg.TopTier - len(m.stableTop)
+	fill := cfg.TopTier - len(m.stableTop)
 	list = append(list, m.stableTop...)
 	idx := rn.SampleWithoutReplacement(len(m.stableRest), fill)
 	inTier := make(map[int]bool, fill)
@@ -293,7 +294,7 @@ func monthlyList(m *Model, month time.Time) ([]string, error) {
 		list = append(list, m.stableRest[i])
 		inTier[i] = true
 	}
-	rn.Shuffle(m.cfg.TopTier, func(i, j int) { list[i], list[j] = list[j], list[i] })
+	rn.Shuffle(cfg.TopTier, func(i, j int) { list[i], list[j] = list[j], list[i] })
 
 	// Remainder: the rest of the stable population, then churners active
 	// this month until the list is full.
@@ -302,9 +303,9 @@ func monthlyList(m *Model, month time.Time) ([]string, error) {
 			list = append(list, d)
 		}
 	}
-	added := make(map[string]bool, m.cfg.TopK-len(list))
+	added := make(map[string]bool, cfg.TopK-len(list))
 	for _, d := range m.churners {
-		if len(list) >= m.cfg.TopK {
+		if len(list) >= cfg.TopK {
 			break
 		}
 		if m.skipMonth[d] == mi {
@@ -319,7 +320,7 @@ func monthlyList(m *Model, month time.Time) ([]string, error) {
 	// If presence sampling left slots open, fill from the remaining
 	// churners (still deterministic, still absent in their skip month).
 	for _, d := range m.churners {
-		if len(list) >= m.cfg.TopK {
+		if len(list) >= cfg.TopK {
 			break
 		}
 		if m.skipMonth[d] == mi || added[d] {
@@ -327,10 +328,10 @@ func monthlyList(m *Model, month time.Time) ([]string, error) {
 		}
 		list = append(list, d)
 	}
-	if len(list) < m.cfg.TopK {
-		return nil, fmt.Errorf("ranking: churner pool exhausted (%d < %d)", len(list), m.cfg.TopK)
+	if len(list) < cfg.TopK {
+		return nil, fmt.Errorf("ranking: churner pool exhausted (%d < %d)", len(list), cfg.TopK)
 	}
-	tail := list[m.cfg.TopTier:]
+	tail := list[cfg.TopTier:]
 	rn.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
 	return list, nil
 }

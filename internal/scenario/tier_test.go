@@ -361,12 +361,13 @@ func TestTieredRosterLimit(t *testing.T) {
 	}
 }
 
-// TestHotTierMakesNoDials is the count gate on how the hot tier
-// fetches: every crawler GET of an all-hot run calls its worker's farm
-// in-process through netsim.Get, which has no wire path to dial, and
-// the run does send requests. The counter is process-wide: this test
-// takes a delta and must not run in parallel with another.
-func TestHotTierMakesNoDials(t *testing.T) {
+// TestAllHotRunSendsRequestsAndTimesPhases: an all-hot run sends its
+// crawlers' requests through the netsim client and times every phase.
+// (A farm is bound as a handler, which refuses dials:
+// webserver.TestFarmAddressesRefuseDials.) The request counter is
+// process-wide: this test takes a delta and must not run in parallel
+// with another.
+func TestAllHotRunSendsRequestsAndTimesPhases(t *testing.T) {
 	requests := obs.NewCounter("netsim_http_requests_total", "")
 	spec := Observed(7, 128, 12)
 	req0 := requests.Value()

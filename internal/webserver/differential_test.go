@@ -13,13 +13,14 @@ import (
 
 // TestFastServerMatchesStdlibServer is the farm's HTTP oracle: one farm
 // answers the same request sequence in-process through the netsim
-// client, and over the wire to netsim.ServeHTTP's stock http.Server
-// through a stock http.Transport, and every response (status, content
-// type, body bytes) and every log record must be equal.
+// client, and over the wire to serveWire's stock http.Server through a
+// stock http.Transport, and every response (status, content type, body
+// bytes) and every log record must be equal.
 func TestFastServerMatchesStdlibServer(t *testing.T) {
 	const fastIP = "203.0.113.250"
 	nw := netsim.New()
 	farm := newFarm(t, nw, fastIP)
+	serveWire(t, nw, farm)
 
 	content := WildcardDisallowSite("diff-a.test", fastIP)
 	content.Pages["/big.html"] = Page{Body: "<html>" + strings.Repeat("0123456789abcdef", 640) + "</html>"}

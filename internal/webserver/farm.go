@@ -12,12 +12,11 @@ import (
 )
 
 // Farm hosts any number of sites on one netsim network behind a single
-// shared listener, dispatching each request to its site by the Host
-// header — name-based virtual hosting. Adding a site is a map insert
-// plus (when the site advertises its own IP) a virtual-IP alias of the
-// farm listener — no per-site listener, accept loop or server, which at
-// survey scale (thousands of sites per network) used to be ~30% of the
-// run.
+// handler, dispatching each request to its site by the Host header —
+// name-based virtual hosting. Adding a site is a map insert plus, when
+// the site advertises an IP the farm does not serve yet, one
+// netsim.Network.Handle binding of the farm at that IP — no per-site
+// server.
 //
 // Sites keep their full measurement contract under a farm: each site has
 // its own append-only request log with LogSince windows; every request
@@ -25,49 +24,48 @@ import (
 // blocker swaps apply per site. Requests for a Host no site claims are
 // answered 421 Misdirected Request.
 //
-// The farm is its own http.Handler, served on its listener by
-// netsim.ServeHTTP: netsim's client calls it in-process, and a stock
-// client's wire connections reach it through a stock http.Server. It
-// keeps no per-connection state.
+// The farm is its own http.Handler, bound at its own IP and at each
+// site IP: netsim's client calls it in-process. It keeps no
+// per-connection state and starts no goroutine.
 //
 // All methods are safe for concurrent use, including StartSite and
 // Remove while requests are in flight.
 type Farm struct {
 	nw *netsim.Network
 	ip string
-	ln net.Listener
-	// wait returns once the listener is closed and every serve loop has
-	// exited.
-	wait func() error
 
 	mu    sync.RWMutex
 	hosts map[string]*Site // lowercased Host (domain or IP) -> site
 	// members is the set of live sites, for idempotent removal and Close.
 	members map[*Site]bool
-	// aliasRefs counts member sites advertising each aliased IP so the
-	// alias is released only when its last site is removed.
-	aliasRefs map[string]int
-	closed    bool
+	// bound holds each IP the farm is bound at, port 80, so that a site
+	// IP is released only when its last site is removed.
+	bound  map[string]ipBinding
+	closed bool
 }
 
-// NewFarm binds the farm's shared listener at ip:80 on nw. Every site
-// subsequently added with StartSite is served from this one listener;
-// sites whose Config.IP differs from the farm address are reachable at
-// their own IP via a netsim virtual-IP alias.
+// ipBinding is one of the farm's addresses.
+type ipBinding struct {
+	release func()
+	sites   int // member sites advertising the IP
+}
+
+// NewFarm binds the farm at ip:80 on nw. Every site subsequently added
+// with StartSite is served by the farm there, and at its own IP when
+// its Config.IP differs from the farm address.
 func NewFarm(nw *netsim.Network, ip string) (*Farm, error) {
-	ln, err := nw.Listen(ip, 80)
-	if err != nil {
-		return nil, fmt.Errorf("webserver: farm listener: %w", err)
-	}
 	f := &Farm{
-		nw:        nw,
-		ip:        ip,
-		ln:        ln,
-		hosts:     make(map[string]*Site),
-		members:   make(map[*Site]bool),
-		aliasRefs: make(map[string]int),
+		nw:      nw,
+		ip:      ip,
+		hosts:   make(map[string]*Site),
+		members: make(map[*Site]bool),
+		bound:   make(map[string]ipBinding),
 	}
-	f.wait = netsim.ServeHTTP(ln, f)
+	release, err := nw.Handle(ip, 80, f)
+	if err != nil {
+		return nil, fmt.Errorf("webserver: farm address %s: %w", ip, err)
+	}
+	f.bound[ip] = ipBinding{release: release}
 	return f, nil
 }
 
@@ -79,8 +77,8 @@ func (f *Farm) Len() int {
 }
 
 // StartSite adds a site to the farm and returns it, registering
-// cfg.Domain in the network's name service and aliasing cfg.IP to the
-// farm listener when it differs from the farm address. Duplicate host
+// cfg.Domain in the network's name service and binding the farm at
+// cfg.IP when no other site advertises it. Duplicate host
 // registration is an error — a second site may not silently shadow the
 // first — as is an invalid Config.
 func (f *Farm) StartSite(cfg Config) (*Site, error) {
@@ -99,15 +97,17 @@ func (f *Farm) StartSite(cfg Config) (*Site, error) {
 		f.mu.Unlock()
 		return nil, fmt.Errorf("webserver: host %q already registered on this farm", cfg.Domain)
 	}
-	if cfg.IP != f.ip {
-		if f.aliasRefs[cfg.IP] == 0 {
-			if err := f.nw.AddAlias(cfg.IP, 80, f.ln); err != nil {
-				f.mu.Unlock()
-				return nil, fmt.Errorf("webserver: site IP %s: %w", cfg.IP, err)
-			}
+	b, ok := f.bound[cfg.IP]
+	if !ok {
+		release, err := f.nw.Handle(cfg.IP, 80, f)
+		if err != nil {
+			f.mu.Unlock()
+			return nil, fmt.Errorf("webserver: site IP %s: %w", cfg.IP, err)
 		}
-		f.aliasRefs[cfg.IP]++
+		b.release = release
 	}
+	b.sites++
+	f.bound[cfg.IP] = b
 	f.hosts[domainKey] = s
 	// Also answer requests that address the site by literal IP, unless
 	// another site already claims that IP (sites may share one).
@@ -122,11 +122,10 @@ func (f *Farm) StartSite(cfg Config) (*Site, error) {
 }
 
 // Remove takes a site out of the farm: its Host stops resolving (421),
-// and its IP alias is released once no other site advertises it, so a
-// fresh request to that IP is refused. A wire connection that served it
-// stays open and is answered 421 for its Host. The site's log remains
-// readable. Removing a site twice, or one the farm does not host, is a
-// no-op. Site.Close delegates here.
+// and its IP is released once no other site advertises it, so a fresh
+// request to that IP is refused; the farm's own IP stays bound. The
+// site's log remains readable. Removing a site twice, or one the farm
+// does not host, is a no-op. Site.Close delegates here.
 func (f *Farm) Remove(s *Site) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -142,8 +141,9 @@ func (f *Farm) Remove(s *Site) error {
 		delete(f.hosts, s.cfg.IP)
 		// Hand literal-IP dispatch to a surviving site advertising the
 		// same address, so sharing an IP with a removed neighbour does
-		// not silence it for dial-by-IP clients. Of several survivors the
-		// smallest domain wins: map order must not pick who answers.
+		// not silence it for clients that address it by IP. Of several
+		// survivors the smallest domain wins: map order must not pick
+		// who answers.
 		var heir *Site
 		for other := range f.members {
 			if other.cfg.IP == s.cfg.IP &&
@@ -155,34 +155,33 @@ func (f *Farm) Remove(s *Site) error {
 			f.hosts[s.cfg.IP] = heir
 		}
 	}
-	if s.cfg.IP != f.ip {
-		f.aliasRefs[s.cfg.IP]--
-		if f.aliasRefs[s.cfg.IP] <= 0 {
-			delete(f.aliasRefs, s.cfg.IP)
-			f.nw.RemoveAlias(s.cfg.IP, 80)
-		}
+	b := f.bound[s.cfg.IP]
+	b.sites--
+	if b.sites == 0 && s.cfg.IP != f.ip {
+		b.release()
+		delete(f.bound, s.cfg.IP)
+	} else {
+		f.bound[s.cfg.IP] = b
 	}
 	return nil
 }
 
-// Close shuts the farm down: the shared listener and every live
-// connection close and all sites are removed. It returns once every
-// serve loop has exited. Site logs remain readable.
+// Close shuts the farm down: every address it is bound at is released
+// and all sites are removed. Site logs remain readable.
 func (f *Farm) Close() error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.closed {
-		f.mu.Unlock()
 		return nil
 	}
 	f.closed = true
 	f.members = make(map[*Site]bool)
 	f.hosts = make(map[string]*Site)
-	f.aliasRefs = make(map[string]int)
-	f.mu.Unlock()
-
-	err := f.ln.Close()
-	f.wait()
-	return err
+	for _, b := range f.bound {
+		b.release()
+	}
+	f.bound = nil
+	return nil
 }
 
 // ServeHTTP resolves the request's Host to a site and serves it, or

@@ -83,9 +83,9 @@ func TestFarmDispatchesByHost(t *testing.T) {
 	}
 }
 
-// TestFarmServesAliasedSiteIPs dials sites by their advertised literal
-// IPs: the farm listener answers through netsim aliases, without
-// per-site listeners.
+// TestFarmServesAliasedSiteIPs fetches sites by their advertised
+// literal IPs: the farm answers there through its own binding at each
+// site IP, without per-site servers.
 func TestFarmServesAliasedSiteIPs(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.250")
@@ -96,6 +96,31 @@ func TestFarmServesAliasedSiteIPs(t *testing.T) {
 	resp, body := get(t, client, "http://203.0.113.71/robots.txt", "GPTBot/1.0")
 	if resp.StatusCode != 200 || !strings.Contains(body, "Disallow: /") {
 		t.Fatalf("dial by site IP = %d %q", resp.StatusCode, body)
+	}
+}
+
+// TestFarmAddressesRefuseDials: a farm is bound at its IP and at each
+// site IP as an HTTP handler, not a listener, so a Get to either is
+// served in-process while a dial to either is refused — no fetch from
+// the farm can go over a wire conn.
+func TestFarmAddressesRefuseDials(t *testing.T) {
+	nw := netsim.New()
+	farm := newFarm(t, nw, "203.0.113.250")
+	client := nw.HTTPClient("198.51.100.91")
+	for _, ip := range []string{"203.0.113.250", "203.0.113.73"} {
+		if _, err := farm.StartSite(Config{Domain: "dial-" + ip + ".test", IP: ip,
+			Pages: map[string]Page{"/": {Body: ip}}}); err != nil {
+			t.Fatal(err)
+		}
+		if status, body, err := netsim.Get(context.Background(), client, "http://"+ip+"/", nil); err != nil || status != 200 || body != ip {
+			t.Errorf("Get of %s = %d, %q, %v; want the site's page", ip, status, body, err)
+		}
+		if c, err := nw.Dial(context.Background(), "198.51.100.91", ip+":80"); err == nil || !strings.Contains(err.Error(), "connection refused") {
+			if c != nil {
+				c.Close()
+			}
+			t.Errorf("Dial to %s = %v, want connection refused", ip, err)
+		}
 	}
 }
 
@@ -141,11 +166,11 @@ func TestFarmValidationAndDuplicates(t *testing.T) {
 }
 
 // TestFarmRemoveMidRun exercises the scenario-engine lifecycle: sites
-// leave and join while the farm keeps serving, a removed site's alias IP
-// is released (a netsim request is refused; a stock client's pooled wire
-// conn stays open and reads 421), its log stays readable, and the host
-// becomes registerable again. A removed site that shared the farm IP instead answers 421 —
-// the listener survives, the Host mapping is gone.
+// leave and join while the farm keeps serving, a removed site's IP is
+// released (a netsim request is refused), its log stays readable, and
+// the host becomes registerable again. A removed site that shared the
+// farm IP instead answers 421 — the farm's binding survives, the Host
+// mapping is gone.
 func TestFarmRemoveMidRun(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.250")
@@ -154,27 +179,21 @@ func TestFarmRemoveMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	client := nw.HTTPClient("198.51.100.94")
-	var dialed atomic.Int64
-	wire := stockClient(nw, "198.51.100.94", &dialed)
-	defer wire.CloseIdleConnections()
-	if resp, _ := get(t, wire, s1.URL()+"/robots.txt", "x"); resp.StatusCode != 200 {
+	if resp, _ := get(t, client, s1.URL()+"/robots.txt", "x"); resp.StatusCode != 200 {
 		t.Fatalf("pre-remove fetch = %d", resp.StatusCode)
 	}
 	if err := s1.Close(); err != nil { // Site.Close delegates to farm.Remove
 		t.Fatal(err)
 	}
-	if resp, _ := get(t, wire, s1.URL()+"/robots.txt", "x"); resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("pooled conn after removal = %d, want 421", resp.StatusCode)
-	}
 	if _, _, err := netsim.Get(context.Background(), client, s1.URL()+"/robots.txt", nil); err == nil ||
 		!strings.Contains(err.Error(), "connection refused") {
-		t.Fatalf("Get after removal = %v, want the released alias refused", err)
+		t.Fatalf("Get after removal = %v, want the released site IP refused", err)
 	}
 	if got := len(s1.Log()); got != 1 {
 		t.Fatalf("removed site's log = %d records, want 1 (still readable)", got)
 	}
-	// A site sharing the farm's own IP keeps the listener; removal turns
-	// its Host into a 421.
+	// A site sharing the farm's own IP keeps the farm bound there;
+	// removal turns its Host into a 421.
 	sh, err := farm.StartSite(Config{Domain: "shared-rm.test", IP: "203.0.113.250",
 		Pages: map[string]Page{"/": {Body: "<html>x</html>"}}})
 	if err != nil {
@@ -204,79 +223,6 @@ func TestFarmRemoveMidRun(t *testing.T) {
 	}
 	if got := len(s2.Log()); got != 1 {
 		t.Fatalf("fresh site inherited a log? %d records, want 1", got)
-	}
-
-	// One connection, dialled at the farm IP, serves two Host headers,
-	// and keeps serving the second after the first site is removed.
-	var two []*Site
-	for _, name := range []string{"two-a.test", "two-b.test"} {
-		s, err := farm.StartSite(Config{Domain: name, IP: "203.0.113.250",
-			Pages: map[string]Page{"/": {Body: name}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		two = append(two, s)
-	}
-	viaFarmIP := func(host string) {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodGet, "http://203.0.113.250/", nil)
-		req.Host = host
-		resp, err := wire.Do(req)
-		if err != nil {
-			t.Fatalf("%s via farm IP: %v", host, err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != 200 || string(body) != host {
-			t.Fatalf("%s via farm IP = %d %q", host, resp.StatusCode, body)
-		}
-	}
-	viaFarmIP("two-a.test")
-	dials := dialed.Load()
-	viaFarmIP("two-b.test")
-	two[0].Close()
-	viaFarmIP("two-b.test")
-	if got := dialed.Load() - dials; got != 0 {
-		t.Fatalf("%d dials after the first Host on the farm-IP conn; want the pooled conn throughout", got)
-	}
-}
-
-// TestFarmCloseReleasesLiveConns pins Close against live wire
-// connections: with several stock clients holding pooled keep-alive
-// conns, Close returns only after the farm's server has closed them —
-// leakcheck fails the package on a serve loop left running — and a
-// client's next request fails, as a netsim client's does.
-func TestFarmCloseReleasesLiveConns(t *testing.T) {
-	nw := netsim.New()
-	farm, err := NewFarm(nw, "203.0.113.250")
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, err := farm.StartSite(WildcardDisallowSite("live.test", "203.0.113.85"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const clients = 4
-	var dialed atomic.Int64
-	var pooled []*http.Client
-	for c := 0; c < clients; c++ {
-		client := stockClient(nw, fmt.Sprintf("198.51.100.%d", 130+c), &dialed)
-		if resp, _ := get(t, client, site.URL()+"/robots.txt", "x"); resp.StatusCode != 200 {
-			t.Fatalf("client %d fetch = %d", c, resp.StatusCode)
-		}
-		pooled = append(pooled, client)
-	}
-	if got := dialed.Load(); got != clients {
-		t.Fatalf("clients dialed %d conns, want %d", got, clients)
-	}
-	pooled = append(pooled, nw.HTTPClient("198.51.100.134"))
-	if err := farm.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for c, client := range pooled {
-		if _, err := client.Get(site.URL() + "/robots.txt"); err == nil {
-			t.Fatalf("client %d: request after Close succeeded", c)
-		}
 	}
 }
 
@@ -411,7 +357,8 @@ func TestFarmConcurrentRegisterRemoveVsRequests(t *testing.T) {
 }
 
 // TestFarmCloseStopsServing pins Close semantics: idempotent, sites
-// unregistered, further StartSite calls fail.
+// unregistered, every address released (a request to the site or the
+// farm IP is refused), further StartSite calls fail.
 func TestFarmCloseStopsServing(t *testing.T) {
 	nw := netsim.New()
 	farm, err := NewFarm(nw, "203.0.113.250")
@@ -429,6 +376,11 @@ func TestFarmCloseStopsServing(t *testing.T) {
 	}
 	if err := farm.Close(); err != nil {
 		t.Fatal("double close must be a no-op")
+	}
+	for _, url := range []string{site.URL() + "/robots.txt", "http://203.0.113.250/"} {
+		if _, _, err := netsim.Get(context.Background(), client, url, nil); err == nil || !strings.Contains(err.Error(), "connection refused") {
+			t.Errorf("Get %s after Close = %v, want refused", url, err)
+		}
 	}
 	if _, err := farm.StartSite(WildcardDisallowSite("late.test", "203.0.113.84")); err == nil {
 		t.Fatal("StartSite after Close must fail")
@@ -476,83 +428,56 @@ func TestFarmSharedSiteIP(t *testing.T) {
 	}
 }
 
-// stockClient is a stock http.Client dialing through nw from sourceIP
-// — to the farm's wire server — that counts its dials in dialed.
+// wireAddr is where serveWire's stock server listens: an address no
+// farm in these tests is bound at.
+const wireAddr = "192.0.2.200:8080"
+
+// serveWire serves h over wire conns with a stock http.Server on a
+// netsim listener at wireAddr until the test ends.
+func serveWire(t *testing.T, nw *netsim.Network, h http.Handler) {
+	t.Helper()
+	ln, err := nw.Listen("192.0.2.200", 8080)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &http.Server{Handler: h}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+}
+
+// stockClient is a stock http.Client that dials serveWire's server
+// through nw from sourceIP, whatever the URL's host — the Host header
+// still picks the site — and counts its dials in dialed.
 func stockClient(nw *netsim.Network, sourceIP string, dialed *atomic.Int64) *http.Client {
 	return &http.Client{Transport: &http.Transport{
-		DialContext: func(ctx context.Context, _, addr string) (net.Conn, error) {
+		DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
 			dialed.Add(1)
-			return nw.Dial(ctx, sourceIP, addr)
+			return nw.Dial(ctx, sourceIP, wireAddr)
 		},
 		DisableCompression: true,
 	}}
 }
 
-// TestKeepAliveReuseAfter421 pins that a 421 does not poison what
-// follows: after a misdirected request, correctly-addressed requests are
-// served — in-process through the netsim client, and on the same pooled
-// wire conn through a stock client — and no site leaks across the Host
-// switch.
-func TestKeepAliveReuseAfter421(t *testing.T) {
-	nw := netsim.New()
-	farm := newFarm(t, nw, "203.0.113.250")
-	site, err := farm.StartSite(WildcardDisallowSite("known.test", "203.0.113.80"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nw.Register("ghost.test", "203.0.113.250") // resolves to the farm, no site claims it
-
-	var dialed atomic.Int64
-	unmatched := mFarmUnmatched.Value()
-	for _, client := range []*http.Client{nw.HTTPClient("198.51.100.95"), stockClient(nw, "198.51.100.95", &dialed)} {
-		// Same URL host, alternating Host headers: ghost → 421, known →
-		// 200, ghost → 421, known → 200.
-		for round := 0; round < 2; round++ {
-			req, err := http.NewRequest(http.MethodGet, "http://known.test/robots.txt", nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			req.Host = "ghost.test"
-			resp, err := client.Do(req)
-			if err != nil {
-				t.Fatalf("round %d ghost: %v", round, err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusMisdirectedRequest {
-				t.Fatalf("round %d ghost = %d, want 421", round, resp.StatusCode)
-			}
-
-			resp, body := get(t, client, "http://known.test/robots.txt", "GPTBot/1.0")
-			if resp.StatusCode != http.StatusOK || !strings.Contains(body, "Disallow: /") {
-				t.Fatalf("round %d known = %d %q, want the site's robots.txt", round, resp.StatusCode, body)
-			}
-		}
-		client.CloseIdleConnections()
-	}
-	if got := mFarmUnmatched.Value() - unmatched; got != 4 {
-		t.Fatalf("farm_unmatched_total grew by %d, want 4", got)
-	}
-	if got := dialed.Load(); got != 1 {
-		t.Fatalf("the stock client dialed %d conns, want 1 reused across the 421s", got)
-	}
-	if recs := site.Log(); len(recs) != 4 {
-		t.Fatalf("site log = %d records, want only the 4 matched requests", len(recs))
-	}
-}
-
 // TestFastServerDrainsPostAcrossRing sends a POST body several times the
-// 32KiB netsim ring at a farm site from a stock client. Content sites
-// have no POST handler and never read the body, but the farm's wire
-// server must still drain it (otherwise the client blocks writing into a
-// full ring while the server blocks writing the response) and then keep
-// serving the connection.
+// 32KiB netsim ring at a farm site from a stock client, through a stock
+// server. Content sites have no POST handler and never read the body,
+// but the server must still drain it (otherwise the client blocks
+// writing into a full ring while the server blocks writing the
+// response) and then keep serving the connection.
 func TestFastServerDrainsPostAcrossRing(t *testing.T) {
 	nw := netsim.New()
 	farm := newFarm(t, nw, "203.0.113.251")
 	if _, err := farm.StartSite(WildcardDisallowSite("upload.test", "203.0.113.81")); err != nil {
 		t.Fatal(err)
 	}
+	serveWire(t, nw, farm)
 
 	var dialed atomic.Int64
 	client := stockClient(nw, "198.51.100.96", &dialed)

@@ -7,7 +7,7 @@ import "repro/internal/obs"
 // is its log.
 var (
 	mFarmRequests = obs.NewCounter("farm_requests_total",
-		"Requests dispatched by farm listeners (matched hosts only).")
+		"Requests the farm dispatched to a site (matched hosts only).")
 	mFarmUnmatched = obs.NewCounter("farm_unmatched_total",
 		"Requests answered 421 because no site claims the Host header.")
 )

@@ -53,8 +53,8 @@ func (f BlockerFunc) Check(r *http.Request) *BlockDecision { return f(r) }
 type Config struct {
 	// Domain registers the site in the network's name service.
 	Domain string
-	// IP is the site's advertised address: a virtual alias of the farm
-	// listener when it differs from the farm's own address.
+	// IP is the site's advertised address, at which its farm is bound
+	// too when it differs from the farm's own address.
 	IP string
 	// RobotsTxt is served at /robots.txt; nil means the site has no
 	// robots.txt (404).
@@ -94,7 +94,7 @@ type Record struct {
 }
 
 // Site is a running instrumented website hosted by a Farm (virtual-host
-// dispatch on the farm's shared listener). Its measurement surface is the
+// dispatch in the farm's one handler). Its measurement surface is the
 // request log and the runtime policy swaps.
 type Site struct {
 	cfg  Config
