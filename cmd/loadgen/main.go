@@ -3,22 +3,23 @@
 // serving-layer numbers from outside the process, which the in-process
 // benchmark of record (bench/) cannot give.
 //
-// By default it compiles a corpus snapshot and hammers the service
-// in-process (the pure engine cost); with -target it speaks the JSON
-// API to a running cmd/policyd or cmd/policygw over TCP, and -wire
-// binary switches to the length-prefixed frame protocol (point -target
-// at the daemon's -frame-addr). Hosts are drawn from a zipf popularity
-// distribution over the corpus domains, agents from a configurable mix,
-// and queries are issued singly or in batches.
+// Every call is one policyd.Answerer.Answer. By default it compiles a
+// corpus snapshot and hammers the service in-process (the pure engine
+// cost); with -target it speaks the JSON API (policyd.JSONClient) to a
+// running cmd/policyd or cmd/policygw over TCP, and -wire binary
+// switches to the length-prefixed frame protocol (policyd.FrameClientV2;
+// point -target at the daemon's -frame-addr). Hosts are drawn from a
+// zipf popularity distribution over the corpus domains, agents from a
+// configurable mix, and queries are issued singly or in batches.
 //
 // -target takes a comma-separated endpoint list: workers round-robin
 // across the endpoints and the decision mix is reported per endpoint,
 // so one process can drive a gateway and a direct replica side by side
 // (or every replica of a fleet) and expose any routing skew. Rate
-// limiting is handled on both wires — HTTP 429 (honoring
-// X-Retry-After-Ms, falling back to Retry-After) and the binary
-// rate-limit frame both back off and retry, with throttle counts
-// reported at the end.
+// limiting is handled on both wires: the clients surface an HTTP 429
+// and the binary rate-limit frame alike as a *policyd.RateLimitError,
+// and the drive loop backs off for its delay and retries, with throttle
+// counts reported at the end.
 //
 //	go run ./cmd/loadgen -scale 0.05 -n 500000
 //	go run ./cmd/loadgen -target http://localhost:8473 -batch 64 -concurrency 4
@@ -38,7 +39,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -48,7 +48,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"net/url"
 	"os"
 	"sort"
 	"strings"
@@ -138,9 +137,7 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 	if concurrency < 1 {
 		concurrency = 1
 	}
-	switch wire {
-	case "json", "binary":
-	default:
+	if wire != "json" && wire != "binary" {
 		return fmt.Errorf("unknown -wire %q (want json or binary)", wire)
 	}
 	var targets []string
@@ -185,7 +182,7 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 			strings.Join(targets, ", "), len(hosts))
 	}
 
-	pool := buildWorkload(seed, hosts, agents, zipfS, minInt(total, 1<<16))
+	pool := buildWorkload(seed, hosts, agents, zipfS, min(total, 1<<16))
 	driver := &driver{
 		svc: svc, targets: targets, wire: wire,
 		pool: pool, batch: batch,
@@ -193,9 +190,9 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 	latRand := stats.NewRand(seed).Fork("loadgen-latency")
 	// Warm the roster and off-roster paths (and every endpoint) so the timed run
 	// measures steady state.
-	for e := 0; e < maxInt(1, len(targets)); e++ {
+	for e := 0; e < max(1, len(targets)); e++ {
 		warm := workerOut{res: newReservoir(latRand.Fork(fmt.Sprintf("warm-%d", e)))}
-		if err := driver.drive(e, 0, minInt(len(pool), 4096), &warm); err != nil {
+		if err := driver.drive(e, 0, min(len(pool), 4096), &warm); err != nil {
 			return err
 		}
 	}
@@ -225,7 +222,7 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 	var counts [3]int64
 	var sampled, throttled, swaps int64
 	var maxLat time.Duration
-	perEndpoint := make([][3]int64, maxInt(1, len(targets)))
+	perEndpoint := make([][3]int64, max(1, len(targets)))
 	for w, o := range outs {
 		if o.err != nil {
 			return o.err
@@ -425,18 +422,15 @@ type workerOut struct {
 	err       error
 }
 
-// driver issues the workload in-process, over the JSON HTTP API, or over
-// the binary frame protocol. With multiple targets, worker w drives
-// targets[w mod len(targets)].
+// driver issues the workload through one policyd.Answerer per worker:
+// the in-process service, a frame connection, or the JSON API. With
+// multiple targets, worker w drives targets[w mod len(targets)].
 type driver struct {
 	svc     *policyd.Service
 	targets []string
 	wire    string
 	pool    []policyd.Query
 	batch   int
-
-	clientOnce sync.Once
-	client     *http.Client
 }
 
 // endpoint picks worker w's target ("" in-process).
@@ -447,132 +441,77 @@ func (d *driver) endpoint(w int) string {
 	return d.targets[w%len(d.targets)]
 }
 
+// answerer opens worker w's Answerer; the caller closes a frame client.
+func (d *driver) answerer(w int) (policyd.Answerer, error) {
+	if d.svc != nil {
+		return d.svc, nil
+	}
+	tgt := d.endpoint(w)
+	if d.wire == "json" {
+		return &policyd.JSONClient{Client: &http.Client{Timeout: 30 * time.Second}, URL: httpBase(tgt)}, nil
+	}
+	conn, err := net.Dial("tcp", frameAddr(tgt))
+	if err != nil {
+		return nil, err
+	}
+	fc, err := policyd.NewFrameClientV2(conn)
+	if err != nil {
+		return nil, err
+	}
+	return fc, nil
+}
+
 // drive issues n decisions starting at pool offset off as worker w,
 // feeding every 16th call's latency into o.res and accumulating the
 // action mix. Rate-limited calls sleep the server's advertised backoff
 // and retry — a throttle shapes traffic, it never fails the run.
 func (d *driver) drive(worker, off, n int, o *workerOut) error {
 	const sampleEvery = 16
-	tgt := d.endpoint(worker)
+	a, err := d.answerer(worker)
+	if err != nil {
+		return fmt.Errorf("remote %s: %w", d.endpoint(worker), err)
+	}
+	if c, ok := a.(io.Closer); ok {
+		defer c.Close()
+	}
+	ctx := context.Background()
 	qs := make([]policyd.Query, 0, d.batch)
-	fill := func(done int) []policyd.Query {
+	out := make([]policyd.Decision, 0, d.batch)
+	lastVersion := ""
+	var limited *policyd.RateLimitError // errors.As's target, made once per worker
+	for calls, done := 0, 0; done < n; calls++ {
 		qs = qs[:0]
 		for len(qs) < d.batch && done+len(qs) < n {
 			qs = append(qs, d.pool[(off+done+len(qs))%len(d.pool)])
 		}
-		return qs
-	}
-
-	if d.svc != nil || d.wire == "binary" {
-		// Both the in-process engine and the frame protocol answer with
-		// []policyd.Decision into a reused buffer — the loop is identical
-		// apart from the call.
-		var fc *policyd.FrameClientV2
-		lastVersion := ""
-		if d.svc == nil {
-			conn, err := net.Dial("tcp", frameAddr(tgt))
-			if err != nil {
-				return fmt.Errorf("remote %s: %w", tgt, err)
-			}
-			fc, err = policyd.NewFrameClientV2(conn)
-			if err != nil {
-				return fmt.Errorf("remote %s: %w", tgt, err)
-			}
-			defer fc.Close()
+		sample := calls%sampleEvery == 0
+		var t0 time.Time
+		if sample {
+			t0 = time.Now()
 		}
-		out := make([]policyd.Decision, 0, d.batch)
-		calls := 0
-		for done := 0; done < n; {
-			qs := fill(done)
-			sample := calls%sampleEvery == 0
-			var t0 time.Time
-			if sample {
-				t0 = time.Now()
-			}
-			switch {
-			case d.svc != nil && d.batch == 1:
-				out = append(out[:0], d.svc.Decide(qs[0]))
-			case d.svc != nil:
-				out = d.svc.DecideBatch(qs, out[:0])
-			default:
-				for {
-					var version string
-					var err error
-					out, version, err = fc.Decide(qs, out[:0])
-					var rle *policyd.RateLimitError
-					if errors.As(err, &rle) {
-						o.throttled++
-						time.Sleep(rle.RetryAfter)
-						continue
-					}
-					if err != nil {
-						return fmt.Errorf("remote %s: %w", tgt, err)
-					}
-					if version != lastVersion {
-						if lastVersion != "" {
-							o.swaps++
-						}
-						lastVersion = version
-					}
-					break
-				}
-			}
-			if sample {
-				res := o.res
-				res.add(time.Since(t0))
-			}
-			for _, dec := range out {
-				o.counts[dec.Action]++
-			}
-			done += len(qs)
-			calls++
-		}
-		return nil
-	}
-
-	d.clientOnce.Do(func() { d.client = &http.Client{Timeout: 30 * time.Second} })
-	calls := 0
-	lastVersion := ""
-	for done := 0; done < n; {
-		qs := fill(done)
-		t0 := time.Now()
-		var decs []policyd.DecisionJSON
+		var version string
 		for {
-			var retryAfter time.Duration
-			var version string
-			var err error
-			decs, version, retryAfter, err = d.remote(tgt, qs)
-			if err != nil {
-				return fmt.Errorf("remote %s: %w", tgt, err)
+			out, version, err = a.Answer(ctx, qs, out[:0])
+			if err == nil || !errors.As(err, &limited) {
+				break
 			}
-			if retryAfter > 0 {
-				o.throttled++
-				time.Sleep(retryAfter)
-				continue
-			}
-			if version != "" && version != lastVersion {
-				if lastVersion != "" {
-					o.swaps++
-				}
-				lastVersion = version
-			}
-			break
+			o.throttled++
+			time.Sleep(limited.RetryAfter)
 		}
-		if calls%sampleEvery == 0 {
+		if err != nil {
+			return fmt.Errorf("remote %s: %w", d.endpoint(worker), err)
+		}
+		if lastVersion != "" && version != lastVersion {
+			o.swaps++
+		}
+		lastVersion = version
+		if sample {
 			o.res.add(time.Since(t0))
 		}
-		for _, dec := range decs {
-			switch dec.Action {
-			case "allow":
-				o.counts[0]++
-			case "deny":
-				o.counts[1]++
-			case "block":
-				o.counts[2]++
-			}
+		for _, dec := range out {
+			o.counts[dec.Action]++
 		}
 		done += len(qs)
-		calls++
 	}
 	return nil
 }
@@ -584,73 +523,13 @@ func frameAddr(target string) string {
 	return strings.TrimSuffix(addr, "/")
 }
 
-// retryAfterOf reads a 429's backoff: X-Retry-After-Ms (exact
-// milliseconds, the gateway's extension header) preferred, standard
-// Retry-After seconds as fallback, 100ms when neither parses.
-func retryAfterOf(resp *http.Response) time.Duration {
-	if ms := resp.Header.Get("X-Retry-After-Ms"); ms != "" {
-		var n int64
-		if _, err := fmt.Sscanf(ms, "%d", &n); err == nil && n > 0 {
-			return time.Duration(n) * time.Millisecond
-		}
+// httpBase normalizes -target for the JSON API: a bare host:port gets
+// an http:// scheme.
+func httpBase(target string) string {
+	if strings.HasPrefix(target, "http://") || strings.HasPrefix(target, "https://") {
+		return target
 	}
-	if s := resp.Header.Get("Retry-After"); s != "" {
-		var n int64
-		if _, err := fmt.Sscanf(s, "%d", &n); err == nil && n > 0 {
-			return time.Duration(n) * time.Second
-		}
-	}
-	return 100 * time.Millisecond
-}
-
-// remote issues one API call for the query group against tgt. A 429
-// returns a positive retryAfter and no decisions; the serving snapshot
-// version comes from the X-Policyd-Version response header when the
-// server sends one (the gateway does).
-func (d *driver) remote(tgt string, qs []policyd.Query) (decs []policyd.DecisionJSON, version string, retryAfter time.Duration, err error) {
-	base := tgt
-	if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-		base = "http://" + base
-	}
-	var resp *http.Response
-	if d.batch == 1 {
-		q := qs[0]
-		u := base + "/v1/decide?host=" + url.QueryEscape(q.Host) +
-			"&agent=" + url.QueryEscape(q.Agent) + "&path=" + url.QueryEscape(q.Path)
-		resp, err = d.client.Get(u)
-	} else {
-		var body []byte
-		body, err = json.Marshal(policyd.BatchRequest{Queries: qs})
-		if err != nil {
-			return nil, "", 0, err
-		}
-		resp, err = d.client.Post(base+"/v1/batch", "application/json", bytes.NewReader(body))
-	}
-	if err != nil {
-		return nil, "", 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		io.Copy(io.Discard, resp.Body)
-		return nil, "", retryAfterOf(resp), nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return nil, "", 0, fmt.Errorf("%s: %s", resp.Status, msg)
-	}
-	version = resp.Header.Get("X-Policyd-Version")
-	if d.batch == 1 {
-		var dj policyd.DecisionJSON
-		if err := json.NewDecoder(resp.Body).Decode(&dj); err != nil {
-			return nil, "", 0, err
-		}
-		return []policyd.DecisionJSON{dj}, version, 0, nil
-	}
-	var br policyd.BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		return nil, "", 0, err
-	}
-	return br.Decisions, version, 0, nil
+	return "http://" + target
 }
 
 // fetchQuotas asks each target for its gateway quota ledger, returning
@@ -659,11 +538,7 @@ func (d *driver) remote(tgt string, qs []policyd.Query) (decs []policyd.Decision
 func fetchQuotas(targets []string) *runstore.QuotaAccounting {
 	client := &http.Client{Timeout: 10 * time.Second}
 	for _, tgt := range targets {
-		base := tgt
-		if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
-			base = "http://" + base
-		}
-		resp, err := client.Get(base + "/v1/quotas")
+		resp, err := client.Get(httpBase(tgt) + "/v1/quotas")
 		if err != nil {
 			continue
 		}
@@ -683,20 +558,13 @@ func fetchQuotas(targets []string) *runstore.QuotaAccounting {
 }
 
 // measureAllocs reports steady-state allocations per call on the warmed
-// in-process path.
+// in-process path: one svc.Answer of a batch-sized slice of the pool.
 func measureAllocs(svc *policyd.Service, pool []policyd.Query, batch int) int64 {
-	n := minInt(len(pool), 1024)
-	if batch == 1 {
-		i := 0
-		return int64(testing.AllocsPerRun(500, func() {
-			svc.Decide(pool[i%n])
-			i++
-		}))
-	}
-	qs := pool[:minInt(batch, n)]
+	ctx := context.Background()
+	qs := pool[:min(batch, len(pool))]
 	out := make([]policyd.Decision, 0, len(qs))
 	return int64(testing.AllocsPerRun(500, func() {
-		out = svc.DecideBatch(qs, out[:0])
+		out, _, _ = svc.Answer(ctx, qs, out[:0])
 	}))
 }
 
@@ -748,18 +616,4 @@ func pctile(sorted []time.Duration, q float64) time.Duration {
 	}
 	i := int(q * float64(len(sorted)-1))
 	return sorted[i]
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"net"
+	"net/http/httptest"
 	"sort"
 	"testing"
 	"time"
@@ -132,10 +133,11 @@ func TestFrameAddr(t *testing.T) {
 	}
 }
 
-// TestDriveBinaryWireMatchesInProcess serves a small snapshot over the
-// frame protocol on a loopback listener and checks the binary drive path
-// returns the exact decision mix the in-process path computes.
-func TestDriveBinaryWireMatchesInProcess(t *testing.T) {
+// TestDriveWiresMatchInProcess serves a small snapshot over the frame
+// protocol and the JSON API on loopback listeners and checks that the
+// drive loop, at one query per call and in batches, returns the exact
+// decision mix the in-process path computes on every wire.
+func TestDriveWiresMatchInProcess(t *testing.T) {
 	b := &policyd.Builder{}
 	b.Add("allow.test", policyd.HostConfig{})
 	b.Add("deny.test", policyd.HostConfig{RobotsTxt: "User-agent: *\nDisallow: /\n"})
@@ -152,6 +154,8 @@ func TestDriveBinaryWireMatchesInProcess(t *testing.T) {
 	}
 	defer ln.Close()
 	go policyd.ServeFrames(ln, svc)
+	srv := httptest.NewServer(policyd.NewHandler(svc))
+	defer srv.Close()
 
 	pool := []policyd.Query{
 		{Host: "allow.test", Agent: "GPTBot", Path: "/"},
@@ -161,25 +165,30 @@ func TestDriveBinaryWireMatchesInProcess(t *testing.T) {
 	}
 	const n = 400
 
-	inproc := &driver{svc: svc, pool: pool, batch: 8}
-	inOut := workerOut{res: newReservoir(stats.NewRand(1).Fork("a"))}
-	if err := inproc.drive(0, 0, n, &inOut); err != nil {
-		t.Fatal(err)
-	}
-
-	binary := &driver{targets: []string{ln.Addr().String()}, wire: "binary", pool: pool, batch: 8}
-	binOut := workerOut{res: newReservoir(stats.NewRand(1).Fork("b"))}
-	if err := binary.drive(0, 0, n, &binOut); err != nil {
-		t.Fatal(err)
-	}
-
-	if inOut.counts != binOut.counts {
-		t.Fatalf("decision mix diverged: in-process %v, binary wire %v", inOut.counts, binOut.counts)
-	}
-	if total := binOut.counts[0] + binOut.counts[1] + binOut.counts[2]; total != n {
-		t.Fatalf("binary wire decided %d of %d queries", total, n)
-	}
-	if binOut.res.seen == 0 {
-		t.Fatal("no latencies sampled")
+	for _, batch := range []int{1, 8} {
+		inOut := workerOut{res: newReservoir(stats.NewRand(1).Fork("a"))}
+		inproc := &driver{svc: svc, pool: pool, batch: batch}
+		if err := inproc.drive(0, 0, n, &inOut); err != nil {
+			t.Fatal(err)
+		}
+		if total := inOut.counts[0] + inOut.counts[1] + inOut.counts[2]; total != n || inOut.counts[1] == 0 || inOut.counts[2] == 0 {
+			t.Fatalf("batch %d: in-process mix %v, want %d decisions with denies and blocks", batch, inOut.counts, n)
+		}
+		for _, w := range []struct{ wire, target string }{
+			{"binary", ln.Addr().String()},
+			{"json", srv.URL},
+		} {
+			out := workerOut{res: newReservoir(stats.NewRand(1).Fork(w.wire))}
+			d := &driver{targets: []string{w.target}, wire: w.wire, pool: pool, batch: batch}
+			if err := d.drive(0, 0, n, &out); err != nil {
+				t.Fatalf("batch %d, %s wire: %v", batch, w.wire, err)
+			}
+			if out.counts != inOut.counts {
+				t.Fatalf("batch %d: decision mix diverged: in-process %v, %s wire %v", batch, inOut.counts, w.wire, out.counts)
+			}
+			if out.res.seen == 0 {
+				t.Fatalf("batch %d, %s wire: no latencies sampled", batch, w.wire)
+			}
+		}
 	}
 }

@@ -57,10 +57,9 @@ func main() {
 	replicas := flag.String("replicas", "", "comma-separated replica endpoints: host:port (frame = port+1) or host:json:frame")
 	rate := flag.Float64("rate", 0, "per-tenant admitted decisions/sec (0 = accounting only, no limiting)")
 	burst := flag.Float64("burst", 0, "per-tenant token-bucket burst (0 = derived from rate)")
-	vnodes := flag.Int("vnodes", 0, "virtual nodes per replica on the hash ring (0 = default)")
 	flag.Parse()
 
-	if err := run(*addr, *frameAddr, *metricsAddr, *replicas, *rate, *burst, *vnodes); err != nil {
+	if err := run(*addr, *frameAddr, *metricsAddr, *replicas, *rate, *burst); err != nil {
 		fmt.Fprintf(os.Stderr, "policygw: %v\n", err)
 		os.Exit(1)
 	}
@@ -107,7 +106,7 @@ func parseReplicas(spec string) ([]fleet.ReplicaConfig, error) {
 	return rcs, nil
 }
 
-func run(addr, frameAddr, metricsAddr, replicas string, rate, burst float64, vnodes int) error {
+func run(addr, frameAddr, metricsAddr, replicas string, rate, burst float64) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -118,7 +117,6 @@ func run(addr, frameAddr, metricsAddr, replicas string, rate, burst float64, vno
 	var dialer net.Dialer
 	gw, err := fleet.NewGateway(fleet.Config{
 		Replicas: rcs,
-		VNodes:   vnodes,
 		Rate:     rate,
 		Burst:    burst,
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {

@@ -125,9 +125,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 		IDs:         ids,
 		Sink:        sink,
 	})
-	if cerr := sink.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
 	if err != nil {
 		fmt.Fprintf(stderr, "somesite: %v\n", err)
 		if results == nil {

@@ -22,7 +22,6 @@ type Options struct {
 	IDs []string
 	// Sink receives each successful result in registration order as soon
 	// as it and all its predecessors have completed. nil discards output.
-	// The sink is not closed by RunAll; the caller owns its lifecycle.
 	Sink Sink
 }
 

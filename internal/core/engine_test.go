@@ -92,7 +92,6 @@ func (s *cancelAfterSink) Emit(*Result) error {
 	}
 	return nil
 }
-func (s *cancelAfterSink) Close() error { return nil }
 
 func TestRunAllHonorsCancellationMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -147,7 +146,6 @@ func TestRunAllPreCancelled(t *testing.T) {
 type sinkFunc func(*Result) error
 
 func (f sinkFunc) Emit(r *Result) error { return f(r) }
-func (sinkFunc) Close() error           { return nil }
 
 func TestRunAllSinkError(t *testing.T) {
 	broken := errors.New("disk full")
@@ -226,9 +224,6 @@ func TestJSONSink(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := sink.Emit(res); err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/corpus"
@@ -55,7 +53,7 @@ func runPolicyService(ctx context.Context, env *Env) (*Result, error) {
 	}
 	defer release()
 	nw.Register("policyd.test", "203.0.113.90")
-	client := nw.HTTPClient("198.51.100.90")
+	client := &policyd.JSONClient{Client: nw.HTTPClient("198.51.100.90"), URL: "http://policyd.test"}
 
 	// A fixed workload drawn from the corpus domains: top-tier sites
 	// (which Sites() lists first) are queried more, agents rotate
@@ -84,30 +82,18 @@ func runPolicyService(ctx context.Context, env *Env) (*Result, error) {
 
 	replay := func() (map[string]int, error) {
 		mix := make(map[string]int)
+		var ds []policyd.Decision
 		for _, qs := range batches {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			body, err := json.Marshal(policyd.BatchRequest{Queries: qs})
-			if err != nil {
-				return nil, err
+			var err error
+			if ds, _, err = client.Answer(ctx, qs, ds[:0]); err != nil {
+				return nil, fmt.Errorf("policy-service: %w", err)
 			}
-			resp, err := client.Post("http://policyd.test/v1/batch", "application/json", bytes.NewReader(body))
-			if err != nil {
-				return nil, err
-			}
-			var br policyd.BatchResponse
-			err = json.NewDecoder(resp.Body).Decode(&br)
-			resp.Body.Close()
-			if err != nil {
-				return nil, err
-			}
-			if len(br.Decisions) != len(qs) {
-				return nil, fmt.Errorf("policy-service: batch returned %d of %d decisions", len(br.Decisions), len(qs))
-			}
-			for _, d := range br.Decisions {
-				mix[d.Action]++
-				mix["signal:"+d.Signal]++
+			for _, d := range ds {
+				mix[d.Action.String()]++
+				mix["signal:"+d.Signal.String()]++
 			}
 		}
 		return mix, nil

@@ -14,8 +14,6 @@ import (
 type Sink interface {
 	// Emit renders one result.
 	Emit(res *Result) error
-	// Close flushes any buffered output once the run completes.
-	Close() error
 }
 
 // formats lists the sink formats NewSink accepts.
@@ -42,13 +40,11 @@ func NewSink(format string, w io.Writer) (Sink, error) {
 type textSink struct{ w io.Writer }
 
 func (s textSink) Emit(res *Result) error { return render(s.w, res) }
-func (s textSink) Close() error           { return nil }
 
 // markdownSink renders results as GitHub-flavored markdown.
 type markdownSink struct{ w io.Writer }
 
 func (s markdownSink) Emit(res *Result) error { return renderMarkdown(s.w, res) }
-func (s markdownSink) Close() error           { return nil }
 
 // NewJSONSink emits each result as one JSON object per line (NDJSON), so
 // output can be streamed into jq or loaded row by row.
@@ -59,7 +55,6 @@ func NewJSONSink(w io.Writer) Sink {
 type jsonSink struct{ enc *json.Encoder }
 
 func (s jsonSink) Emit(res *Result) error { return s.enc.Encode(res) }
-func (s jsonSink) Close() error           { return nil }
 
 // render writes a result as aligned text.
 func render(w io.Writer, res *Result) error {

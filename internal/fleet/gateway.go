@@ -47,8 +47,6 @@ type ReplicaConfig struct {
 // Config assembles a Gateway.
 type Config struct {
 	Replicas []ReplicaConfig
-	// VNodes per replica on the ring; <= 0 means defaultVNodes.
-	VNodes int
 	// Rate/Burst configure per-tenant token buckets (tokens/sec and
 	// bucket depth). Rate 0 disables limiting; Burst 0 defaults to
 	// max(Rate, 2×policyd.MaxBatch) so a full batch always fits.
@@ -115,7 +113,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:     cfg,
-		ring:    NewRing(names, cfg.VNodes),
+		ring:    NewRing(names, 0),
 		limiter: NewLimiter(cfg.Rate, cfg.Burst, cfg.Now),
 	}
 	for _, rc := range cfg.Replicas {
@@ -200,7 +198,7 @@ func (r *replica) probeLoop(ctx context.Context) {
 			fc = r.dialProbe(pctx)
 		}
 		if fc != nil {
-			if _, v, err := fc.DecideContext(pctx, nil, nil); err != nil {
+			if _, v, err := fc.Answer(pctx, nil, nil); err != nil {
 				fc.Close()
 				fc = nil
 			} else {
@@ -314,7 +312,7 @@ func (g *Gateway) decideOn(ctx context.Context, r *replica, qs []policyd.Query, 
 			continue
 		}
 		start := time.Now()
-		ds, version, err := fc.DecideContext(ctx, qs, out[:base])
+		ds, version, err := fc.Answer(ctx, qs, out[:base])
 		if err != nil {
 			fc.Close()
 			lastErr = err

@@ -61,7 +61,7 @@ func corpusWorkload(snap *policyd.Snapshot, n int) []policyd.Query {
 // TestGatewayParity is the fleet's correctness anchor: 100k corpus
 // queries routed through the gateway must produce exactly the decisions
 // a direct replica produces, on both wires. Binary: every batch through
-// the gateway's frame listener vs in-process DecideBatch. JSON:
+// the gateway's frame listener vs in-process DecideBatchVersioned. JSON:
 // /v1/batch through the gateway vs the in-process decisions, plus
 // byte-identical /v1/decide bodies against a direct replica.
 func TestGatewayParity(t *testing.T) {
@@ -75,7 +75,7 @@ func TestGatewayParity(t *testing.T) {
 
 	direct := policyd.NewService(snap)
 	qs := corpusWorkload(snap, 100_000)
-	want := direct.DecideBatch(qs, make([]policyd.Decision, 0, len(qs)))
+	want, _ := direct.DecideBatchVersioned(qs, make([]policyd.Decision, 0, len(qs)))
 
 	t.Run("frame", func(t *testing.T) {
 		fc, err := f.DialFrameV2(ctx, f.GatewayFrameAddr)

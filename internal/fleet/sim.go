@@ -46,7 +46,7 @@ const ClientIP = "10.0.0.1"
 const gatewayIP = "10.0.0.2"
 
 // NewSimFleet starts the fleet with every replica serving snap; gwCfg
-// carries the gateway knobs (VNodes, Rate, Burst, Now — Replicas and
+// carries the gateway knobs (Rate, Burst, Now — Replicas and
 // Dial are filled in from the simulated topology).
 // Close releases all listeners and connections.
 func NewSimFleet(snap *policyd.Snapshot, replicas int, gwCfg Config) (*SimFleet, error) {

@@ -351,7 +351,7 @@ type FrameClientV2 struct {
 	wbuf    []byte
 	rbuf    []byte
 	version string // last serving version, interned across responses
-	armed   bool   // c carries a deadline DecideContext set
+	armed   bool   // c carries a deadline Answer set
 }
 
 // NewFrameClientV2 sends the protocol preamble on c and returns a client.
@@ -409,13 +409,13 @@ func (fc *FrameClientV2) Decide(qs []Query, out []Decision) ([]Decision, string,
 	return out, fc.version, nil
 }
 
-// DecideContext is Decide bounded by ctx: the exchange runs under ctx's
-// deadline, and canceling ctx fails it. Either failure leaves the
-// framing broken, like any error but a *RateLimitError, and returns
-// ctx's error (context.DeadlineExceeded when the conn's deadline fires
-// first). A ctx with no deadline and no Done channel
+// Answer implements Answerer: it is Decide bounded by ctx. The exchange
+// runs under ctx's deadline, and canceling ctx fails it. Either failure
+// leaves the framing broken, like any error but a *RateLimitError, and
+// returns ctx's error (context.DeadlineExceeded when the conn's
+// deadline fires first). A ctx with no deadline and no Done channel
 // (context.Background) costs nothing and allocates nothing.
-func (fc *FrameClientV2) DecideContext(ctx context.Context, qs []Query, out []Decision) ([]Decision, string, error) {
+func (fc *FrameClientV2) Answer(ctx context.Context, qs []Query, out []Decision) ([]Decision, string, error) {
 	d, hasDeadline := ctx.Deadline()
 	if hasDeadline {
 		fc.c.SetDeadline(d)

@@ -209,7 +209,7 @@ func TestFrameJSONParityCorpus(t *testing.T) {
 				off, len(br.Decisions), len(frameOut), len(qs))
 		}
 
-		direct = svc.DecideBatch(qs, direct[:0])
+		direct, _ = svc.DecideBatchVersioned(qs, direct[:0])
 		for i := range qs {
 			if got, want := frameOut[i].JSON(), br.Decisions[i]; got != want {
 				t.Fatalf("query %+v: frame %+v, json %+v", qs[i], got, want)

@@ -2,10 +2,12 @@ package policyd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"slices"
@@ -27,7 +29,8 @@ import (
 //
 // Decide and batch answers carry X-Policyd-Version, the snapshot that
 // produced every decision in the response. A fleet gateway serves the
-// same two endpoints from the same code (NewHandlerFor).
+// same two endpoints from the same code (NewHandlerFor), and JSONClient
+// is the one client of both.
 
 // DecisionJSON is a decision's wire form.
 type DecisionJSON struct {
@@ -38,6 +41,22 @@ type DecisionJSON struct {
 // JSON converts a decision to its wire form.
 func (d Decision) JSON() DecisionJSON {
 	return DecisionJSON{Action: d.Action.String(), Signal: d.Signal.String()}
+}
+
+// decision parses a wire form back into the decision whose JSON it is;
+// a name no decision has is an error.
+func (dj DecisionJSON) decision() (Decision, error) {
+	for a := allow; a <= Block; a++ {
+		if a.String() != dj.Action {
+			continue
+		}
+		for s := signalNone; s <= signalMeta; s++ {
+			if s.String() == dj.Signal {
+				return Decision{Action: a, Signal: s}, nil
+			}
+		}
+	}
+	return Decision{}, fmt.Errorf("policyd: unknown decision %q/%q", dj.Action, dj.Signal)
 }
 
 // BatchRequest is the /v1/batch request body.
@@ -478,4 +497,90 @@ func writeDecision(w http.ResponseWriter, d Decision) {
 		return
 	}
 	writeJSON(w, d.JSON())
+}
+
+// JSONClient is the JSON API's Answerer, for a replica or a gateway at
+// URL ("http://host:port"): one query is a GET of /v1/decide, any other
+// count one POST of /v1/batch, and the answer's version is its
+// X-Policyd-Version. A 429 is a *RateLimitError carrying
+// X-Retry-After-Ms, else Retry-After seconds, else 100 ms; any other
+// status but 200 is an error naming the status and the body. It is safe
+// for concurrent use when Client is.
+type JSONClient struct {
+	Client *http.Client
+	URL    string
+}
+
+// defaultRetryAfter is a 429's backoff when neither header parses.
+const defaultRetryAfter = 100 * time.Millisecond
+
+// Answer asks the API for qs under ctx, appending one decision per query
+// to out in query order.
+func (c *JSONClient) Answer(ctx context.Context, qs []Query, out []Decision) ([]Decision, string, error) {
+	method, target, body := http.MethodGet, "", io.Reader(nil)
+	if len(qs) == 1 {
+		q := qs[0]
+		target = "/v1/decide?" + url.Values{"host": {q.Host}, "agent": {q.Agent}, "path": {q.Path}}.Encode()
+	} else {
+		b, _ := json.Marshal(BatchRequest{Queries: qs}) // strings only: cannot fail
+		method, target, body = http.MethodPost, "/v1/batch", bytes.NewReader(b)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.URL+target, body)
+	if err != nil {
+		return out, "", err
+	}
+	resp, err := c.Client.Do(req)
+	if err != nil {
+		return out, "", err
+	}
+	defer func() {
+		io.Copy(io.Discard, resp.Body) // so the connection is reused
+		resp.Body.Close()
+	}()
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusTooManyRequests:
+		return out, "", &RateLimitError{RetryAfter: retryAfter(resp.Header)}
+	default:
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<10))
+		return out, "", fmt.Errorf("policyd: %s: %s", resp.Status, bytes.TrimSpace(msg))
+	}
+	var br BatchResponse
+	if len(qs) == 1 {
+		br.Decisions = make([]DecisionJSON, 1)
+		err = json.NewDecoder(resp.Body).Decode(&br.Decisions[0])
+	} else {
+		err = json.NewDecoder(resp.Body).Decode(&br)
+	}
+	if err != nil {
+		return out, "", fmt.Errorf("policyd: decoding answer: %w", err)
+	}
+	if len(br.Decisions) != len(qs) {
+		return out, "", fmt.Errorf("policyd: %d decisions for %d queries", len(br.Decisions), len(qs))
+	}
+	base := len(out)
+	for _, dj := range br.Decisions {
+		d, err := dj.decision()
+		if err != nil {
+			return out[:base], "", err
+		}
+		out = append(out, d)
+	}
+	return out, resp.Header.Get("X-Policyd-Version"), nil
+}
+
+// retryAfter reads a 429's backoff from the headers writeRateLimited
+// sets: X-Retry-After-Ms, else Retry-After seconds, each counted only
+// when it is a positive integer that fits a Duration.
+func retryAfter(h http.Header) time.Duration {
+	for _, r := range [...]struct {
+		key  string
+		unit time.Duration
+	}{{"X-Retry-After-Ms", time.Millisecond}, {"Retry-After", time.Second}} {
+		n, err := strconv.ParseInt(h.Get(r.key), 10, 64)
+		if err == nil && n > 0 && n <= math.MaxInt64/int64(r.unit) {
+			return time.Duration(n) * r.unit
+		}
+	}
+	return defaultRetryAfter
 }

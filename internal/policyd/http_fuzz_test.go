@@ -2,7 +2,11 @@ package policyd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"net/http"
 	"net/url"
 	"reflect"
 	"slices"
@@ -81,6 +85,63 @@ func FuzzDecideQueryMatchesURL(f *testing.F) {
 		want := Query{Host: vals.Get("host"), Agent: vals.Get("agent"), Path: vals.Get("path")}
 		if got := decideQuery(raw); got != want {
 			t.Fatalf("%q: one pass reads %+v, url.ParseQuery %+v", raw, got, want)
+		}
+	})
+}
+
+// FuzzJSONClientAnswer: whatever a server answers — any status, any
+// Retry-After and X-Retry-After-Ms pair, any body — JSONClient.Answer
+// returns an error or exactly one in-range decision per query, never
+// panics, and turns a 429 into a *RateLimitError with a positive delay.
+func FuzzJSONClientAnswer(f *testing.F) {
+	f.Add(uint8(1), uint16(200), "", "", []byte(`{"action":"deny","signal":"robots-agent"}`+"\n"))
+	f.Add(uint8(2), uint16(200), "", "", []byte(`{"decisions":[{"action":"allow","signal":"none"},{"action":"block","signal":"blocker"}]}`))
+	f.Add(uint8(0), uint16(200), "", "", []byte(`{"decisions":[]}`))
+	f.Add(uint8(2), uint16(200), "", "", []byte(`{"decisions":[{"action":"allow","signal":"none"}]}`))
+	f.Add(uint8(3), uint16(200), "", "", []byte(`{"decisions":null}`))
+	f.Add(uint8(1), uint16(200), "", "", []byte(`{"action":"maybe","signal":"none"}`))
+	f.Add(uint8(2), uint16(429), "2", "1500", []byte("rate limited\n"))
+	f.Add(uint8(1), uint16(429), "x", "-1", []byte(""))
+	f.Add(uint8(1), uint16(429), "99999999999", "99999999999999999", []byte(""))
+	f.Add(uint8(2), uint16(502), "", "", []byte("replica down\n"))
+	f.Add(uint8(1), uint16(0), "", "", []byte("{"))
+	var reply struct {
+		status                   int
+		retryAfter, retryAfterMs string
+		body                     []byte
+	}
+	c := jsonClientOn(f, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", reply.retryAfter)
+		w.Header().Set("X-Retry-After-Ms", reply.retryAfterMs)
+		w.WriteHeader(reply.status)
+		w.Write(reply.body)
+	}))
+	f.Fuzz(func(t *testing.T, n uint8, status uint16, retryAfter, retryAfterMs string, body []byte) {
+		reply.status, reply.retryAfter, reply.retryAfterMs, reply.body = int(status), retryAfter, retryAfterMs, body
+		qs := make([]Query, n%6)
+		for i := range qs {
+			qs[i] = Query{Host: fmt.Sprintf("h%d.test", i), Agent: "GPTBot", Path: "/"}
+		}
+		out, _, err := c.Answer(context.Background(), qs, nil)
+		if status == http.StatusTooManyRequests {
+			var limited *RateLimitError
+			if !errors.As(err, &limited) || limited.RetryAfter <= 0 {
+				t.Fatalf("429 answered %v, want a RateLimitError with a positive delay", err)
+			}
+		}
+		if err != nil {
+			if len(out) != 0 {
+				t.Fatalf("error %v with %d decisions appended", err, len(out))
+			}
+			return
+		}
+		if len(out) != len(qs) {
+			t.Fatalf("%d decisions for %d queries, no error", len(out), len(qs))
+		}
+		for _, d := range out {
+			if d.Action > Block || d.Signal > signalMeta {
+				t.Fatalf("out-of-range decision %v", d)
+			}
 		}
 	})
 }

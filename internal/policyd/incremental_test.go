@@ -48,13 +48,12 @@ func TestIncrementalCompileEquivalence(t *testing.T) {
 		t.Fatalf("version %q != %q", incr.Version, full.Version)
 	}
 
-	fullSvc, incrSvc := NewService(full), NewService(incr)
 	agents := []string{"GPTBot", "CCBot", "Google-Extended", "Googlebot", "Mozilla", "anthropic-ai"}
 	paths := []string{"/", "/about.html", "/admin/secret", "/gallery/a.png", "/search?q=x"}
 	checked := 0
 	for i, host := range full.Hosts() {
 		q := Query{Host: host, Agent: agents[i%len(agents)], Path: paths[i%len(paths)]}
-		if a, b := fullSvc.Decide(q), incrSvc.Decide(q); a != b {
+		if a, b := full.Decide(q), incr.Decide(q); a != b {
 			t.Fatalf("host %s agent %s path %s: full %v/%v, incremental %v/%v",
 				q.Host, q.Agent, q.Path, a.Action, a.Signal, b.Action, b.Signal)
 		}
@@ -72,7 +71,7 @@ func TestIncrementalCompileEquivalence(t *testing.T) {
 		for _, ag := range agents {
 			for _, p := range paths {
 				q := Query{Host: hosts[i], Agent: ag, Path: p}
-				if a, b := fullSvc.Decide(q), incrSvc.Decide(q); a != b {
+				if a, b := full.Decide(q), incr.Decide(q); a != b {
 					t.Fatalf("dense check host %s agent %s path %s: full %v incremental %v", q.Host, ag, p, a, b)
 				}
 			}
@@ -127,7 +126,7 @@ func TestIncrementalNormalizedReuse(t *testing.T) {
 		t.Fatalf("cosmetic robots edit reused %d hosts, want 2", cosmetic.ReusedHosts())
 	}
 	q := Query{Host: "site.test", Agent: "GPTBot", Path: "/p"}
-	if d := NewService(cosmetic).Decide(q); d.Action != Deny {
+	if d := cosmetic.Decide(q); d.Action != Deny {
 		t.Fatalf("reused host lost its policy: %v", d)
 	}
 
@@ -136,7 +135,7 @@ func TestIncrementalNormalizedReuse(t *testing.T) {
 	if semantic.ReusedHosts() != 1 { // only other.test
 		t.Fatalf("semantic robots edit reused %d hosts, want 1", semantic.ReusedHosts())
 	}
-	if d := NewService(semantic).Decide(q); d.Action != allow {
+	if d := semantic.Decide(q); d.Action != allow {
 		t.Fatalf("recompiled host kept the old policy: %v", d)
 	}
 

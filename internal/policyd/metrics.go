@@ -8,8 +8,8 @@ import (
 
 // Service metrics. The decision matrix is 3 actions × 6 signals of
 // pre-registered counters so the hot path indexes an array instead of
-// formatting labels; DecideBatch accumulates on the stack and flushes
-// once per batch.
+// formatting labels; DecideBatchVersioned accumulates on the stack and
+// flushes once per batch.
 var mDecisions = func() (m [Block + 1][signalMeta + 1]*obs.Counter) {
 	for a := allow; a <= Block; a++ {
 		for sig := signalNone; sig <= signalMeta; sig++ {
@@ -23,7 +23,7 @@ var mDecisions = func() (m [Block + 1][signalMeta + 1]*obs.Counter) {
 
 var (
 	mBatchSize = obs.NewHistogram("policyd_batch_size",
-		"Queries per DecideBatch call.")
+		"Queries per DecideBatchVersioned call.")
 	mSwaps = obs.NewCounter("policyd_snapshot_swaps_total",
 		"Snapshot hot swaps installed on the service.")
 	mCompileNS = obs.NewHistogram("policyd_compile_duration_ns",
@@ -55,14 +55,4 @@ func NewJSONStages(listener string) JSONStages {
 			"Wall-clock per JSON API request stage (parse, answer, encode), ns.")
 	}
 	return JSONStages{Parse: stage("parse"), Answer: stage("answer"), Encode: stage("encode")}
-}
-
-// countDecision records one decision in the action×signal matrix.
-// Bounds are clamped defensively: a corrupted enum must not panic the
-// serving path.
-func countDecision(d Decision) {
-	if d.Action > Block || d.Signal > signalMeta {
-		return
-	}
-	mDecisions[d.Action][d.Signal].Inc()
 }

@@ -32,8 +32,8 @@ func decisionTotal() uint64 {
 	return sum
 }
 
-// TestDecisionCountersAcrossSwap hammers Decide and DecideBatch from
-// several goroutines while another goroutine hot-swaps snapshots, then
+// TestDecisionCountersAcrossSwap hammers single-query and batched
+// Answer calls from several goroutines while another goroutine hot-swaps snapshots, then
 // checks the decision matrix advanced by exactly the number of
 // decisions issued: counters must neither double-count nor tear when a
 // reload races the hot path. Run under -race in CI.
@@ -41,6 +41,7 @@ func TestDecisionCountersAcrossSwap(t *testing.T) {
 	snapA := buildSnap(t, "swap-a", "User-agent: *\nDisallow: /private/\n")
 	snapB := buildSnap(t, "swap-b", "User-agent: *\nDisallow: /\n")
 	svc := NewService(snapA)
+	ctx := context.Background()
 
 	before := decisionTotal()
 	beforeSwaps := mSwaps.Value()
@@ -92,13 +93,14 @@ func TestDecisionCountersAcrossSwap(t *testing.T) {
 			out := make([]Decision, 0, batchLen)
 			for i := 0; i < perWorker; i++ {
 				if i%2 == 0 {
-					svc.Decide(queries[(w+i)%len(queries)])
+					q := (w + i) % len(queries)
+					out, _, _ = svc.Answer(ctx, queries[q:q+1], out[:0])
 					n++
 				} else {
 					for j := range batch {
 						batch[j] = queries[(w+i+j)%len(queries)]
 					}
-					out = svc.DecideBatch(batch, out[:0])
+					out, _, _ = svc.Answer(ctx, batch, out[:0])
 					n += batchLen
 				}
 			}

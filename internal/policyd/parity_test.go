@@ -108,7 +108,7 @@ func TestCorpusParity(t *testing.T) {
 					qs = append(qs, Query{Host: host, Agent: a, Path: p})
 				}
 			}
-			got := svc.DecideBatch(qs, make([]Decision, 0, len(qs)))
+			got, _ := svc.DecideBatchVersioned(qs, make([]Decision, 0, len(qs)))
 			for i, q := range qs {
 				want := referenceDecision(src, q.Agent, q.Path)
 				if got[i] != want {

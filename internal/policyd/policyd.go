@@ -7,8 +7,9 @@
 // mechanisms a crawler operator would have to consult before fetching:
 // robots.txt groups, ai.txt directives, NoAI meta tags, and active
 // (user-agent) blocking. policyd compiles those signals into an
-// immutable Snapshot and serves single and batched Decision
-// queries against it with zero allocations on the cached hot path.
+// immutable Snapshot and answers batches of Decision queries against
+// it (Service.Answer, one query being a batch of one) with zero
+// allocations on the cached hot path.
 // Snapshots swap atomically under live traffic (Service.Swap), so a
 // running service hot-reloads as a corpus month advances or a scenario
 // world mutates, exactly like a production rule-store push.
@@ -155,26 +156,12 @@ func (s *Service) Swap(snap *Snapshot) *Snapshot {
 	return s.snap.Swap(snap)
 }
 
-// Decide answers one query against the current snapshot.
-func (s *Service) Decide(q Query) Decision {
-	s.queries.Add(1)
-	d := s.snap.Load().Decide(q)
-	countDecision(d)
-	return d
-}
-
-// DecideBatch answers every query against one consistent snapshot —
-// batches never straddle a Swap. Results are appended to out (pass a
-// pre-sized out[:0] to avoid allocation) and the filled slice returned.
-func (s *Service) DecideBatch(qs []Query, out []Decision) []Decision {
-	out, _ = s.DecideBatchVersioned(qs, out)
-	return out
-}
-
-// DecideBatchVersioned is DecideBatch plus the version of the snapshot
-// that answered — the whole batch, by construction. Both wires report
-// it, so a client (or a fleet gateway) knows which snapshot it was told
-// about.
+// DecideBatchVersioned answers every query against one consistent
+// snapshot — batches never straddle a Swap — and returns the version of
+// that snapshot. Results are appended to out (pass a pre-sized out[:0]
+// to avoid allocation) and the filled slice returned. Both wires report
+// the version, so a client (or a fleet gateway) knows which snapshot it
+// was told about.
 func (s *Service) DecideBatchVersioned(qs []Query, out []Decision) ([]Decision, string) {
 	s.queries.Add(uint64(len(qs)))
 	mBatchSize.Observe(uint64(len(qs)))
@@ -201,6 +188,8 @@ func (s *Service) DecideBatchVersioned(qs []Query, out []Decision) ([]Decision, 
 }
 
 // Answer implements Answerer: DecideBatchVersioned, which cannot fail.
+// Every program asks the service through it; only the benchmark of
+// record times DecideBatchVersioned directly.
 func (s *Service) Answer(_ context.Context, qs []Query, out []Decision) ([]Decision, string, error) {
 	out, version := s.DecideBatchVersioned(qs, out)
 	return out, version, nil

@@ -82,8 +82,13 @@ func TestDecideSignals(t *testing.T) {
 		{Query{"norobots.test", "GPTBot", "/anything"}, Decision{allow, signalNone}},
 	}
 	svc := NewService(snap)
+	ctx := context.Background()
 	for _, c := range cases {
-		if got := svc.Decide(c.q); got != c.want {
+		ds, version, _ := svc.Answer(ctx, []Query{c.q}, nil)
+		if version != snap.Version {
+			t.Errorf("Answer(%+v) names version %q, want %q", c.q, version, snap.Version)
+		}
+		if got := ds[0]; got != c.want {
 			t.Errorf("Decide(%+v) = %v/%v, want %v/%v",
 				c.q, got.Action, got.Signal, c.want.Action, c.want.Signal)
 		}
@@ -104,7 +109,7 @@ func TestDecideBatchMatchesSingle(t *testing.T) {
 			}
 		}
 	}
-	batch := svc.DecideBatch(qs, make([]Decision, 0, len(qs)))
+	batch, _, _ := svc.Answer(context.Background(), qs, make([]Decision, 0, len(qs)))
 	for i, q := range qs {
 		if single := snap.Decide(q); batch[i] != single {
 			t.Fatalf("batch[%d] (%+v) = %v, single = %v", i, q, batch[i], single)
@@ -128,22 +133,22 @@ func TestDecideZeroAlloc(t *testing.T) {
 		{"blocked.test", "Bytespider", "/"},
 		{"norobots.test", "Googlebot", "/x"},
 	}
+	ctx := context.Background()
+	out := make([]Decision, 0, len(qs))
 	// Warm every (host, agent) pair once (the compile already did).
-	for _, q := range qs {
-		svc.Decide(q)
-	}
+	out, _, _ = svc.Answer(ctx, qs, out[:0])
 	i := 0
 	if allocs := testing.AllocsPerRun(1000, func() {
-		svc.Decide(qs[i%len(qs)])
+		j := i % len(qs)
+		out, _, _ = svc.Answer(ctx, qs[j:j+1], out[:0])
 		i++
 	}); allocs != 0 {
-		t.Fatalf("Decide allocated %v/op on the cached hot path, want 0", allocs)
+		t.Fatalf("Answer allocated %v/op for one query on the cached hot path, want 0", allocs)
 	}
-	out := make([]Decision, 0, len(qs))
 	if allocs := testing.AllocsPerRun(1000, func() {
-		out = svc.DecideBatch(qs, out[:0])
+		out, _, _ = svc.Answer(ctx, qs, out[:0])
 	}); allocs != 0 {
-		t.Fatalf("DecideBatch allocated %v/op on the cached hot path, want 0", allocs)
+		t.Fatalf("Answer allocated %v/op for a batch on the cached hot path, want 0", allocs)
 	}
 
 	// One distinct off-roster agent per call, AllocsPerRun's warm-up call
@@ -160,12 +165,14 @@ func TestDecideZeroAlloc(t *testing.T) {
 		}
 	}
 	hosts := snap.Hosts()
+	one := make([]Query, 1)
 	j := 0
 	if allocs := testing.AllocsPerRun(runs, func() {
-		svc.Decide(Query{hosts[j%len(hosts)], fresh[j], "/admin/x"})
+		one[0] = Query{hosts[j%len(hosts)], fresh[j], "/admin/x"}
+		out, _, _ = svc.Answer(ctx, one, out[:0])
 		j++
 	}); allocs != 0 {
-		t.Fatalf("Decide allocated %v/op for never-seen off-roster agents, want 0", allocs)
+		t.Fatalf("Answer allocated %v/op for never-seen off-roster agents, want 0", allocs)
 	}
 }
 
@@ -222,16 +229,17 @@ func TestSwapRace(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			ctx := context.Background()
 			out := make([]Decision, 0, len(qs))
 			for i := 0; i < decides; i++ {
-				q := qs[(i+r)%len(qs)]
-				d := svc.Decide(q)
-				if q.Host == "unknown.test" && d != (Decision{allow, signalNone}) {
+				k := (i + r) % len(qs)
+				out, _, _ = svc.Answer(ctx, qs[k:k+1], out[:0])
+				if d := out[0]; qs[k].Host == "unknown.test" && d != (Decision{allow, signalNone}) {
 					t.Errorf("unknown host decided %v", d)
 					return
 				}
 				if i%64 == 0 {
-					out = svc.DecideBatch(qs, out[:0])
+					out, _, _ = svc.Answer(ctx, qs, out[:0])
 				}
 			}
 		}(r)

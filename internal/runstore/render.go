@@ -46,14 +46,23 @@ func (d *Diff) renderTabular(w io.Writer, md bool) error {
 	}
 	table := func(header []string, rows [][]string) {
 		if md {
-			fmt.Fprintf(w, "| %s |\n", strings.Join(header, " | "))
+			// A cell may hold a client-supplied string (a tenant is an
+			// agent), so a '|' in it is escaped, not a column break.
+			row := func(cells []string) {
+				esc := make([]string, len(cells))
+				for i, c := range cells {
+					esc[i] = strings.ReplaceAll(c, "|", "\\|")
+				}
+				fmt.Fprintf(w, "| %s |\n", strings.Join(esc, " | "))
+			}
+			row(header)
 			sep := make([]string, len(header))
 			for i := range sep {
 				sep[i] = "---"
 			}
-			fmt.Fprintf(w, "| %s |\n", strings.Join(sep, " | "))
+			row(sep)
 			for _, r := range rows {
-				fmt.Fprintf(w, "| %s |\n", strings.Join(r, " | "))
+				row(r)
 			}
 			return
 		}

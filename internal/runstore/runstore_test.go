@@ -453,3 +453,48 @@ func TestLoadRejectsTruncatedSegments(t *testing.T) {
 		})
 	}
 }
+
+// TestRenderMarkdownEscapesPipes: a tenant is a client-supplied agent
+// string, so one holding '|' must stay one cell, and every row of the
+// quota table keeps the header's column count.
+func TestRenderMarkdownEscapesPipes(t *testing.T) {
+	d := &Diff{QuotaDeltas: []QuotaDelta{
+		{Tenant: "a|b", Field: "granted", A: 1, B: 2},
+		{Tenant: "GPTBot", Field: "throttled", A: 3, B: 0},
+	}}
+	var buf bytes.Buffer
+	if err := d.Render(&buf, "markdown"); err != nil {
+		t.Fatal(err)
+	}
+	// columns counts the cells of a "| … |" row: its unescaped pipes
+	// minus one.
+	columns := func(line string) int {
+		n := 0
+		for i := 0; i < len(line); i++ {
+			switch line[i] {
+			case '\\':
+				i++
+			case '|':
+				n++
+			}
+		}
+		return n - 1
+	}
+	var rows []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.HasPrefix(line, "|") {
+			rows = append(rows, line)
+		}
+	}
+	if len(rows) != 4 { // header, separator, two tenants
+		t.Fatalf("markdown quota table has %d rows, want 4:\n%s", len(rows), buf.String())
+	}
+	for _, r := range rows {
+		if got, want := columns(r), columns(rows[0]); got != want {
+			t.Errorf("row %q has %d columns, header %d", r, got, want)
+		}
+	}
+	if !strings.Contains(buf.String(), `| a\|b |`) {
+		t.Errorf("tenant a|b not escaped:\n%s", buf.String())
+	}
+}
