@@ -1,7 +1,9 @@
 // Command rundiff inspects a longitudinal run store and diffs runs
-// semantically: verdict-class migrations, month-metric deltas, per-host
-// policy and blocker flips, decision-mix shifts, and experiment output
-// changes, with advisory benchmark and obs-metric drift alongside.
+// semantically. A diff has one section per category — verdict
+// migrations, month-metric deltas, policy/blocker flips, decision-mix
+// shifts, tenant quota shifts and experiment changes, then the advisory
+// benchmark and obs-metric drift — and every section is a table of the
+// same rows: key, field, a, b (see runstore.Delta).
 //
 // Usage:
 //
@@ -27,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/runstore"
@@ -205,42 +208,20 @@ func gate(d *runstore.Diff, failOn string) ([]string, error) {
 	var tripped []string
 	for _, cat := range strings.Split(failOn, ",") {
 		cat = strings.TrimSpace(cat)
-		if cat == "" {
-			continue
-		}
-		var hit bool
-		var desc string
-		switch cat {
-		case "migrations":
-			hit = len(d.VerdictMigrations) > 0
-			desc = fmt.Sprintf("%d verdict migrations", len(d.VerdictMigrations))
-		case "months":
-			hit = len(d.MonthDeltas) > 0
-			desc = fmt.Sprintf("%d month-metric deltas", len(d.MonthDeltas))
-		case "flips":
-			n := 0
-			for _, c := range d.FlipTotals {
-				n += c
+		switch {
+		case cat == "":
+		case cat == "any":
+			if !d.Empty() {
+				tripped = append(tripped, "semantic differences present")
 			}
-			hit = n > 0
-			desc = fmt.Sprintf("%d policy/blocker flips", n)
-		case "mix":
-			hit = len(d.MixDeltas) > 0
-			desc = fmt.Sprintf("%d decision-mix shifts", len(d.MixDeltas))
-		case "quotas":
-			hit = len(d.QuotaDeltas) > 0
-			desc = fmt.Sprintf("%d tenant quota shifts", len(d.QuotaDeltas))
-		case "experiments":
-			hit = len(d.ExperimentChanges) > 0
-			desc = fmt.Sprintf("%d experiment changes", len(d.ExperimentChanges))
-		case "any":
-			hit = !d.Empty()
-			desc = "semantic differences present"
 		default:
-			return nil, fmt.Errorf("unknown -fail-on category %q", cat)
-		}
-		if hit {
-			tripped = append(tripped, desc)
+			i := slices.IndexFunc(d.Sections, func(s runstore.Section) bool { return s.Name == cat && !s.Advisory })
+			if i < 0 {
+				return nil, fmt.Errorf("unknown -fail-on category %q", cat)
+			}
+			if s := d.Sections[i]; s.Total > 0 {
+				tripped = append(tripped, fmt.Sprintf("%d %s", s.Total, s.Noun))
+			}
 		}
 	}
 	return tripped, nil

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -263,5 +264,51 @@ func TestDiffFlipTotals(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("diff output lacks %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestGateNames: every -fail-on name passes a run diffed against
+// itself; the advisory sections are not gate names.
+func TestGateNames(t *testing.T) {
+	for _, dir := range []string{goldenDir, "testdata/golden-fleet"} {
+		var stdout, stderr bytes.Buffer
+		code := run(&stdout, &stderr, []string{"diff", dir, dir, "-fail-on", "migrations,months,flips,mix,quotas,experiments,any"})
+		if code != 0 {
+			t.Errorf("%s: exit %d, stderr: %s", dir, code, stderr.String())
+		}
+	}
+	for _, cat := range []string{"bench", "metrics", "nope"} {
+		var stdout, stderr bytes.Buffer
+		if code := run(&stdout, &stderr, []string{"diff", goldenDir, goldenDir, "-fail-on", cat}); code != 2 {
+			t.Errorf("-fail-on %s: exit %d, want 2", cat, code)
+		}
+	}
+}
+
+// TestDiffGateTripsOnQuotaRate: a fleet golden copy whose limiter rate
+// moved from 0 to 0.5 trips -fail-on quotas and shows both rates.
+func TestDiffGateTripsOnQuotaRate(t *testing.T) {
+	tampered := t.TempDir()
+	copyRun(t, "testdata/golden-fleet", tampered)
+	qpath := filepath.Join(tampered, "quotas.json")
+	data, err := os.ReadFile(qpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Replace(data, []byte(`"rate": 0,`), []byte(`"rate": 0.5,`), 1)
+	if err := os.WriteFile(qpath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	code := run(&stdout, &stderr, []string{"diff", "testdata/golden-fleet", tampered, "-fail-on", "mix,quotas"})
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "1 tenant quota shifts") {
+		t.Errorf("gate message missing: %s", stderr.String())
+	}
+	if !strings.Contains(stdout.String(), "Tenant quota shifts (1)") ||
+		!regexp.MustCompile(`\(limiter\)\s+rate\s+0\s+0\.5\s+\+0\.5`).MatchString(stdout.String()) {
+		t.Errorf("rendered diff lacks the rate shift:\n%s", stdout.String())
 	}
 }

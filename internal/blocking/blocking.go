@@ -280,7 +280,6 @@ const (
 // siteSpec is the generated ground truth for one survey site.
 type siteSpec struct {
 	Domain        string
-	IP            string
 	InherentBlock bool
 	UABlock       bool
 	Style         BlockStyle
@@ -300,10 +299,7 @@ func generatePopulation(n int, seed int64) []siteSpec {
 	specs := make([]siteSpec, n)
 	perm := rn.Perm(n)
 	for i := range specs {
-		specs[i] = siteSpec{
-			Domain: fmt.Sprintf("top%05d.example", i+1),
-			IP:     fmt.Sprintf("10.%d.%d.%d", 10+i/65536, (i/256)%256, i%256),
-		}
+		specs[i] = siteSpec{Domain: fmt.Sprintf("top%05d.example", i+1)}
 	}
 	// First nInherent shuffled positions block inherently; next nUA block
 	// by user agent.
@@ -362,7 +358,7 @@ func startSite(farm *webserver.Farm, spec siteSpec, bodySize int) (*webserver.Si
 	}
 	cfg := webserver.Config{
 		Domain:    spec.Domain,
-		IP:        spec.IP,
+		IP:        surveyFarmIP,
 		RobotsTxt: robotsTxt,
 		Pages:     map[string]webserver.Page{"/": {Body: body}},
 	}
@@ -372,9 +368,9 @@ func startSite(farm *webserver.Farm, spec siteSpec, bodySize int) (*webserver.Si
 	return farm.StartSite(cfg)
 }
 
-// surveyFarmIP hosts every survey site: one listener for the whole
-// population, outside the 10.10+.x.x block generatePopulation assigns to
-// sites.
+// surveyFarmIP hosts every survey site: the whole population advertises
+// the farm's own address, so hosting it binds one handler, not one per
+// site. Probes address a site by its domain.
 const surveyFarmIP = "10.9.0.1"
 
 // SurveyResult aggregates the §6.2 measurement under one detector.
@@ -489,9 +485,9 @@ func probeSites(ctx context.Context, n int, seed int64, workers int) ([]siteResu
 }
 
 // hostPopulation generates a population of n sites and hosts it on a
-// fresh network. The whole population shares one virtual-host farm:
-// site startup is a map insert plus, for a new IP, one handler binding,
-// not a per-site server.
+// fresh network. The whole population shares one virtual-host farm at
+// surveyFarmIP: site startup is a map insert, not a per-site server or
+// handler binding.
 // The caller closes the farm.
 func hostPopulation(ctx context.Context, n int, seed int64) (*netsim.Network, *webserver.Farm, []siteSpec, error) {
 	nw := netsim.New()

@@ -64,7 +64,7 @@ func TestChainFirstDecisionWins(t *testing.T) {
 
 func testFarm(t *testing.T, nw *netsim.Network) *webserver.Farm {
 	t.Helper()
-	farm, err := webserver.NewFarm(nw, "10.9.0.1")
+	farm, err := webserver.NewFarm(nw, surveyFarmIP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +81,13 @@ func TestProbeVerdicts(t *testing.T) {
 		want siteVerdict
 		opts DetectorOptions
 	}{
-		{"open site", siteSpec{Domain: "open.example", IP: "10.1.0.1"}, noBlocking, DefaultDetector},
-		{"ua blocker 403", siteSpec{Domain: "ua403.example", IP: "10.1.0.2", UABlock: true, Style: StyleForbidden}, blocksAI, DefaultDetector},
-		{"ua blocker challenge", siteSpec{Domain: "uach.example", IP: "10.1.0.3", UABlock: true, Style: styleChallenge}, blocksAI, DefaultDetector},
-		{"ua blocker soft200", siteSpec{Domain: "soft.example", IP: "10.1.0.4", UABlock: true, Style: styleSoft200}, blocksAI, DefaultDetector},
-		{"soft200 invisible to status-only", siteSpec{Domain: "soft2.example", IP: "10.1.0.5", UABlock: true, Style: styleSoft200}, noBlocking, StatusOnlyDetector},
-		{"inherent blocker", siteSpec{Domain: "inh.example", IP: "10.1.0.6", InherentBlock: true}, noInference, DefaultDetector},
-		{"inherent + ua", siteSpec{Domain: "both.example", IP: "10.1.0.7", InherentBlock: true, UABlock: true}, noInference, DefaultDetector},
+		{"open site", siteSpec{Domain: "open.example"}, noBlocking, DefaultDetector},
+		{"ua blocker 403", siteSpec{Domain: "ua403.example", UABlock: true, Style: StyleForbidden}, blocksAI, DefaultDetector},
+		{"ua blocker challenge", siteSpec{Domain: "uach.example", UABlock: true, Style: styleChallenge}, blocksAI, DefaultDetector},
+		{"ua blocker soft200", siteSpec{Domain: "soft.example", UABlock: true, Style: styleSoft200}, blocksAI, DefaultDetector},
+		{"soft200 invisible to status-only", siteSpec{Domain: "soft2.example", UABlock: true, Style: styleSoft200}, noBlocking, StatusOnlyDetector},
+		{"inherent blocker", siteSpec{Domain: "inh.example", InherentBlock: true}, noInference, DefaultDetector},
+		{"inherent + ua", siteSpec{Domain: "both.example", InherentBlock: true, UABlock: true}, noInference, DefaultDetector},
 	}
 	for _, tc := range cases {
 		site, err := startSite(farm, tc.spec, 2000)
@@ -109,7 +109,7 @@ func TestRealCrawlerNotInherentlyBlocked(t *testing.T) {
 	// A real crawler (no fingerprint header) passes an inherent blocker —
 	// the lower-bound property the paper notes.
 	nw := netsim.New()
-	spec := siteSpec{Domain: "inh2.example", IP: "10.1.0.8", InherentBlock: true}
+	spec := siteSpec{Domain: "inh2.example", InherentBlock: true}
 	site, err := startSite(testFarm(t, nw), spec, 2000)
 	if err != nil {
 		t.Fatal(err)
@@ -137,10 +137,10 @@ func TestGeneratePopulationCounts(t *testing.T) {
 	var inherent, ua, overlap int
 	seen := map[string]bool{}
 	for _, s := range specs {
-		if seen[s.Domain] || seen[s.IP] {
-			t.Fatalf("duplicate domain or IP: %+v", s)
+		if seen[s.Domain] {
+			t.Fatalf("duplicate domain: %+v", s)
 		}
-		seen[s.Domain], seen[s.IP] = true, true
+		seen[s.Domain] = true
 		if s.InherentBlock {
 			inherent++
 			if s.UABlock {
@@ -399,7 +399,7 @@ func TestBlockerAgainstRealServerLog(t *testing.T) {
 	// End-to-end: blocked requests appear in the site log with their
 	// block status, like §6's server-side evidence.
 	nw := netsim.New()
-	spec := siteSpec{Domain: "log.example", IP: "10.1.0.9", UABlock: true, Style: StyleForbidden}
+	spec := siteSpec{Domain: "log.example", UABlock: true, Style: StyleForbidden}
 	site, err := startSite(testFarm(t, nw), spec, 1000)
 	if err != nil {
 		t.Fatal(err)

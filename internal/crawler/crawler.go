@@ -72,11 +72,6 @@ type Profile struct {
 	Behavior Behavior
 	// MaxPages bounds a single crawl; 0 means 32.
 	MaxPages int
-	// CacheRobots makes the crawler reuse a previously fetched robots.txt
-	// for the same host instead of refetching — the §8.2 staleness
-	// problem: compliant crawlers "may cache robots.txt and may continue
-	// to fetch content even after it has changed".
-	CacheRobots bool
 }
 
 // Crawler is a runnable crawler instance.
@@ -87,9 +82,8 @@ type Crawler struct {
 	// this crawler's requests; transports and the handlers netsim.Get
 	// calls in-process only read request headers, so one map serves
 	// every fetch.
-	baseHdr     http.Header
-	visits      int
-	robotsCache map[string]*robots.Robots
+	baseHdr http.Header
+	visits  int
 	// get is netsim.Get; the differential test puts a stdlib reference
 	// in its place.
 	get func(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error)
@@ -106,9 +100,6 @@ type Visit struct {
 	RobotsPath string
 	// RobotsStatus is the robots.txt response status (0 if not fetched).
 	RobotsStatus int
-	// RobotsFromCache is true when a cached policy was reused instead of
-	// refetching (§8.2 staleness).
-	RobotsFromCache bool
 	// Fetched lists content paths successfully downloaded (HTTP 200).
 	Fetched []string
 	// Failed lists content paths requested but not served (non-200), such
@@ -134,24 +125,16 @@ func New(nw *netsim.Network, p Profile) (*Crawler, error) {
 		p.MaxPages = 32
 	}
 	return &Crawler{
-		profile:     p,
-		client:      nw.HTTPClient(p.SourceIP),
-		baseHdr:     http.Header{"User-Agent": []string{p.UserAgent}},
-		robotsCache: make(map[string]*robots.Robots),
-		get:         netsim.Get,
+		profile: p,
+		client:  nw.HTTPClient(p.SourceIP),
+		baseHdr: http.Header{"User-Agent": []string{p.UserAgent}},
+		get:     netsim.Get,
 	}, nil
 }
 
-// fetchPolicy retrieves (or, with CacheRobots, reuses) the robots.txt
-// policy for host, recording the request on v. A nil return means no
-// usable policy was obtained.
+// fetchPolicy retrieves the robots.txt policy for host, recording the
+// request on v. A nil return means no usable policy was obtained.
 func (c *Crawler) fetchPolicy(ctx context.Context, base *url.URL, robotsPath string, v *Visit) *robots.Robots {
-	if c.profile.CacheRobots {
-		if cached, ok := c.robotsCache[base.Host]; ok {
-			v.RobotsFromCache = true
-			return cached
-		}
-	}
 	v.RobotsRequested = true
 	v.RobotsPath = robotsPath
 	robotsURL := *base
@@ -167,20 +150,16 @@ func (c *Crawler) fetchPolicy(ctx context.Context, base *url.URL, robotsPath str
 	}
 	// The fleet sees the same few policies thousands of times; the shared
 	// content-keyed cache parses each distinct body once.
-	policy := robots.ParseCached(body)
-	if c.profile.CacheRobots {
-		c.robotsCache[base.Host] = policy
-	}
-	return policy
+	return robots.ParseCached(body)
 }
 
 // SetVisits sets the visit counter to n without fetching, as if exactly
 // n earlier visits had already happened. Behaviours keyed to the visit
 // sequence (IntermittentFetch's every-third-visit robots fetch) resume
 // mid-cycle, so a simulation can keep one crawler and place it at an
-// arbitrary point of its per-site schedule before each crawl. With
-// CacheRobots off the counter is the only state a crawler carries from
-// one visit to the next.
+// arbitrary point of its per-site schedule before each crawl. The
+// counter is the only state a crawler carries from one visit to the
+// next.
 func (c *Crawler) SetVisits(n int) {
 	if n < 0 {
 		n = 0

@@ -301,105 +301,6 @@ func TestMaxPagesBound(t *testing.T) {
 	}
 }
 
-// §8.2: a compliant crawler with a robots.txt cache keeps honoring the
-// STALE policy after the site tightens it — fetching content a fresh read
-// would forbid.
-func TestStaleRobotsCache(t *testing.T) {
-	nw := netsim.New()
-	openRobots := "User-agent: *\nDisallow: /admin/\n"
-	site := startSite(t, nw, webserver.Config{
-		Domain: "stale.test", IP: "203.0.113.21",
-		RobotsTxt: &openRobots,
-		Pages:     webserver.ContentPages("stale.test"),
-	})
-	caching, _ := New(nw, Profile{
-		Token: "CachedBot", SourceIP: "99.0.0.6",
-		Behavior: Compliant, CacheRobots: true,
-	})
-	fresh, _ := New(nw, Profile{
-		Token: "FreshBot", SourceIP: "99.0.0.7", Behavior: Compliant,
-	})
-	ctx := context.Background()
-
-	// First visit: permissive policy, both crawl.
-	v, err := caching.Crawl(ctx, site.URL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.RobotsFromCache || len(v.Fetched) == 0 {
-		t.Fatalf("first visit must fetch robots and crawl: %+v", v)
-	}
-
-	// The site owner flips to a full disallow.
-	blocked := "User-agent: *\nDisallow: /\n"
-	site.SetRobots(&blocked)
-
-	// The caching crawler reuses the stale policy and keeps crawling.
-	v, err = caching.Crawl(ctx, site.URL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.RobotsFromCache {
-		t.Fatal("second visit must come from cache")
-	}
-	if len(v.Fetched) == 0 {
-		t.Fatal("stale cache means the crawler still fetches content")
-	}
-	// A cache-less crawler sees the new policy and stops.
-	v, err = fresh.Crawl(ctx, site.URL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Fetched) != 0 {
-		t.Fatal("fresh crawler must honor the tightened policy")
-	}
-	// Once the cached policy expires the caching crawler complies again.
-	clear(caching.robotsCache)
-	v, err = caching.Crawl(ctx, site.URL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.RobotsFromCache {
-		t.Fatal("invalidated cache must refetch")
-	}
-	if len(v.Fetched) != 0 {
-		t.Fatal("refetched policy must be honored")
-	}
-}
-
-func TestFetchOneUsesCache(t *testing.T) {
-	nw := netsim.New()
-	site := startSite(t, nw, webserver.WildcardDisallowSite("cache2.test", "203.0.113.22"))
-	c, _ := New(nw, Profile{
-		Token: "CachedBot", SourceIP: "99.0.0.8",
-		Behavior: Compliant, CacheRobots: true,
-	})
-	ctx := context.Background()
-	if _, _, err := c.FetchOne(ctx, site.URL()+"/about.html"); err != nil {
-		t.Fatal(err)
-	}
-	fetched, v, err := c.FetchOne(ctx, site.URL()+"/gallery.html")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.RobotsFromCache {
-		t.Fatal("second FetchOne must hit the cache")
-	}
-	if fetched {
-		t.Fatal("cached disallow must still be honored")
-	}
-	// Server saw exactly one robots.txt request.
-	robotsReqs := 0
-	for _, rec := range site.Log() {
-		if rec.Path == "/robots.txt" {
-			robotsReqs++
-		}
-	}
-	if robotsReqs != 1 {
-		t.Fatalf("robots.txt requests = %d, want 1", robotsReqs)
-	}
-}
-
 func TestProfileAccessorAndDefaults(t *testing.T) {
 	nw := netsim.New()
 	c, err := New(nw, Profile{Token: "X", SourceIP: "1.2.3.4"})

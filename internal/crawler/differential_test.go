@@ -133,7 +133,7 @@ func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 		{Token: "Bytespider", SourceIP: "30.0.1.10", Behavior: FetchIgnore},
 		{Token: "WebFetcher", SourceIP: "100.64.0.10", Behavior: NoFetch},
 		{Token: "BuggyBot", SourceIP: "100.65.0.10", Behavior: BuggyFetch},
-		{Token: "ChatGPT-User", SourceIP: "24.0.2.10", Behavior: IntermittentFetch, CacheRobots: true},
+		{Token: "ChatGPT-User", SourceIP: "24.0.2.10", Behavior: IntermittentFetch},
 	} {
 		cr, err := New(nw, p)
 		if err != nil {

@@ -159,8 +159,8 @@ func (x *exchange) serve(ctx context.Context, h http.Handler) error {
 }
 
 // handler resolves host ("name" or "name:port", port 80 by default) and
-// returns the handler bound to its address, with route's errors,
-// latency and ctx check.
+// returns the handler bound to its address, with route's errors and
+// ctx check.
 func (n *Network) handler(ctx context.Context, host string) (http.Handler, error) {
 	name, port := host, "80"
 	if strings.IndexByte(host, ':') >= 0 {
@@ -248,8 +248,7 @@ const maxBodyBytes = 1 << 20
 // before routing.
 //
 // Get is client.Do of the GET with less garbage: it finds the URL's
-// handler as RoundTrip does, with the same errors, latency and ctx
-// check, calls its handler in-process on the same request, with a
+// handler as RoundTrip does, with the same errors and ctx check, calls its handler in-process on the same request, with a
 // pooled request and writer, and keeps the status and body the handler
 // wrote. A body the handler wrote with one WriteString comes back as
 // that string, uncopied.

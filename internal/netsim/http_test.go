@@ -108,8 +108,7 @@ func TestFastClientContextCancelMidRequest(t *testing.T) {
 // what the handler wrote: a 3xx as is, no body for a 204, and the first
 // 1 MiB of a longer body, while the handler's writes report every byte;
 // client.Do returns the whole body. An unknown host and a canceled ctx
-// fail as a dial does, and the network's latency delays the call as it
-// does a dial.
+// fail as a dial does.
 func TestGetCallsServedHandlerInProcess(t *testing.T) {
 	nw := New()
 	nw.Register("direct.test", "203.0.113.84")
@@ -191,14 +190,6 @@ func TestGetCallsServedHandlerInProcess(t *testing.T) {
 	cancel()
 	if _, _, err := Get(canceled, client, "http://direct.test/", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Get under a canceled ctx = %v, want %v", err, context.Canceled)
-	}
-	nw.latency = 20 * time.Millisecond
-	start := time.Now()
-	if _, _, err := Get(ctx, client, "http://direct.test/", nil); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < nw.latency {
-		t.Fatalf("Get returned in %v, want at least the network's %v latency", elapsed, nw.latency)
 	}
 }
 

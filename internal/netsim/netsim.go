@@ -32,7 +32,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // errConnRefused is returned by Dial when no listener is bound to the
@@ -49,7 +48,6 @@ type Network struct {
 	addrs     map[string]*binding // key "ip:port"
 	names     map[string]string   // lowercase hostname -> ip
 	ephemeral atomic.Uint32
-	latency   time.Duration // delay on every routed dial or HTTP request; 0 = none
 }
 
 // New returns an empty network.
@@ -171,8 +169,8 @@ type route struct {
 }
 
 // route resolves host and finds what is bound to its address on port in
-// one hold of n.mu, then waits out the network's latency and checks
-// ctx: the step Dial and the HTTP client share. The errors are Dial's:
+// one hold of n.mu, then checks ctx: the step Dial and the HTTP client
+// share. The errors are Dial's:
 // a bad port, an unknown host, an unbound address or ctx's.
 func (n *Network) route(ctx context.Context, host, port string) (route, error) {
 	p, err := strconv.Atoi(port)
@@ -189,22 +187,12 @@ func (n *Network) route(ctx context.Context, host, port string) (route, error) {
 			r = route{l: b.l, h: b.h, ip: ip, port: p}
 		}
 	}
-	latency := n.latency
 	n.mu.Unlock()
 	if err != nil {
 		return route{}, err
 	}
 	if r.l == nil && r.h == nil {
 		return route{}, fmt.Errorf("%w: %s", errConnRefused, appendAddr(nil, ip, p))
-	}
-	if latency > 0 {
-		timer := time.NewTimer(latency)
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			timer.Stop()
-			return route{}, ctx.Err()
-		}
 	}
 	select {
 	case <-ctx.Done(): // no lock once Done has been made, unlike Err
@@ -232,7 +220,7 @@ func (n *Network) ephemeralPort() int {
 
 // HTTPClient returns an http.Client whose requests originate from
 // sourceIP and are routed on this network: each resolves and finds its
-// address as Dial does, with Dial's errors and latency, and calls the
+// address as Dial does, with Dial's errors, and calls the
 // handler Handle bound there in-process (see http.go), under the
 // request's ctx. Handlers see the client's simulated source IP as
 // RemoteAddr, so server logs attribute every request to it. A request to

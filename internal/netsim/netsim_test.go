@@ -129,27 +129,7 @@ func TestAcceptAfterClose(t *testing.T) {
 	}
 }
 
-func TestDialContextCancel(t *testing.T) {
-	nw := New()
-	nw.latency = 5 * time.Second
-	ln, err := nw.Listen("192.0.2.7", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = nw.Dial(ctx, "10.0.0.1", "192.0.2.7:80")
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if time.Since(start) > time.Second {
-		t.Fatal("cancellation did not interrupt the latency delay")
-	}
-}
-
-func TestDialCancelledContextNoLatency(t *testing.T) {
+func TestDialCancelledContext(t *testing.T) {
 	nw := New()
 	ln, err := nw.Listen("192.0.2.12", 80)
 	if err != nil {
@@ -160,31 +140,6 @@ func TestDialCancelledContextNoLatency(t *testing.T) {
 	cancel()
 	if _, err := nw.Dial(ctx, "10.0.0.1", "192.0.2.12:80"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dial with cancelled ctx = %v, want context.Canceled", err)
-	}
-}
-
-func TestLatencyApplied(t *testing.T) {
-	nw := New()
-	nw.latency = 30 * time.Millisecond
-	ln, err := nw.Listen("192.0.2.8", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
-		if err == nil {
-			c.Close()
-		}
-	}()
-	start := time.Now()
-	c, err := nw.Dial(context.Background(), "10.0.0.1", "192.0.2.8:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Close()
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Fatalf("dial returned in %v, want >= 30ms latency", elapsed)
 	}
 }
 

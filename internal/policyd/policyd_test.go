@@ -49,6 +49,24 @@ func buildTestSnapshot(t testing.TB) *Snapshot {
 	return snap
 }
 
+// TestSnapshotString: a snapshot prints as its version and its host
+// count, and a host staged twice counts once.
+func TestSnapshotString(t *testing.T) {
+	if got, want := fmt.Sprint(buildTestSnapshot(t)), "policyd.Snapshot{test: 6 hosts}"; got != want {
+		t.Errorf("snapshot prints %q, want %q", got, want)
+	}
+	b := &Builder{}
+	b.Add("twice.test", HostConfig{})
+	b.Add("TWICE.test", HostConfig{RobotsTxt: "User-agent: *\nDisallow: /\n"})
+	snap, err := b.Build(context.Background(), "v2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := snap.String(), "policyd.Snapshot{v2: 1 hosts}"; got != want {
+		t.Errorf("snapshot prints %q, want %q", got, want)
+	}
+}
+
 func TestDecideSignals(t *testing.T) {
 	snap := buildTestSnapshot(t)
 	cases := []struct {

@@ -40,8 +40,8 @@ const (
 	challengePageMarker = "cf-challenge-page"
 )
 
-// cfFarmIP hosts the proxied populations' shared virtual-host farm,
-// outside the 11.10+.x.x block generateCFPopulation assigns to sites.
+// cfFarmIP hosts the proxied populations' shared virtual-host farm;
+// every proxied site advertises it, so the farm binds one handler.
 const cfFarmIP = "11.9.0.1"
 
 // settings is a proxied site's bot-management configuration.
@@ -387,7 +387,6 @@ const (
 // cfSiteSpec is the generated ground truth for one proxied site.
 type cfSiteSpec struct {
 	Domain            string
-	IP                string
 	Settings          settings
 	RobotsDisallowsAI bool
 }
@@ -402,10 +401,7 @@ func generateCFPopulation(n int, seed int64) []cfSiteSpec {
 
 	specs := make([]cfSiteSpec, n)
 	for i := range specs {
-		specs[i] = cfSiteSpec{
-			Domain: fmt.Sprintf("cf%05d.example", i+1),
-			IP:     fmt.Sprintf("11.%d.%d.%d", 10+i/65536, (i/256)%256, i%256),
-		}
+		specs[i] = cfSiteSpec{Domain: fmt.Sprintf("cf%05d.example", i+1)}
 	}
 	perm := rn.Perm(n)
 	idx := 0
@@ -498,7 +494,7 @@ func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*C
 		rt := robotsTxt
 		if _, err := farm.StartSite(webserver.Config{
 			Domain:    spec.Domain,
-			IP:        spec.IP,
+			IP:        cfFarmIP,
 			RobotsTxt: &rt,
 			Pages:     map[string]webserver.Page{"/": {Body: "<html><body>site content for " + spec.Domain + "</body></html>"}},
 			Blocker:   newProxy(spec.Settings),

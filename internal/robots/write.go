@@ -102,6 +102,3 @@ func (g *GroupBuilder) CrawlDelay(value string) *GroupBuilder {
 func (g *GroupBuilder) Group(agents ...string) *GroupBuilder {
 	return g.b.Group(agents...)
 }
-
-// String renders the parent builder.
-func (g *GroupBuilder) String() string { return g.b.String() }

@@ -1,102 +1,67 @@
 package runstore
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/measure"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
-// absent marks a token or segment present on only one side of a diff.
+// absent marks a record present on only one side of a diff.
 const absent = "(absent)"
 
-// VerdictMigration is one product token whose verdict class differs
-// between the runs — the headline semantic change the CI gate watches.
-type VerdictMigration struct {
-	Token string `json:"token"`
-	From  string `json:"from"`
-	To    string `json:"to"`
-}
+// maxStoredDeltas caps the deltas a Section carries; its Total and
+// Totals always count every delta.
+const maxStoredDeltas = 1000
 
-// MonthDelta is one changed integer field of one month.
-type MonthDelta struct {
-	Month int    `json:"month"`
-	Label string `json:"label,omitempty"`
+// Delta is one field of one keyed record that differs between two runs:
+// a token's verdict, a month's visit count, a site's blocker, a tenant's
+// granted count. A and B are the field's text in each run, or (absent)
+// where the record exists in only one.
+type Delta struct {
+	Key   string `json:"key"`
 	Field string `json:"field"`
-	A     int64  `json:"a"`
-	B     int64  `json:"b"`
+	A     string `json:"a"`
+	B     string `json:"b"`
 }
 
-// PolicyFlip is one site whose stored policy plan differs between runs:
-// a different adoption month, policy style, or blocker assignment.
-type PolicyFlip struct {
-	Site   int    `json:"site"`
-	Domain string `json:"domain"`
-	Field  string `json:"field"` // adopt_month | style | blocker
-	A      string `json:"a"`
-	B      string `json:"b"`
+// Section is one category's deltas.
+type Section struct {
+	// Name is the category's -fail-on name; Noun names its deltas in a
+	// tripped gate's message.
+	Name     string `json:"name"`
+	Title    string `json:"title"`
+	Noun     string `json:"-"`
+	Advisory bool   `json:"advisory,omitempty"`
+	// Total counts every delta and Totals every delta per field, even
+	// past the maxStoredDeltas that Deltas holds.
+	Total  int            `json:"total"`
+	Totals map[string]int `json:"totals,omitempty"`
+	Deltas []Delta        `json:"deltas,omitempty"`
 }
 
-// MixDelta is one changed decision-mix count.
-type MixDelta struct {
-	Action string `json:"action"`
-	A      int64  `json:"a"`
-	B      int64  `json:"b"`
+func (s *Section) add(d Delta) {
+	if s.Totals == nil {
+		s.Totals = make(map[string]int)
+	}
+	s.Total++
+	s.Totals[d.Field]++
+	if len(s.Deltas) < maxStoredDeltas {
+		s.Deltas = append(s.Deltas, d)
+	}
 }
 
-// QuotaDelta is one changed per-tenant quota-ledger count between two
-// gateway-driven loadgen runs — a tenant-mix shift at the fleet edge.
-type QuotaDelta struct {
-	Tenant string `json:"tenant"`
-	Field  string `json:"field"` // granted | throttled | rate | burst
-	A      int64  `json:"a"`
-	B      int64  `json:"b"`
-}
-
-// ExperimentChange is one experiment whose stored output changed.
-type ExperimentChange struct {
-	ID string `json:"id"`
-	// Change is "changed", "only-a", or "only-b".
-	Change string `json:"change"`
-}
-
-// BenchDelta compares one benchmark present in both runs' bench
-// segments. Advisory: wall-clock, not semantics.
-type BenchDelta struct {
-	Name    string  `json:"name"`
-	ANsOp   float64 `json:"a_ns_op"`
-	BNsOp   float64 `json:"b_ns_op"`
-	Speedup float64 `json:"speedup"` // a/b: >1 means b is faster
-	AAllocs int64   `json:"a_allocs"`
-	BAllocs int64   `json:"b_allocs"`
-}
-
-// maxStoredFlips caps the per-site flip list a Diff carries; FlipTotals
-// always holds the full per-field counts.
-const maxStoredFlips = 1000
-
-// Diff is the semantic delta between two runs. The first six fields are
-// semantic — Empty reports on them alone; BenchDeltas and MetricDeltas
-// are advisory (measured performance and process-metric drift vary
-// between identical runs by construction).
+// Diff is the semantic delta between two runs: one Section per category,
+// in the order of the categories table, then the advisory obs drift.
 type Diff struct {
-	A Meta `json:"a"`
-	B Meta `json:"b"`
-
-	VerdictMigrations []VerdictMigration `json:"verdict_migrations,omitempty"`
-	MonthDeltas       []MonthDelta       `json:"month_deltas,omitempty"`
-	PolicyFlips       []PolicyFlip       `json:"policy_flips,omitempty"`
-	// FlipTotals counts every flip per field, even past the stored cap.
-	FlipTotals        map[string]int     `json:"flip_totals,omitempty"`
-	MixDeltas         []MixDelta         `json:"mix_deltas,omitempty"`
-	QuotaDeltas       []QuotaDelta       `json:"quota_deltas,omitempty"`
-	ExperimentChanges []ExperimentChange `json:"experiment_changes,omitempty"`
-
-	BenchDeltas  []BenchDelta `json:"bench_deltas,omitempty"`
-	MetricDeltas []obs.Delta  `json:"metric_deltas,omitempty"`
+	A        Meta      `json:"a"`
+	B        Meta      `json:"b"`
+	Sections []Section `json:"sections"`
 }
 
 // Empty reports whether the runs are semantically identical. Advisory
@@ -104,9 +69,37 @@ type Diff struct {
 // (spec, seed, rev) must diff Empty even though their wall-clock
 // metrics drifted.
 func (d *Diff) Empty() bool {
-	return len(d.VerdictMigrations) == 0 && len(d.MonthDeltas) == 0 &&
-		len(d.PolicyFlips) == 0 && len(d.MixDeltas) == 0 &&
-		len(d.QuotaDeltas) == 0 && len(d.ExperimentChanges) == 0
+	for _, s := range d.Sections {
+		if !s.Advisory && s.Total > 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// record is one keyed unit of a segment — a token, a month, a site, a
+// tenant — as named text fields.
+type record struct {
+	key    string
+	fields []field
+}
+
+type field struct{ name, value string }
+
+// categories are the segments the differ compares. A view projects a
+// run's segment into records, or returns nil when the run lacks it.
+var categories = []struct {
+	name, title, noun string
+	advisory          bool
+	view              func(*Run) []record
+}{
+	{"migrations", "Verdict migrations", "verdict migrations", false, verdictView},
+	{"months", "Month metric deltas", "month-metric deltas", false, monthView},
+	{"flips", "Policy/blocker flips", "policy/blocker flips", false, siteView},
+	{"mix", "Decision mix shifts", "decision-mix shifts", false, mixView},
+	{"quotas", "Tenant quota shifts", "tenant quota shifts", false, quotaView},
+	{"experiments", "Experiment changes", "experiment changes", false, experimentView},
+	{"bench", "Benchmark deltas", "", true, benchView},
 }
 
 // DiffRuns computes the semantic delta from a to b. Only segments both
@@ -115,52 +108,94 @@ func (d *Diff) Empty() bool {
 // the shared segments (typically just metrics drift).
 func DiffRuns(a, b *Run) *Diff {
 	d := &Diff{A: a.Meta, B: b.Meta}
-	diffVerdicts(d, a, b)
-	diffMonths(d, a, b)
-	diffSites(d, a, b)
-	diffMix(d, a, b)
-	diffQuotas(d, a, b)
-	diffExperiments(d, a, b)
-	diffBench(d, a, b)
+	for _, c := range categories {
+		s := Section{Name: c.name, Title: c.title, Noun: c.noun, Advisory: c.advisory}
+		if ra, rb := c.view(a), c.view(b); ra != nil && rb != nil {
+			s.compare(ra, rb)
+		}
+		d.Sections = append(d.Sections, s)
+	}
+	// Snapshot drift is advisory; a malformed segment (hand-edited
+	// store) degrades to an empty section rather than failing the diff.
+	s := Section{Name: "metrics", Title: "Obs metric drift", Advisory: true}
 	if len(a.Metrics) > 0 && len(b.Metrics) > 0 {
-		// Snapshot drift is advisory; a malformed segment (hand-edited
-		// store) degrades to no metric section rather than failing the
-		// whole diff.
-		if deltas, err := obs.SnapshotDelta(a.Metrics, b.Metrics); err == nil {
-			d.MetricDeltas = deltas
+		deltas, _ := obs.SnapshotDelta(a.Metrics, b.Metrics)
+		for _, m := range deltas {
+			s.add(Delta{Key: m.Name, Field: "value", A: metricText(m.A, m.InA), B: metricText(m.B, m.InB)})
 		}
 	}
+	d.Sections = append(d.Sections, s)
 	return d
 }
 
-func diffVerdicts(d *Diff, a, b *Run) {
-	if a.Verdicts == nil && b.Verdicts == nil {
-		return
+func metricText(v float64, present bool) string {
+	if !present {
+		return absent
 	}
-	tokens := make(map[string]struct{}, len(a.Verdicts)+len(b.Verdicts))
-	for t := range a.Verdicts {
-		tokens[t] = struct{}{}
+	return fmt.Sprintf("%g", v)
+}
+
+// compare adds one Delta per field that differs between the records of
+// a and b sharing a key, in a's record order and then b's; a record in
+// only one run reads (absent) in the other.
+func (s *Section) compare(a, b []record) {
+	inA := make(map[string]bool, len(a))
+	inB := make(map[string]int, len(b))
+	for i, r := range b {
+		inB[r.key] = i
 	}
-	for t := range b.Verdicts {
-		tokens[t] = struct{}{}
-	}
-	for t := range tokens {
-		va, inA := a.Verdicts[t]
-		vb, inB := b.Verdicts[t]
-		if inA && inB && va == vb {
-			continue
+	for _, ra := range a {
+		inA[ra.key] = true
+		var fb []field
+		if j, ok := inB[ra.key]; ok {
+			fb = b[j].fields
 		}
-		if !inA {
-			va = absent
-		}
-		if !inB {
-			vb = absent
-		}
-		d.VerdictMigrations = append(d.VerdictMigrations, VerdictMigration{Token: t, From: va, To: vb})
+		s.compareFields(ra.key, ra.fields, fb)
 	}
-	sort.Slice(d.VerdictMigrations, func(i, j int) bool {
-		return d.VerdictMigrations[i].Token < d.VerdictMigrations[j].Token
-	})
+	for _, rb := range b {
+		if !inA[rb.key] {
+			s.compareFields(rb.key, nil, rb.fields)
+		}
+	}
+}
+
+func (s *Section) compareFields(key string, a, b []field) {
+	for _, f := range a {
+		if v, ok := lookup(b, f.name); !ok || v != f.value {
+			s.add(Delta{Key: key, Field: f.name, A: f.value, B: v})
+		}
+	}
+	for _, f := range b {
+		if _, ok := lookup(a, f.name); !ok {
+			s.add(Delta{Key: key, Field: f.name, A: absent, B: f.value})
+		}
+	}
+}
+
+// lookup returns the named field's value, or (absent).
+func lookup(fs []field, name string) (string, bool) {
+	for _, f := range fs {
+		if f.name == name {
+			return f.value, true
+		}
+	}
+	return absent, false
+}
+
+func verdictView(r *Run) []record {
+	if r.Verdicts == nil {
+		return nil
+	}
+	tokens := make([]string, 0, len(r.Verdicts))
+	for t := range r.Verdicts {
+		tokens = append(tokens, t)
+	}
+	sort.Strings(tokens)
+	recs := make([]record, 0, len(tokens))
+	for _, t := range tokens {
+		recs = append(recs, record{t, []field{{"verdict", r.Verdicts[t]}}})
+	}
+	return recs
 }
 
 // monthFields enumerates MonthMetrics' integer fields for the differ.
@@ -181,85 +216,43 @@ var monthFields = []struct {
 	{"gap_sites", func(m scenario.MonthMetrics) int64 { return int64(m.GapSites) }},
 }
 
-func diffMonths(d *Diff, a, b *Run) {
-	if len(a.Months) == 0 && len(b.Months) == 0 {
-		return
+// monthView keys each month by its calendar label, after a (shape)
+// record holding the month count.
+func monthView(r *Run) []record {
+	if len(r.Months) == 0 {
+		return nil
 	}
-	if len(a.Months) != len(b.Months) {
-		d.MonthDeltas = append(d.MonthDeltas, MonthDelta{
-			Month: -1, Field: "month_count",
-			A: int64(len(a.Months)), B: int64(len(b.Months)),
-		})
-	}
-	n := len(a.Months)
-	if len(b.Months) < n {
-		n = len(b.Months)
-	}
-	for i := 0; i < n; i++ {
-		ma, mb := a.Months[i], b.Months[i]
+	recs := make([]record, 0, len(r.Months)+1)
+	recs = append(recs, record{"(shape)", []field{{"month_count", strconv.Itoa(len(r.Months))}}})
+	for _, m := range r.Months {
+		fs := make([]field, 0, len(monthFields)+len(m.ClassCounts))
 		for _, f := range monthFields {
-			if va, vb := f.get(ma), f.get(mb); va != vb {
-				d.MonthDeltas = append(d.MonthDeltas, MonthDelta{
-					Month: ma.Month, Label: ma.Label, Field: f.name, A: va, B: vb,
-				})
-			}
+			fs = append(fs, field{f.name, strconv.FormatInt(f.get(m), 10)})
 		}
-		for c := range ma.ClassCounts {
-			if va, vb := ma.ClassCounts[c], mb.ClassCounts[c]; va != vb {
-				d.MonthDeltas = append(d.MonthDeltas, MonthDelta{
-					Month: ma.Month, Label: ma.Label,
-					Field: "class:" + measure.Verdict(c).String(),
-					A:     int64(va), B: int64(vb),
-				})
-			}
+		for c, n := range m.ClassCounts {
+			fs = append(fs, field{"class:" + measure.Verdict(c).String(), strconv.Itoa(n)})
 		}
+		recs = append(recs, record{m.Label, fs})
 	}
+	return recs
 }
 
-func diffSites(d *Diff, a, b *Run) {
-	if len(a.Sites) == 0 || len(b.Sites) == 0 {
-		return
+// siteView keys each stored site plan by its domain, after a
+// (population) record holding the site count.
+func siteView(r *Run) []record {
+	if len(r.Sites) == 0 {
+		return nil
 	}
-	record := func(f PolicyFlip) {
-		if d.FlipTotals == nil {
-			d.FlipTotals = make(map[string]int)
-		}
-		d.FlipTotals[f.Field]++
-		if len(d.PolicyFlips) < maxStoredFlips {
-			d.PolicyFlips = append(d.PolicyFlips, f)
-		}
+	recs := make([]record, 0, len(r.Sites)+1)
+	recs = append(recs, record{"(population)", []field{{"site_count", strconv.Itoa(len(r.Sites))}}})
+	for _, p := range r.Sites {
+		recs = append(recs, record{p.Domain, []field{
+			{"adopt_month", strconv.Itoa(p.AdoptMonth)},
+			{"style", orNone(p.Style)},
+			{"blocker", strconv.FormatBool(p.Blocker)},
+		}})
 	}
-	n := len(a.Sites)
-	if len(b.Sites) < n {
-		n = len(b.Sites)
-	}
-	for i := 0; i < n; i++ {
-		pa, pb := a.Sites[i], b.Sites[i]
-		if pa.AdoptMonth != pb.AdoptMonth {
-			record(PolicyFlip{
-				Site: pa.Site, Domain: pa.Domain, Field: "adopt_month",
-				A: fmt.Sprint(pa.AdoptMonth), B: fmt.Sprint(pb.AdoptMonth),
-			})
-		}
-		if pa.Style != pb.Style {
-			record(PolicyFlip{
-				Site: pa.Site, Domain: pa.Domain, Field: "style",
-				A: orNone(pa.Style), B: orNone(pb.Style),
-			})
-		}
-		if pa.Blocker != pb.Blocker {
-			record(PolicyFlip{
-				Site: pa.Site, Domain: pa.Domain, Field: "blocker",
-				A: fmt.Sprint(pa.Blocker), B: fmt.Sprint(pb.Blocker),
-			})
-		}
-	}
-	if len(a.Sites) != len(b.Sites) {
-		record(PolicyFlip{
-			Site: -1, Domain: "(population)", Field: "site_count",
-			A: fmt.Sprint(len(a.Sites)), B: fmt.Sprint(len(b.Sites)),
-		})
-	}
+	return recs
 }
 
 func orNone(s string) string {
@@ -269,135 +262,70 @@ func orNone(s string) string {
 	return s
 }
 
-func diffMix(d *Diff, a, b *Run) {
-	if a.Decisions == nil || b.Decisions == nil {
-		return
+func mixView(r *Run) []record {
+	m := r.Decisions
+	if m == nil {
+		return nil
 	}
-	ma, mb := a.Decisions, b.Decisions
-	for _, f := range []struct {
-		name string
-		a, b int64
-	}{
-		{"issued", ma.Issued, mb.Issued},
-		{"allow", ma.Allow, mb.Allow},
-		{"deny", ma.Deny, mb.Deny},
-		{"block", ma.Block, mb.Block},
-	} {
-		if f.a != f.b {
-			d.MixDeltas = append(d.MixDeltas, MixDelta{Action: f.name, A: f.a, B: f.b})
-		}
-	}
+	return []record{{"(mix)", []field{
+		{"issued", strconv.FormatInt(m.Issued, 10)},
+		{"allow", strconv.FormatInt(m.Allow, 10)},
+		{"deny", strconv.FormatInt(m.Deny, 10)},
+		{"block", strconv.FormatInt(m.Block, 10)},
+	}}}
 }
 
-func diffQuotas(d *Diff, a, b *Run) {
-	if a.Quotas == nil || b.Quotas == nil {
-		return
+// quotaView holds the limiter's rate and burst under (limiter), then
+// one record per tenant.
+func quotaView(r *Run) []record {
+	q := r.Quotas
+	if q == nil {
+		return nil
 	}
-	qa, qb := a.Quotas, b.Quotas
-	if qa.Rate != qb.Rate {
-		d.QuotaDeltas = append(d.QuotaDeltas, QuotaDelta{
-			Tenant: "(limiter)", Field: "rate", A: int64(qa.Rate), B: int64(qb.Rate)})
+	recs := make([]record, 0, len(q.Tenants)+1)
+	recs = append(recs, record{"(limiter)", []field{{"rate", floatText(q.Rate)}, {"burst", floatText(q.Burst)}}})
+	for _, t := range q.Tenants {
+		recs = append(recs, record{t.Tenant, []field{
+			{"granted", strconv.FormatUint(t.Granted, 10)},
+			{"throttled", strconv.FormatUint(t.Throttled, 10)},
+		}})
 	}
-	if qa.Burst != qb.Burst {
-		d.QuotaDeltas = append(d.QuotaDeltas, QuotaDelta{
-			Tenant: "(limiter)", Field: "burst", A: int64(qa.Burst), B: int64(qb.Burst)})
+	return recs
+}
+
+func floatText(v float64) string { return strconv.FormatFloat(v, 'f', -1, 64) }
+
+// experimentView stands for each experiment's stored line by a short
+// digest of it, so a changed output reads as two digests; the prefix
+// keeps a digest of only digits from reading as a number.
+func experimentView(r *Run) []record {
+	if len(r.Experiments) == 0 {
+		return nil
 	}
-	byTenant := func(ts []TenantQuota) map[string]TenantQuota {
-		m := make(map[string]TenantQuota, len(ts))
-		for _, t := range ts {
-			m[t.Tenant] = t
-		}
-		return m
+	recs := make([]record, 0, len(r.Experiments))
+	for _, e := range r.Experiments {
+		sum := sha256.Sum256(e.Raw)
+		recs = append(recs, record{e.ID, []field{{"output", "sha256:" + hex.EncodeToString(sum[:6])}}})
 	}
-	am, bm := byTenant(qa.Tenants), byTenant(qb.Tenants)
-	names := make([]string, 0, len(am)+len(bm))
-	seen := make(map[string]struct{}, len(am)+len(bm))
-	for _, t := range qa.Tenants {
-		if _, ok := seen[t.Tenant]; !ok {
-			seen[t.Tenant] = struct{}{}
-			names = append(names, t.Tenant)
-		}
+	return recs
+}
+
+func benchView(r *Run) []record {
+	if len(r.Bench) == 0 {
+		return nil
 	}
-	for _, t := range qb.Tenants {
-		if _, ok := seen[t.Tenant]; !ok {
-			seen[t.Tenant] = struct{}{}
-			names = append(names, t.Tenant)
-		}
+	names := make([]string, 0, len(r.Bench))
+	for n := range r.Bench {
+		names = append(names, n)
 	}
 	sort.Strings(names)
+	recs := make([]record, 0, len(names))
 	for _, n := range names {
-		ta, tb := am[n], bm[n] // zero value when absent: counts read 0
-		if ta.Granted != tb.Granted {
-			d.QuotaDeltas = append(d.QuotaDeltas, QuotaDelta{
-				Tenant: n, Field: "granted", A: int64(ta.Granted), B: int64(tb.Granted)})
-		}
-		if ta.Throttled != tb.Throttled {
-			d.QuotaDeltas = append(d.QuotaDeltas, QuotaDelta{
-				Tenant: n, Field: "throttled", A: int64(ta.Throttled), B: int64(tb.Throttled)})
-		}
+		e := r.Bench[n]
+		recs = append(recs, record{n, []field{
+			{"ns_per_op", floatText(e.NsPerOp)},
+			{"allocs_per_op", strconv.FormatInt(e.AllocsPerOp, 10)},
+		}})
 	}
-}
-
-func diffExperiments(d *Diff, a, b *Run) {
-	if len(a.Experiments) == 0 && len(b.Experiments) == 0 {
-		return
-	}
-	byID := func(recs []ExperimentRecord) map[string][]byte {
-		m := make(map[string][]byte, len(recs))
-		for _, r := range recs {
-			m[r.ID] = r.Raw
-		}
-		return m
-	}
-	am, bm := byID(a.Experiments), byID(b.Experiments)
-	ids := make([]string, 0, len(am)+len(bm))
-	seen := make(map[string]struct{}, len(am)+len(bm))
-	for _, r := range a.Experiments {
-		if _, ok := seen[r.ID]; !ok {
-			seen[r.ID] = struct{}{}
-			ids = append(ids, r.ID)
-		}
-	}
-	for _, r := range b.Experiments {
-		if _, ok := seen[r.ID]; !ok {
-			seen[r.ID] = struct{}{}
-			ids = append(ids, r.ID)
-		}
-	}
-	for _, id := range ids {
-		ra, inA := am[id]
-		rb, inB := bm[id]
-		switch {
-		case !inA:
-			d.ExperimentChanges = append(d.ExperimentChanges, ExperimentChange{ID: id, Change: "only-b"})
-		case !inB:
-			d.ExperimentChanges = append(d.ExperimentChanges, ExperimentChange{ID: id, Change: "only-a"})
-		case !bytes.Equal(ra, rb):
-			d.ExperimentChanges = append(d.ExperimentChanges, ExperimentChange{ID: id, Change: "changed"})
-		}
-	}
-}
-
-func diffBench(d *Diff, a, b *Run) {
-	if len(a.Bench) == 0 || len(b.Bench) == 0 {
-		return
-	}
-	names := make([]string, 0, len(a.Bench))
-	for n := range a.Bench {
-		if _, ok := b.Bench[n]; ok {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		ea, eb := a.Bench[n], b.Bench[n]
-		bd := BenchDelta{
-			Name: n, ANsOp: ea.NsPerOp, BNsOp: eb.NsPerOp,
-			AAllocs: ea.AllocsPerOp, BAllocs: eb.AllocsPerOp,
-		}
-		if eb.NsPerOp > 0 {
-			bd.Speedup = ea.NsPerOp / eb.NsPerOp
-		}
-		d.BenchDeltas = append(d.BenchDeltas, bd)
-	}
+	return recs
 }

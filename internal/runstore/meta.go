@@ -20,6 +20,15 @@
 // checks the segments against meta.json's counts, so a directory whose
 // segments disagree with it fails to load instead of reading as a
 // different run.
+//
+// The differ compares runs one way for every segment: a table of
+// categories (verdicts, months, sites, decision mix, quotas,
+// experiments, and the advisory bench segment) each names a view that
+// projects a run's segment into keyed records of named text fields, and
+// one comparator turns the records the two runs hold into Deltas —
+// {Key, Field, A, B}, with (absent) for a record one run lacks. A Diff
+// holds one Section of Deltas per category plus the advisory obs drift,
+// each capped and totalled the same way.
 package runstore
 
 import (

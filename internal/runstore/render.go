@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 )
@@ -34,46 +36,9 @@ func (d *Diff) Render(w io.Writer, format string) error {
 }
 
 // renderTabular writes the text and markdown renderings, which share
-// structure: a header identifying the two runs, then one section per
-// non-empty diff category.
+// structure: a header identifying the two runs, then one table of
+// deltas per non-empty section, each closed by its per-field totals.
 func (d *Diff) renderTabular(w io.Writer, md bool) error {
-	section := func(title string) {
-		if md {
-			fmt.Fprintf(w, "\n## %s\n\n", title)
-		} else {
-			fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("-", len(title)))
-		}
-	}
-	table := func(header []string, rows [][]string) {
-		if md {
-			// A cell may hold a client-supplied string (a tenant is an
-			// agent), so a '|' in it is escaped, not a column break.
-			row := func(cells []string) {
-				esc := make([]string, len(cells))
-				for i, c := range cells {
-					esc[i] = strings.ReplaceAll(c, "|", "\\|")
-				}
-				fmt.Fprintf(w, "| %s |\n", strings.Join(esc, " | "))
-			}
-			row(header)
-			sep := make([]string, len(header))
-			for i := range sep {
-				sep[i] = "---"
-			}
-			row(sep)
-			for _, r := range rows {
-				row(r)
-			}
-			return
-		}
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, strings.Join(header, "\t"))
-		for _, r := range rows {
-			fmt.Fprintln(tw, strings.Join(r, "\t"))
-		}
-		tw.Flush()
-	}
-
 	if md {
 		fmt.Fprintf(w, "# rundiff: %s vs %s\n\n", d.A.ID, d.B.ID)
 	} else {
@@ -90,111 +55,60 @@ func (d *Diff) renderTabular(w io.Writer, md bool) error {
 		fmt.Fprintf(w, "\nsemantically identical (no verdict, month, policy, mix, quota, or experiment deltas)\n")
 	}
 
-	if len(d.VerdictMigrations) > 0 {
-		section(fmt.Sprintf("Verdict migrations (%d)", len(d.VerdictMigrations)))
-		rows := make([][]string, 0, len(d.VerdictMigrations))
-		for _, m := range d.VerdictMigrations {
-			rows = append(rows, []string{m.Token, m.From, "->", m.To})
+	for _, s := range d.Sections {
+		if s.Total == 0 {
+			continue
 		}
-		table([]string{"token", "from", "", "to"}, rows)
-	}
-
-	if len(d.MonthDeltas) > 0 {
-		section(fmt.Sprintf("Month metric deltas (%d)", len(d.MonthDeltas)))
-		rows := make([][]string, 0, len(d.MonthDeltas))
-		for _, m := range d.MonthDeltas {
-			label := m.Label
-			if m.Month < 0 {
-				label = "(shape)"
+		title := fmt.Sprintf("%s (%d)", s.Title, s.Total)
+		if s.Advisory {
+			title = fmt.Sprintf("%s (advisory, %d)", s.Title, s.Total)
+		}
+		rows := [][]string{{"key", "field", "a", "b", "delta"}}
+		for _, x := range s.Deltas {
+			rows = append(rows, []string{x.Key, x.Field, x.A, x.B, change(x.A, x.B)})
+		}
+		if md {
+			fmt.Fprintf(w, "\n## %s\n\n", title)
+			rows = slices.Insert(rows, 1, []string{"---", "---", "---", "---", "---"})
+			for _, r := range rows {
+				// A cell may hold a client-supplied string (a tenant is
+				// an agent), so a '|' in it is escaped, not a column break.
+				for i, c := range r {
+					r[i] = strings.ReplaceAll(c, "|", "\\|")
+				}
+				fmt.Fprintf(w, "| %s |\n", strings.Join(r, " | "))
 			}
-			rows = append(rows, []string{
-				label, m.Field,
-				fmt.Sprint(m.A), fmt.Sprint(m.B), fmt.Sprintf("%+d", m.B-m.A),
-			})
-		}
-		table([]string{"month", "field", "a", "b", "delta"}, rows)
-	}
-
-	if len(d.PolicyFlips) > 0 {
-		total := 0
-		for _, n := range d.FlipTotals {
-			total += n
-		}
-		section(fmt.Sprintf("Policy/blocker flips (%d)", total))
-		rows := make([][]string, 0, len(d.PolicyFlips))
-		for _, f := range d.PolicyFlips {
-			rows = append(rows, []string{f.Domain, f.Field, f.A, "->", f.B})
-		}
-		table([]string{"host", "field", "a", "", "b"}, rows)
-		if total > len(d.PolicyFlips) {
-			fmt.Fprintf(w, "\n(%d flips shown of %d; totals by field: %s)\n",
-				len(d.PolicyFlips), total, formatTotals(d.FlipTotals))
 		} else {
-			fmt.Fprintf(w, "\n(totals by field: %s)\n", formatTotals(d.FlipTotals))
-		}
-	}
-
-	if len(d.MixDeltas) > 0 {
-		section(fmt.Sprintf("Decision mix shifts (%d)", len(d.MixDeltas)))
-		rows := make([][]string, 0, len(d.MixDeltas))
-		for _, m := range d.MixDeltas {
-			rows = append(rows, []string{
-				m.Action, fmt.Sprint(m.A), fmt.Sprint(m.B), fmt.Sprintf("%+d", m.B-m.A),
-			})
-		}
-		table([]string{"action", "a", "b", "delta"}, rows)
-	}
-
-	if len(d.QuotaDeltas) > 0 {
-		section(fmt.Sprintf("Tenant quota shifts (%d)", len(d.QuotaDeltas)))
-		rows := make([][]string, 0, len(d.QuotaDeltas))
-		for _, q := range d.QuotaDeltas {
-			rows = append(rows, []string{
-				q.Tenant, q.Field, fmt.Sprint(q.A), fmt.Sprint(q.B), fmt.Sprintf("%+d", q.B-q.A),
-			})
-		}
-		table([]string{"tenant", "field", "a", "b", "delta"}, rows)
-	}
-
-	if len(d.ExperimentChanges) > 0 {
-		section(fmt.Sprintf("Experiment changes (%d)", len(d.ExperimentChanges)))
-		rows := make([][]string, 0, len(d.ExperimentChanges))
-		for _, c := range d.ExperimentChanges {
-			rows = append(rows, []string{c.ID, c.Change})
-		}
-		table([]string{"experiment", "change"}, rows)
-	}
-
-	if len(d.BenchDeltas) > 0 {
-		section(fmt.Sprintf("Benchmark deltas (advisory, %d)", len(d.BenchDeltas)))
-		rows := make([][]string, 0, len(d.BenchDeltas))
-		for _, b := range d.BenchDeltas {
-			rows = append(rows, []string{
-				b.Name,
-				fmt.Sprintf("%.0f", b.ANsOp), fmt.Sprintf("%.0f", b.BNsOp),
-				fmt.Sprintf("%.2fx", b.Speedup),
-				fmt.Sprint(b.AAllocs), fmt.Sprint(b.BAllocs),
-			})
-		}
-		table([]string{"benchmark", "a ns/op", "b ns/op", "speedup", "a allocs", "b allocs"}, rows)
-	}
-
-	if len(d.MetricDeltas) > 0 {
-		section(fmt.Sprintf("Obs metric drift (advisory, %d)", len(d.MetricDeltas)))
-		rows := make([][]string, 0, len(d.MetricDeltas))
-		for _, m := range d.MetricDeltas {
-			a, b := fmt.Sprintf("%g", m.A), fmt.Sprintf("%g", m.B)
-			if !m.InA {
-				a = absent
+			fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("-", len(title)))
+			tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+			for _, r := range rows {
+				fmt.Fprintln(tw, strings.Join(r, "\t"))
 			}
-			if !m.InB {
-				b = absent
-			}
-			rows = append(rows, []string{m.Name, a, b, fmt.Sprintf("%+g", m.Diff)})
+			tw.Flush()
 		}
-		table([]string{"metric", "a", "b", "delta"}, rows)
+		if s.Total > len(s.Deltas) {
+			fmt.Fprintf(w, "\n(%d shown of %d; totals by field: %s)\n",
+				len(s.Deltas), s.Total, formatTotals(s.Totals))
+		} else {
+			fmt.Fprintf(w, "\n(totals by field: %s)\n", formatTotals(s.Totals))
+		}
 	}
 	return nil
+}
+
+// change is b-a when both values are numbers, else empty.
+func change(a, b string) string {
+	if x, err := strconv.ParseInt(a, 10, 64); err == nil {
+		if y, err := strconv.ParseInt(b, 10, 64); err == nil {
+			return fmt.Sprintf("%+d", y-x)
+		}
+	}
+	x, errA := strconv.ParseFloat(a, 64)
+	y, errB := strconv.ParseFloat(b, 64)
+	if errA != nil || errB != nil {
+		return ""
+	}
+	return fmt.Sprintf("%+.6g", y-x)
 }
 
 // formatTotals renders counts as "key=n" pairs sorted by key.

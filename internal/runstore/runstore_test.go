@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -147,21 +148,22 @@ func TestForcedPolicyFlip(t *testing.T) {
 	if wantFlips == 0 {
 		t.Fatal("counterfactual specs produced identical site plans")
 	}
-	if got := d.FlipTotals["adopt_month"]; got != wantFlips {
+	flips := section(t, d, "flips")
+	if got := flips.Totals["adopt_month"]; got != wantFlips {
 		t.Errorf("adopt_month flips = %d, want %d", got, wantFlips)
 	}
-	if got := d.FlipTotals["style"]; got != wantFlips {
+	if got := flips.Totals["style"]; got != wantFlips {
 		t.Errorf("style flips = %d, want %d", got, wantFlips)
 	}
-	if got := d.FlipTotals["blocker"]; got != 0 {
+	if got := flips.Totals["blocker"]; got != 0 {
 		t.Errorf("blocker flips = %d, want 0 (same seed)", got)
 	}
-	for _, f := range d.PolicyFlips {
+	for _, f := range flips.Deltas {
 		if f.Field == "adopt_month" && (f.A != "-1" || f.B != "0") {
-			t.Errorf("site %d adopt_month flip %s -> %s, want -1 -> 0", f.Site, f.A, f.B)
+			t.Errorf("site %s adopt_month flip %s -> %s, want -1 -> 0", f.Key, f.A, f.B)
 		}
 	}
-	if len(d.MonthDeltas) == 0 {
+	if section(t, d, "months").Total == 0 {
 		t.Error("expected month-metric deltas between no-adoption and full-adoption worlds")
 	}
 	// The compliant crawler's byte mix must shift once robots.txt
@@ -183,20 +185,46 @@ func TestVerdictMigrationDiff(t *testing.T) {
 		"GPTBot": "respects robots.txt", "Bytespider": "does not fetch robots.txt",
 		"NewBot": "respects robots.txt",
 	}}
-	d := DiffRuns(a, b)
-	want := []VerdictMigration{
-		{Token: "Bytespider", From: "fetches but ignores robots.txt", To: "does not fetch robots.txt"},
-		{Token: "NewBot", From: absent, To: "respects robots.txt"},
-		{Token: "OldBot", From: "respects robots.txt", To: absent},
+	got := section(t, DiffRuns(a, b), "migrations").Deltas
+	want := []Delta{
+		{Key: "Bytespider", Field: "verdict", A: "fetches but ignores robots.txt", B: "does not fetch robots.txt"},
+		{Key: "OldBot", Field: "verdict", A: "respects robots.txt", B: absent},
+		{Key: "NewBot", Field: "verdict", A: absent, B: "respects robots.txt"},
 	}
-	if len(d.VerdictMigrations) != len(want) {
-		t.Fatalf("got %d migrations, want %d: %+v", len(d.VerdictMigrations), len(want), d.VerdictMigrations)
+	if !slices.Equal(got, want) {
+		t.Errorf("migrations = %+v, want %+v", got, want)
 	}
-	for i, m := range d.VerdictMigrations {
-		if m != want[i] {
-			t.Errorf("migration[%d] = %+v, want %+v", i, m, want[i])
+}
+
+// TestExperimentChangesDiff: an experiment whose stored line changed
+// reads as two digests, one stored in a single run as a digest against
+// (absent).
+func TestExperimentChangesDiff(t *testing.T) {
+	rec := func(id, line string) ExperimentRecord { return ExperimentRecord{ID: id, Raw: []byte(line)} }
+	a := &Run{Experiments: []ExperimentRecord{rec("table1", `{"ID":"table1","n":1}`), rec("table2", `{"ID":"table2"}`)}}
+	b := &Run{Experiments: []ExperimentRecord{rec("table1", `{"ID":"table1","n":2}`), rec("figure7", `{"ID":"figure7"}`)}}
+	got := section(t, DiffRuns(a, b), "experiments").Deltas
+	digest := func(r *Run, i int) string { return experimentView(r)[i].fields[0].value }
+	want := []Delta{
+		{Key: "table1", Field: "output", A: digest(a, 0), B: digest(b, 0)},
+		{Key: "table2", Field: "output", A: digest(a, 1), B: absent},
+		{Key: "figure7", Field: "output", A: absent, B: digest(b, 1)},
+	}
+	if !slices.Equal(got, want) || want[0].A == want[0].B || !strings.HasPrefix(want[0].A, "sha256:") {
+		t.Errorf("experiment deltas = %+v, want %+v", got, want)
+	}
+}
+
+// section returns d's section of the named category.
+func section(t *testing.T, d *Diff, name string) *Section {
+	t.Helper()
+	for i := range d.Sections {
+		if d.Sections[i].Name == name {
+			return &d.Sections[i]
 		}
 	}
+	t.Fatalf("diff has no %s section", name)
+	return nil
 }
 
 // TestConcurrentWriters exercises the store's locking: many goroutines
@@ -317,11 +345,12 @@ func TestMixAndBenchDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := DiffRuns(ra, rb)
-	if len(d.MixDeltas) != 3 {
-		t.Fatalf("mix deltas = %+v, want allow/deny/block shifts", d.MixDeltas)
+	if mix := section(t, d, "mix"); mix.Total != 3 {
+		t.Fatalf("mix deltas = %+v, want allow/deny/block shifts", mix.Deltas)
 	}
-	if len(d.BenchDeltas) != 1 || d.BenchDeltas[0].Speedup != 2 {
-		t.Fatalf("bench deltas = %+v, want one 2.00x entry", d.BenchDeltas)
+	want := []Delta{{Key: "policyd_loadgen_inproc", Field: "ns_per_op", A: "100", B: "50"}}
+	if got := section(t, d, "bench").Deltas; !slices.Equal(got, want) {
+		t.Fatalf("bench deltas = %+v, want %+v", got, want)
 	}
 	// Bench drift alone must not make the diff semantically non-empty.
 	rb.Decisions = ra.Decisions
@@ -458,10 +487,10 @@ func TestLoadRejectsTruncatedSegments(t *testing.T) {
 // string, so one holding '|' must stay one cell, and every row of the
 // quota table keeps the header's column count.
 func TestRenderMarkdownEscapesPipes(t *testing.T) {
-	d := &Diff{QuotaDeltas: []QuotaDelta{
-		{Tenant: "a|b", Field: "granted", A: 1, B: 2},
-		{Tenant: "GPTBot", Field: "throttled", A: 3, B: 0},
-	}}
+	d := &Diff{Sections: []Section{{Name: "quotas", Title: "Tenant quota shifts", Total: 2, Deltas: []Delta{
+		{Key: "a|b", Field: "granted", A: "1", B: "2"},
+		{Key: "GPTBot", Field: "throttled", A: "3", B: "0"},
+	}}}}
 	var buf bytes.Buffer
 	if err := d.Render(&buf, "markdown"); err != nil {
 		t.Fatal(err)
@@ -496,5 +525,52 @@ func TestRenderMarkdownEscapesPipes(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `| a\|b |`) {
 		t.Errorf("tenant a|b not escaped:\n%s", buf.String())
+	}
+}
+
+// TestQuotaRateRendersFloats: the limiter's rate and burst are floats,
+// and a shift between two fractional rates renders both values.
+func TestQuotaRateRendersFloats(t *testing.T) {
+	a := &Run{Quotas: &QuotaAccounting{Rate: 0.2, Burst: 4}}
+	b := &Run{Quotas: &QuotaAccounting{Rate: 0.7, Burst: 4}}
+	var buf bytes.Buffer
+	if err := DiffRuns(a, b).Render(&buf, FormatText); err != nil {
+		t.Fatal(err)
+	}
+	want := "(limiter) rate 0.2 0.7 +0.5"
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if strings.Join(strings.Fields(line), " ") == want {
+			return
+		}
+	}
+	t.Errorf("diff lacks the row %q:\n%s", want, buf.String())
+}
+
+// TestEverySectionCapped: any category, not only flips, stores at most
+// maxStoredDeltas deltas and still counts and renders its full total.
+func TestEverySectionCapped(t *testing.T) {
+	const n = maxStoredDeltas + 500
+	a := &Run{Verdicts: map[string]string{}}
+	b := &Run{Verdicts: map[string]string{}}
+	for i := range n {
+		tok := fmt.Sprintf("Bot%04d", i)
+		a.Verdicts[tok], b.Verdicts[tok] = "respects robots.txt", "does not fetch robots.txt"
+	}
+	d := DiffRuns(a, b)
+	s := section(t, d, "migrations")
+	if len(s.Deltas) != maxStoredDeltas || s.Total != n || s.Totals["verdict"] != n {
+		t.Fatalf("stored %d deltas, total %d, totals %v; want %d of %d", len(s.Deltas), s.Total, s.Totals, maxStoredDeltas, n)
+	}
+	var buf bytes.Buffer
+	if err := d.Render(&buf, FormatText); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("Verdict migrations (%d)", n),
+		fmt.Sprintf("(%d shown of %d; totals by field: verdict=%d)", maxStoredDeltas, n, n),
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("rendered diff lacks %q", want)
+		}
 	}
 }

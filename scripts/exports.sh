@@ -59,6 +59,7 @@ declare -A keep=(
   [measure.Table1Row]="measure.Table1Rows returns them"
   [metatags.Directives]="metatags.Scan returns it"
   [metatags.ScanResult]="metatags.RunTop10kScan returns it"
+  [obs.Delta]="obs.SnapshotDelta returns them"
   [obs.HistSnapshot]="Histogram.Snapshot returns it"
   [obs.Gauge]="obs.NewGauge returns it"
   [obs.Registry]="the type of obs.Default"
@@ -82,13 +83,7 @@ declare -A keep=(
   [robots.Extension]="Robots.Extensions"
   [robots.Builder]="robots.NewBuilder returns it"
   [robots.GroupBuilder]="Builder.Group returns it"
-  [runstore.VerdictMigration]="Diff.VerdictMigrations"
-  [runstore.MonthDelta]="Diff.MonthDeltas"
-  [runstore.PolicyFlip]="Diff.PolicyFlips"
-  [runstore.MixDelta]="Diff.MixDeltas"
-  [runstore.QuotaDelta]="Diff.QuotaDeltas"
-  [runstore.ExperimentChange]="Diff.ExperimentChanges"
-  [runstore.BenchDelta]="Diff.BenchDeltas"
+  [runstore.Delta]="Section.Deltas"
   [runstore.Meta]="runstore.NewMeta returns it"
   [runstore.ExperimentRecord]="Run.Experiments"
   [runstore.Summary]="Run.Summary"
