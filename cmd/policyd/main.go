@@ -7,9 +7,9 @@
 //	curl 'localhost:8473/v1/decide?host=<domain>&agent=GPTBot&path=/'
 //
 // With -advance the daemon hot-reloads through the corpus snapshots on
-// a timer, demonstrating atomic snapshot swaps under live traffic; pair
-// it with cmd/loadgen to watch the decision mix shift as the simulated
-// months pass.
+// a timer, demonstrating atomic snapshot swaps under live traffic, and
+// logs one JSON line per swap; pair it with cmd/loadgen to watch the
+// decision mix shift as the simulated months pass.
 //
 // -frame-addr opens a second listener speaking the binary frame protocol
 // (see internal/policyd/frame.go) for batch clients that want to skip

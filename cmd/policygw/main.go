@@ -3,9 +3,9 @@
 // frame protocol across N replicas, with per-tenant token-bucket rate
 // limiting and snapshot-version-coordinated hot reloads.
 //
-// Replicas are named host:port endpoints of their JSON listeners; by
-// convention the frame listener is port+1. Endpoints that deviate can
-// spell both ports explicitly as host:json:frame.
+// Replicas are named by the host:port of their JSON listeners, but the
+// gateway speaks to them only on their frame listeners, by convention
+// at port+1. Endpoints that deviate spell both ports as host:json:frame.
 //
 //	go run ./cmd/policyd -addr :8473 -frame-addr :8474 &
 //	go run ./cmd/policyd -addr :8483 -frame-addr :8484 &

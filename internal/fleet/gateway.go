@@ -275,12 +275,15 @@ func (g *Gateway) recomputeVersions() {
 	}
 }
 
-// get returns a pooled or fresh frame connection to the replica.
-func (r *replica) get(ctx context.Context) (*policyd.FrameClientV2, error) {
-	select {
-	case fc := <-r.pool:
-		return fc, nil
-	default:
+// get returns a frame connection to the replica: a pooled one when
+// pooled is set and one is idle, else a fresh dial.
+func (r *replica) get(ctx context.Context, pooled bool) (*policyd.FrameClientV2, error) {
+	if pooled {
+		select {
+		case fc := <-r.pool:
+			return fc, nil
+		default:
+		}
 	}
 	c, err := r.gw.cfg.Dial(ctx, r.cfg.FrameAddr)
 	if err != nil {
@@ -299,14 +302,15 @@ func (r *replica) put(fc *policyd.FrameClientV2) {
 
 // decideOn answers qs on one replica, appending to out, within ctx: its
 // deadline bounds the exchange and canceling it ends the exchange. A
-// transport error retries once on a fresh connection (the pooled conn
-// may have died idle) while ctx is live; the replica's observed version
-// updates from the response.
+// transport error retries once on a freshly dialed connection (the
+// pooled conn may have died idle, and so may every other pooled conn
+// after a replica restart) while ctx is live; the replica's observed
+// version updates from the response.
 func (g *Gateway) decideOn(ctx context.Context, r *replica, qs []policyd.Query, out []policyd.Decision) ([]policyd.Decision, string, error) {
 	base := len(out)
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
-		fc, err := r.get(ctx)
+		fc, err := r.get(ctx, attempt == 0)
 		if err != nil {
 			lastErr = err
 			continue

@@ -793,6 +793,65 @@ func TestCloseEndsLiveFrameConns(t *testing.T) {
 	}
 }
 
+// TestRetryDialsAfterReplicaRestart: a replica restart kills every conn
+// the gateway pooled to it, so the retry after a failed pooled conn must
+// dial a fresh one instead of taking the next dead conn from the pool.
+func TestRetryDialsAfterReplicaRestart(t *testing.T) {
+	nw := netsim.New()
+	svc := policyd.NewService(straddleSnapshot(t, "v1", false, 8))
+	frames := obs.NewCounter(`policyd_wire_requests_total{wire="frame"}`, "")
+	serve := func() func() {
+		ln, err := nw.Listen("10.0.0.96", 81)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- policyd.ServeFramesFrom(ln, svc, frames) }()
+		return func() {
+			ln.Close()
+			<-served
+		}
+	}
+	stop := serve()
+	gw, err := NewGateway(Config{
+		Replicas: []ReplicaConfig{{Name: "r0", FrameAddr: "10.0.0.96:81"}},
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return nw.Dial(ctx, ClientIP, addr)
+		},
+	})
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	ctx := context.Background()
+	r := gw.replicas[0]
+	var warm []*policyd.FrameClientV2
+	for i := 0; i < 3; i++ {
+		fc, err := r.get(ctx, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm = append(warm, fc)
+	}
+	for _, fc := range warm {
+		r.put(fc)
+	}
+	stop() // closes the live conns, as a replica restart does
+	stop = serve()
+	defer stop()
+
+	qs := straddleBatch(8)
+	ds, _, err := gw.Answer(ctx, qs, nil)
+	if err != nil {
+		t.Fatalf("Answer after a replica restart with %d conns pooled: %v", len(warm), err)
+	}
+	if len(ds) != len(qs) {
+		t.Fatalf("%d decisions for %d queries", len(ds), len(qs))
+	}
+}
+
 // TestJSONTenantsOwnTheirBytes is the buffer-scribbling check for the
 // JSON listener: the gateway's limiter keeps one string per tenant
 // (agent) it has seen, while the handler reuses its body buffer for the

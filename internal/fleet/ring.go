@@ -7,10 +7,12 @@
 // a probed fleet version — the production shape of the paper's
 // decision surface under "millions of users" traffic.
 //
-// The package is transport-agnostic the same way policyd is: replicas
-// are reached through an injected HTTP client and dial func, so one
-// Gateway implementation serves netsim harnesses (SimFleet) and real
-// TCP (cmd/policygw) identically.
+// The gateway reaches replicas only on the frame wire, through
+// Config.Dial, so one Gateway serves netsim harnesses (SimFleet) and
+// real TCP (cmd/policygw) identically; it serves its own callers on both
+// wires (Handler for JSON, ServeFrames for frames). A transport error
+// retries once on a freshly dialed conn to the same replica; there is
+// no failover to another replica yet.
 package fleet
 
 import "sort"

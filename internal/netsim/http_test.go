@@ -69,37 +69,48 @@ func stdlibClient(nw *Network, sourceIP string, keepAlive bool) *http.Client {
 
 // TestFastClientContextCancelMidRequest: the request's ctx is the
 // handler's r.Context(), so a handler that waits on it returns when the
-// ctx ends, and the request fails with the ctx's error.
+// ctx ends, and the request fails with the ctx's error. It runs in a
+// bubble: on synctest's clock each request fails after exactly 50 ms.
 func TestFastClientContextCancelMidRequest(t *testing.T) {
-	nw := New()
-	nw.Register("slow.test", "203.0.113.64")
-	serveHTTP(t, nw, "203.0.113.64", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		<-r.Context().Done() // never answer before the client gives up
-		w.WriteHeader(http.StatusGatewayTimeout)
-	}))
+	bubble(t, func() {
+		nw := New()
+		nw.Register("slow.test", "203.0.113.64")
+		release, err := nw.Handle("203.0.113.64", 80, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			<-r.Context().Done() // never answer before the client gives up
+			w.WriteHeader(http.StatusGatewayTimeout)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
 
-	client := nw.HTTPClient("198.51.100.64")
-	for _, via := range []string{"Do", "Get"} {
-		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-		start := time.Now()
-		var err error
-		if via == "Do" {
-			var req *http.Request
-			if req, err = http.NewRequestWithContext(ctx, http.MethodGet, "http://slow.test/", nil); err != nil {
-				t.Fatal(err)
+		client := nw.HTTPClient("198.51.100.64")
+		for _, via := range []string{"Do", "Get"} {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			start := time.Now()
+			var err error
+			if via == "Do" {
+				var req *http.Request
+				if req, err = http.NewRequestWithContext(ctx, http.MethodGet, "http://slow.test/", nil); err != nil {
+					t.Fatal(err)
+				}
+				_, err = client.Do(req)
+			} else {
+				_, _, err = Get(ctx, client, "http://slow.test/", nil)
 			}
-			_, err = client.Do(req)
-		} else {
-			_, _, err = Get(ctx, client, "http://slow.test/", nil)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("%s: %v, want the ctx's deadline error", via, err)
+			}
+			elapsed := time.Since(start)
+			if elapsed > 5*time.Second {
+				t.Fatalf("%s: context deadline took %v to fire", via, elapsed)
+			}
+			if syntheticClock && elapsed != 50*time.Millisecond {
+				t.Errorf("%s: request failed after %v of synthetic time, want exactly 50ms", via, elapsed)
+			}
 		}
-		cancel()
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("%s: %v, want the ctx's deadline error", via, err)
-		}
-		if elapsed := time.Since(start); elapsed > 5*time.Second {
-			t.Fatalf("%s: context deadline took %v to fire", via, elapsed)
-		}
-	}
+	})
 }
 
 // TestGetCallsServedHandlerInProcess: Get and client.Do to a handler

@@ -22,9 +22,10 @@ var errConnReset = errors.New("netsim: connection reset by peer")
 // sites exchange while keeping pooled keep-alive connections cheap.
 const connBufSize = 32 * 1024
 
-// bufPool recycles direction buffers across connections; crawl workloads
-// open and close connections at a rate that would otherwise make these
-// 64 KiB allocations the dominant source of garbage.
+// bufPool recycles direction buffers across connections, so a dial
+// costs no new ring once earlier conns have closed (a frame client's
+// reconnect, a test's dial per case). A dial takes two, one per
+// direction.
 var bufPool = sync.Pool{
 	New: func() any { b := make([]byte, connBufSize); return &b },
 }
@@ -50,15 +51,16 @@ type halfPipe struct {
 	wdl expiry // write deadline (owned by the writing conn)
 }
 
-// expiry is an armable deadline; when the timer fires it marks itself
-// expired and broadcasts the halfPipe's cond so blocked operations fail.
-// gen invalidates in-flight timer callbacks: a callback whose Stop lost
-// the race must not poison a deadline that was cleared or re-armed after
-// it was scheduled.
+// expiry is an armable deadline. Its one timer is made on the first arm
+// and reset on every later one, so re-arming allocates nothing. When the
+// timer fires, the callback marks the deadline expired and broadcasts
+// the halfPipe's cond so blocked operations fail, but only once the time
+// armed last has passed: a callback whose Stop or Reset lost the race
+// must not poison a deadline that was cleared or moved later since.
 type expiry struct {
 	timer   *time.Timer
+	at      time.Time // the armed deadline; zero when cleared
 	expired bool
-	gen     uint64
 }
 
 func newHalfPipe() *halfPipe {
@@ -146,7 +148,6 @@ func (h *halfPipe) closeRead() {
 	h.readerGone = true
 	if h.rdl.timer != nil {
 		h.rdl.timer.Stop()
-		h.rdl.timer = nil
 	}
 	h.releaseLocked()
 	h.cond.Broadcast()
@@ -163,7 +164,6 @@ func (h *halfPipe) closeWrite() {
 	h.writerGone = true
 	if h.wdl.timer != nil {
 		h.wdl.timer.Stop()
-		h.wdl.timer = nil
 	}
 	h.releaseLocked()
 	h.cond.Broadcast()
@@ -195,27 +195,36 @@ func (h *halfPipe) releaseLocked() {
 func (h *halfPipe) setDeadline(d *expiry, t time.Time) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
-	}
+	d.at = t
 	d.expired = false
-	d.gen++
-	if !t.IsZero() {
-		if dur := time.Until(t); dur <= 0 {
-			d.expired = true
-		} else {
-			gen := d.gen
-			d.timer = time.AfterFunc(dur, func() {
-				h.mu.Lock()
-				if d.gen == gen { // not cleared or re-armed since scheduling
-					d.expired = true
-					h.cond.Broadcast()
-				}
-				h.mu.Unlock()
-			})
+	switch dur := time.Until(t); {
+	case t.IsZero() || dur <= 0:
+		d.expired = !t.IsZero()
+		if d.timer != nil {
+			d.timer.Stop()
 		}
+	case d.timer == nil:
+		d.timer = time.AfterFunc(dur, func() { h.expire(d) })
+	default:
+		d.timer.Reset(dur)
 	}
+	h.cond.Broadcast()
+}
+
+// expire is d's timer callback. A deadline that is cleared or not yet
+// due (re-armed later, or a wall-clock t the monotonic timer beat) is
+// left alone; one not yet due waits for the rest of its time.
+func (h *halfPipe) expire(d *expiry) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if d.at.IsZero() || d.expired {
+		return
+	}
+	if rest := time.Until(d.at); rest > 0 {
+		d.timer.Reset(rest)
+		return
+	}
+	d.expired = true
 	h.cond.Broadcast()
 }
 

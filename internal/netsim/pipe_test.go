@@ -179,6 +179,51 @@ func TestWriteDeadlineUnblocksFullBuffer(t *testing.T) {
 	})
 }
 
+// TestConnDeadlineRearmAllocs: a conn makes its deadline timer on the
+// first arm and resets it after, so a frame server that re-arms its read
+// deadline before every frame allocates nothing for it. Not parallel:
+// AllocsPerRun counts the whole process.
+func TestConnDeadlineRearmAllocs(t *testing.T) {
+	client, server := dialPair(t)
+	defer client.Close()
+	defer server.Close()
+	rearm := func() { server.SetReadDeadline(time.Now().Add(time.Minute)) }
+	rearm()
+	if allocs := testing.AllocsPerRun(1000, rearm); allocs > 0 {
+		t.Fatalf("%v allocations per read-deadline re-arm, want 0", allocs)
+	}
+}
+
+// TestReadDeadlineMovedLater: a deadline moved later before it fires
+// fires at the later time, not the earlier one, and a cleared one never
+// fires.
+func TestReadDeadlineMovedLater(t *testing.T) {
+	bubble(t, func() {
+		client, server := dialPair(t)
+		defer client.Close()
+		defer server.Close()
+
+		start := time.Now()
+		client.SetReadDeadline(start.Add(20 * time.Millisecond))
+		client.SetReadDeadline(start.Add(60 * time.Millisecond))
+		if _, err := client.Read(make([]byte, 1)); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("read past deadline = %v, want ErrDeadlineExceeded", err)
+		}
+		if elapsed := time.Since(start); elapsed < 60*time.Millisecond || syntheticClock && elapsed != 60*time.Millisecond {
+			t.Errorf("moved deadline fired after %v, want 60ms", elapsed)
+		}
+
+		client.SetReadDeadline(time.Now().Add(10 * time.Millisecond))
+		client.SetReadDeadline(time.Time{})
+		time.Sleep(30 * time.Millisecond)
+		go server.Write([]byte("k"))
+		buf := make([]byte, 1)
+		if _, err := io.ReadFull(client, buf); err != nil || buf[0] != 'k' {
+			t.Fatalf("read after a cleared deadline's time passed: %q, %v", buf, err)
+		}
+	})
+}
+
 // TestClosingListenerDrainsBacklog pins the PR 2 stress-test fix: conns
 // accepted into a closing listener's backlog are closed by Close, so the
 // dialer's synchronous write fails fast instead of hanging until a

@@ -1,9 +1,9 @@
 // Package obs is the repository's observability core: dependency-free,
 // allocation-free metrics for the serving and simulation hot paths.
 //
-// Offline benchmark runs validate the performance work (the netsim fast
-// path, farm hosting, the policyd frame protocol), but cannot say what a
-// running daemon or scenario is doing right now. obs closes that gap
+// Offline benchmark runs validate the performance work (netsim's
+// in-process HTTP, farm hosting, the policyd frame protocol), but cannot
+// say what a running daemon or scenario is doing right now. obs closes that gap
 // with three primitives sized for hot paths that already fought for
 // every allocation:
 //

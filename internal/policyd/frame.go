@@ -36,10 +36,11 @@ import (
 //	                  u8 1, u32 retry-after in milliseconds
 //
 // A rate-limited batch is the only in-band error: the connection stays
-// usable. Any other preamble, a malformed or oversized frame, or a
-// failure to answer closes the connection, exactly like a
-// broken-framing TCP peer. The limits are shared with the JSON API:
-// MaxBatch queries per frame, maxBatchBytes payload bytes.
+// usable. Any other preamble, a malformed or oversized frame, a frame
+// (or preamble) not read whole within frameReadTimeout, or a failure to
+// answer closes the connection, exactly like a broken-framing TCP peer.
+// The limits are shared with the JSON API: MaxBatch queries per frame,
+// maxBatchBytes payload bytes.
 
 // FrameMagicV2 is the 4-byte connection preamble; the trailing byte is
 // the protocol version.
@@ -272,6 +273,12 @@ type Answerer interface {
 	Answer(ctx context.Context, qs []Query, out []Decision) ([]Decision, string, error)
 }
 
+// frameReadTimeout bounds a frame server's wait for the preamble and for
+// each frame, from its length prefix to its last payload byte, so a
+// stalled or abandoned peer holds a conn no longer than the daemons'
+// HTTP IdleTimeout lets an idle keep-alive conn live.
+const frameReadTimeout = 2 * time.Minute
+
 // ServeFrames accepts connections from ln and answers frame batches from
 // svc until the listener closes; then it closes the live connections and
 // returns the Accept error (net.ErrClosed on a clean shutdown).
@@ -282,15 +289,17 @@ func ServeFrames(ln net.Listener, svc *Service) error {
 // ServeFramesFrom is the frame loop behind every frame listener, replica
 // or gateway: each connection gets its own goroutine and reused buffers,
 // and requests counts the batches decoded. A *RateLimitError from a is
-// answered in band; a protocol violation or any other error closes that
-// connection only. It runs on netsim.Serve, so closing ln closes every
-// live connection too, and it returns once their loops have exited.
+// answered in band; a protocol violation, a frame not read within
+// frameReadTimeout or any other error closes that connection only. It
+// runs on netsim.Serve, so closing ln closes every live connection too,
+// and it returns once their loops have exited.
 func ServeFramesFrom(ln net.Listener, a Answerer, requests *obs.Counter) error {
 	return netsim.Serve(ln, func(c net.Conn) { serveFrameConn(c, a, requests) })
 }
 
 func serveFrameConn(c net.Conn, a Answerer, requests *obs.Counter) {
 	defer c.Close()
+	c.SetReadDeadline(time.Now().Add(frameReadTimeout))
 	var magic [4]byte
 	if _, err := io.ReadFull(c, magic[:]); err != nil || magic != FrameMagicV2 {
 		return
@@ -302,6 +311,7 @@ func serveFrameConn(c net.Conn, a Answerer, requests *obs.Counter) {
 	var qs []Query
 	var out []Decision
 	for {
+		c.SetReadDeadline(time.Now().Add(frameReadTimeout))
 		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
 			return
 		}

@@ -3,6 +3,7 @@ package policyd
 import (
 	"context"
 	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -111,6 +112,44 @@ func TestFrameV2Serve(t *testing.T) {
 	if _, version, err = fc2.Decide(qs, nil); err != nil || version != "v2" {
 		t.Fatalf("after swap: version %q err %v", version, err)
 	}
+}
+
+// TestStalledFrameClosesAtDeadline: a peer that sends the preamble and
+// half a length prefix, then stalls, has its conn closed exactly
+// frameReadTimeout later. Two minutes are too long for the wall clock,
+// so it runs only on synctest's (GOEXPERIMENT=synctest).
+func TestStalledFrameClosesAtDeadline(t *testing.T) {
+	if !syntheticClock {
+		t.Skip("runs on the synthetic clock only: GOEXPERIMENT=synctest")
+	}
+	bubble(t, func() {
+		nw := netsim.New()
+		ln, err := nw.Listen("10.0.0.2", 81)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- ServeFrames(ln, NewService(mustSnap(t, "v1"))) }()
+		defer func() {
+			ln.Close()
+			<-served
+		}()
+		c, err := nw.Dial(context.Background(), "10.0.0.1", "10.0.0.2:81")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := c.Write(append(FrameMagicV2[:], 8, 0)); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if n, err := c.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("read from a stalled frame's conn = %d, %v; want io.EOF", n, err)
+		}
+		if elapsed := time.Since(start); elapsed != frameReadTimeout {
+			t.Errorf("stalled conn closed after %v of synthetic time, want exactly %v", elapsed, frameReadTimeout)
+		}
+	})
 }
 
 func mustSnap(t *testing.T, version string) *Snapshot {

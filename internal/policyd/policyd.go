@@ -21,7 +21,11 @@
 // collection (the §5 verdicts); ai.txt governs use at training time
 // (§2.2); the NoAI meta tag is the weakest, page-level hint. A query is
 // denied when any applicable signal denies it, and the reported Signal
-// is the highest-precedence denier.
+// is the highest-precedence denier. The robots component equals
+// robots.Robots.Agent(ua).Allowed(path) for every corpus host, agent and
+// path (TestCorpusParity), and a compliant crawler's enacted crawl
+// agrees with Decide in every built-in scenario world
+// (TestCompiledPolicyMatchesEnactedCrawl in internal/scenario).
 package policyd
 
 import (

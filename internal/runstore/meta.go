@@ -1,7 +1,8 @@
 // Package runstore is the longitudinal results store: a compact
 // on-disk record of every run's semantic outputs — per-month scenario
 // metrics, verdict tables, per-site policy plans, experiment results,
-// policyd decision mixes, and an end-of-run obs snapshot — keyed by
+// policyd decision mixes, a gateway's per-tenant quota ledger, and an
+// end-of-run obs snapshot — keyed by
 // (spec hash, seed, git rev, timestamp), plus a differ that renders
 // what changed between two runs or two code revisions.
 //

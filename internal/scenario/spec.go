@@ -15,7 +15,12 @@
 // cold one replays the log effects of waves compiled that same way, and
 // all metrics derive from the server logs alone, exactly like
 // internal/measure. Runs are deterministic: identical specs are
-// bit-identical at any worker count and any hot-cohort size.
+// bit-identical at any worker count and any hot-cohort size
+// (TestTieredParityWithFull, TestResultDigests). RunTiered's doc
+// describes the two tiers and the order workers claim sites in. A hot
+// site's crawlers fetch through netsim.Get, which calls the worker's
+// farm in-process, so the hot tier dials no conn
+// (TestFarmAddressesRefuseDials).
 package scenario
 
 import (
