@@ -173,7 +173,7 @@ func runFleet(t *testing.T, stdlib, keepAlive bool) fleetRun {
 		if site.LogLen() == 0 {
 			t.Fatalf("%s: no traffic captured", site.Domain())
 		}
-		run.Log = append(run.Log, untimed(site.Log())...)
+		run.Log = append(run.Log, site.Log()...)
 	}
 	return run
 }

@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"repro/internal/obs"
@@ -30,7 +33,14 @@ var (
 	mGWWireFrame = obs.NewCounter(`fleet_gateway_requests_total{wire="frame"}`,
 		"Gateway-level decision requests, by protocol.")
 	mGWJSONStages = policyd.NewJSONStages("gateway")
+
+	mReplicaErrDial    = obs.NewCounter(`fleet_replica_errors_total{class="dial"}`, replicaErrorsHelp)
+	mReplicaErrTimeout = obs.NewCounter(`fleet_replica_errors_total{class="timeout"}`, replicaErrorsHelp)
+	mReplicaErrGarbled = obs.NewCounter(`fleet_replica_errors_total{class="garbled"}`, replicaErrorsHelp)
+	mReplicaErrEOF     = obs.NewCounter(`fleet_replica_errors_total{class="eof"}`, replicaErrorsHelp)
 )
+
+const replicaErrorsHelp = "Failed batch exchanges with a replica, by class: dial, timeout, garbled or eof."
 
 // ReplicaConfig locates one policyd replica on whatever transport the
 // gateway's Dial reaches.
@@ -162,15 +172,7 @@ func (g *Gateway) Limiter() *Limiter { return g.limiter }
 // Close drains and closes all pooled replica connections.
 func (g *Gateway) Close() {
 	for _, r := range g.replicas {
-		for {
-			select {
-			case fc := <-r.pool:
-				fc.Close()
-			default:
-				goto next
-			}
-		}
-	next:
+		r.drain()
 	}
 }
 
@@ -179,8 +181,8 @@ func (g *Gateway) Close() {
 // snapshot version. It speaks to the replica on a frame conn of its
 // own, not through routeBatch, because routeBatch answers an empty
 // batch at the gateway without visiting a replica; and not through
-// decideOn, so probes never count as client batches, routed decisions
-// or replica latency. Each probe, its redial included, runs under
+// decideOn, so probes never count as client batches, routed decisions,
+// replica latency or replica errors. Each probe, its redial included, runs under
 // probeTimeout and ends when ctx does. A failed probe closes the conn
 // and the next tick redials.
 func (r *replica) probeLoop(ctx context.Context) {
@@ -300,38 +302,92 @@ func (r *replica) put(fc *policyd.FrameClientV2) {
 	}
 }
 
-// decideOn answers qs on one replica, appending to out, within ctx: its
-// deadline bounds the exchange and canceling it ends the exchange. A
-// transport error retries once on a freshly dialed connection (the
-// pooled conn may have died idle, and so may every other pooled conn
-// after a replica restart) while ctx is live; the replica's observed
-// version updates from the response.
-func (g *Gateway) decideOn(ctx context.Context, r *replica, qs []policyd.Query, out []policyd.Decision) ([]policyd.Decision, string, error) {
-	base := len(out)
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		fc, err := r.get(ctx, attempt == 0)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		start := time.Now()
-		ds, version, err := fc.Answer(ctx, qs, out[:base])
-		if err != nil {
+// drain closes every conn pooled to the replica.
+func (r *replica) drain() {
+	for {
+		select {
+		case fc := <-r.pool:
 			fc.Close()
-			lastErr = err
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				break // ctx is spent: a fresh conn would fail the same way
-			}
-			continue
+		default:
+			return
 		}
-		r.mLatency.Observe(uint64(time.Since(start)))
-		r.put(fc)
-		r.mRoute.Add(uint64(len(qs)))
-		r.noteVersion(version)
-		return ds, version, nil
 	}
-	return out[:base], "", fmt.Errorf("fleet: replica %s: %w", r.cfg.Name, lastErr)
+}
+
+// decideOn answers qs, appending to out, within ctx: its deadline bounds
+// the exchange and canceling it ends the exchange. The batch goes to the
+// replica owning key on the ring. A transport error while ctx is live
+// retries once on a freshly dialed conn: to key's ring successor, or to
+// the same replica when the ring has no other. The retry never takes a
+// pooled conn, because after an idle spell every pooled conn may be one
+// its replica has since closed.
+func (g *Gateway) decideOn(ctx context.Context, key string, qs []policyd.Query, out []policyd.Decision) ([]policyd.Decision, string, error) {
+	r := g.replicas[g.ring.Pick(key)]
+	ds, version, err := r.answer(ctx, qs, out, true)
+	if err == nil || spent(ctx, err) {
+		return ds, version, err
+	}
+	if s := g.ring.successor(key); s >= 0 {
+		r = g.replicas[s]
+	}
+	return r.answer(ctx, qs, out, false)
+}
+
+// answer sends qs to the replica on a pooled conn when pooled is set
+// and one is idle, else on a fresh dial, and appends the answer to out;
+// the replica's observed version updates from it. A failure is counted
+// by class and closes the conn and, unless ctx ended it, every conn
+// pooled to the replica: the one failure is most often a restart, which
+// killed them all.
+func (r *replica) answer(ctx context.Context, qs []policyd.Query, out []policyd.Decision, pooled bool) ([]policyd.Decision, string, error) {
+	fc, err := r.get(ctx, pooled)
+	if err != nil {
+		return out, "", r.failed(ctx, err, true)
+	}
+	start := time.Now()
+	ds, version, err := fc.Answer(ctx, qs, out)
+	if err != nil {
+		fc.Close()
+		return out, "", r.failed(ctx, err, false)
+	}
+	r.mLatency.Observe(uint64(time.Since(start)))
+	r.put(fc)
+	r.mRoute.Add(uint64(len(qs)))
+	r.noteVersion(version)
+	return ds, version, nil
+}
+
+// failed counts err, a failure to reach the replica (dialing) or to
+// exchange a batch with it, drains the replica's pool unless ctx ended
+// the attempt, and returns err named by the replica. The classes: timeout
+// (a deadline fired), dial (no conn could be opened), eof (the replica
+// closed or reset the conn) and garbled (anything else, such as a
+// malformed frame). A canceled ctx is the caller's doing, not the
+// replica's, and is not counted.
+func (r *replica) failed(ctx context.Context, err error, dialing bool) error {
+	switch {
+	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, os.ErrDeadlineExceeded):
+		mReplicaErrTimeout.Inc()
+	case dialing:
+		mReplicaErrDial.Inc()
+	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, io.ErrClosedPipe),
+		errors.Is(err, net.ErrClosed), errors.Is(err, syscall.ECONNRESET), errors.Is(err, syscall.EPIPE):
+		mReplicaErrEOF.Inc()
+	default:
+		mReplicaErrGarbled.Inc()
+	}
+	if !spent(ctx, err) {
+		r.drain()
+	}
+	return fmt.Errorf("fleet: replica %s: %w", r.cfg.Name, err)
+}
+
+// spent reports whether ctx ended the attempt that failed with err, so
+// that another attempt would fail the same way. It reads err as well as
+// ctx, because the conn's deadline timer may fire before ctx's own.
+func spent(ctx context.Context, err error) bool {
+	return ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
 // connState is pooled admission scratch, so the frame hot path stays
@@ -376,7 +432,7 @@ func (g *Gateway) routeBatch(ctx context.Context, qs []policyd.Query, out []poli
 	if len(qs) == 0 {
 		return out, g.FleetVersion(), nil
 	}
-	return g.decideOn(ctx, g.replicas[g.ring.Pick(qs[0].Host)], qs, out)
+	return g.decideOn(ctx, qs[0].Host, qs, out)
 }
 
 // Answer implements policyd.Answerer for the fleet: admit the batch

@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -794,28 +795,18 @@ func TestCloseEndsLiveFrameConns(t *testing.T) {
 }
 
 // TestRetryDialsAfterReplicaRestart: a replica restart kills every conn
-// the gateway pooled to it, so the retry after a failed pooled conn must
-// dial a fresh one instead of taking the next dead conn from the pool.
+// the gateway pooled to it. The batch that meets the first dead conn
+// closes the rest and is answered on one fresh dial; later batches reuse
+// that conn and dial no more.
 func TestRetryDialsAfterReplicaRestart(t *testing.T) {
 	nw := netsim.New()
 	svc := policyd.NewService(straddleSnapshot(t, "v1", false, 8))
-	frames := obs.NewCounter(`policyd_wire_requests_total{wire="frame"}`, "")
-	serve := func() func() {
-		ln, err := nw.Listen("10.0.0.96", 81)
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := make(chan error, 1)
-		go func() { served <- policyd.ServeFramesFrom(ln, svc, frames) }()
-		return func() {
-			ln.Close()
-			<-served
-		}
-	}
-	stop := serve()
+	stop := serveReplica(t, nw, "10.0.0.96", svc)
+	var dials atomic.Int64
 	gw, err := NewGateway(Config{
 		Replicas: []ReplicaConfig{{Name: "r0", FrameAddr: "10.0.0.96:81"}},
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			dials.Add(1)
 			return nw.Dial(ctx, ClientIP, addr)
 		},
 	})
@@ -839,16 +830,257 @@ func TestRetryDialsAfterReplicaRestart(t *testing.T) {
 		r.put(fc)
 	}
 	stop() // closes the live conns, as a replica restart does
-	stop = serve()
+	stop = serveReplica(t, nw, "10.0.0.96", svc)
 	defer stop()
 
+	dials.Store(0)
+	eof := mReplicaErrEOF.Value()
 	qs := straddleBatch(8)
-	ds, _, err := gw.Answer(ctx, qs, nil)
-	if err != nil {
-		t.Fatalf("Answer after a replica restart with %d conns pooled: %v", len(warm), err)
+	for batch := 0; batch < 3; batch++ {
+		ds, _, err := gw.Answer(ctx, qs, nil)
+		if err != nil {
+			t.Fatalf("batch %d after a replica restart with %d conns pooled: %v", batch, len(warm), err)
+		}
+		if len(ds) != len(qs) {
+			t.Fatalf("batch %d: %d decisions for %d queries", batch, len(ds), len(qs))
+		}
+		want := int64(0)
+		if batch == 0 {
+			want = 1
+		}
+		if n := dials.Swap(0); n != want {
+			t.Errorf("batch %d after a restart with %d conns pooled dialed %d times, want %d", batch, len(warm), n, want)
+		}
 	}
-	if len(ds) != len(qs) {
-		t.Fatalf("%d decisions for %d queries", len(ds), len(qs))
+	if n := mReplicaErrEOF.Value() - eof; n != 1 {
+		t.Errorf("the restart counted %d eof errors, want 1", n)
+	}
+}
+
+// serveReplica serves svc's frame wire at ip:81 until stop, which closes
+// the listener and returns once the server has closed every conn it
+// accepted, as a replica's shutdown does. stop may be called again.
+func serveReplica(t *testing.T, nw *netsim.Network, ip string, svc *policyd.Service) (stop func()) {
+	t.Helper()
+	ln, err := nw.Listen(ip, 81)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := obs.NewCounter(`policyd_wire_requests_total{wire="frame"}`, "")
+	served := make(chan error, 1)
+	go func() { served <- policyd.ServeFramesFrom(ln, svc, frames) }()
+	return sync.OnceFunc(func() {
+		ln.Close()
+		<-served
+	})
+}
+
+// TestFailoverToRingSuccessor closes one replica's frame listener, which
+// closes its live conns too. Every batch is still answered, each exactly
+// as the snapshot decides it: a batch owned by the closed replica fails
+// over to its first host's ring successor. Each such batch counts one
+// failure, all of class dial: the pool was empty, and a dial to the
+// closed listener is refused.
+func TestFailoverToRingSuccessor(t *testing.T) {
+	snap := buildCorpusSnapshot(t, 0)
+	f, err := NewSimFleet(snap, 2, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, ln := range f.listeners {
+		if ln.Addr().String() == f.ReplicaFrameAddrs[0] {
+			ln.Close()
+		}
+	}
+	fc, err := f.DialFrameV2(context.Background(), f.GatewayFrameAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+
+	before := replicaErrors()
+	ring := NewRing([]string{"policyd-0", "policyd-1"}, 0)
+	qs := corpusWorkload(snap, 64*40)
+	failedOver := uint64(0)
+	var got []policyd.Decision
+	for off := 0; off < len(qs); off += 64 {
+		batch := qs[off : off+64]
+		if ring.Pick(batch[0].Host) == 0 {
+			failedOver++
+		}
+		got, _, err = fc.Decide(batch, got[:0])
+		if err != nil {
+			t.Fatalf("batch at %d: %v", off, err)
+		}
+		for i, q := range batch {
+			if want := snap.Decide(q); got[i] != want {
+				t.Fatalf("query %d %+v: %+v through the gateway, %+v from the snapshot", off+i, q, got[i], want)
+			}
+		}
+	}
+	if failedOver == 0 || failedOver == uint64(len(qs)/64) {
+		t.Fatalf("%d of %d batches owned by the closed replica; the test needs some of each", failedOver, len(qs)/64)
+	}
+	after := replicaErrors()
+	for class, want := range map[string]uint64{"dial": failedOver, "timeout": 0, "garbled": 0, "eof": 0} {
+		if n := after[class] - before[class]; n != want {
+			t.Errorf("%d %s errors for %d failed-over batches, want %d", n, class, failedOver, want)
+		}
+	}
+}
+
+// TestFailoverPastStalePools restarts both replicas of a warmed fleet,
+// which leaves every pooled conn dead, as an idle spell past the
+// replicas' frame read timeout does. A batch that meets a dead conn at
+// its owner drains the owner's pool and fails over on a fresh dial, never
+// on the successor's pooled conns, which are as dead. Every batch is
+// answered as the snapshot decides it, and each replica counts one eof:
+// its first batch's.
+func TestFailoverPastStalePools(t *testing.T) {
+	nw := netsim.New()
+	snap := straddleSnapshot(t, "v1", false, 96)
+	svc := policyd.NewService(snap)
+	ips := []string{"10.0.0.97", "10.0.0.98"}
+	stops := make([]func(), len(ips))
+	var rcs []ReplicaConfig
+	for i, ip := range ips {
+		stops[i] = serveReplica(t, nw, ip, svc)
+		rcs = append(rcs, ReplicaConfig{Name: fmt.Sprintf("r%d", i), FrameAddr: ip + ":81"})
+	}
+	defer func() {
+		for _, stop := range stops {
+			stop()
+		}
+	}()
+	gw, err := NewGateway(Config{
+		Replicas: rcs,
+		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+			return nw.Dial(ctx, ClientIP, addr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	ctx := context.Background()
+	for _, r := range gw.replicas {
+		var warm []*policyd.FrameClientV2
+		for i := 0; i < 3; i++ {
+			fc, err := r.get(ctx, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm = append(warm, fc)
+		}
+		for _, fc := range warm {
+			r.put(fc)
+		}
+	}
+	for i, ip := range ips {
+		stops[i]()
+		stops[i] = serveReplica(t, nw, ip, svc)
+	}
+
+	before := replicaErrors()
+	qs := straddleBatch(96)
+	var owned [2]int
+	var got []policyd.Decision
+	for off := 0; off+4 <= len(qs); off += 4 {
+		batch := qs[off : off+4]
+		owned[gw.ring.Pick(batch[0].Host)]++
+		got, _, err = gw.Answer(ctx, batch, got[:0])
+		if err != nil {
+			t.Fatalf("batch at %d after both replicas restarted: %v", off, err)
+		}
+		for i, q := range batch {
+			if want := snap.Decide(q); got[i] != want {
+				t.Fatalf("query %d %+v: %+v through the gateway, %+v from the snapshot", off+i, q, got[i], want)
+			}
+		}
+	}
+	if owned[0] == 0 || owned[1] == 0 {
+		t.Fatalf("batches owned per replica %v; the test needs some on each", owned)
+	}
+	after := replicaErrors()
+	for class, want := range map[string]uint64{"dial": 0, "timeout": 0, "garbled": 0, "eof": 2} {
+		if n := after[class] - before[class]; n != want {
+			t.Errorf("%d %s errors after a restart of both replicas, want %d", n, class, want)
+		}
+	}
+}
+
+// TestReplicaErrorClasses: a one-replica gateway's failed batch counts
+// both of its attempts in the class of the replica's fault.
+func TestReplicaErrorClasses(t *testing.T) {
+	preamble := len(policyd.FrameMagicV2)
+	for _, c := range []struct {
+		class string
+		serve func(c net.Conn) // nil: no listener, so every dial is refused
+	}{
+		{"dial", nil},
+		{"eof", func(c net.Conn) {
+			io.ReadFull(c, make([]byte, preamble+4)) // the preamble and a frame's length
+			c.Close()
+		}},
+		{"garbled", func(c net.Conn) {
+			if _, err := io.ReadFull(c, make([]byte, preamble+4)); err == nil {
+				c.Write([]byte{2, 0, 0, 0, 0xff, 0xff}) // a frame of an unknown status
+			}
+			io.Copy(io.Discard, c)
+			c.Close()
+		}},
+	} {
+		t.Run(c.class, func(t *testing.T) {
+			nw := netsim.New()
+			if c.serve != nil {
+				ln, err := nw.Listen("10.0.0.95", 81)
+				if err != nil {
+					t.Fatal(err)
+				}
+				served := make(chan error, 1)
+				go func() { served <- netsim.Serve(ln, c.serve) }()
+				defer func() {
+					ln.Close()
+					<-served
+				}()
+			}
+			gw, err := NewGateway(Config{
+				Replicas: []ReplicaConfig{{Name: "faulty", FrameAddr: "10.0.0.95:81"}},
+				Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+					return nw.Dial(ctx, ClientIP, addr)
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			before := replicaErrors()
+			if ds, _, err := gw.Answer(context.Background(), straddleBatch(8), nil); err == nil {
+				t.Fatalf("a %s fault answered %d decisions", c.class, len(ds))
+			}
+			after := replicaErrors()
+			for class := range after {
+				want := uint64(0)
+				if class == c.class {
+					want = 2
+				}
+				if n := after[class] - before[class]; n != want {
+					t.Errorf("%d %s errors, want %d", n, class, want)
+				}
+			}
+		})
+	}
+}
+
+// replicaErrors reads fleet_replica_errors_total by class.
+func replicaErrors() map[string]uint64 {
+	return map[string]uint64{
+		"dial":    mReplicaErrDial.Value(),
+		"timeout": mReplicaErrTimeout.Value(),
+		"garbled": mReplicaErrGarbled.Value(),
+		"eof":     mReplicaErrEOF.Value(),
 	}
 }
 
@@ -939,29 +1171,33 @@ func TestJSONTenantsOwnTheirBytes(t *testing.T) {
 // Answer past its context. Under a 200 ms deadline, and under a context
 // canceled after 200 ms, Answer returns the context's error well within
 // a second; the conns it opened are closed, so the replica's serve
-// loops end and nothing outlives the test. The deadline case runs in a
-// bubble: on synctest's clock Answer returns after exactly 200 ms.
+// loops end and nothing outlives the test. The deadline counts one
+// timeout error; the cancel, the caller's doing, counts none. The
+// deadline case runs in a bubble: on synctest's clock Answer returns
+// after exactly 200 ms.
 func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		ctx  func() (context.Context, context.CancelFunc)
-		want error
-		run  func(*testing.T, func())
+		name     string
+		ctx      func() (context.Context, context.CancelFunc)
+		want     error
+		timeouts uint64
+		run      func(*testing.T, func())
 	}{
 		{"deadline", func() (context.Context, context.CancelFunc) {
 			return context.WithTimeout(context.Background(), 200*time.Millisecond)
-		}, context.DeadlineExceeded, bubble},
+		}, context.DeadlineExceeded, 1, bubble},
 		{"cancel", func() (context.Context, context.CancelFunc) {
 			ctx, cancel := context.WithCancel(context.Background())
 			time.AfterFunc(200*time.Millisecond, cancel)
 			return ctx, cancel
-		}, context.Canceled, func(_ *testing.T, f func()) { f() }},
+		}, context.Canceled, 0, func(_ *testing.T, f func()) { f() }},
 	} {
 		c.run(t, func() {
 			gw, stop := blackholedGateway(t)
 			defer stop()
 			ctx, cancel := c.ctx()
 			defer cancel()
+			timeouts := mReplicaErrTimeout.Value()
 			start := time.Now()
 			answered := make(chan error, 1)
 			go func() {
@@ -975,6 +1211,9 @@ func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
 				}
 				if elapsed := time.Since(start); syntheticClock && c.name == "deadline" && elapsed != 200*time.Millisecond {
 					t.Errorf("%s: Answer returned after %v of synthetic time, want exactly 200ms", c.name, elapsed)
+				}
+				if n := mReplicaErrTimeout.Value() - timeouts; n != c.timeouts {
+					t.Errorf("%s: %d timeout errors counted, want %d", c.name, n, c.timeouts)
 				}
 			case <-time.After(time.Second):
 				t.Errorf("%s: Answer still blocked on a blackholed replica 1 s into a 200 ms context", c.name)

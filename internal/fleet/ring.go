@@ -11,8 +11,12 @@
 // Config.Dial, so one Gateway serves netsim harnesses (SimFleet) and
 // real TCP (cmd/policygw) identically; it serves its own callers on both
 // wires (Handler for JSON, ServeFrames for frames). A transport error
-// retries once on a freshly dialed conn to the same replica; there is
-// no failover to another replica yet.
+// closes every conn pooled to the failed replica and retries the batch
+// once on a freshly dialed conn: to the ring successor of its first host,
+// or to the same replica when the fleet has one. Each failure is counted in
+// fleet_replica_errors_total by class. There is no per-replica deadline
+// yet: a blackholed replica holds a batch for the caller's whole
+// deadline.
 package fleet
 
 import "sort"
@@ -71,8 +75,31 @@ func (r *Ring) Pick(key string) int {
 	if len(r.points) == 0 {
 		return -1
 	}
+	return int(r.points[r.search(key)].replica)
+}
+
+// successor returns the replica index owning the first point after
+// key's owning point that belongs to another replica — the replica key
+// would move to if its owner were removed — or -1 when the ring holds
+// fewer than two replicas. It does not allocate.
+func (r *Ring) successor(key string) int {
+	if len(r.names) < 2 {
+		return -1
+	}
+	i := r.search(key)
+	owner := r.points[i].replica
+	for j := 1; j < len(r.points); j++ {
+		if p := r.points[(i+j)%len(r.points)]; p.replica != owner {
+			return int(p.replica)
+		}
+	}
+	return -1
+}
+
+// search returns the index of key's owning point: the first point at
+// or after key's hash, wrapping to 0. The ring must not be empty.
+func (r *Ring) search(key string) int {
 	h := fnv64a(key)
-	// Binary search for the first point at or after h, wrapping to 0.
 	lo, hi := 0, len(r.points)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -85,7 +112,7 @@ func (r *Ring) Pick(key string) int {
 	if lo == len(r.points) {
 		lo = 0
 	}
-	return int(r.points[lo].replica)
+	return lo
 }
 
 // Add returns a new ring with name appended (same vnode density as the

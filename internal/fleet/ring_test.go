@@ -119,3 +119,31 @@ func TestRingDeterminism(t *testing.T) {
 		t.Fatal("empty ring must return -1")
 	}
 }
+
+// TestRingSuccessor: a key's successor is another replica, and exactly
+// the one the key moves to when its owner is removed, so failover keeps
+// the ring's placement. A one-replica ring has no successor, and the
+// lookup allocates nothing.
+func TestRingSuccessor(t *testing.T) {
+	r := NewRing(ringNames(4), 0)
+	without := map[int]*Ring{}
+	for _, k := range ringKeys(5000) {
+		owner, next := r.Pick(k), r.successor(k)
+		if next < 0 || next == owner {
+			t.Fatalf("%s: successor %d of owner %d", k, next, owner)
+		}
+		if without[owner] == nil {
+			without[owner] = r.Remove(r.Name(owner))
+		}
+		rest := without[owner]
+		if got, want := r.Name(next), rest.Name(rest.Pick(k)); got != want {
+			t.Fatalf("%s: successor %s, but removing %s moves it to %s", k, got, r.Name(owner), want)
+		}
+	}
+	if s := NewRing(ringNames(1), 0).successor("site.test"); s != -1 {
+		t.Errorf("one-replica ring: successor %d, want -1", s)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.successor("site-00001.example.test") }); allocs != 0 {
+		t.Errorf("successor: %.1f allocations, want 0", allocs)
+	}
+}

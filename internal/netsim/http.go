@@ -94,18 +94,12 @@ func (t *transport) roundTrip(req *http.Request) (*http.Response, error) {
 	if err := checkRequest(req); err != nil {
 		return nil, err
 	}
-	started := time.Now()
 	h, err := t.nw.handler(req.Context(), req.URL.Host)
 	if err != nil {
 		return nil, err
 	}
 	mHTTPRequests.Inc()
-	resp, err := t.do(h, req)
-	if err != nil {
-		return nil, err
-	}
-	mHTTPLatency.ObserveSince(started)
-	return resp, nil
+	return t.do(h, req)
 }
 
 // do calls h with the request a server reads off the wire for req,
@@ -265,18 +259,12 @@ func get(ctx context.Context, client *http.Client, rawURL string, hdr http.Heade
 	if err != nil {
 		return 0, "", err
 	}
-	started := time.Now()
 	h, err := t.nw.handler(ctx, host)
 	if err != nil {
 		return 0, "", err
 	}
 	mHTTPRequests.Inc()
-	status, body, err := t.serveGet(ctx, h, host, target, hdr)
-	if err != nil {
-		return 0, "", err
-	}
-	mHTTPLatency.ObserveSince(started)
-	return status, body, nil
+	return t.serveGet(ctx, h, host, target, hdr)
 }
 
 var getPool = sync.Pool{New: func() any {

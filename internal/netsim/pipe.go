@@ -1,18 +1,20 @@
 package netsim
 
 import (
-	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
 	"sync"
+	"syscall"
 	"time"
 )
 
 // errConnReset is returned by reads and writes on a connection whose peer
 // has closed — including dials that were accepted into a listener's
-// backlog just before the listener shut down and drained it.
-var errConnReset = errors.New("netsim: connection reset by peer")
+// backlog just before the listener shut down and drained it. It is
+// syscall.ECONNRESET under errors.Is, as a reset TCP conn's error is.
+var errConnReset = fmt.Errorf("netsim: %w", syscall.ECONNRESET)
 
 // connBufSize is the per-direction buffer capacity of a simulated
 // connection. It plays the role of the TCP window: writers block only

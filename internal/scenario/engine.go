@@ -49,7 +49,8 @@ func resolveRoster(sp Spec) ([]resolvedCrawler, error) {
 // rosterCrawlers is one network's crawler fleet: a crawler per roster
 // entry, built on its first wave and kept for the run. The visit
 // counter — set before every wave — is the only state a kept crawler
-// carries from one site to the next; what it keeps is its http.Client.
+// carries from one site to the next that changes what it does; what it
+// keeps is its http.Client and its crawl scratch.
 type rosterCrawlers struct {
 	world *tierWorld
 	nw    *netsim.Network

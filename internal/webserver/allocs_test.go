@@ -40,6 +40,26 @@ func TestGetFarmPageAllocs(t *testing.T) {
 	}
 }
 
+// TestLogSinceAllocs pins the cost of reading a site's log window, which
+// the hot tier does once per wave: none, since a window is a view of the
+// log, not a copy.
+func TestLogSinceAllocs(t *testing.T) {
+	nw := netsim.New()
+	site := startSite(t, nw, WildcardDisallowSite("window.test", "203.0.113.15"))
+	client := nw.HTTPClient("198.51.100.72")
+	for i := 0; i < 8; i++ {
+		get(t, client, site.URL()+"/", "GPTBot/1.0")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if w := site.LogSince(2); len(w) != 6 {
+			t.Fatalf("window of %d records, want 6", len(w))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.2f allocations per LogSince, want 0", allocs)
+	}
+}
+
 // raceEnabled is set by race_test.go when the race detector is on.
 var raceEnabled bool
 

@@ -19,7 +19,8 @@ import (
 // server.
 //
 // Sites keep their full measurement contract under a farm: each site has
-// its own append-only request log with LogSince windows; every request
+// its own append-only request log, read through LogSince windows that
+// are read-only views, not copies; every request
 // still carries the client's simulated source IP; and robots.txt /
 // blocker swaps apply per site. Requests for a Host no site claims are
 // answered 421 Misdirected Request.

@@ -263,9 +263,7 @@ func TestFarmPerSiteLogOrderDeterministic(t *testing.T) {
 			if first[i].Path != paths[i] {
 				t.Fatalf("record %d = %s, want %s (issue order)", i, first[i].Path, paths[i])
 			}
-			f, s := first[i], second[i]
-			f.Time = s.Time // wall-clock is not part of the contract
-			if f != s {
+			if first[i] != second[i] {
 				t.Fatalf("replay diverged at %d: %+v vs %+v", i, first[i], second[i])
 			}
 		}

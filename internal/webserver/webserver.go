@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/netsim"
 )
@@ -83,9 +82,13 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Record is one logged request, the unit of §5's passive analysis.
+// Record is one logged request, the unit of §5's passive analysis: who
+// fetched what, and what was served. It carries no timestamp, because
+// no analysis reads one; a reader of simulated time would stamp records
+// from the scenario's month, never from the wall clock. A record is
+// never changed once logged, so Log and LogSince hand out views of the
+// log itself.
 type Record struct {
-	Time      time.Time
 	RemoteIP  string
 	UserAgent string
 	Path      string
@@ -165,10 +168,15 @@ func (s *Site) serve(w http.ResponseWriter, r *http.Request) {
 	n, _ := io.WriteString(w, body)
 
 	host, _, _ := net.SplitHostPort(r.RemoteAddr)
+	// r.UserAgent() without canonicalising the constant key: the lookup
+	// Header.Get makes once the key is canonical.
+	var ua string
+	if v := r.Header["User-Agent"]; len(v) > 0 {
+		ua = v[0]
+	}
 	rec := Record{
-		Time:      time.Now(),
 		RemoteIP:  host,
-		UserAgent: r.UserAgent(),
+		UserAgent: ua,
 		Path:      r.URL.Path,
 		Status:    status,
 		Bytes:     n,
@@ -178,24 +186,28 @@ func (s *Site) serve(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 }
 
-// Log returns a copy of all requests logged so far in arrival order.
-// Requests issued sequentially — by one client or by any externally
-// serialized schedule — appear exactly in issue order, the contract the
-// measurement windowing relies on.
+// Log returns all requests logged so far in arrival order, as LogSince(0)
+// does: a read-only view, not a copy. Requests issued sequentially — by
+// one client or by any externally serialized schedule — appear exactly
+// in issue order, the contract the measurement windowing relies on.
 func (s *Site) Log() []Record {
 	return s.LogSince(0)
 }
 
-// LogSince returns a copy of the requests logged since mark — a LogLen
-// value captured earlier — in arrival order; the cost is O(window), not
-// O(total log). A mark outside [0, LogLen()] yields an empty window.
+// LogSince returns the requests logged since mark — a LogLen value
+// captured earlier — in arrival order, without copying: the window is a
+// read-only view of the log, capped at its length, so it stays as it was
+// when later requests are logged, and appending to it copies. Callers
+// must not write its elements. A mark outside [0, LogLen()] yields an
+// empty window.
 func (s *Site) LogSince(mark int) []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if mark < 0 || mark >= len(s.log) {
+	n := len(s.log)
+	if mark < 0 || mark >= n {
 		return nil
 	}
-	return append([]Record(nil), s.log[mark:]...)
+	return s.log[mark:n:n]
 }
 
 // LogLen returns the number of requests logged so far without copying the

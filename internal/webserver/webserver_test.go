@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -375,6 +376,61 @@ func TestLogSinceAcrossConcurrentClients(t *testing.T) {
 	for i, rec := range window {
 		if rec != full[mark+i] {
 			t.Fatalf("window[%d] = %+v, want %+v", i, rec, full[mark+i])
+		}
+	}
+}
+
+// TestLogWindowsAreReadOnlyViews: a LogSince window is a view of the
+// site log, not a copy, and stays safe to hold while the site serves
+// other clients (run it under -race): appending to the window leaves the
+// log unchanged, and requests logged after it leave the window unchanged.
+func TestLogWindowsAreReadOnlyViews(t *testing.T) {
+	nw := netsim.New()
+	site := startSite(t, nw, WildcardDisallowSite("view.test", "203.0.113.14"))
+	client := nw.HTTPClient("198.51.100.71")
+	for _, p := range []string{"/robots.txt", "/", "/about.html"} {
+		get(t, client, site.URL()+p, "ViewBot/1.0")
+	}
+	window := site.LogSince(0)
+	want := slices.Clone(window)
+	extended := append(window, Record{Path: "/never-requested"})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			other := nw.HTTPClient(fmt.Sprintf("198.51.100.%d", 90+c))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				get(t, other, site.URL()+"/gallery.html", "BusyBot/1.0")
+			}
+		}(c)
+	}
+	for i := 0; i < 20; i++ {
+		get(t, client, site.URL()+"/", "ViewBot/1.0")
+		if !slices.Equal(window, want) {
+			t.Errorf("request %d rewrote an earlier window: %+v, was %+v", i, window, want)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if got := extended[len(want)]; got.Path != "/never-requested" {
+		t.Errorf("the record appended to a window was overwritten by %+v", got)
+	}
+	log := site.Log()
+	if !slices.Equal(log[:len(want)], want) {
+		t.Errorf("log starts %+v, want %+v", log[:len(want)], want)
+	}
+	for i, rec := range log {
+		if rec.Path == "/never-requested" {
+			t.Fatalf("record %d of the site log is the one appended to a window", i)
 		}
 	}
 }
