@@ -14,13 +14,14 @@
 // anything about sites that block the tool itself, making the measured
 // adoption rate a lower bound exactly as in the paper.
 //
-// Every probe reads through netsim.Get, so a page cut short is a failed
-// fetch, and the survey probes its sites on par.Do: each shard writes
-// only its own sites' result slots, and workers <= 1 probes them all on
-// the calling goroutine. A probe records what it saw and a pure function
-// classifies that record, so one probe pass over the population yields
-// the tallies of both detectors — the paper's full feature set and the
-// status-only ablation.
+// Every probe reads a domain's "/" or "/robots.txt" through netsim.Get,
+// which takes the domain and the path as they are, so a page cut short
+// is a failed fetch, and the survey probes its sites on par.Do: each
+// shard writes only its own sites' result slots, and workers <= 1
+// probes them all on the calling goroutine. A probe records what it saw
+// and a pure function classifies that record, so one probe pass over the
+// population yields the tallies of both detectors — the paper's full
+// feature set and the status-only ablation.
 package blocking
 
 import (
@@ -204,13 +205,14 @@ type agentFetch struct {
 	Failed bool
 }
 
-// probe runs the §6.1 procedure against one site from client: control
-// crawl with a Chrome user agent, then, if the control got a 200, one
-// crawl per AI probe agent. A control crawl that fails, a body cut short
-// included, is an error: nothing can be compared against it.
-func probe(ctx context.Context, client *http.Client, siteURL string) (probeRecord, error) {
+// probe runs the §6.1 procedure against the front page of domain from
+// client: control crawl with a Chrome user agent, then, if the control
+// got a 200, one crawl per AI probe agent. A control crawl that fails, a
+// body cut short included, is an error: nothing can be compared against
+// it.
+func probe(ctx context.Context, client *http.Client, domain string) (probeRecord, error) {
 	var rec probeRecord
-	ctrlStatus, ctrlBody, err := netsim.Get(ctx, client, siteURL, controlHdr)
+	ctrlStatus, ctrlBody, err := netsim.Get(ctx, client, domain, "/", controlHdr)
 	if err != nil {
 		return rec, fmt.Errorf("blocking: control crawl: %w", err)
 	}
@@ -219,7 +221,7 @@ func probe(ctx context.Context, client *http.Client, siteURL string) (probeRecor
 		return rec, nil
 	}
 	for i := range probeAgents {
-		status, body, err := netsim.Get(ctx, client, siteURL, agentHdrs[i])
+		status, body, err := netsim.Get(ctx, client, domain, "/", agentHdrs[i])
 		if err != nil {
 			rec.Agents[i].Failed = true
 			continue
@@ -462,7 +464,7 @@ func probeSites(ctx context.Context, n int, seed int64, workers int) ([]siteResu
 		robotsClient := nw.HTTPClient("198.51.100.201")
 		for i := start; i < end; i++ {
 			r := &results[i]
-			rec, err := probe(ctx, client, "http://"+specs[i].Domain+"/")
+			rec, err := probe(ctx, client, specs[i].Domain)
 			if err != nil {
 				r.err = err
 				continue
@@ -517,7 +519,7 @@ func hostPopulation(ctx context.Context, n int, seed int64) (*netsim.Network, *w
 // parses through the shared content-keyed cache: survey populations
 // reuse a handful of robots.txt templates across thousands of sites.
 func robotsRestricts(ctx context.Context, client *http.Client, domain string) (bool, error) {
-	status, body, err := netsim.Get(ctx, client, "http://"+domain+"/robots.txt", robotsHdr)
+	status, body, err := netsim.Get(ctx, client, domain, "/robots.txt", robotsHdr)
 	if err != nil {
 		return false, fmt.Errorf("blocking: robots.txt check: %w", err)
 	}

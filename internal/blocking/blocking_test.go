@@ -94,7 +94,7 @@ func TestProbeVerdicts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		rec, err := probe(context.Background(), nw.HTTPClient("198.51.100.220"), site.URL()+"/")
+		rec, err := probe(context.Background(), nw.HTTPClient("198.51.100.220"), site.Domain())
 		site.Close()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -229,8 +229,8 @@ func TestStatusOnlyDetectorUndercounts(t *testing.T) {
 
 // referenceProbe is the §6.1 probe as it was before one probe served
 // both detectors: it classifies under opts while it crawls.
-func referenceProbe(ctx context.Context, client *http.Client, siteURL string, opts DetectorOptions) (siteVerdict, error) {
-	ctrlStatus, ctrlBody, err := netsim.Get(ctx, client, siteURL, controlHdr)
+func referenceProbe(ctx context.Context, client *http.Client, domain string, opts DetectorOptions) (siteVerdict, error) {
+	ctrlStatus, ctrlBody, err := netsim.Get(ctx, client, domain, "/", controlHdr)
 	if err != nil {
 		return 0, fmt.Errorf("blocking: control crawl: %w", err)
 	}
@@ -239,7 +239,7 @@ func referenceProbe(ctx context.Context, client *http.Client, siteURL string, op
 	}
 	blocked := false
 	for i := range probeAgents {
-		status, body, err := netsim.Get(ctx, client, siteURL, agentHdrs[i])
+		status, body, err := netsim.Get(ctx, client, domain, "/", agentHdrs[i])
 		if err != nil {
 			if !opts.StatusOnly {
 				blocked = true
@@ -275,7 +275,7 @@ func referenceSurvey(ctx context.Context, n int, seed int64, workers int, opts D
 		client := nw.HTTPClient("198.51.100.200")
 		robotsClient := nw.HTTPClient("198.51.100.201")
 		for i := start; i < end; i++ {
-			verdicts[i], errs[i] = referenceProbe(ctx, client, "http://"+specs[i].Domain+"/", opts)
+			verdicts[i], errs[i] = referenceProbe(ctx, client, specs[i].Domain, opts)
 			if errs[i] == nil && verdicts[i] == blocksAI {
 				robots[i], errs[i] = robotsRestricts(ctx, robotsClient, specs[i].Domain)
 			}
@@ -405,7 +405,7 @@ func TestBlockerAgainstRealServerLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer site.Close()
-	if _, err := probe(context.Background(), nw.HTTPClient("198.51.100.221"), site.URL()+"/"); err != nil {
+	if _, err := probe(context.Background(), nw.HTTPClient("198.51.100.221"), site.Domain()); err != nil {
 		t.Fatal(err)
 	}
 	var saw403 bool

@@ -84,9 +84,9 @@ type Crawler struct {
 	// every fetch.
 	baseHdr http.Header
 	visits  int
-	// get is netsim.Get; the differential test puts a stdlib reference
-	// in its place.
-	get func(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error)
+	// get is netsim.Get, which fetches a (host, target) pair; the
+	// differential test puts a stdlib reference in its place.
+	get func(ctx context.Context, client *http.Client, host, target string, hdr http.Header) (int, string, error)
 }
 
 // Visit is the record of one crawl of one site.
@@ -132,15 +132,36 @@ func New(nw *netsim.Network, p Profile) (*Crawler, error) {
 	}, nil
 }
 
-// fetchPolicy retrieves the robots.txt policy for host, recording the
-// request on v. A nil return means no usable policy was obtained.
-func (c *Crawler) fetchPolicy(ctx context.Context, base *url.URL, robotsPath string, v *Visit) *robots.Robots {
+// robotsPolicy fetches robots.txt from host, the host of base, as the
+// profile's behaviour says, recording the request on v, and returns the
+// policy the crawler honours: nil when it fetched none, got none or
+// ignores it.
+func (c *Crawler) robotsPolicy(ctx context.Context, base *url.URL, host string, v *Visit) *robots.Robots {
+	switch c.profile.Behavior {
+	case Compliant:
+		return c.fetchPolicy(ctx, base, host, "/robots.txt", v)
+	case IntermittentFetch:
+		if (c.visits-1)%3 == 0 {
+			return c.fetchPolicy(ctx, base, host, "/robots.txt", v)
+		}
+	case FetchIgnore:
+		c.fetchPolicy(ctx, base, host, "/robots.txt", v)
+	case BuggyFetch:
+		c.fetchPolicy(ctx, base, host, "/robots.txt%00", v) // malformed: never resolves to the policy
+	}
+	return nil
+}
+
+// fetchPolicy retrieves the robots.txt policy from host, the host of
+// base, recording the request on v. A nil return means no usable policy
+// was obtained.
+func (c *Crawler) fetchPolicy(ctx context.Context, base *url.URL, host, robotsPath string, v *Visit) *robots.Robots {
 	v.RobotsRequested = true
 	v.RobotsPath = robotsPath
 	robotsURL := *base
 	robotsURL.Path = robotsPath
 	robotsURL.RawQuery = ""
-	status, body, err := c.get(ctx, c.client, robotsURL.String(), c.baseHdr)
+	status, body, err := c.get(ctx, c.client, host, robotsURL.RequestURI(), c.baseHdr)
 	if err != nil {
 		return nil
 	}
@@ -169,50 +190,44 @@ func (c *Crawler) SetVisits(n int) {
 
 // Crawl visits the site rooted at baseURL: depending on the profile it
 // fetches robots.txt first, then breadth-first follows same-site links
-// from "/" subject to the robots policy.
+// from "/" subject to the robots policy. A base URL that netsim.Get
+// cannot fetch is an error.
 func (c *Crawler) Crawl(ctx context.Context, baseURL string) (*Visit, error) {
 	c.visits++
 	base, err := url.Parse(baseURL)
 	if err != nil {
 		return nil, fmt.Errorf("crawler: bad base URL: %w", err)
 	}
+	host, _, err := netsim.SplitURL(base)
+	if err != nil {
+		return nil, fmt.Errorf("crawler: bad base URL: %w", err)
+	}
 	v := &Visit{BaseURL: baseURL}
+	policy := c.robotsPolicy(ctx, base, host, v)
 
-	var policy *robots.Robots
-	fetchRobots := false
-	robotsPath := "/robots.txt"
-	switch c.profile.Behavior {
-	case Compliant, FetchIgnore:
-		fetchRobots = true
-	case BuggyFetch:
-		fetchRobots = true
-		robotsPath = "/robots.txt%00" // malformed: never resolves to the policy
-	case IntermittentFetch:
-		fetchRobots = (c.visits-1)%3 == 0
-	}
-	if fetchRobots {
-		policy = c.fetchPolicy(ctx, base, robotsPath, v)
-	}
-	honor := c.profile.Behavior == Compliant || c.profile.Behavior == IntermittentFetch
-
-	allowed := func(path string) bool {
-		if policy == nil || !honor {
-			return true
-		}
-		return policy.Allowed(c.profile.Token, path)
-	}
-
+	// The queue and the link buffer start in arrays of this frame, and
+	// seen is small, so a crawl of a small site keeps all three off the
+	// heap. The queue is read from head on, never re-sliced.
+	var queueBuf, linkBuf [16]string
+	queue, links := append(queueBuf[:0], "/"), linkBuf[:0]
+	seen := make(map[string]bool, 8)
+	seen["/"] = true
 	sitePrefix := base.Scheme + "://" + base.Host
-	queue := []string{"/"}
-	seen := map[string]bool{"/": true}
-	for len(queue) > 0 && len(v.Fetched) < c.profile.MaxPages {
-		path := queue[0]
-		queue = queue[1:]
-		if !allowed(path) {
+	for head := 0; head < len(queue) && len(v.Fetched) < c.profile.MaxPages; head++ {
+		path := queue[head]
+		if policy != nil && !policy.Allowed(c.profile.Token, path) {
 			v.Skipped = append(v.Skipped, path)
 			continue
 		}
-		status, body, err := c.get(ctx, c.client, sitePrefix+path, c.baseHdr)
+		target := path // the target a stock client sends for sitePrefix+path
+		if !netsim.PlainPath(path) {
+			u, err := url.Parse(sitePrefix + path)
+			if err != nil {
+				continue
+			}
+			target = u.RequestURI()
+		}
+		status, body, err := c.get(ctx, c.client, host, target, c.baseHdr)
 		if err != nil {
 			continue
 		}
@@ -221,7 +236,8 @@ func (c *Crawler) Crawl(ctx context.Context, baseURL string) (*Visit, error) {
 			continue
 		}
 		v.Fetched = append(v.Fetched, path)
-		for _, link := range extractLinks(body) {
+		links = appendLinks(links[:0], body)
+		for _, link := range links {
 			p, ok := sameSitePath(link, base, sitePrefix)
 			if !ok {
 				continue
@@ -290,39 +306,28 @@ func trimPath(p string) string {
 // FetchOne retrieves a single URL the way assistant crawlers do for a
 // user-triggered request, honoring the profile's robots behaviour.
 // It reports whether the content was fetched (vs declined by policy).
+// A URL that netsim.Get cannot fetch is an error.
 func (c *Crawler) FetchOne(ctx context.Context, rawURL string) (fetched bool, v *Visit, err error) {
 	c.visits++
 	u, err := url.Parse(rawURL)
 	if err != nil {
 		return false, nil, fmt.Errorf("crawler: bad URL: %w", err)
 	}
+	host, target, err := netsim.SplitURL(u)
+	if err != nil {
+		return false, nil, &url.Error{Op: "Get", URL: rawURL, Err: err}
+	}
 	v = &Visit{BaseURL: rawURL}
-
-	var policy *robots.Robots
-	fetchRobots := false
-	robotsPath := "/robots.txt"
-	switch c.profile.Behavior {
-	case Compliant, FetchIgnore:
-		fetchRobots = true
-	case BuggyFetch:
-		fetchRobots = true
-		robotsPath = "/robots.txt%00"
-	case IntermittentFetch:
-		fetchRobots = (c.visits-1)%3 == 0
-	}
-	if fetchRobots {
-		policy = c.fetchPolicy(ctx, u, robotsPath, v)
-	}
-	honor := c.profile.Behavior == Compliant || c.profile.Behavior == IntermittentFetch
+	policy := c.robotsPolicy(ctx, u, host, v)
 	path := u.Path
 	if path == "" {
 		path = "/"
 	}
-	if policy != nil && honor && !policy.Allowed(c.profile.Token, path) {
+	if policy != nil && !policy.Allowed(c.profile.Token, path) {
 		v.Skipped = append(v.Skipped, path)
 		return false, v, nil
 	}
-	status, _, err := c.get(ctx, c.client, rawURL, c.baseHdr)
+	status, _, err := c.get(ctx, c.client, host, target, c.baseHdr)
 	if err != nil {
 		return false, v, err
 	}
@@ -334,14 +339,14 @@ func (c *Crawler) FetchOne(ctx context.Context, rawURL string) (fetched bool, v 
 	return true, v, nil
 }
 
-// extractLinks scans HTML for href and src attribute values: every href
-// link in page order, then every src link. It is a small tokenizer, not a
-// full HTML parser: good enough for the well-formed pages the
-// instrumented sites serve. Each pass jumps between the page's `="`
-// pairs and checks the attribute name before one under ASCII case
-// folding, so no byte of the page is folded except those names.
-func extractLinks(body string) []string {
-	var out []string
+// appendLinks appends to dst the href and src attribute values of HTML
+// body and returns the extended slice: every href link in page order,
+// then every src link. It is a small tokenizer, not a full HTML parser:
+// good enough for the well-formed pages the instrumented sites serve.
+// Each pass jumps between the page's `="` pairs and checks the attribute
+// name before one under ASCII case folding, so no byte of the page is
+// folded except those names.
+func appendLinks(dst []string, body string) []string {
 	for _, name := range []string{"href", "src"} {
 		// idx is where the next name=" may start; the search resumes at
 		// the quote that closed the previous value.
@@ -362,12 +367,12 @@ func extractLinks(body string) []string {
 			}
 			link := body[start : start+end]
 			if link != "" && !strings.HasPrefix(link, "#") && !hasPrefixFold(link, "javascript:") {
-				out = append(out, link)
+				dst = append(dst, link)
 			}
 			idx = start + end
 		}
 	}
-	return out
+	return dst
 }
 
 // hasPrefixFold reports whether s starts with prefix under ASCII case

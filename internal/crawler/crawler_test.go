@@ -250,7 +250,7 @@ func TestExtractLinks(t *testing.T) {
 	body := `<a href="/a.html">A</a> <A HREF="/b.html">B</A>
 <img src="/img.png"> <a href="#frag">skip</a>
 <a href="javascript:void(0)">skip</a> <a href="https://other.test/x">ext</a>`
-	links := extractLinks(body)
+	links := appendLinks(nil, body)
 	sort.Strings(links)
 	want := []string{"/a.html", "/b.html", "/img.png", "https://other.test/x"}
 	if len(links) != len(want) {
@@ -316,14 +316,18 @@ func TestProfileAccessorAndDefaults(t *testing.T) {
 	}
 }
 
+// TestCrawlBadURL: a URL that does not parse, or that netsim.Get
+// cannot fetch, is an error before any request is sent.
 func TestCrawlBadURL(t *testing.T) {
 	nw := netsim.New()
 	c, _ := New(nw, Profile{Token: "X", SourceIP: "1.2.3.4"})
-	if _, err := c.Crawl(context.Background(), "http://bad url/"); err == nil {
-		t.Fatal("malformed base URL must error")
-	}
-	if _, _, err := c.FetchOne(context.Background(), "http://bad url/x"); err == nil {
-		t.Fatal("malformed FetchOne URL must error")
+	for _, base := range []string{"http://bad url", "https://site.test", "http://u:p@site.test", "http:///nohost"} {
+		if _, err := c.Crawl(context.Background(), base+"/"); err == nil {
+			t.Errorf("Crawl(%q) must error", base+"/")
+		}
+		if _, _, err := c.FetchOne(context.Background(), base+"/x"); err == nil {
+			t.Errorf("FetchOne(%q) must error", base+"/x")
+		}
 	}
 }
 

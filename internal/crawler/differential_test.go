@@ -15,11 +15,12 @@ import (
 	"repro/internal/webserver"
 )
 
-// stdlibGet is the reference netsim.Get is checked against: a GET built
-// by hand and sent through client.Do, its body read through a 1 MiB
-// limit — what netsim.Get did before it drove the transport directly.
-func stdlibGet(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
-	u, err := url.Parse(rawURL)
+// stdlibGet is the reference netsim.Get is checked against: the GET of
+// the URL "http://"+host+target, built by hand and sent through
+// client.Do, its body read through a 1 MiB limit — what netsim.Get did
+// before it drove the transport directly.
+func stdlibGet(ctx context.Context, client *http.Client, host, target string, hdr http.Header) (int, string, error) {
+	u, err := url.Parse("http://" + host + target)
 	if err != nil {
 		return 0, "", err
 	}
@@ -45,16 +46,16 @@ func stdlibGet(ctx context.Context, client *http.Client, rawURL string, hdr http
 }
 
 // recorder wraps a crawler's fetch and keeps one line per response the
-// crawler was handed: user agent, URL, status, body, and whether the
-// fetch failed.
+// crawler was handed: user agent, host, target, status, body, and
+// whether the fetch failed.
 type recorder struct {
-	get func(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error)
+	get func(ctx context.Context, client *http.Client, host, target string, hdr http.Header) (int, string, error)
 	got []string
 }
 
-func (r *recorder) fetch(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
-	status, body, err := r.get(ctx, client, rawURL, hdr)
-	r.got = append(r.got, fmt.Sprintf("%s %s: %d %q failed=%v", hdr.Get("User-Agent"), rawURL, status, body, err != nil))
+func (r *recorder) fetch(ctx context.Context, client *http.Client, host, target string, hdr http.Header) (int, string, error) {
+	status, body, err := r.get(ctx, client, host, target, hdr)
+	r.got = append(r.got, fmt.Sprintf("%s %s %s: %d %q failed=%v", hdr.Get("User-Agent"), host, target, status, body, err != nil))
 	return status, body, err
 }
 

@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// extractLinksRef is the per-byte scan extractLinks replaced, kept as
+// extractLinksRef is the per-byte scan appendLinks replaced, kept as
 // its reference: for each attribute, a case-folded search for the whole
 // `name="` from where the previous value closed.
 func extractLinksRef(body string) []string {
@@ -50,8 +50,8 @@ func indexFold(s, substr string) int {
 	return -1
 }
 
-// FuzzExtractLinksMatchesReference: on any page, extractLinks returns
-// exactly the reference's links, in the same order.
+// FuzzExtractLinksMatchesReference: on any page, appendLinks(nil, body)
+// returns exactly the reference's links, in the same order.
 func FuzzExtractLinksMatchesReference(f *testing.F) {
 	f.Add(`<a href="/a.html">A</a> <A HREF="/b.html">B</A><img src="/img.png"> <a href="#frag">x</a>`)
 	f.Add(`<a href="javascript:void(0)">x</a> <a href="https://other.test/x">ext</a>`)
@@ -59,9 +59,9 @@ func FuzzExtractLinksMatchesReference(f *testing.F) {
 	f.Add(`href="unterminated`)
 	f.Add(`=""=href=="src="x"`)
 	f.Fuzz(func(t *testing.T, body string) {
-		got, want := extractLinks(body), extractLinksRef(body)
+		got, want := appendLinks(nil, body), extractLinksRef(body)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("extractLinks(%q) = %q, reference %q", body, got, want)
+			t.Fatalf("appendLinks(nil, %q) = %q, reference %q", body, got, want)
 		}
 	})
 }

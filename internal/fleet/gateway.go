@@ -90,7 +90,7 @@ type Gateway struct {
 type replica struct {
 	cfg      ReplicaConfig
 	gw       *Gateway
-	pool     chan *policyd.FrameClientV2
+	pool     chan pooledConn
 	version  sync.Mutex // guards ver
 	ver      string
 	mRoute   *obs.Counter
@@ -130,7 +130,7 @@ func NewGateway(cfg Config) (*Gateway, error) {
 		g.replicas = append(g.replicas, &replica{
 			cfg:  rc,
 			gw:   g,
-			pool: make(chan *policyd.FrameClientV2, 16),
+			pool: make(chan pooledConn, 16),
 			mRoute: obs.NewCounter(fmt.Sprintf(`fleet_route_total{replica=%q}`, rc.Name),
 				"Decisions routed to each replica."),
 			mLatency: obs.NewHistogram(fmt.Sprintf(`fleet_replica_latency_ns{replica=%q}`, rc.Name),
@@ -277,14 +277,30 @@ func (g *Gateway) recomputeVersions() {
 	}
 }
 
+// pooledConn is an idle conn in a replica's pool and when it was put.
+type pooledConn struct {
+	fc *policyd.FrameClientV2
+	at time.Time
+}
+
+// maxPooledIdle is how long a conn may sit in a pool: a margin under
+// policyd.FrameReadTimeout, after which its replica closes it, for the
+// replica arming that deadline before put and the next batch's trip.
+const maxPooledIdle = policyd.FrameReadTimeout - 10*time.Second
+
 // get returns a frame connection to the replica: a pooled one when
-// pooled is set and one is idle, else a fresh dial.
+// pooled is set and one is idle, else a fresh dial. A pooled conn idle
+// for longer than maxPooledIdle is closed on the way, unused.
 func (r *replica) get(ctx context.Context, pooled bool) (*policyd.FrameClientV2, error) {
-	if pooled {
+	for pooled {
 		select {
-		case fc := <-r.pool:
-			return fc, nil
+		case pc := <-r.pool:
+			if time.Since(pc.at) <= maxPooledIdle {
+				return pc.fc, nil
+			}
+			pc.fc.Close()
 		default:
+			pooled = false
 		}
 	}
 	c, err := r.gw.cfg.Dial(ctx, r.cfg.FrameAddr)
@@ -294,9 +310,10 @@ func (r *replica) get(ctx context.Context, pooled bool) (*policyd.FrameClientV2,
 	return policyd.NewFrameClientV2(c)
 }
 
+// put pools fc with the time, or closes it when the pool is full.
 func (r *replica) put(fc *policyd.FrameClientV2) {
 	select {
-	case r.pool <- fc:
+	case r.pool <- pooledConn{fc, time.Now()}:
 	default:
 		fc.Close()
 	}
@@ -306,8 +323,8 @@ func (r *replica) put(fc *policyd.FrameClientV2) {
 func (r *replica) drain() {
 	for {
 		select {
-		case fc := <-r.pool:
-			fc.Close()
+		case pc := <-r.pool:
+			pc.fc.Close()
 		default:
 			return
 		}
@@ -319,8 +336,8 @@ func (r *replica) drain() {
 // replica owning key on the ring. A transport error while ctx is live
 // retries once on a freshly dialed conn: to key's ring successor, or to
 // the same replica when the ring has no other. The retry never takes a
-// pooled conn, because after an idle spell every pooled conn may be one
-// its replica has since closed.
+// pooled conn, because a failure may mean that every pooled conn in the
+// fleet is one its replica has since closed, as a restart leaves them.
 func (g *Gateway) decideOn(ctx context.Context, key string, qs []policyd.Query, out []policyd.Decision) ([]policyd.Decision, string, error) {
 	r := g.replicas[g.ring.Pick(key)]
 	ds, version, err := r.answer(ctx, qs, out, true)

@@ -1011,6 +1011,86 @@ func TestFailoverPastStalePools(t *testing.T) {
 	}
 }
 
+// TestIdlePooledConnsRetire warms both replicas' pools, then lets the
+// fleet idle, on synctest's clock. After a spell under the replicas'
+// frame read timeout, every batch reuses a pooled conn. After a spell
+// past it, in which each replica closed its idle conns, the gateway
+// retires the pooled ones unused: the first batch to each replica dials
+// once, every batch is answered by its owner, and
+// fleet_replica_errors_total does not move.
+func TestIdlePooledConnsRetire(t *testing.T) {
+	if !syntheticClock {
+		t.Skip("the idle spell is minutes long; run with GOEXPERIMENT=synctest")
+	}
+	bubble(t, func() {
+		nw := netsim.New()
+		svc := policyd.NewService(straddleSnapshot(t, "v1", false, 96))
+		var rcs []ReplicaConfig
+		for i, ip := range []string{"10.0.0.91", "10.0.0.92"} {
+			defer serveReplica(t, nw, ip, svc)()
+			rcs = append(rcs, ReplicaConfig{Name: fmt.Sprintf("idle%d", i), FrameAddr: ip + ":81"})
+		}
+		var dials atomic.Int64
+		gw, err := NewGateway(Config{
+			Replicas: rcs,
+			Dial: func(ctx context.Context, addr string) (net.Conn, error) {
+				dials.Add(1)
+				return nw.Dial(ctx, ClientIP, addr)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+
+		// round answers every 4-query batch once, each by the replica
+		// that owns it, and returns the batches each replica owned and
+		// the dials the round took.
+		qs := straddleBatch(96)
+		round := func(what string) (owned [2]int, dialed int64) {
+			dials.Store(0)
+			var got []policyd.Decision
+			for off := 0; off+4 <= len(qs); off += 4 {
+				batch := qs[off : off+4]
+				o := gw.ring.Pick(batch[0].Host)
+				owner := gw.replicas[o]
+				owned[o]++
+				routed := owner.mRoute.Value()
+				if got, _, err = gw.Answer(context.Background(), batch, got[:0]); err != nil {
+					t.Fatalf("%s: batch at %d: %v", what, off, err)
+				}
+				if owner.mRoute.Value() == routed {
+					t.Errorf("%s: batch at %d was not answered by its owner %s", what, off, owner.cfg.Name)
+				}
+			}
+			return owned, dials.Load()
+		}
+		if owned, _ := round("warm-up"); owned[0] == 0 || owned[1] == 0 {
+			t.Fatalf("batches owned per replica %v; the test needs some on each", owned)
+		}
+		errs := replicaErrors()
+		for _, c := range []struct {
+			idle  time.Duration
+			dials int64
+		}{
+			{maxPooledIdle - time.Second, 0},
+			{policyd.FrameReadTimeout + time.Second, 2},
+		} {
+			time.Sleep(c.idle)
+			what := fmt.Sprintf("after %v idle", c.idle)
+			if _, dialed := round(what); dialed != c.dials {
+				t.Errorf("%s: %d dials, want %d", what, dialed, c.dials)
+			}
+		}
+		after := replicaErrors()
+		for class := range after {
+			if n := after[class] - errs[class]; n != 0 {
+				t.Errorf("%d %s errors counted across idle spells, want 0", n, class)
+			}
+		}
+	})
+}
+
 // TestReplicaErrorClasses: a one-replica gateway's failed batch counts
 // both of its attempts in the class of the replica's fault.
 func TestReplicaErrorClasses(t *testing.T) {

@@ -14,9 +14,10 @@
 // closes every conn pooled to the failed replica and retries the batch
 // once on a freshly dialed conn: to the ring successor of its first host,
 // or to the same replica when the fleet has one. Each failure is counted in
-// fleet_replica_errors_total by class. There is no per-replica deadline
-// yet: a blackholed replica holds a batch for the caller's whole
-// deadline.
+// fleet_replica_errors_total by class. A pooled conn idle for nearly
+// policyd.FrameReadTimeout, after which its replica closes it, is retired
+// unused rather than failed on. There is no per-replica deadline yet: a
+// blackholed replica holds a batch for the caller's whole deadline.
 package fleet
 
 import "sort"

@@ -33,7 +33,7 @@ func googleVisit(nw *netsim.Network, site *webserver.Site) (indexed, trained []s
 	// Before training, the company honors the virtual token: it reads
 	// robots.txt and filters the collected pages.
 	hdr := http.Header{"User-Agent": {useragent.FullUA("Googlebot", "2.1")}}
-	status, body, err := netsim.Get(context.Background(), nw.HTTPClient(sourceIP), site.URL()+"/robots.txt", hdr)
+	status, body, err := netsim.Get(context.Background(), nw.HTTPClient(sourceIP), site.Domain(), "/robots.txt", hdr)
 	if err != nil || status != http.StatusOK {
 		return indexed, indexed, nil // no policy: train on everything
 	}

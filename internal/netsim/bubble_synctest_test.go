@@ -30,3 +30,7 @@ func bubble(t *testing.T, f func()) {
 	t.Helper()
 	synctest.Run(f)
 }
+
+// settle returns once every other goroutine of the bubble is durably
+// blocked or done. Only a bubble's body may call it.
+func settle() { synctest.Wait() }

@@ -2,7 +2,10 @@
 
 package netsim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // syntheticClock reports whether bubble runs its body on synctest's
 // clock; see bubble_synctest_test.go.
@@ -15,3 +18,7 @@ func bubble(t *testing.T, f func()) {
 	t.Helper()
 	f()
 }
+
+// settle lets the goroutines f started run. On synctest's clock it
+// returns once every one of them is durably blocked or done.
+func settle() { runtime.Gosched() }

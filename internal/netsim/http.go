@@ -231,33 +231,42 @@ func hostHeader(host string) string {
 // maxBodyBytes bounds how much of a response body Get reads.
 const maxBodyBytes = 1 << 20
 
-// Get fetches rawURL with a GET on client and reads the response body,
-// up to its first 1 MiB. It is the tree's one GET-and-read: crawlers,
-// probes and surveys all fetch through it. hdr is the request header as
-// is — Get and the handler only read it, so callers share one map across
-// every request (nil sends Go's default User-Agent). A 3xx comes back as
-// it is: no redirect is followed. A bound on the request rides on ctx.
-// client must come from Network.HTTPClient and set none of Timeout, Jar
-// and CheckRedirect, which Get could not honour; otherwise it fails
-// before routing.
+// Get fetches target on host with a GET on client and reads the
+// response body, up to its first 1 MiB. It is the tree's one
+// GET-and-read: crawlers, probes and surveys all fetch through it. host
+// is "name" or "name:port" (port 80 by default); target is an escaped
+// origin-form request target such as "/robots.txt", as a stock client
+// sends it on the request line (SplitURL makes both of a URL). hdr is
+// the request header as is — Get and the handler only read it, so
+// callers share one map across every request (nil sends Go's default
+// User-Agent). A 3xx comes back as it is: no redirect is followed. A
+// bound on the request rides on ctx. client must come from
+// Network.HTTPClient and set none of Timeout, Jar and CheckRedirect,
+// which Get could not honour; otherwise it fails before routing. An
+// error reads as client.Get's for "http://"+host+target.
 //
-// Get is client.Do of the GET with less garbage: it finds the URL's
-// handler as RoundTrip does, with the same errors and ctx check, calls its handler in-process on the same request, with a
-// pooled request and writer, and keeps the status and body the handler
-// wrote. A body the handler wrote with one WriteString comes back as
-// that string, uncopied.
-func Get(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
-	status, body, err := get(ctx, client, rawURL, hdr)
+// Get is client.Do of the GET with less garbage: it finds the host's
+// handler as RoundTrip does, with the same errors and ctx check, calls
+// it in-process on the same request, with a pooled request and writer,
+// and keeps the status and body the handler wrote. A body the handler
+// wrote with one WriteString comes back as that string, uncopied.
+func Get(ctx context.Context, client *http.Client, host, target string, hdr http.Header) (int, string, error) {
+	status, body, err := get(ctx, client, host, target, hdr)
 	if err != nil {
-		return 0, "", &url.Error{Op: "Get", URL: rawURL, Err: err}
+		return 0, "", &url.Error{Op: "Get", URL: "http://" + host + target, Err: err}
 	}
 	return status, body, nil
 }
 
-func get(ctx context.Context, client *http.Client, rawURL string, hdr http.Header) (int, string, error) {
-	t, host, target, err := getTarget(client, rawURL)
-	if err != nil {
-		return 0, "", err
+func get(ctx context.Context, client *http.Client, host, target string, hdr http.Header) (int, string, error) {
+	t, ok := client.Transport.(*transport)
+	switch {
+	case !ok:
+		return 0, "", fmt.Errorf("netsim: Get needs a Network.HTTPClient client, not transport %T", client.Transport)
+	case client.Timeout != 0:
+		return 0, "", errors.New("netsim: Get cannot honour http.Client.Timeout; bound the request with ctx")
+	case client.Jar != nil || client.CheckRedirect != nil:
+		return 0, "", errors.New("netsim: Get keeps no cookies and follows no redirects; the client must set no Jar or CheckRedirect")
 	}
 	h, err := t.nw.handler(ctx, host)
 	if err != nil {
@@ -281,7 +290,7 @@ func (t *transport) serveGet(ctx context.Context, h http.Handler, host, target s
 	}
 	x.w.reset(false)
 	err := x.serve(ctx, h)
-	x.w.clearHeader()
+	clear(x.w.hdr) // SetHeader's slices live on in x.w.kept
 	if err != nil {
 		return 0, "", err
 	}
@@ -292,82 +301,28 @@ func (t *transport) serveGet(ctx context.Context, h http.Handler, host, target s
 	return x.w.status, body, nil
 }
 
-// getTarget checks that Get can drive client's transport and returns it
-// with rawURL's host and request target. A plain "http://host/path" is
-// split by hand; any other URL goes through url.Parse and checkURL, and
-// loses an empty port as http.NewRequest's does.
-func getTarget(client *http.Client, rawURL string) (t *transport, host, target string, err error) {
-	t, ok := client.Transport.(*transport)
-	switch {
-	case !ok:
-		return nil, "", "", fmt.Errorf("netsim: Get needs a Network.HTTPClient client, not transport %T", client.Transport)
-	case client.Timeout != 0:
-		return nil, "", "", errors.New("netsim: Get cannot honour http.Client.Timeout; bound the request with ctx")
-	case client.Jar != nil || client.CheckRedirect != nil:
-		return nil, "", "", errors.New("netsim: Get keeps no cookies and follows no redirects; the client must set no Jar or CheckRedirect")
+// SplitURL returns the host and request target of u that Get takes for
+// a stock client's GET of u: an empty port is dropped, as
+// http.NewRequest drops it, and the target is u.RequestURI(). It refuses
+// what the client refuses — any URL but an http:// one with a host and
+// no userinfo — with RoundTrip's error.
+func SplitURL(u *url.URL) (host, target string, err error) {
+	v := *u
+	if strings.LastIndexByte(v.Host, ':') > strings.LastIndexByte(v.Host, ']') {
+		v.Host = strings.TrimSuffix(v.Host, ":")
 	}
-	if host, target, ok := splitPlainURL(rawURL); ok {
-		return t, host, target, nil
+	if err := checkURL(&v); err != nil {
+		return "", "", err
 	}
-	u, err := url.Parse(rawURL)
-	if err != nil {
-		return nil, "", "", err
-	}
-	if strings.LastIndexByte(u.Host, ':') > strings.LastIndexByte(u.Host, ']') {
-		u.Host = strings.TrimSuffix(u.Host, ":")
-	}
-	if err := checkURL(u); err != nil {
-		return nil, "", "", err
-	}
-	return t, u.Host, u.RequestURI(), nil
+	return v.Host, v.RequestURI(), nil
 }
 
-// splitPlainURL returns the host and request target that url.Parse and
-// URL.RequestURI would make of rawURL, without parsing, when rawURL is a
-// plain "http://host[:port][/target]": a host of letters, digits, dots
-// and dashes with an optional numeric port, and a target splitOriginForm
-// takes as is (so no '%', fragment or userinfo). It reports false for
-// any other URL.
-func splitPlainURL(rawURL string) (host, target string, ok bool) {
-	rest, ok := strings.CutPrefix(rawURL, "http://")
-	if !ok {
-		return "", "", false
-	}
-	slash := strings.IndexByte(rest, '/')
-	if slash < 0 {
-		slash = len(rest)
-	}
-	host, target = rest[:slash], rest[slash:]
-	if target == "" {
-		target = "/"
-	}
-	if !plainHost(host) {
-		return "", "", false
-	}
-	_, ok = splitOriginForm(target)
-	return host, target, ok
-}
-
-// plainHost reports whether h is a non-empty name of letters, digits,
-// dots and dashes, optionally followed by ':' and a non-empty decimal
-// port: a host url.Parse keeps as is.
-func plainHost(h string) bool {
-	name, port, hasPort := strings.Cut(h, ":")
-	if name == "" || (hasPort && port == "") {
-		return false
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if !('a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' || c == '.' || c == '-') {
-			return false
-		}
-	}
-	for i := 0; i < len(port); i++ {
-		if c := port[i]; c < '0' || c > '9' {
-			return false
-		}
-	}
-	return true
+// PlainPath reports whether p is an origin-form target that a stock
+// client sends as is: a '/' and then only bytes a URL path keeps
+// verbatim, so url.URL{Path: p}.RequestURI() is p.
+func PlainPath(p string) bool {
+	_, ok := splitOriginForm(p)
+	return ok && strings.IndexByte(p, '?') < 0
 }
 
 // requestURL returns the URL of a request target: a plain origin-form
@@ -464,7 +419,7 @@ type responseWriter struct {
 }
 
 // reset readies w for the next response. The header map needs nothing:
-// clearHeader truncated every key after the last one.
+// serveGet cleared it after the last one.
 func (w *responseWriter) reset(isHead bool) {
 	w.status = http.StatusOK
 	w.wroteHeader = false
@@ -548,16 +503,6 @@ func (w *responseWriter) body() string {
 		return w.str
 	}
 	return string(w.buf)
-}
-
-// clearHeader truncates every header value the handler set, keeping
-// each key's backing for the next response.
-func (w *responseWriter) clearHeader() {
-	for k, vs := range w.hdr {
-		if len(vs) > 0 {
-			w.hdr[k] = vs[:0]
-		}
-	}
 }
 
 // response returns what x.w holds as the response to req. The body is

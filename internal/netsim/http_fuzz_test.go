@@ -12,8 +12,8 @@ import (
 )
 
 // FuzzGetHeadMatchesRequestHead: for any URL and User-Agent, the request
-// the in-process path hands a handler — through Get and through
-// client.Do — carries the method, Host, path, query, request URI and
+// the in-process path hands a handler — through Get of the host and
+// target SplitURL makes of the URL, and through client.Do — carries the method, Host, path, query, request URI and
 // User-Agent that http.ReadRequest parses from the bytes
 // (*http.Request).Write puts on the wire for the request http.NewRequest
 // makes of the URL; or the stock path and both in-process paths refuse
@@ -44,7 +44,7 @@ func FuzzGetHeadMatchesRequestHead(f *testing.F) {
 			hdr = http.Header{"User-Agent": {ua}, "X-Probe": {"1"}}
 		}
 		var viaGet, viaDo string
-		if _, host, target, err := getTarget(client, rawURL); err == nil {
+		if host, target, err := splitRawURL(rawURL); err == nil {
 			tr.serveGet(context.Background(), http.HandlerFunc(func(_ http.ResponseWriter, r *http.Request) {
 				viaGet = requestFields(r)
 			}), host, target, hdr)
@@ -59,6 +59,15 @@ func FuzzGetHeadMatchesRequestHead(f *testing.F) {
 			t.Fatalf("%q: a handler reads\nvia Get:        %s\nvia client.Do:  %s\noff the wire:   %s", rawURL, viaGet, viaDo, want)
 		}
 	})
+}
+
+// splitRawURL is SplitURL of rawURL.
+func splitRawURL(rawURL string) (host, target string, err error) {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return "", "", err
+	}
+	return SplitURL(u)
 }
 
 // newRequest is the GET of rawURL that client.Do sends, with header hdr

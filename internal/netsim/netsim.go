@@ -68,8 +68,12 @@ func (n *Network) Register(hostname, ip string) {
 
 // resolve returns the IP bound to hostname, or hostname itself when it
 // parses as an IP (a registered name is looked up first, so resolving a
-// name allocates nothing); n.mu must be held.
+// name allocates nothing); n.mu must be held. Names are registered
+// lowercased, so hostname is looked up as given before it is lowercased.
 func (n *Network) resolve(hostname string) (string, error) {
+	if ip, ok := n.names[hostname]; ok {
+		return ip, nil
+	}
 	if ip, ok := n.names[strings.ToLower(hostname)]; ok {
 		return ip, nil
 	}

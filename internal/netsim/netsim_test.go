@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestHTTPOverNetworkPreservesSourceIP(t *testing.T) {
@@ -103,30 +102,33 @@ func TestDialBadAddress(t *testing.T) {
 	}
 }
 
+// TestAcceptAfterClose: Close wakes a blocked Accept, which returns
+// net.ErrClosed, and later dials are refused. It runs in a bubble: on
+// synctest's clock Accept is surely blocked before Close, and an Accept
+// that Close left blocked fails the test at once as a deadlock of the
+// bubble.
 func TestAcceptAfterClose(t *testing.T) {
-	nw := New()
-	ln, err := nw.Listen("192.0.2.6", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := ln.Accept()
-		done <- err
-	}()
-	ln.Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, net.ErrClosed) {
+	bubble(t, func() {
+		nw := New()
+		ln, err := nw.Listen("192.0.2.6", 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := ln.Accept()
+			done <- err
+		}()
+		settle()
+		ln.Close()
+		if err := <-done; !errors.Is(err, net.ErrClosed) {
 			t.Fatalf("Accept after close: %v, want net.ErrClosed", err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Accept did not return after Close")
-	}
-	// Dials to a closed listener are refused.
-	if _, err := nw.Dial(context.Background(), "10.0.0.1", "192.0.2.6:80"); !errors.Is(err, errConnRefused) {
-		t.Fatalf("dial to closed listener: %v", err)
-	}
+		// Dials to a closed listener are refused.
+		if _, err := nw.Dial(context.Background(), "10.0.0.1", "192.0.2.6:80"); !errors.Is(err, errConnRefused) {
+			t.Fatalf("dial to closed listener: %v", err)
+		}
+	})
 }
 
 func TestDialCancelledContext(t *testing.T) {
@@ -182,92 +184,100 @@ func TestConcurrentClients(t *testing.T) {
 // binding, accepting, and closing while many clients dial — the access
 // pattern the scenario engine's parallel site simulations produce. Run
 // with -race; the assertions are that nothing deadlocks and every dial
-// either succeeds or fails with a refusal.
+// either succeeds or fails with a refusal. It runs in a bubble, and
+// every goroutine reports its end on a channel rather than a WaitGroup,
+// which synctest does not count as durably blocked under Go 1.24: on
+// synctest's clock a deadlock fails the test at once.
 func TestManyConcurrentDialsAndListens(t *testing.T) {
-	nw := New()
-	const listeners = 16
-	const dialsPerTarget = 25
+	bubble(t, func() {
+		nw := New()
+		const listeners = 16
+		const dialsPerTarget = 25
 
-	var servers sync.WaitGroup
-	lns := make([]net.Listener, listeners)
-	for i := 0; i < listeners; i++ {
-		ip := fmt.Sprintf("203.0.113.%d", 100+i)
-		ln, err := nw.Listen(ip, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		servers.Add(1)
-		go func(ln net.Listener) {
-			defer servers.Done()
-			for {
-				c, err := ln.Accept()
-				if err != nil {
-					return
-				}
-				go func(c net.Conn) {
-					io.Copy(io.Discard, c)
-					c.Close()
-				}(c)
+		servers := make(chan struct{}, listeners)
+		lns := make([]net.Listener, listeners)
+		for i := 0; i < listeners; i++ {
+			ip := fmt.Sprintf("203.0.113.%d", 100+i)
+			ln, err := nw.Listen(ip, 80)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(ln)
-	}
-
-	var clients sync.WaitGroup
-	errs := make(chan error, listeners*dialsPerTarget)
-	for i := 0; i < listeners; i++ {
-		target := fmt.Sprintf("203.0.113.%d:80", 100+i)
-		for j := 0; j < dialsPerTarget; j++ {
-			clients.Add(1)
-			go func(target string, j int) {
-				defer clients.Done()
-				src := fmt.Sprintf("198.51.100.%d", 1+j%200)
-				c, err := nw.Dial(context.Background(), src, target)
-				if err != nil {
-					// Refusals are expected once listeners start closing.
-					if !errors.Is(err, errConnRefused) {
-						errs <- err
+			lns[i] = ln
+			go func(ln net.Listener) {
+				defer func() { servers <- struct{}{} }()
+				for {
+					c, err := ln.Accept()
+					if err != nil {
+						return
 					}
-					return
+					go func(c net.Conn) {
+						io.Copy(io.Discard, c)
+						c.Close()
+					}(c)
 				}
-				// A dial can land in a backlog that its listener closes
-				// before accepting; Close drains the backlog and closes
-				// those conns, so the write either succeeds (buffered or
-				// read by the server) or fails fast with a reset — no
-				// deadline needed to avoid blocking forever.
-				if _, werr := fmt.Fprint(c, "ping"); werr != nil && !errors.Is(werr, errConnReset) {
-					errs <- fmt.Errorf("write after refused accept: %w", werr)
-				}
-				c.Close()
-			}(target, j)
+			}(ln)
 		}
-	}
-	// Close half the listeners while dials are in flight.
-	for i := 0; i < listeners; i += 2 {
-		go lns[i].Close()
-	}
 
-	done := make(chan struct{})
-	go func() { clients.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("concurrent dials deadlocked")
-	}
-	for _, ln := range lns {
+		clients := make(chan struct{}, listeners*dialsPerTarget)
+		errs := make(chan error, listeners*dialsPerTarget)
+		for i := 0; i < listeners; i++ {
+			target := fmt.Sprintf("203.0.113.%d:80", 100+i)
+			for j := 0; j < dialsPerTarget; j++ {
+				go func(target string, j int) {
+					defer func() { clients <- struct{}{} }()
+					src := fmt.Sprintf("198.51.100.%d", 1+j%200)
+					c, err := nw.Dial(context.Background(), src, target)
+					if err != nil {
+						// Refusals are expected once listeners start closing.
+						if !errors.Is(err, errConnRefused) {
+							errs <- err
+						}
+						return
+					}
+					// A dial can land in a backlog that its listener closes
+					// before accepting; Close drains the backlog and closes
+					// those conns, so the write either succeeds (buffered or
+					// read by the server) or fails fast with a reset — no
+					// deadline needed to avoid blocking forever.
+					if _, werr := fmt.Fprint(c, "ping"); werr != nil && !errors.Is(werr, errConnReset) {
+						errs <- fmt.Errorf("write after refused accept: %w", werr)
+					}
+					c.Close()
+				}(target, j)
+			}
+		}
+		// Close half the listeners while dials are in flight.
+		closed := make(chan struct{}, listeners/2)
+		for i := 0; i < listeners; i += 2 {
+			go func(ln net.Listener) {
+				ln.Close()
+				closed <- struct{}{}
+			}(lns[i])
+		}
+
+		for i := 0; i < listeners*dialsPerTarget; i++ {
+			<-clients
+		}
+		for i := 0; i < listeners/2; i++ {
+			<-closed
+		}
+		for _, ln := range lns {
+			ln.Close()
+		}
+		for i := 0; i < listeners; i++ {
+			<-servers
+		}
+		close(errs)
+		for err := range errs {
+			t.Errorf("dial: %v", err)
+		}
+		// The network is still serviceable afterwards.
+		ln, err := nw.Listen("203.0.113.99", 80)
+		if err != nil {
+			t.Fatalf("post-stress listen: %v", err)
+		}
 		ln.Close()
-	}
-	servers.Wait()
-	close(errs)
-	for err := range errs {
-		t.Errorf("dial: %v", err)
-	}
-	// The network is still serviceable afterwards.
-	ln, err := nw.Listen("203.0.113.99", 80)
-	if err != nil {
-		t.Fatalf("post-stress listen: %v", err)
-	}
-	ln.Close()
+	})
 }
 
 func TestResolveLiteralIP(t *testing.T) {
@@ -348,12 +358,12 @@ func TestHandleBindsAddresses(t *testing.T) {
 	if _, err := nw.Dial(ctx, "198.51.100.7", "192.0.2.30:80"); !errors.Is(err, errConnRefused) {
 		t.Fatalf("Dial to a handler's address = %v, want refused", err)
 	}
-	if status, body, err := Get(ctx, client, "http://192.0.2.30/", nil); err != nil || status != http.StatusOK || body != "first" {
+	if status, body, err := Get(ctx, client, "192.0.2.30", "/", nil); err != nil || status != http.StatusOK || body != "first" {
 		t.Fatalf("Get of a bound handler = %d, %q, %v", status, body, err)
 	}
 
 	release()
-	if _, _, err := Get(ctx, client, "http://192.0.2.30/", nil); !errors.Is(err, errConnRefused) {
+	if _, _, err := Get(ctx, client, "192.0.2.30", "/", nil); !errors.Is(err, errConnRefused) {
 		t.Fatalf("Get after release = %v, want refused", err)
 	}
 	ln, err := nw.Listen("192.0.2.30", 80)
@@ -363,7 +373,7 @@ func TestHandleBindsAddresses(t *testing.T) {
 	if _, err := nw.Handle("192.0.2.30", 80, answer("x")); err == nil || !strings.Contains(err.Error(), "in use") {
 		t.Fatalf("Handle on a listener's address = %v, want it in use", err)
 	}
-	if _, _, err := Get(ctx, client, "http://192.0.2.30/", nil); err == nil || !strings.Contains(err.Error(), "no handler serves 192.0.2.30:80") {
+	if _, _, err := Get(ctx, client, "192.0.2.30", "/", nil); err == nil || !strings.Contains(err.Error(), "no handler serves 192.0.2.30:80") {
 		t.Fatalf("Get of a listener = %v, want no handler", err)
 	}
 	ln.Close()
@@ -373,7 +383,7 @@ func TestHandleBindsAddresses(t *testing.T) {
 		t.Fatalf("Handle on a released address: %v", err)
 	}
 	release() // a no-op: it must not free the rebinding
-	if status, body, err := Get(ctx, client, "http://192.0.2.30/", nil); err != nil || status != http.StatusOK || body != "rebound" {
+	if status, body, err := Get(ctx, client, "192.0.2.30", "/", nil); err != nil || status != http.StatusOK || body != "rebound" {
 		t.Fatalf("Get after a second release of the first binding = %d, %q, %v; want the rebinding", status, body, err)
 	}
 	rebound()
@@ -415,7 +425,7 @@ func TestHandleRacesGets(t *testing.T) {
 			client := nw.HTTPClient(fmt.Sprintf("198.51.100.%d", 10+c))
 			for r := 0; r < rounds; r++ {
 				want := ip((c + r) % addrs)
-				status, body, err := Get(context.Background(), client, "http://"+want+"/", nil)
+				status, body, err := Get(context.Background(), client, want, "/", nil)
 				if (err != nil && !errors.Is(err, errConnRefused)) || (err == nil && (status != http.StatusOK || body != want)) {
 					errs <- fmt.Errorf("Get of %s = %d, %q, %v", want, status, body, err)
 					return

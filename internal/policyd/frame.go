@@ -37,7 +37,7 @@ import (
 //
 // A rate-limited batch is the only in-band error: the connection stays
 // usable. Any other preamble, a malformed or oversized frame, a frame
-// (or preamble) not read whole within frameReadTimeout, or a failure to
+// (or preamble) not read whole within FrameReadTimeout, or a failure to
 // answer closes the connection, exactly like a broken-framing TCP peer.
 // The limits are shared with the JSON API: MaxBatch queries per frame,
 // maxBatchBytes payload bytes.
@@ -273,11 +273,13 @@ type Answerer interface {
 	Answer(ctx context.Context, qs []Query, out []Decision) ([]Decision, string, error)
 }
 
-// frameReadTimeout bounds a frame server's wait for the preamble and for
+// FrameReadTimeout bounds a frame server's wait for the preamble and for
 // each frame, from its length prefix to its last payload byte, so a
 // stalled or abandoned peer holds a conn no longer than the daemons'
-// HTTP IdleTimeout lets an idle keep-alive conn live.
-const frameReadTimeout = 2 * time.Minute
+// HTTP IdleTimeout lets an idle keep-alive conn live. A client that
+// pools frame conns, as the fleet gateway does, retires one before it
+// has been idle this long.
+const FrameReadTimeout = 2 * time.Minute
 
 // ServeFrames accepts connections from ln and answers frame batches from
 // svc until the listener closes; then it closes the live connections and
@@ -290,7 +292,7 @@ func ServeFrames(ln net.Listener, svc *Service) error {
 // or gateway: each connection gets its own goroutine and reused buffers,
 // and requests counts the batches decoded. A *RateLimitError from a is
 // answered in band; a protocol violation, a frame not read within
-// frameReadTimeout or any other error closes that connection only. It
+// FrameReadTimeout or any other error closes that connection only. It
 // runs on netsim.Serve, so closing ln closes every live connection too,
 // and it returns once their loops have exited.
 func ServeFramesFrom(ln net.Listener, a Answerer, requests *obs.Counter) error {
@@ -299,7 +301,7 @@ func ServeFramesFrom(ln net.Listener, a Answerer, requests *obs.Counter) error {
 
 func serveFrameConn(c net.Conn, a Answerer, requests *obs.Counter) {
 	defer c.Close()
-	c.SetReadDeadline(time.Now().Add(frameReadTimeout))
+	c.SetReadDeadline(time.Now().Add(FrameReadTimeout))
 	var magic [4]byte
 	if _, err := io.ReadFull(c, magic[:]); err != nil || magic != FrameMagicV2 {
 		return
@@ -311,7 +313,7 @@ func serveFrameConn(c net.Conn, a Answerer, requests *obs.Counter) {
 	var qs []Query
 	var out []Decision
 	for {
-		c.SetReadDeadline(time.Now().Add(frameReadTimeout))
+		c.SetReadDeadline(time.Now().Add(FrameReadTimeout))
 		if _, err := io.ReadFull(c, lenBuf[:]); err != nil {
 			return
 		}

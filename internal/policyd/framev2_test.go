@@ -116,7 +116,7 @@ func TestFrameV2Serve(t *testing.T) {
 
 // TestStalledFrameClosesAtDeadline: a peer that sends the preamble and
 // half a length prefix, then stalls, has its conn closed exactly
-// frameReadTimeout later. Two minutes are too long for the wall clock,
+// FrameReadTimeout later. Two minutes are too long for the wall clock,
 // so it runs only on synctest's (GOEXPERIMENT=synctest).
 func TestStalledFrameClosesAtDeadline(t *testing.T) {
 	if !syntheticClock {
@@ -146,8 +146,8 @@ func TestStalledFrameClosesAtDeadline(t *testing.T) {
 		if n, err := c.Read(make([]byte, 1)); err != io.EOF {
 			t.Fatalf("read from a stalled frame's conn = %d, %v; want io.EOF", n, err)
 		}
-		if elapsed := time.Since(start); elapsed != frameReadTimeout {
-			t.Errorf("stalled conn closed after %v of synthetic time, want exactly %v", elapsed, frameReadTimeout)
+		if elapsed := time.Since(start); elapsed != FrameReadTimeout {
+			t.Errorf("stalled conn closed after %v of synthetic time, want exactly %v", elapsed, FrameReadTimeout)
 		}
 	})
 }

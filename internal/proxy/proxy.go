@@ -9,10 +9,11 @@
 //   - the Figure 7 inference flow: classifying third-party sites as
 //     Block-AI on / off / inconclusive from probe responses alone.
 //
-// Every probe reads through netsim.Get, so a page cut short is a failed
-// fetch, and the Figure 7 survey probes its sites on par.Do: each shard
-// writes only its own sites' result slots, and workers <= 1 probes them
-// all on the calling goroutine.
+// Every probe reads a domain's "/" or "/robots.txt" through netsim.Get,
+// which takes the domain and the path as they are, so a page cut short
+// is a failed fetch, and the Figure 7 survey probes its sites on par.Do:
+// each shard writes only its own sites' result slots, and workers <= 1
+// probes them all on the calling goroutine.
 package proxy
 
 import (
@@ -238,7 +239,7 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 	fetch := func(ua string) (responseKind, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		status, body, err := netsim.Get(ctx, client, site.URL()+"/", http.Header{"User-Agent": {ua}})
+		status, body, err := netsim.Get(ctx, client, site.Domain(), "/", http.Header{"User-Agent": {ua}})
 		if err != nil {
 			return kindOther, err
 		}
@@ -325,12 +326,12 @@ func uaHeaders(tokens ...string) []http.Header {
 	return hs
 }
 
-// inferBlockAI runs the Figure 7 flow against one site. A probe that
-// fails, a body cut short included, is an error rather than a page to
-// classify.
-func inferBlockAI(ctx context.Context, client *http.Client, siteURL string) (inference, error) {
+// inferBlockAI runs the Figure 7 flow against the front page of domain.
+// A probe that fails, a body cut short included, is an error rather than
+// a page to classify.
+func inferBlockAI(ctx context.Context, client *http.Client, domain string) (inference, error) {
 	probe := func(hdr http.Header) (responseKind, error) {
-		status, body, err := netsim.Get(ctx, client, siteURL, hdr)
+		status, body, err := netsim.Get(ctx, client, domain, "/", hdr)
 		if err != nil {
 			return kindOther, err
 		}
@@ -516,7 +517,7 @@ func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*C
 		robotsClient := nw.HTTPClient("198.51.100.241")
 		for i := start; i < end; i++ {
 			r := &results[i]
-			r.inf, r.err = inferBlockAI(ctx, client, "http://"+specs[i].Domain+"/")
+			r.inf, r.err = inferBlockAI(ctx, client, specs[i].Domain)
 			if r.err == nil && r.inf != inconclusive {
 				r.robots, r.err = robotsDisallowsAI(ctx, robotsClient, specs[i].Domain)
 			}
@@ -568,7 +569,7 @@ var robotsHdr = http.Header{"User-Agent": {"robots-survey/1.0"}}
 // robotsDisallowsAI fetches robots.txt with a neutral UA and reports
 // whether it explicitly restricts any Table 1 AI agent.
 func robotsDisallowsAI(ctx context.Context, client *http.Client, domain string) (bool, error) {
-	status, body, err := netsim.Get(ctx, client, "http://"+domain+"/robots.txt", robotsHdr)
+	status, body, err := netsim.Get(ctx, client, domain, "/robots.txt", robotsHdr)
 	if err != nil {
 		return false, fmt.Errorf("proxy: robots.txt check: %w", err)
 	}

@@ -186,7 +186,7 @@ func TestInferBlockAIFlow(t *testing.T) {
 		domain := "inf" + string(rune('a'+i)) + ".test"
 		ip := "203.0.115." + itoa(10+i)
 		site, _ := startProxied(t, nw, domain, ip, tc.s)
-		got, err := inferBlockAI(context.Background(), client, site.URL()+"/")
+		got, err := inferBlockAI(context.Background(), client, site.Domain())
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

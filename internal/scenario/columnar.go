@@ -303,6 +303,17 @@ func waveIndex(cs CrawlerSpec, m int) (int, bool) {
 	return k, true
 }
 
+// dueWave reports whether roster entry r crawls site i in month m — its
+// SiteLimit keeps the site and waveIndex finds a wave — and which visit
+// to the site that wave is.
+func (w *tierWorld) dueWave(r, i, m int) (int, bool) {
+	cs := &w.roster[r].spec
+	if cs.SiteLimit > 0 && i >= cs.SiteLimit {
+		return 0, false
+	}
+	return waveIndex(*cs, m)
+}
+
 // domainDigits is the digit width of site i's domain name. Scenario
 // domains are fmt.Sprintf("site-%05d.scenario.test", i): the served "/"
 // page embeds absolute self-links, so response byte counts depend on the

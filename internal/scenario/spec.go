@@ -18,9 +18,10 @@
 // bit-identical at any worker count and any hot-cohort size
 // (TestTieredParityWithFull, TestResultDigests). RunTiered's doc
 // describes the two tiers and the order workers claim sites in. A hot
-// site's crawlers fetch through netsim.Get, which calls the worker's
-// farm in-process, so the hot tier dials no conn
-// (TestFarmAddressesRefuseDials).
+// site's crawlers fetch each (host, target) through netsim.Get, which
+// calls the worker's farm in-process, so the hot tier dials no conn
+// (TestFarmAddressesRefuseDials); a pinned site's log starts at the
+// capacity its run's waves fill, so it never regrows.
 package scenario
 
 import (

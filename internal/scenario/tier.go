@@ -425,11 +425,23 @@ func (w *tierWorker) runPinnedSite(ctx context.Context, i int) error {
 		}
 		w.farm, w.crawlers = farm, newRosterCrawlers(w.world, nw)
 	}
+	// A wave logs at most one robots.txt fetch and one GET per page, so
+	// a log sized for every wave of the run never regrows.
+	waves := 0
+	for m := 0; m < w.world.sp.Months; m++ {
+		for r := range w.world.roster {
+			if _, due := w.world.dueWave(r, i, m); due {
+				waves++
+			}
+		}
+	}
 	domain := siteDomain(i)
+	pages := webserver.ContentPages(domain)
 	site, err := w.farm.StartSite(webserver.Config{
 		Domain: domain,
 		IP:     siteIP,
-		Pages:  webserver.ContentPages(domain),
+		Pages:  pages,
+		LogCap: waves * (len(pages) + 1),
 	})
 	if err != nil {
 		return err
@@ -544,17 +556,13 @@ func (w *tierWorker) replayMonth(ctx context.Context, key monthKey, i int) (*mon
 	d := &eff.d
 	m := int(key.month)
 	for r := range world.roster {
-		rc := &world.roster[r]
-		if rc.spec.SiteLimit > 0 && i >= rc.spec.SiteLimit {
-			continue
-		}
-		k, due := waveIndex(rc.spec, m)
+		k, due := world.dueWave(r, i, m)
 		if !due {
 			continue
 		}
 		we, err := w.wave(ctx, waveKey{
 			roster:  uint8(r),
-			phase:   wavePhase(rc.behavior, k),
+			phase:   wavePhase(world.roster[r].behavior, k),
 			policy:  key.policy,
 			blocker: key.blocker,
 			digits:  uint16(key.digits),
@@ -629,11 +637,7 @@ func (w *tierWorker) runHotMonth(ctx context.Context, site *webserver.Site, i, m
 	logged := mark
 	var d MonthMetrics
 	for r := range world.roster {
-		rc := &world.roster[r]
-		if rc.spec.SiteLimit > 0 && i >= rc.spec.SiteLimit {
-			continue
-		}
-		k, due := waveIndex(rc.spec, m)
+		k, due := world.dueWave(r, i, m)
 		if !due {
 			continue
 		}

@@ -20,10 +20,9 @@ func TestGetFarmPageAllocs(t *testing.T) {
 	}
 	client := nw.HTTPClient("198.51.100.250")
 	hdr := http.Header{"User-Agent": {"GPTBot/1.0"}}
-	target := site.URL() + "/gallery.html"
 	ctx := context.Background()
 	get := func() {
-		status, body, err := netsim.Get(ctx, client, target, hdr)
+		status, body, err := netsim.Get(ctx, client, site.Domain(), "/gallery.html", hdr)
 		if err != nil || status != http.StatusOK || body == "" {
 			t.Fatalf("Get = %d, %d bytes, %v", status, len(body), err)
 		}

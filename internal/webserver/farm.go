@@ -87,7 +87,7 @@ func (f *Farm) StartSite(cfg Config) (*Site, error) {
 		return nil, err
 	}
 	domainKey := strings.ToLower(cfg.Domain)
-	s := &Site{cfg: cfg, farm: f}
+	s := &Site{cfg: cfg, farm: f, log: make([]Record, 0, cfg.LogCap)}
 
 	f.mu.Lock()
 	if f.closed {

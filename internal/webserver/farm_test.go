@@ -112,7 +112,7 @@ func TestFarmAddressesRefuseDials(t *testing.T) {
 			Pages: map[string]Page{"/": {Body: ip}}}); err != nil {
 			t.Fatal(err)
 		}
-		if status, body, err := netsim.Get(context.Background(), client, "http://"+ip+"/", nil); err != nil || status != 200 || body != ip {
+		if status, body, err := netsim.Get(context.Background(), client, ip, "/", nil); err != nil || status != 200 || body != ip {
 			t.Errorf("Get of %s = %d, %q, %v; want the site's page", ip, status, body, err)
 		}
 		if c, err := nw.Dial(context.Background(), "198.51.100.91", ip+":80"); err == nil || !strings.Contains(err.Error(), "connection refused") {
@@ -185,7 +185,7 @@ func TestFarmRemoveMidRun(t *testing.T) {
 	if err := s1.Close(); err != nil { // Site.Close delegates to farm.Remove
 		t.Fatal(err)
 	}
-	if _, _, err := netsim.Get(context.Background(), client, s1.URL()+"/robots.txt", nil); err == nil ||
+	if _, _, err := netsim.Get(context.Background(), client, s1.Domain(), "/robots.txt", nil); err == nil ||
 		!strings.Contains(err.Error(), "connection refused") {
 		t.Fatalf("Get after removal = %v, want the released site IP refused", err)
 	}
@@ -206,7 +206,7 @@ func TestFarmRemoveMidRun(t *testing.T) {
 	if resp, _ := get(t, client, sh.URL()+"/", "x"); resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("shared-IP post-remove = %d, want 421", resp.StatusCode)
 	}
-	if status, _, err := netsim.Get(context.Background(), client, sh.URL()+"/", nil); err != nil || status != http.StatusMisdirectedRequest {
+	if status, _, err := netsim.Get(context.Background(), client, sh.Domain(), "/", nil); err != nil || status != http.StatusMisdirectedRequest {
 		t.Fatalf("shared-IP post-remove Get = %d, %v, want 421", status, err)
 	}
 	if err := farm.Remove(s1); err != nil {
@@ -375,9 +375,9 @@ func TestFarmCloseStopsServing(t *testing.T) {
 	if err := farm.Close(); err != nil {
 		t.Fatal("double close must be a no-op")
 	}
-	for _, url := range []string{site.URL() + "/robots.txt", "http://203.0.113.250/"} {
-		if _, _, err := netsim.Get(context.Background(), client, url, nil); err == nil || !strings.Contains(err.Error(), "connection refused") {
-			t.Errorf("Get %s after Close = %v, want refused", url, err)
+	for _, u := range []struct{ host, target string }{{site.Domain(), "/robots.txt"}, {"203.0.113.250", "/"}} {
+		if _, _, err := netsim.Get(context.Background(), client, u.host, u.target, nil); err == nil || !strings.Contains(err.Error(), "connection refused") {
+			t.Errorf("Get %s%s after Close = %v, want refused", u.host, u.target, err)
 		}
 	}
 	if _, err := farm.StartSite(WildcardDisallowSite("late.test", "203.0.113.84")); err == nil {

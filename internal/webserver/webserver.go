@@ -63,10 +63,14 @@ type Config struct {
 	// Blocker, when set, screens every request (including robots.txt,
 	// like real reverse proxies do).
 	Blocker Blocker
+	// LogCap is the capacity the site's request log starts with: a site
+	// that knows how many requests it will log sets it, so its log never
+	// regrows. 0 starts the log empty, to grow as requests arrive.
+	LogCap int
 }
 
-// Validate reports whether the config can be hosted: a non-empty domain
-// and a parseable, non-empty IP. Farm.StartSite applies it before
+// Validate reports whether the config can be hosted: a non-empty domain,
+// a parseable, non-empty IP and a LogCap of at least 0. Farm.StartSite applies it before
 // touching the network, so a bad config fails with a clear error instead
 // of a half-registered site.
 func (cfg Config) Validate() error {
@@ -78,6 +82,9 @@ func (cfg Config) Validate() error {
 	}
 	if net.ParseIP(cfg.IP) == nil {
 		return fmt.Errorf("webserver: invalid site IP %q", cfg.IP)
+	}
+	if cfg.LogCap < 0 {
+		return fmt.Errorf("webserver: negative LogCap %d", cfg.LogCap)
 	}
 	return nil
 }

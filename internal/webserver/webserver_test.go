@@ -383,10 +383,20 @@ func TestLogSinceAcrossConcurrentClients(t *testing.T) {
 // TestLogWindowsAreReadOnlyViews: a LogSince window is a view of the
 // site log, not a copy, and stays safe to hold while the site serves
 // other clients (run it under -race): appending to the window leaves the
-// log unchanged, and requests logged after it leave the window unchanged.
+// log unchanged, and requests logged after it leave the window unchanged
+// — also on a site whose LogCap gives the log room to grow in place, so
+// that later records land in the window's backing array.
 func TestLogWindowsAreReadOnlyViews(t *testing.T) {
+	for _, logCap := range []int{0, 4096} {
+		cfg := WildcardDisallowSite("view.test", "203.0.113.14")
+		cfg.LogCap = logCap
+		t.Run(fmt.Sprintf("LogCap=%d", logCap), func(t *testing.T) { checkLogWindowViews(t, cfg) })
+	}
+}
+
+func checkLogWindowViews(t *testing.T, cfg Config) {
 	nw := netsim.New()
-	site := startSite(t, nw, WildcardDisallowSite("view.test", "203.0.113.14"))
+	site := startSite(t, nw, cfg)
 	client := nw.HTTPClient("198.51.100.71")
 	for _, p := range []string{"/robots.txt", "/", "/about.html"} {
 		get(t, client, site.URL()+p, "ViewBot/1.0")
