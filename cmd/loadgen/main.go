@@ -6,7 +6,7 @@
 // Every call is one policyd.Answerer.Answer. By default it compiles a
 // corpus snapshot and hammers the service in-process (the pure engine
 // cost); with -target it speaks the JSON API (policyd.JSONClient) to a
-// running cmd/policyd or cmd/policygw over TCP, and -wire binary
+// running cmd/policyd replica or gateway over TCP, and -wire binary
 // switches to the length-prefixed frame protocol (policyd.FrameClientV2;
 // point -target at the daemon's -frame-addr). Hosts are drawn from a
 // zipf popularity distribution over the corpus domains, agents from a
@@ -89,34 +89,54 @@ type snapshot struct {
 var defaultAgents = "GPTBot,ClaudeBot,CCBot,Bytespider,Googlebot"
 
 func main() {
-	target := flag.String("target", "", "comma-separated endpoints of running policyd/policygw daemons (empty = in-process service)")
-	name := flag.String("name", "", "benchmark entry and run name (default derived from the mode)")
-	seed := flag.Int64("seed", stats.DefaultSeed, "corpus seed (must match the target's)")
-	scale := flag.Float64("scale", 0.05, "corpus scale (must match the target's)")
-	snapIdx := flag.Int("snap", len(corpus.Snapshots)-1, "corpus snapshot index (in-process mode)")
-	agentList := flag.String("agents", defaultAgents, "comma-separated agent mix")
-	wire := flag.String("wire", "json", "remote wire protocol: json (the HTTP API) or binary (the frame protocol)")
-	batch := flag.Int("batch", 1, "queries per call (1 = single-decision API)")
-	total := flag.Int("n", 200_000, "total decisions to issue")
-	concurrency := flag.Int("concurrency", 1, "parallel workload drivers")
-	zipfS := flag.Float64("zipf", 1.1, "zipf skew for host popularity (0 = uniform)")
-	out := flag.String("o", "", "write a JSON snapshot (schema repro-benchsnap/1) here")
-	storeDir := flag.String("store", "", "persist the run to this run-store directory (see cmd/rundiff)")
-	minQPS := flag.Float64("min-qps", 0, "fail unless decisions/sec reaches this")
-	maxAllocs := flag.Int64("max-allocs", -1, "fail if in-process allocs/op exceed this (-1 = no gate)")
-	metrics := flag.String("metrics", "", "write obs metrics (Prometheus text) to this file at end of run (- = stderr)")
-	cpuprof := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprof := flag.String("memprofile", "", "write a heap profile to this file at end of run")
-	flag.Parse()
+	os.Exit(run(os.Stderr, os.Args[1:]))
+}
+
+// options are the flags that load reads.
+type options struct {
+	target, name, agents, wire, out, store string
+	seed, maxAllocs                        int64
+	scale, zipf, minQPS                    float64
+	snap, batch, total, concurrency        int
+}
+
+// run parses args, drives the load, writes what the flags ask for and
+// returns the exit code: 2 for a bad command line, 1 for a failure or a
+// failed gate.
+func run(stderr io.Writer, args []string) int {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var opt options
+	fs.StringVar(&opt.target, "target", "", "comma-separated endpoints of running policyd daemons, replicas or gateways (empty = in-process service)")
+	fs.StringVar(&opt.name, "name", "", "benchmark entry and run name (default derived from the mode)")
+	fs.Int64Var(&opt.seed, "seed", stats.DefaultSeed, "corpus seed (must match the target's)")
+	fs.Float64Var(&opt.scale, "scale", 0.05, "corpus scale (must match the target's)")
+	fs.IntVar(&opt.snap, "snap", len(corpus.Snapshots)-1, "corpus snapshot index (in-process mode)")
+	fs.StringVar(&opt.agents, "agents", defaultAgents, "comma-separated agent mix")
+	fs.StringVar(&opt.wire, "wire", "json", "remote wire protocol: json (the HTTP API) or binary (the frame protocol)")
+	fs.IntVar(&opt.batch, "batch", 1, "queries per call (1 = single-decision API)")
+	fs.IntVar(&opt.total, "n", 200_000, "total decisions to issue")
+	fs.IntVar(&opt.concurrency, "concurrency", 1, "parallel workload drivers")
+	fs.Float64Var(&opt.zipf, "zipf", 1.1, "zipf skew for host popularity (0 = uniform)")
+	fs.StringVar(&opt.out, "o", "", "write a JSON snapshot (schema repro-benchsnap/1) here")
+	fs.StringVar(&opt.store, "store", "", "persist the run to this run-store directory (see cmd/rundiff)")
+	fs.Float64Var(&opt.minQPS, "min-qps", 0, "fail unless decisions/sec reaches this")
+	fs.Int64Var(&opt.maxAllocs, "max-allocs", -1, "fail if in-process allocs/op exceed this (-1 = no gate)")
+	metrics := fs.String("metrics", "", "write obs metrics (Prometheus text) to this file at end of run (- = stderr)")
+	cpuprof := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprof := fs.String("memprofile", "", "write a heap profile to this file at end of run")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	stopCPU, err := obs.StartCPUProfile(*cpuprof)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		os.Exit(1)
+	if err == nil {
+		err = load(stderr, opt)
+		stopCPU()
 	}
-	err = run(*target, *name, *seed, *scale, *snapIdx, *agentList, *wire, *batch, *total,
-		*concurrency, *zipfS, *out, *storeDir, *minQPS, *maxAllocs)
-	stopCPU()
 	if err == nil {
 		err = obs.WriteHeapProfile(*memprof)
 	}
@@ -124,30 +144,26 @@ func main() {
 		err = obs.DumpMetrics(*metrics)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "loadgen: %v\n", err)
+		return 1
 	}
+	return 0
 }
 
-func run(target, name string, seed int64, scale float64, snapIdx int, agentList, wire string,
-	batch, total, concurrency int, zipfS float64, out, storeDir string, minQPS float64, maxAllocs int64) error {
-	if batch < 1 {
-		batch = 1
-	}
-	if concurrency < 1 {
-		concurrency = 1
-	}
-	if wire != "json" && wire != "binary" {
-		return fmt.Errorf("unknown -wire %q (want json or binary)", wire)
+// load drives the workload opt describes and reports on stderr.
+func load(stderr io.Writer, opt options) error {
+	batch, concurrency := max(opt.batch, 1), max(opt.concurrency, 1)
+	if opt.wire != "json" && opt.wire != "binary" {
+		return fmt.Errorf("unknown -wire %q (want json or binary)", opt.wire)
 	}
 	var targets []string
-	for _, t := range strings.Split(target, ",") {
+	for _, t := range strings.Split(opt.target, ",") {
 		if t = strings.TrimSpace(t); t != "" {
 			targets = append(targets, strings.TrimRight(t, "/"))
 		}
 	}
-	if wire == "binary" && len(targets) == 0 {
-		return fmt.Errorf("-wire binary needs -target (a cmd/policyd or cmd/policygw -frame-addr)")
+	if opt.wire == "binary" && len(targets) == 0 {
+		return fmt.Errorf("-wire binary needs -target (the -frame-addr of a cmd/policyd replica or gateway)")
 	}
 	if concurrency < len(targets) {
 		// Every endpoint gets at least one worker, or its mix would be
@@ -156,7 +172,7 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 	}
 	ctx := context.Background()
 
-	c, err := corpus.New(ctx, corpus.Config{Seed: seed, Scale: scale})
+	c, err := corpus.New(ctx, corpus.Config{Seed: opt.seed, Scale: opt.scale})
 	if err != nil {
 		return err
 	}
@@ -164,30 +180,30 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 	for i, s := range c.Sites() {
 		hosts[i] = s.Domain
 	}
-	agents := strings.Split(agentList, ",")
+	agents := strings.Split(opt.agents, ",")
 	for i := range agents {
 		agents[i] = strings.TrimSpace(agents[i])
 	}
 
 	var svc *policyd.Service
 	if len(targets) == 0 {
-		snap, err := policyd.FromCorpus(ctx, c, snapIdx, 0)
+		snap, err := policyd.FromCorpus(ctx, c, opt.snap, 0)
 		if err != nil {
 			return err
 		}
 		svc = policyd.NewService(snap)
-		fmt.Fprintf(os.Stderr, "loadgen: in-process %s\n", snap)
+		fmt.Fprintf(stderr, "loadgen: in-process %s\n", snap)
 	} else {
-		fmt.Fprintf(os.Stderr, "loadgen: driving %s with %d corpus hosts\n",
+		fmt.Fprintf(stderr, "loadgen: driving %s with %d corpus hosts\n",
 			strings.Join(targets, ", "), len(hosts))
 	}
 
-	pool := buildWorkload(seed, hosts, agents, zipfS, min(total, 1<<16))
+	pool := buildWorkload(opt.seed, hosts, agents, opt.zipf, min(opt.total, 1<<16))
 	driver := &driver{
-		svc: svc, targets: targets, wire: wire,
+		svc: svc, targets: targets, wire: opt.wire,
 		pool: pool, batch: batch,
 	}
-	latRand := stats.NewRand(seed).Fork("loadgen-latency")
+	latRand := stats.NewRand(opt.seed).Fork("loadgen-latency")
 	// Warm the roster and off-roster paths (and every endpoint) so the timed run
 	// measures steady state.
 	for e := 0; e < max(1, len(targets)); e++ {
@@ -200,7 +216,7 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 	// Timed run: each worker walks an offset slice of the cycle so the
 	// union covers the pool, sampling every 16th call's latency into a
 	// fixed-size reservoir. Workers round-robin across the endpoints.
-	perWorker := total / concurrency
+	perWorker := opt.total / concurrency
 	outs := make([]workerOut, concurrency)
 	for w := range outs {
 		outs[w].res = newReservoir(latRand.Fork(fmt.Sprintf("worker-%d", w)))
@@ -253,14 +269,14 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 	}
 
 	decided := counts[0] + counts[1] + counts[2]
-	fmt.Fprintf(os.Stderr, "loadgen: %d decisions in %.2fs — %.0f decisions/sec (batch=%d, concurrency=%d)\n",
+	fmt.Fprintf(stderr, "loadgen: %d decisions in %.2fs — %.0f decisions/sec (batch=%d, concurrency=%d)\n",
 		issued, elapsed.Seconds(), qps, batch, concurrency)
 	if len(lats) > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: per-call latency p50=%s p90=%s p99=%s max=%s (%d of %d sampled calls held)\n",
+		fmt.Fprintf(stderr, "loadgen: per-call latency p50=%s p90=%s p99=%s max=%s (%d of %d sampled calls held)\n",
 			pctile(lats, 0.50), pctile(lats, 0.90), pctile(lats, 0.99), maxLat, len(lats), sampled)
 	}
 	if decided > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: decision mix: allow %.1f%% deny %.1f%% block %.1f%%\n",
+		fmt.Fprintf(stderr, "loadgen: decision mix: allow %.1f%% deny %.1f%% block %.1f%%\n",
 			100*float64(counts[0])/float64(decided),
 			100*float64(counts[1])/float64(decided),
 			100*float64(counts[2])/float64(decided))
@@ -268,22 +284,22 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 	if len(targets) > 1 {
 		for e, m := range perEndpoint {
 			if n := m[0] + m[1] + m[2]; n > 0 {
-				fmt.Fprintf(os.Stderr, "loadgen: %s: %d decisions — allow %.1f%% deny %.1f%% block %.1f%%\n",
+				fmt.Fprintf(stderr, "loadgen: %s: %d decisions — allow %.1f%% deny %.1f%% block %.1f%%\n",
 					targets[e], n, 100*float64(m[0])/float64(n), 100*float64(m[1])/float64(n), 100*float64(m[2])/float64(n))
 			}
 		}
 	}
 	if throttled > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: rate limited %d times (backed off per Retry-After, then retried)\n", throttled)
+		fmt.Fprintf(stderr, "loadgen: rate limited %d times (backed off per Retry-After, then retried)\n", throttled)
 	}
 	if swaps > 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: observed %d snapshot rollovers mid-run\n", swaps)
+		fmt.Fprintf(stderr, "loadgen: observed %d snapshot rollovers mid-run\n", swaps)
 	}
 	if allocsPerOp >= 0 {
-		fmt.Fprintf(os.Stderr, "loadgen: allocs/op on the cached hot path: %d\n", allocsPerOp)
+		fmt.Fprintf(stderr, "loadgen: allocs/op on the cached hot path: %d\n", allocsPerOp)
 	}
 
-	benchName := name
+	benchName := opt.name
 	if benchName == "" {
 		benchName = "policyd_loadgen_inproc"
 		if len(targets) > 0 {
@@ -291,25 +307,25 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 		}
 	}
 	var snapData []byte
-	if out != "" || storeDir != "" {
+	if opt.out != "" || opt.store != "" {
 		snapData, err = buildSnapshot(benchName, issued, elapsed, qps, lats, counts,
 			throttled, swaps, allocsPerOp, batch, concurrency)
 		if err != nil {
 			return err
 		}
 	}
-	if out != "" {
-		if err := os.WriteFile(out, snapData, 0o644); err != nil {
+	if opt.out != "" {
+		if err := os.WriteFile(opt.out, snapData, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "loadgen: wrote %s\n", out)
+		fmt.Fprintf(stderr, "loadgen: wrote %s\n", opt.out)
 	}
-	if storeDir != "" {
-		st, err := runstore.Open(storeDir)
+	if opt.store != "" {
+		st, err := runstore.Open(opt.store)
 		if err != nil {
 			return err
 		}
-		runName := name
+		runName := opt.name
 		if runName == "" {
 			runName = "loadgen-inproc"
 			if len(targets) > 0 {
@@ -317,27 +333,27 @@ func run(target, name string, seed int64, scale float64, snapIdx int, agentList,
 			}
 		}
 		specKey := fmt.Sprintf("loadgen|target=%s|scale=%g|snap=%d|agents=%s|wire=%s|batch=%d|n=%d|conc=%d|zipf=%g",
-			strings.Join(targets, "+"), scale, snapIdx, agentList, wire, batch, total, concurrency, zipfS)
+			strings.Join(targets, "+"), opt.scale, opt.snap, opt.agents, opt.wire, batch, opt.total, concurrency, opt.zipf)
 		mix := runstore.DecisionMix{
 			Issued: int64(issued),
 			Allow:  counts[0], Deny: counts[1], Block: counts[2],
-			Batch: batch, Wire: wire,
+			Batch: batch, Wire: opt.wire,
 		}
 		// A gateway target exposes its per-tenant quota ledger; capture it
 		// as the quotas.json semantic segment. Plain policyd replicas
 		// don't serve /v1/quotas — that's "no segment", not an error.
 		quotas := fetchQuotas(targets)
-		id, err := st.SaveLoadgen(runstore.NewMeta(runstore.KindLoadgen, runName, seed, specKey), mix, quotas, snapData)
+		id, err := st.SaveLoadgen(runstore.NewMeta(runstore.KindLoadgen, runName, opt.seed, specKey), mix, quotas, snapData)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "loadgen: stored run %s in %s\n", id, storeDir)
+		fmt.Fprintf(stderr, "loadgen: stored run %s in %s\n", id, opt.store)
 	}
-	if minQPS > 0 && qps < minQPS {
-		return fmt.Errorf("throughput gate failed: %.0f decisions/sec < required %.0f", qps, minQPS)
+	if opt.minQPS > 0 && qps < opt.minQPS {
+		return fmt.Errorf("throughput gate failed: %.0f decisions/sec < required %.0f", qps, opt.minQPS)
 	}
-	if maxAllocs >= 0 && allocsPerOp > maxAllocs {
-		return fmt.Errorf("allocation gate failed: %d allocs/op > allowed %d", allocsPerOp, maxAllocs)
+	if opt.maxAllocs >= 0 && allocsPerOp > opt.maxAllocs {
+		return fmt.Errorf("allocation gate failed: %d allocs/op > allowed %d", allocsPerOp, opt.maxAllocs)
 	}
 	return nil
 }

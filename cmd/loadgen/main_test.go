@@ -1,14 +1,20 @@
 package main
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/policyd"
+	"repro/internal/runstore"
 	"repro/internal/stats"
 )
 
@@ -189,6 +195,73 @@ func TestDriveWiresMatchInProcess(t *testing.T) {
 			if out.res.seen == 0 {
 				t.Fatalf("batch %d, %s wire: no latencies sampled", batch, w.wire)
 			}
+		}
+	}
+}
+
+// TestRunStoresBenchsnap runs the command in-process against a compiled
+// corpus snapshot, writing -o and -store: the -o file is one
+// repro-benchsnap/1 entry that decided every issued query, and the
+// stored run loads back through runstore.LoadRunDir with that same
+// entry as its bench segment, byte for byte, and the same mix.
+func TestRunStoresBenchsnap(t *testing.T) {
+	dir := t.TempDir()
+	out, store := filepath.Join(dir, "bench.json"), filepath.Join(dir, "runs")
+	var stderr bytes.Buffer
+	const n = 2000
+	args := []string{"-scale", "0.01", "-n", fmt.Sprint(n), "-batch", "8", "-concurrency", "2", "-o", out, "-store", store}
+	if code := run(&stderr, args); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr.String())
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatal(err)
+	}
+	res, ok := snap.Benchmarks["policyd_loadgen_inproc"]
+	if snap.Schema != "repro-benchsnap/1" || len(snap.Benchmarks) != 1 || !ok {
+		t.Fatalf("-o holds schema %q, entries %v", snap.Schema, snap.Benchmarks)
+	}
+	m := res.Metrics
+	if decided := int(m["allow"] + m["deny"] + m["block"]); res.Iterations != n || decided != n || m["decisions_per_sec"] <= 0 {
+		t.Fatalf("entry: %d issued, %d decided, %v decisions/sec; want %d of each", res.Iterations, decided, m["decisions_per_sec"], n)
+	}
+
+	st, err := runstore.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs, err := st.Runs()
+	if err != nil || len(runs) != 1 {
+		t.Fatalf("store lists %v (%v), want one run", runs, err)
+	}
+	r, err := runstore.LoadRunDir(filepath.Join(store, runs[0].ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := os.ReadFile(filepath.Join(r.Dir, "bench.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runstore.BenchEntry{NsPerOp: res.NsPerOp, AllocsPerOp: res.AllocsPerOp}
+	if !bytes.Equal(stored, data) || len(r.Bench) != 1 || r.Bench["policyd_loadgen_inproc"] != want {
+		t.Errorf("stored bench segment %v differs from -o's entry %+v", r.Bench, want)
+	}
+	if d := r.Decisions; r.Meta.Kind != runstore.KindLoadgen || d == nil || d.Issued != n || d.Allow+d.Deny+d.Block != n || d.Batch != 8 || d.Wire != "json" {
+		t.Errorf("stored run: kind %q, mix %+v", r.Meta.Kind, d)
+	}
+}
+
+// TestBadInvocations: an unknown flag exits 2 and an unknown wire 1,
+// both before any load is driven.
+func TestBadInvocations(t *testing.T) {
+	for args, want := range map[string]int{"-no-such-flag": 2, "-wire=carrier-pigeon": 1} {
+		var stderr bytes.Buffer
+		if code := run(&stderr, []string{args}); code != want || stderr.Len() == 0 {
+			t.Errorf("%s: exit %d with stderr %q, want exit %d and a message", args, code, stderr.String(), want)
 		}
 	}
 }

@@ -146,8 +146,15 @@ func NewGateway(cfg Config) (*Gateway, error) {
 // an idle replica waits for its next probe, one interval at most.
 const probeInterval = 20 * time.Millisecond
 
-// probeTimeout bounds each probe exchange and each redial.
+// probeTimeout bounds each probe exchange and each redial, and is the
+// budget of a routed batch's first attempt.
 const probeTimeout = 10 * probeInterval
+
+// budgetGrain rounds a first attempt's deadline up, so that the batches
+// one pooled conn carries within a grain share a deadline and arm its
+// timer once (FrameClientV2.AnswerBy), not once each: the budget is
+// probeTimeout plus less than budgetGrain.
+const budgetGrain = 10 * time.Millisecond
 
 // Start launches one prober per replica; they run until ctx is done.
 // Without Start the gateway still works, but it learns a replica's
@@ -333,8 +340,10 @@ func (r *replica) drain() {
 
 // decideOn answers qs, appending to out, within ctx: its deadline bounds
 // the exchange and canceling it ends the exchange. The batch goes to the
-// replica owning key on the ring. A transport error while ctx is live
-// retries once on a freshly dialed conn: to key's ring successor, or to
+// replica owning key on the ring, whose exchange also has probeTimeout
+// to answer, so a blackholed replica leaves its successor time. A
+// transport error or a spent budget while ctx is live retries once on a
+// freshly dialed conn, under ctx alone: to key's ring successor, or to
 // the same replica when the ring has no other. The retry never takes a
 // pooled conn, because a failure may mean that every pooled conn in the
 // fleet is one its replica has since closed, as a restart leaves them.
@@ -350,19 +359,24 @@ func (g *Gateway) decideOn(ctx context.Context, key string, qs []policyd.Query, 
 	return r.answer(ctx, qs, out, false)
 }
 
-// answer sends qs to the replica on a pooled conn when pooled is set
-// and one is idle, else on a fresh dial, and appends the answer to out;
-// the replica's observed version updates from it. A failure is counted
-// by class and closes the conn and, unless ctx ended it, every conn
-// pooled to the replica: the one failure is most often a restart, which
-// killed them all.
-func (r *replica) answer(ctx context.Context, qs []policyd.Query, out []policyd.Decision, pooled bool) ([]policyd.Decision, string, error) {
-	fc, err := r.get(ctx, pooled)
+// answer sends qs to the replica and appends the answer to out; the
+// replica's observed version updates from it. A first attempt takes a
+// pooled conn when one is idle, else a fresh dial, and its exchange ends
+// at its budget if ctx has not ended it by then; a retry always dials
+// and runs under ctx alone. A failure is counted by class and closes the
+// conn and, unless ctx ended it, every conn pooled to the replica: the
+// one failure is most often a restart, which killed them all.
+func (r *replica) answer(ctx context.Context, qs []policyd.Query, out []policyd.Decision, first bool) ([]policyd.Decision, string, error) {
+	fc, err := r.get(ctx, first)
 	if err != nil {
 		return out, "", r.failed(ctx, err, true)
 	}
 	start := time.Now()
-	ds, version, err := fc.Answer(ctx, qs, out)
+	var by time.Time
+	if first {
+		by = start.Add(probeTimeout + budgetGrain - 1).Truncate(budgetGrain)
+	}
+	ds, version, err := fc.AnswerBy(ctx, by, qs, out)
 	if err != nil {
 		fc.Close()
 		return out, "", r.failed(ctx, err, false)
@@ -402,7 +416,9 @@ func (r *replica) failed(ctx context.Context, err error, dialing bool) error {
 
 // spent reports whether ctx ended the attempt that failed with err, so
 // that another attempt would fail the same way. It reads err as well as
-// ctx, because the conn's deadline timer may fire before ctx's own.
+// ctx, because the conn's deadline timer may fire before ctx's own. An
+// expired attempt budget is not ctx's: AnswerBy reports it as
+// os.ErrDeadlineExceeded, which is no context error.
 func spent(ctx context.Context, err error) bool {
 	return ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }

@@ -1249,39 +1249,56 @@ func TestJSONTenantsOwnTheirBytes(t *testing.T) {
 // TestAnswerHonoursDeadlineOnBlackholedReplica: a replica that accepts
 // frame conns, reads everything and never answers must not wedge
 // Answer past its context. Under a 200 ms deadline, and under a context
-// canceled after 200 ms, Answer returns the context's error well within
+// canceled after 100 ms, Answer returns the context's error well within
 // a second; the conns it opened are closed, so the replica's serve
 // loops end and nothing outlives the test. The deadline counts one
-// timeout error; the cancel, the caller's doing, counts none. The
-// deadline case runs in a bubble: on synctest's clock Answer returns
-// after exactly 200 ms.
+// timeout error; the cancel, the caller's doing, counts none. With a
+// healthy ring successor and a 500 ms deadline, the first attempt's
+// budget runs out first: it counts one timeout and the successor answers
+// the batch on a fresh dial. The deadline and failover cases run in a
+// bubble: on synctest's clock Answer returns after exactly 200 ms, the
+// context's deadline and the budget (probeTimeout; that clock starts on
+// a budgetGrain boundary, so no rounding adds to it).
 func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
+	snap := straddleSnapshot(t, "v1", false, 96)
 	for _, c := range []struct {
-		name     string
-		ctx      func() (context.Context, context.CancelFunc)
-		want     error
-		timeouts uint64
-		run      func(*testing.T, func())
+		name      string
+		ctx       func() (context.Context, context.CancelFunc)
+		successor *policyd.Snapshot // nil: the blackholed replica is the ring's only one
+		want      error
+		timeouts  uint64
+		after     time.Duration // on synctest's clock; 0: not checked
+		run       func(*testing.T, func())
 	}{
 		{"deadline", func() (context.Context, context.CancelFunc) {
 			return context.WithTimeout(context.Background(), 200*time.Millisecond)
-		}, context.DeadlineExceeded, 1, bubble},
+		}, nil, context.DeadlineExceeded, 1, 200 * time.Millisecond, bubble},
 		{"cancel", func() (context.Context, context.CancelFunc) {
 			ctx, cancel := context.WithCancel(context.Background())
-			time.AfterFunc(200*time.Millisecond, cancel)
+			time.AfterFunc(100*time.Millisecond, cancel)
 			return ctx, cancel
-		}, context.Canceled, 0, func(_ *testing.T, f func()) { f() }},
+		}, nil, context.Canceled, 0, 0, func(_ *testing.T, f func()) { f() }},
+		{"failover", func() (context.Context, context.CancelFunc) {
+			return context.WithTimeout(context.Background(), 500*time.Millisecond)
+		}, snap, nil, 1, probeTimeout, bubble},
 	} {
 		c.run(t, func() {
-			gw, stop := blackholedGateway(t)
+			gw, stop := blackholedGateway(t, c.successor)
 			defer stop()
+			qs := straddleBatch(96)
+			for gw.ring.Pick(qs[0].Host) != 0 {
+				qs = qs[1:]
+			}
+			qs = qs[:min(8, len(qs))]
 			ctx, cancel := c.ctx()
 			defer cancel()
 			timeouts := mReplicaErrTimeout.Value()
 			start := time.Now()
+			var got []policyd.Decision
 			answered := make(chan error, 1)
 			go func() {
-				_, _, err := gw.Answer(ctx, straddleBatch(8), nil)
+				var err error
+				got, _, err = gw.Answer(ctx, qs, nil)
 				answered <- err
 			}()
 			select {
@@ -1289,23 +1306,32 @@ func TestAnswerHonoursDeadlineOnBlackholedReplica(t *testing.T) {
 				if !errors.Is(err, c.want) {
 					t.Errorf("%s: Answer on a blackholed replica returned %v, want %v", c.name, err, c.want)
 				}
-				if elapsed := time.Since(start); syntheticClock && c.name == "deadline" && elapsed != 200*time.Millisecond {
-					t.Errorf("%s: Answer returned after %v of synthetic time, want exactly 200ms", c.name, elapsed)
+				if elapsed := time.Since(start); syntheticClock && c.after != 0 && elapsed != c.after {
+					t.Errorf("%s: Answer returned after %v of synthetic time, want exactly %v", c.name, elapsed, c.after)
 				}
 				if n := mReplicaErrTimeout.Value() - timeouts; n != c.timeouts {
 					t.Errorf("%s: %d timeout errors counted, want %d", c.name, n, c.timeouts)
 				}
+				if c.successor != nil && err == nil {
+					for i, q := range qs {
+						if want := c.successor.Decide(q); got[i] != want {
+							t.Errorf("%s: query %+v: %+v from the successor, %+v from the snapshot", c.name, q, got[i], want)
+						}
+					}
+				}
 			case <-time.After(time.Second):
-				t.Errorf("%s: Answer still blocked on a blackholed replica 1 s into a 200 ms context", c.name)
+				t.Errorf("%s: Answer still blocked on a blackholed replica 1 s into its context", c.name)
 			}
 		})
 	}
 }
 
-// blackholedGateway returns a gateway whose one replica accepts frame
+// blackholedGateway returns a gateway whose first replica accepts frame
 // conns, reads everything and never answers, and a func that closes
-// both and waits for the replica's serve loop.
-func blackholedGateway(t *testing.T) (*Gateway, func()) {
+// the gateway and every replica and waits for their serve loops. With
+// a successor snapshot the ring has a second, healthy replica serving
+// it.
+func blackholedGateway(t *testing.T, successor *policyd.Snapshot) (*Gateway, func()) {
 	nw := netsim.New()
 	ln, err := nw.Listen("10.0.0.99", 81)
 	if err != nil {
@@ -1318,23 +1344,33 @@ func blackholedGateway(t *testing.T) (*Gateway, func()) {
 			c.Close()
 		})
 	}()
-	stopReplica := func() {
+	stopReplicas := func() {
 		ln.Close()
 		<-served
 	}
+	rcs := []ReplicaConfig{{Name: "blackhole", FrameAddr: "10.0.0.99:81"}}
+	if successor != nil {
+		stopSuccessor := serveReplica(t, nw, "10.0.0.96", policyd.NewService(successor))
+		stopBlackhole := stopReplicas
+		stopReplicas = func() {
+			stopBlackhole()
+			stopSuccessor()
+		}
+		rcs = append(rcs, ReplicaConfig{Name: "successor", FrameAddr: "10.0.0.96:81"})
+	}
 	gw, err := NewGateway(Config{
-		Replicas: []ReplicaConfig{{Name: "blackhole", FrameAddr: "10.0.0.99:81"}},
+		Replicas: rcs,
 		Dial: func(ctx context.Context, addr string) (net.Conn, error) {
 			return nw.Dial(ctx, ClientIP, addr)
 		},
 	})
 	if err != nil {
-		stopReplica()
+		stopReplicas()
 		t.Fatal(err)
 	}
 	return gw, func() {
 		gw.Close()
-		stopReplica()
+		stopReplicas()
 	}
 }
 

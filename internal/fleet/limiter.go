@@ -61,8 +61,8 @@ type bucket struct {
 
 // NewLimiter returns a limiter. burst <= 0 defaults to one second of
 // rate. A batch larger than burst can never be admitted, so callers
-// must size burst at or above their maximum batch (cmd/policygw
-// defaults it to max(rate, 2×MaxBatch)).
+// must size burst at or above their maximum batch (NewGateway, which
+// cmd/policyd -replicas uses, defaults it to max(rate, 2×MaxBatch)).
 func NewLimiter(rate, burst float64, now func() time.Time) *Limiter {
 	if now == nil {
 		now = time.Now

@@ -9,15 +9,17 @@
 //
 // The gateway reaches replicas only on the frame wire, through
 // Config.Dial, so one Gateway serves netsim harnesses (SimFleet) and
-// real TCP (cmd/policygw) identically; it serves its own callers on both
-// wires (Handler for JSON, ServeFrames for frames). A transport error
-// closes every conn pooled to the failed replica and retries the batch
-// once on a freshly dialed conn: to the ring successor of its first host,
-// or to the same replica when the fleet has one. Each failure is counted in
+// real TCP (cmd/policyd -replicas) identically; it serves its own callers
+// on both wires (Handler for JSON, ServeFrames for frames). A batch's
+// first attempt has a budget, probeTimeout, within the caller's deadline.
+// A transport error, or a budget that runs out while the caller's
+// context is live, closes every conn pooled to the failed replica and
+// retries the batch once on a freshly dialed conn, under the caller's
+// context alone: to the ring successor of its first host, or to the same
+// replica when the fleet has one. Each failure is counted in
 // fleet_replica_errors_total by class. A pooled conn idle for nearly
 // policyd.FrameReadTimeout, after which its replica closes it, is retired
-// unused rather than failed on. There is no per-replica deadline yet: a
-// blackholed replica holds a batch for the caller's whole deadline.
+// unused rather than failed on.
 package fleet
 
 import "sort"

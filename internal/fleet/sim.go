@@ -15,7 +15,7 @@ import (
 // replicas (each with a JSON endpoint, a handler bound at port 80, and a
 // frame listener at port 81) and one gateway (the same two endpoints,
 // probing each replica's frame listener for its version), wired
-// together exactly as cmd/policygw wires real TCP.
+// together exactly as cmd/policyd -replicas wires real TCP.
 // Tests and harnesses get a production-shaped topology with in-memory
 // latency.
 type SimFleet struct {

@@ -275,10 +275,10 @@ type Answerer interface {
 
 // FrameReadTimeout bounds a frame server's wait for the preamble and for
 // each frame, from its length prefix to its last payload byte, so a
-// stalled or abandoned peer holds a conn no longer than the daemons'
-// HTTP IdleTimeout lets an idle keep-alive conn live. A client that
-// pools frame conns, as the fleet gateway does, retires one before it
-// has been idle this long.
+// stalled or abandoned peer holds a conn no longer than cmd/policyd's
+// HTTP listeners, whose IdleTimeout it is, let an idle keep-alive conn
+// live. A client that pools frame conns, as the fleet gateway does,
+// retires one before it has been idle this long.
 const FrameReadTimeout = 2 * time.Minute
 
 // ServeFrames accepts connections from ln and answers frame batches from
@@ -358,12 +358,12 @@ func serveFrameConn(c net.Conn, a Answerer, requests *obs.Counter) {
 // request/response, like a non-pipelined HTTP client; open one per
 // worker.
 type FrameClientV2 struct {
-	c       net.Conn
-	lenBuf  [4]byte
-	wbuf    []byte
-	rbuf    []byte
-	version string // last serving version, interned across responses
-	armed   bool   // c carries a deadline Answer set
+	c        net.Conn
+	lenBuf   [4]byte
+	wbuf     []byte
+	rbuf     []byte
+	version  string    // last serving version, interned across responses
+	deadline time.Time // the deadline AnswerBy armed on c; zero when none
 }
 
 // NewFrameClientV2 sends the protocol preamble on c and returns a client.
@@ -428,13 +428,24 @@ func (fc *FrameClientV2) Decide(qs []Query, out []Decision) ([]Decision, string,
 // deadline fires first). A ctx with no deadline and no Done channel
 // (context.Background) costs nothing and allocates nothing.
 func (fc *FrameClientV2) Answer(ctx context.Context, qs []Query, out []Decision) ([]Decision, string, error) {
-	d, hasDeadline := ctx.Deadline()
-	if hasDeadline {
+	return fc.AnswerBy(ctx, time.Time{}, qs, out)
+}
+
+// AnswerBy is Answer under a second deadline, by (zero = none): the
+// conn's deadline is the earlier of ctx's and by. When by is the earlier
+// and fires while ctx is live, the error is the conn's
+// os.ErrDeadlineExceeded, not ctx's, so a caller can tell its own budget
+// from ctx's and try elsewhere. The conn is re-armed only when the
+// deadline differs from the last exchange's, so a caller that passes one
+// by to many exchanges arms it once.
+func (fc *FrameClientV2) AnswerBy(ctx context.Context, by time.Time, qs []Query, out []Decision) ([]Decision, string, error) {
+	d, ctxDeadline := ctx.Deadline()
+	if !by.IsZero() && (!ctxDeadline || by.Before(d)) {
+		d, ctxDeadline = by, false
+	}
+	if !d.Equal(fc.deadline) {
 		fc.c.SetDeadline(d)
-		fc.armed = true
-	} else if fc.armed {
-		fc.c.SetDeadline(time.Time{})
-		fc.armed = false
+		fc.deadline = d
 	}
 	stop := func() bool { return true }
 	if ctx.Done() != nil {
@@ -446,7 +457,7 @@ func (fc *FrameClientV2) Answer(ctx context.Context, qs []Query, out []Decision)
 		// ctx ended the exchange, or its cancel has set the conn's
 		// deadline in the past: either way the client is done.
 		err = ctx.Err()
-	case hasDeadline && errors.Is(err, os.ErrDeadlineExceeded):
+	case ctxDeadline && errors.Is(err, os.ErrDeadlineExceeded):
 		err = context.DeadlineExceeded // the conn's timer beat ctx's
 	}
 	return out, version, err

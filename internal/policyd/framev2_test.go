@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"io"
+	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -148,6 +150,89 @@ func TestStalledFrameClosesAtDeadline(t *testing.T) {
 		}
 		if elapsed := time.Since(start); elapsed != FrameReadTimeout {
 			t.Errorf("stalled conn closed after %v of synthetic time, want exactly %v", elapsed, FrameReadTimeout)
+		}
+	})
+}
+
+// TestAnswerByDeadlines: AnswerBy re-arms its conn whenever the deadline
+// moves, so an exchange after an earlier one's by has passed, or with
+// none, is answered. Against a peer that never answers, a by earlier
+// than ctx's deadline fails at by with os.ErrDeadlineExceeded, which is
+// no context error; a by later than ctx's deadline fails at ctx's with
+// context.DeadlineExceeded, as Answer does. On synctest's clock each
+// fails after exactly the earlier deadline.
+func TestAnswerByDeadlines(t *testing.T) {
+	bubble(t, func() {
+		nw := netsim.New()
+		ln, err := nw.Listen("10.0.0.2", 81)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served := make(chan error, 1)
+		go func() { served <- ServeFrames(ln, NewService(mustSnap(t, "v1"))) }()
+		hole, err := nw.Listen("10.0.0.3", 81)
+		if err != nil {
+			t.Fatal(err)
+		}
+		holed := make(chan error, 1)
+		go func() {
+			holed <- netsim.Serve(hole, func(c net.Conn) {
+				io.Copy(io.Discard, c)
+				c.Close()
+			})
+		}()
+		defer func() {
+			ln.Close()
+			hole.Close()
+			<-served
+			<-holed
+		}()
+		dial := func(addr string) *FrameClientV2 {
+			c, err := nw.Dial(context.Background(), "10.0.0.1", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fc, err := NewFrameClientV2(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fc
+		}
+
+		fc := dial("10.0.0.2:81")
+		defer fc.Close()
+		qs := []Query{{Host: "h.test", Agent: "GPTBot", Path: "/"}}
+		for i, by := range []func() time.Time{
+			func() time.Time { return time.Now().Add(50 * time.Millisecond) },
+			func() time.Time { return time.Now().Add(50 * time.Millisecond) },
+			func() time.Time { return time.Time{} },
+		} {
+			if _, _, err := fc.AnswerBy(context.Background(), by(), qs, nil); err != nil {
+				t.Fatalf("exchange %d: %v", i, err)
+			}
+			time.Sleep(60 * time.Millisecond)
+		}
+
+		for _, c := range []struct {
+			ctx, by time.Duration
+			want    error
+		}{
+			{time.Second, 50 * time.Millisecond, os.ErrDeadlineExceeded},
+			{50 * time.Millisecond, time.Second, context.DeadlineExceeded},
+		} {
+			fc := dial("10.0.0.3:81")
+			ctx, cancel := context.WithTimeout(context.Background(), c.ctx)
+			start := time.Now()
+			_, _, err := fc.AnswerBy(ctx, start.Add(c.by), qs, nil)
+			elapsed := time.Since(start)
+			cancel()
+			fc.Close()
+			if !errors.Is(err, c.want) || (c.want == os.ErrDeadlineExceeded) == errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("ctx %v, by %v: %v, want %v", c.ctx, c.by, err, c.want)
+			}
+			if syntheticClock && elapsed != 50*time.Millisecond {
+				t.Errorf("ctx %v, by %v: failed after %v of synthetic time, want exactly 50ms", c.ctx, c.by, elapsed)
+			}
 		}
 	})
 }

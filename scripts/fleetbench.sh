@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # fleetbench: multi-process policyd fleet harness.
 #
-# Boots 2 cmd/policyd replicas and a cmd/policygw gateway on loopback,
-# then drives them with concurrent cmd/loadgen processes on both wires
-# (JSON batch API and the binary frame protocol) while the replicas
-# hot-reload through corpus snapshots. Two modes (throughput and latency
-# of the fleet are measured by bench/, in process):
+# Boots 2 cmd/policyd replicas and a third cmd/policyd as their gateway
+# (-replicas) on loopback, then drives them with concurrent cmd/loadgen
+# processes on both wires (JSON batch API and the binary frame protocol)
+# while the replicas hot-reload through corpus snapshots. Two modes
+# (throughput and latency of the fleet are measured by bench/, in
+# process):
 #
 #   scripts/fleetbench.sh smoke         CI-sized gate: phase A diffs a
 #                                       deterministic static-fleet run
@@ -48,7 +49,7 @@ trap cleanup EXIT
 log() { echo "fleetbench: $*" >&2; }
 
 log "building binaries"
-go build -o "$BIN/" ./cmd/policyd ./cmd/policygw ./cmd/loadgen ./cmd/rundiff
+go build -o "$BIN/" ./cmd/policyd ./cmd/loadgen ./cmd/rundiff
 
 wait_port() { # host:port
   for _ in $(seq 1 120); do
@@ -84,7 +85,7 @@ start_fleet() { # scale snap advance rate
   PIDS+=($!)
   wait_port 127.0.0.1:$R1_JSON
   wait_port 127.0.0.1:$R2_JSON
-  "$BIN/policygw" -addr 127.0.0.1:$GW_JSON -frame-addr 127.0.0.1:$GW_FRAME \
+  "$BIN/policyd" -addr 127.0.0.1:$GW_JSON -frame-addr 127.0.0.1:$GW_FRAME \
     -metrics-addr 127.0.0.1:$GW_METRICS \
     -replicas "$REPLICAS" -rate "$rate" &
   PIDS+=($!)
