@@ -131,6 +131,10 @@ func run(stderr io.Writer, args []string) int {
 		}
 		return 2
 	}
+	if opt.snap < 0 || opt.snap >= len(corpus.Snapshots) {
+		fmt.Fprintf(stderr, "loadgen: -snap %d is not a corpus snapshot index (0-%d)\n", opt.snap, len(corpus.Snapshots)-1)
+		return 2
+	}
 
 	stopCPU, err := obs.StartCPUProfile(*cpuprof)
 	if err == nil {

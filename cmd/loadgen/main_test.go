@@ -258,7 +258,7 @@ func TestRunStoresBenchsnap(t *testing.T) {
 // TestBadInvocations: an unknown flag exits 2 and an unknown wire 1,
 // both before any load is driven.
 func TestBadInvocations(t *testing.T) {
-	for args, want := range map[string]int{"-no-such-flag": 2, "-wire=carrier-pigeon": 1} {
+	for args, want := range map[string]int{"-no-such-flag": 2, "-wire=carrier-pigeon": 1, "-snap=99": 2, "-snap=-1": 2} {
 		var stderr bytes.Buffer
 		if code := run(&stderr, []string{args}); code != want || stderr.Len() == 0 {
 			t.Errorf("%s: exit %d with stderr %q, want exit %d and a message", args, code, stderr.String(), want)

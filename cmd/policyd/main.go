@@ -86,6 +86,10 @@ func run(ctx context.Context, stderr io.Writer, args []string) int {
 			code = 2
 		}
 	})
+	if code == 0 && (*snapIdx < 0 || *snapIdx >= len(corpus.Snapshots)) {
+		fmt.Fprintf(stderr, "policyd: -snap %d is not a corpus snapshot index (0-%d)\n", *snapIdx, len(corpus.Snapshots)-1)
+		code = 2
+	}
 	if code != 0 {
 		return code
 	}
@@ -178,9 +182,6 @@ func replicaRole(ctx context.Context, stderr io.Writer, seed int64, scale float6
 		return role{}, err
 	}
 	fmt.Fprintf(stderr, "policyd: corpus ready (%d hosts, %.1fs)\n", len(c.Sites()), time.Since(start).Seconds())
-	if snapIdx < 0 || snapIdx >= len(corpus.Snapshots) {
-		snapIdx = len(corpus.Snapshots) - 1
-	}
 	snap, err := policyd.FromCorpus(ctx, c, snapIdx, workers)
 	if err != nil {
 		return role{}, err

@@ -135,9 +135,9 @@ func TestReplicaAndGateway(t *testing.T) {
 	}
 }
 
-// TestRefusesOtherRolesFlags: each flag that only the other role reads
-// fails the command line with exit 2, before any corpus is built or any
-// port bound.
+// TestRefusesOtherRolesFlags: each flag that only the other role reads,
+// and a -snap that names no corpus snapshot, fails the command line with
+// exit 2, before any corpus is built or any port bound.
 func TestRefusesOtherRolesFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-replicas", "127.0.0.1:1", "-seed", "7"},
@@ -154,6 +154,13 @@ func TestRefusesOtherRolesFlags(t *testing.T) {
 		}
 		if flag := args[len(args)-2]; !strings.Contains(stderr.String(), flag+" is a ") {
 			t.Errorf("%v: stderr does not name %s: %s", args, flag, stderr.String())
+		}
+	}
+	// A -snap outside the corpus's snapshots fails the same way.
+	for _, snap := range []string{"99", "-1"} {
+		var stderr bytes.Buffer
+		if code := run(context.Background(), &stderr, []string{"-snap", snap}); code != 2 || !strings.Contains(stderr.String(), "-snap "+snap) {
+			t.Errorf("-snap %s: exit %d with stderr %q, want exit 2 naming the flag", snap, code, stderr.String())
 		}
 	}
 }

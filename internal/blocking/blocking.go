@@ -1,8 +1,16 @@
 // Package blocking implements active crawler blocking (§6) and the
-// paper's methodology for detecting it: the user-agent differential probe
-// of §6.1 (visit with a browser user agent, revisit with AI crawler user
-// agents, compare status codes, exceptions and content lengths per
-// [53, 88]) and the §6.2 adoption survey over a top-10k site population.
+// paper's two ways of detecting it from outside a site:
+//
+//   - the user-agent differential probe of §6.1 (visit with a browser
+//     user agent, revisit with AI crawler user agents, compare status
+//     codes, exceptions and content lengths per [53, 88]) and the §6.2
+//     adoption survey over a top-10k site population;
+//   - §6.3's Cloudflare-like reverse proxy — a Verified Bots registry,
+//     the "Definitely Automated" managed ruleset (App. C.2) and the
+//     one-click "Block AI Scrapers and Crawlers" feature (App. C.3) —
+//     with the grey-box replay that infers its rule list and the
+//     Figure 7 flow that classifies third-party sites as Block AI on,
+//     off or inconclusive from probe responses alone.
 //
 // Substitution note: the paper's probe is a Selenium-driven headless
 // Chromium, and 15% of sites block the *tool* via fingerprinting
@@ -14,14 +22,16 @@
 // anything about sites that block the tool itself, making the measured
 // adoption rate a lower bound exactly as in the paper.
 //
-// Every probe reads a domain's "/" or "/robots.txt" through netsim.Get,
-// which takes the domain and the path as they are, so a page cut short
-// is a failed fetch, and the survey probes its sites on par.Do: each
-// shard writes only its own sites' result slots, and workers <= 1
-// probes them all on the calling goroutine. A probe records what it saw
-// and a pure function classifies that record, so one probe pass over the
-// population yields the tallies of both detectors — the paper's full
-// feature set and the status-only ablation.
+// Both surveys host their population on one virtual-host farm and probe
+// every site once on par.Do: each shard probes on its own clients and
+// writes only its own sites' result slots, workers <= 1 probes them all
+// on the calling goroutine, and the first failing site in population
+// order decides the error. Every probe reads a domain's "/" or
+// "/robots.txt" through netsim.Get, which takes the domain and the path
+// as they are, so a page cut short is a failed fetch. A §6.1 probe
+// records what it saw and a pure function classifies that record, so
+// one pass over the population yields the tallies of both detectors —
+// the paper's full feature set and the status-only ablation.
 package blocking
 
 import (
@@ -186,9 +196,6 @@ func probeHeader(ua string) http.Header {
 	return http.Header{"User-Agent": {ua}, fingerprintHeader: {fingerprintHeadless}}
 }
 
-// robotsHdr is the neutral user agent of the robots.txt overlap check.
-var robotsHdr = http.Header{"User-Agent": {"robots-survey/1.0"}}
-
 // probeRecord is what one site's differential probe saw: the control
 // crawl's status and body length, then each probe agent's.
 type probeRecord struct {
@@ -287,6 +294,8 @@ type siteSpec struct {
 	Style         BlockStyle
 	// RobotsRestrictsProbeAgents mirrors the §6.2 overlap measurement.
 	RobotsRestrictsProbeAgents bool
+	// PageBytes sizes the front page (startSite).
+	PageBytes int
 }
 
 // generatePopulation builds n survey sites with the paper's §6.2 mix.
@@ -298,10 +307,12 @@ func generatePopulation(n int, seed int64) []siteSpec {
 	nUA := int(float64(n)*PaperUABlockRate + 0.5)
 	nOverlap := int(float64(nUA)*paperRobotsOverlapRate + 0.5)
 
+	sizeRand := stats.NewRand(seed).Fork("body-sizes")
 	specs := make([]siteSpec, n)
 	perm := rn.Perm(n)
 	for i := range specs {
-		specs[i] = siteSpec{Domain: fmt.Sprintf("top%05d.example", i+1)}
+		specs[i] = siteSpec{Domain: fmt.Sprintf("top%05d.example", i+1),
+			PageBytes: minPageBytes + sizeRand.Intn(maxPageBytes-minPageBytes)}
 	}
 	// First nInherent shuffled positions block inherently; next nUA block
 	// by user agent.
@@ -336,9 +347,9 @@ const paragraph = "<p>content paragraph</p>\n"
 var paragraphRun = strings.Repeat(paragraph, maxPageBytes/len(paragraph)+1)
 
 // startSite hosts one survey site on the farm according to its spec. Its
-// page holds bodySize/len(paragraph)+1 paragraphs.
-func startSite(farm *webserver.Farm, spec siteSpec, bodySize int) (*webserver.Site, error) {
-	n := (bodySize/len(paragraph) + 1) * len(paragraph)
+// page holds spec.PageBytes/len(paragraph)+1 paragraphs.
+func startSite(farm *webserver.Farm, spec siteSpec) (*webserver.Site, error) {
+	n := (spec.PageBytes/len(paragraph) + 1) * len(paragraph)
 	paragraphs := paragraphRun
 	if n <= len(paragraphs) {
 		paragraphs = paragraphs[:n]
@@ -421,116 +432,113 @@ func (t *Tallies) Under(opts DetectorOptions) *SurveyResult {
 // once and classifies the probe under both §6.1 detectors, then checks
 // robots.txt overlap for the sites the full detector flags. Every
 // status-only blocker is also a full-detector blocker, so both tallies'
-// RobotsOverlap come from those fetches. Probes run on par.Do: workers
-// bounds the shards in flight (clamped to GOMAXPROCS; workers <= 1
-// probes every site on the calling goroutine), and cancellation is
-// honored between shards. A failing site fails the survey under both
-// detectors.
+// RobotsOverlap come from those fetches. workers bounds the shards in
+// flight (clamped to GOMAXPROCS), and cancellation is honored between
+// shards. A failing site fails the survey under both detectors.
 func RunSurvey(ctx context.Context, n int, seed int64, workers int) (*Tallies, error) {
-	sites, err := probeSites(ctx, n, seed, workers)
+	sites, err := hostAndProbe(ctx, workers, topAddrs, generatePopulation(n, seed), startSite, probeSite)
 	if err != nil {
 		return nil, err
 	}
 	res := &Tallies{}
-	for _, r := range sites {
-		res.Full.count(r.full, r.robots)
-		res.StatusOnly.count(r.statusOnly, r.robots)
+	for _, v := range sites {
+		res.Full.count(v.full, v.robots)
+		res.StatusOnly.count(v.statusOnly, v.robots)
 	}
 	return res, nil
 }
 
-// siteResult is one survey site's probe, classified under each detector.
-type siteResult struct {
+// verdicts is one survey site's probe, classified under each detector.
+type verdicts struct {
 	full, statusOnly siteVerdict
 	robots           bool // a full-detector blocker's robots.txt restricts a probe agent
-	err              error
 }
 
-// probeSites hosts a population of n sites and probes each one once,
-// returning the per-site results in population order. The first failing
-// site in population order decides the error.
-func probeSites(ctx context.Context, n int, seed int64, workers int) ([]siteResult, error) {
-	nw, farm, specs, err := hostPopulation(ctx, n, seed)
+// probeSite probes one survey site and classifies the probe; a
+// full-detector blocker's robots.txt is fetched too.
+func probeSite(ctx context.Context, client, robotsClient *http.Client, spec siteSpec) (v verdicts, err error) {
+	rec, err := probe(ctx, client, spec.Domain)
+	if err != nil {
+		return v, err
+	}
+	v.full, v.statusOnly = rec.verdict(DefaultDetector), rec.verdict(StatusOnlyDetector)
+	if v.full == blocksAI {
+		v.robots, err = robotsSays(ctx, robotsClient, spec.Domain, restrictsProbeAgents)
+	}
+	return v, err
+}
+
+// surveyAddrs are a survey's addresses: the farm that hosts its whole
+// population, and its probe and robots.txt clients' sources.
+type surveyAddrs struct{ farm, probe, robots string }
+
+var topAddrs = surveyAddrs{surveyFarmIP, "198.51.100.200", "198.51.100.201"}
+
+// hostAndProbe is both surveys' pass. It hosts one site per spec on a
+// fresh network's farm at at.farm, checking ctx every 256 sites, then
+// probes every site once on par.Do, each shard from its own clients. It
+// returns the results in population order, or the error of the first
+// failing site in that order.
+func hostAndProbe[S, R any](ctx context.Context, workers int, at surveyAddrs, specs []S,
+	start func(*webserver.Farm, S) (*webserver.Site, error),
+	probeSpec func(ctx context.Context, client, robotsClient *http.Client, spec S) (R, error)) ([]R, error) {
+	nw := netsim.New()
+	farm, err := webserver.NewFarm(nw, at.farm)
 	if err != nil {
 		return nil, err
 	}
 	defer farm.Close()
-
-	// Each shard probes on its own clients and writes only its sites'
-	// slots, so the result does not depend on scheduling.
-	results := make([]siteResult, len(specs))
-	err = par.Do(ctx, workers, len(specs), func(start, end int) {
-		client := nw.HTTPClient("198.51.100.200")
-		robotsClient := nw.HTTPClient("198.51.100.201")
-		for i := start; i < end; i++ {
-			r := &results[i]
-			rec, err := probe(ctx, client, specs[i].Domain)
-			if err != nil {
-				r.err = err
-				continue
+	for i, spec := range specs {
+		if i%256 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
 			}
-			r.full, r.statusOnly = rec.verdict(DefaultDetector), rec.verdict(StatusOnlyDetector)
-			if r.full == blocksAI {
-				r.robots, r.err = robotsRestricts(ctx, robotsClient, specs[i].Domain)
-			}
+		}
+		if _, err := start(farm, spec); err != nil {
+			return nil, err
+		}
+	}
+	results := make([]R, len(specs))
+	errs := make([]error, len(specs))
+	err = par.Do(ctx, workers, len(specs), func(lo, hi int) {
+		client, robotsClient := nw.HTTPClient(at.probe), nw.HTTPClient(at.robots)
+		for i := lo; i < hi; i++ {
+			results[i], errs[i] = probeSpec(ctx, client, robotsClient, specs[i])
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	return results, nil
 }
 
-// hostPopulation generates a population of n sites and hosts it on a
-// fresh network. The whole population shares one virtual-host farm at
-// surveyFarmIP: site startup is a map insert, not a per-site server or
-// handler binding.
-// The caller closes the farm.
-func hostPopulation(ctx context.Context, n int, seed int64) (*netsim.Network, *webserver.Farm, []siteSpec, error) {
-	nw := netsim.New()
-	specs := generatePopulation(n, seed)
-	sizeRand := stats.NewRand(seed).Fork("body-sizes")
-	farm, err := webserver.NewFarm(nw, surveyFarmIP)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	for i, spec := range specs {
-		if i%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				farm.Close()
-				return nil, nil, nil, err
-			}
-		}
-		if _, err := startSite(farm, spec, minPageBytes+sizeRand.Intn(maxPageBytes-minPageBytes)); err != nil {
-			farm.Close()
-			return nil, nil, nil, err
-		}
-	}
-	return nw, farm, specs, nil
-}
+// robotsHdr is the neutral user agent of both surveys' robots.txt fetches.
+var robotsHdr = http.Header{"User-Agent": {"robots-survey/1.0"}}
 
-// robotsRestricts fetches the site's robots.txt with a neutral user agent
-// and reports whether it explicitly restricts either probe agent. It
-// parses through the shared content-keyed cache: survey populations
-// reuse a handful of robots.txt templates across thousands of sites.
-func robotsRestricts(ctx context.Context, client *http.Client, domain string) (bool, error) {
+// robotsSays fetches domain's robots.txt with robotsHdr and reports what
+// test says of its body; a site that serves none says false.
+func robotsSays(ctx context.Context, client *http.Client, domain string, test func(string) bool) (bool, error) {
 	status, body, err := netsim.Get(ctx, client, domain, "/robots.txt", robotsHdr)
 	if err != nil {
 		return false, fmt.Errorf("blocking: robots.txt check: %w", err)
 	}
-	if status != http.StatusOK {
-		return false, nil
-	}
-	rb := robots.ParseCached(body)
+	return status == http.StatusOK && test(body), nil
+}
+
+// restrictsProbeAgents reports whether a robots.txt explicitly restricts
+// either probe agent. It parses through the shared content-keyed cache:
+// survey populations reuse a handful of robots.txt templates.
+func restrictsProbeAgents(robotsTxt string) bool {
+	rb := robots.ParseCached(robotsTxt)
 	for _, agent := range probeAgents {
 		if lvl, explicit := rb.ExplicitRestriction(agent); explicit && lvl.Restricted() {
-			return true, nil
+			return true
 		}
 	}
-	return false, nil
+	return false
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/netsim"
-	"repro/internal/par"
 	"repro/internal/useragent"
 	"repro/internal/webserver"
 )
@@ -90,7 +89,8 @@ func TestProbeVerdicts(t *testing.T) {
 		{"inherent + ua", siteSpec{Domain: "both.example", InherentBlock: true, UABlock: true}, noInference, DefaultDetector},
 	}
 	for _, tc := range cases {
-		site, err := startSite(farm, tc.spec, 2000)
+		tc.spec.PageBytes = 2000
+		site, err := startSite(farm, tc.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -109,8 +109,8 @@ func TestRealCrawlerNotInherentlyBlocked(t *testing.T) {
 	// A real crawler (no fingerprint header) passes an inherent blocker —
 	// the lower-bound property the paper notes.
 	nw := netsim.New()
-	spec := siteSpec{Domain: "inh2.example", InherentBlock: true}
-	site, err := startSite(testFarm(t, nw), spec, 2000)
+	spec := siteSpec{Domain: "inh2.example", InherentBlock: true, PageBytes: 2000}
+	site, err := startSite(testFarm(t, nw), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,33 +263,26 @@ func referenceProbe(ctx context.Context, client *http.Client, domain string, opt
 // referenceSurvey is the per-detector survey: a whole probe pass for one
 // detector, with robots.txt checked for that detector's blockers.
 func referenceSurvey(ctx context.Context, n int, seed int64, workers int, opts DetectorOptions) (*SurveyResult, []siteVerdict, error) {
-	nw, farm, specs, err := hostPopulation(ctx, n, seed)
-	if err != nil {
-		return nil, nil, err
+	type site struct {
+		v      siteVerdict
+		robots bool
 	}
-	defer farm.Close()
-	verdicts := make([]siteVerdict, len(specs))
-	robots := make([]bool, len(specs))
-	errs := make([]error, len(specs))
-	err = par.Do(ctx, workers, len(specs), func(start, end int) {
-		client := nw.HTTPClient("198.51.100.200")
-		robotsClient := nw.HTTPClient("198.51.100.201")
-		for i := start; i < end; i++ {
-			verdicts[i], errs[i] = referenceProbe(ctx, client, specs[i].Domain, opts)
-			if errs[i] == nil && verdicts[i] == blocksAI {
-				robots[i], errs[i] = robotsRestricts(ctx, robotsClient, specs[i].Domain)
+	sites, err := hostAndProbe(ctx, workers, topAddrs, generatePopulation(n, seed), startSite,
+		func(ctx context.Context, client, robotsClient *http.Client, spec siteSpec) (s site, err error) {
+			s.v, err = referenceProbe(ctx, client, spec.Domain, opts)
+			if err == nil && s.v == blocksAI {
+				s.robots, err = robotsSays(ctx, robotsClient, spec.Domain, restrictsProbeAgents)
 			}
-		}
-	})
+			return s, err
+		})
 	if err != nil {
 		return nil, nil, err
 	}
 	res := &SurveyResult{}
-	for i, v := range verdicts {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
-		}
-		res.count(v, robots[i])
+	verdicts := make([]siteVerdict, len(sites))
+	for i, s := range sites {
+		verdicts[i] = s.v
+		res.count(s.v, s.robots)
 	}
 	return res, verdicts, nil
 }
@@ -306,7 +299,7 @@ func TestSurveyOnePassMatchesPerDetector(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sites, err := probeSites(ctx, n, seed, 4)
+		sites, err := hostAndProbe(ctx, 4, topAddrs, generatePopulation(n, seed), startSite, probeSite)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,8 +392,8 @@ func TestBlockerAgainstRealServerLog(t *testing.T) {
 	// End-to-end: blocked requests appear in the site log with their
 	// block status, like §6's server-side evidence.
 	nw := netsim.New()
-	spec := siteSpec{Domain: "log.example", UABlock: true, Style: StyleForbidden}
-	site, err := startSite(testFarm(t, nw), spec, 1000)
+	spec := siteSpec{Domain: "log.example", UABlock: true, Style: StyleForbidden, PageBytes: 1000}
+	site, err := startSite(testFarm(t, nw), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,4 @@
-// Package proxy implements the third-party reverse-proxy blocking service
-// the paper evaluates in §6.3 — a Cloudflare-like proxy with a Verified
-// Bots registry, the "Definitely Automated" managed ruleset (App. C.2)
-// and the one-click "Block AI Scrapers and Crawlers" feature (App. C.3) —
-// plus the paper's two measurement procedures against it:
-//
-//   - the grey-box evaluation: toggling Block AI Bots on a site we control
-//     and replaying 614 user agents to infer the undocumented rule list;
-//   - the Figure 7 inference flow: classifying third-party sites as
-//     Block-AI on / off / inconclusive from probe responses alone.
-//
-// Every probe reads a domain's "/" or "/robots.txt" through netsim.Get,
-// which takes the domain and the path as they are, so a page cut short
-// is a failed fetch, and the Figure 7 survey probes its sites on par.Do:
-// each shard writes only its own sites' result slots, and workers <= 1
-// probes them all on the calling goroutine.
-package proxy
+package blocking
 
 import (
 	"context"
@@ -28,7 +12,6 @@ import (
 
 	"repro/internal/agents"
 	"repro/internal/netsim"
-	"repro/internal/par"
 	"repro/internal/stats"
 	"repro/internal/useragent"
 	"repro/internal/webserver"
@@ -182,6 +165,15 @@ const (
 	kindOther
 )
 
+// fetchKind reads domain's front page with hdr and classifies the answer.
+func fetchKind(ctx context.Context, client *http.Client, domain string, hdr http.Header) (responseKind, error) {
+	status, body, err := netsim.Get(ctx, client, domain, "/", hdr)
+	if err != nil {
+		return kindOther, err
+	}
+	return classifyResponse(status, body), nil
+}
+
 func classifyResponse(status int, body string) responseKind {
 	switch {
 	case strings.Contains(body, challengePageMarker):
@@ -239,11 +231,7 @@ func RunGreyBox(seed int64, extraAgents int) (*GreyBoxResult, error) {
 	fetch := func(ua string) (responseKind, error) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		status, body, err := netsim.Get(ctx, client, site.Domain(), "/", http.Header{"User-Agent": {ua}})
-		if err != nil {
-			return kindOther, err
-		}
-		return classifyResponse(status, body), nil
+		return fetchKind(ctx, client, site.Domain(), http.Header{"User-Agent": {ua}})
 	}
 
 	res := &GreyBoxResult{Probed: len(probes)}
@@ -308,11 +296,11 @@ func (i inference) String() string {
 }
 
 // aiProbeHdrs and automationProbeHdrs are Figure 7's probe sets, one
-// shared request header per agent: the two most-restricted unverified AI
-// agents, and two unpopular automation libraries from the Definitely
+// shared request header per agent: the §6 probe agents, without §6.1's
+// fingerprint, and two unpopular automation libraries from the Definitely
 // Automated list.
 var (
-	aiProbeHdrs         = uaHeaders("ClaudeBot", "anthropic-ai")
+	aiProbeHdrs         = uaHeaders(probeAgents[:]...)
 	automationProbeHdrs = uaHeaders("HeadlessChrome", "libwww-perl")
 )
 
@@ -330,17 +318,9 @@ func uaHeaders(tokens ...string) []http.Header {
 // A probe that fails, a body cut short included, is an error rather than
 // a page to classify.
 func inferBlockAI(ctx context.Context, client *http.Client, domain string) (inference, error) {
-	probe := func(hdr http.Header) (responseKind, error) {
-		status, body, err := netsim.Get(ctx, client, domain, "/", hdr)
-		if err != nil {
-			return kindOther, err
-		}
-		return classifyResponse(status, body), nil
-	}
-
 	aiKind := kindOK
 	for _, hdr := range aiProbeHdrs {
-		k, err := probe(hdr)
+		k, err := fetchKind(ctx, client, domain, hdr)
 		if err != nil {
 			return inconclusive, err
 		}
@@ -352,7 +332,7 @@ func inferBlockAI(ctx context.Context, client *http.Client, domain string) (infe
 		return inferredOff, nil
 	}
 	for _, hdr := range automationProbeHdrs {
-		k, err := probe(hdr)
+		k, err := fetchKind(ctx, client, domain, hdr)
 		if err != nil {
 			return inconclusive, err
 		}
@@ -465,116 +445,65 @@ func (r *CFSurveyResult) OnRate() float64 {
 }
 
 // RunInferenceSurvey hosts n proxied sites and classifies each with the
-// Figure 7 flow, then measures the robots.txt correlation. Probes run on
-// par.Do: workers bounds the shards in flight (clamped to GOMAXPROCS;
-// workers <= 1 probes every site on the calling goroutine), and
-// cancellation is honored between shards. The first failing site in
-// population order decides the error.
+// Figure 7 flow, then measures the robots.txt correlation. workers bounds
+// the shards in flight (clamped to GOMAXPROCS), and cancellation is
+// honored between shards.
 func RunInferenceSurvey(ctx context.Context, n int, seed int64, workers int) (*CFSurveyResult, error) {
-	nw := netsim.New()
-	specs := generateCFPopulation(n, seed)
-	// One virtual-host farm stands in for the whole proxied population —
-	// fittingly, real Cloudflare-fronted sites share edge listeners too.
-	farm, err := webserver.NewFarm(nw, cfFarmIP)
+	sites, err := hostAndProbe(ctx, workers, cfAddrs, generateCFPopulation(n, seed), startCFSite, probeCFSite)
 	if err != nil {
 		return nil, err
 	}
-	defer farm.Close()
-	aiRobots := "User-agent: GPTBot\nUser-agent: anthropic-ai\nUser-agent: ClaudeBot\nDisallow: /\n"
-	plainRobots := "User-agent: *\nDisallow: /admin/\n"
-	for i, spec := range specs {
-		if i%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		robotsTxt := plainRobots
-		if spec.RobotsDisallowsAI {
-			robotsTxt = aiRobots
-		}
-		rt := robotsTxt
-		if _, err := farm.StartSite(webserver.Config{
-			Domain:    spec.Domain,
-			IP:        cfFarmIP,
-			RobotsTxt: &rt,
-			Pages:     map[string]webserver.Page{"/": {Body: "<html><body>site content for " + spec.Domain + "</body></html>"}},
-			Blocker:   newProxy(spec.Settings),
-		}); err != nil {
-			return nil, err
+	var count, withRobots [inconclusive + 1]int
+	for _, r := range sites {
+		count[r.inf]++
+		if r.robots {
+			withRobots[r.inf]++
 		}
 	}
-
-	// Each shard probes on its own clients and writes only its sites'
-	// slots, so the result does not depend on scheduling.
-	type siteResult struct {
-		inf    inference
-		robots bool // a conclusive site's robots.txt restricts an AI agent
-		err    error
+	res := &CFSurveyResult{Total: n, Off: count[inferredOff], OnBlock: count[inferredOnBlock],
+		OnChallenge: count[inferredOnChallenge], Inconclusive: count[inconclusive]}
+	if on := res.OnBlock + res.OnChallenge; on > 0 {
+		res.OnRobotsRate = float64(withRobots[inferredOnBlock]+withRobots[inferredOnChallenge]) / float64(on)
 	}
-	results := make([]siteResult, n)
-	err = par.Do(ctx, workers, n, func(start, end int) {
-		client := nw.HTTPClient("198.51.100.240")
-		robotsClient := nw.HTTPClient("198.51.100.241")
-		for i := start; i < end; i++ {
-			r := &results[i]
-			r.inf, r.err = inferBlockAI(ctx, client, specs[i].Domain)
-			if r.err == nil && r.inf != inconclusive {
-				r.robots, r.err = robotsDisallowsAI(ctx, robotsClient, specs[i].Domain)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &CFSurveyResult{Total: n}
-	var onRobots, offRobots, onCount, offCount int
-	for _, r := range results {
-		if r.err != nil {
-			return nil, r.err
-		}
-		switch r.inf {
-		case inferredOff:
-			res.Off++
-			offCount++
-			if r.robots {
-				offRobots++
-			}
-		case inferredOnBlock, inferredOnChallenge:
-			if r.inf == inferredOnBlock {
-				res.OnBlock++
-			} else {
-				res.OnChallenge++
-			}
-			onCount++
-			if r.robots {
-				onRobots++
-			}
-		case inconclusive:
-			res.Inconclusive++
-		}
-	}
-	if onCount > 0 {
-		res.OnRobotsRate = float64(onRobots) / float64(onCount)
-	}
-	if offCount > 0 {
-		res.OffRobotsRate = float64(offRobots) / float64(offCount)
+	if res.Off > 0 {
+		res.OffRobotsRate = float64(withRobots[inferredOff]) / float64(res.Off)
 	}
 	return res, nil
 }
 
-// robotsHdr is the neutral user agent of the robots.txt correlation pass.
-var robotsHdr = http.Header{"User-Agent": {"robots-survey/1.0"}}
+// cfAddrs are the Figure 7 survey's addresses. One virtual-host farm
+// stands in for the whole proxied population — fittingly, real
+// Cloudflare-fronted sites share edge listeners too.
+var cfAddrs = surveyAddrs{cfFarmIP, "198.51.100.240", "198.51.100.241"}
 
-// robotsDisallowsAI fetches robots.txt with a neutral UA and reports
-// whether it explicitly restricts any Table 1 AI agent.
-func robotsDisallowsAI(ctx context.Context, client *http.Client, domain string) (bool, error) {
-	status, body, err := netsim.Get(ctx, client, domain, "/robots.txt", robotsHdr)
-	if err != nil {
-		return false, fmt.Errorf("proxy: robots.txt check: %w", err)
+// startCFSite hosts one proxied site on the farm behind its own proxy.
+func startCFSite(farm *webserver.Farm, spec cfSiteSpec) (*webserver.Site, error) {
+	robotsTxt := "User-agent: *\nDisallow: /admin/\n"
+	if spec.RobotsDisallowsAI {
+		robotsTxt = "User-agent: GPTBot\nUser-agent: anthropic-ai\nUser-agent: ClaudeBot\nDisallow: /\n"
 	}
-	if status != http.StatusOK {
-		return false, nil
+	return farm.StartSite(webserver.Config{
+		Domain:    spec.Domain,
+		IP:        cfFarmIP,
+		RobotsTxt: &robotsTxt,
+		Pages:     map[string]webserver.Page{"/": {Body: "<html><body>site content for " + spec.Domain + "</body></html>"}},
+		Blocker:   newProxy(spec.Settings),
+	})
+}
+
+// cfVerdict is one proxied site's inference; robots reports whether a
+// conclusive site's robots.txt restricts an AI agent.
+type cfVerdict struct {
+	inf    inference
+	robots bool
+}
+
+// probeCFSite infers one proxied site's setting and, if the inference is
+// conclusive, reads its robots.txt.
+func probeCFSite(ctx context.Context, client, robotsClient *http.Client, spec cfSiteSpec) (r cfVerdict, err error) {
+	r.inf, err = inferBlockAI(ctx, client, spec.Domain)
+	if err == nil && r.inf != inconclusive {
+		r.robots, err = robotsSays(ctx, robotsClient, spec.Domain, agents.RestrictsAnyAI)
 	}
-	return agents.RestrictsAnyAI(body), nil
+	return r, err
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/longitudinal"
 	"repro/internal/measure"
 	"repro/internal/policyd"
-	"repro/internal/proxy"
 	"repro/internal/scenario"
 	"repro/internal/survey"
 )
@@ -149,10 +148,10 @@ func (e *Env) BlockingSurvey(ctx context.Context, opts blocking.DetectorOptions)
 }
 
 // InferenceSurvey returns the shared §6.3 Cloudflare inference survey.
-func (e *Env) InferenceSurvey(ctx context.Context) (*proxy.CFSurveyResult, error) {
+func (e *Env) InferenceSurvey(ctx context.Context) (*blocking.CFSurveyResult, error) {
 	key := fmt.Sprintf("cf-inference/%d/%d", e.Config.Seed, e.Config.CloudflareSites)
-	return memo(e, key, func() (*proxy.CFSurveyResult, error) {
-		return proxy.RunInferenceSurvey(ctx, e.Config.CloudflareSites, e.Config.Seed, e.Config.effectiveWorkers())
+	return memo(e, key, func() (*blocking.CFSurveyResult, error) {
+		return blocking.RunInferenceSurvey(ctx, e.Config.CloudflareSites, e.Config.Seed, e.Config.effectiveWorkers())
 	})
 }
 

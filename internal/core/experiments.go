@@ -15,7 +15,6 @@ import (
 	"repro/internal/manager"
 	"repro/internal/measure"
 	"repro/internal/metatags"
-	"repro/internal/proxy"
 	"repro/internal/robots"
 	"repro/internal/stats"
 	"repro/internal/survey"
@@ -420,7 +419,7 @@ func runGreyBox(ctx context.Context, env *Env) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := proxy.RunGreyBox(env.Config.Seed, 590)
+	res, err := blocking.RunGreyBox(env.Config.Seed, 590)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,9 @@ import (
 // dialPair builds a connected client/server conn pair through a
 // listener, which it closes before returning: an accepted conn outlives
 // its listener, and a test that runs in a bubble must close everything
-// it opens there (a t.Cleanup would run outside the bubble).
+// it opens there (a t.Cleanup would run outside the bubble). Every test
+// that calls it runs in a bubble, where an Accept that never completes
+// fails the test at once as a deadlock of the bubble.
 func dialPair(t *testing.T) (client, server net.Conn) {
 	t.Helper()
 	nw := New()
@@ -34,97 +36,91 @@ func dialPair(t *testing.T) (client, server net.Conn) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case server = <-accepted:
-	case <-time.After(2 * time.Second):
-		t.Fatal("accept did not complete")
-	}
-	return client, server
+	return client, <-accepted
 }
 
+// TestBufferedConnRoundTrip: a write smaller than the buffer completes
+// without a reader present — the buffered behaviour net.Pipe lacks. On
+// synctest's clock a write that blocks is a deadlock of the bubble.
 func TestBufferedConnRoundTrip(t *testing.T) {
-	client, server := dialPair(t)
-	defer client.Close()
-	defer server.Close()
+	bubble(t, func() {
+		client, server := dialPair(t)
+		defer client.Close()
+		defer server.Close()
 
-	// Writes smaller than the buffer complete without a reader present —
-	// the buffered behaviour net.Pipe lacks.
-	msg := []byte("hello over the simulated wire")
-	done := make(chan error, 1)
-	go func() {
-		_, err := client.Write(msg)
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
+		msg := []byte("hello over the simulated wire")
+		if _, err := client.Write(msg); err != nil {
 			t.Fatalf("buffered write: %v", err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("small write blocked: conn is not buffered")
-	}
-	got := make([]byte, len(msg))
-	if _, err := io.ReadFull(server, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("read %q, want %q", got, msg)
-	}
+		got := make([]byte, len(msg))
+		if _, err := io.ReadFull(server, got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("read %q, want %q", got, msg)
+		}
+	})
 }
 
 func TestBufferedConnLargeTransfer(t *testing.T) {
-	client, server := dialPair(t)
-	defer client.Close()
-	defer server.Close()
+	bubble(t, func() {
+		client, server := dialPair(t)
+		defer client.Close()
+		defer server.Close()
 
-	// A payload several times the ring capacity must flow with a
-	// concurrent reader, exercising wraparound and writer blocking.
-	payload := bytes.Repeat([]byte("0123456789abcdef"), 20*1024) // 320 KiB
-	go func() {
-		client.Write(payload)
-		client.Close()
-	}()
-	got, err := io.ReadAll(server)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("transfer mismatch: got %d bytes, want %d", len(got), len(payload))
-	}
+		// A payload several times the ring capacity must flow with a
+		// concurrent reader, exercising wraparound and writer blocking.
+		payload := bytes.Repeat([]byte("0123456789abcdef"), 20*1024) // 320 KiB
+		go func() {
+			client.Write(payload)
+			client.Close()
+		}()
+		got, err := io.ReadAll(server)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) {
+			t.Fatalf("transfer mismatch: got %d bytes, want %d", len(got), len(payload))
+		}
+	})
 }
 
 func TestCloseDeliversEOFAfterDrain(t *testing.T) {
-	client, server := dialPair(t)
-	defer server.Close()
+	bubble(t, func() {
+		client, server := dialPair(t)
+		defer server.Close()
 
-	if _, err := client.Write([]byte("last words")); err != nil {
-		t.Fatal(err)
-	}
-	client.Close()
-	// The peer reads the buffered data first, then EOF — like a TCP FIN.
-	got, err := io.ReadAll(server)
-	if err != nil {
-		t.Fatalf("read after peer close: %v", err)
-	}
-	if string(got) != "last words" {
-		t.Fatalf("drained %q", got)
-	}
-	// Writing to the closed peer fails with a reset.
-	if _, err := server.Write([]byte("x")); !errors.Is(err, errConnReset) {
-		t.Fatalf("write to closed peer = %v, want ErrConnReset", err)
-	}
+		if _, err := client.Write([]byte("last words")); err != nil {
+			t.Fatal(err)
+		}
+		client.Close()
+		// The peer reads the buffered data first, then EOF — like a TCP FIN.
+		got, err := io.ReadAll(server)
+		if err != nil {
+			t.Fatalf("read after peer close: %v", err)
+		}
+		if string(got) != "last words" {
+			t.Fatalf("drained %q", got)
+		}
+		// Writing to the closed peer fails with a reset.
+		if _, err := server.Write([]byte("x")); !errors.Is(err, errConnReset) {
+			t.Fatalf("write to closed peer = %v, want ErrConnReset", err)
+		}
+	})
 }
 
 func TestReadWriteAfterOwnClose(t *testing.T) {
-	client, server := dialPair(t)
-	defer server.Close()
-	client.Close()
-	if _, err := client.Read(make([]byte, 1)); !errors.Is(err, io.ErrClosedPipe) {
-		t.Fatalf("read after own close = %v, want io.ErrClosedPipe", err)
-	}
-	if _, err := client.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
-		t.Fatalf("write after own close = %v, want io.ErrClosedPipe", err)
-	}
+	bubble(t, func() {
+		client, server := dialPair(t)
+		defer server.Close()
+		client.Close()
+		if _, err := client.Read(make([]byte, 1)); !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("read after own close = %v, want io.ErrClosedPipe", err)
+		}
+		if _, err := client.Write([]byte("x")); !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("write after own close = %v, want io.ErrClosedPipe", err)
+		}
+	})
 }
 
 // TestReadDeadline and TestWriteDeadlineUnblocksFullBuffer run in a
@@ -184,14 +180,16 @@ func TestWriteDeadlineUnblocksFullBuffer(t *testing.T) {
 // deadline before every frame allocates nothing for it. Not parallel:
 // AllocsPerRun counts the whole process.
 func TestConnDeadlineRearmAllocs(t *testing.T) {
-	client, server := dialPair(t)
-	defer client.Close()
-	defer server.Close()
-	rearm := func() { server.SetReadDeadline(time.Now().Add(time.Minute)) }
-	rearm()
-	if allocs := testing.AllocsPerRun(1000, rearm); allocs > 0 {
-		t.Fatalf("%v allocations per read-deadline re-arm, want 0", allocs)
-	}
+	bubble(t, func() {
+		client, server := dialPair(t)
+		defer client.Close()
+		defer server.Close()
+		rearm := func() { server.SetReadDeadline(time.Now().Add(time.Minute)) }
+		rearm()
+		if allocs := testing.AllocsPerRun(1000, rearm); allocs > 0 {
+			t.Fatalf("%v allocations per read-deadline re-arm, want 0", allocs)
+		}
+	})
 }
 
 // TestReadDeadlineMovedLater: a deadline moved later before it fires
@@ -227,45 +225,38 @@ func TestReadDeadlineMovedLater(t *testing.T) {
 // TestClosingListenerDrainsBacklog pins the PR 2 stress-test fix: conns
 // accepted into a closing listener's backlog are closed by Close, so the
 // dialer's synchronous write fails fast instead of hanging until a
-// deadline.
+// deadline. On synctest's clock a write that hangs is a deadlock of the
+// bubble.
 func TestClosingListenerDrainsBacklog(t *testing.T) {
-	nw := New()
-	ln, err := nw.Listen("192.0.2.41", 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Dial without any Accept loop: the conn sits in the backlog.
-	c, err := nw.Dial(context.Background(), "198.51.100.2", "192.0.2.41:80")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln.Close()
+	bubble(t, func() {
+		nw := New()
+		ln, err := nw.Listen("192.0.2.41", 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Dial without any Accept loop: the conn sits in the backlog.
+		c, err := nw.Dial(context.Background(), "198.51.100.2", "192.0.2.41:80")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln.Close()
 
-	// No deadline set: the fix, not a workaround, must unblock us. The
-	// ring absorbs up to connBufSize bytes, so write more than that.
-	done := make(chan error, 1)
-	go func() {
-		_, werr := c.Write(make([]byte, 2*connBufSize))
-		done <- werr
-	}()
-	select {
-	case werr := <-done:
-		if !errors.Is(werr, errConnReset) {
+		// No deadline set: the fix, not a workaround, must unblock us. The
+		// ring absorbs up to connBufSize bytes, so write more than that.
+		if _, werr := c.Write(make([]byte, 2*connBufSize)); !errors.Is(werr, errConnReset) {
 			t.Fatalf("write into drained backlog = %v, want ErrConnReset", werr)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("write into drained backlog hung: listener.Close did not drain")
-	}
-	// Reads observe the close too.
-	if _, rerr := c.Read(make([]byte, 1)); rerr != io.EOF && !errors.Is(rerr, errConnReset) {
-		t.Fatalf("read on drained conn = %v, want EOF or reset", rerr)
-	}
-	c.Close()
+		// Reads observe the close too.
+		if _, rerr := c.Read(make([]byte, 1)); rerr != io.EOF && !errors.Is(rerr, errConnReset) {
+			t.Fatalf("read on drained conn = %v, want EOF or reset", rerr)
+		}
+		c.Close()
 
-	// New dials are refused outright.
-	if _, err := nw.Dial(context.Background(), "198.51.100.2", "192.0.2.41:80"); !errors.Is(err, errConnRefused) {
-		t.Fatalf("dial after close = %v, want ErrConnRefused", err)
-	}
+		// New dials are refused outright.
+		if _, err := nw.Dial(context.Background(), "198.51.100.2", "192.0.2.41:80"); !errors.Is(err, errConnRefused) {
+			t.Fatalf("dial after close = %v, want ErrConnRefused", err)
+		}
+	})
 }
 
 // TestConnBuffersRecycled sanity-checks that closing both ends releases

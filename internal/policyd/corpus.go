@@ -2,6 +2,7 @@ package policyd
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/agents"
@@ -47,15 +48,13 @@ func FromCorpus(ctx context.Context, c *corpus.Corpus, snap, workers int) (*Snap
 // in per-site comment/Sitemap lines, which the normalized parse-cache
 // key already proves semantics-preserving, so a month-advance reload
 // recompiles only the hosts whose rules actually moved. prev may be nil
-// (full build). The result is decision-identical to a full build.
+// (full build). The result is decision-identical to a full build. A snap
+// outside corpus.Snapshots is an error.
 func FromCorpusIncremental(ctx context.Context, c *corpus.Corpus, snap, workers int, prev *Snapshot) (*Snapshot, error) {
+	if snap < 0 || snap >= len(corpus.Snapshots) {
+		return nil, fmt.Errorf("policyd: snapshot index %d outside [0, %d)", snap, len(corpus.Snapshots))
+	}
 	defer mCompileNS.ObserveSince(time.Now())
-	if snap < 0 {
-		snap = 0
-	}
-	if snap >= len(corpus.Snapshots) {
-		snap = len(corpus.Snapshots) - 1
-	}
 	meta := corpus.Snapshots[snap]
 
 	// The blocklist a provider would push at this date: every announced

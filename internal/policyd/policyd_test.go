@@ -290,6 +290,11 @@ func TestFromCorpusEnrichment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, snap := range []int{-1, len(corpus.Snapshots)} {
+		if _, err := FromCorpus(ctx, c, snap, 4); err == nil {
+			t.Errorf("snapshot index %d: no error", snap)
+		}
+	}
 	if early.Len() != len(c.Sites()) || late.Len() != early.Len() {
 		t.Fatalf("host counts: early %d late %d corpus %d", early.Len(), late.Len(), len(c.Sites()))
 	}

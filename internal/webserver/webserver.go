@@ -36,8 +36,7 @@ type BlockDecision struct {
 }
 
 // Blocker inspects a request before content is served. A nil return means
-// the request passes. Implementations live in internal/blocking and
-// internal/proxy.
+// the request passes. Implementations live in internal/blocking.
 type Blocker interface {
 	Check(r *http.Request) *BlockDecision
 }

@@ -68,7 +68,7 @@ declare -A keep=(
   [policyd.Stats]="Service.Stats returns it"
   [policyd.DecisionJSON]="BatchResponse.Decisions; Decision.JSON returns it"
   [policyd.JSONStages]="policyd.NewJSONStages returns it"
-  [proxy.GreyBoxResult]="proxy.RunGreyBox returns it"
+  [blocking.GreyBoxResult]="blocking.RunGreyBox returns it"
   [ranking.Model]="ranking.NewModel returns it"
   [robots.Cache]="robots.NewCache returns it"
   [robots.CacheStats]="robots.SharedCacheStats returns it"
